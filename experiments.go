@@ -48,6 +48,7 @@ func Fig5(sizesKB []int) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
+			defer sys.Eng.Shutdown()
 			attachProbe(fmt.Sprintf("fig5/%dKB/%s", kb, rwLabel(wr)), sys.Eng)
 			b := sys.Boards[0]
 			size := kb << 10
@@ -102,6 +103,7 @@ func Table1() (Table1Result, error) {
 		if err != nil {
 			return out, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe("table1/"+rwLabel(wr), sys.Eng)
 		b := sys.Boards[0]
 		const req = 1600 << 10
@@ -156,6 +158,7 @@ func Table2() (Table2Result, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe(fmt.Sprintf("table2/raid2/%ddisk", disks), sys.Eng)
 		b := sys.Boards[0]
 		space := b.Disks[0].Sectors() - 8
@@ -165,7 +168,6 @@ func Table2() (Table2Result, error) {
 			}
 			return 4096
 		})
-		sys.Eng.Shutdown()
 		return res.IOPS(), nil
 	}
 	measure1 := func(disks int) (float64, error) {
@@ -173,6 +175,7 @@ func Table2() (Table2Result, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer r.Eng.Shutdown()
 		attachProbe(fmt.Sprintf("table2/raid1/%ddisk", disks), r.Eng)
 		space := r.Disks[0].Sectors() - 8
 		res := workload.ClosedLoop(r.Eng, disks, horizon, func(p *sim.Proc, w int, rng *rand.Rand) int {
@@ -181,7 +184,6 @@ func Table2() (Table2Result, error) {
 			}
 			return 4096
 		})
-		r.Eng.Shutdown()
 		return res.IOPS(), nil
 	}
 
@@ -210,6 +212,7 @@ func Fig6(sizesKB []int) (*Figure, error) {
 	s := fig.AddSeries("loopback")
 	for _, kb := range sizesKB {
 		e := sim.New()
+		defer e.Shutdown()
 		attachProbe(fmt.Sprintf("fig6/%dKB", kb), e)
 		hcfg := hippi.DefaultConfig()
 		board := xbus.New(e, "xb", xbus.DefaultConfig())
@@ -257,6 +260,7 @@ func Fig7(diskCounts []int) (*Figure, error) {
 // SCSI string of a fresh Cougar controller.
 func stringRigRate(n int) (float64, error) {
 	e := sim.New()
+	defer e.Shutdown()
 	attachProbe(fmt.Sprintf("fig7/%ddisks", n), e)
 	ctl := scsi.NewController(e, "fig7-cougar", scsi.DefaultConfig())
 	const perDisk = 4 << 20
@@ -298,6 +302,7 @@ func Fig8(sizesKB []int) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
+			defer sys.Eng.Shutdown()
 			attachProbe(fmt.Sprintf("fig8/%dKB/read", kb), sys.Eng)
 			b := sys.Boards[0]
 			const fileSize = 48 << 20
@@ -344,6 +349,7 @@ func Fig8(sizesKB []int) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
+			defer sys.Eng.Shutdown()
 			attachProbe(fmt.Sprintf("fig8/%dKB/write", kb), sys.Eng)
 			b := sys.Boards[0]
 			var f *server.FSFile
@@ -393,6 +399,7 @@ func RAIDIBaseline() (RAIDIResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer r.Eng.Shutdown()
 	attachProbe("raid1/user", r.Eng)
 	var cursor int64
 	var opErr error
@@ -414,6 +421,7 @@ func RAIDIBaseline() (RAIDIResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer r2.Eng.Shutdown()
 	attachProbe("raid1/disk", r2.Eng)
 	const n = 4 << 20
 	var end sim.Time
@@ -448,6 +456,7 @@ func ClientNetwork() (ClientResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("client", sys.Eng)
 	b := sys.Boards[0]
 	ws := client.NewWorkstation(sys, "ss10", host.SPARCstation10())
@@ -503,6 +512,7 @@ func Recovery(volumeMB int) (RecoveryResult, error) {
 		if err != nil {
 			return out, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe("recovery/lfs", sys.Eng)
 		b := sys.Boards[0]
 		var dur sim.Duration
@@ -554,6 +564,7 @@ func Recovery(volumeMB int) (RecoveryResult, error) {
 		if err != nil {
 			return out, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe("recovery/ufs", sys.Eng)
 		b := sys.Boards[0]
 		var dur sim.Duration
@@ -599,6 +610,7 @@ func Scaling(boardCounts []int) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe(fmt.Sprintf("scaling/%dboards", n), sys.Eng)
 		const perBoard = 32 << 20
 		g := sim.NewGroup(sys.Eng)
@@ -642,6 +654,7 @@ func Zebra(serverCounts []int) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer fl.Eng.Shutdown()
 		attachProbe(fmt.Sprintf("zebra/%dservers", n), fl.Eng)
 		fl.Eng.Spawn("fmt", func(p *sim.Proc) {
 			for _, sys := range fl.Servers {
@@ -705,6 +718,7 @@ func AblationParityEngine() (AblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe(fmt.Sprintf("ablate/parity/hostxor=%v", hostXOR), sys.Eng)
 		b := sys.Boards[0]
 		if hostXOR {
@@ -750,6 +764,7 @@ func AblationLFSSmallWrites() (AblationResult, error) {
 		if err != nil {
 			return out, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe("ablate/smallwrites/lfs", sys.Eng)
 		b := sys.Boards[0]
 		var f *server.FSFile
@@ -787,6 +802,7 @@ func AblationLFSSmallWrites() (AblationResult, error) {
 		if err != nil {
 			return out, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe("ablate/smallwrites/ufs", sys.Eng)
 		b := sys.Boards[0]
 		var fs *ufs.FS
@@ -829,6 +845,7 @@ func AblationTwoPaths() (AblationResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("ablate/twopaths", sys.Eng)
 	b := sys.Boards[0]
 	const n = 8 << 20
@@ -873,6 +890,7 @@ func AblationStripeUnit(unitsKB []int) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe(fmt.Sprintf("ablate/stripeunit/%dKB", kb), sys.Eng)
 		b := sys.Boards[0]
 		space := b.Array.Sectors()
@@ -914,6 +932,7 @@ func Rebuild() (RebuildResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("rebuild", sys.Eng)
 	b := sys.Boards[0]
 	space := b.Array.Sectors()
@@ -976,6 +995,7 @@ func AblationDiskScheduler() (AblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe(fmt.Sprintf("ablate/sched/%v", policy), sys.Eng)
 		b := sys.Boards[0]
 		space := b.Disks[0].Sectors() - 8
@@ -986,7 +1006,6 @@ func AblationDiskScheduler() (AblationResult, error) {
 			}
 			return 4096
 		})
-		sys.Eng.Shutdown()
 		return res.IOPS(), nil
 	}
 	var err error
@@ -1038,6 +1057,7 @@ func FileServerTrace(ops int) (FileServerResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("fileserver", sys.Eng)
 	telemetry.Attach(sys.Eng)
 	b := sys.Boards[0]

@@ -68,6 +68,7 @@ func CacheWorkingSet(cacheMB int, workingSetsMB []int) (CacheWorkingSetResult, e
 			if err != nil {
 				return out, err
 			}
+			defer sys.Eng.Shutdown()
 			attachProbe(fmt.Sprintf("cachews/%dMB/%s", ws, label), sys.Eng)
 			telemetry.Attach(sys.Eng)
 			b := sys.Boards[0]

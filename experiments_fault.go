@@ -39,6 +39,7 @@ func RebuildUnderLoad() (RebuildUnderLoadResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("rebuild-load", sys.Eng)
 	b := sys.Boards[0]
 	space := b.Array.Sectors()
@@ -145,6 +146,7 @@ func FaultTimeline() (FaultTimelineResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("fault-timeline", sys.Eng)
 	b := sys.Boards[0]
 	space := b.Array.Sectors()

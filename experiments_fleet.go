@@ -36,6 +36,7 @@ func FleetScaling(serverCounts []int) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer cl.Fleet().Eng.Shutdown()
 		attachProbe(fmt.Sprintf("fleet/%dservers", n), cl.Fleet().Eng)
 		var wMBps, rMBps float64
 		_, err = cl.Simulate(func(t *ClusterTask) error {
@@ -120,6 +121,7 @@ func FleetKillTimeline() (FleetKillTimelineResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer fl.Eng.Shutdown()
 	attachProbe("fleet-kill-timeline", fl.Eng)
 	telemetry.Attach(fl.Eng)
 	ep := clusterClientEndpoint(fl, cfg)

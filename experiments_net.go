@@ -64,6 +64,7 @@ func NetworkFaultTimeline() (NetworkFaultTimelineResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("net-fault-timeline", sys.Eng)
 	telemetry.Attach(sys.Eng)
 	b := sys.Boards[0]

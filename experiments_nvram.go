@@ -65,6 +65,7 @@ func SmallWriteLatency() (SmallWriteLatencyResult, error) {
 		if err != nil {
 			return out, err
 		}
+		defer sys.Eng.Shutdown()
 		attachProbe("smallwrite/"+label, sys.Eng)
 		telemetry.Attach(sys.Eng)
 		b := sys.Boards[0]
@@ -181,6 +182,7 @@ func DoubleFaultTimeline() (DoubleFaultTimelineResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer sys.Eng.Shutdown()
 	attachProbe("doublefault", sys.Eng)
 	b := sys.Boards[0]
 	space := b.Array.Sectors()

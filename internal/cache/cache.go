@@ -23,6 +23,7 @@ package cache
 import (
 	"fmt"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
 )
@@ -247,16 +248,27 @@ type fillRun struct {
 	data                []byte
 }
 
-// Read returns n sectors at lba, serving resident lines from DRAM (one
-// crossbar memory pass for all hit bytes) and filling missing lines from
-// the backing store at full disk cost.  Lines are installed in ascending
-// sector order by the calling process, so LRU state — and therefore the
-// eviction sequence — is independent of fill completion order.
+// Read returns n sectors at lba in a fresh buffer; see ReadInto.
 func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
-	defer telemetry.StageSpan(p, telemetry.StageCache).End()
 	out := make([]byte, n*c.secSize)
+	if err := c.ReadInto(p, lba, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadInto reads the len(out)/SectorSize sectors at lba into the caller's
+// out, serving resident lines from DRAM (one crossbar memory pass for all
+// hit bytes) and filling missing lines from the backing store at full disk
+// cost.  Lines are installed in ascending sector order by the calling
+// process, so LRU state — and therefore the eviction sequence — is
+// independent of fill completion order.  A fill lands in a buffer the cache
+// allocates and keeps as its lines; out only ever receives copies.
+func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
+	defer telemetry.StageSpan(p, telemetry.StageCache).End()
+	n := len(out) / c.secSize
 	if n <= 0 {
-		return out, nil
+		return nil
 	}
 	first := lba / int64(c.lineSecs)
 	last := (lba + int64(n) - 1) / int64(c.lineSecs)
@@ -292,8 +304,8 @@ func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 				if start+int64(secs) > c.devSecs {
 					secs = int(c.devSecs - start)
 				}
-				data, err := c.dev.Read(q, start, secs)
-				if err != nil {
+				data := make([]byte, secs*c.secSize)
+				if err := bytepath.ReadInto(c.dev, q, start, data); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
@@ -309,7 +321,7 @@ func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 		}
 		g.Wait(p)
 		if firstErr != nil {
-			return nil, firstErr
+			return firstErr
 		}
 		for _, r := range runs {
 			c.stats.FillBytes += uint64(len(r.data))
@@ -331,7 +343,7 @@ func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 		c.mem.Send(p, hitBytes, 0)
 	}
 	c.stats.HitBytes += uint64(hitBytes)
-	return out, nil
+	return nil
 }
 
 // Write stores data write-through: the backing store is updated at full

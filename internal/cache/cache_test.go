@@ -286,3 +286,44 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("LineBytes = %d, want default %d", c.LineBytes(), DefaultLineBytes)
 	}
 }
+
+// TestReadIntoDestinationNeverAliasesLines: the buffer a read filled is the
+// caller's.  Scribbling on it — after a miss that filled lines, after a hit,
+// and on the result of Read — never changes what the cache serves next, and
+// a device that only offers Read is still read through it.
+func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
+	harness(t, 1024, 8, 4, true, func(p *sim.Proc, c *Cache, dev *fakeDev) {
+		want := append([]byte(nil), dev.data[3*512:(3+20)*512]...)
+		scribbled := func(what string) {
+			t.Helper()
+			got, err := c.Read(p, 3, 20)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: the cache now serves different bytes (err=%v)", what, err)
+			}
+			clear(got)
+		}
+		dst := bytes.Repeat([]byte{0x77}, 20*512)
+		if err := c.ReadInto(p, 3, dst); err != nil || !bytes.Equal(dst, want) {
+			t.Fatalf("miss: err=%v, bytes match=%v", err, err == nil)
+		}
+		if len(dev.reads) == 0 {
+			t.Fatal("the fill did not go through the device's Read")
+		}
+		clear(dst)
+		scribbled("after scribbling on a miss's destination")
+		if err := c.ReadInto(p, 3, dst); err != nil || !bytes.Equal(dst, want) {
+			t.Fatalf("hit: err=%v, bytes match=%v", err, err == nil)
+		}
+		clear(dst)
+		scribbled("after scribbling on a hit's destination")
+		scribbled("after scribbling on a Read result")
+		// A staged write keeps its own copy too.
+		fresh := bytes.Repeat([]byte{0x11}, 8*512)
+		if err := c.Write(p, 8, fresh); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[(8-3)*512:], fresh)
+		clear(fresh)
+		scribbled("after scribbling on a written buffer")
+	})
+}

@@ -325,6 +325,9 @@ func TestReadFromDegradedAndRebuildingArray(t *testing.T) {
 type failingFile struct{ err error }
 
 func (f failingFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) { return nil, f.err }
+func (f failingFile) ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error) {
+	return 0, f.err
+}
 func (f failingFile) WriteAt(p *sim.Proc, data []byte, off int64) (int, error) {
 	return 0, f.err
 }

@@ -235,23 +235,34 @@ func (d *Disk) position(p *sim.Proc, lba int64, hit bool) {
 	endRot()
 }
 
-// Read reads sectors [lba, lba+n) into a fresh buffer.  If path is
-// non-empty, each chunk of data traverses the path as the media produces
-// it; Read returns when the last chunk has been delivered at the far end.
-// A failed drive returns fault.ErrDiskFailed after its command overhead; a
-// read covering an armed latent error positions, streams up to the bad
-// sector, and returns fault.ErrMedium.
+// Read reads sectors [lba, lba+n) into a fresh buffer; see ReadInto.
 func (d *Disk) Read(p *sim.Proc, lba int64, n int, path sim.Path) ([]byte, error) {
+	buf := make([]byte, n*d.spec.SectorSize)
+	if err := d.ReadInto(p, lba, buf, path); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto reads the len(dst)/SectorSize sectors at lba into dst, which the
+// caller owns.  If path is non-empty, each chunk of data traverses the path
+// as the media produces it; ReadInto returns when the last chunk has been
+// delivered at the far end, and only then touches dst.  A failed drive
+// returns fault.ErrDiskFailed after its command overhead; a read covering
+// an armed latent error positions, streams up to the bad sector, and
+// returns fault.ErrMedium.
+func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error {
 	defer telemetry.StageSpan(p, telemetry.StageDisk).End()
+	n := d.wholeSectors(len(dst))
 	d.checkRange(lba, n)
 	if err := d.admit(p); err != nil {
-		return nil, err
+		return err
 	}
 	if bad, ok := d.firstBad(lba, n); ok {
 		d.actuator.Acquire(p, int64(d.cylOf(lba)))
 		err := d.mediumError(p, lba, bad)
 		d.actuator.Release()
-		return nil, err
+		return err
 	}
 	d.actuator.Acquire(p, int64(d.cylOf(lba)))
 	hit := d.seqHit(lba)
@@ -284,9 +295,17 @@ func (d *Disk) Read(p *sim.Proc, lba int64, n int, path sim.Path) ([]byte, error
 	d.actuator.Release()
 	g.Wait(p) // last chunk delivered downstream
 
-	buf := make([]byte, n*d.spec.SectorSize)
-	d.store.ReadAt(buf, lba*int64(d.spec.SectorSize))
-	return buf, nil
+	d.store.ReadAt(dst, lba*int64(d.spec.SectorSize))
+	return nil
+}
+
+// wholeSectors returns the sector count of a transfer buffer.
+func (d *Disk) wholeSectors(length int) int {
+	if length%d.spec.SectorSize != 0 {
+		//lint:allow simpanic misaligned buffer is caller corruption; the array layer always moves whole sectors
+		panic("disk: transfer length not a whole number of sectors")
+	}
+	return length / d.spec.SectorSize
 }
 
 // Write stores data (whose length must be a whole number of sectors) at
@@ -296,11 +315,7 @@ func (d *Disk) Read(p *sim.Proc, lba int64, n int, path sim.Path) ([]byte, error
 // Writing over an armed latent error remaps the bad sectors.
 func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	defer telemetry.StageSpan(p, telemetry.StageDisk).End()
-	if len(data)%d.spec.SectorSize != 0 {
-		//lint:allow simpanic misaligned buffer is caller corruption; the array layer always writes whole sectors
-		panic("disk: write length not a whole number of sectors")
-	}
-	n := len(data) / d.spec.SectorSize
+	n := d.wholeSectors(len(data))
 	d.checkRange(lba, n)
 	if err := d.admit(p); err != nil {
 		return err
@@ -402,10 +417,6 @@ func (d *Disk) ReadData(lba int64, n int) []byte {
 
 // WriteData stores sector contents without charging any simulated time.
 func (d *Disk) WriteData(lba int64, data []byte) {
-	if len(data)%d.spec.SectorSize != 0 {
-		//lint:allow simpanic misaligned buffer is caller corruption; the array layer always writes whole sectors
-		panic("disk: write length not a whole number of sectors")
-	}
-	d.checkRange(lba, len(data)/d.spec.SectorSize)
+	d.checkRange(lba, d.wholeSectors(len(data)))
 	d.store.WriteAt(data, lba*int64(d.spec.SectorSize))
 }

@@ -3,16 +3,18 @@ package disk
 // pagestore holds the disk's contents sparsely: 64 KB pages are allocated
 // only when written, so a simulation can address tens of gigabytes of array
 // capacity while touching far less host memory.  Unwritten bytes read as
-// zero, matching a freshly-formatted drive.
+// zero, matching a freshly-formatted drive.  The page table is a slice
+// sized at construction (24 bytes per 64 KB of capacity), so finding a page
+// is an index, not a hash.
 type pagestore struct {
 	size  int64
-	pages map[int64][]byte
+	pages [][]byte // nil = never written
 }
 
 const pageBytes = 64 * 1024
 
 func newPagestore(size int64) *pagestore {
-	return &pagestore{size: size, pages: make(map[int64][]byte)}
+	return &pagestore{size: size, pages: make([][]byte, (size+pageBytes-1)/pageBytes)}
 }
 
 // ReadAt fills buf with the contents at off.
@@ -22,21 +24,15 @@ func (ps *pagestore) ReadAt(buf []byte, off int64) {
 		panic("disk: read out of range")
 	}
 	for len(buf) > 0 {
-		pg := off / pageBytes
-		po := off % pageBytes
-		n := pageBytes - po
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		if page, ok := ps.pages[pg]; ok {
-			copy(buf[:n], page[po:po+n])
+		po := int(off % pageBytes)
+		n := min(pageBytes-po, len(buf))
+		if page := ps.pages[off/pageBytes]; page != nil {
+			copy(buf[:n], page[po:])
 		} else {
-			for i := int64(0); i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
-		off += n
+		off += int64(n)
 	}
 }
 
@@ -48,21 +44,26 @@ func (ps *pagestore) WriteAt(buf []byte, off int64) {
 	}
 	for len(buf) > 0 {
 		pg := off / pageBytes
-		po := off % pageBytes
-		n := pageBytes - po
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		page, ok := ps.pages[pg]
-		if !ok {
+		po := int(off % pageBytes)
+		n := min(pageBytes-po, len(buf))
+		page := ps.pages[pg]
+		if page == nil {
 			page = make([]byte, pageBytes)
 			ps.pages[pg] = page
 		}
-		copy(page[po:po+n], buf[:n])
+		copy(page[po:], buf[:n])
 		buf = buf[n:]
-		off += n
+		off += int64(n)
 	}
 }
 
 // PagesAllocated reports how many 64 KB pages have been materialized.
-func (ps *pagestore) PagesAllocated() int { return len(ps.pages) }
+func (ps *pagestore) PagesAllocated() int {
+	n := 0
+	for _, page := range ps.pages {
+		if page != nil {
+			n++
+		}
+	}
+	return n
+}

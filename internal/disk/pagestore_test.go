@@ -1,0 +1,101 @@
+package disk
+
+import (
+	"bytes"
+	"testing"
+
+	"raidii/internal/sim"
+)
+
+// TestPagestoreRanges drives the indexed page table through the cases its
+// loop has to get right: holes, ranges that straddle pages, a hole between
+// two written pages, and the final partial page of an odd-sized store.
+func TestPagestoreRanges(t *testing.T) {
+	const size = 3*pageBytes + 5000 // the fourth page is partial
+	fill := func(n int, seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i)*5 + seed
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name      string
+		writes    []int64 // offsets; each write is 3000 bytes
+		readOff   int64
+		readLen   int
+		wantPages int
+	}{
+		{name: "all hole", readOff: 100, readLen: 2 * pageBytes, wantPages: 0},
+		{name: "inside one page", writes: []int64{500}, readOff: 0, readLen: 5000, wantPages: 1},
+		{name: "straddles two pages", writes: []int64{pageBytes - 1500}, readOff: pageBytes - 2000, readLen: 4000, wantPages: 2},
+		{name: "hole between written pages", writes: []int64{100, 2*pageBytes + 100}, readOff: 0, readLen: 3 * pageBytes, wantPages: 2},
+		{name: "final partial page", writes: []int64{size - 3000}, readOff: size - 4000, readLen: 4000, wantPages: 1},
+		{name: "same page twice", writes: []int64{0, 3000}, readOff: 0, readLen: 8000, wantPages: 1},
+		{name: "whole store", writes: []int64{pageBytes - 10}, readOff: 0, readLen: size, wantPages: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := newPagestore(size)
+			shadow := make([]byte, size)
+			for i, off := range tc.writes {
+				data := fill(3000, byte(i+1))
+				ps.WriteAt(data, off)
+				copy(shadow[off:], data)
+			}
+			if got := ps.PagesAllocated(); got != tc.wantPages {
+				t.Errorf("PagesAllocated = %d, want %d", got, tc.wantPages)
+			}
+			got := bytes.Repeat([]byte{0xcc}, tc.readLen) // dirty: holes must be cleared
+			ps.ReadAt(got, tc.readOff)
+			if !bytes.Equal(got, shadow[tc.readOff:tc.readOff+int64(tc.readLen)]) {
+				t.Error("ReadAt differs from the shadow copy")
+			}
+		})
+	}
+}
+
+func TestPagestoreReadAtZeroAlloc(t *testing.T) {
+	ps := newPagestore(8 * pageBytes)
+	ps.WriteAt(make([]byte, 3*pageBytes), pageBytes/2)
+	buf := make([]byte, 5*pageBytes) // written pages, a straddle and holes
+	if n := testing.AllocsPerRun(50, func() { ps.ReadAt(buf, 100) }); n != 0 {
+		t.Fatalf("ReadAt allocates %v times per call", n)
+	}
+}
+
+// TestReadDestinationIsNotRetained: the caller owns the buffer a read
+// filled; scribbling on it afterwards never reaches the store.
+func TestReadDestinationIsNotRetained(t *testing.T) {
+	e := sim.New()
+	d := mustNew(t, e, "d0", IBM0661())
+	want := bytes.Repeat([]byte{0x42}, 4*d.SectorSize())
+	d.WriteData(10, want)
+	e.Spawn("t", func(p *sim.Proc) {
+		dst := make([]byte, len(want))
+		if err := d.ReadInto(p, 10, dst, nil); err != nil {
+			t.Error(err)
+		}
+		clear(dst)
+		got, err := d.Read(p, 10, 4, nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("after scribbling on a ReadInto destination the disk returns different bytes (err=%v)", err)
+		}
+		clear(got)
+	})
+	e.Run()
+	if !bytes.Equal(d.ReadData(10, 4), want) {
+		t.Fatal("after scribbling on a Read result the disk returns different bytes")
+	}
+}
+
+func BenchmarkPagestoreReadAt(b *testing.B) {
+	const span = 64 * pageBytes
+	ps := newPagestore(span)
+	ps.WriteAt(make([]byte, span), 0)
+	buf := make([]byte, 64<<10)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		// Sector-aligned, page-straddling, walking the store.
+		ps.ReadAt(buf, int64(i%63)*pageBytes+512)
+	}
+}

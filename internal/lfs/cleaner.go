@@ -229,7 +229,7 @@ func (fs *FS) cleanSegment(p *sim.Proc, idx int) error {
 	var sum summary
 	if err := sum.unmarshal(raw); err != nil {
 		// Unreadable summary on a non-free segment: treat as empty.
-		fs.free[idx] = true
+		fs.setFree(idx, true)
 		fs.usageLive[idx] = 0
 		fs.markUsageDirty(idx)
 		return nil
@@ -248,7 +248,7 @@ func (fs *FS) cleanSegment(p *sim.Proc, idx int) error {
 		}
 		fs.stats.BlocksMoved++
 	}
-	fs.free[idx] = true
+	fs.setFree(idx, true)
 	fs.usageLive[idx] = 0
 	fs.markUsageDirty(idx)
 	fs.stats.SegmentsCleaned++

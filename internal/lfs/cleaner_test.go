@@ -155,7 +155,8 @@ func TestCleanScorePrefersColdEmptySegments(t *testing.T) {
 	_ = e
 	// Synthesize usage: segment 5 mostly dead and old; segment 6 full and
 	// young.
-	fs.free[5], fs.free[6] = false, false
+	fs.setFree(5, false)
+	fs.setFree(6, false)
 	fs.usageLive[5] = int32(fs.segDataBlks * BlockSize / 10)
 	fs.usageSeq[5] = 1
 	fs.usageLive[6] = int32(fs.segDataBlks * BlockSize)
@@ -164,4 +165,60 @@ func TestCleanScorePrefersColdEmptySegments(t *testing.T) {
 		t.Fatalf("cost-benefit should prefer cold empty segment: %f vs %f",
 			fs.cleanScore(5), fs.cleanScore(6))
 	}
+}
+
+// TestFreeSegmentCountTracksMap: the count appendBlock consults equals a
+// scan of the free map after sealing, cleaning and a crash-and-remount, and
+// Check reports it when the two part ways.
+func TestFreeSegmentCountTracksMap(t *testing.T) {
+	e, fs := newFS(t, 64, 8)
+	agree := func(p *sim.Proc, fs *FS, when string) {
+		t.Helper()
+		scan := 0
+		for _, f := range fs.free {
+			if f {
+				scan++
+			}
+		}
+		if fs.FreeSegments() != scan {
+			t.Fatalf("%s: FreeSegments() = %d, the map holds %d", when, fs.FreeSegments(), scan)
+		}
+		if r, err := fs.Check(p); err != nil || !r.OK() {
+			t.Fatalf("%s: Check: err=%v report=%+v", when, err, r)
+		}
+	}
+	run(e, func(p *sim.Proc) {
+		agree(p, fs, "after format")
+		for i := 0; i < 10; i++ {
+			f, err := fs.Create(p, fmt.Sprintf("/junk%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = f.WriteAt(p, make([]byte, 200<<10), 0)
+		}
+		_ = fs.Sync(p)
+		agree(p, fs, "after sealing segments")
+		for i := 0; i < 10; i += 2 {
+			_ = fs.Remove(p, fmt.Sprintf("/junk%d", i))
+		}
+		if _, err := fs.Clean(p, fs.FreeSegments()+3); err != nil {
+			t.Fatal(err)
+		}
+		agree(p, fs, "after cleaning")
+		if err := fs.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		dev := fs.dev
+		fs.Crash()
+		fs2, err := Mount(p, e, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree(p, fs2, "after remount")
+
+		fs2.free[0] = !fs2.free[0] // behind setFree's back
+		if r, err := fs2.Check(p); err != nil || r.OK() {
+			t.Fatalf("Check did not notice the count and the map disagree (err=%v)", err)
+		}
+	})
 }

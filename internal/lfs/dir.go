@@ -79,7 +79,7 @@ func (fs *FS) readDirLocked(p *sim.Proc, in *inode) ([]DirEntry, error) {
 		if addr == 0 {
 			continue
 		}
-		blk, err := fs.readMeta(p, addr)
+		blk, err := fs.metaView(p, addr)
 		if err != nil {
 			return nil, err
 		}

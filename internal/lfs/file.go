@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
 
@@ -127,15 +128,30 @@ func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64) (int
 // log coalesce into single large device reads — this is what lets LFS
 // deliver array bandwidth on big files laid out segment-at-a-time.
 func (f *File) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+	return f.readAt(p, off, n, nil)
+}
+
+// ReadAtInto is ReadAt into the caller's dst: it reads up to len(dst) bytes
+// at offset off and returns how many it read.  Each run of blocks that is
+// contiguous in the log and block-aligned in the file lands straight in
+// dst; dst is not retained.
+func (f *File) ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error) {
+	out, err := f.readAt(p, off, len(dst), dst)
+	return len(out), err
+}
+
+// readAt serves ReadAt (dst nil: the result is allocated once its length
+// is known) and ReadAtInto (the result is a prefix of dst).
+func (f *File) readAt(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
 	if f.readAhead {
-		return f.readAtWithPrefetch(p, off, n)
+		return f.readAtWithPrefetch(p, off, n, dst)
 	}
-	return f.readAtRaw(p, off, n)
+	return f.readAtRaw(p, off, n, dst)
 }
 
 // readAtWithPrefetch serves sequential reads from the prefetch buffer when
 // possible and keeps one read-ahead range in flight.
-func (f *File) readAtWithPrefetch(p *sim.Proc, off int64, n int) ([]byte, error) {
+func (f *File) readAtWithPrefetch(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
 	fs := f.fs
 	var out []byte
 	var err error
@@ -145,11 +161,14 @@ func (f *File) readAtWithPrefetch(p *sim.Proc, off int64, n int) ([]byte, error)
 		pr.done.Wait(p)
 		if pr.data != nil && n <= len(pr.data) {
 			out = pr.data[:n]
+			if dst != nil {
+				out = dst[:copy(dst, out)]
+			}
 		}
 		f.pre = nil
 	}
 	if out == nil {
-		if out, err = f.readAtRaw(p, off, n); err != nil {
+		if out, err = f.readAtRaw(p, off, n, dst); err != nil {
 			return nil, err
 		}
 	}
@@ -159,7 +178,7 @@ func (f *File) readAtWithPrefetch(p *sim.Proc, off int64, n int) ([]byte, error)
 		pr := &prefetch{off: next, done: sim.NewEvent(fs.eng), gen: fs.writeGen}
 		f.pre = pr
 		fs.eng.Spawn("lfs-prefetch", func(q *sim.Proc) {
-			data, rerr := f.readAtRaw(q, next, n)
+			data, rerr := f.readAtRaw(q, next, n, nil)
 			if rerr == nil {
 				pr.data = data
 			}
@@ -172,8 +191,9 @@ func (f *File) readAtWithPrefetch(p *sim.Proc, off int64, n int) ([]byte, error)
 	return out, nil
 }
 
-// readAtRaw is the unprefetched read path.
-func (f *File) readAtRaw(p *sim.Proc, off int64, n int) ([]byte, error) {
+// readAtRaw is the unprefetched read path.  The result is dst[:n] when dst
+// is non-nil and a fresh buffer otherwise, n being clamped to the file size.
+func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
 	fs := f.fs
 	fs.mu.Acquire(p)
 	in, err := fs.loadInode(p, f.inum)
@@ -192,17 +212,30 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int) ([]byte, error) {
 	if int64(n) > in.Size-off {
 		n = int(in.Size - off)
 	}
-
-	type piece struct {
-		bufOff int
-		addr   int64 // 0 = hole
-		off    int   // offset within block
-		n      int
-		staged []byte // snapshot if the block was staged
+	out := dst
+	if out == nil {
+		out = make([]byte, n)
 	}
-	var pieces []piece
-	got := 0
-	for got < n {
+	out = out[:n]
+
+	// Resolve every piece under the lock.  Holes and staged blocks (the
+	// current segment, and sealed segments whose device writes are still in
+	// flight) are settled here and now, by clearing or by copying out of
+	// the pending map; pieces on the device coalesce into runs of blocks
+	// that are contiguous in the log.
+	type piece struct {
+		bufOff int // offset in out
+		off    int // offset within the block
+		n      int
+	}
+	type run struct {
+		addr     int64 // first block
+		blocks   int
+		members  []piece // one per block
+		adjacent bool    // the members are contiguous in out, too
+	}
+	var runs []run
+	for got := 0; got < n; {
 		fb := (off + int64(got)) / BlockSize
 		bo := int((off + int64(got)) % BlockSize)
 		l := BlockSize - bo
@@ -214,72 +247,64 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int) ([]byte, error) {
 			fs.mu.Release()
 			return nil, err
 		}
-		pc := piece{bufOff: got, addr: addr, off: bo, n: l}
-		// Serve from the pending map when present: it covers both the
-		// current segment and sealed segments whose device writes are
-		// still in flight.
-		if b, ok := fs.pending[addr]; addr != 0 && ok {
-			snap := make([]byte, BlockSize)
-			copy(snap, b)
-			pc.staged = snap
-		}
-		pieces = append(pieces, pc)
+		pc := piece{bufOff: got, off: bo, n: l}
 		got += l
-	}
-	fs.mu.Release()
-
-	out := make([]byte, n)
-	// Coalesce contiguous on-disk pieces into runs and read them in
-	// parallel.
-	type run struct {
-		addr    int64
-		blocks  int
-		members []int // piece indexes
-	}
-	var runs []run
-	for i, pc := range pieces {
-		if pc.addr == 0 || pc.staged != nil {
+		if addr == 0 {
+			clear(out[pc.bufOff:got])
+			continue
+		}
+		if b, ok := fs.pending[addr]; ok {
+			copy(out[pc.bufOff:got], b[bo:])
 			continue
 		}
 		if len(runs) > 0 {
 			last := &runs[len(runs)-1]
-			lastPiece := pieces[last.members[len(last.members)-1]]
-			if last.addr+int64(last.blocks) == pc.addr && lastPiece.off+lastPiece.n == BlockSize && pc.off == 0 {
+			lp := last.members[len(last.members)-1]
+			if last.addr+int64(last.blocks) == addr && lp.off+lp.n == BlockSize && bo == 0 {
 				last.blocks++
-				last.members = append(last.members, i)
+				last.members = append(last.members, pc)
+				last.adjacent = last.adjacent && lp.bufOff+lp.n == pc.bufOff
 				continue
 			}
 		}
-		runs = append(runs, run{addr: pc.addr, blocks: 1, members: []int{i}})
+		runs = append(runs, run{addr: addr, blocks: 1, members: []piece{pc}, adjacent: true})
 	}
+	fs.mu.Release()
+
+	// Read the runs in parallel.  A run of whole blocks that are adjacent
+	// in the file lands straight in its part of the result; one that starts
+	// or ends inside a block, or skips over a hole or a staged block, goes
+	// through a buffer of its own.
 	g := sim.NewGroup(fs.eng)
 	var firstErr error
 	for _, r := range runs {
 		r := r
 		g.Go("lfs-read-run", func(q *sim.Proc) {
-			data, rerr := fs.dev.Read(q, r.addr*int64(fs.blockSectors), r.blocks*fs.blockSectors)
+			first, last := r.members[0], r.members[len(r.members)-1]
+			direct := r.adjacent && first.off == 0 && last.off+last.n == BlockSize
+			var buf []byte
+			if direct {
+				buf = out[first.bufOff : last.bufOff+last.n]
+			} else {
+				buf = make([]byte, r.blocks*BlockSize)
+			}
+			rerr := bytepath.ReadInto(fs.dev, q, r.addr*int64(fs.blockSectors), buf)
 			if rerr != nil {
 				if firstErr == nil {
 					firstErr = rerr
 				}
 				return
 			}
-			for j, pi := range r.members {
-				pc := pieces[pi]
-				copy(out[pc.bufOff:pc.bufOff+pc.n], data[j*BlockSize+pc.off:])
+			if !direct {
+				for j, pc := range r.members {
+					copy(out[pc.bufOff:pc.bufOff+pc.n], buf[j*BlockSize+pc.off:])
+				}
 			}
 		})
 	}
 	g.Wait(p)
 	if firstErr != nil {
 		return nil, firstErr
-	}
-	// Staged and hole pieces.
-	for _, pc := range pieces {
-		if pc.staged != nil {
-			copy(out[pc.bufOff:pc.bufOff+pc.n], pc.staged[pc.off:])
-		}
-		// holes stay zero
 	}
 	fs.stats.ReadOps++
 	fs.stats.BytesRead += uint64(n)

@@ -90,6 +90,7 @@ type FS struct {
 	pending    map[int64][]byte
 
 	free      []bool
+	nFree     int // free segments: the true entries of free, kept by setFree
 	allocHint int
 
 	icache   map[uint32]*inode
@@ -165,7 +166,7 @@ func Format(p *sim.Proc, e *sim.Engine, dev Device, cfg Config) (*FS, error) {
 	// Bootstrap: segment 0 is the first log segment.
 	fs.curSeg = fs.segAddr(0)
 	fs.segSeq = 1
-	fs.free[0] = false
+	fs.setFree(0, false)
 	fs.resetSegment()
 
 	// Create the root directory.
@@ -223,6 +224,7 @@ func (fs *FS) initState() {
 	for i := range fs.free {
 		fs.free[i] = true
 	}
+	fs.nFree = len(fs.free)
 	fs.icache = make(map[uint32]*inode)
 	fs.idirty = make(map[uint32]bool)
 	fs.seals = sim.NewGroup(fs.eng)
@@ -237,14 +239,21 @@ func (fs *FS) Stats() Stats { return fs.stats }
 func (fs *FS) SegmentBytes() int { return int(fs.sb.SegBlocks) * BlockSize }
 
 // FreeSegments reports the number of free segments.
-func (fs *FS) FreeSegments() int {
-	n := 0
-	for _, f := range fs.free {
-		if f {
-			n++
-		}
+func (fs *FS) FreeSegments() int { return fs.nFree }
+
+// setFree marks segment idx free or in use.  Every change to the free map
+// goes through here so the count appendBlock consults on every block stays
+// exact; Check compares it against a scan.
+func (fs *FS) setFree(idx int, free bool) {
+	if fs.free[idx] == free {
+		return
 	}
-	return n
+	fs.free[idx] = free
+	if free {
+		fs.nFree++
+	} else {
+		fs.nFree--
+	}
 }
 
 // segAddr returns the block address of segment idx.
@@ -274,30 +283,27 @@ func (fs *FS) readBlock(p *sim.Proc, addr int64) ([]byte, error) {
 // metaCacheCap bounds the metadata cache (in blocks).
 const metaCacheCap = 4096
 
-// readMeta is readBlock with caching, for metadata (indirect blocks,
-// directory contents) that pointer walks touch repeatedly.
-func (fs *FS) readMeta(p *sim.Proc, addr int64) ([]byte, error) {
+// metaView returns metadata block addr (an indirect block, directory
+// contents) for reading only, through the metadata cache that pointer walks
+// hit repeatedly.  The slice is the staged block or the cache's own copy:
+// the caller must not modify it, and must be done with it before it next
+// waits or appends to the log.
+func (fs *FS) metaView(p *sim.Proc, addr int64) ([]byte, error) {
 	if b, ok := fs.pending[addr]; ok {
-		out := make([]byte, BlockSize)
-		copy(out, b)
-		return out, nil
+		return b, nil
 	}
 	if b, ok := fs.metaCache[addr]; ok {
-		out := make([]byte, BlockSize)
-		copy(out, b)
-		return out, nil
+		return b, nil
 	}
 	b, err := fs.dev.Read(p, addr*int64(fs.blockSectors), fs.blockSectors)
 	if err != nil {
 		return nil, err
 	}
 	fs.cacheMeta(addr, b)
-	out := make([]byte, BlockSize)
-	copy(out, b)
-	return out, nil
+	return b, nil
 }
 
-// cacheMeta inserts a block with FIFO eviction.
+// cacheMeta inserts a block the cache may keep, with FIFO eviction.
 func (fs *FS) cacheMeta(addr int64, b []byte) {
 	if _, ok := fs.metaCache[addr]; ok {
 		return
@@ -307,9 +313,7 @@ func (fs *FS) cacheMeta(addr int64, b []byte) {
 		fs.metaOrder = fs.metaOrder[1:]
 		delete(fs.metaCache, old)
 	}
-	cp := make([]byte, BlockSize)
-	copy(cp, b)
-	fs.metaCache[addr] = cp
+	fs.metaCache[addr] = b
 	fs.metaOrder = append(fs.metaOrder, addr)
 }
 
@@ -439,7 +443,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	}
 
 	curIdx := fs.segOf(fs.curSeg)
-	fs.free[curIdx] = false
+	fs.setFree(curIdx, false)
 	fs.usageSeq[curIdx] = fs.segSeq
 	fs.markUsageDirty(curIdx)
 	if len(fs.segStaged) < fs.segDataBlks {
@@ -471,7 +475,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		delete(fs.sealsPending, fs.segOf(sealSeg))
 	})
 	fs.curSeg = nextAddr
-	fs.free[nextIdx] = false
+	fs.setFree(nextIdx, false)
 	fs.usageLive[nextIdx] = 0
 	fs.segSeq++
 	fs.resetSegment()
@@ -639,7 +643,7 @@ func (fs *FS) unmarshalUsageChunk(chunk int, buf []byte) {
 	for i := 0; i < usageChunkEntries && base+i < len(fs.usageLive); i++ {
 		fs.usageLive[base+i] = int32(getU32(buf[i*16:]))
 		fs.usageSeq[base+i] = getU64(buf[i*16+4:])
-		fs.free[base+i] = buf[i*16+12] == 1
+		fs.setFree(base+i, buf[i*16+12] == 1)
 	}
 }
 
@@ -736,7 +740,7 @@ func (fs *FS) recover(p *sim.Proc) error {
 		fs.curSeg = fs.segAddr(ni)
 		idx = ni
 	}
-	fs.free[idx] = false
+	fs.setFree(idx, false)
 	fs.resetSegment()
 
 	// Settle recovered state into a fresh checkpoint.
@@ -751,7 +755,7 @@ func (fs *FS) recover(p *sim.Proc) error {
 // anything.
 func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error {
 	idx := fs.segOf(segAddr)
-	fs.free[idx] = false
+	fs.setFree(idx, false)
 	fs.usageLive[idx] = int32(len(sum.Entries)) * BlockSize
 	fs.usageSeq[idx] = sum.Seq
 	fs.markUsageDirty(idx)

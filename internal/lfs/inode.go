@@ -83,10 +83,11 @@ func (fs *FS) rewriteMeta(p *sim.Proc, addr int64, kind, a1, a2 uint32, mutate f
 	if addr == 0 {
 		buf = make([]byte, BlockSize)
 	} else {
-		var err error
-		if buf, err = fs.readMeta(p, addr); err != nil {
+		old, err := fs.metaView(p, addr)
+		if err != nil {
 			return 0, err
 		}
+		buf = append(buf, old...) // a private copy: mutate must not reach the cache's
 	}
 	mutate(buf)
 	newAddr, err := fs.appendBlock(p, kind, a1, a2, buf)
@@ -110,7 +111,7 @@ func (fs *FS) getBlockAddr(p *sim.Proc, in *inode, fb int64) (int64, error) {
 		if in.Ind == 0 {
 			return 0, nil
 		}
-		buf, err := fs.readMeta(p, in.Ind)
+		buf, err := fs.metaView(p, in.Ind)
 		if err != nil {
 			return 0, err
 		}
@@ -121,7 +122,7 @@ func (fs *FS) getBlockAddr(p *sim.Proc, in *inode, fb int64) (int64, error) {
 	if in.DIndTop == 0 {
 		return 0, nil
 	}
-	top, err := fs.readMeta(p, in.DIndTop)
+	top, err := fs.metaView(p, in.DIndTop)
 	if err != nil {
 		return 0, err
 	}
@@ -129,7 +130,7 @@ func (fs *FS) getBlockAddr(p *sim.Proc, in *inode, fb int64) (int64, error) {
 	if l2addr == 0 {
 		return 0, nil
 	}
-	buf, err := fs.readMeta(p, l2addr)
+	buf, err := fs.metaView(p, l2addr)
 	if err != nil {
 		return 0, err
 	}
@@ -167,7 +168,7 @@ func (fs *FS) setBlockAddr(p *sim.Proc, in *inode, fb int64, addr int64) error {
 	// Level-2 block first.
 	var l2addr int64
 	if in.DIndTop != 0 {
-		top, err := fs.readMeta(p, in.DIndTop)
+		top, err := fs.metaView(p, in.DIndTop)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,10 @@
 package raid
 
 import (
+	"bytes"
 	"fmt"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
 )
@@ -27,15 +29,27 @@ func (a *Array) declareLost(op string) error {
 	return fmt.Errorf("raid: %s: %w", op, ErrArrayFailed)
 }
 
-// Read reads sectors [lba, lba+n) from the logical address space.  Extents
-// on different devices are issued in parallel; extents on a failed device
-// are reconstructed from the surviving columns and parity.  Once failures
+// Read reads sectors [lba, lba+n) from the logical address space into a
+// fresh buffer; see ReadInto.
+func (a *Array) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
+	buf := make([]byte, n*a.secSize)
+	if err := a.ReadInto(p, lba, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto reads the len(dst)/SectorSize sectors at logical lba into the
+// caller's dst.  Extents on different devices are issued in parallel, each
+// landing in its own slot of dst; extents on a failed device are
+// reconstructed from the surviving columns and parity.  Once failures
 // exceed the level's redundancy the array is failed and every read reports
 // ErrArrayFailed instead of serving zeros for the lost sectors.
-func (a *Array) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
+func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	n := a.wholeSectors(len(dst))
 	a.checkRange(lba, n)
 	if err := a.errIfLost("read"); err != nil {
-		return nil, err
+		return err
 	}
 	end := p.Span("raid", "read")
 	defer end()
@@ -46,77 +60,90 @@ func (a *Array) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 		a.arrayLock.Acquire(p)
 		defer a.arrayLock.Release()
 	}
-	buf := make([]byte, n*a.secSize)
 	g := sim.NewGroup(a.eng)
 	var firstErr error
 	for _, ext := range a.extents(lba, n) {
 		ext := ext
 		goAdopted(g, p, "raid-read", func(q *sim.Proc) {
-			data, err := a.readExtent(q, ext)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+			if err := a.readExtentInto(q, ext, a.chunk(dst, ext)); err != nil && firstErr == nil {
+				firstErr = err
 			}
-			copy(buf[ext.bufOff:], data)
 		})
 	}
 	g.Wait(p)
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	a.stats.Reads++
-	return buf, nil
+	return nil
 }
 
-// readExtent reads one run within a single stripe unit.  A device error
-// escalates (the disk is marked failed) and the extent is served over the
-// degraded path instead, so the caller still gets correct bytes — or the
-// typed data-loss error when no redundancy remains.
-func (a *Array) readExtent(p *sim.Proc, ext extent) ([]byte, error) {
+// wholeSectors returns the sector count of a transfer buffer.
+func (a *Array) wholeSectors(length int) int {
+	if length%a.secSize != 0 {
+		//lint:allow simpanic misaligned buffer is caller corruption; LFS and the benchmarks always build whole-sector buffers
+		panic("raid: transfer length not a whole number of sectors")
+	}
+	return length / a.secSize
+}
+
+// chunk returns the part of a request buffer that extent ext covers.
+func (a *Array) chunk(buf []byte, ext extent) []byte {
+	return buf[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+}
+
+// readExtentInto reads one run within a single stripe unit into dst.  A
+// device error escalates (the disk is marked failed) and the extent is
+// served over the degraded path instead, so the caller still gets correct
+// bytes — or the typed data-loss error when no redundancy remains.
+func (a *Array) readExtentInto(p *sim.Proc, ext extent, dst []byte) error {
 	devIdx, base := a.loc(ext.stripe, ext.pos)
 	physLBA := base + int64(ext.secOff)
 	if !a.failed[devIdx] {
-		if data, ok := a.devRead(p, devIdx, physLBA, ext.secs); ok {
-			return data, nil
+		if a.devReadInto(p, devIdx, physLBA, dst) {
+			return nil
 		}
 		if a.cfg.Level == Level0 {
 			// No redundancy: the sectors are lost and read as zeros.
-			return make([]byte, ext.secs*a.secSize), nil
+			clear(dst)
+			return nil
 		}
 	}
 	switch a.cfg.Level {
 	case Level1:
 		a.stats.DegradedReads++
 		telemetry.MarkDegraded(p)
-		if data, ok := a.devRead(p, devIdx+1, physLBA, ext.secs); ok { // mirror copy
-			return data, nil
+		if a.devReadInto(p, devIdx+1, physLBA, dst) { // mirror copy
+			return nil
 		}
-		return nil, a.declareLost("read: both members of a mirror pair lost")
+		return a.declareLost("read: both members of a mirror pair lost")
 	case Level3, Level5:
-		return a.reconstructRange(p, ext.stripe, devIdx, int64(ext.secOff), ext.secs)
+		sc := a.newScratch()
+		defer sc.release()
+		return a.reconstructRangeInto(p, sc, ext.stripe, devIdx, int64(ext.secOff), dst)
 	case Level6:
 		a.stats.DegradedReads++
 		telemetry.MarkDegraded(p)
-		return a.reconstruct6(p, ext.stripe, devIdx, int64(ext.secOff), ext.secs)
+		sc := a.newScratch()
+		defer sc.release()
+		return a.reconstruct6Into(p, sc, ext.stripe, devIdx, int64(ext.secOff), dst)
 	}
-	return nil, a.declareLost("read from failed device at redundancy-free level")
+	return a.declareLost("read from failed device at redundancy-free level")
 }
 
-// reconstructRange rebuilds the contents device devIdx holds in the given
-// sector range of a stripe by XOR-ing every surviving column (data and
-// parity) over that range.  All surviving columns are read in parallel.
-// A second failure among the sources means the range is unrecoverable at a
-// single-parity level: the array flips to the sticky failed state and the
-// typed error is returned.
-func (a *Array) reconstructRange(p *sim.Proc, stripe int64, devIdx int, secOff int64, secs int) ([]byte, error) {
+// reconstructRangeInto rebuilds into dst the contents device devIdx holds
+// in the len(dst)-byte range at secOff of a stripe, by XOR-ing every
+// surviving column (data and parity) over that range.  All surviving
+// columns are read in parallel into scratch columns.  A second failure
+// among the sources means the range is unrecoverable at a single-parity
+// level: the array flips to the sticky failed state and the typed error is
+// returned.
+func (a *Array) reconstructRangeInto(p *sim.Proc, sc *scratch, stripe int64, devIdx int, secOff int64, dst []byte) error {
 	end := p.Span("raid", "degraded-reconstruct")
 	defer end()
 	a.stats.DegradedReads++
 	telemetry.MarkDegraded(p)
-	base := stripe * int64(a.unitSecs)
-	phys := base + secOff
+	phys := stripe*int64(a.unitSecs) + secOff
 	cols := make([][]byte, 0, len(a.devs)-1)
 	g := sim.NewGroup(a.eng)
 	var firstErr error
@@ -125,27 +152,25 @@ func (a *Array) reconstructRange(p *sim.Proc, stripe int64, devIdx int, secOff i
 			continue
 		}
 		if a.failed[i] {
-			return nil, a.declareLost("reconstruct: second failure at a single-parity level")
+			// The reads spawned above still run, and land in their columns.
+			sc.abandon()
+			return a.declareLost("reconstruct: second failure at a single-parity level")
 		}
 		i := i
-		idx := len(cols)
-		cols = append(cols, nil)
+		col := sc.col(len(dst))
+		cols = append(cols, col)
 		goAdopted(g, p, "raid-reconstruct", func(q *sim.Proc) {
-			data, ok := a.devRead(q, i, phys, secs)
-			if !ok {
-				if firstErr == nil {
-					firstErr = a.declareLost("reconstruct: source device failed at a single-parity level")
-				}
-				return
+			if !a.devReadInto(q, i, phys, col) && firstErr == nil {
+				firstErr = a.declareLost("reconstruct: source device failed at a single-parity level")
 			}
-			cols[idx] = data
 		})
 	}
 	g.Wait(p)
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	return a.xor.XOR(p, cols...), nil
+	a.xor.XORTo(p, dst, cols...)
+	return nil
 }
 
 // Write writes data (a whole number of sectors) at logical lba.  Stripes
@@ -155,11 +180,7 @@ func (a *Array) reconstructRange(p *sim.Proc, stripe int64, devIdx int, secOff i
 // parity, compute the delta, write new data and parity — the "four disk
 // accesses" the paper cites as the weakness LFS exists to avoid.
 func (a *Array) Write(p *sim.Proc, lba int64, data []byte) error {
-	if len(data)%a.secSize != 0 {
-		//lint:allow simpanic misaligned buffer is caller corruption; LFS and the benchmarks always build whole-sector buffers
-		panic("raid: write length not a whole number of sectors")
-	}
-	n := len(data) / a.secSize
+	n := a.wholeSectors(len(data))
 	a.checkRange(lba, n)
 	if err := a.errIfLost("write"); err != nil {
 		return err
@@ -229,7 +250,7 @@ func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byt
 			ext := ext
 			devIdx, base := a.loc(ext.stripe, ext.pos)
 			phys := base + int64(ext.secOff)
-			chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+			chunk := a.chunk(data, ext)
 			for _, d := range []int{devIdx, devIdx + 1} {
 				d := d
 				if a.failed[d] {
@@ -266,7 +287,7 @@ func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byt
 func (a *Array) writeExtentRaw(p *sim.Proc, ext extent, data []byte) {
 	devIdx, base := a.loc(ext.stripe, ext.pos)
 	phys := base + int64(ext.secOff)
-	chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+	chunk := a.chunk(data, ext)
 	if a.failed[devIdx] {
 		return // lost: level 0 has no redundancy
 	}
@@ -282,9 +303,12 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, exts []extent, data [
 	a.stats.FullStripeWrites++
 	cols := make([][]byte, a.dataDisks())
 	for _, ext := range exts {
-		cols[ext.pos] = data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		cols[ext.pos] = a.chunk(data, ext)
 	}
 	pdev, pbase := a.parityLoc(stripe)
+	sc := a.newScratch()
+	defer sc.release()
+	parity := sc.unit()
 
 	// Data writes start immediately; the parity engine computes while they
 	// stream, and the parity column is written as soon as it is ready.
@@ -300,7 +324,7 @@ func (a *Array) writeFullStripe(p *sim.Proc, stripe int64, exts []extent, data [
 		})
 	}
 	goAdopted(g, p, "wp", func(q *sim.Proc) {
-		parity := a.xor.XOR(q, cols...)
+		a.xor.XORTo(q, parity, cols...)
 		if a.failed[pdev] {
 			return
 		}
@@ -319,7 +343,8 @@ func (a *Array) writeReconstructStripe(p *sim.Proc, stripe int64, exts []extent,
 	defer end()
 	a.stats.ReconstructWrites++
 	nd := a.dataDisks()
-	unitBytes := a.unitSecs * a.secSize
+	sc := a.newScratch()
+	defer sc.release()
 	cols := make([][]byte, nd)
 	full := make([]bool, nd) // fully covered by new data
 	for _, ext := range exts {
@@ -335,9 +360,10 @@ func (a *Array) writeReconstructStripe(p *sim.Proc, stripe int64, exts []extent,
 		}
 		pos := pos
 		devIdx, base := a.loc(stripe, pos)
+		old := sc.unit()
 		goAdopted(rg, p, "rw-read", func(q *sim.Proc) {
-			if data, ok := a.devRead(q, devIdx, base, a.unitSecs); ok {
-				cols[pos] = data
+			if a.devReadInto(q, devIdx, base, old) {
+				cols[pos] = old
 			}
 		})
 	}
@@ -351,8 +377,8 @@ func (a *Array) writeReconstructStripe(p *sim.Proc, stripe int64, exts []extent,
 		}
 		devIdx, _ := a.loc(stripe, pos)
 		if a.failed[devIdx] {
-			rebuilt, err := a.reconstructRange(p, stripe, devIdx, 0, a.unitSecs)
-			if err != nil {
+			rebuilt := sc.unit()
+			if err := a.reconstructRangeInto(p, sc, stripe, devIdx, 0, rebuilt); err != nil {
 				return err
 			}
 			cols[pos] = rebuilt
@@ -360,7 +386,7 @@ func (a *Array) writeReconstructStripe(p *sim.Proc, stripe int64, exts []extent,
 	}
 	// Overlay the new data.
 	for _, ext := range exts {
-		chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		chunk := a.chunk(data, ext)
 		if full[ext.pos] {
 			cols[ext.pos] = chunk
 			continue
@@ -369,10 +395,12 @@ func (a *Array) writeReconstructStripe(p *sim.Proc, stripe int64, exts []extent,
 	}
 	for pos := 0; pos < nd; pos++ {
 		if cols[pos] == nil {
-			cols[pos] = make([]byte, unitBytes)
+			cols[pos] = sc.unit()
+			clear(cols[pos])
 		}
 	}
-	parity := a.xor.XOR(p, cols...)
+	parity := sc.unit()
+	a.xor.XORTo(p, parity, cols...)
 	pdev, pbase := a.parityLoc(stripe)
 
 	wg := sim.NewGroup(a.eng)
@@ -382,7 +410,7 @@ func (a *Array) writeReconstructStripe(p *sim.Proc, stripe int64, exts []extent,
 		if a.failed[devIdx] {
 			continue
 		}
-		chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		chunk := a.chunk(data, ext)
 		goAdopted(wg, p, "rw-write", func(q *sim.Proc) {
 			a.devWrite(q, devIdx, base+int64(ext.secOff), chunk)
 		})
@@ -428,6 +456,8 @@ func (a *Array) writeRMWBatched(p *sim.Proc, stripe int64, exts []extent, data [
 		}
 	}
 
+	sc := a.newScratch()
+	defer sc.release()
 	oldD := make([][]byte, len(exts))
 	var oldP []byte
 	rg := sim.NewGroup(a.eng)
@@ -437,17 +467,19 @@ func (a *Array) writeRMWBatched(p *sim.Proc, stripe int64, exts []extent, data [
 		if a.failed[devIdx] {
 			continue
 		}
+		old := sc.col(ext.secs * a.secSize)
 		goAdopted(rg, p, "rmw-rd", func(q *sim.Proc) {
-			if data, ok := a.devRead(q, devIdx, base+int64(ext.secOff), ext.secs); ok {
-				oldD[i] = data
+			if a.devReadInto(q, devIdx, base+int64(ext.secOff), old) {
+				oldD[i] = old
 			}
 		})
 	}
 	parityLost := a.failed[pdev]
 	if !parityLost {
+		old := sc.col((hi - lo) * a.secSize)
 		goAdopted(rg, p, "rmw-rp", func(q *sim.Proc) {
-			if data, ok := a.devRead(q, pdev, pbase+int64(lo), hi-lo); ok {
-				oldP = data
+			if a.devReadInto(q, pdev, pbase+int64(lo), old) {
+				oldP = old
 			}
 		})
 	}
@@ -459,20 +491,19 @@ func (a *Array) writeRMWBatched(p *sim.Proc, stripe int64, exts []extent, data [
 	// Fold every extent's delta into the parity union buffer.
 	if !parityLost {
 		for i, ext := range exts {
-			newD := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+			newD := a.chunk(data, ext)
 			devIdx, _ := a.loc(ext.stripe, ext.pos)
 			off := (ext.secOff - lo) * a.secSize
+			old := oldD[i]
 			if a.failed[devIdx] {
 				// Lost column: rebuild its contribution from peers.
-				content, err := a.reconstructRange(p, stripe, devIdx, int64(ext.secOff), ext.secs)
-				if err != nil {
+				old = sc.col(len(newD))
+				if err := a.reconstructRangeInto(p, sc, stripe, devIdx, int64(ext.secOff), old); err != nil {
 					return err
 				}
-				delta := a.xor.XOR(p, content, newD)
-				a.xor.XORInto(p, oldP[off:off+len(delta)], delta)
-				continue
 			}
-			delta := a.xor.XOR(p, oldD[i], newD)
+			delta := sc.col(len(newD))
+			a.xor.XORTo(p, delta, old, newD)
 			a.xor.XORInto(p, oldP[off:off+len(delta)], delta)
 		}
 	}
@@ -484,7 +515,7 @@ func (a *Array) writeRMWBatched(p *sim.Proc, stripe int64, exts []extent, data [
 		if a.failed[devIdx] {
 			continue
 		}
-		newD := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		newD := a.chunk(data, ext)
 		goAdopted(wg, p, "rmw-wd", func(q *sim.Proc) {
 			a.devWrite(q, devIdx, base+int64(ext.secOff), newD)
 		})
@@ -541,37 +572,33 @@ func (a *Array) Reconstruct(p *sim.Proc, devIdx int, spare Dev) (int64, error) {
 			defer sem.Release()
 			end := q.Span("raid", "rebuild-stripe")
 			defer end()
-			var content []byte
+			sc := a.newScratch()
+			defer sc.release()
+			content := sc.unit()
 			switch a.cfg.Level {
 			case Level1:
 				// The surviving member of the pair holds the data.
 				peer := devIdx ^ 1
-				data, ok := a.devRead(q, peer, s*int64(a.unitSecs), a.unitSecs)
-				if !ok {
+				if !a.devReadInto(q, peer, s*int64(a.unitSecs), content) {
 					if firstErr == nil {
 						firstErr = fmt.Errorf("raid: rebuild source device %d failed", peer)
 					}
 					return
 				}
-				content = data
 			case Level3, Level5:
-				data, err := a.reconstructRange(q, s, devIdx, 0, a.unitSecs)
-				if err != nil {
+				if err := a.reconstructRangeInto(q, sc, s, devIdx, 0, content); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
 					return
 				}
-				content = data
 			case Level6:
-				data, err := a.reconstruct6(q, s, devIdx, 0, a.unitSecs)
-				if err != nil {
+				if err := a.reconstruct6Into(q, sc, s, devIdx, 0, content); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
 					return
 				}
-				content = data
 			default:
 				if firstErr == nil {
 					firstErr = fmt.Errorf("raid: cannot reconstruct at %v", a.cfg.Level)
@@ -650,53 +677,34 @@ func (a *Array) CheckParity(p *sim.Proc) int64 {
 	if a.cfg.Level != Level3 && a.cfg.Level != Level5 && a.cfg.Level != Level6 {
 		return 0
 	}
+	sc := a.newScratch()
+	defer sc.release()
+	cols := make([][]byte, a.dataDisks())
+	for pos := range cols {
+		cols[pos] = sc.unit()
+	}
+	want, got := sc.unit(), sc.unit()
+	// matches reports whether the unit at (dev, lba) reads back as want.
+	matches := func(dev int, lba int64) bool {
+		return bytepath.ReadInto(a.devs[dev], p, lba, got) == nil && bytes.Equal(want, got)
+	}
 	var bad int64
+stripes:
 	for s := int64(0); s < a.stripes; s++ {
-		cols := make([][]byte, a.dataDisks())
-		readErr := false
 		for pos := range cols {
 			devIdx, base := a.loc(s, pos)
-			data, err := a.devs[devIdx].Read(p, base, a.unitSecs)
-			if err != nil {
-				readErr = true
-				break
-			}
-			cols[pos] = data
-		}
-		if readErr {
-			bad++
-			continue
-		}
-		want := a.xor.XOR(p, cols...)
-		pdev, pbase := a.parityLoc(s)
-		got, err := a.devs[pdev].Read(p, pbase, a.unitSecs)
-		if err != nil {
-			bad++
-			continue
-		}
-		mismatch := false
-		for i := range want {
-			if want[i] != got[i] {
-				mismatch = true
-				break
-			}
-		}
-		if !mismatch && a.cfg.Level == Level6 {
-			wantQ := qParity(cols)
-			qdev, qbase := a.qLoc(s)
-			gotQ, err := a.devs[qdev].Read(p, qbase, a.unitSecs)
-			if err != nil {
+			if bytepath.ReadInto(a.devs[devIdx], p, base, cols[pos]) != nil {
 				bad++
-				continue
-			}
-			for i := range wantQ {
-				if wantQ[i] != gotQ[i] {
-					mismatch = true
-					break
-				}
+				continue stripes
 			}
 		}
-		if mismatch {
+		a.xor.XORTo(p, want, cols...)
+		ok := matches(a.parityLoc(s))
+		if ok && a.cfg.Level == Level6 {
+			qParityInto(want, cols)
+			ok = matches(a.qLoc(s))
+		}
+		if !ok {
 			bad++
 		}
 	}
@@ -711,11 +719,7 @@ func (a *Array) CheckParity(p *sim.Proc) int64 {
 // this mode is only for raw bandwidth measurements on scratch regions —
 // the file system always uses Write.
 func (a *Array) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
-	if len(data)%a.secSize != 0 {
-		//lint:allow simpanic misaligned buffer is caller corruption; LFS and the benchmarks always build whole-sector buffers
-		panic("raid: write length not a whole number of sectors")
-	}
-	n := len(data) / a.secSize
+	n := a.wholeSectors(len(data))
 	a.checkRange(lba, n)
 	if err := a.errIfLost("streaming write"); err != nil {
 		return err
@@ -774,7 +778,7 @@ func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []by
 		if a.failed[devIdx] {
 			continue
 		}
-		chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		chunk := a.chunk(data, ext)
 		goAdopted(g, p, "stream-w", func(q *sim.Proc) {
 			a.devWrite(q, devIdx, base+int64(ext.secOff), chunk)
 		})
@@ -782,12 +786,14 @@ func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []by
 	// Parity over the written columns' union range, in parallel with the
 	// data writes.
 	goAdopted(g, p, "stream-p", func(q *sim.Proc) {
+		sc := a.newScratch()
+		defer sc.release()
 		span := (hi - lo) * a.secSize
 		cols := make([][]byte, a.dataDisks())
 		for _, ext := range exts {
-			col := make([]byte, span)
-			chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
-			copy(col[(ext.secOff-lo)*a.secSize:], chunk)
+			col := sc.col(span)
+			clear(col)
+			copy(col[(ext.secOff-lo)*a.secSize:], a.chunk(data, ext))
 			cols[ext.pos] = col
 		}
 		present := cols[:0:0]
@@ -796,13 +802,15 @@ func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []by
 				present = append(present, c)
 			}
 		}
-		parity := a.xor.XOR(q, present...)
+		parity := sc.col(span)
+		a.xor.XORTo(q, parity, present...)
 		pdev, pbase := a.parityLoc(stripe)
 		if !a.failed[pdev] {
 			a.devWrite(q, pdev, pbase+int64(lo), parity)
 		}
 		if a.cfg.Level == Level6 {
-			qpar := qParity(cols)
+			qpar := sc.col(span)
+			qParityInto(qpar, cols)
 			qdev, qbase := a.qLoc(stripe)
 			if !a.failed[qdev] {
 				a.devWrite(q, qdev, qbase+int64(lo), qpar)

@@ -1,6 +1,9 @@
 package raid
 
-import "raidii/internal/sim"
+import (
+	"raidii/internal/bytepath"
+	"raidii/internal/sim"
+)
 
 // Level 6 datapath: every stripe carries two parity columns — P (XOR, as
 // at Level 5) and Q (Reed-Solomon over GF(256)) — so any two concurrent
@@ -23,14 +26,16 @@ func (a *Array) stripeDevs6(stripe int64) (pdev, qdev int, dataDev []int) {
 
 // solveStripe6 reads every surviving column of a stripe over the sector
 // range [secOff, secOff+secs) and solves for the missing data columns,
-// returning the complete set of data column contents.  More than two
-// missing columns is unrecoverable and latches the array-failed state.
-func (a *Array) solveStripe6(p *sim.Proc, stripe int64, secOff int64, secs int) ([][]byte, error) {
+// returning the complete set of data column contents in columns drawn from
+// sc.  More than two missing columns is unrecoverable and latches the
+// array-failed state.
+func (a *Array) solveStripe6(p *sim.Proc, sc *scratch, stripe int64, secOff int64, secs int) ([][]byte, error) {
 	end := p.Span("raid", "pq-reconstruct")
 	defer end()
 	pdev, qdev, dataDev := a.stripeDevs6(stripe)
 	base := stripe*int64(a.unitSecs) + secOff
 	nd := a.dataDisks()
+	n := secs * a.secSize
 
 	dataCols := make([][]byte, nd)
 	var pcol, qcol []byte
@@ -40,23 +45,26 @@ func (a *Array) solveStripe6(p *sim.Proc, stripe int64, secOff int64, secs int) 
 		if a.failed[dataDev[pos]] {
 			continue
 		}
+		col := sc.col(n)
 		goAdopted(g, p, "pq-read", func(q *sim.Proc) {
-			if data, ok := a.devRead(q, dataDev[pos], base, secs); ok {
-				dataCols[pos] = data
+			if a.devReadInto(q, dataDev[pos], base, col) {
+				dataCols[pos] = col
 			}
 		})
 	}
 	if !a.failed[pdev] {
+		col := sc.col(n)
 		goAdopted(g, p, "pq-read-p", func(q *sim.Proc) {
-			if data, ok := a.devRead(q, pdev, base, secs); ok {
-				pcol = data
+			if a.devReadInto(q, pdev, base, col) {
+				pcol = col
 			}
 		})
 	}
 	if !a.failed[qdev] {
+		col := sc.col(n)
 		goAdopted(g, p, "pq-read-q", func(q *sim.Proc) {
-			if data, ok := a.devRead(q, qdev, base, secs); ok {
-				qcol = data
+			if a.devReadInto(q, qdev, base, col) {
+				qcol = col
 			}
 		})
 	}
@@ -78,11 +86,19 @@ func (a *Array) solveStripe6(p *sim.Proc, stripe int64, secOff int64, secs int) 
 	if lostCols > 2 {
 		return nil, a.declareLost("reconstruct: more than two columns lost at level 6")
 	}
+	a.solveMissing6(p, sc, n, dataCols, pcol, qcol, missing)
+	return dataCols, nil
+}
 
+// solveMissing6 fills in the one or two missing n-byte data columns of a
+// stripe from the survivors and whichever of P and Q the solve needs (the
+// caller has checked that no more than two columns are lost in all).  pcol
+// and qcol are left untouched: the scrub verifies them afterwards.
+func (a *Array) solveMissing6(p *sim.Proc, sc *scratch, n int, dataCols [][]byte, pcol, qcol []byte, missing []int) {
 	switch len(missing) {
-	case 0:
 	case 1:
 		x := missing[0]
+		dx := sc.col(n)
 		if pcol != nil {
 			// XOR through P, exactly the single-parity path.
 			srcs := [][]byte{pcol}
@@ -91,68 +107,64 @@ func (a *Array) solveStripe6(p *sim.Proc, stripe int64, secOff int64, secs int) 
 					srcs = append(srcs, c)
 				}
 			}
-			dataCols[x] = a.xor.XOR(p, srcs...)
+			a.xor.XORTo(p, dx, srcs...)
 		} else {
 			// P is gone too: divide the Q remainder by this column's
 			// coefficient.  D_x = (Q ^ sum(g^i D_i, i != x)) / g^x.
-			rem := make([]byte, len(qcol))
-			copy(rem, qcol)
-			for pos, c := range dataCols {
-				if pos != x && c != nil {
-					gfMulSliceInto(rem, c, gfPow(pos))
-				}
-			}
-			gfDivSlice(rem, gfPow(x))
-			dataCols[x] = rem
+			qParityInto(dx, dataCols)
+			bytepath.XOR(dx, qcol)
+			gfDivSlice(dx, gfPow(x))
 		}
+		dataCols[x] = dx
 	case 2:
 		// Two data columns lost: P gives D_x ^ D_y, Q gives
 		// g^x D_x ^ g^y D_y; eliminate D_y and divide by (g^x ^ g^y).
 		x, y := missing[0], missing[1]
-		pxor := make([]byte, len(pcol))
+		pxor := sc.col(n)
 		copy(pxor, pcol)
-		qxor := make([]byte, len(qcol))
-		copy(qxor, qcol)
-		for pos, c := range dataCols {
-			if c == nil {
-				continue
+		for _, c := range dataCols {
+			if c != nil {
+				a.xor.XORInto(p, pxor, c)
 			}
-			a.xor.XORInto(p, pxor, c)
-			gfMulSliceInto(qxor, c, gfPow(pos))
 		}
+		dx := sc.col(n)
+		qParityInto(dx, dataCols)
+		bytepath.XOR(dx, qcol)
+		// dx holds the Q remainder; D_x = (g^y pxor ^ dx) / denom.
 		gy := gfPow(y)
 		denom := gfPow(x) ^ gy
-		dx := make([]byte, len(pxor))
-		for i := range dx {
-			dx[i] = gfDiv(gfMul(gy, pxor[i])^qxor[i], denom)
-		}
-		dy := a.xor.XOR(p, pxor, dx)
+		gfDivSlice(dx, denom)
+		gfMulSliceInto(dx, pxor, gfDiv(gy, denom))
+		dy := sc.col(n)
+		a.xor.XORTo(p, dy, pxor, dx)
 		dataCols[x], dataCols[y] = dx, dy
 	}
-	return dataCols, nil
 }
 
-// reconstruct6 rebuilds the contents device wantDev holds in the given
-// sector range of a stripe — a data column, the P column, or the Q column —
-// solving through whichever parity survives.
-func (a *Array) reconstruct6(p *sim.Proc, stripe int64, wantDev int, secOff int64, secs int) ([]byte, error) {
+// reconstruct6Into rebuilds into dst the contents device wantDev holds in
+// the len(dst)-byte range at secOff of a stripe — a data column, the P
+// column, or the Q column — solving through whichever parity survives.
+func (a *Array) reconstruct6Into(p *sim.Proc, sc *scratch, stripe int64, wantDev int, secOff int64, dst []byte) error {
 	pdev, qdev, dataDev := a.stripeDevs6(stripe)
-	dataCols, err := a.solveStripe6(p, stripe, secOff, secs)
+	dataCols, err := a.solveStripe6(p, sc, stripe, secOff, len(dst)/a.secSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch wantDev {
 	case pdev:
-		return a.xor.XOR(p, dataCols...), nil
+		a.xor.XORTo(p, dst, dataCols...)
+		return nil
 	case qdev:
-		return qParity(dataCols), nil
+		qParityInto(dst, dataCols)
+		return nil
 	}
 	for pos, dev := range dataDev {
 		if dev == wantDev {
-			return dataCols[pos], nil
+			copy(dst, dataCols[pos])
+			return nil
 		}
 	}
-	return nil, a.declareLost("reconstruct: device holds no column of this stripe")
+	return a.declareLost("reconstruct: device holds no column of this stripe")
 }
 
 // writeFullStripe6 computes P and Q from the new data alone and writes all
@@ -163,10 +175,13 @@ func (a *Array) writeFullStripe6(p *sim.Proc, stripe int64, exts []extent, data 
 	a.stats.FullStripeWrites++
 	cols := make([][]byte, a.dataDisks())
 	for _, ext := range exts {
-		cols[ext.pos] = data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		cols[ext.pos] = a.chunk(data, ext)
 	}
 	pdev, pbase := a.parityLoc(stripe)
 	qdev, qbase := a.qLoc(stripe)
+	sc := a.newScratch()
+	defer sc.release()
+	parity, qpar := sc.unit(), sc.unit()
 
 	g := sim.NewGroup(a.eng)
 	for pos, col := range cols {
@@ -180,14 +195,14 @@ func (a *Array) writeFullStripe6(p *sim.Proc, stripe int64, exts []extent, data 
 		})
 	}
 	goAdopted(g, p, "wp", func(q *sim.Proc) {
-		parity := a.xor.XOR(q, cols...)
+		a.xor.XORTo(q, parity, cols...)
 		if a.failed[pdev] {
 			return
 		}
 		a.devWrite(q, pdev, pbase, parity)
 	})
 	goAdopted(g, p, "wq", func(q *sim.Proc) {
-		qpar := qParity(cols)
+		qParityInto(qpar, cols)
 		if a.failed[qdev] {
 			return
 		}
@@ -229,26 +244,30 @@ func (a *Array) writeRMW6(p *sim.Proc, stripe int64, exts []extent, data []byte)
 		}
 	}
 
+	sc := a.newScratch()
+	defer sc.release()
 	oldD := make([][]byte, len(exts))
 	var oldP, oldQ []byte
 	rg := sim.NewGroup(a.eng)
 	for i, ext := range exts {
 		i, ext := i, ext
 		devIdx, base := a.loc(ext.stripe, ext.pos)
+		old := sc.col(ext.secs * a.secSize)
 		goAdopted(rg, p, "rmw-rd", func(q *sim.Proc) {
-			if data, ok := a.devRead(q, devIdx, base+int64(ext.secOff), ext.secs); ok {
-				oldD[i] = data
+			if a.devReadInto(q, devIdx, base+int64(ext.secOff), old) {
+				oldD[i] = old
 			}
 		})
 	}
+	bufP, bufQ := sc.col((hi-lo)*a.secSize), sc.col((hi-lo)*a.secSize)
 	goAdopted(rg, p, "rmw-rp", func(q *sim.Proc) {
-		if data, ok := a.devRead(q, pdev, pbase+int64(lo), hi-lo); ok {
-			oldP = data
+		if a.devReadInto(q, pdev, pbase+int64(lo), bufP) {
+			oldP = bufP
 		}
 	})
 	goAdopted(rg, p, "rmw-rq", func(q *sim.Proc) {
-		if data, ok := a.devRead(q, qdev, qbase+int64(lo), hi-lo); ok {
-			oldQ = data
+		if a.devReadInto(q, qdev, qbase+int64(lo), bufQ) {
+			oldQ = bufQ
 		}
 	})
 	rg.Wait(p)
@@ -264,9 +283,10 @@ func (a *Array) writeRMW6(p *sim.Proc, stripe int64, exts []extent, data []byte)
 	}
 
 	for i, ext := range exts {
-		newD := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		newD := a.chunk(data, ext)
 		off := (ext.secOff - lo) * a.secSize
-		delta := a.xor.XOR(p, oldD[i], newD)
+		delta := sc.col(len(newD))
+		a.xor.XORTo(p, delta, oldD[i], newD)
 		a.xor.XORInto(p, oldP[off:off+len(delta)], delta)
 		gfMulSliceInto(oldQ[off:off+len(delta)], delta, gfPow(ext.pos))
 	}
@@ -278,7 +298,7 @@ func (a *Array) writeRMW6(p *sim.Proc, stripe int64, exts []extent, data []byte)
 		if a.failed[devIdx] {
 			continue
 		}
-		newD := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		newD := a.chunk(data, ext)
 		goAdopted(wg, p, "rmw-wd", func(q *sim.Proc) {
 			a.devWrite(q, devIdx, base+int64(ext.secOff), newD)
 		})
@@ -307,25 +327,25 @@ func (a *Array) writeReconstruct6(p *sim.Proc, stripe int64, exts []extent, data
 	end := p.Span("raid", "reconstruct-write")
 	defer end()
 	a.stats.ReconstructWrites++
-	cols, err := a.solveStripe6(p, stripe, 0, a.unitSecs)
+	sc := a.newScratch()
+	defer sc.release()
+	cols, err := a.solveStripe6(p, sc, stripe, 0, a.unitSecs)
 	if err != nil {
 		return err
 	}
-	// Overlay the new data onto copies, so solved old contents are not
-	// aliased by later requests.
+	// Overlay the new data; the solved columns are this operation's own
+	// scratch, so partial extents patch them in place.
 	for _, ext := range exts {
-		chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		chunk := a.chunk(data, ext)
 		if ext.secOff == 0 && ext.secs == a.unitSecs {
 			cols[ext.pos] = chunk
 			continue
 		}
-		merged := make([]byte, len(cols[ext.pos]))
-		copy(merged, cols[ext.pos])
-		copy(merged[ext.secOff*a.secSize:], chunk)
-		cols[ext.pos] = merged
+		copy(cols[ext.pos][ext.secOff*a.secSize:], chunk)
 	}
-	parity := a.xor.XOR(p, cols...)
-	qpar := qParity(cols)
+	parity, qpar := sc.unit(), sc.unit()
+	a.xor.XORTo(p, parity, cols...)
+	qParityInto(qpar, cols)
 	pdev, pbase := a.parityLoc(stripe)
 	qdev, qbase := a.qLoc(stripe)
 
@@ -336,7 +356,7 @@ func (a *Array) writeReconstruct6(p *sim.Proc, stripe int64, exts []extent, data
 		if a.failed[devIdx] {
 			continue
 		}
-		chunk := data[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
+		chunk := a.chunk(data, ext)
 		goAdopted(wg, p, "rw-write", func(q *sim.Proc) {
 			a.devWrite(q, devIdx, base+int64(ext.secOff), chunk)
 		})

@@ -28,19 +28,27 @@ func NewMemDev(sectors int64, secSize int) *MemDev {
 }
 
 // Read returns a copy of the requested sectors.
-func (m *MemDev) Read(_ *sim.Proc, lba int64, n int) ([]byte, error) {
-	if m.failed {
-		return nil, fmt.Errorf("memdev: %w", fault.ErrDiskFailed)
+func (m *MemDev) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
+	out := make([]byte, n*m.secSize)
+	if err := m.ReadInto(p, lba, out); err != nil {
+		return nil, err
 	}
-	end := lba + int64(n)
+	return out, nil
+}
+
+// ReadInto copies the sectors at lba into the caller's dst.
+func (m *MemDev) ReadInto(_ *sim.Proc, lba int64, dst []byte) error {
+	if m.failed {
+		return fmt.Errorf("memdev: %w", fault.ErrDiskFailed)
+	}
+	end := lba + int64(len(dst)/m.secSize)
 	for _, r := range m.latent {
 		if r.lo < end && r.hi > lba {
-			return nil, fmt.Errorf("memdev: sector %d: %w", r.lo, fault.ErrMedium)
+			return fmt.Errorf("memdev: sector %d: %w", r.lo, fault.ErrMedium)
 		}
 	}
-	out := make([]byte, n*m.secSize)
-	copy(out, m.data[lba*int64(m.secSize):])
-	return out, nil
+	copy(dst, m.data[lba*int64(m.secSize):])
+	return nil
 }
 
 // Write stores data at lba.  Writing over a bad sector remaps it and clears

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
 
@@ -59,10 +60,13 @@ var ErrArrayFailed = errors.New("raid: array failed: losses exceed redundancy")
 
 func (l Level) String() string { return fmt.Sprintf("RAID-%d", int(l)) }
 
-// XOREngine computes parity; the XBUS parity port implements it in
-// "hardware", and SoftXOR provides a host-computed fallback for ablations.
+// XOREngine computes parity into buffers the array hands it; the XBUS
+// parity port implements it in "hardware", and SoftXOR provides a
+// host-computed fallback for ablations.
 type XOREngine interface {
-	XOR(p *sim.Proc, srcs ...[]byte) []byte
+	// XORTo overwrites dst with the bytewise parity of one or more sources.
+	XORTo(p *sim.Proc, dst []byte, srcs ...[]byte)
+	// XORInto accumulates src into dst (dst ^= src).
 	XORInto(p *sim.Proc, dst, src []byte)
 }
 
@@ -70,22 +74,29 @@ type XOREngine interface {
 // tests and for modelling an infinitely fast parity path.
 type SoftXOR struct{}
 
-// XOR returns the bytewise parity of the sources.
-func (SoftXOR) XOR(_ *sim.Proc, srcs ...[]byte) []byte {
+// XOR returns the bytewise parity of the sources in a new buffer.
+func (x SoftXOR) XOR(p *sim.Proc, srcs ...[]byte) []byte {
 	if len(srcs) == 0 {
 		return nil
 	}
 	out := make([]byte, len(srcs[0]))
-	for _, s := range srcs {
-		if len(s) != len(out) {
+	x.XORTo(p, out, srcs...)
+	return out
+}
+
+// XORTo overwrites dst with the bytewise parity of the sources.
+func (SoftXOR) XORTo(_ *sim.Proc, dst []byte, srcs ...[]byte) {
+	for i, s := range srcs {
+		if len(s) != len(dst) {
 			//lint:allow simpanic stripe geometry guarantees equal-length columns; unequal lengths mean a corrupted extent computation
 			panic("raid: XOR sources of unequal length")
 		}
-		for i, v := range s {
-			out[i] ^= v
+		if i == 0 {
+			copy(dst, s)
+		} else {
+			bytepath.XOR(dst, s)
 		}
 	}
-	return out
 }
 
 // XORInto accumulates src into dst.
@@ -94,9 +105,7 @@ func (SoftXOR) XORInto(_ *sim.Proc, dst, src []byte) {
 		//lint:allow simpanic stripe geometry guarantees equal-length columns; unequal lengths mean a corrupted extent computation
 		panic("raid: XORInto length mismatch")
 	}
-	for i, v := range src {
-		dst[i] ^= v
-	}
+	bytepath.XOR(dst, src)
 }
 
 // Config selects the array organization.
@@ -122,6 +131,10 @@ type Array struct {
 	arrayLock *sim.Server           // Level 3 single-request discipline
 
 	inflight int // foreground requests in service; the scrub yields to them
+
+	// colFree is the free list of column scratch buffers, each one stripe
+	// unit long (see scratch.go).
+	colFree [][]byte
 
 	stats Stats
 }
@@ -310,17 +323,16 @@ func (a *Array) escalate(p *sim.Proc, i int, err error) {
 	end()
 }
 
-// devRead issues a read to device i, escalating any error; ok is false when
-// the data could not be obtained and the caller must reconstruct or give
-// the column up.
-func (a *Array) devRead(p *sim.Proc, i int, lba int64, n int) ([]byte, bool) {
+// devReadInto reads from device i into dst, escalating any error; it
+// reports false when the data could not be obtained and the caller must
+// reconstruct or give the column up.
+func (a *Array) devReadInto(p *sim.Proc, i int, lba int64, dst []byte) bool {
 	a.stats.DiskReads++
-	data, err := a.devs[i].Read(p, lba, n)
-	if err != nil {
+	if err := bytepath.ReadInto(a.devs[i], p, lba, dst); err != nil {
 		a.escalate(p, i, err)
-		return nil, false
+		return false
 	}
-	return data, true
+	return true
 }
 
 // devWrite issues a write to device i, escalating any error.  A failed

@@ -249,7 +249,7 @@ func TestDoubleFailurePanics(t *testing.T) {
 		}
 	}()
 	// Reconstructing stripe 0 needs both failed columns: unrecoverable.
-	_, _ = a.reconstructRange(nil, 0, 0, 0, 1)
+	_ = a.reconstructRangeInto(nil, a.newScratch(), 0, 0, 0, make([]byte, tSec))
 }
 
 func TestMixedSectorSizesRejected(t *testing.T) {
@@ -330,9 +330,9 @@ func TestXORStatsWithEngine(t *testing.T) {
 
 type countingXOR struct{ ops int }
 
-func (c *countingXOR) XOR(p *sim.Proc, srcs ...[]byte) []byte {
+func (c *countingXOR) XORTo(p *sim.Proc, dst []byte, srcs ...[]byte) {
 	c.ops++
-	return SoftXOR{}.XOR(p, srcs...)
+	SoftXOR{}.XORTo(p, dst, srcs...)
 }
 
 func (c *countingXOR) XORInto(p *sim.Proc, dst, src []byte) {

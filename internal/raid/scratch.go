@@ -1,0 +1,57 @@
+package raid
+
+// Column scratch.  Degraded reads, rebuilds, scrubs, read-modify-writes and
+// parity computation all need column-sized working buffers that live for
+// one operation.  They come from a free list on the array instead of a
+// make per column per stripe: the engine runs one process at a time, so a
+// plain slice stack needs no locking.  Every buffer is one stripe unit long
+// (the longest column any path touches) and its contents are arbitrary when
+// handed out.  The list lives as long as the array and keeps at most
+// colFreeStripes stripes' worth of buffers: enough for the rebuild window
+// and the foreground requests beside it, while a burst (fifty segment
+// writes in flight when a file is laid down) goes back to the collector
+// instead of pinning a hundred megabytes per array.
+
+// colFreeStripes bounds the free list, in stripes (one buffer per device).
+const colFreeStripes = 8
+
+// scratch is the set of column buffers one operation has drawn.  The
+// operation releases them all when it returns, by which time every device
+// write that was handed one has completed (devices copy what they store).
+type scratch struct {
+	a    *Array
+	bufs [][]byte
+}
+
+func (a *Array) newScratch() *scratch { return &scratch{a: a} }
+
+// col returns an n-byte buffer (n at most one stripe unit) with arbitrary
+// contents; the caller must overwrite all of it.
+func (s *scratch) col(n int) []byte {
+	a := s.a
+	var b []byte
+	if k := len(a.colFree); k > 0 {
+		b, a.colFree = a.colFree[k-1], a.colFree[:k-1]
+	} else {
+		b = make([]byte, a.unitSecs*a.secSize)
+	}
+	s.bufs = append(s.bufs, b)
+	return b[:n]
+}
+
+// unit returns a buffer one stripe unit long.
+func (s *scratch) unit() []byte { return s.col(s.a.unitSecs * s.a.secSize) }
+
+// release returns the operation's buffers to the array's free list, up to
+// its bound.
+func (s *scratch) release() {
+	a := s.a
+	keep := min(len(s.bufs), colFreeStripes*len(a.devs)-len(a.colFree))
+	a.colFree = append(a.colFree, s.bufs[:keep]...)
+	s.bufs = nil
+}
+
+// abandon leaves the buffers drawn so far to the garbage collector instead
+// of recycling them, for the one path that returns while reads it spawned
+// may still land in them.
+func (s *scratch) abandon() { s.bufs = nil }

@@ -1,9 +1,11 @@
 package raid
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
 
@@ -94,6 +96,8 @@ func (a *Array) scrubStripe(p *sim.Proc, s int64) (verified, repaired bool) {
 	if a.cfg.Level == Level6 {
 		return a.scrubStripe6(p, s)
 	}
+	sc := a.newScratch()
+	defer sc.release()
 	nd := a.dataDisks()
 	// Columns 0..nd-1 are data, column nd is parity.
 	cols := make([][]byte, nd+1)
@@ -111,18 +115,17 @@ func (a *Array) scrubStripe(p *sim.Proc, s int64) (verified, repaired bool) {
 			return false, false
 		}
 		a.stats.DiskReads++
-		data, err := a.devs[devIdx].Read(p, lbas[i], a.unitSecs)
-		if err != nil {
+		cols[i] = sc.unit()
+		if err := bytepath.ReadInto(a.devs[devIdx], p, lbas[i], cols[i]); err != nil {
 			if bad >= 0 {
 				// Two unreadable columns: beyond single-parity repair.
 				return false, false
 			}
 			bad = i
-			continue
 		}
-		cols[i] = data
 	}
 
+	want := sc.unit()
 	if bad >= 0 {
 		// One unreadable column: reconstruct it from the other nd columns
 		// (data plus parity) and rewrite it, which remaps the latent
@@ -133,15 +136,14 @@ func (a *Array) scrubStripe(p *sim.Proc, s int64) (verified, repaired bool) {
 				others = append(others, c)
 			}
 		}
-		return a.scrubRewrite(p, devIdxs[bad], lbas[bad], a.xor.XOR(p, others...))
+		a.xor.XORTo(p, want, others...)
+		return a.scrubRewrite(p, devIdxs[bad], lbas[bad], want)
 	}
 
-	want := a.xor.XOR(p, cols[:nd]...)
-	for i := range want {
-		if want[i] != cols[nd][i] {
-			// Parity does not cover the data: rewrite it.
-			return a.scrubRewrite(p, devIdxs[nd], lbas[nd], want)
-		}
+	a.xor.XORTo(p, want, cols[:nd]...)
+	if !bytes.Equal(want, cols[nd]) {
+		// Parity does not cover the data: rewrite it.
+		return a.scrubRewrite(p, devIdxs[nd], lbas[nd], want)
 	}
 	return true, false
 }
@@ -153,9 +155,12 @@ func (a *Array) scrubStripe(p *sim.Proc, s int64) (verified, repaired bool) {
 // nothing left to verify — the double-degraded rebuild, not the patrol,
 // restores it.
 func (a *Array) scrubStripe6(p *sim.Proc, s int64) (verified, repaired bool) {
+	sc := a.newScratch()
+	defer sc.release()
 	pdev, qdev, dataDev := a.stripeDevs6(s)
 	base := s * int64(a.unitSecs)
 	nd := a.dataDisks()
+	unitBytes := a.unitSecs * a.secSize
 
 	var failedCols int
 	readCol := func(dev int) ([]byte, bool) {
@@ -164,11 +169,11 @@ func (a *Array) scrubStripe6(p *sim.Proc, s int64) (verified, repaired bool) {
 			return nil, false
 		}
 		a.stats.DiskReads++
-		data, err := a.devs[dev].Read(p, base, a.unitSecs)
-		if err != nil {
+		col := sc.unit()
+		if err := bytepath.ReadInto(a.devs[dev], p, base, col); err != nil {
 			return nil, true // latent: on a live device, repairable in place
 		}
-		return data, false
+		return col, false
 	}
 
 	dataCols := make([][]byte, nd)
@@ -206,98 +211,37 @@ func (a *Array) scrubStripe6(p *sim.Proc, s int64) (verified, repaired bool) {
 
 	// Solve the missing data columns through whatever parity survives —
 	// the same cases the degraded read path serves.
-	switch len(missing) {
-	case 1:
-		x := missing[0]
-		if pcol != nil {
-			srcs := [][]byte{pcol}
-			for pos, c := range dataCols {
-				if pos != x {
-					srcs = append(srcs, c)
-				}
-			}
-			dataCols[x] = a.xor.XOR(p, srcs...)
-		} else if qcol != nil {
-			rem := make([]byte, len(qcol))
-			copy(rem, qcol)
-			for pos, c := range dataCols {
-				if pos != x && c != nil {
-					gfMulSliceInto(rem, c, gfPow(pos))
-				}
-			}
-			gfDivSlice(rem, gfPow(x))
-			dataCols[x] = rem
-		} else {
-			return false, false
-		}
-	case 2:
-		if pcol == nil || qcol == nil {
-			return false, false
-		}
-		x, y := missing[0], missing[1]
-		pxor := make([]byte, len(pcol))
-		copy(pxor, pcol)
-		qxor := make([]byte, len(qcol))
-		copy(qxor, qcol)
-		for pos, c := range dataCols {
-			if c == nil {
-				continue
-			}
-			a.xor.XORInto(p, pxor, c)
-			gfMulSliceInto(qxor, c, gfPow(pos))
-		}
-		gy := gfPow(y)
-		denom := gfPow(x) ^ gy
-		dx := make([]byte, len(pxor))
-		for i := range dx {
-			dx[i] = gfDiv(gfMul(gy, pxor[i])^qxor[i], denom)
-		}
-		dataCols[x], dataCols[y] = dx, a.xor.XOR(p, pxor, dx)
-	}
+	a.solveMissing6(p, sc, unitBytes, dataCols, pcol, qcol, missing)
 
-	// Rewrite latent columns in place with their solved or recomputed
-	// contents, which remaps the bad sectors underneath.
+	// rewrite puts a column's solved or recomputed contents back in place,
+	// which remaps any bad sectors underneath.
 	ok := true
+	rewrite := func(dev int, content []byte) {
+		v, r := a.scrubRewrite(p, dev, base, content)
+		ok = ok && v
+		repaired = repaired || r
+	}
 	for _, pos := range missing {
 		if latent[dataDev[pos]] {
-			v, r := a.scrubRewrite(p, dataDev[pos], base, dataCols[pos])
-			ok = ok && v
-			repaired = repaired || r
+			rewrite(dataDev[pos], dataCols[pos])
 		}
 	}
-	wantP := a.xor.XOR(p, dataCols...)
-	wantQ := qParity(dataCols)
+	wantP, wantQ := sc.unit(), sc.unit()
+	a.xor.XORTo(p, wantP, dataCols...)
+	qParityInto(wantQ, dataCols)
 	if pcol == nil && latent[pdev] {
-		v, r := a.scrubRewrite(p, pdev, base, wantP)
-		ok = ok && v
-		repaired = repaired || r
+		rewrite(pdev, wantP)
 	}
 	if qcol == nil && latent[qdev] {
-		v, r := a.scrubRewrite(p, qdev, base, wantQ)
-		ok = ok && v
-		repaired = repaired || r
+		rewrite(qdev, wantQ)
 	}
 	// Verify whatever parity survives against the (solved) data; stale
 	// parity is recomputed and rewritten.
-	if pcol != nil {
-		for i := range wantP {
-			if wantP[i] != pcol[i] {
-				v, r := a.scrubRewrite(p, pdev, base, wantP)
-				ok = ok && v
-				repaired = repaired || r
-				break
-			}
-		}
+	if pcol != nil && !bytes.Equal(wantP, pcol) {
+		rewrite(pdev, wantP)
 	}
-	if qcol != nil {
-		for i := range wantQ {
-			if wantQ[i] != qcol[i] {
-				v, r := a.scrubRewrite(p, qdev, base, wantQ)
-				ok = ok && v
-				repaired = repaired || r
-				break
-			}
-		}
+	if qcol != nil && !bytes.Equal(wantQ, qcol) {
+		rewrite(qdev, wantQ)
 	}
 	return ok, repaired
 }

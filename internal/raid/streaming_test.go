@@ -91,6 +91,11 @@ func (s *slowDev) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 	return s.MemDev.Read(p, lba, n)
 }
 
+func (s *slowDev) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	p.Wait(s.delay)
+	return s.MemDev.ReadInto(p, lba, dst)
+}
+
 func (s *slowDev) Write(p *sim.Proc, lba int64, data []byte) error {
 	p.Wait(s.delay)
 	return s.MemDev.Write(p, lba, data)

@@ -120,25 +120,27 @@ func (ad *Disk) path(upstream sim.Path) sim.Path {
 	return append(p, upstream...)
 }
 
-// Read reads n sectors at lba; data flows drive -> string -> controller ->
-// upstream, pipelined per chunk.  Retryable failures (medium errors,
-// timeouts on a stalled string) are reissued up to the controller's retry
-// budget with deterministic linear backoff; what still fails after that is
-// returned for the array layer to escalate.
+// Read reads n sectors at lba into a fresh buffer; see ReadInto.
 func (ad *Disk) Read(p *sim.Proc, lba int64, n int, upstream sim.Path) ([]byte, error) {
+	buf := make([]byte, n*ad.SectorSize())
+	if err := ad.ReadInto(p, lba, buf, upstream); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadInto reads the sectors at lba into the caller's dst; data flows drive
+// -> string -> controller -> upstream, pipelined per chunk.  Retryable
+// failures (medium errors, timeouts on a stalled string) are reissued up to
+// the controller's retry budget with deterministic linear backoff; what
+// still fails after that is returned for the array layer to escalate.
+func (ad *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, upstream sim.Path) error {
 	end := p.Span("scsi", "read")
 	defer end()
 	defer telemetry.StageSpan(p, telemetry.StageSCSI).End()
-	var data []byte
-	err := ad.issue(p, func(q *sim.Proc) error {
-		var derr error
-		data, derr = ad.Drive.Read(q, lba, n, ad.path(upstream))
-		return derr
+	return ad.issue(p, func(q *sim.Proc) error {
+		return ad.Drive.ReadInto(q, lba, dst, ad.path(upstream))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // Write writes data at lba; data flows upstream -> controller -> string ->

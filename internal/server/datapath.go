@@ -179,12 +179,12 @@ func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) ([]byte, err
 			telemetry.Adopt(q, p)
 			defer sem.Release()
 			b.XB.Buffers.Acquire(q, n)
-			data, err := f.File.ReadAt(q, at, n)
+			// The chunk's bytes land in its own slice of out.
+			got, err := f.File.ReadAtInto(q, at, out[at-off:at-off+int64(n)])
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
-			copy(out[at-off:], data)
-			if hi := at - off + int64(len(data)); hi > total {
+			if hi := at - off + int64(got); hi > total {
 				total = hi
 			}
 			// Hand the buffer to the "network buffer" pool: one crossbar
@@ -218,6 +218,7 @@ type FSFile struct {
 	Board *Board
 	File  interface {
 		ReadAt(p *sim.Proc, off int64, n int) ([]byte, error)
+		ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error)
 		WriteAt(p *sim.Proc, data []byte, off int64) (int, error)
 		Size(p *sim.Proc) (int64, error)
 	}

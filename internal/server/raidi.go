@@ -59,6 +59,10 @@ func (rd *raidiDisk) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 	return rd.ad.Read(p, lba, n, rd.path())
 }
 
+func (rd *raidiDisk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	return rd.ad.ReadInto(p, lba, dst, rd.path())
+}
+
 func (rd *raidiDisk) Write(p *sim.Proc, lba int64, data []byte) error {
 	return rd.ad.Write(p, lba, data, sim.Path{rd.h.MemBus, rd.h.Backplane})
 }
@@ -101,18 +105,15 @@ func NewRAIDI(cfg RAIDIConfig) (*RAIDI, error) {
 // through the memory system, and the CPU is busy for the duration.
 type hostXOR struct{ h *host.Host }
 
-func (x *hostXOR) XOR(p *sim.Proc, srcs ...[]byte) []byte {
-	total := 0
+func (x *hostXOR) XORTo(p *sim.Proc, dst []byte, srcs ...[]byte) {
+	total := len(dst) // the result is written back
 	for _, s := range srcs {
 		total += len(s)
-	}
-	if len(srcs) > 0 {
-		total += len(srcs[0])
 	}
 	x.h.CPU.Acquire(p)
 	x.h.MemBus.Transfer(p, total)
 	x.h.CPU.Release()
-	return raid.SoftXOR{}.XOR(p, srcs...)
+	raid.SoftXOR{}.XORTo(p, dst, srcs...)
 }
 
 func (x *hostXOR) XORInto(p *sim.Proc, dst, src []byte) {

@@ -276,6 +276,11 @@ func (bd *boundDisk) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 	return bd.ad.Read(p, lba, n, rp)
 }
 
+func (bd *boundDisk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	rp, _ := bd.paths()
+	return bd.ad.ReadInto(p, lba, dst, rp)
+}
+
 func (bd *boundDisk) Write(p *sim.Proc, lba int64, data []byte) error {
 	_, wp := bd.paths()
 	return bd.ad.Write(p, lba, data, wp)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
 
@@ -169,15 +170,24 @@ func (b *Board) DiskReadPath(i int) sim.Path { return sim.Path{b.VME[i].In()} }
 // toward a Cougar on VME disk port i.
 func (b *Board) DiskWritePath(i int) sim.Path { return sim.Path{b.VME[i].Out()} }
 
-// XOR computes the bytewise parity of the sources into a new buffer, using
-// the board's parity engine: every source byte streams from memory through
-// the XOR port, and the result streams back.  All sources must be the same
-// length.
+// XOR computes the bytewise parity of the sources into a new buffer; see
+// XORTo.
 func (b *Board) XOR(p *sim.Proc, srcs ...[]byte) []byte {
 	if len(srcs) == 0 {
 		return nil
 	}
-	n := len(srcs[0])
+	out := make([]byte, len(srcs[0]))
+	b.XORTo(p, out, srcs...)
+	return out
+}
+
+// XORTo computes the bytewise parity of one or more sources into the
+// caller's dst (overwriting it), using the board's parity engine: every source byte
+// streams from memory through the XOR port, and the result streams back.
+// The sources and dst must all be the same length, and dst must not
+// overlap a source.
+func (b *Board) XORTo(p *sim.Proc, dst []byte, srcs ...[]byte) {
+	n := len(dst)
 	for _, s := range srcs {
 		if len(s) != n {
 			//lint:allow simpanic stripe geometry guarantees equal-length columns; unequal lengths mean a corrupted extent computation
@@ -185,19 +195,19 @@ func (b *Board) XOR(p *sim.Proc, srcs ...[]byte) []byte {
 		}
 	}
 	end := p.Span("xbus", "parity")
-	out := make([]byte, n)
-	for _, s := range srcs {
+	for i, s := range srcs {
 		// Stream this source through the parity engine.
 		sim.Path{b.Parity.In()}.Send(p, n, 0)
-		for i, v := range s {
-			out[i] ^= v
+		if i == 0 {
+			copy(dst, s)
+		} else {
+			bytepath.XOR(dst, s)
 		}
 	}
 	// Result writes back to memory.
 	sim.Path{b.Parity.Out()}.Send(p, n, 0)
 	b.parityOps++
 	end()
-	return out
 }
 
 // XORInto accumulates src into dst (dst ^= src) with parity-engine timing.
@@ -208,9 +218,7 @@ func (b *Board) XORInto(p *sim.Proc, dst, src []byte) {
 	}
 	end := p.Span("xbus", "parity")
 	sim.Path{b.Parity.In()}.Send(p, len(src), 0)
-	for i, v := range src {
-		dst[i] ^= v
-	}
+	bytepath.XOR(dst, src)
 	b.parityOps++
 	end()
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/fault"
 	"raidii/internal/hippi"
 	"raidii/internal/server"
@@ -344,10 +345,11 @@ func (z *Store) writeStripe(p *sim.Proc, f *file, stripe int64, data []byte) err
 	if pIdx >= 0 {
 		parity = make([]byte, z.fragSize(len(data), 0))
 		for k := 0; k < z.dataWidth(); k++ {
-			lo := k * z.cfg.FragmentBytes
-			for j := 0; j < z.fragSize(len(data), k); j++ {
-				parity[j] ^= data[lo+j]
+			lo, n := k*z.cfg.FragmentBytes, z.fragSize(len(data), k)
+			if n == 0 {
+				break // tail stripe: the remaining fragments are empty
 			}
+			bytepath.XOR(parity[:n], data[lo:lo+n])
 		}
 	}
 
@@ -538,13 +540,7 @@ func (z *Store) tryReadStripe(p *sim.Proc, f *file, stripe int64) ([]byte, error
 	// Reconstruct the missing fragment: parity is the XOR of the data
 	// fragments, so any single fragment is the XOR of all the others.
 	if missing >= 0 && missing != pIdx {
-		acc := make([]byte, z.fragSize(sz, 0))
-		for s := 0; s < n; s++ {
-			for j, v := range got[s] {
-				acc[j] ^= v
-			}
-		}
-		got[missing] = acc[:z.holdSize(sz, missing, pIdx)]
+		got[missing] = z.xorFragments(got, sz)[:z.holdSize(sz, missing, pIdx)]
 	}
 
 	buf := make([]byte, sz)
@@ -627,13 +623,18 @@ func (z *Store) reconstructFragment(p *sim.Proc, f *file, srv int, stripe int64)
 			return nil, err
 		}
 	}
+	return z.xorFragments(got, sz)[:z.holdSize(sz, srv, pIdx)], nil
+}
+
+// xorFragments returns the XOR of the fragments of a stripe of sz data
+// bytes, padded to fragment 0's size: with one fragment absent (nil), that
+// is the absent fragment.
+func (z *Store) xorFragments(frags [][]byte, sz int) []byte {
 	acc := make([]byte, z.fragSize(sz, 0))
-	for s := 0; s < n; s++ {
-		for j, v := range got[s] {
-			acc[j] ^= v
-		}
+	for _, f := range frags {
+		bytepath.XOR(acc[:len(f)], f)
 	}
-	return acc[:z.holdSize(sz, srv, pIdx)], nil
+	return acc
 }
 
 // SyncAll flushes every board's file system on every server in parallel,
