@@ -108,25 +108,39 @@ func TestLatentErrorEscalatesAndReconstructs(t *testing.T) {
 	}
 }
 
-// TestLevel0ErrorReadsZeros: with no redundancy the failed extent reads as
-// zeros and the array does not flip to a degraded mode it cannot serve.
-func TestLevel0ErrorReadsZeros(t *testing.T) {
+// TestLevel0ErrorLatchesArrayFailed: Level 0 is the row of the level table
+// that tolerates zero losses, so a device error is a loss beyond redundancy
+// like any other — the read reports ErrArrayFailed, never zeros with a nil
+// error, and the state is sticky for later reads and writes.
+func TestLevel0ErrorLatchesArrayFailed(t *testing.T) {
 	e := sim.New()
 	a, mems := newArray(t, e, 4, Level0)
 	data := patterned(16*tSec, 3)
 	runProc(e, func(p *sim.Proc) {
-		_ = a.Write(p, 0, data)
+		if err := a.Write(p, 0, data); err != nil {
+			t.Fatal(err)
+		}
 		mems[0].Fail()
-		got, _ := a.Read(p, 0, 16)
-		if len(got) != len(data) {
-			t.Fatal("short read")
+		if got, err := a.Read(p, 0, 16); !errors.Is(err, ErrArrayFailed) {
+			t.Fatalf("read over a dead Level 0 device = %v, %v; want ErrArrayFailed", got, err)
+		}
+		// Extents on the surviving devices are refused too: the latch is the
+		// array's, not the extent's.
+		if _, err := a.Read(p, tUnit, tUnit); !errors.Is(err, ErrArrayFailed) {
+			t.Fatalf("later read = %v, want sticky ErrArrayFailed", err)
+		}
+		if err := a.Write(p, 0, data); !errors.Is(err, ErrArrayFailed) {
+			t.Fatalf("later write = %v, want sticky ErrArrayFailed", err)
 		}
 	})
-	if a.Failed(0) {
-		t.Fatal("Level 0 must not mark disks failed (no degraded mode exists)")
+	if !a.Lost() || !a.Failed(0) {
+		t.Fatal("device error at Level 0 did not latch the array-failed state")
 	}
-	if a.Stats().DeviceErrors == 0 {
-		t.Fatal("device error not counted")
+	if st := a.Stats(); st.DeviceErrors == 0 || st.DegradedReads != 0 {
+		t.Fatalf("stats = %+v, want the device error counted and no degraded reads", st)
+	}
+	if err := a.FailDisk(1); err == nil {
+		t.Fatal("FailDisk accepted at a level that tolerates no loss")
 	}
 }
 

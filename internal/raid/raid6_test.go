@@ -129,8 +129,8 @@ func TestLevel6SmallWriteUpdatesQ(t *testing.T) {
 		copy(base[1*tSec:], update)
 		// Fail the two devices holding the updated data column and P for
 		// stripe 0, forcing the read to solve through Q.
-		pdev, _ := a.parityLoc(0)
-		ddev, _ := a.loc(0, 0)
+		pdev := a.colDev(0, a.dataDisks())
+		ddev := a.colDev(0, 0)
 		if err := a.FailDisk(pdev); err != nil {
 			t.Fatal(err)
 		}
@@ -209,9 +209,9 @@ func TestLevel6ScrubRepairsLatentColumns(t *testing.T) {
 		}
 	})
 	// Latent errors on a data column of stripe 0 and on stripe 1's Q column.
-	ddev, dlba := a.loc(0, 1)
+	ddev, dlba := a.colDev(0, 1), a.unitLBA(0)
 	mems[ddev].AddLatentError(dlba, 1)
-	qdev, qlba := a.qLoc(1)
+	qdev, qlba := a.colDev(1, a.dataDisks()+1), a.unitLBA(1)
 	mems[qdev].AddLatentError(qlba, 1)
 
 	sc, err := a.StartScrub(ScrubConfig{})

@@ -50,8 +50,3 @@ func (s *scratch) release() {
 	a.colFree = append(a.colFree, s.bufs[:keep]...)
 	s.bufs = nil
 }
-
-// abandon leaves the buffers drawn so far to the garbage collector instead
-// of recycling them, for the one path that returns while reads it spawned
-// may still land in them.
-func (s *scratch) abandon() { s.bufs = nil }

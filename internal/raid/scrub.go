@@ -48,10 +48,10 @@ func (s *Scrub) Wait(p *sim.Proc) (stripes, repairs uint64) {
 // StartScrub launches one background patrol pass over the array and
 // returns immediately with a handle.  The patrol is low priority: it holds
 // off whenever foreground requests are in flight, so it consumes idle disk
-// time rather than competing with demand traffic.  Only parity levels (3,
-// 5, and 6) can be scrubbed.
+// time rather than competing with demand traffic.  Only levels with check
+// columns (3, 5, and 6) can be scrubbed.
 func (a *Array) StartScrub(cfg ScrubConfig) (*Scrub, error) {
-	if a.cfg.Level != Level3 && a.cfg.Level != Level5 && a.cfg.Level != Level6 {
+	if a.row.checks == 0 {
 		return nil, fmt.Errorf("raid: parity scrub requires level 3, 5, or 6, not level %d", int(a.cfg.Level))
 	}
 	interval := cfg.Interval
@@ -85,175 +85,86 @@ func (a *Array) StartScrub(cfg ScrubConfig) (*Scrub, error) {
 	return sc, nil
 }
 
-// scrubStripe verifies one stripe and repairs at most one bad column.  It
-// reads the devices directly (like CheckParity) rather than through
-// devRead: a latent sector the patrol finds is the patrol doing its job,
-// not a demand-path device error, so it must not escalate the disk to
-// failed or count toward DeviceErrors.
+// scrubStripe verifies one stripe: every column is read, one after another in
+// role order; columns that are missing — on failed devices, or latent read
+// errors on live ones — are solved from the rest exactly as a degraded read
+// would, and the latent ones rewritten in place, which remaps the bad sectors
+// underneath; then every surviving check column is compared with its code
+// over the data and rewritten if stale.  The stripe is given up when more
+// than m columns are missing (nothing can solve it) or when failed devices
+// alone consume all m check columns (nothing is left to verify — the rebuild,
+// not the patrol, restores it).  It reads the devices directly (like
+// CheckParity) rather than through the view's read: a latent sector the
+// patrol finds is the patrol doing its job, not a demand-path device error,
+// so it must not escalate the disk to failed or count toward DeviceErrors.
 func (a *Array) scrubStripe(p *sim.Proc, s int64) (verified, repaired bool) {
 	end := p.Span("scrub", "stripe")
 	defer end()
-	if a.cfg.Level == Level6 {
-		return a.scrubStripe6(p, s)
-	}
 	sc := a.newScratch()
 	defer sc.release()
-	nd := a.dataDisks()
-	// Columns 0..nd-1 are data, column nd is parity.
-	cols := make([][]byte, nd+1)
-	devIdxs := make([]int, nd+1)
-	lbas := make([]int64, nd+1)
-	for pos := 0; pos < nd; pos++ {
-		devIdxs[pos], lbas[pos] = a.loc(s, pos)
-	}
-	devIdxs[nd], lbas[nd] = a.parityLoc(s)
-
-	bad := -1
-	for i, devIdx := range devIdxs {
-		if a.failed[devIdx] {
-			// Degraded stripe: the rebuild, not the patrol, restores it.
-			return false, false
-		}
-		a.stats.DiskReads++
-		cols[i] = sc.unit()
-		if err := bytepath.ReadInto(a.devs[devIdx], p, lbas[i], cols[i]); err != nil {
-			if bad >= 0 {
-				// Two unreadable columns: beyond single-parity repair.
-				return false, false
-			}
-			bad = i
-		}
-	}
-
-	want := sc.unit()
-	if bad >= 0 {
-		// One unreadable column: reconstruct it from the other nd columns
-		// (data plus parity) and rewrite it, which remaps the latent
-		// sectors underneath.
-		others := make([][]byte, 0, nd)
-		for i, c := range cols {
-			if i != bad {
-				others = append(others, c)
-			}
-		}
-		a.xor.XORTo(p, want, others...)
-		return a.scrubRewrite(p, devIdxs[bad], lbas[bad], want)
-	}
-
-	a.xor.XORTo(p, want, cols[:nd]...)
-	if !bytes.Equal(want, cols[nd]) {
-		// Parity does not cover the data: rewrite it.
-		return a.scrubRewrite(p, devIdxs[nd], lbas[nd], want)
-	}
-	return true, false
-}
-
-// scrubStripe6 verifies one Level 6 stripe.  With up to two columns
-// missing (failed devices or latent read errors) the P+Q solve recovers
-// their contents; latent columns on live devices are rewritten in place.
-// A stripe with both redundancy columns consumed by failed devices has
-// nothing left to verify — the double-degraded rebuild, not the patrol,
-// restores it.
-func (a *Array) scrubStripe6(p *sim.Proc, s int64) (verified, repaired bool) {
-	sc := a.newScratch()
-	defer sc.release()
-	pdev, qdev, dataDev := a.stripeDevs6(s)
-	base := s * int64(a.unitSecs)
-	nd := a.dataDisks()
+	v := a.view(s, false)
+	k, m := a.dataDisks(), a.row.checks
 	unitBytes := a.unitSecs * a.secSize
 
-	var failedCols int
-	readCol := func(dev int) ([]byte, bool) {
-		if a.failed[dev] {
+	cols := make([][]byte, k+m)
+	latent := make([]bool, k+m) // unreadable but on a live device: repairable in place
+	failedCols, missing := 0, 0
+	for role := range cols {
+		if v.lost(role) {
 			failedCols++
-			return nil, false
+			missing++
+			continue
 		}
 		a.stats.DiskReads++
 		col := sc.unit()
-		if err := bytepath.ReadInto(a.devs[dev], p, base, col); err != nil {
-			return nil, true // latent: on a live device, repairable in place
-		}
-		return col, false
-	}
-
-	dataCols := make([][]byte, nd)
-	latent := make(map[int]bool) // device -> unreadable but live
-	var missing []int
-	for pos := 0; pos < nd; pos++ {
-		data, lat := readCol(dataDev[pos])
-		if data == nil {
-			missing = append(missing, pos)
-			if lat {
-				latent[dataDev[pos]] = true
-			}
+		if err := bytepath.ReadInto(v.cols[role].on, p, v.base, col); err != nil {
+			latent[role] = true
+			missing++
 			continue
 		}
-		dataCols[pos] = data
+		cols[role] = col
 	}
-	pcol, pLat := readCol(pdev)
-	if pcol == nil && pLat {
-		latent[pdev] = true
-	}
-	qcol, qLat := readCol(qdev)
-	if qcol == nil && qLat {
-		latent[qdev] = true
-	}
-	totalMissing := len(missing)
-	if pcol == nil {
-		totalMissing++
-	}
-	if qcol == nil {
-		totalMissing++
-	}
-	if totalMissing > 2 || failedCols >= 2 {
+	if missing > m || failedCols >= m {
 		return false, false
 	}
+	// The solve fills in data columns only, so what was read of the check
+	// columns stays in cols for the comparison below.
+	a.solve(p, sc, cols, unitBytes, -1, nil)
 
-	// Solve the missing data columns through whatever parity survives —
-	// the same cases the degraded read path serves.
-	a.solveMissing6(p, sc, unitBytes, dataCols, pcol, qcol, missing)
-
-	// rewrite puts a column's solved or recomputed contents back in place,
-	// which remaps any bad sectors underneath.
-	ok := true
-	rewrite := func(dev int, content []byte) {
-		v, r := a.scrubRewrite(p, dev, base, content)
-		ok = ok && v
-		repaired = repaired || r
+	verified = true
+	rewrite := func(role int, content []byte) {
+		ok := a.scrubRewrite(p, v.cols[role].on, v.base, content)
+		verified = verified && ok
+		repaired = repaired || ok
 	}
-	for _, pos := range missing {
-		if latent[dataDev[pos]] {
-			rewrite(dataDev[pos], dataCols[pos])
+	for pos := 0; pos < k; pos++ {
+		if latent[pos] {
+			rewrite(pos, cols[pos])
 		}
 	}
-	wantP, wantQ := sc.unit(), sc.unit()
-	a.xor.XORTo(p, wantP, dataCols...)
-	qParityInto(wantQ, dataCols)
-	if pcol == nil && latent[pdev] {
-		rewrite(pdev, wantP)
+	want := sc.unit()
+	for j := 0; j < m; j++ {
+		if v.lost(k + j) {
+			continue
+		}
+		a.encode(p, j, want, cols[:k])
+		if latent[k+j] || !bytes.Equal(want, cols[k+j]) {
+			// Unreadable, or does not cover the data: rewrite it.
+			rewrite(k+j, want)
+		}
 	}
-	if qcol == nil && latent[qdev] {
-		rewrite(qdev, wantQ)
-	}
-	// Verify whatever parity survives against the (solved) data; stale
-	// parity is recomputed and rewritten.
-	if pcol != nil && !bytes.Equal(wantP, pcol) {
-		rewrite(pdev, wantP)
-	}
-	if qcol != nil && !bytes.Equal(wantQ, qcol) {
-		rewrite(qdev, wantQ)
-	}
-	return ok, repaired
+	return verified, repaired
 }
 
-// scrubRewrite writes a repaired column back under a repair span.
-func (a *Array) scrubRewrite(p *sim.Proc, devIdx int, lba int64, content []byte) (verified, repaired bool) {
+// scrubRewrite writes a repaired column back under a repair span; it reports
+// whether the write succeeded.
+func (a *Array) scrubRewrite(p *sim.Proc, on Dev, lba int64, content []byte) bool {
 	end := p.Span("scrub", "repair")
 	defer end()
 	a.stats.DiskWrites++
-	if err := a.devs[devIdx].Write(p, lba, content); err != nil {
-		return false, false
+	if err := on.Write(p, lba, content); err != nil {
+		return false
 	}
 	a.stats.ScrubRepairs++
-	return true, true
+	return true
 }

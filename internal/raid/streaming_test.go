@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -79,25 +80,36 @@ func TestLevel3SingleRequestAtATime(t *testing.T) {
 	}
 }
 
-// slowDev wraps MemDev with a fixed per-operation delay.
+// slowDev wraps MemDev with a per-operation delay: fixed, plus a seeded
+// random jitter when rng is set.
 type slowDev struct {
 	*MemDev
-	eng   *sim.Engine
-	delay time.Duration
+	eng    *sim.Engine
+	delay  time.Duration
+	jitter time.Duration
+	rng    *rand.Rand
+}
+
+func (s *slowDev) wait(p *sim.Proc) {
+	d := s.delay
+	if s.rng != nil {
+		d += time.Duration(s.rng.Int63n(int64(s.jitter)))
+	}
+	p.Wait(d)
 }
 
 func (s *slowDev) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
-	p.Wait(s.delay)
+	s.wait(p)
 	return s.MemDev.Read(p, lba, n)
 }
 
 func (s *slowDev) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
-	p.Wait(s.delay)
+	s.wait(p)
 	return s.MemDev.ReadInto(p, lba, dst)
 }
 
 func (s *slowDev) Write(p *sim.Proc, lba int64, data []byte) error {
-	p.Wait(s.delay)
+	s.wait(p)
 	return s.MemDev.Write(p, lba, data)
 }
 

@@ -1,0 +1,494 @@
+package raid
+
+import (
+	"raidii/internal/bytepath"
+	"raidii/internal/sim"
+	"raidii/internal/telemetry"
+)
+
+// The stripe code.  Every parity level is the same (k data, m check) code
+// with a different m: check column 0 is P (XOR of the data) and check column
+// 1 is Q (the Reed-Solomon sum of gf.go), so any m lost columns of a stripe
+// solve as a linear system.  One survivor-read-and-solve serves degraded
+// reads, degraded writes and the rebuild, and one planner picks among exactly
+// three write plans: full-stripe, delta read-modify-write over the m check
+// columns, and reconstruct-write.
+
+// column is one stripe column as one operation sees it.
+type column struct {
+	dev int      // device index
+	on  Dev      // where the column lives for this operation; nil when it is lost
+	rb  *rebuild // non-nil when on is the spare of a rebuild that has passed this stripe
+}
+
+// stripeView is one operation's view of one stripe: where each column lives
+// and which are lost, in role order.  It is decided once — for a write, after
+// the write holds the stripe's writer lock — and then changes only when one
+// of the operation's own commands fails, so no path sees a column live in one
+// phase and lost in the next.
+type stripeView struct {
+	a      *Array
+	stripe int64
+	base   int64 // LBA of the stripe's units on every device
+	cols   []column
+}
+
+// view builds an operation's view of a stripe.  A failed device's column is
+// lost — except to a write when a rebuild of that device has already passed
+// this stripe: the column is then live on the spare, and the write must keep
+// it current there or the swap-in would bring a stale column live.  Reads
+// stay on the degraded path until the swap-in.
+func (a *Array) view(stripe int64, forWrite bool) *stripeView {
+	v := &stripeView{a: a, stripe: stripe, base: a.unitLBA(stripe), cols: make([]column, len(a.devs))}
+	for role := range v.cols {
+		c := column{dev: a.colDev(stripe, role)}
+		if !a.failed[c.dev] {
+			c.on = a.devs[c.dev]
+		} else if rb := a.rebuilds[c.dev]; forWrite && rb != nil && rb.done[stripe] {
+			c.on, c.rb = rb.spare, rb
+		}
+		v.cols[role] = c
+	}
+	return v
+}
+
+// lost reports whether a role's column is unavailable to this operation.
+func (v *stripeView) lost(role int) bool { return v.cols[role].on == nil }
+
+// degraded reports whether any column of the stripe is lost.
+func (v *stripeView) degraded() bool {
+	for role := range v.cols {
+		if v.lost(role) {
+			return true
+		}
+	}
+	return false
+}
+
+// drop handles an error from a command on a role's column: the column is
+// lost to the rest of this operation, and the device is escalated — or, for a
+// spare, its rebuild is failed so the stale spare never swaps in.
+func (v *stripeView) drop(p *sim.Proc, role int, err error) {
+	c := &v.cols[role]
+	if c.rb == nil {
+		v.a.escalate(p, c.dev, err)
+	} else {
+		v.a.stats.DeviceErrors++
+		c.rb.fail(err)
+	}
+	c.on = nil
+}
+
+// read reads the len(dst) bytes at secOff of a role's column into dst; it
+// reports false when the column had to be given up.
+func (v *stripeView) read(p *sim.Proc, role int, secOff int64, dst []byte) bool {
+	v.a.stats.DiskReads++
+	if err := bytepath.ReadInto(v.cols[role].on, p, v.base+secOff, dst); err != nil {
+		v.drop(p, role, err)
+		return false
+	}
+	return true
+}
+
+// write writes data at secOff of a role's column.  A failed write is safe to
+// skip at redundant levels: the check columns already reflect the new data,
+// so the lost column reconstructs to what the write carried.
+func (v *stripeView) write(p *sim.Proc, role int, secOff int64, data []byte) {
+	v.a.stats.DiskWrites++
+	if err := v.cols[role].on.Write(p, v.base+secOff, data); err != nil {
+		v.drop(p, role, err)
+	}
+}
+
+// goWrite spawns a write of data at secOff of a role's column, unless the
+// column is lost.
+func (v *stripeView) goWrite(g *sim.Group, p *sim.Proc, name string, role int, secOff int64, data []byte) {
+	if v.lost(role) {
+		return
+	}
+	goAdopted(g, p, name, func(q *sim.Proc) { v.write(q, role, secOff, data) })
+}
+
+// encode computes check column j over the data columns into dst: P through
+// the XOR engine, Q through the GF(256) kernels.  A nil column counts as
+// zeros.
+func (a *Array) encode(p *sim.Proc, j int, dst []byte, data [][]byte) {
+	if j == 1 {
+		qParityInto(dst, data)
+		return
+	}
+	a.xor.XORTo(p, dst, nonNil(data)...)
+}
+
+// fold accumulates the delta of data column pos into the matching range of
+// check column j: XOR into P, scaled by the column's coefficient into Q.
+func (a *Array) fold(p *sim.Proc, j int, check, delta []byte, pos int) {
+	if j == 1 {
+		gfMulSliceInto(check, delta, gfPow(pos))
+		return
+	}
+	a.xor.XORInto(p, check, delta)
+}
+
+// nonNil returns the non-nil columns of cols, with room for one more.
+func nonNil(cols [][]byte) [][]byte {
+	out := make([][]byte, 0, len(cols)+1)
+	for _, c := range cols {
+		if c != nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// readSolve is the one survivor-read-and-solve: it reads every surviving
+// column of the stripe over the n-byte range at secOff, in parallel, and
+// solves for what is lost.  It returns the columns in role order with every
+// data column present.  want names the one column the caller is after — a
+// data column, P or Q — which is solved straight into dst; want < 0 asks for
+// the data columns only.  More than m lost columns is unrecoverable and
+// latches the array-failed state.
+func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, want int, dst []byte) ([][]byte, error) {
+	a := v.a
+	end := p.Span("raid", "reconstruct")
+	defer end()
+	cols := make([][]byte, len(v.cols))
+	g := sim.NewGroup(a.eng)
+	for i := range v.cols {
+		role := i
+		if !a.row.roleOrderReads {
+			role = a.roleOf(v.stripe, i) // device order
+		}
+		if v.lost(role) {
+			continue
+		}
+		col := sc.col(n)
+		goAdopted(g, p, "raid-reconstruct", func(q *sim.Proc) {
+			if v.read(q, role, secOff, col) {
+				cols[role] = col
+			}
+		})
+	}
+	g.Wait(p)
+	lost := 0
+	for _, c := range cols {
+		if c == nil {
+			lost++
+		}
+	}
+	if lost > a.row.checks {
+		return nil, a.declareLost("reconstruct: more columns lost than the level's check columns cover")
+	}
+	a.solve(p, sc, cols, n, want, dst)
+	return cols, nil
+}
+
+// solve fills in the missing data columns of cols (n-byte columns in role
+// order, nil where lost; the caller has checked that no more than m are) and,
+// when want names a check column, encodes it.  The column want names lands in
+// dst, every other solved column in scratch.  Surviving check columns are left
+// untouched: the scrub verifies them afterwards.  The cases, by what is lost:
+// one data column with P alive (XOR through P, exactly the single-parity
+// path), one data column with P gone too (divide the Q remainder by the
+// column's coefficient), and two data columns (the 2x2 P+Q system); lost check
+// columns need no solving, only re-encoding.
+func (a *Array) solve(p *sim.Proc, sc *scratch, cols [][]byte, n int, want int, dst []byte) {
+	k := a.dataDisks()
+	data := cols[:k]
+	buf := func(role int) []byte {
+		if role == want {
+			return dst
+		}
+		return sc.col(n)
+	}
+	var missing []int
+	for pos, c := range data {
+		if c == nil {
+			missing = append(missing, pos)
+		}
+	}
+	if len(missing) > 0 || want >= k {
+		telemetry.MarkDegraded(p)
+	}
+	switch len(missing) {
+	case 1:
+		x := missing[0]
+		dx := buf(x)
+		if pcol := cols[k]; pcol != nil {
+			a.xor.XORTo(p, dx, append(nonNil(data), pcol)...)
+		} else {
+			// D_x = (Q ^ sum(g^i D_i, i != x)) / g^x.
+			qParityInto(dx, data)
+			bytepath.XOR(dx, cols[k+1])
+			gfDivSlice(dx, gfPow(x))
+		}
+		data[x] = dx
+	case 2:
+		// P gives D_x ^ D_y, Q gives g^x D_x ^ g^y D_y; eliminate D_y and
+		// divide by (g^x ^ g^y).
+		x, y := missing[0], missing[1]
+		pxor := sc.col(n)
+		copy(pxor, cols[k])
+		for _, c := range nonNil(data) {
+			a.xor.XORInto(p, pxor, c)
+		}
+		dx, dy := buf(x), buf(y)
+		qParityInto(dx, data)
+		bytepath.XOR(dx, cols[k+1])
+		// dx holds the Q remainder; D_x = (g^y pxor ^ dx) / denom.
+		gy := gfPow(y)
+		denom := gfPow(x) ^ gy
+		gfDivSlice(dx, denom)
+		gfMulSliceInto(dx, pxor, gfDiv(gy, denom))
+		a.xor.XORTo(p, dy, pxor, dx)
+		data[x], data[y] = dx, dy
+	}
+	if want >= k {
+		a.encode(p, want-k, dst, data)
+	}
+}
+
+// writeStripe applies one request's extents to one stripe under the stripe's
+// writer lock.  Parity levels choose one of three plans: full-stripe when the
+// extents cover every data column entirely; reconstruct-write when more than
+// half the data columns are (at least partly) written and the stripe is
+// healthy, where reading the rest beats reading the old data; otherwise the
+// delta read-modify-write — "each small write requires four disk accesses:
+// reads of the old data and parity blocks and writes of the new data and
+// parity blocks".  degradedRW rows send every partial write of a degraded
+// stripe down reconstruct-write instead (held for bit-identity).
+func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byte) error {
+	if a.redundant() {
+		lk := a.lock(stripe)
+		lk.Acquire(p)
+		defer lk.Release()
+	}
+	v := a.view(stripe, true)
+	degraded := v.degraded()
+	switch {
+	case a.row.checks == 0:
+		return v.writeCopies(p, exts, data)
+	case a.fullStripe(exts):
+		return v.writeFull(p, exts, data)
+	case degraded && a.row.degradedRW, !degraded && 2*len(exts) > a.dataDisks():
+		return v.writeReconstruct(p, exts, data)
+	}
+	return v.writeRMW(p, exts, data)
+}
+
+// writeCopies is the plan of the rows with no check columns: each extent goes
+// to its column, and at Level 1 to the column's mirror as well.
+func (v *stripeView) writeCopies(p *sim.Proc, exts []extent, data []byte) error {
+	a := v.a
+	g := sim.NewGroup(a.eng)
+	for _, ext := range exts {
+		role := a.dataRole(ext.pos)
+		v.goWrite(g, p, "w", role, int64(ext.secOff), a.chunk(data, ext))
+		if a.row.mirrored {
+			v.goWrite(g, p, "w", role+1, int64(ext.secOff), a.chunk(data, ext))
+		}
+	}
+	g.Wait(p)
+	return a.errIfLost("write")
+}
+
+// writeFull computes the check columns from the new data alone and writes all
+// columns in parallel: "large write operations in disk arrays are efficient
+// since they don't require the reading of old data or parity".
+func (v *stripeView) writeFull(p *sim.Proc, exts []extent, data []byte) error {
+	a := v.a
+	end := p.Span("raid", "full-stripe-write")
+	defer end()
+	a.stats.FullStripeWrites++
+	k := a.dataDisks()
+	cols := make([][]byte, k)
+	for _, ext := range exts {
+		cols[ext.pos] = a.chunk(data, ext)
+	}
+	sc := a.newScratch()
+	defer sc.release()
+
+	// Data writes start immediately; the check columns are computed while
+	// they stream, and each is written as soon as it is ready.
+	g := sim.NewGroup(a.eng)
+	for pos, col := range cols {
+		v.goWrite(g, p, "w", pos, 0, col)
+	}
+	for j := 0; j < a.row.checks; j++ {
+		check := sc.unit()
+		goAdopted(g, p, "wc", func(q *sim.Proc) {
+			a.encode(q, j, check, cols)
+			if !v.lost(k + j) {
+				v.write(q, k+j, 0, check)
+			}
+		})
+	}
+	g.Wait(p)
+	return a.errIfLost("write")
+}
+
+// writeReconstruct handles a partial-stripe write by rebuilding the stripe's
+// check columns from its data: read the data columns the request does not
+// fully overwrite, overlay the new data, encode every check column over the
+// whole unit, and write the new ranges plus the check columns in parallel.
+// When a needed column is lost (or the row's rwReadsSurvivors says so) it
+// reads every surviving column instead and takes the data through the solve —
+// the new data of a lost column lives on in the check columns.
+func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) error {
+	a := v.a
+	end := p.Span("raid", "reconstruct-write")
+	defer end()
+	a.stats.ReconstructWrites++
+	k := a.dataDisks()
+	sc := a.newScratch()
+	defer sc.release()
+
+	cols := make([][]byte, k)
+	full := make([]bool, k) // fully covered by new data
+	for _, ext := range exts {
+		full[ext.pos] = ext.secOff == 0 && ext.secs == a.unitSecs
+	}
+	solve := a.row.rwReadsSurvivors
+	for pos := range full {
+		solve = solve || !full[pos] && v.lost(pos)
+	}
+	if !solve {
+		rg := sim.NewGroup(a.eng)
+		for pos := range full {
+			if full[pos] {
+				continue
+			}
+			old := sc.unit()
+			goAdopted(rg, p, "rw-read", func(q *sim.Proc) {
+				if v.read(q, pos, 0, old) {
+					cols[pos] = old
+				} else {
+					solve = true // the read escalated its disk mid-write
+				}
+			})
+		}
+		rg.Wait(p)
+	}
+	if solve {
+		all, err := v.readSolve(p, sc, 0, a.unitSecs*a.secSize, -1, nil)
+		if err != nil {
+			return err
+		}
+		cols = all[:k]
+	}
+	// Overlay the new data; the columns read are this operation's own
+	// scratch, so partial extents patch them in place.
+	for _, ext := range exts {
+		chunk := a.chunk(data, ext)
+		if full[ext.pos] {
+			cols[ext.pos] = chunk
+			continue
+		}
+		copy(cols[ext.pos][ext.secOff*a.secSize:], chunk)
+	}
+	checks := make([][]byte, a.row.checks)
+	for j := range checks {
+		checks[j] = sc.unit()
+		a.encode(p, j, checks[j], cols)
+	}
+
+	wg := sim.NewGroup(a.eng)
+	for _, ext := range exts {
+		v.goWrite(wg, p, "rw-write", ext.pos, int64(ext.secOff), a.chunk(data, ext))
+	}
+	for j, check := range checks {
+		v.goWrite(wg, p, "rw-check", k+j, 0, check)
+	}
+	wg.Wait(p)
+	return a.errIfLost("write")
+}
+
+// writeRMW performs one combined read-modify-write for all extents of a
+// stripe: old data (per extent) and the old check columns (over the union
+// range) are read in parallel, each extent's delta is folded into every check
+// column — XOR into P, scaled by the column's coefficient into Q — and new
+// data and check columns are written in parallel: two parallel disk phases,
+// 2+2m accesses for a one-extent write, rather than four serialized accesses
+// per extent.  A lost data column's old contents are rebuilt in place through
+// the solve; a lost check column is simply not maintained.
+func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
+	a := v.a
+	end := p.Span("raid", "rmw-write")
+	defer end()
+	a.stats.SmallWrites++
+	k, m := a.dataDisks(), a.row.checks
+
+	// Union of sector ranges across extents.
+	lo, hi := exts[0].secOff, exts[0].secOff+exts[0].secs
+	for _, e := range exts[1:] {
+		lo, hi = min(lo, e.secOff), max(hi, e.secOff+e.secs)
+	}
+
+	sc := a.newScratch()
+	defer sc.release()
+	oldD := make([][]byte, len(exts))
+	oldC := make([][]byte, m)
+	readFailed := false
+	goRead := func(g *sim.Group, name string, role int, secOff int64, n int, into *[]byte) {
+		if v.lost(role) {
+			return
+		}
+		buf := sc.col(n)
+		goAdopted(g, p, name, func(q *sim.Proc) {
+			if v.read(q, role, secOff, buf) {
+				*into = buf
+			} else {
+				readFailed = true
+			}
+		})
+	}
+	rg := sim.NewGroup(a.eng)
+	for i, ext := range exts {
+		goRead(rg, "rmw-rd", ext.pos, int64(ext.secOff), ext.secs*a.secSize, &oldD[i])
+	}
+	for j := range oldC {
+		goRead(rg, "rmw-rc", k+j, int64(lo), (hi-lo)*a.secSize, &oldC[j])
+	}
+	rg.Wait(p)
+	if readFailed && a.row.degradedRW {
+		// The stripe went degraded mid-flight: the planner's choice for a
+		// degraded stripe applies from here.
+		return v.writeReconstruct(p, exts, data)
+	}
+
+	// Fold every extent's delta into the surviving check columns.  With none
+	// surviving there is nothing to maintain and the data writes are the
+	// whole job.
+	maintained := len(nonNil(oldC)) > 0
+	for i := 0; i < len(exts) && maintained; i++ {
+		ext := exts[i]
+		newD := a.chunk(data, ext)
+		off := (ext.secOff - lo) * a.secSize
+		if v.lost(ext.pos) {
+			// Lost column: rebuild its old contents from its peers.
+			oldD[i] = sc.col(len(newD))
+			if _, err := v.readSolve(p, sc, int64(ext.secOff), len(newD), ext.pos, oldD[i]); err != nil {
+				return err
+			}
+		}
+		delta := sc.col(len(newD))
+		a.xor.XORTo(p, delta, oldD[i], newD)
+		for j, check := range oldC {
+			if check != nil {
+				a.fold(p, j, check[off:off+len(delta)], delta, ext.pos)
+			}
+		}
+	}
+
+	wg := sim.NewGroup(a.eng)
+	for _, ext := range exts {
+		v.goWrite(wg, p, "rmw-wd", ext.pos, int64(ext.secOff), a.chunk(data, ext))
+	}
+	for j, check := range oldC {
+		if check != nil {
+			v.goWrite(wg, p, "rmw-wc", k+j, int64(lo), check)
+		}
+	}
+	wg.Wait(p)
+	return a.errIfLost("write")
+}
