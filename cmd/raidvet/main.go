@@ -7,7 +7,7 @@
 //	raidvet [-json] [-fix] [-checks c1,c2] [packages]
 //
 // Checks: simtime (no wall-clock time), detrand (no global math/rand),
-// rawgo (no goroutines outside internal/sim), maporder (no sim calls
+// rawgo (no go statements, the engine included), maporder (no sim calls
 // under range-over-map), simpanic (no panics in internal library code),
 // errdrop (no discarded error results), wrapcheck (%w wrapping at the
 // API boundary so errors.Is sees re-exported sentinels), pairbalance

@@ -62,8 +62,8 @@ func (s Scope) Applies(rel string) bool {
 //     suppressed inline so the exemption list stays minimal.
 //   - detrand applies to library and experiment code; command-line
 //     front-ends and examples may jitter freely.
-//   - rawgo applies everywhere except internal/sim, the one package
-//     allowed to create goroutines (the engine owns interleaving).
+//   - rawgo applies everywhere, internal/sim included: the engine
+//     switches processes as coroutines and starts no goroutine itself.
 //   - maporder applies everywhere: a map-ordered event timeline is a
 //     bug wherever it occurs.
 //   - simpanic applies to internal/ library code; main packages and
@@ -85,7 +85,7 @@ func DefaultScopes() map[string]Scope {
 	return map[string]Scope{
 		"simtime":     {Exclude: []string{"examples"}},
 		"detrand":     {Exclude: []string{"cmd", "examples"}},
-		"rawgo":       {Exclude: []string{"internal/sim"}},
+		"rawgo":       {},
 		"maporder":    {},
 		"simpanic":    {Include: []string{"internal"}},
 		"errdrop":     {},

@@ -31,6 +31,17 @@ func TestScopeApplies(t *testing.T) {
 	}
 }
 
+// The engine switches processes as coroutines, so no package — internal/sim
+// least of all — may start a goroutine.
+func TestRawgoExemptsNoPackage(t *testing.T) {
+	rawgo := DefaultScopes()["rawgo"]
+	for _, rel := range []string{"internal/sim", "internal/raid", "cmd/raidfsd", "examples/quickstart", ""} {
+		if !rawgo.Applies(rel) {
+			t.Errorf("rawgo does not apply to %q", rel)
+		}
+	}
+}
+
 func TestRelPath(t *testing.T) {
 	cases := []struct{ mod, imp, want string }{
 		{"raidii", "raidii", ""},

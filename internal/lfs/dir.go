@@ -64,30 +64,61 @@ func marshalDir(ents []DirEntry) []byte {
 	return buf
 }
 
-// readDirLocked returns a directory's entries.  Caller holds fs.mu.
-func (fs *FS) readDirLocked(p *sim.Proc, in *inode) ([]DirEntry, error) {
+// findDirEntry returns the inode number directory contents record for name,
+// or 0 when there is none.  It walks the encoded records in place and stops
+// where parseDir stops, so it answers what a search of parseDir's result
+// would without decoding an entry or allocating.
+func findDirEntry(data []byte, name string) uint32 {
+	for off := 0; off+6 <= len(data); {
+		inum := getU32(data[off:])
+		nameLen := int(data[off+4]) | int(data[off+5])<<8
+		off += 6
+		if inum == 0 && nameLen == 0 || off+nameLen > len(data) {
+			break
+		}
+		if nameLen == len(name) && string(data[off:off+nameLen]) == name {
+			return inum
+		}
+		off += nameLen
+	}
+	return 0
+}
+
+// dirBytes reads a directory's encoded contents into the file system's
+// scratch buffer, which the next call overwrites.  Caller holds fs.mu, which
+// is what makes one buffer per FS safe.
+func (fs *FS) dirBytes(p *sim.Proc, in *inode) ([]byte, error) {
 	if in.Mode != ModeDir {
 		return nil, ErrNotDir
 	}
-	data := make([]byte, in.Size)
+	if int64(cap(fs.dirScratch)) < in.Size {
+		fs.dirScratch = make([]byte, in.Size)
+	}
+	data := fs.dirScratch[:in.Size]
 	for off := int64(0); off < in.Size; off += BlockSize {
-		fb := off / BlockSize
-		addr, err := fs.getBlockAddr(p, in, fb)
+		n := min(BlockSize, in.Size-off)
+		addr, err := fs.getBlockAddr(p, in, off/BlockSize)
 		if err != nil {
 			return nil, err
 		}
 		if addr == 0 {
+			clear(data[off : off+n]) // a hole reads as zeros, not as the last directory
 			continue
 		}
 		blk, err := fs.metaView(p, addr)
 		if err != nil {
 			return nil, err
 		}
-		n := int64(BlockSize)
-		if off+n > in.Size {
-			n = in.Size - off
-		}
 		copy(data[off:off+n], blk)
+	}
+	return data, nil
+}
+
+// readDirLocked returns a directory's entries.  Caller holds fs.mu.
+func (fs *FS) readDirLocked(p *sim.Proc, in *inode) ([]DirEntry, error) {
+	data, err := fs.dirBytes(p, in)
+	if err != nil {
+		return nil, err
 	}
 	return parseDir(data), nil
 }
@@ -132,17 +163,11 @@ func (fs *FS) namei(p *sim.Proc, path string) (*inode, error) {
 		if in.Mode != ModeDir {
 			return nil, ErrNotDir
 		}
-		ents, err := fs.readDirLocked(p, in)
+		data, err := fs.dirBytes(p, in)
 		if err != nil {
 			return nil, err
 		}
-		var next uint32
-		for _, e := range ents {
-			if e.Name == comp {
-				next = e.Inum
-				break
-			}
-		}
+		next := findDirEntry(data, comp)
 		if next == 0 {
 			return nil, ErrNotExist
 		}

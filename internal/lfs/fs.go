@@ -108,6 +108,8 @@ type FS struct {
 	metaCache map[int64][]byte
 	metaOrder []int64 // FIFO eviction, deterministic
 
+	dirScratch []byte // dirBytes' buffer; guarded by mu
+
 	// In-flight asynchronous segment writes: "full LFS segments are
 	// written to disk while newer segments are being filled with data."
 	seals        *sim.Group

@@ -3,12 +3,12 @@
 // of the RAID-II reproduction (disks, SCSI strings, the XBUS crossbar, HIPPI
 // and Ethernet networks, the host workstation) is modelled.
 //
-// The engine runs simulated processes as goroutines, but only one process
-// executes at a time: the scheduler dispatches the earliest pending event,
-// resumes the process that owns it, and waits for that process to block
-// again (on a timer, a resource, or an event) or to finish.  Events with
-// equal timestamps fire in the order they were scheduled, so runs are fully
-// deterministic.
+// The engine runs simulated processes as coroutines (iter.Pull), so only one
+// process executes at a time: the scheduler dispatches the earliest pending
+// event, switches to the process that owns it, and gets control back when
+// that process blocks again (on a timer, a resource, or an event) or
+// finishes.  Events with equal timestamps fire in the order they were
+// scheduled, so runs are fully deterministic.
 //
 // All engine methods must be called either before Run/RunUntil begins, or
 // from within a currently-running simulated process.  The engine is not
@@ -16,16 +16,20 @@
 // discipline is what makes simulations reproducible.
 //
 // The hot path is engineered so that steady-state scheduling is
-// allocation-free and, where the protocol allows, free of goroutine
-// hand-offs: events live in a value-typed 4-ary heap (queue.go), finished
-// process shells are recycled through a free list instead of spawning fresh
-// goroutines, and a process whose own wake-up is the next runnable event
-// resumes itself without yielding to the scheduler (see Proc.park).
-// DESIGN.md §15 documents the design and its determinism argument.
+// allocation-free and, where the protocol allows, free of hand-offs: events
+// live in a value-typed 4-ary heap (queue.go), finished process shells are
+// recycled through a free list instead of creating fresh coroutines, and a
+// process whose own wake-up is the next runnable event resumes itself
+// without yielding to the scheduler (see Proc.park).  A hand-off that does
+// happen is the runtime's direct coroutine switch: same thread, no run
+// queue, no wake-up of another P.  DESIGN.md §15 documents the design and
+// its determinism argument.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"time"
 )
 
@@ -69,11 +73,10 @@ type Engine struct {
 	now      Time
 	events   eventQueue
 	seq      uint64
-	executed uint64        // events dispatched since New
-	yield    chan struct{} // running process -> engine: "I have blocked or finished"
-	dead     chan struct{} // closed on Shutdown; unblocks all parked processes
-	live     int           // processes started but not finished
+	executed uint64 // events dispatched since New
+	live     int    // processes started but not finished
 	stopped  bool
+	inProc   bool // a process is executing (dispatch is inside next)
 
 	// Resume fast-path state: running marks that RunUntil's loop is
 	// draining the queue (Step leaves it false), and deadline is that
@@ -84,7 +87,8 @@ type Engine struct {
 
 	nextSample Time // earliest pending sampler boundary; maxTime when none
 
-	idle []*Proc // finished process shells awaiting reuse
+	idle   []*Proc // finished process shells awaiting reuse
+	shells []*Proc // every shell, in creation order, for Shutdown
 
 	procSeq   uint64         // process IDs, assigned in spawn order
 	tracer    Tracer         // observability hooks; nil when untraced
@@ -96,11 +100,7 @@ type Engine struct {
 
 // New creates an empty simulation engine at time zero.
 func New() *Engine {
-	return &Engine{
-		yield:      make(chan struct{}),
-		dead:       make(chan struct{}),
-		nextSample: maxTime,
-	}
+	return &Engine{nextSample: maxTime}
 }
 
 // Now reports the current simulated time.
@@ -184,61 +184,72 @@ func (e *Engine) Step() bool {
 	return e.fireNext(maxTime)
 }
 
-// dispatch resumes the process that owns the event and waits for it to park
-// again or finish.  A stale wake-up — the shell was reaped by Shutdown, or
-// recycled onto a new assignment — fires nothing.
+// dispatch switches to the process that owns the event and returns when it
+// parks again or finishes.  A stale wake-up — the shell was reaped by
+// Shutdown, or recycled onto a new assignment — fires nothing.  A panic in
+// the process surfaces here, in Run's caller, as a *ProcPanic.
 func (e *Engine) dispatch(p *Proc, wake uint64) {
 	if p.finished || p.id != wake {
 		return
 	}
-	p.resume <- struct{}{}
-	<-e.yield
+	e.inProc = true
+	p.next()
+	e.inProc = false
 }
 
 // Shutdown terminates all parked processes and marks the engine unusable.
 // It must be called from outside any simulated process, after Run/RunUntil
-// has returned.  It is the caller's tool for reclaiming goroutines spawned
-// for processes that never finish on their own (e.g. open-loop workload
-// generators).
+// has returned.  It is the caller's tool for reclaiming the coroutines of
+// processes that never finish on their own (e.g. open-loop workload
+// generators).  Shells are stopped in creation order: a parked process sees
+// its yield fail, unwinds through its deferred functions with killSentinel
+// and returns; an assignment that was never dispatched ends without running;
+// an idle pooled shell just returns.
 func (e *Engine) Shutdown() {
+	if e.inProc {
+		//lint:allow simpanic stopping the engine from inside one of its own processes would resume the caller into its own stop; harness misuse, caught at development time
+		panic("sim: Shutdown called from inside a simulated process; call it from Run's caller, after Run returns")
+	}
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	close(e.dead)
-	// Each live parked process observes e.dead, panics with killSentinel,
-	// is recovered by its run wrapper, and signals the yield channel one
-	// final time.  Idle pooled shells exit silently — they already
-	// finished and were counted.
-	for e.live > 0 {
-		<-e.yield
-		e.live--
+	for _, p := range e.shells {
+		if p.exited {
+			continue // suspended mid-Goexit for good; stop would resume the Goexit here
+		}
+		p.stop()
+		if !p.finished { // spawned, never dispatched
+			p.finished = true
+			e.live--
+		}
 	}
-	// Note: live is decremented here rather than in the wrapper so the
-	// loop's termination condition is race-free (only this goroutine reads
-	// and writes live once dead is closed).
+	e.shells, e.idle = nil, nil
 }
 
 // killSentinel is the panic value used to unwind processes during Shutdown.
 type killSentinel struct{}
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // deterministically by the engine.  Model code receives a *Proc and uses it
 // to wait for simulated time to pass and to interact with resources.
 //
 // A Proc is a shell that may serve several assignments over its lifetime:
 // when an assignment's function returns, the shell parks on the engine's
-// free list and Spawn reuses it — goroutine, resume channel and all — for a
-// later process, under a fresh ID.  Model code never observes the reuse;
-// it only ever sees the Proc during its own assignment.
+// free list and Spawn reuses it — coroutine and all — for a later process,
+// under a fresh ID.  Model code never observes the reuse; it only ever sees
+// the Proc during its own assignment.
 type Proc struct {
 	eng      *Engine
 	name     string
 	id       uint64
 	fn       func(*Proc)
-	resume   chan struct{}
+	next     func() (struct{}, bool) // engine -> process: run until the next park
+	stop     func()                  // engine -> process: fail the pending yield
+	yield    func(struct{}) bool     // process -> engine; false once stopped
 	finished bool
-	meterCtx any // opaque per-process annotation; see meter.go
+	exited   bool // left via runtime.Goexit; the coroutine can never be resumed
+	meterCtx any  // opaque per-process annotation; see meter.go
 }
 
 // Spawn starts a new simulated process executing fn.  The process begins at
@@ -259,8 +270,9 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		p.finished = false
 		p.meterCtx = nil
 	} else {
-		p = &Proc{eng: e, name: name, id: e.procSeq, fn: fn, resume: make(chan struct{})}
-		go p.loop()
+		p = &Proc{eng: e, name: name, id: e.procSeq, fn: fn}
+		p.next, p.stop = iter.Pull(p.loop)
+		e.shells = append(e.shells, p)
 	}
 	e.live++
 	if e.tracer != nil {
@@ -270,76 +282,55 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// loop is the shell goroutine: it waits for the first dispatch of each
-// assignment, runs it, recycles itself, and waits for the next.  The
-// goroutine exits when the engine shuts down or the assignment ends
-// abnormally (Shutdown kill, runtime.Goexit).
-func (p *Proc) loop() {
-	e := p.eng
-	for {
-		select {
-		case <-p.resume: // first dispatch of the current assignment
-		case <-e.dead:
-			// Engine shut down.  An assignment that was scheduled but
-			// never dispatched still counts as live; yield once so
-			// Shutdown's reap loop accounts for it.  An idle pooled
-			// shell just exits.
-			if !p.finished {
-				p.finished = true
-				e.yield <- struct{}{}
-			}
-			return
-		}
-		if !p.run() {
-			return // killed by Shutdown; yield already signalled
-		}
+// loop is the shell coroutine, started by the first dispatch of its first
+// assignment: it runs the assignment, recycles itself, and parks until the
+// first dispatch of the next.  It returns when the engine shuts down or the
+// assignment is killed by Shutdown.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.run() {
 		// Finished normally: recycle the shell before yielding, so the
 		// engine can reuse it on the very next Spawn.
-		e.idle = append(e.idle, p)
-		e.yield <- struct{}{}
+		p.eng.idle = append(p.eng.idle, p)
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
 // run executes the shell's current assignment and reports whether the shell
-// can be reused.  The deferred handler is the only abnormal exit path that
-// hands control back to the engine: it covers Shutdown kills (killSentinel
-// panics) and runtime.Goexit (e.g. t.Fatal inside a simulated process) —
-// without it either would leave the engine blocked forever waiting for a
-// yield.  Real panics in model code propagate.
+// can be reused.  The deferred handler covers the three abnormal exits.  A
+// Shutdown kill (killSentinel) ends the assignment quietly.  A real panic in
+// model code is re-raised as a *ProcPanic carrying the process and its stack,
+// which iter.Pull hands to Run's caller.  runtime.Goexit (t.Fatal inside a
+// simulated process) would be re-raised there too, so the handler instead
+// yields to the engine from inside the unwinding and is never resumed: the
+// engine runs on, at the price of one stranded coroutine.
 func (p *Proc) run() (reuse bool) {
 	e := p.eng
-	normal := false
 	defer func() {
-		if normal {
+		if reuse {
 			return // clean finish; bookkeeping already done below
 		}
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); !ok {
-				//lint:allow simpanic re-raise: a real panic in model code must propagate, not be swallowed by the kill path
-				panic(r)
-			}
-			// Killed processes skip the finish hook: Shutdown reaps them
-			// in host-scheduler order, which must not leak into trace
-			// output.  live is decremented by Shutdown's reap loop.
-			p.finished = true
-			e.yield <- struct{}{}
-			return
-		}
-		// recover() == nil without a clean finish: the assignment left
-		// via runtime.Goexit.  Treat it as a finish so the engine is not
-		// wedged; the goroutine is already unwinding and will not loop.
-		if p.finished {
-			return
-		}
-		if e.tracer != nil {
-			e.tracer.ProcFinish(p)
-		}
+		r := recover()
 		p.finished = true
 		e.live--
-		e.yield <- struct{}{}
+		switch r.(type) {
+		case killSentinel:
+			// Killed processes skip the finish hook: they never finished.
+		case nil:
+			if e.tracer != nil {
+				e.tracer.ProcFinish(p)
+			}
+			p.exited = true
+			p.yield(struct{}{})
+		default:
+			e.inProc = false // dispatch's own reset is skipped by the panic
+			//lint:allow simpanic re-raise: a real panic in model code must reach Run's caller, not be swallowed by the kill path
+			panic(&ProcPanic{Proc: p.name, ID: p.id, Value: r, Stack: debug.Stack()})
+		}
 	}()
 	p.fn(p)
-	normal = true
 	if e.tracer != nil {
 		e.tracer.ProcFinish(p)
 	}
@@ -373,11 +364,11 @@ func (p *Proc) Now() Time { return p.eng.now }
 //
 // Fast path: when the next runnable event is this process's own wake-up —
 // the head of the queue, within the engine's current run deadline — the
-// process consumes it directly and keeps running instead of performing the
-// two-way goroutine hand-off.  This fires identical events in identical
+// process consumes it directly and keeps running instead of switching to
+// the engine and back.  This fires identical events in identical
 // order with identical sampler boundaries (consumeHead is shared with the
 // scheduler loop), so it is invisible to tracers, samplers and the
-// simulation itself; it merely skips parking a goroutine to immediately
+// simulation itself; it merely skips parking a coroutine to immediately
 // resume it.  Only a running process can have scheduled its own next
 // wake-up, so a head event owned by p is necessarily that wake-up.
 func (p *Proc) park() {
@@ -388,10 +379,7 @@ func (p *Proc) park() {
 			return
 		}
 	}
-	e.yield <- struct{}{}
-	select {
-	case <-p.resume:
-	case <-e.dead:
+	if !p.yield(struct{}{}) {
 		//lint:allow simpanic killSentinel is the engine's control-flow mechanism for unwinding parked processes at Shutdown
 		panic(killSentinel{})
 	}

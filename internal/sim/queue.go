@@ -19,7 +19,7 @@ package sim
 // deterministic FIFO among equal timestamps requires ordered buckets, whose
 // insertion cost reintroduces the O(n) behaviour the structure is meant to
 // avoid, and after this change the queue is no longer the hot path's
-// bottleneck (the goroutine hand-off is; see the resume fast path in
+// bottleneck (the process hand-off is; see the resume fast path in
 // engine.go).
 
 // arity is the heap's branching factor.
