@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"os"
 
-	"raidii/internal/metrics"
+	"raidii"
 )
 
 // Machine-readable benchmark results.  The simulator is deterministic —
@@ -93,7 +93,7 @@ func jsonPoint(series string, x float64, unit string, value float64) {
 
 // jsonFigure records every series point of a figure, in series then X
 // order — the order the figure was built in, which is deterministic.
-func jsonFigure(fig *metrics.Figure, unit string) {
+func jsonFigure(fig *raidii.Figure, unit string) {
 	for _, s := range fig.Series {
 		for _, pt := range s.Points {
 			jsonPoint(s.Name, pt.X, unit, pt.Y)

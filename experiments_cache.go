@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"raidii/internal/metrics"
 	"raidii/internal/server"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
@@ -48,7 +47,7 @@ type CacheWorkingSetResult struct {
 // the cache size.
 func CacheWorkingSet(cacheMB int, workingSetsMB []int) (CacheWorkingSetResult, error) {
 	out := CacheWorkingSetResult{CacheMB: cacheMB}
-	out.Fig = metrics.NewFigure(
+	out.Fig = newFigure(
 		fmt.Sprintf("Cache working set sweep (%d MB cache)", cacheMB),
 		"working set MB", "MB/s")
 	cached := out.Fig.AddSeries("cached")
@@ -64,72 +63,66 @@ func CacheWorkingSet(cacheMB int, workingSetsMB []int) (CacheWorkingSetResult, e
 				cfg.CacheBytes = cacheMB << 20
 				label = "cached"
 			}
-			sys, err := server.New(cfg)
+			err := withSystem(fmt.Sprintf("cachews/%dMB/%s", ws, label), cfg, func(r *rig, sys *server.System) error {
+				telemetry.Attach(sys.Eng)
+				b := sys.Boards[0]
+				wsBytes := ws << 20
+
+				// Warm: one sequential pass over the working set, in 1 MB
+				// requests so buffer acquisition stays well inside the DRAM
+				// pool.  On the cached machine this leaves the region's tail
+				// (up to cache capacity) resident, as a prior streaming
+				// transfer through the board would.
+				err := r.do("warm", func(p *sim.Proc) error {
+					// One "warm" request spans the pass, so its HardwareReads
+					// join it instead of skewing the hw-read measurement kind.
+					req := telemetry.Begin(p, "warm")
+					defer req.End(p, nil)
+					const warmReq = 1 << 20
+					for off := 0; off < wsBytes; off += warmReq {
+						n := warmReq
+						if n > wsBytes-off {
+							n = wsBytes - off
+						}
+						if err := b.HardwareRead(p, int64(off)/512, n); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+
+				statsBefore := CacheStats{}
+				if b.Cache != nil {
+					statsBefore = b.Cache.Stats()
+				}
+				res, err := r.fixedOps(outstanding, (32<<20)/reqSize, func(p *sim.Proc, _ int, rng *rand.Rand) (int, error) {
+					align := int64(reqSize / 512)
+					off := workload.RandomAligned(rng, int64(wsBytes)/512-align, align)
+					return reqSize, b.HardwareRead(p, off, reqSize)
+				})
+				if err != nil {
+					return err
+				}
+				if withCache {
+					pt.CachedMBps = res.MBps()
+					pt.CachedLat = latencyStats(sys.Eng, "hw-read")
+					st := b.Cache.Stats()
+					hits := st.Hits - statsBefore.Hits
+					misses := st.Misses - statsBefore.Misses
+					if hits+misses > 0 {
+						pt.HitRate = float64(hits) / float64(hits+misses)
+					}
+				} else {
+					pt.UncachedMBps = res.MBps()
+					pt.UncachedLat = latencyStats(sys.Eng, "hw-read")
+				}
+				return nil
+			})
 			if err != nil {
 				return out, err
-			}
-			defer sys.Eng.Shutdown()
-			attachProbe(fmt.Sprintf("cachews/%dMB/%s", ws, label), sys.Eng)
-			telemetry.Attach(sys.Eng)
-			b := sys.Boards[0]
-			wsBytes := ws << 20
-
-			// Warm: one sequential pass over the working set, in 1 MB
-			// requests so buffer acquisition stays well inside the DRAM
-			// pool.  On the cached machine this leaves the region's tail
-			// (up to cache capacity) resident, as a prior streaming
-			// transfer through the board would.
-			var opErr error
-			sys.Eng.Spawn("warm", func(p *sim.Proc) {
-				// One "warm" request spans the pass, so its HardwareReads
-				// join it instead of skewing the hw-read measurement kind.
-				req := telemetry.Begin(p, "warm")
-				defer req.End(p, nil)
-				const warmReq = 1 << 20
-				for off := 0; off < wsBytes; off += warmReq {
-					n := warmReq
-					if n > wsBytes-off {
-						n = wsBytes - off
-					}
-					if err := b.HardwareRead(p, int64(off)/512, n); err != nil && opErr == nil {
-						opErr = err
-					}
-				}
-			})
-			sys.Eng.Run()
-			if opErr != nil {
-				return out, opErr
-			}
-
-			statsBefore := CacheStats{}
-			if b.Cache != nil {
-				statsBefore = b.Cache.Stats()
-			}
-			start := sys.Eng.Now()
-			res := workload.FixedOps(sys.Eng, outstanding, (32<<20)/reqSize, func(p *sim.Proc, _ int, rng *rand.Rand) int {
-				align := int64(reqSize / 512)
-				off := workload.RandomAligned(rng, int64(wsBytes)/512-align, align)
-				if err := b.HardwareRead(p, off, reqSize); err != nil && opErr == nil {
-					opErr = err
-				}
-				return reqSize
-			})
-			res.Elapsed = sim.Duration(sys.Eng.Now() - start)
-			if opErr != nil {
-				return out, opErr
-			}
-			if withCache {
-				pt.CachedMBps = res.MBps()
-				pt.CachedLat = latencyStats(sys.Eng, "hw-read")
-				st := b.Cache.Stats()
-				hits := st.Hits - statsBefore.Hits
-				misses := st.Misses - statsBefore.Misses
-				if hits+misses > 0 {
-					pt.HitRate = float64(hits) / float64(hits+misses)
-				}
-			} else {
-				pt.UncachedMBps = res.MBps()
-				pt.UncachedLat = latencyStats(sys.Eng, "hw-read")
 			}
 		}
 		cached.Add(float64(ws), pt.CachedMBps)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"raidii/internal/fault"
-	"raidii/internal/metrics"
 	"raidii/internal/server"
 	"raidii/internal/sim"
 	"raidii/internal/workload"
@@ -35,91 +34,67 @@ type RebuildUnderLoadResult struct {
 // after the spare is swapped in.
 func RebuildUnderLoad() (RebuildUnderLoadResult, error) {
 	var out RebuildUnderLoadResult
-	sys, err := server.New(server.Fig8Config())
-	if err != nil {
-		return out, err
-	}
-	defer sys.Eng.Shutdown()
-	attachProbe("rebuild-load", sys.Eng)
-	b := sys.Boards[0]
-	space := b.Array.Sectors()
-	const size = 1 << 20
-	const align = int64(size / 512)
+	err := withSystem("rebuild-load", server.Fig8Config(), func(r *rig, sys *server.System) error {
+		b := sys.Boards[0]
+		measure := func(rate *float64) error {
+			res, err := randomReads(r, b, 24, nil)
+			*rate = res.MBps()
+			return err
+		}
+		if err := measure(&out.HealthyMBps); err != nil {
+			return err
+		}
 
-	measure := func() (float64, error) {
-		start := sys.Eng.Now()
-		var opErr error
-		res := workload.FixedOps(sys.Eng, outstanding, 24, func(p *sim.Proc, _ int, rng *rand.Rand) int {
-			off := workload.RandomAligned(rng, space-align, align)
-			if err := b.HardwareRead(p, off, size); err != nil && opErr == nil {
-				opErr = err
-			}
-			return size
-		})
-		res.Elapsed = sim.Duration(sys.Eng.Now() - start)
-		return res.MBps(), opErr
-	}
+		const failIdx = 3
+		if err := b.Array.FailDisk(failIdx); err != nil {
+			return err
+		}
+		b.Disks[failIdx].Drive.Fail()
+		if err := measure(&out.DegradedMBps); err != nil {
+			return err
+		}
 
-	if out.HealthyMBps, err = measure(); err != nil {
-		return out, err
-	}
-
-	const failIdx = 3
-	if err := b.Array.FailDisk(failIdx); err != nil {
-		return out, err
-	}
-	b.Disks[failIdx].Drive.Fail()
-	if out.DegradedMBps, err = measure(); err != nil {
-		return out, err
-	}
-
-	// Replace the disk and run foreground reads while the rebuild streams in
-	// the background; both contend for the surviving disks and strings.
-	phaseStart := sys.Eng.Now()
-	rb, err := b.ReplaceDisk(failIdx)
-	if err != nil {
-		return out, err
-	}
-	var fgBytes uint64
-	var fgEnd sim.Time
-	g := sim.NewGroup(sys.Eng)
-	for w := 0; w < outstanding; w++ {
-		rng := rand.New(rand.NewSource(int64(7919*w + 3)))
-		g.Go("fg-read", func(p *sim.Proc) {
+		// Replace the disk and run foreground reads while the rebuild streams in
+		// the background; both contend for the surviving disks and strings.
+		phaseStart := sys.Eng.Now()
+		rb, err := b.ReplaceDisk(failIdx)
+		if err != nil {
+			return err
+		}
+		const size = 1 << 20
+		const align = int64(size / 512)
+		space := b.Array.Sectors()
+		var fgBytes int
+		var fgEnd sim.Time
+		r.workers("fg-read", func(p *sim.Proc, rng *rand.Rand) error {
 			for i := 0; i < 8; i++ {
 				off := workload.RandomAligned(rng, space-align, align)
-				if rerr := b.HardwareRead(p, off, size); rerr != nil && err == nil {
-					err = rerr
+				if err := b.HardwareRead(p, off, size); err != nil {
+					return err
 				}
 				fgBytes += size
 				if p.Now() > fgEnd {
 					fgEnd = p.Now()
 				}
 			}
+			return nil
 		})
-	}
-	var rebEnd sim.Time
-	sys.Eng.Spawn("rebuild-wait", func(p *sim.Proc) {
-		var werr error
-		out.RebuildStripes, werr = rb.Wait(p)
-		if err == nil {
-			err = werr
+		var rebEnd sim.Time
+		r.spawn("rebuild-wait", func(p *sim.Proc) (err error) {
+			out.RebuildStripes, err = rb.Wait(p)
+			rebEnd = p.Now()
+			return err
+		})
+		if _, err := r.run(); err != nil {
+			return err
 		}
-		rebEnd = p.Now()
-	})
-	sys.Eng.Run()
-	if err != nil {
-		return out, err
-	}
-	out.RebuildingMBps = float64(fgBytes) / fgEnd.Sub(phaseStart).Seconds() / 1e6
-	out.RebuildDuration = time.Duration(rebEnd.Sub(phaseStart))
-	rebuilt := float64(out.RebuildStripes) * float64(b.Array.StripeUnitSectors()) * 512
-	out.RebuildMBps = rebuilt / out.RebuildDuration.Seconds() / 1e6
+		out.RebuildingMBps = mbps(fgBytes, fgEnd.Sub(phaseStart))
+		out.RebuildDuration = rebEnd.Sub(phaseStart)
+		out.RebuildMBps = mbps(rebuiltBytes(b, out.RebuildStripes), out.RebuildDuration)
 
-	if out.PostRebuildMBps, err = measure(); err != nil {
-		return out, err
-	}
-	return out, nil
+		return measure(&out.PostRebuildMBps)
+	})
+	return out, err
 }
 
 // FaultTimelineResult pairs the per-interval bandwidth timeline with the
@@ -142,63 +117,22 @@ func FaultTimeline() (FaultTimelineResult, error) {
 	out := FaultTimelineResult{FailAt: failAt}
 	cfg := server.Fig8Config()
 	cfg.Faults = fault.Plan{}.DiskFailAt(failAt, 0, 3)
-	sys, err := server.New(cfg)
-	if err != nil {
-		return out, err
-	}
-	defer sys.Eng.Shutdown()
-	attachProbe("fault-timeline", sys.Eng)
-	b := sys.Boards[0]
-	space := b.Array.Sectors()
-	const size = 1 << 20
-	const align = int64(size / 512)
-
-	// Per-interval bandwidth accounting: each completed op credits its bytes
-	// to the 250 ms bucket it finished in.
-	const bucket = 250 * time.Millisecond
-	var bucketBytes [12]uint64
-	var opErr error
-	res := workload.FixedOps(sys.Eng, outstanding, 56, func(p *sim.Proc, _ int, rng *rand.Rand) int {
-		off := workload.RandomAligned(rng, space-align, align)
-		if err := b.HardwareRead(p, off, size); err != nil && opErr == nil {
-			opErr = err
+	err := withSystem("fault-timeline", cfg, func(r *rig, sys *server.System) error {
+		b := sys.Boards[0]
+		tl := newTimeline(12)
+		_, err := randomReads(r, b, 56, tl)
+		if err != nil {
+			return err
 		}
-		if i := int(time.Duration(p.Now()) / bucket); i < len(bucketBytes) {
-			bucketBytes[i] += size
-		}
-		return size
+		tl.retired = time.Duration(sys.Eng.Now()) // the series runs to the end of the run, partial last bucket included
+		out.Fig = newFigure("Fault timeline: disk failure under streaming reads", "ms", "MB/s")
+		tl.series(out.Fig.AddSeries("1 MB random reads"))
+		out.HealthyMBps = tl.mean(0, failAt)
+		out.DegradedMBps = tl.mean(failAt, forever)
+		st := b.Array.Stats()
+		out.DeviceErrors = st.DeviceErrors
+		out.DiskFailures = st.DiskFailures
+		return nil
 	})
-	if opErr != nil {
-		return out, opErr
-	}
-
-	fig := metrics.NewFigure("Fault timeline: disk failure under streaming reads", "ms", "MB/s")
-	series := fig.AddSeries("1 MB random reads")
-	var preBytes, postBytes uint64
-	var preDur, postDur time.Duration
-	for i, n := range bucketBytes {
-		end := time.Duration(i+1) * bucket
-		if time.Duration(res.Elapsed) < end-bucket {
-			break
-		}
-		series.Add(float64(end.Milliseconds()), float64(n)/bucket.Seconds()/1e6)
-		if end <= failAt {
-			preBytes += n
-			preDur += bucket
-		} else {
-			postBytes += n
-			postDur += bucket
-		}
-	}
-	out.Fig = fig
-	if preDur > 0 {
-		out.HealthyMBps = float64(preBytes) / preDur.Seconds() / 1e6
-	}
-	if postDur > 0 {
-		out.DegradedMBps = float64(postBytes) / postDur.Seconds() / 1e6
-	}
-	st := b.Array.Stats()
-	out.DeviceErrors = st.DeviceErrors
-	out.DiskFailures = st.DiskFailures
-	return out, nil
+	return out, err
 }

@@ -8,7 +8,6 @@ import (
 
 	"raidii/internal/fault"
 	"raidii/internal/hippi"
-	"raidii/internal/metrics"
 	"raidii/internal/server"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
@@ -27,7 +26,7 @@ import (
 // with hosts (§2.1.2's "interleaving ... across several" taken to whole
 // servers, §5.2) until the ring is the bottleneck.
 func FleetScaling(serverCounts []int) (*Figure, error) {
-	fig := metrics.NewFigure("Fleet scaling: striped client bandwidth vs servers", "servers", "client MB/s")
+	fig := newFigure("Fleet scaling: striped client bandwidth vs servers", "servers", "client MB/s")
 	reads := fig.AddSeries("striped read")
 	writes := fig.AddSeries("striped write")
 	const total = 128 << 20
@@ -36,43 +35,41 @@ func FleetScaling(serverCounts []int) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer cl.Fleet().Eng.Shutdown()
-		attachProbe(fmt.Sprintf("fleet/%dservers", n), cl.Fleet().Eng)
-		var wMBps, rMBps float64
-		_, err = cl.Simulate(func(t *ClusterTask) error {
-			if err := t.FormatFS(); err != nil {
-				return err
-			}
-			f, err := t.Create("stream")
-			if err != nil {
-				return err
-			}
-			// The client's data counts as stored once the servers' segment
-			// writes land; include that drain in the write measurement,
-			// matching Figure 8's LFS write accounting.
-			start := t.Elapsed()
-			if _, err := f.Write(0, make([]byte, total)); err != nil {
-				return err
-			}
-			if err := t.Sync(); err != nil {
-				return err
-			}
-			wMBps = float64(total) / (t.Elapsed() - start).Seconds() / 1e6
-			got, rDur, err := f.Read(0, total)
-			if err != nil {
-				return err
-			}
-			if len(got) != total {
-				return fmt.Errorf("fleet read returned %d of %d bytes", len(got), total)
-			}
-			rMBps = float64(total) / rDur.Seconds() / 1e6
-			return nil
+		err = scope(fmt.Sprintf("fleet/%dservers", n), cl.Fleet().Eng, func(*rig) error {
+			_, err := cl.Simulate(func(t *ClusterTask) error {
+				if err := t.FormatFS(); err != nil {
+					return err
+				}
+				f, err := t.Create("stream")
+				if err != nil {
+					return err
+				}
+				// The client's data counts as stored once the servers' segment
+				// writes land; include that drain in the write measurement,
+				// matching Figure 8's LFS write accounting.
+				start := t.Elapsed()
+				if _, err := f.Write(0, make([]byte, total)); err != nil {
+					return err
+				}
+				if err := t.Sync(); err != nil {
+					return err
+				}
+				writes.Add(float64(n), mbps(total, t.Elapsed()-start))
+				got, rDur, err := f.Read(0, total)
+				if err != nil {
+					return err
+				}
+				if len(got) != total {
+					return fmt.Errorf("fleet read returned %d of %d bytes", len(got), total)
+				}
+				reads.Add(float64(n), mbps(total, rDur))
+				return nil
+			})
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		reads.Add(float64(n), rMBps)
-		writes.Add(float64(n), wMBps)
 	}
 	return fig, nil
 }
@@ -117,154 +114,95 @@ func FleetKillTimeline() (FleetKillTimelineResult, error) {
 	cfg.Faults = fault.Plan{}.
 		ServerDownAt(downAt, victim).
 		ServerUpAt(upAt, victim)
-	fl, err := server.NewFleet(cfg)
-	if err != nil {
-		return out, err
-	}
-	defer fl.Eng.Shutdown()
-	attachProbe("fleet-kill-timeline", fl.Eng)
-	telemetry.Attach(fl.Eng)
-	ep := clusterClientEndpoint(fl, cfg)
+	err := withFleet("fleet-kill-timeline", cfg, func(r *rig, fl *server.Fleet) error {
+		telemetry.Attach(fl.Eng)
+		ep := clusterClientEndpoint(fl, cfg)
 
-	data := make([]byte, fileMB<<20)
-	for i := range data {
-		data[i] = byte(i * 31)
-	}
+		data := make([]byte, fileMB<<20)
+		for i := range data {
+			data[i] = byte(i * 31)
+		}
 
-	// Setup and workload share one engine run: the scripted ServerDown
-	// events sit in the same queue, so a separate setup Run would drain
-	// them early.  Workers gate on setupDone instead.
-	setupDone := sim.NewEvent(fl.Eng)
-	var measStart time.Duration
-	var z *zebra.Store
-	fl.Eng.Spawn("setup", func(p *sim.Proc) {
-		for _, sys := range fl.Servers {
-			for _, b := range sys.Boards {
-				if err := b.FormatFS(p); err != nil {
-					panic(err)
-				}
+		// Setup and workload share one engine run: the scripted ServerDown
+		// events sit in the same queue, so a separate setup Run would drain
+		// them early.  Workers gate on setupDone instead.
+		setupDone := sim.NewEvent(fl.Eng)
+		tl := newTimeline(40)
+		var z *zebra.Store
+		r.spawn("setup", func(p *sim.Proc) (err error) {
+			if err := formatFleet(p, fl); err != nil {
+				return err
 			}
-		}
-		// The store validates formatted boards, so it is built here rather
-		// than before the run.
-		var err error
-		z, err = zebra.New(fl, ep, zebra.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		if err := z.Create(p, "stream"); err != nil {
-			panic(err)
-		}
-		if err := z.Write(p, "stream", 0, data); err != nil {
-			panic(err)
-		}
-		if err := z.SyncAll(p); err != nil {
-			panic(err)
-		}
-		measStart = time.Duration(p.Now())
-		setupDone.Signal()
-	})
+			// The store validates formatted boards, so it is built here rather
+			// than before the run.
+			if z, err = zebra.New(fl, ep, zebra.DefaultConfig()); err != nil {
+				return err
+			}
+			if err := z.Create(p, "stream"); err != nil {
+				return err
+			}
+			if err := z.Write(p, "stream", 0, data); err != nil {
+				return err
+			}
+			if err := z.SyncAll(p); err != nil {
+				return err
+			}
+			tl.from = time.Duration(p.Now())
+			setupDone.Signal()
+			return nil
+		})
 
-	// Per-interval accounting on absolute time: each completed read credits
-	// its bytes to the 250 ms bucket it finished in.
-	const bucket = 250 * time.Millisecond
-	var bucketBytes [40]uint64
-	var lastEnd time.Duration
-	for w := 0; w < outstanding; w++ {
-		rng := rand.New(rand.NewSource(int64(7919*w + 3)))
-		fl.Eng.Spawn("fleet-worker", func(p *sim.Proc) {
+		r.workers("fleet-worker", func(p *sim.Proc, rng *rand.Rand) error {
 			setupDone.Wait(p)
 			for time.Duration(p.Now()) < runUntil {
 				off := workload.RandomAligned(rng, int64(fileMB), 1) << 20
 				got, err := z.Read(p, "stream", off, size)
 				if err != nil {
-					panic(err)
+					return err
 				}
 				if !bytes.Equal(got, data[off:off+size]) {
-					panic(fmt.Sprintf("fleet read at %d returned wrong bytes", off))
+					return fmt.Errorf("striped read at %d: %w", off, ErrDataMismatch)
 				}
-				if i := int(time.Duration(p.Now()) / bucket); i < len(bucketBytes) {
-					bucketBytes[i] += size
-				}
-				if time.Duration(p.Now()) > lastEnd {
-					lastEnd = time.Duration(p.Now())
-				}
+				tl.credit(p.Now(), size)
 			}
+			return nil
 		})
-	}
 
-	// Mid-outage, a client writes one stripe.  The dead host's fragment
-	// cannot be stored — the write completes degraded and records the
-	// fragment stale for the post-outage rebuild.  It rewrites the same
-	// bytes, so the readers' verification stays valid throughout.
-	fl.Eng.Spawn("degraded-writer", func(p *sim.Proc) {
-		setupDone.Wait(p)
-		writeAt := downAt + (upAt-downAt)/2
-		if now := time.Duration(p.Now()); now < writeAt {
-			p.Wait(writeAt - now)
+		// Mid-outage, a client writes one stripe.  The dead host's fragment
+		// cannot be stored — the write completes degraded and records the
+		// fragment stale for the post-outage rebuild.  It rewrites the same
+		// bytes, so the readers' verification stays valid throughout.
+		r.spawn("degraded-writer", func(p *sim.Proc) error {
+			setupDone.Wait(p)
+			writeAt := downAt + (upAt-downAt)/2
+			if now := time.Duration(p.Now()); now < writeAt {
+				p.Wait(writeAt - now)
+			}
+			return z.Write(p, "stream", 0, data[:z.StripeBytes()])
+		})
+		if _, err := r.run(); err != nil {
+			return err
 		}
-		stripe := z.StripeBytes()
-		if err := z.Write(p, "stream", 0, data[:stripe]); err != nil {
-			panic(err)
-		}
+
+		out.Fig = newFigure("Fleet kill timeline: whole-host outage under striped reads", "ms", "MB/s")
+		tl.series(out.Fig.AddSeries("1 MB striped reads"))
+		out.PreFaultMBps = tl.mean(0, downAt)
+		out.DuringMBps = tl.mean(downAt, upAt)
+		out.RecoveredMBps = tl.mean(upAt, tl.retired)
+
+		// The plan restored the host; repair the fragments the degraded write
+		// left behind and prove the file is whole again.
+		out.StaleFragments = z.StaleFragments(victim)
+		return r.do("repair", func(p *sim.Proc) (err error) {
+			if out.RebuiltFragments, err = z.RebuildServer(p, victim); err != nil {
+				return err
+			}
+			got, err := z.Read(p, "stream", 0, len(data))
+			out.DataIntact = err == nil && bytes.Equal(got, data)
+			return err
+		})
 	})
-	fl.Eng.Run()
-	retired := lastEnd
-
-	fig := metrics.NewFigure("Fleet kill timeline: whole-host outage under striped reads", "ms", "MB/s")
-	series := fig.AddSeries("1 MB striped reads")
-	var preBytes, duringBytes, postBytes uint64
-	var preDur, duringDur, postDur time.Duration
-	for i, n := range bucketBytes {
-		start := time.Duration(i) * bucket
-		end := start + bucket
-		if start < measStart {
-			continue // partial bucket: workload was not yet running
-		}
-		if retired < start {
-			break
-		}
-		series.Add(float64(end.Milliseconds()), float64(n)/bucket.Seconds()/1e6)
-		switch {
-		case end <= downAt:
-			preBytes += n
-			preDur += bucket
-		case start >= downAt && end <= upAt:
-			duringBytes += n
-			duringDur += bucket
-		case start >= upAt && retired >= end:
-			postBytes += n
-			postDur += bucket
-		}
-	}
-	out.Fig = fig
-	if preDur > 0 {
-		out.PreFaultMBps = float64(preBytes) / preDur.Seconds() / 1e6
-	}
-	if duringDur > 0 {
-		out.DuringMBps = float64(duringBytes) / duringDur.Seconds() / 1e6
-	}
-	if postDur > 0 {
-		out.RecoveredMBps = float64(postBytes) / postDur.Seconds() / 1e6
-	}
-
-	// The plan restored the host; repair the fragments the degraded write
-	// left behind and prove the file is whole again.
-	out.StaleFragments = z.StaleFragments(victim)
-	fl.Eng.Spawn("repair", func(p *sim.Proc) {
-		n, err := z.RebuildServer(p, victim)
-		if err != nil {
-			panic(err)
-		}
-		out.RebuiltFragments = n
-		got, err := z.Read(p, "stream", 0, len(data))
-		if err != nil {
-			panic(err)
-		}
-		out.DataIntact = bytes.Equal(got, data)
-	})
-	fl.Eng.Run()
-	return out, nil
+	return out, err
 }
 
 // clusterClientEndpoint builds the Ultranet attachment the fleet

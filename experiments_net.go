@@ -7,7 +7,6 @@ import (
 	"raidii/internal/client"
 	"raidii/internal/fault"
 	"raidii/internal/host"
-	"raidii/internal/metrics"
 	"raidii/internal/server"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
@@ -60,117 +59,72 @@ func NetworkFaultTimeline() (NetworkFaultTimelineResult, error) {
 		Backoff:    2 * time.Millisecond,
 		BackoffMax: 50 * time.Millisecond,
 	}
-	sys, err := server.New(cfg)
-	if err != nil {
-		return out, err
-	}
-	defer sys.Eng.Shutdown()
-	attachProbe("net-fault-timeline", sys.Eng)
-	telemetry.Attach(sys.Eng)
-	b := sys.Boards[0]
+	err := withSystem("net-fault-timeline", cfg, func(r *rig, sys *server.System) error {
+		telemetry.Attach(sys.Eng)
+		b := sys.Boards[0]
 
-	// A client whose memory system is not the bottleneck, so the timeline
-	// shows the network path rather than SPARCstation copy limits.
-	ws := client.NewWorkstation(sys, "netclient", host.Config{
-		Name: "fast-client", MemBusMBps: 200, BackplaneMBps: 100,
-		PerIOOverhead: 100000, CopyCrossings: 1, DMACrossings: 1,
-	})
+		// A client whose memory system is not the bottleneck, so the timeline
+		// shows the network path rather than SPARCstation copy limits.
+		ws := client.NewWorkstation(sys, "netclient", host.Config{
+			Name: "fast-client", MemBusMBps: 200, BackplaneMBps: 100,
+			PerIOOverhead: 100000, CopyCrossings: 1, DMACrossings: 1,
+		})
 
-	// Setup and workload share one engine run: the scripted fault events sit
-	// in the same queue, so a separate setup Run would drain them early.
-	// Workers gate on setupDone instead.
-	var f *client.File
-	setupDone := sim.NewEvent(sys.Eng)
-	var measStart time.Duration
-	sys.Eng.Spawn("setup", func(p *sim.Proc) {
-		if err := b.FormatFS(p); err != nil {
-			panic(err)
-		}
-		ff, err := b.CreateFS(p, "/stream")
-		if err != nil {
-			panic(err)
-		}
-		buf := make([]byte, 1<<20)
-		for i := 0; i < fileMB; i++ {
-			if _, err := ff.File.WriteAt(p, buf, int64(i)<<20); err != nil {
-				panic(err)
+		// Setup and workload share one engine run: the scripted fault events sit
+		// in the same queue, so a separate setup Run would drain them early.
+		// Workers gate on setupDone instead.  The re-read working set keeps
+		// setup short, so whole pre-fault buckets exist before DownAt.
+		var f *client.File
+		setupDone := sim.NewEvent(sys.Eng)
+		tl := newTimeline(24)
+		r.spawn("setup", func(p *sim.Proc) error {
+			if err := b.FormatFS(p); err != nil {
+				return err
 			}
-		}
-		if err := b.FS.Sync(p); err != nil {
-			panic(err)
-		}
-		f, err = ws.Open(p, 0, "/stream")
-		if err != nil {
-			panic(err)
-		}
-		measStart = time.Duration(p.Now())
-		setupDone.Signal()
-	})
+			ff, err := b.CreateFS(p, "/stream")
+			if err != nil {
+				return err
+			}
+			buf := make([]byte, 1<<20)
+			for i := 0; i < fileMB; i++ {
+				if _, err := ff.File.WriteAt(p, buf, int64(i)<<20); err != nil {
+					return err
+				}
+			}
+			if err := b.FS.Sync(p); err != nil {
+				return err
+			}
+			if f, err = ws.Open(p, 0, "/stream"); err != nil {
+				return err
+			}
+			tl.from = time.Duration(p.Now())
+			setupDone.Signal()
+			return nil
+		})
 
-	// Per-interval accounting on absolute time: each completed read credits
-	// its bytes to the 250 ms bucket it finished in.  The re-read working
-	// set keeps setup short, so whole pre-fault buckets exist before DownAt.
-	const bucket = 250 * time.Millisecond
-	var bucketBytes [24]uint64
-	var retired, lastEnd time.Duration
-	for w := 0; w < outstanding; w++ {
-		rng := rand.New(rand.NewSource(int64(7919*w + 3)))
-		sys.Eng.Spawn("net-worker", func(p *sim.Proc) {
+		r.workers("net-worker", func(p *sim.Proc, rng *rand.Rand) error {
 			setupDone.Wait(p)
 			for i := 0; i < ops/outstanding; i++ {
 				off := workload.RandomAligned(rng, int64(fileMB), 1) << 20
 				if _, err := f.Read(p, off, size); err != nil {
-					panic(err)
+					return err
 				}
-				if i := int(time.Duration(p.Now()) / bucket); i < len(bucketBytes) {
-					bucketBytes[i] += size
-				}
-				if time.Duration(p.Now()) > lastEnd {
-					lastEnd = time.Duration(p.Now())
-				}
+				tl.credit(p.Now(), size)
 			}
+			return nil
 		})
-	}
-	sys.Eng.Run()
-	retired = lastEnd
+		if _, err := r.run(); err != nil {
+			return err
+		}
 
-	fig := metrics.NewFigure("Network fault timeline: Ultranet link flap under client reads", "ms", "MB/s")
-	series := fig.AddSeries("1 MB client reads")
-	var preBytes, duringBytes, postBytes uint64
-	var preDur, duringDur, postDur time.Duration
-	for i, n := range bucketBytes {
-		start := time.Duration(i) * bucket
-		end := start + bucket
-		if start < measStart {
-			continue // partial bucket: workload was not yet running
-		}
-		if retired < start {
-			break
-		}
-		series.Add(float64(end.Milliseconds()), float64(n)/bucket.Seconds()/1e6)
-		switch {
-		case end <= downAt:
-			preBytes += n
-			preDur += bucket
-		case start >= downAt && end <= upAt:
-			duringBytes += n
-			duringDur += bucket
-		case start >= upAt && retired >= end:
-			postBytes += n
-			postDur += bucket
-		}
-	}
-	out.Fig = fig
-	if preDur > 0 {
-		out.PreFaultMBps = float64(preBytes) / preDur.Seconds() / 1e6
-	}
-	if duringDur > 0 {
-		out.DuringMBps = float64(duringBytes) / duringDur.Seconds() / 1e6
-	}
-	if postDur > 0 {
-		out.RecoveredMBps = float64(postBytes) / postDur.Seconds() / 1e6
-	}
-	out.Retries = ws.Stats().Retries
-	out.ReadLatency = latencyStats(sys.Eng, "client-read")
-	return out, nil
+		out.Fig = newFigure("Network fault timeline: Ultranet link flap under client reads", "ms", "MB/s")
+		tl.series(out.Fig.AddSeries("1 MB client reads"))
+		out.PreFaultMBps = tl.mean(0, downAt)
+		out.DuringMBps = tl.mean(downAt, upAt)
+		out.RecoveredMBps = tl.mean(upAt, tl.retired)
+		out.Retries = ws.Stats().Retries
+		out.ReadLatency = latencyStats(sys.Eng, "client-read")
+		return nil
+	})
+	return out, err
 }

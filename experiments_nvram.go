@@ -2,17 +2,16 @@ package raidii
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"raidii/internal/fault"
-	"raidii/internal/metrics"
 	"raidii/internal/raid"
 	"raidii/internal/server"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
-	"raidii/internal/workload"
 )
 
 // This file holds the robustness experiments added with the NVRAM staging
@@ -61,78 +60,69 @@ func SmallWriteLatency() (SmallWriteLatencyResult, error) {
 			cfg.NVRAMBytes = 1 << 20
 			label = "staged"
 		}
-		sys, err := server.New(cfg)
+		err := withSystem("smallwrite/"+label, cfg, func(r *rig, sys *server.System) error {
+			telemetry.Attach(sys.Eng)
+			b := sys.Boards[0]
+
+			var f *server.FSFile
+			err := r.do("format", func(p *sim.Proc) (err error) {
+				if err := b.FormatFS(p); err != nil {
+					return err
+				}
+				if f, err = b.CreateFS(p, "/smallwrites"); err != nil {
+					return err
+				}
+				return b.FS.Checkpoint(p)
+			})
+			if err != nil {
+				return err
+			}
+
+			// Each op writes its own 4 KB record; the shared index is safe
+			// under the cooperative scheduler.
+			var next int
+			_, err = r.fixedOps(outstanding, out.Ops, func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
+				i := next
+				next++
+				return out.RecSize, b.DurableWrite(p, f, int64(i)*int64(out.RecSize), nvFill(out.RecSize, byte(i)))
+			})
+			if err != nil {
+				return err
+			}
+
+			// Quiesce and verify: every acknowledged record must read back.
+			err = r.do("verify", func(p *sim.Proc) error {
+				if err := b.DrainNVRAM(p); err != nil {
+					return err
+				}
+				for i := 0; i < out.Ops; i++ {
+					got, err := b.FSRead(p, f, int64(i)*int64(out.RecSize), out.RecSize)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(got, nvFill(out.RecSize, byte(i))) {
+						return fmt.Errorf("record %d lost or corrupt: %w", i, ErrDataMismatch)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+
+			if staged {
+				out.Staged = latencyStats(sys.Eng, "small-write")
+				st := b.NVRAMStats()
+				out.Commits = st.Log.Commits
+				out.CommitRecords = st.Log.CommitRecords
+				out.Degraded = st.Log.Degraded
+			} else {
+				out.Unstaged = latencyStats(sys.Eng, "small-write")
+			}
+			return nil
+		})
 		if err != nil {
 			return out, err
-		}
-		defer sys.Eng.Shutdown()
-		attachProbe("smallwrite/"+label, sys.Eng)
-		telemetry.Attach(sys.Eng)
-		b := sys.Boards[0]
-
-		var f *server.FSFile
-		var opErr error
-		sys.Eng.Spawn("format", func(p *sim.Proc) {
-			if opErr = b.FormatFS(p); opErr != nil {
-				return
-			}
-			if f, opErr = b.CreateFS(p, "/smallwrites"); opErr != nil {
-				return
-			}
-			opErr = b.FS.Checkpoint(p)
-		})
-		sys.Eng.Run()
-		if opErr != nil {
-			return out, opErr
-		}
-
-		// Each op writes its own 4 KB record; the shared index is safe
-		// under the cooperative scheduler.
-		var next int
-		workload.FixedOps(sys.Eng, outstanding, out.Ops, func(p *sim.Proc, _ int, _ *rand.Rand) int {
-			i := next
-			next++
-			err := b.DurableWrite(p, f, int64(i)*int64(out.RecSize), nvFill(out.RecSize, byte(i)))
-			if err != nil && opErr == nil {
-				opErr = err
-			}
-			return out.RecSize
-		})
-		if opErr != nil {
-			return out, opErr
-		}
-
-		// Quiesce and verify: every acknowledged record must read back.
-		sys.Eng.Spawn("verify", func(p *sim.Proc) {
-			if err := b.DrainNVRAM(p); err != nil && opErr == nil {
-				opErr = err
-			}
-			for i := 0; i < out.Ops; i++ {
-				got, err := b.FSRead(p, f, int64(i)*int64(out.RecSize), out.RecSize)
-				if err != nil {
-					if opErr == nil {
-						opErr = err
-					}
-					return
-				}
-				if !bytes.Equal(got, nvFill(out.RecSize, byte(i))) && opErr == nil {
-					opErr = fmt.Errorf("raidii: smallwrite %s: record %d lost or corrupt", label, i)
-				}
-			}
-		})
-		sys.Eng.Run()
-		if opErr != nil {
-			return out, opErr
-		}
-
-		if staged {
-			out.Staged = latencyStats(sys.Eng, "small-write")
-			st := b.NVRAMStats()
-			out.Commits = st.Log.Commits
-			out.CommitRecords = st.Log.CommitRecords
-			out.Degraded = st.Log.Degraded
-		} else {
-			out.Unstaged = latencyStats(sys.Eng, "small-write")
 		}
 	}
 	return out, nil
@@ -178,166 +168,107 @@ func DoubleFaultTimeline() (DoubleFaultTimelineResult, error) {
 	cfg.Faults = fault.Plan{}.
 		DiskFailAt(firstFail, 0, failA).
 		DiskFailAt(secondFail, 0, failB)
-	sys, err := server.New(cfg)
-	if err != nil {
-		return out, err
-	}
-	defer sys.Eng.Shutdown()
-	attachProbe("doublefault", sys.Eng)
-	b := sys.Boards[0]
-	space := b.Array.Sectors()
-	const size = 1 << 20
-	const align = int64(size / 512)
+	err := withSystem("doublefault", cfg, func(r *rig, sys *server.System) error {
+		b := sys.Boards[0]
 
-	// Seed a region with known bytes so correctness under failure is
-	// checked against ground truth, not just against the array's own
-	// parity.  Whole aligned stripes take the full-stripe write path, so
-	// seeding stays well clear of the first scripted failure.
-	seedSecs := b.Array.DataDisks() * b.Array.StripeUnitSectors() * 4
-	seedBytes := seedSecs * 512
-	seed := nvFill(seedBytes, 1)
-	var opErr error
-	var seedEnd time.Duration
-	// The seed proc and the streaming workload share one engine run: the
-	// fault plan's events are already scheduled on the absolute clock, so a
-	// separate seeding run would drain them before the stream starts.
-	sys.Eng.Spawn("seed", func(p *sim.Proc) {
-		if err := b.Array.Write(p, 0, seed); err != nil && opErr == nil {
-			opErr = err
-		}
-		seedEnd = time.Duration(sim.Duration(p.Now()))
-	})
-
-	// The streaming phase spans both failures: per-bucket byte counts give
-	// the bandwidth timeline.
-	const bucket = 250 * time.Millisecond
-	var bucketBytes [32]uint64
-	res := workload.FixedOps(sys.Eng, outstanding, 64, func(p *sim.Proc, _ int, rng *rand.Rand) int {
-		off := workload.RandomAligned(rng, space-align, align)
-		if err := b.HardwareRead(p, off, size); err != nil && opErr == nil {
-			opErr = err
-		}
-		if i := int(time.Duration(p.Now()) / bucket); i < len(bucketBytes) {
-			bucketBytes[i] += size
-		}
-		return size
-	})
-	if opErr != nil {
-		return out, opErr
-	}
-	if seedEnd >= firstFail {
-		return out, fmt.Errorf("raidii: doublefault: seeding ran past the first failure (%v)", seedEnd)
-	}
-	if b.Array.Lost() {
-		return out, fmt.Errorf("raidii: doublefault: two failures latched a Level-6 array as failed")
-	}
-
-	// Every byte served while both failures are outstanding must be
-	// correct — the P+Q solve, not zeros.
-	intact := true
-	sys.Eng.Spawn("verify-degraded", func(p *sim.Proc) {
-		got, err := b.Array.Read(p, 0, seedSecs)
-		if err != nil {
-			opErr = err
-			return
-		}
-		intact = bytes.Equal(got, seed)
-	})
-	sys.Eng.Run()
-	if opErr != nil {
-		return out, opErr
-	}
-	if !intact {
-		return out, fmt.Errorf("raidii: doublefault: double-degraded read returned wrong bytes")
-	}
-	if !b.Array.Failed(failA) || !b.Array.Failed(failB) {
-		return out, fmt.Errorf("raidii: doublefault: scripted failures did not escalate to the array")
-	}
-
-	// Hot-rebuild both disks, one after the other: the first rebuild runs
-	// with the second failure still outstanding.
-	rebuildStart := sys.Eng.Now()
-	for _, idx := range []int{failA, failB} {
-		rb, err := b.ReplaceDisk(idx)
-		if err != nil {
-			return out, err
-		}
-		sys.Eng.Spawn("rebuild-wait", func(p *sim.Proc) {
-			if _, werr := rb.Wait(p); werr != nil && opErr == nil {
-				opErr = werr
+		// Seed a region with known bytes so correctness under failure is
+		// checked against ground truth, not just against the array's own
+		// parity.  Whole aligned stripes take the full-stripe write path, so
+		// seeding stays well clear of the first scripted failure.
+		seedSecs := b.Array.DataDisks() * b.Array.StripeUnitSectors() * 4
+		seed := nvFill(seedSecs*512, 1)
+		verifySeed := func(p *sim.Proc, phase string) error {
+			got, err := b.Array.Read(p, 0, seedSecs)
+			if err != nil {
+				return err
 			}
+			if !bytes.Equal(got, seed) {
+				return fmt.Errorf("%s read of the seeded region: %w", phase, ErrDataMismatch)
+			}
+			return nil
+		}
+
+		// The seed proc and the streaming workload share one engine run: the
+		// fault plan's events are already scheduled on the absolute clock, so a
+		// separate seeding run would drain them before the stream starts.
+		var seedEnd time.Duration
+		r.spawn("seed", func(p *sim.Proc) error {
+			err := b.Array.Write(p, 0, seed)
+			seedEnd = time.Duration(p.Now())
+			return err
 		})
-		sys.Eng.Run()
-		if opErr != nil {
-			return out, opErr
-		}
-	}
-	out.RebuildDuration = time.Duration(sim.Duration(sys.Eng.Now() - rebuildStart))
 
-	// Post-rebuild: the array is healthy again; measure recovered
-	// bandwidth and verify the seeded region one last time.
-	start := sys.Eng.Now()
-	post := workload.FixedOps(sys.Eng, outstanding, 24, func(p *sim.Proc, _ int, rng *rand.Rand) int {
-		off := workload.RandomAligned(rng, space-align, align)
-		if err := b.HardwareRead(p, off, size); err != nil && opErr == nil {
-			opErr = err
-		}
-		return size
-	})
-	post.Elapsed = sim.Duration(sys.Eng.Now() - start)
-	if opErr != nil {
-		return out, opErr
-	}
-	out.PostRebuildMBps = post.MBps()
-	sys.Eng.Spawn("verify-healthy", func(p *sim.Proc) {
-		got, err := b.Array.Read(p, 0, seedSecs)
+		// The streaming phase spans both failures.
+		tl := newTimeline(32)
+		_, err := randomReads(r, b, 64, tl)
 		if err != nil {
-			opErr = err
-			return
+			return err
 		}
-		intact = intact && bytes.Equal(got, seed)
-		if bad := b.Array.CheckParity(p); bad != 0 && opErr == nil {
-			opErr = fmt.Errorf("raidii: doublefault: %d inconsistent stripes after both rebuilds", bad)
+		tl.retired = time.Duration(sys.Eng.Now()) // the series runs to the end of the run, partial last bucket included
+		out.Fig = newFigure("Double fault timeline: two overlapping disk failures (RAID-6)", "ms", "MB/s")
+		tl.series(out.Fig.AddSeries("1 MB random reads"))
+		out.HealthyMBps = tl.mean(0, firstFail)
+		out.DoubleDegradedMBps = tl.mean(secondFail, forever)
+		if seedEnd >= firstFail {
+			return fmt.Errorf("seeding ran past the first failure (%v)", seedEnd)
 		}
-	})
-	sys.Eng.Run()
-	if opErr != nil {
-		return out, opErr
-	}
-	if !intact {
-		return out, fmt.Errorf("raidii: doublefault: post-rebuild read returned wrong bytes")
-	}
-	out.DataIntact = true
+		if b.Array.Lost() {
+			return errors.New("two failures latched a Level-6 array as failed")
+		}
 
-	fig := metrics.NewFigure("Double fault timeline: two overlapping disk failures (RAID-6)", "ms", "MB/s")
-	series := fig.AddSeries("1 MB random reads")
-	var preBytes, dblBytes uint64
-	var preDur, dblDur time.Duration
-	for i, n := range bucketBytes {
-		end := time.Duration(i+1) * bucket
-		if time.Duration(res.Elapsed) < end-bucket {
-			break
+		// Every byte served while both failures are outstanding must be
+		// correct — the P+Q solve, not zeros.
+		err = r.do("verify-degraded", func(p *sim.Proc) error { return verifySeed(p, "double-degraded") })
+		if err != nil {
+			return err
 		}
-		series.Add(float64(end.Milliseconds()), float64(n)/bucket.Seconds()/1e6)
-		switch {
-		case end <= firstFail:
-			preBytes += n
-			preDur += bucket
-		case end > secondFail:
-			dblBytes += n
-			dblDur += bucket
+		if !b.Array.Failed(failA) || !b.Array.Failed(failB) {
+			return errors.New("scripted failures did not escalate to the array")
 		}
-	}
-	out.Fig = fig
-	if preDur > 0 {
-		out.HealthyMBps = float64(preBytes) / preDur.Seconds() / 1e6
-	}
-	if dblDur > 0 {
-		out.DoubleDegradedMBps = float64(dblBytes) / dblDur.Seconds() / 1e6
-	}
-	if out.HealthyMBps > 0 {
-		out.RecoveredFrac = out.PostRebuildMBps / out.HealthyMBps
-	}
-	out.DegradedReads = b.Array.Stats().DegradedReads
-	return out, nil
+
+		// Hot-rebuild both disks, one after the other: the first rebuild runs
+		// with the second failure still outstanding.
+		rebuildStart := sys.Eng.Now()
+		for _, idx := range []int{failA, failB} {
+			rb, err := b.ReplaceDisk(idx)
+			if err != nil {
+				return err
+			}
+			err = r.do("rebuild-wait", func(p *sim.Proc) error {
+				_, err := rb.Wait(p)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
+		out.RebuildDuration = sys.Eng.Now().Sub(rebuildStart)
+
+		// Post-rebuild: the array is healthy again; measure recovered
+		// bandwidth and verify the seeded region one last time.
+		post, err := randomReads(r, b, 24, nil)
+		if err != nil {
+			return err
+		}
+		out.PostRebuildMBps = post.MBps()
+		err = r.do("verify-healthy", func(p *sim.Proc) error {
+			if err := verifySeed(p, "post-rebuild"); err != nil {
+				return err
+			}
+			if bad := b.Array.CheckParity(p); bad != 0 {
+				return fmt.Errorf("%d inconsistent stripes after both rebuilds", bad)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		out.DataIntact = true
+		if out.HealthyMBps > 0 {
+			out.RecoveredFrac = out.PostRebuildMBps / out.HealthyMBps
+		}
+		out.DegradedReads = b.Array.Stats().DegradedReads
+		return nil
+	})
+	return out, err
 }

@@ -66,8 +66,10 @@ func (s Scope) Applies(rel string) bool {
 //     switches processes as coroutines and starts no goroutine itself.
 //   - maporder applies everywhere: a map-ordered event timeline is a
 //     bug wherever it occurs.
-//   - simpanic applies to internal/ library code; main packages and
-//     the top-level experiment drivers may panic on programmer error.
+//   - simpanic applies to internal/ library code and to the module
+//     root, whose experiment runners return every failure through the
+//     harness's error path; main packages may panic on programmer
+//     error.
 //   - errdrop applies everywhere: a silently swallowed error masks a
 //     fault wherever it occurs, examples and commands included.
 //   - wrapcheck reports at the internal/server → raidii API boundary
@@ -87,7 +89,7 @@ func DefaultScopes() map[string]Scope {
 		"detrand":     {Exclude: []string{"cmd", "examples"}},
 		"rawgo":       {},
 		"maporder":    {},
-		"simpanic":    {Include: []string{"internal"}},
+		"simpanic":    {Include: []string{".", "internal"}},
 		"errdrop":     {},
 		"wrapcheck":   {Include: []string{".", "internal/server", "internal/zebra"}},
 		"pairbalance": {},

@@ -23,6 +23,9 @@ func TestScopeApplies(t *testing.T) {
 		{Scope{Include: []string{"internal"}}, "", false},
 		{Scope{Include: []string{"internal"}}, "cmd/raidvet", false},
 		{Scope{Include: []string{"internal"}, Exclude: []string{"internal/sim"}}, "internal/sim", false},
+		{DefaultScopes()["simpanic"], "", true},
+		{DefaultScopes()["simpanic"], "internal/raid", true},
+		{DefaultScopes()["simpanic"], "cmd/raidbench", false},
 	}
 	for _, c := range cases {
 		if got := c.scope.Applies(c.rel); got != c.want {

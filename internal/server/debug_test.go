@@ -17,12 +17,15 @@ func TestArraySequentialDiagnostics(t *testing.T) {
 	sys, _ := New(cfg)
 	b := sys.Boards[0]
 	var cursor int64
-	res := workload.FixedOps(sys.Eng, 4, 48, func(p *sim.Proc, _ int, _ *rand.Rand) int {
+	res, err := workload.FixedOps(sys.Eng, 4, 48, func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
 		const req = 1600 << 10
-		_, _ = b.Array.Read(p, cursor, req/512)
+		_, err := b.Array.Read(p, cursor, req/512)
 		cursor += int64(req / 512)
-		return req
+		return req, err
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r := res.MBps(); r < 27 || r > 33 {
 		t.Errorf("pure array sequential read = %.1f MB/s, want ~30", r)
 	}

@@ -48,23 +48,16 @@ func hwRandomRate(t *testing.T, size int, write bool) float64 {
 	}
 	b := sys.Boards[0]
 	space := b.Array.Sectors()
-	var opErr error
-	res := workload.FixedOps(sys.Eng, 4, 24<<20/size, func(p *sim.Proc, _ int, rng *rand.Rand) int {
+	res, err := workload.FixedOps(sys.Eng, 4, 24<<20/size, func(p *sim.Proc, _ int, rng *rand.Rand) (int, error) {
 		align := int64(size / 512)
 		off := workload.RandomAligned(rng, space-align, align)
-		var err error
 		if write {
-			err = b.HardwareWrite(p, off, size)
-		} else {
-			err = b.HardwareRead(p, off, size)
+			return size, b.HardwareWrite(p, off, size)
 		}
-		if err != nil && opErr == nil {
-			opErr = err
-		}
-		return size
+		return size, b.HardwareRead(p, off, size)
 	})
-	if opErr != nil {
-		t.Fatal(opErr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res.MBps()
 }
@@ -101,17 +94,13 @@ func TestTable1SequentialRead(t *testing.T) {
 	b := sys.Boards[0]
 	const req = 1600 << 10 // the paper's 1.6 MB sequential requests
 	var cursor int64
-	var opErr error
-	res := workload.FixedOps(sys.Eng, 4, 48, func(p *sim.Proc, _ int, _ *rand.Rand) int {
+	res, err := workload.FixedOps(sys.Eng, 4, 48, func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
 		off := cursor
 		cursor += int64(req / 512)
-		if err := b.HardwareRead(p, off, req); err != nil && opErr == nil {
-			opErr = err
-		}
-		return req
+		return req, b.HardwareRead(p, off, req)
 	})
-	if opErr != nil {
-		t.Fatal(opErr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	r := res.MBps()
 	if r < 26 || r > 34 {
@@ -129,17 +118,13 @@ func TestTable1SequentialWrite(t *testing.T) {
 	b := sys.Boards[0]
 	const req = 1600 << 10
 	var cursor int64
-	var opErr error
-	res := workload.FixedOps(sys.Eng, 4, 48, func(p *sim.Proc, _ int, _ *rand.Rand) int {
+	res, err := workload.FixedOps(sys.Eng, 4, 48, func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
 		off := cursor
 		cursor += int64(req / 512)
-		if err := b.HardwareWrite(p, off, req); err != nil && opErr == nil {
-			opErr = err
-		}
-		return req
+		return req, b.HardwareWrite(p, off, req)
 	})
-	if opErr != nil {
-		t.Fatal(opErr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	w := res.MBps()
 	if w < 19 || w > 27 {
@@ -153,17 +138,14 @@ func TestRAIDIBaselineCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cursor int64
-	var opErr error
-	res := workload.FixedOps(r.Eng, 1, 8, func(p *sim.Proc, _ int, _ *rand.Rand) int {
+	res, err := workload.FixedOps(r.Eng, 1, 8, func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
 		const req = 1 << 20
-		if err := r.UserRead(p, cursor, req); err != nil && opErr == nil {
-			opErr = err
-		}
+		err := r.UserRead(p, cursor, req)
 		cursor += int64(req / 512)
-		return req
+		return req, err
 	})
-	if opErr != nil {
-		t.Fatal(opErr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rate := res.MBps()
 	if rate < 1.9 || rate > 2.7 {
@@ -180,11 +162,13 @@ func TestTable2SmallIORates(t *testing.T) {
 	b := sys.Boards[0]
 	horizon := sim.Time(3e9) // 3 simulated seconds
 	space := b.Disks[0].Sectors() - 8
-	res2 := workload.ClosedLoop(sys.Eng, 15, horizon, func(p *sim.Proc, w int, rng *rand.Rand) int {
+	res2, err := workload.ClosedLoop(sys.Eng, 15, horizon, func(p *sim.Proc, w int, rng *rand.Rand) (int, error) {
 		lba := workload.RandomAligned(rng, space, 8)
-		_ = b.SmallDiskRead(p, w, lba, 4096)
-		return 4096
+		return 4096, b.SmallDiskRead(p, w, lba, 4096)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	iops2 := res2.IOPS()
 	if iops2 < 380 || iops2 < 400*0.9 || iops2 > 470 {
 		t.Fatalf("RAID-II 15-disk IOPS = %.0f, want ~420 (>400)", iops2)
@@ -196,11 +180,13 @@ func TestTable2SmallIORates(t *testing.T) {
 		t.Fatal(err)
 	}
 	space1 := r.Disks[0].Sectors() - 8
-	res1 := workload.ClosedLoop(r.Eng, 15, horizon, func(p *sim.Proc, w int, rng *rand.Rand) int {
+	res1, err := workload.ClosedLoop(r.Eng, 15, horizon, func(p *sim.Proc, w int, rng *rand.Rand) (int, error) {
 		lba := workload.RandomAligned(rng, space1, 8)
-		_ = r.SmallDiskRead(p, w, lba, 4096)
-		return 4096
+		return 4096, r.SmallDiskRead(p, w, lba, 4096)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	iops1 := res1.IOPS()
 	if iops1 < 240 || iops1 > 310 {
 		t.Fatalf("RAID-I 15-disk IOPS = %.0f, want ~275", iops1)
@@ -215,22 +201,26 @@ func TestTable2SingleDisk(t *testing.T) {
 	b := sys.Boards[0]
 	horizon := sim.Time(3e9)
 	space := b.Disks[0].Sectors() - 8
-	res := workload.ClosedLoop(sys.Eng, 1, horizon, func(p *sim.Proc, w int, rng *rand.Rand) int {
+	res, err := workload.ClosedLoop(sys.Eng, 1, horizon, func(p *sim.Proc, w int, rng *rand.Rand) (int, error) {
 		lba := workload.RandomAligned(rng, space, 8)
-		_ = b.SmallDiskRead(p, 0, lba, 4096)
-		return 4096
+		return 4096, b.SmallDiskRead(p, 0, lba, 4096)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if iops := res.IOPS(); iops < 30 || iops > 42 {
 		t.Fatalf("RAID-II single-disk IOPS = %.0f, want ~36", iops)
 	}
 
 	r, _ := NewRAIDI(DefaultRAIDIConfig())
 	space1 := r.Disks[0].Sectors() - 8
-	res1 := workload.ClosedLoop(r.Eng, 1, horizon, func(p *sim.Proc, w int, rng *rand.Rand) int {
+	res1, err := workload.ClosedLoop(r.Eng, 1, horizon, func(p *sim.Proc, w int, rng *rand.Rand) (int, error) {
 		lba := workload.RandomAligned(rng, space1, 8)
-		_ = r.SmallDiskRead(p, 0, lba, 4096)
-		return 4096
+		return 4096, r.SmallDiskRead(p, 0, lba, 4096)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if iops := res1.IOPS(); iops < 23 || iops > 32 {
 		t.Fatalf("RAID-I single-disk IOPS = %.0f, want ~27", iops)
 	}

@@ -47,55 +47,53 @@ func (r Result) MeanLatency() sim.Duration {
 
 // Op performs one operation and returns the bytes it moved.  worker
 // identifies the issuing process, rng is that worker's private random
-// stream.
-type Op func(p *sim.Proc, worker int, rng *rand.Rand) int
+// stream.  An error ends that worker's loop and becomes the run's error.
+type Op func(p *sim.Proc, worker int, rng *rand.Rand) (int, error)
 
 // ClosedLoop runs nWorkers processes, each issuing op back-to-back until
 // the horizon, on a fresh footing: the engine is run until all in-flight
 // operations at the horizon complete, but only operations *started* before
-// the horizon are counted.
-func ClosedLoop(e *sim.Engine, nWorkers int, horizon sim.Time, op Op) Result {
-	var res Result
-	for w := 0; w < nWorkers; w++ {
-		w := w
-		rng := rand.New(rand.NewSource(int64(9973*w + 1)))
-		e.Spawn("worker", func(p *sim.Proc) {
-			for p.Now() < horizon {
-				start := p.Now()
-				n := op(p, w, rng)
-				res.Ops++
-				res.Bytes += uint64(n)
-				res.LatTotal += p.Now().Sub(start)
-			}
-		})
-	}
-	end := e.Run()
-	res.Elapsed = sim.Duration(end)
-	return res
+// the horizon are counted.  It returns the first error any op returned.
+func ClosedLoop(e *sim.Engine, nWorkers int, horizon sim.Time, op Op) (Result, error) {
+	return run(e, nWorkers, 9973, 1, op, func(p *sim.Proc, _ int) bool { return p.Now() < horizon })
 }
 
 // FixedOps runs nWorkers processes issuing a total of totalOps operations
-// (split evenly), then reports the elapsed simulated time.
-func FixedOps(e *sim.Engine, nWorkers, totalOps int, op Op) Result {
-	var res Result
+// (split evenly), then reports the simulated time elapsed since the call.
+// It returns the first error any op returned.
+func FixedOps(e *sim.Engine, nWorkers, totalOps int, op Op) (Result, error) {
 	per := totalOps / nWorkers
-	g := sim.NewGroup(e)
+	return run(e, nWorkers, 7919, 3, op, func(_ *sim.Proc, done int) bool { return done < per })
+}
+
+// run spawns the workers (worker w's stream is seeded seedMul*w+seedAdd),
+// drives the engine until it drains and accounts the operations that
+// completed.  more is asked before each operation, with the worker's count
+// so far.
+func run(e *sim.Engine, nWorkers int, seedMul, seedAdd int64, op Op, more func(p *sim.Proc, done int) bool) (Result, error) {
+	var res Result
+	var first error
+	begin := e.Now()
 	for w := 0; w < nWorkers; w++ {
-		w := w
-		rng := rand.New(rand.NewSource(int64(7919*w + 3)))
-		g.Go("worker", func(p *sim.Proc) {
-			for i := 0; i < per; i++ {
+		rng := rand.New(rand.NewSource(seedMul*int64(w) + seedAdd))
+		e.Spawn("worker", func(p *sim.Proc) {
+			for done := 0; more(p, done); done++ {
 				start := p.Now()
-				n := op(p, w, rng)
+				n, err := op(p, w, rng)
+				if err != nil {
+					if first == nil {
+						first = err
+					}
+					return
+				}
 				res.Ops++
 				res.Bytes += uint64(n)
 				res.LatTotal += p.Now().Sub(start)
 			}
 		})
 	}
-	end := e.Run()
-	res.Elapsed = sim.Duration(end)
-	return res
+	res.Elapsed = e.Run().Sub(begin)
+	return res, first
 }
 
 // RandomAligned returns a uniformly random offset in [0, space), aligned

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,10 +13,13 @@ func TestClosedLoopCountsOnlyWindowOps(t *testing.T) {
 	e := sim.New()
 	srv := sim.NewServer(e, "dev", 1)
 	horizon := sim.Time(time.Second)
-	res := ClosedLoop(e, 2, horizon, func(p *sim.Proc, w int, _ *rand.Rand) int {
+	res, err := ClosedLoop(e, 2, horizon, func(p *sim.Proc, w int, _ *rand.Rand) (int, error) {
 		srv.Use(p, 100*time.Millisecond)
-		return 1000
+		return 1000, nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Two workers on a single 100 ms server: 10 ops/s aggregate.  Workers
 	// only start ops before the horizon.
 	if res.Ops < 9 || res.Ops > 12 {
@@ -32,11 +36,14 @@ func TestClosedLoopCountsOnlyWindowOps(t *testing.T) {
 func TestFixedOpsSplitsWork(t *testing.T) {
 	e := sim.New()
 	var perWorker [4]int
-	res := FixedOps(e, 4, 40, func(p *sim.Proc, w int, _ *rand.Rand) int {
+	res, err := FixedOps(e, 4, 40, func(p *sim.Proc, w int, _ *rand.Rand) (int, error) {
 		perWorker[w]++
 		p.Wait(time.Millisecond)
-		return 10
+		return 10, nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Ops != 40 {
 		t.Fatalf("ops = %d", res.Ops)
 	}
@@ -53,10 +60,13 @@ func TestFixedOpsSplitsWork(t *testing.T) {
 
 func TestMeanLatency(t *testing.T) {
 	e := sim.New()
-	res := FixedOps(e, 1, 5, func(p *sim.Proc, _ int, _ *rand.Rand) int {
+	res, err := FixedOps(e, 1, 5, func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
 		p.Wait(20 * time.Millisecond)
-		return 1
+		return 1, nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m := res.MeanLatency(); m != 20*time.Millisecond {
 		t.Fatalf("mean latency = %v", m)
 	}
@@ -89,12 +99,46 @@ func TestRandomAligned(t *testing.T) {
 func TestWorkersHaveIndependentStreams(t *testing.T) {
 	e := sim.New()
 	seen := map[int]int64{}
-	FixedOps(e, 2, 2, func(p *sim.Proc, w int, rng *rand.Rand) int {
+	if _, err := FixedOps(e, 2, 2, func(p *sim.Proc, w int, rng *rand.Rand) (int, error) {
 		seen[w] = rng.Int63()
 		p.Wait(time.Millisecond)
-		return 0
-	})
+		return 0, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if seen[0] == seen[1] {
 		t.Fatal("workers shared a random stream")
+	}
+}
+
+// TestOpErrorEndsWorkerAndIsReturned: a failing op is not counted, stops its
+// worker only, and comes back as the run's error; the elapsed time is
+// measured from the call, not from the engine's time zero.
+func TestOpErrorEndsWorkerAndIsReturned(t *testing.T) {
+	boom := errors.New("boom")
+	e := sim.New()
+	e.Spawn("earlier", func(p *sim.Proc) { p.Wait(time.Second) })
+	e.Run()
+	res, err := FixedOps(e, 2, 8, func(p *sim.Proc, w int, _ *rand.Rand) (int, error) {
+		p.Wait(time.Millisecond)
+		if w == 1 {
+			return 0, boom
+		}
+		return 1, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if res.Ops != 4 || res.Bytes != 4 {
+		t.Fatalf("ops = %d bytes = %d, want worker 0's four ops only", res.Ops, res.Bytes)
+	}
+	if res.Elapsed != 4*time.Millisecond {
+		t.Fatalf("elapsed = %v, want 4ms measured from the call", res.Elapsed)
+	}
+	_, err = ClosedLoop(sim.New(), 1, sim.Time(time.Second), func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
+		return 0, boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("ClosedLoop err = %v, want boom", err)
 	}
 }
