@@ -80,6 +80,7 @@ type Stats struct {
 type line struct {
 	tag        int64 // line index: first sector / lineSecs
 	data       []byte
+	owned      bool // data is a full-size buffer of this line alone (a staged write), not part of a fill run's
 	prev, next *line
 }
 
@@ -98,6 +99,12 @@ type Cache struct {
 	table      map[int64]*line
 	head, tail *line // head = most recently used
 	stats      Stats
+
+	// free is a stack of the buffers of evicted or replaced staged lines,
+	// at most maxLines of them, which the next staged lines reuse: the
+	// engine runs one process at a time, so a plain slice needs no locking,
+	// and nothing outside the cache ever holds a line's buffer.
+	free [][]byte
 }
 
 // New creates a cache in front of dev.  mem is the crossbar memory hop hits
@@ -200,23 +207,44 @@ func (c *Cache) evict(p *sim.Proc) {
 	ln := c.tail
 	c.unlink(ln)
 	delete(c.table, ln.tag)
+	c.recycle(ln)
 	c.stats.Evictions++
 	p.Span("cache", "evict")()
 }
 
+// recycle keeps the buffer of a line that is going away, if it is the
+// line's own, for lineBuf.
+func (c *Cache) recycle(ln *line) {
+	if ln.owned && len(c.free) < c.maxLines {
+		c.free = append(c.free, ln.data)
+	}
+}
+
+// lineBuf returns a full-size line buffer with arbitrary contents; the
+// caller must overwrite all of it.
+func (c *Cache) lineBuf() []byte {
+	if k := len(c.free); k > 0 {
+		b := c.free[k-1]
+		c.free = c.free[:k-1]
+		return b
+	}
+	return make([]byte, c.lineSecs*c.secSize)
+}
+
 // install makes data resident as line li, evicting from the LRU tail under
-// capacity pressure.  If a concurrent fill already installed the line, the
-// newer data refresh it in place.
-func (c *Cache) install(p *sim.Proc, li int64, data []byte) {
+// capacity pressure; owned says data came from lineBuf.  If a concurrent
+// fill already installed the line, the newer data refresh it in place.
+func (c *Cache) install(p *sim.Proc, li int64, data []byte, owned bool) {
 	if ln, ok := c.table[li]; ok {
-		ln.data = data
+		c.recycle(ln)
+		ln.data, ln.owned = data, owned
 		c.touch(ln)
 		return
 	}
 	for len(c.table) >= c.maxLines {
 		c.evict(p)
 	}
-	ln := &line{tag: li, data: data}
+	ln := &line{tag: li, data: data, owned: owned}
 	c.table[li] = ln
 	c.pushFront(ln)
 }
@@ -335,7 +363,7 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 				if end > len(r.data) {
 					end = len(r.data)
 				}
-				c.install(p, li, r.data[off:end])
+				c.install(p, li, r.data[off:end], false)
 				c.copyOverlap(out, lba, n, li, r.data[off:end])
 			}
 		}
@@ -407,9 +435,9 @@ func (c *Cache) absorb(p *sim.Proc, lba int64, data []byte) {
 			c.touch(ln)
 			c.stats.Updates++
 		} else if !c.noStage && ovStart == lineStart && ovEnd == lineStart+int64(c.lineSecs) && ovEnd <= c.devSecs {
-			buf := make([]byte, c.lineSecs*c.secSize)
+			buf := c.lineBuf()
 			copy(buf, data[(ovStart-lba)*int64(c.secSize):])
-			c.install(p, li, buf)
+			c.install(p, li, buf, true)
 			c.stats.Staged++
 		}
 	}

@@ -325,5 +325,39 @@ func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
 		copy(want[(8-3)*512:], fresh)
 		clear(fresh)
 		scribbled("after scribbling on a written buffer")
+
+		// Evict a staged line, stage a new one — it takes over the evicted
+		// line's buffer — and read the first again: it comes from the device,
+		// with its own bytes.
+		lineA := bytes.Repeat([]byte{0xa1}, 8*512)
+		if err := c.Write(p, 80, lineA); err != nil {
+			t.Fatal(err)
+		}
+		for lba := int64(88); lba < 88+4*8; lba += 8 { // four more staged lines: line A is pushed out
+			if err := c.Write(p, lba, bytes.Repeat([]byte{byte(lba)}, 8*512)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(c.free) == 0 {
+			t.Fatal("no evicted staged line left its buffer on the free list")
+		}
+		held := len(c.free)
+		lineX := bytes.Repeat([]byte{0x22}, 8*512)
+		if err := c.Write(p, 160, lineX); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.free) != held { // one drawn for X, one returned by the line X pushed out
+			t.Fatalf("free list went from %d to %d buffers: the new line did not draw from it", held, len(c.free))
+		}
+		before := len(dev.reads)
+		if got, err := c.Read(p, 80, 8); err != nil || !bytes.Equal(got, lineA) {
+			t.Fatalf("the evicted line reads back wrong after its buffer was reused (err=%v)", err)
+		}
+		if len(dev.reads) == before {
+			t.Fatal("the evicted line was served without a device read")
+		}
+		if got, err := c.Read(p, 160, 8); err != nil || !bytes.Equal(got, lineX) {
+			t.Fatalf("the new staged line reads back wrong (err=%v)", err)
+		}
 	})
 }

@@ -34,7 +34,7 @@ func (fs *FS) pickCleanCandidate() int {
 	best, bestScore := -1, 0.0
 	segBytes := int32(fs.segDataBlks) * BlockSize
 	for idx := 0; idx < int(fs.sb.NSegs); idx++ {
-		if fs.free[idx] || fs.segAddr(idx) == fs.curSeg || fs.sealsPending[idx] {
+		if fs.free[idx] || fs.segAddr(idx) == fs.curSeg || fs.inflight[idx] != nil {
 			continue
 		}
 		if fs.usageLive[idx] >= segBytes {
@@ -109,21 +109,6 @@ func (fs *FS) blockLive(p *sim.Proc, e summaryEntry, addr int64) (bool, error) {
 // referent.
 func (fs *FS) moveBlock(p *sim.Proc, e summaryEntry, addr int64) error {
 	switch e.Kind {
-	case kindData:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err != nil {
-			return err
-		}
-		content, err := fs.readBlock(p, addr)
-		if err != nil {
-			return err
-		}
-		newAddr, err := fs.appendBlock(p, kindData, e.Arg1, e.Arg2, content)
-		if err != nil {
-			return err
-		}
-		fs.killBlock(addr)
-		return fs.setBlockAddr(p, in, int64(e.Arg2), newAddr)
 	case kindInode:
 		in, err := fs.loadInode(p, e.Arg1)
 		if err != nil {
@@ -131,89 +116,46 @@ func (fs *FS) moveBlock(p *sim.Proc, e summaryEntry, addr int64) error {
 		}
 		return fs.appendInode(p, in)
 	case kindImap:
-		chunk := int(e.Arg1)
-		buf := make([]byte, BlockSize)
-		base := chunk * imapChunkEntries
-		for i := 0; i < imapChunkEntries && base+i < len(fs.imap); i++ {
-			putI64(buf[i*8:], fs.imap[base+i])
-		}
-		newAddr, err := fs.appendBlock(p, kindImap, e.Arg1, 0, buf)
-		if err != nil {
-			return err
-		}
-		fs.killBlock(addr)
-		fs.imapAddrs[chunk] = newAddr
-		delete(fs.imapDirty, chunk)
-		return nil
+		return fs.stageImapChunk(p, int(e.Arg1))
 	case kindSegUsage:
-		chunk := int(e.Arg1)
-		newAddr, err := fs.appendBlock(p, kindSegUsage, e.Arg1, 0, fs.marshalUsageChunk(chunk))
-		if err != nil {
-			return err
-		}
-		fs.killBlock(addr)
-		fs.usageAddrs[chunk] = newAddr
+		return fs.stageUsageChunk(p, int(e.Arg1))
+	case kindData, kindIndirect, kindDIndTop, kindDIndL2:
+	default:
 		return nil
+	}
+	// A block of a file: the same bytes under the same description, then
+	// the one pointer to it.
+	in, err := fs.loadInode(p, e.Arg1)
+	if err != nil {
+		return err
+	}
+	content, err := fs.readBlock(p, addr)
+	if err != nil {
+		return err
+	}
+	newAddr, b, err := fs.appendSlot(p, e.Kind, e.Arg1, e.Arg2)
+	if err != nil {
+		return err
+	}
+	copy(b, content)
+	fs.killBlock(addr)
+	switch e.Kind {
+	case kindData:
+		return fs.setBlockAddr(p, in, int64(e.Arg2), newAddr)
 	case kindIndirect:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err != nil {
-			return err
-		}
-		content, err := fs.readBlock(p, addr)
-		if err != nil {
-			return err
-		}
-		newAddr, err := fs.appendBlock(p, kindIndirect, e.Arg1, 0, content)
-		if err != nil {
-			return err
-		}
-		fs.killBlock(addr)
 		in.Ind = newAddr
-		fs.dirtyInode(in)
-		return nil
 	case kindDIndTop:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err != nil {
-			return err
-		}
-		content, err := fs.readBlock(p, addr)
-		if err != nil {
-			return err
-		}
-		newAddr, err := fs.appendBlock(p, kindDIndTop, e.Arg1, 0, content)
-		if err != nil {
-			return err
-		}
-		fs.killBlock(addr)
 		in.DIndTop = newAddr
-		fs.dirtyInode(in)
-		return nil
 	case kindDIndL2:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err != nil {
-			return err
-		}
-		content, err := fs.readBlock(p, addr)
-		if err != nil {
-			return err
-		}
-		newAddr, err := fs.appendBlock(p, kindDIndL2, e.Arg1, e.Arg2, content)
-		if err != nil {
-			return err
-		}
-		fs.killBlock(addr)
 		newTop, err := fs.rewriteMeta(p, in.DIndTop, kindDIndTop, e.Arg1, 0, func(b []byte) {
 			putI64(b[int(e.Arg2)*8:], newAddr)
 		})
-		if err != nil {
+		if err != nil || newTop == in.DIndTop {
 			return err
 		}
-		if newTop != in.DIndTop {
-			in.DIndTop = newTop
-			fs.dirtyInode(in)
-		}
-		return nil
+		in.DIndTop = newTop
 	}
+	fs.dirtyInode(in)
 	return nil
 }
 

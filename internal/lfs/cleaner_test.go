@@ -121,7 +121,7 @@ func TestCleanerSurvivesCheckpointAndRemount(t *testing.T) {
 
 func TestAutoCleanUnderSpacePressure(t *testing.T) {
 	// A file system near capacity with lots of dead data should keep
-	// accepting writes because appendBlock triggers cleaning.
+	// accepting writes because appendSlot triggers cleaning.
 	// 4 data disks x 2 MB = 8 MB usable: ~125 segments of 64 KB.
 	e, fs := newFS(t, 64, 2)
 	run(e, func(p *sim.Proc) {
@@ -167,7 +167,7 @@ func TestCleanScorePrefersColdEmptySegments(t *testing.T) {
 	}
 }
 
-// TestFreeSegmentCountTracksMap: the count appendBlock consults equals a
+// TestFreeSegmentCountTracksMap: the count appendSlot consults equals a
 // scan of the free map after sealing, cleaning and a crash-and-remount, and
 // Check reports it when the two part ways.
 func TestFreeSegmentCountTracksMap(t *testing.T) {
@@ -220,5 +220,73 @@ func TestFreeSegmentCountTracksMap(t *testing.T) {
 		if r, err := fs2.Check(p); err != nil || r.OK() {
 			t.Fatalf("Check did not notice the count and the map disagree (err=%v)", err)
 		}
+	})
+}
+
+// TestMoveBlockRepointsIndirects drives moveBlock directly for each kind of
+// file block.  The cleaner reaches an indirect block only after the data it
+// points to (moving that rewrites the indirect block first), so the
+// double-indirect cases never arise from Clean; they must still leave the
+// file readable and the file system consistent.
+func TestMoveBlockRepointsIndirects(t *testing.T) {
+	e, fs := newFS(t, 64, 8)
+	run(e, func(p *sim.Proc) {
+		f, err := fs.Create(p, "/tall")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := []int64{0, NDirect + 5, NDirect + PtrsPerBlock + 3}
+		for i, fb := range blocks {
+			if _, err := f.WriteAt(p, bytes.Repeat([]byte{byte(i + 1)}, BlockSize), fb*BlockSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		in := fs.icache[f.inum]
+		inum := f.inum
+		top, err := fs.readBlock(p, in.DIndTop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			e    summaryEntry
+			addr func() int64
+		}{
+			{"data", summaryEntry{kindData, inum, 0}, func() int64 { return in.Direct[0] }},
+			{"indirect", summaryEntry{kindIndirect, inum, 0}, func() int64 { return in.Ind }},
+			{"double-indirect level 2", summaryEntry{kindDIndL2, inum, 0}, func() int64 { return getI64(top) }},
+			{"double-indirect top", summaryEntry{kindDIndTop, inum, 0}, func() int64 { return in.DIndTop }},
+		} {
+			old := c.addr()
+			if live, err := fs.blockLive(p, c.e, old); err != nil || !live {
+				t.Fatalf("%s block at %d: live=%v err=%v before the move", c.name, old, live, err)
+			}
+			if err := fs.moveBlock(p, c.e, old); err != nil {
+				t.Fatalf("move %s: %v", c.name, err)
+			}
+			if live, _ := fs.blockLive(p, c.e, old); live {
+				t.Fatalf("%s block still referenced at its old address %d", c.name, old)
+			}
+		}
+		check := func(when string) {
+			t.Helper()
+			for i, fb := range blocks {
+				got, err := f.ReadAt(p, fb*BlockSize, BlockSize)
+				if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, BlockSize)) {
+					t.Fatalf("%s: file block %d reads back wrong (err %v)", when, fb, err)
+				}
+			}
+			if r, err := fs.Check(p); err != nil || !r.OK() {
+				t.Fatalf("%s: check: %+v, err %v", when, r, err)
+			}
+		}
+		check("after the moves")
+		if err := fs.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		check("after a checkpoint")
 	})
 }

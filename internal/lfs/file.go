@@ -85,27 +85,21 @@ func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64) (int
 		if err != nil {
 			return written, err
 		}
-		var blockBuf []byte
-		if bo == 0 && n == BlockSize {
-			blockBuf = chunk
+		if b := fs.currentSlot(addr); b != nil {
+			copy(b[bo:], chunk) // still in the current segment: patch its slot
 		} else {
-			if addr != 0 {
-				if blockBuf, err = fs.readBlock(p, addr); err != nil {
+			var old []byte // what the chunk does not cover; nil for a hole or a whole block
+			if addr != 0 && n < BlockSize {
+				if old, err = fs.readBlock(p, addr); err != nil {
 					return written, err
 				}
-			} else {
-				blockBuf = make([]byte, BlockSize)
 			}
-			copy(blockBuf[bo:], chunk)
-		}
-
-		if addr != 0 && fs.isStaged(addr) {
-			fs.updateStaged(addr, blockBuf)
-		} else {
-			newAddr, err := fs.appendBlock(p, kindData, in.Inum, uint32(fb), blockBuf)
+			newAddr, b, err := fs.appendSlot(p, kindData, in.Inum, uint32(fb))
 			if err != nil {
 				return written, err
 			}
+			copy(b, old)
+			copy(b[bo:], chunk)
 			fs.killBlock(addr)
 			if err := fs.setBlockAddr(p, in, fb, newAddr); err != nil {
 				return written, err
@@ -221,7 +215,7 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, err
 	// Resolve every piece under the lock.  Holes and staged blocks (the
 	// current segment, and sealed segments whose device writes are still in
 	// flight) are settled here and now, by clearing or by copying out of
-	// the pending map; pieces on the device coalesce into runs of blocks
+	// the segment image; pieces on the device coalesce into runs of blocks
 	// that are contiguous in the log.
 	type piece struct {
 		bufOff int // offset in out
@@ -253,7 +247,7 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, err
 			clear(out[pc.bufOff:got])
 			continue
 		}
-		if b, ok := fs.pending[addr]; ok {
+		if b := fs.stagedBlock(addr); b != nil {
 			copy(out[pc.bufOff:got], b[bo:])
 			continue
 		}

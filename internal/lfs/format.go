@@ -203,8 +203,8 @@ type summary struct {
 	Entries []summaryEntry
 }
 
-func (s *summary) marshal() []byte {
-	buf := make([]byte, BlockSize)
+// marshal writes the summary into buf, a zeroed block.
+func (s *summary) marshal(buf []byte) {
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], summaryMagic)
 	le.PutUint64(buf[4:], s.Seq)
@@ -219,7 +219,6 @@ func (s *summary) marshal() []byte {
 		off += summaryEntryBytes
 	}
 	le.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return buf
 }
 
 func (s *summary) unmarshal(buf []byte) error {

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -82,12 +83,15 @@ type FS struct {
 	cpSeq    uint64
 	cpNext   int // which checkpoint region to write next
 
-	// Current (in-memory) segment.
+	// Current (in-memory) segment.  segImage is the segment exactly as it
+	// will be written: block 0 is left for the summary, block i+1 is the slot
+	// of segEntries[i].  It is allocated (zeroed, so a partial seal's tail
+	// is zero) when the segment takes its first block and handed to the
+	// device at seal time without being copied.
 	curSeg     int64 // block address of the segment's first block
 	segSeq     uint64
 	segEntries []summaryEntry
-	segStaged  [][]byte // staged blocks, index 0 == segment block 1
-	pending    map[int64][]byte
+	segImage   []byte
 
 	free      []bool
 	nFree     int // free segments: the true entries of free, kept by setFree
@@ -112,8 +116,11 @@ type FS struct {
 
 	// In-flight asynchronous segment writes: "full LFS segments are
 	// written to disk while newer segments are being filled with data."
-	seals        *sim.Group
-	sealsPending map[int]bool
+	// inflight holds each sealed image by segment index until its device
+	// write completes (for good if it fails), so its blocks stay readable.
+	// A sealed image is never modified: the device may still be reading it.
+	seals    *sim.Group
+	inflight map[int][]byte
 
 	// devErr latches the first error a background segment write hit: the
 	// log on disk is no longer trustworthy past that point, so every later
@@ -221,7 +228,6 @@ func (fs *FS) initState() {
 	fs.usageSeq = make([]uint64, fs.sb.NSegs)
 	fs.usageAddrs = make([]int64, (int(fs.sb.NSegs)+usageChunkEntries-1)/usageChunkEntries)
 	fs.usageDirty = make(map[int]bool)
-	fs.pending = make(map[int64][]byte)
 	fs.free = make([]bool, fs.sb.NSegs)
 	for i := range fs.free {
 		fs.free[i] = true
@@ -230,7 +236,7 @@ func (fs *FS) initState() {
 	fs.icache = make(map[uint32]*inode)
 	fs.idirty = make(map[uint32]bool)
 	fs.seals = sim.NewGroup(fs.eng)
-	fs.sealsPending = make(map[int]bool)
+	fs.inflight = make(map[int][]byte)
 	fs.metaCache = make(map[int64][]byte)
 }
 
@@ -244,7 +250,7 @@ func (fs *FS) SegmentBytes() int { return int(fs.sb.SegBlocks) * BlockSize }
 func (fs *FS) FreeSegments() int { return fs.nFree }
 
 // setFree marks segment idx free or in use.  Every change to the free map
-// goes through here so the count appendBlock consults on every block stays
+// goes through here so the count appendSlot consults on every block stays
 // exact; Check compares it against a scan.
 func (fs *FS) setFree(idx int, free bool) {
 	if fs.free[idx] == free {
@@ -271,13 +277,11 @@ func (fs *FS) segOf(addr int64) int {
 	return int((addr - fs.sb.SegStart) / int64(fs.sb.SegBlocks))
 }
 
-// readBlock returns the contents of block addr, consulting the staged
-// (unflushed) segment first.
+// readBlock returns the contents of block addr as the caller's own copy,
+// consulting the staged (unflushed) segments first.
 func (fs *FS) readBlock(p *sim.Proc, addr int64) ([]byte, error) {
-	if b, ok := fs.pending[addr]; ok {
-		out := make([]byte, BlockSize)
-		copy(out, b)
-		return out, nil
+	if b := fs.stagedBlock(addr); b != nil {
+		return bytes.Clone(b), nil
 	}
 	return fs.dev.Read(p, addr*int64(fs.blockSectors), fs.blockSectors)
 }
@@ -291,7 +295,7 @@ const metaCacheCap = 4096
 // the caller must not modify it, and must be done with it before it next
 // waits or appends to the log.
 func (fs *FS) metaView(p *sim.Proc, addr int64) ([]byte, error) {
-	if b, ok := fs.pending[addr]; ok {
+	if b := fs.stagedBlock(addr); b != nil {
 		return b, nil
 	}
 	if b, ok := fs.metaCache[addr]; ok {
@@ -324,61 +328,91 @@ func (fs *FS) dropMeta(addr int64) {
 	delete(fs.metaCache, addr)
 }
 
-// resetSegment clears the staging area for the current segment.
+// resetSegment starts an empty current segment.
 func (fs *FS) resetSegment() {
 	fs.segEntries = fs.segEntries[:0]
-	fs.segStaged = fs.segStaged[:0]
+	fs.segImage = nil
 }
 
-// appendBlock stages content as the next block of the current segment and
-// returns its (final) block address.  The segment seals automatically when
-// full.  Content must be exactly one block.
-func (fs *FS) appendBlock(p *sim.Proc, kind uint32, a1, a2 uint32, content []byte) (int64, error) {
-	if len(content) != BlockSize {
-		//lint:allow simpanic internal log-append contract; every caller pads to BlockSize before staging
-		panic("lfs: appendBlock needs exactly one block")
+// slot returns block i (0 is the summary) of a segment image.
+func slot(image []byte, i int64) []byte {
+	return image[i*BlockSize : (i+1)*BlockSize : (i+1)*BlockSize]
+}
+
+// currentSlot returns the slot of addr if it is a block of the current,
+// unsealed segment — the only staged blocks that may still be patched —
+// and nil otherwise.
+func (fs *FS) currentSlot(addr int64) []byte {
+	if addr <= fs.curSeg || addr > fs.curSeg+int64(len(fs.segEntries)) {
+		return nil
 	}
+	return slot(fs.segImage, addr-fs.curSeg)
+}
+
+// stagedBlock returns block addr for reading if the device does not have it
+// yet: a view into the current segment's image or into a sealed image whose
+// write is in flight, nil otherwise.
+func (fs *FS) stagedBlock(addr int64) []byte {
+	if b := fs.currentSlot(addr); b != nil {
+		return b
+	}
+	if image, ok := fs.inflight[fs.segOf(addr)]; ok {
+		return slot(image, (addr-fs.sb.SegStart)%int64(fs.sb.SegBlocks))
+	}
+	return nil
+}
+
+// appendSlot reserves the next block of the current segment for a block
+// described by (kind, a1, a2) and returns its (final) block address and its
+// zeroed slot in the segment image, which the caller fills: the image is the
+// only place the block is staged.  The segment seals automatically when full.
+func (fs *FS) appendSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, error) {
 	if fs.devErr != nil {
-		return 0, fs.devErr
+		return 0, nil, fs.devErr
 	}
 	if !fs.cleaning && fs.FreeSegments() < fs.cfg.CleanReserve {
 		// Try to stay ahead of log exhaustion.  Failure to find cleanable
 		// segments is not fatal here; the seal path reports ErrNoSpace.
 		_ = fs.cleanSome(p, fs.cfg.CleanReserve) //lint:allow errdrop opportunistic clean; the seal path reports ErrNoSpace
 	}
-	if len(fs.segStaged) >= fs.segDataBlks {
+	if len(fs.segEntries) >= fs.segDataBlks {
 		if err := fs.sealSegment(p); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
-	addr := fs.curSeg + 1 + int64(len(fs.segStaged))
-	staged := make([]byte, BlockSize)
-	copy(staged, content)
-	fs.segStaged = append(fs.segStaged, staged)
+	if fs.segImage == nil {
+		fs.segImage = make([]byte, fs.SegmentBytes())
+	}
 	fs.segEntries = append(fs.segEntries, summaryEntry{Kind: kind, Arg1: a1, Arg2: a2})
-	fs.pending[addr] = staged
+	addr := fs.curSeg + int64(len(fs.segEntries))
 	seg := fs.segOf(addr)
 	fs.usageLive[seg] += BlockSize
 	fs.markUsageDirty(seg)
 	fs.stats.BlocksAppended++
-	return addr, nil
+	return addr, slot(fs.segImage, addr-fs.curSeg), nil
 }
 
-// updateStaged overwrites a block that is still in the current (not yet
-// sealed) segment.  Blocks of sealed segments whose device writes are still
-// in flight remain readable through the pending map but must NOT be
-// patched: the seal snapshot already fixed their on-disk contents.
-func (fs *FS) updateStaged(addr int64, content []byte) bool {
-	if !fs.isStaged(addr) {
-		return false
+// restage writes the new version of a metadata block whose previous version
+// is at old (0: none): over the old one if that is still in the current
+// segment, else into a fresh slot, and the old block dies.  fill must set
+// every byte it does not want to inherit: the slot holds the old version in
+// the first case and zeros in the second.  In the second case it runs after
+// the append has made room, which may have run the cleaner and sealed a
+// segment: what it writes is the caller's snapshot from before the call,
+// so the log records the state the caller decided to write.  It returns the
+// block's address.
+func (fs *FS) restage(p *sim.Proc, old int64, kind, a1, a2 uint32, fill func([]byte)) (int64, error) {
+	if b := fs.currentSlot(old); b != nil {
+		fill(b)
+		return old, nil
 	}
-	copy(fs.pending[addr], content)
-	return true
-}
-
-// isStaged reports whether addr is in the current, unsealed segment.
-func (fs *FS) isStaged(addr int64) bool {
-	return addr > fs.curSeg && addr <= fs.curSeg+int64(len(fs.segStaged))
+	addr, b, err := fs.appendSlot(p, kind, a1, a2)
+	if err != nil {
+		return 0, err
+	}
+	fill(b)
+	fs.killBlock(old)
+	return addr, nil
 }
 
 // killBlock marks the block at addr dead for space accounting.
@@ -415,14 +449,14 @@ func (fs *FS) pickFreeSegment() (int, error) {
 	return 0, ErrNoSpace
 }
 
-// sealSegment writes the current segment (summary + staged blocks, padded
-// to full length) to the device as one large sequential write — a full
+// sealSegment writes the current segment's image (summary + staged blocks,
+// zero to full length) to the device as one large sequential write — a full
 // stripe on the paper's configuration — and opens the next free segment.
 func (fs *FS) sealSegment(p *sim.Proc) error {
 	if fs.devErr != nil {
 		return fs.devErr
 	}
-	if len(fs.segStaged) == 0 {
+	if len(fs.segEntries) == 0 {
 		return nil
 	}
 	nextIdx, err := fs.pickFreeSegment()
@@ -437,44 +471,35 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		NextSeg: nextAddr,
 		Entries: fs.segEntries,
 	}
-	segBytes := int(fs.sb.SegBlocks) * BlockSize
-	buf := make([]byte, segBytes)
-	copy(buf, sum.marshal())
-	for i, b := range fs.segStaged {
-		copy(buf[(i+1)*BlockSize:], b)
-	}
+	image := fs.segImage
+	sum.marshal(slot(image, 0))
 
 	curIdx := fs.segOf(fs.curSeg)
 	fs.setFree(curIdx, false)
 	fs.usageSeq[curIdx] = fs.segSeq
 	fs.markUsageDirty(curIdx)
-	if len(fs.segStaged) < fs.segDataBlks {
+	if len(fs.segEntries) < fs.segDataBlks {
 		fs.stats.PartialSegSeals++
 	}
 	fs.stats.SegmentsWritten++
 
 	// Write the segment asynchronously: newer segments fill while this one
-	// streams to the array.  Staged blocks stay readable from the pending
-	// map until the device write completes.
+	// streams to the array.  Its blocks stay readable from the image until
+	// the device write completes; from here on nothing writes to the image.
 	sealSeg := fs.curSeg
-	nStaged := len(fs.segStaged)
-	fs.sealsPending[curIdx] = true
+	fs.inflight[curIdx] = image
 	fs.seals.Go("lfs-seal", func(q *sim.Proc) {
 		end := q.Span("lfs", "segment-write")
 		defer end()
-		if err := fs.dev.Write(q, sealSeg*int64(fs.blockSectors), buf); err != nil {
-			// The segment never reached the array: keep the staged blocks
-			// readable and surface the loss at the next append or sync.
+		if err := fs.dev.Write(q, sealSeg*int64(fs.blockSectors), image); err != nil {
+			// The segment never reached the array: keep its blocks readable
+			// and surface the loss at the next append or sync.
 			if fs.devErr == nil {
 				fs.devErr = fmt.Errorf("lfs: segment write: %w", err)
 			}
-			delete(fs.sealsPending, fs.segOf(sealSeg))
 			return
 		}
-		for i := 0; i < nStaged; i++ {
-			delete(fs.pending, sealSeg+1+int64(i))
-		}
-		delete(fs.sealsPending, fs.segOf(sealSeg))
+		delete(fs.inflight, curIdx)
 	})
 	fs.curSeg = nextAddr
 	fs.setFree(nextIdx, false)
@@ -501,20 +526,43 @@ func (fs *FS) flushInodes(p *sim.Proc) error {
 
 // appendInode writes an inode block to the log and updates the inode map.
 func (fs *FS) appendInode(p *sim.Proc, in *inode) error {
-	buf := make([]byte, BlockSize)
-	in.marshal(buf)
 	old := fs.imap[in.Inum]
-	if old != 0 && fs.isStaged(old) {
-		fs.updateStaged(old, buf)
-		return nil
+	now := *in // as it stands: the append may run the cleaner, which can repoint this file's blocks
+	addr, err := fs.restage(p, old, kindInode, in.Inum, 0, now.marshal)
+	if err != nil || addr == old {
+		return err
 	}
-	addr, err := fs.appendBlock(p, kindInode, in.Inum, 0, buf)
+	fs.imap[in.Inum] = addr
+	fs.imapDirty[int(in.Inum)/imapChunkEntries] = true
+	return nil
+}
+
+// stageImapChunk writes inode-map chunk chunk to the log.
+func (fs *FS) stageImapChunk(p *sim.Proc, chunk int) error {
+	buf := make([]byte, BlockSize)
+	base := chunk * imapChunkEntries
+	for i := 0; i < imapChunkEntries && base+i < len(fs.imap); i++ {
+		putI64(buf[i*8:], fs.imap[base+i])
+	}
+	addr, err := fs.restage(p, fs.imapAddrs[chunk], kindImap, uint32(chunk), 0, func(b []byte) { copy(b, buf) })
 	if err != nil {
 		return err
 	}
-	fs.killBlock(old)
-	fs.imap[in.Inum] = addr
-	fs.imapDirty[int(in.Inum)/imapChunkEntries] = true
+	fs.imapAddrs[chunk] = addr
+	delete(fs.imapDirty, chunk)
+	return nil
+}
+
+// stageUsageChunk writes segment-usage chunk chunk to the log: best-effort
+// (the append itself, and a seal it may cause, perturb the live counts
+// slightly; the cleaner re-verifies liveness anyway).
+func (fs *FS) stageUsageChunk(p *sim.Proc, chunk int) error {
+	buf := fs.marshalUsageChunk(chunk)
+	addr, err := fs.restage(p, fs.usageAddrs[chunk], kindSegUsage, uint32(chunk), 0, func(b []byte) { copy(b, buf) })
+	if err != nil {
+		return err
+	}
+	fs.usageAddrs[chunk] = addr
 	return nil
 }
 
@@ -556,46 +604,19 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 	}
 	// Imap chunks: exact, since inodes no longer move.
 	for chunk := 0; chunk < len(fs.imapAddrs); chunk++ {
-		if !fs.imapDirty[chunk] {
-			continue
-		}
-		buf := make([]byte, BlockSize)
-		base := chunk * imapChunkEntries
-		for i := 0; i < imapChunkEntries && base+i < len(fs.imap); i++ {
-			putI64(buf[i*8:], fs.imap[base+i])
-		}
-		old := fs.imapAddrs[chunk]
-		if old != 0 && fs.isStaged(old) {
-			fs.updateStaged(old, buf)
-		} else {
-			addr, err := fs.appendBlock(p, kindImap, uint32(chunk), 0, buf)
-			if err != nil {
+		if fs.imapDirty[chunk] {
+			if err := fs.stageImapChunk(p, chunk); err != nil {
 				return err
 			}
-			fs.killBlock(old)
-			fs.imapAddrs[chunk] = addr
 		}
-		delete(fs.imapDirty, chunk)
 	}
-	// Usage chunks: best-effort (the appends below this point perturb the
-	// live counts slightly; the cleaner re-verifies liveness anyway).
 	for chunk := 0; chunk < len(fs.usageAddrs); chunk++ {
-		if !fs.usageDirty[chunk] {
-			continue
-		}
-		buf := fs.marshalUsageChunk(chunk)
-		old := fs.usageAddrs[chunk]
-		if old != 0 && fs.isStaged(old) {
-			fs.updateStaged(old, buf)
-		} else {
-			addr, err := fs.appendBlock(p, kindSegUsage, uint32(chunk), 0, buf)
-			if err != nil {
+		if fs.usageDirty[chunk] {
+			if err := fs.stageUsageChunk(p, chunk); err != nil {
 				return err
 			}
-			fs.killBlock(old)
-			fs.usageAddrs[chunk] = addr
+			delete(fs.usageDirty, chunk)
 		}
-		delete(fs.usageDirty, chunk)
 	}
 	if err := fs.sealSegment(p); err != nil {
 		return err
@@ -796,7 +817,8 @@ func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error
 // Crash discards all in-memory state, simulating a power failure.  The FS
 // is unusable afterwards; Mount the device again to recover.
 func (fs *FS) Crash() {
-	fs.pending = nil
+	fs.resetSegment()
+	fs.inflight = nil
 	fs.icache = nil
 	fs.imap = nil
 }
@@ -831,5 +853,13 @@ func (fs *FS) String() string {
 		fs.sb.NSegs, fs.SegmentBytes()/1024, fs.FreeSegments())
 }
 
-// Pending exposes the staged/in-flight block map size for diagnostics.
-func (fs *FS) Pending() map[int64][]byte { return fs.pending }
+// Pending reports, for diagnostics, how many segment images hold blocks the
+// device does not have yet: the current segment if it has any, and every
+// sealed one in flight.
+func (fs *FS) Pending() int {
+	n := len(fs.inflight)
+	if len(fs.segEntries) > 0 {
+		n++
+	}
+	return n
+}

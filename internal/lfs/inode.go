@@ -71,29 +71,29 @@ func (fs *FS) allocInode(mode Mode, now sim.Time) (*inode, error) {
 }
 
 // rewriteMeta updates a metadata block (indirect block or similar): if it
-// is still staged it is patched in place; otherwise a fresh copy is
-// appended to the log and the old block dies.  It returns the block's
-// (possibly new) address.
+// is still in the current segment it is patched in place; otherwise a copy
+// is appended to the log, patched there, and the old block dies.  It returns
+// the block's (possibly new) address.
 func (fs *FS) rewriteMeta(p *sim.Proc, addr int64, kind, a1, a2 uint32, mutate func([]byte)) (int64, error) {
-	if addr != 0 && fs.isStaged(addr) {
-		mutate(fs.pending[addr])
+	if b := fs.currentSlot(addr); b != nil {
+		mutate(b)
 		return addr, nil
 	}
-	var buf []byte
-	if addr == 0 {
-		buf = make([]byte, BlockSize)
-	} else {
-		old, err := fs.metaView(p, addr)
-		if err != nil {
+	var old []byte // nil for a new block: the fresh slot is already zero
+	if addr != 0 {
+		var err error
+		// A view is enough: it is of a sealed image, the metadata cache or a
+		// device read, none of which anything writes to again.
+		if old, err = fs.metaView(p, addr); err != nil {
 			return 0, err
 		}
-		buf = append(buf, old...) // a private copy: mutate must not reach the cache's
 	}
-	mutate(buf)
-	newAddr, err := fs.appendBlock(p, kind, a1, a2, buf)
+	newAddr, b, err := fs.appendSlot(p, kind, a1, a2)
 	if err != nil {
 		return 0, err
 	}
+	copy(b, old)
+	mutate(b)
 	fs.killBlock(addr)
 	return newAddr, nil
 }

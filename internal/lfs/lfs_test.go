@@ -261,8 +261,8 @@ func TestSyncDurability(t *testing.T) {
 		if err := fs.Sync(p); err != nil {
 			t.Fatal(err)
 		}
-		if len(fs.pending) != 0 {
-			t.Fatalf("%d blocks still staged after sync", len(fs.pending))
+		if n := fs.Pending(); n != 0 {
+			t.Fatalf("%d segment images still staged after sync", n)
 		}
 	})
 }

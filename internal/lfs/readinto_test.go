@@ -82,8 +82,8 @@ func TestReadDestinationNeverAliasesPending(t *testing.T) {
 			}
 			clear(got)
 		}
-		if len(fs.Pending()) == 0 {
-			t.Fatal("nothing staged: the test would not exercise the pending map")
+		if fs.Pending() == 0 {
+			t.Fatal("nothing staged: the test would not exercise the segment image")
 		}
 		check("staged")
 		check("staged again")

@@ -399,18 +399,42 @@ func (z *Store) putFragment(p *sim.Proc, f *file, srv int, stripe int64, data []
 	return nil
 }
 
-// getFragment reads one fragment on its server and ships it to the client.
-func (z *Store) getFragment(p *sim.Proc, f *file, srv int, stripe int64, fsz int) ([]byte, error) {
+// getFragment reads one fragment on its server into dst, the fragment's
+// place at the client, and ships it there.
+func (z *Store) getFragment(p *sim.Proc, f *file, srv int, stripe int64, dst []byte) error {
 	bf, bi, off := z.fragLoc(f, srv, stripe)
 	b := z.fleet.Servers[srv].Boards[bi]
-	data, err := bf.File.ReadAt(p, off, fsz)
+	n, err := bf.File.ReadAtInto(p, off, dst)
 	if err != nil {
-		return nil, fmt.Errorf("fragment read on s%d: %w", srv, err)
+		return fmt.Errorf("fragment read on s%d: %w", srv, err)
 	}
-	if _, err := z.fleet.Ultra.Send(p, b.HEP, z.ep, fsz); err != nil {
-		return nil, fmt.Errorf("fragment from s%d: %w", srv, err)
+	clear(dst[n:]) // what the backing file does not hold reads as zeros
+	if _, err := z.fleet.Ultra.Send(p, b.HEP, z.ep, len(dst)); err != nil {
+		return fmt.Errorf("fragment from s%d: %w", srv, err)
 	}
-	return data, nil
+	return nil
+}
+
+// fetchFragments runs getFragment for every server s with a non-empty
+// places[s], in parallel, each in a process called procName.
+func (z *Store) fetchFragments(p *sim.Proc, procName string, f *file, stripe int64, places [][]byte) error {
+	errs := make([]error, len(places))
+	g := sim.NewGroup(z.fleet.Eng)
+	for s, dst := range places {
+		if len(dst) == 0 {
+			continue
+		}
+		g.Go(procName, func(q *sim.Proc) {
+			errs[s] = z.getFragment(q, f, s, stripe, dst)
+		})
+	}
+	g.Wait(p)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Read fetches n bytes at off (clamped to the file size) and returns them.
@@ -452,21 +476,21 @@ func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error)
 		window.Acquire(p)
 		g.Go("zebra-read-stripe", func(q *sim.Proc) {
 			defer window.Release()
-			buf, err := z.readStripe(q, f, s)
-			if err != nil {
-				stripeErrs[s-first] = err
+			lo, sz := s*sb, int64(z.stripeSize(f, s)) // stripe's logical start and length
+			from, to := max(off-lo, 0), min(off+int64(n)-lo, sz)
+			part := out[lo+from-off : lo+to-off]
+			if to-from == sz {
+				// The request covers the stripe: it lands straight in its
+				// part of the result.
+				stripeErrs[s-first] = z.readStripe(q, f, s, part)
 				return
 			}
-			// Copy the overlap of this stripe into the result.
-			lo := s * sb // stripe's logical start
-			from, to := off-lo, off+int64(n)-lo
-			if from < 0 {
-				from = 0
+			// The first or last stripe, covered partially: through a buffer
+			// of its own, and the overlap is copied.
+			buf := make([]byte, sz)
+			if stripeErrs[s-first] = z.readStripe(q, f, s, buf); stripeErrs[s-first] == nil {
+				copy(part, buf[from:to])
 			}
-			if to > int64(len(buf)) {
-				to = int64(len(buf))
-			}
-			copy(out[lo+from-off:], buf[from:to])
 		})
 	}
 	g.Wait(p)
@@ -478,24 +502,21 @@ func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error)
 	return out, nil
 }
 
-// readStripe returns stripe s's data, reconstructing through parity when a
-// server is unavailable.  A fragment fetch that dies mid-flight (the host
-// went down between the liveness check and the transfer) gets one degraded
-// retry — by then the liveness check sees the dead host and routes around
-// it.
-func (z *Store) readStripe(p *sim.Proc, f *file, stripe int64) ([]byte, error) {
-	buf, err := z.tryReadStripe(p, f, stripe)
+// readStripe reads stripe s's data into buf, reconstructing through parity
+// when a server is unavailable.  A fragment fetch that dies mid-flight (the
+// host went down between the liveness check and the transfer) gets one
+// degraded retry — by then the liveness check sees the dead host and routes
+// around it.
+func (z *Store) readStripe(p *sim.Proc, f *file, stripe int64, buf []byte) error {
+	err := z.tryReadStripe(p, f, stripe, buf)
 	if err != nil && errors.Is(err, fault.ErrLinkDown) {
-		buf, err = z.tryReadStripe(p, f, stripe)
+		err = z.tryReadStripe(p, f, stripe, buf)
 	}
-	return buf, err
+	return err
 }
 
-func (z *Store) tryReadStripe(p *sim.Proc, f *file, stripe int64) ([]byte, error) {
-	sz := z.stripeSize(f, stripe)
-	if sz == 0 {
-		return nil, nil
-	}
+func (z *Store) tryReadStripe(p *sim.Proc, f *file, stripe int64, buf []byte) error {
+	sz := len(buf)
 	n := z.Width()
 	pIdx := z.parityServer(stripe)
 
@@ -510,48 +531,39 @@ func (z *Store) tryReadStripe(p *sim.Proc, f *file, stripe int64) ([]byte, error
 			continue
 		}
 		if missing >= 0 || pIdx < 0 {
-			return nil, fmt.Errorf("stripe %d unrecoverable: more fragments lost than parity covers: %w", stripe, fault.ErrLinkDown)
+			return fmt.Errorf("stripe %d unrecoverable: more fragments lost than parity covers: %w", stripe, fault.ErrLinkDown)
 		}
 		missing = s
 	}
 
-	// Fetch every available needed fragment in parallel.  Healthy stripes
-	// skip the parity fragment; degraded stripes need it for the XOR.
-	got := make([][]byte, n)
-	errs := make([]error, n)
-	g := sim.NewGroup(z.fleet.Eng)
+	// Every data fragment's place is its part of buf.  Healthy stripes skip
+	// the parity fragment; a stripe missing a data fragment needs it for the
+	// XOR, in a buffer of its own.
+	places := make([][]byte, n)
 	for s := 0; s < n; s++ {
 		fsz := z.holdSize(sz, s, pIdx)
-		if fsz == 0 || s == missing || (s == pIdx && missing < 0) {
-			continue
-		}
-		s, fsz := s, fsz
-		g.Go("zebra-read-frag", func(q *sim.Proc) {
-			got[s], errs[s] = z.getFragment(q, f, s, stripe, fsz)
-		})
-	}
-	g.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		switch {
+		case fsz == 0: // tail stripe: this server holds nothing yet
+		case s != pIdx:
+			lo := dataIndex(s, pIdx) * z.cfg.FragmentBytes
+			places[s] = buf[lo : lo+fsz]
+		case missing >= 0 && missing != pIdx:
+			places[s] = make([]byte, fsz)
 		}
 	}
-
-	// Reconstruct the missing fragment: parity is the XOR of the data
-	// fragments, so any single fragment is the XOR of all the others.
-	if missing >= 0 && missing != pIdx {
-		got[missing] = z.xorFragments(got, sz)[:z.holdSize(sz, missing, pIdx)]
+	var lost []byte
+	if missing >= 0 {
+		lost, places[missing] = places[missing], nil
 	}
-
-	buf := make([]byte, sz)
-	for k := 0; k < z.dataWidth(); k++ {
-		lo := k * z.cfg.FragmentBytes
-		if lo >= sz {
-			break // tail stripe: the remaining servers hold nothing yet
-		}
-		copy(buf[lo:], got[z.dataServer(stripe, k)])
+	if err := z.fetchFragments(p, "zebra-read-frag", f, stripe, places); err != nil {
+		return err
 	}
-	return buf, nil
+	if lost != nil {
+		// Parity is the XOR of the data fragments, so any single fragment is
+		// the XOR of all the others.
+		xorFragments(lost, places)
+	}
+	return nil
 }
 
 // RebuildServer reconstructs every stale fragment on server srv from the
@@ -600,11 +612,8 @@ func (z *Store) reconstructFragment(p *sim.Proc, f *file, srv int, stripe int64)
 	if pIdx < 0 {
 		return nil, errors.New("no parity to reconstruct from")
 	}
-	n := z.Width()
-	got := make([][]byte, n)
-	errs := make([]error, n)
-	g := sim.NewGroup(z.fleet.Eng)
-	for s := 0; s < n; s++ {
+	got := make([][]byte, z.Width())
+	for s := range got {
 		fsz := z.holdSize(sz, s, pIdx)
 		if s == srv || fsz == 0 {
 			continue
@@ -612,29 +621,25 @@ func (z *Store) reconstructFragment(p *sim.Proc, f *file, srv int, stripe int64)
 		if z.fleet.Servers[s].Down() || f.stale[s][stripe] {
 			return nil, fmt.Errorf("source fragment on s%d unavailable: %w", s, fault.ErrLinkDown)
 		}
-		s, fsz := s, fsz
-		g.Go("zebra-rebuild-frag", func(q *sim.Proc) {
-			got[s], errs[s] = z.getFragment(q, f, s, stripe, fsz)
-		})
+		got[s] = make([]byte, fsz)
 	}
-	g.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := z.fetchFragments(p, "zebra-rebuild-frag", f, stripe, got); err != nil {
+		return nil, err
 	}
-	return z.xorFragments(got, sz)[:z.holdSize(sz, srv, pIdx)], nil
+	lost := make([]byte, z.holdSize(sz, srv, pIdx))
+	xorFragments(lost, got)
+	return lost, nil
 }
 
-// xorFragments returns the XOR of the fragments of a stripe of sz data
-// bytes, padded to fragment 0's size: with one fragment absent (nil), that
-// is the absent fragment.
-func (z *Store) xorFragments(frags [][]byte, sz int) []byte {
-	acc := make([]byte, z.fragSize(sz, 0))
-	for _, f := range frags {
-		bytepath.XOR(acc[:len(f)], f)
+// xorFragments sets lost to the XOR of the other fragments of its stripe
+// (nil entries are skipped): the one fragment that is absent.  No fragment
+// is shorter than a later one, so lost takes as much of each as it has.
+func xorFragments(lost []byte, others [][]byte) {
+	clear(lost)
+	for _, f := range others {
+		m := min(len(f), len(lost))
+		bytepath.XOR(lost[:m], f[:m])
 	}
-	return acc
 }
 
 // SyncAll flushes every board's file system on every server in parallel,

@@ -2,6 +2,7 @@ package zebra
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 
 // newFleet builds a striped fleet with formatted file systems on every
 // board of every server, plus a client ring endpoint.
-func newFleet(t *testing.T, servers, boards int) (*server.Fleet, *Store) {
+func newFleet(t testing.TB, servers, boards int) (*server.Fleet, *Store) {
 	t.Helper()
 	cfg := server.Fig8Config()
 	cfg.Servers = servers
@@ -137,6 +138,41 @@ func TestDegradedReadReconstructs(t *testing.T) {
 	fl.Eng.Run()
 }
 
+// TestDegradedReadInPlace: with any one host down, whole-file reads and
+// ranges that start and end inside stripes return the written bytes — full
+// stripes reconstructed straight into the result, partial ones through
+// their own buffer, and a tail stripe whose lost fragment is shorter than
+// the fragments it is rebuilt from.
+func TestDegradedReadInPlace(t *testing.T) {
+	fl, z := newFleet(t, 4, 1)
+	frag := z.StripeBytes() / 3
+	data := pattern(3, 2*z.StripeBytes()+frag+frag/3)
+	fl.Eng.Spawn("t", func(p *sim.Proc) {
+		if err := z.Create(p, "f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Write(p, "f", 0, data); err != nil {
+			t.Fatal(err)
+		}
+		for dead := 0; dead < 4; dead++ {
+			fl.Servers[dead].SetDown(true)
+			for _, r := range [][2]int{
+				{0, len(data)},
+				{frag / 2, 2 * z.StripeBytes()},        // partial, whole, partial
+				{z.StripeBytes(), z.StripeBytes() + 7}, // whole, then 7 bytes of the tail
+				{2*z.StripeBytes() + frag - 5, frag/3 + 5},
+			} {
+				got, err := z.Read(p, "f", int64(r[0]), r[1])
+				if err != nil || !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {
+					t.Fatalf("server %d down: read(%d,+%d) returned wrong bytes (err %v)", dead, r[0], r[1], err)
+				}
+			}
+			fl.Servers[dead].SetDown(false)
+		}
+	})
+	fl.Eng.Run()
+}
+
 func TestStaleWriteAndRebuild(t *testing.T) {
 	fl, z := newFleet(t, 4, 1)
 	data := pattern(0, 2<<20)
@@ -225,6 +261,68 @@ func TestErrorsOnUnknownFile(t *testing.T) {
 		}
 		if err := z.Write(p, "dup", 1, []byte{1}); err == nil {
 			t.Error("unaligned write should fail")
+		}
+	})
+	fl.Eng.Run()
+}
+
+// stripedFile writes stripes whole stripes of pattern to a new file on a
+// 4-server, 1-board fleet and makes them durable.
+func stripedFile(tb testing.TB, stripes int) (*server.Fleet, *Store, []byte) {
+	tb.Helper()
+	fl, z := newFleet(tb, 4, 1)
+	data := pattern(0, stripes*z.StripeBytes())
+	fl.Eng.Spawn("seed", func(p *sim.Proc) {
+		if err := z.Create(p, "f"); err != nil {
+			tb.Fatal(err)
+		}
+		if err := z.Write(p, "f", 0, data); err != nil {
+			tb.Fatal(err)
+		}
+		if err := z.SyncAll(p); err != nil {
+			tb.Fatal(err)
+		}
+	})
+	fl.Eng.Run()
+	return fl, z, data
+}
+
+// TestReadAllocationCeiling is the cluster client's allocation gate: a
+// healthy read of whole stripes allocates its result, into which every
+// fragment is read in place, and little else — the servers' file systems
+// and disk models included.  A buffer per fragment and another per stripe
+// made it 3x.
+func TestReadAllocationCeiling(t *testing.T) {
+	fl, z, data := stripedFile(t, 4)
+	var before, after runtime.MemStats
+	fl.Eng.Spawn("read", func(p *sim.Proc) {
+		for pass := 0; pass < 2; pass++ { // the first pass warms caches and process shells
+			runtime.ReadMemStats(&before)
+			got, err := z.Read(p, "f", 0, len(data))
+			runtime.ReadMemStats(&after)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read returned wrong bytes (err %v)", err)
+			}
+		}
+	})
+	fl.Eng.Run()
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(data)); got > 1.2 {
+		t.Errorf("healthy whole-stripe read allocates %.2f bytes per byte returned (ceiling 1.2)", got)
+	}
+}
+
+// BenchmarkZebraRead reads four whole stripes (11.25 MB) from a healthy
+// 4-server fleet: the client's reassembly over the servers' full read path.
+func BenchmarkZebraRead(b *testing.B) {
+	fl, z, data := stripedFile(b, 4)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	fl.Eng.Spawn("read", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if _, err := z.Read(p, "f", 0, len(data)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	fl.Eng.Run()
