@@ -64,18 +64,16 @@ func main() {
 	}
 	failed := false
 	for _, path := range os.Args[1:] {
-		c := &checker{path: path, types: map[string]string{},
-			hists: map[string][]sample{}, counts: map[string]sample{}}
-		if err := c.checkFile(); err != nil {
+		errs, err := check(path)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "promcheck: %v\n", err)
 			failed = true
 			continue
 		}
-		c.checkHistograms()
-		for _, e := range c.errs {
+		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, e)
 		}
-		if len(c.errs) > 0 {
+		if len(errs) > 0 {
 			failed = true
 		} else {
 			fmt.Printf("%s: OK\n", path)
@@ -84,6 +82,17 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// check runs every check over one file and returns its violations.
+func check(path string) ([]string, error) {
+	c := &checker{path: path, types: map[string]string{},
+		hists: map[string][]sample{}, counts: map[string]sample{}}
+	if err := c.checkFile(); err != nil {
+		return nil, err
+	}
+	c.checkHistograms()
+	return c.errs, nil
 }
 
 func (c *checker) checkFile() error {

@@ -293,7 +293,7 @@ func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 // independent of fill completion order.  A fill lands in a buffer the cache
 // allocates and keeps as its lines; out only ever receives copies.
 func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
-	defer telemetry.StageSpan(p, telemetry.StageCache).End()
+	defer p.Span("cache", "read")()
 	n := len(out) / c.secSize
 	if n <= 0 {
 		return nil
@@ -326,7 +326,7 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 		for i := range runs {
 			r := &runs[i]
 			g.Go("cache-fill", func(q *sim.Proc) {
-				telemetry.Adopt(q, p)
+				defer telemetry.Adopt(q, p)()
 				start := r.firstLine * int64(c.lineSecs)
 				secs := int(r.lastLine-r.firstLine+1) * c.lineSecs
 				if start+int64(secs) > c.devSecs {
@@ -379,7 +379,7 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 // place so no stale hit survives.  With staging enabled, lines the write
 // fully covers are also installed.
 func (c *Cache) Write(p *sim.Proc, lba int64, data []byte) error {
-	defer telemetry.StageSpan(p, telemetry.StageCache).End()
+	defer p.Span("cache", "write")()
 	if err := c.dev.Write(p, lba, data); err != nil {
 		return err
 	}
@@ -390,7 +390,7 @@ func (c *Cache) Write(p *sim.Proc, lba int64, data []byte) error {
 // WriteStreaming is Write over the backing store's benchmark-mode
 // streaming path when it has one.
 func (c *Cache) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
-	defer telemetry.StageSpan(p, telemetry.StageCache).End()
+	defer p.Span("cache", "write-streaming")()
 	var err error
 	if st, ok := c.dev.(streamer); ok {
 		err = st.WriteStreaming(p, lba, data)

@@ -103,9 +103,7 @@ func (ws *Workstation) withRetry(p *sim.Proc, what string, attempt func(resume i
 		ws.stats.Retries++
 		telemetry.MarkRetried(p)
 		end := p.Span("client", "retry")
-		endStage := telemetry.StageSpan(p, telemetry.StageClient)
 		p.Wait(backoff)
-		endStage.End()
 		end()
 		backoff = pol.NextBackoff(backoff)
 	}
@@ -227,7 +225,7 @@ func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 	// the HIPPI source board sends completed blocks to the client; the
 	// client's socket-library copies bound its receive rate.
 	e := sys.Eng
-	chunks := chunkSizes(n, sys.Cfg.PipelineChunk)
+	chunks := sys.Cfg.Chunks(n)
 	ready := make([]*sim.Event, len(chunks))
 	errs := make([]error, len(chunks))
 	cursor := off
@@ -238,7 +236,7 @@ func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 		ready[i] = sim.NewEvent(e)
 		b.XB.Buffers.Acquire(p, c)
 		e.Spawn("client-read-disk", func(q *sim.Proc) {
-			telemetry.Adopt(q, p)
+			defer telemetry.Adopt(q, p)()
 			_, errs[i] = fl.f.File.ReadAt(q, at, c)
 			ready[i].Signal()
 		})
@@ -299,7 +297,7 @@ func (fl *File) writeOnce(p *sim.Proc, off int64, n int) (int, error) {
 	defer release()
 	sys.Host.CPUWork(p, sys.Cfg.FSWriteOverhead)
 
-	chunks := chunkSizes(n, sys.Cfg.PipelineChunk)
+	chunks := sys.Cfg.Chunks(n)
 	// One reusable transfer buffer per request, sized for the largest chunk,
 	// instead of a fresh allocation per chunk.
 	maxChunk := 0
@@ -331,22 +329,6 @@ func (fl *File) writeOnce(p *sim.Proc, off int64, n int) (int, error) {
 
 // Size returns the file size as seen by the server.
 func (fl *File) Size(p *sim.Proc) (int64, error) { return fl.f.File.Size(p) }
-
-func chunkSizes(n, chunk int) []int {
-	if chunk <= 0 {
-		chunk = 256 << 10
-	}
-	var out []int
-	for n > 0 {
-		c := chunk
-		if c > n {
-			c = n
-		}
-		out = append(out, c)
-		n -= c
-	}
-	return out
-}
 
 // String describes the open file.
 func (fl *File) String() string { return fmt.Sprintf("raidfile(%s)", fl.path) }

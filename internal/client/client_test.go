@@ -10,6 +10,7 @@ import (
 	"raidii/internal/host"
 	"raidii/internal/server"
 	"raidii/internal/sim"
+	"raidii/internal/telemetry"
 )
 
 // newSystem builds a Fig8-style RAID-II with a formatted LFS and a file of
@@ -268,6 +269,50 @@ func TestAdmissionShedsAndRecovers(t *testing.T) {
 	}
 	if busy == 0 {
 		t.Fatal("no client observed fault.ErrServerBusy")
+	}
+}
+
+// TestClientReadStageBreakdown: the same three clients with telemetry
+// attached.  Every layer a raid_read crosses opens its spans with p.Span
+// alone, and the request's stage breakdown must name them all — including
+// the two only contention produces: the admission queue wait and the
+// client's backoff after a shed attempt.
+func TestClientReadStageBreakdown(t *testing.T) {
+	cfg := server.Fig8Config()
+	cfg.AdmissionLimit = 1
+	sys, path := newSystemCfg(t, 2, cfg)
+	reg := telemetry.Attach(sys.Eng)
+	for _, name := range []string{"ws-a", "ws-b", "ws-c"} {
+		ws := NewWorkstation(sys, name, host.SPARCstation10())
+		ws.Retry = fault.RetryPolicy{MaxRetries: 30}
+		sys.Eng.Spawn("t-"+name, func(p *sim.Proc) {
+			f, err := ws.Open(p, 0, path)
+			if err != nil {
+				t.Fatalf("%s open: %v", ws.EP.Name, err)
+			}
+			if _, err := f.Read(p, 0, 1<<20); err != nil {
+				t.Fatalf("%s read: %v", ws.EP.Name, err)
+			}
+		})
+	}
+	sys.Eng.Run()
+	// The three arrive together, so it is an open that finds the queue
+	// full and backs off; the reads then queue behind one another.
+	stages := func(kind string) map[string]bool {
+		got := map[string]bool{}
+		for _, st := range reg.Summary(kind).Stages {
+			got[st.Stage] = st.Total > 0
+		}
+		return got
+	}
+	if open := reg.Summary("client-open"); open.N != 3 || open.Shed == 0 || !stages("client-open")["client"] {
+		t.Errorf("client-open summary %+v: want 3 requests, one shed, with client backoff time", open)
+	}
+	read := stages("client-read")
+	for _, stage := range []string{"net", "admission", "raid", "scsi", "disk"} {
+		if !read[stage] {
+			t.Errorf("client-read has no %s stage time (stages: %+v)", stage, reg.Summary("client-read").Stages)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // SchedPolicy selects how queued requests are admitted to the actuator.
@@ -252,7 +251,7 @@ func (d *Disk) Read(p *sim.Proc, lba int64, n int, path sim.Path) ([]byte, error
 // an armed latent error positions, streams up to the bad sector, and
 // returns fault.ErrMedium.
 func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error {
-	defer telemetry.StageSpan(p, telemetry.StageDisk).End()
+	defer p.Span("disk", "read")()
 	n := d.wholeSectors(len(dst))
 	d.checkRange(lba, n)
 	if err := d.admit(p); err != nil {
@@ -314,7 +313,7 @@ func (d *Disk) wholeSectors(length int) int {
 // begins once the chunk has arrived and the previous chunk has committed.
 // Writing over an armed latent error remaps the bad sectors.
 func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
-	defer telemetry.StageSpan(p, telemetry.StageDisk).End()
+	defer p.Span("disk", "write")()
 	n := d.wholeSectors(len(data))
 	d.checkRange(lba, n)
 	if err := d.admit(p); err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"raidii/internal/fault"
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // Config carries the Ethernet parameters.
@@ -69,7 +68,7 @@ func (s *Segment) lose() bool {
 // a down wire fails before the frame goes out, a dropped frame fails after
 // its wire time plus one packet time of retransmit-timeout cost.
 func (s *Segment) Send(p *sim.Proc, n int) (int, error) {
-	defer telemetry.StageSpan(p, telemetry.StageNet).End()
+	defer p.Span("net", "ether-send")()
 	mtu := s.cfg.MTU
 	if mtu <= 0 {
 		mtu = 1500

@@ -21,7 +21,6 @@ import (
 
 	"raidii/internal/fault"
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // Config carries the calibrated HIPPI parameters.
@@ -146,7 +145,7 @@ func (u *Ultranet) RingLostPackets() uint64 { return u.state.lost }
 // dropped packet fails after its wire time plus the loss-detect timeout.
 // Delivered bytes stay delivered — the caller resumes past them on retry.
 func (u *Ultranet) Send(p *sim.Proc, from, to *Endpoint, n int) (int, error) {
-	defer telemetry.StageSpan(p, telemetry.StageNet).End()
+	defer p.Span("net", "hippi-send")()
 	sent := 0
 	for n > 0 {
 		pkt := n

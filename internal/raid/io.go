@@ -7,18 +7,6 @@ import (
 	"raidii/internal/telemetry"
 )
 
-// goAdopted spawns a group worker that joins the parent proc's request (if
-// any) and charges its work to the RAID stage; the SCSI and disk layers
-// open nested frames of their own, so the raid stage keeps only its
-// exclusive time (XOR, striping bookkeeping).
-func goAdopted(g *sim.Group, parent *sim.Proc, name string, body func(*sim.Proc)) {
-	g.Go(name, func(q *sim.Proc) {
-		telemetry.Adopt(q, parent)
-		defer telemetry.StageSpan(q, telemetry.StageRAID).End()
-		body(q)
-	})
-}
-
 // declareLost latches the sticky array-failed state and returns the typed
 // data-loss error with operation context.  Shared mutation is safe under
 // the cooperative scheduler: only one proc runs at a time.
@@ -51,7 +39,6 @@ func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	}
 	end := p.Span("raid", "read")
 	defer end()
-	defer telemetry.StageSpan(p, telemetry.StageRAID).End()
 	a.inflight++
 	defer func() { a.inflight-- }()
 	if a.arrayLock != nil {
@@ -62,7 +49,8 @@ func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	var firstErr error
 	for _, ext := range a.extents(lba, n) {
 		ext := ext
-		goAdopted(g, p, "raid-read", func(q *sim.Proc) {
+		g.Go("raid-read", func(q *sim.Proc) {
+			defer telemetry.Adopt(q, p)()
 			if err := a.readExtentInto(q, ext, a.chunk(dst, ext)); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -131,7 +119,7 @@ func (a *Array) Write(p *sim.Proc, lba int64, data []byte) error {
 	if err := a.errIfLost("write"); err != nil {
 		return err
 	}
-	defer telemetry.StageSpan(p, telemetry.StageRAID).End()
+	defer p.Span("raid", "write")()
 	a.inflight++
 	defer func() { a.inflight-- }()
 	if a.arrayLock != nil {
@@ -158,7 +146,8 @@ func (a *Array) perStripe(p *sim.Proc, lba int64, n int, name string, fn func(q 
 	var firstErr error
 	for _, stripe := range order {
 		exts := groups[stripe]
-		goAdopted(g, p, name, func(q *sim.Proc) {
+		g.Go(name, func(q *sim.Proc) {
+			defer telemetry.Adopt(q, p)()
 			if err := fn(q, stripe, exts); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -198,7 +187,7 @@ func (a *Array) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
 	if err := a.errIfLost("streaming write"); err != nil {
 		return err
 	}
-	defer telemetry.StageSpan(p, telemetry.StageRAID).End()
+	defer p.Span("raid", "write-streaming")()
 	a.inflight++
 	defer func() { a.inflight-- }()
 	return a.perStripe(p, lba, n, "raid-stream-stripe", func(q *sim.Proc, stripe int64, exts []extent) error {
@@ -226,7 +215,8 @@ func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []by
 	}
 	// Check columns over the written columns' union range, in parallel with
 	// the data writes.
-	goAdopted(g, p, "stream-p", func(q *sim.Proc) {
+	g.Go("stream-p", func(q *sim.Proc) {
+		defer telemetry.Adopt(q, p)()
 		sc := a.newScratch()
 		defer sc.release()
 		span := (hi - lo) * a.secSize

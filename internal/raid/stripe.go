@@ -106,7 +106,10 @@ func (v *stripeView) goWrite(g *sim.Group, p *sim.Proc, name string, role int, s
 	if v.lost(role) {
 		return
 	}
-	goAdopted(g, p, name, func(q *sim.Proc) { v.write(q, role, secOff, data) })
+	g.Go(name, func(q *sim.Proc) {
+		defer telemetry.Adopt(q, p)()
+		v.write(q, role, secOff, data)
+	})
 }
 
 // encode computes check column j over the data columns into dst: P through
@@ -163,7 +166,8 @@ func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, wa
 			continue
 		}
 		col := sc.col(n)
-		goAdopted(g, p, "raid-reconstruct", func(q *sim.Proc) {
+		g.Go("raid-reconstruct", func(q *sim.Proc) {
+			defer telemetry.Adopt(q, p)()
 			if v.read(q, role, secOff, col) {
 				cols[role] = col
 			}
@@ -316,7 +320,8 @@ func (v *stripeView) writeFull(p *sim.Proc, exts []extent, data []byte) error {
 	}
 	for j := 0; j < a.row.checks; j++ {
 		check := sc.unit()
-		goAdopted(g, p, "wc", func(q *sim.Proc) {
+		g.Go("wc", func(q *sim.Proc) {
+			defer telemetry.Adopt(q, p)()
 			a.encode(q, j, check, cols)
 			if !v.lost(k + j) {
 				v.write(q, k+j, 0, check)
@@ -359,7 +364,8 @@ func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) e
 				continue
 			}
 			old := sc.unit()
-			goAdopted(rg, p, "rw-read", func(q *sim.Proc) {
+			rg.Go("rw-read", func(q *sim.Proc) {
+				defer telemetry.Adopt(q, p)()
 				if v.read(q, pos, 0, old) {
 					cols[pos] = old
 				} else {
@@ -434,7 +440,8 @@ func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 			return
 		}
 		buf := sc.col(n)
-		goAdopted(g, p, name, func(q *sim.Proc) {
+		g.Go(name, func(q *sim.Proc) {
+			defer telemetry.Adopt(q, p)()
 			if v.read(q, role, secOff, buf) {
 				*into = buf
 			} else {

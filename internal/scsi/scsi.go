@@ -137,7 +137,6 @@ func (ad *Disk) Read(p *sim.Proc, lba int64, n int, upstream sim.Path) ([]byte, 
 func (ad *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, upstream sim.Path) error {
 	end := p.Span("scsi", "read")
 	defer end()
-	defer telemetry.StageSpan(p, telemetry.StageSCSI).End()
 	return ad.issue(p, func(q *sim.Proc) error {
 		return ad.Drive.ReadInto(q, lba, dst, ad.path(upstream))
 	})
@@ -150,7 +149,6 @@ func (ad *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, upstream sim.Path) 
 func (ad *Disk) Write(p *sim.Proc, lba int64, data []byte, upstream sim.Path) error {
 	end := p.Span("scsi", "write")
 	defer end()
-	defer telemetry.StageSpan(p, telemetry.StageSCSI).End()
 	rev := make(sim.Path, 0, len(upstream)+2)
 	rev = append(rev, upstream...)
 	rev = append(rev, ad.ctl.ctlBus, ad.str.Bus)

@@ -49,9 +49,9 @@ func (b *Board) Admit(p *sim.Proc) error {
 	}
 	b.admStats.Queued++
 	p.Span("server", "admit-queued")()
-	endWait := telemetry.StageSpan(p, telemetry.StageAdmission)
+	endWait := p.Span("admission", "wait")
 	b.adm.Acquire(p)
-	endWait.End()
+	endWait()
 	b.admStats.Admitted++
 	p.Span("server", "admit")()
 	return nil

@@ -35,20 +35,16 @@ func (b *Board) writeDevStreaming(p *sim.Proc, at int64, data []byte) error {
 	return b.Array.WriteStreaming(p, at, data)
 }
 
-// chunks splits size into pipeline-chunk work items.
-func (b *Board) chunks(size int) []int {
-	c := b.sys.Cfg.PipelineChunk
-	if c <= 0 {
-		c = 256 << 10
+// Chunks splits a transfer of size bytes into PipelineChunk-sized work
+// items (256 KB when unset), the last one short.
+func (c Config) Chunks(size int) []int {
+	chunk := c.PipelineChunk
+	if chunk <= 0 {
+		chunk = 256 << 10
 	}
 	var out []int
-	for size > 0 {
-		n := c
-		if n > size {
-			n = size
-		}
-		out = append(out, n)
-		size -= n
+	for ; size > 0; size -= chunk {
+		out = append(out, min(chunk, size))
 	}
 	return out
 }
@@ -79,15 +75,11 @@ func (b *Board) stripeAligned(offSectors int64, sizeSecs int) []int {
 // memory again.  All of the request's disk reads are issued at once
 // (bounded by XBUS buffer memory); the HIPPI transmits each chunk as soon
 // as it and all earlier chunks have arrived in memory.
-func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) error {
-	end := p.Span("datapath", "hw-read")
-	defer end()
-	// Join the client's request when one is in flight, else measure this
-	// entry point as its own request kind.
-	done := telemetry.Ensure(p, "hw-read")
+func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error) {
+	defer telemetry.Ensure(p, "hw-read")(&err)
 	e := b.sys.Eng
 	secSize := b.Array.SectorSize()
-	chunks := b.chunks(size)
+	chunks := b.sys.Cfg.Chunks(size)
 	ready := make([]*sim.Event, len(chunks))
 	var firstErr error
 	cursor := offSectors
@@ -99,7 +91,7 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) error {
 		ready[i] = sim.NewEvent(e)
 		b.XB.Buffers.Acquire(p, n)
 		e.Spawn("hw-read-disk", func(q *sim.Proc) {
-			telemetry.Adopt(q, p)
+			defer telemetry.Adopt(q, p)()
 			if err := b.readDev(q, at, secs); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -113,7 +105,6 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) error {
 		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, n, 0)
 		b.XB.Buffers.Release(n)
 	}
-	done(firstErr)
 	return firstErr
 }
 
@@ -122,10 +113,8 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) error {
 // computed and data and parity are written to the array.  Disk writes are
 // issued stripe-aligned as their data arrive, so whole stripes take the
 // full-stripe parity path while the HIPPI keeps streaming.
-func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) error {
-	end := p.Span("datapath", "hw-write")
-	defer end()
-	done := telemetry.Ensure(p, "hw-write")
+func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err error) {
+	defer telemetry.Ensure(p, "hw-write")(&err)
 	e := b.sys.Eng
 	secSize := b.Array.SectorSize()
 	g := sim.NewGroup(e)
@@ -141,7 +130,7 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) error {
 		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, n, 0)
 		secs := secs
 		g.Go("hw-write-disk", func(q *sim.Proc) {
-			telemetry.Adopt(q, p)
+			defer telemetry.Adopt(q, p)()
 			if err := b.writeDevStreaming(q, at, make([]byte, secs*secSize)); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -149,7 +138,6 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) error {
 		})
 	}
 	g.Wait(p)
-	done(firstErr)
 	return firstErr
 }
 
@@ -158,25 +146,23 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) error {
 // in XBUS memory (no network send — matching the paper's measurement).
 // Reads are pipelined chunk by chunk.  The bytes read are returned; a
 // short result (only at EOF) is shorter than size.
-func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) ([]byte, error) {
-	end := p.Span("datapath", "fs-read")
-	defer end()
-	done := telemetry.Ensure(p, "fs-read")
+func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, err error) {
+	defer telemetry.Ensure(p, "fs-read")(&err)
 	b.sys.Host.CPUWork(p, b.sys.Cfg.FSReadOverhead)
 	e := b.sys.Eng
 	g := sim.NewGroup(e)
-	sem := sim.NewServer(e, "fsread-pipe", maxInt(1, b.sys.Cfg.PipelineDepth))
+	sem := sim.NewServer(e, "fsread-pipe", max(1, b.sys.Cfg.PipelineDepth))
 	var firstErr error
 	out := make([]byte, size)
 	var total int64 // furthest byte delivered into out
 	cursor := off
-	for _, n := range b.chunks(size) {
+	for _, n := range b.sys.Cfg.Chunks(size) {
 		n := n
 		at := cursor
 		cursor += int64(n)
 		sem.Acquire(p)
 		g.Go("fsread-chunk", func(q *sim.Proc) {
-			telemetry.Adopt(q, p)
+			defer telemetry.Adopt(q, p)()
 			defer sem.Release()
 			b.XB.Buffers.Acquire(q, n)
 			// The chunk's bytes land in its own slice of out.
@@ -194,22 +180,18 @@ func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) ([]byte, err
 		})
 	}
 	g.Wait(p)
-	done(firstErr)
 	return out[:total], firstErr
 }
 
 // FSWrite is the Figure 8 LFS write: file system overhead on the host
 // CPU, then the data move from XBUS network buffers into the LFS write
 // buffers and eventually to the array as full segments.
-func (b *Board) FSWrite(p *sim.Proc, f *FSFile, off int64, data []byte) error {
-	end := p.Span("datapath", "fs-write")
-	defer end()
-	done := telemetry.Ensure(p, "fs-write")
+func (b *Board) FSWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (err error) {
+	defer telemetry.Ensure(p, "fs-write")(&err)
 	b.sys.Host.CPUWork(p, b.sys.Cfg.FSWriteOverhead)
 	// One crossbar pass from network buffer to LFS segment buffer.
 	b.XB.Memory.Transfer(p, len(data))
-	_, err := f.File.WriteAt(p, data, off)
-	done(err)
+	_, err = f.File.WriteAt(p, data, off)
 	return err
 }
 
@@ -247,43 +229,36 @@ func (b *Board) CreateFS(p *sim.Proc, path string) (*FSFile, error) {
 // disk (no striping, as in the paper's test program), plus the host's
 // per-I/O completion cost.  RAID-II's completions carry no data through
 // host memory.
-func (b *Board) SmallDiskRead(p *sim.Proc, diskIdx int, lba int64, bytes int) error {
-	end := p.Span("datapath", "small-read")
-	defer end()
-	done := telemetry.Ensure(p, "small-read")
+func (b *Board) SmallDiskRead(p *sim.Proc, diskIdx int, lba int64, bytes int) (err error) {
+	defer telemetry.Ensure(p, "small-read")(&err)
 	ad := b.Disks[diskIdx]
 	port := (diskIdx / (2 * b.sys.Cfg.DisksPerString)) % len(b.XB.VME)
 	secs := (bytes + ad.SectorSize() - 1) / ad.SectorSize()
 	if _, err := ad.Read(p, lba, secs, b.XB.DiskReadPath(port)); err != nil {
-		done(err)
 		return err
 	}
 	b.sys.Host.PerIO(p)
-	done(nil)
 	return nil
 }
 
 // EtherRead services a client read in standard mode: the host commands the
 // XBUS board over the VME link, data cross from XBUS memory into host
 // memory, the host packages them into Ethernet packets.
-func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) error {
-	end := p.Span("datapath", "ether-read")
-	defer end()
-	done := telemetry.Ensure(p, "ether-read")
+func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) (err error) {
+	defer telemetry.Ensure(p, "ether-read")(&err)
 	h := b.sys.Host
 	h.CPUWork(p, b.sys.Cfg.FSReadOverhead)
 	if _, err := f.File.ReadAt(p, off, size); err != nil {
-		done(err)
 		return err
 	}
 	// Low-bandwidth path: XBUS -> host VME port -> host memory -> copy ->
 	// Ethernet, pipelined at chunk granularity.
 	g := sim.NewGroup(b.sys.Eng)
 	var firstErr error
-	for _, n := range b.chunks(size) {
+	for _, n := range b.sys.Cfg.Chunks(size) {
 		n := n
 		g.Go("ether-chunk", func(q *sim.Proc) {
-			telemetry.Adopt(q, p)
+			defer telemetry.Adopt(q, p)()
 			b.XB.HostTransfer(q, n, true)
 			h.DMAIn(q, n)
 			h.CopyAsync(q, n)
@@ -294,13 +269,5 @@ func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) error {
 	}
 	g.Wait(p)
 	h.PerIO(p)
-	done(firstErr)
 	return firstErr
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

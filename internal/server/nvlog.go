@@ -215,20 +215,12 @@ type fsSyncer interface {
 // region is full (xbus.ErrNVRAMFull back-pressure), the write degrades to
 // the synchronous path: write through LFS and seal the segment before
 // acknowledging.
-func (b *Board) DurableWrite(p *sim.Proc, f *FSFile, off int64, data []byte) error {
-	end := p.Span("datapath", "small-write")
-	defer end()
-	done := telemetry.Ensure(p, "small-write")
+func (b *Board) DurableWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (err error) {
+	defer telemetry.Ensure(p, "small-write")(&err)
 	b.sys.Host.CPUWork(p, b.sys.Cfg.FSWriteOverhead)
 	lf, ok := f.File.(fsSyncer)
 	if b.nvlog != nil && ok {
-		err := b.nvlog.stage(p, lf.Inum(), off, data)
-		if err == nil {
-			done(nil)
-			return nil
-		}
-		if err != xbus.ErrNVRAMFull {
-			done(err)
+		if err := b.nvlog.stage(p, lf.Inum(), off, data); err != xbus.ErrNVRAMFull {
 			return err
 		}
 		b.nvlog.stats.Degraded++
@@ -238,17 +230,12 @@ func (b *Board) DurableWrite(p *sim.Proc, f *FSFile, off int64, data []byte) err
 	// write, and seal before acknowledging.
 	b.XB.Memory.Transfer(p, len(data))
 	if _, err := f.File.WriteAt(p, data, off); err != nil {
-		done(err)
 		return err
 	}
-	var err error
 	if ok {
-		err = lf.Sync(p)
-	} else {
-		err = b.FS.Sync(p)
+		return lf.Sync(p)
 	}
-	done(err)
-	return err
+	return b.FS.Sync(p)
 }
 
 // DrainNVRAM synchronously commits everything staged in the board's

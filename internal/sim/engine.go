@@ -248,8 +248,8 @@ type Proc struct {
 	stop     func()                  // engine -> process: fail the pending yield
 	yield    func(struct{}) bool     // process -> engine; false once stopped
 	finished bool
-	exited   bool // left via runtime.Goexit; the coroutine can never be resumed
-	meterCtx any  // opaque per-process annotation; see meter.go
+	exited   bool      // left via runtime.Goexit; the coroutine can never be resumed
+	meterCtx SpanScope // per-process annotation; see meter.go
 }
 
 // Spawn starts a new simulated process executing fn.  The process begins at

@@ -8,9 +8,9 @@ package sim
 //   - a single opaque "meter" slot on the engine, where a metrics registry
 //     parks itself so model code deep in the stack can find it through
 //     p.Engine() without threading a registry through every signature;
-//   - a single opaque annotation slot on each Proc, where a request-scoped
-//     context rides along as the request flows client -> net -> admission ->
-//     cache -> raid -> scsi -> disk;
+//   - a single annotation slot on each Proc, where a request-scoped context
+//     rides along as the request flows client -> net -> admission -> cache
+//     -> raid -> scsi -> disk, and hears of every span the process closes;
 //   - fixed-interval sampler callbacks, fired passively from the event loop
 //     whenever simulated time crosses an interval boundary.
 //
@@ -77,12 +77,21 @@ func (e *Engine) fireSamplers(upTo Time) {
 	e.nextSample = next
 }
 
-// SetMeterContext attaches an opaque per-process annotation (nil clears).
+// SpanScope is a per-process annotation.  The engine asks one thing of it:
+// it is told of every span the process closes, which is how a Proc.Span
+// feeds the request's stage breakdown as well as the trace.
+type SpanScope interface {
+	// SpanEnd reports the completed span [start, now] of category cat on
+	// the annotated process — Tracer.Span without the name.
+	SpanEnd(cat string, start Time)
+}
+
+// SetMeterContext attaches a per-process annotation (nil clears).
 // internal/telemetry stores a request scope here; the engine only carries
-// the pointer.  Child processes do not inherit the annotation — spawning
-// code that wants the request to follow a worker calls telemetry.Adopt
-// inside the worker's body.
-func (p *Proc) SetMeterContext(v any) { p.meterCtx = v }
+// it and reports spans to it.  Child processes do not inherit the
+// annotation — spawning code that wants the request to follow a worker
+// calls telemetry.Adopt inside the worker's body.
+func (p *Proc) SetMeterContext(v SpanScope) { p.meterCtx = v }
 
 // MeterContext returns the value last passed to SetMeterContext, or nil.
-func (p *Proc) MeterContext() any { return p.meterCtx }
+func (p *Proc) MeterContext() SpanScope { return p.meterCtx }

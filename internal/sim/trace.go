@@ -70,21 +70,33 @@ func (e *Engine) registerResource(name string, capacity int) {
 	}
 }
 
-// noopSpanEnd is the shared close function returned when no tracer is
-// attached, so untraced spans allocate nothing.
+// noopSpanEnd is the shared close function returned when nobody listens,
+// so unobserved spans allocate nothing.
 var noopSpanEnd = func() {}
 
 // Span opens an annotated span at the current simulated time and returns
 // the function that closes it.  cat groups related spans (a component
 // name: "disk", "raid", "lfs"); name identifies the phase ("seek",
-// "checkpoint").  With no tracer attached both open and close are no-ops.
+// "checkpoint").  The closed span is recorded by the engine's tracer and
+// reported to the process's SpanScope; with neither attached both open and
+// close are no-ops.  (Span stays within the inlining budget, so the closer
+// lives on the caller's stack: an observed span allocates nothing either.)
 func (p *Proc) Span(cat, name string) func() {
-	t := p.eng.tracer
-	if t == nil {
+	if p.eng.tracer == nil && p.meterCtx == nil {
 		return noopSpanEnd
 	}
 	start := p.eng.now
-	return func() { t.Span(p, cat, name, start) }
+	return func() { p.endSpan(cat, name, start) }
+}
+
+// endSpan reports the span [start, now] to whoever listens by now.
+func (p *Proc) endSpan(cat, name string, start Time) {
+	if t := p.eng.tracer; t != nil {
+		t.Span(p, cat, name, start)
+	}
+	if p.meterCtx != nil {
+		p.meterCtx.SpanEnd(cat, start)
+	}
 }
 
 // ID returns the process's engine-unique identifier, assigned in spawn

@@ -1,19 +1,24 @@
 package telemetry
 
-import "raidii/internal/sim"
+import (
+	"slices"
+
+	"raidii/internal/sim"
+)
 
 // This file implements the request-scoped context: one *Request rides a
 // simulated process (and, via Adopt, the worker processes spawned on its
 // behalf) from the moment a client or datapath entry point begins it until
 // End folds its latency, stage breakdown and outcomes into the registry.
 //
-// Stage accounting is a per-process stack of open stage frames.  Closing a
-// frame charges its *exclusive* time — the frame's duration minus the time
-// spent in frames nested inside it on the same process — so a SCSI span
-// inside a RAID span splits the time instead of double-counting it.
-// Worker processes adopted into the request carry their own stacks against
-// the shared Request, so overlapping legs each record their true work (see
-// the Stage doc in telemetry.go for the resulting semantics).
+// Stage accounting is fed by Proc.Span — the same call that feeds the
+// trace.  The process's scope is its sim.SpanScope: when a span whose
+// category is a pipeline layer (see categories in telemetry.go) closes, its
+// *exclusive* time — its duration minus that of the stage spans that ran
+// inside it on the same process — is charged to that stage, so a scsi span
+// inside a raid span splits the time instead of double-counting it.  Worker
+// processes adopted into the request account for themselves against the
+// shared Request, so overlapping legs each record their true work.
 
 // Metric names recorded at End.  All durations are integer nanoseconds.
 const (
@@ -48,18 +53,66 @@ type Request struct {
 	shed     bool
 }
 
-// frame is one open stage interval on a process's stack.
-type frame struct {
-	stage Stage
-	enter sim.Time
-	child sim.Duration // time covered by frames nested inside this one
+// closedSpan is a stage span that has closed and that no stage span
+// around it has yet subtracted from its own time.
+type closedSpan struct {
+	start sim.Time
+	total sim.Duration
+	extra sim.Duration // unclaimed time of workers adopted at start; see Adopt
 }
 
 // scope is the per-process annotation: the request the process works for
-// plus that process's own stage stack.
+// plus that process's own stage accounting.
 type scope struct {
-	req   *Request
-	stack []frame
+	req    *Request
+	p      *sim.Proc
+	parent *scope       // the adopting process's scope, if any
+	since  sim.Time     // spans that began before the scope did are not the request's
+	closed []closedSpan // ascending by start
+}
+
+// SpanEnd implements sim.SpanScope: a closing span of a pipeline-layer
+// category is charged its exclusive time.  A span of any other category is
+// skipped, which leaves its time with the stage span around it.
+func (sc *scope) SpanEnd(cat string, start sim.Time) {
+	if st := stageOf(cat); st >= 0 && !sc.req.done && start >= sc.since {
+		total := sc.p.Now().Sub(start)
+		nested, extra := sc.claim(start)
+		sc.closed = append(sc.closed, closedSpan{start: start, total: total})
+		sc.req.stages[st] += total - nested + extra
+	}
+}
+
+// claim removes the entries that began at or after start and returns their
+// sums.  Spans on one process nest, and a span that closed before this one
+// opened began strictly earlier (or lasted no time), so those entries are
+// exactly what ran inside the span that began at start: it subtracts their
+// time from its own and stands in for them towards whatever encloses it.
+func (sc *scope) claim(start sim.Time) (nested, extra sim.Duration) {
+	n := len(sc.closed)
+	for ; n > 0 && sc.closed[n-1].start >= start; n-- {
+		nested += sc.closed[n-1].total
+		extra += sc.closed[n-1].extra
+	}
+	sc.closed = sc.closed[:n]
+	return nested, extra
+}
+
+// release ends an adopted worker's accounting: the part of its life since
+// adoption that none of its own stage spans covered is handed to the
+// adopting scope, dated at the adoption, where the innermost stage span
+// open since then claims it when it closes.
+func (sc *scope) release() {
+	if sc.req.done {
+		return
+	}
+	nested, extra := sc.claim(sc.since)
+	e := closedSpan{start: sc.since, extra: sc.p.Now().Sub(sc.since) - nested + extra}
+	up := sc.parent
+	i := len(up.closed)
+	for ; i > 0 && up.closed[i-1].start > e.start; i-- {
+	}
+	up.closed = slices.Insert(up.closed, i, e)
 }
 
 // scopeOf returns p's scope, or nil.
@@ -70,7 +123,7 @@ func scopeOf(p *sim.Proc) *scope {
 
 // reqOf returns the live request p works for, or nil.
 func reqOf(p *sim.Proc) *Request {
-	if sc := scopeOf(p); sc != nil && sc.req != nil && !sc.req.done {
+	if sc := scopeOf(p); sc != nil && !sc.req.done {
 		return sc.req
 	}
 	return nil
@@ -86,84 +139,56 @@ func Begin(p *sim.Proc, kind string) *Request {
 		return nil
 	}
 	r := &Request{reg: reg, kind: kind, start: p.Now()}
-	p.SetMeterContext(&scope{req: r})
+	p.SetMeterContext(&scope{req: r, p: p, since: p.Now()})
 	reg.Gauge(metricInflight).Add(1)
 	return r
 }
 
-// noopEnsure is returned when Ensure has nothing to close.
-var noopEnsure = func(error) {}
-
-// Ensure begins a request of the given kind if p does not already carry
-// one, returning the closer that ends it.  When p already works for a
-// request (a client began one upstream) the call joins it and the closer
-// is a no-op — so datapath entry points can instrument themselves without
-// double-counting requests that arrived through the client library.
-func Ensure(p *sim.Proc, kind string) func(err error) {
-	if reqOf(p) != nil {
-		return noopEnsure
+// Ensure is how a datapath entry point instruments itself: it opens the
+// datapath/<kind> span and begins a request of that kind if p does not
+// already carry one, and returns the closer for both.  When p already
+// works for a request (a client began one upstream) the call joins it, so
+// requests that arrived through the client library are not counted twice.
+// Use as
+//
+//	defer telemetry.Ensure(p, "fs-read")(&err)
+//
+// with err the entry point's named result.
+func Ensure(p *sim.Proc, kind string) func(err *error) {
+	end := p.Span("datapath", kind)
+	var r *Request
+	if reqOf(p) == nil {
+		r = Begin(p, kind)
 	}
-	r := Begin(p, kind)
-	if r == nil {
-		return noopEnsure
-	}
-	return func(err error) { r.End(p, err) }
-}
-
-// Adopt attaches the request carried by parent to child, with a fresh
-// stage stack, so work done by a spawned helper process is charged to the
-// request.  Call it first thing inside the worker's body.  No-op when the
-// parent carries no live request.
-func Adopt(child, parent *sim.Proc) {
-	if r := reqOf(parent); r != nil {
-		child.SetMeterContext(&scope{req: r})
+	return func(err *error) {
+		r.End(p, *err)
+		end()
 	}
 }
 
-// StageCloser closes one stage interval opened by StageSpan.  It is a
-// plain value — the datapath opens a span on every cache probe, SCSI
-// transfer and parity pass, and the closure StageSpan used to return cost
-// one heap allocation per call on exactly those hot paths.  The zero
-// StageCloser is valid and ends nothing.
-type StageCloser struct {
-	sc    *scope
-	p     *sim.Proc
-	depth int
-}
+// noopAdopt is returned when Adopt has nothing to close.
+var noopAdopt = func() {}
 
-// StageSpan opens a stage interval on p and returns its closer.  Close
-// with defer c.End(); frames on one process must close in LIFO order.
-// With no live request on p both open and close are no-ops.
-func StageSpan(p *sim.Proc, st Stage) StageCloser {
-	sc := scopeOf(p)
-	if sc == nil || sc.req == nil || sc.req.done {
-		return StageCloser{}
+// Adopt attaches the request carried by parent to child, so work done by
+// a spawned helper process is charged to the request.  The child accounts
+// for its own stage spans, and inherits one thing: the time from here to
+// the returned closer that no stage span of its own covers accrues to the
+// stage span parent has open around the adoption (the innermost one, and
+// to no stage if there is none) — a worker's bookkeeping belongs to the
+// layer that spawned it.  Use as
+//
+//	defer telemetry.Adopt(q, p)()
+//
+// first thing inside the worker's body.  No-op when the parent carries no
+// live request.
+func Adopt(child, parent *sim.Proc) func() {
+	up := scopeOf(parent)
+	if up == nil || up.req.done {
+		return noopAdopt
 	}
-	sc.stack = append(sc.stack, frame{stage: st, enter: p.Now()})
-	return StageCloser{sc: sc, p: p, depth: len(sc.stack)}
-}
-
-// End closes the interval, charging the frame's exclusive time to its
-// stage.  Idempotent: a second End (or one after the request completed)
-// does nothing.
-func (c StageCloser) End() {
-	sc := c.sc
-	if sc == nil || sc.req.done || len(sc.stack) < c.depth {
-		return
-	}
-	depth := c.depth
-	sc.stack = sc.stack[:depth] // shed any leaked deeper frames
-	f := sc.stack[depth-1]
-	total := c.p.Now().Sub(f.enter)
-	excl := total - f.child
-	if excl < 0 {
-		excl = 0
-	}
-	sc.req.stages[f.stage] += excl
-	sc.stack = sc.stack[:depth-1]
-	if depth > 1 {
-		sc.stack[depth-2].child += total
-	}
+	sc := &scope{req: up.req, p: child, parent: up, since: child.Now()}
+	child.SetMeterContext(sc)
+	return sc.release
 }
 
 // CacheHit notes one cache line hit for p's request.
@@ -224,7 +249,7 @@ func (r *Request) End(p *sim.Proc, err error) {
 	reg.Histogram(metricDuration, "kind", kind).Observe(p.Now().Sub(r.start))
 	for st, d := range r.stages {
 		if d > 0 {
-			reg.Counter(metricStageNS, "kind", kind, "stage", Stage(st).String()).Add(uint64(d))
+			reg.Counter(metricStageNS, "kind", kind, "stage", categories[st]).Add(uint64(d))
 		}
 	}
 	if err != nil {
@@ -282,16 +307,12 @@ func (r *Registry) Summary(kind string) LatencySummary {
 	out.P99 = h.Quantile(0.99)
 	out.P999 = h.Quantile(0.999)
 	out.Max = h.Max()
-	for st := Stage(0); st < numStages; st++ {
-		total := sim.Duration(r.peekCounter(metricStageNS, "kind", kind, "stage", st.String()))
+	for _, stage := range categories[:numStages] {
+		total := sim.Duration(r.peekCounter(metricStageNS, "kind", kind, "stage", stage))
 		if total == 0 {
 			continue
 		}
-		out.Stages = append(out.Stages, StageMean{
-			Stage: st.String(),
-			Total: total,
-			Mean:  total / sim.Duration(out.N),
-		})
+		out.Stages = append(out.Stages, StageMean{Stage: stage, Total: total, Mean: total / sim.Duration(out.N)})
 	}
 	out.Degraded = r.peekCounter(metricDegraded, "kind", kind)
 	out.Shed = r.peekCounter(metricShed, "kind", kind)

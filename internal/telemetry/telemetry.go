@@ -24,35 +24,37 @@
 // §13).
 package telemetry
 
-// Stage names one leg of a request's journey through the system.  Stage
-// times are recorded per process as *exclusive* time — a SCSI span nested
-// inside a RAID span charges SCSI, not both — but concurrent worker
-// processes of one request each accrue their own stage time, so summed
-// stage time measures work (like CPU seconds) and can exceed the request's
-// wall-clock latency when legs overlap.
-type Stage int
+import "slices"
 
-// The pipeline stages, in the order a remote request traverses them.
-const (
-	StageClient Stage = iota
-	StageNet
-	StageAdmission
-	StageCache
-	StageRAID
-	StageSCSI
-	StageDisk
-
-	numStages
-)
-
-var stageNames = [numStages]string{
+// categories is the one vocabulary of span categories: every p.Span model
+// code opens names one of these (TestSpanCategoriesDeclared holds it to
+// that), and the table decides which request stage the span's time accrues
+// to.
+//
+// The first numStages entries are the pipeline layers, in the order a
+// remote request traverses them.  A span of such a category that closes on
+// a process carrying a live request is charged to the stage of the same
+// name, the stage label of raidii_request_stage_ns_total.  Stage times are
+// recorded per process as *exclusive* time — a scsi span nested inside a
+// raid span charges scsi, not both, and a raid span nested inside a raid
+// span splits the time without changing the stage's sum — but concurrent
+// worker processes of one request each accrue their own stage time, so
+// summed stage time measures work (like CPU seconds) and can exceed the
+// request's wall-clock latency when legs overlap.
+//
+// Every other category is charged to no stage of its own: its time stays
+// with the stage span it is nested in, or with no stage when there is none.
+var categories = [...]string{
 	"client", "net", "admission", "cache", "raid", "scsi", "disk",
+
+	"cluster", "datapath", "fault", "hippi", "lfs", "nvram", "scrub", "server", "xbus",
 }
 
-// String returns the stage's label value ("client", "net", ...).
-func (s Stage) String() string {
-	if s < 0 || s >= numStages {
-		return "unknown"
-	}
-	return stageNames[s]
-}
+const numStages = 7
+
+// stageOf returns the index of the stage that spans of category cat accrue
+// to, or -1.
+func stageOf(cat string) int { return slices.Index(categories[:numStages], cat) }
+
+// KnownCategory reports whether cat is a declared span category.
+func KnownCategory(cat string) bool { return slices.Contains(categories[:], cat) }

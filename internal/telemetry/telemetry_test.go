@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"raidii/internal/sim"
+	"raidii/internal/trace"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -153,6 +154,27 @@ func TestSummaryDoesNotCreateSeries(t *testing.T) {
 	}
 }
 
+// stageTotals returns kind's per-stage totals by stage label.
+func stageTotals(r *Registry, kind string) map[string]sim.Duration {
+	got := map[string]sim.Duration{}
+	for _, st := range r.Summary(kind).Stages {
+		got[st.Stage] = st.Total
+	}
+	return got
+}
+
+func wantStages(t *testing.T, got, want map[string]sim.Duration) {
+	t.Helper()
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("stage %s = %v, want %v", k, got[k], v)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("stages = %v, want exactly %v", got, want)
+	}
+}
+
 func TestRequestStageAccounting(t *testing.T) {
 	e := sim.New()
 	r := Attach(e)
@@ -160,13 +182,13 @@ func TestRequestStageAccounting(t *testing.T) {
 		req := Begin(p, "unit")
 		// 10 ms in raid, with 4 ms of scsi nested inside: exclusive raid
 		// time must be 6 ms.
-		endRAID := StageSpan(p, StageRAID)
+		endRAID := p.Span("raid", "read")
 		p.Wait(3 * time.Millisecond)
-		endSCSI := StageSpan(p, StageSCSI)
+		endSCSI := p.Span("scsi", "read")
 		p.Wait(4 * time.Millisecond)
-		endSCSI.End()
+		endSCSI()
 		p.Wait(3 * time.Millisecond)
-		endRAID.End()
+		endRAID()
 		req.End(p, nil)
 	})
 	e.Run()
@@ -174,22 +196,43 @@ func TestRequestStageAccounting(t *testing.T) {
 	if s.N != 1 {
 		t.Fatalf("N = %d, want 1", s.N)
 	}
-	want := map[string]sim.Duration{
+	wantStages(t, stageTotals(r, "unit"), map[string]sim.Duration{
 		"raid": 6 * time.Millisecond,
 		"scsi": 4 * time.Millisecond,
-	}
-	got := map[string]sim.Duration{}
-	for _, st := range s.Stages {
-		got[st.Stage] = st.Total
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("stage %s = %v, want %v (all: %v)", k, got[k], v, s.Stages)
-		}
-	}
+	})
 	if s.Mean != 10*time.Millisecond {
 		t.Errorf("Mean = %v, want 10ms", s.Mean)
 	}
+}
+
+// TestSpanNestingIsSumNeutral covers what only the one vocabulary can say:
+// a span of the same stage nested in a stage span splits its time without
+// changing the stage's sum, and a span of a category that is no stage
+// leaves its time with the stage around it.
+func TestSpanNestingIsSumNeutral(t *testing.T) {
+	e := sim.New()
+	r := Attach(e)
+	e.Spawn("req", func(p *sim.Proc) {
+		req := Begin(p, "unit")
+		endRAID := p.Span("raid", "write")
+		p.Wait(time.Millisecond)
+		endRMW := p.Span("raid", "rmw-write")
+		p.Wait(2 * time.Millisecond)
+		endXOR := p.Span("xbus", "parity")
+		p.Wait(4 * time.Millisecond)
+		endXOR()
+		endRMW()
+		endLFS := p.Span("lfs", "checkpoint")
+		p.Wait(8 * time.Millisecond)
+		endLFS()
+		endRAID()
+		endLFS = p.Span("lfs", "checkpoint") // under no stage: charged nowhere
+		p.Wait(16 * time.Millisecond)
+		endLFS()
+		req.End(p, nil)
+	})
+	e.Run()
+	wantStages(t, stageTotals(r, "unit"), map[string]sim.Duration{"raid": 15 * time.Millisecond})
 }
 
 func TestRequestAdoptAndOutcomes(t *testing.T) {
@@ -199,10 +242,11 @@ func TestRequestAdoptAndOutcomes(t *testing.T) {
 		req := Begin(p, "unit")
 		done := sim.NewEvent(e)
 		e.Spawn("worker", func(q *sim.Proc) {
-			Adopt(q, p)
-			end := StageSpan(q, StageDisk)
+			defer Adopt(q, p)()
+			end := q.Span("disk", "read")
 			q.Wait(2 * time.Millisecond)
-			end.End()
+			end()
+			q.Wait(time.Millisecond) // parent has no stage open: charged nowhere
 			MarkDegraded(q)
 			CacheHit(q)
 			CacheMiss(q)
@@ -223,26 +267,53 @@ func TestRequestAdoptAndOutcomes(t *testing.T) {
 	if got := r.peekCounter("raidii_request_cache_hits_total", "kind", "unit"); got != 1 {
 		t.Fatalf("cache hits = %d, want 1", got)
 	}
-	var found bool
-	for _, st := range s.Stages {
-		if st.Stage == "disk" && st.Total == 2*time.Millisecond {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("adopted worker's disk time missing: %v", s.Stages)
-	}
+	wantStages(t, stageTotals(r, "unit"), map[string]sim.Duration{"disk": 2 * time.Millisecond})
+}
+
+// TestAdoptInheritsOpenStage: a worker adopted while its parent has a raid
+// span open accrues the time it spends outside spans of its own to raid,
+// up to the moment Adopt's closer runs.
+func TestAdoptInheritsOpenStage(t *testing.T) {
+	e := sim.New()
+	r := Attach(e)
+	e.Spawn("req", func(p *sim.Proc) {
+		req := Begin(p, "unit")
+		endRAID := p.Span("raid", "write")
+		g := sim.NewGroup(e)
+		g.Go("worker", func(q *sim.Proc) {
+			defer Adopt(q, p)()
+			q.Wait(time.Millisecond) // XOR, bookkeeping
+			end := q.Span("scsi", "write")
+			q.Wait(2 * time.Millisecond)
+			end()
+			q.Wait(4 * time.Millisecond) // tail after the last span
+		})
+		g.Wait(p)
+		endRAID()
+		req.End(p, nil)
+	})
+	e.Run()
+	// The parent's frame spans the 7 ms it waited; the worker adds 5 ms of
+	// raid work of its own — stage sums measure work, not wall clock.
+	wantStages(t, stageTotals(r, "unit"), map[string]sim.Duration{
+		"raid": 12 * time.Millisecond,
+		"scsi": 2 * time.Millisecond,
+	})
 }
 
 func TestEnsureJoinsExistingRequest(t *testing.T) {
 	e := sim.New()
 	r := Attach(e)
+	var err error
 	e.Spawn("req", func(p *sim.Proc) {
 		req := Begin(p, "outer")
 		// A datapath entry point under a live request must not start a
-		// second one.
+		// second one, and its stage spans feed the outer request.
 		done := Ensure(p, "inner")
-		done(nil)
+		end := p.Span("cache", "read")
+		p.Wait(time.Millisecond)
+		end()
+		done(&err)
 		req.End(p, nil)
 	})
 	e.Run()
@@ -252,17 +323,44 @@ func TestEnsureJoinsExistingRequest(t *testing.T) {
 	if got := r.Summary("outer").N; got != 1 {
 		t.Fatalf("outer N = %d, want 1", got)
 	}
-	// Without a live request Ensure begins and ends one.
+	wantStages(t, stageTotals(r, "outer"), map[string]sim.Duration{"cache": time.Millisecond})
+	// Without a live request Ensure begins and ends one, failed if the
+	// entry point's error is set by then.
 	e2 := sim.New()
 	r2 := Attach(e2)
 	e2.Spawn("bare", func(p *sim.Proc) {
+		var err error
 		done := Ensure(p, "inner")
+		end := p.Span("cache", "read")
 		p.Wait(time.Millisecond)
-		done(nil)
+		end()
+		err = errors.New("boom")
+		done(&err)
 	})
 	e2.Run()
 	if got := r2.Summary("inner").N; got != 1 {
 		t.Fatalf("bare Ensure N = %d, want 1", got)
+	}
+	if got := r2.peekCounter("raidii_requests_failed_total", "kind", "inner"); got != 1 {
+		t.Fatalf("failed counter = %d, want 1", got)
+	}
+	wantStages(t, stageTotals(r2, "inner"), map[string]sim.Duration{"cache": time.Millisecond})
+}
+
+// TestEnsureOpensDatapathSpan: the entry point names its kind once, and the
+// trace still gets its datapath/<kind> span.
+func TestEnsureOpensDatapathSpan(t *testing.T) {
+	e := sim.New()
+	rec := trace.Attach(e, trace.Config{})
+	var err error
+	e.Spawn("bare", func(p *sim.Proc) {
+		defer Ensure(p, "fs-read")(&err)
+		p.Wait(time.Millisecond)
+	})
+	e.Run()
+	got := rec.SpanCounts()
+	if len(got) != 1 || got[0] != (trace.SpanCount{Cat: "datapath", Name: "fs-read", Count: 1, Total: time.Millisecond}) {
+		t.Fatalf("spans = %+v, want one 1 ms datapath/fs-read", got)
 	}
 }
 
@@ -272,17 +370,39 @@ func TestInstrumentationNilSafe(t *testing.T) {
 		if Begin(p, "x") != nil {
 			t.Error("Begin without registry should return nil")
 		}
-		end := StageSpan(p, StageRAID)
+		end := p.Span("raid", "read")
 		CacheHit(p)
 		MarkDegraded(p)
 		MarkRetried(p)
 		MarkShed(p)
-		end.End()
-		Ensure(p, "y")(nil)
+		end()
+		Ensure(p, "y")(new(error))
 		var req *Request
 		req.End(p, nil) // nil receiver must not panic
 	})
 	e.Run()
+}
+
+// TestSpanOutlivingRequest: a span still open when its request ends, or
+// opened before the request began, closes without charging anyone.
+func TestSpanOutlivingRequest(t *testing.T) {
+	e := sim.New()
+	r := Attach(e)
+	e.Spawn("req", func(p *sim.Proc) {
+		before := p.Span("disk", "read")
+		req := Begin(p, "first")
+		during := p.Span("raid", "read")
+		p.Wait(time.Millisecond)
+		before()
+		req.End(p, nil)
+		req2 := Begin(p, "second")
+		p.Wait(time.Millisecond)
+		during()
+		req2.End(p, nil)
+	})
+	e.Run()
+	wantStages(t, stageTotals(r, "first"), map[string]sim.Duration{})
+	wantStages(t, stageTotals(r, "second"), map[string]sim.Duration{})
 }
 
 func TestSamplerRecordsGauges(t *testing.T) {
@@ -326,12 +446,15 @@ func TestSamplerRecordsGauges(t *testing.T) {
 	}
 }
 
-func TestStageString(t *testing.T) {
-	if StageClient.String() != "client" || StageDisk.String() != "disk" {
-		t.Fatal("stage names wrong")
+func TestCategoryTable(t *testing.T) {
+	if stageOf("client") != 0 || stageOf("disk") != numStages-1 {
+		t.Fatal("pipeline layers out of order")
 	}
-	if Stage(99).String() != "unknown" {
-		t.Fatal("out-of-range stage not 'unknown'")
+	if stageOf("xbus") != -1 || !KnownCategory("xbus") {
+		t.Fatal("xbus must be a declared category that accrues to no stage")
+	}
+	if KnownCategory("bogus") {
+		t.Fatal("undeclared category reported as known")
 	}
 }
 
@@ -343,9 +466,9 @@ func TestExportDeterministic(t *testing.T) {
 		e.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
 				req := Begin(p, "k")
-				end := StageSpan(p, StageRAID)
+				end := p.Span("raid", "read")
 				p.Wait(sim.Duration(i+1) * time.Millisecond / 7)
-				end.End()
+				end()
 				req.End(p, nil)
 			}
 		})

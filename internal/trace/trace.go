@@ -224,9 +224,6 @@ func (rec *Recorder) ResourceRelease(name string, units int) {
 
 // Span implements sim.Tracer.
 func (rec *Recorder) Span(p *sim.Proc, cat, name string, start sim.Time) {
-	if rec.spanIdx == nil {
-		rec.spanIdx = map[spanKey]int{}
-	}
 	key := spanKey{cat: cat, name: name}
 	i, ok := rec.spanIdx[key]
 	if !ok {

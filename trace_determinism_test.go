@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"raidii/internal/sim"
+	"raidii/internal/telemetry"
 	"raidii/internal/trace"
 )
 
@@ -162,6 +163,47 @@ func TestProbeObservesExperimentEngines(t *testing.T) {
 		}
 		if tables1[i] != tables2[i] {
 			t.Errorf("utilization table for %s differs between identical runs", labels1[i])
+		}
+	}
+}
+
+// TestSpanCategoriesDeclared holds model code to the one vocabulary: every
+// category a span is opened with, across the experiments that between them
+// reach every layer, fault path and the NVRAM log, is a row of telemetry's
+// category table — so a misspelt layer name fails here instead of silently
+// accruing to no stage — and the layer-entry spans are all there.
+func TestSpanCategoriesDeclared(t *testing.T) {
+	var recs []*trace.Recorder
+	SetProbe(func(label string, e *sim.Engine) {
+		recs = append(recs, trace.Attach(e, trace.Config{Label: label}))
+	})
+	defer SetProbe(nil)
+	for _, ex := range []func() error{
+		func() error { _, err := FileServerTrace(300); return err },
+		func() error { _, err := NetworkFaultTimeline(); return err },
+		func() error { _, err := DoubleFaultTimeline(); return err },
+		func() error { _, err := SmallWriteLatency(); return err },
+		func() error { _, err := Fig5([]int{256}); return err },
+	} {
+		if err := ex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]bool{}
+	for _, rec := range recs {
+		for _, sc := range rec.SpanCounts() {
+			if !telemetry.KnownCategory(sc.Cat) {
+				t.Errorf("%s: span %s/%s: category not in telemetry's table", rec.Label(), sc.Cat, sc.Name)
+			}
+			seen[sc.Cat+"/"+sc.Name] = true
+		}
+	}
+	for _, kind := range []string{
+		"disk/read", "disk/write", "cache/read", "cache/write", "net/hippi-send",
+		"raid/read", "raid/write", "raid/write-streaming", "scsi/read", "scsi/write",
+	} {
+		if !seen[kind] {
+			t.Errorf("no %s span recorded", kind)
 		}
 	}
 }
