@@ -1,6 +1,7 @@
 package raidii
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -22,12 +23,13 @@ import (
 // the offending offset or record.
 var ErrDataMismatch = errors.New("data read back differs from data written")
 
-// rig is one experiment point's engine and the first error any of its
-// processes returned.  The error is sticky: once a process has failed, every
-// later run reports it, and the runner returns.
+// rig is one experiment point's engine and the group its processes are
+// forked in, which keeps the first error any of them returned.  The error is
+// sticky: once a process has failed, every later run reports it, and the
+// runner returns.
 type rig struct {
 	eng *sim.Engine
-	err error
+	g   *sim.Group
 }
 
 // scope announces e to the probe under label, runs body, and always ends the
@@ -54,7 +56,7 @@ func scope(label string, e *sim.Engine, body func(r *rig) error) (err error) {
 			err = fmt.Errorf("raidii: %s: %w", label, err)
 		}
 	}()
-	return body(&rig{eng: e})
+	return body(&rig{eng: e, g: sim.NewGroup(e)})
 }
 
 // withEngine scopes a bare engine, for rigs assembled from parts.
@@ -89,22 +91,15 @@ func withRAIDI(label string, body func(r *rig, m *server.RAIDI) error) error {
 	return scope(label, m.Eng, func(r *rig) error { return body(r, m) })
 }
 
-// note keeps err if it is the rig's first.
-func (r *rig) note(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
 // spawn starts body as a simulated process for the next run.
 func (r *rig) spawn(name string, body func(p *sim.Proc) error) {
-	r.eng.Spawn(name, func(p *sim.Proc) { r.note(body(p)) })
+	r.g.Go(name, body)
 }
 
 // run drives the engine until it drains and returns the clock and the
 // rig's error.
 func (r *rig) run() (sim.Time, error) {
-	return r.eng.Run(), r.err
+	return r.eng.Run(), r.g.Err()
 }
 
 // do runs body as a process on its own.
@@ -118,15 +113,13 @@ func (r *rig) do(name string, body func(p *sim.Proc) error) error {
 // process spawned beforehand shares the run.
 func (r *rig) fixedOps(workers, total int, op workload.Op) (workload.Result, error) {
 	res, err := workload.FixedOps(r.eng, workers, total, op)
-	r.note(err)
-	return res, r.err
+	return res, cmp.Or(r.g.Err(), err)
 }
 
 // closedLoop is workload.ClosedLoop on the rig's engine and error path.
 func (r *rig) closedLoop(workers int, horizon sim.Time, op workload.Op) (workload.Result, error) {
 	res, err := workload.ClosedLoop(r.eng, workers, horizon, op)
-	r.note(err)
-	return res, r.err
+	return res, cmp.Or(r.g.Err(), err)
 }
 
 // workers spawns the outstanding request processes under name, each with the

@@ -17,6 +17,12 @@ func triple() (int, string, error) { return 0, "", errors.New("boom") }
 
 func noError() int { return 0 }
 
+// group mirrors sim.Group: Wait joins the workers and returns the first
+// error one of them returned.
+type group struct{}
+
+func (*group) Wait() error { return errors.New("boom") }
+
 type custom struct{}
 
 func (custom) Error() string { return "custom" }
@@ -38,6 +44,12 @@ func drops() {
 
 	err := mayFail()
 	_ = err // want `error value is discarded with _`
+}
+
+func join(g *group) error {
+	g.Wait()     // want `result of g.Wait discards its error`
+	_ = g.Wait() // want `error result of g.Wait is discarded with _`
+	return g.Wait()
 }
 
 func concrete() {

@@ -18,8 +18,9 @@
 //
 //   - Any pair operation on a resource inside a nested function literal
 //     marks the resource as escaped and untracks it: the closure runs
-//     on another simulated process's schedule (Group.Go, zebra's
-//     per-fragment sends), so intra-function counting is meaningless.
+//     on another simulated process's schedule (a Group.Go worker, such
+//     as zebra's per-fragment sends), so intra-function counting is
+//     meaningless.  Group.Go itself pairs its own Add and Done.
 //
 //   - At control-flow joins the per-path counts are merged with min, so
 //     a loop that only acquires (paired with a later loop that only

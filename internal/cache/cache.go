@@ -144,9 +144,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Lines reports the number of resident lines.
 func (c *Cache) Lines() int { return len(c.table) }
 
-// CapacityLines reports how many lines fit.
-func (c *Cache) CapacityLines() int { return c.maxLines }
-
 // LineBytes reports the configured line size.
 func (c *Cache) LineBytes() int { return c.lineSecs * c.secSize }
 
@@ -321,12 +318,10 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 		}
 	}
 	if len(runs) > 0 {
-		g := sim.NewGroup(c.eng)
-		var firstErr error
+		g := p.Fork()
 		for i := range runs {
 			r := &runs[i]
-			g.Go("cache-fill", func(q *sim.Proc) {
-				defer telemetry.Adopt(q, p)()
+			g.Go("cache-fill", func(q *sim.Proc) error {
 				start := r.firstLine * int64(c.lineSecs)
 				secs := int(r.lastLine-r.firstLine+1) * c.lineSecs
 				if start+int64(secs) > c.devSecs {
@@ -334,12 +329,10 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 				}
 				data := make([]byte, secs*c.secSize)
 				if err := bytepath.ReadInto(c.dev, q, start, data); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+					return err
 				}
 				r.data = data
+				return nil
 			})
 		}
 		// The hit traffic crosses the crossbar while the fills are in
@@ -347,9 +340,8 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 		if hitBytes > 0 {
 			c.mem.Send(p, hitBytes, 0)
 		}
-		g.Wait(p)
-		if firstErr != nil {
-			return firstErr
+		if err := g.Wait(p); err != nil {
+			return err
 		}
 		for _, r := range runs {
 			c.stats.FillBytes += uint64(len(r.data))

@@ -97,7 +97,7 @@ func (ws *Workstation) withRetry(p *sim.Proc, what string, attempt func(resume i
 		}
 		if pol.Deadline > 0 && time.Duration(p.Now().Sub(start))+backoff >= pol.Deadline {
 			ws.stats.Deadlines++
-			return fmt.Errorf("client: %s after %v (%d retries): %w (last error: %v)",
+			return fmt.Errorf("client: %s after %v (%d retries): %w (last error: %w)",
 				what, time.Duration(p.Now().Sub(start)), try, fault.ErrDeadline, err)
 		}
 		ws.stats.Retries++
@@ -227,34 +227,31 @@ func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 	e := sys.Eng
 	chunks := sys.Cfg.Chunks(n)
 	ready := make([]*sim.Event, len(chunks))
-	errs := make([]error, len(chunks))
+	errs := make([]error, len(chunks)) // per chunk: the resume offset depends on which one failed
+	g := p.Fork()
 	cursor := off
 	for i, c := range chunks {
-		i, c := i, c
 		at := cursor
 		cursor += int64(c)
 		ready[i] = sim.NewEvent(e)
 		b.XB.Buffers.Acquire(p, c)
-		e.Spawn("client-read-disk", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
+		g.Go("client-read-disk", func(q *sim.Proc) error {
 			_, errs[i] = fl.f.File.ReadAt(q, at, c)
 			ready[i].Signal()
+			return nil
 		})
 	}
 	// Even after a failure the loop keeps draining: every spawned reader
 	// must finish and every acquired buffer must return to the pool, or the
 	// board would leak XBUS memory on each failed attempt.
 	done := 0
-	var firstErr error
 	for i, c := range chunks {
 		ready[i].Wait(p)
-		if firstErr == nil && errs[i] != nil {
-			firstErr = fmt.Errorf("client: read %s at %d: %w", fl.path, off+int64(done), errs[i])
+		if err == nil && errs[i] != nil {
+			err = fmt.Errorf("client: read %s at %d: %w", fl.path, off+int64(done), errs[i])
 		}
-		if firstErr == nil {
-			if _, err := sys.Ultra.Send(p, b.HEP, ws.EP, c); err != nil {
-				firstErr = err
-			} else {
+		if err == nil {
+			if _, err = sys.Ultra.Send(p, b.HEP, ws.EP, c); err == nil {
 				b.XB.Buffers.Release(c)
 				// Client-side copies out of the socket into application memory.
 				ws.Host.CopyAsync(p, c)
@@ -264,7 +261,7 @@ func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 		}
 		b.XB.Buffers.Release(c)
 	}
-	return done, firstErr
+	return done, err
 }
 
 // Write performs raid_write: the client's copy-limited library pushes data

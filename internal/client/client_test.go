@@ -226,6 +226,10 @@ func TestDeadlineBoundsRetries(t *testing.T) {
 		if !errors.Is(err, fault.ErrDeadline) {
 			t.Fatalf("err = %v, want fault.ErrDeadline", err)
 		}
+		// The deadline error keeps the typed cause of the last attempt.
+		if !errors.Is(err, fault.ErrLinkDown) {
+			t.Fatalf("err = %v, want the last attempt's fault.ErrLinkDown too", err)
+		}
 	})
 	sys.Eng.Run()
 	if dur > 150*time.Millisecond {

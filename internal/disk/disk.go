@@ -281,8 +281,9 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 	g := sim.NewGroup(d.eng)
 	endMedia := p.Span("disk", "media-read")
 	d.streamChunks(p, lba, n, func(cp *sim.Proc, bytes int) {
-		g.Go("diskread-chunk", func(q *sim.Proc) {
+		g.Go("diskread-chunk", func(q *sim.Proc) error {
 			path.Send(q, bytes, 0)
+			return nil
 		})
 		_ = cp
 	})
@@ -292,7 +293,8 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(n * d.spec.SectorSize)
 	d.actuator.Release()
-	g.Wait(p) // last chunk delivered downstream
+	//lint:allow errdrop the chunk workers return none; the wait is for the last chunk delivered downstream
+	g.Wait(p)
 
 	d.store.ReadAt(dst, lba*int64(d.spec.SectorSize))
 	return nil
@@ -348,7 +350,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 		}
 		chunkLBA := cursor
 		cursor += int64(secs)
-		g.Go("diskwrite-chunk", func(q *sim.Proc) {
+		g.Go("diskwrite-chunk", func(q *sim.Proc) error {
 			path.Send(q, bytes, 0)
 			posDone.Wait(q)
 			start := q.Now()
@@ -361,8 +363,10 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 			endMedia := q.Span("disk", "media-write")
 			q.WaitUntil(mediaFree)
 			endMedia()
+			return nil
 		})
 	}
+	//lint:allow errdrop the chunk workers return none
 	g.Wait(p)
 
 	d.curCyl = d.cylOf(lba + int64(n) - 1)

@@ -239,13 +239,17 @@ func TestActuatorSerializesRequests(t *testing.T) {
 	var latencies []sim.Duration
 	for i := 0; i < 4; i++ {
 		lba := int64(i * 100000)
-		g.Go("r", func(p *sim.Proc) {
+		g.Go("r", func(p *sim.Proc) error {
 			start := p.Now()
-			_, _ = d.Read(p, lba, 8, nil)
+			_, err := d.Read(p, lba, 8, nil)
 			latencies = append(latencies, p.Now().Sub(start))
+			return err
 		})
 	}
 	e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	// Queued requests should see increasing latency.
 	for i := 1; i < len(latencies); i++ {
 		if latencies[i] <= latencies[i-1] {

@@ -18,14 +18,20 @@ func schedIOPS(t *testing.T, policy SchedPolicy, qdepth int) float64 {
 	g := sim.NewGroup(e)
 	for w := 0; w < qdepth; w++ {
 		rng := rand.New(rand.NewSource(int64(w + 1)))
-		g.Go("rd", func(p *sim.Proc) {
+		g.Go("rd", func(p *sim.Proc) error {
 			for i := 0; i < opsPer; i++ {
 				lba := rng.Int63n(d.Sectors() - 8)
-				_, _ = d.Read(p, lba, 8, nil)
+				if _, err := d.Read(p, lba, 8, nil); err != nil {
+					return err
+				}
 			}
+			return nil
 		})
 	}
 	end := e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	return float64(qdepth*opsPer) / end.Seconds()
 }
 
@@ -73,10 +79,12 @@ func TestSchedulerPreservesData(t *testing.T) {
 		frags = append(frags, frag{lba, buf})
 	}
 	for _, f := range frags {
-		f := f
-		g.Go("w", func(p *sim.Proc) { _ = d.Write(p, f.lba, f.data, nil) })
+		g.Go("w", func(p *sim.Proc) error { return d.Write(p, f.lba, f.data, nil) })
 	}
 	e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range frags {
 		got := d.ReadData(f.lba, 8)
 		// Overlapping random LBAs could collide; only check fragments whose

@@ -34,7 +34,6 @@ type Segment struct {
 	down      bool
 	lossEvery int    // drop every lossEvery-th frame; 0 = none
 	frames    uint64 // frames carried, for the loss period
-	lost      uint64 // frames dropped
 }
 
 // New creates a segment on engine e.
@@ -87,7 +86,6 @@ func (s *Segment) Send(p *sim.Proc, n int) (int, error) {
 		}
 		s.wire.Transfer(p, f)
 		if s.lose() {
-			s.lost++
 			p.Span("net", "packet-lost:"+s.wire.Name())()
 			fe := p.Span("net", "packet-lost")
 			p.Wait(s.cfg.PerPacket)
@@ -99,9 +97,6 @@ func (s *Segment) Send(p *sim.Proc, n int) (int, error) {
 	}
 	return sent, nil
 }
-
-// LostFrames reports how many frames the wire has dropped.
-func (s *Segment) LostFrames() uint64 { return s.lost }
 
 // PacketTime reports the duration one full frame occupies the wire.
 func (s *Segment) PacketTime() time.Duration {

@@ -41,13 +41,15 @@ func TestSharedWireContention(t *testing.T) {
 	seg := New(e, "eth0", DefaultConfig())
 	g := sim.NewGroup(e)
 	for i := 0; i < 3; i++ {
-		g.Go("s", func(p *sim.Proc) {
-			if _, err := seg.Send(p, 300<<10); err != nil {
-				t.Error(err)
-			}
+		g.Go("s", func(p *sim.Proc) error {
+			_, err := seg.Send(p, 300<<10)
+			return err
 		})
 	}
 	end := e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	rate := float64(900<<10) / end.Seconds() / 1e6
 	if rate > 1.25 {
 		t.Fatalf("aggregate %.2f exceeds wire rate", rate)

@@ -65,7 +65,6 @@ type portState struct {
 	down       bool
 	lossEvery  int    // drop every lossEvery-th packet; 0 = none
 	pkts       uint64 // packets carried, for the loss period
-	lost       uint64 // packets this party dropped
 	stallUntil sim.Time
 }
 
@@ -101,9 +100,6 @@ func (ep *Endpoint) SetLossEvery(n int) { ep.state.lossEvery = n }
 // StallUntil makes the endpoint unresponsive until simulated time t.
 func (ep *Endpoint) StallUntil(t sim.Time) { ep.state.stallUntil = t }
 
-// LostPackets reports how many packets this endpoint has dropped.
-func (ep *Endpoint) LostPackets() uint64 { return ep.state.lost }
-
 // stallRemaining reports how much of the endpoint's stall is still ahead.
 func (ep *Endpoint) stallRemaining(now sim.Time) time.Duration {
 	if ep.state.stallUntil <= now {
@@ -133,9 +129,6 @@ func (u *Ultranet) SetRingDown(down bool) { u.state.down = down }
 
 // SetRingLossEvery makes the ring drop every n-th packet (0 disables).
 func (u *Ultranet) SetRingLossEvery(n int) { u.state.lossEvery = n }
-
-// RingLostPackets reports how many packets the ring itself has dropped.
-func (u *Ultranet) RingLostPackets() uint64 { return u.state.lost }
 
 // Send moves n bytes from one endpoint to another across the ring,
 // packetized at MaxPacket with per-packet sender setup.  It returns the
@@ -190,15 +183,12 @@ func (u *Ultranet) Send(p *sim.Proc, from, to *Endpoint, n int) (int, error) {
 			// Zero-length spans attribute the drop to the specific party
 			// for the per-port loss section of the utilization table.
 			if ringLost {
-				u.state.lost++
 				p.Span("net", "packet-lost:ultranet")()
 			}
 			if fromLost {
-				from.state.lost++
 				p.Span("net", "packet-lost:"+from.Name)()
 			}
 			if toLost {
-				to.state.lost++
 				p.Span("net", "packet-lost:"+to.Name)()
 			}
 			fe := p.Span("net", "packet-lost")

@@ -277,9 +277,15 @@ func TestRingIsShared(t *testing.T) {
 	g := sim.NewGroup(e)
 	for i := 0; i < 2; i++ {
 		from, to := mk("f"), mk("t")
-		g.Go("xfer", func(p *sim.Proc) { _, _ = u.Send(p, from, to, 5<<20) })
+		g.Go("xfer", func(p *sim.Proc) error {
+			_, err := u.Send(p, from, to, 5<<20)
+			return err
+		})
 	}
 	end := e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	rate := float64(10<<20) / end.Seconds() / 1e6
 	if rate > 10.5 {
 		t.Fatalf("aggregate %.1f exceeds shared 10 MB/s ring", rate)

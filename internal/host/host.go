@@ -112,11 +112,6 @@ func (h *Host) DMAIn(p *sim.Proc, n int) {
 	sim.Path{h.Backplane, h.MemBus}.Send(p, n*h.Cfg.DMACrossings, 0)
 }
 
-// DMAOut models a device reading n bytes from host memory.
-func (h *Host) DMAOut(p *sim.Proc, n int) {
-	sim.Path{h.MemBus, h.Backplane}.Send(p, n*h.Cfg.DMACrossings, 0)
-}
-
 // Copy models a programmed kernel<->user copy of n bytes: the CPU is busy
 // for the duration and the bytes make CopyCrossings memory crossings.
 func (h *Host) Copy(p *sim.Proc, n int) {
@@ -130,9 +125,4 @@ func (h *Host) Copy(p *sim.Proc, n int) {
 // accounting itself.
 func (h *Host) CopyAsync(p *sim.Proc, n int) {
 	sim.Path{h.MemBus}.Send(p, n*h.Cfg.CopyCrossings, 0)
-}
-
-// MemTouch models cache/DMA interference traffic of n crossings.
-func (h *Host) MemTouch(p *sim.Proc, n int) {
-	sim.Path{h.MemBus}.Send(p, n, 0)
 }

@@ -19,12 +19,13 @@ func TestRAIDIDataPathCeiling(t *testing.T) {
 		// Pipeline DMA and copy the way the kernel does, chunk by chunk.
 		g := sim.NewGroup(e)
 		for off := 0; off < n; off += 256 << 10 {
-			g.Go("chunk", func(q *sim.Proc) {
+			g.Go("chunk", func(q *sim.Proc) error {
 				h.DMAIn(q, 256<<10)
 				h.CopyAsync(q, 256<<10)
+				return nil
 			})
 		}
-		g.Wait(p)
+		_ = g.Wait(p)
 		end = p.Now()
 	})
 	e.Run()
@@ -72,7 +73,10 @@ func TestPerIOSerializesOnCPU(t *testing.T) {
 	g := sim.NewGroup(e)
 	const ops = 100
 	for i := 0; i < ops; i++ {
-		g.Go("io", func(p *sim.Proc) { h.PerIO(p) })
+		g.Go("io", func(p *sim.Proc) error {
+			h.PerIO(p)
+			return nil
+		})
 	}
 	end := e.Run()
 	want := sim.Time(ops * int64(h.Cfg.PerIOOverhead))

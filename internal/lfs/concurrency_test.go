@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -17,20 +18,20 @@ func TestConcurrentWritersDistinctFiles(t *testing.T) {
 	const perFile = 300 << 10
 	g := sim.NewGroup(e)
 	for w := 0; w < writers; w++ {
-		w := w
-		g.Go("writer", func(p *sim.Proc) {
+		g.Go("writer", func(p *sim.Proc) error {
 			f, err := fs.Create(p, fmt.Sprintf("/w%d", w))
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			payload := bytes.Repeat([]byte{byte('a' + w)}, perFile)
-			if _, err := f.WriteAt(p, payload, 0); err != nil {
-				t.Error(err)
-			}
+			_, err = f.WriteAt(p, payload, 0)
+			return err
 		})
 	}
 	e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	run(e, func(p *sim.Proc) {
 		if err := fs.Sync(p); err != nil {
 			t.Fatal(err)
@@ -69,27 +70,30 @@ func TestConcurrentReadersShareFile(t *testing.T) {
 	})
 	g := sim.NewGroup(e)
 	for r := 0; r < 4; r++ {
-		g.Go("reader", func(p *sim.Proc) {
+		g.Go("reader", func(p *sim.Proc) error {
 			f, err := fs.Open(p, "/shared")
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			got, err := f.ReadAt(p, 0, size)
-			if err != nil {
-				t.Error(err)
-				return
+			if err == nil && !bytes.Equal(got, base) {
+				err = errors.New("reader saw wrong data")
 			}
-			if !bytes.Equal(got, base) {
-				t.Error("reader saw wrong data")
-			}
+			return err
 		})
 	}
-	g.Go("appender", func(p *sim.Proc) {
-		f, _ := fs.Open(p, "/shared")
-		_, _ = f.WriteAt(p, []byte("tail"), size)
+	g.Go("appender", func(p *sim.Proc) error {
+		f, err := fs.Open(p, "/shared")
+		if err != nil {
+			return err
+		}
+		_, err = f.WriteAt(p, []byte("tail"), size)
+		return err
 	})
 	e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestFileSyncDurability checks fsync semantics: a per-file Sync survives
@@ -121,6 +125,47 @@ func TestFileSyncDurability(t *testing.T) {
 		got, _ := g.ReadAt(p, 0, 12)
 		if string(got) != "MUST SURVIVE" {
 			t.Fatalf("got %q after crash, want fsynced content", got)
+		}
+	})
+}
+
+// brokenDev fails every write once broken is set.
+type brokenDev struct {
+	Device
+	broken bool
+}
+
+func (d *brokenDev) Write(p *sim.Proc, lba int64, data []byte) error {
+	if d.broken {
+		return errors.New("device gone")
+	}
+	return d.Device.Write(p, lba, data)
+}
+
+// TestFileSyncReportsLostSegment: fsync waits for the segment it sealed, so
+// it must report that segment's failed write instead of acknowledging bytes
+// that never reached the device.
+func TestFileSyncReportsLostSegment(t *testing.T) {
+	e := sim.New()
+	dev := &brokenDev{Device: newDevice(e, 8)}
+	run(e, func(p *sim.Proc) {
+		fs, err := Format(p, e, dev, Config{SegBytes: 64 << 10, MaxInodes: 1024, CleanReserve: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create(p, "/doomed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, []byte("never lands"), 0); err != nil {
+			t.Fatal(err)
+		}
+		dev.broken = true
+		if err := f.Sync(p); err == nil {
+			t.Fatal("File.Sync acknowledged a segment whose device write failed")
+		}
+		if err := fs.Sync(p); err == nil {
+			t.Fatal("the lost segment must stay latched for later syncs")
 		}
 	})
 }

@@ -269,11 +269,9 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, err
 	// in the file lands straight in its part of the result; one that starts
 	// or ends inside a block, or skips over a hole or a staged block, goes
 	// through a buffer of its own.
-	g := sim.NewGroup(fs.eng)
-	var firstErr error
+	g := p.Fork()
 	for _, r := range runs {
-		r := r
-		g.Go("lfs-read-run", func(q *sim.Proc) {
+		g.Go("lfs-read-run", func(q *sim.Proc) error {
 			first, last := r.members[0], r.members[len(r.members)-1]
 			direct := r.adjacent && first.off == 0 && last.off+last.n == BlockSize
 			var buf []byte
@@ -282,23 +280,19 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, err
 			} else {
 				buf = make([]byte, r.blocks*BlockSize)
 			}
-			rerr := bytepath.ReadInto(fs.dev, q, r.addr*int64(fs.blockSectors), buf)
-			if rerr != nil {
-				if firstErr == nil {
-					firstErr = rerr
-				}
-				return
+			if err := bytepath.ReadInto(fs.dev, q, r.addr*int64(fs.blockSectors), buf); err != nil {
+				return err
 			}
 			if !direct {
 				for j, pc := range r.members {
 					copy(out[pc.bufOff:pc.bufOff+pc.n], buf[j*BlockSize+pc.off:])
 				}
 			}
+			return nil
 		})
 	}
-	g.Wait(p)
-	if firstErr != nil {
-		return nil, firstErr
+	if err := g.Wait(p); err != nil {
+		return nil, err
 	}
 	fs.stats.ReadOps++
 	fs.stats.BytesRead += uint64(n)
@@ -341,6 +335,5 @@ func (f *File) Sync(p *sim.Proc) error {
 	if err := fs.sealSegment(p); err != nil {
 		return err
 	}
-	fs.seals.Wait(p)
-	return nil
+	return fs.seals.Wait(p)
 }

@@ -119,13 +119,11 @@ type FS struct {
 	// inflight holds each sealed image by segment index until its device
 	// write completes (for good if it fails), so its blocks stay readable.
 	// A sealed image is never modified: the device may still be reading it.
+	// The group latches the first error a segment write hit: the log on
+	// disk is no longer trustworthy past that point, so every later append,
+	// seal, and sync reports it instead of silently losing data.
 	seals    *sim.Group
 	inflight map[int][]byte
-
-	// devErr latches the first error a background segment write hit: the
-	// log on disk is no longer trustworthy past that point, so every later
-	// append, seal, and sync reports it instead of silently losing data.
-	devErr error
 
 	stats Stats
 }
@@ -367,8 +365,8 @@ func (fs *FS) stagedBlock(addr int64) []byte {
 // zeroed slot in the segment image, which the caller fills: the image is the
 // only place the block is staged.  The segment seals automatically when full.
 func (fs *FS) appendSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, error) {
-	if fs.devErr != nil {
-		return 0, nil, fs.devErr
+	if err := fs.seals.Err(); err != nil {
+		return 0, nil, err
 	}
 	if !fs.cleaning && fs.FreeSegments() < fs.cfg.CleanReserve {
 		// Try to stay ahead of log exhaustion.  Failure to find cleanable
@@ -453,8 +451,8 @@ func (fs *FS) pickFreeSegment() (int, error) {
 // zero to full length) to the device as one large sequential write — a full
 // stripe on the paper's configuration — and opens the next free segment.
 func (fs *FS) sealSegment(p *sim.Proc) error {
-	if fs.devErr != nil {
-		return fs.devErr
+	if err := fs.seals.Err(); err != nil {
+		return err
 	}
 	if len(fs.segEntries) == 0 {
 		return nil
@@ -488,18 +486,16 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	// the device write completes; from here on nothing writes to the image.
 	sealSeg := fs.curSeg
 	fs.inflight[curIdx] = image
-	fs.seals.Go("lfs-seal", func(q *sim.Proc) {
+	fs.seals.Go("lfs-seal", func(q *sim.Proc) error {
 		end := q.Span("lfs", "segment-write")
 		defer end()
 		if err := fs.dev.Write(q, sealSeg*int64(fs.blockSectors), image); err != nil {
 			// The segment never reached the array: keep its blocks readable
 			// and surface the loss at the next append or sync.
-			if fs.devErr == nil {
-				fs.devErr = fmt.Errorf("lfs: segment write: %w", err)
-			}
-			return
+			return fmt.Errorf("lfs: segment write: %w", err)
 		}
 		delete(fs.inflight, curIdx)
+		return nil
 	})
 	fs.curSeg = nextAddr
 	fs.setFree(nextIdx, false)
@@ -581,8 +577,7 @@ func (fs *FS) syncLocked(p *sim.Proc) error {
 	if err := fs.sealSegment(p); err != nil {
 		return err
 	}
-	fs.seals.Wait(p)
-	return fs.devErr
+	return fs.seals.Wait(p)
 }
 
 // Checkpoint makes the file system state recoverable without roll-forward:
@@ -621,9 +616,8 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 	if err := fs.sealSegment(p); err != nil {
 		return err
 	}
-	fs.seals.Wait(p)
-	if fs.devErr != nil {
-		return fs.devErr
+	if err := fs.seals.Wait(p); err != nil {
+		return err
 	}
 
 	fs.cpSeq++

@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"cmp"
 	"fmt"
 
 	"raidii/internal/sim"
@@ -45,20 +46,14 @@ func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 		a.arrayLock.Acquire(p)
 		defer a.arrayLock.Release()
 	}
-	g := sim.NewGroup(a.eng)
-	var firstErr error
+	g := p.Fork()
 	for _, ext := range a.extents(lba, n) {
-		ext := ext
-		g.Go("raid-read", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
-			if err := a.readExtentInto(q, ext, a.chunk(dst, ext)); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		g.Go("raid-read", func(q *sim.Proc) error {
+			return a.readExtentInto(q, ext, a.chunk(dst, ext))
 		})
 	}
-	g.Wait(p)
-	if firstErr != nil {
-		return firstErr
+	if err := g.Wait(p); err != nil {
+		return err
 	}
 	a.stats.Reads++
 	return nil
@@ -142,20 +137,13 @@ func (a *Array) perStripe(p *sim.Proc, lba int64, n int, name string, fn func(q 
 		}
 		groups[ext.stripe] = append(groups[ext.stripe], ext)
 	}
-	g := sim.NewGroup(a.eng)
-	var firstErr error
+	g := p.Fork()
 	for _, stripe := range order {
 		exts := groups[stripe]
-		g.Go(name, func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
-			if err := fn(q, stripe, exts); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
+		g.Go(name, func(q *sim.Proc) error { return fn(q, stripe, exts) })
 	}
-	g.Wait(p)
-	if firstErr != nil {
-		return firstErr
+	if err := g.Wait(p); err != nil {
+		return err
 	}
 	a.stats.Writes++
 	return nil
@@ -207,16 +195,15 @@ func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []by
 	}
 	a.stats.StreamingWrites++
 	k := a.dataDisks()
-	g := sim.NewGroup(a.eng)
+	g := p.Fork()
 	lo, hi := exts[0].secOff, exts[0].secOff+exts[0].secs
 	for _, ext := range exts {
 		lo, hi = min(lo, ext.secOff), max(hi, ext.secOff+ext.secs)
-		v.goWrite(g, p, "stream-w", ext.pos, int64(ext.secOff), a.chunk(data, ext))
+		v.goWrite(g, "stream-w", ext.pos, int64(ext.secOff), a.chunk(data, ext))
 	}
 	// Check columns over the written columns' union range, in parallel with
 	// the data writes.
-	g.Go("stream-p", func(q *sim.Proc) {
-		defer telemetry.Adopt(q, p)()
+	g.Go("stream-p", func(q *sim.Proc) error {
 		sc := a.newScratch()
 		defer sc.release()
 		span := (hi - lo) * a.secSize
@@ -234,7 +221,7 @@ func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []by
 				v.write(q, k+j, int64(lo), check)
 			}
 		}
+		return nil
 	})
-	g.Wait(p)
-	return a.errIfLost("streaming write")
+	return cmp.Or(g.Wait(p), a.errIfLost("streaming write"))
 }

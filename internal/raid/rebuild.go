@@ -2,6 +2,7 @@ package raid
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 
 	"raidii/internal/bytepath"
@@ -23,7 +24,7 @@ import (
 type rebuild struct {
 	spare Dev
 	done  []bool // per stripe: the spare holds this stripe's column
-	err   error  // first failure; a failed rebuild never swaps its spare in
+	err   error  // first foreground write that failed on the spare; a failed rebuild never swaps its spare in
 }
 
 func (rb *rebuild) fail(err error) {
@@ -74,16 +75,15 @@ func (a *Array) Reconstruct(p *sim.Proc, devIdx int, spare Dev) (int64, error) {
 	g := sim.NewGroup(a.eng)
 	for s := int64(0); s < a.stripes; s++ {
 		sem.Acquire(p)
-		g.Go("rebuild-stripe", func(q *sim.Proc) {
+		g.Go("rebuild-stripe", func(q *sim.Proc) error {
 			defer sem.Release()
-			if err := a.rebuildStripe(q, rb, devIdx, s); err != nil {
-				rb.fail(err)
-			}
+			return a.rebuildStripe(q, rb, devIdx, s)
 		})
 	}
-	g.Wait(p)
-	if rb.err != nil {
-		return 0, rb.err
+	// A stripe that failed to rebuild, or a foreground write that failed on
+	// the spare meanwhile.
+	if err := cmp.Or(g.Wait(p), rb.err); err != nil {
+		return 0, err
 	}
 	a.devs[devIdx] = spare
 	a.RepairDisk(devIdx)

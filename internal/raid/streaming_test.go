@@ -70,9 +70,16 @@ func TestLevel3SingleRequestAtATime(t *testing.T) {
 		g := sim.NewGroup(e)
 		for i := 0; i < 4; i++ {
 			lba := int64(i * 16)
-			g.Go("r", func(p *sim.Proc) { _, _ = a.Read(p, lba, 1) })
+			g.Go("r", func(p *sim.Proc) error {
+				_, err := a.Read(p, lba, 1)
+				return err
+			})
 		}
-		return sim.Duration(e.Run())
+		end := e.Run()
+		if err := g.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Duration(end)
 	}
 	l3, l5 := elapsed(Level3), elapsed(Level5)
 	if l3 <= l5 {

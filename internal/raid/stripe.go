@@ -1,6 +1,8 @@
 package raid
 
 import (
+	"cmp"
+
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
@@ -102,13 +104,13 @@ func (v *stripeView) write(p *sim.Proc, role int, secOff int64, data []byte) {
 
 // goWrite spawns a write of data at secOff of a role's column, unless the
 // column is lost.
-func (v *stripeView) goWrite(g *sim.Group, p *sim.Proc, name string, role int, secOff int64, data []byte) {
+func (v *stripeView) goWrite(g *sim.Group, name string, role int, secOff int64, data []byte) {
 	if v.lost(role) {
 		return
 	}
-	g.Go(name, func(q *sim.Proc) {
-		defer telemetry.Adopt(q, p)()
+	g.Go(name, func(q *sim.Proc) error {
 		v.write(q, role, secOff, data)
+		return nil
 	})
 }
 
@@ -156,7 +158,7 @@ func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, wa
 	end := p.Span("raid", "reconstruct")
 	defer end()
 	cols := make([][]byte, len(v.cols))
-	g := sim.NewGroup(a.eng)
+	g := p.Fork()
 	for i := range v.cols {
 		role := i
 		if !a.row.roleOrderReads {
@@ -166,14 +168,16 @@ func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, wa
 			continue
 		}
 		col := sc.col(n)
-		g.Go("raid-reconstruct", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
+		g.Go("raid-reconstruct", func(q *sim.Proc) error {
 			if v.read(q, role, secOff, col) {
 				cols[role] = col
 			}
+			return nil
 		})
 	}
-	g.Wait(p)
+	if err := g.Wait(p); err != nil {
+		return nil, err
+	}
 	lost := 0
 	for _, c := range cols {
 		if c == nil {
@@ -284,16 +288,15 @@ func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byt
 // to its column, and at Level 1 to the column's mirror as well.
 func (v *stripeView) writeCopies(p *sim.Proc, exts []extent, data []byte) error {
 	a := v.a
-	g := sim.NewGroup(a.eng)
+	g := p.Fork()
 	for _, ext := range exts {
 		role := a.dataRole(ext.pos)
-		v.goWrite(g, p, "w", role, int64(ext.secOff), a.chunk(data, ext))
+		v.goWrite(g, "w", role, int64(ext.secOff), a.chunk(data, ext))
 		if a.row.mirrored {
-			v.goWrite(g, p, "w", role+1, int64(ext.secOff), a.chunk(data, ext))
+			v.goWrite(g, "w", role+1, int64(ext.secOff), a.chunk(data, ext))
 		}
 	}
-	g.Wait(p)
-	return a.errIfLost("write")
+	return cmp.Or(g.Wait(p), a.errIfLost("write"))
 }
 
 // writeFull computes the check columns from the new data alone and writes all
@@ -314,22 +317,21 @@ func (v *stripeView) writeFull(p *sim.Proc, exts []extent, data []byte) error {
 
 	// Data writes start immediately; the check columns are computed while
 	// they stream, and each is written as soon as it is ready.
-	g := sim.NewGroup(a.eng)
+	g := p.Fork()
 	for pos, col := range cols {
-		v.goWrite(g, p, "w", pos, 0, col)
+		v.goWrite(g, "w", pos, 0, col)
 	}
 	for j := 0; j < a.row.checks; j++ {
 		check := sc.unit()
-		g.Go("wc", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
+		g.Go("wc", func(q *sim.Proc) error {
 			a.encode(q, j, check, cols)
 			if !v.lost(k + j) {
 				v.write(q, k+j, 0, check)
 			}
+			return nil
 		})
 	}
-	g.Wait(p)
-	return a.errIfLost("write")
+	return cmp.Or(g.Wait(p), a.errIfLost("write"))
 }
 
 // writeReconstruct handles a partial-stripe write by rebuilding the stripe's
@@ -358,22 +360,24 @@ func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) e
 		solve = solve || !full[pos] && v.lost(pos)
 	}
 	if !solve {
-		rg := sim.NewGroup(a.eng)
+		rg := p.Fork()
 		for pos := range full {
 			if full[pos] {
 				continue
 			}
 			old := sc.unit()
-			rg.Go("rw-read", func(q *sim.Proc) {
-				defer telemetry.Adopt(q, p)()
+			rg.Go("rw-read", func(q *sim.Proc) error {
 				if v.read(q, pos, 0, old) {
 					cols[pos] = old
 				} else {
 					solve = true // the read escalated its disk mid-write
 				}
+				return nil
 			})
 		}
-		rg.Wait(p)
+		if err := rg.Wait(p); err != nil {
+			return err
+		}
 	}
 	if solve {
 		all, err := v.readSolve(p, sc, 0, a.unitSecs*a.secSize, -1, nil)
@@ -398,15 +402,14 @@ func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) e
 		a.encode(p, j, checks[j], cols)
 	}
 
-	wg := sim.NewGroup(a.eng)
+	wg := p.Fork()
 	for _, ext := range exts {
-		v.goWrite(wg, p, "rw-write", ext.pos, int64(ext.secOff), a.chunk(data, ext))
+		v.goWrite(wg, "rw-write", ext.pos, int64(ext.secOff), a.chunk(data, ext))
 	}
 	for j, check := range checks {
-		v.goWrite(wg, p, "rw-check", k+j, 0, check)
+		v.goWrite(wg, "rw-check", k+j, 0, check)
 	}
-	wg.Wait(p)
-	return a.errIfLost("write")
+	return cmp.Or(wg.Wait(p), a.errIfLost("write"))
 }
 
 // writeRMW performs one combined read-modify-write for all extents of a
@@ -440,23 +443,25 @@ func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 			return
 		}
 		buf := sc.col(n)
-		g.Go(name, func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
+		g.Go(name, func(q *sim.Proc) error {
 			if v.read(q, role, secOff, buf) {
 				*into = buf
 			} else {
 				readFailed = true
 			}
+			return nil
 		})
 	}
-	rg := sim.NewGroup(a.eng)
+	rg := p.Fork()
 	for i, ext := range exts {
 		goRead(rg, "rmw-rd", ext.pos, int64(ext.secOff), ext.secs*a.secSize, &oldD[i])
 	}
 	for j := range oldC {
 		goRead(rg, "rmw-rc", k+j, int64(lo), (hi-lo)*a.secSize, &oldC[j])
 	}
-	rg.Wait(p)
+	if err := rg.Wait(p); err != nil {
+		return err
+	}
 	if readFailed && a.row.degradedRW {
 		// The stripe went degraded mid-flight: the planner's choice for a
 		// degraded stripe applies from here.
@@ -487,15 +492,14 @@ func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 		}
 	}
 
-	wg := sim.NewGroup(a.eng)
+	wg := p.Fork()
 	for _, ext := range exts {
-		v.goWrite(wg, p, "rmw-wd", ext.pos, int64(ext.secOff), a.chunk(data, ext))
+		v.goWrite(wg, "rmw-wd", ext.pos, int64(ext.secOff), a.chunk(data, ext))
 	}
 	for j, check := range oldC {
 		if check != nil {
-			v.goWrite(wg, p, "rmw-wc", k+j, int64(lo), check)
+			v.goWrite(wg, "rmw-wc", k+j, int64(lo), check)
 		}
 	}
-	wg.Wait(p)
-	return a.errIfLost("write")
+	return cmp.Or(wg.Wait(p), a.errIfLost("write"))
 }

@@ -220,6 +220,3 @@ func (ad *Disk) Sectors() int64 { return ad.Drive.Sectors() }
 
 // SectorSize returns the drive's sector size.
 func (ad *Disk) SectorSize() int { return ad.Drive.SectorSize() }
-
-// StringUtilization reports the busy fraction of the disk's string bus.
-func (ad *Disk) StringUtilization() float64 { return ad.str.Bus.Utilization() }

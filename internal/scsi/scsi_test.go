@@ -45,16 +45,21 @@ func stringThroughput(t *testing.T, n int) float64 {
 	const perDisk = 2 << 20 // 2 MB each
 	g := sim.NewGroup(e)
 	for _, ad := range disks {
-		ad := ad
-		g.Go("reader", func(p *sim.Proc) {
+		g.Go("reader", func(p *sim.Proc) error {
 			lba := int64(0)
 			for read := 0; read < perDisk; read += 128 * 512 {
-				_, _ = ad.Read(p, lba, 128, nil)
+				if _, err := ad.Read(p, lba, 128, nil); err != nil {
+					return err
+				}
 				lba += 128
 			}
+			return nil
 		})
 	}
 	end := e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	return float64(n*perDisk) / end.Seconds() / 1e6
 }
 
@@ -95,16 +100,21 @@ func TestTwoStringsExceedOne(t *testing.T) {
 		const perDisk = 1 << 20
 		g := sim.NewGroup(e)
 		for _, ad := range disks {
-			ad := ad
-			g.Go("reader", func(p *sim.Proc) {
+			g.Go("reader", func(p *sim.Proc) error {
 				lba := int64(0)
 				for read := 0; read < perDisk; read += 128 * 512 {
-					_, _ = ad.Read(p, lba, 128, nil)
+					if _, err := ad.Read(p, lba, 128, nil); err != nil {
+						return err
+					}
 					lba += 128
 				}
+				return nil
 			})
 		}
 		end := e.Run()
+		if err := g.Err(); err != nil {
+			t.Fatal(err)
+		}
 		return float64(6<<20) / end.Seconds() / 1e6
 	}
 	oneStr, twoStr := run(false), run(true)
@@ -125,16 +135,21 @@ func TestControllerCeiling(t *testing.T) {
 	const perDisk = 1 << 20
 	g := sim.NewGroup(e)
 	for _, ad := range disks {
-		ad := ad
-		g.Go("reader", func(p *sim.Proc) {
+		g.Go("reader", func(p *sim.Proc) error {
 			lba := int64(0)
 			for read := 0; read < perDisk; read += 128 * 512 {
-				_, _ = ad.Read(p, lba, 128, nil)
+				if _, err := ad.Read(p, lba, 128, nil); err != nil {
+					return err
+				}
 				lba += 128
 			}
+			return nil
 		})
 	}
 	end := e.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	rate := float64(8<<20) / end.Seconds() / 1e6
 	if rate > 6.6 {
 		t.Fatalf("controller rate %.2f exceeds dual-string limit", rate)

@@ -81,21 +81,18 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error
 	secSize := b.Array.SectorSize()
 	chunks := b.sys.Cfg.Chunks(size)
 	ready := make([]*sim.Event, len(chunks))
-	var firstErr error
+	g := p.Fork()
 	cursor := offSectors
 	for i, n := range chunks {
-		i, n := i, n
 		secs := (n + secSize - 1) / secSize
 		at := cursor
 		cursor += int64(secs)
 		ready[i] = sim.NewEvent(e)
 		b.XB.Buffers.Acquire(p, n)
-		e.Spawn("hw-read-disk", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
-			if err := b.readDev(q, at, secs); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		g.Go("hw-read-disk", func(q *sim.Proc) error {
+			err := b.readDev(q, at, secs)
 			ready[i].Signal()
+			return err
 		})
 	}
 	// Network side: one HIPPI packet for the request, chunks in order.
@@ -105,7 +102,7 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error
 		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, n, 0)
 		b.XB.Buffers.Release(n)
 	}
-	return firstErr
+	return g.Wait(p) // every worker has signalled: no wait, the first error
 }
 
 // HardwareWrite performs the Figure 5 write: data originate in XBUS
@@ -115,10 +112,8 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error
 // full-stripe parity path while the HIPPI keeps streaming.
 func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err error) {
 	defer telemetry.Ensure(p, "hw-write")(&err)
-	e := b.sys.Eng
 	secSize := b.Array.SectorSize()
-	g := sim.NewGroup(e)
-	var firstErr error
+	g := p.Fork()
 
 	p.Wait(b.HEP.Setup)
 	cursor := offSectors
@@ -128,17 +123,13 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err erro
 		cursor += int64(secs)
 		b.XB.Buffers.Acquire(p, n)
 		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, n, 0)
-		secs := secs
-		g.Go("hw-write-disk", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
-			if err := b.writeDevStreaming(q, at, make([]byte, secs*secSize)); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		g.Go("hw-write-disk", func(q *sim.Proc) error {
+			err := b.writeDevStreaming(q, at, make([]byte, secs*secSize))
 			b.XB.Buffers.Release(n)
+			return err
 		})
 	}
-	g.Wait(p)
-	return firstErr
+	return g.Wait(p)
 }
 
 // FSRead is the Figure 8 LFS read: file system overhead on the host CPU,
@@ -149,27 +140,20 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err erro
 func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, err error) {
 	defer telemetry.Ensure(p, "fs-read")(&err)
 	b.sys.Host.CPUWork(p, b.sys.Cfg.FSReadOverhead)
-	e := b.sys.Eng
-	g := sim.NewGroup(e)
-	sem := sim.NewServer(e, "fsread-pipe", max(1, b.sys.Cfg.PipelineDepth))
-	var firstErr error
+	g := p.Fork()
+	sem := sim.NewServer(b.sys.Eng, "fsread-pipe", max(1, b.sys.Cfg.PipelineDepth))
 	out := make([]byte, size)
 	var total int64 // furthest byte delivered into out
 	cursor := off
 	for _, n := range b.sys.Cfg.Chunks(size) {
-		n := n
 		at := cursor
 		cursor += int64(n)
 		sem.Acquire(p)
-		g.Go("fsread-chunk", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
+		g.Go("fsread-chunk", func(q *sim.Proc) error {
 			defer sem.Release()
 			b.XB.Buffers.Acquire(q, n)
 			// The chunk's bytes land in its own slice of out.
 			got, err := f.File.ReadAtInto(q, at, out[at-off:at-off+int64(n)])
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
 			if hi := at - off + int64(got); hi > total {
 				total = hi
 			}
@@ -177,10 +161,11 @@ func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, e
 			// memory pass.
 			b.XB.Memory.Transfer(q, n)
 			b.XB.Buffers.Release(n)
+			return err
 		})
 	}
-	g.Wait(p)
-	return out[:total], firstErr
+	err = g.Wait(p)
+	return out[:total], err
 }
 
 // FSWrite is the Figure 8 LFS write: file system overhead on the host
@@ -253,21 +238,17 @@ func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) (err erro
 	}
 	// Low-bandwidth path: XBUS -> host VME port -> host memory -> copy ->
 	// Ethernet, pipelined at chunk granularity.
-	g := sim.NewGroup(b.sys.Eng)
-	var firstErr error
+	g := p.Fork()
 	for _, n := range b.sys.Cfg.Chunks(size) {
-		n := n
-		g.Go("ether-chunk", func(q *sim.Proc) {
-			defer telemetry.Adopt(q, p)()
+		g.Go("ether-chunk", func(q *sim.Proc) error {
 			b.XB.HostTransfer(q, n, true)
 			h.DMAIn(q, n)
 			h.CopyAsync(q, n)
-			if _, err := b.sys.Ether.Send(q, n); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			_, err := b.sys.Ether.Send(q, n)
+			return err
 		})
 	}
-	g.Wait(p)
+	err = g.Wait(p)
 	h.PerIO(p)
-	return firstErr
+	return err
 }

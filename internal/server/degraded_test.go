@@ -142,23 +142,24 @@ func TestMultipleClientsShareTheServer(t *testing.T) {
 
 	g := sim.NewGroup(sys.Eng)
 	for i := 0; i < streams; i++ {
-		i := i
-		g.Go("client", func(p *sim.Proc) {
+		g.Go("client", func(p *sim.Proc) error {
 			f, err := b.CreateFS(p, pathOf(i))
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			buf := make([]byte, 1<<20)
 			for off := int64(0); off < perStream; off += int64(len(buf)) {
 				if err := b.FSWrite(p, f, off, buf); err != nil {
-					t.Error(err)
-					return
+					return err
 				}
 			}
+			return nil
 		})
 	}
 	sys.Eng.Run()
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
 	sys.Eng.Spawn("verify", func(p *sim.Proc) {
 		if err := b.FS.Sync(p); err != nil {
 			t.Fatal(err)

@@ -129,9 +129,8 @@ func (x *hostXOR) XORInto(p *sim.Proc, dst, src []byte) {
 // measured rate reflects the memory system's steady state.
 func (r *RAIDI) UserRead(p *sim.Proc, offSectors int64, size int) error {
 	secSize := r.Array.SectorSize()
-	g := sim.NewGroup(r.Eng)
+	g := p.Fork()
 	sem := sim.NewServer(r.Eng, "raidi-pipe", 2)
-	var firstErr error
 	cursor := offSectors
 	const chunk = 256 << 10
 	for rem := size; rem > 0; {
@@ -144,18 +143,17 @@ func (r *RAIDI) UserRead(p *sim.Proc, offSectors int64, size int) error {
 		at := cursor
 		cursor += int64(secs)
 		sem.Acquire(p)
-		g.Go("raidi-chunk", func(q *sim.Proc) {
+		g.Go("raidi-chunk", func(q *sim.Proc) error {
 			defer sem.Release()
 			// DMA path: backplane + memory bus.
-			if _, err := r.Array.Read(q, at, secs); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			_, err := r.Array.Read(q, at, secs)
 			r.Host.CopyAsync(q, n) // kernel -> user copy + cache traffic
+			return err
 		})
 	}
-	g.Wait(p)
+	err := g.Wait(p)
 	r.Host.PerIO(p)
-	return firstErr
+	return err
 }
 
 // SmallDiskRead is RAID-I's Table 2 unit of work: a 4 KB read from one

@@ -14,7 +14,7 @@ import (
 // change hands between simulated processes — equal-timestamp timers, a
 // contended Server handing its slot over on Release, Tokens waiters admitted
 // out of a shared pool, an Event waking several waiters, Group.Go/Wait, a
-// Store pipeline, spawn inside spawn, a recycled shell receiving a stale
+// one-slot pipeline handing off through an Event, spawn inside spawn, a recycled shell receiving a stale
 // wake-up, Step interleaved with RunUntil, sampler boundaries between events —
 // and logs, through the Tracer hooks, which process ran at which simulated
 // time.  The log must equal testdata/dispatch_pin.txt, which was recorded
@@ -126,41 +126,59 @@ func dispatchScene(t *testing.T) []string {
 	e.Spawn("forker", func(p *Proc) {
 		g := NewGroup(e)
 		for i, d := range []Duration{500 * us, 200 * us, 500 * us} {
-			g.Go(fmt.Sprintf("kid%d", i), func(c *Proc) {
+			g.Go(fmt.Sprintf("kid%d", i), func(c *Proc) error {
 				c.Wait(d)
 				ran(c, "kid")
 				if i == 1 {
-					inner := NewGroup(e)
-					inner.Go("grand", func(gc *Proc) {
+					inner := c.Fork()
+					inner.Go("grand", func(gc *Proc) error {
 						gc.Wait(50 * us)
 						ran(gc, "grand")
 						e.Spawn("great", func(gg *Proc) { ran(gg, "great") })
+						return nil
 					})
-					inner.Wait(c)
+					_ = inner.Wait(c)
 					ran(c, "joined-inner")
 				}
+				return nil
 			})
 		}
-		g.Wait(p)
+		_ = g.Wait(p)
 		ran(p, "joined")
 	})
-	// Store pipeline: a bounded buffer blocks the producer, Close wakes the
-	// consumer.
-	st := NewStore[int](e, 1)
+	// A one-slot pipeline (recorded from the deleted sim.Store): the full
+	// slot parks the producer on an Event, the consumer's take wakes it at
+	// the same timestamp, and the consumer leaves once the closed pipeline
+	// is drained.
+	var slot []int
+	var space *Event // what a producer blocked on the full slot waits on
+	closed := false
 	e.Spawn("produce", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			st.Put(p, i)
+			if len(slot) == 1 {
+				space = NewEvent(e)
+				space.Wait(p)
+			}
+			slot = append(slot, i)
 			ran(p, "put")
 		}
 		p.Wait(100 * us)
-		st.Close()
+		closed = true
 	})
 	e.Spawn("consume", func(p *Proc) {
 		for {
 			p.Wait(60 * us)
-			if _, ok := st.Get(p); !ok {
+			if len(slot) == 0 {
+				if !closed {
+					t.Error("scene's consumer found the open pipeline empty")
+				}
 				ran(p, "closed")
 				return
+			}
+			slot = slot[:0]
+			if space != nil {
+				space.Signal()
+				space = nil
 			}
 			ran(p, "got")
 		}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -183,11 +186,14 @@ func TestLinkContentionSerializes(t *testing.T) {
 	l := NewLink(e, "l", 1, 0) // 1 MB/s
 	g := NewGroup(e)
 	for i := 0; i < 3; i++ {
-		g.Go("p", func(p *Proc) { l.Transfer(p, 1_000_000) })
+		g.Go("p", func(p *Proc) error {
+			l.Transfer(p, 1_000_000)
+			return nil
+		})
 	}
 	var end Time
 	e.Spawn("join", func(p *Proc) {
-		g.Wait(p)
+		_ = g.Wait(p)
 		end = p.Now()
 	})
 	e.Run()
@@ -285,11 +291,14 @@ func TestGroupJoin(t *testing.T) {
 	g := NewGroup(e)
 	for i := 1; i <= 3; i++ {
 		d := time.Duration(i) * time.Second
-		g.Go("w", func(p *Proc) { p.Wait(d) })
+		g.Go("w", func(p *Proc) error {
+			p.Wait(d)
+			return nil
+		})
 	}
 	var end Time
 	e.Spawn("join", func(p *Proc) {
-		g.Wait(p)
+		_ = g.Wait(p)
 		end = p.Now()
 	})
 	e.Run()
@@ -303,86 +312,20 @@ func TestGroupReuse(t *testing.T) {
 	g := NewGroup(e)
 	var first, second Time
 	e.Spawn("driver", func(p *Proc) {
-		g.Go("a", func(q *Proc) { q.Wait(time.Second) })
-		g.Wait(p)
+		oneSecond := func(q *Proc) error {
+			q.Wait(time.Second)
+			return nil
+		}
+		g.Go("a", oneSecond)
+		_ = g.Wait(p)
 		first = p.Now()
-		g.Go("b", func(q *Proc) { q.Wait(time.Second) })
-		g.Wait(p)
+		g.Go("b", oneSecond)
+		_ = g.Wait(p)
 		second = p.Now()
 	})
 	e.Run()
 	if first != Time(time.Second) || second != Time(2*time.Second) {
 		t.Fatalf("first=%v second=%v", first, second)
-	}
-}
-
-func TestStoreProducerConsumer(t *testing.T) {
-	e := New()
-	st := NewStore[int](e, 2)
-	var got []int
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Wait(time.Millisecond)
-			st.Put(p, i)
-		}
-		st.Close()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := st.Get(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-			p.Wait(3 * time.Millisecond) // slower than producer
-		}
-	})
-	e.Run()
-	if len(got) != 5 {
-		t.Fatalf("got %v", got)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-}
-
-func TestStoreBoundedBlocksProducer(t *testing.T) {
-	e := New()
-	st := NewStore[int](e, 1)
-	var prodDone Time
-	e.Spawn("producer", func(p *Proc) {
-		st.Put(p, 1)
-		st.Put(p, 2) // blocks until consumer takes item 1
-		prodDone = p.Now()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		p.Wait(time.Second)
-		if v, ok := st.Get(p); !ok || v != 1 {
-			t.Errorf("got %v %v", v, ok)
-		}
-	})
-	e.Run()
-	if prodDone != Time(time.Second) {
-		t.Fatalf("producer finished at %v, want 1s", prodDone)
-	}
-}
-
-func TestStoreCloseWakesGetter(t *testing.T) {
-	e := New()
-	st := NewStore[int](e, 0)
-	var ok = true
-	e.Spawn("getter", func(p *Proc) {
-		_, ok = st.Get(p)
-	})
-	e.Spawn("closer", func(p *Proc) {
-		p.Wait(time.Millisecond)
-		st.Close()
-	})
-	e.Run()
-	if ok {
-		t.Fatal("Get on closed empty store should report !ok")
 	}
 }
 
@@ -449,5 +392,71 @@ func TestNestedSpawn(t *testing.T) {
 	e.Run()
 	if depth != 5 {
 		t.Fatalf("depth = %d, want 5", depth)
+	}
+}
+
+// followScope is a SpanScope that logs which workers it followed and when
+// it was released.
+type followScope struct {
+	log *[]string
+}
+
+func (followScope) SpanEnd(string, Time) {}
+
+func (s followScope) Follow(w *Proc) func() {
+	w.SetMeterContext(s)
+	*s.log = append(*s.log, fmt.Sprintf("follow %s at %v", w.Name(), w.Now()))
+	return func() { *s.log = append(*s.log, fmt.Sprintf("release %s at %v", w.Name(), w.Now())) }
+}
+
+// TestForkedGroupCarriesScopeAndFirstError: a group forked from a process
+// hands that process's scope to every worker as the worker starts and
+// releases it as the worker returns; an engine-bound group never does; and
+// Wait returns the error of the worker that failed first in simulated time,
+// not in fork order.
+func TestForkedGroupCarriesScopeAndFirstError(t *testing.T) {
+	e := New()
+	var log []string
+	errSlow, errFast := errors.New("slow"), errors.New("fast")
+	var forked, bound error
+	e.Spawn("parent", func(p *Proc) {
+		p.SetMeterContext(followScope{&log})
+		worker := func(d Duration, err error) func(*Proc) error {
+			return func(q *Proc) error {
+				if q.MeterContext() == nil {
+					t.Errorf("%s started without its parent's scope", q.Name())
+				}
+				q.Wait(d)
+				return err
+			}
+		}
+		g := p.Fork()
+		g.Go("w-slow", worker(2*time.Millisecond, errSlow))
+		g.Go("w-fast", worker(time.Millisecond, errFast))
+		g.Go("w-ok", worker(3*time.Millisecond, nil))
+		forked = g.Wait(p)
+
+		bg := NewGroup(e)
+		bg.Go("bg", func(q *Proc) error {
+			if q.MeterContext() != nil {
+				t.Error("an engine-bound group's worker carries a scope")
+			}
+			return errSlow
+		})
+		bound = bg.Wait(p)
+	})
+	e.Run()
+	if forked != errFast {
+		t.Errorf("forked Wait = %v, want the worker that failed first in simulated time (%v)", forked, errFast)
+	}
+	if bound != errSlow {
+		t.Errorf("engine-bound Wait = %v, want %v", bound, errSlow)
+	}
+	want := []string{
+		"follow w-slow at 0s", "follow w-fast at 0s", "follow w-ok at 0s",
+		"release w-fast at 1ms", "release w-slow at 2ms", "release w-ok at 3ms",
+	}
+	if !slices.Equal(log, want) {
+		t.Errorf("scope log = %q, want %q", log, want)
 	}
 }

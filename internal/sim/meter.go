@@ -77,20 +77,30 @@ func (e *Engine) fireSamplers(upTo Time) {
 	e.nextSample = next
 }
 
-// SpanScope is a per-process annotation.  The engine asks one thing of it:
+// SpanScope is a per-process annotation.  The engine asks two things of it:
 // it is told of every span the process closes, which is how a Proc.Span
-// feeds the request's stage breakdown as well as the trace.
+// feeds the request's stage breakdown as well as the trace, and it follows
+// the workers the process forks.
 type SpanScope interface {
 	// SpanEnd reports the completed span [start, now] of category cat on
 	// the annotated process — Tracer.Span without the name.
 	SpanEnd(cat string, start Time)
+	// Follow is called first thing in the body of a worker forked (Proc.Fork,
+	// Group.Go) from the annotated process.  It may annotate the worker, and
+	// returns what to call when the worker's body returns.
+	Follow(worker *Proc) (release func())
 }
 
 // SetMeterContext attaches a per-process annotation (nil clears).
 // internal/telemetry stores a request scope here; the engine only carries
-// it and reports spans to it.  Child processes do not inherit the
-// annotation — spawning code that wants the request to follow a worker
-// calls telemetry.Adopt inside the worker's body.
+// it, reports spans to it and lets it follow forked workers.  What follows a
+// request is decided by the group, not by the worker: a process spawned bare
+// or through an engine-bound NewGroup starts with no annotation, which is
+// right for background work — segment seals, prefetch, NVRAM group commit,
+// rebuild and scrub serve no one request — and for the chunk pipelines of
+// disk and Path.Send, whose time the issuing process's own span already
+// covers (disk/write spans its media-write workers), so following them
+// would charge it twice.
 func (p *Proc) SetMeterContext(v SpanScope) { p.meterCtx = v }
 
 // MeterContext returns the value last passed to SetMeterContext, or nil.

@@ -174,9 +174,6 @@ func (l *Link) BytesMoved() uint64 { return l.moved }
 // Utilization reports the time-averaged busy fraction of the link.
 func (l *Link) Utilization() float64 { return l.srv.Utilization() }
 
-// BytesPerSecond reports the link's configured bandwidth.
-func (l *Link) BytesPerSecond() float64 { return l.bytesPerS }
-
 // Hop is one stage of a data path: anything that can be occupied for the
 // duration of a chunk transfer.  *Link is the common implementation; the
 // XBUS package supplies direction-dependent port hops.
@@ -231,7 +228,7 @@ func (path Path) Send(p *Proc, n, chunk int) {
 			}
 		})
 	}
-	g.Wait(p)
+	g.Wait(p) //lint:allow errdrop the chunk workers are spawned bare and return nothing
 }
 
 // Event is a one-shot condition that processes can wait on.  Once signalled
@@ -276,17 +273,28 @@ func (ev *Event) Wait(p *Proc) {
 	p.park()
 }
 
-// Group is a completion counter analogous to sync.WaitGroup, for forking
-// parallel simulated work (e.g. one process per disk of a stripe) and
-// joining on it.
+// Group is fork/join for simulated work: Go forks a worker process, Wait
+// joins them all and reports the first error any of them returned.  A group
+// made by Proc.Fork works for the forking process's request — every worker
+// carries that process's SpanScope annotation, so a worker forked for a
+// request cannot forget it — while NewGroup's is bound to the engine alone,
+// for background work that outlives or belongs to no request (segment
+// seals, chunk pipelines, rebuilds).
 type Group struct {
-	eng *Engine
-	n   int
-	ev  *Event
+	eng  *Engine
+	from *Proc // the forking process; nil for an engine-bound group
+	n    int
+	ev   *Event
+	err  error // the first error a worker returned, in simulated order
 }
 
-// NewGroup creates an empty group.
+// NewGroup creates an empty engine-bound group: its workers follow nobody.
 func NewGroup(e *Engine) *Group { return &Group{eng: e, ev: NewEvent(e)} }
+
+// Fork creates an empty group whose workers work on p's behalf: each one's
+// first act is to let p's annotation (if p carries one then) follow it, and
+// its last to release it.
+func (p *Proc) Fork() *Group { return &Group{eng: p.eng, from: p, ev: NewEvent(p.eng)} }
 
 // Add registers delta additional units of outstanding work.
 func (g *Group) Add(delta int) { g.n += delta }
@@ -305,121 +313,34 @@ func (g *Group) Done() {
 	}
 }
 
-// Wait blocks p until the outstanding count reaches zero.  A group with no
-// outstanding work returns immediately.
-func (g *Group) Wait(p *Proc) {
-	if g.n == 0 {
-		return
-	}
-	g.ev.Wait(p)
-}
-
-// Go spawns fn as a child process tracked by the group.
-func (g *Group) Go(name string, fn func(*Proc)) {
+// Go spawns fn as a worker process tracked by the group.  An error it
+// returns is kept if it is the group's first.
+func (g *Group) Go(name string, fn func(*Proc) error) {
 	g.Add(1)
-	g.eng.Spawn(name, func(p *Proc) {
+	g.eng.Spawn(name, func(q *Proc) {
 		defer g.Done()
-		fn(p)
+		if g.from != nil && g.from.meterCtx != nil {
+			defer g.from.meterCtx.Follow(q)()
+		}
+		if err := fn(q); err != nil && g.err == nil {
+			g.err = err
+		}
 	})
 }
 
-// Store is a bounded FIFO buffer of items passed between simulated
-// processes: the basis for producer/consumer pipelines such as the LFS
-// prefetcher filling XBUS memory buffers while the HIPPI sender drains them.
-type Store[T any] struct {
-	eng      *Engine
-	capacity int
-	items    fifo[T]
-	getters  fifo[storeGetter[T]]
-	putters  fifo[storePutter[T]]
-	closed   bool
-}
-
-type storeGetter[T any] struct {
-	proc *Proc
-	dst  *T
-	ok   *bool
-}
-
-type storePutter[T any] struct {
-	proc *Proc
-	item T
-}
-
-// NewStore creates a bounded buffer holding at most capacity items.
-// Capacity 0 means unbounded.
-func NewStore[T any](e *Engine, capacity int) *Store[T] {
-	return &Store[T]{eng: e, capacity: capacity}
-}
-
-// Len reports the number of buffered items.
-func (s *Store[T]) Len() int { return s.items.len() }
-
-// Put inserts an item, blocking while the buffer is full.
-func (s *Store[T]) Put(p *Proc, item T) {
-	if s.closed {
-		//lint:allow simpanic producing into a closed store is a pipeline-shutdown ordering bug in the model, not a recoverable state
-		panic("sim: Put on closed Store")
+// Wait blocks p until the outstanding count reaches zero (not at all when
+// it already is) and returns Err.
+func (g *Group) Wait(p *Proc) error {
+	if g.n > 0 {
+		g.ev.Wait(p)
 	}
-	// Hand directly to a waiting getter if any.
-	if s.getters.len() > 0 {
-		g := s.getters.pop()
-		*g.dst = item
-		*g.ok = true
-		s.eng.schedule(g.proc, s.eng.now)
-		return
-	}
-	if s.capacity > 0 && s.items.len() >= s.capacity {
-		s.putters.push(storePutter[T]{proc: p, item: item})
-		p.park()
-		if s.closed {
-			//lint:allow simpanic producing into a closed store is a pipeline-shutdown ordering bug in the model, not a recoverable state
-			panic("sim: Store closed while Put blocked")
-		}
-		return // the getter that woke us consumed our item directly
-	}
-	s.items.push(item)
+	return g.err
 }
 
-// Get removes and returns the oldest item, blocking while the buffer is
-// empty.  ok is false if the store was closed and drained.
-func (s *Store[T]) Get(p *Proc) (item T, ok bool) {
-	for {
-		if s.items.len() > 0 {
-			item = s.items.pop()
-			// Admit a blocked putter, if any.
-			if s.putters.len() > 0 {
-				put := s.putters.pop()
-				s.items.push(put.item)
-				s.eng.schedule(put.proc, s.eng.now)
-			}
-			return item, true
-		}
-		if s.closed {
-			return item, false
-		}
-		var got T
-		var okFlag bool
-		s.getters.push(storeGetter[T]{proc: p, dst: &got, ok: &okFlag})
-		p.park()
-		if okFlag {
-			return got, true
-		}
-		// Woken by Close with nothing delivered: loop to return !ok.
-	}
-}
-
-// Close marks the store as producing no further items.  Blocked getters wake
-// and observe ok=false once the buffer drains.
-func (s *Store[T]) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for s.getters.len() > 0 {
-		s.eng.schedule(s.getters.pop().proc, s.eng.now)
-	}
-}
+// Err returns the first error a worker has returned so far — first in
+// simulated time, and in dispatch order within one instant — or nil.  It is
+// never cleared: a long-lived group latches its first failure.
+func (g *Group) Err() error { return g.err }
 
 // BytesDuration returns the time n bytes take at rate mbPerS (decimal
 // megabytes per second), a convenience for model calibration code.

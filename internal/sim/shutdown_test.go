@@ -41,7 +41,7 @@ func TestShutdownStrandsNothing(t *testing.T) {
 	parked("on-server", srv.Acquire)
 	parked("on-tokens", func(p *Proc) { tk.Acquire(p, 3); tk.Acquire(p, 3) })
 	parked("on-event", NewEvent(e).Wait)
-	parked("on-group", grp.Wait)
+	parked("on-group", func(p *Proc) { _ = grp.Wait(p) })
 	parked("on-timer", func(p *Proc) { p.Wait(time.Hour) })
 	e.RunUntil(Time(time.Second))
 

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the request-scoped context: one *Request rides a
-// simulated process (and, via Adopt, the worker processes spawned on its
+// simulated process (and, via Follow, the worker processes forked on its
 // behalf) from the moment a client or datapath entry point begins it until
 // End folds its latency, stage breakdown and outcomes into the registry.
 //
@@ -17,8 +17,8 @@ import (
 // *exclusive* time — its duration minus that of the stage spans that ran
 // inside it on the same process — is charged to that stage, so a scsi span
 // inside a raid span splits the time instead of double-counting it.  Worker
-// processes adopted into the request account for themselves against the
-// shared Request, so overlapping legs each record their true work.
+// processes the request follows account for themselves against the shared
+// Request, so overlapping legs each record their true work.
 
 // Metric names recorded at End.  All durations are integer nanoseconds.
 const (
@@ -58,7 +58,7 @@ type Request struct {
 type closedSpan struct {
 	start sim.Time
 	total sim.Duration
-	extra sim.Duration // unclaimed time of workers adopted at start; see Adopt
+	extra sim.Duration // unclaimed time of workers forked at start; see Follow
 }
 
 // scope is the per-process annotation: the request the process works for
@@ -66,7 +66,7 @@ type closedSpan struct {
 type scope struct {
 	req    *Request
 	p      *sim.Proc
-	parent *scope       // the adopting process's scope, if any
+	parent *scope       // the forking process's scope, if any
 	since  sim.Time     // spans that began before the scope did are not the request's
 	closed []closedSpan // ascending by start
 }
@@ -98,10 +98,10 @@ func (sc *scope) claim(start sim.Time) (nested, extra sim.Duration) {
 	return nested, extra
 }
 
-// release ends an adopted worker's accounting: the part of its life since
-// adoption that none of its own stage spans covered is handed to the
-// adopting scope, dated at the adoption, where the innermost stage span
-// open since then claims it when it closes.
+// release ends a forked worker's accounting: the part of its life since
+// the fork that none of its own stage spans covered is handed to the
+// forking scope, dated at the fork, where the innermost stage span open
+// since then claims it when it closes.
 func (sc *scope) release() {
 	if sc.req.done {
 		return
@@ -166,28 +166,23 @@ func Ensure(p *sim.Proc, kind string) func(err *error) {
 	}
 }
 
-// noopAdopt is returned when Adopt has nothing to close.
-var noopAdopt = func() {}
+// noRelease is returned when Follow has nothing to close.
+var noRelease = func() {}
 
-// Adopt attaches the request carried by parent to child, so work done by
-// a spawned helper process is charged to the request.  The child accounts
-// for its own stage spans, and inherits one thing: the time from here to
-// the returned closer that no stage span of its own covers accrues to the
-// stage span parent has open around the adoption (the innermost one, and
-// to no stage if there is none) — a worker's bookkeeping belongs to the
-// layer that spawned it.  Use as
-//
-//	defer telemetry.Adopt(q, p)()
-//
-// first thing inside the worker's body.  No-op when the parent carries no
-// live request.
-func Adopt(child, parent *sim.Proc) func() {
-	up := scopeOf(parent)
-	if up == nil || up.req.done {
-		return noopAdopt
+// Follow implements sim.SpanScope: the request follows a worker forked from
+// the scope's process, so work done by the worker is charged to the request.
+// The worker accounts for its own stage spans, and inherits one thing: the
+// time from here to the returned release that no stage span of its own
+// covers accrues to the stage span the forking process has open around the
+// fork (the innermost one, and to no stage if there is none) — a worker's
+// bookkeeping belongs to the layer that forked it.  No-op once the request
+// has ended.
+func (up *scope) Follow(worker *sim.Proc) func() {
+	if up.req.done {
+		return noRelease
 	}
-	sc := &scope{req: up.req, p: child, parent: up, since: child.Now()}
-	child.SetMeterContext(sc)
+	sc := &scope{req: up.req, p: worker, parent: up, since: worker.Now()}
+	worker.SetMeterContext(sc)
 	return sc.release
 }
 

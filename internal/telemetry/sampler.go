@@ -2,25 +2,17 @@ package telemetry
 
 import "raidii/internal/sim"
 
-// Sampler snapshots the registry's gauges (and any custom sources) into
-// time series at a fixed simulated interval.  It is driven passively by
-// the engine's sampler hook (sim.Engine.AddSampler): ticks fire from the
-// event loop when simulated time crosses an interval boundary, never by
-// scheduling events, so sampling cannot perturb the run and the engine
-// still drains normally.
+// Sampler snapshots the registry's gauges into time series at a fixed
+// simulated interval.  It is driven passively by the engine's sampler hook
+// (sim.Engine.AddSampler): ticks fire from the event loop when simulated
+// time crosses an interval boundary, never by scheduling events, so sampling
+// cannot perturb the run and the engine still drains normally.
 type Sampler struct {
 	reg      *Registry
 	interval sim.Duration
 
-	names   []string // series in first-appearance order
-	series  map[string]*Series
-	sources []samplerSource
-}
-
-// samplerSource is one custom sampled quantity.
-type samplerSource struct {
-	name string
-	fn   func(at sim.Time) float64
+	names  []string // series in first-appearance order
+	series map[string]*Series
 }
 
 // SamplePoint is one (time, value) sample.
@@ -37,7 +29,7 @@ type Series struct {
 
 // StartSampler creates (or returns the already-running) sampler ticking
 // every interval of simulated time.  Each tick records every gauge series
-// currently in the registry plus every Track'd source.  The first call
+// currently in the registry.  The first call
 // fixes the interval; later calls return the same sampler regardless of
 // the argument.
 func (r *Registry) StartSampler(interval sim.Duration) *Sampler {
@@ -56,25 +48,12 @@ func (r *Registry) Sampler() *Sampler { return r.sampler }
 // Interval returns the sampling interval.
 func (s *Sampler) Interval() sim.Duration { return s.interval }
 
-// Track adds a custom sampled quantity (e.g. a resource's utilization
-// closure).  fn is called at each tick with the boundary time and must not
-// call into the engine.
-func (s *Sampler) Track(name string, fn func(at sim.Time) float64) {
-	if fn == nil {
-		return
-	}
-	s.sources = append(s.sources, samplerSource{name: name, fn: fn})
-}
-
-// tick records one sample of every gauge and source at boundary time at.
+// tick records one sample of every gauge at boundary time at.
 // Gauge keys are iterated sorted, so a gauge created mid-run joins the
 // sample set at a deterministic tick and position.
 func (s *Sampler) tick(at sim.Time) {
 	for _, id := range sortedKeys(s.reg.gauges) {
 		s.record(id, at, s.reg.gauges[id].v)
-	}
-	for _, src := range s.sources {
-		s.record(src.name, at, src.fn(at))
 	}
 }
 

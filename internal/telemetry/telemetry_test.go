@@ -240,9 +240,8 @@ func TestRequestAdoptAndOutcomes(t *testing.T) {
 	r := Attach(e)
 	e.Spawn("req", func(p *sim.Proc) {
 		req := Begin(p, "unit")
-		done := sim.NewEvent(e)
-		e.Spawn("worker", func(q *sim.Proc) {
-			defer Adopt(q, p)()
+		g := p.Fork()
+		g.Go("worker", func(q *sim.Proc) error {
 			end := q.Span("disk", "read")
 			q.Wait(2 * time.Millisecond)
 			end()
@@ -251,10 +250,9 @@ func TestRequestAdoptAndOutcomes(t *testing.T) {
 			CacheHit(q)
 			CacheMiss(q)
 			MarkRetried(q)
-			done.Signal()
+			return errors.New("boom")
 		})
-		done.Wait(p)
-		req.End(p, errors.New("boom"))
+		req.End(p, g.Wait(p))
 	})
 	e.Run()
 	s := r.Summary("unit")
@@ -270,25 +268,25 @@ func TestRequestAdoptAndOutcomes(t *testing.T) {
 	wantStages(t, stageTotals(r, "unit"), map[string]sim.Duration{"disk": 2 * time.Millisecond})
 }
 
-// TestAdoptInheritsOpenStage: a worker adopted while its parent has a raid
+// TestAdoptInheritsOpenStage: a worker forked while its parent has a raid
 // span open accrues the time it spends outside spans of its own to raid,
-// up to the moment Adopt's closer runs.
+// up to the moment its body returns.
 func TestAdoptInheritsOpenStage(t *testing.T) {
 	e := sim.New()
 	r := Attach(e)
 	e.Spawn("req", func(p *sim.Proc) {
 		req := Begin(p, "unit")
 		endRAID := p.Span("raid", "write")
-		g := sim.NewGroup(e)
-		g.Go("worker", func(q *sim.Proc) {
-			defer Adopt(q, p)()
+		g := p.Fork()
+		g.Go("worker", func(q *sim.Proc) error {
 			q.Wait(time.Millisecond) // XOR, bookkeeping
 			end := q.Span("scsi", "write")
 			q.Wait(2 * time.Millisecond)
 			end()
 			q.Wait(4 * time.Millisecond) // tail after the last span
+			return nil
 		})
-		g.Wait(p)
+		_ = g.Wait(p)
 		endRAID()
 		req.End(p, nil)
 	})

@@ -72,28 +72,26 @@ func FixedOps(e *sim.Engine, nWorkers, totalOps int, op Op) (Result, error) {
 // so far.
 func run(e *sim.Engine, nWorkers int, seedMul, seedAdd int64, op Op, more func(p *sim.Proc, done int) bool) (Result, error) {
 	var res Result
-	var first error
+	g := sim.NewGroup(e)
 	begin := e.Now()
 	for w := 0; w < nWorkers; w++ {
 		rng := rand.New(rand.NewSource(seedMul*int64(w) + seedAdd))
-		e.Spawn("worker", func(p *sim.Proc) {
+		g.Go("worker", func(p *sim.Proc) error {
 			for done := 0; more(p, done); done++ {
 				start := p.Now()
 				n, err := op(p, w, rng)
 				if err != nil {
-					if first == nil {
-						first = err
-					}
-					return
+					return err
 				}
 				res.Ops++
 				res.Bytes += uint64(n)
 				res.LatTotal += p.Now().Sub(start)
 			}
+			return nil
 		})
 	}
 	res.Elapsed = e.Run().Sub(begin)
-	return res, first
+	return res, g.Err()
 }
 
 // RandomAligned returns a uniformly random offset in [0, space), aligned

@@ -43,7 +43,10 @@ func TestMemoryAggregatesPorts(t *testing.T) {
 	g := sim.NewGroup(e)
 	for i := 0; i < 4; i++ {
 		hop := b.VME[i].In()
-		g.Go("rd", func(p *sim.Proc) { sim.Path{hop}.Send(p, n, 0) })
+		g.Go("rd", func(p *sim.Proc) error {
+			sim.Path{hop}.Send(p, n, 0)
+			return nil
+		})
 	}
 	end := e.Run()
 	rate := float64(4*n) / end.Seconds() / 1e6

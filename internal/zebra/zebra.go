@@ -295,29 +295,20 @@ func (z *Store) Write(p *sim.Proc, name string, off int64, data []byte) error {
 	// Several stripes stay in flight (mirroring the read window) so the
 	// per-stripe barrier of the slowest host does not serialize the whole
 	// transfer.
-	e := z.fleet.Eng
-	window := sim.NewServer(e, "zebra-write-window", 4)
-	g := sim.NewGroup(e)
+	window := sim.NewServer(z.fleet.Eng, "zebra-write-window", 4)
+	g := p.Fork()
 	nStripes := (len(data) + int(sb) - 1) / int(sb)
-	stripeErrs := make([]error, nStripes)
 	for i := 0; i < nStripes; i++ {
 		lo := i * int(sb)
-		hi := lo + int(sb)
-		if hi > len(data) {
-			hi = len(data)
-		}
-		i, lo, hi := i, lo, hi
+		hi := min(lo+int(sb), len(data))
 		window.Acquire(p)
-		g.Go("zebra-write-stripe", func(q *sim.Proc) {
+		g.Go("zebra-write-stripe", func(q *sim.Proc) error {
 			defer window.Release()
-			stripeErrs[i] = z.writeStripe(q, f, off/sb+int64(i), data[lo:hi])
+			return z.writeStripe(q, f, off/sb+int64(i), data[lo:hi])
 		})
 	}
-	g.Wait(p)
-	for _, err := range stripeErrs {
-		if err != nil {
-			return fmt.Errorf("zebra: write %s: %w", name, err)
-		}
+	if err := g.Wait(p); err != nil {
+		return fmt.Errorf("zebra: write %s: %w", name, err)
 	}
 	if end := off + int64(len(data)); end > f.size {
 		f.size = end
@@ -353,8 +344,7 @@ func (z *Store) writeStripe(p *sim.Proc, f *file, stripe int64, data []byte) err
 		}
 	}
 
-	g := sim.NewGroup(z.fleet.Eng)
-	errs := make([]error, n)
+	g := p.Fork()
 	for s := 0; s < n; s++ {
 		payload := parity
 		if s != pIdx {
@@ -370,18 +360,11 @@ func (z *Store) writeStripe(p *sim.Proc, f *file, stripe int64, data []byte) err
 			f.stale[s][stripe] = true
 			continue
 		}
-		s, payload := s, payload
-		g.Go("zebra-frag", func(q *sim.Proc) {
-			errs[s] = z.putFragment(q, f, s, stripe, payload)
+		g.Go("zebra-frag", func(q *sim.Proc) error {
+			return z.putFragment(q, f, s, stripe, payload)
 		})
 	}
-	g.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.Wait(p)
 }
 
 // putFragment ships one fragment over the ring and stores it in the
@@ -418,23 +401,16 @@ func (z *Store) getFragment(p *sim.Proc, f *file, srv int, stripe int64, dst []b
 // fetchFragments runs getFragment for every server s with a non-empty
 // places[s], in parallel, each in a process called procName.
 func (z *Store) fetchFragments(p *sim.Proc, procName string, f *file, stripe int64, places [][]byte) error {
-	errs := make([]error, len(places))
-	g := sim.NewGroup(z.fleet.Eng)
+	g := p.Fork()
 	for s, dst := range places {
 		if len(dst) == 0 {
 			continue
 		}
-		g.Go(procName, func(q *sim.Proc) {
-			errs[s] = z.getFragment(q, f, s, stripe, dst)
+		g.Go(procName, func(q *sim.Proc) error {
+			return z.getFragment(q, f, s, stripe, dst)
 		})
 	}
-	g.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.Wait(p)
 }
 
 // Read fetches n bytes at off (clamped to the file size) and returns them.
@@ -464,17 +440,14 @@ func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error)
 	out := make([]byte, n)
 	first, last := off/sb, (off+int64(n)-1)/sb
 
-	e := z.fleet.Eng
 	// Enough stripes stay in flight that every host sees work even while
 	// another host's fragment of an earlier stripe is still draining — the
 	// per-stripe join otherwise idles the fast hosts behind the slow one.
-	window := sim.NewServer(e, "zebra-read-window", 8)
-	g := sim.NewGroup(e)
-	stripeErrs := make([]error, last-first+1)
+	window := sim.NewServer(z.fleet.Eng, "zebra-read-window", 8)
+	g := p.Fork()
 	for s := first; s <= last; s++ {
-		s := s
 		window.Acquire(p)
-		g.Go("zebra-read-stripe", func(q *sim.Proc) {
+		g.Go("zebra-read-stripe", func(q *sim.Proc) error {
 			defer window.Release()
 			lo, sz := s*sb, int64(z.stripeSize(f, s)) // stripe's logical start and length
 			from, to := max(off-lo, 0), min(off+int64(n)-lo, sz)
@@ -482,22 +455,20 @@ func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error)
 			if to-from == sz {
 				// The request covers the stripe: it lands straight in its
 				// part of the result.
-				stripeErrs[s-first] = z.readStripe(q, f, s, part)
-				return
+				return z.readStripe(q, f, s, part)
 			}
 			// The first or last stripe, covered partially: through a buffer
 			// of its own, and the overlap is copied.
 			buf := make([]byte, sz)
-			if stripeErrs[s-first] = z.readStripe(q, f, s, buf); stripeErrs[s-first] == nil {
+			err := z.readStripe(q, f, s, buf)
+			if err == nil {
 				copy(part, buf[from:to])
 			}
+			return err
 		})
 	}
-	g.Wait(p)
-	for _, err := range stripeErrs {
-		if err != nil {
-			return nil, fmt.Errorf("zebra: read %s: %w", name, err)
-		}
+	if err := g.Wait(p); err != nil {
+		return nil, fmt.Errorf("zebra: read %s: %w", name, err)
 	}
 	return out, nil
 }
@@ -646,25 +617,14 @@ func xorFragments(lost []byte, others [][]byte) {
 // making all striped data durable; the client's write is complete only
 // after this.
 func (z *Store) SyncAll(p *sim.Proc) error {
-	g := sim.NewGroup(z.fleet.Eng)
-	total := 0
-	for _, sys := range z.fleet.Servers {
-		total += len(sys.Boards)
-	}
-	errs := make([]error, total)
-	slot := 0
+	g := p.Fork()
 	for _, sys := range z.fleet.Servers {
 		for _, b := range sys.Boards {
-			i, b := slot, b
-			slot++
-			g.Go("zebra-sync", func(q *sim.Proc) { errs[i] = b.FS.Sync(q) })
+			g.Go("zebra-sync", b.FS.Sync)
 		}
 	}
-	g.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("zebra: sync: %w", err)
-		}
+	if err := g.Wait(p); err != nil {
+		return fmt.Errorf("zebra: sync: %w", err)
 	}
 	return nil
 }

@@ -18,9 +18,11 @@ import (
 // every outcome counter — run with a registry attached to each engine, and
 // the Prometheus text of all of them must equal testdata/metrics_pin.prom,
 // which was recorded from the code that accounted stages through
-// telemetry.StageSpan beside the trace's p.Span.  A change to how request
-// time is attributed passes it unmodified or has moved a number; on a
-// mismatch the first differing line is named.
+// telemetry.StageSpan beside the trace's p.Span, and re-recorded once since:
+// when LFS's read runs began to carry their request, the stage times and
+// cache lines of fs-read, reread and client-read moved and nothing else did.
+// A change to how request time is attributed passes it unmodified or has
+// moved a number; on a mismatch the first differing line is named.
 //
 // Regenerate (only for a change that is meant to move metrics):
 //

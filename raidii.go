@@ -54,7 +54,6 @@ import (
 	"raidii/internal/cache"
 	"raidii/internal/disk"
 	"raidii/internal/fault"
-	"raidii/internal/host"
 	"raidii/internal/lfs"
 	"raidii/internal/raid"
 	"raidii/internal/server"
@@ -688,23 +687,3 @@ func (f *File) ReadEthernet(off int64, n int) (time.Duration, error) {
 
 // Size returns the file's size.
 func (f *File) Size() (int64, error) { return f.f.File.Size(f.t.p) }
-
-// NewSPARCClient attaches a SPARCstation 10/51 client workstation to the
-// server's Ultranet, as in the §3.4 network measurements.
-func (s *Server) NewSPARCClient(name string) *Client {
-	return &Client{srv: s, cfg: host.SPARCstation10(), name: name}
-}
-
-// Client is a HIPPI-attached client workstation (see package
-// internal/client for the underlying model).
-type Client struct {
-	srv  *Server
-	cfg  host.Config
-	name string
-}
-
-// HostConfig returns the client's workstation model.
-func (c *Client) HostConfig() host.Config { return c.cfg }
-
-// Name returns the client's name.
-func (c *Client) Name() string { return c.name }
