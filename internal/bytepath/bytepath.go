@@ -1,6 +1,7 @@
 // Package bytepath holds what every layer that moves user bytes shares: the
-// word-wide XOR kernel behind the parity engines, and the helper through
-// which a layer reads from the one below it into a buffer it was handed.
+// word-wide XOR kernel behind the parity engines, the helper through which a
+// layer reads from the one below it into a buffer it was handed, and the
+// free list the layers recycle their working buffers through.
 //
 // Ownership rule (DESIGN.md §17): the destination of a ReadInto belongs to
 // the caller.  The layer fills it before returning and keeps no reference
@@ -54,3 +55,50 @@ func ReadInto(dev Reader, p *sim.Proc, lba int64, dst []byte) error {
 	copy(dst, data)
 	return nil
 }
+
+// FreeList is a bounded stack of byte buffers that a layer recycles instead
+// of allocating one per operation: the array's column scratch, the cache's
+// line and fill buffers, the file system's segment images.  Put keeps a
+// buffer its owner is done with, Get hands the most recently kept one out
+// again.  The engine runs one process at a time, so there is no lock; the
+// bound is fixed where the list is made, and a burst beyond it goes back to
+// the collector instead of staying pinned.  The zero FreeList keeps nothing.
+//
+// Recycling a buffer that was handed to a device's Write is safe because of
+// the device contract (DESIGN.md §17): a device copies what it stores and
+// keeps no reference once Write returns.
+type FreeList struct {
+	max  int
+	bufs [][]byte
+}
+
+// NewFreeList returns an empty list that keeps at most max buffers.
+func NewFreeList(max int) FreeList { return FreeList{max: max} }
+
+// Get returns a buffer of n bytes: the most recently Put one, holding
+// whatever its last owner left in it, if it is large enough (a smaller one
+// is dropped), and a new zeroed one otherwise.
+func (f *FreeList) Get(n int) []byte {
+	if k := len(f.bufs); k > 0 {
+		b := f.bufs[k-1]
+		f.bufs[k-1] = nil
+		f.bufs = f.bufs[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// Put keeps b for a later Get and reports true, or drops it when the list
+// is full.  The caller must hold no other reference to a buffer it kept.
+func (f *FreeList) Put(b []byte) bool {
+	if len(f.bufs) >= f.max {
+		return false
+	}
+	f.bufs = append(f.bufs, b)
+	return true
+}
+
+// Len reports how many buffers the list holds.
+func (f *FreeList) Len() int { return len(f.bufs) }

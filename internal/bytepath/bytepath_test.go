@@ -145,3 +145,37 @@ func TestReadIntoDiscovery(t *testing.T) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
+
+// TestFreeList: Get hands back the most recently Put buffer as it was left,
+// drops one that is too small, allocates zeroed when empty; Put keeps at most
+// the bound; the zero list keeps nothing.
+func TestFreeList(t *testing.T) {
+	f := NewFreeList(2)
+	a := f.Get(8)
+	if len(a) != 8 || !bytes.Equal(a, make([]byte, 8)) {
+		t.Fatalf("Get on an empty list returned %v, want 8 zero bytes", a)
+	}
+	b, c := []byte{1, 2, 3, 4}, []byte{5, 6, 7, 8}
+	copy(a, "recycled")
+	if !f.Put(a) || !f.Put(b) || f.Put(c) || f.Len() != 2 {
+		t.Fatalf("a list of 2 did not keep exactly the first two of three buffers (Len = %d)", f.Len())
+	}
+	if got := f.Get(3); &got[0] != &b[0] || len(got) != 3 || got[2] != 3 {
+		t.Fatalf("Get(3) = %v, want the first three bytes of the last buffer kept", got)
+	}
+	if got := f.Get(8); &got[0] != &a[0] || string(got) != "recycled" {
+		t.Fatalf("Get(8) = %q, want the first buffer with its contents", got)
+	}
+	f.Put(b[:2]) // length is not capacity: the whole buffer comes back
+	if got := f.Get(4); &got[0] != &b[0] || len(got) != 4 {
+		t.Fatalf("a buffer Put short did not come back at its capacity: %v", got)
+	}
+	f.Put(b)
+	if got := f.Get(5); len(got) != 5 || &got[0] == &b[0] || f.Len() != 0 {
+		t.Fatalf("Get(5) over a 4-byte buffer: got %v with %d left, want a new one and the small one dropped", got, f.Len())
+	}
+	var zero FreeList
+	if zero.Put(a) || zero.Len() != 0 {
+		t.Fatal("the zero FreeList kept a buffer")
+	}
+}

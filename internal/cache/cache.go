@@ -76,11 +76,12 @@ type Stats struct {
 	FillBytes     uint64
 }
 
-// line is one resident cache line on the intrusive LRU list.
+// line is one resident cache line on the intrusive LRU list.  data is a
+// buffer of this line alone, a full line in capacity; only the device's last
+// line can be shorter in length.
 type line struct {
 	tag        int64 // line index: first sector / lineSecs
 	data       []byte
-	owned      bool // data is a full-size buffer of this line alone (a staged write), not part of a fill run's
 	prev, next *line
 }
 
@@ -100,12 +101,18 @@ type Cache struct {
 	head, tail *line // head = most recently used
 	stats      Stats
 
-	// free is a stack of the buffers of evicted or replaced staged lines,
-	// at most maxLines of them, which the next staged lines reuse: the
-	// engine runs one process at a time, so a plain slice needs no locking,
-	// and nothing outside the cache ever holds a line's buffer.
-	free [][]byte
+	// free holds the buffers of evicted and invalidated lines, at most
+	// maxLines of them, for the next lines installed: nothing outside the
+	// cache ever holds a line's buffer, so a cache at capacity fills without
+	// allocating.  fills holds the buffers miss runs are read into before
+	// their lines are copied out.
+	free  bytepath.FreeList
+	fills bytepath.FreeList
 }
+
+// maxFreeFills bounds the fill-run buffers a cache keeps: one per miss run
+// in flight at once in the file-server loop, with room to spare.
+const maxFreeFills = 4
 
 // New creates a cache in front of dev.  mem is the crossbar memory hop hits
 // are charged against (nil charges nothing — unit tests only).  The caller
@@ -130,6 +137,8 @@ func New(e *sim.Engine, dev Backing, mem sim.Hop, cfg Config) (*Cache, error) {
 		maxLines: maxLines,
 		devSecs:  dev.Sectors(),
 		table:    make(map[int64]*line),
+		free:     bytepath.NewFreeList(maxLines),
+		fills:    bytepath.NewFreeList(maxFreeFills),
 	}
 	c.noStage = !cfg.StageWrites
 	if mem != nil {
@@ -158,7 +167,10 @@ func (c *Cache) SectorSize() int { return c.dev.SectorSize() }
 // pay full disk cost again.
 func (c *Cache) InvalidateAll() {
 	c.stats.Invalidations += uint64(len(c.table))
-	c.table = make(map[int64]*line)
+	for ln := c.head; ln != nil; ln = ln.next {
+		c.free.Put(ln.data)
+	}
+	clear(c.table)
 	c.head, c.tail = nil, nil
 }
 
@@ -198,50 +210,33 @@ func (c *Cache) touch(ln *line) {
 	c.pushFront(ln)
 }
 
-// evict drops the least recently used line.  The zero-length span makes
-// every eviction visible in traces and the -util effectiveness report.
+// evict drops the least recently used line and keeps its buffer.  The
+// zero-length span makes every eviction visible in traces and the -util
+// effectiveness report.
 func (c *Cache) evict(p *sim.Proc) {
 	ln := c.tail
 	c.unlink(ln)
 	delete(c.table, ln.tag)
-	c.recycle(ln)
+	c.free.Put(ln.data)
 	c.stats.Evictions++
 	p.Span("cache", "evict")()
 }
 
-// recycle keeps the buffer of a line that is going away, if it is the
-// line's own, for lineBuf.
-func (c *Cache) recycle(ln *line) {
-	if ln.owned && len(c.free) < c.maxLines {
-		c.free = append(c.free, ln.data)
-	}
-}
-
-// lineBuf returns a full-size line buffer with arbitrary contents; the
-// caller must overwrite all of it.
-func (c *Cache) lineBuf() []byte {
-	if k := len(c.free); k > 0 {
-		b := c.free[k-1]
-		c.free = c.free[:k-1]
-		return b
-	}
-	return make([]byte, c.lineSecs*c.secSize)
-}
-
-// install makes data resident as line li, evicting from the LRU tail under
-// capacity pressure; owned says data came from lineBuf.  If a concurrent
-// fill already installed the line, the newer data refresh it in place.
-func (c *Cache) install(p *sim.Proc, li int64, data []byte, owned bool) {
+// install makes a copy of data (a line, or the device's shorter last one)
+// resident as line li, evicting from the LRU tail under capacity pressure.
+// If a concurrent fill already installed the line, the newer data refresh
+// it in place.
+func (c *Cache) install(p *sim.Proc, li int64, data []byte) {
 	if ln, ok := c.table[li]; ok {
-		c.recycle(ln)
-		ln.data, ln.owned = data, owned
+		ln.data = ln.data[:copy(ln.data[:cap(ln.data)], data)]
 		c.touch(ln)
 		return
 	}
 	for len(c.table) >= c.maxLines {
 		c.evict(p)
 	}
-	ln := &line{tag: li, data: data, owned: owned}
+	buf := c.free.Get(c.lineSecs * c.secSize)
+	ln := &line{tag: li, data: buf[:copy(buf, data)]}
 	c.table[li] = ln
 	c.pushFront(ln)
 }
@@ -287,8 +282,8 @@ func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 // hit bytes) and filling missing lines from the backing store at full disk
 // cost.  Lines are installed in ascending sector order by the calling
 // process, so LRU state — and therefore the eviction sequence — is
-// independent of fill completion order.  A fill lands in a buffer the cache
-// allocates and keeps as its lines; out only ever receives copies.
+// independent of fill completion order.  A fill lands in a buffer of the
+// cache's and is copied from there into the lines' own buffers and into out.
 func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 	defer p.Span("cache", "read")()
 	n := len(out) / c.secSize
@@ -321,18 +316,14 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 		g := p.Fork()
 		for i := range runs {
 			r := &runs[i]
+			start := r.firstLine * int64(c.lineSecs)
+			secs := int(r.lastLine-r.firstLine+1) * c.lineSecs
+			if start+int64(secs) > c.devSecs {
+				secs = int(c.devSecs - start)
+			}
+			r.data = c.fills.Get(secs * c.secSize)
 			g.Go("cache-fill", func(q *sim.Proc) error {
-				start := r.firstLine * int64(c.lineSecs)
-				secs := int(r.lastLine-r.firstLine+1) * c.lineSecs
-				if start+int64(secs) > c.devSecs {
-					secs = int(c.devSecs - start)
-				}
-				data := make([]byte, secs*c.secSize)
-				if err := bytepath.ReadInto(c.dev, q, start, data); err != nil {
-					return err
-				}
-				r.data = data
-				return nil
+				return bytepath.ReadInto(c.dev, q, start, r.data)
 			})
 		}
 		// The hit traffic crosses the crossbar while the fills are in
@@ -341,7 +332,7 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 			c.mem.Send(p, hitBytes, 0)
 		}
 		if err := g.Wait(p); err != nil {
-			return err
+			return err // the fill buffers go to the collector
 		}
 		for _, r := range runs {
 			c.stats.FillBytes += uint64(len(r.data))
@@ -351,13 +342,11 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 				if off >= len(r.data) {
 					break
 				}
-				end := off + lineBytes
-				if end > len(r.data) {
-					end = len(r.data)
-				}
-				c.install(p, li, r.data[off:end], false)
-				c.copyOverlap(out, lba, n, li, r.data[off:end])
+				data := r.data[off:min(off+lineBytes, len(r.data))]
+				c.install(p, li, data)
+				c.copyOverlap(out, lba, n, li, data)
 			}
+			c.fills.Put(r.data)
 		}
 	} else if hitBytes > 0 {
 		c.mem.Send(p, hitBytes, 0)
@@ -427,9 +416,7 @@ func (c *Cache) absorb(p *sim.Proc, lba int64, data []byte) {
 			c.touch(ln)
 			c.stats.Updates++
 		} else if !c.noStage && ovStart == lineStart && ovEnd == lineStart+int64(c.lineSecs) && ovEnd <= c.devSecs {
-			buf := c.lineBuf()
-			copy(buf, data[(ovStart-lba)*int64(c.secSize):])
-			c.install(p, li, buf, true)
+			c.install(p, li, data[(ovStart-lba)*int64(c.secSize):(ovEnd-lba)*int64(c.secSize)])
 			c.stats.Staged++
 		}
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"raidii/internal/sim"
@@ -326,28 +327,28 @@ func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
 		clear(fresh)
 		scribbled("after scribbling on a written buffer")
 
-		// Evict a staged line, stage a new one — it takes over the evicted
-		// line's buffer — and read the first again: it comes from the device,
-		// with its own bytes.
+		// Push a staged line out by staging a new one — it takes over the
+		// evicted line's buffer — and read the first again: it comes from
+		// the device, with its own bytes.
 		lineA := bytes.Repeat([]byte{0xa1}, 8*512)
 		if err := c.Write(p, 80, lineA); err != nil {
 			t.Fatal(err)
 		}
-		for lba := int64(88); lba < 88+4*8; lba += 8 { // four more staged lines: line A is pushed out
+		for lba := int64(88); lba < 88+3*8; lba += 8 { // three more staged lines: line A is the LRU tail
 			if err := c.Write(p, lba, bytes.Repeat([]byte{byte(lba)}, 8*512)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if len(c.free) == 0 {
-			t.Fatal("no evicted staged line left its buffer on the free list")
+		if c.tail.tag != 10 || c.Lines() != 4 || c.free.Len() != 0 {
+			t.Fatalf("LRU tail is line %d of %d with %d free buffers, want line 10 (A) of 4 with none", c.tail.tag, c.Lines(), c.free.Len())
 		}
-		held := len(c.free)
+		bufA := &c.tail.data[0]
 		lineX := bytes.Repeat([]byte{0x22}, 8*512)
 		if err := c.Write(p, 160, lineX); err != nil {
 			t.Fatal(err)
 		}
-		if len(c.free) != held { // one drawn for X, one returned by the line X pushed out
-			t.Fatalf("free list went from %d to %d buffers: the new line did not draw from it", held, len(c.free))
+		if &c.table[20].data[0] != bufA || c.free.Len() != 0 {
+			t.Fatalf("the new line did not take over the evicted line's buffer (%d on the free list)", c.free.Len())
 		}
 		before := len(dev.reads)
 		if got, err := c.Read(p, 80, 8); err != nil || !bytes.Equal(got, lineA) {
@@ -358,6 +359,158 @@ func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
 		}
 		if got, err := c.Read(p, 160, 8); err != nil || !bytes.Equal(got, lineX) {
 			t.Fatalf("the new staged line reads back wrong (err=%v)", err)
+		}
+	})
+
+	// The last line of a device that is not a whole number of lines long is
+	// short.  It is a prefix of a full-size buffer of its own, not a piece of
+	// the fill's, and the buffer serves a full line afterwards.
+	harness(t, 8*8+3, 8, 2, true, func(p *sim.Proc, c *Cache, dev *fakeDev) {
+		want := append([]byte(nil), dev.data[7*8*512:]...) // line 7 and the 3-sector line 8
+		dst := make([]byte, len(want))
+		if err := c.ReadInto(p, 7*8, dst); err != nil || !bytes.Equal(dst, want) {
+			t.Fatalf("miss across the short last line: err=%v, bytes match=%v", err, err == nil)
+		}
+		tail := c.table[8]
+		tailBuf := &tail.data[0]
+		if len(tail.data) != 3*512 || cap(tail.data) != 8*512 {
+			t.Fatalf("short last line holds len %d cap %d, want a %d-byte prefix of a %d-byte buffer", len(tail.data), cap(tail.data), 3*512, 8*512)
+		}
+		clear(dst)
+		reads := len(dev.reads)
+		if got, err := c.Read(p, 7*8, 8+3); err != nil || !bytes.Equal(got, want) || len(dev.reads) != reads {
+			t.Fatalf("hit on the short last line: err=%v, device reads %d -> %d", err, reads, len(dev.reads))
+		}
+		patch := bytes.Repeat([]byte{0x5a}, 3*512)
+		if err := c.Write(p, 8*8, patch); err != nil { // overlay, clamped to the short line
+			t.Fatal(err)
+		}
+		if got, err := c.Read(p, 8*8, 3); err != nil || !bytes.Equal(got, patch) {
+			t.Fatalf("overlay of the short last line reads back wrong (err=%v)", err)
+		}
+		// Lines 0 and 1 push both out; one of them now lives in the short
+		// line's buffer at full length.
+		if _, err := c.Read(p, 0, 16); err != nil {
+			t.Fatal(err)
+		}
+		for li := int64(0); li < 2; li++ {
+			if ln := c.table[li]; len(ln.data) != 8*512 || !bytes.Equal(ln.data, dev.data[li*8*512:(li+1)*8*512]) {
+				t.Fatalf("line %d after reusing the buffers: len %d, bytes match=%v", li, len(ln.data), len(ln.data) == 8*512)
+			}
+		}
+		if &c.table[0].data[0] != tailBuf && &c.table[1].data[0] != tailBuf {
+			t.Fatal("the short line's buffer was not reused for a full line")
+		}
+	})
+}
+
+// intoDev is a fakeDev that also offers the destination-passing read, so a
+// fill costs the device no buffer and every byte a miss allocates is the
+// cache's.
+type intoDev struct{ *fakeDev }
+
+func (d intoDev) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	d.reads = append(d.reads, rng{lba, len(dst) / d.secSize})
+	copy(dst, d.data[lba*int64(d.secSize):])
+	return nil
+}
+
+// missLoop reads n extents of c that always miss: a cache of capLines lines
+// walks a device much larger than itself, alternating one-line and
+// three-line reads into dst.
+func missLoop(tb testing.TB, p *sim.Proc, c *Cache, dst []byte, n int) {
+	lineSecs, lines := int64(c.lineSecs), c.devSecs/int64(c.lineSecs)
+	at := int64(0)
+	for i := 0; i < n; i++ {
+		span := int64(1 + 2*(i%2))
+		if at+span > lines {
+			at = 0
+		}
+		if err := c.ReadInto(p, at*lineSecs, dst[:span*lineSecs*int64(c.secSize)]); err != nil {
+			tb.Fatal(err)
+		}
+		at += span
+	}
+}
+
+// missCache is a cache of 8 lines of 16 KB over a 4 MB device.
+func missCache(tb testing.TB) (*sim.Engine, *Cache, []byte) {
+	const secSize, lineSecs, capLines = 512, 32, 8
+	e := sim.New()
+	c, err := New(e, intoDev{newFakeDev(256*lineSecs, secSize)}, nil, Config{SizeBytes: capLines * lineSecs * secSize, LineBytes: lineSecs * secSize})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e, c, make([]byte, 3*lineSecs*secSize)
+}
+
+// TestMissFillAllocationCeiling: a cache at capacity owns every buffer it
+// will need — a miss takes its lines' buffers from the lines it evicts and
+// its fill buffer from the last fill — so 1,000 misses allocate bookkeeping
+// (a line record, the fork) and not one line's worth of bytes each, as they
+// did when every fill made its own buffer: 32 MB here.
+func TestMissFillAllocationCeiling(t *testing.T) {
+	e, c, dst := missCache(t)
+	e.Spawn("t", func(p *sim.Proc) {
+		missLoop(t, p, c, dst, 16) // warm-up: to capacity, and a three-line fill buffer
+		evictions := c.Stats().Evictions
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		missLoop(t, p, c, dst, 1000)
+		runtime.ReadMemStats(&after)
+		if st := c.Stats(); st.Hits != 0 || st.Evictions-evictions != 2000 {
+			t.Fatalf("%d hits, %d evictions: the loop was meant to miss 2,000 lines at capacity", st.Hits, st.Evictions-evictions)
+		}
+		if got := (after.TotalAlloc - before.TotalAlloc) / 1000; got > 1024 {
+			t.Errorf("a miss at capacity allocates %d bytes, want bookkeeping only (a line is %d)", got, c.LineBytes())
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkCacheMissFill is 1,000 misses (2,000 lines of 16 KB) through a
+// cache at capacity: fill, install, evict.
+func BenchmarkCacheMissFill(b *testing.B) {
+	e, c, dst := missCache(b)
+	b.SetBytes(2000 * int64(c.LineBytes()))
+	b.ReportAllocs()
+	e.Spawn("b", func(p *sim.Proc) {
+		missLoop(b, p, c, dst, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			missLoop(b, p, c, dst, 1000)
+		}
+	})
+	e.Run()
+}
+
+// TestInvalidateAllKeepsTheBuffers: a crash drops every line but not the
+// memory: the refill draws the buffers back, and the counters say what they
+// said when the buffers were thrown away.
+func TestInvalidateAllKeepsTheBuffers(t *testing.T) {
+	harness(t, 1024, 8, 4, true, func(p *sim.Proc, c *Cache, dev *fakeDev) {
+		if _, err := c.Read(p, 0, 3*8); err != nil {
+			t.Fatal(err)
+		}
+		owned := map[*byte]bool{}
+		for _, ln := range c.table {
+			owned[&ln.data[0]] = true
+		}
+		c.InvalidateAll()
+		if st := c.Stats(); st.Invalidations != 3 || c.Lines() != 0 || c.free.Len() != 3 || c.head != nil || c.tail != nil {
+			t.Fatalf("after InvalidateAll: %d invalidations, %d lines, %d free buffers", st.Invalidations, c.Lines(), c.free.Len())
+		}
+		want := append([]byte(nil), dev.data[40*512:(40+3*8)*512]...)
+		if got, err := c.Read(p, 40, 3*8); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("post-crash refill reads wrong bytes (err=%v)", err)
+		}
+		for li, ln := range c.table {
+			if !owned[&ln.data[0]] {
+				t.Errorf("line %d of the refill is in a new buffer", li)
+			}
+		}
+		if st := c.Stats(); st.Invalidations != 3 || st.Evictions != 0 {
+			t.Errorf("refill moved the counters: %+v", st)
 		}
 	})
 }

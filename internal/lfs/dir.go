@@ -64,37 +64,87 @@ func marshalDir(ents []DirEntry) []byte {
 	return buf
 }
 
-// findDirEntry returns the inode number directory contents record for name,
-// or 0 when there is none.  It walks the encoded records in place and stops
-// where parseDir stops, so it answers what a search of parseDir's result
-// would without decoding an entry or allocating.
-func findDirEntry(data []byte, name string) uint32 {
-	for off := 0; off+6 <= len(data); {
-		inum := getU32(data[off:])
-		nameLen := int(data[off+4]) | int(data[off+5])<<8
-		off += 6
-		if inum == 0 && nameLen == 0 || off+nameLen > len(data) {
-			break
-		}
-		if nameLen == len(name) && string(data[off:off+nameLen]) == name {
-			return inum
-		}
-		off += nameLen
+// dirRecord decodes the record at byte offset off of encoded directory
+// contents; next is the offset of the record after it.  ok is false where
+// parseDir stops: at an end marker, a truncated record or the end of data.
+func dirRecord(data []byte, off int) (inum uint32, name []byte, next int, ok bool) {
+	if off+6 > len(data) {
+		return 0, nil, 0, false
 	}
-	return 0
+	inum = getU32(data[off:])
+	next = off + 6 + (int(data[off+4]) | int(data[off+5])<<8)
+	if inum == 0 && next == off+6 || next > len(data) {
+		return 0, nil, 0, false
+	}
+	return inum, data[off+6 : next], next, true
 }
 
+// findDirEntry looks name up in encoded directory contents, walking the
+// records in place: it answers what a search of parseDir's result would
+// without decoding an entry or allocating.  When ok, inum and off are the
+// inode number and offset of name's first record; otherwise off is where
+// the records stop.
+func findDirEntry(data []byte, name string) (inum uint32, off int, ok bool) {
+	for {
+		in, n, next, more := dirRecord(data, off)
+		if !more {
+			return 0, off, false
+		}
+		if string(n) == name {
+			return in, off, true
+		}
+		off = next
+	}
+}
+
+// dirEnd returns where the records of data stop, walking from the record
+// boundary off.
+func dirEnd(data []byte, off int) int {
+	for {
+		_, _, next, more := dirRecord(data, off)
+		if !more {
+			return off
+		}
+		off = next
+	}
+}
+
+// The two edits work on the encoded bytes in place and produce exactly
+// marshalDir of the edited parseDir result: whatever follows the last
+// record parseDir would decode is dropped.
+
+// dirAppend adds a record for name behind the last one; from is any record
+// boundary of data.  The result shares data's buffer when it has room.
+func dirAppend(data []byte, from int, name string, inum uint32) []byte {
+	end := dirEnd(data, from)
+	data = append(data[:end], 0, 0, 0, 0, byte(len(name)), byte(len(name)>>8))
+	putU32(data[end:], inum)
+	return append(data, name...)
+}
+
+// dirCut removes the record at offset off.
+func dirCut(data []byte, off int) []byte {
+	_, _, next, _ := dirRecord(data, off)
+	return data[:off+copy(data[off:], data[next:dirEnd(data, next)])]
+}
+
+// dirRecordMax is the longest encoded record.
+const dirRecordMax = 6 + MaxNameLen
+
 // dirBytes reads a directory's encoded contents into the file system's
-// scratch buffer, which the next call overwrites.  Caller holds fs.mu, which
-// is what makes one buffer per FS safe.
-func (fs *FS) dirBytes(p *sim.Proc, in *inode) ([]byte, error) {
+// scratch buffer k, which the next call with the same k overwrites; the
+// buffer has room behind the contents for dirAppend to add a record without
+// moving them.  An operation has at most two directories in hand at once
+// (Rename's two parents, Remove's parent and the subdirectory it checks).
+// Caller holds fs.mu, which is what makes two buffers per FS safe.
+func (fs *FS) dirBytes(p *sim.Proc, in *inode, k int) ([]byte, error) {
 	if in.Mode != ModeDir {
 		return nil, ErrNotDir
 	}
-	if int64(cap(fs.dirScratch)) < in.Size {
-		fs.dirScratch = make([]byte, in.Size)
+	if need := int(in.Size) + dirRecordMax; cap(fs.dirScratch[k]) < need {
+		fs.dirScratch[k] = make([]byte, 2*need) // doubling: a directory grows a record at a time
 	}
-	data := fs.dirScratch[:in.Size]
+	data := fs.dirScratch[k][:in.Size]
 	for off := int64(0); off < in.Size; off += BlockSize {
 		n := min(BlockSize, in.Size-off)
 		addr, err := fs.getBlockAddr(p, in, off/BlockSize)
@@ -116,19 +166,19 @@ func (fs *FS) dirBytes(p *sim.Proc, in *inode) ([]byte, error) {
 
 // readDirLocked returns a directory's entries.  Caller holds fs.mu.
 func (fs *FS) readDirLocked(p *sim.Proc, in *inode) ([]DirEntry, error) {
-	data, err := fs.dirBytes(p, in)
+	data, err := fs.dirBytes(p, in, 0)
 	if err != nil {
 		return nil, err
 	}
 	return parseDir(data), nil
 }
 
-// writeDir replaces a directory's contents.  Caller holds fs.mu.
-func (fs *FS) writeDir(p *sim.Proc, in *inode, ents []DirEntry) error {
+// writeDir replaces a directory's contents with data (encoded records,
+// which may be in a dirBytes buffer).  Caller holds fs.mu.
+func (fs *FS) writeDir(p *sim.Proc, in *inode, data []byte) error {
 	if err := fs.freeInodeBlocks(p, in); err != nil {
 		return err
 	}
-	data := marshalDir(ents)
 	if len(data) > 0 {
 		if _, err := fs.writeAtLocked(p, in, data, 0); err != nil {
 			return err
@@ -163,12 +213,12 @@ func (fs *FS) namei(p *sim.Proc, path string) (*inode, error) {
 		if in.Mode != ModeDir {
 			return nil, ErrNotDir
 		}
-		data, err := fs.dirBytes(p, in)
+		data, err := fs.dirBytes(p, in, 0)
 		if err != nil {
 			return nil, err
 		}
-		next := findDirEntry(data, comp)
-		if next == 0 {
+		next, _, ok := findDirEntry(data, comp)
+		if !ok {
 			return nil, ErrNotExist
 		}
 		if in, err = fs.loadInode(p, next); err != nil {
@@ -208,21 +258,19 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	ents, err := fs.readDirLocked(p, parent)
+	data, err := fs.dirBytes(p, parent, 0)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range ents {
-		if e.Name == name {
-			return nil, ErrExist
-		}
+	_, end, exists := findDirEntry(data, name)
+	if exists {
+		return nil, ErrExist
 	}
 	in, err := fs.allocInode(ModeFile, p.Now())
 	if err != nil {
 		return nil, err
 	}
-	ents = append(ents, DirEntry{Name: name, Inum: in.Inum})
-	if err := fs.writeDir(p, parent, ents); err != nil {
+	if err := fs.writeDir(p, parent, dirAppend(data, end, name, in.Inum)); err != nil {
 		return nil, err
 	}
 	return &File{fs: fs, inum: in.Inum}, nil
@@ -266,14 +314,13 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	ents, err := fs.readDirLocked(p, parent)
+	data, err := fs.dirBytes(p, parent, 0)
 	if err != nil {
 		return err
 	}
-	for _, e := range ents {
-		if e.Name == name {
-			return ErrExist
-		}
+	_, end, exists := findDirEntry(data, name)
+	if exists {
+		return ErrExist
 	}
 	in, err := fs.allocInode(ModeDir, p.Now())
 	if err != nil {
@@ -281,8 +328,7 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	}
 	in.Nlink = 2
 	fs.dirtyInode(in)
-	ents = append(ents, DirEntry{Name: name, Inum: in.Inum})
-	return fs.writeDir(p, parent, ents)
+	return fs.writeDir(p, parent, dirAppend(data, end, name, in.Inum))
 }
 
 // Remove deletes a file or an empty directory.
@@ -293,35 +339,28 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	ents, err := fs.readDirLocked(p, parent)
+	data, err := fs.dirBytes(p, parent, 0)
 	if err != nil {
 		return err
 	}
-	idx := -1
-	for i, e := range ents {
-		if e.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	inum, off, ok := findDirEntry(data, name)
+	if !ok {
 		return ErrNotExist
 	}
-	in, err := fs.loadInode(p, ents[idx].Inum)
+	in, err := fs.loadInode(p, inum)
 	if err != nil {
 		return err
 	}
 	if in.Mode == ModeDir {
-		sub, err := fs.readDirLocked(p, in)
+		sub, err := fs.dirBytes(p, in, 1)
 		if err != nil {
 			return err
 		}
-		if len(sub) > 0 {
+		if _, _, _, any := dirRecord(sub, 0); any {
 			return ErrNotEmpty
 		}
 	}
-	ents = append(ents[:idx], ents[idx+1:]...)
-	if err := fs.writeDir(p, parent, ents); err != nil {
+	if err := fs.writeDir(p, parent, dirCut(data, off)); err != nil {
 		return err
 	}
 	return fs.removeInode(p, in)
@@ -339,50 +378,33 @@ func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	oldEnts, err := fs.readDirLocked(p, oldParent)
+	oldData, err := fs.dirBytes(p, oldParent, 1)
 	if err != nil {
 		return err
 	}
-	var moved *DirEntry
-	idx := -1
-	for i := range oldEnts {
-		if oldEnts[i].Name == oldName {
-			moved = &oldEnts[i]
-			idx = i
-			break
-		}
-	}
-	if moved == nil {
+	inum, off, ok := findDirEntry(oldData, oldName)
+	if !ok {
 		return ErrNotExist
 	}
-	inum := moved.Inum
-
 	sameDir := oldParent.Inum == newParent.Inum
-	var newEnts []DirEntry
-	if sameDir {
-		newEnts = oldEnts
-	} else {
-		if newEnts, err = fs.readDirLocked(p, newParent); err != nil {
+	newData := oldData
+	if !sameDir {
+		if newData, err = fs.dirBytes(p, newParent, 0); err != nil {
 			return err
 		}
 	}
-	for _, e := range newEnts {
-		if e.Name == newName && e.Inum != inum {
-			return ErrExist
-		}
+	if other, _, ok := findDirEntry(newData, newName); ok && other != inum {
+		return ErrExist
 	}
 
-	oldEnts = append(oldEnts[:idx], oldEnts[idx+1:]...)
+	oldData = dirCut(oldData, off)
 	if sameDir {
-		newEnts = oldEnts
+		return fs.writeDir(p, newParent, dirAppend(oldData, off, newName, inum))
 	}
-	newEnts = append(newEnts, DirEntry{Name: newName, Inum: inum})
-	if !sameDir {
-		if err := fs.writeDir(p, oldParent, oldEnts); err != nil {
-			return err
-		}
+	if err := fs.writeDir(p, oldParent, oldData); err != nil {
+		return err
 	}
-	return fs.writeDir(p, newParent, newEnts)
+	return fs.writeDir(p, newParent, dirAppend(newData, 0, newName, inum))
 }
 
 // ReadDir lists a directory, with entry modes filled in, sorted by name.

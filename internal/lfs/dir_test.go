@@ -1,7 +1,9 @@
 package lfs
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,15 +11,24 @@ import (
 )
 
 // lookupByParse is the oracle findDirEntry replaced: decode every entry, then
-// search them in order.
-func lookupByParse(data []byte, name string) uint32 {
+// search them in order, adding up the encoded lengths of the ones passed.
+func lookupByParse(data []byte, name string) (inum uint32, off int, ok bool) {
 	for _, e := range parseDir(data) {
 		if e.Name == name {
-			return e.Inum
+			return e.Inum, off, true
 		}
+		off += 6 + len(e.Name)
 	}
-	return 0
+	return 0, off, false
 }
+
+type dirHit struct {
+	inum uint32
+	off  int
+	ok   bool
+}
+
+func hit(inum uint32, off int, ok bool) dirHit { return dirHit{inum, off, ok} }
 
 func TestFindDirEntryMatchesParseDir(t *testing.T) {
 	long := strings.Repeat("n", MaxNameLen)
@@ -50,8 +61,8 @@ func TestFindDirEntryMatchesParseDir(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, name := range c.names {
-			if got, want := findDirEntry(c.data, name), lookupByParse(c.data, name); got != want {
-				t.Errorf("%s: findDirEntry(%q) = %d, parseDir + search = %d", c.what, name, got, want)
+			if got, want := hit(findDirEntry(c.data, name)), hit(lookupByParse(c.data, name)); got != want {
+				t.Errorf("%s: findDirEntry(%q) = %+v, parseDir + search = %+v", c.what, name, got, want)
 			}
 		}
 	}
@@ -62,8 +73,8 @@ func FuzzFindDirEntry(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 'x'}, "x")
 	f.Add([]byte{1, 0, 0, 0, 9, 0, 'x'}, "x")
 	f.Fuzz(func(t *testing.T, data []byte, name string) {
-		if got, want := findDirEntry(data, name), lookupByParse(data, name); got != want {
-			t.Fatalf("findDirEntry(%x, %q) = %d, parseDir + search = %d", data, name, got, want)
+		if got, want := hit(findDirEntry(data, name)), hit(lookupByParse(data, name)); got != want {
+			t.Fatalf("findDirEntry(%x, %q) = %+v, parseDir + search = %+v", data, name, got, want)
 		}
 	})
 }
@@ -94,4 +105,116 @@ func TestOpenWarmDirectoryAllocs(t *testing.T) {
 		}
 	})
 	e.Shutdown()
+}
+
+// withRoom copies encoded directory contents into a buffer with room for one
+// more record behind them, as dirBytes hands them out.
+func withRoom(data []byte) []byte {
+	return append(make([]byte, 0, len(data)+dirRecordMax), data...)
+}
+
+// without returns ents with element i removed, as the directory operations
+// did it when they edited decoded entries.
+func without(ents []DirEntry, i int) []DirEntry {
+	return append(append([]DirEntry(nil), ents[:i]...), ents[i+1:]...)
+}
+
+// checkDirEdits compares the byte-level edits of the record for name —
+// insert it if it is absent; remove it and rename it to newName if it is
+// present — with decode, edit the entries, encode.
+func checkDirEdits(t *testing.T, data []byte, name, newName string, inum uint32) {
+	t.Helper()
+	ents := parseDir(data)
+	found, off, ok := findDirEntry(data, name)
+	if !ok {
+		buf := withRoom(data)
+		got, want := dirAppend(buf, off, name, inum), marshalDir(append(ents, DirEntry{Name: name, Inum: inum}))
+		if !bytes.Equal(got, want) || &got[0] != &buf[:1][0] {
+			t.Fatalf("insert %q into %x:\n got %x\nwant %x (in the same buffer)", name, data, got, want)
+		}
+		return
+	}
+	idx := 0
+	for ents[idx].Name != name {
+		idx++
+	}
+	if got, want := dirCut(withRoom(data), off), marshalDir(without(ents, idx)); !bytes.Equal(got, want) {
+		t.Fatalf("remove %q from %x:\n got %x\nwant %x", name, data, got, want)
+	}
+	buf := withRoom(data)
+	got := dirAppend(dirCut(buf, off), off, newName, found)
+	want := marshalDir(append(without(ents, idx), DirEntry{Name: newName, Inum: found}))
+	if !bytes.Equal(got, want) || &got[0] != &buf[:1][0] {
+		t.Fatalf("rename %q to %q in %x:\n got %x\nwant %x (in the same buffer)", name, newName, data, got, want)
+	}
+}
+
+func TestDirEditsMatchParseEditMarshal(t *testing.T) {
+	full := marshalDir([]DirEntry{{Name: "alpha", Inum: 7}, {Name: "beta", Inum: 8}, {Name: "gamma", Inum: 9}})
+	marker := append(append(bytes.Clone(full), make([]byte, 6)...), marshalDir([]DirEntry{{Name: "after-marker", Inum: 4}})...)
+	long := strings.Repeat("n", MaxNameLen)
+	for _, data := range [][]byte{nil, full, full[:len(full)-2], full[:len(full)-len("gamma")-3], marker,
+		marshalDir([]DirEntry{{Name: "dup", Inum: 11}, {Name: "x", Inum: 1}, {Name: "dup", Inum: 12}})} {
+		for _, name := range []string{"alpha", "beta", "gamma", "after-marker", "dup", "x", "new", long} {
+			checkDirEdits(t, data, name, "renamed", 42)
+			checkDirEdits(t, data, name, long, 42)
+			checkDirEdits(t, data, name, name, 42)
+		}
+	}
+}
+
+func FuzzDirEdit(f *testing.F) {
+	full := marshalDir([]DirEntry{{Name: "a", Inum: 1}, {Name: "ab", Inum: 2}, {Name: "abc", Inum: 3}})
+	f.Add(full, "ab", "b", uint32(9))
+	f.Add(full, "zz", "", uint32(9))
+	f.Add(full[:len(full)-1], "abc", "c", uint32(9))                                        // truncated last record
+	f.Add(append(append([]byte{}, full[:7]...), make([]byte, 12)...), "ab", "a", uint32(9)) // early end marker
+	f.Add([]byte{1, 0, 0, 0, 9, 0, 'x'}, "x", "y", uint32(0))
+	f.Fuzz(func(t *testing.T, data []byte, name, newName string, inum uint32) {
+		if len(name) > MaxNameLen || len(newName) > MaxNameLen {
+			t.Skip("nameiParent refuses the name before any directory is read")
+		}
+		checkDirEdits(t, data, name, newName, inum)
+	})
+}
+
+// TestCreateRemoveAllocsIndependentOfDirectorySize: Create and Remove edit
+// the directory's encoded bytes in the file system's scratch buffer, so what
+// a pair allocates — the path's pieces, the inode, the handle, its share of
+// the segment images its two directory blocks fill — is the same in a
+// directory of 300 entries as in one of 30.  Decoding and re-encoding the
+// entries cost a string apiece and the directory's size twice over, 50 KB a
+// pair at 300 entries.
+func TestCreateRemoveAllocsIndependentOfDirectorySize(t *testing.T) {
+	perPair := func(files int) uint64 {
+		e, fs := newFS(t, 64, 8)
+		var before, after runtime.MemStats
+		run(e, func(p *sim.Proc) {
+			for i := 0; i < files; i++ {
+				if _, err := fs.Create(p, fmt.Sprintf("/f%04d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pair := func() {
+				if _, err := fs.Create(p, "/churn"); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Remove(p, "/churn"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pair() // warm: scratch buffers at their size
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 50; i++ {
+				pair()
+			}
+			runtime.ReadMemStats(&after)
+		})
+		e.Shutdown()
+		return (after.TotalAlloc - before.TotalAlloc) / 50
+	}
+	small, large := perPair(30), perPair(300)
+	if large > small+512 {
+		t.Errorf("Create+Remove allocates %d bytes in a 300-entry directory and %d in a 30-entry one: want the same", large, small)
+	}
 }

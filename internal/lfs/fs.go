@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
 
@@ -85,13 +86,17 @@ type FS struct {
 
 	// Current (in-memory) segment.  segImage is the segment exactly as it
 	// will be written: block 0 is left for the summary, block i+1 is the slot
-	// of segEntries[i].  It is allocated (zeroed, so a partial seal's tail
-	// is zero) when the segment takes its first block and handed to the
-	// device at seal time without being copied.
+	// of segEntries[i].  It is taken from images (all zero, so a partial
+	// seal's tail is zero) when the segment takes its first block and handed
+	// to the device at seal time without being copied.
 	curSeg     int64 // block address of the segment's first block
 	segSeq     uint64
 	segEntries []summaryEntry
 	segImage   []byte
+	// images holds zeroed images whose device write completed, for the next
+	// segments.  A server's steady state has one image filling and one in
+	// flight; a burst of seals beyond the bound goes back to the collector.
+	images bytepath.FreeList
 
 	free      []bool
 	nFree     int // free segments: the true entries of free, kept by setFree
@@ -112,13 +117,16 @@ type FS struct {
 	metaCache map[int64][]byte
 	metaOrder []int64 // FIFO eviction, deterministic
 
-	dirScratch []byte // dirBytes' buffer; guarded by mu
+	dirScratch [2][]byte // dirBytes' buffers; guarded by mu
 
 	// In-flight asynchronous segment writes: "full LFS segments are
 	// written to disk while newer segments are being filled with data."
 	// inflight holds each sealed image by segment index until its device
 	// write completes (for good if it fails), so its blocks stay readable.
 	// A sealed image is never modified: the device may still be reading it.
+	// Once the write has completed nothing refers to the image (the device
+	// kept a copy, views of staged blocks do not outlive a wait) and it is
+	// recycled.
 	// The group latches the first error a segment write hit: the log on
 	// disk is no longer trustworthy past that point, so every later append,
 	// seal, and sync reports it instead of silently losing data.
@@ -235,6 +243,7 @@ func (fs *FS) initState() {
 	fs.idirty = make(map[uint32]bool)
 	fs.seals = sim.NewGroup(fs.eng)
 	fs.inflight = make(map[int][]byte)
+	fs.images = bytepath.NewFreeList(maxFreeImages)
 	fs.metaCache = make(map[int64][]byte)
 }
 
@@ -286,6 +295,9 @@ func (fs *FS) readBlock(p *sim.Proc, addr int64) ([]byte, error) {
 
 // metaCacheCap bounds the metadata cache (in blocks).
 const metaCacheCap = 4096
+
+// maxFreeImages bounds the recycled segment images an FS keeps.
+const maxFreeImages = 4
 
 // metaView returns metadata block addr (an indirect block, directory
 // contents) for reading only, through the metadata cache that pointer walks
@@ -379,7 +391,7 @@ func (fs *FS) appendSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte
 		}
 	}
 	if fs.segImage == nil {
-		fs.segImage = make([]byte, fs.SegmentBytes())
+		fs.segImage = fs.images.Get(fs.SegmentBytes())
 	}
 	fs.segEntries = append(fs.segEntries, summaryEntry{Kind: kind, Arg1: a1, Arg2: a2})
 	addr := fs.curSeg + int64(len(fs.segEntries))
@@ -485,6 +497,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	// streams to the array.  Its blocks stay readable from the image until
 	// the device write completes; from here on nothing writes to the image.
 	sealSeg := fs.curSeg
+	used := (1 + len(fs.segEntries)) * BlockSize
 	fs.inflight[curIdx] = image
 	fs.seals.Go("lfs-seal", func(q *sim.Proc) error {
 		end := q.Span("lfs", "segment-write")
@@ -495,6 +508,9 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 			return fmt.Errorf("lfs: segment write: %w", err)
 		}
 		delete(fs.inflight, curIdx)
+		if fs.images.Put(image) {
+			clear(image[:used]) // the rest was never written: the image is zero again
+		}
 		return nil
 	})
 	fs.curSeg = nextAddr
@@ -813,6 +829,7 @@ func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error
 func (fs *FS) Crash() {
 	fs.resetSegment()
 	fs.inflight = nil
+	fs.images = bytepath.FreeList{} // keeps nothing: writes still in flight complete into a dead FS
 	fs.icache = nil
 	fs.imap = nil
 }

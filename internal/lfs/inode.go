@@ -79,20 +79,23 @@ func (fs *FS) rewriteMeta(p *sim.Proc, addr int64, kind, a1, a2 uint32, mutate f
 		mutate(b)
 		return addr, nil
 	}
-	var old []byte // nil for a new block: the fresh slot is already zero
+	// The old block is copied out, not viewed: the append may run the cleaner,
+	// which waits, and a view of a sealed image dies when its write completes.
+	var old [BlockSize]byte
 	if addr != 0 {
-		var err error
-		// A view is enough: it is of a sealed image, the metadata cache or a
-		// device read, none of which anything writes to again.
-		if old, err = fs.metaView(p, addr); err != nil {
+		view, err := fs.metaView(p, addr)
+		if err != nil {
 			return 0, err
 		}
+		copy(old[:], view)
 	}
 	newAddr, b, err := fs.appendSlot(p, kind, a1, a2)
 	if err != nil {
 		return 0, err
 	}
-	copy(b, old)
+	if addr != 0 { // else a new block: the fresh slot is already zero
+		copy(b, old[:])
+	}
 	mutate(b)
 	fs.killBlock(addr)
 	return newAddr, nil

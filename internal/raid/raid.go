@@ -179,7 +179,7 @@ type Array struct {
 
 	// colFree is the free list of column scratch buffers, each one stripe
 	// unit long (see scratch.go).
-	colFree [][]byte
+	colFree bytepath.FreeList
 
 	stats Stats
 }
@@ -254,6 +254,7 @@ func New(e *sim.Engine, devs []Dev, cfg Config, xor XOREngine) (*Array, error) {
 		failed:   make(map[int]bool),
 		stripeLk: make(map[int64]*sim.Server),
 		rebuilds: make(map[int]*rebuild),
+		colFree:  bytepath.NewFreeList(colFreeStripes * len(devs)),
 	}
 	if row.serial {
 		a.arrayLock = sim.NewServer(e, "raid3:lock", 1)

@@ -71,13 +71,13 @@ func TestScratchColumnsAreRecycled(t *testing.T) {
 		}
 	}
 	runProc(e, pass)
-	warm := len(a.colFree)
+	warm := a.colFree.Len()
 	if warm == 0 {
 		t.Fatal("no scratch columns returned to the free list")
 	}
 	runProc(e, pass)
-	if len(a.colFree) != warm {
-		t.Fatalf("free list went from %d to %d buffers on an identical second pass", warm, len(a.colFree))
+	if a.colFree.Len() != warm {
+		t.Fatalf("free list went from %d to %d buffers on an identical second pass", warm, a.colFree.Len())
 	}
 	runProc(e, func(p *sim.Proc) {
 		for _, d := range []int{3, 9} {

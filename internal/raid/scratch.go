@@ -3,8 +3,7 @@ package raid
 // Column scratch.  Degraded reads, rebuilds, scrubs, read-modify-writes and
 // parity computation all need column-sized working buffers that live for
 // one operation.  They come from a free list on the array instead of a
-// make per column per stripe: the engine runs one process at a time, so a
-// plain slice stack needs no locking.  Every buffer is one stripe unit long
+// make per column per stripe.  Every buffer is one stripe unit long
 // (the longest column any path touches) and its contents are arbitrary when
 // handed out.  The list lives as long as the array and keeps at most
 // colFreeStripes stripes' worth of buffers: enough for the rebuild window
@@ -28,13 +27,7 @@ func (a *Array) newScratch() *scratch { return &scratch{a: a} }
 // col returns an n-byte buffer (n at most one stripe unit) with arbitrary
 // contents; the caller must overwrite all of it.
 func (s *scratch) col(n int) []byte {
-	a := s.a
-	var b []byte
-	if k := len(a.colFree); k > 0 {
-		b, a.colFree = a.colFree[k-1], a.colFree[:k-1]
-	} else {
-		b = make([]byte, a.unitSecs*a.secSize)
-	}
+	b := s.a.colFree.Get(s.a.unitSecs * s.a.secSize)
 	s.bufs = append(s.bufs, b)
 	return b[:n]
 }
@@ -45,8 +38,8 @@ func (s *scratch) unit() []byte { return s.col(s.a.unitSecs * s.a.secSize) }
 // release returns the operation's buffers to the array's free list, up to
 // its bound.
 func (s *scratch) release() {
-	a := s.a
-	keep := min(len(s.bufs), colFreeStripes*len(a.devs)-len(a.colFree))
-	a.colFree = append(a.colFree, s.bufs[:keep]...)
+	for _, b := range s.bufs {
+		s.a.colFree.Put(b)
+	}
 	s.bufs = nil
 }

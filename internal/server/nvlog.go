@@ -22,10 +22,14 @@ type nvlog struct {
 	nv          *xbus.NVRAM
 	commitBytes int
 
-	recs        []nvRecord
-	stagedBytes int
-	committing  bool // a background commit proc is spawned or running
-	inCommit    bool // a groupCommit body is between batch capture and release
+	// The staged records, oldest first, and their bytes back to back in the
+	// same order.  The arena has the region's capacity, so staging does not
+	// allocate; append grows it only when concurrent writers overshoot the
+	// region (nv.Stage counts a record's bytes after its transfer wait).
+	recs       []nvRecord
+	arena      []byte
+	committing bool // a background commit proc is spawned or running
+	inCommit   bool // a groupCommit body is between batch capture and release
 
 	commits uint64 // completed or attempted group commits (the crash ordinal space)
 	crashAt uint64 // crash mid this commit ordinal (1-based); 0 = never
@@ -33,11 +37,11 @@ type nvlog struct {
 	stats NVRAMLogStats
 }
 
-// nvRecord is one staged small write.
+// nvRecord is one staged small write: n bytes at arena[start:].
 type nvRecord struct {
-	inum uint32
-	off  int64
-	data []byte
+	inum     uint32
+	off      int64
+	start, n int
 }
 
 // NVRAMLogStats counts staging-log activity on one board.
@@ -64,7 +68,7 @@ func newNVLog(b *Board, nv *xbus.NVRAM, commitBytes int) *nvlog {
 	if commitBytes <= 0 {
 		commitBytes = defaultNVRAMCommitBytes
 	}
-	return &nvlog{b: b, nv: nv, commitBytes: commitBytes}
+	return &nvlog{b: b, nv: nv, commitBytes: commitBytes, arena: make([]byte, 0, nv.Capacity())}
 }
 
 // stage admits one record, or returns xbus.ErrNVRAMFull when the region
@@ -73,13 +77,11 @@ func (l *nvlog) stage(p *sim.Proc, inum uint32, off int64, data []byte) error {
 	if err := l.nv.Stage(p, len(data)); err != nil {
 		return err
 	}
-	rec := nvRecord{inum: inum, off: off, data: make([]byte, len(data))}
-	copy(rec.data, data)
-	l.recs = append(l.recs, rec)
-	l.stagedBytes += len(data)
+	l.recs = append(l.recs, nvRecord{inum: inum, off: off, start: len(l.arena), n: len(data)})
+	l.arena = append(l.arena, data...)
 	l.stats.Staged++
 	l.stats.StagedBytes += uint64(len(data))
-	if l.stagedBytes >= l.commitBytes && !l.committing {
+	if len(l.arena) >= l.commitBytes && !l.committing {
 		l.committing = true
 		l.b.sys.Eng.Spawn("nvram-commit", func(q *sim.Proc) {
 			defer func() { l.committing = false }()
@@ -141,19 +143,26 @@ func (l *nvlog) applyRecord(p *sim.Proc, rec nvRecord) error {
 	if err != nil {
 		return fmt.Errorf("server: nvram commit inode %d: %w", rec.inum, err)
 	}
-	if _, err := f.WriteAt(p, rec.data, rec.off); err != nil {
+	if _, err := f.WriteAt(p, l.arena[rec.start:rec.start+rec.n], rec.off); err != nil {
 		return fmt.Errorf("server: nvram commit inode %d: %w", rec.inum, err)
 	}
 	return nil
 }
 
-// release drops the first n records after they are durable in the log.
+// release drops the first n records after they are durable in the log and
+// moves the ones staged since down to the start of the arena.  No commit
+// body is applying a record when this runs (they serialize on inCommit).
 func (l *nvlog) release(n int) {
-	for i := 0; i < n; i++ {
-		l.nv.Release(len(l.recs[i].data))
-		l.stagedBytes -= len(l.recs[i].data)
+	cut := 0
+	for _, rec := range l.recs[:n] {
+		l.nv.Release(rec.n)
+		cut += rec.n
 	}
-	l.recs = l.recs[n:]
+	l.arena = l.arena[:copy(l.arena, l.arena[cut:])]
+	l.recs = l.recs[:copy(l.recs, l.recs[n:])]
+	for i := range l.recs {
+		l.recs[i].start -= cut
+	}
 }
 
 // crash resets the log's volatile state.  The staged records and their
@@ -182,7 +191,7 @@ func (l *nvlog) replay(p *sim.Proc) error {
 	}
 	for i := 0; i < batch; i++ {
 		l.stats.Replayed++
-		l.stats.ReplayedBytes += uint64(len(l.recs[i].data))
+		l.stats.ReplayedBytes += uint64(l.recs[i].n)
 	}
 	l.release(batch)
 	return nil

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -364,4 +365,49 @@ func TestFaultPlanRejectsOverlappingDiskFailures(t *testing.T) {
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("distinct-disk double failure rejected: %v", err)
 	}
+}
+
+// TestNVLogStageAllocatesNoRecordBuffers: staged bytes live in the arena the
+// log made when the board was built, and released records leave their room
+// behind, so staging allocates nothing per record — it used to make a buffer
+// the size of each.
+func TestNVLogStageAllocatesNoRecordBuffers(t *testing.T) {
+	sys, err := New(nvramConfig(1<<20, 2<<20)) // threshold above the region: no commit runs
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := sys.Boards[0].nvlog
+	const rec, n = 4 << 10, 64
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		var payloads [n][]byte
+		for i := range payloads {
+			payloads[i] = nvPattern(rec, byte(i))
+		}
+		stageAll := func() {
+			for i, data := range payloads {
+				if err := l.stage(p, 7, int64(i)*rec, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		stageAll() // warm: the record table at its size
+		l.release(n / 2)
+		if r := l.recs[0]; len(l.recs) != n/2 || !bytes.Equal(l.arena[r.start:r.start+r.n], payloads[n/2]) {
+			t.Fatalf("after releasing half: %d records, and the first does not hold record %d's bytes", len(l.recs), n/2)
+		}
+		l.release(n / 2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stageAll()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= rec {
+			t.Errorf("staging %d records allocated %d bytes, want less than one record", n, got)
+		}
+		for i, r := range l.recs {
+			if !bytes.Equal(l.arena[r.start:r.start+r.n], payloads[i]) {
+				t.Fatalf("record %d does not hold its bytes", i)
+			}
+		}
+	})
+	sys.Eng.Run()
 }
