@@ -87,6 +87,21 @@ func TestSentinelErrorsThroughAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = srv.Simulate(func(task *Task) error {
+		// Before FormatFS every file-system call reports ErrNoFS rather than
+		// dereferencing the missing file system.
+		_, errCreate := task.Create("/x")
+		_, errOpen := task.Open("/x")
+		_, errReadDir := task.ReadDir("/")
+		_, errStat := task.Stat("/")
+		_, errClean := task.Clean(1)
+		for op, err := range map[string]error{
+			"Create": errCreate, "Open": errOpen, "Mkdir": task.Mkdir("/d"), "Remove": task.Remove("/x"),
+			"Rename": task.Rename("/x", "/y"), "ReadDir": errReadDir, "Stat": errStat, "Clean": errClean,
+		} {
+			if !errors.Is(err, ErrNoFS) {
+				t.Errorf("%s on an unformatted board = %v, want ErrNoFS", op, err)
+			}
+		}
 		if err := task.FormatFS(); err != nil {
 			return err
 		}

@@ -154,19 +154,6 @@ func BenchmarkXBUSScaling(b *testing.B) {
 	b.ReportMetric(fig.Series[0].At(2), "2boardMB/s")
 }
 
-// BenchmarkZebra regenerates the §5.2 striping extension.
-func BenchmarkZebra(b *testing.B) {
-	var fig *Figure
-	for i := 0; i < b.N; i++ {
-		var err error
-		if fig, err = Zebra([]int{3, 5}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(fig.Series[0].At(3), "3srvMB/s")
-	b.ReportMetric(fig.Series[0].At(5), "5srvMB/s")
-}
-
 // BenchmarkAblationParityEngine compares hardware and host parity.
 func BenchmarkAblationParityEngine(b *testing.B) {
 	var r AblationResult

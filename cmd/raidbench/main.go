@@ -8,9 +8,9 @@
 //	          [-metrics-json out.json] [-faults] [-list] [experiment ...]
 //
 // With no arguments every experiment runs.  Experiments: fig5, table1,
-// table2, fig6, fig7, fig8, raid1, client, recovery, scaling, zebra,
-// fleet, rebuild, faults, netfaults, fileserver, cache, smallwrite,
-// doublefault, ablate.
+// table2, fig6, fig7, fig8, raid1, client, recovery, scaling, fleet,
+// rebuild, faults, netfaults, fileserver, cache, smallwrite, doublefault,
+// ablate.
 //
 // -list prints every registered experiment with its one-line description
 // and exits without running anything.
@@ -171,7 +171,6 @@ func main() {
 		{"client", "single SPARCstation network client", cfg24 + " + SPARCstation 10/51", runClient},
 		{"recovery", "LFS recovery vs UNIX fsck", cfg16, runRecovery},
 		{"scaling", "XBUS board scaling", "1-4 boards, 24 disks each", runScaling},
-		{"zebra", "Zebra striping across servers", "2-5 single-board servers", runZebra},
 		{"fleet", "multi-server fleet: read scaling and whole-host kill", "1-8 Fig-8 hosts, one Ultranet ring", runFleet},
 		{"rebuild", "degraded mode and disk reconstruction", cfg24, runRebuild},
 		{"faults", "scripted fault plans: timeline and rebuild under load", cfg24, runFaults},
@@ -396,17 +395,6 @@ func runScaling() error {
 	}
 	fmt.Print(fig.Render())
 	fmt.Println("paper (§2.1.2): bandwidth scales with boards until the host CPU saturates")
-	jsonFigure(fig, "MB/s")
-	return nil
-}
-
-func runZebra() error {
-	fig, err := raidii.Zebra([]int{2, 3, 4, 5})
-	if err != nil {
-		return err
-	}
-	fmt.Print(fig.Render())
-	fmt.Println("paper (§5.2): striping across servers multiplies single-client bandwidth")
 	jsonFigure(fig, "MB/s")
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 	"raidii/internal/ufs"
 	"raidii/internal/workload"
 	"raidii/internal/xbus"
-	"raidii/internal/zebra"
 )
 
 // This file contains one runner per table and figure of the paper's
@@ -587,55 +586,6 @@ func formatFleet(p *sim.Proc, fl *server.Fleet) error {
 		}
 	}
 	return nil
-}
-
-// Zebra reproduces the §5.2 direction: a client's log striped with parity
-// across multiple server hosts, multiplying single-client bandwidth.
-func Zebra(serverCounts []int) (*Figure, error) {
-	fig := newFigure("Zebra striping across servers", "servers", "client MB/s")
-	s := fig.AddSeries("striped write")
-	for _, n := range serverCounts {
-		cfg := server.Fig8Config()
-		cfg.Servers = n
-		err := withFleet(fmt.Sprintf("zebra/%dservers", n), cfg, func(r *rig, fl *server.Fleet) error {
-			if err := r.do("fmt", func(p *sim.Proc) error { return formatFleet(p, fl) }); err != nil {
-				return err
-			}
-			nic := sim.NewLink(fl.Eng, "client-nic", 100, 0)
-			ep := &hippi.Endpoint{Name: "client", Out: nic, In: nic, Setup: 200 * time.Microsecond}
-			zcfg := zebra.DefaultConfig()
-			zcfg.Parity = n >= 3
-			z, err := zebra.New(fl, ep, zcfg)
-			if err != nil {
-				return err
-			}
-			const total = 24 << 20
-			var dur sim.Duration
-			err = r.do("t", func(p *sim.Proc) error {
-				if err := z.Create(p, "stream"); err != nil {
-					return err
-				}
-				start := p.Now()
-				if err := z.Write(p, "stream", 0, make([]byte, total)); err != nil {
-					return err
-				}
-				// The client's data is only stored once the servers' segment
-				// writes complete; include that drain (each server syncs
-				// independently, in parallel) in the measurement.
-				if err := z.SyncAll(p); err != nil {
-					return err
-				}
-				dur = p.Now().Sub(start)
-				return nil
-			})
-			s.Add(float64(n), mbps(total, dur))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return fig, nil
 }
 
 // AblationResult compares a design choice on/off.

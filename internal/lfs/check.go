@@ -113,7 +113,7 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 				return nil, err
 			}
 			for i := 0; i < PtrsPerBlock; i++ {
-				claim(inum, getI64(buf[i*8:]), fmt.Sprintf("ind[%d]", i))
+				claim(inum, int64(le.Uint64(buf[i*8:])), fmt.Sprintf("ind[%d]", i))
 			}
 		}
 		if in.DIndTop != 0 {
@@ -123,7 +123,7 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 				return nil, err
 			}
 			for i := 0; i < PtrsPerBlock; i++ {
-				l2 := getI64(top[i*8:])
+				l2 := int64(le.Uint64(top[i*8:]))
 				if l2 == 0 {
 					continue
 				}
@@ -133,7 +133,7 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 					return nil, err
 				}
 				for j := 0; j < PtrsPerBlock; j++ {
-					claim(inum, getI64(buf[j*8:]), fmt.Sprintf("dind[%d][%d]", i, j))
+					claim(inum, int64(le.Uint64(buf[j*8:])), fmt.Sprintf("dind[%d][%d]", i, j))
 				}
 			}
 		}

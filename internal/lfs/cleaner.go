@@ -100,7 +100,7 @@ func (fs *FS) blockLive(p *sim.Proc, e summaryEntry, addr int64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		return getI64(top[int(e.Arg2)*8:]) == addr, nil
+		return int64(le.Uint64(top[int(e.Arg2)*8:])) == addr, nil
 	}
 	return false, nil
 }
@@ -148,7 +148,7 @@ func (fs *FS) moveBlock(p *sim.Proc, e summaryEntry, addr int64) error {
 		in.DIndTop = newAddr
 	case kindDIndL2:
 		newTop, err := fs.rewriteMeta(p, in.DIndTop, kindDIndTop, e.Arg1, 0, func(b []byte) {
-			putI64(b[int(e.Arg2)*8:], newAddr)
+			le.PutUint64(b[int(e.Arg2)*8:], uint64(newAddr))
 		})
 		if err != nil || newTop == in.DIndTop {
 			return err

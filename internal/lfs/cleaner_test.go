@@ -257,7 +257,7 @@ func TestMoveBlockRepointsIndirects(t *testing.T) {
 		}{
 			{"data", summaryEntry{kindData, inum, 0}, func() int64 { return in.Direct[0] }},
 			{"indirect", summaryEntry{kindIndirect, inum, 0}, func() int64 { return in.Ind }},
-			{"double-indirect level 2", summaryEntry{kindDIndL2, inum, 0}, func() int64 { return getI64(top) }},
+			{"double-indirect level 2", summaryEntry{kindDIndL2, inum, 0}, func() int64 { return int64(le.Uint64(top)) }},
 			{"double-indirect top", summaryEntry{kindDIndTop, inum, 0}, func() int64 { return in.DIndTop }},
 		} {
 			old := c.addr()

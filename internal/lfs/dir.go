@@ -31,7 +31,7 @@ func parseDir(data []byte) []DirEntry {
 	var out []DirEntry
 	off := 0
 	for off+6 <= len(data) {
-		inum := getU32(data[off:])
+		inum := le.Uint32(data[off:])
 		nameLen := int(data[off+4]) | int(data[off+5])<<8
 		off += 6
 		if inum == 0 && nameLen == 0 {
@@ -55,7 +55,7 @@ func marshalDir(ents []DirEntry) []byte {
 	buf := make([]byte, n)
 	off := 0
 	for _, e := range ents {
-		putU32(buf[off:], e.Inum)
+		le.PutUint32(buf[off:], e.Inum)
 		buf[off+4] = byte(len(e.Name))
 		buf[off+5] = byte(len(e.Name) >> 8)
 		copy(buf[off+6:], e.Name)
@@ -71,7 +71,7 @@ func dirRecord(data []byte, off int) (inum uint32, name []byte, next int, ok boo
 	if off+6 > len(data) {
 		return 0, nil, 0, false
 	}
-	inum = getU32(data[off:])
+	inum = le.Uint32(data[off:])
 	next = off + 6 + (int(data[off+4]) | int(data[off+5])<<8)
 	if inum == 0 && next == off+6 || next > len(data) {
 		return 0, nil, 0, false
@@ -118,7 +118,7 @@ func dirEnd(data []byte, off int) int {
 func dirAppend(data []byte, from int, name string, inum uint32) []byte {
 	end := dirEnd(data, from)
 	data = append(data[:end], 0, 0, 0, 0, byte(len(name)), byte(len(name)>>8))
-	putU32(data[end:], inum)
+	le.PutUint32(data[end:], inum)
 	return append(data, name...)
 }
 

@@ -21,6 +21,9 @@ import (
 	"hash/crc32"
 )
 
+// le is the byte order of everything the file system stores.
+var le = binary.LittleEndian
+
 // BlockSize is the file system block size in bytes.
 const BlockSize = 4096
 
@@ -98,7 +101,6 @@ type superblock struct {
 
 func (sb *superblock) marshal() []byte {
 	buf := make([]byte, BlockSize)
-	le := binary.LittleEndian
 	le.PutUint32(buf[0:], sb.Magic)
 	le.PutUint32(buf[4:], sb.BlockSize)
 	le.PutUint32(buf[8:], sb.SegBlocks)
@@ -114,7 +116,6 @@ func (sb *superblock) marshal() []byte {
 }
 
 func (sb *superblock) unmarshal(buf []byte) error {
-	le := binary.LittleEndian
 	if le.Uint32(buf[56:]) != crc32.ChecksumIEEE(buf[:56]) {
 		return ErrCorrupt
 	}
@@ -149,7 +150,6 @@ type inode struct {
 const inodeBytes = 4 + 4 + 4 + 8 + 8 + NDirect*8 + 8 + 8
 
 func (in *inode) marshal(buf []byte) {
-	le := binary.LittleEndian
 	le.PutUint32(buf[0:], in.Inum)
 	le.PutUint32(buf[4:], uint32(in.Mode))
 	le.PutUint32(buf[8:], in.Nlink)
@@ -165,7 +165,6 @@ func (in *inode) marshal(buf []byte) {
 }
 
 func (in *inode) unmarshal(buf []byte) {
-	le := binary.LittleEndian
 	in.Inum = le.Uint32(buf[0:])
 	in.Mode = Mode(le.Uint32(buf[4:]))
 	in.Nlink = le.Uint32(buf[8:])
@@ -205,7 +204,6 @@ type summary struct {
 
 // marshal writes the summary into buf, a zeroed block.
 func (s *summary) marshal(buf []byte) {
-	le := binary.LittleEndian
 	le.PutUint32(buf[0:], summaryMagic)
 	le.PutUint64(buf[4:], s.Seq)
 	le.PutUint64(buf[12:], uint64(s.Time))
@@ -222,7 +220,6 @@ func (s *summary) marshal(buf []byte) {
 }
 
 func (s *summary) unmarshal(buf []byte) error {
-	le := binary.LittleEndian
 	if le.Uint32(buf[0:]) != summaryMagic {
 		return ErrCorrupt
 	}
@@ -269,7 +266,6 @@ func (cp *checkpoint) marshal(maxBytes int) ([]byte, error) {
 		return nil, errors.New("lfs: checkpoint region too small")
 	}
 	buf := make([]byte, maxBytes)
-	le := binary.LittleEndian
 	le.PutUint32(buf[0:], cpMagic)
 	le.PutUint64(buf[4:], cp.Seq)
 	le.PutUint64(buf[12:], uint64(cp.Time))
@@ -292,7 +288,6 @@ func (cp *checkpoint) marshal(maxBytes int) ([]byte, error) {
 }
 
 func (cp *checkpoint) unmarshal(buf []byte) error {
-	le := binary.LittleEndian
 	if le.Uint32(buf[0:]) != cpMagic {
 		return ErrCorrupt
 	}

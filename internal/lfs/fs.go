@@ -554,7 +554,7 @@ func (fs *FS) stageImapChunk(p *sim.Proc, chunk int) error {
 	buf := make([]byte, BlockSize)
 	base := chunk * imapChunkEntries
 	for i := 0; i < imapChunkEntries && base+i < len(fs.imap); i++ {
-		putI64(buf[i*8:], fs.imap[base+i])
+		le.PutUint64(buf[i*8:], uint64(fs.imap[base+i]))
 	}
 	addr, err := fs.restage(p, fs.imapAddrs[chunk], kindImap, uint32(chunk), 0, func(b []byte) { copy(b, buf) })
 	if err != nil {
@@ -662,8 +662,8 @@ func (fs *FS) marshalUsageChunk(chunk int) []byte {
 	buf := make([]byte, BlockSize)
 	base := chunk * usageChunkEntries
 	for i := 0; i < usageChunkEntries && base+i < len(fs.usageLive); i++ {
-		putU32(buf[i*16:], uint32(fs.usageLive[base+i]))
-		putU64(buf[i*16+4:], fs.usageSeq[base+i])
+		le.PutUint32(buf[i*16:], uint32(fs.usageLive[base+i]))
+		le.PutUint64(buf[i*16+4:], fs.usageSeq[base+i])
 		if fs.free[base+i] {
 			buf[i*16+12] = 1
 		}
@@ -674,8 +674,8 @@ func (fs *FS) marshalUsageChunk(chunk int) []byte {
 func (fs *FS) unmarshalUsageChunk(chunk int, buf []byte) {
 	base := chunk * usageChunkEntries
 	for i := 0; i < usageChunkEntries && base+i < len(fs.usageLive); i++ {
-		fs.usageLive[base+i] = int32(getU32(buf[i*16:]))
-		fs.usageSeq[base+i] = getU64(buf[i*16+4:])
+		fs.usageLive[base+i] = int32(le.Uint32(buf[i*16:]))
+		fs.usageSeq[base+i] = le.Uint64(buf[i*16+4:])
 		fs.setFree(base+i, buf[i*16+12] == 1)
 	}
 }
@@ -731,7 +731,7 @@ func (fs *FS) recover(p *sim.Proc) error {
 		}
 		base := chunk * imapChunkEntries
 		for i := 0; i < imapChunkEntries && base+i < len(fs.imap); i++ {
-			fs.imap[base+i] = getI64(buf[i*8:])
+			fs.imap[base+i] = int64(le.Uint64(buf[i*8:]))
 		}
 	}
 
@@ -810,7 +810,7 @@ func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error
 				}
 				base := int(e.Arg1) * imapChunkEntries
 				for j := 0; j < imapChunkEntries && base+j < len(fs.imap); j++ {
-					fs.imap[base+j] = getI64(buf[j*8:])
+					fs.imap[base+j] = int64(le.Uint64(buf[j*8:]))
 				}
 			}
 		case kindSegUsage:
@@ -833,30 +833,6 @@ func (fs *FS) Crash() {
 	fs.icache = nil
 	fs.imap = nil
 }
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-func putI64(b []byte, v int64) { putU64(b, uint64(v)) }
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-func getI64(b []byte) int64 { return int64(getU64(b)) }
 
 // String describes the file system geometry.
 func (fs *FS) String() string {

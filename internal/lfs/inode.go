@@ -118,7 +118,7 @@ func (fs *FS) getBlockAddr(p *sim.Proc, in *inode, fb int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return getI64(buf[fb*8:]), nil
+		return int64(le.Uint64(buf[fb*8:])), nil
 	}
 	fb -= PtrsPerBlock
 	l1, l2 := fb/PtrsPerBlock, fb%PtrsPerBlock
@@ -129,7 +129,7 @@ func (fs *FS) getBlockAddr(p *sim.Proc, in *inode, fb int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	l2addr := getI64(top[l1*8:])
+	l2addr := int64(le.Uint64(top[l1*8:]))
 	if l2addr == 0 {
 		return 0, nil
 	}
@@ -137,7 +137,7 @@ func (fs *FS) getBlockAddr(p *sim.Proc, in *inode, fb int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return getI64(buf[l2*8:]), nil
+	return int64(le.Uint64(buf[l2*8:])), nil
 }
 
 // setBlockAddr points file block fb at addr, materializing indirect blocks
@@ -154,7 +154,7 @@ func (fs *FS) setBlockAddr(p *sim.Proc, in *inode, fb int64, addr int64) error {
 	fb -= NDirect
 	if fb < PtrsPerBlock {
 		na, err := fs.rewriteMeta(p, in.Ind, kindIndirect, in.Inum, 0, func(b []byte) {
-			putI64(b[fb*8:], addr)
+			le.PutUint64(b[fb*8:], uint64(addr))
 		})
 		if err != nil {
 			return err
@@ -175,17 +175,17 @@ func (fs *FS) setBlockAddr(p *sim.Proc, in *inode, fb int64, addr int64) error {
 		if err != nil {
 			return err
 		}
-		l2addr = getI64(top[l1*8:])
+		l2addr = int64(le.Uint64(top[l1*8:]))
 	}
 	newL2, err := fs.rewriteMeta(p, l2addr, kindDIndL2, in.Inum, uint32(l1), func(b []byte) {
-		putI64(b[l2*8:], addr)
+		le.PutUint64(b[l2*8:], uint64(addr))
 	})
 	if err != nil {
 		return err
 	}
 	if newL2 != l2addr {
 		newTop, err := fs.rewriteMeta(p, in.DIndTop, kindDIndTop, in.Inum, 0, func(b []byte) {
-			putI64(b[l1*8:], newL2)
+			le.PutUint64(b[l1*8:], uint64(newL2))
 		})
 		if err != nil {
 			return err
@@ -211,7 +211,7 @@ func (fs *FS) freeInodeBlocks(p *sim.Proc, in *inode) error {
 			return err
 		}
 		for i := 0; i < PtrsPerBlock; i++ {
-			fs.killBlock(getI64(buf[i*8:]))
+			fs.killBlock(int64(le.Uint64(buf[i*8:])))
 		}
 		fs.killBlock(in.Ind)
 		in.Ind = 0
@@ -222,7 +222,7 @@ func (fs *FS) freeInodeBlocks(p *sim.Proc, in *inode) error {
 			return err
 		}
 		for i := 0; i < PtrsPerBlock; i++ {
-			l2 := getI64(top[i*8:])
+			l2 := int64(le.Uint64(top[i*8:]))
 			if l2 == 0 {
 				continue
 			}
@@ -231,7 +231,7 @@ func (fs *FS) freeInodeBlocks(p *sim.Proc, in *inode) error {
 				return err
 			}
 			for j := 0; j < PtrsPerBlock; j++ {
-				fs.killBlock(getI64(buf[j*8:]))
+				fs.killBlock(int64(le.Uint64(buf[j*8:])))
 			}
 			fs.killBlock(l2)
 		}

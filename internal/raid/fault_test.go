@@ -87,6 +87,50 @@ func TestWriteSurvivesEscalation(t *testing.T) {
 	}
 }
 
+// TestSmallWriteCarriesOnInPlace: a latent error under the old data of a
+// read-modify-write escalates the disk mid-flight.  At every parity level the
+// write carries on in place — the lost column's old contents are solved from
+// its peers and the delta folded into the check columns already read — rather
+// than starting over as a reconstruct-write.
+func TestSmallWriteCarriesOnInPlace(t *testing.T) {
+	for _, level := range []Level{Level5, Level6} {
+		t.Run(level.String(), func(t *testing.T) {
+			e := sim.New()
+			a, mems := newArray(t, e, 6, level)
+			oracle := patterned(int(a.Sectors())*tSec, 3)
+			lba := int64(a.DataDisks()*tUnit) + 1 // stripe 1, data column 0, second sector
+			dev := a.colDev(1, 0)
+			runProc(e, func(p *sim.Proc) {
+				if err := a.Write(p, 0, oracle); err != nil {
+					t.Fatal(err)
+				}
+				mems[dev].AddLatentError(a.unitLBA(1)+1, 1)
+				update := patterned(tSec, 77)
+				if err := a.Write(p, lba, update); err != nil {
+					t.Fatal(err)
+				}
+				copy(oracle[lba*tSec:], update)
+				if st := a.Stats(); !a.Failed(dev) || st.SmallWrites != 1 || st.ReconstructWrites != 0 {
+					t.Fatalf("failed=%v stats=%+v, want the disk escalated and one read-modify-write", a.Failed(dev), st)
+				}
+				if _, err := a.Reconstruct(p, dev, NewMemDev(256, tSec)); err != nil {
+					t.Fatal(err)
+				}
+				got, err := a.Read(p, 0, int(a.Sectors()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, oracle) {
+					t.Fatal("read-back after the rebuild differs from what was written")
+				}
+				if bad := a.CheckParity(p); bad != 0 {
+					t.Fatalf("%d inconsistent stripes after the rebuild", bad)
+				}
+			})
+		})
+	}
+}
+
 // TestLatentErrorEscalatesAndReconstructs: a latent sector error (not a
 // whole-disk failure) still escalates after the device reports it, and the
 // original bytes come back via parity.

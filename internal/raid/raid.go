@@ -124,28 +124,6 @@ type levelRow struct {
 	mirrored bool // width/2 independent pairs, each column stored twice
 	rotated  bool // left-symmetric rotation; otherwise checks sit on the last devices
 	serial   bool // single-request discipline: the whole array serves one request at a time
-
-	// The three fields below keep apart simulated I/O that Level 5 and
-	// Level 6 issue differently for the same situation.  One choice per
-	// situation would do for every level; each is held because
-	// BENCH_baseline.json gates these runs bit for bit (DESIGN.md §18 has
-	// the measurements and what dropping each would buy).
-
-	// roleOrderReads issues the survivor reads of a solve in role order
-	// (data columns, then P, then Q) instead of device order.  The spawn
-	// order decides which read queues first on a shared SCSI string: device
-	// order at Level 6 moved doublefault 15.4232 -> 15.4204 MB/s, role order
-	// at Level 5 moved faults 16.2594 -> 16.2421 MB/s.
-	roleOrderReads bool
-	// rwReadsSurvivors makes a reconstruct-write read every surviving column,
-	// checks included, and take the data through the solve; otherwise it
-	// reads only the data columns the request does not fully overwrite (which
-	// is all a healthy stripe needs).
-	rwReadsSurvivors bool
-	// degradedRW sends every partial write of a degraded stripe down
-	// reconstruct-write; otherwise it stays a read-modify-write that rebuilds
-	// the lost column's old contents in place.
-	degradedRW bool
 }
 
 // levels is the level table.  New organizations (RAID-1/0, triple parity,
@@ -155,7 +133,7 @@ var levels = map[Level]levelRow{
 	Level1: {mirrored: true},
 	Level3: {checks: 1, serial: true},
 	Level5: {checks: 1, rotated: true},
-	Level6: {checks: 2, rotated: true, roleOrderReads: true, rwReadsSurvivors: true, degradedRW: true},
+	Level6: {checks: 2, rotated: true},
 }
 
 // Array is a redundant disk array.

@@ -199,6 +199,35 @@ func TestSmallWriteCostsFourAccesses(t *testing.T) {
 	}
 }
 
+// TestWidePartialWriteReadsTheComplement: a healthy reconstruct-write reads
+// the data columns it does not fully overwrite and no check column, at Level
+// 6 as at Level 5.  On the I/O-sequence pin's array (6 wide, 4-sector units)
+// a write of all but the first and last sector of three of the four data
+// columns reads the trimmed first column and the untouched fourth, and writes
+// three data ranges plus P and Q.
+func TestWidePartialWriteReadsTheComplement(t *testing.T) {
+	e := sim.New()
+	a, devs := newCountedArray(t, e, 6, Level6)
+	S := a.DataDisks() * tUnit
+	runProc(e, func(p *sim.Proc) { _ = a.Write(p, int64(2*S+1), patterned(11*tSec, 5)) })
+	st := a.Stats()
+	if st.ReconstructWrites != 1 || st.DiskReads != 2 || st.DiskWrites != 5 {
+		t.Fatalf("stats = %+v, want one reconstruct-write of 2 reads + 5 writes", st)
+	}
+	cmds, secs := 0, 0
+	for _, d := range devs {
+		cmds, secs = cmds+d.cmds, secs+d.secs
+	}
+	if cmds != 7 || secs != 27 {
+		t.Fatalf("wide partial write cost %d commands / %d sectors, want 7 / 27", cmds, secs)
+	}
+	for j := 0; j < 2; j++ {
+		if d := devs[a.colDev(2, a.DataDisks()+j)]; d.reads != 0 {
+			t.Fatalf("check column %d was read %d times", j, d.reads)
+		}
+	}
+}
+
 func TestLevel5ParityRotates(t *testing.T) {
 	e := sim.New()
 	a, _ := newArray(t, e, 5, Level5)

@@ -57,16 +57,6 @@ func (a *Array) view(stripe int64, forWrite bool) *stripeView {
 // lost reports whether a role's column is unavailable to this operation.
 func (v *stripeView) lost(role int) bool { return v.cols[role].on == nil }
 
-// degraded reports whether any column of the stripe is lost.
-func (v *stripeView) degraded() bool {
-	for role := range v.cols {
-		if v.lost(role) {
-			return true
-		}
-	}
-	return false
-}
-
 // drop handles an error from a command on a role's column: the column is
 // lost to the rest of this operation, and the device is escalated — or, for a
 // spare, its rebuild is failed so the stale spare never swaps in.
@@ -147,23 +137,20 @@ func nonNil(cols [][]byte) [][]byte {
 }
 
 // readSolve is the one survivor-read-and-solve: it reads every surviving
-// column of the stripe over the n-byte range at secOff, in parallel, and
-// solves for what is lost.  It returns the columns in role order with every
-// data column present.  want names the one column the caller is after — a
-// data column, P or Q — which is solved straight into dst; want < 0 asks for
-// the data columns only.  More than m lost columns is unrecoverable and
-// latches the array-failed state.
+// column of the stripe over the n-byte range at secOff, in parallel and in
+// device order, and solves for what is lost.  It returns the columns in role
+// order with every data column present.  want names the one column the caller
+// is after — a data column, P or Q — which is solved straight into dst;
+// want < 0 asks for the data columns only.  More than m lost columns is
+// unrecoverable and latches the array-failed state.
 func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, want int, dst []byte) ([][]byte, error) {
 	a := v.a
 	end := p.Span("raid", "reconstruct")
 	defer end()
 	cols := make([][]byte, len(v.cols))
 	g := p.Fork()
-	for i := range v.cols {
-		role := i
-		if !a.row.roleOrderReads {
-			role = a.roleOf(v.stripe, i) // device order
-		}
+	for dev := range v.cols {
+		role := a.roleOf(v.stripe, dev)
 		if v.lost(role) {
 			continue
 		}
@@ -259,12 +246,10 @@ func (a *Array) solve(p *sim.Proc, sc *scratch, cols [][]byte, n int, want int, 
 // writeStripe applies one request's extents to one stripe under the stripe's
 // writer lock.  Parity levels choose one of three plans: full-stripe when the
 // extents cover every data column entirely; reconstruct-write when more than
-// half the data columns are (at least partly) written and the stripe is
-// healthy, where reading the rest beats reading the old data; otherwise the
-// delta read-modify-write — "each small write requires four disk accesses:
-// reads of the old data and parity blocks and writes of the new data and
-// parity blocks".  degradedRW rows send every partial write of a degraded
-// stripe down reconstruct-write instead (held for bit-identity).
+// half the data columns are (at least partly) written, where reading the rest
+// beats reading the old data; otherwise the delta read-modify-write — "each
+// small write requires four disk accesses: reads of the old data and parity
+// blocks and writes of the new data and parity blocks".
 func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byte) error {
 	if a.redundant() {
 		lk := a.lock(stripe)
@@ -272,13 +257,12 @@ func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byt
 		defer lk.Release()
 	}
 	v := a.view(stripe, true)
-	degraded := v.degraded()
 	switch {
 	case a.row.checks == 0:
 		return v.writeCopies(p, exts, data)
 	case a.fullStripe(exts):
 		return v.writeFull(p, exts, data)
-	case degraded && a.row.degradedRW, !degraded && 2*len(exts) > a.dataDisks():
+	case 2*len(exts) > a.dataDisks():
 		return v.writeReconstruct(p, exts, data)
 	}
 	return v.writeRMW(p, exts, data)
@@ -338,9 +322,9 @@ func (v *stripeView) writeFull(p *sim.Proc, exts []extent, data []byte) error {
 // check columns from its data: read the data columns the request does not
 // fully overwrite, overlay the new data, encode every check column over the
 // whole unit, and write the new ranges plus the check columns in parallel.
-// When a needed column is lost (or the row's rwReadsSurvivors says so) it
-// reads every surviving column instead and takes the data through the solve —
-// the new data of a lost column lives on in the check columns.
+// When one of those columns is lost it reads every surviving column instead
+// and takes the data through the solve — the new data of a lost column lives
+// on in the check columns.
 func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) error {
 	a := v.a
 	end := p.Span("raid", "reconstruct-write")
@@ -355,7 +339,7 @@ func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) e
 	for _, ext := range exts {
 		full[ext.pos] = ext.secOff == 0 && ext.secs == a.unitSecs
 	}
-	solve := a.row.rwReadsSurvivors
+	solve := false
 	for pos := range full {
 		solve = solve || !full[pos] && v.lost(pos)
 	}
@@ -437,7 +421,6 @@ func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 	defer sc.release()
 	oldD := make([][]byte, len(exts))
 	oldC := make([][]byte, m)
-	readFailed := false
 	goRead := func(g *sim.Group, name string, role int, secOff int64, n int, into *[]byte) {
 		if v.lost(role) {
 			return
@@ -446,8 +429,6 @@ func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 		g.Go(name, func(q *sim.Proc) error {
 			if v.read(q, role, secOff, buf) {
 				*into = buf
-			} else {
-				readFailed = true
 			}
 			return nil
 		})
@@ -461,11 +442,6 @@ func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 	}
 	if err := rg.Wait(p); err != nil {
 		return err
-	}
-	if readFailed && a.row.degradedRW {
-		// The stripe went degraded mid-flight: the planner's choice for a
-		// degraded stripe applies from here.
-		return v.writeReconstruct(p, exts, data)
 	}
 
 	// Fold every extent's delta into the surviving check columns.  With none

@@ -194,7 +194,11 @@ type FSFile struct {
 // OpenFS opens path on the board's file system.  The file system's sentinel
 // errors (lfs.ErrNotExist, ...) stay reachable through errors.Is.
 func (b *Board) OpenFS(p *sim.Proc, path string) (*FSFile, error) {
-	f, err := b.FS.Open(p, path)
+	fs, err := b.Filesystem()
+	if err != nil {
+		return nil, err
+	}
+	f, err := fs.Open(p, path)
 	if err != nil {
 		return nil, fmt.Errorf("server: open %s on board %d: %w", path, b.Index, err)
 	}
@@ -203,7 +207,11 @@ func (b *Board) OpenFS(p *sim.Proc, path string) (*FSFile, error) {
 
 // CreateFS creates path on the board's file system.
 func (b *Board) CreateFS(p *sim.Proc, path string) (*FSFile, error) {
-	f, err := b.FS.Create(p, path)
+	fs, err := b.Filesystem()
+	if err != nil {
+		return nil, err
+	}
+	f, err := fs.Create(p, path)
 	if err != nil {
 		return nil, fmt.Errorf("server: create %s on board %d: %w", path, b.Index, err)
 	}

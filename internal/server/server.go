@@ -15,6 +15,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -415,6 +416,18 @@ func (b *Board) FormatFS(p *sim.Proc) error {
 	}
 	b.FS = fs
 	return nil
+}
+
+// ErrNoFS reports a file-system call on a board that has no file system yet:
+// neither FormatFS nor MountFS has run.
+var ErrNoFS = errors.New("server: no file system")
+
+// Filesystem returns the board's file system, or ErrNoFS when it has none.
+func (b *Board) Filesystem() (*lfs.FS, error) {
+	if b.FS == nil {
+		return nil, fmt.Errorf("server: board %d: %w", b.Index, ErrNoFS)
+	}
+	return b.FS, nil
 }
 
 // Crash drops the board's volatile state: LFS segment buffers and every

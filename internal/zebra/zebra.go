@@ -84,9 +84,9 @@ func New(fl *server.Fleet, clientEP *hippi.Endpoint, cfg Config) (*Store, error)
 		cfg.Parity = false
 	}
 	for si, sys := range fl.Servers {
-		for bi, b := range sys.Boards {
-			if b.FS == nil {
-				return nil, fmt.Errorf("zebra: server %d board %d has no formatted file system", si, bi)
+		for _, b := range sys.Boards {
+			if _, err := b.Filesystem(); err != nil {
+				return nil, fmt.Errorf("zebra: server %d: %w", si, err)
 			}
 		}
 	}
@@ -116,17 +116,9 @@ func (z *Store) parityServer(s int64) int {
 	return int(s % int64(z.Width()))
 }
 
-// dataServer returns the server holding data fragment k of stripe s: the
-// k-th server in index order, skipping the parity server.
-func (z *Store) dataServer(s int64, k int) int {
-	if p := z.parityServer(s); p >= 0 && k >= p {
-		return k + 1
-	}
-	return k
-}
-
-// dataIndex inverts dataServer: which data fragment server srv holds in a
-// stripe whose parity server is pIdx (srv must not be pIdx).
+// dataIndex returns which data fragment server srv holds in a stripe whose
+// parity server is pIdx (srv must not be pIdx): data fragments go to the
+// servers in index order, skipping the parity server.
 func dataIndex(srv, pIdx int) int {
 	if pIdx >= 0 && srv > pIdx {
 		return srv - 1

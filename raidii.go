@@ -104,6 +104,9 @@ var (
 	// three at Level 6): the data are gone until restored from elsewhere,
 	// and the array refuses to fabricate them.
 	ErrArrayFailed = raid.ErrArrayFailed
+	// ErrNoFS reports a file-system call on a board that has not been
+	// formatted or mounted.
+	ErrNoFS = server.ErrNoFS
 	// ErrNVRAMFull reports a small write the battery-backed staging region
 	// could not admit; DurableWrite absorbs it by degrading to the
 	// synchronous path, so callers only see it through NVRAMStats.
@@ -453,29 +456,57 @@ func (bd *Board) Open(path string) (*File, error) {
 }
 
 // Mkdir creates a directory.
-func (bd *Board) Mkdir(path string) error { return bd.b.FS.Mkdir(bd.t.p, path) }
+func (bd *Board) Mkdir(path string) error {
+	fs, err := bd.b.Filesystem()
+	if err != nil {
+		return err
+	}
+	return fs.Mkdir(bd.t.p, path)
+}
 
 // Remove unlinks a file or empty directory.
-func (bd *Board) Remove(path string) error { return bd.b.FS.Remove(bd.t.p, path) }
+func (bd *Board) Remove(path string) error {
+	fs, err := bd.b.Filesystem()
+	if err != nil {
+		return err
+	}
+	return fs.Remove(bd.t.p, path)
+}
 
 // Rename moves a file or directory.
 func (bd *Board) Rename(oldPath, newPath string) error {
-	return bd.b.FS.Rename(bd.t.p, oldPath, newPath)
+	fs, err := bd.b.Filesystem()
+	if err != nil {
+		return err
+	}
+	return fs.Rename(bd.t.p, oldPath, newPath)
 }
 
 // ReadDir lists a directory.
 func (bd *Board) ReadDir(path string) ([]lfs.DirEntry, error) {
-	return bd.b.FS.ReadDir(bd.t.p, path)
+	fs, err := bd.b.Filesystem()
+	if err != nil {
+		return nil, err
+	}
+	return fs.ReadDir(bd.t.p, path)
 }
 
 // Stat describes a path.
 func (bd *Board) Stat(path string) (lfs.FileInfo, error) {
-	return bd.b.FS.Stat(bd.t.p, path)
+	fs, err := bd.b.Filesystem()
+	if err != nil {
+		return lfs.FileInfo{}, err
+	}
+	return fs.Stat(bd.t.p, path)
 }
 
 // Clean runs the segment cleaner until target free segments.
 func (bd *Board) Clean(target int) (int, error) {
-	return bd.b.FS.Clean(bd.t.p, target)
+	fs, err := bd.b.Filesystem()
+	if err != nil {
+		return 0, err
+	}
+	return fs.Clean(bd.t.p, target)
 }
 
 // Sync makes all completed operations on this board durable.

@@ -201,14 +201,15 @@ func TestExperimentRunnersSmoke(t *testing.T) {
 			t.Error("linear reference should exceed the saturated string")
 		}
 	})
-	t.Run("Zebra", func(t *testing.T) {
-		fig, err := Zebra([]int{3, 5})
+	t.Run("FleetScaling", func(t *testing.T) {
+		fig, err := FleetScaling([]int{1, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := fig.Series[0]
-		if s.At(5) <= s.At(3) {
-			t.Errorf("striping should scale: %v", s.Points)
+		for _, s := range fig.Series {
+			if s.At(2) <= s.At(1) {
+				t.Errorf("%s should scale with hosts: %v", s.Name, s.Points)
+			}
 		}
 	})
 }
