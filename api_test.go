@@ -404,6 +404,15 @@ func TestClusterStripedFileAPI(t *testing.T) {
 		if got, _, err := g.Read(0, len(data)); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("post-rebuild read failed: %v", err)
 		}
+		// A host outside the fleet is an error from both, not an index panic.
+		for _, i := range []int{-1, task.NumServers(), 7} {
+			if _, err := task.StaleFragments(i); err == nil {
+				t.Errorf("StaleFragments(%d) on a %d-server cluster returned no error", i, task.NumServers())
+			}
+			if _, err := task.RebuildServer(i); err == nil {
+				t.Errorf("RebuildServer(%d) on a %d-server cluster returned no error", i, task.NumServers())
+			}
+		}
 		return nil
 	})
 	if err != nil {

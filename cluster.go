@@ -175,6 +175,9 @@ func (t *ClusterTask) StaleFragments(i int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if i < 0 || i >= z.Width() {
+		return 0, fmt.Errorf("raidii: stale fragments: no server %d", i)
+	}
 	return z.StaleFragments(i), nil
 }
 

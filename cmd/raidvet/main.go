@@ -11,7 +11,7 @@
 // under range-over-map), simpanic (no panics in internal library code),
 // errdrop (no discarded error results), wrapcheck (%w wrapping at the
 // API boundary so errors.Is sees re-exported sentinels), pairbalance
-// (Acquire/Release, Add/Done and Span begin/end balance on every path),
+// (Acquire/Release and Span begin/end balance on every path),
 // allowaudit (every //lint:allow names a registered check, carries a
 // reason, and suppresses a live diagnostic).
 //

@@ -37,22 +37,18 @@ type expectation struct {
 }
 
 // Run checks analyzer a against the fixture packages named by pkgpaths,
-// each rooted at testdata/src/<path> under dir.  Packages are analyzed
-// in the order given, sharing one fact table and one loader, and each
-// checked package is registered as importable so a later fixture may
-// import an earlier one (the cross-package fact scenario).  Fixture
-// files named *_test.go are included only when the analyzer asks for
-// test files.
+// each rooted at testdata/src/<path> under dir and importing only the
+// standard library.  Fixture files named *_test.go are included only
+// when the analyzer asks for test files.
 func Run(t *testing.T, dir string, a *framework.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	ld := load.NewLoader()
-	facts := framework.NewFacts()
 	for _, pp := range pkgpaths {
-		runPkg(t, ld, facts, dir, a, pp)
+		runPkg(t, ld, dir, a, pp)
 	}
 }
 
-func runPkg(t *testing.T, ld *load.Loader, facts *framework.Facts, dir string, a *framework.Analyzer, pkgpath string) {
+func runPkg(t *testing.T, ld *load.Loader, dir string, a *framework.Analyzer, pkgpath string) {
 	t.Helper()
 	src := filepath.Join(dir, "src", pkgpath)
 	ents, err := os.ReadDir(src)
@@ -76,7 +72,6 @@ func runPkg(t *testing.T, ld *load.Loader, facts *framework.Facts, dir string, a
 	if err != nil {
 		t.Fatalf("%s: loading fixture %s: %v", a.Name, pkgpath, err)
 	}
-	ld.Override(pkg)
 
 	// Gather want expectations from the fixture comments.
 	var wants []*expectation
@@ -113,7 +108,6 @@ func runPkg(t *testing.T, ld *load.Loader, facts *framework.Facts, dir string, a
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
-		Facts:     facts,
 		Report: func(d framework.Diagnostic) {
 			if !sups.Suppressed(a.Name, ld.Fset(), d.Pos) {
 				diags = append(diags, d)

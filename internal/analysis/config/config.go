@@ -76,9 +76,7 @@ func (s Scope) Applies(rel string) bool {
 //     (internal/server and the module root) and across the Cluster
 //     boundary (internal/zebra, whose striped-store errors surface
 //     through ClusterTask/ClusterFile), where an unwrapped error breaks
-//     errors.Is against re-exported sentinels.  The analyzer itself
-//     runs over every package to collect its
-//     which-functions-return-sentinels facts.
+//     errors.Is against re-exported sentinels.
 //   - pairbalance applies to library, command, and experiment code;
 //     tests deliberately drive resources into unbalanced states.
 //   - allowaudit is driver-level (it polices the allow comments

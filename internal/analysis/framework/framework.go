@@ -6,20 +6,11 @@
 // mechanical rename.
 //
 // Beyond the x/tools core (Analyzer, Pass, Diagnostic) the framework
-// carries two extensions the raidvet driver depends on:
-//
-//   - Package-level facts.  An analyzer may export a fact about an
-//     object (a function, a sentinel error variable) while analyzing
-//     the package that declares it, and import that fact later while
-//     analyzing a package that uses the object.  Facts are keyed by a
-//     stable string derived from the object's package path and name
-//     (see Key), not by types.Object identity, because a package
-//     analyzed directly and the same package type-checked as a
-//     dependency of another unit produce distinct object graphs.
-//
-//   - Suggested fixes.  A diagnostic may attach textual edits for the
-//     mechanical cases (replace a %v verb with %w, delete a stale
-//     //lint:allow comment); the driver applies them under -fix.
+// carries suggested fixes: a diagnostic may attach textual edits for
+// the mechanical cases (replace a %v verb with %w, delete a stale
+// //lint:allow comment); the driver applies them under -fix.  Every
+// check is a function of one type-checked package, so passes share
+// nothing and may run in any order.
 package framework
 
 import (
@@ -46,12 +37,6 @@ type Analyzer struct {
 	// pass.  Checks that police production invariants leave it false
 	// so the test corpus stays free to exercise edge cases.
 	Tests bool
-
-	// NeedsAllPackages, when set, makes the driver run the analyzer
-	// over every loaded package regardless of its report scope, so
-	// the analyzer can export facts from packages whose findings the
-	// driver will discard.  Scoping of the *reports* still applies.
-	NeedsAllPackages bool
 }
 
 // TextEdit replaces the source range [Pos, End) with NewText.
@@ -78,55 +63,6 @@ type Diagnostic struct {
 	Fixes []SuggestedFix
 }
 
-// Facts is the cross-package fact table shared by every pass of one
-// analyzer over one driver run.  Keys are produced by Key; values are
-// analyzer-defined.  The driver analyzes packages in dependency order,
-// so a fact exported by a package is visible to every package that
-// imports it.
-type Facts struct {
-	m map[string]interface{}
-}
-
-// NewFacts returns an empty fact table.
-func NewFacts() *Facts { return &Facts{m: make(map[string]interface{})} }
-
-// Key derives the stable fact key for an object: the declaring package
-// path, the receiver type for methods, and the object name — e.g.
-// "raidii/internal/lfs.(*FS).Sync" or "raidii/internal/fault.ErrMedium".
-// Objects without a package (builtins, locals promoted oddly) key by
-// name alone and should not carry facts.
-func Key(obj types.Object) string {
-	if obj == nil {
-		return ""
-	}
-	name := obj.Name()
-	if fn, ok := obj.(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			name = recvString(sig.Recv().Type()) + "." + name
-		}
-	}
-	if obj.Pkg() == nil {
-		return name
-	}
-	return obj.Pkg().Path() + "." + name
-}
-
-// recvString renders a receiver type as it appears in a method key:
-// "(*FS)" or "(FS)".
-func recvString(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		return "(*" + namedName(p.Elem()) + ")"
-	}
-	return "(" + namedName(t) + ")"
-}
-
-func namedName(t types.Type) string {
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
-}
-
 // Pass carries one type-checked package through one analyzer.
 type Pass struct {
 	Analyzer  *Analyzer
@@ -135,11 +71,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the analyzer's cross-package fact table.  Nil when the
-	// harness runs without fact support; ExportFact/ImportFact then
-	// degrade to a per-pass table so analyzers need not nil-check.
-	Facts *Facts
-
 	// Report delivers a diagnostic to the driver.
 	Report func(Diagnostic)
 }
@@ -147,30 +78,6 @@ type Pass struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ExportFact records a fact about obj, visible to later passes of the
-// same analyzer over importing packages.
-func (p *Pass) ExportFact(obj types.Object, v interface{}) {
-	k := Key(obj)
-	if k == "" {
-		return
-	}
-	if p.Facts == nil {
-		p.Facts = NewFacts()
-	}
-	p.Facts.m[k] = v
-}
-
-// ImportFact retrieves a fact previously exported about obj (by this
-// pass or by a pass over a dependency).  The second result reports
-// whether a fact exists.
-func (p *Pass) ImportFact(obj types.Object) (interface{}, bool) {
-	if p.Facts == nil {
-		return nil, false
-	}
-	v, ok := p.Facts.m[Key(obj)]
-	return v, ok
 }
 
 // Inspect walks every file of the pass in depth-first order, calling fn

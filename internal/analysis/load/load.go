@@ -28,59 +28,27 @@ type Package struct {
 	Types      *types.Package
 	Info       *types.Info
 
-	// Imports lists the import paths this package depends on, as
-	// reported by the go command; the driver uses them to analyze
-	// packages in dependency order so cross-package facts flow from
-	// exporter to importer.
-	Imports []string
-
 	// TestFileNames records which entries of Files came from
 	// *_test.go sources (in-package tests only; external _test
 	// packages are separate compilation units the driver skips).
 	TestFileNames map[string]bool
 }
 
-// overrideImporter consults a table of already-checked packages before
-// delegating to the underlying importer.  The analysis test harness
-// registers fixture packages here so one fixture may import another
-// even though neither is visible to the go command.
-type overrideImporter struct {
-	under     types.Importer
-	overrides map[string]*types.Package
-}
-
-func (oi *overrideImporter) Import(path string) (*types.Package, error) {
-	if p, ok := oi.overrides[path]; ok {
-		return p, nil
-	}
-	return oi.under.Import(path)
-}
-
 // Loader owns the shared FileSet and importer so that repeated loads
 // reuse already-checked dependencies (the source importer caches).
 type Loader struct {
 	fset *token.FileSet
-	imp  *overrideImporter
+	imp  types.Importer
 }
 
 // NewLoader creates a loader with a fresh FileSet and source importer.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: &overrideImporter{
-		under:     importer.ForCompiler(fset, "source", nil),
-		overrides: make(map[string]*types.Package),
-	}}
+	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
 }
 
 // Fset returns the loader's FileSet.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Override makes an already-checked package importable under its path,
-// bypassing the go command.  Used by the analysistest harness for
-// fixture packages that import each other.
-func (l *Loader) Override(pkg *Package) {
-	l.imp.overrides[pkg.ImportPath] = pkg.Types
-}
 
 // listedPackage is the subset of `go list -json` output we consume.
 type listedPackage struct {
@@ -89,7 +57,6 @@ type listedPackage struct {
 	Name        string
 	GoFiles     []string
 	TestGoFiles []string
-	Imports     []string
 }
 
 // Load enumerates the packages matched by patterns (relative to dir, or
@@ -147,7 +114,6 @@ func (l *Loader) load(dir string, tests bool, patterns ...string) ([]*Package, e
 		if err != nil {
 			return nil, err
 		}
-		pkg.Imports = lp.Imports
 		pkg.TestFileNames = testNames
 		pkgs = append(pkgs, pkg)
 	}
@@ -187,35 +153,6 @@ func (l *Loader) Check(importPath, dir string, filenames []string) (*Package, er
 		Info:          info,
 		TestFileNames: make(map[string]bool),
 	}, nil
-}
-
-// SortDeps orders pkgs so every package appears after the packages it
-// imports (restricted to the loaded set).  Ties keep the go command's
-// lexical order, so the result is deterministic.
-func SortDeps(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	seen := make(map[string]bool, len(pkgs))
-	var out []*Package
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if seen[p.ImportPath] {
-			return
-		}
-		seen[p.ImportPath] = true
-		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return out
 }
 
 // ModulePath reports the module path governing dir (e.g. "raidii").

@@ -1,11 +1,13 @@
 // Package pairbalance defines the raidvet check that promotes the
 // runtime balance invariants of internal/sim/resources.go to
 // compile-time findings: Acquire/Release on Server, ChooserServer and
-// Tokens, Add/Done on Group, and the begin/end closure returned by
-// Proc.Span must balance on every control-flow path out of a function,
-// early error returns included.  Today an unbalanced pair corrupts
-// utilization accounting or trips a simpanic deep inside a run; this
-// check points at the exact return statement that leaks.
+// Tokens, and the begin/end closure returned by Proc.Span must balance
+// on every control-flow path out of a function, early error returns
+// included.  Today an unbalanced pair corrupts utilization accounting
+// or trips a simpanic deep inside a run; this check points at the exact
+// return statement that leaks.  (A Group needs no check: Group.Go is
+// the only way to raise its count and lowers it when the worker
+// returns.)
 //
 // The analysis is deliberately conservative — it reports only definite
 // leaks and stays silent on handoff patterns it cannot prove:
@@ -20,14 +22,13 @@
 //     marks the resource as escaped and untracks it: the closure runs
 //     on another simulated process's schedule (a Group.Go worker, such
 //     as zebra's per-fragment sends), so intra-function counting is
-//     meaningless.  Group.Go itself pairs its own Add and Done.
+//     meaningless.
 //
 //   - At control-flow joins the per-path counts are merged with min, so
 //     a loop that only acquires (paired with a later loop that only
 //     releases) nets to zero instead of a spurious leak.
 //
-//   - TryAcquire is ignored (its success is data-dependent), and
-//     Group.Add with a non-constant delta untracks the group.
+//   - TryAcquire is ignored (its success is data-dependent).
 //
 // A path ending in panic, os.Exit or log.Fatal is not a leak: the
 // process is gone, and sim invariant failures already panic on purpose.
@@ -38,7 +39,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 
 	"raidii/internal/analysis/framework"
@@ -47,7 +47,7 @@ import (
 // Analyzer flags resource pairs left unbalanced on some path.
 var Analyzer = &framework.Analyzer{
 	Name: "pairbalance",
-	Doc:  "Acquire/Release, Add/Done, Reserve and Span begin/end must balance on every path out of a function",
+	Doc:  "Acquire/Release, Reserve and Span begin/end must balance on every path out of a function",
 	Run:  run,
 }
 
@@ -56,7 +56,6 @@ var pairRecvNames = map[string]bool{
 	"Server":        true,
 	"Tokens":        true,
 	"ChooserServer": true,
-	"Group":         true,
 }
 
 func run(pass *framework.Pass) error {
@@ -84,16 +83,14 @@ type op struct {
 }
 
 // classify maps a call to its pair operation, or returns ok=false.
-// untrack=true means the call makes counting for the key unsound
-// (non-constant Group.Add delta).
-func classify(pass *framework.Pass, call *ast.CallExpr) (o op, untrack, ok bool) {
+func classify(pass *framework.Pass, call *ast.CallExpr) (o op, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return op{}, false, false
+		return op{}, false
 	}
 	tv, haveType := pass.TypesInfo.Types[sel.X]
 	if !haveType {
-		return op{}, false, false
+		return op{}, false
 	}
 	t := tv.Type
 	if p, isPtr := t.(*types.Pointer); isPtr {
@@ -101,25 +98,16 @@ func classify(pass *framework.Pass, call *ast.CallExpr) (o op, untrack, ok bool)
 	}
 	named, isNamed := t.(*types.Named)
 	if !isNamed || !pairRecvNames[named.Obj().Name()] {
-		return op{}, false, false
+		return op{}, false
 	}
 	key := named.Obj().Name() + " " + types.ExprString(sel.X)
 	switch sel.Sel.Name {
 	case "Acquire", "Reserve":
-		return op{key, 1}, false, true
-	case "Release", "Done":
-		return op{key, -1}, false, true
-	case "Add":
-		if len(call.Args) == 1 {
-			if lit, isLit := call.Args[0].(*ast.BasicLit); isLit {
-				if n, err := strconv.Atoi(lit.Value); err == nil && n > 0 {
-					return op{key, n}, false, true
-				}
-			}
-		}
-		return op{key: key}, true, true
+		return op{key, 1}, true
+	case "Release":
+		return op{key, -1}, true
 	}
-	return op{}, false, false
+	return op{}, false
 }
 
 // isSpanCall reports whether call invokes Proc.Span (or any method named
@@ -195,8 +183,8 @@ func (sc *scope) survey(body *ast.BlockStmt) {
 				}
 				return true
 			}
-			if o, untrack, isOp := classify(sc.pass, call); isOp {
-				if depth > 0 || untrack {
+			if o, isOp := classify(sc.pass, call); isOp {
+				if depth > 0 {
 					escaped[o.key] = true
 					return true
 				}
@@ -371,7 +359,7 @@ func (sc *scope) applyExprOps(e ast.Expr, st *state) {
 			st.apply(op{spanPrefix + id.Name, -1})
 			return true
 		}
-		if o, untrack, isOp := classify(sc.pass, call); isOp && !untrack && sc.tracked[o.key] {
+		if o, isOp := classify(sc.pass, call); isOp && sc.tracked[o.key] {
 			st.apply(o)
 		}
 		return true
@@ -519,7 +507,7 @@ func (sc *scope) execDefer(s *ast.DeferStmt, st *state) {
 		st.deferred[spanPrefix+id.Name]++
 		return
 	}
-	if o, untrack, isOp := classify(sc.pass, call); isOp && !untrack && o.delta < 0 && sc.tracked[o.key] {
+	if o, isOp := classify(sc.pass, call); isOp && o.delta < 0 && sc.tracked[o.key] {
 		st.deferred[o.key] -= o.delta
 		return
 	}

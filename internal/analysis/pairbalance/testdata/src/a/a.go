@@ -22,11 +22,6 @@ func (tk *Tokens) Acquire(p *Proc, n int) {}
 func (tk *Tokens) Reserve(n int) error    { return nil }
 func (tk *Tokens) Release(n int)          {}
 
-type Group struct{}
-
-func (g *Group) Add(delta int) {}
-func (g *Group) Done()         {}
-
 type holder struct {
 	mu *Server
 }
@@ -90,26 +85,6 @@ func try(h *holder) {
 	if h.mu.TryAcquire() {
 		h.mu.Release()
 	}
-}
-
-// Group.Add leaks past the early return.
-func groupLeak(g *Group) error {
-	g.Add(1)
-	if cond() {
-		return errNope // want `g \(Group\) is still held on this return path`
-	}
-	g.Done()
-	return nil
-}
-
-// Non-constant delta untracks the group.
-func groupDynamic(g *Group, n int) error {
-	g.Add(n)
-	if cond() {
-		return errNope
-	}
-	g.Done()
-	return nil
 }
 
 // The span closer is skipped on the early return.

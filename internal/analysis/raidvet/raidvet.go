@@ -1,11 +1,10 @@
 // Package raidvet is the driver behind cmd/raidvet: it loads the
-// packages named on the command line (tests included), runs every
-// selected check over them in dependency order — so cross-package
-// facts flow from exporter to importer — filters each package's
-// findings through its scope policy and //lint:allow suppressions,
-// audits the allow comments themselves, and renders the survivors as
-// text or machine-readable JSON.  Under -fix it applies the suggested
-// fixes the analyzers attached.
+// packages named on the command line (tests included), runs each
+// selected check over the packages its scope policy covers, filters
+// the findings through //lint:allow suppressions, audits the allow
+// comments themselves, and renders the survivors as text or
+// machine-readable JSON.  Under -fix it applies the suggested fixes
+// the analyzers attached.
 package raidvet
 
 import (
@@ -120,12 +119,7 @@ func RunOpts(opts Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	pkgs = load.SortDeps(pkgs)
 	scopes := config.DefaultScopes()
-	facts := make(map[string]*framework.Facts)
-	for _, a := range selected {
-		facts[a.Name] = framework.NewFacts()
-	}
 
 	type pkgSups struct {
 		pkg  *load.Package
@@ -139,9 +133,7 @@ func RunOpts(opts Options) (int, error) {
 		sups := config.CollectSuppressions(ld.Fset(), pkg.Files)
 		audited = append(audited, pkgSups{pkg, sups})
 		for _, a := range selected {
-			scope, known := scopes[a.Name]
-			inScope := known && scope.Applies(rel)
-			if !inScope && !a.NeedsAllPackages {
+			if scope, known := scopes[a.Name]; !known || !scope.Applies(rel) {
 				continue
 			}
 			files := pkg.Files
@@ -155,16 +147,14 @@ func RunOpts(opts Options) (int, error) {
 				}
 			}
 			name := a.Name
-			keep := inScope
 			pass := &framework.Pass{
 				Analyzer:  a,
 				Fset:      ld.Fset(),
 				Files:     files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Facts:     facts[name],
 				Report: func(d framework.Diagnostic) {
-					if keep && !sups.Suppressed(name, ld.Fset(), d.Pos) {
+					if !sups.Suppressed(name, ld.Fset(), d.Pos) {
 						all = append(all, Finding{
 							Check:   name,
 							Pos:     ld.Fset().Position(d.Pos),

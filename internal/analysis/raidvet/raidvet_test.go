@@ -11,10 +11,11 @@ import (
 )
 
 // fixtureDir is a tiny standalone module seeded with exactly one
-// errdrop violation and one stale //lint:allow.  Its own go.mod keeps
-// it out of the repository's ./... so raidvet stays clean at top level
-// while the driver still has a guaranteed-dirty target to test (and CI
-// to assert a nonzero exit) against.
+// errdrop violation, one stale //lint:allow and one %v-formatted
+// error.  Its own go.mod keeps it out of the repository's ./... so
+// raidvet stays clean at top level while the driver still has a
+// guaranteed-dirty target to test (and CI to assert a nonzero exit)
+// against.
 const fixtureDir = "testdata/vetmod"
 
 // TestSeededViolationsJSON runs the full driver over the fixture and
@@ -26,8 +27,8 @@ func TestSeededViolationsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("got %d findings, want 2:\n%s", n, buf.String())
+	if n != 3 {
+		t.Fatalf("got %d findings, want 3:\n%s", n, buf.String())
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "vetmod.golden.json"))
 	if err != nil {
@@ -46,11 +47,11 @@ func TestSeededViolationsText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("got %d findings, want 2:\n%s", n, buf.String())
+	if n != 3 {
+		t.Fatalf("got %d findings, want 3:\n%s", n, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"[errdrop]", "[allowaudit]", "vetmod.go:14:", "vetmod.go:17:"} {
+	for _, want := range []string{"[errdrop]", "[allowaudit]", "[wrapcheck]", "vetmod.go:18:", "vetmod.go:21:", "vetmod.go:28:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text output missing %q:\n%s", want, out)
 		}
@@ -80,8 +81,9 @@ func TestUnknownCheck(t *testing.T) {
 }
 
 // TestFixPipeline copies the fixture into a scratch module and runs
-// the driver with Fix on: the stale allow's suggested deletion must be
-// applied, so a second run sees only the (unfixable) dropped error.
+// the driver with Fix on: the stale allow's suggested deletion and the
+// %v → %w rewrite must be applied, so a second run sees only the
+// (unfixable) dropped error.
 func TestFixPipeline(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"go.mod", "vetmod.go"} {
@@ -93,15 +95,15 @@ func TestFixPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := raidvet.RunOpts(raidvet.Options{Dir: dir, Fix: true}); err != nil || n != 2 {
-		t.Fatalf("fix run: n=%d err=%v, want 2 findings", n, err)
+	if n, err := raidvet.RunOpts(raidvet.Options{Dir: dir, Fix: true}); err != nil || n != 3 {
+		t.Fatalf("fix run: n=%d err=%v, want 3 findings", n, err)
 	}
 	var buf bytes.Buffer
 	n, err := raidvet.Run(dir, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || strings.Contains(buf.String(), "[allowaudit]") {
+	if n != 1 || !strings.Contains(buf.String(), "[errdrop]") {
 		t.Fatalf("after -fix got %d findings, want only the errdrop left:\n%s", n, buf.String())
 	}
 }

@@ -1,10 +1,14 @@
 // Package vetmod is a seeded-violation fixture: raidvet must report
 // its planted findings and exit nonzero.  The driver test asserts the
 // exact JSON rendering and CI asserts the exit status, so this file
-// must keep exactly one errdrop violation and one stale allow.
+// must keep exactly one errdrop violation, one stale allow and one
+// %v-formatted error (wrapcheck covers the module root).
 package vetmod
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Touch returns a fresh error so Drop below has something to discard.
 func Touch() error { return errors.New("vetmod: touched") }
@@ -19,3 +23,6 @@ var one = 1
 
 // One keeps the variable above referenced.
 func One() int { return one }
+
+// Mask formats Touch's error with %v: the seeded wrapcheck violation.
+func Mask() error { return fmt.Errorf("vetmod: mask: %v", Touch()) }

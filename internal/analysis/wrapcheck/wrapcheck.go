@@ -8,22 +8,15 @@
 // error, but errors.Is(err, raidii.ErrServerBusy) goes false and client
 // retry logic stops firing.
 //
-// The analyzer runs over every package to build its fact tables (the
-// driver scopes the *reports* to the boundary packages):
-//
-//   - A sentinel fact marks each package-level error variable built
-//     with errors.New or fmt.Errorf, and follows re-export chains, so
-//     raidii.ErrNotExist carries the lfs.ErrNotExist fact.
-//
-//   - A returns-sentinel fact marks each function that can return one:
-//     directly, via a %w wrap, via a call to another fact-bearing
-//     function (cross-package through the fact table), or via a local
-//     error variable assigned from any of those.
-//
-// In a boundary package, every fmt.Errorf whose error-typed argument
-// sits under a verb other than %w is reported; when the argument traces
-// to sentinel-bearing values the message names the sentinels being
-// masked, and a suggested fix rewrites the verb to %w.
+// The check is a function of one type-checked package: every
+// fmt.Errorf whose error-typed argument sits under a verb other than
+// %w is reported, with a suggested fix that rewrites the verb to %w,
+// and so is an Errorf with an error-typed argument whose format cannot
+// be paired with its arguments at all.  It does not ask which sentinel
+// the argument might carry — an error that crosses the boundary
+// unwrapped is a finding whether or not one can be traced — so it
+// needs nothing from any other package.  The driver scopes the reports
+// to the boundary packages.
 package wrapcheck
 
 import (
@@ -31,7 +24,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"raidii/internal/analysis/framework"
@@ -42,97 +34,27 @@ var Analyzer = &framework.Analyzer{
 	Name: "wrapcheck",
 	Doc:  "errors crossing the internal/server → raidii boundary must be %w-wrapped so errors.Is works against re-exported sentinels",
 	Run:  run,
-	// Facts must be collected from every package even though reports
-	// are scoped to the boundary.
-	NeedsAllPackages: true,
 }
 
 func run(pass *framework.Pass) error {
-	exportSentinelFacts(pass)
-	exportFunctionFacts(pass)
-	report(pass)
+	pass.Inspect(func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := calleeOf(pass, call); callee != nil && callee.Pkg() != nil &&
+				callee.Pkg().Path() == "fmt" && callee.Name() == "Errorf" {
+				checkErrorf(pass, call)
+			}
+		}
+		return true
+	})
 	return nil
 }
 
-// implementsError reports whether t can be an error operand.
-func implementsError(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	errIface, ok := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	if !ok {
-		return false
-	}
-	return types.Implements(t, errIface) || types.Implements(types.NewPointer(t), errIface)
-}
+var errIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// --- facts -----------------------------------------------------------------
-
-// Fact values are sorted []string of sentinel names ("lfs.ErrNotExist").
-
-func factNames(pass *framework.Pass, obj types.Object) []string {
-	if v, ok := pass.ImportFact(obj); ok {
-		if names, ok := v.([]string); ok {
-			return names
-		}
-	}
-	return nil
-}
-
-func union(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[string]bool, len(a)+len(b))
-	var out []string
-	for _, s := range append(append([]string{}, a...), b...) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// exportSentinelFacts marks package-level error variables created by
-// errors.New / fmt.Errorf, and re-exports of fact-bearing variables.
-func exportSentinelFacts(pass *framework.Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != len(vs.Values) {
-					continue
-				}
-				for i, name := range vs.Names {
-					obj := pass.ObjectOf(name)
-					if obj == nil || obj.Parent() != pass.Pkg.Scope() || !implementsError(obj.Type()) {
-						continue
-					}
-					switch v := vs.Values[i].(type) {
-					case *ast.CallExpr:
-						if callee := calleeOf(pass, v); callee != nil && callee.Pkg() != nil {
-							p, n := callee.Pkg().Path(), callee.Name()
-							if (p == "errors" && n == "New") || (p == "fmt" && n == "Errorf") {
-								pass.ExportFact(obj, []string{pass.Pkg.Name() + "." + obj.Name()})
-							}
-						}
-					case *ast.Ident, *ast.SelectorExpr:
-						if src := varOf(pass, vs.Values[i]); src != nil {
-							if names := factNames(pass, src); len(names) > 0 {
-								pass.ExportFact(obj, names)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+// isError reports whether e is an error-typed operand.
+func isError(pass *framework.Pass, e ast.Expr) bool {
+	t := pass.TypesInfo.Types[e].Type
+	return t != nil && (types.Implements(t, errIface) || types.Implements(types.NewPointer(t), errIface))
 }
 
 // calleeOf resolves the function object a call invokes, or nil.
@@ -150,191 +72,17 @@ func calleeOf(pass *framework.Pass, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// varOf resolves an identifier or selector to the variable it denotes.
-func varOf(pass *framework.Pass, e ast.Expr) *types.Var {
-	var id *ast.Ident
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		id = x
-	case *ast.SelectorExpr:
-		id = x.Sel
-	default:
-		return nil
-	}
-	v, _ := pass.ObjectOf(id).(*types.Var)
-	return v
-}
-
-// sentinelsOf traces which sentinels an expression may carry: a
-// fact-bearing variable, a call to a fact-bearing function, a %w wrap
-// of either, or a local variable recorded in locals.
-func sentinelsOf(pass *framework.Pass, e ast.Expr, locals map[types.Object][]string) []string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-		v := varOf(pass, x)
-		if v == nil {
-			return nil
-		}
-		if names := factNames(pass, v); len(names) > 0 {
-			return names
-		}
-		if locals != nil {
-			return locals[v]
-		}
-	case *ast.CallExpr:
-		callee := calleeOf(pass, x)
-		if callee == nil {
-			return nil
-		}
-		if callee.Pkg() != nil && callee.Pkg().Path() == "fmt" && callee.Name() == "Errorf" {
-			return wrappedSentinels(pass, x, locals)
-		}
-		return factNames(pass, callee)
-	}
-	return nil
-}
-
-// wrappedSentinels collects the sentinels of the arguments an Errorf
-// call binds to %w verbs — only %w keeps the errors.Is chain alive.
-func wrappedSentinels(pass *framework.Pass, call *ast.CallExpr, locals map[types.Object][]string) []string {
-	verbs, ok := formatVerbs(call)
-	if !ok {
-		return nil
-	}
-	var names []string
-	for k, v := range verbs {
-		argIdx := 1 + k
-		if v.verb != 'w' || argIdx >= len(call.Args) {
-			continue
-		}
-		names = union(names, sentinelsOf(pass, call.Args[argIdx], locals))
-	}
-	return names
-}
-
-// localErrorSets maps each error-typed local of fn's body to the
-// sentinels it may carry, by scanning assignments (two passes, so a
-// chain err2 := wrap(err1) resolves).
-func localErrorSets(pass *framework.Pass, body *ast.BlockStmt) map[types.Object][]string {
-	locals := make(map[types.Object][]string)
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if ok && id.Name != "_" {
-			if obj := pass.ObjectOf(id); obj != nil && implementsError(obj.Type()) {
-				if names := sentinelsOf(pass, rhs, locals); len(names) > 0 {
-					locals[obj] = union(locals[obj], names)
-				}
-			}
-		}
-	}
-	for i := 0; i < 2; i++ {
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if len(st.Lhs) == len(st.Rhs) {
-					for j := range st.Lhs {
-						record(st.Lhs[j], st.Rhs[j])
-					}
-				} else if len(st.Rhs) == 1 {
-					// v, err := f(): the callee fact covers every
-					// error-typed result.
-					for _, lhs := range st.Lhs {
-						record(lhs, st.Rhs[0])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(st.Names) == len(st.Values) {
-					for j := range st.Names {
-						record(st.Names[j], st.Values[j])
-					}
-				}
-			}
-			return true
-		})
-	}
-	return locals
-}
-
-// exportFunctionFacts computes which functions of this package can
-// return a sentinel, to a fixpoint so intra-package call chains
-// resolve regardless of declaration order.
-func exportFunctionFacts(pass *framework.Pass) {
-	type fnDecl struct {
-		obj  *types.Func
-		body *ast.BlockStmt
-	}
-	var fns []fnDecl
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.ObjectOf(fd.Name).(*types.Func)
-			if obj == nil {
-				continue
-			}
-			sig, ok := obj.Type().(*types.Signature)
-			if !ok {
-				continue
-			}
-			returnsError := false
-			for i := 0; i < sig.Results().Len(); i++ {
-				if implementsError(sig.Results().At(i).Type()) {
-					returnsError = true
-				}
-			}
-			if returnsError {
-				fns = append(fns, fnDecl{obj, fd.Body})
-			}
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, fn := range fns {
-			locals := localErrorSets(pass, fn.body)
-			have := factNames(pass, fn.obj)
-			names := have
-			// Collect returns of this function only: prune literals.
-			var walk func(n ast.Node) bool
-			walk = func(n ast.Node) bool {
-				if _, isLit := n.(*ast.FuncLit); isLit {
-					return false
-				}
-				if ret, isRet := n.(*ast.ReturnStmt); isRet {
-					for _, res := range ret.Results {
-						names = union(names, sentinelsOf(pass, res, locals))
-					}
-				}
-				return true
-			}
-			ast.Inspect(fn.body, walk)
-			if len(names) > len(have) {
-				pass.ExportFact(fn.obj, names)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-// --- reporting -------------------------------------------------------------
-
 type verbPos struct {
 	off  int // byte offset of the verb character within the literal token
 	verb byte
 }
 
-// formatVerbs parses the string-literal format of an Errorf-style call
-// into its arg-consuming verbs, with source offsets for suggested
-// fixes.  Returns ok=false for non-literal formats or ones using * or
-// indexed arguments.
+// formatVerbs parses the string-literal format of an Errorf call (a
+// type-checked one, so the format argument exists) into its
+// arg-consuming verbs, with source offsets for suggested fixes.
+// Returns ok=false for non-literal formats or ones using * or indexed
+// arguments, where the k-th verb is not the k-th argument's.
 func formatVerbs(call *ast.CallExpr) ([]verbPos, bool) {
-	if len(call.Args) == 0 {
-		return nil, false
-	}
 	lit, ok := call.Args[0].(*ast.BasicLit)
 	if !ok || lit.Kind != token.STRING {
 		return nil, false
@@ -366,52 +114,16 @@ func formatVerbs(call *ast.CallExpr) ([]verbPos, bool) {
 	return verbs, true
 }
 
-func report(pass *framework.Pass) {
-	for _, file := range pass.Files {
-		// Track the enclosing function body for local-variable tracing.
-		var bodies []*ast.BlockStmt
-		localsCache := make(map[*ast.BlockStmt]map[types.Object][]string)
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				if x.Body == nil {
-					return false
-				}
-				bodies = append(bodies, x.Body)
-				ast.Inspect(x.Body, visit)
-				bodies = bodies[:len(bodies)-1]
-				return false
-			case *ast.FuncLit:
-				bodies = append(bodies, x.Body)
-				ast.Inspect(x.Body, visit)
-				bodies = bodies[:len(bodies)-1]
-				return false
-			case *ast.CallExpr:
-				callee := calleeOf(pass, x)
-				if callee == nil || callee.Pkg() == nil ||
-					callee.Pkg().Path() != "fmt" || callee.Name() != "Errorf" {
-					return true
-				}
-				var locals map[types.Object][]string
-				if len(bodies) > 0 {
-					b := bodies[len(bodies)-1]
-					if localsCache[b] == nil {
-						localsCache[b] = localErrorSets(pass, b)
-					}
-					locals = localsCache[b]
-				}
-				checkErrorf(pass, x, locals)
-			}
-			return true
-		}
-		ast.Inspect(file, visit)
-	}
-}
-
-func checkErrorf(pass *framework.Pass, call *ast.CallExpr, locals map[types.Object][]string) {
+func checkErrorf(pass *framework.Pass, call *ast.CallExpr) {
 	verbs, ok := formatVerbs(call)
 	if !ok {
+		// Silence here would let the call through the gate unchecked.
+		for _, arg := range call.Args[1:] {
+			if isError(pass, arg) {
+				pass.Reportf(arg.Pos(), "fmt.Errorf format has an indexed verb or * width, or is not a literal: cannot pair verbs with arguments to check that this error is wrapped with %%w")
+				return
+			}
+		}
 		return
 	}
 	lit := call.Args[0].(*ast.BasicLit)
@@ -420,21 +132,13 @@ func checkErrorf(pass *framework.Pass, call *ast.CallExpr, locals map[types.Obje
 		if argIdx >= len(call.Args) {
 			break
 		}
-		if v.verb == 'w' {
-			continue
-		}
 		arg := call.Args[argIdx]
-		tv, haveType := pass.TypesInfo.Types[arg]
-		if !haveType || !implementsError(tv.Type) {
+		if v.verb == 'w' || !isError(pass, arg) {
 			continue
-		}
-		msg := fmt.Sprintf("error argument of fmt.Errorf is formatted with %%%c, not %%w; errors.Is cannot match it across the API boundary", v.verb)
-		if names := sentinelsOf(pass, arg, locals); len(names) > 0 {
-			msg += " (masks " + strings.Join(names, ", ") + ")"
 		}
 		pass.Report(framework.Diagnostic{
 			Pos:     arg.Pos(),
-			Message: msg,
+			Message: fmt.Sprintf("error argument of fmt.Errorf is formatted with %%%c, not %%w; errors.Is cannot match it across the API boundary", v.verb),
 			Fixes: []framework.SuggestedFix{{
 				Message: "wrap with %w",
 				Edits: []framework.TextEdit{{

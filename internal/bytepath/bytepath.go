@@ -26,10 +26,15 @@ func XOR(dst, src []byte) {
 	subtle.XORBytes(dst, dst, src)
 }
 
-// Reader is the read side of the block-device shape the raid, cache and
-// lfs boundaries share (raid.Dev, cache.Backing, lfs.Device).
-type Reader interface {
+// Device is the sector-addressable block device every storage boundary
+// shares; raid.Dev, cache.Backing, lfs.Device and ufs.Device are aliases
+// of it, each documented with what an error means at that boundary.  Read
+// returns n sectors at lba; Write stores a whole number of sectors, copies
+// what it keeps and holds no reference to data once it returns.
+type Device interface {
 	Read(p *sim.Proc, lba int64, n int) ([]byte, error)
+	Write(p *sim.Proc, lba int64, data []byte) error
+	Sectors() int64
 	SectorSize() int
 }
 
@@ -44,7 +49,7 @@ type readerInto interface {
 // way io.Copy discovers io.WriterTo.  A shim that embeds the four-method
 // device interface and overrides Read (a counter, a fault injector) has no
 // ReadInto to discover, so it keeps seeing every read.
-func ReadInto(dev Reader, p *sim.Proc, lba int64, dst []byte) error {
+func ReadInto(dev Device, p *sim.Proc, lba int64, dst []byte) error {
 	if ri, ok := dev.(readerInto); ok {
 		return ri.ReadInto(p, lba, dst)
 	}

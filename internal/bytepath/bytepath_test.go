@@ -93,7 +93,7 @@ func BenchmarkXOR(b *testing.B) {
 	}
 }
 
-// plainDev offers only Read; intoDev also offers ReadInto.
+// plainDev reads through Read alone; intoDev also offers ReadInto.
 type plainDev struct {
 	data  []byte
 	err   error
@@ -109,6 +109,9 @@ func (d *plainDev) Read(_ *sim.Proc, lba int64, n int) ([]byte, error) {
 }
 
 func (d *plainDev) SectorSize() int { return 4 }
+func (d *plainDev) Sectors() int64  { return int64(len(d.data) / 4) }
+
+func (d *plainDev) Write(*sim.Proc, int64, []byte) error { return errors.New("read-only") }
 
 type intoDev struct {
 	plainDev

@@ -36,12 +36,7 @@ const DefaultLineBytes = 64 << 10
 // raid.Array; anything implementing the lfs.Device shape works.  Errors
 // are array-level data loss (raid.ErrArrayFailed), passed through to the
 // caller untouched.
-type Backing interface {
-	Read(p *sim.Proc, lba int64, n int) ([]byte, error)
-	Write(p *sim.Proc, lba int64, data []byte) error
-	Sectors() int64
-	SectorSize() int
-}
+type Backing = bytepath.Device
 
 // streamer is the optional benchmark-mode write path of the backing store
 // (raid.Array.WriteStreaming).

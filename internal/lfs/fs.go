@@ -13,12 +13,7 @@ import (
 // anything sector-addressable works.  Errors are array-level data loss
 // (raid.ErrArrayFailed after redundancy is exhausted): the file system
 // propagates them to its callers rather than serving corrupt bytes.
-type Device interface {
-	Read(p *sim.Proc, lba int64, n int) ([]byte, error)
-	Write(p *sim.Proc, lba int64, data []byte) error
-	Sectors() int64
-	SectorSize() int
-}
+type Device = bytepath.Device
 
 // Config selects file system geometry.
 type Config struct {

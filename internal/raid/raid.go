@@ -23,12 +23,7 @@ import (
 // remains after the device's own recovery (the SCSI layer's retries): the
 // array escalates it by marking the device failed and flipping to degraded
 // operation.
-type Dev interface {
-	Read(p *sim.Proc, lba int64, n int) ([]byte, error)
-	Write(p *sim.Proc, lba int64, data []byte) error
-	Sectors() int64
-	SectorSize() int
-}
+type Dev = bytepath.Device
 
 // Level selects the redundancy organization.
 type Level int

@@ -209,8 +209,7 @@ func (path Path) Send(p *Proc, n, chunk int) {
 		}
 		return
 	}
-	e := p.eng
-	g := NewGroup(e)
+	g := NewGroup(p.eng)
 	remaining := n
 	for i := 0; i < nchunks; i++ {
 		sz := chunk
@@ -218,17 +217,16 @@ func (path Path) Send(p *Proc, n, chunk int) {
 			sz = remaining
 		}
 		remaining -= sz
-		g.Add(1)
 		// Chunks are spawned in order; FIFO link queues preserve that
 		// order at every hop, so arrival order is deterministic.
-		e.Spawn("chunk", func(cp *Proc) {
-			defer g.Done()
+		g.Go("chunk", func(cp *Proc) error {
 			for _, l := range path {
 				l.Transfer(cp, sz)
 			}
+			return nil
 		})
 	}
-	g.Wait(p) //lint:allow errdrop the chunk workers are spawned bare and return nothing
+	g.Wait(p) //lint:allow errdrop every chunk worker returns nil
 }
 
 // Event is a one-shot condition that processes can wait on.  Once signalled
@@ -296,15 +294,15 @@ func NewGroup(e *Engine) *Group { return &Group{eng: e, ev: NewEvent(e)} }
 // its last to release it.
 func (p *Proc) Fork() *Group { return &Group{eng: p.eng, from: p, ev: NewEvent(p.eng)} }
 
-// Add registers delta additional units of outstanding work.
-func (g *Group) Add(delta int) { g.n += delta }
+// add registers delta additional units of outstanding work.
+func (g *Group) add(delta int) { g.n += delta }
 
-// Done marks one unit of work complete.
-func (g *Group) Done() {
+// done marks one unit of work complete.
+func (g *Group) done() {
 	g.n--
 	if g.n < 0 {
-		//lint:allow simpanic unbalanced Done corrupts the group's completion event; add/done pairing is a structural invariant
-		panic("sim: Group.Done without matching Add")
+		//lint:allow simpanic unbalanced done corrupts the group's completion event; add/done pairing is a structural invariant
+		panic("sim: Group.done without matching add")
 	}
 	if g.n == 0 {
 		// Wake the joiners without latching, so the group (and its
@@ -316,9 +314,9 @@ func (g *Group) Done() {
 // Go spawns fn as a worker process tracked by the group.  An error it
 // returns is kept if it is the group's first.
 func (g *Group) Go(name string, fn func(*Proc) error) {
-	g.Add(1)
+	g.add(1)
 	g.eng.Spawn(name, func(q *Proc) {
-		defer g.Done()
+		defer g.done()
 		if g.from != nil && g.from.meterCtx != nil {
 			defer g.from.meterCtx.Follow(q)()
 		}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
 
@@ -32,12 +33,7 @@ const ufsMagic = 0x55465331
 // Device is the block store (same contract as lfs.Device).  Errors are
 // array-level data loss; they propagate to the caller rather than serving
 // corrupt bytes.
-type Device interface {
-	Read(p *sim.Proc, lba int64, n int) ([]byte, error)
-	Write(p *sim.Proc, lba int64, data []byte) error
-	Sectors() int64
-	SectorSize() int
-}
+type Device = bytepath.Device
 
 var (
 	// ErrNotExist mirrors lfs.ErrNotExist.
