@@ -52,6 +52,11 @@ type Stats struct {
 	WriteOps        uint64
 	BytesRead       uint64
 	BytesWritten    uint64
+	// ImageWaits counts the appends that found every segment image in use and
+	// waited for a device write to finish; ImageWaitNs is the simulated time
+	// they waited in total.
+	ImageWaits  uint64
+	ImageWaitNs uint64
 }
 
 // FS is a mounted log-structured file system.
@@ -81,17 +86,20 @@ type FS struct {
 
 	// Current (in-memory) segment.  segImage is the segment exactly as it
 	// will be written: block 0 is left for the summary, block i+1 is the slot
-	// of segEntries[i].  It is taken from images (all zero, so a partial
+	// of segEntries[i].  It is taken from the pool (all zero, so a partial
 	// seal's tail is zero) when the segment takes its first block and handed
 	// to the device at seal time without being copied.
 	curSeg     int64 // block address of the segment's first block
 	segSeq     uint64
 	segEntries []summaryEntry
 	segImage   []byte
-	// images holds zeroed images whose device write completed, for the next
-	// segments.  A server's steady state has one image filling and one in
-	// flight; a burst of seals beyond the bound goes back to the collector.
-	images bytepath.FreeList
+	// The image pool: imagePool images, allocated as they are first needed.
+	// A slot of imageSlots is held for each image in use — the one filling
+	// and every sealed one until its device write ends — and images holds
+	// the others, zeroed.  An append that needs an image when none is free
+	// waits for a slot (takeImage): this is the write path's back-pressure.
+	imageSlots *sim.Server
+	images     bytepath.FreeList
 
 	free      []bool
 	nFree     int // free segments: the true entries of free, kept by setFree
@@ -109,8 +117,20 @@ type FS struct {
 	// a block dies.  This plays the role of the prototype's host metadata
 	// cache ("The host memory cache contains metadata...  managed with a
 	// simple Least Recently Used replacement policy").
-	metaCache map[int64][]byte
-	metaOrder []int64 // FIFO eviction, deterministic
+	//
+	// metaOrder is the cache's addresses in insertion order, a ring of at
+	// most metaCacheCap places that metaNext walks once it is full.  A dropped
+	// address leaves a zero in its place until the ring comes round, so ring
+	// and map never disagree: the cache is the live blocks among the last
+	// metaCacheCap it was given.
+	metaCache map[int64]metaEntry
+	metaOrder []int64
+	metaNext  int
+	// stagedPtrs is the live pointer blocks (indirect, double-indirect) of
+	// the segments the device does not have yet.  A seal's completed write
+	// moves the ones still in it into metaCache; a block killed while staged
+	// leaves the set, and so never reaches the cache as a dead address.
+	stagedPtrs map[int64]struct{}
 
 	dirScratch [2][]byte // dirBytes' buffers; guarded by mu
 
@@ -238,8 +258,10 @@ func (fs *FS) initState() {
 	fs.idirty = make(map[uint32]bool)
 	fs.seals = sim.NewGroup(fs.eng)
 	fs.inflight = make(map[int][]byte)
-	fs.images = bytepath.NewFreeList(maxFreeImages)
-	fs.metaCache = make(map[int64][]byte)
+	fs.imageSlots = sim.NewServer(fs.eng, "lfs:images", imagePool)
+	fs.images = bytepath.NewFreeList(imagePool)
+	fs.metaCache = make(map[int64]metaEntry)
+	fs.stagedPtrs = make(map[int64]struct{})
 }
 
 // Stats returns a copy of the counters.
@@ -291,8 +313,19 @@ func (fs *FS) readBlock(p *sim.Proc, addr int64) ([]byte, error) {
 // metaCacheCap bounds the metadata cache (in blocks).
 const metaCacheCap = 4096
 
-// maxFreeImages bounds the recycled segment images an FS keeps.
-const maxFreeImages = 4
+// metaEntry is a cached block and its place in metaOrder.
+type metaEntry struct {
+	b   []byte
+	pos int
+}
+
+// imagePool is the number of segment images an FS owns: one filling and five
+// streaming to the array, 5.6 MB of the board's 32.  Sized on the 16-disk
+// array's sequential write (parent: 15.44 MB/s from an unbounded queue): two
+// images deliver 10.85 MB/s, three 15.41, six 15.45, eight 15.46; Fig. 8's
+// large random writes want more than four (13.8 MB/s at 4 MB with four, 15.1
+// with six), and beyond six an image only holds memory.
+const imagePool = 1 + 5
 
 // metaView returns metadata block addr (an indirect block, directory
 // contents) for reading only, through the metadata cache that pointer walks
@@ -303,8 +336,8 @@ func (fs *FS) metaView(p *sim.Proc, addr int64) ([]byte, error) {
 	if b := fs.stagedBlock(addr); b != nil {
 		return b, nil
 	}
-	if b, ok := fs.metaCache[addr]; ok {
-		return b, nil
+	if e, ok := fs.metaCache[addr]; ok {
+		return e.b, nil
 	}
 	b, err := fs.dev.Read(p, addr*int64(fs.blockSectors), fs.blockSectors)
 	if err != nil {
@@ -314,23 +347,33 @@ func (fs *FS) metaView(p *sim.Proc, addr int64) ([]byte, error) {
 	return b, nil
 }
 
-// cacheMeta inserts a block the cache may keep, with FIFO eviction.
+// cacheMeta inserts a block the cache may keep, with FIFO eviction: once the
+// ring is full the new address takes the oldest place, evicting whatever
+// still holds it.
 func (fs *FS) cacheMeta(addr int64, b []byte) {
 	if _, ok := fs.metaCache[addr]; ok {
 		return
 	}
-	for len(fs.metaCache) >= metaCacheCap {
-		old := fs.metaOrder[0]
-		fs.metaOrder = fs.metaOrder[1:]
-		delete(fs.metaCache, old)
+	pos := len(fs.metaOrder)
+	if pos < metaCacheCap {
+		fs.metaOrder = append(fs.metaOrder, addr)
+	} else {
+		pos = fs.metaNext
+		fs.metaNext = (pos + 1) % metaCacheCap
+		if old := fs.metaOrder[pos]; old != 0 {
+			delete(fs.metaCache, old)
+		}
+		fs.metaOrder[pos] = addr
 	}
-	fs.metaCache[addr] = b
-	fs.metaOrder = append(fs.metaOrder, addr)
+	fs.metaCache[addr] = metaEntry{b: b, pos: pos}
 }
 
 // dropMeta invalidates one cached address.
 func (fs *FS) dropMeta(addr int64) {
-	delete(fs.metaCache, addr)
+	if e, ok := fs.metaCache[addr]; ok {
+		fs.metaOrder[e.pos] = 0
+		delete(fs.metaCache, addr)
+	}
 }
 
 // resetSegment starts an empty current segment.
@@ -386,15 +429,43 @@ func (fs *FS) appendSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte
 		}
 	}
 	if fs.segImage == nil {
-		fs.segImage = fs.images.Get(fs.SegmentBytes())
+		image, err := fs.takeImage(p)
+		if err != nil {
+			return 0, nil, err
+		}
+		fs.segImage = image
 	}
 	fs.segEntries = append(fs.segEntries, summaryEntry{Kind: kind, Arg1: a1, Arg2: a2})
 	addr := fs.curSeg + int64(len(fs.segEntries))
+	if kind == kindIndirect || kind == kindDIndTop || kind == kindDIndL2 {
+		fs.stagedPtrs[addr] = struct{}{}
+	}
 	seg := fs.segOf(addr)
 	fs.usageLive[seg] += BlockSize
 	fs.markUsageDirty(seg)
 	fs.stats.BlocksAppended++
 	return addr, slot(fs.segImage, addr-fs.curSeg), nil
+}
+
+// takeImage returns a zeroed image for the segment that is about to take its
+// first block.  When the pool's images are all in use it waits for a device
+// write to finish — with fs.mu held, as its caller holds it: until there is an
+// image nothing can be staged, by anybody.  A write that fails gives its
+// place back too, and the waiter returns the loss instead of an image.
+func (fs *FS) takeImage(p *sim.Proc) ([]byte, error) {
+	if !fs.imageSlots.TryAcquire() {
+		end := p.Span("lfs", "image-wait")
+		start := p.Now()
+		fs.imageSlots.Acquire(p)
+		end()
+		fs.stats.ImageWaits++
+		fs.stats.ImageWaitNs += uint64(p.Now().Sub(start))
+		if err := fs.seals.Err(); err != nil {
+			fs.imageSlots.Release()
+			return nil, err
+		}
+	}
+	return fs.images.Get(fs.SegmentBytes()), nil
 }
 
 // restage writes the new version of a metadata block whose previous version
@@ -435,6 +506,7 @@ func (fs *FS) killBlock(addr int64) {
 	}
 	fs.markUsageDirty(seg)
 	fs.dropMeta(addr)
+	delete(fs.stagedPtrs, addr)
 	fs.stats.BlocksKilled++
 }
 
@@ -492,19 +564,32 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	// streams to the array.  Its blocks stay readable from the image until
 	// the device write completes; from here on nothing writes to the image.
 	sealSeg := fs.curSeg
-	used := (1 + len(fs.segEntries)) * BlockSize
+	blocks := int64(1 + len(fs.segEntries))
 	fs.inflight[curIdx] = image
 	fs.seals.Go("lfs-seal", func(q *sim.Proc) error {
+		// Whatever becomes of the write, the pool has its place back when it
+		// ends: a waiting append wakes, and finds the error if there is one.
+		defer fs.imageSlots.Release()
 		end := q.Span("lfs", "segment-write")
 		defer end()
 		if err := fs.dev.Write(q, sealSeg*int64(fs.blockSectors), image); err != nil {
 			// The segment never reached the array: keep its blocks readable
-			// and surface the loss at the next append or sync.
+			// (the image stays out of the pool for good) and surface the loss
+			// at the next append or sync.
 			return fmt.Errorf("lfs: segment write: %w", err)
+		}
+		// The pointer blocks that are still live move to the metadata cache,
+		// so the next walk through them does not go to the device for what
+		// was in memory a moment ago.
+		for addr := sealSeg + 1; addr < sealSeg+blocks; addr++ {
+			if _, ok := fs.stagedPtrs[addr]; ok {
+				delete(fs.stagedPtrs, addr)
+				fs.cacheMeta(addr, bytes.Clone(slot(image, addr-sealSeg)))
+			}
 		}
 		delete(fs.inflight, curIdx)
 		if fs.images.Put(image) {
-			clear(image[:used]) // the rest was never written: the image is zero again
+			clear(image[:blocks*BlockSize]) // the rest was never written: the image is zero again
 		}
 		return nil
 	})

@@ -189,7 +189,7 @@ func TestRecycledImagesWithSealsOverlapping(t *testing.T) {
 		if err := fs.Sync(p); err != nil {
 			t.Fatal(err)
 		}
-		if seals := int(fs.Stats().SegmentsWritten); len(images) > maxFreeImages+2 || seals < 30 {
+		if seals := int(fs.Stats().SegmentsWritten); len(images) > imagePool || seals < 30 {
 			t.Fatalf("%d segments written from at least %d images: the writes did not overlap recycling", seals, len(images))
 		}
 		fs.Crash()
@@ -206,11 +206,12 @@ func TestRecycledImagesWithSealsOverlapping(t *testing.T) {
 }
 
 // gateDev blocks every Write until open is signalled, then fails it if fail
-// is set.
+// is set, or if failOnce is and it is the first to come through.
 type gateDev struct {
 	*raid.MemDev
-	open *sim.Event
-	fail bool
+	open     *sim.Event
+	fail     bool
+	failOnce bool
 }
 
 var errGate = errors.New("gate: write refused")
@@ -219,7 +220,8 @@ func (d *gateDev) Write(p *sim.Proc, lba int64, data []byte) error {
 	if d.open != nil {
 		d.open.Wait(p)
 	}
-	if d.fail {
+	if d.fail || d.failOnce {
+		d.failOnce = false
 		return errGate
 	}
 	return d.MemDev.Write(p, lba, data)

@@ -9,8 +9,8 @@ package sim
 //     parks itself so model code deep in the stack can find it through
 //     p.Engine() without threading a registry through every signature;
 //   - a single annotation slot on each Proc, where a request-scoped context
-//     rides along as the request flows client -> net -> admission -> cache
-//     -> raid -> scsi -> disk, and hears of every span the process closes;
+//     rides along as the request flows client -> net -> admission -> lfs ->
+//     cache -> raid -> scsi -> disk, and hears of every span the process closes;
 //   - fixed-interval sampler callbacks, fired passively from the event loop
 //     whenever simulated time crosses an interval boundary.
 //

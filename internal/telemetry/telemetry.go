@@ -1,7 +1,7 @@
 // Package telemetry is the simulation's metrics layer: a deterministic
 // registry of counters, gauges and fixed-bucket latency histograms, a
 // request-scoped context that follows one client request end to end through
-// client -> net -> admission -> cache -> raid -> scsi -> disk, a sampler
+// client -> net -> admission -> lfs -> cache -> raid -> scsi -> disk, a sampler
 // that snapshots gauges into time series at a fixed simulated interval, and
 // two exporters (Prometheus text exposition and versioned JSON) whose
 // output is byte-identical across identical runs.
@@ -45,12 +45,12 @@ import "slices"
 // Every other category is charged to no stage of its own: its time stays
 // with the stage span it is nested in, or with no stage when there is none.
 var categories = [...]string{
-	"client", "net", "admission", "cache", "raid", "scsi", "disk",
+	"client", "net", "admission", "lfs", "cache", "raid", "scsi", "disk",
 
-	"cluster", "datapath", "fault", "hippi", "lfs", "nvram", "scrub", "server", "xbus",
+	"cluster", "datapath", "fault", "hippi", "nvram", "scrub", "server", "xbus",
 }
 
-const numStages = 7
+const numStages = 8
 
 // stageOf returns the index of the stage that spans of category cat accrue
 // to, or -1.

@@ -222,13 +222,13 @@ func TestSpanNestingIsSumNeutral(t *testing.T) {
 		p.Wait(4 * time.Millisecond)
 		endXOR()
 		endRMW()
-		endLFS := p.Span("lfs", "checkpoint")
+		endNV := p.Span("nvram", "commit")
 		p.Wait(8 * time.Millisecond)
-		endLFS()
+		endNV()
 		endRAID()
-		endLFS = p.Span("lfs", "checkpoint") // under no stage: charged nowhere
+		endNV = p.Span("nvram", "commit") // under no stage: charged nowhere
 		p.Wait(16 * time.Millisecond)
-		endLFS()
+		endNV()
 		req.End(p, nil)
 	})
 	e.Run()

@@ -80,6 +80,12 @@ func (rec *Recorder) Table(limit int) string {
 		fmt.Fprintf(&b, "admission: %d admitted (%d queued %.3fs total wait), %d shed\n",
 			admitted.Count, queued.Count, queued.Total.Seconds(), shed.Count)
 	}
+	// LFS back-pressure: appends that found every segment image in use and
+	// waited for the array.  The lfs:images row above ranks by occupancy; the
+	// time writers lost to it is here.
+	if waits := rec.spanCount("lfs", "image-wait"); waits.Count > 0 {
+		fmt.Fprintf(&b, "lfs: %d appends waited %.3fs in all for a segment image\n", waits.Count, waits.Total.Seconds())
+	}
 	// Background parity patrol activity.
 	scrubbed := rec.spanCount("scrub", "stripe")
 	if scrubbed.Count > 0 {

@@ -106,9 +106,13 @@ type Board struct {
 	VME    []*Port
 	Host   *Port // control/metadata link to the host workstation
 
-	// Buffers is the board DRAM as an allocatable pool: prefetch buffers,
-	// pipelining buffers, HIPPI network buffers and LFS write buffers all
-	// come from here.
+	// Buffers is the board DRAM as an allocatable pool.  What draws tokens:
+	// the chunk buffers of the hardware and file-system read and write
+	// pipelines, the client path's HIPPI network buffers, and the permanent
+	// carve-outs of ReserveMemory (block cache, NVRAM).  LFS's segment
+	// images are not drawn from here — the file system does not know its
+	// board — but are a fixed pool sized against the same 32 MB (six 960 KB
+	// images, DESIGN.md §17).
 	Buffers *sim.Tokens
 
 	parityOps uint64

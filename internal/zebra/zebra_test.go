@@ -103,8 +103,15 @@ func TestMoreServersMoreBandwidth(t *testing.T) {
 		fl.Eng.Run()
 		return r
 	}
+	// What more servers shorten is the disk phase.  The 16 MB cross the one
+	// ring into the client's 100 MB/s NIC (ultranet and client-nic in the
+	// -util table: 168 ms busy at either size) whatever the number of senders,
+	// and that is 168 of the 5-server read's 255 ms (65.8 MB/s) against 168
+	// of the 3-server read's 327 (51.2 MB/s): a ratio of 1.28, which can only
+	// fall as the servers get faster.  (It read 1.37 while lfs:mu, held across
+	// pointer-block reads from the device, bounded both.)
 	three, five := rate(3), rate(5)
-	if five <= three*1.3 {
+	if five <= three*1.2 {
 		t.Fatalf("5 servers (%.1f MB/s) should clearly beat 3 (%.1f MB/s)", five, three)
 	}
 }

@@ -12,15 +12,19 @@ import (
 	"raidii/internal/telemetry"
 )
 
-// The metrics pin.  Four metered experiments — the file-server trace, the
-// cache working-set sweep, the link-flap timeline and the RAID-6 double
-// failure, which between them drive every request kind, every stage and
-// every outcome counter — run with a registry attached to each engine, and
-// the Prometheus text of all of them must equal testdata/metrics_pin.prom,
-// which was recorded from the code that accounted stages through
-// telemetry.StageSpan beside the trace's p.Span, and re-recorded once since:
-// when LFS's read runs began to carry their request, the stage times and
-// cache lines of fs-read, reread and client-read moved and nothing else did.
+// The metrics pin.  Five metered experiments — the file-server trace, the
+// cache working-set sweep, the link-flap timeline, the RAID-6 double failure
+// and Fig. 8's 1 MB point (whose writer runs ahead of the array and waits for
+// segment images: the lfs stage), which between them drive every request
+// kind, every stage and every outcome counter — run with a registry attached
+// to each engine, and the Prometheus text of all of them must equal
+// testdata/metrics_pin.prom, which was recorded from the code that accounted
+// stages through telemetry.StageSpan beside the trace's p.Span, and
+// re-recorded twice since: when LFS's read runs began to carry their request
+// (the stage times and cache lines of fs-read, reread and client-read moved
+// and nothing else did), and when LFS bounded its segment images and kept
+// sealed pointer blocks in its metadata cache (every run that seeds files
+// through LFS moved; the Fig. 8 point joined then).
 // A change to how request time is attributed passes it unmodified or has
 // moved a number; on a mismatch the first differing line is named.
 //
@@ -44,6 +48,7 @@ func TestMetricsPin(t *testing.T) {
 		func() error { _, err := CacheWorkingSet(8, []int{2, 4, 6, 8, 12, 16, 24}); return err },
 		func() error { _, err := NetworkFaultTimeline(); return err },
 		func() error { _, err := DoubleFaultTimeline(); return err },
+		func() error { _, err := Fig8([]int{1024}); return err },
 	} {
 		if err := ex(); err != nil {
 			t.Fatal(err)
