@@ -3,6 +3,7 @@ package raidii
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -61,13 +62,13 @@ func TestBoardScopedOps(t *testing.T) {
 		if _, err := task.Board(0).Stat("/d/file2"); !errors.Is(err, ErrNotExist) {
 			t.Fatalf("board 0 sees board 1's file: %v", err)
 		}
-		// Task-level conveniences are board 0: a file created there shows
-		// up through Board(0) and not Board(1).
-		if _, err := task.Create("/only0"); err != nil {
+		// And the other way round: a file created on board 0 is not on
+		// board 1.
+		if _, err := task.Board(0).Create("/only0"); err != nil {
 			return err
 		}
 		if _, err := task.Board(0).Stat("/only0"); err != nil {
-			t.Fatalf("Task.Create not visible through Board(0): %v", err)
+			t.Fatalf("board 0 does not see its own file: %v", err)
 		}
 		if _, err := b1.Stat("/only0"); !errors.Is(err, ErrNotExist) {
 			t.Fatalf("board 1 sees board 0's file: %v", err)
@@ -77,6 +78,53 @@ func TestBoardScopedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSimulateReturnsModelPanic: an out-of-range board or server index
+// panics inside the task process.  Simulate must hand that back as an error
+// (a runtime.Error, through ProcPanic.Unwrap) with no process left live, and
+// every later Simulate on the stopped machine must fail without running.
+func TestSimulateReturnsModelPanic(t *testing.T) {
+	wantStopped := func(what string, err error, live int, again func(ran *bool) error) {
+		t.Helper()
+		var re runtime.Error
+		if !errors.As(err, &re) {
+			t.Errorf("%s: Simulate returned %v, want a runtime.Error", what, err)
+		}
+		if live != 0 {
+			t.Errorf("%s: %d processes live after the panic", what, live)
+		}
+		ran := false
+		if err2 := again(&ran); !errors.Is(err2, err) || ran {
+			t.Errorf("%s: the next Simulate returned %v (ran: %v), want the same error without running", what, err2, ran)
+		}
+	}
+
+	srv, err := NewServer(WithDisksPerString(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = srv.Simulate(func(task *Task) error {
+		task.Board(3)
+		return nil
+	})
+	wantStopped("Board(3) on one board", err, srv.Sys().Eng.Live(), func(ran *bool) error {
+		_, err := srv.Simulate(func(*Task) error { *ran = true; return nil })
+		return err
+	})
+
+	cl, err := NewCluster(WithServers(4), WithDisksPerString(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cl.Simulate(func(task *ClusterTask) error {
+		task.KillServer(9)
+		return nil
+	})
+	wantStopped("KillServer(9) on four servers", err, cl.Fleet().Eng.Live(), func(ran *bool) error {
+		_, err := cl.Simulate(func(*ClusterTask) error { *ran = true; return nil })
+		return err
+	})
 }
 
 // TestSentinelErrorsThroughAPI checks that errors.Is sees the lfs
@@ -89,14 +137,14 @@ func TestSentinelErrorsThroughAPI(t *testing.T) {
 	_, err = srv.Simulate(func(task *Task) error {
 		// Before FormatFS every file-system call reports ErrNoFS rather than
 		// dereferencing the missing file system.
-		_, errCreate := task.Create("/x")
-		_, errOpen := task.Open("/x")
-		_, errReadDir := task.ReadDir("/")
-		_, errStat := task.Stat("/")
-		_, errClean := task.Clean(1)
+		_, errCreate := task.Board(0).Create("/x")
+		_, errOpen := task.Board(0).Open("/x")
+		_, errReadDir := task.Board(0).ReadDir("/")
+		_, errStat := task.Board(0).Stat("/")
+		_, errClean := task.Board(0).Clean(1)
 		for op, err := range map[string]error{
-			"Create": errCreate, "Open": errOpen, "Mkdir": task.Mkdir("/d"), "Remove": task.Remove("/x"),
-			"Rename": task.Rename("/x", "/y"), "ReadDir": errReadDir, "Stat": errStat, "Clean": errClean,
+			"Create": errCreate, "Open": errOpen, "Mkdir": task.Board(0).Mkdir("/d"), "Remove": task.Board(0).Remove("/x"),
+			"Rename": task.Board(0).Rename("/x", "/y"), "ReadDir": errReadDir, "Stat": errStat, "Clean": errClean,
 		} {
 			if !errors.Is(err, ErrNoFS) {
 				t.Errorf("%s on an unformatted board = %v, want ErrNoFS", op, err)
@@ -105,28 +153,28 @@ func TestSentinelErrorsThroughAPI(t *testing.T) {
 		if err := task.FormatFS(); err != nil {
 			return err
 		}
-		if _, err := task.Open("/missing"); !errors.Is(err, ErrNotExist) {
+		if _, err := task.Board(0).Open("/missing"); !errors.Is(err, ErrNotExist) {
 			t.Errorf("Open(missing) = %v, want ErrNotExist", err)
 		}
-		if _, err := task.Create("/f"); err != nil {
+		if _, err := task.Board(0).Create("/f"); err != nil {
 			return err
 		}
-		if _, err := task.Create("/f"); !errors.Is(err, ErrExist) {
+		if _, err := task.Board(0).Create("/f"); !errors.Is(err, ErrExist) {
 			t.Errorf("second Create = %v, want ErrExist", err)
 		}
-		if err := task.Remove("/missing"); !errors.Is(err, ErrNotExist) {
+		if err := task.Board(0).Remove("/missing"); !errors.Is(err, ErrNotExist) {
 			t.Errorf("Remove(missing) = %v, want ErrNotExist", err)
 		}
-		if err := task.Mkdir("/dir"); err != nil {
+		if err := task.Board(0).Mkdir("/dir"); err != nil {
 			return err
 		}
-		if _, err := task.Create("/dir/child"); err != nil {
+		if _, err := task.Board(0).Create("/dir/child"); err != nil {
 			return err
 		}
-		if err := task.Remove("/dir"); !errors.Is(err, ErrNotEmpty) {
+		if err := task.Board(0).Remove("/dir"); !errors.Is(err, ErrNotEmpty) {
 			t.Errorf("Remove(non-empty dir) = %v, want ErrNotEmpty", err)
 		}
-		if _, err := task.Open("/f/x"); !errors.Is(err, ErrNotDir) {
+		if _, err := task.Board(0).Open("/f/x"); !errors.Is(err, ErrNotDir) {
 			t.Errorf("Open through file = %v, want ErrNotDir", err)
 		}
 		return nil
@@ -147,7 +195,7 @@ func TestWriteReturnsDuration(t *testing.T) {
 		if err := task.FormatFS(); err != nil {
 			return err
 		}
-		f, err := task.Create("/f")
+		f, err := task.Board(0).Create("/f")
 		if err != nil {
 			return err
 		}
@@ -373,7 +421,7 @@ func TestClusterStripedFileAPI(t *testing.T) {
 		// Server(i) scopes an ordinary single-host Task: the striping layer's
 		// backing files live in each host's board-0 LFS.
 		for i := 0; i < task.NumServers(); i++ {
-			if ents, err := task.Server(i).ReadDir("/"); err != nil || len(ents) == 0 {
+			if ents, err := task.Server(i).Board(0).ReadDir("/"); err != nil || len(ents) == 0 {
 				t.Errorf("server %d board 0 has no striped backing files (%v)", i, err)
 			}
 		}

@@ -29,6 +29,7 @@ type Cluster struct {
 	cfg   server.Config
 	ep    *hippi.Endpoint
 	store *zebra.Store
+	dead  error // the panic that stopped the engine; see simulate
 }
 
 // NewCluster assembles a fleet of identical RAID-II servers.  With no
@@ -67,15 +68,12 @@ func (c *Cluster) Now() time.Duration { return time.Duration(c.fl.Eng.Now()) }
 
 // Simulate runs fn as a simulated process, drives the simulation until all
 // resulting activity completes, and returns the simulated time consumed.
-// It may be called repeatedly; simulated time accumulates.
+// It may be called repeatedly; simulated time accumulates.  A panic in model
+// code stops the machine, as in Server.Simulate.
 func (c *Cluster) Simulate(fn func(t *ClusterTask) error) (time.Duration, error) {
-	start := c.fl.Eng.Now()
-	var err error
-	c.fl.Eng.Spawn("cluster-task", func(p *sim.Proc) {
-		err = fn(&ClusterTask{p: p, cl: c})
+	return simulate(c.fl.Eng, &c.dead, "cluster-task", func(p *sim.Proc) error {
+		return fn(&ClusterTask{p: p, cl: c})
 	})
-	end := c.fl.Eng.Run()
-	return end.Sub(start), err
 }
 
 // ClusterTask is the handle model code uses inside Cluster.Simulate.

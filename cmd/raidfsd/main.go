@@ -177,7 +177,7 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 			return fmt.Errorf("usage: CREATE <path>")
 		}
 		d, err := st.srv.Simulate(func(t *raidii.Task) error {
-			_, err := t.Create(args[0])
+			_, err := t.Board(0).Create(args[0])
 			return err
 		})
 		if err != nil {
@@ -190,7 +190,7 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		}
 		var size int64
 		_, err := st.srv.Simulate(func(t *raidii.Task) error {
-			f, err := t.Open(args[0])
+			f, err := t.Board(0).Open(args[0])
 			if err != nil {
 				return err
 			}
@@ -214,9 +214,9 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 			return err
 		}
 		d, err := st.srv.Simulate(func(t *raidii.Task) error {
-			f, err := t.Open(args[0])
+			f, err := t.Board(0).Open(args[0])
 			if err != nil {
-				f, err = t.Create(args[0])
+				f, err = t.Board(0).Create(args[0])
 				if err != nil {
 					return err
 				}
@@ -239,7 +239,7 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		var dur time.Duration
 		var data []byte
 		_, err := st.srv.Simulate(func(t *raidii.Task) error {
-			f, err := t.Open(args[0])
+			f, err := t.Board(0).Open(args[0])
 			if err != nil {
 				return err
 			}
@@ -269,7 +269,7 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		if len(args) != 1 {
 			return fmt.Errorf("usage: MKDIR <path>")
 		}
-		if _, err := st.srv.Simulate(func(t *raidii.Task) error { return t.Mkdir(args[0]) }); err != nil {
+		if _, err := st.srv.Simulate(func(t *raidii.Task) error { return t.Board(0).Mkdir(args[0]) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "OK\n")
@@ -280,12 +280,12 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		}
 		var lines []string
 		_, err := st.srv.Simulate(func(t *raidii.Task) error {
-			ents, err := t.ReadDir(path)
+			ents, err := t.Board(0).ReadDir(path)
 			if err != nil {
 				return err
 			}
 			for _, e := range ents {
-				fi, err := t.Stat(strings.TrimSuffix(path, "/") + "/" + e.Name)
+				fi, err := t.Board(0).Stat(strings.TrimSuffix(path, "/") + "/" + e.Name)
 				if err != nil {
 					return err
 				}
@@ -308,7 +308,7 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		if len(args) != 1 {
 			return fmt.Errorf("usage: RM <path>")
 		}
-		if _, err := st.srv.Simulate(func(t *raidii.Task) error { return t.Remove(args[0]) }); err != nil {
+		if _, err := st.srv.Simulate(func(t *raidii.Task) error { return t.Board(0).Remove(args[0]) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "OK\n")

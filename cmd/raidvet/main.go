@@ -11,8 +11,8 @@
 // under range-over-map), simpanic (no panics in internal library code),
 // errdrop (no discarded error results), wrapcheck (%w wrapping at the
 // API boundary so errors.Is sees re-exported sentinels), pairbalance
-// (Acquire/Release and Span begin/end balance on every path),
-// allowaudit (every //lint:allow names a registered check, carries a
+// (a block that opens and closes an Acquire/Release or Span pair is not
+// left in between), allowaudit (every //lint:allow names a registered check, carries a
 // reason, and suppresses a live diagnostic).
 //
 // Individual lines are exempted with "//lint:allow <check> <reason>".

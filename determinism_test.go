@@ -40,7 +40,7 @@ func TestSeededWorkloadDeterministic(t *testing.T) {
 			if err := task.FormatFS(); err != nil {
 				return err
 			}
-			f, err := task.Create("/wl")
+			f, err := task.Board(0).Create("/wl")
 			if err != nil {
 				return err
 			}

@@ -34,12 +34,12 @@ func main() {
 			if err := t.FormatFS(); err != nil {
 				return err
 			}
-			if err := t.Mkdir("/pad"); err != nil {
+			if err := t.Board(0).Mkdir("/pad"); err != nil {
 				return err
 			}
 			small := make([]byte, smallSize)
 			for i := 0; i < smallFiles; i++ {
-				f, err := t.Create(fmt.Sprintf("/pad/page%03d", i))
+				f, err := t.Board(0).Create(fmt.Sprintf("/pad/page%03d", i))
 				if err != nil {
 					return err
 				}
@@ -49,7 +49,7 @@ func main() {
 			}
 			media := make([]byte, 1<<20)
 			for i := 0; i < mediaFiles; i++ {
-				f, err := t.Create(fmt.Sprintf("/pad/media%d", i))
+				f, err := t.Board(0).Create(fmt.Sprintf("/pad/media%d", i))
 				if err != nil {
 					return err
 				}
@@ -89,7 +89,7 @@ func main() {
 		var sN, mN int
 		elapsed, err := srv.Simulate(func(t *raidii.Task) error {
 			for _, r := range mix {
-				f, err := t.Open(r.path)
+				f, err := t.Board(0).Open(r.path)
 				if err != nil {
 					return err
 				}

@@ -24,12 +24,12 @@ func main() {
 		if err := t.FormatFS(); err != nil {
 			return err
 		}
-		fmt.Printf("array capacity: %.1f GB\n", float64(t.ArrayCapacity())/1e9)
+		fmt.Printf("array capacity: %.1f GB\n", float64(t.Board(0).ArrayCapacity())/1e9)
 
-		if err := t.Mkdir("/data"); err != nil {
+		if err := t.Board(0).Mkdir("/data"); err != nil {
 			return err
 		}
-		f, err := t.Create("/data/dataset.raw")
+		f, err := t.Board(0).Create("/data/dataset.raw")
 		if err != nil {
 			return err
 		}
@@ -68,12 +68,12 @@ func main() {
 		fmt.Printf("read 2 MB via Ethernet path: %v  (%.2f MB/s)\n",
 			eDur, float64(2<<20)/eDur.Seconds()/1e6)
 
-		ents, err := t.ReadDir("/data")
+		ents, err := t.Board(0).ReadDir("/data")
 		if err != nil {
 			return err
 		}
 		for _, e := range ents {
-			fi, err := t.Stat("/data/" + e.Name)
+			fi, err := t.Board(0).Stat("/data/" + e.Name)
 			if err != nil {
 				return err
 			}

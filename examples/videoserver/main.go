@@ -39,10 +39,10 @@ func main() {
 		if err := t.FormatFS(); err != nil {
 			return err
 		}
-		if err := t.Mkdir("/video"); err != nil {
+		if err := t.Board(0).Mkdir("/video"); err != nil {
 			return err
 		}
-		f, err := t.Create("/video/microscope.clip")
+		f, err := t.Board(0).Create("/video/microscope.clip")
 		if err != nil {
 			return err
 		}
@@ -82,7 +82,7 @@ func main() {
 			if err := t.FormatFS(); err != nil {
 				return err
 			}
-			f, err := t.Create("/clip")
+			f, err := t.Board(0).Create("/clip")
 			if err != nil {
 				return err
 			}

@@ -77,8 +77,8 @@ func (s Scope) Applies(rel string) bool {
 //     boundary (internal/zebra, whose striped-store errors surface
 //     through ClusterTask/ClusterFile), where an unwrapped error breaks
 //     errors.Is against re-exported sentinels.
-//   - pairbalance applies to library, command, and experiment code;
-//     tests deliberately drive resources into unbalanced states.
+//   - pairbalance (no way out of a block between a pair's open and its
+//     close) applies to non-test code; tests unbalance resources on purpose.
 //   - allowaudit is driver-level (it polices the allow comments
 //     themselves) and applies everywhere.
 func DefaultScopes() map[string]Scope {

@@ -1,7 +1,7 @@
 // Fixture for the pairbalance analyzer: the pair-bearing types mirror
 // internal/sim/resources.go (matched by type name), and the functions
-// exercise definite leaks, balanced paths, handoffs, escapes and
-// suppression.
+// exercise leaks out of a statement list between a pair's open and its
+// close, balanced shapes, handoffs and suppression.
 package a
 
 import "errors"
@@ -19,7 +19,6 @@ func (s *Server) Release()         {}
 type Tokens struct{}
 
 func (tk *Tokens) Acquire(p *Proc, n int) {}
-func (tk *Tokens) Reserve(n int) error    { return nil }
 func (tk *Tokens) Release(n int)          {}
 
 type holder struct {
@@ -52,14 +51,93 @@ func balancedDefer(h *holder, p *Proc) error {
 	return nil
 }
 
-// Each path releases by hand.
+// Each path releases by hand, and that is a finding: the rule does not look
+// into a branch for a release, so it accepts only the shapes that survive a
+// new early return — one release after the branches, or a defer.
 func balancedBranches(h *holder, p *Proc) error {
 	h.mu.Acquire(p)
 	if cond() {
 		h.mu.Release()
-		return errNope
+		return errNope // want `h\.mu \(Server\) is still held on this return path`
 	}
 	h.mu.Release()
+	return nil
+}
+
+// The defer comes after an early return.
+func deferAfterReturn(h *holder, p *Proc) error {
+	h.mu.Acquire(p)
+	if cond() {
+		return errNope // want `h\.mu \(Server\) is still held on this return path`
+	}
+	defer h.mu.Release()
+	return nil
+}
+
+// continue skips the release at the bottom of the loop body.
+func continueSkipsRelease(tk *Tokens, p *Proc) {
+	for i := 0; i < 4; i++ {
+		tk.Acquire(p, 1)
+		if cond() {
+			continue // want `tk \(Tokens\) is still held on this continue path`
+		}
+		tk.Release(1)
+	}
+}
+
+// Not a finding: each break ends an inner loop or switch, and the release
+// still runs.
+func innerBreak(h *holder, p *Proc) {
+	h.mu.Acquire(p)
+	for i := 0; i < 4; i++ {
+		if cond() {
+			break
+		}
+	}
+	switch {
+	case cond():
+		break
+	}
+	h.mu.Release()
+}
+
+// A labeled break leaves the list whichever statement it names.
+func labeledBreak(h *holder, p *Proc) {
+outer:
+	for i := 0; i < 4; i++ {
+		h.mu.Acquire(p)
+		for j := 0; j < 4; j++ {
+			if cond() {
+				break outer // want `h\.mu \(Server\) is still held on this break path`
+			}
+		}
+		h.mu.Release()
+	}
+}
+
+// A case clause is a list of its own.
+func spanInCase(p *Proc, k int) error {
+	switch k {
+	case 1:
+		end := p.Span("fixture", "case")
+		if cond() {
+			return errNope // want `span closer end is not called on this return path`
+		}
+		end()
+	}
+	return nil
+}
+
+// Not a finding: released only in a nested block, so the list that opens
+// never closes — a handoff, untracked.
+func nestedRelease(h *holder, p *Proc) error {
+	h.mu.Acquire(p)
+	if cond() {
+		return errNope
+	}
+	if cond() {
+		h.mu.Release()
+	}
 	return nil
 }
 
@@ -73,8 +151,7 @@ func finish(h *holder) {
 	h.mu.Release()
 }
 
-// The release escapes into a closure running on another schedule;
-// intra-function counting would be wrong, so the key is untracked.
+// The release runs in a closure on another schedule: untracked.
 func handoff(h *holder, p *Proc) {
 	h.mu.Acquire(p)
 	spawn(func() { h.mu.Release() })
@@ -107,8 +184,7 @@ func spanDefer(p *Proc) error {
 	return nil
 }
 
-// Returning the closer hands it to the caller: untracked even though
-// another path calls it.
+// Returning the closer hands it to the caller: untracked.
 func spanEscapes(p *Proc) func() {
 	end := p.Span("fixture", "work")
 	if cond() {
@@ -127,8 +203,7 @@ func panicPath(tk *Tokens, p *Proc) {
 	tk.Release(8)
 }
 
-// Acquires in one loop, releases in a second: min-merge keeps the loop
-// bodies net-zero, so no leak is reported.
+// Acquires in one loop, releases in a second: untracked.
 func loopSplit(tk *Tokens, p *Proc) {
 	for i := 0; i < 4; i++ {
 		tk.Acquire(p, 1)
@@ -136,6 +211,17 @@ func loopSplit(tk *Tokens, p *Proc) {
 	for i := 0; i < 4; i++ {
 		tk.Release(1)
 	}
+}
+
+// A return inside a function literal is the literal's, not the list's.
+func literalReturn(h *holder, p *Proc) {
+	h.mu.Acquire(p)
+	spawn(func() {
+		if cond() {
+			return
+		}
+	})
+	h.mu.Release()
 }
 
 // Suppression carries the leak with a documented reason.

@@ -1,8 +1,8 @@
 // Package vetmod is a seeded-violation fixture: raidvet must report
 // its planted findings and exit nonzero.  The driver test asserts the
 // exact JSON rendering and CI asserts the exit status, so this file
-// must keep exactly one errdrop violation, one stale allow and one
-// %v-formatted error (wrapcheck covers the module root).
+// must keep exactly one errdrop violation, one stale allow, one %v error
+// (wrapcheck covers the module root) and one early return holding a Server.
 package vetmod
 
 import (
@@ -26,3 +26,21 @@ func One() int { return one }
 
 // Mask formats Touch's error with %v: the seeded wrapcheck violation.
 func Mask() error { return fmt.Errorf("vetmod: mask: %v", Touch()) }
+
+// Proc and Server stand in for internal/sim's; pairbalance matches them by
+// type name.
+type Proc struct{}
+type Server struct{}
+
+func (s *Server) Acquire(p *Proc) {}
+func (s *Server) Release()        {}
+
+// Hold returns early with s still held: the seeded pairbalance violation.
+func Hold(s *Server, p *Proc, fail bool) error {
+	s.Acquire(p)
+	if fail {
+		return Touch()
+	}
+	s.Release()
+	return nil
+}

@@ -219,13 +219,13 @@ func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 		return 0, err
 	}
 	defer release()
-	sys.Host.CPUWork(p, sys.Cfg.FSReadOverhead)
+	sys.Host.CPUWork(p, server.FSReadOverhead)
 
 	// Server side: pipeline processes read blocks into XBUS buffers while
 	// the HIPPI source board sends completed blocks to the client; the
 	// client's socket-library copies bound its receive rate.
 	e := sys.Eng
-	chunks := sys.Cfg.Chunks(n)
+	chunks := server.Chunks(n)
 	ready := make([]*sim.Event, len(chunks))
 	errs := make([]error, len(chunks)) // per chunk: the resume offset depends on which one failed
 	g := p.Fork()
@@ -292,9 +292,9 @@ func (fl *File) writeOnce(p *sim.Proc, off int64, n int) (int, error) {
 		return 0, err
 	}
 	defer release()
-	sys.Host.CPUWork(p, sys.Cfg.FSWriteOverhead)
+	sys.Host.CPUWork(p, server.FSWriteOverhead)
 
-	chunks := sys.Cfg.Chunks(n)
+	chunks := server.Chunks(n)
 	// One reusable transfer buffer per request, sized for the largest chunk,
 	// instead of a fresh allocation per chunk.
 	maxChunk := 0

@@ -185,85 +185,31 @@ func (f *File) readAtWithPrefetch(p *sim.Proc, off int64, n int, dst []byte) ([]
 	return out, nil
 }
 
+// readPiece is one block's share of a read.
+type readPiece struct {
+	bufOff int // offset in the result
+	off    int // offset within the block
+	n      int
+}
+
+// readRun is a run of blocks contiguous in the log: one device read.
+type readRun struct {
+	addr     int64 // first block
+	blocks   int
+	members  []readPiece // one per block
+	adjacent bool        // the members are contiguous in the result, too
+}
+
 // readAtRaw is the unprefetched read path.  The result is dst[:n] when dst
 // is non-nil and a fresh buffer otherwise, n being clamped to the file size.
 func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
 	fs := f.fs
 	fs.mu.Acquire(p)
-	in, err := fs.loadInode(p, f.inum)
-	if err != nil {
-		fs.mu.Release()
-		return nil, err
-	}
-	if in.Mode == ModeDir {
-		fs.mu.Release()
-		return nil, ErrIsDir
-	}
-	if off >= in.Size {
-		fs.mu.Release()
-		return nil, nil
-	}
-	if int64(n) > in.Size-off {
-		n = int(in.Size - off)
-	}
-	out := dst
-	if out == nil {
-		out = make([]byte, n)
-	}
-	out = out[:n]
-
-	// Resolve every piece under the lock.  Holes and staged blocks (the
-	// current segment, and sealed segments whose device writes are still in
-	// flight) are settled here and now, by clearing or by copying out of
-	// the segment image; pieces on the device coalesce into runs of blocks
-	// that are contiguous in the log.
-	type piece struct {
-		bufOff int // offset in out
-		off    int // offset within the block
-		n      int
-	}
-	type run struct {
-		addr     int64 // first block
-		blocks   int
-		members  []piece // one per block
-		adjacent bool    // the members are contiguous in out, too
-	}
-	var runs []run
-	for got := 0; got < n; {
-		fb := (off + int64(got)) / BlockSize
-		bo := int((off + int64(got)) % BlockSize)
-		l := BlockSize - bo
-		if l > n-got {
-			l = n - got
-		}
-		addr, err := fs.getBlockAddr(p, in, fb)
-		if err != nil {
-			fs.mu.Release()
-			return nil, err
-		}
-		pc := piece{bufOff: got, off: bo, n: l}
-		got += l
-		if addr == 0 {
-			clear(out[pc.bufOff:got])
-			continue
-		}
-		if b := fs.stagedBlock(addr); b != nil {
-			copy(out[pc.bufOff:got], b[bo:])
-			continue
-		}
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			lp := last.members[len(last.members)-1]
-			if last.addr+int64(last.blocks) == addr && lp.off+lp.n == BlockSize && bo == 0 {
-				last.blocks++
-				last.members = append(last.members, pc)
-				last.adjacent = last.adjacent && lp.bufOff+lp.n == pc.bufOff
-				continue
-			}
-		}
-		runs = append(runs, run{addr: addr, blocks: 1, members: []piece{pc}, adjacent: true})
-	}
+	out, runs, err := fs.resolve(p, f.inum, off, n, dst)
 	fs.mu.Release()
+	if out == nil {
+		return nil, err // an error, or off at or past EOF
+	}
 
 	// Read the runs in parallel.  A run of whole blocks that are adjacent
 	// in the file lands straight in its part of the result; one that starts
@@ -295,8 +241,68 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, err
 		return nil, err
 	}
 	fs.stats.ReadOps++
-	fs.stats.BytesRead += uint64(n)
+	fs.stats.BytesRead += uint64(len(out))
 	return out, nil
+}
+
+// resolve is readAtRaw's work under fs.mu: it clamps n to the file size,
+// makes the result and settles holes and staged blocks (the current segment,
+// and sealed segments whose device writes are still in flight) by clearing
+// or copying out of the segment image; pieces on the device coalesce into
+// runs.  out is nil on an error and when off is at or past EOF.
+func (fs *FS) resolve(p *sim.Proc, inum uint32, off int64, n int, dst []byte) (out []byte, runs []readRun, err error) {
+	in, err := fs.loadInode(p, inum)
+	if err != nil {
+		return nil, nil, err
+	}
+	if in.Mode == ModeDir {
+		return nil, nil, ErrIsDir
+	}
+	if off >= in.Size {
+		return nil, nil, nil
+	}
+	if int64(n) > in.Size-off {
+		n = int(in.Size - off)
+	}
+	out = dst
+	if out == nil {
+		out = make([]byte, n)
+	}
+	out = out[:n]
+	for got := 0; got < n; {
+		fb := (off + int64(got)) / BlockSize
+		bo := int((off + int64(got)) % BlockSize)
+		l := BlockSize - bo
+		if l > n-got {
+			l = n - got
+		}
+		addr, err := fs.getBlockAddr(p, in, fb)
+		if err != nil {
+			return nil, nil, err
+		}
+		pc := readPiece{bufOff: got, off: bo, n: l}
+		got += l
+		if addr == 0 {
+			clear(out[pc.bufOff:got])
+			continue
+		}
+		if b := fs.stagedBlock(addr); b != nil {
+			copy(out[pc.bufOff:got], b[bo:])
+			continue
+		}
+		if len(runs) > 0 {
+			last := &runs[len(runs)-1]
+			lp := last.members[len(last.members)-1]
+			if last.addr+int64(last.blocks) == addr && lp.off+lp.n == BlockSize && bo == 0 {
+				last.blocks++
+				last.members = append(last.members, pc)
+				last.adjacent = last.adjacent && lp.bufOff+lp.n == pc.bufOff
+				continue
+			}
+		}
+		runs = append(runs, readRun{addr: addr, blocks: 1, members: []readPiece{pc}, adjacent: true})
+	}
+	return out, runs, nil
 }
 
 // Truncate discards the file's contents beyond size zero.  (Partial

@@ -35,16 +35,12 @@ func (b *Board) writeDevStreaming(p *sim.Proc, at int64, data []byte) error {
 	return b.Array.WriteStreaming(p, at, data)
 }
 
-// Chunks splits a transfer of size bytes into PipelineChunk-sized work
-// items (256 KB when unset), the last one short.
-func (c Config) Chunks(size int) []int {
-	chunk := c.PipelineChunk
-	if chunk <= 0 {
-		chunk = 256 << 10
-	}
+// Chunks splits a transfer of size bytes into pipeline-buffer-sized work
+// items, the last one short.
+func Chunks(size int) []int {
 	var out []int
-	for ; size > 0; size -= chunk {
-		out = append(out, min(chunk, size))
+	for ; size > 0; size -= pipelineChunk {
+		out = append(out, min(pipelineChunk, size))
 	}
 	return out
 }
@@ -79,7 +75,7 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error
 	defer telemetry.Ensure(p, "hw-read")(&err)
 	e := b.sys.Eng
 	secSize := b.Array.SectorSize()
-	chunks := b.sys.Cfg.Chunks(size)
+	chunks := Chunks(size)
 	ready := make([]*sim.Event, len(chunks))
 	g := p.Fork()
 	cursor := offSectors
@@ -139,13 +135,13 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err erro
 // short result (only at EOF) is shorter than size.
 func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, err error) {
 	defer telemetry.Ensure(p, "fs-read")(&err)
-	b.sys.Host.CPUWork(p, b.sys.Cfg.FSReadOverhead)
+	b.sys.Host.CPUWork(p, FSReadOverhead)
 	g := p.Fork()
-	sem := sim.NewServer(b.sys.Eng, "fsread-pipe", max(1, b.sys.Cfg.PipelineDepth))
+	sem := sim.NewServer(b.sys.Eng, "fsread-pipe", pipelineDepth)
 	out := make([]byte, size)
 	var total int64 // furthest byte delivered into out
 	cursor := off
-	for _, n := range b.sys.Cfg.Chunks(size) {
+	for _, n := range Chunks(size) {
 		at := cursor
 		cursor += int64(n)
 		sem.Acquire(p)
@@ -173,7 +169,7 @@ func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, e
 // buffers and eventually to the array as full segments.
 func (b *Board) FSWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (err error) {
 	defer telemetry.Ensure(p, "fs-write")(&err)
-	b.sys.Host.CPUWork(p, b.sys.Cfg.FSWriteOverhead)
+	b.sys.Host.CPUWork(p, FSWriteOverhead)
 	// One crossbar pass from network buffer to LFS segment buffer.
 	b.XB.Memory.Transfer(p, len(data))
 	_, err = f.File.WriteAt(p, data, off)
@@ -240,14 +236,14 @@ func (b *Board) SmallDiskRead(p *sim.Proc, diskIdx int, lba int64, bytes int) (e
 func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) (err error) {
 	defer telemetry.Ensure(p, "ether-read")(&err)
 	h := b.sys.Host
-	h.CPUWork(p, b.sys.Cfg.FSReadOverhead)
+	h.CPUWork(p, FSReadOverhead)
 	if _, err := f.File.ReadAt(p, off, size); err != nil {
 		return err
 	}
 	// Low-bandwidth path: XBUS -> host VME port -> host memory -> copy ->
 	// Ethernet, pipelined at chunk granularity.
 	g := p.Fork()
-	for _, n := range b.sys.Cfg.Chunks(size) {
+	for _, n := range Chunks(size) {
 		g.Go("ether-chunk", func(q *sim.Proc) error {
 			b.XB.HostTransfer(q, n, true)
 			h.DMAIn(q, n)

@@ -226,7 +226,7 @@ type fsSyncer interface {
 // acknowledging.
 func (b *Board) DurableWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (err error) {
 	defer telemetry.Ensure(p, "small-write")(&err)
-	b.sys.Host.CPUWork(p, b.sys.Cfg.FSWriteOverhead)
+	b.sys.Host.CPUWork(p, FSWriteOverhead)
 	lf, ok := f.File.(fsSyncer)
 	if b.nvlog != nil && ok {
 		if err := b.nvlog.stage(p, lf.Inum(), off, data); err != xbus.ErrNVRAMFull {

@@ -32,6 +32,19 @@ import (
 	"raidii/internal/xbus"
 )
 
+// FSReadOverhead and FSWriteOverhead are the host CPU cost of one file
+// system operation (§3.4: ~4 ms of file system overhead per read, ~3 ms of
+// network and file system overhead per small write).  pipelineDepth is the
+// number of in-flight buffers between the disk array and the HIPPI network
+// on the high-bandwidth path ("LFS may have several pipeline processes
+// issuing read requests"), and pipelineChunk their granularity.
+const (
+	FSReadOverhead  = 4 * time.Millisecond
+	FSWriteOverhead = 3 * time.Millisecond
+	pipelineDepth   = 8
+	pipelineChunk   = 256 << 10
+)
+
 // Config assembles a RAID-II system.
 type Config struct {
 	// Name prefixes every simulation resource the server creates (XBUS
@@ -79,18 +92,6 @@ type Config struct {
 	Host  host.Config
 
 	LFS lfs.Config
-	// FSReadOverhead/FSWriteOverhead are the host CPU cost of one file
-	// system operation (§3.4: ~4 ms of file system overhead per read,
-	// ~3 ms of network and file system overhead per small write).
-	FSReadOverhead  time.Duration
-	FSWriteOverhead time.Duration
-
-	// PipelineDepth is the number of in-flight buffers between the disk
-	// array and the HIPPI network on the high-bandwidth path ("LFS may
-	// have several pipeline processes issuing read requests").
-	PipelineDepth int
-	// PipelineChunk is the buffer granularity of that pipeline.
-	PipelineChunk int
 
 	// CacheBytes carves an XBUS-memory-resident block cache of this size
 	// out of each board's DRAM, consulted by the datapath before array
@@ -145,10 +146,6 @@ func DefaultConfig() Config {
 		HIPPI:             hippi.DefaultConfig(),
 		Host:              host.Sun4280RAIDII(),
 		LFS:               lfs.DefaultConfig(),
-		FSReadOverhead:    4 * time.Millisecond,
-		FSWriteOverhead:   3 * time.Millisecond,
-		PipelineDepth:     8,
-		PipelineChunk:     256 << 10,
 	}
 }
 

@@ -26,7 +26,7 @@ func runMeteredWorkload(t *testing.T) (prom, js string) {
 		if err := task.FormatFS(); err != nil {
 			return err
 		}
-		f, err := task.Create("/wl")
+		f, err := task.Board(0).Create("/wl")
 		if err != nil {
 			return err
 		}
@@ -118,7 +118,7 @@ func TestMetricsSummaryMatchesExport(t *testing.T) {
 		if err := task.FormatFS(); err != nil {
 			return err
 		}
-		f, err := task.Create("/x")
+		f, err := task.Board(0).Create("/x")
 		if err != nil {
 			return err
 		}

@@ -22,7 +22,7 @@ func TestNVRAMThroughPublicAPI(t *testing.T) {
 		if err := task.FormatFS(); err != nil {
 			return err
 		}
-		f, err := task.Create("/durable")
+		f, err := task.Board(0).Create("/durable")
 		if err != nil {
 			return err
 		}
@@ -90,7 +90,7 @@ func TestNVRAMBackpressureThroughPublicAPI(t *testing.T) {
 		if err := task.FormatFS(); err != nil {
 			return err
 		}
-		f, err := task.Create("/burst")
+		f, err := task.Board(0).Create("/burst")
 		if err != nil {
 			return err
 		}

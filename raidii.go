@@ -23,7 +23,7 @@
 //		if err := t.FormatFS(); err != nil {
 //			return err
 //		}
-//		f, err := t.Create("/data/video.raw")
+//		f, err := t.Board(0).Create("/data/video.raw")
 //		if err != nil {
 //			return err
 //		}
@@ -37,10 +37,11 @@
 //		return err
 //	})
 //
-// Every file system operation is available per board through Task.Board;
-// the Task-level methods are conveniences for board 0.  Deterministic
-// hardware faults are scripted with a FaultPlan passed to WithFaultPlan,
-// or injected mid-run through the Board handle.
+// Every file system and hardware operation is per board, through
+// Task.Board; Task itself formats, syncs and checkpoints every board and
+// keeps the simulated clock.  Deterministic hardware faults are scripted
+// with a FaultPlan passed to WithFaultPlan, or injected mid-run through the
+// Board handle.
 //
 // NewCluster scales the same machine out the way §2.1.2 intends: several
 // server hosts on one Ultranet ring, files striped across them with
@@ -49,6 +50,7 @@
 package raidii
 
 import (
+	"fmt"
 	"time"
 
 	"raidii/internal/cache"
@@ -284,7 +286,8 @@ func Fig8Geometry() Option {
 
 // Server is an assembled RAID-II system plus its simulation engine.
 type Server struct {
-	sys *server.System
+	sys  *server.System
+	dead error // the panic that stopped the engine; see simulate
 }
 
 // NewServer assembles a RAID-II server.  With no options this is the
@@ -308,15 +311,37 @@ func (s *Server) Sys() *server.System { return s.sys }
 
 // Simulate runs fn as a simulated process, drives the simulation until all
 // resulting activity completes, and returns the simulated time consumed.
-// It may be called repeatedly; simulated time accumulates.
+// It may be called repeatedly; simulated time accumulates.  A panic in model
+// code (an out-of-range board index, say) stops the machine: this call and
+// every later one return it as an error wrapping the *sim.ProcPanic.
 func (s *Server) Simulate(fn func(t *Task) error) (time.Duration, error) {
-	start := s.sys.Eng.Now()
-	var err error
-	s.sys.Eng.Spawn("task", func(p *sim.Proc) {
-		err = fn(&Task{p: p, sys: s.sys})
+	return simulate(s.sys.Eng, &s.dead, "task", func(p *sim.Proc) error {
+		return fn(&Task{p: p, sys: s.sys})
 	})
-	end := s.sys.Eng.Run()
-	return end.Sub(start), err
+}
+
+// simulate runs body as a process named name on e until e drains.  A panic
+// shuts e down and is latched in *dead, which every later call returns at
+// once: harness.go's scope for an engine that outlives one call.
+func simulate(e *sim.Engine, dead *error, name string, body func(p *sim.Proc) error) (d time.Duration, err error) {
+	if *dead != nil {
+		return 0, *dead
+	}
+	start := e.Now()
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+			return
+		case *sim.ProcPanic:
+			*dead = fmt.Errorf("raidii: simulation stopped: %w", v)
+		default:
+			*dead = fmt.Errorf("raidii: simulation stopped: panic outside any simulated process: %v", v)
+		}
+		e.Shutdown()
+		d, err = e.Now().Sub(start), *dead
+	}()
+	e.Spawn(name, func(p *sim.Proc) { err = body(p) })
+	return e.Run().Sub(start), err
 }
 
 // Now returns the current simulated time.
@@ -324,9 +349,9 @@ func (s *Server) Now() time.Duration { return time.Duration(s.sys.Eng.Now()) }
 
 // Task is the handle model code uses inside Simulate: all file system and
 // data path operations charge simulated time to the calling process.
-// Single-board convenience methods (Create, Open, Mkdir, ...) act on board
-// 0; Board selects any board and exposes the full per-board surface.  In a
-// Cluster, ClusterTask.Server returns one Task per fleet host.
+// Board selects a board and exposes the full per-board surface; the Task
+// methods act on every board at once.  In a Cluster, ClusterTask.Server
+// returns one Task per fleet host.
 type Task struct {
 	p   *sim.Proc
 	sys *server.System
@@ -337,88 +362,33 @@ func (t *Task) Board(i int) *Board {
 	return &Board{t: t, b: t.sys.Boards[i]}
 }
 
-// NumBoards returns the number of XBUS boards in the server.  (Renamed
-// from Boards to keep the count distinct from the Board(i) handle.)
+// NumBoards returns the number of XBUS boards in the server.
 func (t *Task) NumBoards() int { return len(t.sys.Boards) }
 
-// FormatFS creates the LFS on every board.
-func (t *Task) FormatFS() error {
-	for i := 0; i < t.NumBoards(); i++ {
-		if err := t.Board(i).FormatFS(); err != nil {
+// everyBoard applies op to each board in turn, stopping at the first error.
+func (t *Task) everyBoard(op func(*Board) error) error {
+	for i := range t.sys.Boards {
+		if err := op(t.Board(i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Create makes a new file on board 0 and returns a handle.
-func (t *Task) Create(path string) (*File, error) { return t.Board(0).Create(path) }
-
-// Open opens an existing file on board 0.
-func (t *Task) Open(path string) (*File, error) { return t.Board(0).Open(path) }
-
-// Mkdir creates a directory on board 0's file system.
-func (t *Task) Mkdir(path string) error { return t.Board(0).Mkdir(path) }
-
-// Remove unlinks a file or empty directory on board 0.
-func (t *Task) Remove(path string) error { return t.Board(0).Remove(path) }
-
-// Rename moves a file or directory on board 0.
-func (t *Task) Rename(oldPath, newPath string) error {
-	return t.Board(0).Rename(oldPath, newPath)
-}
-
-// ReadDir lists a directory on board 0.
-func (t *Task) ReadDir(path string) ([]lfs.DirEntry, error) {
-	return t.Board(0).ReadDir(path)
-}
-
-// Stat describes a path on board 0.
-func (t *Task) Stat(path string) (lfs.FileInfo, error) {
-	return t.Board(0).Stat(path)
-}
-
-// Clean runs the segment cleaner on board 0 until target free segments.
-func (t *Task) Clean(target int) (int, error) { return t.Board(0).Clean(target) }
+// FormatFS creates the LFS on every board.
+func (t *Task) FormatFS() error { return t.everyBoard((*Board).FormatFS) }
 
 // Sync makes all completed operations durable on every board.
-func (t *Task) Sync() error {
-	for i := 0; i < t.NumBoards(); i++ {
-		if err := t.Board(i).Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (t *Task) Sync() error { return t.everyBoard((*Board).Sync) }
 
 // Checkpoint writes an LFS checkpoint on every board.
-func (t *Task) Checkpoint() error {
-	for i := 0; i < t.NumBoards(); i++ {
-		if err := t.Board(i).Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (t *Task) Checkpoint() error { return t.everyBoard((*Board).Checkpoint) }
 
 // Wait advances simulated time.
 func (t *Task) Wait(d time.Duration) { t.p.Wait(d) }
 
 // Elapsed returns simulated time since the start of the simulation.
 func (t *Task) Elapsed() time.Duration { return time.Duration(t.p.Now()) }
-
-// HardwareRead performs the raw high-bandwidth-path read of §2.3 on board 0.
-func (t *Task) HardwareRead(offsetBytes int64, size int) error {
-	return t.Board(0).HardwareRead(offsetBytes, size)
-}
-
-// HardwareWrite performs the raw high-bandwidth-path write of §2.3 on board 0.
-func (t *Task) HardwareWrite(offsetBytes int64, size int) error {
-	return t.Board(0).HardwareWrite(offsetBytes, size)
-}
-
-// ArrayCapacity returns the logical capacity in bytes of board 0's array.
-func (t *Task) ArrayCapacity() int64 { return t.Board(0).ArrayCapacity() }
 
 // Board is the per-board handle: the full file system surface, the raw
 // hardware data paths, and fault injection/recovery for the board's array.

@@ -16,10 +16,10 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		if err := task.FormatFS(); err != nil {
 			return err
 		}
-		if err := task.Mkdir("/d"); err != nil {
+		if err := task.Board(0).Mkdir("/d"); err != nil {
 			return err
 		}
-		f, err := task.Create("/d/file")
+		f, err := task.Board(0).Create("/d/file")
 		if err != nil {
 			return err
 		}
@@ -43,21 +43,21 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		if dur <= 0 {
 			t.Error("read took no simulated time")
 		}
-		ents, err := task.ReadDir("/d")
+		ents, err := task.Board(0).ReadDir("/d")
 		if err != nil {
 			return err
 		}
 		if len(ents) != 1 || ents[0].Name != "file" {
 			t.Errorf("ReadDir = %v", ents)
 		}
-		fi, err := task.Stat("/d/file")
+		fi, err := task.Board(0).Stat("/d/file")
 		if err != nil {
 			return err
 		}
 		if fi.Size != n {
 			t.Errorf("Stat size = %d", fi.Size)
 		}
-		return task.Remove("/d/file")
+		return task.Board(0).Remove("/d/file")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +119,10 @@ func TestHardwareOpsViaPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	dur, err := srv.Simulate(func(task *Task) error {
-		if err := task.HardwareWrite(0, 1<<20); err != nil {
+		if err := task.Board(0).HardwareWrite(0, 1<<20); err != nil {
 			return err
 		}
-		return task.HardwareRead(0, 1<<20)
+		return task.Board(0).HardwareRead(0, 1<<20)
 	})
 	if err != nil {
 		t.Fatal(err)
