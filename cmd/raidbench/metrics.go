@@ -16,8 +16,8 @@ import (
 // writes one Prometheus text exposition section per run, each series
 // carrying a run="<label>" label.  -metrics-json writes the same data as
 // versioned JSON, sampler time series included.  Both outputs use
-// simulated time only and are byte-identical across runs; CI's
-// metrics-determinism test and the promcheck smoke step rely on that.
+// simulated time only and are byte-identical across runs; the metrics pin
+// and determinism tests rely on that.
 
 // samplerInterval is the gauge-sampling period, in simulated time.
 const samplerInterval = 250 * time.Millisecond
@@ -54,10 +54,7 @@ func writeMetricsProm(path string) error {
 				werr = err
 			}
 		}
-		err := telemetry.WritePrometheus(f, mr.reg, telemetry.ExportOptions{
-			Label:       mr.label,
-			ConstLabels: []telemetry.Label{{Key: "run", Value: mr.label}},
-		})
+		err := telemetry.WritePrometheus(f, mr.reg, telemetry.ExportOptions{Run: mr.label})
 		if err != nil && werr == nil {
 			werr = err
 		}
@@ -81,7 +78,7 @@ type metricsJSONReport struct {
 func writeMetricsJSON(path string) error {
 	rep := metricsJSONReport{Schema: telemetry.JSONSchema, Runs: []telemetry.JSONExport{}}
 	for _, mr := range metricsRuns {
-		rep.Runs = append(rep.Runs, telemetry.Export(mr.reg, telemetry.ExportOptions{Label: mr.label}))
+		rep.Runs = append(rep.Runs, telemetry.Export(mr.reg, telemetry.ExportOptions{Run: mr.label}))
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -86,7 +86,7 @@ func main() {
 			st.mu.Lock()
 			defer st.mu.Unlock()
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := telemetry.WritePrometheus(w, reg, telemetry.ExportOptions{Label: "raidfsd"}); err != nil {
+			if err := telemetry.WritePrometheus(w, reg, telemetry.ExportOptions{}); err != nil {
 				log.Printf("raidfsd: metrics: %v", err)
 			}
 		})

@@ -131,15 +131,16 @@ func runFleetFaultWorkload(t *testing.T) (chrome, table, prom, telemJSON string)
 	if err := trace.WriteChrome(&cb, rec); err != nil {
 		t.Fatal(err)
 	}
-	opts := telemetry.ExportOptions{Label: "fleet-det"}
-	var pb, jb bytes.Buffer
+	opts := telemetry.ExportOptions{Run: "fleet-det"}
+	var pb bytes.Buffer
 	if err := telemetry.WritePrometheus(&pb, reg, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := telemetry.WriteJSON(&jb, reg, opts); err != nil {
+	jb, err := json.MarshalIndent(telemetry.Export(reg, opts), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return cb.String(), rec.Table(0), pb.String(), jb.String()
+	return cb.String(), rec.Table(0), pb.String(), string(jb)
 }
 
 // TestFleetDeterministic runs the same scripted multi-server workload —

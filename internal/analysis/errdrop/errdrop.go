@@ -19,8 +19,11 @@
 //     way; in library code the same token hides a fault path.
 //
 // Exempt callees: the fmt print family (diagnostic output; wire-bound
-// writers surface errors at Flush, which is checked) and methods on
-// bytes.Buffer and strings.Builder (documented to never fail).
+// writers surface errors at Flush, which is checked), methods on
+// bytes.Buffer and strings.Builder (documented to never fail), and the
+// Write, WriteString, WriteByte and WriteRune methods of *bufio.Writer
+// (its error is sticky: a failed write makes every later one a no-op, and
+// Flush, which stays checked, reports it).
 package errdrop
 
 import (
@@ -85,7 +88,8 @@ func errorResults(pass *framework.Pass, call *ast.CallExpr) (idx []int, total in
 }
 
 // exempt reports whether the callee belongs to the documented exemption
-// list: fmt's print family, and the never-failing buffer writers.
+// list: fmt's print family, the never-failing buffer writers, and
+// bufio.Writer's sticky writes.
 func exempt(pass *framework.Pass, call *ast.CallExpr) bool {
 	// Type conversions are CallExprs too.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
@@ -113,10 +117,14 @@ func exempt(pass *framework.Pass, call *ast.CallExpr) bool {
 			recv = p.Elem()
 		}
 		if named, ok := recv.(*types.Named); ok && named.Obj().Pkg() != nil {
-			pkg := named.Obj().Pkg().Path()
-			name := named.Obj().Name()
-			if (pkg == "bytes" && name == "Buffer") || (pkg == "strings" && name == "Builder") {
+			switch named.Obj().Pkg().Path() + "." + named.Obj().Name() {
+			case "bytes.Buffer", "strings.Builder":
 				return true
+			case "bufio.Writer":
+				switch sel.Sel.Name {
+				case "Write", "WriteString", "WriteByte", "WriteRune":
+					return true
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@
 package a
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -54,6 +55,14 @@ func join(g *group) error {
 
 func concrete() {
 	makeCustom() // want `result of makeCustom discards its error`
+}
+
+// bufio.Writer's write errors are sticky and surface at Flush, so only the
+// Flush must be checked.
+func buffered(bw *bufio.Writer) {
+	bw.WriteString("x")
+	bw.WriteByte('x')
+	bw.Flush() // want `result of bw.Flush discards its error`
 }
 
 func allowed() {

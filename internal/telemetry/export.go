@@ -2,103 +2,104 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
+	"strings"
 )
 
-// This file implements the two metric exporters.  Both iterate series in
-// sorted (name, labels) order — never raw map order — and format numbers
-// with fixed rules (integers for counts and nanoseconds, strconv 'g' for
-// gauges), so identical runs export byte-identical documents.  The
-// regression test at the repo root (metrics_determinism_test.go) holds
-// them to that.
+// This file implements the two metric exporters.  Both walk the families
+// table below and, within a family, the kinds by name and each kind's
+// stages by name — never raw map order — and every exported value is an
+// integer (a count, a gauge of requests, or nanoseconds), so identical runs
+// export byte-identical documents.  The regression tests at
+// the repo root (metrics_pin_test.go, metrics_determinism_test.go) hold them
+// to that.
 
 // ExportOptions adjusts an export.
 type ExportOptions struct {
-	// Label names the exported run; it becomes the JSON document's label
-	// field and a leading comment in the Prometheus text.
-	Label string
-	// ConstLabels are merged into every exported series — raidbench uses
-	// run="<experiment label>" so series from different runs stay distinct
-	// when concatenated into one exposition.
-	ConstLabels []Label
+	// Run names the exported run.  It becomes the JSON document's label
+	// field and, in the Prometheus text, a leading comment and a run label
+	// on every series, so the sections of several runs stay distinct when
+	// concatenated into one exposition.
+	Run string
 }
 
-// familyKind is a Prometheus metric type.
-type familyKind string
-
-const (
-	kindCounter   familyKind = "counter"
-	kindGauge     familyKind = "gauge"
-	kindHistogram familyKind = "histogram"
-)
-
-// help maps known metric names to their HELP text.  Unknown names export
-// without a HELP line, which the exposition format permits.
-var help = map[string]string{
-	metricRequests:     "Completed requests by kind.",
-	metricFailed:       "Requests that completed with an error.",
-	metricDegraded:     "Requests served over a degraded (reconstruct) path.",
-	metricRetried:      "Requests that needed at least one retry.",
-	metricShed:         "Requests refused at least once by admission control.",
-	metricDuration:     "End-to-end request latency in nanoseconds.",
-	metricStageNS:      "Cumulative exclusive per-stage time in nanoseconds.",
-	metricCacheHits:    "Cache line hits observed by requests.",
-	metricCacheMisses:  "Cache line misses observed by requests.",
-	metricRetriesTotal: "Total retry attempts across requests.",
-	metricInflight:     "Requests currently in flight.",
+// family is one exported metric family.
+type family struct {
+	name, typ, help string
+	count           func(*kindStats) uint64 // a per-kind counter's value; nil for the rest
 }
 
-// mergeLabels combines a series' labels with the export's const labels,
-// sorted by key.
-func mergeLabels(labels, extra []Label) []Label {
-	if len(extra) == 0 {
-		return labels
+// families is every exported family, in export order: the counters by
+// name, then the gauge, then the histogram.
+var families = [...]family{
+	{"raidii_request_cache_hits_total", "counter", "Cache line hits observed by requests.", func(s *kindStats) uint64 { return s.hits }},
+	{"raidii_request_cache_misses_total", "counter", "Cache line misses observed by requests.", func(s *kindStats) uint64 { return s.misses }},
+	{"raidii_request_retries_total", "counter", "Total retry attempts across requests.", func(s *kindStats) uint64 { return s.retries }},
+	{"raidii_request_stage_ns_total", "counter", "Cumulative exclusive per-stage time in nanoseconds.", nil},
+	{"raidii_requests_degraded_total", "counter", "Requests served over a degraded (reconstruct) path.", func(s *kindStats) uint64 { return s.degraded }},
+	{"raidii_requests_failed_total", "counter", "Requests that completed with an error.", func(s *kindStats) uint64 { return s.failed }},
+	{"raidii_requests_retried_total", "counter", "Requests that needed at least one retry.", func(s *kindStats) uint64 { return s.retried }},
+	{"raidii_requests_shed_total", "counter", "Requests refused at least once by admission control.", func(s *kindStats) uint64 { return s.shed }},
+	{"raidii_requests_total", "counter", "Completed requests by kind.", func(s *kindStats) uint64 { return s.duration.N() }},
+	{"raidii_requests_inflight", "gauge", "Requests currently in flight.", nil},
+	{"raidii_request_duration_ns", "histogram", "End-to-end request latency in nanoseconds.", nil},
+}
+
+// stageNames are the stage labels in the order a kind's stage series export.
+var stageNames = slices.Sorted(slices.Values(categories[:numStages]))
+
+// walk calls fn for every series that exists, in export order.  A counter
+// series exists once it is nonzero, a kind's histogram once the kind has
+// ended a request, and the gauge once any request has begun.  kind and stage
+// are empty where the family has no such label; v is a counter's or the
+// gauge's value, h the histogram.
+func (r *Registry) walk(fn func(f *family, kind, stage string, v uint64, h *Histogram)) {
+	kinds := slices.Sorted(maps.Keys(r.kinds))
+	for i := range families {
+		f := &families[i]
+		if f.typ == "gauge" {
+			if r.begun {
+				fn(f, "", "", r.inflight, nil)
+			}
+			continue
+		}
+		for _, kind := range kinds {
+			s := r.kinds[kind]
+			switch {
+			case f.typ == "histogram":
+				fn(f, kind, "", 0, &s.duration)
+			case f.count == nil: // the stage counter: one series per stage
+				for _, stage := range stageNames {
+					if d := s.stages[stageOf(stage)]; d > 0 {
+						fn(f, kind, stage, uint64(d), nil)
+					}
+				}
+			default:
+				if v := f.count(s); v > 0 {
+					fn(f, kind, "", v, nil)
+				}
+			}
+		}
 	}
-	out := make([]Label, 0, len(labels)+len(extra))
-	out = append(out, labels...)
-	out = append(out, extra...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
-// labelBlock renders {k="v",...} for a sample line, empty for no labels.
-func labelBlock(labels []Label) string {
-	if len(labels) == 0 {
+// labelBlock renders {k="v",...} for a sample line, keys in order and empty
+// values left out; it is empty when every value is.
+func labelBlock(kind, le, run, stage string) string {
+	var pairs []string
+	for _, l := range [...][2]string{{"kind", kind}, {"le", le}, {"run", run}, {"stage", stage}} {
+		if l[1] != "" {
+			pairs = append(pairs, l[0]+`="`+l[1]+`"`)
+		}
+	}
+	if pairs == nil {
 		return ""
 	}
-	return seriesID("", labels)
-}
-
-// withLE appends an le label (histogram bucket bound) to rendered labels.
-func withLE(labels []Label, le string) string {
-	all := make([]Label, 0, len(labels)+1)
-	all = append(all, labels...)
-	all = append(all, Label{Key: "le", Value: le})
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	return seriesID("", all)
-}
-
-// collect returns the registry's series of one kind, grouped into families
-// sorted by metric name, each family's series sorted by label string.
-func collectFamilies[V any](m map[string]V, name func(V) string, labels func(V) []Label) ([]string, map[string][]V) {
-	fams := map[string][]V{}
-	for _, id := range sortedKeys(m) {
-		v := m[id]
-		fams[name(v)] = append(fams[name(v)], v)
-	}
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	// Within a family the insertion order came from sorted series ids,
-	// which sort by (name, label-block) already.
-	_ = labels
-	return names, fams
+	return "{" + strings.Join(pairs, ",") + "}"
 }
 
 // WritePrometheus writes the registry in Prometheus text exposition format
@@ -109,47 +110,28 @@ func WritePrometheus(w io.Writer, r *Registry, opts ExportOptions) error {
 	bw := bufio.NewWriter(w)
 	// bufio errors are sticky: every write after a failure is a no-op and
 	// the final Flush reports the first error.
-	if opts.Label != "" {
-		fmt.Fprintf(bw, "# raidii telemetry: %s\n", opts.Label)
+	if opts.Run != "" {
+		fmt.Fprintf(bw, "# raidii telemetry: %s\n", opts.Run)
 	}
 	fmt.Fprintf(bw, "# sim_time_ns %d\n", int64(r.eng.Now()))
-
-	emitHeader := func(name string, kind familyKind) {
-		if h, ok := help[name]; ok {
-			fmt.Fprintf(bw, "# HELP %s %s\n", name, h)
+	var last *family
+	r.walk(func(f *family, kind, stage string, v uint64, h *Histogram) {
+		if f != last {
+			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+			last = f
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", name, kind)
-	}
-
-	names, cfams := collectFamilies(r.counters, func(c *Counter) string { return c.name }, func(c *Counter) []Label { return c.labels })
-	for _, n := range names {
-		emitHeader(n, kindCounter)
-		for _, c := range cfams[n] {
-			fmt.Fprintf(bw, "%s%s %s\n", n, labelBlock(mergeLabels(c.labels, opts.ConstLabels)),
-				strconv.FormatUint(c.v, 10))
-		}
-	}
-	names, gfams := collectFamilies(r.gauges, func(g *Gauge) string { return g.name }, func(g *Gauge) []Label { return g.labels })
-	for _, n := range names {
-		emitHeader(n, kindGauge)
-		for _, g := range gfams[n] {
-			fmt.Fprintf(bw, "%s%s %s\n", n, labelBlock(mergeLabels(g.labels, opts.ConstLabels)),
-				strconv.FormatFloat(g.v, 'g', -1, 64))
-		}
-	}
-	names, hfams := collectFamilies(r.hists, func(h *Histogram) string { return h.name }, func(h *Histogram) []Label { return h.labels })
-	for _, n := range names {
-		emitHeader(n, kindHistogram)
-		for _, h := range hfams[n] {
-			labels := mergeLabels(h.labels, opts.ConstLabels)
+		switch f.typ {
+		case "counter", "gauge":
+			fmt.Fprintf(bw, "%s%s %d\n", f.name, labelBlock(kind, "", opts.Run, stage), v)
+		case "histogram":
 			for _, b := range h.Buckets() {
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", n, withLE(labels, strconv.FormatInt(b.LE, 10)), b.Count)
+				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, labelBlock(kind, strconv.FormatInt(b.LE, 10), opts.Run, ""), b.Count)
 			}
-			fmt.Fprintf(bw, "%s_bucket%s %d\n", n, withLE(labels, "+Inf"), h.count)
-			fmt.Fprintf(bw, "%s_sum%s %d\n", n, labelBlock(labels), h.sum)
-			fmt.Fprintf(bw, "%s_count%s %d\n", n, labelBlock(labels), h.count)
+			fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, labelBlock(kind, "+Inf", opts.Run, ""), h.count)
+			fmt.Fprintf(bw, "%s_sum%s %d\n", f.name, labelBlock(kind, "", opts.Run, ""), h.sum)
+			fmt.Fprintf(bw, "%s_count%s %d\n", f.name, labelBlock(kind, "", opts.Run, ""), h.count)
 		}
-	}
+	})
 	return bw.Flush()
 }
 
@@ -220,83 +202,55 @@ type JSONExport struct {
 	Series     []JSONSeries    `json:"series,omitempty"`
 }
 
-// jsonLabels converts a label list (plus const labels) to the map form.
-func jsonLabels(labels, extra []Label) JSONLabels {
-	all := mergeLabels(labels, extra)
-	if len(all) == 0 {
-		return nil
-	}
-	out := make(JSONLabels, len(all))
-	for _, l := range all {
-		out[l.Key] = l.Value
-	}
-	return out
-}
-
-// Export builds the registry's JSON document.  Series appear in sorted
-// (name, labels) order; sampler series in first-appearance order.
+// Export builds the registry's JSON document.  The run is the document's
+// label, not a label of its series.  The sampled in-flight gauge is the one
+// time series.
 func Export(r *Registry, opts ExportOptions) JSONExport {
 	out := JSONExport{
 		Schema:     JSONSchema,
-		Label:      opts.Label,
+		Label:      opts.Run,
 		SimTimeNs:  int64(r.eng.Now()),
 		Counters:   []JSONCounter{},
 		Gauges:     []JSONGauge{},
 		Histograms: []JSONHistogram{},
 	}
-	for _, id := range sortedKeys(r.counters) {
-		c := r.counters[id]
-		out.Counters = append(out.Counters, JSONCounter{
-			Name: c.name, Labels: jsonLabels(c.labels, opts.ConstLabels), Value: c.v,
-		})
-	}
-	for _, id := range sortedKeys(r.gauges) {
-		g := r.gauges[id]
-		out.Gauges = append(out.Gauges, JSONGauge{
-			Name: g.name, Labels: jsonLabels(g.labels, opts.ConstLabels), Value: g.v,
-		})
-	}
-	for _, id := range sortedKeys(r.hists) {
-		h := r.hists[id]
-		jh := JSONHistogram{
-			Name:   h.name,
-			Labels: jsonLabels(h.labels, opts.ConstLabels),
-			Count:  h.count,
-			SumNs:  h.sum,
-			MinNs:  int64(h.Min()),
-			MaxNs:  int64(h.Max()),
-			P50Ns:  int64(h.Quantile(0.50)),
-			P99Ns:  int64(h.Quantile(0.99)),
-			P999Ns: int64(h.Quantile(0.999)),
+	r.walk(func(f *family, kind, stage string, v uint64, h *Histogram) {
+		var labels JSONLabels
+		if kind != "" {
+			labels = JSONLabels{"kind": kind}
+			if stage != "" {
+				labels["stage"] = stage
+			}
 		}
-		jh.Buckets = make([]JSONBucket, 0, 8)
-		for _, b := range h.Buckets() {
-			jh.Buckets = append(jh.Buckets, JSONBucket{LeNs: b.LE, Count: b.Count})
+		switch f.typ {
+		case "counter":
+			out.Counters = append(out.Counters, JSONCounter{Name: f.name, Labels: labels, Value: v})
+		case "gauge":
+			out.Gauges = append(out.Gauges, JSONGauge{Name: f.name, Value: float64(v)})
+			if s := r.sampler; s != nil && len(s.points) > 0 {
+				out.Series = []JSONSeries{{Name: f.name, Points: s.points}}
+			}
+		case "histogram":
+			jh := JSONHistogram{
+				Name:    f.name,
+				Labels:  labels,
+				Count:   h.count,
+				SumNs:   h.sum,
+				MinNs:   int64(h.Min()),
+				MaxNs:   int64(h.Max()),
+				P50Ns:   int64(h.Quantile(0.50)),
+				P99Ns:   int64(h.Quantile(0.99)),
+				P999Ns:  int64(h.Quantile(0.999)),
+				Buckets: []JSONBucket{},
+			}
+			for _, b := range h.Buckets() {
+				jh.Buckets = append(jh.Buckets, JSONBucket{LeNs: b.LE, Count: b.Count})
+			}
+			out.Histograms = append(out.Histograms, jh)
 		}
-		out.Histograms = append(out.Histograms, jh)
-	}
+	})
 	if s := r.sampler; s != nil {
 		out.IntervalNs = int64(s.interval)
-		for _, sr := range s.SeriesList() {
-			js := JSONSeries{Name: sr.Name, Points: make([]JSONPoint, 0, len(sr.Points))}
-			for _, pt := range sr.Points {
-				js.Points = append(js.Points, JSONPoint{AtNs: int64(pt.At), Value: pt.Value})
-			}
-			out.Series = append(out.Series, js)
-		}
 	}
 	return out
-}
-
-// WriteJSON writes the registry's JSON export, indented, with a trailing
-// newline.
-func WriteJSON(w io.Writer, r *Registry, opts ExportOptions) error {
-	data, err := json.MarshalIndent(Export(r, opts), "", "  ")
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("telemetry: write json export: %w", err)
-	}
-	return nil
 }

@@ -20,9 +20,6 @@ const histBuckets = 64
 // linear interpolation, exact to within a factor-2 bucket width and
 // clamped to the observed min/max.
 type Histogram struct {
-	name   string
-	labels []Label
-
 	count   uint64
 	sum     int64 // nanoseconds
 	min     sim.Duration

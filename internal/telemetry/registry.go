@@ -1,61 +1,27 @@
 package telemetry
 
-import (
-	"sort"
-	"strings"
+import "raidii/internal/sim"
 
-	"raidii/internal/sim"
-)
-
-// Label is one metric label pair.
-type Label struct {
-	Key, Value string
+// kindStats is the fixed record one request kind accumulates: End folds
+// each request of the kind into it, and Summary and both exporters read it.
+// The latency histogram's count is the kind's completed requests.
+type kindStats struct {
+	failed, degraded, retried, shed uint64 // requests with that outcome
+	hits, misses, retries           uint64 // summed over the kind's requests
+	stages                          [numStages]sim.Duration
+	duration                        Histogram
 }
-
-// Counter is a monotonically increasing uint64.  Counters that carry
-// durations store nanoseconds (their names end in _ns_total), so export
-// formatting stays integer-exact.
-type Counter struct {
-	name   string
-	labels []Label
-	v      uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous float64 value.
-type Gauge struct {
-	name   string
-	labels []Label
-	v      float64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the value by d (negative d decrements).
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Registry holds one engine's metrics.  Create or fetch one with Attach;
-// model code reaches it through From(p.Engine()) and every accessor
-// get-or-creates, so instrumentation never fails.  All methods must be
+// model code reaches it through From(p.Engine()), and every instrumentation
+// helper is nil-safe, so instrumentation never fails.  All methods must be
 // called under the engine's single-threaded discipline (from simulated
 // processes, sampler callbacks, or between runs).
 type Registry struct {
 	eng      *sim.Engine
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	kinds    map[string]*kindStats // a kind appears at its first End
+	inflight uint64                // requests begun and not yet ended
+	begun    bool                  // a request has begun: the gauge exists
 	sampler  *Sampler
 }
 
@@ -67,12 +33,7 @@ func Attach(e *sim.Engine) *Registry {
 	if r, ok := e.Meter().(*Registry); ok && r != nil {
 		return r
 	}
-	r := &Registry{
-		eng:      e,
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-	}
+	r := &Registry{eng: e, kinds: map[string]*kindStats{}}
 	e.SetMeter(r)
 	return r
 }
@@ -85,109 +46,28 @@ func From(e *sim.Engine) *Registry {
 	return r
 }
 
-// Engine returns the engine this registry observes.
-func (r *Registry) Engine() *sim.Engine { return r.eng }
-
-// labelsOf pairs up a variadic key/value list.  A trailing key without a
-// value gets the empty string; pairs are sorted by key so the same label
-// set always forms the same series regardless of argument order.
-func labelsOf(kv []string) []Label {
-	if len(kv) == 0 {
-		return nil
-	}
-	out := make([]Label, 0, (len(kv)+1)/2)
-	for i := 0; i < len(kv); i += 2 {
-		l := Label{Key: kv[i]}
-		if i+1 < len(kv) {
-			l.Value = kv[i+1]
-		}
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// Sampler records the in-flight gauge at a fixed simulated interval.  It is
+// driven passively by the engine's sampler hook (sim.Engine.AddSampler):
+// ticks fire from the event loop when simulated time crosses an interval
+// boundary, never by scheduling events, so sampling cannot perturb the run
+// and the engine still drains normally.
+type Sampler struct {
+	interval sim.Duration
+	points   []JSONPoint // one per tick since the first request began
 }
 
-// seriesID renders the canonical series identity: name{k="v",...} with
-// labels already sorted by key.  It doubles as the series name in sampler
-// time series and JSON export.
-func seriesID(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
+// StartSampler creates (or returns the already-running) sampler ticking
+// every interval of simulated time.  The first call fixes the interval;
+// later calls return the same sampler regardless of the argument.
+func (r *Registry) StartSampler(interval sim.Duration) *Sampler {
+	if r.sampler == nil {
+		s := &Sampler{interval: interval}
+		r.sampler = s
+		r.eng.AddSampler(interval, func(at sim.Time) {
+			if r.begun {
+				s.points = append(s.points, JSONPoint{AtNs: int64(at), Value: float64(r.inflight)})
+			}
+		})
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(l.Value)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// Counter get-or-creates the counter series name{kv...}.
-func (r *Registry) Counter(name string, kv ...string) *Counter {
-	labels := labelsOf(kv)
-	id := seriesID(name, labels)
-	if c, ok := r.counters[id]; ok {
-		return c
-	}
-	c := &Counter{name: name, labels: labels}
-	r.counters[id] = c
-	return c
-}
-
-// Gauge get-or-creates the gauge series name{kv...}.
-func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	labels := labelsOf(kv)
-	id := seriesID(name, labels)
-	if g, ok := r.gauges[id]; ok {
-		return g
-	}
-	g := &Gauge{name: name, labels: labels}
-	r.gauges[id] = g
-	return g
-}
-
-// Histogram get-or-creates the histogram series name{kv...}.
-func (r *Registry) Histogram(name string, kv ...string) *Histogram {
-	labels := labelsOf(kv)
-	id := seriesID(name, labels)
-	if h, ok := r.hists[id]; ok {
-		return h
-	}
-	h := &Histogram{name: name, labels: labels}
-	r.hists[id] = h
-	return h
-}
-
-// peekCounter returns the series' value without creating it, so report
-// helpers (Summary) never grow the export set as a side effect.
-func (r *Registry) peekCounter(name string, kv ...string) uint64 {
-	if c, ok := r.counters[seriesID(name, labelsOf(kv))]; ok {
-		return c.v
-	}
-	return 0
-}
-
-// peekHistogram returns the series without creating it (nil if absent).
-func (r *Registry) peekHistogram(name string, kv ...string) *Histogram {
-	return r.hists[seriesID(name, labelsOf(kv))]
-}
-
-// sortedKeys returns m's keys in sorted order — the only way this package
-// ever iterates a metrics map, so no export or sample depends on Go's
-// randomized map order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return r.sampler
 }

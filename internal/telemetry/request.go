@@ -9,7 +9,7 @@ import (
 // This file implements the request-scoped context: one *Request rides a
 // simulated process (and, via Follow, the worker processes forked on its
 // behalf) from the moment a client or datapath entry point begins it until
-// End folds its latency, stage breakdown and outcomes into the registry.
+// End folds its latency, stage breakdown and outcomes into its kind's record.
 //
 // Stage accounting is fed by Proc.Span — the same call that feeds the
 // trace.  The process's scope is its sim.SpanScope: when a span whose
@@ -19,21 +19,6 @@ import (
 // inside a raid span splits the time instead of double-counting it.  Worker
 // processes the request follows account for themselves against the shared
 // Request, so overlapping legs each record their true work.
-
-// Metric names recorded at End.  All durations are integer nanoseconds.
-const (
-	metricRequests     = "raidii_requests_total"
-	metricFailed       = "raidii_requests_failed_total"
-	metricDegraded     = "raidii_requests_degraded_total"
-	metricRetried      = "raidii_requests_retried_total"
-	metricShed         = "raidii_requests_shed_total"
-	metricDuration     = "raidii_request_duration_ns"
-	metricStageNS      = "raidii_request_stage_ns_total"
-	metricCacheHits    = "raidii_request_cache_hits_total"
-	metricCacheMisses  = "raidii_request_cache_misses_total"
-	metricRetriesTotal = "raidii_request_retries_total"
-	metricInflight     = "raidii_requests_inflight"
-)
 
 // Request accumulates one in-flight request's telemetry.  A nil *Request
 // is valid and inert, so callers never need to check whether telemetry is
@@ -140,7 +125,8 @@ func Begin(p *sim.Proc, kind string) *Request {
 	}
 	r := &Request{reg: reg, kind: kind, start: p.Now()}
 	p.SetMeterContext(&scope{req: r, p: p, since: p.Now()})
-	reg.Gauge(metricInflight).Add(1)
+	reg.inflight++
+	reg.begun = true
 	return r
 }
 
@@ -186,49 +172,37 @@ func (up *scope) Follow(worker *sim.Proc) func() {
 	return sc.release
 }
 
-// CacheHit notes one cache line hit for p's request.
-func CacheHit(p *sim.Proc) {
+// mark applies an outcome to p's live request, if it has one.
+func mark(p *sim.Proc, note func(r *Request)) {
 	if r := reqOf(p); r != nil {
-		r.hits++
+		note(r)
 	}
 }
 
+// CacheHit notes one cache line hit for p's request.
+func CacheHit(p *sim.Proc) { mark(p, func(r *Request) { r.hits++ }) }
+
 // CacheMiss notes one cache line miss for p's request.
-func CacheMiss(p *sim.Proc) {
-	if r := reqOf(p); r != nil {
-		r.misses++
-	}
-}
+func CacheMiss(p *sim.Proc) { mark(p, func(r *Request) { r.misses++ }) }
 
 // MarkDegraded notes that p's request was served over a degraded
 // (reconstruct-from-parity or mirror-fallback) path.
-func MarkDegraded(p *sim.Proc) {
-	if r := reqOf(p); r != nil {
-		r.degraded = true
-	}
-}
+func MarkDegraded(p *sim.Proc) { mark(p, func(r *Request) { r.degraded = true }) }
 
 // MarkRetried notes one retry attempt (client resend or SCSI reissue) on
 // behalf of p's request.
-func MarkRetried(p *sim.Proc) {
-	if r := reqOf(p); r != nil {
-		r.retries++
-	}
-}
+func MarkRetried(p *sim.Proc) { mark(p, func(r *Request) { r.retries++ }) }
 
 // MarkShed notes that an attempt of p's request was refused by admission
 // control.
-func MarkShed(p *sim.Proc) {
-	if r := reqOf(p); r != nil {
-		r.shed = true
-	}
-}
+func MarkShed(p *sim.Proc) { mark(p, func(r *Request) { r.shed = true }) }
 
-// End completes the request at p's current time: the end-to-end duration
-// feeds the kind's latency histogram, stage times feed per-stage counters,
-// and outcomes feed their counters.  err non-nil additionally counts the
-// request as failed.  End is idempotent and nil-safe; it clears p's scope
-// when p still carries this request.
+// End completes the request at p's current time and folds it into its
+// kind's record: the end-to-end duration feeds the latency histogram, stage
+// times and line counts add to their totals, and each outcome counts the
+// request once.  err non-nil additionally counts the request as failed.  End
+// is idempotent and nil-safe; it clears p's scope when p still carries this
+// request.
 func (r *Request) End(p *sim.Proc, err error) {
 	if r == nil || r.done {
 		return
@@ -238,33 +212,32 @@ func (r *Request) End(p *sim.Proc, err error) {
 		p.SetMeterContext(nil)
 	}
 	reg := r.reg
-	kind := r.kind
-	reg.Gauge(metricInflight).Add(-1)
-	reg.Counter(metricRequests, "kind", kind).Inc()
-	reg.Histogram(metricDuration, "kind", kind).Observe(p.Now().Sub(r.start))
+	reg.inflight--
+	s := reg.kinds[r.kind]
+	if s == nil {
+		s = &kindStats{}
+		reg.kinds[r.kind] = s
+	}
+	s.duration.Observe(p.Now().Sub(r.start))
 	for st, d := range r.stages {
 		if d > 0 {
-			reg.Counter(metricStageNS, "kind", kind, "stage", categories[st]).Add(uint64(d))
+			s.stages[st] += d
 		}
 	}
+	s.hits += r.hits
+	s.misses += r.misses
+	s.retries += r.retries
 	if err != nil {
-		reg.Counter(metricFailed, "kind", kind).Inc()
-	}
-	if r.hits > 0 {
-		reg.Counter(metricCacheHits, "kind", kind).Add(r.hits)
-	}
-	if r.misses > 0 {
-		reg.Counter(metricCacheMisses, "kind", kind).Add(r.misses)
+		s.failed++
 	}
 	if r.degraded {
-		reg.Counter(metricDegraded, "kind", kind).Inc()
+		s.degraded++
 	}
 	if r.retries > 0 {
-		reg.Counter(metricRetried, "kind", kind).Inc()
-		reg.Counter(metricRetriesTotal, "kind", kind).Add(r.retries)
+		s.retried++
 	}
 	if r.shed {
-		reg.Counter(metricShed, "kind", kind).Inc()
+		s.shed++
 	}
 }
 
@@ -292,26 +265,25 @@ type LatencySummary struct {
 // the kind never completed a request.
 func (r *Registry) Summary(kind string) LatencySummary {
 	out := LatencySummary{Kind: kind}
-	h := r.peekHistogram(metricDuration, "kind", kind)
-	if h == nil || h.N() == 0 {
+	s := r.kinds[kind]
+	if s == nil {
 		return out
 	}
+	h := &s.duration
 	out.N = h.N()
 	out.Mean = h.Mean()
 	out.P50 = h.Quantile(0.50)
 	out.P99 = h.Quantile(0.99)
 	out.P999 = h.Quantile(0.999)
 	out.Max = h.Max()
-	for _, stage := range categories[:numStages] {
-		total := sim.Duration(r.peekCounter(metricStageNS, "kind", kind, "stage", stage))
-		if total == 0 {
-			continue
+	for st, total := range s.stages {
+		if total > 0 {
+			out.Stages = append(out.Stages, StageMean{Stage: categories[st], Total: total, Mean: total / sim.Duration(out.N)})
 		}
-		out.Stages = append(out.Stages, StageMean{Stage: stage, Total: total, Mean: total / sim.Duration(out.N)})
 	}
-	out.Degraded = r.peekCounter(metricDegraded, "kind", kind)
-	out.Shed = r.peekCounter(metricShed, "kind", kind)
-	out.Retried = r.peekCounter(metricRetried, "kind", kind)
-	out.Retries = r.peekCounter(metricRetriesTotal, "kind", kind)
+	out.Degraded = s.degraded
+	out.Shed = s.shed
+	out.Retried = s.retried
+	out.Retries = s.retries
 	return out
 }

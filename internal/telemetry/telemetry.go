@@ -1,27 +1,28 @@
-// Package telemetry is the simulation's metrics layer: a deterministic
-// registry of counters, gauges and fixed-bucket latency histograms, a
-// request-scoped context that follows one client request end to end through
-// client -> net -> admission -> lfs -> cache -> raid -> scsi -> disk, a sampler
-// that snapshots gauges into time series at a fixed simulated interval, and
-// two exporters (Prometheus text exposition and versioned JSON) whose
-// output is byte-identical across identical runs.
+// Package telemetry is the simulation's metrics layer: a request-scoped
+// context that follows one client request end to end through client -> net
+// -> admission -> lfs -> cache -> raid -> scsi -> disk, one fixed record per
+// request kind that each finished request folds into (outcome counts, cache
+// lines, retries, exclusive time per stage and a fixed-bucket latency
+// histogram), an in-flight gauge with a sampler that records it at a fixed
+// simulated interval, and two exporters (Prometheus text exposition and
+// versioned JSON) that walk one table of the eleven exported families and
+// whose output is byte-identical across identical runs.
 //
 // Where the tracing layer (internal/trace, DESIGN.md §8) records what each
-// component did, telemetry aggregates what each *request* experienced:
-// end-to-end latency distributions with tail quantiles, per-stage time
-// breakdown, and outcomes (cache hit/miss, degraded read, retried, shed).
-// Memory is bounded — histograms are 64 fixed log-2 buckets, never sample
-// slices — so the layer is safe to leave attached for million-request runs.
+// component did, telemetry aggregates what each *request* experienced.
+// Memory is bounded — a kind's record is fixed-size, its histogram 64 log-2
+// buckets, never sample slices — so the layer is safe to leave attached for
+// million-request runs.
 //
 // # Determinism
 //
 // Every timestamp and duration the package records is simulated time; the
 // registry is only mutated from inside simulated processes (single-threaded
 // by the engine) and sampler callbacks (fired from the event loop); and the
-// exporters iterate in sorted series order, never raw map order.  Identical
-// runs therefore produce byte-identical exports, and CI enforces exactly
-// that (see metrics_determinism_test.go at the repo root and DESIGN.md
-// §13).
+// exporters visit kinds and stages sorted by name, never in raw map order.
+// Identical runs therefore produce byte-identical exports, and CI enforces
+// exactly that (see metrics_pin_test.go and metrics_determinism_test.go at
+// the repo root, and DESIGN.md §13).
 package telemetry
 
 import "slices"

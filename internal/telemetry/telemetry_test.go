@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -122,20 +124,9 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
-func TestRegistrySeriesIdentity(t *testing.T) {
+func TestAttachIsIdempotent(t *testing.T) {
 	e := sim.New()
 	r := Attach(e)
-	// Same labels in any argument order are one series.
-	c1 := r.Counter("x_total", "a", "1", "b", "2")
-	c2 := r.Counter("x_total", "b", "2", "a", "1")
-	if c1 != c2 {
-		t.Fatal("label order created distinct series")
-	}
-	c1.Inc()
-	if got := r.peekCounter("x_total", "b", "2", "a", "1"); got != 1 {
-		t.Fatalf("peekCounter = %d, want 1", got)
-	}
-	// Attach is idempotent.
 	if Attach(e) != r {
 		t.Fatal("second Attach returned a different registry")
 	}
@@ -144,13 +135,38 @@ func TestRegistrySeriesIdentity(t *testing.T) {
 	}
 }
 
+// exports renders both of r's exports as one string.
+func exports(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := WritePrometheus(&b, r, ExportOptions{Run: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.MarshalIndent(Export(r, ExportOptions{Run: "t"}), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Write(js)
+	return b.String()
+}
+
+// TestSummaryDoesNotCreateSeries: Summary of a kind that never ended a
+// request adds nothing to either export.
 func TestSummaryDoesNotCreateSeries(t *testing.T) {
 	e := sim.New()
 	r := Attach(e)
-	_ = r.Summary("never-seen")
-	if len(r.counters) != 0 || len(r.hists) != 0 {
-		t.Fatalf("Summary grew the registry: %d counters, %d hists",
-			len(r.counters), len(r.hists))
+	e.Spawn("req", func(p *sim.Proc) {
+		req := Begin(p, "seen")
+		p.Wait(time.Millisecond)
+		req.End(p, nil)
+	})
+	e.Run()
+	before := exports(t, r)
+	if s := r.Summary("never-seen"); s.N != 0 || s.Stages != nil {
+		t.Fatalf("Summary of an unseen kind = %+v, want zero", s)
+	}
+	if after := exports(t, r); after != before || strings.Contains(after, "never-seen") {
+		t.Fatalf("Summary changed the exports:\n%s\nwas\n%s", after, before)
 	}
 }
 
@@ -259,10 +275,10 @@ func TestRequestAdoptAndOutcomes(t *testing.T) {
 	if s.N != 1 || s.Degraded != 1 || s.Retried != 1 || s.Retries != 1 {
 		t.Fatalf("outcomes wrong: %+v", s)
 	}
-	if got := r.peekCounter("raidii_requests_failed_total", "kind", "unit"); got != 1 {
+	if got := r.kinds["unit"].failed; got != 1 {
 		t.Fatalf("failed counter = %d, want 1", got)
 	}
-	if got := r.peekCounter("raidii_request_cache_hits_total", "kind", "unit"); got != 1 {
+	if got := r.kinds["unit"].hits; got != 1 {
 		t.Fatalf("cache hits = %d, want 1", got)
 	}
 	wantStages(t, stageTotals(r, "unit"), map[string]sim.Duration{"disk": 2 * time.Millisecond})
@@ -339,7 +355,7 @@ func TestEnsureJoinsExistingRequest(t *testing.T) {
 	if got := r2.Summary("inner").N; got != 1 {
 		t.Fatalf("bare Ensure N = %d, want 1", got)
 	}
-	if got := r2.peekCounter("raidii_requests_failed_total", "kind", "inner"); got != 1 {
+	if got := r2.kinds["inner"].failed; got != 1 {
 		t.Fatalf("failed counter = %d, want 1", got)
 	}
 	wantStages(t, stageTotals(r2, "inner"), map[string]sim.Duration{"cache": time.Millisecond})
@@ -403,6 +419,9 @@ func TestSpanOutlivingRequest(t *testing.T) {
 	wantStages(t, stageTotals(r, "second"), map[string]sim.Duration{})
 }
 
+// TestSamplerRecordsGauges: the sampler records the in-flight gauge at
+// every interval boundary from the first one after a request began, and the
+// value tracks Begin and End.
 func TestSamplerRecordsGauges(t *testing.T) {
 	e := sim.New()
 	r := Attach(e)
@@ -410,37 +429,30 @@ func TestSamplerRecordsGauges(t *testing.T) {
 	if r.StartSampler(99*time.Millisecond) != s {
 		t.Fatal("StartSampler not idempotent")
 	}
-	if s.Interval() != 10*time.Millisecond {
-		t.Fatalf("Interval = %v, want 10ms (first call fixes it)", s.Interval())
+	request := func(name string, at, d sim.Duration) {
+		e.Spawn(name, func(p *sim.Proc) {
+			p.Wait(at)
+			req := Begin(p, "k")
+			p.Wait(d)
+			req.End(p, nil)
+		})
 	}
-	g := r.Gauge("depth")
-	e.Spawn("load", func(p *sim.Proc) {
-		g.Set(1)
-		p.Wait(25 * time.Millisecond)
-		g.Set(3)
-		p.Wait(20 * time.Millisecond)
-	})
+	request("a", 12*time.Millisecond, 30*time.Millisecond) // in flight 12-42 ms
+	request("b", 15*time.Millisecond, 10*time.Millisecond) // in flight 15-25 ms
+	e.Spawn("idle", func(p *sim.Proc) { p.Wait(55 * time.Millisecond) })
 	e.Run()
-	var series *Series
-	for _, sr := range s.SeriesList() {
-		if sr.Name == "depth" {
-			series = sr
-		}
+	x := Export(r, ExportOptions{})
+	if x.IntervalNs != int64(10*time.Millisecond) {
+		t.Fatalf("interval = %d ns, want 10 ms (the first call fixes it)", x.IntervalNs)
 	}
-	if series == nil {
-		t.Fatal("gauge never sampled")
+	// No point at 10 ms: no request had begun, so the gauge did not exist.
+	want := []JSONPoint{{20e6, 2}, {30e6, 1}, {40e6, 1}, {50e6, 0}}
+	if len(x.Series) != 1 || x.Series[0].Name != "raidii_requests_inflight" ||
+		!slices.Equal(x.Series[0].Points, want) {
+		t.Fatalf("series = %+v, want raidii_requests_inflight %v", x.Series, want)
 	}
-	if len(series.Points) < 4 {
-		t.Fatalf("expected >= 4 ticks over 45ms at 10ms, got %d", len(series.Points))
-	}
-	for i, pt := range series.Points {
-		if want := sim.Time((i + 1) * 10 * int(time.Millisecond)); pt.At != want {
-			t.Fatalf("tick %d at %v, want %v", i, pt.At, want)
-		}
-	}
-	// Value transitions track the gauge: 1 until 25ms, then 3.
-	if series.Points[0].Value != 1 || series.Points[len(series.Points)-1].Value != 3 {
-		t.Fatalf("sampled values wrong: %+v", series.Points)
+	if len(x.Gauges) != 1 || x.Gauges[0].Value != 0 {
+		t.Fatalf("gauges = %+v, want one at 0", x.Gauges)
 	}
 }
 
@@ -473,28 +485,11 @@ func TestExportDeterministic(t *testing.T) {
 		e.Run()
 		return r
 	}
-	opts := ExportOptions{Label: "t", ConstLabels: []Label{{Key: "run", Value: "t"}}}
-	var a, b strings.Builder
-	if err := WritePrometheus(&a, build(), opts); err != nil {
-		t.Fatal(err)
+	a, b := exports(t, build()), exports(t, build())
+	if a != b {
+		t.Fatal("identical runs produced different exports")
 	}
-	if err := WritePrometheus(&b, build(), opts); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("identical runs produced different Prometheus text")
-	}
-	var ja, jb strings.Builder
-	if err := WriteJSON(&ja, build(), opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(&jb, build(), opts); err != nil {
-		t.Fatal(err)
-	}
-	if ja.String() != jb.String() {
-		t.Fatal("identical runs produced different JSON")
-	}
-	if !strings.Contains(ja.String(), `"schema": 1`) {
-		t.Fatalf("JSON export missing schema marker:\n%s", ja.String()[:200])
+	if !strings.Contains(a, `"schema": 1`) || !strings.Contains(a, `"raidii_requests_inflight"`) {
+		t.Fatalf("JSON export missing schema marker or sampled series:\n%s", a)
 	}
 }

@@ -22,14 +22,14 @@ func WriteChrome(w io.Writer, recs ...*Recorder) error {
 	bw := bufio.NewWriter(w)
 	// bufio errors are sticky: every WriteString after a failure is a
 	// no-op and the final Flush reports the first error.
-	bw.WriteString("{\"traceEvents\":[\n") //lint:allow errdrop sticky bufio error surfaces at the final Flush
+	bw.WriteString("{\"traceEvents\":[\n")
 	first := true
 	emit := func(line string) {
 		if !first {
-			bw.WriteString(",\n") //lint:allow errdrop sticky bufio error surfaces at the final Flush
+			bw.WriteString(",\n")
 		}
 		first = false
-		bw.WriteString(line) //lint:allow errdrop sticky bufio error surfaces at the final Flush
+		bw.WriteString(line)
 	}
 	for _, rec := range recs {
 		pid := rec.cfg.Pid
@@ -54,7 +54,7 @@ func WriteChrome(w io.Writer, recs ...*Recorder) error {
 				pid, jstr(rec.resources[c.res].Name), tsUS(c.at), c.busy, c.waiting))
 		})
 	}
-	bw.WriteString("\n]}\n") //lint:allow errdrop sticky bufio error surfaces at the final Flush
+	bw.WriteString("\n]}\n")
 	return bw.Flush()
 }
 

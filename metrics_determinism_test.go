@@ -54,18 +54,16 @@ func runMeteredWorkload(t *testing.T) (prom, js string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := telemetry.ExportOptions{
-		Label:       "det",
-		ConstLabels: []telemetry.Label{{Key: "run", Value: "det"}},
-	}
-	var pb, jb bytes.Buffer
+	opts := telemetry.ExportOptions{Run: "det"}
+	var pb bytes.Buffer
 	if err := telemetry.WritePrometheus(&pb, reg, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := telemetry.WriteJSON(&jb, reg, opts); err != nil {
+	jb, err := json.MarshalIndent(telemetry.Export(reg, opts), "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pb.String(), jb.String()
+	return pb.String(), string(jb)
 }
 
 // TestMetricsDeterministic runs the same seeded workload twice on metered
@@ -151,8 +149,7 @@ func TestMetricsSummaryMatchesExport(t *testing.T) {
 	if len(s.Stages) == 0 {
 		t.Fatal("fs-read summary has no stage breakdown")
 	}
-	// And the earlier exported run must contain count/sum lines whose
-	// integer rendering promcheck-style readers can parse.
+	// And the earlier exported run must contain the histogram's count line.
 	if !strings.Contains(prom, "raidii_request_duration_ns_count{") {
 		t.Fatal("export missing histogram _count")
 	}

@@ -47,8 +47,8 @@ func TestFSReadRequestAccountsItsReads(t *testing.T) {
 			if misses == 0 {
 				return fmt.Errorf("a cold read missed no cache line (hits %d)", hits)
 			}
-			gotHits := reg.Counter("raidii_request_cache_hits_total", "kind", "fs-read").Value()
-			gotMisses := reg.Counter("raidii_request_cache_misses_total", "kind", "fs-read").Value()
+			gotHits := exportedCounter(reg, "raidii_request_cache_hits_total", "fs-read")
+			gotMisses := exportedCounter(reg, "raidii_request_cache_misses_total", "fs-read")
 			if gotHits != hits || gotMisses != misses {
 				return fmt.Errorf("fs-read recorded %d hits / %d misses, the cache counted %d / %d for the read",
 					gotHits, gotMisses, hits, misses)
@@ -64,4 +64,15 @@ func TestFSReadRequestAccountsItsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// exportedCounter returns the value of kind's series of the counter family
+// name in reg's export, 0 when the series does not exist.
+func exportedCounter(reg *telemetry.Registry, name, kind string) uint64 {
+	for _, c := range telemetry.Export(reg, telemetry.ExportOptions{}).Counters {
+		if c.Name == name && c.Labels["kind"] == kind {
+			return c.Value
+		}
+	}
+	return 0
 }
