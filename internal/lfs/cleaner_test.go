@@ -290,3 +290,54 @@ func TestMoveBlockRepointsIndirects(t *testing.T) {
 		check("after a checkpoint")
 	})
 }
+
+// TestCleanerDuringPointerRewriteKeepsItsMoves: cold blocks of a file share
+// segments with hot ones, so as the hot blocks are overwritten on a log small
+// enough to clean all the time, the cleaner moves the cold ones.  When a data
+// append seals a segment and leaves the log below its reserve, the cleaner
+// must run before the file's indirect block is copied for its rewrite: run
+// inside that rewrite's append, it moved this file's blocks, rewrote the
+// indirect block, and the rewrite then wrote its older copy over the moves —
+// cold pointers into segments the log went on to reuse.
+func TestCleanerDuringPointerRewriteKeepsItsMoves(t *testing.T) {
+	e, fs := newFS(t, 64, 1)
+	const cold, hot = 100, 48 // file blocks from NDirect on are cold, the last hot ones hot
+	shadow := make([]byte, (NDirect+cold+hot)*BlockSize)
+	write := func(p *sim.Proc, f *File, fb, stamp int) {
+		b := shadow[fb*BlockSize : (fb+1)*BlockSize]
+		for j := range b {
+			b[j] = byte(stamp + j)
+		}
+		if _, err := f.WriteAt(p, b, int64(fb)*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(e, func(p *sim.Proc) {
+		f, err := fs.Create(p, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < cold; k++ {
+			write(p, f, NDirect+k, k)
+			write(p, f, NDirect+cold+k%hot, -k)
+		}
+		x := uint32(1)
+		for i := 1; i <= 3000; i++ {
+			x = x*1103515245 + 12345
+			write(p, f, NDirect+cold+int(x>>8)%hot, i)
+			if i%100 != 0 {
+				continue
+			}
+			got, err := f.ReadAt(p, 0, len(shadow))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, shadow) {
+				t.Fatalf("after %d overwrites (%d segments cleaned) the file reads back wrong", i, fs.Stats().SegmentsCleaned)
+			}
+		}
+	})
+	if fs.Stats().SegmentsCleaned < 50 {
+		t.Fatalf("only %d segments cleaned: the log never turned over", fs.Stats().SegmentsCleaned)
+	}
+}

@@ -341,5 +341,5 @@ func (f *File) Sync(p *sim.Proc) error {
 	if err := fs.sealSegment(p); err != nil {
 		return err
 	}
-	return fs.seals.Wait(p)
+	return fs.waitSeals(p)
 }

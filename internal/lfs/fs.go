@@ -147,9 +147,17 @@ type FS struct {
 	// seal, and sync reports it instead of silently losing data.
 	seals    *sim.Group
 	inflight map[int][]byte
+	// onDurable hears of every seal completion (OnDurable).
+	onDurable func(seq uint64)
+
+	crashed bool // Crash ran: nothing this FS still does may reach the device
 
 	stats Stats
 }
+
+// ErrCrashed is what a crashed file system returns to a process that was
+// still inside it when Crash ran and now tries to write.
+var ErrCrashed = errors.New("lfs: file system crashed")
 
 // Format initializes an empty file system on dev and returns it mounted.
 func Format(p *sim.Proc, e *sim.Engine, dev Device, cfg Config) (*FS, error) {
@@ -415,13 +423,25 @@ func (fs *FS) stagedBlock(addr int64) []byte {
 // zeroed slot in the segment image, which the caller fills: the image is the
 // only place the block is staged.  The segment seals automatically when full.
 func (fs *FS) appendSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, error) {
-	if err := fs.seals.Err(); err != nil {
-		return 0, nil, err
-	}
-	if !fs.cleaning && fs.FreeSegments() < fs.cfg.CleanReserve {
-		// Try to stay ahead of log exhaustion.  Failure to find cleanable
-		// segments is not fatal here; the seal path reports ErrNoSpace.
+	fs.makeRoom(p)
+	return fs.takeSlot(p, kind, a1, a2)
+}
+
+// makeRoom runs the cleaner when free segments have fallen below the
+// reserve, to stay ahead of log exhaustion.  Failure to find cleanable
+// segments is not fatal here; the seal path reports ErrNoSpace.
+func (fs *FS) makeRoom(p *sim.Proc) {
+	if fs.failed() == nil && !fs.cleaning && fs.FreeSegments() < fs.cfg.CleanReserve {
 		_ = fs.cleanSome(p, fs.cfg.CleanReserve) //lint:allow errdrop opportunistic clean; the seal path reports ErrNoSpace
+	}
+}
+
+// takeSlot is appendSlot without the cleaner, for a caller holding a copy of
+// a block the cleaner may rewrite (rewriteMeta): it makes room before it
+// copies.
+func (fs *FS) takeSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, error) {
+	if err := fs.failed(); err != nil {
+		return 0, nil, err
 	}
 	if len(fs.segEntries) >= fs.segDataBlks {
 		if err := fs.sealSegment(p); err != nil {
@@ -460,7 +480,7 @@ func (fs *FS) takeImage(p *sim.Proc) ([]byte, error) {
 		end()
 		fs.stats.ImageWaits++
 		fs.stats.ImageWaitNs += uint64(p.Now().Sub(start))
-		if err := fs.seals.Err(); err != nil {
+		if err := fs.failed(); err != nil {
 			fs.imageSlots.Release()
 			return nil, err
 		}
@@ -530,7 +550,7 @@ func (fs *FS) pickFreeSegment() (int, error) {
 // zero to full length) to the device as one large sequential write — a full
 // stripe on the paper's configuration — and opens the next free segment.
 func (fs *FS) sealSegment(p *sim.Proc) error {
-	if err := fs.seals.Err(); err != nil {
+	if err := fs.failed(); err != nil {
 		return err
 	}
 	if len(fs.segEntries) == 0 {
@@ -591,6 +611,9 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		if fs.images.Put(image) {
 			clear(image[:blocks*BlockSize]) // the rest was never written: the image is zero again
 		}
+		if fs.onDurable != nil {
+			fs.onDurable(fs.Durable())
+		}
 		return nil
 	})
 	fs.curSeg = nextAddr
@@ -599,6 +622,40 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	fs.segSeq++
 	fs.resetSegment()
 	return nil
+}
+
+// Durable returns the sequence number through which every sealed segment is
+// on the device: roll-forward recovers the log up to it after a crash.  It
+// is one below the oldest segment still in inflight, whose write is under
+// way or failed, and the last sealed one when none is.
+func (fs *FS) Durable() uint64 {
+	d := fs.segSeq - 1
+	for idx := range fs.inflight {
+		d = min(d, fs.usageSeq[idx]-1)
+	}
+	return d
+}
+
+// OnDurable sets the function told Durable each time a segment's device
+// write completes, replacing any earlier one; nil stops the notifications.
+// It runs in the completing seal's process and must not wait.
+func (fs *FS) OnDurable(fn func(seq uint64)) { fs.onDurable = fn }
+
+// failed returns the error that keeps this FS from writing: ErrCrashed after
+// Crash, else the first failed segment write.
+func (fs *FS) failed() error {
+	if fs.crashed {
+		return ErrCrashed
+	}
+	return fs.seals.Err()
+}
+
+// waitSeals waits for every sealed segment to reach the device.
+func (fs *FS) waitSeals(p *sim.Proc) error {
+	if err := fs.seals.Wait(p); err != nil {
+		return err
+	}
+	return fs.failed()
 }
 
 // flushInodes appends every dirty inode to the log.
@@ -673,7 +730,28 @@ func (fs *FS) syncLocked(p *sim.Proc) error {
 	if err := fs.sealSegment(p); err != nil {
 		return err
 	}
-	return fs.seals.Wait(p)
+	return fs.waitSeals(p)
+}
+
+// Commit appends every dirty inode to the open segment without sealing it
+// and returns the sequence number of the segment holding the last block the
+// log has taken: everything written before the call survives a crash once
+// Durable reaches that number.  A write-ahead log in battery-backed memory
+// commits this way, so its commits cost no partial segment; the segment
+// seals when it fills, or at the next Sync or Checkpoint.
+func (fs *FS) Commit(p *sim.Proc) (uint64, error) {
+	fs.mu.Acquire(p)
+	defer fs.mu.Release()
+	if err := fs.failed(); err != nil {
+		return 0, err
+	}
+	if err := fs.flushInodes(p); err != nil {
+		return 0, err
+	}
+	if len(fs.segEntries) == 0 {
+		return fs.segSeq - 1, nil
+	}
+	return fs.segSeq, nil
 }
 
 // Checkpoint makes the file system state recoverable without roll-forward:
@@ -712,7 +790,7 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 	if err := fs.sealSegment(p); err != nil {
 		return err
 	}
-	if err := fs.seals.Wait(p); err != nil {
+	if err := fs.waitSeals(p); err != nil {
 		return err
 	}
 
@@ -904,14 +982,16 @@ func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error
 	return nil
 }
 
-// Crash discards all in-memory state, simulating a power failure.  The FS
-// is unusable afterwards; Mount the device again to recover.
+// Crash discards the unsealed segment and the staged images, simulating a
+// power failure.  The FS is unusable afterwards: a process still inside it
+// gets ErrCrashed at its next write, and seals already in flight complete
+// unheard.  Mount the device again to recover.
 func (fs *FS) Crash() {
+	fs.crashed = true
+	fs.onDurable = nil
 	fs.resetSegment()
 	fs.inflight = nil
 	fs.images = bytepath.FreeList{} // keeps nothing: writes still in flight complete into a dead FS
-	fs.icache = nil
-	fs.imap = nil
 }
 
 // String describes the file system geometry.

@@ -73,14 +73,17 @@ func (fs *FS) allocInode(mode Mode, now sim.Time) (*inode, error) {
 // rewriteMeta updates a metadata block (indirect block or similar): if it
 // is still in the current segment it is patched in place; otherwise a copy
 // is appended to the log, patched there, and the old block dies.  It returns
-// the block's (possibly new) address.
+// the block's (possibly new) address.  Its append does not run the cleaner,
+// which could move this file's blocks and rewrite the block at addr after it
+// was copied, and so lose the moves: a caller outside the cleaner makes room
+// before it reads addr.
 func (fs *FS) rewriteMeta(p *sim.Proc, addr int64, kind, a1, a2 uint32, mutate func([]byte)) (int64, error) {
 	if b := fs.currentSlot(addr); b != nil {
 		mutate(b)
 		return addr, nil
 	}
-	// The old block is copied out, not viewed: the append may run the cleaner,
-	// which waits, and a view of a sealed image dies when its write completes.
+	// The old block is copied out, not viewed: the append may wait for an
+	// image, and a view of a sealed image dies when its write completes.
 	var old [BlockSize]byte
 	if addr != 0 {
 		view, err := fs.metaView(p, addr)
@@ -89,7 +92,7 @@ func (fs *FS) rewriteMeta(p *sim.Proc, addr int64, kind, a1, a2 uint32, mutate f
 		}
 		copy(old[:], view)
 	}
-	newAddr, b, err := fs.appendSlot(p, kind, a1, a2)
+	newAddr, b, err := fs.takeSlot(p, kind, a1, a2)
 	if err != nil {
 		return 0, err
 	}
@@ -151,6 +154,7 @@ func (fs *FS) setBlockAddr(p *sim.Proc, in *inode, fb int64, addr int64) error {
 		fs.dirtyInode(in)
 		return nil
 	}
+	fs.makeRoom(p) // before the pointer blocks are read: see rewriteMeta
 	fb -= NDirect
 	if fb < PtrsPerBlock {
 		na, err := fs.rewriteMeta(p, in.Ind, kindIndirect, in.Inum, 0, func(b []byte) {

@@ -1,0 +1,381 @@
+package server
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"raidii/internal/fault"
+	"raidii/internal/lfs"
+	"raidii/internal/sim"
+)
+
+// The commit protocol: a group commit writes its records into the open
+// segment without sealing it, and a record's region bytes come back only
+// when the seal carrying it — and every earlier one — has reached the device.
+
+const nvRec = 4 << 10
+
+// smallSegConfig is nvramConfig with 64 KB segments (15 data blocks), so a
+// few records fill one.
+func smallSegConfig(nvBytes, commitBytes int) Config {
+	cfg := nvramConfig(nvBytes, commitBytes)
+	cfg.LFS = lfs.Config{SegBytes: 64 << 10, MaxInodes: 256, CleanReserve: 3}
+	return cfg
+}
+
+// formatWithFile formats board b's file system and creates and checkpoints
+// one empty file.
+func formatWithFile(t *testing.T, p *sim.Proc, b *Board, path string) *FSFile {
+	t.Helper()
+	if err := b.FormatFS(p); err != nil {
+		t.Fatal(err)
+	}
+	f, err := b.CreateFS(p, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.FS.Checkpoint(p); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestGroupCommitDoesNotSeal: the record that crosses the commit threshold
+// starts a group commit, which writes the batch into the log without sealing
+// a segment, and the batch keeps its region bytes.
+func TestGroupCommitDoesNotSeal(t *testing.T) {
+	sys, err := New(nvramConfig(1<<20, 4*nvRec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	var before lfs.Stats
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		f := formatWithFile(t, p, b, "/j")
+		before = b.FS.Stats()
+		for i := 0; i < 4; i++ {
+			if err := b.DurableWrite(p, f, int64(i)*nvRec, nvPattern(nvRec, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	sys.Eng.Run()
+	st, after := b.NVRAMStats(), b.FS.Stats()
+	if st.Log.Commits != 1 || st.Log.CommitRecords != 4 {
+		t.Fatalf("want one 4-record group commit, got %+v", st.Log)
+	}
+	if after.SegmentsWritten != before.SegmentsWritten || after.PartialSegSeals != before.PartialSegSeals {
+		t.Errorf("the commit sealed: segments written %d -> %d, partial seals %d -> %d",
+			before.SegmentsWritten, after.SegmentsWritten, before.PartialSegSeals, after.PartialSegSeals)
+	}
+	if used := st.Region.Used; used != 4*nvRec {
+		t.Errorf("region holds %d bytes after the commit, want %d: nothing has reached the device", used, 4*nvRec)
+	}
+}
+
+// TestCommittedRecordsReleaseWhenTheirSealLands: a 16-record batch spans two
+// 64 KB segments.  The drain that follows seals the second while the first
+// is still being written, so the first seal completes with the batch's own
+// in flight and must release nothing; the second's completion releases the
+// whole batch.
+func TestCommittedRecordsReleaseWhenTheirSealLands(t *testing.T) {
+	const n = 16
+	sys, err := New(smallSegConfig(1<<20, n*nvRec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	type note struct {
+		durable          uint64
+		pending          int // segments still holding blocks the device lacks
+		before, released int // region bytes
+	}
+	var notes []note
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		f := formatWithFile(t, p, b, "/j")
+		b.FS.OnDurable(func(seq uint64) {
+			used := b.nvlog.nv.Used()
+			b.nvlog.sealed(seq)
+			notes = append(notes, note{seq, b.FS.Pending(), used, used - b.nvlog.nv.Used()})
+		})
+		for i := 0; i < n; i++ {
+			if err := b.DurableWrite(p, f, int64(i)*nvRec, nvPattern(nvRec, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.DrainNVRAM(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sys.Eng.Run()
+	if st := b.NVRAMStats(); st.Log.Commits != 1 || st.Log.CommitRecords != n || st.Region.Used != 0 {
+		t.Fatalf("after the drain: %+v, region %d bytes; want one %d-record commit and an empty region", st.Log, st.Region.Used, n)
+	}
+	if len(notes) != 2 {
+		t.Fatalf("%d seal completions, want 2: %+v", len(notes), notes)
+	}
+	if first := notes[0]; first.pending == 0 || first.before != n*nvRec || first.released != 0 {
+		t.Fatalf("first seal completed as %+v: want the batch's seal still in flight and nothing released", first)
+	}
+	if last := notes[1]; last.durable <= notes[0].durable || last.released != n*nvRec {
+		t.Fatalf("the batch's seal completed as %+v, want it to release all %d bytes", last, n*nvRec)
+	}
+}
+
+// TestDrainNVRAMEmptiesTheRegion: with one batch committed and two records
+// not yet reached by a commit, a drain writes the rest, seals once and
+// leaves nothing staged.
+func TestDrainNVRAMEmptiesTheRegion(t *testing.T) {
+	sys, err := New(nvramConfig(1<<20, 4*nvRec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		f := formatWithFile(t, p, b, "/j")
+		for i := 0; i < 6; i++ {
+			if err := b.DurableWrite(p, f, int64(i)*nvRec, nvPattern(nvRec, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	sys.Eng.Run()
+	if st := b.NVRAMStats(); st.Log.Commits != 1 || st.Region.Used != 6*nvRec {
+		t.Fatalf("before the drain: %+v, region %d bytes", st.Log, st.Region.Used)
+	}
+	before := b.FS.Stats().SegmentsWritten
+	sys.Eng.Spawn("drain", func(p *sim.Proc) {
+		if err := b.DrainNVRAM(p); err != nil {
+			t.Fatal(err)
+		}
+		if used := b.NVRAMStats().Region.Used; used != 0 {
+			t.Errorf("drain left %d bytes staged", used)
+		}
+		if got := b.FS.Stats().SegmentsWritten - before; got != 1 {
+			t.Errorf("drain sealed %d segments, want 1", got)
+		}
+		f, err := b.OpenFS(p, "/j")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			got, err := b.FSRead(p, f, int64(i)*nvRec, nvRec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, nvPattern(nvRec, byte(i))) {
+				t.Fatalf("record %d read back wrong after drain", i)
+			}
+		}
+	})
+	sys.Eng.Run()
+}
+
+// Crash enumeration.  One scripted workload alternates durable records with
+// plain writes; a reference run records the instant each group commit ended
+// and each segment write began and ended.  The same script is then run once
+// per crash point — after every commit, after every seal completion, in the
+// middle of every seal, and in the middle of every commit — and after each
+// crash the board must mount to a state that keeps every acknowledged
+// durable write, checks clean, accounts its region exactly, and survives a
+// second crash and mount byte for byte.
+
+const (
+	crashOps   = 64      // script operations, every other one a durable record
+	crashPlain = 8 << 10 // bytes of each plain write
+)
+
+// crashClock is a tracer that keeps the instants the enumeration crashes at.
+type crashClock struct {
+	commitEnds []sim.Time
+	seals      [][2]sim.Time // start and end of each segment write
+}
+
+func (c *crashClock) ProcStart(*sim.Proc)                                        {}
+func (c *crashClock) ProcFinish(*sim.Proc)                                       {}
+func (c *crashClock) ResourceCreate(string, int)                                 {}
+func (c *crashClock) ResourceWait(string, *sim.Proc, int)                        {}
+func (c *crashClock) ResourceAcquire(string, *sim.Proc, int, sim.Duration, bool) {}
+func (c *crashClock) ResourceRelease(string, int)                                {}
+func (c *crashClock) Span(p *sim.Proc, cat, name string, start sim.Time) {
+	switch {
+	case cat == "nvram" && name == "group-commit":
+		c.commitEnds = append(c.commitEnds, p.Now())
+	case cat == "lfs" && name == "segment-write":
+		c.seals = append(c.seals, [2]sim.Time{start, p.Now()})
+	}
+}
+
+// crashScript runs the workload on a fresh machine armed with plan: it
+// formats the board and checkpoints /journal and /data, then alternates 4 KB
+// durable records appended to /journal with 8 KB plain writes cycling over
+// /data.  The script stops at its first error, or at stop — its clients die
+// with the board.  It returns the system, the instant the set-up ended and
+// how many records were acknowledged.
+func crashScript(t *testing.T, plan fault.Plan, stop sim.Time, tr sim.Tracer) (*System, sim.Time, int) {
+	t.Helper()
+	cfg := smallSegConfig(512<<10, 4*nvRec)
+	cfg.Faults = plan
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr != nil {
+		sys.Eng.SetTracer(tr)
+	}
+	b := sys.Boards[0]
+	var ready sim.Time
+	acked := 0
+	sys.Eng.Spawn("script", func(p *sim.Proc) {
+		if err := b.FormatFS(p); err != nil {
+			t.Fatal(err)
+		}
+		j, err := b.CreateFS(p, "/journal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := b.CreateFS(p, "/data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.FS.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		ready = p.Now()
+		for i := 0; i < crashOps && p.Now() < stop; i++ {
+			if i%2 == 0 {
+				if b.DurableWrite(p, j, int64(acked)*nvRec, nvPattern(nvRec, byte(acked))) != nil {
+					return
+				}
+				acked++
+				continue
+			}
+			off := int64(i/2%6) * crashPlain
+			if b.FSWrite(p, d, off, nvPattern(crashPlain, byte(100+i))) != nil {
+				return
+			}
+		}
+	})
+	sys.Eng.Run()
+	return sys, ready, acked
+}
+
+// fileBytes reads every byte of path.
+func fileBytes(p *sim.Proc, fs *lfs.FS, path string) ([]byte, error) {
+	f, err := fs.Open(p, path)
+	if err != nil {
+		return nil, err
+	}
+	size, err := f.Size(p)
+	if err != nil {
+		return nil, err
+	}
+	return f.ReadAt(p, 0, int(size))
+}
+
+// mountAndSnapshot mounts board b after a crash, checks the file system and
+// returns the contents of the script's two files.
+func mountAndSnapshot(p *sim.Proc, b *Board) ([2][]byte, error) {
+	var snap [2][]byte
+	if err := b.MountFS(p); err != nil {
+		return snap, err
+	}
+	rep, err := b.FS.Check(p)
+	if err != nil {
+		return snap, err
+	}
+	if !rep.OK() {
+		return snap, fmt.Errorf("lfs.Check: orphans %v, bad pointers %v", rep.Orphans, rep.BadPointers)
+	}
+	if used := b.NVRAMStats().Region.Used; used != 0 {
+		return snap, fmt.Errorf("mount left %d bytes staged", used)
+	}
+	for i, path := range []string{"/journal", "/data"} {
+		if snap[i], err = fileBytes(p, b.FS, path); err != nil {
+			return snap, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	return snap, nil
+}
+
+// checkCrashPoint runs the script with plan armed and verifies recovery.
+func checkCrashPoint(t *testing.T, plan fault.Plan, stop sim.Time) {
+	t.Helper()
+	sys, _, acked := crashScript(t, plan, stop, nil)
+	b := sys.Boards[0]
+	// The engine is quiet: every write the crashed file system still had in
+	// flight has landed, and the region holds exactly the surviving records.
+	surviving := 0
+	for _, r := range b.nvlog.recs {
+		surviving += r.n
+	}
+	if used := b.NVRAMStats().Region.Used; used != surviving {
+		t.Fatalf("region holds %d bytes, surviving records %d", used, surviving)
+	}
+	sys.Eng.Spawn("recover", func(p *sim.Proc) {
+		if _, err := b.FS.Commit(p); !errors.Is(err, lfs.ErrCrashed) {
+			t.Fatalf("the board did not crash (commit returned %v)", err)
+		}
+		first, err := mountAndSnapshot(p, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.NVRAMStats().Log.ReplayedBytes; got != uint64(surviving) {
+			t.Errorf("replayed %d bytes, %d survived", got, surviving)
+		}
+		journal := first[0]
+		if len(journal) < acked*nvRec {
+			t.Fatalf("journal is %d bytes, %d records were acknowledged", len(journal), acked)
+		}
+		for i := 0; i < acked; i++ {
+			if !bytes.Equal(journal[i*nvRec:(i+1)*nvRec], nvPattern(nvRec, byte(i))) {
+				t.Fatalf("acknowledged record %d of %d lost", i, acked)
+			}
+		}
+		b.Crash()
+		second, err := mountAndSnapshot(p, b)
+		if err != nil {
+			t.Fatalf("second mount: %v", err)
+		}
+		if !bytes.Equal(first[0], second[0]) || !bytes.Equal(first[1], second[1]) {
+			t.Fatal("a second crash and mount changed the files")
+		}
+	})
+	sys.Eng.Run()
+}
+
+func TestNVRAMCrashEnumeration(t *testing.T) {
+	var clock crashClock
+	sys, ready, acked := crashScript(t, fault.Plan{}, sim.Time(1<<62), &clock)
+	if st := sys.Boards[0].NVRAMStats(); acked != crashOps/2 || st.Log.Degraded != 0 {
+		t.Fatalf("reference run: %d of %d records acknowledged, %d degraded", acked, crashOps/2, st.Log.Degraded)
+	}
+	for len(clock.seals) > 0 && clock.seals[0][0] < ready {
+		clock.seals = clock.seals[1:] // the set-up's own seals
+	}
+	if len(clock.commitEnds) < 4 || len(clock.seals) < 4 {
+		t.Fatalf("reference run: %d commits, %d seals: too few crash points", len(clock.commitEnds), len(clock.seals))
+	}
+	crashAt := func(name string, at sim.Time) {
+		t.Run(name, func(t *testing.T) {
+			checkCrashPoint(t, fault.Plan{}.FSCrashAt(time.Duration(at), 0), at)
+		})
+	}
+	// A time-triggered crash fires before anything else due at its instant,
+	// so "after" is one nanosecond later.
+	for i, at := range clock.commitEnds {
+		crashAt(fmt.Sprintf("after-commit-%d", i+1), at+1)
+	}
+	for i, s := range clock.seals {
+		crashAt(fmt.Sprintf("mid-seal-%d", i+1), (s[0]+s[1])/2)
+		crashAt(fmt.Sprintf("after-seal-%d", i+1), s[1]+1)
+	}
+	for n := range clock.commitEnds {
+		t.Run(fmt.Sprintf("mid-commit-%d", n+1), func(t *testing.T) {
+			checkCrashPoint(t, fault.Plan{}.FSCrashAtCommit(uint64(n+1), 0), sim.Time(1<<62))
+		})
+	}
+}

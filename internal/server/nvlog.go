@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"raidii/internal/lfs"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
 	"raidii/internal/xbus"
@@ -10,28 +11,37 @@ import (
 
 // nvlog is the NVRAM write-ahead staging log of one board.  A small
 // synchronous write acknowledges the moment its record is durable in the
-// battery-backed region; a background group commit folds batches of
-// records into LFS segments and releases their staging bytes.  After a
-// crash the records still in the region — including a batch a mid-commit
-// crash interrupted — are replayed at mount.  Records are full-content
-// overwrites keyed by (inode, offset), so replaying one that already
-// reached the log rewrites identical bytes: replay is idempotent by
-// construction.
+// battery-backed region.  A background group commit writes batches of
+// records through LFS into the open segment and appends the dirty inodes
+// there, but does not seal it: the records keep their region bytes until
+// the seal that carries them, and every earlier one, has reached the device
+// — the file system tells the log as each seal completes — so a commit
+// costs no partial segment.  After a crash every record still in the region
+// is replayed at mount, whether no commit had reached it or its segment
+// never landed.  Records are full-content overwrites keyed by (inode,
+// offset), so replaying one that already reached the log rewrites identical
+// bytes: replay is idempotent by construction.
 type nvlog struct {
 	b           *Board
 	nv          *xbus.NVRAM
 	commitBytes int
 
-	// The staged records, oldest first, and their bytes back to back in the
-	// same order.  The arena has the region's capacity, so staging does not
-	// allocate; append grows it only when concurrent writers overshoot the
-	// region (nv.Stage counts a record's bytes after its transfer wait).
-	recs       []nvRecord
-	arena      []byte
-	committing bool // a background commit proc is spawned or running
-	inCommit   bool // a groupCommit body is between batch capture and release
+	// The staged records, oldest first, and their bytes in the same order.
+	// The arena has the region's capacity, so staging does not allocate;
+	// append grows it only when concurrent writers overshoot the region
+	// (nv.Stage counts a record's bytes after its transfer wait) or when
+	// released bytes stay in place while a commit body runs (compact).
+	recs  []nvRecord
+	arena []byte
+	// The first applied records are in the file system's log, not yet all on
+	// its device; batches splits them by the segment each commit waits for.
+	applied int
+	batches []nvBatch
 
-	commits uint64 // completed or attempted group commits (the crash ordinal space)
+	commit     *sim.Server // one commit or replay body at a time
+	committing bool        // a background commit proc is spawned or running
+
+	commits uint64 // started group commits (the crash ordinal space)
 	crashAt uint64 // crash mid this commit ordinal (1-based); 0 = never
 
 	stats NVRAMLogStats
@@ -44,12 +54,19 @@ type nvRecord struct {
 	start, n int
 }
 
+// nvBatch is one group commit's records: the next n applied records, whose
+// region bytes are released once the file system is durable through seq.
+type nvBatch struct {
+	n   int
+	seq uint64
+}
+
 // NVRAMLogStats counts staging-log activity on one board.
 type NVRAMLogStats struct {
 	Staged        uint64 // records admitted to the region
 	StagedBytes   uint64
 	Commits       uint64 // group commits completed
-	CommitRecords uint64 // records made durable by group commits
+	CommitRecords uint64 // records group commits wrote into the log
 	Degraded      uint64 // writes that fell back to the synchronous path (region full)
 	Replayed      uint64 // records replayed after a crash
 	ReplayedBytes uint64
@@ -68,7 +85,11 @@ func newNVLog(b *Board, nv *xbus.NVRAM, commitBytes int) *nvlog {
 	if commitBytes <= 0 {
 		commitBytes = defaultNVRAMCommitBytes
 	}
-	return &nvlog{b: b, nv: nv, commitBytes: commitBytes, arena: make([]byte, 0, nv.Capacity())}
+	return &nvlog{
+		b: b, nv: nv, commitBytes: commitBytes,
+		arena:  make([]byte, 0, nv.Capacity()),
+		commit: sim.NewServer(b.sys.Eng, b.sys.Cfg.prefixed(fmt.Sprintf("xbus%d:nvram-commit", b.Index)), 1),
+	}
 }
 
 // stage admits one record, or returns xbus.ErrNVRAMFull when the region
@@ -81,7 +102,7 @@ func (l *nvlog) stage(p *sim.Proc, inum uint32, off int64, data []byte) error {
 	l.arena = append(l.arena, data...)
 	l.stats.Staged++
 	l.stats.StagedBytes += uint64(len(data))
-	if len(l.arena) >= l.commitBytes && !l.committing {
+	if l.unapplied() >= l.commitBytes && !l.committing {
 		l.committing = true
 		l.b.sys.Eng.Spawn("nvram-commit", func(q *sim.Proc) {
 			defer func() { l.committing = false }()
@@ -94,27 +115,32 @@ func (l *nvlog) stage(p *sim.Proc, inum uint32, off int64, data []byte) error {
 	return nil
 }
 
-// groupCommit folds the currently staged batch into the LFS log and
-// releases its region bytes.  The armed crash ordinal fires here: a crash
-// in the middle of the batch loses the volatile half-written segment but
-// keeps every record staged, which is exactly the state replay recovers.
-func (l *nvlog) groupCommit(p *sim.Proc) error {
-	// Serialize commit bodies: a drain arriving while the background
-	// commit is mid-batch must wait it out, or the background release
-	// would shift l.recs under this batch's indices.
-	for l.inCommit {
-		p.Wait(sim.Duration(1e6))
+// unapplied returns the staged bytes no group commit has written yet.
+func (l *nvlog) unapplied() int {
+	if l.applied == len(l.recs) {
+		return 0
 	}
-	if len(l.recs) == 0 || l.b.FS == nil {
+	return len(l.arena) - l.recs[l.applied].start
+}
+
+// groupCommit writes the records no commit has reached into the open
+// segment, without sealing it, and files them as a batch that waits for the
+// segment carrying its last block.  The armed crash ordinal fires here: a
+// crash in the middle of the batch loses the volatile segment but keeps
+// every record staged, which is exactly the state replay recovers.
+func (l *nvlog) groupCommit(p *sim.Proc) error {
+	defer l.compact()
+	l.commit.Acquire(p)
+	defer l.commit.Release()
+	fs := l.b.FS
+	batch := len(l.recs) - l.applied
+	if batch == 0 || fs == nil {
 		return nil
 	}
-	l.inCommit = true
-	defer func() { l.inCommit = false }()
 	end := p.Span("nvram", "group-commit")
 	defer end()
 	l.commits++
 	ordinal := l.commits
-	batch := len(l.recs)
 	for i := 0; i < batch; i++ {
 		if l.crashAt == ordinal && i == (batch+1)/2 {
 			// Mid-commit crash: volatile LFS buffers vanish, the region
@@ -124,22 +150,27 @@ func (l *nvlog) groupCommit(p *sim.Proc) error {
 			l.b.Crash()
 			return nil
 		}
-		if err := l.applyRecord(p, l.recs[i]); err != nil {
+		// A seal completing while this body waits releases earlier batches
+		// and lowers applied, so the next record is always at applied+i.
+		if err := l.applyRecord(p, fs, l.recs[l.applied+i]); err != nil {
 			return err
 		}
 	}
-	if err := l.b.FS.Sync(p); err != nil {
+	seq, err := fs.Commit(p)
+	if err != nil {
 		return err
 	}
-	l.release(batch)
+	l.applied += batch
+	l.batches = append(l.batches, nvBatch{n: batch, seq: seq})
 	l.stats.Commits++
 	l.stats.CommitRecords += uint64(batch)
+	l.sealed(fs.Durable()) // the batch's segment may be on the device already
 	return nil
 }
 
 // applyRecord writes one staged record into the file system.
-func (l *nvlog) applyRecord(p *sim.Proc, rec nvRecord) error {
-	f, err := l.b.FS.OpenInum(p, rec.inum)
+func (l *nvlog) applyRecord(p *sim.Proc, fs *lfs.FS, rec nvRecord) error {
+	f, err := fs.OpenInum(p, rec.inum)
 	if err != nil {
 		return fmt.Errorf("server: nvram commit inode %d: %w", rec.inum, err)
 	}
@@ -149,44 +180,81 @@ func (l *nvlog) applyRecord(p *sim.Proc, rec nvRecord) error {
 	return nil
 }
 
-// release drops the first n records after they are durable in the log and
-// moves the ones staged since down to the start of the arena.  No commit
-// body is applying a record when this runs (they serialize on inCommit).
+// sealed is the file system's seal-completion notification: the log is on
+// the device through segment durable, so every batch waiting for a segment
+// up to it gives its region bytes back.
+func (l *nvlog) sealed(durable uint64) {
+	n, k := 0, 0
+	for ; k < len(l.batches) && l.batches[k].seq <= durable; k++ {
+		n += l.batches[k].n
+	}
+	if k == 0 {
+		return
+	}
+	l.batches = l.batches[:copy(l.batches, l.batches[k:])]
+	l.applied -= n
+	l.release(n)
+}
+
+// release drops the first n records and returns their region bytes.
 func (l *nvlog) release(n int) {
-	cut := 0
 	for _, rec := range l.recs[:n] {
 		l.nv.Release(rec.n)
-		cut += rec.n
+	}
+	l.recs = l.recs[:copy(l.recs, l.recs[n:])]
+	l.compact()
+}
+
+// compact moves the staged records' bytes down to the start of the arena.
+// A commit or replay body may be handing a record's bytes to the file system
+// while it waits, so while one runs the bytes stay put; its end compacts.
+func (l *nvlog) compact() {
+	if l.commit.Busy() > 0 {
+		return
+	}
+	cut := len(l.arena)
+	if len(l.recs) > 0 {
+		cut = l.recs[0].start
+	}
+	if cut == 0 {
+		return
 	}
 	l.arena = l.arena[:copy(l.arena, l.arena[cut:])]
-	l.recs = l.recs[:copy(l.recs, l.recs[n:])]
 	for i := range l.recs {
 		l.recs[i].start -= cut
 	}
 }
 
 // crash resets the log's volatile state.  The staged records and their
-// region accounting survive: that is the point of the battery.
+// region accounting survive: that is the point of the battery.  None of
+// them counts as applied any more — the segments that held them may be
+// gone — so replay re-applies every one.
 func (l *nvlog) crash() {
 	l.committing = false
+	l.applied = 0
+	l.batches = l.batches[:0]
 }
 
 // replay re-applies every surviving record after a remount and makes the
-// result durable.  Records are idempotent overwrites, so records the
-// interrupted commit already applied simply rewrite their own contents.
+// result durable.  Records are idempotent overwrites, so records whose
+// segment did land simply rewrite their own contents.
 func (l *nvlog) replay(p *sim.Proc) error {
+	defer l.compact()
+	l.commit.Acquire(p)
+	defer l.commit.Release()
 	if len(l.recs) == 0 {
 		return nil
 	}
 	end := p.Span("nvram", "replay")
 	defer end()
+	fs := l.b.FS
 	batch := len(l.recs)
 	for i := 0; i < batch; i++ {
-		if err := l.applyRecord(p, l.recs[i]); err != nil {
+		if err := l.applyRecord(p, fs, l.recs[i]); err != nil {
 			return err
 		}
 	}
-	if err := l.b.FS.Sync(p); err != nil {
+	if err := fs.Sync(p); err != nil {
 		return err
 	}
 	for i := 0; i < batch; i++ {
@@ -247,12 +315,15 @@ func (b *Board) DurableWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (er
 	return b.FS.Sync(p)
 }
 
-// DrainNVRAM synchronously commits everything staged in the board's
-// NVRAM region — the quiesce before a planned shutdown or a read-back
-// verification.
+// DrainNVRAM commits everything staged in the board's NVRAM region and
+// seals it, so that when it returns the region is empty — the quiesce
+// before a planned shutdown or a read-back verification.
 func (b *Board) DrainNVRAM(p *sim.Proc) error {
 	if b.nvlog == nil || len(b.nvlog.recs) == 0 {
 		return nil
 	}
-	return b.nvlog.groupCommit(p)
+	if err := b.nvlog.groupCommit(p); err != nil {
+		return err
+	}
+	return b.FS.Sync(p)
 }

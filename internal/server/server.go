@@ -411,8 +411,17 @@ func (b *Board) FormatFS(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	b.FS = fs
+	b.setFS(fs)
 	return nil
+}
+
+// setFS makes fs the board's file system; the NVRAM log, if there is one,
+// releases its records as fs's seals complete.
+func (b *Board) setFS(fs *lfs.FS) {
+	b.FS = fs
+	if b.nvlog != nil {
+		fs.OnDurable(b.nvlog.sealed)
+	}
 }
 
 // ErrNoFS reports a file-system call on a board that has no file system yet:
@@ -492,7 +501,7 @@ func (b *Board) MountFS(p *sim.Proc) error {
 	if err != nil {
 		return fmt.Errorf("server: mount board %d: %w", b.Index, err)
 	}
-	b.FS = fs
+	b.setFS(fs)
 	if b.nvlog != nil {
 		if err := b.nvlog.replay(p); err != nil {
 			return fmt.Errorf("server: nvram replay board %d: %w", b.Index, err)

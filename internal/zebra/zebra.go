@@ -32,11 +32,15 @@ import (
 // Config selects the striping geometry.
 type Config struct {
 	// FragmentBytes is the size of one stripe fragment — the unit a single
-	// (server, board) pair stores per stripe.  Zero picks one LFS segment
-	// of the fleet's configuration: a fragment then occupies exactly one
-	// contiguous log segment on its board, so streaming reads run at
-	// device bandwidth and parity fragments fill segments of their own
-	// instead of punching holes into the data layout.
+	// (server, board) pair stores per stripe.  Zero picks the size of one
+	// LFS segment of the fleet's configuration.  That does not put a
+	// fragment in one segment: a segment's first block is its summary (a
+	// 960 KB segment holds 956 KB of data), and the backing file's indirect
+	// and inode blocks share the log, so a fragment spans two or more
+	// segments and a read of it resolves to several device runs.  What the
+	// size does buy is few, large runs per fragment; parity fragments live
+	// in backing files of their own, so they never punch holes into the
+	// data layout.
 	FragmentBytes int
 	// Parity stores one parity fragment per stripe so a whole-server loss
 	// is survivable.  Needs at least three servers; smaller fleets fall
