@@ -20,7 +20,8 @@ package zebra
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"raidii/internal/bytepath"
 	"raidii/internal/fault"
@@ -288,22 +289,15 @@ func (z *Store) Write(p *sim.Proc, name string, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	// Several stripes stay in flight (mirroring the read window) so the
-	// per-stripe barrier of the slowest host does not serialize the whole
-	// transfer.
-	window := sim.NewServer(z.fleet.Eng, "zebra-write-window", 4)
-	g := p.Fork()
+	// Several stripes stay in flight so the per-stripe barrier of the
+	// slowest host does not serialize the whole transfer.
 	nStripes := (len(data) + int(sb) - 1) / int(sb)
-	for i := 0; i < nStripes; i++ {
+	err := z.inFlight(p, "zebra-write", writeWindow, nStripes, func(q *sim.Proc, i int) error {
 		lo := i * int(sb)
 		hi := min(lo+int(sb), len(data))
-		window.Acquire(p)
-		g.Go("zebra-write-stripe", func(q *sim.Proc) error {
-			defer window.Release()
-			return z.writeStripe(q, f, off/sb+int64(i), data[lo:hi])
-		})
-	}
-	if err := g.Wait(p); err != nil {
+		return z.writeStripe(q, f, off/sb+int64(i), data[lo:hi])
+	})
+	if err != nil {
 		return fmt.Errorf("zebra: write %s: %w", name, err)
 	}
 	if end := off + int64(len(data)); end > f.size {
@@ -379,19 +373,31 @@ func (z *Store) putFragment(p *sim.Proc, f *file, srv int, stripe int64, data []
 }
 
 // getFragment reads one fragment on its server into dst, the fragment's
-// place at the client, and ships it there.
+// place at the client, and ships it there one stripe unit of the board's
+// array at a time.  Each chunk is read in place and goes on the ring as soon
+// as its own read returns, not after the earlier chunks: a fragment resolves
+// to several device runs, one disk serves two of them and sets the finish
+// time, and the sends of everything else overlap it.
 func (z *Store) getFragment(p *sim.Proc, f *file, srv int, stripe int64, dst []byte) error {
 	bf, bi, off := z.fragLoc(f, srv, stripe)
 	b := z.fleet.Servers[srv].Boards[bi]
-	n, err := bf.File.ReadAtInto(p, off, dst)
-	if err != nil {
-		return fmt.Errorf("fragment read on s%d: %w", srv, err)
+	unit := b.Array.StripeUnitSectors() * b.Array.SectorSize()
+	g := p.Fork()
+	for lo := 0; lo < len(dst); lo += unit {
+		chunk := dst[lo:min(lo+unit, len(dst))]
+		g.Go("zebra-frag-chunk", func(q *sim.Proc) error {
+			n, err := bf.File.ReadAtInto(q, off+int64(lo), chunk)
+			if err != nil {
+				return fmt.Errorf("fragment read on s%d: %w", srv, err)
+			}
+			clear(chunk[n:]) // what the backing file does not hold reads as zeros
+			if _, err := z.fleet.Ultra.Send(q, b.HEP, z.ep, len(chunk)); err != nil {
+				return fmt.Errorf("fragment from s%d: %w", srv, err)
+			}
+			return nil
+		})
 	}
-	clear(dst[n:]) // what the backing file does not hold reads as zeros
-	if _, err := z.fleet.Ultra.Send(p, b.HEP, z.ep, len(dst)); err != nil {
-		return fmt.Errorf("fragment from s%d: %w", srv, err)
-	}
-	return nil
+	return g.Wait(p)
 }
 
 // fetchFragments runs getFragment for every server s with a non-empty
@@ -439,31 +445,26 @@ func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error)
 	// Enough stripes stay in flight that every host sees work even while
 	// another host's fragment of an earlier stripe is still draining — the
 	// per-stripe join otherwise idles the fast hosts behind the slow one.
-	window := sim.NewServer(z.fleet.Eng, "zebra-read-window", 8)
-	g := p.Fork()
-	for s := first; s <= last; s++ {
-		window.Acquire(p)
-		g.Go("zebra-read-stripe", func(q *sim.Proc) error {
-			defer window.Release()
-			lo, sz := s*sb, int64(z.stripeSize(f, s)) // stripe's logical start and length
-			from, to := max(off-lo, 0), min(off+int64(n)-lo, sz)
-			part := out[lo+from-off : lo+to-off]
-			if to-from == sz {
-				// The request covers the stripe: it lands straight in its
-				// part of the result.
-				return z.readStripe(q, f, s, part)
-			}
-			// The first or last stripe, covered partially: through a buffer
-			// of its own, and the overlap is copied.
-			buf := make([]byte, sz)
-			err := z.readStripe(q, f, s, buf)
-			if err == nil {
-				copy(part, buf[from:to])
-			}
-			return err
-		})
-	}
-	if err := g.Wait(p); err != nil {
+	err := z.inFlight(p, "zebra-read", readWindow, int(last-first+1), func(q *sim.Proc, i int) error {
+		s := first + int64(i)
+		lo, sz := s*sb, int64(z.stripeSize(f, s)) // stripe's logical start and length
+		from, to := max(off-lo, 0), min(off+int64(n)-lo, sz)
+		part := out[lo+from-off : lo+to-off]
+		if to-from == sz {
+			// The request covers the stripe: it lands straight in its part
+			// of the result.
+			return z.readStripe(q, f, s, part)
+		}
+		// The first or last stripe, covered partially: through a buffer of
+		// its own, and the overlap is copied.
+		buf := make([]byte, sz)
+		err := z.readStripe(q, f, s, buf)
+		if err == nil {
+			copy(part, buf[from:to])
+		}
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("zebra: read %s: %w", name, err)
 	}
 	return out, nil
@@ -536,7 +537,10 @@ func (z *Store) tryReadStripe(p *sim.Proc, f *file, stripe int64, buf []byte) er
 // RebuildServer reconstructs every stale fragment on server srv from the
 // survivors and rewrites it, returning the number of fragments rebuilt.
 // Call it after a ServerUp restores the host; until then reads route
-// around the stale fragments through parity.
+// around the stale fragments through parity.  Stale stripes are repaired
+// several at a time, as many as a write keeps in flight.  On an error no
+// further stripe is started, and the count is of the fragments rewritten
+// by then: the ones that no longer count as stale.
 func (z *Store) RebuildServer(p *sim.Proc, srv int) (int, error) {
 	if srv < 0 || srv >= z.Width() {
 		return 0, fmt.Errorf("zebra: rebuild: no server %d", srv)
@@ -544,31 +548,33 @@ func (z *Store) RebuildServer(p *sim.Proc, srv int) (int, error) {
 	if z.fleet.Servers[srv].Down() {
 		return 0, fmt.Errorf("zebra: rebuild s%d: host still down: %w", srv, fault.ErrLinkDown)
 	}
-	names := make([]string, 0, len(z.files))
-	for name := range z.files {
-		names = append(names, name)
+	// One window spans every file's stale stripes, so it stays full from
+	// one file to the next.
+	type staleFrag struct {
+		f      *file
+		stripe int64
 	}
-	sort.Strings(names)
-	rebuilt := 0
-	for _, name := range names {
+	var todo []staleFrag
+	for _, name := range slices.Sorted(maps.Keys(z.files)) {
 		f := z.files[name]
-		stripes := make([]int64, 0, len(f.stale[srv]))
-		for s := range f.stale[srv] {
-			stripes = append(stripes, s)
-		}
-		sort.Slice(stripes, func(i, j int) bool { return stripes[i] < stripes[j] })
-		for _, s := range stripes {
-			payload, err := z.reconstructFragment(p, f, srv, s)
-			if err != nil {
-				return rebuilt, fmt.Errorf("zebra: rebuild s%d stripe %d: %w", srv, s, err)
-			}
-			if err := z.putFragment(p, f, srv, s, payload); err != nil {
-				return rebuilt, fmt.Errorf("zebra: rebuild s%d stripe %d: %w", srv, s, err)
-			}
-			rebuilt++
+		for _, s := range slices.Sorted(maps.Keys(f.stale[srv])) {
+			todo = append(todo, staleFrag{f, s})
 		}
 	}
-	return rebuilt, nil
+	rebuilt := 0
+	err := z.inFlight(p, "zebra-rebuild", writeWindow, len(todo), func(q *sim.Proc, i int) error {
+		f, s := todo[i].f, todo[i].stripe
+		payload, err := z.reconstructFragment(q, f, srv, s)
+		if err == nil {
+			err = z.putFragment(q, f, srv, s, payload)
+		}
+		if err != nil {
+			return fmt.Errorf("zebra: rebuild s%d stripe %d: %w", srv, s, err)
+		}
+		rebuilt++
+		return nil
+	})
+	return rebuilt, err
 }
 
 // reconstructFragment computes the fragment server srv holds for stripe s
@@ -596,6 +602,33 @@ func (z *Store) reconstructFragment(p *sim.Proc, f *file, srv int, stripe int64)
 	lost := make([]byte, z.holdSize(sz, srv, pIdx))
 	xorFragments(lost, got)
 	return lost, nil
+}
+
+// The stripes a read and a write keep in flight.  A rebuild rewrites what
+// it reconstructs, so it keeps as many as a write.
+const (
+	readWindow  = 8
+	writeWindow = 4
+)
+
+// inFlight runs fn(q, i) for every i in [0, n), each in a process called
+// name+"-stripe", at most width of them at once, and returns the first
+// error.  Once one has failed no further i is started.
+func (z *Store) inFlight(p *sim.Proc, name string, width, n int, fn func(q *sim.Proc, i int) error) error {
+	window := sim.NewServer(z.fleet.Eng, name+"-window", width)
+	g := p.Fork()
+	for i := 0; i < n; i++ {
+		window.Acquire(p)
+		if g.Err() != nil {
+			window.Release()
+			break
+		}
+		g.Go(name+"-stripe", func(q *sim.Proc) error {
+			defer window.Release()
+			return fn(q, i)
+		})
+	}
+	return g.Wait(p)
 }
 
 // xorFragments sets lost to the XOR of the other fragments of its stripe

@@ -2,10 +2,12 @@ package zebra
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
+	"raidii/internal/fault"
 	"raidii/internal/hippi"
 	"raidii/internal/server"
 	"raidii/internal/sim"
@@ -15,13 +17,25 @@ import (
 // board of every server, plus a client ring endpoint.
 func newFleet(t testing.TB, servers, boards int) (*server.Fleet, *Store) {
 	t.Helper()
+	var z *Store
+	fl := runFleet(t, servers, boards, fault.Plan{}, func(_ *sim.Proc, _ *server.Fleet, zs *Store) { z = zs })
+	return fl, z
+}
+
+// runFleet builds a fleet of servers hosts with boards boards each under
+// the fault plan, then formats every board, builds the store and runs
+// script in one engine run: a scripted fault waits in the same event queue,
+// so a separate formatting run would fire it early.
+func runFleet(t testing.TB, servers, boards int, plan fault.Plan, script func(p *sim.Proc, fl *server.Fleet, z *Store)) *server.Fleet {
+	t.Helper()
 	cfg := server.Fig8Config()
-	cfg.Servers = servers
-	cfg.Boards = boards
+	cfg.Servers, cfg.Boards, cfg.Faults = servers, boards, plan
 	fl, err := server.NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nic := sim.NewLink(fl.Eng, "client-nic", 100, 0)
+	ep := &hippi.Endpoint{Name: "client", Out: nic, In: nic, Setup: 200 * time.Microsecond}
 	fl.Eng.Spawn("fmt", func(p *sim.Proc) {
 		for _, sys := range fl.Servers {
 			for _, b := range sys.Boards {
@@ -30,15 +44,14 @@ func newFleet(t testing.TB, servers, boards int) (*server.Fleet, *Store) {
 				}
 			}
 		}
+		z, err := New(fl, ep, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		script(p, fl, z)
 	})
 	fl.Eng.Run()
-	nic := sim.NewLink(fl.Eng, "client-nic", 100, 0)
-	ep := &hippi.Endpoint{Name: "client", Out: nic, In: nic, Setup: 200 * time.Microsecond}
-	z, err := New(fl, ep, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fl, z
+	return fl
 }
 
 // pattern fills n deterministic, position-dependent bytes so a misplaced
@@ -232,6 +245,73 @@ func TestStaleWriteAndRebuild(t *testing.T) {
 	fl.Eng.Run()
 }
 
+// staleStripes writes stripes whole stripes while server victim is down and
+// brings it back: every one of them leaves a stale fragment on it.
+func staleStripes(t *testing.T, p *sim.Proc, fl *server.Fleet, z *Store, victim, stripes int) {
+	t.Helper()
+	if err := z.Create(p, "f"); err != nil {
+		t.Fatal(err)
+	}
+	fl.Servers[victim].SetDown(true)
+	if err := z.Write(p, "f", 0, pattern(0, stripes*z.StripeBytes())); err != nil {
+		t.Fatal(err)
+	}
+	fl.Servers[victim].SetDown(false)
+	if got := z.StaleFragments(victim); got != stripes {
+		t.Fatalf("degraded write left %d stale fragments, want %d", got, stripes)
+	}
+}
+
+// TestRebuildWindow: a whole-host rebuild keeps stripes in flight, so it
+// finishes well inside the time the same fragments take one at a time; and
+// when a source host dies partway, it reports the loss and counts exactly
+// the fragments it took off the stale set.
+func TestRebuildWindow(t *testing.T) {
+	const victim, source, stripes = 2, 0, 8
+	var start, end sim.Time
+	runFleet(t, 4, 1, fault.Plan{}, func(p *sim.Proc, fl *server.Fleet, z *Store) {
+		staleStripes(t, p, fl, z, victim, stripes)
+		start = p.Now()
+		if n, err := z.RebuildServer(p, victim); err != nil || n != stripes {
+			t.Fatalf("rebuild: %d fragments, err %v; want %d", n, err, stripes)
+		}
+		end = p.Now()
+	})
+	var serial sim.Duration
+	runFleet(t, 4, 1, fault.Plan{}, func(p *sim.Proc, fl *server.Fleet, z *Store) {
+		staleStripes(t, p, fl, z, victim, stripes)
+		f, t0 := z.files["f"], p.Now()
+		for s := int64(0); s < stripes; s++ {
+			payload, err := z.reconstructFragment(p, f, victim, s)
+			if err == nil {
+				err = z.putFragment(p, f, victim, s, payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		serial = p.Now().Sub(t0)
+	})
+	if windowed := end.Sub(start); windowed >= serial*6/10 {
+		t.Errorf("windowed rebuild took %v, serial %v: want under 0.6x", windowed, serial)
+	}
+
+	plan := fault.Plan{}.ServerDownAt(time.Duration(start+(end-start)/2), source)
+	runFleet(t, 4, 1, plan, func(p *sim.Proc, fl *server.Fleet, z *Store) {
+		staleStripes(t, p, fl, z, victim, stripes)
+		n, err := z.RebuildServer(p, victim)
+		if !errors.Is(err, fault.ErrLinkDown) {
+			t.Fatalf("rebuild with source s%d lost: err %v, want ErrLinkDown", source, err)
+		}
+		if !fl.Servers[source].Down() {
+			t.Fatal("the scripted ServerDownAt did not fire during the rebuild")
+		}
+		if left := z.StaleFragments(victim); n != stripes-left || n == 0 || left == 0 {
+			t.Fatalf("rebuild reports %d fragments; %d of %d left stale", n, left, stripes)
+		}
+	})
+}
+
 func TestSmallFleetsDropParity(t *testing.T) {
 	// Parity needs three hosts; smaller fleets fall back to plain striping
 	// and a host loss is then fatal for writes.
@@ -316,6 +396,69 @@ func TestReadAllocationCeiling(t *testing.T) {
 	if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(data)); got > 1.2 {
 		t.Errorf("healthy whole-stripe read allocates %.2f bytes per byte returned (ceiling 1.2)", got)
 	}
+}
+
+// TestHostDiesMidStream: a host goes down while its fragments' chunks are
+// on the ring.  The stripes in flight fail and take readStripe's degraded
+// retry, which rebuilds the dead host's fragments in place from parity;
+// the chunks it had already delivered into those places must not survive
+// into the result.
+func TestHostDiesMidStream(t *testing.T) {
+	const victim, servers, stripes = 1, 4, 4
+	// read writes the file, reads it back whole and checks the bytes; it
+	// returns when the read started and what the victim's and the other
+	// hosts' HIPPI source ports moved during it.
+	read := func(p *sim.Proc, fl *server.Fleet, z *Store) (start sim.Time, victimSent, othersSent uint64) {
+		data := pattern(0, stripes*z.StripeBytes())
+		if err := z.Create(p, "f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Write(p, "f", 0, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.SyncAll(p); err != nil {
+			t.Fatal(err)
+		}
+		sent := func() (v, others uint64) {
+			for s, sys := range fl.Servers {
+				if n := sys.Boards[0].XB.HIPPIS.BytesMoved(); s == victim {
+					v = n
+				} else {
+					others += n
+				}
+			}
+			return v, others
+		}
+		v0, o0 := sent()
+		start = p.Now()
+		got, err := z.Read(p, "f", 0, len(data))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read returned wrong bytes (err %v)", err)
+		}
+		v1, o1 := sent()
+		return start, v1 - v0, o1 - o0
+	}
+	var start, end sim.Time
+	var whole, healthy uint64
+	runFleet(t, servers, 1, fault.Plan{}, func(p *sim.Proc, fl *server.Fleet, z *Store) {
+		start, whole, healthy = read(p, fl, z)
+		end = p.Now()
+	})
+
+	plan := fault.Plan{}.ServerDownAt(time.Duration(start+(end-start)/2), victim)
+	runFleet(t, servers, 1, plan, func(p *sim.Proc, fl *server.Fleet, z *Store) {
+		_, sent, others := read(p, fl, z)
+		if !fl.Servers[victim].Down() {
+			t.Fatal("the scripted ServerDownAt did not fire during the read")
+		}
+		if sent == 0 || sent >= whole {
+			t.Fatalf("s%d sent %d of its %d bytes before it died: the fault missed the stream", victim, sent, whole)
+		}
+		// The stripes in flight were fetched again, degraded, parity included.
+		if others <= healthy {
+			t.Fatalf("the survivors sent %d bytes, no more than the healthy read's %d: no stripe took the degraded retry", others, healthy)
+		}
+	})
 }
 
 // BenchmarkZebraRead reads four whole stripes (11.25 MB) from a healthy
