@@ -1,7 +1,9 @@
 package lfs
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"raidii/internal/sim"
 )
@@ -30,9 +32,100 @@ func (r *CheckReport) OK() bool {
 // Check verifies file system invariants: every inode-map entry points at a
 // valid inode, every block pointer lies inside the log, no block is
 // referenced twice, and every allocated inode is reachable from the root.
+//
+// It holds fs.mu, so it sees one state of the file system, and loads what it
+// walks a level at a time, each level's reads in flight together: the
+// inodes the inode map names, their indirect and double-indirect top blocks,
+// the double-indirect second-level blocks, the directories' contents.  The
+// walk itself is in memory.
 func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 	fs.mu.Acquire(p)
 	defer fs.mu.Release()
+
+	blocks := make(map[int64][]byte) // every block the walk reads, by address
+	var addrs []int64
+	var load []uint32 // the inodes the map names that are not cached
+	for inum := uint32(1); inum < fs.sb.MaxInodes; inum++ {
+		if fs.imap[inum] == 0 {
+			continue
+		}
+		if _, cached := fs.icache[inum]; !cached {
+			load = append(load, inum)
+			addrs = append(addrs, fs.imap[inum])
+		}
+	}
+	if err := fs.gather(p, addrs, blocks); err != nil {
+		return nil, err
+	}
+	unreadable := make(map[uint32]error)
+	for _, inum := range load {
+		var err error
+		if buf := blocks[fs.imap[inum]]; buf == nil {
+			err = fmt.Errorf("%w: inode %d at %d outside log", ErrCorrupt, inum, fs.imap[inum])
+		} else {
+			_, err = fs.inodeFrom(inum, buf)
+		}
+		if err != nil {
+			unreadable[inum] = err
+		}
+	}
+	inodes := make([]*inode, 0, len(fs.icache)) // now every inode: the map's and the unflushed new ones
+	for _, in := range fs.icache {
+		inodes = append(inodes, in) // in any order: it only feeds addrs, which gather sorts
+	}
+	inodeOf := func(inum uint32) (*inode, error) { // what loadInode would return
+		if err := unreadable[inum]; err != nil {
+			return nil, err
+		}
+		if in, ok := fs.icache[inum]; ok {
+			return in, nil
+		}
+		return nil, ErrNotExist
+	}
+
+	ptr := func(blk []byte, i int64) int64 {
+		if blk == nil {
+			return 0
+		}
+		return int64(le.Uint64(blk[i*8:]))
+	}
+	addrs = addrs[:0]
+	for _, in := range inodes {
+		addrs = append(addrs, in.Ind, in.DIndTop)
+	}
+	if err := fs.gather(p, addrs, blocks); err != nil {
+		return nil, err
+	}
+	addrs = addrs[:0]
+	for _, in := range inodes {
+		for i, top := int64(0), blocks[in.DIndTop]; top != nil && i < PtrsPerBlock; i++ {
+			addrs = append(addrs, ptr(top, i))
+		}
+	}
+	if err := fs.gather(p, addrs, blocks); err != nil {
+		return nil, err
+	}
+	blockAt := func(in *inode, fb int64) int64 { // getBlockAddr, from blocks
+		switch {
+		case fb < NDirect:
+			return in.Direct[fb]
+		case fb < NDirect+PtrsPerBlock:
+			return ptr(blocks[in.Ind], fb-NDirect)
+		case fb < MaxFileBlocks:
+			fb -= NDirect + PtrsPerBlock
+			return ptr(blocks[ptr(blocks[in.DIndTop], fb/PtrsPerBlock)], fb%PtrsPerBlock)
+		}
+		return 0
+	}
+	addrs = addrs[:0]
+	for _, in := range inodes {
+		for fb := int64(0); in.Mode == ModeDir && fb*BlockSize < in.Size; fb++ {
+			addrs = append(addrs, blockAt(in, fb))
+		}
+	}
+	if err := fs.gather(p, addrs, blocks); err != nil {
+		return nil, err
+	}
 
 	r := &CheckReport{}
 	seen := make(map[int64]uint32) // block addr -> owner inum
@@ -42,7 +135,7 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		if addr == 0 {
 			return
 		}
-		if fs.segOf(addr) < 0 || fs.segOf(addr) >= int(fs.sb.NSegs) {
+		if !fs.inLog(addr) {
 			r.BadPointers = append(r.BadPointers, fmt.Sprintf("inode %d: %s at %d outside log", inum, what, addr))
 			return
 		}
@@ -62,18 +155,18 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 			return nil
 		}
 		reachable[inum] = true
-		in, err := fs.loadInode(p, inum)
+		in, err := inodeOf(inum)
 		if err != nil {
 			return err
 		}
 		if in.Mode != ModeDir {
 			return nil
 		}
-		ents, err := fs.readDirLocked(p, in)
-		if err != nil {
-			return err
+		data := make([]byte, in.Size)
+		for fb := int64(0); fb*BlockSize < in.Size; fb++ {
+			copy(data[fb*BlockSize:], blocks[blockAt(in, fb)]) // a hole stays zero
 		}
-		for _, e := range ents {
+		for _, e := range parseDir(data) {
 			if err := walkDir(e.Inum); err != nil {
 				return err
 			}
@@ -89,7 +182,7 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 			continue
 		}
 		r.Inodes++
-		in, err := fs.loadInode(p, inum)
+		in, err := inodeOf(inum)
 		if err != nil {
 			r.BadPointers = append(r.BadPointers, fmt.Sprintf("inode %d unreadable: %v", inum, err))
 			continue
@@ -108,32 +201,20 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		}
 		if in.Ind != 0 {
 			claim(inum, in.Ind, "indirect")
-			buf, err := fs.readBlock(p, in.Ind)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < PtrsPerBlock; i++ {
-				claim(inum, int64(le.Uint64(buf[i*8:])), fmt.Sprintf("ind[%d]", i))
+			for i, ind := int64(0), blocks[in.Ind]; ind != nil && i < PtrsPerBlock; i++ {
+				claim(inum, ptr(ind, i), fmt.Sprintf("ind[%d]", i))
 			}
 		}
 		if in.DIndTop != 0 {
 			claim(inum, in.DIndTop, "dind-top")
-			top, err := fs.readBlock(p, in.DIndTop)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < PtrsPerBlock; i++ {
-				l2 := int64(le.Uint64(top[i*8:]))
+			for i, top := int64(0), blocks[in.DIndTop]; top != nil && i < PtrsPerBlock; i++ {
+				l2 := ptr(top, i)
 				if l2 == 0 {
 					continue
 				}
 				claim(inum, l2, fmt.Sprintf("dind-l2[%d]", i))
-				buf, err := fs.readBlock(p, l2)
-				if err != nil {
-					return nil, err
-				}
-				for j := 0; j < PtrsPerBlock; j++ {
-					claim(inum, int64(le.Uint64(buf[j*8:])), fmt.Sprintf("dind[%d][%d]", i, j))
+				for j, blk := int64(0), blocks[l2]; blk != nil && j < PtrsPerBlock; j++ {
+					claim(inum, ptr(blk, j), fmt.Sprintf("dind[%d][%d]", i, j))
 				}
 			}
 		}
@@ -162,4 +243,38 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		}
 	}
 	return r, nil
+}
+
+// inLog reports whether block addr lies in the segment area.
+func (fs *FS) inLog(addr int64) bool {
+	seg := fs.segOf(addr)
+	return seg >= 0 && seg < int(fs.sb.NSegs)
+}
+
+// gather adds the blocks at addrs (in any order, 0 and addresses outside the
+// log skipped) to blocks: one staged or in the metadata cache is taken from
+// there, the others are read together (fetch).
+func (fs *FS) gather(p *sim.Proc, addrs []int64, blocks map[int64][]byte) error {
+	slices.Sort(addrs)
+	var need []int64
+	for i, a := range addrs {
+		if _, have := blocks[a]; have || !fs.inLog(a) || i > 0 && a == addrs[i-1] {
+			continue
+		}
+		if b := fs.stagedBlock(a); b != nil {
+			blocks[a] = bytes.Clone(b) // a sealed image is recycled once its write lands
+		} else if e, ok := fs.metaCache[a]; ok {
+			blocks[a] = e.b
+		} else {
+			need = append(need, a)
+		}
+	}
+	buf := make([]byte, len(need)*BlockSize)
+	if err := fs.fetch(p, need, buf); err != nil {
+		return err
+	}
+	for i, a := range need {
+		blocks[a] = slot(buf, int64(i))
+	}
+	return nil
 }

@@ -264,7 +264,11 @@ func TestMoveBlockRepointsIndirects(t *testing.T) {
 			if live, err := fs.blockLive(p, c.e, old); err != nil || !live {
 				t.Fatalf("%s block at %d: live=%v err=%v before the move", c.name, old, live, err)
 			}
-			if err := fs.moveBlock(p, c.e, old); err != nil {
+			content, err := fs.readBlock(p, old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.moveBlock(p, c.e, old, content); err != nil {
 				t.Fatalf("move %s: %v", c.name, err)
 			}
 			if live, _ := fs.blockLive(p, c.e, old); live {

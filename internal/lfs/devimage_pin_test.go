@@ -208,7 +208,9 @@ func pinScript(t *testing.T) []string {
 		_, err = sp.WriteAt(p, pinPattern(BlockSize+5, 0xa9), (dind+4)*BlockSize)
 		must(err)
 
-		// Fill the log until appends run the cleaner by themselves.
+		// Fill the log until it cleans by itself: the cleaner process the
+		// seals start, and, since this writer seldom waits and the process
+		// falls behind, appends that clean inline on the last free segment.
 		must(fs.Mkdir(p, "/fill"))
 		cleaned := fs.Stats().SegmentsCleaned
 		for i := 0; fs.Stats().SegmentsCleaned < cleaned+10; i++ {
@@ -224,10 +226,7 @@ func pinScript(t *testing.T) []string {
 			}
 			switch {
 			case fs.Stats().SegmentsCleaned > cleaned:
-				// On a full log the Sync's seal takes the last spare segment,
-				// so the checkpoint's first append — an inode-map chunk — is
-				// what runs the cleaner, which moves inodes while that append
-				// is under way.
+				// Checkpoint on the full log, with the cleaner at work.
 				must(fs.Sync(p))
 				must(fs.Checkpoint(p))
 			case i%8 == 7:

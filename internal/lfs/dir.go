@@ -180,7 +180,7 @@ func (fs *FS) writeDir(p *sim.Proc, in *inode, data []byte) error {
 		return err
 	}
 	if len(data) > 0 {
-		if _, err := fs.writeAtLocked(p, in, data, 0); err != nil {
+		if _, err := fs.writeAtLocked(p, in, data, 0, nil); err != nil {
 			return err
 		}
 	}

@@ -52,25 +52,97 @@ func (f *File) Size(p *sim.Proc) (int64, error) {
 
 // WriteAt writes data at offset off, extending the file as needed.  All
 // data lands in the current in-memory segment; call Sync or Checkpoint for
-// durability.
+// durability.  The first and last blocks the write covers only in part keep
+// the rest of their bytes: when they are on the device, the two are read
+// together with fs.mu given back before the write goes on.
 func (f *File) WriteAt(p *sim.Proc, data []byte, off int64) (int, error) {
-	f.fs.mu.Acquire(p)
-	defer f.fs.mu.Release()
-	in, err := f.fs.loadInode(p, f.inum)
+	fs := f.fs
+	fs.mu.Acquire(p)
+	defer fs.mu.Release()
+	in, err := fs.loadInode(p, f.inum)
 	if err != nil {
 		return 0, err
 	}
 	if in.Mode == ModeDir {
 		return 0, ErrIsDir
 	}
-	n, err := f.fs.writeAtLocked(p, in, data, off)
-	f.fs.stats.WriteOps++
-	f.fs.stats.BytesWritten += uint64(n)
-	f.fs.writeGen++
+	pre := fs.partialBlocks(p, in, off, len(data))
+	if len(pre) > 0 {
+		if err := fs.preRead(p, pre); err != nil {
+			return 0, err
+		}
+		if in, err = fs.loadInode(p, f.inum); err != nil { // removed meanwhile
+			return 0, err
+		}
+	}
+	n, err := fs.writeAtLocked(p, in, data, off, pre)
+	fs.stats.WriteOps++
+	fs.stats.BytesWritten += uint64(n)
+	fs.writeGen++
 	return n, err
 }
 
-func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64) (int, error) {
+// preread is a block a write reads before it writes: file block fb, which
+// resolved to addr in a segment whose usageSeq was seq, and its bytes b.
+type preread struct {
+	fb, addr int64
+	seq      uint64
+	b        []byte
+}
+
+// partialBlocks returns the first and last blocks of an n-byte write at off
+// that the write covers only in part and that are on the device.  A hole, a
+// staged block and one whose address does not resolve need no read here.
+func (fs *FS) partialBlocks(p *sim.Proc, in *inode, off int64, n int) []preread {
+	if n == 0 {
+		return nil
+	}
+	end := off + int64(n)
+	var pre []preread
+	for _, fb := range [2]int64{off / BlockSize, (end - 1) / BlockSize} {
+		if fb*BlockSize >= off && (fb+1)*BlockSize <= end || len(pre) > 0 && pre[0].fb == fb {
+			continue
+		}
+		addr, err := fs.getBlockAddr(p, in, fb)
+		if err != nil || addr == 0 || fs.stagedBlock(addr) != nil {
+			continue
+		}
+		pre = append(pre, preread{fb: fb, addr: addr, seq: fs.usageSeq[fs.segOf(addr)]})
+	}
+	return pre
+}
+
+// preRead reads the blocks of pre with fs.mu given back, and takes it again.
+func (fs *FS) preRead(p *sim.Proc, pre []preread) error {
+	addrs := make([]int64, len(pre))
+	for i := range pre {
+		addrs[i] = pre[i].addr
+	}
+	buf := make([]byte, len(pre)*BlockSize)
+	fs.mu.Release()
+	err := fs.fetch(p, addrs, buf)
+	fs.mu.Acquire(p)
+	for i := range pre {
+		pre[i].b = slot(buf, int64(i))
+	}
+	return err
+}
+
+// prereadOf returns the bytes pre read of file block fb if they are still the
+// block's: it resolves to the same address, whose segment has not been
+// cleaned and resealed since.  Otherwise nil.
+func (fs *FS) prereadOf(pre []preread, fb, addr int64) []byte {
+	for _, r := range pre {
+		if r.fb == fb && r.addr == addr && fs.usageSeq[fs.segOf(addr)] == r.seq {
+			return r.b
+		}
+	}
+	return nil
+}
+
+// writeAtLocked writes data at off into in; pre holds the partial blocks
+// read before the lock (partialBlocks), if any.  Caller holds fs.mu.
+func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64, pre []preread) (int, error) {
 	written := 0
 	for written < len(data) {
 		fb := (off + int64(written)) / BlockSize
@@ -90,8 +162,10 @@ func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64) (int
 		} else {
 			var old []byte // what the chunk does not cover; nil for a hole or a whole block
 			if addr != 0 && n < BlockSize {
-				if old, err = fs.readBlock(p, addr); err != nil {
-					return written, err
+				if old = fs.prereadOf(pre, fb, addr); old == nil {
+					if old, err = fs.readBlock(p, addr); err != nil {
+						return written, err
+					}
 				}
 			}
 			newAddr, b, err := fs.appendSlot(p, kindData, in.Inum, uint32(fb))

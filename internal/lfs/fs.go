@@ -107,8 +107,16 @@ type FS struct {
 
 	icache   map[uint32]*inode
 	idirty   map[uint32]bool
-	cleaning bool
 	writeGen uint64 // bumped on every write; invalidates prefetches
+
+	// The cleaner (cleaner.go).  cleaning is set while a clean holds fs.mu
+	// and moves blocks, so their appends start no clean of their own;
+	// cleanerOn while the cleaner process lives; victim is the segment that
+	// process is reading with fs.mu given back (-1: none), which no other
+	// clean picks.
+	cleaning  bool
+	cleanerOn bool
+	victim    int
 
 	// metaCache holds recently read metadata blocks (indirect blocks,
 	// directory data) keyed by log address.  Log addresses are write-once
@@ -239,6 +247,10 @@ func Mount(p *sim.Proc, e *sim.Engine, dev Device) (*FS, error) {
 		sb:  sb,
 	}
 	fs.initState()
+	// Recovery holds the lock like any other change of state: a cleaner that
+	// one of its seals starts waits for the mount to finish.
+	fs.mu.Acquire(p)
+	defer fs.mu.Release()
 	if err := fs.recover(p); err != nil {
 		return nil, err
 	}
@@ -270,6 +282,7 @@ func (fs *FS) initState() {
 	fs.images = bytepath.NewFreeList(imagePool)
 	fs.metaCache = make(map[int64]metaEntry)
 	fs.stagedPtrs = make(map[int64]struct{})
+	fs.victim = -1
 }
 
 // Stats returns a copy of the counters.
@@ -316,6 +329,29 @@ func (fs *FS) readBlock(p *sim.Proc, addr int64) ([]byte, error) {
 		return bytes.Clone(b), nil
 	}
 	return fs.dev.Read(p, addr*int64(fs.blockSectors), fs.blockSectors)
+}
+
+// fetch reads the blocks at addrs, none of them staged, into dst: block i of
+// dst is the block at addrs[i].  Each run of ascending consecutive addresses
+// is one device read and all of them are in flight at once, so a
+// caller that knows the blocks it needs waits once for all of them: the
+// cleaner for a victim's live blocks, Check for a level of its walk, a write
+// for its partial blocks.
+func (fs *FS) fetch(p *sim.Proc, addrs []int64, dst []byte) error {
+	g := p.Fork()
+	for i := 0; i < len(addrs); {
+		j := i + 1
+		for j < len(addrs) && addrs[j] == addrs[j-1]+1 {
+			j++
+		}
+		lba, buf := addrs[i]*int64(fs.blockSectors), dst[i*BlockSize:j*BlockSize]
+		if i == 0 && j == len(addrs) {
+			return bytepath.ReadInto(fs.dev, p, lba, buf) // one run: no worker
+		}
+		g.Go("lfs-fetch", func(q *sim.Proc) error { return bytepath.ReadInto(fs.dev, q, lba, buf) })
+		i = j
+	}
+	return g.Wait(p)
 }
 
 // metaCacheCap bounds the metadata cache (in blocks).
@@ -427,12 +463,14 @@ func (fs *FS) appendSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte
 	return fs.takeSlot(p, kind, a1, a2)
 }
 
-// makeRoom runs the cleaner when free segments have fallen below the
-// reserve, to stay ahead of log exhaustion.  Failure to find cleanable
-// segments is not fatal here; the seal path reports ErrNoSpace.
+// makeRoom is the cleaner's back-pressure.  The cleaner process keeps the
+// reserve; when it has fallen so far behind that the next seal would take
+// the last free segment, the append cleans inline, holding fs.mu, before it
+// goes on.  Failure to find cleanable segments is not fatal here; the seal
+// path reports ErrNoSpace.
 func (fs *FS) makeRoom(p *sim.Proc) {
-	if fs.failed() == nil && !fs.cleaning && fs.FreeSegments() < fs.cfg.CleanReserve {
-		_ = fs.cleanSome(p, fs.cfg.CleanReserve) //lint:allow errdrop opportunistic clean; the seal path reports ErrNoSpace
+	if fs.failed() == nil && !fs.cleaning && fs.FreeSegments() <= 1 {
+		_ = fs.cleanSome(p, fs.cfg.CleanReserve, false) //lint:allow errdrop opportunistic clean; the seal path reports ErrNoSpace
 	}
 }
 
@@ -488,26 +526,27 @@ func (fs *FS) takeImage(p *sim.Proc) ([]byte, error) {
 	return fs.images.Get(fs.SegmentBytes()), nil
 }
 
-// restage writes the new version of a metadata block whose previous version
-// is at old (0: none): over the old one if that is still in the current
-// segment, else into a fresh slot, and the old block dies.  fill must set
-// every byte it does not want to inherit: the slot holds the old version in
-// the first case and zeros in the second.  In the second case it runs after
-// the append has made room, which may have run the cleaner and sealed a
-// segment: what it writes is the caller's snapshot from before the call,
-// so the log records the state the caller decided to write.  It returns the
-// block's address.
-func (fs *FS) restage(p *sim.Proc, old int64, kind, a1, a2 uint32, fill func([]byte)) (int64, error) {
-	if b := fs.currentSlot(old); b != nil {
+// restage writes the new version of a metadata block whose current version
+// is at old() (0: none): over it if that is still in the current segment,
+// else into a fresh slot, and the old block dies.  fill must set every byte
+// it does not want to inherit: the slot holds the old version in the first
+// case and zeros in the second.  Room is made first, and that may run the
+// cleaner, which can move this very block and the blocks it describes; so
+// old and fill are asked only after it, and the log records the state as
+// the cleaner left it.  It returns the block's address.
+func (fs *FS) restage(p *sim.Proc, kind, a1, a2 uint32, old func() int64, fill func([]byte)) (int64, error) {
+	fs.makeRoom(p)
+	at := old()
+	if b := fs.currentSlot(at); b != nil {
 		fill(b)
-		return old, nil
+		return at, nil
 	}
-	addr, b, err := fs.appendSlot(p, kind, a1, a2)
+	addr, b, err := fs.takeSlot(p, kind, a1, a2)
 	if err != nil {
 		return 0, err
 	}
 	fill(b)
-	fs.killBlock(old)
+	fs.killBlock(at)
 	return addr, nil
 }
 
@@ -621,6 +660,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	fs.usageLive[nextIdx] = 0
 	fs.segSeq++
 	fs.resetSegment()
+	fs.startCleaner()
 	return nil
 }
 
@@ -675,10 +715,8 @@ func (fs *FS) flushInodes(p *sim.Proc) error {
 
 // appendInode writes an inode block to the log and updates the inode map.
 func (fs *FS) appendInode(p *sim.Proc, in *inode) error {
-	old := fs.imap[in.Inum]
-	now := *in // as it stands: the append may run the cleaner, which can repoint this file's blocks
-	addr, err := fs.restage(p, old, kindInode, in.Inum, 0, now.marshal)
-	if err != nil || addr == old {
+	addr, err := fs.restage(p, kindInode, in.Inum, 0, func() int64 { return fs.imap[in.Inum] }, in.marshal)
+	if err != nil || addr == fs.imap[in.Inum] {
 		return err
 	}
 	fs.imap[in.Inum] = addr
@@ -688,12 +726,12 @@ func (fs *FS) appendInode(p *sim.Proc, in *inode) error {
 
 // stageImapChunk writes inode-map chunk chunk to the log.
 func (fs *FS) stageImapChunk(p *sim.Proc, chunk int) error {
-	buf := make([]byte, BlockSize)
-	base := chunk * imapChunkEntries
-	for i := 0; i < imapChunkEntries && base+i < len(fs.imap); i++ {
-		le.PutUint64(buf[i*8:], uint64(fs.imap[base+i]))
-	}
-	addr, err := fs.restage(p, fs.imapAddrs[chunk], kindImap, uint32(chunk), 0, func(b []byte) { copy(b, buf) })
+	addr, err := fs.restage(p, kindImap, uint32(chunk), 0, func() int64 { return fs.imapAddrs[chunk] }, func(b []byte) {
+		base := chunk * imapChunkEntries
+		for i := 0; i < imapChunkEntries && base+i < len(fs.imap); i++ {
+			le.PutUint64(b[i*8:], uint64(fs.imap[base+i]))
+		}
+	})
 	if err != nil {
 		return err
 	}
@@ -706,8 +744,9 @@ func (fs *FS) stageImapChunk(p *sim.Proc, chunk int) error {
 // (the append itself, and a seal it may cause, perturb the live counts
 // slightly; the cleaner re-verifies liveness anyway).
 func (fs *FS) stageUsageChunk(p *sim.Proc, chunk int) error {
-	buf := fs.marshalUsageChunk(chunk)
-	addr, err := fs.restage(p, fs.usageAddrs[chunk], kindSegUsage, uint32(chunk), 0, func(b []byte) { copy(b, buf) })
+	addr, err := fs.restage(p, kindSegUsage, uint32(chunk), 0, func() int64 { return fs.usageAddrs[chunk] }, func(b []byte) {
+		fs.marshalUsageChunk(chunk, b)
+	})
 	if err != nil {
 		return err
 	}
@@ -768,23 +807,30 @@ func (fs *FS) Checkpoint(p *sim.Proc) error {
 func (fs *FS) checkpointLocked(p *sim.Proc) error {
 	end := p.Span("lfs", "checkpoint")
 	defer end()
-	if err := fs.flushInodes(p); err != nil {
-		return err
-	}
-	// Imap chunks: exact, since inodes no longer move.
-	for chunk := 0; chunk < len(fs.imapAddrs); chunk++ {
-		if fs.imapDirty[chunk] {
-			if err := fs.stageImapChunk(p, chunk); err != nil {
-				return err
+	// A staging append can clean inline (makeRoom), which moves inodes and
+	// file blocks and so dirties inodes and chunks this pass has done: pass
+	// again until one leaves nothing dirty.  Without a clean one pass does.
+	for {
+		if err := fs.flushInodes(p); err != nil {
+			return err
+		}
+		for chunk := 0; chunk < len(fs.imapAddrs); chunk++ {
+			if fs.imapDirty[chunk] {
+				if err := fs.stageImapChunk(p, chunk); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	for chunk := 0; chunk < len(fs.usageAddrs); chunk++ {
-		if fs.usageDirty[chunk] {
-			if err := fs.stageUsageChunk(p, chunk); err != nil {
-				return err
+		for chunk := 0; chunk < len(fs.usageAddrs); chunk++ {
+			if fs.usageDirty[chunk] {
+				if err := fs.stageUsageChunk(p, chunk); err != nil {
+					return err
+				}
+				delete(fs.usageDirty, chunk)
 			}
-			delete(fs.usageDirty, chunk)
+		}
+		if len(fs.idirty) == 0 && len(fs.imapDirty) == 0 {
+			break
 		}
 	}
 	if err := fs.sealSegment(p); err != nil {
@@ -816,8 +862,9 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 	return nil
 }
 
-func (fs *FS) marshalUsageChunk(chunk int) []byte {
-	buf := make([]byte, BlockSize)
+// marshalUsageChunk writes segment-usage chunk chunk into buf, a block.
+func (fs *FS) marshalUsageChunk(chunk int, buf []byte) {
+	clear(buf)
 	base := chunk * usageChunkEntries
 	for i := 0; i < usageChunkEntries && base+i < len(fs.usageLive); i++ {
 		le.PutUint32(buf[i*16:], uint32(fs.usageLive[base+i]))
@@ -826,7 +873,6 @@ func (fs *FS) marshalUsageChunk(chunk int) []byte {
 			buf[i*16+12] = 1
 		}
 	}
-	return buf
 }
 
 func (fs *FS) unmarshalUsageChunk(chunk int, buf []byte) {

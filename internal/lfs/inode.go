@@ -22,6 +22,12 @@ func (fs *FS) loadInode(p *sim.Proc, inum uint32) (*inode, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fs.inodeFrom(inum, buf)
+}
+
+// inodeFrom decodes inode inum from buf, the block at fs.imap[inum], and
+// caches it.
+func (fs *FS) inodeFrom(inum uint32, buf []byte) (*inode, error) {
 	in := &inode{}
 	in.unmarshal(buf)
 	if in.Inum != inum {

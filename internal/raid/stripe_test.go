@@ -417,3 +417,47 @@ func stripeCodePlans(t *testing.T, level Level, failed []int) {
 		}
 	})
 }
+
+// TestLevel6ReconstructBytes pins what a Level-6 rebuild moves, the rebuild
+// share of degraded_r6's disk bytes: every stripe reads its unit from every
+// surviving device and writes one unit to the spare — with one device down
+// and with a second still down — and nothing else is read or written.
+func TestLevel6ReconstructBytes(t *testing.T) {
+	for _, down := range [][]int{{1}, {1, 4}} {
+		t.Run(fmt.Sprintf("down%v", down), func(t *testing.T) {
+			const width = 6
+			e := sim.New()
+			defer e.Shutdown()
+			a, devs := newCountedArray(t, e, width, Level6)
+			spare := &countDev{Dev: NewMemDev(256, tSec)}
+			for _, d := range down {
+				if err := a.FailDisk(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var rebuilt int64
+			e.Spawn("rebuild", func(p *sim.Proc) {
+				var err error
+				if rebuilt, err = a.Reconstruct(p, down[0], spare); err != nil {
+					t.Error(err)
+				}
+			})
+			e.Run()
+			unit := int(a.StripeUnitSectors())
+			survivors := width - len(down)
+			read := 0
+			for i, d := range devs {
+				if d.cmds != d.reads {
+					t.Errorf("device %d was written", i)
+				}
+				read += d.secs
+			}
+			if rebuilt != a.stripes || read != int(a.stripes)*survivors*unit {
+				t.Errorf("%d stripes rebuilt reading %d sectors, want %d stripes x %d survivors x %d", rebuilt, read, a.stripes, survivors, unit)
+			}
+			if spare.reads != 0 || spare.secs != int(a.stripes)*unit || spare.cmds != int(a.stripes) {
+				t.Errorf("the spare took %d sectors in %d commands and %d reads, want %d stripes x %d in one write each", spare.secs, spare.cmds, spare.reads, a.stripes, unit)
+			}
+		})
+	}
+}
