@@ -51,6 +51,25 @@ func randomReads(r *rig, b *server.Board, n int, tl *timeline) (workload.Result,
 	})
 }
 
+// zeroFill writes zeros over b's array from stripe `from` to the end, whole
+// stripes at a time, so that a later rebuild reconstructs the whole disk: a
+// rebuild skips the stripes no write has reached.
+func zeroFill(r *rig, b *server.Board, from int64) error {
+	const batch = 16 // stripes per write
+	stripe := int64(b.Array.DataDisks() * b.Array.StripeUnitSectors())
+	sec := int64(b.Array.SectorSize())
+	zeros := make([]byte, batch*stripe*sec)
+	return r.do("zero-fill", func(p *sim.Proc) error {
+		for lba := from * stripe; lba < b.Array.Sectors(); lba += batch * stripe {
+			n := min(batch*stripe, b.Array.Sectors()-lba)
+			if err := b.Array.Write(p, lba, zeros[:n*sec]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // streamRead reads the first n bytes of d sequentially in 64 KB commands.
 func streamRead(p *sim.Proc, d *scsi.Disk, n int) error {
 	lba := int64(0)
@@ -773,11 +792,15 @@ func rebuiltBytes(b *server.Board, stripes int64) int64 {
 // Rebuild measures large-read bandwidth on the healthy array, fails one
 // disk and measures degraded reads (every access to the lost column fans
 // out to all surviving disks plus parity), then reconstructs onto a spare
-// and reports the rebuild rate.
+// and reports the rebuild rate.  The array is zero-filled first, so the
+// rebuild is a whole-disk one.
 func Rebuild() (RebuildResult, error) {
 	var out RebuildResult
 	err := withSystem("rebuild", server.Fig8Config(), func(r *rig, sys *server.System) error {
 		b := sys.Boards[0]
+		if err := zeroFill(r, b, 0); err != nil {
+			return err
+		}
 		res, err := randomReads(r, b, 24, nil)
 		if err != nil {
 			return err

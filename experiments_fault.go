@@ -31,11 +31,15 @@ type RebuildUnderLoadResult struct {
 // RebuildUnderLoad measures the Fig8 array's foreground read bandwidth
 // healthy, degraded after a disk failure, while a background hot rebuild
 // contends with the foreground traffic for the surviving spindles, and
-// after the spare is swapped in.
+// after the spare is swapped in.  The array is zero-filled first, so the
+// rebuild is a whole-disk one.
 func RebuildUnderLoad() (RebuildUnderLoadResult, error) {
 	var out RebuildUnderLoadResult
 	err := withSystem("rebuild-load", server.Fig8Config(), func(r *rig, sys *server.System) error {
 		b := sys.Boards[0]
+		if err := zeroFill(r, b, 0); err != nil {
+			return err
+		}
 		measure := func(rate *float64) error {
 			res, err := randomReads(r, b, 24, nil)
 			*rate = res.MBps()

@@ -175,7 +175,8 @@ func DoubleFaultTimeline() (DoubleFaultTimelineResult, error) {
 		// checked against ground truth, not just against the array's own
 		// parity.  Whole aligned stripes take the full-stripe write path, so
 		// seeding stays well clear of the first scripted failure.
-		seedSecs := b.Array.DataDisks() * b.Array.StripeUnitSectors() * 4
+		const seedStripes = 4
+		seedSecs := b.Array.DataDisks() * b.Array.StripeUnitSectors() * seedStripes
 		seed := nvFill(seedSecs*512, 1)
 		verifySeed := func(p *sim.Proc, phase string) error {
 			got, err := b.Array.Read(p, 0, seedSecs)
@@ -224,6 +225,11 @@ func DoubleFaultTimeline() (DoubleFaultTimelineResult, error) {
 		}
 		if !b.Array.Failed(failA) || !b.Array.Failed(failB) {
 			return errors.New("scripted failures did not escalate to the array")
+		}
+
+		// Zero-fill the rest of the array so both rebuilds are whole-disk ones.
+		if err := zeroFill(r, b, seedStripes); err != nil {
+			return err
 		}
 
 		// Hot-rebuild both disks, one after the other: the first rebuild runs

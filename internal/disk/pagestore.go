@@ -1,5 +1,7 @@
 package disk
 
+import "bytes"
+
 // pagestore holds the disk's contents sparsely: 64 KB pages are allocated
 // only when written, so a simulation can address tens of gigabytes of array
 // capacity while touching far less host memory.  Unwritten bytes read as
@@ -36,7 +38,11 @@ func (ps *pagestore) ReadAt(buf []byte, off int64) {
 	}
 }
 
-// WriteAt stores buf at off.
+// zeroPage is compared against, never written.
+var zeroPage [pageBytes]byte
+
+// WriteAt stores buf at off.  Zeros written to a never-written page leave it
+// unmaterialized: they are what it already reads as.
 func (ps *pagestore) WriteAt(buf []byte, off int64) {
 	if off < 0 || off+int64(len(buf)) > ps.size {
 		//lint:allow simpanic unreachable: Disk.checkRange bounds every access before it reaches the store
@@ -47,11 +53,13 @@ func (ps *pagestore) WriteAt(buf []byte, off int64) {
 		po := int(off % pageBytes)
 		n := min(pageBytes-po, len(buf))
 		page := ps.pages[pg]
-		if page == nil {
+		if page == nil && !bytes.Equal(buf[:n], zeroPage[:n]) {
 			page = make([]byte, pageBytes)
 			ps.pages[pg] = page
 		}
-		copy(page[po:], buf[:n])
+		if page != nil {
+			copy(page[po:], buf[:n])
+		}
 		buf = buf[n:]
 		off += int64(n)
 	}

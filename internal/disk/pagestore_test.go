@@ -54,9 +54,35 @@ func TestPagestoreRanges(t *testing.T) {
 	}
 }
 
+// TestPagestoreZeroWrites: zeros written to a never-written page leave it
+// unmaterialized, and zeros written over a materialized page replace what it
+// held; either way the store reads back what was written.
+func TestPagestoreZeroWrites(t *testing.T) {
+	ps := newPagestore(4 * pageBytes)
+	shadow := make([]byte, 4*pageBytes)
+	write := func(data []byte, off int64) {
+		ps.WriteAt(data, off)
+		copy(shadow[off:], data)
+	}
+	write(make([]byte, 2*pageBytes), 100) // zeros over three holes
+	if got := ps.PagesAllocated(); got != 0 {
+		t.Fatalf("zeros over holes materialized %d pages", got)
+	}
+	write(bytes.Repeat([]byte{0x5a}, 3000), pageBytes+10)
+	write(make([]byte, pageBytes), pageBytes/2) // zeros across a hole and the written page
+	if got := ps.PagesAllocated(); got != 1 {
+		t.Fatalf("PagesAllocated = %d, want 1", got)
+	}
+	got := bytes.Repeat([]byte{0xcc}, len(shadow))
+	ps.ReadAt(got, 0)
+	if !bytes.Equal(got, shadow) {
+		t.Fatal("ReadAt differs from the shadow copy")
+	}
+}
+
 func TestPagestoreReadAtZeroAlloc(t *testing.T) {
 	ps := newPagestore(8 * pageBytes)
-	ps.WriteAt(make([]byte, 3*pageBytes), pageBytes/2)
+	ps.WriteAt(bytes.Repeat([]byte{0x5a}, 3*pageBytes), pageBytes/2)
 	buf := make([]byte, 5*pageBytes) // written pages, a straddle and holes
 	if n := testing.AllocsPerRun(50, func() { ps.ReadAt(buf, 100) }); n != 0 {
 		t.Fatalf("ReadAt allocates %v times per call", n)
@@ -91,7 +117,7 @@ func TestReadDestinationIsNotRetained(t *testing.T) {
 func BenchmarkPagestoreReadAt(b *testing.B) {
 	const span = 64 * pageBytes
 	ps := newPagestore(span)
-	ps.WriteAt(make([]byte, span), 0)
+	ps.WriteAt(bytes.Repeat([]byte{0x5a}, span), 0)
 	buf := make([]byte, 64<<10)
 	b.SetBytes(int64(len(buf)))
 	for i := 0; i < b.N; i++ {

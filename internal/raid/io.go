@@ -186,6 +186,7 @@ func (a *Array) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
 // streamStripe writes the extents and the check columns computed from them
 // alone, with the data writes overlapping the parity computation.
 func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []byte) error {
+	a.written[stripe] = true // before the view: see "Rebuild and writes"
 	v := a.view(stripe, true)
 	switch {
 	case a.row.checks == 0:

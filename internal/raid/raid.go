@@ -147,6 +147,7 @@ type Array struct {
 	stripeLk  map[int64]*sim.Server // per-stripe writer lock: writes and the rebuild serialize on it
 	arrayLock *sim.Server           // single-request discipline (serial rows)
 	rebuilds  map[int]*rebuild      // rebuilds in flight, by device index
+	written   []bool                // per stripe: some write has reached it; the rest hold zeros everywhere
 
 	inflight int // foreground requests in service; the scrub yields to them
 
@@ -176,7 +177,7 @@ type Stats struct {
 	DiskWrites      uint64
 	DeviceErrors    uint64 // errors devices returned after controller retries
 	DiskFailures    uint64 // escalations that marked a device failed
-	RebuildStripes  uint64 // stripes rebuilt onto spares
+	RebuildStripes  uint64 // stripes reconstructed onto spares; never-written stripes are skipped
 	ScrubbedStripes uint64 // stripes the background patrol verified
 	ScrubRepairs    uint64 // latent sectors / parity the patrol rewrote
 }
@@ -215,6 +216,7 @@ func New(e *sim.Engine, devs []Dev, cfg Config, xor XOREngine) (*Array, error) {
 			minSecs = d.Sectors()
 		}
 	}
+	stripes := minSecs / int64(cfg.StripeUnitSectors)
 	a := &Array{
 		eng:      e,
 		devs:     devs,
@@ -223,10 +225,11 @@ func New(e *sim.Engine, devs []Dev, cfg Config, xor XOREngine) (*Array, error) {
 		xor:      xor,
 		secSize:  sec,
 		unitSecs: cfg.StripeUnitSectors,
-		stripes:  minSecs / int64(cfg.StripeUnitSectors),
+		stripes:  stripes,
 		failed:   make(map[int]bool),
 		stripeLk: make(map[int64]*sim.Server),
 		rebuilds: make(map[int]*rebuild),
+		written:  make([]bool, stripes),
 		colFree:  bytepath.NewFreeList(colFreeStripes * len(devs)),
 	}
 	if row.serial {

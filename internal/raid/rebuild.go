@@ -19,6 +19,13 @@ import (
 // the spare holds the current column at swap-in.  Reads take no lock and stay
 // on the degraded path until the swap-in, and an uncontended lock schedules
 // no event, so a rebuild under read-only load keeps its timing.
+//
+// A stripe no write has reached holds zeros on every device, and so does a
+// spare where it was never written, so the rebuild marks such a stripe done
+// without any I/O.  Every write sets the stripe's written flag before it
+// takes its view, with no yield in between: a write that reaches the stripe
+// before the rebuild loop does is then rebuilt like any other, and one that
+// arrives after the loop has passed sees the column live on the spare.
 
 // rebuild is the state of one device's rebuild in flight.
 type rebuild struct {
@@ -33,10 +40,10 @@ func (rb *rebuild) fail(err error) {
 	}
 }
 
-// checkSpare validates a rebuild request: devIdx must be a failed device with
-// no rebuild in flight, at a level that can reconstruct, and spare must match
-// the array's geometry.
-func (a *Array) checkSpare(devIdx int, spare Dev) error {
+// CanReplace reports why device devIdx cannot be rebuilt now, or nil: it must
+// be a failed device with no rebuild in flight, at a level that can
+// reconstruct.  A caller that provisions the spare asks before it does.
+func (a *Array) CanReplace(devIdx int) error {
 	switch {
 	case devIdx < 0 || devIdx >= len(a.devs):
 		return fmt.Errorf("raid: no device %d", devIdx)
@@ -44,8 +51,6 @@ func (a *Array) checkSpare(devIdx int, spare Dev) error {
 		return fmt.Errorf("raid: device %d is not failed", devIdx)
 	case a.rebuilds[devIdx] != nil:
 		return fmt.Errorf("raid: device %d is already being rebuilt", devIdx)
-	case spare.Sectors() < a.stripes*int64(a.unitSecs) || spare.SectorSize() != a.secSize:
-		return fmt.Errorf("raid: spare geometry mismatch")
 	case !a.redundant():
 		return fmt.Errorf("raid: cannot reconstruct at %v", a.cfg.Level)
 	}
@@ -54,27 +59,53 @@ func (a *Array) checkSpare(devIdx int, spare Dev) error {
 
 // Reconstruct rebuilds failed device devIdx onto spare, stripe by stripe,
 // then swaps the spare in and clears the failure.  It returns the number of
-// stripes rebuilt.  The rebuild works however degraded the level allows: at
+// stripes reconstructed, which leaves out the never-written stripes it
+// skipped.  The rebuild works however degraded the level allows: at
 // Level 6 each stripe solves through P and Q even while a second device is
 // still down.  Writes may land while it runs (see the protocol above).
 func (a *Array) Reconstruct(p *sim.Proc, devIdx int, spare Dev) (int64, error) {
-	if err := a.errIfLost("reconstruct"); err != nil {
+	rb, err := a.begin(devIdx, spare)
+	if err != nil {
 		return 0, err
 	}
-	if err := a.checkSpare(devIdx, spare); err != nil {
-		return 0, err
+	return a.reconstruct(p, devIdx, rb)
+}
+
+// begin validates a rebuild request — CanReplace, and a spare that matches
+// the array's geometry — and registers the rebuild, so that from this moment
+// a second request for the same device is refused.
+func (a *Array) begin(devIdx int, spare Dev) (*rebuild, error) {
+	if err := a.CanReplace(devIdx); err != nil {
+		return nil, err
+	}
+	if spare.Sectors() < a.stripes*int64(a.unitSecs) || spare.SectorSize() != a.secSize {
+		return nil, fmt.Errorf("raid: spare geometry mismatch")
 	}
 	rb := &rebuild{spare: spare, done: make([]bool, a.stripes)}
 	a.rebuilds[devIdx] = rb
+	return rb, nil
+}
+
+// reconstruct runs the registered rebuild rb of device devIdx.
+func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error) {
 	defer delete(a.rebuilds, devIdx)
+	if err := a.errIfLost("reconstruct"); err != nil {
+		return 0, err
+	}
 	// Rebuild a window of stripes concurrently: the reads fan out over all
 	// surviving disks, so pipelining stripes keeps every spindle busy
 	// instead of paying per-stripe latency serially.
 	const window = 4
 	sem := sim.NewServer(a.eng, "rebuild-window", window)
 	g := sim.NewGroup(a.eng)
+	var rebuilt int64
 	for s := int64(0); s < a.stripes; s++ {
+		if !a.written[s] {
+			rb.done[s] = true
+			continue
+		}
 		sem.Acquire(p)
+		rebuilt++
 		g.Go("rebuild-stripe", func(q *sim.Proc) error {
 			defer sem.Release()
 			return a.rebuildStripe(q, rb, devIdx, s)
@@ -85,9 +116,9 @@ func (a *Array) Reconstruct(p *sim.Proc, devIdx int, spare Dev) (int64, error) {
 	if err := cmp.Or(g.Wait(p), rb.err); err != nil {
 		return 0, err
 	}
-	a.devs[devIdx] = spare
+	a.devs[devIdx] = rb.spare
 	a.RepairDisk(devIdx)
-	return a.stripes, nil
+	return rebuilt, nil
 }
 
 // rebuildStripe rebuilds device devIdx's column of stripe s onto the spare,
@@ -130,7 +161,7 @@ type Rebuild struct {
 func (r *Rebuild) Done() bool { return r.done.Fired() }
 
 // Wait blocks the calling proc until the rebuild finishes and returns the
-// number of stripes rebuilt.
+// number of stripes reconstructed, as Reconstruct counts them.
 func (r *Rebuild) Wait(p *sim.Proc) (int64, error) {
 	r.done.Wait(p)
 	return r.stripes, r.err
@@ -142,13 +173,14 @@ func (r *Rebuild) Wait(p *sim.Proc) (int64, error) {
 // spare shares with them, which is exactly the bandwidth interference the
 // rebuild-under-load experiment measures.
 func (a *Array) ReplaceDisk(devIdx int, spare Dev) (*Rebuild, error) {
-	if err := a.checkSpare(devIdx, spare); err != nil {
+	reb, err := a.begin(devIdx, spare)
+	if err != nil {
 		return nil, err
 	}
 	rb := &Rebuild{done: sim.NewEvent(a.eng)}
 	a.eng.Spawn("hot-rebuild", func(p *sim.Proc) {
 		end := p.Span("fault", "hot-rebuild")
-		rb.stripes, rb.err = a.Reconstruct(p, devIdx, spare)
+		rb.stripes, rb.err = a.reconstruct(p, devIdx, reb)
 		end()
 		rb.done.Signal()
 	})

@@ -256,6 +256,7 @@ func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byt
 		lk.Acquire(p)
 		defer lk.Release()
 	}
+	a.written[stripe] = true // before the view: see "Rebuild and writes"
 	v := a.view(stripe, true)
 	switch {
 	case a.row.checks == 0:

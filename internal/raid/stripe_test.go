@@ -140,15 +140,18 @@ func stripeCodeProperty(t *testing.T, level Level, width int, failed []int) {
 // rebuildRig is an array of MemDevs behind slow devices, filled with known
 // bytes, with one device failed and a spare ready.
 type rebuildRig struct {
-	e      *sim.Engine
-	a      *Array
-	oracle []byte
-	spare  Dev
+	e       *sim.Engine
+	a       *Array
+	oracle  []byte
+	spare   Dev
+	written int64 // the leading stripes the fill wrote; the rest hold zeros
 }
 
 const rigFailed = 2
 
-func newRebuildRig(t *testing.T, level Level, slow func(i int, m *MemDev) Dev) *rebuildRig {
+// newRebuildRig builds the rig with every stripe written, or with only the
+// first half written when half is set.
+func newRebuildRig(t *testing.T, level Level, slow func(i int, m *MemDev) Dev, half bool) *rebuildRig {
 	t.Helper()
 	r := &rebuildRig{e: sim.New()}
 	devs := make([]Dev, 6)
@@ -159,9 +162,15 @@ func newRebuildRig(t *testing.T, level Level, slow func(i int, m *MemDev) Dev) *
 	if r.a, err = New(r.e, devs, Config{Level: level, StripeUnitSectors: tUnit}, nil); err != nil {
 		t.Fatal(err)
 	}
-	r.oracle = patterned(int(r.a.Sectors())*tSec, byte(level))
+	r.written = r.a.stripes
+	if half {
+		r.written /= 2
+	}
+	r.oracle = make([]byte, r.a.Sectors()*tSec)
+	fill := patterned(int(r.written*r.stripeSectors())*tSec, byte(level))
+	copy(r.oracle, fill)
 	runProc(r.e, func(p *sim.Proc) {
-		if err := r.a.Write(p, 0, r.oracle); err != nil {
+		if err := r.a.Write(p, 0, fill); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -170,6 +179,21 @@ func newRebuildRig(t *testing.T, level Level, slow func(i int, m *MemDev) Dev) *
 	}
 	r.spare = slow(len(devs), NewMemDev(64, tSec))
 	return r
+}
+
+// stripeSectors is the number of logical sectors in one stripe.
+func (r *rebuildRig) stripeSectors() int64 {
+	return int64(r.a.DataDisks() * r.a.StripeUnitSectors())
+}
+
+// write writes data at lba and records it in the oracle.
+func (r *rebuildRig) write(t *testing.T, p *sim.Proc, lba int64, data []byte) {
+	t.Helper()
+	if err := r.a.Write(p, lba, data); err != nil {
+		t.Errorf("write: %v", err)
+		return
+	}
+	copy(r.oracle[lba*tSec:], data)
 }
 
 // verify checks, after the rebuild and every writer have finished, that the
@@ -207,7 +231,7 @@ func TestWriteDuringRebuildFixedDelay(t *testing.T) {
 		t.Run(level.String(), func(t *testing.T) {
 			r := newRebuildRig(t, level, func(_ int, m *MemDev) Dev {
 				return &slowDev{MemDev: m, delay: 10 * time.Millisecond}
-			})
+			}, false)
 			defer r.e.Shutdown()
 			start := r.e.Now()
 			r.e.Spawn("rebuild", func(p *sim.Proc) {
@@ -245,7 +269,7 @@ func TestWritesDuringRebuildJittered(t *testing.T) {
 				r := newRebuildRig(t, level, func(i int, m *MemDev) Dev {
 					return &slowDev{MemDev: m, delay: 2 * time.Millisecond, jitter: 8 * time.Millisecond,
 						rng: rand.New(rand.NewSource(seed*100 + int64(i)))}
-				})
+				}, false)
 				defer r.e.Shutdown()
 				rebuilt, writers := false, 0
 				r.e.Spawn("rebuild", func(p *sim.Proc) {
@@ -281,6 +305,103 @@ func TestWritesDuringRebuildJittered(t *testing.T) {
 				r.verify(t)
 			})
 		}
+	}
+}
+
+// TestWriteToSkippedStripeLandsOnSpare: on a half-written array behind 10 ms
+// devices, writes reach two never-written stripes after the rebuild loop has
+// marked them done without I/O, while it still rebuilds the written half: a
+// full-stripe write, and a one-sector write to the failed device's column
+// (or, where that column is a check column, to data column 0).  Both must
+// land on the spare, so the swap-in serves them.
+func TestWriteToSkippedStripeLandsOnSpare(t *testing.T) {
+	for _, level := range rebuildLevels {
+		t.Run(level.String(), func(t *testing.T) {
+			r := newRebuildRig(t, level, func(_ int, m *MemDev) Dev {
+				return &slowDev{MemDev: m, delay: 10 * time.Millisecond}
+			}, true)
+			defer r.e.Shutdown()
+			r.e.Spawn("rebuild", func(p *sim.Proc) {
+				if _, err := r.a.Reconstruct(p, rigFailed, r.spare); err != nil {
+					t.Errorf("rebuild: %v", err)
+				}
+			})
+			S, last := r.stripeSectors(), r.a.stripes-1
+			write := func(p *sim.Proc, lba int64, data []byte) {
+				if rb := r.a.rebuilds[rigFailed]; rb == nil || !rb.done[lba/S] {
+					t.Errorf("stripe %d: the write did not start after the rebuild loop passed it", lba/S)
+				}
+				r.write(t, p, lba, data)
+			}
+			r.e.Spawn("writer", func(p *sim.Proc) {
+				for rb := r.a.rebuilds[rigFailed]; rb == nil || !rb.done[last]; rb = r.a.rebuilds[rigFailed] {
+					if !r.a.Failed(rigFailed) {
+						t.Error("the rebuild finished before its loop passed the last stripe")
+						return
+					}
+					p.Wait(time.Millisecond)
+				}
+				write(p, last*S, patterned(int(S)*tSec, 77))
+				pos := r.a.roleOf(last-1, rigFailed)
+				if r.a.row.mirrored {
+					pos /= 2
+				} else if pos >= r.a.DataDisks() {
+					pos = 0
+				}
+				write(p, (last-1)*S+int64(pos*r.a.StripeUnitSectors()), patterned(tSec, 78))
+			})
+			r.e.Run()
+			if got := r.a.Stats().RebuildStripes; got != uint64(r.written) {
+				t.Errorf("RebuildStripes = %d, want the %d written stripes", got, r.written)
+			}
+			r.verify(t)
+		})
+	}
+}
+
+// TestWriteAheadOfRebuildIsRebuilt: on the same half-written rig, full-stripe
+// writes reach never-written stripes around the moment the rebuild loop gets
+// to them.  The loop keeps four stripes in flight, each 20 ms (one read, one
+// spare write), so it reaches the first never-written stripe T after its start,
+// when the last written stripe takes its slot.  A write issued at T-15 ms has
+// finished by then, and one issued at T-5 ms is still in flight.  Both began
+// ahead of the loop, so it stops at their stripes until slots free at T+20 ms
+// and rebuilds them like any written stripe.  A third write, issued at T+25 ms
+// to the next stripe, comes after the loop and lands on the spare.
+func TestWriteAheadOfRebuildIsRebuilt(t *testing.T) {
+	for _, level := range rebuildLevels {
+		t.Run(level.String(), func(t *testing.T) {
+			r := newRebuildRig(t, level, func(_ int, m *MemDev) Dev {
+				return &slowDev{MemDev: m, delay: 10 * time.Millisecond}
+			}, true)
+			defer r.e.Shutdown()
+			start := r.e.Now()
+			r.e.Spawn("rebuild", func(p *sim.Proc) {
+				if _, err := r.a.Reconstruct(p, rigFailed, r.spare); err != nil {
+					t.Errorf("rebuild: %v", err)
+				}
+			})
+			S, first := r.stripeSectors(), r.written
+			T := time.Duration((r.written-1)/4) * 20 * time.Millisecond
+			for _, w := range []struct {
+				stripe int64
+				at     time.Duration
+				ahead  bool
+			}{{first + 1, T - 15*time.Millisecond, true}, {first, T - 5*time.Millisecond, true}, {first + 2, T + 25*time.Millisecond, false}} {
+				r.e.At(start.Add(sim.Duration(w.at)), "writer", func(p *sim.Proc) {
+					rb := r.a.rebuilds[rigFailed]
+					if ahead := rb != nil && !rb.done[w.stripe]; ahead != w.ahead {
+						t.Errorf("stripe %d written at %v: ahead of the rebuild loop = %v, want %v", w.stripe, w.at, ahead, w.ahead)
+					}
+					r.write(t, p, w.stripe*S, patterned(int(S)*tSec, byte(w.stripe)))
+				})
+			}
+			r.e.Run()
+			if got := r.a.Stats().RebuildStripes; got != uint64(r.written)+2 {
+				t.Errorf("RebuildStripes = %d, want the %d written stripes and the 2 written ahead of the loop", got, r.written)
+			}
+			r.verify(t)
+		})
 	}
 }
 
@@ -418,46 +539,113 @@ func stripeCodePlans(t *testing.T, level Level, failed []int) {
 	})
 }
 
-// TestLevel6ReconstructBytes pins what a Level-6 rebuild moves, the rebuild
-// share of degraded_r6's disk bytes: every stripe reads its unit from every
-// surviving device and writes one unit to the spare — with one device down
-// and with a second still down — and nothing else is read or written.
+// TestLevel6ReconstructBytes pins what a Level-6 rebuild of a fully written
+// array moves, the rebuild share of degraded_r6's disk bytes: every stripe
+// reads its unit from every surviving device and writes one unit to the spare
+// — with one device down and with a second still down — and nothing else is
+// read or written.
 func TestLevel6ReconstructBytes(t *testing.T) {
 	for _, down := range [][]int{{1}, {1, 4}} {
 		t.Run(fmt.Sprintf("down%v", down), func(t *testing.T) {
-			const width = 6
-			e := sim.New()
-			defer e.Shutdown()
-			a, devs := newCountedArray(t, e, width, Level6)
-			spare := &countDev{Dev: NewMemDev(256, tSec)}
-			for _, d := range down {
-				if err := a.FailDisk(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var rebuilt int64
-			e.Spawn("rebuild", func(p *sim.Proc) {
-				var err error
-				if rebuilt, err = a.Reconstruct(p, down[0], spare); err != nil {
-					t.Error(err)
-				}
-			})
-			e.Run()
-			unit := int(a.StripeUnitSectors())
-			survivors := width - len(down)
-			read := 0
-			for i, d := range devs {
-				if d.cmds != d.reads {
-					t.Errorf("device %d was written", i)
-				}
-				read += d.secs
-			}
-			if rebuilt != a.stripes || read != int(a.stripes)*survivors*unit {
-				t.Errorf("%d stripes rebuilt reading %d sectors, want %d stripes x %d survivors x %d", rebuilt, read, a.stripes, survivors, unit)
-			}
-			if spare.reads != 0 || spare.secs != int(a.stripes)*unit || spare.cmds != int(a.stripes) {
-				t.Errorf("the spare took %d sectors in %d commands and %d reads, want %d stripes x %d in one write each", spare.secs, spare.cmds, spare.reads, a.stripes, unit)
-			}
+			reconstructBytes(t, Level6, down, func(int64) bool { return true })
 		})
 	}
+}
+
+// TestReconstructSkipsUnwrittenStripes: on a half-written array (every other
+// stripe, alternately through Write and WriteStreaming) the rebuild reads and
+// writes exactly the written stripes, at Levels 1, 5 and 6.  Every stripe no
+// write has reached is zeros everywhere, the spare included, and is skipped.
+func TestReconstructSkipsUnwrittenStripes(t *testing.T) {
+	for _, tc := range []struct {
+		level Level
+		down  []int
+	}{{Level1, []int{1}}, {Level5, []int{1}}, {Level6, []int{1}}, {Level6, []int{1, 4}}} {
+		t.Run(fmt.Sprintf("%v/down%v", tc.level, tc.down), func(t *testing.T) {
+			reconstructBytes(t, tc.level, tc.down, func(s int64) bool { return s%2 == 0 })
+		})
+	}
+}
+
+// reconstructBytes writes the stripes of a 6-wide counted array that written
+// picks, whole stripes alternately through Write and WriteStreaming, fails the
+// devices in down and rebuilds down[0].  The rebuild must read one unit per
+// written stripe from each source — the surviving mirror member at Level 1,
+// every survivor otherwise — write one unit per written stripe to the spare,
+// count exactly the written stripes, and touch nothing else; afterwards the
+// array reads back what was written with its parity consistent.
+func reconstructBytes(t *testing.T, level Level, down []int, written func(s int64) bool) {
+	t.Helper()
+	const width = 6
+	e := sim.New()
+	defer e.Shutdown()
+	a, devs := newCountedArray(t, e, width, level)
+	S := int64(a.DataDisks() * a.StripeUnitSectors())
+	oracle := make([]byte, a.Sectors()*tSec)
+	var want int64
+	runProc(e, func(p *sim.Proc) {
+		for s := int64(0); s < a.stripes; s++ {
+			if !written(s) {
+				continue
+			}
+			write := a.Write
+			if want%2 == 1 {
+				write = a.WriteStreaming
+			}
+			data := patterned(int(S)*tSec, byte(s))
+			if err := write(p, s*S, data); err != nil {
+				t.Fatal(err)
+			}
+			copy(oracle[s*S*tSec:], data)
+			want++
+		}
+	})
+	for _, d := range devs {
+		d.reads, d.cmds, d.secs = 0, 0, 0
+	}
+	for _, d := range down {
+		if err := a.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spare := &countDev{Dev: NewMemDev(256, tSec)}
+	var rebuilt int64
+	runProc(e, func(p *sim.Proc) {
+		var err error
+		if rebuilt, err = a.Reconstruct(p, down[0], spare); err != nil {
+			t.Fatal(err)
+		}
+	})
+	unit := a.StripeUnitSectors()
+	sources := width - len(down)
+	if level == Level1 {
+		sources = 1
+	}
+	read := 0
+	for i, d := range devs {
+		if d.cmds != d.reads {
+			t.Errorf("device %d was written", i)
+		}
+		read += d.secs
+	}
+	if rebuilt != want || a.Stats().RebuildStripes != uint64(want) || read != int(want)*sources*unit {
+		t.Errorf("%d stripes rebuilt (%d counted) reading %d sectors, want %d stripes x %d sources x %d",
+			rebuilt, a.Stats().RebuildStripes, read, want, sources, unit)
+	}
+	if spare.reads != 0 || spare.secs != int(want)*unit || spare.cmds != int(want) {
+		t.Errorf("the spare took %d sectors in %d commands and %d reads, want %d stripes x %d in one write each",
+			spare.secs, spare.cmds, spare.reads, want, unit)
+	}
+	runProc(e, func(p *sim.Proc) {
+		got, err := a.Read(p, 0, int(a.Sectors()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, oracle) {
+			t.Fatal("read-back after the rebuild differs from what was written")
+		}
+		if bad := a.CheckParity(p); bad != 0 {
+			t.Fatalf("CheckParity = %d after the rebuild", bad)
+		}
+	})
 }

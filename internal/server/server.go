@@ -477,10 +477,11 @@ func (b *Board) AttachSpare(cougar, str int) (raid.Dev, error) {
 
 // ReplaceDisk attaches a spare drive on the failed device's own Cougar and
 // string (where the field technician would plug it in) and starts a
-// background hot rebuild onto it, returning the rebuild handle.
+// background hot rebuild onto it, returning the rebuild handle.  A request
+// the array refuses attaches nothing.
 func (b *Board) ReplaceDisk(devIdx int) (*raid.Rebuild, error) {
-	if devIdx < 0 || devIdx >= len(b.Disks) {
-		return nil, fmt.Errorf("server: board %d has no disk %d", b.Index, devIdx)
+	if err := b.Array.CanReplace(devIdx); err != nil {
+		return nil, fmt.Errorf("server: board %d: %w", b.Index, err)
 	}
 	perCougar := 2 * b.sys.Cfg.DisksPerString
 	cougar := devIdx / perCougar

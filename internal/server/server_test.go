@@ -39,6 +39,36 @@ func TestFifthCougarAddsDisks(t *testing.T) {
 	}
 }
 
+// TestRefusedReplaceAttachesNoSpare: a replace the array refuses — a healthy
+// device, one out of range, one already being rebuilt — puts no drive on the
+// board; an accepted one adds exactly one.
+func TestRefusedReplaceAttachesNoSpare(t *testing.T) {
+	sys, err := New(Fig8Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	n := b.NumDisks()
+	refuse := func(dev, want int) {
+		t.Helper()
+		if _, err := b.ReplaceDisk(dev); err == nil {
+			t.Fatalf("ReplaceDisk(%d) was accepted", dev)
+		}
+		if got := b.NumDisks(); got != want {
+			t.Fatalf("NumDisks = %d after a refused ReplaceDisk(%d), want %d", got, dev, want)
+		}
+	}
+	refuse(2, n)
+	refuse(n, n)
+	if err := b.Array.FailDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ReplaceDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	refuse(2, n+1)
+}
+
 // hwRandomRate measures Figure 5 at one request size.
 func hwRandomRate(t *testing.T, size int, write bool) float64 {
 	t.Helper()

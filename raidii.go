@@ -599,7 +599,7 @@ type HotRebuild struct {
 func (r *HotRebuild) Done() bool { return r.rb.Done() }
 
 // Wait blocks (in simulated time) until the rebuild completes and returns
-// the number of stripes rebuilt.
+// the number of stripes rebuilt; stripes no write has reached are skipped.
 func (r *HotRebuild) Wait() (int64, error) { return r.rb.Wait(r.t.p) }
 
 // Scrub starts one background parity-scrub pass over the board's array: a
