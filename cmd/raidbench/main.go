@@ -568,9 +568,7 @@ func runSmallWrite() error {
 	printLatency("staged", r.Staged)
 	fmt.Println("synchronous (segment seal per write):")
 	printLatency("unstaged", r.Unstaged)
-	fmt.Printf("staging: %d group commits covered %d records, %d writes degraded to sync\n",
-		r.Commits, r.CommitRecords, r.Degraded)
-	jsonPoint("group-commits", 0, "count", float64(r.Commits))
+	fmt.Printf("staging: %d writes degraded to sync\n", r.Degraded)
 	return nil
 }
 

@@ -170,7 +170,7 @@ func (n NetPort) String() string {
 // time from the start of the run) or AfterOps (total commands the target
 // drive has serviced); AfterOps takes effect when nonzero and is only
 // meaningful for DiskFail, LatentSector, and FSCrash (where it counts NVRAM
-// group commits rather than drive commands).
+// write-throughs rather than drive commands).
 type Event struct {
 	Kind  Kind
 	At    time.Duration // simulated-time trigger
@@ -240,10 +240,11 @@ func (pl Plan) FSCrashAt(at time.Duration, b int) Plan {
 }
 
 // FSCrashAtCommit crashes board b's file system in the middle of its n-th
-// NVRAM group commit (1-based): volatile state and the half-committed
-// segment are lost, while the battery-backed staging log survives for
-// replay at the next mount.  Only boards configured with NVRAM accept
-// commit-triggered crash points.
+// NVRAM write-through (1-based), after the durable write's record is staged
+// and written into the open segment and before it is committed: volatile
+// state and the open segment are lost, while the battery-backed staging
+// log survives for replay at the next mount.  Only boards configured with
+// NVRAM accept commit-triggered crash points.
 func (pl Plan) FSCrashAtCommit(n uint64, b int) Plan {
 	pl.Events = append(pl.Events, Event{Kind: FSCrash, After: n, Board: b})
 	return pl

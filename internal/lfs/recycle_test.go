@@ -34,7 +34,7 @@ func (d *holdDev) Write(p *sim.Proc, lba int64, data []byte) error {
 }
 
 // partialSeals overwrites the first four blocks of f and makes them durable,
-// n times: the NVRAM group commit's shape, one small partial seal each.
+// n times: the synchronous small write's shape, one small partial seal each.
 func partialSeals(tb testing.TB, p *sim.Proc, f *File, data []byte, n int) {
 	for i := 0; i < n; i++ {
 		if _, err := f.WriteAt(p, data, 0); err != nil {
@@ -84,7 +84,7 @@ func TestPartialSealAllocationCeiling(t *testing.T) {
 }
 
 // BenchmarkLFSPartialSealLoop is 100 four-block durable overwrites on a slow
-// device: what an NVRAM group commit costs the host in the file system.
+// device: what a synchronous small write costs the host in the file system.
 func BenchmarkLFSPartialSealLoop(b *testing.B) {
 	data := pinPattern(4*BlockSize, 0x61)
 	dev := newSlowDev(32)

@@ -12,16 +12,17 @@ import (
 	"raidii/internal/sim"
 )
 
-// The commit protocol: a group commit writes its records into the open
-// segment without sealing it, and a record's region bytes come back only
-// when the seal carrying it — and every earlier one — has reached the device.
+// The write-through protocol: a durable write enters the open segment and
+// commits there without sealing it, and a record's region bytes come back
+// only when the seal carrying it — and every earlier one — has reached the
+// device.
 
 const nvRec = 4 << 10
 
 // smallSegConfig is nvramConfig with 64 KB segments (15 data blocks), so a
 // few records fill one.
-func smallSegConfig(nvBytes, commitBytes int) Config {
-	cfg := nvramConfig(nvBytes, commitBytes)
+func smallSegConfig(nvBytes int) Config {
+	cfg := nvramConfig(nvBytes)
 	cfg.LFS = lfs.Config{SegBytes: 64 << 10, MaxInodes: 256, CleanReserve: 3}
 	return cfg
 }
@@ -43,11 +44,10 @@ func formatWithFile(t *testing.T, p *sim.Proc, b *Board, path string) *FSFile {
 	return f
 }
 
-// TestGroupCommitDoesNotSeal: the record that crosses the commit threshold
-// starts a group commit, which writes the batch into the log without sealing
-// a segment, and the batch keeps its region bytes.
-func TestGroupCommitDoesNotSeal(t *testing.T) {
-	sys, err := New(nvramConfig(1<<20, 4*nvRec))
+// TestDurableWriteDoesNotSeal: four durable writes each commit into the open
+// segment without sealing one, and their records keep their region bytes.
+func TestDurableWriteDoesNotSeal(t *testing.T) {
+	sys, err := New(nvramConfig(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,26 +64,56 @@ func TestGroupCommitDoesNotSeal(t *testing.T) {
 	})
 	sys.Eng.Run()
 	st, after := b.NVRAMStats(), b.FS.Stats()
-	if st.Log.Commits != 1 || st.Log.CommitRecords != 4 {
-		t.Fatalf("want one 4-record group commit, got %+v", st.Log)
+	if st.Log.Commits != 4 {
+		t.Fatalf("want four write-throughs committed, got %+v", st.Log)
 	}
 	if after.SegmentsWritten != before.SegmentsWritten || after.PartialSegSeals != before.PartialSegSeals {
-		t.Errorf("the commit sealed: segments written %d -> %d, partial seals %d -> %d",
+		t.Errorf("a durable write sealed: segments written %d -> %d, partial seals %d -> %d",
 			before.SegmentsWritten, after.SegmentsWritten, before.PartialSegSeals, after.PartialSegSeals)
 	}
 	if used := st.Region.Used; used != 4*nvRec {
-		t.Errorf("region holds %d bytes after the commit, want %d: nothing has reached the device", used, 4*nvRec)
+		t.Errorf("region holds %d bytes after the writes, want %d: nothing has reached the device", used, 4*nvRec)
 	}
 }
 
-// TestCommittedRecordsReleaseWhenTheirSealLands: a 16-record batch spans two
-// 64 KB segments.  The drain that follows seals the second while the first
-// is still being written, so the first seal completes with the batch's own
-// in flight and must release nothing; the second's completion releases the
-// whole batch.
+// TestDurableWriteIsReadableAtOnce: a read right after a durable write
+// returns the new bytes, with no drain and no seal between the two.
+func TestDurableWriteIsReadableAtOnce(t *testing.T) {
+	sys, err := New(nvramConfig(1 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		f := formatWithFile(t, p, b, "/j")
+		sealed := b.FS.Stats().SegmentsWritten
+		want := nvPattern(nvRec, 42)
+		if err := b.DurableWrite(p, f, nvRec, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.FSRead(p, f, nvRec, nvRec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Error("a read after a durable write does not see its bytes")
+		}
+		if n := b.FS.Stats().SegmentsWritten - sealed; n != 0 || b.NVRAMStats().Region.Used != nvRec {
+			t.Errorf("%d segments sealed and %d bytes staged by the write and read, want none and %d",
+				n, b.NVRAMStats().Region.Used, nvRec)
+		}
+	})
+	sys.Eng.Run()
+}
+
+// TestCommittedRecordsReleaseWhenTheirSealLands: sixteen records span two
+// 64 KB segments.  The first fills and seals during the writes, and the
+// drain seals the second while the first is still being written, so the
+// first seal completes with the second in flight and must release exactly
+// the records it carries; the second's completion releases the rest.
 func TestCommittedRecordsReleaseWhenTheirSealLands(t *testing.T) {
 	const n = 16
-	sys, err := New(smallSegConfig(1<<20, n*nvRec))
+	sys, err := New(smallSegConfig(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +124,7 @@ func TestCommittedRecordsReleaseWhenTheirSealLands(t *testing.T) {
 		before, released int // region bytes
 	}
 	var notes []note
+	carried := map[uint64]int{} // region bytes of the records each segment carries
 	sys.Eng.Spawn("t", func(p *sim.Proc) {
 		f := formatWithFile(t, p, b, "/j")
 		b.FS.OnDurable(func(seq uint64) {
@@ -106,30 +137,33 @@ func TestCommittedRecordsReleaseWhenTheirSealLands(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for _, r := range b.nvlog.recs {
+			carried[r.seq] += r.n
+		}
 		if err := b.DrainNVRAM(p); err != nil {
 			t.Fatal(err)
 		}
 	})
 	sys.Eng.Run()
-	if st := b.NVRAMStats(); st.Log.Commits != 1 || st.Log.CommitRecords != n || st.Region.Used != 0 {
-		t.Fatalf("after the drain: %+v, region %d bytes; want one %d-record commit and an empty region", st.Log, st.Region.Used, n)
+	if st := b.NVRAMStats(); st.Log.Commits != n || st.Region.Used != 0 {
+		t.Fatalf("after the drain: %+v, region %d bytes; want %d write-throughs and an empty region", st.Log, st.Region.Used, n)
 	}
-	if len(notes) != 2 {
-		t.Fatalf("%d seal completions, want 2: %+v", len(notes), notes)
+	if len(notes) != 2 || len(carried) != 2 {
+		t.Fatalf("%d seal completions over records carried by %v, want two of each: %+v", len(notes), carried, notes)
 	}
-	if first := notes[0]; first.pending == 0 || first.before != n*nvRec || first.released != 0 {
-		t.Fatalf("first seal completed as %+v: want the batch's seal still in flight and nothing released", first)
+	if first := notes[0]; first.pending == 0 || first.before != n*nvRec || first.released != carried[first.durable] {
+		t.Fatalf("first seal completed as %+v: want the second still in flight and the %d bytes it carried released",
+			first, carried[first.durable])
 	}
-	if last := notes[1]; last.durable <= notes[0].durable || last.released != n*nvRec {
-		t.Fatalf("the batch's seal completed as %+v, want it to release all %d bytes", last, n*nvRec)
+	if last := notes[1]; last.durable <= notes[0].durable || last.released != carried[last.durable] {
+		t.Fatalf("the second seal completed as %+v, want it to release its %d bytes", last, carried[last.durable])
 	}
 }
 
-// TestDrainNVRAMEmptiesTheRegion: with one batch committed and two records
-// not yet reached by a commit, a drain writes the rest, seals once and
-// leaves nothing staged.
+// TestDrainNVRAMEmptiesTheRegion: with six records committed into the open
+// segment, a drain seals once and leaves nothing staged.
 func TestDrainNVRAMEmptiesTheRegion(t *testing.T) {
-	sys, err := New(nvramConfig(1<<20, 4*nvRec))
+	sys, err := New(nvramConfig(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +177,7 @@ func TestDrainNVRAMEmptiesTheRegion(t *testing.T) {
 		}
 	})
 	sys.Eng.Run()
-	if st := b.NVRAMStats(); st.Log.Commits != 1 || st.Region.Used != 6*nvRec {
+	if st := b.NVRAMStats(); st.Log.Commits != 6 || st.Region.Used != 6*nvRec {
 		t.Fatalf("before the drain: %+v, region %d bytes", st.Log, st.Region.Used)
 	}
 	before := b.FS.Stats().SegmentsWritten
@@ -175,10 +209,11 @@ func TestDrainNVRAMEmptiesTheRegion(t *testing.T) {
 }
 
 // Crash enumeration.  One scripted workload alternates durable records with
-// plain writes; a reference run records the instant each group commit ended
-// and each segment write began and ended.  The same script is then run once
-// per crash point — after every commit, after every seal completion, in the
-// middle of every seal, and in the middle of every commit — and after each
+// plain writes; a reference run records the instant each durable write was
+// acknowledged and each segment write began and ended.  The same script is
+// then run once per crash point — after every write-through's commit, after
+// every seal completion, in the middle of every seal, and in the middle of
+// every write-through, between its write and its commit — and after each
 // crash the board must mount to a state that keeps every acknowledged
 // durable write, checks clean, accounts its region exactly, and survives a
 // second crash and mount byte for byte.
@@ -190,7 +225,7 @@ const (
 
 // crashClock is a tracer that keeps the instants the enumeration crashes at.
 type crashClock struct {
-	commitEnds []sim.Time
+	commitEnds []sim.Time    // acknowledgement of each durable write
 	seals      [][2]sim.Time // start and end of each segment write
 }
 
@@ -202,7 +237,7 @@ func (c *crashClock) ResourceAcquire(string, *sim.Proc, int, sim.Duration, bool)
 func (c *crashClock) ResourceRelease(string, int)                                {}
 func (c *crashClock) Span(p *sim.Proc, cat, name string, start sim.Time) {
 	switch {
-	case cat == "nvram" && name == "group-commit":
+	case cat == "datapath" && name == "small-write":
 		c.commitEnds = append(c.commitEnds, p.Now())
 	case cat == "lfs" && name == "segment-write":
 		c.seals = append(c.seals, [2]sim.Time{start, p.Now()})
@@ -217,7 +252,7 @@ func (c *crashClock) Span(p *sim.Proc, cat, name string, start sim.Time) {
 // how many records were acknowledged.
 func crashScript(t *testing.T, plan fault.Plan, stop sim.Time, tr sim.Tracer) (*System, sim.Time, int) {
 	t.Helper()
-	cfg := smallSegConfig(512<<10, 4*nvRec)
+	cfg := smallSegConfig(512 << 10)
 	cfg.Faults = plan
 	sys, err := New(cfg)
 	if err != nil {

@@ -11,11 +11,10 @@ import (
 	"raidii/internal/sim"
 )
 
-func nvramConfig(nvBytes, commitBytes int) Config {
+func nvramConfig(nvBytes int) Config {
 	cfg := Fig8Config()
 	cfg.DiskSpec.Cylinders = 120 // small disks keep the tests fast
 	cfg.NVRAMBytes = nvBytes
-	cfg.NVRAMCommitBytes = commitBytes
 	return cfg
 }
 
@@ -28,17 +27,17 @@ func nvPattern(n int, seed byte) []byte {
 	return b
 }
 
-// TestNVRAMStagedWritesCommitAndReadBack: small writes acknowledge out of
-// the staging region, the background group commit folds them into the LFS,
-// and every byte reads back.
+// TestNVRAMStagedWritesCommitAndReadBack: small writes stage in the region,
+// each one written through and committed into the open segment before it
+// acknowledges, and every byte reads back.
 func TestNVRAMStagedWritesCommitAndReadBack(t *testing.T) {
-	sys, err := New(nvramConfig(1<<20, 64<<10))
+	sys, err := New(nvramConfig(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := sys.Boards[0]
 	const rec = 4 << 10
-	const n = 24 // 96 KB staged: crosses the 64 KB commit threshold once
+	const n = 24
 	sys.Eng.Spawn("t", func(p *sim.Proc) {
 		if err := b.FormatFS(p); err != nil {
 			t.Fatal(err)
@@ -61,8 +60,8 @@ func TestNVRAMStagedWritesCommitAndReadBack(t *testing.T) {
 	if st.Log.Staged != n {
 		t.Fatalf("staged %d records, want %d", st.Log.Staged, n)
 	}
-	if st.Log.Commits == 0 || st.Log.CommitRecords == 0 {
-		t.Fatalf("no background group commit ran: %+v", st.Log)
+	if st.Log.Commits != n {
+		t.Fatalf("%d of %d records committed: %+v", st.Log.Commits, n, st.Log)
 	}
 	if st.Log.Degraded != 0 {
 		t.Fatalf("%d writes degraded with a roomy region", st.Log.Degraded)
@@ -95,7 +94,7 @@ func TestNVRAMStagedWritesCommitAndReadBack(t *testing.T) {
 // test: one Crash must discard every non-durable cache line AND preserve
 // the battery-backed staging log, whose records then replay at mount.
 func TestNVRAMCrashKeepsStagedDropsCache(t *testing.T) {
-	cfg := nvramConfig(1<<20, 256<<10) // threshold high: records stay staged
+	cfg := nvramConfig(1 << 20) // no segment fills: the records stay staged
 	cfg.CacheBytes = 2 << 20
 	cfg.CacheLineBytes = 64 << 10
 	sys, err := New(cfg)
@@ -130,8 +129,9 @@ func TestNVRAMCrashKeepsStagedDropsCache(t *testing.T) {
 			}
 		}
 		st := b.NVRAMStats()
-		if st.Log.Staged != n || st.Log.Commits != 0 {
-			t.Fatalf("want %d staged and no commits before crash, got %+v", n, st.Log)
+		if st.Log.Staged != n || st.Log.Commits != n || st.Region.Used != n*rec {
+			t.Fatalf("want %d records staged, committed and unreleased before crash, got %+v, region %d bytes",
+				n, st.Log, st.Region.Used)
 		}
 
 		b.Crash()
@@ -169,23 +169,24 @@ func TestNVRAMCrashKeepsStagedDropsCache(t *testing.T) {
 	sys.Eng.Run()
 }
 
-// runNVRAMCommitRun performs the acceptance scenario once: stage exactly
-// enough records to trigger one group commit, optionally crashing in the
-// middle of it via the fault plan, then recover and return the full file
-// contents.
+// runNVRAMCommitRun performs the acceptance scenario once: sixteen durable
+// writes, optionally crashing in the middle of the eighth write-through via
+// the fault plan, then recover and return the full file contents.  The
+// writes after the crash still stage and acknowledge.
 func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 	t.Helper()
-	cfg := nvramConfig(1<<20, 64<<10)
+	const rec = 4 << 10
+	const n = 16
+	const crashAt = n / 2
+	cfg := nvramConfig(1 << 20)
 	if crash {
-		cfg.Faults = fault.Plan{}.FSCrashAtCommit(1, 0)
+		cfg.Faults = fault.Plan{}.FSCrashAtCommit(crashAt, 0)
 	}
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := sys.Boards[0]
-	const rec = 4 << 10
-	const n = 16 // 64 KB: the final record trips the commit threshold
 	sys.Eng.Spawn("stage", func(p *sim.Proc) {
 		if err := b.FormatFS(p); err != nil {
 			t.Fatal(err)
@@ -203,18 +204,18 @@ func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 			}
 		}
 	})
-	sys.Eng.Run() // the group commit runs — and, when armed, crashes mid-batch
+	sys.Eng.Run() // every write acknowledges — and, when armed, the eighth crashes mid-write
 
 	st := b.NVRAMStats()
 	if crash {
-		if st.Log.Commits != 0 {
-			t.Fatalf("armed commit completed anyway: %+v", st.Log)
+		if st.Log.Commits != crashAt-1 {
+			t.Fatalf("%d write-throughs committed, want the %d before the crash: %+v", st.Log.Commits, crashAt-1, st.Log)
 		}
 		if used := st.Region.Used; used != n*rec {
 			t.Fatalf("mid-commit crash kept %d staged bytes, want %d", used, n*rec)
 		}
-	} else if st.Log.Commits != 1 || st.Log.CommitRecords != n {
-		t.Fatalf("want one clean %d-record commit, got %+v", n, st.Log)
+	} else if st.Log.Commits != n {
+		t.Fatalf("want %d clean write-throughs, got %+v", n, st.Log)
 	}
 
 	var out []byte
@@ -242,8 +243,8 @@ func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 	return out
 }
 
-// TestNVRAMCrashMidCommitReplaysToIdenticalState is the PR's acceptance
-// test: a crash injected in the middle of a group commit, followed by
+// TestNVRAMCrashMidCommitReplaysToIdenticalState is the staging log's
+// acceptance test: a crash injected in the middle of a write-through, followed by
 // mount-time replay of the surviving NVRAM records, must end in file
 // contents byte-identical to an uncrashed run of the same workload.
 func TestNVRAMCrashMidCommitReplaysToIdenticalState(t *testing.T) {
@@ -262,10 +263,10 @@ func TestNVRAMCrashMidCommitReplaysToIdenticalState(t *testing.T) {
 
 // TestNVRAMFullDegradesToSyncWrites: when the region cannot hold a record
 // the write falls back to the synchronous path — slower, still durable,
-// counted as degraded.
+// counted as degraded — and its seal releases the records staged before it.
 func TestNVRAMFullDegradesToSyncWrites(t *testing.T) {
-	// 16 KB region, 64 KB threshold: the region fills before any commit.
-	sys, err := New(nvramConfig(16<<10, 64<<10))
+	// 16 KB region: four records fill it, and no segment seals on its own.
+	sys, err := New(nvramConfig(16 << 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +289,14 @@ func TestNVRAMFullDegradesToSyncWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The fifth write degrades, and its seal empties the region for the
+		// last three.
 		st := b.NVRAMStats()
-		if st.Log.Staged != 4 || st.Log.Degraded != 4 {
-			t.Fatalf("want 4 staged + 4 degraded, got %+v", st.Log)
+		if st.Log.Staged != 7 || st.Log.Degraded != 1 {
+			t.Fatalf("want 7 staged + 1 degraded, got %+v", st.Log)
 		}
-		if st.Region.Rejected != 4 {
-			t.Fatalf("region rejected %d appends, want 4", st.Region.Rejected)
+		if st.Region.Rejected != 1 || st.Region.Used != 3*rec {
+			t.Fatalf("region rejected %d appends and holds %d bytes, want 1 and %d", st.Region.Rejected, st.Region.Used, 3*rec)
 		}
 		// Degraded or staged, every write is durable and readable.
 		if err := b.DrainNVRAM(p); err != nil {
@@ -315,7 +318,7 @@ func TestNVRAMFullDegradesToSyncWrites(t *testing.T) {
 // TestNVRAMOversizedRegionRejected: a region that would starve the
 // transfer-buffer pool fails assembly rather than overcommitting DRAM.
 func TestNVRAMOversizedRegionRejected(t *testing.T) {
-	if _, err := New(nvramConfig(32<<20, 0)); err == nil {
+	if _, err := New(nvramConfig(32 << 20)); err == nil {
 		t.Fatal("oversized nvram region accepted")
 	} else if !strings.Contains(err.Error(), "nvram") {
 		t.Errorf("oversize error does not mention nvram: %v", err)
@@ -327,7 +330,7 @@ func TestNVRAMOversizedRegionRejected(t *testing.T) {
 // rejected at arm time with a precise message.
 
 func TestFaultPlanRejectsCrashOnMissingBoard(t *testing.T) {
-	cfg := nvramConfig(1<<20, 0)
+	cfg := nvramConfig(1 << 20)
 	cfg.Faults = fault.Plan{}.FSCrashAt(time.Second, 7)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("crash on unassembled board accepted")
@@ -372,7 +375,7 @@ func TestFaultPlanRejectsOverlappingDiskFailures(t *testing.T) {
 // behind, so staging allocates nothing per record — it used to make a buffer
 // the size of each.
 func TestNVLogStageAllocatesNoRecordBuffers(t *testing.T) {
-	sys, err := New(nvramConfig(1<<20, 2<<20)) // threshold above the region: no commit runs
+	sys, err := New(nvramConfig(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func TestNVLogStageAllocatesNoRecordBuffers(t *testing.T) {
 		}
 		stageAll := func() {
 			for i, data := range payloads {
-				if err := l.stage(p, 7, int64(i)*rec, data); err != nil {
+				if _, err := l.stage(p, 7, int64(i)*rec, data); err != nil {
 					t.Fatal(err)
 				}
 			}

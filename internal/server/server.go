@@ -102,15 +102,13 @@ type Config struct {
 	CacheLineBytes int
 
 	// NVRAMBytes carves a battery-backed write-staging region of this size
-	// out of each board's DRAM (0 = no NVRAM).  Small synchronous writes
-	// acknowledge once their record is durable in the region and group
-	// commit into LFS segments in the background; after a crash, MountFS
-	// replays the surviving log before serving.  The carve-out shares the
-	// board's 32 MB with the cache and transfer buffers.
+	// out of each board's DRAM (0 = no NVRAM).  A small synchronous write
+	// stages its record in the region and enters the open LFS segment
+	// before it acknowledges, without a seal; the record's region bytes come
+	// back when its segment reaches the disks, and after a crash MountFS
+	// replays the surviving records before serving.  The carve-out shares
+	// the board's 32 MB with the cache and transfer buffers.
 	NVRAMBytes int
-	// NVRAMCommitBytes is the staged-byte threshold that triggers a group
-	// commit (0 = a 256 KB default).
-	NVRAMCommitBytes int
 
 	// Faults is the deterministic fault plan armed when the system is
 	// assembled; the zero value injects nothing.
@@ -399,7 +397,7 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: board %d: %w", idx, err)
 		}
-		b.nvlog = newNVLog(b, nv, cfg.NVRAMCommitBytes)
+		b.nvlog = newNVLog(b, nv)
 	}
 	return b, nil
 }
@@ -449,9 +447,6 @@ func (b *Board) Crash() {
 	if b.Cache != nil {
 		b.Cache.InvalidateAll()
 	}
-	if b.nvlog != nil {
-		b.nvlog.crash()
-	}
 }
 
 // NumDisks returns the number of disks on the board.
@@ -496,17 +491,18 @@ func (b *Board) ReplaceDisk(devIdx int) (*raid.Rebuild, error) {
 // MountFS mounts an existing LFS from the board's array, replaying whatever
 // checkpoint and log tail survive — the recovery path after a crash fault.
 // When the board has an NVRAM staging log, its surviving records are then
-// replayed on top and made durable before the mount returns.
+// replayed on top and made durable, and only then does the board serve the
+// new file system, so no write overtakes a replayed record.
 func (b *Board) MountFS(p *sim.Proc) error {
 	fs, err := lfs.Mount(p, b.sys.Eng, b.Dev())
 	if err != nil {
 		return fmt.Errorf("server: mount board %d: %w", b.Index, err)
 	}
-	b.setFS(fs)
 	if b.nvlog != nil {
-		if err := b.nvlog.replay(p); err != nil {
+		if err := b.nvlog.replay(p, fs); err != nil {
 			return fmt.Errorf("server: nvram replay board %d: %w", b.Index, err)
 		}
 	}
+	b.setFS(fs)
 	return nil
 }

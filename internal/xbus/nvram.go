@@ -9,7 +9,7 @@ import (
 
 // ErrNVRAMFull is returned when a staged record does not fit in the
 // battery-backed region.  Callers degrade to the synchronous write path
-// until group commit drains the log.
+// until seals release staged records.
 var ErrNVRAMFull = errors.New("xbus: nvram full")
 
 // NVRAM is a battery-backed slice of the board's DRAM used as a
@@ -52,19 +52,19 @@ func (b *Board) ReserveNVRAM(n int) (*NVRAM, error) {
 }
 
 // Stage admits n bytes into the region, charging the memory-system time
-// for landing them, or returns ErrNVRAMFull without charging anything.
+// for landing them, or returns ErrNVRAMFull without charging anything.  The
+// bytes are reserved before the transfer waits, so concurrent stagers never
+// overshoot the region between them.
 func (nv *NVRAM) Stage(p *sim.Proc, n int) error {
 	if nv.used+n > nv.size {
 		nv.rejected++
 		return ErrNVRAMFull
 	}
-	nv.board.Memory.Transfer(p, n)
 	nv.used += n
 	nv.appends++
 	nv.appended += uint64(n)
-	if nv.used > nv.highWater {
-		nv.highWater = nv.used
-	}
+	nv.highWater = max(nv.highWater, nv.used)
+	nv.board.Memory.Transfer(p, n)
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 // TestNVRAMThroughPublicAPI exercises the battery-backed staging surface:
 // WithNVRAM, File.WriteDurable, Board.NVRAMStats and Board.DrainNVRAM.
 func TestNVRAMThroughPublicAPI(t *testing.T) {
-	srv, err := NewServer(WithDisksPerString(1), WithNVRAM(1<<20), WithNVRAMCommitKB(32))
+	srv, err := NewServer(WithDisksPerString(1), WithNVRAM(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,12 @@ func TestNVRAMThroughPublicAPI(t *testing.T) {
 		if st.Region.Capacity != 1<<20 {
 			t.Errorf("region capacity = %d, want %d", st.Region.Capacity, 1<<20)
 		}
-		if st.Log.Staged != 16 || st.Log.Degraded != 0 {
-			t.Errorf("log stats = %+v, want 16 staged, none degraded", st.Log)
+		if st.Log.Staged != 16 || st.Log.Commits != 16 || st.Log.Degraded != 0 {
+			t.Errorf("log stats = %+v, want 16 staged and committed, none degraded", st.Log)
 		}
-		// A staged ack is a DRAM landing, not a segment seal: even the worst
-		// of 16 must stay far below a disk-bound synchronous write.
+		// A staged ack is a DRAM landing and a write into the open segment,
+		// not a segment seal: even the worst of 16 must stay far below a
+		// disk-bound synchronous write.
 		if worst > 20*time.Millisecond {
 			t.Errorf("worst staged ack = %v, want well under 20ms", worst)
 		}
@@ -78,7 +79,7 @@ func TestNVRAMThroughPublicAPI(t *testing.T) {
 // degrades the overflow to synchronous writes — durably, and visibly in
 // the stats — instead of failing or buffering unaccounted bytes.
 func TestNVRAMBackpressureThroughPublicAPI(t *testing.T) {
-	srv, err := NewServer(WithDisksPerString(1), WithNVRAM(8<<10), WithNVRAMCommitKB(64))
+	srv, err := NewServer(WithDisksPerString(1), WithNVRAM(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +103,14 @@ func TestNVRAMBackpressureThroughPublicAPI(t *testing.T) {
 				return err
 			}
 		}
+		// Two records fill the region; every third write degrades, and its
+		// seal releases the two before it.
 		st := task.Board(0).NVRAMStats()
-		if st.Log.Staged != 2 || st.Log.Degraded != 6 {
-			t.Errorf("log stats = %+v, want 2 staged + 6 degraded", st.Log)
+		if st.Log.Staged != 6 || st.Log.Degraded != 2 {
+			t.Errorf("log stats = %+v, want 6 staged + 2 degraded", st.Log)
 		}
-		if st.Region.Rejected != 6 {
-			t.Errorf("region rejected %d appends, want 6", st.Region.Rejected)
+		if st.Region.Rejected != 2 {
+			t.Errorf("region rejected %d appends, want 2", st.Region.Rejected)
 		}
 		if err := task.Board(0).DrainNVRAM(); err != nil {
 			return err

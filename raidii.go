@@ -201,22 +201,17 @@ func WithCacheLineKB(kb int) Option {
 
 // WithNVRAM carves a battery-backed write-staging region of the given
 // size (in bytes) out of each board's 32 MB DRAM.  File.WriteDurable
-// acknowledges once its record lands in the region; a background group
-// commit folds batches into LFS segments, and after a crash MountFS
-// replays the surviving records before the board serves again.  When the
-// region fills, writes degrade to the synchronous seal-before-ack path
-// (visible as Degraded in NVRAMStats).  The carve-out shares DRAM with
-// the cache and transfer buffers — an oversized region fails NewServer.
-// (A durability extension in the lineage the paper cites: Baker et al.'s
-// non-volatile write caching on Sprite.)
+// stages its record in the region and writes it into the open LFS
+// segment, where reads see it, then acknowledges without sealing; the
+// record's region bytes come back when that segment reaches the disks, and
+// after a crash MountFS replays the surviving records before the board
+// serves again.  When the region fills, writes degrade to the synchronous
+// seal-before-ack path (visible as Degraded in NVRAMStats).  The carve-out
+// shares DRAM with the cache and transfer buffers — an oversized region
+// fails NewServer.  (A durability extension in the lineage the paper
+// cites: Baker et al.'s non-volatile write caching on Sprite.)
 func WithNVRAM(bytes int) Option {
 	return func(c *server.Config) { c.NVRAMBytes = bytes }
-}
-
-// WithNVRAMCommitKB sets the staged-byte threshold that triggers an NVRAM
-// group commit (default 256 KB).
-func WithNVRAMCommitKB(kb int) Option {
-	return func(c *server.Config) { c.NVRAMCommitBytes = kb << 10 }
 }
 
 // WithFaultPlan arms a deterministic fault plan when the server is
@@ -561,16 +556,17 @@ func (bd *Board) CacheStats() CacheStats {
 }
 
 // NVRAMStats combines the battery-backed region's capacity accounting
-// with the staging log's activity counters (staged records, group
-// commits, degraded writes, crash replays).
+// with the staging log's activity counters (staged records, committed
+// write-throughs, degraded writes, crash replays).
 type NVRAMStats = server.NVRAMStats
 
 // NVRAMStats returns the board's NVRAM counters.  Without WithNVRAM it is
 // all zeros.
 func (bd *Board) NVRAMStats() NVRAMStats { return bd.b.NVRAMStats() }
 
-// DrainNVRAM synchronously commits everything staged in the board's NVRAM
-// region — the quiesce before a planned shutdown or a read-back verify.
+// DrainNVRAM seals the segment holding the board's staged records and
+// waits for it, emptying the NVRAM region — the quiesce before a planned
+// shutdown.
 func (bd *Board) DrainNVRAM() error { return bd.b.DrainNVRAM(bd.t.p) }
 
 // ReplaceDisk attaches a spare drive in place of failed device i and starts
@@ -659,10 +655,12 @@ func (f *File) Write(off int64, data []byte) (time.Duration, error) {
 }
 
 // WriteDurable stores data at off and returns only once the bytes are
-// durable: staged in the board's battery-backed NVRAM when WithNVRAM is
-// configured (microseconds), else written through LFS and sealed to the
-// array before acknowledging (milliseconds — the synchronous small-write
-// penalty the NVRAM staging log exists to hide).
+// durable: staged in the board's battery-backed NVRAM and written into the
+// open LFS segment when WithNVRAM is configured (no segment seal waited
+// for), else written through LFS and sealed to the array before
+// acknowledging (a segment write — the synchronous small-write penalty the
+// NVRAM staging log exists to hide).  Either way a later Read sees the
+// bytes.
 func (f *File) WriteDurable(off int64, data []byte) (time.Duration, error) {
 	start := f.t.p.Now()
 	err := f.f.Board.DurableWrite(f.t.p, f.f, off, data)
