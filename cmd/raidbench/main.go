@@ -177,7 +177,7 @@ func main() {
 		{"netfaults", "Ultranet link flap under client reads", cfg16 + " + fast client", runNetFaults},
 		{"fileserver", "Zipf-skewed file-server trace (integration)", cfg16 + ", 8 MB cache (16 KB lines)", runFileServer},
 		{"cache", "block cache working-set sweep", cfg24 + ", 8 MB cache (64 KB lines)", runCache},
-		{"smallwrite", "durable 4 KB write latency: NVRAM staging vs synchronous", cfg16 + ", 1 MB NVRAM", runSmallWrite},
+		{"smallwrite", "durable 4 KB write latency: NVRAM segment images vs synchronous", cfg16 + ", 1 MB NVRAM", runSmallWrite},
 		{"doublefault", "RAID-6 double disk failure: degraded serving and double rebuild", cfg16 + " at RAID-6, small disks", runDoubleFault},
 		{"ablate", "design-choice ablations", cfgMix, runAblate},
 	}
@@ -564,11 +564,11 @@ func runSmallWrite() error {
 		return err
 	}
 	fmt.Printf("%d durable %d KB writes per machine (read-back verified):\n", r.Ops, r.RecSize>>10)
-	fmt.Println("NVRAM-staged ack:")
+	fmt.Println("NVRAM ack (committed into the battery-backed open segment):")
 	printLatency("staged", r.Staged)
 	fmt.Println("synchronous (segment seal per write):")
 	printLatency("unstaged", r.Unstaged)
-	fmt.Printf("staging: %d writes degraded to sync\n", r.Degraded)
+	fmt.Printf("region: %d writes waited for a segment image\n", r.Waited)
 	return nil
 }
 

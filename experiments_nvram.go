@@ -14,9 +14,9 @@ import (
 	"raidii/internal/telemetry"
 )
 
-// This file holds the robustness experiments added with the NVRAM staging
-// log and the RAID-6 array: small-write latency with and without
-// battery-backed staging, and a scripted double-disk-failure timeline.
+// This file holds the robustness experiments added with NVRAM and the RAID-6
+// array: small-write latency with and without battery-backed segment images,
+// and a scripted double-disk-failure timeline.
 
 // nvFill produces one small write's deterministic payload.
 func nvFill(n int, seed byte) []byte {
@@ -28,27 +28,28 @@ func nvFill(n int, seed byte) []byte {
 }
 
 // SmallWriteLatencyResult compares the per-request latency distribution of
-// durable 4 KB writes on two otherwise identical machines: one staging
-// through battery-backed NVRAM, one forced to seal an LFS segment before
-// every acknowledgement.
+// durable 4 KB writes on two otherwise identical machines: one whose LFS
+// segment images are battery-backed NVRAM, one forced to seal an LFS
+// segment before every acknowledgement.
 type SmallWriteLatencyResult struct {
 	Ops     int
 	RecSize int
 
-	Staged   LatencyStats // NVRAM staging: ack once the record is battery-backed and in the open segment
+	Staged   LatencyStats // NVRAM: ack once the write is committed into the battery-backed open segment
 	Unstaged LatencyStats // synchronous path: write through LFS and sync
 
-	Degraded uint64 // staged-run writes that hit ErrNVRAMFull back-pressure
+	Waited uint64 // staged-run writes that waited for a segment image: the region was full
 }
 
 // SmallWriteLatency measures the latency a synchronous small write pays
-// with and without the NVRAM staging log (§3.3's small-write problem moved
-// up to the file-server level, following Baker et al.'s NVRAM write
-// caching).  Both runs issue the same durable 4 KB writes; the staged run
-// acknowledges once the record is in battery-backed DRAM and in the open
-// segment, the unstaged run seals a segment per write.  Every record is
-// verified by read-back after a final drain, so the latency win is never
-// bought with durability.
+// with and without NVRAM (§3.3's small-write problem moved up to the
+// file-server level, following Baker et al.'s NVRAM write caching).  Both
+// runs issue the same durable 4 KB writes; the staged run acknowledges once
+// the write is committed into the open segment, whose image is in the 1 MB
+// battery-backed region, the unstaged run seals a segment per write.  The
+// region holds one 960 KB image, so a write that finds it full waits for
+// its seal.  Every record is verified by read-back after a final drain, so
+// the latency win is never bought with durability.
 func SmallWriteLatency() (SmallWriteLatencyResult, error) {
 	out := SmallWriteLatencyResult{Ops: 256, RecSize: 4 << 10}
 	for _, staged := range []bool{true, false} {
@@ -110,7 +111,7 @@ func SmallWriteLatency() (SmallWriteLatencyResult, error) {
 
 			if staged {
 				out.Staged = latencyStats(sys.Eng, "small-write")
-				out.Degraded = b.NVRAMStats().Log.Degraded
+				out.Waited = b.NVRAMStats().Log.Degraded
 			} else {
 				out.Unstaged = latencyStats(sys.Eng, "small-write")
 			}

@@ -169,8 +169,8 @@ func (n NetPort) String() string {
 // Event is one scheduled fault.  Exactly one trigger applies: At (simulated
 // time from the start of the run) or AfterOps (total commands the target
 // drive has serviced); AfterOps takes effect when nonzero and is only
-// meaningful for DiskFail, LatentSector, and FSCrash (where it counts NVRAM
-// write-throughs rather than drive commands).
+// meaningful for DiskFail, LatentSector, and FSCrash (where it counts the
+// durable writes of a board with NVRAM rather than drive commands).
 type Event struct {
 	Kind  Kind
 	At    time.Duration // simulated-time trigger
@@ -240,11 +240,11 @@ func (pl Plan) FSCrashAt(at time.Duration, b int) Plan {
 }
 
 // FSCrashAtCommit crashes board b's file system in the middle of its n-th
-// NVRAM write-through (1-based), after the durable write's record is staged
-// and written into the open segment and before it is committed: volatile
-// state and the open segment are lost, while the battery-backed staging
-// log survives for replay at the next mount.  Only boards configured with
-// NVRAM accept commit-triggered crash points.
+// durable write (1-based), after the write has entered the open segment and
+// before it is committed: the write is not acknowledged (it returns
+// lfs.ErrCrashed), volatile state is lost, and the battery-backed segment
+// images survive for the next mount to roll forward.  Only boards
+// configured with NVRAM accept commit-triggered crash points.
 func (pl Plan) FSCrashAtCommit(n uint64, b int) Plan {
 	pl.Events = append(pl.Events, Event{Kind: FSCrash, After: n, Board: b})
 	return pl

@@ -290,22 +290,6 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	return &File{fs: fs, inum: in.Inum}, nil
 }
 
-// OpenInum returns a handle to an existing file by inode number.  The
-// NVRAM replay path uses it to reopen files named by staged log records
-// without a path walk.
-func (fs *FS) OpenInum(p *sim.Proc, inum uint32) (*File, error) {
-	fs.mu.Acquire(p)
-	defer fs.mu.Release()
-	in, err := fs.loadInode(p, inum)
-	if err != nil {
-		return nil, err
-	}
-	if in.Mode == ModeDir {
-		return nil, ErrIsDir
-	}
-	return &File{fs: fs, inum: in.Inum}, nil
-}
-
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	fs.mu.Acquire(p)

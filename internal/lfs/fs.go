@@ -27,6 +27,11 @@ type Config struct {
 	// CleanReserve is the number of free segments below which appends
 	// trigger the cleaner.
 	CleanReserve int
+	// Images is the size of the segment image pool: the open segment's
+	// image and the sealed ones streaming to the device (0: imagePool).  A
+	// board with NVRAM sets it to the segments its battery-backed region
+	// holds, so that a crash keeps every image (Crash, MountTail).
+	Images int
 }
 
 // DefaultConfig returns the paper's file system geometry.
@@ -93,7 +98,7 @@ type FS struct {
 	segSeq     uint64
 	segEntries []summaryEntry
 	segImage   []byte
-	// The image pool: imagePool images, allocated as they are first needed.
+	// The image pool: Config.Images images, allocated as they are first needed.
 	// A slot of imageSlots is held for each image in use — the one filling
 	// and every sealed one until its device write ends — and images holds
 	// the others, zeroed.  An append that needs an image when none is free
@@ -155,8 +160,6 @@ type FS struct {
 	// seal, and sync reports it instead of silently losing data.
 	seals    *sim.Group
 	inflight map[int][]byte
-	// onDurable hears of every seal completion (OnDurable).
-	onDurable func(seq uint64)
 
 	crashed bool // Crash ran: nothing this FS still does may reach the device
 
@@ -229,9 +232,18 @@ func Format(p *sim.Proc, e *sim.Engine, dev Device, cfg Config) (*FS, error) {
 	return fs, nil
 }
 
-// Mount loads an existing file system from dev, performing roll-forward
-// recovery from the most recent valid checkpoint.
+// Mount loads an existing file system from dev with the default runtime
+// settings, performing roll-forward recovery from the most recent valid
+// checkpoint.
 func Mount(p *sim.Proc, e *sim.Engine, dev Device) (*FS, error) {
+	return MountTail(p, e, dev, DefaultConfig(), nil)
+}
+
+// MountTail is Mount with the runtime settings of cfg (CleanReserve and
+// Images; the geometry is the device's), and it rolls the log forward past
+// the device's end through tail, what a crash left in battery-backed
+// segment images (nil: nothing).
+func MountTail(p *sim.Proc, e *sim.Engine, dev Device, cfg Config, tail *Tail) (*FS, error) {
 	blockSectors0 := BlockSize / dev.SectorSize()
 	raw, err := dev.Read(p, 0, blockSectors0)
 	if err != nil {
@@ -241,17 +253,14 @@ func Mount(p *sim.Proc, e *sim.Engine, dev Device) (*FS, error) {
 	if err := sb.unmarshal(raw); err != nil {
 		return nil, err
 	}
-	fs := &FS{
-		eng: e, dev: dev,
-		cfg: Config{SegBytes: int(sb.SegBlocks) * BlockSize, MaxInodes: int(sb.MaxInodes), CleanReserve: 4},
-		sb:  sb,
-	}
+	cfg.SegBytes, cfg.MaxInodes = int(sb.SegBlocks)*BlockSize, int(sb.MaxInodes)
+	fs := &FS{eng: e, dev: dev, cfg: cfg, sb: sb}
 	fs.initState()
 	// Recovery holds the lock like any other change of state: a cleaner that
 	// one of its seals starts waits for the mount to finish.
 	fs.mu.Acquire(p)
 	defer fs.mu.Release()
-	if err := fs.recover(p); err != nil {
+	if err := fs.recover(p, tail); err != nil {
 		return nil, err
 	}
 	return fs, nil
@@ -278,8 +287,12 @@ func (fs *FS) initState() {
 	fs.idirty = make(map[uint32]bool)
 	fs.seals = sim.NewGroup(fs.eng)
 	fs.inflight = make(map[int][]byte)
-	fs.imageSlots = sim.NewServer(fs.eng, "lfs:images", imagePool)
-	fs.images = bytepath.NewFreeList(imagePool)
+	images := fs.cfg.Images
+	if images == 0 {
+		images = imagePool
+	}
+	fs.imageSlots = sim.NewServer(fs.eng, "lfs:images", images)
+	fs.images = bytepath.NewFreeList(images)
 	fs.metaCache = make(map[int64]metaEntry)
 	fs.stagedPtrs = make(map[int64]struct{})
 	fs.victim = -1
@@ -363,12 +376,13 @@ type metaEntry struct {
 	pos int
 }
 
-// imagePool is the number of segment images an FS owns: one filling and five
-// streaming to the array, 5.6 MB of the board's 32.  Sized on the 16-disk
-// array's sequential write (parent: 15.44 MB/s from an unbounded queue): two
-// images deliver 10.85 MB/s, three 15.41, six 15.45, eight 15.46; Fig. 8's
-// large random writes want more than four (13.8 MB/s at 4 MB with four, 15.1
-// with six), and beyond six an image only holds memory.
+// imagePool is the number of segment images an FS owns unless Config.Images
+// says otherwise: one filling and five streaming to the array, 5.6 MB of the
+// board's 32.  Sized on the 16-disk array's sequential write (parent: 15.44
+// MB/s from an unbounded queue): two images deliver 10.85 MB/s, three 15.41,
+// six 15.45, eight 15.46; Fig. 8's large random writes want more than four
+// (13.8 MB/s at 4 MB with four, 15.1 with six), and beyond six an image only
+// holds memory.
 const imagePool = 1 + 5
 
 // metaView returns metadata block addr (an indirect block, directory
@@ -650,9 +664,6 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		if fs.images.Put(image) {
 			clear(image[:blocks*BlockSize]) // the rest was never written: the image is zero again
 		}
-		if fs.onDurable != nil {
-			fs.onDurable(fs.Durable())
-		}
 		return nil
 	})
 	fs.curSeg = nextAddr
@@ -663,23 +674,6 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	fs.startCleaner()
 	return nil
 }
-
-// Durable returns the sequence number through which every sealed segment is
-// on the device: roll-forward recovers the log up to it after a crash.  It
-// is one below the oldest segment still in inflight, whose write is under
-// way or failed, and the last sealed one when none is.
-func (fs *FS) Durable() uint64 {
-	d := fs.segSeq - 1
-	for idx := range fs.inflight {
-		d = min(d, fs.usageSeq[idx]-1)
-	}
-	return d
-}
-
-// OnDurable sets the function told Durable each time a segment's device
-// write completes, replacing any earlier one; nil stops the notifications.
-// It runs in the completing seal's process and must not wait.
-func (fs *FS) OnDurable(fn func(seq uint64)) { fs.onDurable = fn }
 
 // failed returns the error that keeps this FS from writing: ErrCrashed after
 // Crash, else the first failed segment write.
@@ -772,25 +766,18 @@ func (fs *FS) syncLocked(p *sim.Proc) error {
 	return fs.waitSeals(p)
 }
 
-// Commit appends every dirty inode to the open segment without sealing it
-// and returns the sequence number of the segment holding the last block the
-// log has taken: everything written before the call survives a crash once
-// Durable reaches that number.  A write-ahead log in battery-backed memory
-// commits this way, so its commits cost no partial segment; the segment
-// seals when it fills, or at the next Sync or Checkpoint.
-func (fs *FS) Commit(p *sim.Proc) (uint64, error) {
+// Commit appends every dirty inode to the open segment without sealing it.
+// Where the segment images are battery-backed that makes everything written
+// before the call durable, since a crash hands the images to MountTail; so
+// a commit costs no partial segment, and the segment seals when it fills, or
+// at the next Sync or Checkpoint.
+func (fs *FS) Commit(p *sim.Proc) error {
 	fs.mu.Acquire(p)
 	defer fs.mu.Release()
 	if err := fs.failed(); err != nil {
-		return 0, err
+		return err
 	}
-	if err := fs.flushInodes(p); err != nil {
-		return 0, err
-	}
-	if len(fs.segEntries) == 0 {
-		return fs.segSeq - 1, nil
-	}
-	return fs.segSeq, nil
+	return fs.flushInodes(p)
 }
 
 // Checkpoint makes the file system state recoverable without roll-forward:
@@ -884,8 +871,9 @@ func (fs *FS) unmarshalUsageChunk(chunk int, buf []byte) {
 	}
 }
 
-// recover loads the newest valid checkpoint and rolls the log forward.
-func (fs *FS) recover(p *sim.Proc) error {
+// recover loads the newest valid checkpoint and rolls the log forward, on
+// the device and then through tail.
+func (fs *FS) recover(p *sim.Proc, tail *Tail) error {
 	end := p.Span("lfs", "recovery")
 	defer end()
 	var best *checkpoint
@@ -939,9 +927,12 @@ func (fs *FS) recover(p *sim.Proc) error {
 		}
 	}
 
-	// Roll forward through segments written after the checkpoint.
+	// Roll forward through segments written after the checkpoint.  Where the
+	// device's chain ends the tail's may go on: a sealed segment the device
+	// lacks is written now, and the open one is open again.
 	segAddr := best.NextSeg
 	expect := best.NextSegSeq
+	var open *tailSeg
 	for {
 		idx := fs.segOf(segAddr)
 		if idx < 0 || idx >= int(fs.sb.NSegs) {
@@ -953,7 +944,20 @@ func (fs *FS) recover(p *sim.Proc) error {
 		}
 		var sum summary
 		if err := sum.unmarshal(raw); err != nil || sum.Seq != expect {
-			break
+			ts := tail.find(segAddr, expect)
+			if ts == nil {
+				break
+			}
+			if ts.entries != nil {
+				open = ts
+				break
+			}
+			if err := fs.dev.Write(p, segAddr*int64(fs.blockSectors), ts.image); err != nil {
+				return fmt.Errorf("lfs: tail segment write: %w", err)
+			}
+			if err := sum.unmarshal(slot(ts.image, 0)); err != nil {
+				return err
+			}
 		}
 		if err := fs.applyRolledSegment(p, segAddr, &sum); err != nil {
 			return err
@@ -963,22 +967,32 @@ func (fs *FS) recover(p *sim.Proc) error {
 		expect++
 	}
 
-	// The log continues in the first unwritten segment of the chain.
+	// The log continues in the first unwritten segment of the chain: the
+	// crash's open segment, with its blocks, if the tail has it.
 	fs.curSeg = segAddr
 	fs.segSeq = expect
-	idx := fs.segOf(segAddr)
-	if idx < 0 || idx >= int(fs.sb.NSegs) || (!fs.free[idx] && fs.usageLive[idx] > 0) {
-		// The designated next segment is unusable; pick a fresh one.
-		fs.curSeg = -1
-		ni, err := fs.pickFreeSegment()
-		if err != nil {
+	if open != nil {
+		fs.imageSlots.TryAcquire() // the pool is new: this is its first image
+		fs.segEntries, fs.segImage = open.entries, open.image
+		if err := fs.applyRolledSegment(p, segAddr, &summary{Seq: expect, Entries: open.entries}); err != nil {
 			return err
 		}
-		fs.curSeg = fs.segAddr(ni)
-		idx = ni
+		fs.stats.RollForwardSegs++
+	} else {
+		idx := fs.segOf(segAddr)
+		if idx < 0 || idx >= int(fs.sb.NSegs) || (!fs.free[idx] && fs.usageLive[idx] > 0) {
+			// The designated next segment is unusable; pick a fresh one.
+			fs.curSeg = -1
+			ni, err := fs.pickFreeSegment()
+			if err != nil {
+				return err
+			}
+			fs.curSeg = fs.segAddr(ni)
+			idx = ni
+		}
+		fs.setFree(idx, false)
+		fs.resetSegment()
 	}
-	fs.setFree(idx, false)
-	fs.resetSegment()
 
 	// Settle recovered state into a fresh checkpoint.
 	return fs.checkpointLocked(p)
@@ -1028,16 +1042,64 @@ func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error
 	return nil
 }
 
-// Crash discards the unsealed segment and the staged images, simulating a
-// power failure.  The FS is unusable afterwards: a process still inside it
-// gets ErrCrashed at its next write, and seals already in flight complete
-// unheard.  Mount the device again to recover.
-func (fs *FS) Crash() {
+// Tail is the end of the log a crash leaves in the segment images: every
+// sealed segment whose device write had not completed, and the open segment
+// with its summary entries.  Where the images are battery-backed it
+// survives the crash, and MountTail rolls it forward after the device's log.
+type Tail struct {
+	segs []tailSeg
+}
+
+// tailSeg is one image of a Tail: the segment at block address addr with
+// sequence number seq.  A sealed image carries its summary; the open one's
+// entries are not marshalled yet, and are nil for a sealed one.
+type tailSeg struct {
+	addr    int64
+	seq     uint64
+	entries []summaryEntry
+	image   []byte
+}
+
+// Len returns the number of segment images the tail holds.
+func (t *Tail) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.segs)
+}
+
+// find returns the tail's image of segment seq at addr, or nil.
+func (t *Tail) find(addr int64, seq uint64) *tailSeg {
+	for i := range t.Len() {
+		if s := &t.segs[i]; s.addr == addr && s.seq == seq {
+			return s
+		}
+	}
+	return nil
+}
+
+// Crash simulates a power failure.  The FS is unusable afterwards: a process
+// still inside it gets ErrCrashed at its next write, and seals already in
+// flight complete unheard.  It returns the images that hold blocks the
+// device may lack, which survive only if they are battery-backed: mount the
+// device again with MountTail to recover them, or with Mount to lose them.
+// Crashing a crashed FS returns nil.
+func (fs *FS) Crash() *Tail {
+	if fs.crashed {
+		return nil
+	}
 	fs.crashed = true
-	fs.onDurable = nil
-	fs.resetSegment()
+	t := &Tail{}
+	for idx, image := range fs.inflight {
+		t.segs = append(t.segs, tailSeg{addr: fs.segAddr(idx), seq: fs.usageSeq[idx], image: image})
+	}
+	if len(fs.segEntries) > 0 {
+		t.segs = append(t.segs, tailSeg{addr: fs.curSeg, seq: fs.segSeq, entries: fs.segEntries, image: fs.segImage})
+	}
+	fs.segEntries, fs.segImage = nil, nil
 	fs.inflight = nil
 	fs.images = bytepath.FreeList{} // keeps nothing: writes still in flight complete into a dead FS
+	return t
 }
 
 // String describes the file system geometry.
@@ -1046,9 +1108,9 @@ func (fs *FS) String() string {
 		fs.sb.NSegs, fs.SegmentBytes()/1024, fs.FreeSegments())
 }
 
-// Pending reports, for diagnostics, how many segment images hold blocks the
-// device does not have yet: the current segment if it has any, and every
-// sealed one in flight.
+// Pending reports how many segment images hold blocks the device does not
+// have yet: the current segment if it has any, and every sealed one in
+// flight.  They are the images a crash now would hand back (Crash).
 func (fs *FS) Pending() int {
 	n := len(fs.inflight)
 	if len(fs.segEntries) > 0 {

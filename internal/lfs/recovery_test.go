@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"raidii/internal/raid"
 	"raidii/internal/sim"
@@ -221,6 +222,80 @@ func TestMountGarbageDeviceFails(t *testing.T) {
 	run(e, func(p *sim.Proc) {
 		if _, err := Mount(p, e, dev); err == nil {
 			t.Fatal("mounting an unformatted device should fail")
+		}
+	})
+}
+
+// dropDev is a MemDev whose writes each take write, and which forgets the
+// writes that end while drop is set: a crash's seals in flight then never
+// reach it.
+type dropDev struct {
+	*raid.MemDev
+	write time.Duration
+	drop  bool
+}
+
+func (d *dropDev) Write(p *sim.Proc, lba int64, data []byte) error {
+	p.Wait(d.write)
+	if d.drop {
+		return nil
+	}
+	return d.MemDev.Write(p, lba, data)
+}
+
+// TestMountWritesTheTailTheDeviceLacks: a crash strikes with sealed segments
+// still being written and a committed open one, and the device never
+// finishes those writes.  Mounting with the crash's tail writes the sealed
+// segments from it and reopens the open one: the file reads back whole,
+// checks clean, and a second crash and mount read the same bytes.
+func TestMountWritesTheTailTheDeviceLacks(t *testing.T) {
+	e := sim.New()
+	dev := &dropDev{MemDev: raid.NewMemDev(8<<20/512, 512), write: 10 * time.Millisecond}
+	cfg := Config{SegBytes: 64 << 10, MaxInodes: 256, CleanReserve: 3, Images: 4}
+	want := pinPattern(40*BlockSize, 0x5a) // two full segments and part of a third
+	run(e, func(p *sim.Proc) {
+		fs, err := Format(p, e, dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create(p, "/tail")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, want, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		tail := fs.Crash()
+		if tail.Len() < 3 {
+			t.Fatalf("the crash left %d images, want two sealed ones in flight and the open one", tail.Len())
+		}
+		dev.drop = true
+		p.Wait(2 * dev.write) // the seals in flight end, forgotten
+		dev.drop = false
+		for round, restored := 0, tail.Len(); round < 2; round, restored = round+1, 0 {
+			if fs, err = MountTail(p, e, dev, cfg, tail); err != nil {
+				t.Fatalf("mount %d: %v", round+1, err)
+			}
+			if got := fs.Stats().RollForwardSegs; got != uint64(restored) {
+				t.Fatalf("mount %d rolled %d segments forward, want %d", round+1, got, restored)
+			}
+			if rep, err := fs.Check(p); err != nil || !rep.OK() {
+				t.Fatalf("mount %d: check %v %+v", round+1, err, rep)
+			}
+			g, err := fs.Open(p, "/tail")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := g.ReadAt(p, 0, len(want)+1); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("mount %d: read %d bytes (%v), not the %d committed", round+1, len(got), err, len(want))
+			}
+			tail = fs.Crash()
 		}
 	})
 }

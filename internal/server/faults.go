@@ -53,7 +53,7 @@ func (sys *System) Check(ev fault.Event) error {
 			return fmt.Errorf("stall duration must be positive")
 		}
 	case fault.FSCrash:
-		if ev.After > 0 && b.nvlog == nil {
+		if ev.After > 0 && b.nv == nil {
 			return fmt.Errorf("commit-triggered fs crash needs an nvram region on board %d (set Config.NVRAMBytes)", ev.Board)
 		}
 	default:
@@ -166,7 +166,7 @@ func (sys *System) Inject(p *sim.Proc, ev fault.Event) {
 		b.Disks[ev.Disk].StallString(p.Now().Add(ev.Stall))
 	case fault.FSCrash:
 		if ev.After > 0 {
-			b.nvlog.armCrashAtCommit(ev.After)
+			b.nv.armCrashAtCommit(ev.After)
 		} else {
 			b.Crash()
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,10 +13,10 @@ import (
 	"raidii/internal/sim"
 )
 
-// The write-through protocol: a durable write enters the open segment and
-// commits there without sealing it, and a record's region bytes come back
-// only when the seal carrying it — and every earlier one — has reached the
-// device.
+// The durable-write protocol: a durable write enters the open segment and
+// commits there without sealing it.  The region holds the segment images, so
+// an image holds blocks the disks lack from its first block until its own
+// seal has reached the device, and a crash keeps exactly those images.
 
 const nvRec = 4 << 10
 
@@ -45,7 +46,7 @@ func formatWithFile(t *testing.T, p *sim.Proc, b *Board, path string) *FSFile {
 }
 
 // TestDurableWriteDoesNotSeal: four durable writes each commit into the open
-// segment without sealing one, and their records keep their region bytes.
+// segment without sealing one, and the open image holds them.
 func TestDurableWriteDoesNotSeal(t *testing.T) {
 	sys, err := New(nvramConfig(1 << 20))
 	if err != nil {
@@ -71,8 +72,8 @@ func TestDurableWriteDoesNotSeal(t *testing.T) {
 		t.Errorf("a durable write sealed: segments written %d -> %d, partial seals %d -> %d",
 			before.SegmentsWritten, after.SegmentsWritten, before.PartialSegSeals, after.PartialSegSeals)
 	}
-	if used := st.Region.Used; used != 4*nvRec {
-		t.Errorf("region holds %d bytes after the writes, want %d: nothing has reached the device", used, 4*nvRec)
+	if st.Held != 1 {
+		t.Errorf("%d images hold blocks the disks lack after the writes, want the open one", st.Held)
 	}
 }
 
@@ -98,19 +99,42 @@ func TestDurableWriteIsReadableAtOnce(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Error("a read after a durable write does not see its bytes")
 		}
-		if n := b.FS.Stats().SegmentsWritten - sealed; n != 0 || b.NVRAMStats().Region.Used != nvRec {
-			t.Errorf("%d segments sealed and %d bytes staged by the write and read, want none and %d",
-				n, b.NVRAMStats().Region.Used, nvRec)
+		if n := b.FS.Stats().SegmentsWritten - sealed; n != 0 || b.NVRAMStats().Held != 1 {
+			t.Errorf("%d segments sealed and %d images held by the write and read, want none and the open one",
+				n, b.NVRAMStats().Held)
 		}
 	})
 	sys.Eng.Run()
 }
 
-// TestCommittedRecordsReleaseWhenTheirSealLands: sixteen records span two
-// 64 KB segments.  The first fills and seals during the writes, and the
+// hooks is a tracer that calls its functions, where set, as a process
+// starts and as a span ends.
+type hooks struct {
+	start func(p *sim.Proc)
+	span  func(p *sim.Proc, cat, name string, start sim.Time)
+}
+
+func (h hooks) ProcStart(p *sim.Proc) {
+	if h.start != nil {
+		h.start(p)
+	}
+}
+func (hooks) ProcFinish(*sim.Proc)                                       {}
+func (hooks) ResourceCreate(string, int)                                 {}
+func (hooks) ResourceWait(string, *sim.Proc, int)                        {}
+func (hooks) ResourceAcquire(string, *sim.Proc, int, sim.Duration, bool) {}
+func (hooks) ResourceRelease(string, int)                                {}
+func (h hooks) Span(p *sim.Proc, cat, name string, start sim.Time) {
+	if h.span != nil {
+		h.span(p, cat, name, start)
+	}
+}
+
+// TestCommittedRecordsReleaseWhenTheirSealLands: sixteen durable writes span
+// two 64 KB segments.  The first fills and seals during the writes, and the
 // drain seals the second while the first is still being written, so the
-// first seal completes with the second in flight and must release exactly
-// the records it carries; the second's completion releases the rest.
+// first seal lands with the second in flight: the region must then hold
+// exactly the second's image, and none once that one lands too.
 func TestCommittedRecordsReleaseWhenTheirSealLands(t *testing.T) {
 	const n = 16
 	sys, err := New(smallSegConfig(1 << 20))
@@ -118,45 +142,33 @@ func TestCommittedRecordsReleaseWhenTheirSealLands(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := sys.Boards[0]
-	type note struct {
-		durable          uint64
-		pending          int // segments still holding blocks the device lacks
-		before, released int // region bytes
-	}
-	var notes []note
-	carried := map[uint64]int{} // region bytes of the records each segment carries
+	var writing bool
+	var held []int // images holding blocks the disks lack as each seal lands
+	sys.Eng.SetTracer(hooks{span: func(_ *sim.Proc, cat, name string, _ sim.Time) {
+		if writing && cat == "lfs" && name == "segment-write" {
+			held = append(held, b.NVRAMStats().Held)
+		}
+	}})
+	var before int
 	sys.Eng.Spawn("t", func(p *sim.Proc) {
 		f := formatWithFile(t, p, b, "/j")
-		b.FS.OnDurable(func(seq uint64) {
-			used := b.nvlog.nv.Used()
-			b.nvlog.sealed(seq)
-			notes = append(notes, note{seq, b.FS.Pending(), used, used - b.nvlog.nv.Used()})
-		})
+		writing = true
 		for i := 0; i < n; i++ {
 			if err := b.DurableWrite(p, f, int64(i)*nvRec, nvPattern(nvRec, byte(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, r := range b.nvlog.recs {
-			carried[r.seq] += r.n
-		}
+		before = b.NVRAMStats().Held
 		if err := b.DrainNVRAM(p); err != nil {
 			t.Fatal(err)
 		}
 	})
 	sys.Eng.Run()
-	if st := b.NVRAMStats(); st.Log.Commits != n || st.Region.Used != 0 {
-		t.Fatalf("after the drain: %+v, region %d bytes; want %d write-throughs and an empty region", st.Log, st.Region.Used, n)
+	if st := b.NVRAMStats(); st.Log.Commits != n || st.Held != 0 {
+		t.Fatalf("after the drain: %+v; want %d commits and no image held", st, n)
 	}
-	if len(notes) != 2 || len(carried) != 2 {
-		t.Fatalf("%d seal completions over records carried by %v, want two of each: %+v", len(notes), carried, notes)
-	}
-	if first := notes[0]; first.pending == 0 || first.before != n*nvRec || first.released != carried[first.durable] {
-		t.Fatalf("first seal completed as %+v: want the second still in flight and the %d bytes it carried released",
-			first, carried[first.durable])
-	}
-	if last := notes[1]; last.durable <= notes[0].durable || last.released != carried[last.durable] {
-		t.Fatalf("the second seal completed as %+v, want it to release its %d bytes", last, carried[last.durable])
+	if before != 2 || !slices.Equal(held, []int{1, 0}) {
+		t.Fatalf("%d images held after the writes, then %v as the seals landed; want 2, then [1 0]", before, held)
 	}
 }
 
@@ -177,16 +189,16 @@ func TestDrainNVRAMEmptiesTheRegion(t *testing.T) {
 		}
 	})
 	sys.Eng.Run()
-	if st := b.NVRAMStats(); st.Log.Commits != 6 || st.Region.Used != 6*nvRec {
-		t.Fatalf("before the drain: %+v, region %d bytes", st.Log, st.Region.Used)
+	if st := b.NVRAMStats(); st.Log.Commits != 6 || st.Held != 1 {
+		t.Fatalf("before the drain: %+v", st)
 	}
 	before := b.FS.Stats().SegmentsWritten
 	sys.Eng.Spawn("drain", func(p *sim.Proc) {
 		if err := b.DrainNVRAM(p); err != nil {
 			t.Fatal(err)
 		}
-		if used := b.NVRAMStats().Region.Used; used != 0 {
-			t.Errorf("drain left %d bytes staged", used)
+		if held := b.NVRAMStats().Held; held != 0 {
+			t.Errorf("drain left %d images holding blocks the disks lack", held)
 		}
 		if got := b.FS.Stats().SegmentsWritten - before; got != 1 {
 			t.Errorf("drain sealed %d segments, want 1", got)
@@ -211,31 +223,26 @@ func TestDrainNVRAMEmptiesTheRegion(t *testing.T) {
 // Crash enumeration.  One scripted workload alternates durable records with
 // plain writes; a reference run records the instant each durable write was
 // acknowledged and each segment write began and ended.  The same script is
-// then run once per crash point — after every write-through's commit, after
+// then run once per crash point — after every durable write's commit, after
 // every seal completion, in the middle of every seal, and in the middle of
-// every write-through, between its write and its commit — and after each
+// every durable write, between its write and its commit — and after each
 // crash the board must mount to a state that keeps every acknowledged
-// durable write, checks clean, accounts its region exactly, and survives a
-// second crash and mount byte for byte.
+// durable write, checks clean, holds no image the disks lack, and survives
+// a second crash and mount byte for byte.
 
 const (
 	crashOps   = 64      // script operations, every other one a durable record
 	crashPlain = 8 << 10 // bytes of each plain write
 )
 
-// crashClock is a tracer that keeps the instants the enumeration crashes at.
+// crashClock keeps the instants the enumeration crashes at; its span is a
+// tracer's.
 type crashClock struct {
 	commitEnds []sim.Time    // acknowledgement of each durable write
 	seals      [][2]sim.Time // start and end of each segment write
 }
 
-func (c *crashClock) ProcStart(*sim.Proc)                                        {}
-func (c *crashClock) ProcFinish(*sim.Proc)                                       {}
-func (c *crashClock) ResourceCreate(string, int)                                 {}
-func (c *crashClock) ResourceWait(string, *sim.Proc, int)                        {}
-func (c *crashClock) ResourceAcquire(string, *sim.Proc, int, sim.Duration, bool) {}
-func (c *crashClock) ResourceRelease(string, int)                                {}
-func (c *crashClock) Span(p *sim.Proc, cat, name string, start sim.Time) {
+func (c *crashClock) span(p *sim.Proc, cat, name string, start sim.Time) {
 	switch {
 	case cat == "datapath" && name == "small-write":
 		c.commitEnds = append(c.commitEnds, p.Now())
@@ -325,8 +332,8 @@ func mountAndSnapshot(p *sim.Proc, b *Board) ([2][]byte, error) {
 	if !rep.OK() {
 		return snap, fmt.Errorf("lfs.Check: orphans %v, bad pointers %v", rep.Orphans, rep.BadPointers)
 	}
-	if used := b.NVRAMStats().Region.Used; used != 0 {
-		return snap, fmt.Errorf("mount left %d bytes staged", used)
+	if held := b.NVRAMStats().Held; held != 0 {
+		return snap, fmt.Errorf("mount left %d images holding blocks the disks lack", held)
 	}
 	for i, path := range []string{"/journal", "/data"} {
 		if snap[i], err = fileBytes(p, b.FS, path); err != nil {
@@ -342,24 +349,18 @@ func checkCrashPoint(t *testing.T, plan fault.Plan, stop sim.Time) {
 	sys, _, acked := crashScript(t, plan, stop, nil)
 	b := sys.Boards[0]
 	// The engine is quiet: every write the crashed file system still had in
-	// flight has landed, and the region holds exactly the surviving records.
-	surviving := 0
-	for _, r := range b.nvlog.recs {
-		surviving += r.n
-	}
-	if used := b.NVRAMStats().Region.Used; used != surviving {
-		t.Fatalf("region holds %d bytes, surviving records %d", used, surviving)
+	// flight has landed, and the region keeps the images it held at the crash.
+	st := b.NVRAMStats()
+	if st.Held > st.Images {
+		t.Fatalf("the region keeps %d images; it holds %d", st.Held, st.Images)
 	}
 	sys.Eng.Spawn("recover", func(p *sim.Proc) {
-		if _, err := b.FS.Commit(p); !errors.Is(err, lfs.ErrCrashed) {
+		if err := b.FS.Commit(p); !errors.Is(err, lfs.ErrCrashed) {
 			t.Fatalf("the board did not crash (commit returned %v)", err)
 		}
 		first, err := mountAndSnapshot(p, b)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := b.NVRAMStats().Log.ReplayedBytes; got != uint64(surviving) {
-			t.Errorf("replayed %d bytes, %d survived", got, surviving)
 		}
 		journal := first[0]
 		if len(journal) < acked*nvRec {
@@ -384,7 +385,7 @@ func checkCrashPoint(t *testing.T, plan fault.Plan, stop sim.Time) {
 
 func TestNVRAMCrashEnumeration(t *testing.T) {
 	var clock crashClock
-	sys, ready, acked := crashScript(t, fault.Plan{}, sim.Time(1<<62), &clock)
+	sys, ready, acked := crashScript(t, fault.Plan{}, sim.Time(1<<62), hooks{span: clock.span})
 	if st := sys.Boards[0].NVRAMStats(); acked != crashOps/2 || st.Log.Degraded != 0 {
 		t.Fatalf("reference run: %d of %d records acknowledged, %d degraded", acked, crashOps/2, st.Log.Degraded)
 	}
@@ -412,5 +413,48 @@ func TestNVRAMCrashEnumeration(t *testing.T) {
 		t.Run(fmt.Sprintf("mid-commit-%d", n+1), func(t *testing.T) {
 			checkCrashPoint(t, fault.Plan{}.FSCrashAtCommit(uint64(n+1), 0), sim.Time(1<<62))
 		})
+	}
+}
+
+// TestMountKeepsTheCleanerReserve: a board formatted with a cleaner reserve
+// of three, crashed and mounted, still starts its cleaner when a seal leaves
+// two segments free — a mount used to reset the reserve to four.
+func TestMountKeepsTheCleanerReserve(t *testing.T) {
+	cfg := smallSegConfig(512 << 10)
+	cfg.DiskSpec.Cylinders = 1 // a log of about eighty segments
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	var free []int // free segments as each cleaner process starts
+	sys.Eng.SetTracer(hooks{start: func(p *sim.Proc) {
+		if p.Name() == "lfs-cleaner" {
+			free = append(free, b.FS.FreeSegments())
+		}
+	}})
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		formatWithFile(t, p, b, "/churn")
+		b.Crash()
+		if err := b.MountFS(p); err != nil {
+			t.Fatal(err)
+		}
+		f, err := b.OpenFS(p, "/churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each pass rewrites the file, so the log fills with dead blocks.
+		for i := 0; i < 100 && len(free) == 0; i++ {
+			if err := b.FSWrite(p, f, 0, nvPattern(256<<10, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.FS.Sync(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	sys.Eng.Run()
+	if want := cfg.LFS.CleanReserve - 1; len(free) == 0 || free[0] != want {
+		t.Fatalf("the cleaner started with %v segments free, want %d: the reserve is %d", free, want, cfg.LFS.CleanReserve)
 	}
 }

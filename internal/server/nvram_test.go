@@ -2,12 +2,13 @@ package server
 
 import (
 	"bytes"
-	"runtime"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"raidii/internal/fault"
+	"raidii/internal/lfs"
 	"raidii/internal/sim"
 )
 
@@ -18,7 +19,7 @@ func nvramConfig(nvBytes int) Config {
 	return cfg
 }
 
-// nvPattern fills one staged record's payload deterministically.
+// nvPattern fills one durable write's payload deterministically.
 func nvPattern(n int, seed byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -27,9 +28,9 @@ func nvPattern(n int, seed byte) []byte {
 	return b
 }
 
-// TestNVRAMStagedWritesCommitAndReadBack: small writes stage in the region,
-// each one written through and committed into the open segment before it
-// acknowledges, and every byte reads back.
+// TestNVRAMStagedWritesCommitAndReadBack: small durable writes are each
+// written and committed into the open segment, whose image the region
+// holds, before they acknowledge, and every byte reads back.
 func TestNVRAMStagedWritesCommitAndReadBack(t *testing.T) {
 	sys, err := New(nvramConfig(1 << 20))
 	if err != nil {
@@ -57,14 +58,14 @@ func TestNVRAMStagedWritesCommitAndReadBack(t *testing.T) {
 	})
 	sys.Eng.Run()
 	st := b.NVRAMStats()
-	if st.Log.Staged != n {
-		t.Fatalf("staged %d records, want %d", st.Log.Staged, n)
+	if st.Capacity != 1<<20 || st.Images != 1 || st.Held != 1 {
+		t.Fatalf("region %+v: want 1 MB holding one 960 KB image, in use", st)
 	}
 	if st.Log.Commits != n {
-		t.Fatalf("%d of %d records committed: %+v", st.Log.Commits, n, st.Log)
+		t.Fatalf("%d of %d writes committed: %+v", st.Log.Commits, n, st.Log)
 	}
 	if st.Log.Degraded != 0 {
-		t.Fatalf("%d writes degraded with a roomy region", st.Log.Degraded)
+		t.Fatalf("%d writes waited for an image in a roomy region", st.Log.Degraded)
 	}
 	sys.Eng.Spawn("verify", func(p *sim.Proc) {
 		if err := b.DrainNVRAM(p); err != nil {
@@ -85,16 +86,16 @@ func TestNVRAMStagedWritesCommitAndReadBack(t *testing.T) {
 		}
 	})
 	sys.Eng.Run()
-	if used := b.NVRAMStats().Region.Used; used != 0 {
-		t.Fatalf("drain left %d bytes staged", used)
+	if held := b.NVRAMStats().Held; held != 0 {
+		t.Fatalf("drain left %d images holding blocks the disks lack", held)
 	}
 }
 
 // TestNVRAMCrashKeepsStagedDropsCache is the combined crash-semantics
-// test: one Crash must discard every non-durable cache line AND preserve
-// the battery-backed staging log, whose records then replay at mount.
+// test: one Crash must discard every non-durable cache line AND keep the
+// battery-backed open segment, which mount then rolls forward.
 func TestNVRAMCrashKeepsStagedDropsCache(t *testing.T) {
-	cfg := nvramConfig(1 << 20) // no segment fills: the records stay staged
+	cfg := nvramConfig(1 << 20) // no segment fills: the writes stay in the open image
 	cfg.CacheBytes = 2 << 20
 	cfg.CacheLineBytes = 64 << 10
 	sys, err := New(cfg)
@@ -122,16 +123,14 @@ func TestNVRAMCrashKeepsStagedDropsCache(t *testing.T) {
 		if b.Cache.Lines() == 0 {
 			t.Fatal("expected resident cache lines before crash")
 		}
-		// Staged records that MUST survive the crash.
+		// Durable writes that MUST survive the crash.
 		for i := 0; i < n; i++ {
 			if err := b.DurableWrite(p, f, int64(i)*rec, nvPattern(rec, byte(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		st := b.NVRAMStats()
-		if st.Log.Staged != n || st.Log.Commits != n || st.Region.Used != n*rec {
-			t.Fatalf("want %d records staged, committed and unreleased before crash, got %+v, region %d bytes",
-				n, st.Log, st.Region.Used)
+		if st := b.NVRAMStats(); st.Log.Commits != n || st.Held != 1 {
+			t.Fatalf("want %d writes committed into the one open image before the crash, got %+v", n, st)
 		}
 
 		b.Crash()
@@ -139,18 +138,18 @@ func TestNVRAMCrashKeepsStagedDropsCache(t *testing.T) {
 		if b.Cache.Lines() != 0 {
 			t.Error("crash left cache lines resident")
 		}
-		if used := b.NVRAMStats().Region.Used; used != n*rec {
-			t.Errorf("crash kept %d staged bytes, want %d", used, n*rec)
+		if held := b.NVRAMStats().Held; held != 1 {
+			t.Errorf("crash kept %d images, want the open one", held)
 		}
 
 		if err := b.MountFS(p); err != nil {
 			t.Fatal(err)
 		}
-		if got := b.NVRAMStats().Log.Replayed; got != n {
-			t.Fatalf("replayed %d records, want %d", got, n)
+		if got := b.FS.Stats().RollForwardSegs; got != 1 {
+			t.Fatalf("mount rolled %d segments forward, want the open one from the region", got)
 		}
-		if used := b.NVRAMStats().Region.Used; used != 0 {
-			t.Fatalf("replay left %d bytes staged", used)
+		if held := b.NVRAMStats().Held; held != 0 {
+			t.Fatalf("mount left %d images holding blocks the disks lack", held)
 		}
 		g, err := b.OpenFS(p, "/staged")
 		if err != nil {
@@ -170,9 +169,10 @@ func TestNVRAMCrashKeepsStagedDropsCache(t *testing.T) {
 }
 
 // runNVRAMCommitRun performs the acceptance scenario once: sixteen durable
-// writes, optionally crashing in the middle of the eighth write-through via
-// the fault plan, then recover and return the full file contents.  The
-// writes after the crash still stage and acknowledge.
+// writes, optionally crashing in the middle of the eighth — between its
+// write and its commit — via the fault plan, then recover and return the
+// full file contents.  The crashed write is not acknowledged: after the
+// mount the writer issues it again, and the ones after it.
 func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 	t.Helper()
 	const rec = 4 << 10
@@ -187,7 +187,16 @@ func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 		t.Fatal(err)
 	}
 	b := sys.Boards[0]
-	sys.Eng.Spawn("stage", func(p *sim.Proc) {
+	write := func(p *sim.Proc, f *FSFile, from int) (int, error) {
+		for i := from; i < n; i++ {
+			if err := b.DurableWrite(p, f, int64(i)*rec, nvPattern(rec, byte(i)*3)); err != nil {
+				return i, err
+			}
+		}
+		return n, nil
+	}
+	acked := 0
+	sys.Eng.Spawn("write", func(p *sim.Proc) {
 		if err := b.FormatFS(p); err != nil {
 			t.Fatal(err)
 		}
@@ -198,24 +207,22 @@ func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 		if err := b.FS.Checkpoint(p); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if err := b.DurableWrite(p, f, int64(i)*rec, nvPattern(rec, byte(i)*3)); err != nil {
-				t.Fatal(err)
-			}
+		if acked, err = write(p, f, 0); crash != errors.Is(err, lfs.ErrCrashed) {
+			t.Fatalf("writes ended with %v after %d acknowledgements", err, acked)
 		}
 	})
-	sys.Eng.Run() // every write acknowledges — and, when armed, the eighth crashes mid-write
+	sys.Eng.Run()
 
 	st := b.NVRAMStats()
 	if crash {
-		if st.Log.Commits != crashAt-1 {
-			t.Fatalf("%d write-throughs committed, want the %d before the crash: %+v", st.Log.Commits, crashAt-1, st.Log)
+		if acked != crashAt-1 || st.Log.Commits != crashAt-1 {
+			t.Fatalf("%d writes acknowledged and %d committed, want the %d before the crash: %+v", acked, st.Log.Commits, crashAt-1, st.Log)
 		}
-		if used := st.Region.Used; used != n*rec {
-			t.Fatalf("mid-commit crash kept %d staged bytes, want %d", used, n*rec)
+		if st.Held != 1 {
+			t.Fatalf("mid-commit crash kept %d images, want the open one", st.Held)
 		}
 	} else if st.Log.Commits != n {
-		t.Fatalf("want %d clean write-throughs, got %+v", n, st.Log)
+		t.Fatalf("want %d clean commits, got %+v", n, st.Log)
 	}
 
 	var out []byte
@@ -224,14 +231,27 @@ func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 			if err := b.MountFS(p); err != nil {
 				t.Fatal(err)
 			}
-			if got := b.NVRAMStats().Log.Replayed; got != n {
-				t.Fatalf("replayed %d records, want %d", got, n)
+			if got := b.FS.Stats().RollForwardSegs; got != 1 {
+				t.Fatalf("mount rolled %d segments forward, want the open one from the region", got)
 			}
-		} else if err := b.DrainNVRAM(p); err != nil {
-			t.Fatal(err)
 		}
 		f, err := b.OpenFS(p, "/acc")
 		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < acked; i++ {
+			got, err := b.FSRead(p, f, int64(i)*rec, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, nvPattern(rec, byte(i)*3)) {
+				t.Fatalf("acknowledged record %d lost", i)
+			}
+		}
+		if _, err := write(p, f, acked); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DrainNVRAM(p); err != nil {
 			t.Fatal(err)
 		}
 		out, err = b.FSRead(p, f, 0, n*rec)
@@ -243,62 +263,57 @@ func runNVRAMCommitRun(t *testing.T, crash bool) []byte {
 	return out
 }
 
-// TestNVRAMCrashMidCommitReplaysToIdenticalState is the staging log's
-// acceptance test: a crash injected in the middle of a write-through, followed by
-// mount-time replay of the surviving NVRAM records, must end in file
-// contents byte-identical to an uncrashed run of the same workload.
+// TestNVRAMCrashMidCommitReplaysToIdenticalState is the region's acceptance
+// test: a crash injected between a durable write and its commit, followed by
+// mount's roll-forward of the surviving open segment and the writer's retry
+// of what was not acknowledged, must end in file contents byte-identical to
+// an uncrashed run of the same workload.
 func TestNVRAMCrashMidCommitReplaysToIdenticalState(t *testing.T) {
 	clean := runNVRAMCommitRun(t, false)
 	crashed := runNVRAMCommitRun(t, true)
 	if !bytes.Equal(clean, crashed) {
-		t.Fatal("crash-replay state diverged from the no-crash run")
+		t.Fatal("crash-recovery state diverged from the no-crash run")
 	}
 	// And the recovered bytes are the workload's, not just self-consistent.
 	for i := 0; i < 16; i++ {
 		if !bytes.Equal(crashed[i*4096:(i+1)*4096], nvPattern(4096, byte(i)*3)) {
-			t.Fatalf("record %d wrong after crash replay", i)
+			t.Fatalf("record %d wrong after crash recovery", i)
 		}
 	}
 }
 
-// TestNVRAMFullDegradesToSyncWrites: when the region cannot hold a record
-// the write falls back to the synchronous path — slower, still durable,
-// counted as degraded — and its seal releases the records staged before it.
-func TestNVRAMFullDegradesToSyncWrites(t *testing.T) {
-	// 16 KB region: four records fill it, and no segment seals on its own.
-	sys, err := New(nvramConfig(16 << 10))
+// TestNVRAMFullRegionWaitsForASeal: a region of one 64 KB segment holds one
+// image, so the durable write that fills it seals it, and the next waits
+// for that seal to reach the disks — counted as degraded — instead of
+// sealing a partial segment of its own.  Every write is durable and reads
+// back.
+func TestNVRAMFullRegionWaitsForASeal(t *testing.T) {
+	sys, err := New(smallSegConfig(64 << 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := sys.Boards[0]
 	const rec = 4 << 10
-	const n = 8
+	const n = 32
 	sys.Eng.Spawn("t", func(p *sim.Proc) {
-		if err := b.FormatFS(p); err != nil {
-			t.Fatal(err)
-		}
-		f, err := b.CreateFS(p, "/full")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.FS.Checkpoint(p); err != nil {
-			t.Fatal(err)
-		}
+		f := formatWithFile(t, p, b, "/full")
+		before := b.FS.Stats()
 		for i := 0; i < n; i++ {
 			if err := b.DurableWrite(p, f, int64(i)*rec, nvPattern(rec, byte(9+i))); err != nil {
 				t.Fatal(err)
 			}
+			if held := b.NVRAMStats().Held; held > 1 {
+				t.Fatalf("write %d: %d images hold blocks in a one-image region", i, held)
+			}
 		}
-		// The fifth write degrades, and its seal empties the region for the
-		// last three.
-		st := b.NVRAMStats()
-		if st.Log.Staged != 7 || st.Log.Degraded != 1 {
-			t.Fatalf("want 7 staged + 1 degraded, got %+v", st.Log)
+		st, after := b.NVRAMStats(), b.FS.Stats()
+		waits := after.ImageWaits - before.ImageWaits
+		if st.Images != 1 || st.Log.Commits != n || st.Log.Degraded == 0 || st.Log.Degraded != waits {
+			t.Fatalf("region %+v after %d image waits: want one image, %d commits, and every wait a degraded write", st, waits, n)
 		}
-		if st.Region.Rejected != 1 || st.Region.Used != 3*rec {
-			t.Fatalf("region rejected %d appends and holds %d bytes, want 1 and %d", st.Region.Rejected, st.Region.Used, 3*rec)
+		if sealed := after.SegmentsWritten - before.SegmentsWritten; sealed < st.Log.Degraded || after.PartialSegSeals != before.PartialSegSeals {
+			t.Fatalf("%d seals, %d of them partial, for %d waits: a full region must wait for full seals", sealed, after.PartialSegSeals-before.PartialSegSeals, st.Log.Degraded)
 		}
-		// Degraded or staged, every write is durable and readable.
 		if err := b.DrainNVRAM(p); err != nil {
 			t.Fatal(err)
 		}
@@ -322,6 +337,19 @@ func TestNVRAMOversizedRegionRejected(t *testing.T) {
 		t.Fatal("oversized nvram region accepted")
 	} else if !strings.Contains(err.Error(), "nvram") {
 		t.Errorf("oversize error does not mention nvram: %v", err)
+	}
+}
+
+// TestNVRAMRegionBelowOneSegmentRejected: the region holds the segment
+// images, so one smaller than a segment holds none and fails assembly.
+func TestNVRAMRegionBelowOneSegmentRejected(t *testing.T) {
+	if _, err := New(smallSegConfig(64<<10 - 1)); err == nil {
+		t.Fatal("a region smaller than one segment accepted")
+	} else if !strings.Contains(err.Error(), "holds no") {
+		t.Errorf("error does not explain the missing segment: %v", err)
+	}
+	if _, err := New(smallSegConfig(64 << 10)); err != nil {
+		t.Fatalf("a region of one segment rejected: %v", err)
 	}
 }
 
@@ -368,49 +396,4 @@ func TestFaultPlanRejectsOverlappingDiskFailures(t *testing.T) {
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("distinct-disk double failure rejected: %v", err)
 	}
-}
-
-// TestNVLogStageAllocatesNoRecordBuffers: staged bytes live in the arena the
-// log made when the board was built, and released records leave their room
-// behind, so staging allocates nothing per record — it used to make a buffer
-// the size of each.
-func TestNVLogStageAllocatesNoRecordBuffers(t *testing.T) {
-	sys, err := New(nvramConfig(1 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := sys.Boards[0].nvlog
-	const rec, n = 4 << 10, 64
-	sys.Eng.Spawn("t", func(p *sim.Proc) {
-		var payloads [n][]byte
-		for i := range payloads {
-			payloads[i] = nvPattern(rec, byte(i))
-		}
-		stageAll := func() {
-			for i, data := range payloads {
-				if _, err := l.stage(p, 7, int64(i)*rec, data); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		stageAll() // warm: the record table at its size
-		l.release(n / 2)
-		if r := l.recs[0]; len(l.recs) != n/2 || !bytes.Equal(l.arena[r.start:r.start+r.n], payloads[n/2]) {
-			t.Fatalf("after releasing half: %d records, and the first does not hold record %d's bytes", len(l.recs), n/2)
-		}
-		l.release(n / 2)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		stageAll()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= rec {
-			t.Errorf("staging %d records allocated %d bytes, want less than one record", n, got)
-		}
-		for i, r := range l.recs {
-			if !bytes.Equal(l.arena[r.start:r.start+r.n], payloads[i]) {
-				t.Fatalf("record %d does not hold its bytes", i)
-			}
-		}
-	})
-	sys.Eng.Run()
 }

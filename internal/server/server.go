@@ -91,6 +91,8 @@ type Config struct {
 	HIPPI hippi.Config
 	Host  host.Config
 
+	// LFS is the file system's configuration.  Its Images is not read: a
+	// board derives it from NVRAMBytes.
 	LFS lfs.Config
 
 	// CacheBytes carves an XBUS-memory-resident block cache of this size
@@ -101,12 +103,12 @@ type Config struct {
 	// CacheLineBytes is the cache line size (0 = cache.DefaultLineBytes).
 	CacheLineBytes int
 
-	// NVRAMBytes carves a battery-backed write-staging region of this size
-	// out of each board's DRAM (0 = no NVRAM).  A small synchronous write
-	// stages its record in the region and enters the open LFS segment
-	// before it acknowledges, without a seal; the record's region bytes come
-	// back when its segment reaches the disks, and after a crash MountFS
-	// replays the surviving records before serving.  The carve-out shares
+	// NVRAMBytes carves a battery-backed region of this size out of each
+	// board's DRAM (0 = no NVRAM) to hold the file system's segment images:
+	// as many as it holds whole segments, and a region smaller than one
+	// segment fails assembly.  A durable write then acknowledges once it is
+	// committed into the open segment, without a seal, and after a crash
+	// MountFS rolls the images the disks lack forward.  The carve-out shares
 	// the board's 32 MB with the cache and transfer buffers.
 	NVRAMBytes int
 
@@ -235,7 +237,8 @@ type Board struct {
 	Cache   *cache.Cache // XBUS-resident block cache; nil when not configured
 	FS      *lfs.FS
 	HEP     *hippi.Endpoint // HIPPI endpoint of this board
-	nvlog   *nvlog          // NVRAM write-staging log; nil when not configured
+	nv      *nvram          // battery-backed region; nil when not configured
+	fsCfg   lfs.Config      // what the file system is formatted and mounted with
 
 	adm      *sim.Server // bounded client-request admission; nil = unbounded
 	admDepth int
@@ -392,12 +395,19 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 		}
 		b.Cache = cc
 	}
+	b.fsCfg = cfg.LFS
+	if b.fsCfg.SegBytes == 0 {
+		b.fsCfg = lfs.DefaultConfig()
+	}
+	b.fsCfg.Images = cfg.NVRAMBytes / b.fsCfg.SegBytes
 	if cfg.NVRAMBytes > 0 {
-		nv, err := xb.ReserveNVRAM(cfg.NVRAMBytes)
-		if err != nil {
-			return nil, fmt.Errorf("server: board %d: %w", idx, err)
+		if b.fsCfg.Images == 0 {
+			return nil, fmt.Errorf("server: board %d: nvram region of %d bytes holds no %d-byte segment", idx, cfg.NVRAMBytes, b.fsCfg.SegBytes)
 		}
-		b.nvlog = newNVLog(b, nv)
+		if err := xb.ReserveMemory(cfg.NVRAMBytes); err != nil {
+			return nil, fmt.Errorf("server: board %d nvram: %w", idx, err)
+		}
+		b.nv = &nvram{}
 	}
 	return b, nil
 }
@@ -405,21 +415,12 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 // FormatFS creates the LFS on board b, storing through the block cache
 // when one is configured.
 func (b *Board) FormatFS(p *sim.Proc) error {
-	fs, err := lfs.Format(p, b.sys.Eng, b.Dev(), b.sys.Cfg.LFS)
+	fs, err := lfs.Format(p, b.sys.Eng, b.Dev(), b.fsCfg)
 	if err != nil {
 		return err
 	}
-	b.setFS(fs)
-	return nil
-}
-
-// setFS makes fs the board's file system; the NVRAM log, if there is one,
-// releases its records as fs's seals complete.
-func (b *Board) setFS(fs *lfs.FS) {
 	b.FS = fs
-	if b.nvlog != nil {
-		fs.OnDurable(b.nvlog.sealed)
-	}
+	return nil
 }
 
 // ErrNoFS reports a file-system call on a board that has no file system yet:
@@ -438,11 +439,13 @@ func (b *Board) Filesystem() (*lfs.FS, error) {
 // line of the block cache.  DRAM contents do not survive a server crash,
 // so the cache must never satisfy a post-crash read from pre-crash state —
 // the write-through policy means no data are lost, only re-read cost.
-// The battery-backed NVRAM staging log is the exception: its records
-// survive and are replayed by MountFS before the board serves again.
+// The battery-backed NVRAM region is the exception: the segment images it
+// holds survive, and MountFS rolls the ones the disks lack forward.
 func (b *Board) Crash() {
 	if b.FS != nil {
-		b.FS.Crash()
+		if tail := b.FS.Crash(); tail != nil && b.nv != nil {
+			b.nv.tail = tail
+		}
 	}
 	if b.Cache != nil {
 		b.Cache.InvalidateAll()
@@ -488,21 +491,22 @@ func (b *Board) ReplaceDisk(devIdx int) (*raid.Rebuild, error) {
 	return b.Array.ReplaceDisk(devIdx, spare)
 }
 
-// MountFS mounts an existing LFS from the board's array, replaying whatever
-// checkpoint and log tail survive — the recovery path after a crash fault.
-// When the board has an NVRAM staging log, its surviving records are then
-// replayed on top and made durable, and only then does the board serve the
-// new file system, so no write overtakes a replayed record.
+// MountFS mounts an existing LFS from the board's array, rolling forward
+// whatever checkpoint and log survive — the recovery path after a crash
+// fault.  On a board with NVRAM the log goes on past the disks' end in the
+// segment images the last crash left in the region.
 func (b *Board) MountFS(p *sim.Proc) error {
-	fs, err := lfs.Mount(p, b.sys.Eng, b.Dev())
+	var tail *lfs.Tail
+	if b.nv != nil {
+		tail = b.nv.tail
+	}
+	fs, err := lfs.MountTail(p, b.sys.Eng, b.Dev(), b.fsCfg, tail)
 	if err != nil {
 		return fmt.Errorf("server: mount board %d: %w", b.Index, err)
 	}
-	if b.nvlog != nil {
-		if err := b.nvlog.replay(p, fs); err != nil {
-			return fmt.Errorf("server: nvram replay board %d: %w", b.Index, err)
-		}
+	if b.nv != nil {
+		b.nv.tail = nil
 	}
-	b.setFS(fs)
+	b.FS = fs
 	return nil
 }

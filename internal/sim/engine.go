@@ -92,7 +92,8 @@ type Engine struct {
 
 	procSeq   uint64         // process IDs, assigned in spawn order
 	tracer    Tracer         // observability hooks; nil when untraced
-	resources []resourceInfo // every constructed resource, for tracer replay
+	resources []resourceInfo // one per constructed resource name, for tracer replay
+	resIdx    map[string]int // each name's place in resources
 
 	meter    any          // opaque metrics registry slot; see meter.go
 	samplers []samplerReg // fixed-interval sample callbacks; see meter.go

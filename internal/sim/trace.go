@@ -42,15 +42,17 @@ type Tracer interface {
 	Span(p *Proc, cat, name string, start Time)
 }
 
-// resourceInfo remembers a constructed resource so that a tracer attached
-// after assembly still learns every resource's capacity.
+// resourceInfo remembers a constructed resource name so that a tracer
+// attached after assembly still learns every resource's capacity: the
+// largest among the resources built under the name.
 type resourceInfo struct {
 	name     string
 	capacity int
 }
 
 // SetTracer attaches t to the engine (nil detaches).  Resources created
-// before the call are replayed to t via ResourceCreate in creation order.
+// before the call are replayed to t via ResourceCreate in creation order,
+// once per name, with the largest capacity built under it.
 // Attach tracers between runs, from outside any simulated process.
 func (e *Engine) SetTracer(t Tracer) {
 	e.tracer = t
@@ -63,8 +65,19 @@ func (e *Engine) SetTracer(t Tracer) {
 }
 
 // registerResource records a resource's existence and notifies the tracer.
+// A name built again — a per-call pipeline's server, a remounted file
+// system's lock — keeps its one entry, so the list does not grow with the
+// run.
 func (e *Engine) registerResource(name string, capacity int) {
-	e.resources = append(e.resources, resourceInfo{name: name, capacity: capacity})
+	if i, ok := e.resIdx[name]; ok {
+		e.resources[i].capacity = max(e.resources[i].capacity, capacity)
+	} else {
+		if e.resIdx == nil {
+			e.resIdx = make(map[string]int)
+		}
+		e.resIdx[name] = len(e.resources)
+		e.resources = append(e.resources, resourceInfo{name: name, capacity: capacity})
+	}
 	if e.tracer != nil {
 		e.tracer.ResourceCreate(name, capacity)
 	}

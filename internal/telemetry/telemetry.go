@@ -48,7 +48,7 @@ import "slices"
 var categories = [...]string{
 	"client", "net", "admission", "lfs", "cache", "raid", "scsi", "disk",
 
-	"cluster", "datapath", "fault", "hippi", "nvram", "scrub", "server", "xbus",
+	"cluster", "datapath", "fault", "hippi", "scrub", "server", "xbus",
 }
 
 const numStages = 8

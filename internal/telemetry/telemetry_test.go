@@ -238,13 +238,13 @@ func TestSpanNestingIsSumNeutral(t *testing.T) {
 		p.Wait(4 * time.Millisecond)
 		endXOR()
 		endRMW()
-		endNV := p.Span("nvram", "commit")
+		endPkt := p.Span("hippi", "packet")
 		p.Wait(8 * time.Millisecond)
-		endNV()
+		endPkt()
 		endRAID()
-		endNV = p.Span("nvram", "commit") // under no stage: charged nowhere
+		endPkt = p.Span("hippi", "packet") // under no stage: charged nowhere
 		p.Wait(16 * time.Millisecond)
-		endNV()
+		endPkt()
 		req.End(p, nil)
 	})
 	e.Run()

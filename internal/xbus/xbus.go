@@ -110,9 +110,10 @@ type Board struct {
 	// the chunk buffers of the hardware and file-system read and write
 	// pipelines, the client path's HIPPI network buffers, and the permanent
 	// carve-outs of ReserveMemory (block cache, NVRAM).  LFS's segment
-	// images are not drawn from here — the file system does not know its
-	// board — but are a fixed pool sized against the same 32 MB (six 960 KB
-	// images, DESIGN.md §17).
+	// images live in the NVRAM carve-out when there is one; otherwise they
+	// are not drawn from here — the file system does not know its board —
+	// but are a fixed pool sized against the same 32 MB (six 960 KB images,
+	// DESIGN.md §17).
 	Buffers *sim.Tokens
 
 	parityOps uint64

@@ -158,35 +158,6 @@ func TestBufferPoolBlocksWhenExhausted(t *testing.T) {
 	}
 }
 
-// TestNVRAMStageReservesBeforeItsTransfer: two processes stage at once into
-// a region with room for one record.  The first holds its bytes while its
-// transfer waits, so the second is refused and the region never overflows.
-func TestNVRAMStageReservesBeforeItsTransfer(t *testing.T) {
-	e := sim.New()
-	b := New(e, "xb", DefaultConfig())
-	const rec = 8 << 10
-	nv, err := b.ReserveNVRAM(rec + rec/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	admitted := 0
-	for _, name := range []string{"a", "b"} {
-		e.Spawn(name, func(p *sim.Proc) {
-			if nv.Stage(p, rec) == nil {
-				admitted++
-			}
-		})
-	}
-	e.Run()
-	st := nv.Stats()
-	if admitted != 1 || st.Rejected != 1 {
-		t.Errorf("%d stagers admitted, %d rejected; want one of each", admitted, st.Rejected)
-	}
-	if st.HighWater > st.Capacity {
-		t.Errorf("high water %d bytes exceeds the %d-byte region", st.HighWater, st.Capacity)
-	}
-}
-
 func TestHostTransferUsesHostPort(t *testing.T) {
 	e := sim.New()
 	b := New(e, "xb", DefaultConfig())

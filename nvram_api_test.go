@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestNVRAMThroughPublicAPI exercises the battery-backed staging surface:
+// TestNVRAMThroughPublicAPI exercises the battery-backed region's surface:
 // WithNVRAM, File.WriteDurable, Board.NVRAMStats and Board.DrainNVRAM.
 func TestNVRAMThroughPublicAPI(t *testing.T) {
 	srv, err := NewServer(WithDisksPerString(1), WithNVRAM(1<<20))
@@ -41,23 +41,23 @@ func TestNVRAMThroughPublicAPI(t *testing.T) {
 		}
 		bd := task.Board(0)
 		st := bd.NVRAMStats()
-		if st.Region.Capacity != 1<<20 {
-			t.Errorf("region capacity = %d, want %d", st.Region.Capacity, 1<<20)
+		if st.Capacity != 1<<20 || st.Images != 1 {
+			t.Errorf("region = %+v, want 1 MB holding one 960 KB segment image", st)
 		}
-		if st.Log.Staged != 16 || st.Log.Commits != 16 || st.Log.Degraded != 0 {
-			t.Errorf("log stats = %+v, want 16 staged and committed, none degraded", st.Log)
+		if st.Log.Commits != 16 || st.Log.Degraded != 0 {
+			t.Errorf("log stats = %+v, want 16 committed, none degraded", st.Log)
 		}
-		// A staged ack is a DRAM landing and a write into the open segment,
-		// not a segment seal: even the worst of 16 must stay far below a
-		// disk-bound synchronous write.
+		// A durable ack is a DRAM landing and a commit into the open
+		// segment, not a segment seal: even the worst of 16 must stay far
+		// below a disk-bound synchronous write.
 		if worst > 20*time.Millisecond {
 			t.Errorf("worst staged ack = %v, want well under 20ms", worst)
 		}
 		if err := bd.DrainNVRAM(); err != nil {
 			return err
 		}
-		if used := bd.NVRAMStats().Region.Used; used != 0 {
-			t.Errorf("drain left %d bytes staged", used)
+		if held := bd.NVRAMStats().Held; held != 0 {
+			t.Errorf("drain left %d images holding blocks the disks lack", held)
 		}
 		for i := 0; i < 16; i++ {
 			got, _, err := f.Read(int64(i)*4096, 4096)
@@ -75,11 +75,12 @@ func TestNVRAMThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestNVRAMBackpressureThroughPublicAPI: a region too small for the burst
-// degrades the overflow to synchronous writes — durably, and visibly in
-// the stats — instead of failing or buffering unaccounted bytes.
+// TestNVRAMBackpressureThroughPublicAPI: a region of one 64 KB segment
+// holds one image, so a burst of durable writes fills it, and a write that
+// finds it full waits for its seal — durably, and visibly in the stats —
+// instead of failing or sealing a partial segment of its own.
 func TestNVRAMBackpressureThroughPublicAPI(t *testing.T) {
-	srv, err := NewServer(WithDisksPerString(1), WithNVRAM(8<<10))
+	srv, err := NewServer(WithDisksPerString(1), WithSegmentKB(64), WithNVRAM(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +88,7 @@ func TestNVRAMBackpressureThroughPublicAPI(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i*5 + 2)
 	}
+	const n = 32
 	_, err = srv.Simulate(func(task *Task) error {
 		if err := task.FormatFS(); err != nil {
 			return err
@@ -98,24 +100,20 @@ func TestNVRAMBackpressureThroughPublicAPI(t *testing.T) {
 		if err := task.Sync(); err != nil {
 			return err
 		}
-		for i := 0; i < 8; i++ {
+		for i := 0; i < n; i++ {
 			if _, err := f.WriteDurable(int64(i)*4096, payload); err != nil {
 				return err
 			}
 		}
-		// Two records fill the region; every third write degrades, and its
-		// seal releases the two before it.
+		// Fifteen blocks fill a segment: a write after each seal waits.
 		st := task.Board(0).NVRAMStats()
-		if st.Log.Staged != 6 || st.Log.Degraded != 2 {
-			t.Errorf("log stats = %+v, want 6 staged + 2 degraded", st.Log)
-		}
-		if st.Region.Rejected != 2 {
-			t.Errorf("region rejected %d appends, want 2", st.Region.Rejected)
+		if st.Images != 1 || st.Log.Commits != n || st.Log.Degraded == 0 || st.Log.Degraded >= n/4 {
+			t.Errorf("region %+v: want one image, %d commits, and a few writes waiting for it", st, n)
 		}
 		if err := task.Board(0).DrainNVRAM(); err != nil {
 			return err
 		}
-		for i := 0; i < 8; i++ {
+		for i := 0; i < n; i++ {
 			got, _, err := f.Read(int64(i)*4096, 4096)
 			if err != nil {
 				return err

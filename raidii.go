@@ -60,7 +60,6 @@ import (
 	"raidii/internal/raid"
 	"raidii/internal/server"
 	"raidii/internal/sim"
-	"raidii/internal/xbus"
 )
 
 // FaultPlan scripts deterministic hardware faults — disk failures, latent
@@ -109,10 +108,6 @@ var (
 	// ErrNoFS reports a file-system call on a board that has not been
 	// formatted or mounted.
 	ErrNoFS = server.ErrNoFS
-	// ErrNVRAMFull reports a small write the battery-backed staging region
-	// could not admit; DurableWrite absorbs it by degrading to the
-	// synchronous path, so callers only see it through NVRAMStats.
-	ErrNVRAMFull = xbus.ErrNVRAMFull
 )
 
 // RetryPolicy governs client-library retries: attempt budget, exponential
@@ -199,17 +194,17 @@ func WithCacheLineKB(kb int) Option {
 	return func(c *server.Config) { c.CacheLineBytes = kb << 10 }
 }
 
-// WithNVRAM carves a battery-backed write-staging region of the given
-// size (in bytes) out of each board's 32 MB DRAM.  File.WriteDurable
-// stages its record in the region and writes it into the open LFS
-// segment, where reads see it, then acknowledges without sealing; the
-// record's region bytes come back when that segment reaches the disks, and
-// after a crash MountFS replays the surviving records before the board
-// serves again.  When the region fills, writes degrade to the synchronous
-// seal-before-ack path (visible as Degraded in NVRAMStats).  The carve-out
-// shares DRAM with the cache and transfer buffers — an oversized region
-// fails NewServer.  (A durability extension in the lineage the paper
-// cites: Baker et al.'s non-volatile write caching on Sprite.)
+// WithNVRAM carves a battery-backed region of the given size (in bytes)
+// out of each board's 32 MB DRAM, and the file system keeps its segment
+// images there: as many as the region holds whole segments.  So the end of
+// the log the disks lack survives a crash, and a mount after one rolls it
+// forward.  File.WriteDurable writes into the open LFS segment, where reads
+// see it, and acknowledges once it is committed there, without a seal.
+// When every image is in use a write waits for a seal to finish (visible as
+// Degraded in NVRAMStats).  The carve-out shares DRAM with the cache and
+// transfer buffers: a region smaller than one segment, or so large it
+// starves them, fails NewServer.  (A durability extension in the lineage
+// the paper cites: Baker et al.'s non-volatile write caching on Sprite.)
 func WithNVRAM(bytes int) Option {
 	return func(c *server.Config) { c.NVRAMBytes = bytes }
 }
@@ -555,18 +550,18 @@ func (bd *Board) CacheStats() CacheStats {
 	return bd.b.Cache.Stats()
 }
 
-// NVRAMStats combines the battery-backed region's capacity accounting
-// with the staging log's activity counters (staged records, committed
-// write-throughs, degraded writes, crash replays).
+// NVRAMStats describes a board's battery-backed region (its size, the
+// segment images it holds and how many of them hold blocks the disks lack)
+// and counts the durable writes that went through it.
 type NVRAMStats = server.NVRAMStats
 
 // NVRAMStats returns the board's NVRAM counters.  Without WithNVRAM it is
 // all zeros.
 func (bd *Board) NVRAMStats() NVRAMStats { return bd.b.NVRAMStats() }
 
-// DrainNVRAM seals the segment holding the board's staged records and
-// waits for it, emptying the NVRAM region — the quiesce before a planned
-// shutdown.
+// DrainNVRAM seals the open segment and waits for every seal in flight, so
+// that no image in the NVRAM region holds a block the disks lack — the
+// quiesce before a planned shutdown.
 func (bd *Board) DrainNVRAM() error { return bd.b.DrainNVRAM(bd.t.p) }
 
 // ReplaceDisk attaches a spare drive in place of failed device i and starts
@@ -583,6 +578,7 @@ func (bd *Board) ReplaceDisk(i int) (*HotRebuild, error) {
 // Crash drops the board's volatile state — LFS segment buffers and every
 // block-cache line — simulating a server crash; MountFS recovers from the
 // log, and post-crash reads pay full disk cost until the cache rewarms.
+// With WithNVRAM the segment images survive, and MountFS rolls them forward.
 func (bd *Board) Crash() { bd.b.Crash() }
 
 // HotRebuild is a handle on a background hot rebuild started by ReplaceDisk.
@@ -655,12 +651,11 @@ func (f *File) Write(off int64, data []byte) (time.Duration, error) {
 }
 
 // WriteDurable stores data at off and returns only once the bytes are
-// durable: staged in the board's battery-backed NVRAM and written into the
-// open LFS segment when WithNVRAM is configured (no segment seal waited
+// durable: written and committed into the open LFS segment, whose image is
+// battery-backed when WithNVRAM is configured (no segment seal waited
 // for), else written through LFS and sealed to the array before
-// acknowledging (a segment write — the synchronous small-write penalty the
-// NVRAM staging log exists to hide).  Either way a later Read sees the
-// bytes.
+// acknowledging (a segment write — the synchronous small-write penalty
+// NVRAM exists to hide).  Either way a later Read sees the bytes.
 func (f *File) WriteDurable(off int64, data []byte) (time.Duration, error) {
 	start := f.t.p.Now()
 	err := f.f.Board.DurableWrite(f.t.p, f.f, off, data)
