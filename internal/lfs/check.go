@@ -35,20 +35,24 @@ func (r *CheckReport) OK() bool {
 //
 // It holds fs.mu, so it sees one state of the file system, and loads what it
 // walks a level at a time, each level's reads in flight together: the
-// inodes the inode map names, their indirect and double-indirect top blocks,
-// the double-indirect second-level blocks, the directories' contents.  The
-// walk itself is in memory.
+// inodes the inode map names, each level of the pointer trees (the indirect
+// and double-indirect top blocks, then the second-level blocks), the
+// directories' contents.  The walk itself is in memory.  It counts and
+// claims every inode: those the map names and those created since the last
+// flush, which only the cache holds.
 func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 	fs.mu.Acquire(p)
 	defer fs.mu.Release()
 
 	blocks := make(map[int64][]byte) // every block the walk reads, by address
 	var addrs []int64
-	var load []uint32 // the inodes the map names that are not cached
+	var load []uint32   // the inodes the map names that are not cached
+	var census []uint32 // every inode, the map's and the new ones not flushed yet
 	for inum := uint32(1); inum < fs.sb.MaxInodes; inum++ {
 		if fs.imap[inum] == 0 {
 			continue
 		}
+		census = append(census, inum)
 		if _, cached := fs.icache[inum]; !cached {
 			load = append(load, inum)
 			addrs = append(addrs, fs.imap[inum])
@@ -70,9 +74,13 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		}
 	}
 	inodes := make([]*inode, 0, len(fs.icache)) // now every inode: the map's and the unflushed new ones
-	for _, in := range fs.icache {
+	for inum, in := range fs.icache {
 		inodes = append(inodes, in) // in any order: it only feeds addrs, which gather sorts
+		if fs.imap[inum] == 0 {
+			census = append(census, inum)
+		}
 	}
+	slices.Sort(census)
 	inodeOf := func(inum uint32) (*inode, error) { // what loadInode would return
 		if err := unreadable[inum]; err != nil {
 			return nil, err
@@ -83,44 +91,42 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		return nil, ErrNotExist
 	}
 
-	ptr := func(blk []byte, i int64) int64 {
-		if blk == nil {
-			return 0
+	// The pointer blocks, a level of the trees at a time: each pass reads the
+	// blocks that the blocks the pass before read point at.
+	have := func(addr int64) ([]byte, error) { return blocks[addr], nil } // nil: not read
+	for {
+		addrs = addrs[:0]
+		for _, in := range inodes {
+			if err := walkTree(in, have, func(b summaryEntry, addr int64) {
+				if ptrBlock(b.Kind) && blocks[addr] == nil && fs.inLog(addr) {
+					addrs = append(addrs, addr)
+				}
+			}); err != nil {
+				return nil, err
+			}
 		}
-		return int64(le.Uint64(blk[i*8:]))
+		if len(addrs) == 0 {
+			break
+		}
+		if err := fs.gather(p, addrs, blocks); err != nil {
+			return nil, err
+		}
+	}
+	// dirBlocks visits the data blocks of directory in, each with its offset.
+	dirBlocks := func(in *inode, visit func(off, addr int64)) error {
+		return walkTree(in, have, func(b summaryEntry, addr int64) {
+			if off := int64(b.Arg2) * BlockSize; b.Kind == kindData && off < in.Size {
+				visit(off, addr)
+			}
+		})
 	}
 	addrs = addrs[:0]
 	for _, in := range inodes {
-		addrs = append(addrs, in.Ind, in.DIndTop)
-	}
-	if err := fs.gather(p, addrs, blocks); err != nil {
-		return nil, err
-	}
-	addrs = addrs[:0]
-	for _, in := range inodes {
-		for i, top := int64(0), blocks[in.DIndTop]; top != nil && i < PtrsPerBlock; i++ {
-			addrs = append(addrs, ptr(top, i))
+		if in.Mode != ModeDir {
+			continue
 		}
-	}
-	if err := fs.gather(p, addrs, blocks); err != nil {
-		return nil, err
-	}
-	blockAt := func(in *inode, fb int64) int64 { // getBlockAddr, from blocks
-		switch {
-		case fb < NDirect:
-			return in.Direct[fb]
-		case fb < NDirect+PtrsPerBlock:
-			return ptr(blocks[in.Ind], fb-NDirect)
-		case fb < MaxFileBlocks:
-			fb -= NDirect + PtrsPerBlock
-			return ptr(blocks[ptr(blocks[in.DIndTop], fb/PtrsPerBlock)], fb%PtrsPerBlock)
-		}
-		return 0
-	}
-	addrs = addrs[:0]
-	for _, in := range inodes {
-		for fb := int64(0); in.Mode == ModeDir && fb*BlockSize < in.Size; fb++ {
-			addrs = append(addrs, blockAt(in, fb))
+		if err := dirBlocks(in, func(_, addr int64) { addrs = append(addrs, addr) }); err != nil {
+			return nil, err
 		}
 	}
 	if err := fs.gather(p, addrs, blocks); err != nil {
@@ -131,12 +137,12 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 	seen := make(map[int64]uint32) // block addr -> owner inum
 	liveBySeg := make(map[int]int64)
 
-	claim := func(inum uint32, addr int64, what string) {
+	claim := func(inum uint32, b summaryEntry, addr int64) {
 		if addr == 0 {
 			return
 		}
 		if !fs.inLog(addr) {
-			r.BadPointers = append(r.BadPointers, fmt.Sprintf("inode %d: %s at %d outside log", inum, what, addr))
+			r.BadPointers = append(r.BadPointers, fmt.Sprintf("inode %d: block %+v at %d outside log", inum, b, addr))
 			return
 		}
 		if owner, dup := seen[addr]; dup {
@@ -163,8 +169,8 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 			return nil
 		}
 		data := make([]byte, in.Size)
-		for fb := int64(0); fb*BlockSize < in.Size; fb++ {
-			copy(data[fb*BlockSize:], blocks[blockAt(in, fb)]) // a hole stays zero
+		if err := dirBlocks(in, func(off, addr int64) { copy(data[off:], blocks[addr]) }); err != nil { // a hole stays zero
+			return err
 		}
 		for _, e := range parseDir(data) {
 			if err := walkDir(e.Inum); err != nil {
@@ -177,10 +183,7 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		return nil, err
 	}
 
-	for inum := uint32(1); inum < fs.sb.MaxInodes; inum++ {
-		if fs.imap[inum] == 0 {
-			continue
-		}
+	for _, inum := range census {
 		r.Inodes++
 		in, err := inodeOf(inum)
 		if err != nil {
@@ -195,28 +198,9 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		if !reachable[inum] {
 			r.Orphans = append(r.Orphans, inum)
 		}
-		claim(inum, fs.imap[inum], "inode block")
-		for i, a := range in.Direct {
-			claim(inum, a, fmt.Sprintf("direct[%d]", i))
-		}
-		if in.Ind != 0 {
-			claim(inum, in.Ind, "indirect")
-			for i, ind := int64(0), blocks[in.Ind]; ind != nil && i < PtrsPerBlock; i++ {
-				claim(inum, ptr(ind, i), fmt.Sprintf("ind[%d]", i))
-			}
-		}
-		if in.DIndTop != 0 {
-			claim(inum, in.DIndTop, "dind-top")
-			for i, top := int64(0), blocks[in.DIndTop]; top != nil && i < PtrsPerBlock; i++ {
-				l2 := ptr(top, i)
-				if l2 == 0 {
-					continue
-				}
-				claim(inum, l2, fmt.Sprintf("dind-l2[%d]", i))
-				for j, blk := int64(0), blocks[l2]; blk != nil && j < PtrsPerBlock; j++ {
-					claim(inum, ptr(blk, j), fmt.Sprintf("dind[%d][%d]", i, j))
-				}
-			}
+		claim(inum, summaryEntry{Kind: kindInode, Arg1: inum}, fs.imap[inum])
+		if err := walkTree(in, have, func(b summaryEntry, addr int64) { claim(inum, b, addr) }); err != nil {
+			return nil, err
 		}
 	}
 

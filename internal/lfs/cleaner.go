@@ -60,58 +60,23 @@ func (fs *FS) pickCleanCandidate() int {
 // entry, is still referenced by the file system.
 func (fs *FS) blockLive(p *sim.Proc, e summaryEntry, addr int64) (bool, error) {
 	switch e.Kind {
-	case kindData:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err == ErrNotExist {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		cur, err := fs.getBlockAddr(p, in, int64(e.Arg2))
-		return cur == addr, err
 	case kindInode:
 		return int(e.Arg1) < len(fs.imap) && fs.imap[e.Arg1] == addr, nil
 	case kindImap:
 		return int(e.Arg1) < len(fs.imapAddrs) && fs.imapAddrs[e.Arg1] == addr, nil
 	case kindSegUsage:
 		return int(e.Arg1) < len(fs.usageAddrs) && fs.usageAddrs[e.Arg1] == addr, nil
-	case kindIndirect:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err == ErrNotExist {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		return in.Ind == addr, nil
-	case kindDIndTop:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err == ErrNotExist {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		return in.DIndTop == addr, nil
-	case kindDIndL2:
-		in, err := fs.loadInode(p, e.Arg1)
-		if err == ErrNotExist {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		if in.DIndTop == 0 {
-			return false, nil
-		}
-		top, err := fs.readBlock(p, in.DIndTop)
-		if err != nil {
-			return false, err
-		}
-		return int64(le.Uint64(top[int(e.Arg2)*8:])) == addr, nil
 	}
-	return false, nil
+	// A block of a file: live while its pointer names it.
+	in, err := fs.loadInode(p, e.Arg1)
+	if err == ErrNotExist {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	cur, err := fs.addrOf(p, in, e)
+	return cur == addr, err
 }
 
 // moveBlock copies a live block, whose bytes are content, to the head of the
@@ -131,9 +96,6 @@ func (fs *FS) moveBlock(p *sim.Proc, e summaryEntry, addr int64, content []byte)
 		return fs.stageImapChunk(p, int(e.Arg1))
 	case kindSegUsage:
 		return fs.stageUsageChunk(p, int(e.Arg1))
-	case kindData, kindIndirect, kindDIndTop, kindDIndL2:
-	default:
-		return nil
 	}
 	// A block of a file: the same bytes under the same description, then
 	// the one pointer to it.
@@ -147,24 +109,7 @@ func (fs *FS) moveBlock(p *sim.Proc, e summaryEntry, addr int64, content []byte)
 	}
 	copy(b, content)
 	fs.killBlock(addr)
-	switch e.Kind {
-	case kindData:
-		return fs.setBlockAddr(p, in, int64(e.Arg2), newAddr)
-	case kindIndirect:
-		in.Ind = newAddr
-	case kindDIndTop:
-		in.DIndTop = newAddr
-	case kindDIndL2:
-		newTop, err := fs.rewriteMeta(p, in.DIndTop, kindDIndTop, e.Arg1, 0, func(b []byte) {
-			le.PutUint64(b[int(e.Arg2)*8:], uint64(newAddr))
-		})
-		if err != nil || newTop == in.DIndTop {
-			return err
-		}
-		in.DIndTop = newTop
-	}
-	fs.dirtyInode(in)
-	return nil
+	return fs.repoint(p, in, e, newAddr)
 }
 
 // cleanSegment reclaims sealed segment idx.  Caller holds fs.mu.  It reads

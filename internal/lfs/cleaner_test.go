@@ -246,7 +246,7 @@ func TestMoveBlockRepointsIndirects(t *testing.T) {
 		}
 		in := fs.icache[f.inum]
 		inum := f.inum
-		top, err := fs.readBlock(p, in.DIndTop)
+		top, err := fs.readBlock(p, in.Ptrs[ptrDInd])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,10 +255,10 @@ func TestMoveBlockRepointsIndirects(t *testing.T) {
 			e    summaryEntry
 			addr func() int64
 		}{
-			{"data", summaryEntry{kindData, inum, 0}, func() int64 { return in.Direct[0] }},
-			{"indirect", summaryEntry{kindIndirect, inum, 0}, func() int64 { return in.Ind }},
+			{"data", summaryEntry{kindData, inum, 0}, func() int64 { return in.Ptrs[0] }},
+			{"indirect", summaryEntry{kindIndirect, inum, 0}, func() int64 { return in.Ptrs[ptrInd] }},
 			{"double-indirect level 2", summaryEntry{kindDIndL2, inum, 0}, func() int64 { return int64(le.Uint64(top)) }},
-			{"double-indirect top", summaryEntry{kindDIndTop, inum, 0}, func() int64 { return in.DIndTop }},
+			{"double-indirect top", summaryEntry{kindDIndTop, inum, 0}, func() int64 { return in.Ptrs[ptrDInd] }},
 		} {
 			old := c.addr()
 			if live, err := fs.blockLive(p, c.e, old); err != nil || !live {

@@ -122,7 +122,7 @@ func trigger(t *testing.T, p *sim.Proc, fs *FS) {
 func inVictim(fs *FS, files []*File, v int) []int {
 	var out []int
 	for i, f := range files {
-		if in := fs.icache[f.inum]; in != nil && v >= 0 && fs.segOf(in.Direct[0]) == v {
+		if in := fs.icache[f.inum]; in != nil && v >= 0 && fs.segOf(in.Ptrs[0]) == v {
 			out = append(out, i)
 		}
 	}
@@ -283,7 +283,7 @@ func TestPartialWriteAfterCleanerMoveUsesCurrentBytes(t *testing.T) {
 			for fs.victim == victim {
 				p.Wait(time.Millisecond)
 			}
-			moved = fs.segOf(fs.icache[files[x].inum].Direct[0]) != victim
+			moved = fs.segOf(fs.icache[files[x].inum].Ptrs[0]) != victim
 			data := pinPattern(200, 0xb2)
 			copy(want[x][2000:], data)
 			if _, err := files[x].WriteAt(p, data, 2000); err != nil {

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -350,7 +351,8 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 	return fs.removeInode(p, in)
 }
 
-// Rename moves a file or directory to a new path.
+// Rename moves a file or directory to a new path.  A directory cannot move
+// into its own subtree (ErrInvalid): that would cut it off from the root.
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	fs.mu.Acquire(p)
 	defer fs.mu.Release()
@@ -361,6 +363,11 @@ func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	newParent, newName, err := fs.nameiParent(p, newPath)
 	if err != nil {
 		return err
+	}
+	// Directories have no ".." and no second link, so the paths tell.
+	oldComps, newComps := splitPath(oldPath), splitPath(newPath)
+	if len(newComps) > len(oldComps) && slices.Equal(newComps[:len(oldComps)], oldComps) {
+		return ErrInvalid
 	}
 	oldData, err := fs.dirBytes(p, oldParent, 1)
 	if err != nil {

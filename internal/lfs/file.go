@@ -9,31 +9,6 @@ import (
 type File struct {
 	fs   *FS
 	inum uint32
-
-	// Sequential read-ahead state (§3.2: "We are also experimenting with
-	// prefetching techniques so small sequential reads can also benefit
-	// from overlapping disk and network operations").
-	readAhead bool
-	seqNext   int64
-	pre       *prefetch
-}
-
-// prefetch is an in-flight or completed background read.
-type prefetch struct {
-	off  int64
-	data []byte
-	done *sim.Event
-	gen  uint64 // write generation when issued; stale if it moved on
-}
-
-// SetReadAhead enables sequential prefetching on this handle: when a read
-// continues the previous one, the next range is fetched in the background
-// so the following read is served from the prefetch buffer.
-func (f *File) SetReadAhead(on bool) {
-	f.readAhead = on
-	if !on {
-		f.pre = nil
-	}
 }
 
 // Inum returns the file's inode number.
@@ -78,7 +53,6 @@ func (f *File) WriteAt(p *sim.Proc, data []byte, off int64) (int, error) {
 	n, err := fs.writeAtLocked(p, in, data, off, pre)
 	fs.stats.WriteOps++
 	fs.stats.BytesWritten += uint64(n)
-	fs.writeGen++
 	return n, err
 }
 
@@ -196,7 +170,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64, pre 
 // log coalesce into single large device reads — this is what lets LFS
 // deliver array bandwidth on big files laid out segment-at-a-time.
 func (f *File) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	return f.readAt(p, off, n, nil)
+	return f.readAtRaw(p, off, n, nil)
 }
 
 // ReadAtInto is ReadAt into the caller's dst: it reads up to len(dst) bytes
@@ -204,59 +178,8 @@ func (f *File) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 // contiguous in the log and block-aligned in the file lands straight in
 // dst; dst is not retained.
 func (f *File) ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error) {
-	out, err := f.readAt(p, off, len(dst), dst)
+	out, err := f.readAtRaw(p, off, len(dst), dst)
 	return len(out), err
-}
-
-// readAt serves ReadAt (dst nil: the result is allocated once its length
-// is known) and ReadAtInto (the result is a prefix of dst).
-func (f *File) readAt(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
-	if f.readAhead {
-		return f.readAtWithPrefetch(p, off, n, dst)
-	}
-	return f.readAtRaw(p, off, n, dst)
-}
-
-// readAtWithPrefetch serves sequential reads from the prefetch buffer when
-// possible and keeps one read-ahead range in flight.
-func (f *File) readAtWithPrefetch(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
-	fs := f.fs
-	var out []byte
-	var err error
-	// Serve from the completed/in-flight prefetch if it covers the range
-	// and nothing has been written since it was issued.
-	if pr := f.pre; pr != nil && pr.gen == fs.writeGen && off == pr.off {
-		pr.done.Wait(p)
-		if pr.data != nil && n <= len(pr.data) {
-			out = pr.data[:n]
-			if dst != nil {
-				out = dst[:copy(dst, out)]
-			}
-		}
-		f.pre = nil
-	}
-	if out == nil {
-		if out, err = f.readAtRaw(p, off, n, dst); err != nil {
-			return nil, err
-		}
-	}
-	// Sequentiality detection and next-range prefetch.
-	if off == f.seqNext || f.seqNext == 0 {
-		next := off + int64(n)
-		pr := &prefetch{off: next, done: sim.NewEvent(fs.eng), gen: fs.writeGen}
-		f.pre = pr
-		fs.eng.Spawn("lfs-prefetch", func(q *sim.Proc) {
-			data, rerr := f.readAtRaw(q, next, n, nil)
-			if rerr == nil {
-				pr.data = data
-			}
-			pr.done.Signal()
-		})
-	} else {
-		f.pre = nil
-	}
-	f.seqNext = off + int64(n)
-	return out, nil
 }
 
 // readPiece is one block's share of a read.
@@ -274,8 +197,9 @@ type readRun struct {
 	adjacent bool        // the members are contiguous in the result, too
 }
 
-// readAtRaw is the unprefetched read path.  The result is dst[:n] when dst
-// is non-nil and a fresh buffer otherwise, n being clamped to the file size.
+// readAtRaw serves ReadAt (dst nil: the result is allocated once its length
+// is known) and ReadAtInto (the result is a prefix of dst): dst[:n], n being
+// clamped to the file size.
 func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
 	fs := f.fs
 	fs.mu.Acquire(p)

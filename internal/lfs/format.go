@@ -84,6 +84,9 @@ var (
 	ErrCorrupt = errors.New("lfs: corrupt file system")
 	// ErrNameTooLong is returned for names over MaxNameLen.
 	ErrNameTooLong = errors.New("lfs: name too long")
+	// ErrInvalid is returned for a rename that would move a directory into
+	// its own subtree.
+	ErrInvalid = errors.New("lfs: invalid argument")
 )
 
 // superblock is the fixed root of the file system, stored in block 0.
@@ -137,17 +140,15 @@ func (sb *superblock) unmarshal(buf []byte) error {
 
 // inode is the on-disk (and in-memory) per-file metadata.
 type inode struct {
-	Inum    uint32
-	Mode    Mode
-	Nlink   uint32
-	Size    int64
-	MTime   int64 // simulated nanoseconds
-	Direct  [NDirect]int64
-	Ind     int64 // single indirect block
-	DIndTop int64 // double indirect top block
+	Inum  uint32
+	Mode  Mode
+	Nlink uint32
+	Size  int64
+	MTime int64 // simulated nanoseconds
+	// Ptrs roots the file's pointer tree (blockmap.go): the direct blocks,
+	// then the indirect and the double-indirect top block.
+	Ptrs [NDirect + 2]int64
 }
-
-const inodeBytes = 4 + 4 + 4 + 8 + 8 + NDirect*8 + 8 + 8
 
 func (in *inode) marshal(buf []byte) {
 	le.PutUint32(buf[0:], in.Inum)
@@ -155,13 +156,9 @@ func (in *inode) marshal(buf []byte) {
 	le.PutUint32(buf[8:], in.Nlink)
 	le.PutUint64(buf[12:], uint64(in.Size))
 	le.PutUint64(buf[20:], uint64(in.MTime))
-	off := 28
-	for i := range in.Direct {
-		le.PutUint64(buf[off:], uint64(in.Direct[i]))
-		off += 8
+	for i, a := range in.Ptrs {
+		le.PutUint64(buf[28+8*i:], uint64(a))
 	}
-	le.PutUint64(buf[off:], uint64(in.Ind))
-	le.PutUint64(buf[off+8:], uint64(in.DIndTop))
 }
 
 func (in *inode) unmarshal(buf []byte) {
@@ -170,13 +167,9 @@ func (in *inode) unmarshal(buf []byte) {
 	in.Nlink = le.Uint32(buf[8:])
 	in.Size = int64(le.Uint64(buf[12:]))
 	in.MTime = int64(le.Uint64(buf[20:]))
-	off := 28
-	for i := range in.Direct {
-		in.Direct[i] = int64(le.Uint64(buf[off:]))
-		off += 8
+	for i := range in.Ptrs {
+		in.Ptrs[i] = int64(le.Uint64(buf[28+8*i:]))
 	}
-	in.Ind = int64(le.Uint64(buf[off:]))
-	in.DIndTop = int64(le.Uint64(buf[off+8:]))
 }
 
 // summaryEntry describes one block of a segment.

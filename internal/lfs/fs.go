@@ -110,9 +110,8 @@ type FS struct {
 	nFree     int // free segments: the true entries of free, kept by setFree
 	allocHint int
 
-	icache   map[uint32]*inode
-	idirty   map[uint32]bool
-	writeGen uint64 // bumped on every write; invalidates prefetches
+	icache map[uint32]*inode
+	idirty map[uint32]bool
 
 	// The cleaner (cleaner.go).  cleaning is set while a clean holds fs.mu
 	// and moves blocks, so their appends start no clean of their own;
@@ -509,7 +508,7 @@ func (fs *FS) takeSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, 
 	}
 	fs.segEntries = append(fs.segEntries, summaryEntry{Kind: kind, Arg1: a1, Arg2: a2})
 	addr := fs.curSeg + int64(len(fs.segEntries))
-	if kind == kindIndirect || kind == kindDIndTop || kind == kindDIndL2 {
+	if ptrBlock(kind) {
 		fs.stagedPtrs[addr] = struct{}{}
 	}
 	seg := fs.segOf(addr)

@@ -6,10 +6,6 @@ import (
 	"raidii/internal/sim"
 )
 
-// MaxFileBlocks is the largest file in blocks: direct + single indirect +
-// double indirect.
-const MaxFileBlocks = int64(NDirect) + PtrsPerBlock + PtrsPerBlock*PtrsPerBlock
-
 // loadInode returns the cached or on-log inode.
 func (fs *FS) loadInode(p *sim.Proc, inum uint32) (*inode, error) {
 	if in, ok := fs.icache[inum]; ok {
@@ -112,142 +108,32 @@ func (fs *FS) rewriteMeta(p *sim.Proc, addr int64, kind, a1, a2 uint32, mutate f
 
 // getBlockAddr returns the log address of file block fb (0 for a hole).
 func (fs *FS) getBlockAddr(p *sim.Proc, in *inode, fb int64) (int64, error) {
-	if fb < 0 || fb >= MaxFileBlocks {
-		return 0, fmt.Errorf("lfs: file block %d out of range", fb)
-	}
-	if fb < NDirect {
-		return in.Direct[fb], nil
-	}
-	fb -= NDirect
-	if fb < PtrsPerBlock {
-		if in.Ind == 0 {
-			return 0, nil
-		}
-		buf, err := fs.metaView(p, in.Ind)
-		if err != nil {
-			return 0, err
-		}
-		return int64(le.Uint64(buf[fb*8:])), nil
-	}
-	fb -= PtrsPerBlock
-	l1, l2 := fb/PtrsPerBlock, fb%PtrsPerBlock
-	if in.DIndTop == 0 {
-		return 0, nil
-	}
-	top, err := fs.metaView(p, in.DIndTop)
+	b, err := dataBlock(in.Inum, fb)
 	if err != nil {
 		return 0, err
 	}
-	l2addr := int64(le.Uint64(top[l1*8:]))
-	if l2addr == 0 {
-		return 0, nil
-	}
-	buf, err := fs.metaView(p, l2addr)
-	if err != nil {
-		return 0, err
-	}
-	return int64(le.Uint64(buf[l2*8:])), nil
+	return fs.addrOf(p, in, b)
 }
 
-// setBlockAddr points file block fb at addr, materializing indirect blocks
-// in the log as needed.
+// setBlockAddr points file block fb at addr, materializing pointer blocks in
+// the log as needed.
 func (fs *FS) setBlockAddr(p *sim.Proc, in *inode, fb int64, addr int64) error {
-	if fb < 0 || fb >= MaxFileBlocks {
-		return fmt.Errorf("lfs: file block %d out of range", fb)
-	}
-	if fb < NDirect {
-		in.Direct[fb] = addr
-		fs.dirtyInode(in)
-		return nil
-	}
-	fs.makeRoom(p) // before the pointer blocks are read: see rewriteMeta
-	fb -= NDirect
-	if fb < PtrsPerBlock {
-		na, err := fs.rewriteMeta(p, in.Ind, kindIndirect, in.Inum, 0, func(b []byte) {
-			le.PutUint64(b[fb*8:], uint64(addr))
-		})
-		if err != nil {
-			return err
-		}
-		if na != in.Ind {
-			in.Ind = na
-			fs.dirtyInode(in)
-		}
-		return nil
-	}
-	fb -= PtrsPerBlock
-	l1, l2 := fb/PtrsPerBlock, fb%PtrsPerBlock
-
-	// Level-2 block first.
-	var l2addr int64
-	if in.DIndTop != 0 {
-		top, err := fs.metaView(p, in.DIndTop)
-		if err != nil {
-			return err
-		}
-		l2addr = int64(le.Uint64(top[l1*8:]))
-	}
-	newL2, err := fs.rewriteMeta(p, l2addr, kindDIndL2, in.Inum, uint32(l1), func(b []byte) {
-		le.PutUint64(b[l2*8:], uint64(addr))
-	})
+	b, err := dataBlock(in.Inum, fb)
 	if err != nil {
 		return err
 	}
-	if newL2 != l2addr {
-		newTop, err := fs.rewriteMeta(p, in.DIndTop, kindDIndTop, in.Inum, 0, func(b []byte) {
-			le.PutUint64(b[l1*8:], uint64(newL2))
-		})
-		if err != nil {
-			return err
-		}
-		if newTop != in.DIndTop {
-			in.DIndTop = newTop
-			fs.dirtyInode(in)
-		}
-	}
-	return nil
+	return fs.repoint(p, in, b, addr)
 }
 
-// freeInodeBlocks kills every block the inode references (data and
-// indirect), for Remove and truncation.
+// freeInodeBlocks kills every block the inode references, data and pointer
+// blocks, each pointer block after the blocks it names; for Remove and
+// truncation.
 func (fs *FS) freeInodeBlocks(p *sim.Proc, in *inode) error {
-	for i := range in.Direct {
-		fs.killBlock(in.Direct[i])
-		in.Direct[i] = 0
+	read := func(addr int64) ([]byte, error) { return fs.metaView(p, addr) }
+	if err := walkTree(in, read, func(_ summaryEntry, addr int64) { fs.killBlock(addr) }); err != nil {
+		return err
 	}
-	if in.Ind != 0 {
-		buf, err := fs.readBlock(p, in.Ind)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < PtrsPerBlock; i++ {
-			fs.killBlock(int64(le.Uint64(buf[i*8:])))
-		}
-		fs.killBlock(in.Ind)
-		in.Ind = 0
-	}
-	if in.DIndTop != 0 {
-		top, err := fs.readBlock(p, in.DIndTop)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < PtrsPerBlock; i++ {
-			l2 := int64(le.Uint64(top[i*8:]))
-			if l2 == 0 {
-				continue
-			}
-			buf, err := fs.readBlock(p, l2)
-			if err != nil {
-				return err
-			}
-			for j := 0; j < PtrsPerBlock; j++ {
-				fs.killBlock(int64(le.Uint64(buf[j*8:])))
-			}
-			fs.killBlock(l2)
-		}
-		fs.killBlock(in.DIndTop)
-		in.DIndTop = 0
-	}
+	clear(in.Ptrs[:])
 	in.Size = 0
 	fs.dirtyInode(in)
 	return nil

@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -253,6 +254,48 @@ func TestRename(t *testing.T) {
 	})
 }
 
+// TestRenameIntoOwnSubtreeRefused: a directory moved under itself would be
+// cut off from the root with everything below it, so Rename refuses it and
+// leaves both directories as they were; a name that merely starts with the
+// directory's name, and a rename to itself, still go through.
+func TestRenameIntoOwnSubtreeRefused(t *testing.T) {
+	e, fs := newFS(t, 64, 8)
+	run(e, func(p *sim.Proc) {
+		for _, d := range []string{"/a", "/a/b", "/x"} {
+			if err := fs.Mkdir(p, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := fs.Create(p, "/a/b/f"); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range [][2]string{{"/a", "/a/b"}, {"/a", "/a/b/c"}, {"/a/b", "/a/b/c"}, {"/a/", "/a/./b/c"}} {
+			if err := fs.Rename(p, c[0], c[1]); !errors.Is(err, ErrInvalid) {
+				t.Errorf("Rename(%q, %q) = %v, want ErrInvalid", c[0], c[1], err)
+			}
+		}
+		for _, c := range [][2]string{{"/a", "/a"}, {"/x", "/xy"}, {"/xy", "/a/xy"}} {
+			if err := fs.Rename(p, c[0], c[1]); err != nil {
+				t.Errorf("Rename(%q, %q): %v", c[0], c[1], err)
+			}
+		}
+		for _, path := range []string{"/a", "/a/b", "/a/xy"} {
+			if fi, err := fs.Stat(p, path); err != nil || !fi.IsDir() {
+				t.Errorf("Stat(%q) = %+v, %v after the refused renames", path, fi, err)
+			}
+		}
+		if _, err := fs.Open(p, "/a/b/f"); err != nil {
+			t.Error(err)
+		}
+		if err := fs.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := fs.Check(p); err != nil || !r.OK() || r.Dirs != 4 || r.Files != 1 {
+			t.Errorf("check: %+v, err %v", r, err)
+		}
+	})
+}
+
 func TestSyncDurability(t *testing.T) {
 	e, fs := newFS(t, 64, 8)
 	run(e, func(p *sim.Proc) {
@@ -284,6 +327,38 @@ func TestCheckCleanFS(t *testing.T) {
 		}
 		if r.Files != 20 || r.Dirs != 1 {
 			t.Fatalf("files=%d dirs=%d", r.Files, r.Dirs)
+		}
+	})
+}
+
+// TestCheckCountsInodesNotYetFlushed: a file created and written since the
+// last flush is in the inode cache only, not in the inode map; Check counts
+// it and claims its blocks all the same, so a Sync, which only adds the
+// file's inode block, changes its report by exactly that block.
+func TestCheckCountsInodesNotYetFlushed(t *testing.T) {
+	e, fs := newFS(t, 64, 8)
+	run(e, func(p *sim.Proc) {
+		f, err := fs.Create(p, "/new")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, make([]byte, 3*BlockSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		before, err := fs.Check(p)
+		if err != nil || !before.OK() {
+			t.Fatalf("check before the flush: %+v, err %v", before, err)
+		}
+		if err := fs.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		after, err := fs.Check(p)
+		if err != nil || !after.OK() {
+			t.Fatalf("check after the flush: %+v, err %v", after, err)
+		}
+		if before.Inodes != 2 || before.Files != 1 || before.LiveBlocks != after.LiveBlocks-1 {
+			t.Errorf("before the flush: %d inodes, %d files, %d live blocks; after: %d, %d, %d",
+				before.Inodes, before.Files, before.LiveBlocks, after.Inodes, after.Files, after.LiveBlocks)
 		}
 	})
 }

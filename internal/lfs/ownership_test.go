@@ -48,7 +48,7 @@ func TestWriteAtCopiesOnce(t *testing.T) {
 				t.Fatalf("%s: the file follows the caller's buffer (err %v)", when, err)
 			}
 		}
-		if fs.currentSlot(fs.icache[f.inum].Direct[0]) == nil {
+		if fs.currentSlot(fs.icache[f.inum].Ptrs[0]) == nil {
 			t.Fatal("block 0 is not in the current segment: nothing staged to test")
 		}
 		check("staged")
@@ -57,7 +57,7 @@ func TestWriteAtCopiesOnce(t *testing.T) {
 		if _, err := f.WriteAt(p, pinPattern(20*BlockSize, 0x5b), 16*BlockSize); err != nil {
 			t.Fatal(err)
 		}
-		addr := fs.icache[f.inum].Direct[0]
+		addr := fs.icache[f.inum].Ptrs[0]
 		if fs.currentSlot(addr) != nil || fs.stagedBlock(addr) == nil {
 			t.Fatal("block 0 is not in a sealed, in-flight segment")
 		}
@@ -95,7 +95,7 @@ func TestSealedImageIsNeverPatched(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := fs.icache[f.inum]
-		old2, old3 := in.Direct[2], in.Direct[3]
+		old2, old3 := in.Ptrs[2], in.Ptrs[3]
 		seg := fs.segOf(old2)
 		image := fs.inflight[seg]
 		if image == nil || fs.segOf(old3) != seg {
@@ -116,7 +116,7 @@ func TestSealedImageIsNeverPatched(t *testing.T) {
 		if fs.inflight[seg] == nil {
 			t.Fatal("the seal completed before the overwrites: nothing was in flight")
 		}
-		new2, new3 := in.Direct[2], in.Direct[3]
+		new2, new3 := in.Ptrs[2], in.Ptrs[3]
 		if new2 == old2 || new3 == old3 || fs.currentSlot(new2) == nil || fs.currentSlot(new3) == nil {
 			t.Fatalf("overwrites of in-flight blocks were not appended to the current segment (%d→%d, %d→%d)", old2, new2, old3, new3)
 		}

@@ -242,7 +242,7 @@ func TestDeadPointerBlockNeverCached(t *testing.T) {
 		if _, err := a.WriteAt(p, pinPattern((NDirect+2)*BlockSize, 0xa1), 0); err != nil {
 			t.Fatal(err)
 		}
-		ind := fs.icache[a.inum].Ind
+		ind := fs.icache[a.inum].Ptrs[ptrInd]
 		if len(fs.segEntries) != fs.segDataBlks || ind != fs.curSeg+NDirect+2 {
 			t.Fatalf("/a left %d blocks in the segment and its indirect block at %d: the script no longer fills one segment", len(fs.segEntries), ind-fs.curSeg)
 		}
@@ -297,7 +297,7 @@ func TestDeadPointerBlockNeverCached(t *testing.T) {
 		if _, err := c.WriteAt(p, want[(NDirect+8)*BlockSize:], (NDirect+8)*BlockSize); err != nil {
 			t.Fatal(err)
 		}
-		if got := fs.icache[c.inum].Ind; got != ind {
+		if got := fs.icache[c.inum].Ptrs[ptrInd]; got != ind {
 			t.Fatalf("/c's indirect block is at %d, /a's was at %d: the script no longer reuses the address", got, ind)
 		}
 		if err := fs.Sync(p); err != nil {

@@ -253,7 +253,7 @@ func TestImageNotRecycledWhileInFlightOrFailed(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.Wait(1e9)
-				addr := fs.icache[f.inum].Direct[0]
+				addr := fs.icache[f.inum].Ptrs[0]
 				if fs.Pending() != 2 || fs.images.Len() != free {
 					t.Fatalf("write blocked: %d images pending (want the sealed and the current one), free list %d -> %d", fs.Pending(), free, fs.images.Len())
 				}

@@ -96,7 +96,7 @@ type SpanScope interface {
 // it, reports spans to it and lets it follow forked workers.  What follows a
 // request is decided by the group, not by the worker: a process spawned bare
 // or through an engine-bound NewGroup starts with no annotation, which is
-// right for background work — segment seals, prefetch, the LFS cleaner,
+// right for background work — segment seals, the LFS cleaner,
 // rebuild and scrub serve no one request — and for the chunk pipelines of
 // disk and Path.Send, whose time the issuing process's own span already
 // covers (disk/write spans its media-write workers), so following them

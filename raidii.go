@@ -84,6 +84,8 @@ var (
 	ErrNotEmpty = lfs.ErrNotEmpty
 	// ErrNoSpace reports a full log even after cleaning.
 	ErrNoSpace = lfs.ErrNoSpace
+	// ErrInvalid reports a rename of a directory into its own subtree.
+	ErrInvalid = lfs.ErrInvalid
 	// ErrDiskFailed reports a command to a dead drive.
 	ErrDiskFailed = fault.ErrDiskFailed
 	// ErrMedium reports an unrecoverable medium error.
