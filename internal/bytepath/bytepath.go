@@ -62,8 +62,8 @@ func ReadInto(dev Device, p *sim.Proc, lba int64, dst []byte) error {
 }
 
 // FreeList is a bounded stack of byte buffers that a layer recycles instead
-// of allocating one per operation: the array's column scratch, the cache's
-// line and fill buffers, the file system's segment images.  Put keeps a
+// of allocating one per operation: the array's column scratch and the file
+// system's segment images.  Put keeps a
 // buffer its owner is done with, Get hands the most recently kept one out
 // again.  The engine runs one process at a time, so there is no lock; the
 // bound is fixed where the list is made, and a burst beyond it goes back to

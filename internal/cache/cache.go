@@ -5,19 +5,26 @@
 // the cache reuses that staging so re-reads of recently transferred blocks
 // are served from DRAM at crossbar speed instead of paying disk latency.
 //
+// Lines are sectored (Liptay's sector cache): the line is the unit of
+// lookup, LRU order and eviction, and each of its sectors is valid or not on
+// its own.  A read hits a line when every sector it wants there is valid; a
+// miss fetches only the sectors it lacks, never the rest of the line.
+//
 // Timing model: a hit still crosses the crossbar memory system on its way
-// to the network port, so hits charge one memory pass over the supplied
-// hop.  A miss charges the full backing-store read (VME disk ports, SCSI
-// strings, platters) exactly as an uncached read would, because the fill
-// is that read.  Eviction order is strict LRU maintained in the calling
+// to the network port, so the valid sectors a read is served charge one
+// memory pass over the supplied hop.  A miss charges the backing-store read
+// (VME disk ports, SCSI strings, platters) of only the sectors it lacks,
+// exactly as an uncached read of those sectors would, because the fill is
+// that read.  Eviction order is strict LRU maintained in the calling
 // process, so identical workloads produce identical victim sequences and
 // byte-identical traces.
 //
 // The cache is write-through: writes always reach the backing store with
 // their normal cost, then update any overlapping resident lines in place
-// (never leaving a stale hit behind).  With StageWrites set, fully covered
-// lines are also write-allocated so a read of freshly written data hits
-// memory — the LFS segment-write staging of the tentpole design.
+// and make the written sectors valid (never leaving a stale hit behind).
+// With StageWrites set, fully covered lines are also write-allocated so a
+// read of freshly written data hits memory — the board staging LFS segment
+// writes in XBUS memory.
 package cache
 
 import (
@@ -56,10 +63,11 @@ type Config struct {
 	StageWrites bool
 }
 
-// Stats counts cache activity.  Byte counters measure data volume: HitBytes
-// is request bytes served from resident lines, FillBytes is bytes read from
-// the backing store to fill lines (≥ miss bytes, since fills are whole
-// lines).
+// Stats counts cache activity.  Hits and Misses count lines a read touched:
+// a hit when every sector the read wanted there was valid, a miss otherwise.
+// Byte counters measure data volume: HitBytes is request bytes served from
+// valid sectors, FillBytes is bytes read from the backing store, exactly the
+// request sectors that were not valid.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
@@ -71,13 +79,45 @@ type Stats struct {
 	FillBytes     uint64
 }
 
-// line is one resident cache line on the intrusive LRU list.  data is a
-// buffer of this line alone, a full line in capacity; only the device's last
-// line can be shorter in length.
+// sectors is a bitmap over the sectors of one line.
+type sectors []byte
+
+func (b sectors) has(s int) bool { return b[s>>3]&(1<<(s&7)) != 0 }
+
+func (b sectors) add(from, to int) {
+	for s := from; s < to; s++ {
+		b[s>>3] |= 1 << (s & 7)
+	}
+}
+
+// all reports whether every sector of [from, to) is in b.
+func (b sectors) all(from, to int) bool { return b.has(from) && b.runEnd(from, to) == to }
+
+// runEnd returns the end of the run of sectors starting at from, before to,
+// that are all in b or all out of it.
+func (b sectors) runEnd(from, to int) int {
+	in := b.has(from)
+	for from++; from < to && b.has(from) == in; from++ {
+	}
+	return from
+}
+
+// line is one resident cache line on the intrusive LRU list.  data holds a
+// full line of sectors, of which valid says which hold the device's bytes;
+// both come back with the record when it is recycled.
 type line struct {
 	tag        int64 // line index: first sector / lineSecs
 	data       []byte
+	valid      sectors
 	prev, next *line
+}
+
+// filling is what a line's fills in flight have to leave alone: the sectors
+// a write reached since the first of them began.  A fill that read the
+// device before the write landed holds the old bytes there.
+type filling struct {
+	written sectors
+	fills   int // runs of the line's sectors being filled
 }
 
 // Cache is an LRU block cache over a Backing store.  All methods must be
@@ -96,18 +136,17 @@ type Cache struct {
 	head, tail *line // head = most recently used
 	stats      Stats
 
-	// free holds the buffers of evicted and invalidated lines, at most
-	// maxLines of them, for the next lines installed: nothing outside the
-	// cache ever holds a line's buffer, so a cache at capacity fills without
-	// allocating.  fills holds the buffers miss runs are read into before
-	// their lines are copied out.
-	free  bytepath.FreeList
-	fills bytepath.FreeList
-}
+	// free holds the records of evicted and invalidated lines, buffers and
+	// bitmaps included, for the next lines made resident: there are never
+	// more than maxLines records, so a cache at capacity fills without
+	// allocating.
+	free []*line
 
-// maxFreeFills bounds the fill-run buffers a cache keeps: one per miss run
-// in flight at once in the file-server loop, with room to spare.
-const maxFreeFills = 4
+	// inFlight holds the fill state of every line a read is filling, and
+	// spare the records of lines no longer filling.
+	inFlight map[int64]*filling
+	spare    []*filling
+}
 
 // New creates a cache in front of dev.  mem is the crossbar memory hop hits
 // are charged against (nil charges nothing — unit tests only).  The caller
@@ -132,8 +171,7 @@ func New(e *sim.Engine, dev Backing, mem sim.Hop, cfg Config) (*Cache, error) {
 		maxLines: maxLines,
 		devSecs:  dev.Sectors(),
 		table:    make(map[int64]*line),
-		free:     bytepath.NewFreeList(maxLines),
-		fills:    bytepath.NewFreeList(maxFreeFills),
+		inFlight: make(map[int64]*filling),
 	}
 	c.noStage = !cfg.StageWrites
 	if mem != nil {
@@ -163,7 +201,7 @@ func (c *Cache) SectorSize() int { return c.dev.SectorSize() }
 func (c *Cache) InvalidateAll() {
 	c.stats.Invalidations += uint64(len(c.table))
 	for ln := c.head; ln != nil; ln = ln.next {
-		c.free.Put(ln.data)
+		c.free = append(c.free, ln)
 	}
 	clear(c.table)
 	c.head, c.tail = nil, nil
@@ -205,63 +243,96 @@ func (c *Cache) touch(ln *line) {
 	c.pushFront(ln)
 }
 
-// evict drops the least recently used line and keeps its buffer.  The
+// evict drops the least recently used line and keeps its record.  The
 // zero-length span makes every eviction visible in traces and the -util
 // effectiveness report.
 func (c *Cache) evict(p *sim.Proc) {
 	ln := c.tail
 	c.unlink(ln)
 	delete(c.table, ln.tag)
-	c.free.Put(ln.data)
+	c.free = append(c.free, ln)
 	c.stats.Evictions++
 	p.Span("cache", "evict")()
 }
 
-// install makes a copy of data (a line, or the device's shorter last one)
-// resident as line li, evicting from the LRU tail under capacity pressure.
-// If a concurrent fill already installed the line, the newer data refresh
-// it in place.
-func (c *Cache) install(p *sim.Proc, li int64, data []byte) {
-	if ln, ok := c.table[li]; ok {
-		ln.data = ln.data[:copy(ln.data[:cap(ln.data)], data)]
-		c.touch(ln)
-		return
-	}
+// allocate makes line li resident at the MRU end with no sector valid,
+// evicting from the LRU tail under capacity pressure.
+func (c *Cache) allocate(p *sim.Proc, li int64) *line {
 	for len(c.table) >= c.maxLines {
 		c.evict(p)
 	}
-	buf := c.free.Get(c.lineSecs * c.secSize)
-	ln := &line{tag: li, data: buf[:copy(buf, data)]}
+	var ln *line
+	if k := len(c.free); k > 0 {
+		ln = c.free[k-1]
+		c.free = c.free[:k-1]
+		clear(ln.valid)
+	} else {
+		ln = &line{data: make([]byte, c.lineSecs*c.secSize), valid: make(sectors, (c.lineSecs+7)/8)}
+	}
+	ln.tag = li
 	c.table[li] = ln
 	c.pushFront(ln)
+	return ln
 }
 
-// copyOverlap copies the intersection of line li's data with the request
-// [reqLBA, reqLBA+reqSecs) into out and returns the bytes copied.
-func (c *Cache) copyOverlap(out []byte, reqLBA int64, reqSecs int, li int64, data []byte) int {
-	lineStart := li * int64(c.lineSecs)
-	start := lineStart
-	if reqLBA > start {
-		start = reqLBA
+// install copies sectors [from, to) of line li from src, a fill of exactly
+// those sectors, into the line, making it resident if it is not.  It fills
+// only sectors that are still invalid and that no write reached while the
+// fill was in flight: those already hold the newer bytes, or will come from
+// the device on the next read.
+func (c *Cache) install(p *sim.Proc, li int64, from, to int, src []byte) {
+	ln, ok := c.table[li]
+	if ok {
+		c.touch(ln)
+	} else {
+		ln = c.allocate(p, li)
 	}
-	end := lineStart + int64(len(data)/c.secSize)
-	if e := reqLBA + int64(reqSecs); e < end {
-		end = e
+	written := c.inFlight[li].written
+	stale := func(s int) bool { return ln.valid.has(s) || written.has(s) }
+	for s := from; s < to; {
+		if stale(s) {
+			s++
+			continue
+		}
+		e := s + 1
+		for e < to && !stale(e) {
+			e++
+		}
+		copy(ln.data[s*c.secSize:e*c.secSize], src[(s-from)*c.secSize:])
+		ln.valid.add(s, e)
+		s = e
 	}
-	if end <= start {
-		return 0
-	}
-	n := copy(out[(start-reqLBA)*int64(c.secSize):], data[(start-lineStart)*int64(c.secSize):(end-lineStart)*int64(c.secSize)])
-	return n
 }
 
-// fillRun is a maximal run of consecutive missing lines, filled with one
-// backing-store read so the array parallelizes it across the stripe exactly
-// as an uncached read would.
-type fillRun struct {
-	firstLine, lastLine int64
-	data                []byte
+// startFill records a fill of part of line li in flight; endFill, once
+// that part has landed or failed, drops the record with the last part.
+func (c *Cache) startFill(li int64) {
+	f := c.inFlight[li]
+	if f == nil {
+		if k := len(c.spare); k > 0 {
+			f = c.spare[k-1]
+			c.spare = c.spare[:k-1]
+			clear(f.written)
+		} else {
+			f = &filling{written: make(sectors, (c.lineSecs+7)/8)}
+		}
+		c.inFlight[li] = f
+	}
+	f.fills++
 }
+
+func (c *Cache) endFill(li int64) {
+	f := c.inFlight[li]
+	if f.fills--; f.fills == 0 {
+		delete(c.inFlight, li)
+		c.spare = append(c.spare, f)
+	}
+}
+
+// fillRun is a maximal run of consecutive missing sectors [start, end),
+// which may cross lines, filled with one backing-store read so the array
+// parallelizes it across the stripe exactly as an uncached read would.
+type fillRun struct{ start, end int64 }
 
 // Read returns n sectors at lba in a fresh buffer; see ReadInto.
 func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
@@ -273,78 +344,86 @@ func (c *Cache) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 }
 
 // ReadInto reads the len(out)/SectorSize sectors at lba into the caller's
-// out, serving resident lines from DRAM (one crossbar memory pass for all
-// hit bytes) and filling missing lines from the backing store at full disk
-// cost.  Lines are installed in ascending sector order by the calling
-// process, so LRU state — and therefore the eviction sequence — is
-// independent of fill completion order.  A fill lands in a buffer of the
-// cache's and is copied from there into the lines' own buffers and into out.
+// out, serving valid sectors from DRAM (one crossbar memory pass for all hit
+// bytes) and reading the rest from the backing store straight into out.
+// Lines are installed in ascending sector order by the calling process, so
+// LRU state — and therefore the eviction sequence — is independent of fill
+// completion order.
 func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 	defer p.Span("cache", "read")()
-	n := len(out) / c.secSize
-	if n <= 0 {
+	end := lba + int64(len(out)/c.secSize)
+	if end <= lba {
 		return nil
 	}
-	first := lba / int64(c.lineSecs)
-	last := (lba + int64(n) - 1) / int64(c.lineSecs)
+	ls := int64(c.lineSecs)
 	var hitBytes int
 	var runs []fillRun
-	for li := first; li <= last; li++ {
-		if ln, ok := c.table[li]; ok {
+	for li := lba / ls; li*ls < end; li++ {
+		base := li * ls
+		from, to := int(max(lba, base)-base), int(min(end, base+ls)-base)
+		ln, ok := c.table[li]
+		if ok {
 			c.touch(ln)
+		}
+		if ok && ln.valid.all(from, to) {
 			c.stats.Hits++
 			telemetry.CacheHit(p)
-			hitBytes += c.copyOverlap(out, lba, n, li, ln.data)
 			p.Span("cache", "hit")()
-			continue
-		}
-		c.stats.Misses++
-		telemetry.CacheMiss(p)
-		p.Span("cache", "miss")()
-		if len(runs) > 0 && runs[len(runs)-1].lastLine == li-1 {
-			runs[len(runs)-1].lastLine = li
 		} else {
-			runs = append(runs, fillRun{firstLine: li, lastLine: li})
+			c.stats.Misses++
+			telemetry.CacheMiss(p)
+			p.Span("cache", "miss")()
+		}
+		for s := from; s < to; {
+			e := to
+			if ok {
+				e = ln.valid.runEnd(s, to)
+			}
+			switch {
+			case ok && ln.valid.has(s):
+				hitBytes += copy(out[(base+int64(s)-lba)*int64(c.secSize):], ln.data[s*c.secSize:e*c.secSize])
+			case len(runs) > 0 && runs[len(runs)-1].end == base+int64(s):
+				c.startFill(li)
+				runs[len(runs)-1].end = base + int64(e)
+			default:
+				c.startFill(li)
+				runs = append(runs, fillRun{base + int64(s), base + int64(e)})
+			}
+			s = e
 		}
 	}
+	var g *sim.Group
 	if len(runs) > 0 {
-		g := p.Fork()
-		for i := range runs {
-			r := &runs[i]
-			start := r.firstLine * int64(c.lineSecs)
-			secs := int(r.lastLine-r.firstLine+1) * c.lineSecs
-			if start+int64(secs) > c.devSecs {
-				secs = int(c.devSecs - start)
-			}
-			r.data = c.fills.Get(secs * c.secSize)
+		g = p.Fork()
+		for _, r := range runs {
+			dst := out[(r.start-lba)*int64(c.secSize) : (r.end-lba)*int64(c.secSize)]
 			g.Go("cache-fill", func(q *sim.Proc) error {
-				return bytepath.ReadInto(c.dev, q, start, r.data)
+				return bytepath.ReadInto(c.dev, q, r.start, dst)
 			})
 		}
-		// The hit traffic crosses the crossbar while the fills are in
-		// flight; both settle before lines are installed.
-		if hitBytes > 0 {
-			c.mem.Send(p, hitBytes, 0)
-		}
-		if err := g.Wait(p); err != nil {
-			return err // the fill buffers go to the collector
-		}
-		for _, r := range runs {
-			c.stats.FillBytes += uint64(len(r.data))
-			lineBytes := c.lineSecs * c.secSize
-			for li := r.firstLine; li <= r.lastLine; li++ {
-				off := int(li-r.firstLine) * lineBytes
-				if off >= len(r.data) {
-					break
-				}
-				data := r.data[off:min(off+lineBytes, len(r.data))]
-				c.install(p, li, data)
-				c.copyOverlap(out, lba, n, li, data)
-			}
-			c.fills.Put(r.data)
-		}
-	} else if hitBytes > 0 {
+	}
+	// The hit traffic crosses the crossbar while the fills are in flight;
+	// both settle before lines are installed.
+	if hitBytes > 0 {
 		c.mem.Send(p, hitBytes, 0)
+	}
+	if g != nil {
+		err := g.Wait(p)
+		for _, r := range runs {
+			for s := r.start; s < r.end; {
+				li := s / ls
+				e := min(r.end, (li+1)*ls)
+				if err == nil {
+					c.stats.FillBytes += uint64(e-s) * uint64(c.secSize)
+					c.install(p, li, int(s-li*ls), int(e-li*ls), out[(s-lba)*int64(c.secSize):])
+				}
+				c.endFill(li)
+				s = e
+			}
+		}
+		if err != nil {
+			return err
+		}
 	}
 	c.stats.HitBytes += uint64(hitBytes)
 	return nil
@@ -380,39 +459,32 @@ func (c *Cache) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
 	return nil
 }
 
-// absorb applies a completed write to the resident lines.  It charges no
-// simulated time: the write already crossed the crossbar on its way to the
-// array, and the overlay models the lines having observed that pass.
+// absorb applies a completed write to the resident lines and makes the
+// written sectors valid there, and notes them for the fills in flight.  It
+// charges no simulated time: the write already crossed the crossbar on its
+// way to the array, and the overlay models the lines having observed that
+// pass.
 func (c *Cache) absorb(p *sim.Proc, lba int64, data []byte) {
-	nsecs := len(data) / c.secSize
-	if nsecs == 0 {
-		return
-	}
-	first := lba / int64(c.lineSecs)
-	last := (lba + int64(nsecs) - 1) / int64(c.lineSecs)
-	for li := first; li <= last; li++ {
-		lineStart := li * int64(c.lineSecs)
-		ovStart := lineStart
-		if lba > ovStart {
-			ovStart = lba
+	end := lba + int64(len(data)/c.secSize)
+	ls := int64(c.lineSecs)
+	for li := lba / ls; li*ls < end; li++ {
+		base := li * ls
+		from, to := int(max(lba, base)-base), int(min(end, base+ls)-base)
+		if f := c.inFlight[li]; f != nil {
+			f.written.add(from, to)
 		}
-		ovEnd := lineStart + int64(c.lineSecs)
-		if e := lba + int64(nsecs); e < ovEnd {
-			ovEnd = e
-		}
-		if ln, ok := c.table[li]; ok {
-			// Overlay the overlapping sectors (clamped to the line's actual
-			// extent — the device's tail line may be short).
-			src := data[(ovStart-lba)*int64(c.secSize) : (ovEnd-lba)*int64(c.secSize)]
-			dstOff := (ovStart - lineStart) * int64(c.secSize)
-			if dstOff < int64(len(ln.data)) {
-				copy(ln.data[dstOff:], src)
+		ln, ok := c.table[li]
+		if !ok {
+			if c.noStage || from != 0 || to != c.lineSecs || base+ls > c.devSecs {
+				continue
 			}
+			ln = c.allocate(p, li)
+			c.stats.Staged++
+		} else {
 			c.touch(ln)
 			c.stats.Updates++
-		} else if !c.noStage && ovStart == lineStart && ovEnd == lineStart+int64(c.lineSecs) && ovEnd <= c.devSecs {
-			c.install(p, li, data[(ovStart-lba)*int64(c.secSize):(ovEnd-lba)*int64(c.secSize)])
-			c.stats.Staged++
 		}
+		copy(ln.data[from*c.secSize:to*c.secSize], data[(base+int64(from)-lba)*int64(c.secSize):])
+		ln.valid.add(from, to)
 	}
 }

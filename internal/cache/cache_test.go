@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
 	"raidii/internal/sim"
 )
@@ -175,7 +176,169 @@ func TestMissRunCoalescing(t *testing.T) {
 		if len(dev.reads) != 2 || dev.reads[0] != want[0] || dev.reads[1] != want[1] {
 			t.Fatalf("fill reads = %v, want %v", dev.reads, want)
 		}
+		// Missing sectors on both sides of a line boundary are one read too:
+		// line 8 holds sectors 64-67 and line 9 sectors 76-79, so a read of
+		// both lines fetches 68-75 at once.
+		_, _ = c.Read(p, 64, 4)
+		_, _ = c.Read(p, 76, 4)
+		dev.reads = nil
+		got, _ := c.Read(p, 64, 16)
+		if len(dev.reads) != 1 || dev.reads[0] != (rng{68, 8}) {
+			t.Fatalf("fill reads = %v, want one run of sectors 68-75", dev.reads)
+		}
+		if !bytes.Equal(got, dev.data[64*512:80*512]) {
+			t.Error("a read across two partly valid lines returned wrong bytes")
+		}
 	})
+}
+
+// TestMissReadsOnlyTheSectorsItLacks: a miss reads exactly the request's
+// sectors, never the rest of its line.  Reading the other half of the line
+// then reads only that half and serves the first from memory, and a read
+// with valid sectors in its middle reads the two sides.
+func TestMissReadsOnlyTheSectorsItLacks(t *testing.T) {
+	harness(t, 1024, 8, 4, false, func(p *sim.Proc, c *Cache, dev *fakeDev) {
+		if _, err := c.Read(p, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		if len(dev.reads) != 1 || dev.reads[0] != (rng{0, 4}) {
+			t.Fatalf("a 4-sector miss read %v, want sectors 0-3 only", dev.reads)
+		}
+		if st := c.Stats(); st.FillBytes != 4*512 || st.Misses != 1 {
+			t.Fatalf("after the miss: %+v, want 1 miss filling %d bytes", st, 4*512)
+		}
+		dev.reads = nil
+		before := c.Stats()
+		got, err := c.Read(p, 0, 8)
+		if err != nil || !bytes.Equal(got, dev.data[:8*512]) {
+			t.Fatalf("the whole line reads back wrong (err=%v)", err)
+		}
+		if len(dev.reads) != 1 || dev.reads[0] != (rng{4, 4}) {
+			t.Fatalf("the other half read %v, want sectors 4-7 only", dev.reads)
+		}
+		st := c.Stats()
+		if st.HitBytes-before.HitBytes != 4*512 || st.FillBytes-before.FillBytes != 4*512 || st.Misses != before.Misses+1 {
+			t.Fatalf("the other half: %+v -> %+v, want a miss serving 4 sectors from memory and filling 4", before, st)
+		}
+		dev.reads = nil
+		if _, err := c.Read(p, 0, 8); err != nil || len(dev.reads) != 0 || c.Stats().Hits != st.Hits+1 {
+			t.Fatalf("the filled line does not hit (err=%v, reads %v)", err, dev.reads)
+		}
+
+		if _, err := c.Read(p, 8+3, 2); err != nil {
+			t.Fatal(err)
+		}
+		dev.reads = nil
+		got, err = c.Read(p, 8, 8)
+		want := []rng{{8, 3}, {8 + 5, 3}}
+		if err != nil || len(dev.reads) != 2 || dev.reads[0] != want[0] || dev.reads[1] != want[1] {
+			t.Fatalf("a read around valid sectors read %v (err=%v), want %v", dev.reads, err, want)
+		}
+		if !bytes.Equal(got, dev.data[8*512:16*512]) {
+			t.Error("a read around valid sectors returned wrong bytes")
+		}
+	})
+}
+
+// TestOverlayMakesWrittenSectorsValid: a write over a partly valid line
+// makes the sectors it wrote hit and leaves the others missing.
+func TestOverlayMakesWrittenSectorsValid(t *testing.T) {
+	harness(t, 1024, 8, 4, false, func(p *sim.Proc, c *Cache, dev *fakeDev) {
+		if _, err := c.Read(p, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		fresh := bytes.Repeat([]byte{0xAB}, 2*512)
+		if err := c.Write(p, 4, fresh); err != nil {
+			t.Fatal(err)
+		}
+		dev.reads = nil
+		before := c.Stats()
+		got, err := c.Read(p, 4, 2)
+		if err != nil || !bytes.Equal(got, fresh) {
+			t.Fatalf("the written sectors read back wrong (err=%v)", err)
+		}
+		if st := c.Stats(); len(dev.reads) != 0 || st.Hits != before.Hits+1 {
+			t.Fatalf("the written sectors did not hit: reads %v, %+v", dev.reads, st)
+		}
+		got, err = c.Read(p, 0, 8)
+		want := []rng{{2, 2}, {6, 2}}
+		if err != nil || len(dev.reads) != 2 || dev.reads[0] != want[0] || dev.reads[1] != want[1] {
+			t.Fatalf("the line around the overlay read %v (err=%v), want %v", dev.reads, err, want)
+		}
+		if !bytes.Equal(got, dev.data[:8*512]) || !bytes.Equal(got[4*512:6*512], fresh) {
+			t.Error("the line around the overlay returned wrong bytes")
+		}
+	})
+}
+
+// delayDev is a fakeDev whose reads take delay(lba) of simulated time and
+// copy the device's bytes when they end.
+type delayDev struct {
+	*fakeDev
+	delay func(lba int64) sim.Duration
+}
+
+func (d delayDev) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
+	p.Wait(d.delay(lba))
+	return d.fakeDev.Read(p, lba, n)
+}
+
+// TestFillDoesNotInstallOverAConcurrentWrite: a read that fills two lines
+// installs them when its slower fill lands.  A write that reached the device
+// after the faster fill read it must not be covered by that fill's old
+// bytes, or every later hit serves them.
+func TestFillDoesNotInstallOverAConcurrentWrite(t *testing.T) {
+	const secSize, lineSecs = 512, 8
+	e := sim.New()
+	dev := delayDev{newFakeDev(1024, secSize), func(lba int64) sim.Duration {
+		if lba < lineSecs {
+			return time.Millisecond
+		}
+		return 10 * time.Millisecond
+	}}
+	c, err := New(e, dev, nil, Config{SizeBytes: 4 * lineSecs * secSize, LineBytes: lineSecs * secSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := bytes.Repeat([]byte{0xEE}, 4*secSize)
+	e.Spawn("reader", func(p *sim.Proc) {
+		if _, err := c.Read(p, lineSecs, lineSecs); err != nil { // line 1 resident at 10 ms
+			t.Fatal(err)
+		}
+		// Line 0 fills in 1 ms and line 2 in 10 ms; the write lands at 3 ms.
+		if _, err := c.Read(p, 0, 3*lineSecs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Read(p, 0, 4)
+		if err != nil || !bytes.Equal(got, fresh) {
+			t.Fatalf("a read after the write returns the bytes the fill read before it (err=%v)", err)
+		}
+		reads := len(dev.reads)
+		got, err = c.Read(p, 4, 4)
+		if err != nil || !bytes.Equal(got, dev.data[4*secSize:8*secSize]) || len(dev.reads) != reads {
+			t.Fatalf("the sectors the write did not reach were not installed (err=%v, reads %d -> %d)", err, reads, len(dev.reads))
+		}
+		// The fill records come back clean: a later fill of two other lines
+		// draws both, the one that noted the write too, and installs every
+		// sector it read.
+		if _, err := c.Read(p, 3*lineSecs, 2*lineSecs); err != nil {
+			t.Fatal(err)
+		}
+		reads = len(dev.reads)
+		if _, err := c.Read(p, 3*lineSecs, 2*lineSecs); err != nil || len(dev.reads) != reads {
+			t.Fatalf("a fill through a recycled record left sectors invalid (err=%v, reads %d -> %d)", err, reads, len(dev.reads))
+		}
+	})
+	e.Spawn("writer", func(p *sim.Proc) {
+		p.Wait(13 * time.Millisecond)
+		if err := c.Write(p, 0, fresh); err != nil {
+			t.Error(err)
+		}
+	})
+	e.Run()
+	if len(dev.writes) != 1 {
+		t.Fatalf("the device saw %d writes, want 1", len(dev.writes))
+	}
 }
 
 func TestReadReturnsCorrectBytes(t *testing.T) {
@@ -339,16 +502,16 @@ func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if c.tail.tag != 10 || c.Lines() != 4 || c.free.Len() != 0 {
-			t.Fatalf("LRU tail is line %d of %d with %d free buffers, want line 10 (A) of 4 with none", c.tail.tag, c.Lines(), c.free.Len())
+		if c.tail.tag != 10 || c.Lines() != 4 || len(c.free) != 0 {
+			t.Fatalf("LRU tail is line %d of %d with %d free buffers, want line 10 (A) of 4 with none", c.tail.tag, c.Lines(), len(c.free))
 		}
 		bufA := &c.tail.data[0]
 		lineX := bytes.Repeat([]byte{0x22}, 8*512)
 		if err := c.Write(p, 160, lineX); err != nil {
 			t.Fatal(err)
 		}
-		if &c.table[20].data[0] != bufA || c.free.Len() != 0 {
-			t.Fatalf("the new line did not take over the evicted line's buffer (%d on the free list)", c.free.Len())
+		if &c.table[20].data[0] != bufA || len(c.free) != 0 {
+			t.Fatalf("the new line did not take over the evicted line's buffer (%d on the free list)", len(c.free))
 		}
 		before := len(dev.reads)
 		if got, err := c.Read(p, 80, 8); err != nil || !bytes.Equal(got, lineA) {
@@ -363,8 +526,9 @@ func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
 	})
 
 	// The last line of a device that is not a whole number of lines long is
-	// short.  It is a prefix of a full-size buffer of its own, not a piece of
-	// the fill's, and the buffer serves a full line afterwards.
+	// short: a full-size buffer of its own, not a piece of the caller's, with
+	// only the sectors the device has valid, and the buffer serves a full line
+	// afterwards.
 	harness(t, 8*8+3, 8, 2, true, func(p *sim.Proc, c *Cache, dev *fakeDev) {
 		want := append([]byte(nil), dev.data[7*8*512:]...) // line 7 and the 3-sector line 8
 		dst := make([]byte, len(want))
@@ -373,8 +537,8 @@ func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
 		}
 		tail := c.table[8]
 		tailBuf := &tail.data[0]
-		if len(tail.data) != 3*512 || cap(tail.data) != 8*512 {
-			t.Fatalf("short last line holds len %d cap %d, want a %d-byte prefix of a %d-byte buffer", len(tail.data), cap(tail.data), 3*512, 8*512)
+		if len(tail.data) != 8*512 || !tail.valid.all(0, 3) || tail.valid.has(3) {
+			t.Fatalf("short last line holds %d bytes with valid sectors %08b, want %d bytes with sectors 0-2 valid", len(tail.data), tail.valid[0], 8*512)
 		}
 		clear(dst)
 		reads := len(dev.reads)
@@ -394,7 +558,7 @@ func TestReadIntoDestinationNeverAliasesLines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for li := int64(0); li < 2; li++ {
-			if ln := c.table[li]; len(ln.data) != 8*512 || !bytes.Equal(ln.data, dev.data[li*8*512:(li+1)*8*512]) {
+			if ln := c.table[li]; len(ln.data) != 8*512 || !ln.valid.all(0, 8) || !bytes.Equal(ln.data, dev.data[li*8*512:(li+1)*8*512]) {
 				t.Fatalf("line %d after reusing the buffers: len %d, bytes match=%v", li, len(ln.data), len(ln.data) == 8*512)
 			}
 		}
@@ -445,14 +609,14 @@ func missCache(tb testing.TB) (*sim.Engine, *Cache, []byte) {
 }
 
 // TestMissFillAllocationCeiling: a cache at capacity owns every buffer it
-// will need — a miss takes its lines' buffers from the lines it evicts and
-// its fill buffer from the last fill — so 1,000 misses allocate bookkeeping
-// (a line record, the fork) and not one line's worth of bytes each, as they
-// did when every fill made its own buffer: 32 MB here.
+// will need — a miss takes its lines' records, buffers and bitmaps, from the
+// lines it evicts and reads straight into the caller's destination — so
+// 1,000 misses allocate bookkeeping (the fork) and not one line's worth of
+// bytes each, as they did when every fill made its own buffer: 32 MB here.
 func TestMissFillAllocationCeiling(t *testing.T) {
 	e, c, dst := missCache(t)
 	e.Spawn("t", func(p *sim.Proc) {
-		missLoop(t, p, c, dst, 16) // warm-up: to capacity, and a three-line fill buffer
+		missLoop(t, p, c, dst, 16) // warm-up: to capacity
 		evictions := c.Stats().Evictions
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -497,8 +661,8 @@ func TestInvalidateAllKeepsTheBuffers(t *testing.T) {
 			owned[&ln.data[0]] = true
 		}
 		c.InvalidateAll()
-		if st := c.Stats(); st.Invalidations != 3 || c.Lines() != 0 || c.free.Len() != 3 || c.head != nil || c.tail != nil {
-			t.Fatalf("after InvalidateAll: %d invalidations, %d lines, %d free buffers", st.Invalidations, c.Lines(), c.free.Len())
+		if st := c.Stats(); st.Invalidations != 3 || c.Lines() != 0 || len(c.free) != 3 || c.head != nil || c.tail != nil {
+			t.Fatalf("after InvalidateAll: %d invalidations, %d lines, %d free buffers", st.Invalidations, c.Lines(), len(c.free))
 		}
 		want := append([]byte(nil), dev.data[40*512:(40+3*8)*512]...)
 		if got, err := c.Read(p, 40, 3*8); err != nil || !bytes.Equal(got, want) {

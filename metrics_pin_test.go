@@ -194,7 +194,7 @@ func TestMetricsPinGrammarRejectsMalformed(t *testing.T) {
 	pin := readPromPin(t)
 	const bucket = `raidii_request_duration_ns_bucket{kind="fs-read",le=`
 	for _, c := range []struct{ name, old, new, want string }{
-		{"falling bucket", bucket + `"8388607",run="fileserver"} 976`, bucket + `"8388607",run="fileserver"} 9`, "falls"},
+		{"falling bucket", bucket + `"8388607",run="fileserver"} 959`, bucket + `"8388607",run="fileserver"} 9`, "falls"},
 		{"missing +Inf", bucket + `"+Inf",run="fileserver"} 1047` + "\n", "", "+Inf"},
 		{"sample before its TYPE", "# HELP raidii_requests_total ", `raidii_requests_total{kind="x"} 1` + "\n# HELP raidii_requests_total ", "TYPE"},
 	} {
