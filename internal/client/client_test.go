@@ -380,6 +380,9 @@ func (f failingFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) { ret
 func (f failingFile) ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error) {
 	return 0, f.err
 }
+func (f failingFile) ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready func(q *sim.Proc, off, n int) error) (int, error) {
+	return 0, f.err
+}
 func (f failingFile) WriteAt(p *sim.Proc, data []byte, off int64) (int, error) {
 	return 0, f.err
 }

@@ -170,7 +170,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64, pre 
 // log coalesce into single large device reads — this is what lets LFS
 // deliver array bandwidth on big files laid out segment-at-a-time.
 func (f *File) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	return f.readAtRaw(p, off, n, nil)
+	return f.readAtRaw(p, off, n, nil, 0, nil)
 }
 
 // ReadAtInto is ReadAt into the caller's dst: it reads up to len(dst) bytes
@@ -178,7 +178,19 @@ func (f *File) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 // contiguous in the log and block-aligned in the file lands straight in
 // dst; dst is not retained.
 func (f *File) ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error) {
-	out, err := f.readAtRaw(p, off, len(dst), dst)
+	out, err := f.readAtRaw(p, off, len(dst), dst, 0, nil)
+	return len(out), err
+}
+
+// ReadAtPieces is ReadAtInto that hands the result over as it lands.  Each
+// run of blocks contiguous in the log is read as device commands of at most
+// piece bytes of whole blocks (at least one block), all in flight at once.
+// ready(q, o, n) is called once dst[o:o+n] is final: by the process whose
+// command read it, or, for holes and staged blocks, by p as soon as the
+// commands are issued.  Every byte of the result is handed over exactly
+// once.  An error from ready fails the read.
+func (f *File) ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready func(q *sim.Proc, off, n int) error) (int, error) {
+	out, err := f.readAtRaw(p, off, len(dst), dst, max(piece/BlockSize, 1), ready)
 	return len(out), err
 }
 
@@ -189,53 +201,49 @@ type readPiece struct {
 	n      int
 }
 
-// readRun is a run of blocks contiguous in the log: one device read.
+// readRun is a run of blocks contiguous in the log.
 type readRun struct {
-	addr     int64 // first block
-	blocks   int
-	members  []readPiece // one per block
-	adjacent bool        // the members are contiguous in the result, too
+	addr    int64       // first block
+	members []readPiece // one per block
 }
 
-// readAtRaw serves ReadAt (dst nil: the result is allocated once its length
-// is known) and ReadAtInto (the result is a prefix of dst): dst[:n], n being
-// clamped to the file size.
-func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, error) {
+// readAtRaw is the one read path.  It serves ReadAt (dst nil: the result is
+// allocated once its length is known) and ReadAtInto and ReadAtPieces (the
+// result is a prefix of dst): dst[:n], n being clamped to the file size.
+// The range is resolved once under fs.mu; then each run is read as commands
+// of at most per blocks (0: the whole run in one command), and ready, when
+// not nil, is handed each range of the result as it is settled.
+func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte, per int, ready func(q *sim.Proc, off, n int) error) ([]byte, error) {
 	fs := f.fs
 	fs.mu.Acquire(p)
-	out, runs, err := fs.resolve(p, f.inum, off, n, dst)
+	out, runs, settled, err := fs.resolve(p, f.inum, off, n, dst, ready != nil)
 	fs.mu.Release()
 	if out == nil {
 		return nil, err // an error, or off at or past EOF
 	}
 
-	// Read the runs in parallel.  A run of whole blocks that are adjacent
-	// in the file lands straight in its part of the result; one that starts
-	// or ends inside a block, or skips over a hole or a staged block, goes
-	// through a buffer of its own.
+	// Read the commands in parallel, then hand over what memory settled.
 	g := p.Fork()
 	for _, r := range runs {
-		g.Go("lfs-read-run", func(q *sim.Proc) error {
-			first, last := r.members[0], r.members[len(r.members)-1]
-			direct := r.adjacent && first.off == 0 && last.off+last.n == BlockSize
-			var buf []byte
-			if direct {
-				buf = out[first.bufOff : last.bufOff+last.n]
-			} else {
-				buf = make([]byte, r.blocks*BlockSize)
-			}
-			if err := bytepath.ReadInto(fs.dev, q, r.addr*int64(fs.blockSectors), buf); err != nil {
-				return err
-			}
-			if !direct {
-				for j, pc := range r.members {
-					copy(out[pc.bufOff:pc.bufOff+pc.n], buf[j*BlockSize+pc.off:])
+		step := len(r.members)
+		if per > 0 {
+			step = per
+		}
+		for j := 0; j < len(r.members); j += step {
+			cmd := readRun{addr: r.addr + int64(j), members: r.members[j:min(j+step, len(r.members))]}
+			g.Go("lfs-read-run", func(q *sim.Proc) error {
+				if err := fs.readRun(q, cmd, out); err != nil {
+					return err
 				}
-			}
-			return nil
-		})
+				return handOver(q, cmd.members, ready)
+			})
+		}
 	}
-	if err := g.Wait(p); err != nil {
+	err = handOver(p, settled, ready)
+	if werr := g.Wait(p); err == nil {
+		err = werr
+	}
+	if err != nil {
 		return nil, err
 	}
 	fs.stats.ReadOps++
@@ -243,21 +251,65 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte) ([]byte, err
 	return out, nil
 }
 
+// readRun reads run r into its members' places in out, as one device
+// command.  A run of whole blocks that are adjacent in the file lands
+// straight in its part of the result; one that starts or ends inside a
+// block, or skips over a hole or a staged block, goes through a buffer of
+// its own.
+func (fs *FS) readRun(p *sim.Proc, r readRun, out []byte) error {
+	first, last := r.members[0], r.members[len(r.members)-1]
+	direct := first.off == 0 && last.off+last.n == BlockSize
+	for j := 1; j < len(r.members) && direct; j++ {
+		direct = r.members[j-1].bufOff+r.members[j-1].n == r.members[j].bufOff
+	}
+	var buf []byte
+	if direct {
+		buf = out[first.bufOff : last.bufOff+last.n]
+	} else {
+		buf = make([]byte, len(r.members)*BlockSize)
+	}
+	if err := bytepath.ReadInto(fs.dev, p, r.addr*int64(fs.blockSectors), buf); err != nil {
+		return err
+	}
+	if !direct {
+		for j, pc := range r.members {
+			copy(out[pc.bufOff:pc.bufOff+pc.n], buf[j*BlockSize+pc.off:])
+		}
+	}
+	return nil
+}
+
+// handOver calls ready once for each range of the result that pcs cover,
+// pieces adjacent in the result together.  A nil ready is a no-op.
+func handOver(p *sim.Proc, pcs []readPiece, ready func(q *sim.Proc, off, n int) error) error {
+	for i := 0; i < len(pcs) && ready != nil; {
+		lo, hi := pcs[i].bufOff, pcs[i].bufOff+pcs[i].n
+		for i++; i < len(pcs) && pcs[i].bufOff == hi; i++ {
+			hi += pcs[i].n
+		}
+		if err := ready(p, lo, hi-lo); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // resolve is readAtRaw's work under fs.mu: it clamps n to the file size,
 // makes the result and settles holes and staged blocks (the current segment,
 // and sealed segments whose device writes are still in flight) by clearing
 // or copying out of the segment image; pieces on the device coalesce into
-// runs.  out is nil on an error and when off is at or past EOF.
-func (fs *FS) resolve(p *sim.Proc, inum uint32, off int64, n int, dst []byte) (out []byte, runs []readRun, err error) {
+// runs.  With track set, settled lists the ranges of the result it settled.
+// out is nil on an error and when off is at or past EOF.
+func (fs *FS) resolve(p *sim.Proc, inum uint32, off int64, n int, dst []byte, track bool) (out []byte, runs []readRun, settled []readPiece, err error) {
 	in, err := fs.loadInode(p, inum)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if in.Mode == ModeDir {
-		return nil, nil, ErrIsDir
+		return nil, nil, nil, ErrIsDir
 	}
 	if off >= in.Size {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	if int64(n) > in.Size-off {
 		n = int(in.Size - off)
@@ -276,31 +328,38 @@ func (fs *FS) resolve(p *sim.Proc, inum uint32, off int64, n int, dst []byte) (o
 		}
 		addr, err := fs.getBlockAddr(p, in, fb)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		pc := readPiece{bufOff: got, off: bo, n: l}
 		got += l
 		if addr == 0 {
 			clear(out[pc.bufOff:got])
-			continue
-		}
-		if b := fs.stagedBlock(addr); b != nil {
+		} else if b := fs.stagedBlock(addr); b != nil {
 			copy(out[pc.bufOff:got], b[bo:])
+		} else {
+			runs = addToRun(runs, addr, pc)
 			continue
 		}
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			lp := last.members[len(last.members)-1]
-			if last.addr+int64(last.blocks) == addr && lp.off+lp.n == BlockSize && bo == 0 {
-				last.blocks++
-				last.members = append(last.members, pc)
-				last.adjacent = last.adjacent && lp.bufOff+lp.n == pc.bufOff
-				continue
-			}
+		if track {
+			settled = append(settled, pc)
 		}
-		runs = append(runs, readRun{addr: addr, blocks: 1, members: []readPiece{pc}, adjacent: true})
 	}
-	return out, runs, nil
+	return out, runs, settled, nil
+}
+
+// addToRun appends piece pc of the block at addr to the last run of runs
+// when it continues it in the log and both sides are whole at the seam, and
+// starts a new run otherwise.
+func addToRun(runs []readRun, addr int64, pc readPiece) []readRun {
+	if len(runs) > 0 {
+		last := &runs[len(runs)-1]
+		lp := last.members[len(last.members)-1]
+		if last.addr+int64(len(last.members)) == addr && lp.off+lp.n == BlockSize && pc.off == 0 {
+			last.members = append(last.members, pc)
+			return runs
+		}
+	}
+	return append(runs, readRun{addr: addr, members: []readPiece{pc}})
 }
 
 // Truncate discards the file's contents beyond size zero.  (Partial

@@ -182,6 +182,7 @@ type FSFile struct {
 	File  interface {
 		ReadAt(p *sim.Proc, off int64, n int) ([]byte, error)
 		ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error)
+		ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready func(q *sim.Proc, off, n int) error) (int, error)
 		WriteAt(p *sim.Proc, data []byte, off int64) (int, error)
 		Size(p *sim.Proc) (int64, error)
 	}

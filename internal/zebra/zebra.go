@@ -39,9 +39,10 @@ type Config struct {
 	// 960 KB segment holds 956 KB of data), and the backing file's indirect
 	// and inode blocks share the log, so a fragment spans two or more
 	// segments and a read of it resolves to several device runs.  What the
-	// size does buy is few, large runs per fragment; parity fragments live
-	// in backing files of their own, so they never punch holes into the
-	// data layout.
+	// size does buy is few, large runs per fragment, which getFragment's
+	// read cuts into track-sized device commands that each disk serves in
+	// sequence; parity fragments live in backing files of their own, so
+	// they never punch holes into the data layout.
 	FragmentBytes int
 	// Parity stores one parity fragment per stripe so a whole-server loss
 	// is survivable.  Needs at least three servers; smaller fleets fall
@@ -373,31 +374,31 @@ func (z *Store) putFragment(p *sim.Proc, f *file, srv int, stripe int64, data []
 }
 
 // getFragment reads one fragment on its server into dst, the fragment's
-// place at the client, and ships it there one stripe unit of the board's
-// array at a time.  Each chunk is read in place and goes on the ring as soon
-// as its own read returns, not after the earlier chunks: a fragment resolves
-// to several device runs, one disk serves two of them and sets the finish
-// time, and the sends of everything else overlap it.
+// place at the client, and ships it there one track of the board's drives at
+// a time.  The fragment is one read whose device runs are cut into
+// track-sized commands, all in flight at once, and each piece goes on the
+// ring as soon as its own command returns: the ring carries the first tracks
+// of every disk's share while the disks still read the rest, so the client's
+// ring attachment drains the fragment alongside the disks rather than after
+// them.
 func (z *Store) getFragment(p *sim.Proc, f *file, srv int, stripe int64, dst []byte) error {
 	bf, bi, off := z.fragLoc(f, srv, stripe)
-	b := z.fleet.Servers[srv].Boards[bi]
-	unit := b.Array.StripeUnitSectors() * b.Array.SectorSize()
-	g := p.Fork()
-	for lo := 0; lo < len(dst); lo += unit {
-		chunk := dst[lo:min(lo+unit, len(dst))]
-		g.Go("zebra-frag-chunk", func(q *sim.Proc) error {
-			n, err := bf.File.ReadAtInto(q, off+int64(lo), chunk)
-			if err != nil {
-				return fmt.Errorf("fragment read on s%d: %w", srv, err)
-			}
-			clear(chunk[n:]) // what the backing file does not hold reads as zeros
-			if _, err := z.fleet.Ultra.Send(q, b.HEP, z.ep, len(chunk)); err != nil {
-				return fmt.Errorf("fragment from s%d: %w", srv, err)
-			}
-			return nil
-		})
+	sys := z.fleet.Servers[srv]
+	b := sys.Boards[bi]
+	send := func(q *sim.Proc, _, n int) error {
+		_, err := z.fleet.Ultra.Send(q, b.HEP, z.ep, n)
+		return err
 	}
-	return g.Wait(p)
+	track := sys.Cfg.DiskSpec.SectorsPerTrack * sys.Cfg.DiskSpec.SectorSize
+	n, err := bf.File.ReadAtPieces(p, off, dst, track, send)
+	if err == nil && n < len(dst) {
+		clear(dst[n:]) // what the backing file does not hold reads as zeros
+		err = send(p, n, len(dst)-n)
+	}
+	if err != nil {
+		return fmt.Errorf("fragment from s%d: %w", srv, err)
+	}
+	return nil
 }
 
 // fetchFragments runs getFragment for every server s with a non-empty

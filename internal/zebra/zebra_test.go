@@ -461,6 +461,56 @@ func TestHostDiesMidStream(t *testing.T) {
 	})
 }
 
+// spanHook is a sim.Tracer that hands every span that ends to its function.
+type spanHook func(p *sim.Proc, cat, name string, start sim.Time)
+
+func (spanHook) ProcStart(*sim.Proc)                                        {}
+func (spanHook) ProcFinish(*sim.Proc)                                       {}
+func (spanHook) ResourceCreate(string, int)                                 {}
+func (spanHook) ResourceWait(string, *sim.Proc, int)                        {}
+func (spanHook) ResourceAcquire(string, *sim.Proc, int, sim.Duration, bool) {}
+func (spanHook) ResourceRelease(string, int)                                {}
+func (h spanHook) Span(p *sim.Proc, cat, name string, start sim.Time)       { h(p, cat, name, start) }
+
+// TestFragmentStreamsByTrack: on a healthy fleet, each fragment leaves its
+// server a track of the drives at a time.  Its first piece is on the ring
+// before the last of its device commands returns, and the ring carries it
+// in at least as many packets as the fragment has tracks.
+func TestFragmentStreamsByTrack(t *testing.T) {
+	fl, z, _ := stripedFile(t, 1)
+	spec := fl.Servers[0].Cfg.DiskSpec
+	track := spec.SectorsPerTrack * spec.SectorSize
+	var firstPacket, lastDisk sim.Time
+	packets := 0
+	fl.Eng.SetTracer(spanHook(func(p *sim.Proc, cat, name string, _ sim.Time) {
+		switch {
+		case cat == "hippi" && name == "packet":
+			if packets++; packets == 1 {
+				firstPacket = p.Now()
+			}
+		case cat == "disk" && name == "read":
+			lastDisk = max(lastDisk, p.Now())
+		}
+	}))
+	f := z.files["f"]
+	for srv := range fl.Servers {
+		dst := make([]byte, z.holdSize(z.StripeBytes(), srv, z.parityServer(0)))
+		firstPacket, lastDisk, packets = 0, 0, 0
+		fl.Eng.Spawn("frag", func(p *sim.Proc) {
+			if err := z.getFragment(p, f, srv, 0, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fl.Eng.Run()
+		if lastDisk == 0 || firstPacket >= lastDisk {
+			t.Errorf("s%d: the fragment's first packet left at %v, its last device command returned at %v", srv, firstPacket, lastDisk)
+		}
+		if want := (len(dst) + track - 1) / track; packets < want {
+			t.Errorf("s%d: %d KB fragment went in %d ring packets, want at least %d (one per %d KB track)", srv, len(dst)>>10, packets, want, track>>10)
+		}
+	}
+}
+
 // BenchmarkZebraRead reads four whole stripes (11.25 MB) from a healthy
 // 4-server fleet: the client's reassembly over the servers' full read path.
 func BenchmarkZebraRead(b *testing.B) {
