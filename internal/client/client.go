@@ -203,7 +203,7 @@ func (fl *File) Read(p *sim.Proc, off int64, n int) (time.Duration, error) {
 }
 
 // readOnce is one raid_read attempt.  It returns the bytes delivered to the
-// client before any failure, at chunk granularity: a chunk interrupted
+// client before any failure, at piece granularity: a piece interrupted
 // mid-transfer is resent whole on the next attempt.
 func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 	ws := fl.ws
@@ -221,45 +221,20 @@ func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 	defer release()
 	sys.Host.CPUWork(p, server.FSReadOverhead)
 
-	// Server side: pipeline processes read blocks into XBUS buffers while
-	// the HIPPI source board sends completed blocks to the client; the
-	// client's socket-library copies bound its receive rate.
-	e := sys.Eng
-	chunks := server.Chunks(n)
-	ready := make([]*sim.Event, len(chunks))
-	errs := make([]error, len(chunks)) // per chunk: the resume offset depends on which one failed
-	g := p.Fork()
-	cursor := off
-	for i, c := range chunks {
-		at := cursor
-		cursor += int64(c)
-		ready[i] = sim.NewEvent(e)
-		b.XB.Buffers.Acquire(p, c)
-		g.Go("client-read-disk", func(q *sim.Proc) error {
-			_, errs[i] = fl.f.File.ReadAt(q, at, c)
-			ready[i].Signal()
-			return nil
-		})
-	}
-	// Even after a failure the loop keeps draining: every spawned reader
-	// must finish and every acquired buffer must return to the pool, or the
-	// board would leak XBUS memory on each failed attempt.
-	done := 0
-	for i, c := range chunks {
-		ready[i].Wait(p)
-		if err == nil && errs[i] != nil {
-			err = fmt.Errorf("client: read %s at %d: %w", fl.path, off+int64(done), errs[i])
+	// Server side: the handle's read stream reads pieces into XBUS buffers
+	// while the HIPPI source board sends landed ones to the client in order;
+	// the client's socket-library copies bound its receive rate.
+	var sendErr error
+	done, err := fl.f.Stream(p, off, n, func(p *sim.Proc, c int) error {
+		if _, sendErr = sys.Ultra.Send(p, b.HEP, ws.EP, c); sendErr != nil {
+			return sendErr
 		}
-		if err == nil {
-			if _, err = sys.Ultra.Send(p, b.HEP, ws.EP, c); err == nil {
-				b.XB.Buffers.Release(c)
-				// Client-side copies out of the socket into application memory.
-				ws.Host.CopyAsync(p, c)
-				done += c
-				continue
-			}
-		}
-		b.XB.Buffers.Release(c)
+		// Client-side copies out of the socket into application memory.
+		ws.Host.CopyAsync(p, c)
+		return nil
+	})
+	if err != nil && err != sendErr {
+		err = fmt.Errorf("client: read %s at %d: %w", fl.path, off+int64(done), err)
 	}
 	return done, err
 }

@@ -373,13 +373,10 @@ func TestReadFromDegradedAndRebuildingArray(t *testing.T) {
 }
 
 // failingFile satisfies the server FS-file interface with a permanent
-// medium error, exercising the per-chunk error collection in readOnce.
+// medium error, exercising the per-piece errors of the read stream.
 type failingFile struct{ err error }
 
 func (f failingFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) { return nil, f.err }
-func (f failingFile) ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error) {
-	return 0, f.err
-}
 func (f failingFile) ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready func(q *sim.Proc, off, n int) error) (int, error) {
 	return 0, f.err
 }
@@ -387,6 +384,7 @@ func (f failingFile) WriteAt(p *sim.Proc, data []byte, off int64) (int, error) {
 	return 0, f.err
 }
 func (f failingFile) Size(p *sim.Proc) (int64, error) { return 0, f.err }
+func (f failingFile) Generation() uint64              { return 0 }
 
 // TestChunkReadErrorPropagates plants a failing file behind the client
 // library: the error must surface from Read (not be swallowed by the
@@ -422,4 +420,39 @@ func TestChunkReadErrorPropagates(t *testing.T) {
 		}
 	})
 	sys.Eng.Run()
+}
+
+// TestReadLargerThanFreeDRAM: an 8 MB raid_read from a board whose cache
+// leaves 6 MB of DRAM free completes, and gives every byte back.  The read
+// used to reserve every chunk before its first send, and only its sends
+// give bytes back, so it parked for good once the DRAM ran out.
+func TestReadLargerThanFreeDRAM(t *testing.T) {
+	cfg := server.Fig8Config()
+	cfg.CacheBytes = 26 << 20
+	const size = 8 << 20
+	sys, path := newSystemCfg(t, size>>20, cfg)
+	b := sys.Boards[0]
+	free := b.XB.Buffers.Available()
+	if free >= size {
+		t.Fatalf("%d bytes free: the read fits", free)
+	}
+	ws := NewWorkstation(sys, "ss10", host.SPARCstation10())
+	done := false
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		f, err := ws.Open(p, 0, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Read(p, 0, size); err != nil {
+			t.Error(err)
+		}
+		done = true
+	})
+	sys.Eng.Run()
+	if !done {
+		t.Fatalf("an 8 MB read with %d bytes free never finished (%d processes parked)", free, sys.Eng.Live())
+	}
+	if got := b.XB.Buffers.Available(); got != free {
+		t.Fatalf("%d bytes free after the read, %d before", got, free)
+	}
 }

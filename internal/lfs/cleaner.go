@@ -109,7 +109,9 @@ func (fs *FS) moveBlock(p *sim.Proc, e summaryEntry, addr int64, content []byte)
 	}
 	copy(b, content)
 	fs.killBlock(addr)
-	return fs.repoint(p, in, e, newAddr)
+	err = fs.repoint(p, in, e, newAddr)
+	fs.touch(e.Arg1)
+	return err
 }
 
 // cleanSegment reclaims sealed segment idx.  Caller holds fs.mu.  It reads

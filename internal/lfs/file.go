@@ -14,6 +14,21 @@ type File struct {
 // Inum returns the file's inode number.
 func (f *File) Inum() uint32 { return f.inum }
 
+// Generation returns the file's generation.  It moves whenever the file's
+// bytes or block map change: a write, a truncate, its removal, and the
+// cleaner moving one of its blocks.  Bytes read from the file at one
+// generation are still its bytes while the generation has not moved.  It
+// costs no simulated time and takes no lock.
+func (f *File) Generation() uint64 { return f.fs.gens[f.inum] }
+
+// touch moves file inum's generation.  Callers run it once the change is
+// complete, so a read that resolves meanwhile sees the old generation and
+// its copy is dropped.
+func (fs *FS) touch(inum uint32) {
+	fs.genSeq++
+	fs.gens[inum] = fs.genSeq
+}
+
 // Size returns the file's current size.
 func (f *File) Size(p *sim.Proc) (int64, error) {
 	f.fs.mu.Acquire(p)
@@ -117,6 +132,7 @@ func (fs *FS) prereadOf(pre []preread, fb, addr int64) []byte {
 // writeAtLocked writes data at off into in; pre holds the partial blocks
 // read before the lock (partialBlocks), if any.  Caller holds fs.mu.
 func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64, pre []preread) (int, error) {
+	defer fs.touch(in.Inum)
 	written := 0
 	for written < len(data) {
 		fb := (off + int64(written)) / BlockSize
@@ -374,7 +390,9 @@ func (f *File) Truncate(p *sim.Proc) error {
 	if in.Mode == ModeDir {
 		return ErrIsDir
 	}
-	if err := f.fs.freeInodeBlocks(p, in); err != nil {
+	err = f.fs.freeInodeBlocks(p, in)
+	f.fs.touch(f.inum)
+	if err != nil {
 		return err
 	}
 	in.MTime = int64(p.Now())

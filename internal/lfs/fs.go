@@ -113,6 +113,13 @@ type FS struct {
 	icache map[uint32]*inode
 	idirty map[uint32]bool
 
+	// gens is each file's generation (File.Generation), by inode number: the
+	// value genSeq had when the file's bytes or block map last changed.
+	// genSeq only grows, so no generation repeats, not even across a
+	// removal and the inode number's reuse.  Absent is 0.
+	gens   map[uint32]uint64
+	genSeq uint64
+
 	// The cleaner (cleaner.go).  cleaning is set while a clean holds fs.mu
 	// and moves blocks, so their appends start no clean of their own;
 	// cleanerOn while the cleaner process lives; victim is the segment that
@@ -284,6 +291,7 @@ func (fs *FS) initState() {
 	fs.nFree = len(fs.free)
 	fs.icache = make(map[uint32]*inode)
 	fs.idirty = make(map[uint32]bool)
+	fs.gens = make(map[uint32]uint64)
 	fs.seals = sim.NewGroup(fs.eng)
 	fs.inflight = make(map[int][]byte)
 	images := fs.cfg.Images

@@ -141,7 +141,9 @@ func (fs *FS) freeInodeBlocks(p *sim.Proc, in *inode) error {
 
 // removeInode frees an inode completely.
 func (fs *FS) removeInode(p *sim.Proc, in *inode) error {
-	if err := fs.freeInodeBlocks(p, in); err != nil {
+	err := fs.freeInodeBlocks(p, in)
+	fs.touch(in.Inum)
+	if err != nil {
 		return err
 	}
 	fs.killBlock(fs.imap[in.Inum])

@@ -70,7 +70,9 @@ func (b *Board) stripeAligned(offSectors int64, sizeSecs int) []int {
 // board, looped back through the HIPPI destination board, and land in XBUS
 // memory again.  All of the request's disk reads are issued at once
 // (bounded by XBUS buffer memory); the HIPPI transmits each chunk as soon
-// as it and all earlier chunks have arrived in memory.
+// as it and all earlier chunks have arrived in memory.  When the board has
+// too little free memory for the next chunk, the issuer sends the chunks it
+// holds before it waits, since only its own sends give their bytes back.
 func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error) {
 	defer telemetry.Ensure(p, "hw-read")(&err)
 	e := b.sys.Eng
@@ -78,25 +80,39 @@ func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error
 	chunks := Chunks(size)
 	ready := make([]*sim.Event, len(chunks))
 	g := p.Fork()
+	// Network side: one HIPPI packet for the request, chunks in order.
+	setup, sent := false, 0
+	send := func() {
+		if !setup {
+			p.Wait(b.HEP.Setup)
+			setup = true
+		}
+		ready[sent].Wait(p)
+		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, chunks[sent], 0)
+		b.XB.Buffers.Release(chunks[sent])
+		sent++
+	}
 	cursor := offSectors
 	for i, n := range chunks {
 		secs := (n + secSize - 1) / secSize
 		at := cursor
 		cursor += int64(secs)
 		ready[i] = sim.NewEvent(e)
-		b.XB.Buffers.Acquire(p, n)
+		for !b.XB.Buffers.TryAcquire(p, n) {
+			if sent == i { // nothing of ours to send: wait for others' bytes
+				b.XB.Buffers.Acquire(p, n)
+				break
+			}
+			send()
+		}
 		g.Go("hw-read-disk", func(q *sim.Proc) error {
 			err := b.readDev(q, at, secs)
 			ready[i].Signal()
 			return err
 		})
 	}
-	// Network side: one HIPPI packet for the request, chunks in order.
-	p.Wait(b.HEP.Setup)
-	for i, n := range chunks {
-		ready[i].Wait(p)
-		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, n, 0)
-		b.XB.Buffers.Release(n)
+	for sent < len(chunks) {
+		send()
 	}
 	return g.Wait(p) // every worker has signalled: no wait, the first error
 }
@@ -131,36 +147,64 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err erro
 // FSRead is the Figure 8 LFS read: file system overhead on the host CPU,
 // then the file's blocks stream from the array into HIPPI network buffers
 // in XBUS memory (no network send — matching the paper's measurement).
-// Reads are pipelined chunk by chunk.  The bytes read are returned; a
-// short result (only at EOF) is shorter than size.
+// The read goes through the handle's read stream (stream.go), each piece
+// taking one crossbar pass into the network buffers as it lands.  The bytes
+// read are returned; a short result (only at EOF) is shorter than size.
 func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, err error) {
 	defer telemetry.Ensure(p, "fs-read")(&err)
 	b.sys.Host.CPUWork(p, FSReadOverhead)
+	// Each piece takes one crossbar pass into the network buffers as it
+	// lands and gives its DRAM back; the read's own give their places back.
+	crossbar := func(q *sim.Proc, n int) {
+		b.XB.Memory.Transfer(q, n)
+		b.XB.Buffers.Release(n)
+	}
+	pl := places{eng: b.sys.Eng}
+	own := func(q *sim.Proc, n int) {
+		crossbar(q, n)
+		pl.give()
+	}
+	end := off + int64(size)
+	gen := f.File.Generation()
+	parts, ahead := f.rs.plan(gen, off, end)
+	// The window's bytes are the result as they stand when the read is
+	// all window; otherwise the read's own pieces land in out.
+	var out []byte
 	g := p.Fork()
-	sem := sim.NewServer(b.sys.Eng, "fsread-pipe", pipelineDepth)
-	out := make([]byte, size)
-	var total int64 // furthest byte delivered into out
-	cursor := off
-	for _, n := range Chunks(size) {
-		at := cursor
-		cursor += int64(n)
-		sem.Acquire(p)
-		g.Go("fsread-chunk", func(q *sim.Proc) error {
-			defer sem.Release()
-			b.XB.Buffers.Acquire(q, n)
-			// The chunk's bytes land in its own slice of out.
-			got, err := f.File.ReadAtInto(q, at, out[at-off:at-off+int64(n)])
-			if hi := at - off + int64(got); hi > total {
-				total = hi
+	for i, pt := range parts {
+		if pt.pc == nil {
+			if out == nil {
+				out = make([]byte, size)
 			}
-			// Hand the buffer to the "network buffer" pool: one crossbar
-			// memory pass.
-			b.XB.Memory.Transfer(q, n)
-			b.XB.Buffers.Release(n)
-			return err
-		})
+			pl.take(p)
+			parts[i].pc = f.issue(g, pt.lo, out[pt.lo-off:pt.hi-off], own)
+			parts[i].own = true
+		}
+	}
+	if ahead {
+		f.lookAhead(p, gen, off, end, crossbar)
 	}
 	err = g.Wait(p)
+	var total int64 // furthest byte delivered
+	for _, pt := range parts {
+		pt.pc.landed.Wait(p)
+		if err == nil {
+			err = pt.pc.err
+		}
+		if hi := pt.reach(); hi > pt.lo {
+			if out != nil && !pt.own {
+				copy(out[pt.lo-off:], pt.pc.buf[pt.lo-pt.pc.off:hi-pt.pc.off])
+			}
+			total = max(total, hi-off)
+		}
+	}
+	if out == nil {
+		if len(parts) == 0 {
+			return []byte{}, err
+		}
+		first := parts[0].pc
+		return first.buf[off-first.off : off-first.off+total : off-first.off+total], err
+	}
 	return out[:total], err
 }
 
@@ -176,16 +220,17 @@ func (b *Board) FSWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (err err
 	return err
 }
 
-// FSFile pairs an LFS handle with its board.
+// FSFile pairs an LFS handle with its board and the handle's read stream.
 type FSFile struct {
 	Board *Board
 	File  interface {
 		ReadAt(p *sim.Proc, off int64, n int) ([]byte, error)
-		ReadAtInto(p *sim.Proc, off int64, dst []byte) (int, error)
 		ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready func(q *sim.Proc, off, n int) error) (int, error)
 		WriteAt(p *sim.Proc, data []byte, off int64) (int, error)
 		Size(p *sim.Proc) (int64, error)
+		Generation() uint64
 	}
+	rs readStream
 }
 
 // OpenFS opens path on the board's file system.  The file system's sentinel

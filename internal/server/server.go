@@ -37,7 +37,8 @@ import (
 // network and file system overhead per small write).  pipelineDepth is the
 // number of in-flight buffers between the disk array and the HIPPI network
 // on the high-bandwidth path ("LFS may have several pipeline processes
-// issuing read requests"), and pipelineChunk their granularity.
+// issuing read requests"), and pipelineChunk their granularity: together a
+// file handle's read window (stream.go).
 const (
 	FSReadOverhead  = 4 * time.Millisecond
 	FSWriteOverhead = 3 * time.Millisecond

@@ -1,0 +1,343 @@
+package server
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"raidii/internal/lfs"
+	"raidii/internal/sim"
+)
+
+// streamPattern is n deterministic bytes that differ with tag.
+func streamPattern(n int, tag byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i>>9) ^ byte(i)*3 ^ tag
+	}
+	return b
+}
+
+// TestHardwareReadLargerThanFreeDRAM: an 8 MB hardware read on a board whose
+// cache leaves 6 MB of DRAM free completes and gives every byte back.  The
+// issuer used to reserve every chunk before its first send, and only its
+// sends give bytes back, so it parked for good once the DRAM ran out.
+func TestHardwareReadLargerThanFreeDRAM(t *testing.T) {
+	cfg := Fig8Config()
+	cfg.CacheBytes = 26 << 20
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	free := b.XB.Buffers.Available()
+	const size = 8 << 20
+	if free >= size {
+		t.Fatalf("%d bytes free: the read fits", free)
+	}
+	done := false
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		if err := b.HardwareRead(p, 0, size); err != nil {
+			t.Error(err)
+		}
+		done = true
+	})
+	sys.Eng.Run()
+	if !done {
+		t.Fatalf("an 8 MB read with %d bytes free never finished (%d processes parked)", free, sys.Eng.Live())
+	}
+	if got := b.XB.Buffers.Available(); got != free {
+		t.Fatalf("%d bytes free after the read, %d before", got, free)
+	}
+}
+
+// streamRig formats a Fig. 8 board on small disks and writes /s, size bytes
+// of pattern tag 1.
+func streamRig(t *testing.T, size int) (*System, *Board) {
+	t.Helper()
+	cfg := Fig8Config()
+	cfg.DiskSpec.Cylinders = 40
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	sys.Eng.Spawn("setup", func(p *sim.Proc) {
+		if err := b.FormatFS(p); err != nil {
+			t.Fatal(err)
+		}
+		f, err := b.CreateFS(p, "/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.File.WriteAt(p, streamPattern(size, 1), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.FS.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sys.Eng.Run()
+	return sys, b
+}
+
+// TestLookAheadTrigger: a handle's first read and a read that does not
+// continue the last one issue no window; a read that continues it issues
+// the rest of the window after its own bytes, clamped to EOF, and the reads
+// after it are served from that window, with the bytes the file has.
+func TestLookAheadTrigger(t *testing.T) {
+	const size = 5<<20 + 100<<10
+	sys, b := streamRig(t, size)
+	want := streamPattern(size, 1)
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		f, err := b.OpenFS(p, "/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func(off int64, n int) []byte {
+			t.Helper()
+			got, err := b.FSRead(p, f, off, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hi := min(off+int64(n), size); !bytes.Equal(got, want[off:hi]) {
+				t.Fatalf("read %d+%d: wrong bytes", off, n)
+			}
+			return got
+		}
+		window := func(what string, lo, hi int64) {
+			t.Helper()
+			w := f.rs.win
+			switch {
+			case hi == 0 && w != nil:
+				t.Fatalf("%s: a window [%d, %d)", what, w.lo, w.hi())
+			case hi > 0 && (w == nil || w.lo != lo || w.hi() != hi):
+				t.Fatalf("%s: window %+v, want [%d, %d)", what, w, lo, hi)
+			}
+		}
+		const r = 512 << 10
+		read(0, r)
+		window("first read", 0, 0)
+		read(2*r, r)
+		window("a read that skips", 0, 0)
+		read(3*r, r)
+		window("a read that continues", 4*r, 3*r+windowBytes)
+		read(4*r, r)
+		window("a read the window serves", 5*r, 3*r+windowBytes)
+		w := f.rs.win
+		if got := read(5*r, r); &got[0] != &w.buf[5*r-w.off] {
+			t.Fatal("a read the window held was not served from it")
+		}
+		read(6*r, r)
+		window("a read the window served last", 7*r, 7*r)
+		read(7*r, r) // continues, window empty: the rest is clamped to EOF
+		window("a continuing read near EOF", 8*r, size)
+		read(8*r, r)
+	})
+	sys.Eng.Run()
+	if sys.Eng.Live() != 0 {
+		t.Fatalf("%d processes parked", sys.Eng.Live())
+	}
+}
+
+// TestStreamStrandsNothing abandons handles in the middle of their windows,
+// drops a window while its pieces are in flight by writing the file, and
+// fails a client-style stream in the middle of its send: once the engine is
+// idle every byte of board DRAM is back and no process is parked.
+func TestStreamStrandsNothing(t *testing.T) {
+	const size = 4 << 20
+	sys, b := streamRig(t, size)
+	free := b.XB.Buffers.Available()
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		const r = 256 << 10
+		for h := 0; h < 3; h++ { // abandoned mid-window
+			f, err := b.OpenFS(p, "/s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 3; i++ {
+				if _, err := b.FSRead(p, f, (int64(h)+i)*r, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f, err := b.OpenFS(p, "/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 2; i++ {
+			if _, err := b.FSRead(p, f, i*r, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.rs.win == nil {
+			t.Fatal("no window to drop")
+		}
+		if _, err := f.File.WriteAt(p, []byte{7}, 3*r-1); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.FSRead(p, f, 2*r, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[r-1] != 7 {
+			t.Fatal("the read after a write was served from the window read before it")
+		}
+		refused := errors.New("client went away")
+		sent := 0
+		if _, err := f.Stream(p, 0, 3<<20, func(*sim.Proc, int) error {
+			if sent++; sent == 3 {
+				return refused
+			}
+			return nil
+		}); !errors.Is(err, refused) {
+			t.Fatalf("stream: %v, want the send's error", err)
+		}
+	})
+	sys.Eng.Run()
+	if live := sys.Eng.Live(); live != 0 {
+		t.Fatalf("%d processes parked once the engine is idle", live)
+	}
+	if got := b.XB.Buffers.Available(); got != free {
+		t.Fatalf("%d bytes of DRAM free, %d after assembly", got, free)
+	}
+	sys.Eng.Shutdown()
+	if live := sys.Eng.Live(); live != 0 {
+		t.Fatalf("%d processes live after Shutdown", live)
+	}
+}
+
+// TestStreamCoherenceProperty runs seeded interleavings of sequential
+// FSReads with writes, truncates, cleaner passes and, last, the file's
+// removal: one reader on one handle, two on a second handle of the same
+// file.  A mutation waits for every read in progress, and no read starts
+// during one, but the look-ahead pieces in flight are left alone.  Each
+// FSRead must equal a fresh lfs ReadAt taken just after it, and once the
+// file is removed it must fail with lfs.ErrNotExist.
+func TestStreamCoherenceProperty(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { streamCoherence(t, seed) })
+	}
+}
+
+func streamCoherence(t *testing.T, seed int64) {
+	const size = 3 << 20
+	sys, b := streamRig(t, size)
+	e := sys.Eng
+	rng := rand.New(rand.NewSource(seed))
+	var (
+		active   int        // reads in progress
+		mutating bool       // a mutation in progress
+		idle     *sim.Event // signalled when active drops to 0
+		resume   *sim.Event // signalled when a mutation ends
+		removed  bool
+		stop     bool
+		checked  int
+	)
+	begin := func(p *sim.Proc) {
+		for mutating {
+			resume.Wait(p)
+		}
+		active++
+	}
+	end := func() {
+		if active--; active == 0 && idle != nil {
+			idle.Signal()
+			idle = nil
+		}
+	}
+	reader := func(name string, f *FSFile, start int64, sizes []int) {
+		rng := rand.New(rand.NewSource(seed*31 + start))
+		e.Spawn(name, func(p *sim.Proc) {
+			off := start
+			for !stop {
+				begin(p)
+				n := sizes[rng.Intn(len(sizes))]
+				got, err := b.FSRead(p, f, off, n)
+				switch {
+				case removed:
+					if !errors.Is(err, lfs.ErrNotExist) {
+						t.Errorf("%s: read %d+%d after the remove: %v", name, off, n, err)
+					}
+				case err != nil:
+					t.Errorf("%s: read %d+%d: %v", name, off, n, err)
+				default:
+					want, err := f.File.ReadAt(p, off, n)
+					if err != nil {
+						t.Errorf("%s: ReadAt %d+%d: %v", name, off, n, err)
+					} else if !bytes.Equal(got, want) {
+						t.Errorf("%s: read %d+%d: %d bytes, the file has %d there and they differ", name, off, n, len(got), len(want))
+					}
+					checked++
+				}
+				end()
+				if removed {
+					return
+				}
+				if off += int64(len(got)); len(got) < n {
+					off = 0 // wrap at EOF
+				}
+			}
+		})
+	}
+	var handles [2]*FSFile
+	var lf *lfs.File // the mutator's handle
+	e.Spawn("open", func(p *sim.Proc) {
+		var err error
+		if lf, err = b.FS.Open(p, "/s"); err != nil {
+			t.Fatal(err)
+		}
+		for i := range handles {
+			f, err := b.OpenFS(p, "/s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles[i] = f
+		}
+	})
+	e.Run()
+	chunks := []int{256 << 10, 512 << 10}
+	reader("r0", handles[0], 0, append(chunks, 100<<10))
+	reader("r1", handles[1], 0, chunks)
+	reader("r2", handles[1], 1<<20, chunks)
+	e.Spawn("mutator", func(p *sim.Proc) {
+		for op := 0; op < 14; op++ {
+			p.Wait(sim.Duration(rng.Intn(150e6)))
+			mutating, resume = true, sim.NewEvent(e)
+			for active > 0 {
+				idle = sim.NewEvent(e)
+				idle.Wait(p)
+			}
+			var err error
+			switch k := rng.Intn(4); {
+			case op == 13:
+				err = b.FS.Remove(p, "/s")
+				removed = true
+			case k == 0:
+				err = lf.Truncate(p)
+			case k == 1:
+				_, err = b.FS.Clean(p, b.FS.FreeSegments()+1)
+			case k == 2: // the file anew
+				_, err = lf.WriteAt(p, streamPattern(1<<20+rng.Intn(2<<20), byte(op)), 0)
+			default:
+				off := rng.Int63n(size)
+				_, err = lf.WriteAt(p, streamPattern(1+rng.Intn(400<<10), byte(op)), off)
+			}
+			if err != nil && !errors.Is(err, lfs.ErrNoSpace) {
+				t.Errorf("mutation %d: %v", op, err)
+			}
+			mutating = false
+			resume.Signal()
+		}
+		stop = true
+	})
+	e.Run()
+	if checked < 20 {
+		t.Fatalf("only %d reads checked", checked)
+	}
+	if live := e.Live(); live != 0 {
+		t.Fatalf("%d processes parked", live)
+	}
+}
