@@ -269,31 +269,23 @@ func (fl *File) writeOnce(p *sim.Proc, off int64, n int) (int, error) {
 	defer release()
 	sys.Host.CPUWork(p, server.FSWriteOverhead)
 
-	chunks := server.Chunks(n)
-	// One reusable transfer buffer per request, sized for the largest chunk,
-	// instead of a fresh allocation per chunk.
-	maxChunk := 0
-	for _, c := range chunks {
-		if c > maxChunk {
-			maxChunk = c
-		}
-	}
-	buf := make([]byte, maxChunk)
-	cursor := off
+	// One reusable transfer buffer per request, a piece long.
+	buf := make([]byte, min(n, server.PipelineChunk))
 	done := 0
-	for _, c := range chunks {
+	for done < n {
+		c := min(n-done, server.PipelineChunk)
+		at := off + int64(done)
 		// Client copies into socket buffers, then the wire transfer.
 		ws.Host.CopyAsync(p, c)
 		if _, err := sys.Ultra.Send(p, ws.EP, b.HEP, c); err != nil {
 			return done, err
 		}
 		b.XB.Buffers.Acquire(p, c)
-		_, werr := fl.f.File.WriteAt(p, buf[:c], cursor)
+		_, werr := fl.f.File.WriteAt(p, buf[:c], at)
 		b.XB.Buffers.Release(c)
 		if werr != nil {
-			return done, fmt.Errorf("client: write %s at %d: %w", fl.path, cursor, werr)
+			return done, fmt.Errorf("client: write %s at %d: %w", fl.path, at, werr)
 		}
-		cursor += int64(c)
 		done += c
 	}
 	return done, nil

@@ -376,7 +376,6 @@ func TestReadFromDegradedAndRebuildingArray(t *testing.T) {
 // medium error, exercising the per-piece errors of the read stream.
 type failingFile struct{ err error }
 
-func (f failingFile) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) { return nil, f.err }
 func (f failingFile) ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready func(q *sim.Proc, off, n int) error) (int, error) {
 	return 0, f.err
 }

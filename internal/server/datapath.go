@@ -14,18 +14,6 @@ import (
 // block of data is being sent across the network, the next blocks are
 // being read off the disk."
 
-// readDev issues an array read, through the block cache when the board has
-// one: resident lines are served from XBUS DRAM at crossbar cost, missing
-// lines fill from the array at full disk cost.
-func (b *Board) readDev(p *sim.Proc, at int64, secs int) error {
-	if b.Cache != nil {
-		_, err := b.Cache.Read(p, at, secs)
-		return err
-	}
-	_, err := b.Array.Read(p, at, secs)
-	return err
-}
-
 // writeDevStreaming issues a benchmark-mode streaming write, keeping the
 // block cache coherent (and staging freshly written lines) when present.
 func (b *Board) writeDevStreaming(p *sim.Proc, at int64, data []byte) error {
@@ -33,16 +21,6 @@ func (b *Board) writeDevStreaming(p *sim.Proc, at int64, data []byte) error {
 		return b.Cache.WriteStreaming(p, at, data)
 	}
 	return b.Array.WriteStreaming(p, at, data)
-}
-
-// Chunks splits a transfer of size bytes into pipeline-buffer-sized work
-// items, the last one short.
-func Chunks(size int) []int {
-	var out []int
-	for ; size > 0; size -= pipelineChunk {
-		out = append(out, min(pipelineChunk, size))
-	}
-	return out
 }
 
 // stripeAligned splits [offSectors, offSectors+sizeSecs) into pieces that
@@ -68,53 +46,25 @@ func (b *Board) stripeAligned(offSectors int64, sizeSecs int) []int {
 // HardwareRead performs the Figure 5 hardware system-level read: data are
 // read from the disk array into XBUS memory, sent over the HIPPI source
 // board, looped back through the HIPPI destination board, and land in XBUS
-// memory again.  All of the request's disk reads are issued at once
-// (bounded by XBUS buffer memory); the HIPPI transmits each chunk as soon
-// as it and all earlier chunks have arrived in memory.  When the board has
-// too little free memory for the next chunk, the issuer sends the chunks it
-// holds before it waits, since only its own sends give their bytes back.
+// memory again.  It is the piece pipeline's in-order discipline (stream.go)
+// on the raw store, with no window: the HIPPI sends each piece as it and
+// every earlier one have landed, after one packet setup for the request
+// that runs from its start, beside the disk reads.  The disks read whole
+// sectors; the HIPPI carries the caller's size bytes.
 func (b *Board) HardwareRead(p *sim.Proc, offSectors int64, size int) (err error) {
 	defer telemetry.Ensure(p, "hw-read")(&err)
-	e := b.sys.Eng
-	secSize := b.Array.SectorSize()
-	chunks := Chunks(size)
-	ready := make([]*sim.Event, len(chunks))
-	g := p.Fork()
-	// Network side: one HIPPI packet for the request, chunks in order.
-	setup, sent := false, 0
-	send := func() {
-		if !setup {
-			p.Wait(b.HEP.Setup)
-			setup = true
-		}
-		ready[sent].Wait(p)
-		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, chunks[sent], 0)
-		b.XB.Buffers.Release(chunks[sent])
-		sent++
-	}
-	cursor := offSectors
-	for i, n := range chunks {
-		secs := (n + secSize - 1) / secSize
-		at := cursor
-		cursor += int64(secs)
-		ready[i] = sim.NewEvent(e)
-		for !b.XB.Buffers.TryAcquire(p, n) {
-			if sent == i { // nothing of ours to send: wait for others' bytes
-				b.XB.Buffers.Acquire(p, n)
-				break
-			}
-			send()
-		}
-		g.Go("hw-read-disk", func(q *sim.Proc) error {
-			err := b.readDev(q, at, secs)
-			ready[i].Signal()
-			return err
-		})
-	}
-	for sent < len(chunks) {
-		send()
-	}
-	return g.Wait(p) // every worker has signalled: no wait, the first error
+	secSize := int64(b.Array.SectorSize())
+	off := offSectors * secSize
+	end := off + (int64(size)+secSize-1)/secSize*secSize
+	setup, left := p.Now().Add(b.HEP.Setup), size
+	_, err = b.inOrder(p, b.readRaw, split(off, end), func(p *sim.Proc, n int) error {
+		p.WaitUntil(setup)
+		n = min(n, left)
+		left -= n
+		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, n, 0)
+		return nil
+	}, nil)
+	return err
 }
 
 // HardwareWrite performs the Figure 5 write: data originate in XBUS
@@ -153,59 +103,13 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err erro
 func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, err error) {
 	defer telemetry.Ensure(p, "fs-read")(&err)
 	b.sys.Host.CPUWork(p, FSReadOverhead)
-	// Each piece takes one crossbar pass into the network buffers as it
-	// lands and gives its DRAM back; the read's own give their places back.
-	crossbar := func(q *sim.Proc, n int) {
-		b.XB.Memory.Transfer(q, n)
-		b.XB.Buffers.Release(n)
+	crossbar := func(q *sim.Proc, pc *piece) error {
+		b.XB.Memory.Transfer(q, len(pc.buf))
+		b.XB.Buffers.Release(len(pc.buf))
+		return nil
 	}
-	pl := places{eng: b.sys.Eng}
-	own := func(q *sim.Proc, n int) {
-		crossbar(q, n)
-		pl.give()
-	}
-	end := off + int64(size)
-	gen := f.File.Generation()
-	parts, ahead := f.rs.plan(gen, off, end)
-	// The window's bytes are the result as they stand when the read is
-	// all window; otherwise the read's own pieces land in out.
-	var out []byte
-	g := p.Fork()
-	for i, pt := range parts {
-		if pt.pc == nil {
-			if out == nil {
-				out = make([]byte, size)
-			}
-			pl.take(p)
-			parts[i].pc = f.issue(g, pt.lo, out[pt.lo-off:pt.hi-off], own)
-			parts[i].own = true
-		}
-	}
-	if ahead {
-		f.lookAhead(p, gen, off, end, crossbar)
-	}
-	err = g.Wait(p)
-	var total int64 // furthest byte delivered
-	for _, pt := range parts {
-		pt.pc.landed.Wait(p)
-		if err == nil {
-			err = pt.pc.err
-		}
-		if hi := pt.reach(); hi > pt.lo {
-			if out != nil && !pt.own {
-				copy(out[pt.lo-off:], pt.pc.buf[pt.lo-pt.pc.off:hi-pt.pc.off])
-			}
-			total = max(total, hi-off)
-		}
-	}
-	if out == nil {
-		if len(parts) == 0 {
-			return []byte{}, err
-		}
-		first := parts[0].pc
-		return first.buf[off-first.off : off-first.off+total : off-first.off+total], err
-	}
-	return out[:total], err
+	parts, ahead := f.plan(p, off, off+int64(size), crossbar)
+	return f.gather(p, off, size, parts, crossbar, ahead)
 }
 
 // FSWrite is the Figure 8 LFS write: file system overhead on the host
@@ -220,17 +124,18 @@ func (b *Board) FSWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (err err
 	return err
 }
 
-// FSFile pairs an LFS handle with its board and the handle's read stream.
+// FSFile pairs an LFS handle with its board and the handle's read stream
+// (stream.go), which starts empty.
 type FSFile struct {
 	Board *Board
 	File  interface {
-		ReadAt(p *sim.Proc, off int64, n int) ([]byte, error)
 		ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready func(q *sim.Proc, off, n int) error) (int, error)
 		WriteAt(p *sim.Proc, data []byte, off int64) (int, error)
 		Size(p *sim.Proc) (int64, error)
 		Generation() uint64
 	}
-	rs readStream
+	next int64   // where the handle's last read ended
+	win  *window // the look-ahead; nil when there is none
 }
 
 // OpenFS opens path on the board's file system.  The file system's sentinel
@@ -278,27 +183,23 @@ func (b *Board) SmallDiskRead(p *sim.Proc, diskIdx int, lba int64, bytes int) (e
 
 // EtherRead services a client read in standard mode: the host commands the
 // XBUS board over the VME link, data cross from XBUS memory into host
-// memory, the host packages them into Ethernet packets.
+// memory, the host packages them into Ethernet packets.  It is the piece
+// pipeline's as-landed discipline (stream.go): each piece takes that path,
+// XBUS -> host VME port -> host memory -> copy -> Ethernet, with the bytes
+// the file has as it lands.  The handle's window is the HIPPI path's:
+// EtherRead neither takes nor opens it.
 func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) (err error) {
 	defer telemetry.Ensure(p, "ether-read")(&err)
 	h := b.sys.Host
 	h.CPUWork(p, FSReadOverhead)
-	if _, err := f.File.ReadAt(p, off, size); err != nil {
+	_, err = f.gather(p, off, size, split(off, off+int64(size)), func(q *sim.Proc, pc *piece) error {
+		defer b.XB.Buffers.Release(len(pc.buf))
+		b.XB.HostTransfer(q, pc.got, true)
+		h.DMAIn(q, pc.got)
+		h.CopyAsync(q, pc.got)
+		_, err := b.sys.Ether.Send(q, pc.got)
 		return err
-	}
-	// Low-bandwidth path: XBUS -> host VME port -> host memory -> copy ->
-	// Ethernet, pipelined at chunk granularity.
-	g := p.Fork()
-	for _, n := range Chunks(size) {
-		g.Go("ether-chunk", func(q *sim.Proc) error {
-			b.XB.HostTransfer(q, n, true)
-			h.DMAIn(q, n)
-			h.CopyAsync(q, n)
-			_, err := b.sys.Ether.Send(q, n)
-			return err
-		})
-	}
-	err = g.Wait(p)
+	}, nil)
 	h.PerIO(p)
 	return err
 }

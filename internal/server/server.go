@@ -34,16 +34,17 @@ import (
 
 // FSReadOverhead and FSWriteOverhead are the host CPU cost of one file
 // system operation (§3.4: ~4 ms of file system overhead per read, ~3 ms of
-// network and file system overhead per small write).  pipelineDepth is the
-// number of in-flight buffers between the disk array and the HIPPI network
-// on the high-bandwidth path ("LFS may have several pipeline processes
-// issuing read requests"), and pipelineChunk their granularity: together a
-// file handle's read window (stream.go).
+// network and file system overhead per small write).  Every board read
+// (HardwareRead, FSRead, EtherRead, the client's raid_read) is cut into
+// pieces of PipelineChunk bytes and keeps at most pipelineDepth of its own
+// in flight ("LFS may have several pipeline processes issuing read
+// requests"): together a file handle's read window (stream.go).  The client
+// library writes in pieces of the same size.
 const (
 	FSReadOverhead  = 4 * time.Millisecond
 	FSWriteOverhead = 3 * time.Millisecond
 	pipelineDepth   = 8
-	pipelineChunk   = 256 << 10
+	PipelineChunk   = 256 << 10
 )
 
 // Config assembles a RAID-II system.

@@ -1,27 +1,27 @@
 package server
 
-import "raidii/internal/sim"
+import (
+	"cmp"
 
-// This file is the read stream every high-bandwidth read of an FSFile goes
-// through (DESIGN.md §17 "The read stream"): FSRead, whose sink is a
-// crossbar pass, and the client's raid_read (Stream), whose sink is an
-// in-order ring send.  Pieces of at most pipelineChunk bytes are each one
-// lfs ReadAtPieces call in a process that holds the piece's board DRAM from
-// issue until its sink is done; a read keeps at most pipelineDepth of its
-// own in flight.  A read that continues the handle's last one, when the
-// window holds none of its bytes, issues the whole next window at once, and
-// later reads take its pieces.  A look-ahead piece gives its DRAM back as it
-// lands.  A window is the file at one generation (lfs File.Generation): a
+	"raidii/internal/bytepath"
+	"raidii/internal/sim"
+)
+
+// This file is the one piece pipeline every board read goes through
+// (DESIGN.md §17 "The read stream").  A read is cut into pieces, each one
+// call to the read's source (an open file's lfs ReadAtPieces, or the
+// board's raw store) in a process that holds the piece's board DRAM from
+// issue until its sink is done.  Two disciplines deliver them: in order, in
+// the reading process (inOrder: the client's raid_read and HardwareRead),
+// and as each lands, in the piece's process (gather: FSRead and EtherRead).
+// FSRead and the client read also go through the handle's window: a read
+// that continues the handle's last one, when the window holds none of its
+// bytes, issues the whole next window at once, and later reads take its
+// pieces.  A window is the file at one generation (lfs File.Generation): a
 // read that finds the generation moved drops it.
 
 // windowBytes is a handle's read window.
-const windowBytes = pipelineDepth * pipelineChunk
-
-// readStream is an FSFile's read stream.  Its zero value is ready.
-type readStream struct {
-	next int64   // where the handle's last read ended
-	win  *window // the look-ahead; nil when there is none
-}
+const windowBytes = pipelineDepth * PipelineChunk
 
 // window is a look-ahead: the pieces of [off, off+len(buf)), issued at once.
 type window struct {
@@ -32,11 +32,11 @@ type window struct {
 	lo     int64 // what no read has taken yet: [lo, off+len(buf))
 }
 
-// piece is at most pipelineChunk bytes of the file at off, read into buf.
+// piece is at most PipelineChunk bytes of a source at off, read into buf.
 type piece struct {
 	off    int64
 	buf    []byte
-	got    int // bytes the file had there
+	got    int // bytes the source had there
 	err    error
 	landed *sim.Event
 }
@@ -49,54 +49,74 @@ type part struct {
 	own    bool
 }
 
-// reach is where part pt's bytes end: at pt.hi, or before it where the file
-// ended inside it.
-func (pt part) reach() int64 { return min(pt.hi, pt.pc.off+int64(pt.pc.got)) }
-
 // hi is where the window's bytes end.
 func (w *window) hi() int64 { return w.off + int64(len(w.buf)) }
 
-// plan lays a read of [off, end) out as parts in file order: the window's
-// pieces where it holds the bytes (which the read takes out of it), fresh
-// parts of at most pipelineChunk bytes, not yet issued, elsewhere.  A window
-// whose generation has moved is dropped first.  ahead reports that the read
-// continues the handle's last one and the window held none of its bytes.
-func (s *readStream) plan(gen uint64, off, end int64) (parts []part, ahead bool) {
-	if s.win != nil && s.win.gen != gen {
-		s.win = nil
+// plan lays a read of [off, end) on the handle out as parts in file order:
+// the window's pieces where it holds the bytes (which the read takes out of
+// it), fresh parts, not yet issued, elsewhere.  A window whose generation
+// has moved is dropped first.  When the read continues the handle's last
+// one and the window held none of its bytes, ahead issues the next window
+// with land (lookAhead), for the read to call once its own pieces are
+// issued; otherwise ahead is nil.
+func (f *FSFile) plan(p *sim.Proc, off, end int64, land func(q *sim.Proc, pc *piece) error) (parts []part, ahead func()) {
+	gen := f.File.Generation()
+	if f.win != nil && f.win.gen != gen {
+		f.win = nil
 	}
-	w := s.win
-	ahead = s.next > 0 && off == s.next && (w == nil || end <= w.lo || off >= w.hi())
-	s.next = end
-	for at := off; at < end; {
-		hi := min(end, at+pipelineChunk)
-		if w != nil && w.lo <= at && at < w.hi() {
-			pc := w.pieces[(at-w.off)/pipelineChunk]
-			hi = min(end, pc.off+int64(len(pc.buf)))
-			parts = append(parts, part{pc: pc, lo: at, hi: hi})
-			w.lo = hi
-		} else {
-			if w != nil && at < w.lo && w.lo < hi {
-				hi = w.lo
-			}
-			parts = append(parts, part{lo: at, hi: hi})
+	w, next := f.win, f.next
+	f.next = end
+	if w == nil || end <= w.lo || off >= w.hi() { // the window holds none of it
+		if next > 0 && off == next {
+			ahead = func() { f.lookAhead(p, gen, off, end, land) }
 		}
-		at = hi
+		return split(off, end), ahead
 	}
-	return parts, ahead
+	parts = split(off, w.lo)
+	for at := max(off, w.lo); at < min(end, w.hi()); at = w.lo {
+		pc := w.pieces[(at-w.off)/PipelineChunk]
+		w.lo = min(end, pc.off+int64(len(pc.buf)))
+		parts = append(parts, part{pc: pc, lo: at, hi: w.lo})
+	}
+	return append(parts, split(w.hi(), end)...), nil
 }
 
-// issue starts a piece reading len(buf) bytes of the file at off on g.
-// land runs in the piece's process once its bytes are in (nil: nothing, the
-// piece holds its DRAM until its reader gives it back).
-func (f *FSFile) issue(g *sim.Group, off int64, buf []byte, land func(q *sim.Proc, n int)) *piece {
-	b := f.Board
+// split lays [off, end) out as fresh parts of at most PipelineChunk bytes,
+// not yet issued.
+func split(off, end int64) (parts []part) {
+	for at := off; at < end; at += PipelineChunk {
+		parts = append(parts, part{lo: at, hi: min(end, at+PipelineChunk)})
+	}
+	return parts
+}
+
+// source reads the bytes at off into buf and returns how many the store had
+// there.
+type source func(q *sim.Proc, off int64, buf []byte) (int, error)
+
+// read is an open file's source.
+func (f *FSFile) read(q *sim.Proc, off int64, buf []byte) (int, error) {
+	return f.File.ReadAtPieces(q, off, buf, PipelineChunk, nil)
+}
+
+// readRaw is the board's raw source: the store the datapath reads, the
+// block cache when there is one, else the array.  off and len(buf) are
+// whole sectors.
+func (b *Board) readRaw(q *sim.Proc, off int64, buf []byte) (int, error) {
+	return len(buf), bytepath.ReadInto(b.Dev(), q, off/int64(b.Array.SectorSize()), buf)
+}
+
+// issue starts a piece reading len(buf) bytes of src at off on g.  land
+// runs in the piece's process once its bytes are in and gives the piece's
+// DRAM back; nil leaves the DRAM held until the piece's reader gives it
+// back.  An error from land is the piece's when its read had none.
+func (b *Board) issue(g *sim.Group, src source, off int64, buf []byte, land func(q *sim.Proc, pc *piece) error) *piece {
 	pc := &piece{off: off, buf: buf, landed: sim.NewEvent(b.sys.Eng)}
-	g.Go("fsread-chunk", func(q *sim.Proc) error {
+	g.Go("read-piece", func(q *sim.Proc) error {
 		b.XB.Buffers.Acquire(q, len(buf))
-		pc.got, pc.err = f.File.ReadAtPieces(q, off, buf, pipelineChunk, nil)
+		pc.got, pc.err = src(q, off, buf)
 		if land != nil {
-			land(q, len(buf))
+			pc.err = cmp.Or(pc.err, land(q, pc))
 		}
 		pc.landed.Signal()
 		return pc.err
@@ -107,7 +127,7 @@ func (f *FSFile) issue(g *sim.Group, off int64, buf []byte, land func(q *sim.Pro
 // lookAhead issues the window after a read of [off, end) at generation gen:
 // the rest of [off, off+windowBytes), clamped to EOF, as pieces that work
 // for no request.  land must give each piece's DRAM back.
-func (f *FSFile) lookAhead(p *sim.Proc, gen uint64, off, end int64, land func(q *sim.Proc, n int)) {
+func (f *FSFile) lookAhead(p *sim.Proc, gen uint64, off, end int64, land func(q *sim.Proc, pc *piece) error) {
 	size, err := f.File.Size(p)
 	hi := min(off+windowBytes, size)
 	if err != nil || hi <= end {
@@ -115,11 +135,10 @@ func (f *FSFile) lookAhead(p *sim.Proc, gen uint64, off, end int64, land func(q 
 	}
 	w := &window{gen: gen, off: end, buf: make([]byte, hi-end), lo: end}
 	g := sim.NewGroup(f.Board.sys.Eng)
-	for at := end; at < hi; at += pipelineChunk {
-		n := min(hi-at, pipelineChunk)
-		w.pieces = append(w.pieces, f.issue(g, at, w.buf[at-end:at-end+n], land))
+	for _, pt := range split(end, hi) {
+		w.pieces = append(w.pieces, f.Board.issue(g, f.read, pt.lo, w.buf[pt.lo-end:pt.hi-end], land))
 	}
-	f.rs.win = w
+	f.win = w
 }
 
 // places counts a read's own pieces in flight, at most pipelineDepth.
@@ -147,28 +166,20 @@ func (pl *places) give() {
 	}
 }
 
-// Stream reads n bytes of the file at off through the handle's read stream
-// and hands them to send in file order, a piece at a time, as each lands:
-// the client library's in-order ring send.  A piece the read issues holds
-// its board DRAM until send is done with it; with pipelineDepth of them
-// held, the read sends the oldest before it issues another.  It returns how
-// many bytes send took before the first failure, the file's or send's.
-func (f *FSFile) Stream(p *sim.Proc, off int64, n int, send func(p *sim.Proc, n int) error) (done int, err error) {
-	b := f.Board
-	release := func(_ *sim.Proc, n int) { b.XB.Buffers.Release(n) }
-	end := off + int64(n)
-	gen := f.File.Generation()
-	parts, ahead := f.rs.plan(gen, off, end)
+// inOrder reads parts from src and hands each to send in file order as it
+// lands, in the reading process p.  A part with no piece yet is issued here
+// and holds its DRAM until send is done with it; with pipelineDepth of them
+// held, p sends the oldest before it issues another.  ahead, when not nil,
+// runs once every part is issued, unless one failed first.  inOrder returns
+// how many bytes send took before the first failure, the read's or send's.
+func (b *Board) inOrder(p *sim.Proc, src source, parts []part, send func(p *sim.Proc, n int) error, ahead func()) (done int, err error) {
 	g := p.Fork()
 	sent, held := 0, 0
 	deliver := func() {
 		pt := parts[sent]
 		sent++
 		pt.pc.landed.Wait(p)
-		if err == nil {
-			err = pt.pc.err
-		}
-		if err == nil {
+		if err = cmp.Or(err, pt.pc.err); err == nil {
 			if err = send(p, int(pt.hi-pt.lo)); err == nil {
 				done += int(pt.hi - pt.lo)
 			}
@@ -189,15 +200,79 @@ func (f *FSFile) Stream(p *sim.Proc, off int64, n int, send func(p *sim.Proc, n 
 			parts = parts[:i] // issue no more; drain what was
 			break
 		}
-		parts[i].pc = f.issue(g, parts[i].lo, make([]byte, parts[i].hi-parts[i].lo), nil)
+		parts[i].pc = b.issue(g, src, parts[i].lo, make([]byte, parts[i].hi-parts[i].lo), nil)
 		parts[i].own = true
 		held++
 	}
-	if ahead && err == nil {
-		f.lookAhead(p, gen, off, end, release)
+	if err == nil && ahead != nil {
+		ahead()
 	}
 	for sent < len(parts) {
 		deliver()
 	}
 	return done, err
+}
+
+// Stream reads n bytes of the file at off through the handle's read stream
+// and hands them to send in file order, a piece at a time, as each lands
+// (inOrder): the client library's in-order ring send.  A look-ahead piece
+// gives its DRAM back as it lands.  Stream returns how many bytes send took
+// before the first failure, the file's or send's.
+func (f *FSFile) Stream(p *sim.Proc, off int64, n int, send func(p *sim.Proc, n int) error) (int, error) {
+	b := f.Board
+	parts, ahead := f.plan(p, off, off+int64(n), func(_ *sim.Proc, pc *piece) error {
+		b.XB.Buffers.Release(len(pc.buf))
+		return nil
+	})
+	return b.inOrder(p, f.read, parts, send, ahead)
+}
+
+// gather reads [off, off+size) of the file as parts and returns the bytes
+// the file had there.  A part with no piece yet is issued into the result,
+// at most pipelineDepth in flight, and land runs in its process as it lands
+// and gives its DRAM back; a part the window held is copied in.  A read the
+// window holds whole returns the window's bytes.  ahead, when not nil, runs
+// once every part is issued.
+func (f *FSFile) gather(p *sim.Proc, off int64, size int, parts []part, land func(q *sim.Proc, pc *piece) error, ahead func()) ([]byte, error) {
+	pl := places{eng: f.Board.sys.Eng}
+	own := func(q *sim.Proc, pc *piece) error {
+		err := land(q, pc)
+		pl.give()
+		return err
+	}
+	var out []byte
+	g := p.Fork()
+	for i, pt := range parts {
+		if pt.pc == nil {
+			if out == nil {
+				out = make([]byte, size)
+			}
+			pl.take(p)
+			parts[i].pc = f.Board.issue(g, f.read, pt.lo, out[pt.lo-off:pt.hi-off], own)
+			parts[i].own = true
+		}
+	}
+	if ahead != nil {
+		ahead()
+	}
+	err := g.Wait(p)
+	var total int64 // furthest byte delivered
+	for _, pt := range parts {
+		pt.pc.landed.Wait(p)
+		err = cmp.Or(err, pt.pc.err)
+		if hi := min(pt.hi, pt.pc.off+int64(pt.pc.got)); hi > pt.lo { // short where the file ends
+			if out != nil && !pt.own {
+				copy(out[pt.lo-off:], pt.pc.buf[pt.lo-pt.pc.off:hi-pt.pc.off])
+			}
+			total = max(total, hi-off)
+		}
+	}
+	if out == nil {
+		if len(parts) == 0 {
+			return []byte{}, err
+		}
+		first := parts[0].pc
+		return first.buf[off-first.off : off-first.off+total : off-first.off+total], err
+	}
+	return out[:total], err
 }

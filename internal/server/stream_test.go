@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"raidii/internal/lfs"
+	"raidii/internal/raid"
 	"raidii/internal/sim"
 )
 
@@ -50,6 +52,34 @@ func TestHardwareReadLargerThanFreeDRAM(t *testing.T) {
 	}
 	if got := b.XB.Buffers.Available(); got != free {
 		t.Fatalf("%d bytes free after the read, %d before", got, free)
+	}
+}
+
+// TestHardwareReadSendsTheCallersBytes: a hardware read whose size is not a
+// whole number of sectors reads the sectors that hold it, but the HIPPI
+// carries only the bytes asked for, so it finishes before a read of the
+// rounded size.
+func TestHardwareReadSendsTheCallersBytes(t *testing.T) {
+	cost := func(size int) time.Duration {
+		sys, err := New(Fig8Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := sys.Boards[0]
+		var d time.Duration
+		sys.Eng.Spawn("t", func(p *sim.Proc) {
+			if err := b.HardwareRead(p, 0, size); err != nil {
+				t.Error(err)
+			}
+			d = p.Now().Sub(0)
+		})
+		sys.Eng.Run()
+		return d
+	}
+	sec := Fig8Config().DiskSpec.SectorSize
+	const whole = 1 << 20
+	if odd, rounded := cost(whole+1), cost(whole+sec); odd >= rounded {
+		t.Fatalf("a read of %d bytes took %v, one of %d bytes %v", whole+1, odd, whole+sec, rounded)
 	}
 }
 
@@ -109,7 +139,7 @@ func TestLookAheadTrigger(t *testing.T) {
 		}
 		window := func(what string, lo, hi int64) {
 			t.Helper()
-			w := f.rs.win
+			w := f.win
 			switch {
 			case hi == 0 && w != nil:
 				t.Fatalf("%s: a window [%d, %d)", what, w.lo, w.hi())
@@ -126,7 +156,7 @@ func TestLookAheadTrigger(t *testing.T) {
 		window("a read that continues", 4*r, 3*r+windowBytes)
 		read(4*r, r)
 		window("a read the window serves", 5*r, 3*r+windowBytes)
-		w := f.rs.win
+		w := f.win
 		if got := read(5*r, r); &got[0] != &w.buf[5*r-w.off] {
 			t.Fatal("a read the window held was not served from it")
 		}
@@ -143,16 +173,30 @@ func TestLookAheadTrigger(t *testing.T) {
 }
 
 // TestStreamStrandsNothing abandons handles in the middle of their windows,
-// drops a window while its pieces are in flight by writing the file, and
-// fails a client-style stream in the middle of its send: once the engine is
-// idle every byte of board DRAM is back and no process is parked.
+// drops a window while its pieces are in flight by writing the file, fails
+// a client-style stream in the middle of its send over the window that
+// replaced it, runs an EtherRead, and
+// fails a HardwareRead in the middle of its pieces by killing the array:
+// once the engine is idle after each, every byte of board DRAM is back and
+// no process is parked.
 func TestStreamStrandsNothing(t *testing.T) {
 	const size = 4 << 20
 	sys, b := streamRig(t, size)
 	free := b.XB.Buffers.Available()
-	sys.Eng.Spawn("t", func(p *sim.Proc) {
-		const r = 256 << 10
-		for h := 0; h < 3; h++ { // abandoned mid-window
+	phase := func(what string, fn func(p *sim.Proc)) {
+		t.Helper()
+		sys.Eng.Spawn(what, fn)
+		sys.Eng.Run()
+		if live := sys.Eng.Live(); live != 0 {
+			t.Fatalf("%s: %d processes parked once the engine is idle", what, live)
+		}
+		if got := b.XB.Buffers.Available(); got != free {
+			t.Fatalf("%s: %d bytes of DRAM free, %d after assembly", what, got, free)
+		}
+	}
+	const r = 256 << 10
+	phase("abandoned windows", func(p *sim.Proc) {
+		for h := 0; h < 3; h++ {
 			f, err := b.OpenFS(p, "/s")
 			if err != nil {
 				t.Fatal(err)
@@ -163,6 +207,8 @@ func TestStreamStrandsNothing(t *testing.T) {
 				}
 			}
 		}
+	})
+	phase("a window dropped in flight, then a send failed over the next one", func(p *sim.Proc) {
 		f, err := b.OpenFS(p, "/s")
 		if err != nil {
 			t.Fatal(err)
@@ -172,7 +218,7 @@ func TestStreamStrandsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if f.rs.win == nil {
+		if f.win == nil {
 			t.Fatal("no window to drop")
 		}
 		if _, err := f.File.WriteAt(p, []byte{7}, 3*r-1); err != nil {
@@ -185,6 +231,10 @@ func TestStreamStrandsNothing(t *testing.T) {
 		if got[r-1] != 7 {
 			t.Fatal("the read after a write was served from the window read before it")
 		}
+		// The failed send's read takes this window's pieces, still in flight.
+		if w := f.win; w == nil || w.lo != 3*r {
+			t.Fatalf("window %+v, want one from %d for the failed send to take", w, 3*r)
+		}
 		refused := errors.New("client went away")
 		sent := 0
 		if _, err := f.Stream(p, 0, 3<<20, func(*sim.Proc, int) error {
@@ -196,13 +246,32 @@ func TestStreamStrandsNothing(t *testing.T) {
 			t.Fatalf("stream: %v, want the send's error", err)
 		}
 	})
-	sys.Eng.Run()
-	if live := sys.Eng.Live(); live != 0 {
-		t.Fatalf("%d processes parked once the engine is idle", live)
-	}
-	if got := b.XB.Buffers.Available(); got != free {
-		t.Fatalf("%d bytes of DRAM free, %d after assembly", got, free)
-	}
+	phase("an EtherRead", func(p *sim.Proc) {
+		f, err := b.OpenFS(p, "/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.EtherRead(p, f, r, 3*r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	phase("a HardwareRead on an array that dies under it", func(p *sim.Proc) {
+		sys.Eng.Spawn("kill", func(q *sim.Proc) {
+			q.Wait(30 * time.Millisecond)
+			for i := 0; i < 2; i++ {
+				if err := b.Array.FailDisk(i); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		start := p.Now()
+		if err := b.HardwareRead(p, 0, 4<<20); !errors.Is(err, raid.ErrArrayFailed) {
+			t.Fatalf("hardware read on a dead array: %v, want ErrArrayFailed", err)
+		}
+		if p.Now().Sub(start) < 30*time.Millisecond {
+			t.Fatal("the read failed before the array died")
+		}
+	})
 	sys.Eng.Shutdown()
 	if live := sys.Eng.Live(); live != 0 {
 		t.Fatalf("%d processes live after Shutdown", live)
@@ -264,7 +333,7 @@ func streamCoherence(t *testing.T, seed int64) {
 				case err != nil:
 					t.Errorf("%s: read %d+%d: %v", name, off, n, err)
 				default:
-					want, err := f.File.ReadAt(p, off, n)
+					want, err := f.File.(*lfs.File).ReadAt(p, off, n)
 					if err != nil {
 						t.Errorf("%s: ReadAt %d+%d: %v", name, off, n, err)
 					} else if !bytes.Equal(got, want) {
@@ -339,5 +408,92 @@ func streamCoherence(t *testing.T, seed int64) {
 	}
 	if live := e.Live(); live != 0 {
 		t.Fatalf("%d processes parked", live)
+	}
+}
+
+// TestEtherReadPastEOF: an EtherRead past the end of a file costs what a
+// read of the bytes the file holds costs.  Its pieces clamp at EOF, so no
+// byte the file lacks crosses the VME link, the host or the Ethernet.
+func TestEtherReadPastEOF(t *testing.T) {
+	const size = 64 << 10
+	cost := func(n int) time.Duration {
+		sys, b := streamRig(t, size)
+		var d time.Duration
+		sys.Eng.Spawn("t", func(p *sim.Proc) {
+			f, err := b.OpenFS(p, "/s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := p.Now()
+			if err := b.EtherRead(p, f, 0, n); err != nil {
+				t.Fatal(err)
+			}
+			d = p.Now().Sub(start)
+		})
+		sys.Eng.Run()
+		return d
+	}
+	if whole, past := cost(size), cost(1<<20); past != whole {
+		t.Fatalf("an EtherRead of 1 MB of a %d-byte file took %v, one of the file's bytes %v", size, past, whole)
+	}
+}
+
+// TestEtherReadTakesNoWindow: the Ethernet path neither takes nor opens a
+// handle's window.  An EtherRead on a handle whose window holds its bytes
+// costs what it costs on a fresh handle of a board with the same history,
+// each byte's Ethernet time included, and the FSRead after it takes the
+// window.
+func TestEtherReadTakesNoWindow(t *testing.T) {
+	const size = 4 << 20
+	const r = 256 << 10
+	cost := func(fresh bool) time.Duration {
+		sys, b := streamRig(t, size)
+		var d time.Duration
+		sys.Eng.Spawn("t", func(p *sim.Proc) {
+			f, err := b.OpenFS(p, "/s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 2; i++ { // the second opens the window
+				if _, err := b.FSRead(p, f, i*r, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Wait(time.Second) // the window lands
+			w := f.win
+			if w == nil || w.lo != 2*r {
+				t.Fatalf("window %+v, want one from %d", w, 2*r)
+			}
+			g := f
+			if fresh {
+				if g, err = b.OpenFS(p, "/s"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start := p.Now()
+			if err := b.EtherRead(p, g, 2*r, r); err != nil {
+				t.Fatal(err)
+			}
+			d = p.Now().Sub(start)
+			if f.win != w || w.lo != 2*r {
+				t.Fatal("the EtherRead took from the window or replaced it")
+			}
+			got, err := b.FSRead(p, f, 2*r, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &got[0] != &w.buf[2*r-w.off] {
+				t.Fatal("the FSRead after the EtherRead was not served from the window")
+			}
+		})
+		sys.Eng.Run()
+		return d
+	}
+	on, fresh := cost(false), cost(true)
+	if on != fresh {
+		t.Fatalf("an EtherRead the window holds took %v, on a fresh handle %v", on, fresh)
+	}
+	if wire := time.Duration(float64(r) / 1.25e6 * float64(time.Second)); on < wire {
+		t.Fatalf("an EtherRead of %d bytes took %v, under their Ethernet time %v", r, on, wire)
 	}
 }

@@ -380,7 +380,11 @@ func (tk *Tokens) Acquire(p *Proc, n int) {
 		//lint:allow simpanic a request larger than the pool would block forever; deadlock-by-construction is a programming error
 		panic(fmt.Sprintf("sim: token request %d exceeds pool %q size %d", n, tk.name, tk.total))
 	}
-	if tk.TryAcquire(p, n) {
+	if tk.queue.len() == 0 && tk.avail >= n {
+		tk.avail -= n
+		if t := tk.eng.tracer; t != nil {
+			t.ResourceAcquire(tk.name, p, n, 0, false)
+		}
 		return
 	}
 	tk.queue.push(tokenWaiter{proc: p, n: n})
@@ -393,19 +397,6 @@ func (tk *Tokens) Acquire(p *Proc, n int) {
 	if t := tk.eng.tracer; t != nil {
 		t.ResourceAcquire(tk.name, p, n, tk.eng.now.Sub(enq), true)
 	}
-}
-
-// TryAcquire obtains n units only if Acquire would not block: they are
-// free and nobody is queued ahead.
-func (tk *Tokens) TryAcquire(p *Proc, n int) bool {
-	if tk.queue.len() > 0 || tk.avail < n {
-		return false
-	}
-	tk.avail -= n
-	if t := tk.eng.tracer; t != nil {
-		t.ResourceAcquire(tk.name, p, n, 0, false)
-	}
-	return true
 }
 
 // Reserve permanently carves n units out of the pool at assembly time: no

@@ -36,7 +36,7 @@ func Attach(e *sim.Engine, cfg Config) *Recorder {
 }
 
 // Resource aggregates one named resource's accounting.  Same-name resources
-// (e.g. the per-call "fsread-pipe" pipeline servers, or lazily created
+// (e.g. RAID-I's per-call "raidi-pipe" pipeline servers, or lazily created
 // stripe locks) merge into a single entry: busy units sum, capacity is the
 // per-instance maximum.
 type Resource struct {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFSReadRequestAccountsItsReads: a cold 1 MB FSRead on a cached board
-// fans out through fsread-chunk, lfs-read-run, cache-fill and raid-read
+// fans out through read-piece, lfs-read-run, cache-fill and raid-read
 // workers, and every one of them works for the request — it records exactly
 // the cache lines the board's cache counted for the read, and the disk time
 // the misses cost.  (LFS's read runs used not to carry the request: the read
