@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"slices"
 
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
@@ -17,8 +18,7 @@ import (
 // new data the rebuild then solves out of the check columns — or wholly
 // after, when it treats the rebuilt column as live on the spare.  Either way
 // the spare holds the current column at swap-in.  Reads take no lock and stay
-// on the degraded path until the swap-in, and an uncontended lock schedules
-// no event, so a rebuild under read-only load keeps its timing.
+// on the degraded path until the swap-in.
 //
 // A stripe no write has reached holds zeros on every device, and so does a
 // spare where it was never written, so the rebuild marks such a stripe done
@@ -26,12 +26,34 @@ import (
 // takes its view, with no yield in between: a write that reaches the stripe
 // before the rebuild loop does is then rebuilt like any other, and one that
 // arrives after the loop has passed sees the column live on the spare.
+//
+// A rebuild runs in two stages joined by a queue, both bounded by one window
+// of stripes.  The read stage: a stripe takes a read slot, locks the stripe,
+// reads its survivors and solves the lost column, gives the survivor buffers
+// back, waits for a place in the queue and then gives its read slot back.
+// The spare stage: one writer, which whenever the spare is free writes the
+// longest run of consecutive queued stripes from the lowest as one command
+// (consecutive stripes' units are adjacent on every device), then marks each
+// stripe of the run done and unlocks it.  A stripe's lock is thus held from
+// before its survivor reads until its run has landed.
 
 // rebuild is the state of one device's rebuild in flight.
 type rebuild struct {
 	spare Dev
 	done  []bool // per stripe: the spare holds this stripe's column
-	err   error  // first foreground write that failed on the spare; a failed rebuild never swaps its spare in
+	err   error  // first failure: a stripe that would not solve, or any write that failed on the spare; a failed rebuild never swaps its spare in
+
+	// The spare stage.
+	slots   *sim.Server // one per solved column held, from entering the queue until its run lands
+	queue   []solved    // solved columns waiting for the spare, each stripe still locked
+	writing bool        // some process is the writer
+	run     []byte      // where a run of several columns is gathered for its one write
+}
+
+// solved is one stripe's rebuilt column on its way to the spare.
+type solved struct {
+	stripe int64
+	col    []byte // from the array's column free list
 }
 
 func (rb *rebuild) fail(err error) {
@@ -92,11 +114,13 @@ func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error)
 	if err := a.errIfLost("reconstruct"); err != nil {
 		return 0, err
 	}
-	// Rebuild a window of stripes concurrently: the reads fan out over all
+	// Read a window of stripes concurrently: the reads fan out over all
 	// surviving disks, so pipelining stripes keeps every spindle busy
-	// instead of paying per-stripe latency serially.
+	// instead of paying per-stripe latency serially.  The same window bounds
+	// the solved columns waiting for the spare.
 	const window = 4
-	sem := sim.NewServer(a.eng, "rebuild-window", window)
+	reads := sim.NewServer(a.eng, "rebuild-read", window)
+	rb.slots = sim.NewServer(a.eng, "rebuild-spare", window)
 	g := sim.NewGroup(a.eng)
 	var rebuilt int64
 	for s := int64(0); s < a.stripes; s++ {
@@ -104,50 +128,122 @@ func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error)
 			rb.done[s] = true
 			continue
 		}
-		sem.Acquire(p)
+		reads.Acquire(p)
+		if rb.err != nil { // the rebuild has failed: read no more survivors
+			reads.Release()
+			break
+		}
 		rebuilt++
 		g.Go("rebuild-stripe", func(q *sim.Proc) error {
-			defer sem.Release()
-			return a.rebuildStripe(q, rb, devIdx, s)
+			a.rebuildStripe(q, rb, reads, devIdx, s)
+			return nil
 		})
 	}
-	// A stripe that failed to rebuild, or a foreground write that failed on
-	// the spare meanwhile.
-	if err := cmp.Or(g.Wait(p), rb.err); err != nil {
-		return 0, err
+	g.Wait(p) //lint:allow errdrop a stripe's failure fails the rebuild, in rb.err
+	if rb.err != nil {
+		return 0, rb.err
 	}
 	a.devs[devIdx] = rb.spare
 	a.RepairDisk(devIdx)
 	return rebuilt, nil
 }
 
-// rebuildStripe rebuilds device devIdx's column of stripe s onto the spare,
-// under the stripe's writer lock: the surviving mirror member holds the
-// contents at Level 1, the solve produces them everywhere else.
-func (a *Array) rebuildStripe(p *sim.Proc, rb *rebuild, devIdx int, s int64) error {
-	end := p.Span("raid", "rebuild-stripe")
-	defer end()
+// rebuildStripe is stripe s's read stage, run holding one of reads' slots:
+// it locks the stripe, produces device devIdx's column and hands the column
+// and the lock to the spare stage.  The process that queues a column while
+// no writer is at work becomes the writer until the queue is empty.
+func (a *Array) rebuildStripe(p *sim.Proc, rb *rebuild, reads *sim.Server, devIdx int, s int64) {
 	lk := a.lock(s)
 	lk.Acquire(p)
-	defer lk.Release()
+	col := a.colFree.Get(a.unitSecs * a.secSize)
+	if err := a.solveColumn(p, devIdx, s, col); err != nil {
+		rb.fail(err)
+		a.colFree.Put(col)
+		lk.Release()
+		reads.Release()
+		return
+	}
+	rb.slots.Acquire(p)
+	reads.Release()
+	rb.queue = append(rb.queue, solved{s, col})
+	if rb.writing {
+		return
+	}
+	rb.writing = true
+	for len(rb.queue) > 0 {
+		// Let every column solved by now join the queue first: those
+		// solved at this instant, and those whose places the last run freed.
+		p.Wait(0)
+		a.writeRun(p, rb, rb.takeRun())
+	}
+	rb.writing = false
+}
+
+// solveColumn reads device devIdx's column of stripe s into col: the
+// surviving mirror member holds it at Level 1, the solve produces it
+// everywhere else.
+func (a *Array) solveColumn(p *sim.Proc, devIdx int, s int64, col []byte) error {
+	end := p.Span("raid", "rebuild-stripe")
+	defer end()
 	sc := a.newScratch()
 	defer sc.release()
-	content := sc.unit()
 	v := a.view(s, false)
 	if a.row.mirrored {
-		if peer := devIdx ^ 1; v.lost(peer) || !v.read(p, peer, 0, content) {
+		if peer := devIdx ^ 1; v.lost(peer) || !v.read(p, peer, 0, col) {
 			return fmt.Errorf("raid: rebuild source device %d failed", peer)
 		}
-	} else if _, err := v.readSolve(p, sc, 0, len(content), a.roleOf(s, devIdx), content); err != nil {
-		return err
+		return nil
 	}
-	a.stats.DiskWrites++
-	if err := rb.spare.Write(p, v.base, content); err != nil {
-		return fmt.Errorf("raid: rebuild write to spare: %w", err)
+	_, err := v.readSolve(p, sc, 0, len(col), a.roleOf(s, devIdx), col)
+	return err
+}
+
+// takeRun removes from the queue the longest run of consecutive stripes that
+// starts at the lowest one queued, in stripe order.
+func (rb *rebuild) takeRun() []solved {
+	q := rb.queue
+	slices.SortFunc(q, func(x, y solved) int { return cmp.Compare(x.stripe, y.stripe) })
+	n := 1
+	for n < len(q) && q[n].stripe == q[0].stripe+int64(n) {
+		n++
 	}
-	rb.done[s] = true
-	a.stats.RebuildStripes++
-	return nil
+	run := slices.Clone(q[:n])
+	rb.queue = append(q[:0], q[n:]...)
+	return run
+}
+
+// writeRun writes a run of consecutive stripes' columns to the spare in one
+// command, unless the rebuild has already failed, then releases each stripe:
+// done when its column landed, unlocked either way.
+func (a *Array) writeRun(p *sim.Proc, rb *rebuild, run []solved) {
+	landed := false
+	if rb.err == nil {
+		end := p.Span("raid", "rebuild-run")
+		data := run[0].col
+		if len(run) > 1 {
+			rb.run = rb.run[:0]
+			for _, c := range run {
+				rb.run = append(rb.run, c.col...)
+			}
+			data = rb.run
+		}
+		a.stats.DiskWrites++
+		if err := rb.spare.Write(p, a.unitLBA(run[0].stripe), data); err != nil {
+			rb.fail(fmt.Errorf("raid: rebuild write to spare: %w", err))
+		} else {
+			landed = true
+		}
+		end()
+	}
+	for _, c := range run {
+		if landed {
+			rb.done[c.stripe] = true
+			a.stats.RebuildStripes++
+		}
+		a.colFree.Put(c.col)
+		a.lock(c.stripe).Release()
+		rb.slots.Release()
+	}
 }
 
 // Rebuild is a handle on a background hot rebuild started by ReplaceDisk.

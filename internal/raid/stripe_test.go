@@ -2,11 +2,13 @@ package raid
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"raidii/internal/fault"
 	"raidii/internal/sim"
 )
 
@@ -149,14 +151,15 @@ type rebuildRig struct {
 
 const rigFailed = 2
 
-// newRebuildRig builds the rig with every stripe written, or with only the
-// first half written when half is set.
-func newRebuildRig(t *testing.T, level Level, slow func(i int, m *MemDev) Dev, half bool) *rebuildRig {
+// newRebuildRig builds the rig over devices of the given number of sectors,
+// with every stripe written, or with only the first half written when half is
+// set.
+func newRebuildRig(t *testing.T, level Level, sectors int64, slow func(i int, m *MemDev) Dev, half bool) *rebuildRig {
 	t.Helper()
 	r := &rebuildRig{e: sim.New()}
 	devs := make([]Dev, 6)
 	for i := range devs {
-		devs[i] = slow(i, NewMemDev(64, tSec))
+		devs[i] = slow(i, NewMemDev(sectors, tSec))
 	}
 	var err error
 	if r.a, err = New(r.e, devs, Config{Level: level, StripeUnitSectors: tUnit}, nil); err != nil {
@@ -177,7 +180,7 @@ func newRebuildRig(t *testing.T, level Level, slow func(i int, m *MemDev) Dev, h
 	if err := r.a.FailDisk(rigFailed); err != nil {
 		t.Fatal(err)
 	}
-	r.spare = slow(len(devs), NewMemDev(64, tSec))
+	r.spare = slow(len(devs), NewMemDev(sectors, tSec))
 	return r
 }
 
@@ -229,7 +232,7 @@ var rebuildLevels = []Level{Level1, Level3, Level5, Level6}
 func TestWriteDuringRebuildFixedDelay(t *testing.T) {
 	for _, level := range rebuildLevels {
 		t.Run(level.String(), func(t *testing.T) {
-			r := newRebuildRig(t, level, func(_ int, m *MemDev) Dev {
+			r := newRebuildRig(t, level, 64, func(_ int, m *MemDev) Dev {
 				return &slowDev{MemDev: m, delay: 10 * time.Millisecond}
 			}, false)
 			defer r.e.Shutdown()
@@ -266,7 +269,7 @@ func TestWritesDuringRebuildJittered(t *testing.T) {
 		for seed := int64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("%v/seed%d", level, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := newRebuildRig(t, level, func(i int, m *MemDev) Dev {
+				r := newRebuildRig(t, level, 64, func(i int, m *MemDev) Dev {
 					return &slowDev{MemDev: m, delay: 2 * time.Millisecond, jitter: 8 * time.Millisecond,
 						rng: rand.New(rand.NewSource(seed*100 + int64(i)))}
 				}, false)
@@ -317,7 +320,7 @@ func TestWritesDuringRebuildJittered(t *testing.T) {
 func TestWriteToSkippedStripeLandsOnSpare(t *testing.T) {
 	for _, level := range rebuildLevels {
 		t.Run(level.String(), func(t *testing.T) {
-			r := newRebuildRig(t, level, func(_ int, m *MemDev) Dev {
+			r := newRebuildRig(t, level, 64, func(_ int, m *MemDev) Dev {
 				return &slowDev{MemDev: m, delay: 10 * time.Millisecond}
 			}, true)
 			defer r.e.Shutdown()
@@ -359,19 +362,22 @@ func TestWriteToSkippedStripeLandsOnSpare(t *testing.T) {
 	}
 }
 
-// TestWriteAheadOfRebuildIsRebuilt: on the same half-written rig, full-stripe
-// writes reach never-written stripes around the moment the rebuild loop gets
-// to them.  The loop keeps four stripes in flight, each 20 ms (one read, one
-// spare write), so it reaches the first never-written stripe T after its start,
-// when the last written stripe takes its slot.  A write issued at T-15 ms has
-// finished by then, and one issued at T-5 ms is still in flight.  Both began
-// ahead of the loop, so it stops at their stripes until slots free at T+20 ms
-// and rebuilds them like any written stripe.  A third write, issued at T+25 ms
-// to the next stripe, comes after the loop and lands on the spare.
+// TestWriteAheadOfRebuildIsRebuilt: on a half-written rig, full-stripe writes
+// reach never-written stripes around the moment the rebuild loop gets to
+// them.  The loop reaches the first never-written stripe T after its start,
+// when the last written stripe takes its read slot.  Read slots come free in
+// the rhythm of the spare's runs, so T is measured: it is when the survivor
+// reads of the last written stripe begin on an identical rig that takes no
+// writes.  A write issued at T-15 ms has finished by then (every command
+// takes 10 ms), and one issued at T-5 ms is still in flight.  Both began
+// ahead of the loop, so it stops at their stripes until read slots free and
+// rebuilds them like any written stripe.  A third write, issued at T+25 ms to
+// the next stripe, comes after the loop and lands on the spare.
 func TestWriteAheadOfRebuildIsRebuilt(t *testing.T) {
 	for _, level := range rebuildLevels {
 		t.Run(level.String(), func(t *testing.T) {
-			r := newRebuildRig(t, level, func(_ int, m *MemDev) Dev {
+			T := lastWrittenStripeRead(t, level)
+			r := newRebuildRig(t, level, aheadRigSectors, func(_ int, m *MemDev) Dev {
 				return &slowDev{MemDev: m, delay: 10 * time.Millisecond}
 			}, true)
 			defer r.e.Shutdown()
@@ -382,7 +388,6 @@ func TestWriteAheadOfRebuildIsRebuilt(t *testing.T) {
 				}
 			})
 			S, first := r.stripeSectors(), r.written
-			T := time.Duration((r.written-1)/4) * 20 * time.Millisecond
 			for _, w := range []struct {
 				stripe int64
 				at     time.Duration
@@ -405,12 +410,192 @@ func TestWriteAheadOfRebuildIsRebuilt(t *testing.T) {
 	}
 }
 
-// countDev counts the commands and sectors a device is sent.  It has no
-// ReadInto, so every read comes through Read.
+// aheadRigSectors sizes TestWriteAheadOfRebuildIsRebuilt's devices so that
+// its loop takes longer than 15 ms to reach the unwritten half.
+const aheadRigSectors = 128
+
+// lastWrittenStripeRead rebuilds a half-written rig alone and returns how
+// long after the rebuild's start the first survivor read of the last written
+// stripe reached a device.
+func lastWrittenStripeRead(t *testing.T, level Level) time.Duration {
+	t.Helper()
+	var lba int64
+	at := sim.Time(-1)
+	r := newRebuildRig(t, level, aheadRigSectors, func(_ int, m *MemDev) Dev {
+		return readHook{&slowDev{MemDev: m, delay: 10 * time.Millisecond}, func(p *sim.Proc, l int64) {
+			if l == lba && at < 0 {
+				at = p.Now()
+			}
+		}}
+	}, true)
+	defer r.e.Shutdown()
+	lba = r.a.unitLBA(r.written - 1)
+	at = -1
+	start := r.e.Now()
+	r.e.Spawn("rebuild", func(p *sim.Proc) {
+		if _, err := r.a.Reconstruct(p, rigFailed, r.spare); err != nil {
+			t.Errorf("rebuild: %v", err)
+		}
+	})
+	r.e.Run()
+	if at < start+sim.Time(15*time.Millisecond) {
+		t.Fatalf("the last written stripe was read %v after the rebuild began, want at least 15 ms", at.Sub(start))
+	}
+	return at.Sub(start)
+}
+
+// readHook runs its hook as each read reaches the device.
+type readHook struct {
+	*slowDev
+	hook func(p *sim.Proc, lba int64)
+}
+
+func (d readHook) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
+	d.hook(p, lba)
+	return d.slowDev.Read(p, lba, n)
+}
+
+func (d readHook) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
+	d.hook(p, lba)
+	return d.slowDev.ReadInto(p, lba, dst)
+}
+
+// TestWriteToQueuedStripeWaitsForItsRun: a foreground write to a stripe whose
+// solved column waits in the spare queue takes the stripe's lock only after
+// the column's run has landed.  It then sees the column live on the spare and
+// writes it there, so the swapped-in spare is current.  Stripe 0's survivor
+// reads take 30 ms, every other command 10 ms: stripe 0 joins the queue behind
+// later stripes and goes to the spare alone, and those later stripes wait in
+// the queue meanwhile.  The write goes to the first stripe seen waiting.
+func TestWriteToQueuedStripeWaitsForItsRun(t *testing.T) {
+	for _, level := range rebuildLevels {
+		t.Run(level.String(), func(t *testing.T) {
+			r := newRebuildRig(t, level, 64, func(_ int, m *MemDev) Dev {
+				return readHook{&slowDev{MemDev: m, delay: 10 * time.Millisecond}, func(p *sim.Proc, lba int64) {
+					if lba == 0 {
+						p.Wait(20 * time.Millisecond)
+					}
+				}}
+			}, false)
+			defer r.e.Shutdown()
+			rebuilt := false
+			r.e.Spawn("rebuild", func(p *sim.Proc) {
+				if _, err := r.a.Reconstruct(p, rigFailed, r.spare); err != nil {
+					t.Errorf("rebuild: %v", err)
+				}
+				rebuilt = true
+			})
+			S := r.stripeSectors()
+			r.e.Spawn("writer", func(p *sim.Proc) {
+				p.Wait(time.Millisecond / 2) // off the device commands' instants
+				for ; !rebuilt; p.Wait(time.Millisecond) {
+					if rb := r.a.rebuilds[rigFailed]; rb != nil && len(rb.queue) > 0 {
+						s := rb.queue[0].stripe
+						r.write(t, p, s*S, patterned(int(S)*tSec, byte(s)+50))
+						if !rb.done[s] {
+							t.Errorf("stripe %d: the write finished before its column reached the spare", s)
+						}
+						return
+					}
+				}
+				t.Error("no solved column ever waited in the spare queue")
+			})
+			r.e.Run()
+			r.verify(t)
+		})
+	}
+}
+
+// dieOnWrite is a device that dies as its nth write reaches it: that write
+// and every command after it fail.
+type dieOnWrite struct {
+	*MemDev
+	n    int
+	died func()
+}
+
+func (d *dieOnWrite) Write(p *sim.Proc, lba int64, data []byte) error {
+	if d.n--; d.n == 0 {
+		d.Fail()
+		d.died()
+	}
+	return d.MemDev.Write(p, lba, data)
+}
+
+// TestFailedSpareStopsTheRebuild: a spare that dies on its second write
+// fails the rebuild, which reads survivors for at most one window (four
+// stripes) more and returns the spare's error.  Nothing is left parked, the
+// device stays failed with no spare swapped in, and reads still reconstruct.
+// The rebuild used to read every remaining written stripe first.
+func TestFailedSpareStopsTheRebuild(t *testing.T) {
+	const window = 4
+	for _, level := range rebuildLevels {
+		t.Run(level.String(), func(t *testing.T) {
+			const width, failed = 6, 1
+			e := sim.New()
+			defer e.Shutdown()
+			a, devs := newCountedArray(t, e, width, level)
+			oracle := patterned(int(a.Sectors())*tSec, byte(level))
+			runProc(e, func(p *sim.Proc) {
+				if err := a.Write(p, 0, oracle); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := a.FailDisk(failed); err != nil {
+				t.Fatal(err)
+			}
+			read := func() (secs int) {
+				for i, d := range devs {
+					if i != failed {
+						secs += d.secs
+					}
+				}
+				return secs
+			}
+			atDeath := -1
+			spare := &dieOnWrite{MemDev: NewMemDev(256, tSec), n: 2, died: func() { atDeath = read() }}
+			runProc(e, func(p *sim.Proc) {
+				if _, err := a.Reconstruct(p, failed, spare); !errors.Is(err, fault.ErrDiskFailed) {
+					t.Errorf("rebuild onto a dying spare returned %v, want its ErrDiskFailed", err)
+				}
+			})
+			if live := e.Live(); live != 0 {
+				t.Fatalf("%d processes parked after the failed rebuild", live)
+			}
+			sources := width - 1
+			if level == Level1 {
+				sources = 1
+			}
+			perStripe := sources * a.StripeUnitSectors()
+			if atDeath < 0 {
+				t.Fatal("the spare never died")
+			}
+			if more := read() - atDeath; more > window*perStripe {
+				t.Errorf("the rebuild read %d stripes' survivors after the spare died, want at most %d", more/perStripe, window)
+			}
+			if !a.Failed(failed) || a.devs[failed] == Dev(spare) {
+				t.Fatal("a failed rebuild swapped its spare in")
+			}
+			runProc(e, func(p *sim.Proc) {
+				got, err := a.Read(p, 0, int(a.Sectors()))
+				if err != nil || !bytes.Equal(got, oracle) {
+					t.Fatalf("degraded read-back after the failed rebuild: %v", err)
+				}
+			})
+		})
+	}
+}
+
+// countDev counts the commands and sectors a device is sent, and logs its
+// writes.  It has no ReadInto, so every read comes through Read.
 type countDev struct {
 	Dev
 	reads, cmds, secs int
+	writes            []sectorRun
 }
+
+// sectorRun is one command's sectors.
+type sectorRun struct{ lba, n int64 }
 
 func (d *countDev) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 	d.reads++
@@ -422,6 +607,7 @@ func (d *countDev) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 func (d *countDev) Write(p *sim.Proc, lba int64, data []byte) error {
 	d.cmds++
 	d.secs += len(data) / d.SectorSize()
+	d.writes = append(d.writes, sectorRun{lba, int64(len(data) / d.SectorSize())})
 	return d.Dev.Write(p, lba, data)
 }
 
@@ -541,9 +727,9 @@ func stripeCodePlans(t *testing.T, level Level, failed []int) {
 
 // TestLevel6ReconstructBytes pins what a Level-6 rebuild of a fully written
 // array moves, the rebuild share of degraded_r6's disk bytes: every stripe
-// reads its unit from every surviving device and writes one unit to the spare
-// — with one device down and with a second still down — and nothing else is
-// read or written.
+// reads its unit from every surviving device and its unit reaches the spare
+// once, in runs of consecutive stripes — with one device down and with a
+// second still down — and nothing else is read or written.
 func TestLevel6ReconstructBytes(t *testing.T) {
 	for _, down := range [][]int{{1}, {1, 4}} {
 		t.Run(fmt.Sprintf("down%v", down), func(t *testing.T) {
@@ -571,9 +757,11 @@ func TestReconstructSkipsUnwrittenStripes(t *testing.T) {
 // picks, whole stripes alternately through Write and WriteStreaming, fails the
 // devices in down and rebuilds down[0].  The rebuild must read one unit per
 // written stripe from each source — the surviving mirror member at Level 1,
-// every survivor otherwise — write one unit per written stripe to the spare,
-// count exactly the written stripes, and touch nothing else; afterwards the
-// array reads back what was written with its parity consistent.
+// every survivor otherwise — write each written stripe's unit to the spare
+// exactly once, in commands that each cover a run of consecutive written
+// stripes, count exactly the written stripes, and touch nothing else;
+// afterwards the array reads back what was written with its parity
+// consistent.
 func reconstructBytes(t *testing.T, level Level, down []int, written func(s int64) bool) {
 	t.Helper()
 	const width = 6
@@ -632,9 +820,31 @@ func reconstructBytes(t *testing.T, level Level, down []int, written func(s int6
 		t.Errorf("%d stripes rebuilt (%d counted) reading %d sectors, want %d stripes x %d sources x %d",
 			rebuilt, a.Stats().RebuildStripes, read, want, sources, unit)
 	}
-	if spare.reads != 0 || spare.secs != int(want)*unit || spare.cmds != int(want) {
-		t.Errorf("the spare took %d sectors in %d commands and %d reads, want %d stripes x %d in one write each",
+	if spare.reads != 0 || spare.secs != int(want)*unit || spare.cmds > int(want) {
+		t.Errorf("the spare took %d sectors in %d commands and %d reads, want %d stripes x %d in at most one write each",
 			spare.secs, spare.cmds, spare.reads, want, unit)
+	}
+	landed := make([]int, a.stripes)
+	for _, w := range spare.writes {
+		u := int64(unit)
+		if w.lba%u != 0 || w.n%u != 0 {
+			t.Fatalf("spare write [%d,+%d) is not whole stripe units", w.lba, w.n)
+		}
+		for s := w.lba / u; s < (w.lba+w.n)/u; s++ {
+			if !written(s) {
+				t.Fatalf("spare write [%d,+%d) crosses unwritten stripe %d", w.lba, w.n, s)
+			}
+			landed[s]++
+		}
+	}
+	for s, n := range landed {
+		once := 0
+		if written(int64(s)) {
+			once = 1
+		}
+		if n != once {
+			t.Errorf("stripe %d reached the spare %d times, want %d", s, n, once)
+		}
 	}
 	runProc(e, func(p *sim.Proc) {
 		got, err := a.Read(p, 0, int(a.Sectors()))
