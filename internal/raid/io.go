@@ -3,6 +3,7 @@ package raid
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
@@ -28,9 +29,11 @@ func (a *Array) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 
 // ReadInto reads the len(dst)/SectorSize sectors at logical lba into the
 // caller's dst.  Extents on different devices are issued in parallel, each
-// landing in its own slot of dst; extents on a failed device are
-// reconstructed from the surviving columns and parity.  Once failures
-// exceed the level's redundancy the array is failed and every read reports
+// landing in its own slot of dst.  A stripe where the request wants rows of
+// a lost column is served as one plan (readStripe): the lost rows are
+// reconstructed from the surviving columns and parity, and each survivor is
+// read once for the solve and the request together.  Once failures exceed
+// the level's redundancy the array is failed and every read reports
 // ErrArrayFailed instead of serving zeros for the lost sectors.
 func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	n := a.wholeSectors(len(dst))
@@ -47,16 +50,41 @@ func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 		defer a.arrayLock.Release()
 	}
 	g := p.Fork()
-	for _, ext := range a.extents(lba, n) {
-		g.Go("raid-read", func(q *sim.Proc) error {
-			return a.readExtentInto(q, ext, a.chunk(dst, ext))
-		})
+	exts := a.extents(lba, n)
+	for len(exts) > 0 {
+		i := 1
+		for i < len(exts) && exts[i].stripe == exts[0].stripe {
+			i++
+		}
+		stripe := exts[:i]
+		exts = exts[i:]
+		if a.degraded(stripe) {
+			g.Go("raid-read-stripe", func(q *sim.Proc) error { return a.readStripe(q, stripe, dst) })
+			continue
+		}
+		for _, ext := range stripe {
+			g.Go("raid-read", func(q *sim.Proc) error { return a.readExtentInto(q, ext, dst) })
+		}
 	}
 	if err := g.Wait(p); err != nil {
 		return err
 	}
 	a.stats.Reads++
 	return nil
+}
+
+// degraded reports whether a read's extents in one stripe want rows of a
+// lost column at a level that solves for them.
+func (a *Array) degraded(exts []extent) bool {
+	if a.row.checks == 0 {
+		return false
+	}
+	for _, ext := range exts {
+		if a.failed[a.colDev(ext.stripe, ext.pos)] {
+			return true
+		}
+	}
+	return false
 }
 
 // wholeSectors returns the sector count of a transfer buffer.
@@ -73,33 +101,153 @@ func (a *Array) chunk(buf []byte, ext extent) []byte {
 	return buf[ext.bufOff : ext.bufOff+ext.secs*a.secSize]
 }
 
-// readExtentInto reads one run within a single stripe unit into dst.  A
-// device error escalates (the disk is marked failed) and the extent is
-// served over the degraded path instead — the mirror copy, or the solve over
-// the surviving columns — so the caller still gets correct bytes, or the
-// typed data-loss error when no redundancy remains.
+// readExtentInto reads one run within a single stripe unit into its slot of
+// the request buffer dst.  A device error escalates (the disk is marked
+// failed) and the extent is served over the degraded path instead — the
+// mirror copy, or the stripe's plan — so the caller still gets correct
+// bytes, or the typed data-loss error when no redundancy remains.
 func (a *Array) readExtentInto(p *sim.Proc, ext extent, dst []byte) error {
 	role := a.dataRole(ext.pos)
 	dev := a.colDev(ext.stripe, role)
 	lba := a.unitLBA(ext.stripe) + int64(ext.secOff)
-	if !a.failed[dev] && a.devReadInto(p, dev, lba, dst) {
+	if !a.failed[dev] && a.devReadInto(p, dev, lba, a.chunk(dst, ext)) {
 		return nil
 	}
 	if err := a.errIfLost("read"); err != nil {
 		return err
 	}
-	a.stats.DegradedReads++
 	if a.row.mirrored {
+		a.stats.DegradedReads++
 		telemetry.MarkDegraded(p)
-		if a.devReadInto(p, dev^1, lba, dst) {
+		if a.devReadInto(p, dev^1, lba, a.chunk(dst, ext)) {
 			return nil
 		}
 		return a.declareLost("read: both members of a mirror pair lost")
 	}
+	return a.readStripe(p, []extent{ext}, dst)
+}
+
+// rows is a run of sector rows of a stripe unit, [lo, hi); a stripe's
+// columns share their rows.
+type rows struct{ lo, hi int }
+
+func (e extent) rows() rows { return rows{e.secOff, e.secOff + e.secs} }
+
+// hull returns the smallest run covering r and o; an empty r covers nothing.
+func (r rows) hull(o rows) rows {
+	if r.lo == r.hi {
+		return o
+	}
+	return rows{min(r.lo, o.lo), max(r.hi, o.hi)}
+}
+
+// joins reports whether r and o overlap or touch, so one read covers both
+// without reading a row neither needs.
+func (r rows) joins(o rows) bool { return r.lo <= o.hi && o.lo <= r.hi }
+
+// covers reports whether r holds every row of o.
+func (r rows) covers(o rows) bool { return r.lo <= o.lo && o.hi <= r.hi }
+
+// readStripe serves a read's extents in one stripe, some of them on lost
+// columns, as one plan.  The solve needs the rows of every lost extent; each
+// surviving column is read once, over those rows and whatever rows the
+// request wants of it, when the two join (or twice, when rows neither needs
+// lie between them), and the request's rows are copied out of the same
+// buffer.  A read that fails loses its column for the rest of the operation,
+// and the solve falls back to what survived; an extent the failed column
+// held joins the solve, or, when the survivors were not read over its rows,
+// the next round of the plan.
+func (a *Array) readStripe(p *sim.Proc, exts []extent, dst []byte) error {
+	end := p.Span("raid", "reconstruct")
+	defer end()
+	v := a.view(exts[0].stripe, false)
 	sc := a.newScratch()
 	defer sc.release()
-	_, err := a.view(ext.stripe, false).readSolve(p, sc, int64(ext.secOff), len(dst), role, dst)
-	return err
+	a.stats.DegradedReads++
+	for len(exts) > 0 {
+		if err := a.errIfLost("read"); err != nil {
+			return err
+		}
+		var err error
+		if exts, err = v.readRound(p, sc, exts, dst); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readRound is one round of readStripe's plan; it returns the extents it
+// could not serve.
+func (v *stripeView) readRound(p *sim.Proc, sc *scratch, exts []extent, dst []byte) ([]extent, error) {
+	a := v.a
+	var need rows
+	var lost []extent
+	for _, ext := range exts {
+		if v.lost(ext.pos) {
+			need = need.hull(ext.rows())
+			lost = append(lost, ext)
+		}
+	}
+	var pl *solvePlan
+	switch len(lost) {
+	case 0:
+	case 1: // solved straight into the request buffer
+		pl = v.plan(sc, int64(need.lo), (need.hi-need.lo)*a.secSize, lost[0].pos, a.chunk(dst, lost[0]))
+	default:
+		pl = v.plan(sc, int64(need.lo), (need.hi-need.lo)*a.secSize, -1, nil)
+	}
+	served := make([]bool, len(exts))
+	g := p.Fork()
+	for dev := range v.cols {
+		role := a.roleOf(v.stripe, dev)
+		if v.lost(role) {
+			continue
+		}
+		i := slices.IndexFunc(exts, func(e extent) bool { return e.pos == role })
+		rides := i >= 0 && pl != nil && need.joins(exts[i].rows())
+		if i >= 0 && !rides {
+			ext := exts[i]
+			g.Go("raid-read", func(q *sim.Proc) error {
+				served[i] = v.read(q, role, int64(ext.secOff), a.chunk(dst, ext))
+				return nil
+			})
+		}
+		if pl == nil {
+			continue
+		}
+		if !rides {
+			pl.goRead(g, role, int64(need.lo), sc.col(pl.n), nil)
+			continue
+		}
+		ext := exts[i]
+		r := need.hull(ext.rows())
+		buf := sc.col((r.hi - r.lo) * a.secSize)
+		pl.goRead(g, role, int64(r.lo), buf, func() {
+			at := (ext.secOff - r.lo) * a.secSize
+			copy(a.chunk(dst, ext), buf[at:])
+			served[i] = true
+		})
+	}
+	if err := g.Wait(p); err != nil {
+		return nil, err
+	}
+	if pl != nil {
+		if err := pl.finish(p); err != nil {
+			return nil, err
+		}
+	}
+	var left []extent
+	for i, ext := range exts {
+		switch {
+		case served[i], len(lost) == 1 && ext == lost[0]:
+		case pl != nil && need.covers(ext.rows()):
+			at := (ext.secOff - need.lo) * a.secSize
+			copy(a.chunk(dst, ext), pl.cols[ext.pos][at:])
+		default:
+			left = append(left, ext)
+		}
+	}
+	return left, nil
 }
 
 // Write writes data (a whole number of sectors) at logical lba.  Stripes

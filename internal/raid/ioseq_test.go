@@ -72,7 +72,8 @@ func (d *pinDev) Write(p *sim.Proc, lba int64, data []byte) error {
 }
 
 // pinXOR logs each parity-engine call and charges what the XBUS engine
-// charges by: one pass per source plus one for the result.
+// charges by: one pass per source plus one for the result, whether the
+// sources come in one call or fold in one at a time.
 type pinXOR struct{ log *pinLog }
 
 func (x pinXOR) XORTo(p *sim.Proc, dst []byte, srcs ...[]byte) {
@@ -85,6 +86,17 @@ func (x pinXOR) XORInto(p *sim.Proc, dst, src []byte) {
 	x.log.add("xor    into len=%d", len(dst))
 	p.Wait(pinXORStep)
 	SoftXOR{}.XORInto(p, dst, src)
+}
+
+func (x pinXOR) Fold(p *sim.Proc, acc, src []byte) {
+	x.log.add("xor    fold len=%d", len(acc))
+	p.Wait(pinXORStep)
+	SoftXOR{}.Fold(p, acc, src)
+}
+
+func (x pinXOR) Result(p *sim.Proc, n int) {
+	x.log.add("xor    out  len=%d", n)
+	p.Wait(pinXORStep)
 }
 
 // pinScript runs the scripted op list at one level and returns its log.

@@ -63,6 +63,14 @@ type XOREngine interface {
 	XORTo(p *sim.Proc, dst []byte, srcs ...[]byte)
 	// XORInto accumulates src into dst (dst ^= src).
 	XORInto(p *sim.Proc, dst, src []byte)
+	// Fold accumulates src into acc (acc ^= src) as one more source of a
+	// computation the caller assembles a source at a time, as the sources
+	// become ready: src crosses into the engine and nothing else does.
+	Fold(p *sim.Proc, acc, src []byte)
+	// Result ends a folded computation: its n-byte result crosses back out
+	// of the engine.  A folded computation is one computation however many
+	// sources it folded.
+	Result(p *sim.Proc, n int)
 }
 
 // SoftXOR is a zero-cost functional XOR engine (no simulated time), for
@@ -102,6 +110,12 @@ func (SoftXOR) XORInto(_ *sim.Proc, dst, src []byte) {
 	}
 	bytepath.XOR(dst, src)
 }
+
+// Fold accumulates src into acc.
+func (SoftXOR) Fold(p *sim.Proc, acc, src []byte) { SoftXOR{}.XORInto(p, acc, src) }
+
+// Result has nothing to move.
+func (SoftXOR) Result(*sim.Proc, int) {}
 
 // Config selects the array organization.
 type Config struct {
@@ -167,11 +181,12 @@ type Stats struct {
 	ReconstructWrites uint64 // partial stripes served by reconstruct-write
 	StreamingWrites   uint64 // benchmark-mode streamed partial stripes
 	SmallWrites       uint64 // read-modify-write parity updates
-	// DegradedReads counts foreground read extents served by reconstruction
-	// (or by the mirror copy) because their own column was lost.  The solves
-	// a rebuild or a degraded write runs are not reads and are not counted;
-	// telemetry.MarkDegraded flags every request whose solve had a column
-	// missing, writes included.
+	// DegradedReads counts request stripes served through a solve because
+	// the read wanted rows of a lost column — one per stripe, however many
+	// of its extents were lost — and at Level 1 the extents served from the
+	// mirror copy.  The solves a rebuild or a degraded write runs are not
+	// reads and are not counted; telemetry.MarkDegraded flags every request
+	// whose solve had a column missing, writes included.
 	DegradedReads   uint64
 	DiskReads       uint64 // physical accesses issued
 	DiskWrites      uint64

@@ -148,7 +148,7 @@ func TestWritesWhileDegradedThenReconstruct(t *testing.T) {
 		if bad := a.CheckParity(p); bad != 0 {
 			t.Fatalf("%d inconsistent stripes after reconstruction", bad)
 		}
-		// DegradedReads counts foreground read extents only: the solves the
+		// DegradedReads counts foreground read stripes only: the solves the
 		// degraded writes and the rebuild ran are not reads.
 		if st := a.Stats(); st.DegradedReads != 0 || st.RebuildStripes == 0 {
 			t.Fatalf("stats = %+v, want no degraded reads and some rebuilt stripes", st)
@@ -402,3 +402,7 @@ func (c *countingXOR) XORInto(p *sim.Proc, dst, src []byte) {
 	c.ops++
 	SoftXOR{}.XORInto(p, dst, src)
 }
+
+func (c *countingXOR) Fold(p *sim.Proc, acc, src []byte) { SoftXOR{}.Fold(p, acc, src) }
+
+func (c *countingXOR) Result(*sim.Proc, int) { c.ops++ }

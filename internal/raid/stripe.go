@@ -72,8 +72,12 @@ func (v *stripeView) drop(p *sim.Proc, role int, err error) {
 }
 
 // read reads the len(dst) bytes at secOff of a role's column into dst; it
-// reports false when the column had to be given up.
+// reports false when the column had to be given up, now or by another of the
+// operation's reads.
 func (v *stripeView) read(p *sim.Proc, role int, secOff int64, dst []byte) bool {
+	if v.lost(role) { // another read of this operation lost the column
+		return false
+	}
 	v.a.stats.DiskReads++
 	if err := bytepath.ReadInto(v.cols[role].on, p, v.base+secOff, dst); err != nil {
 		v.drop(p, role, err)
@@ -139,43 +143,163 @@ func nonNil(cols [][]byte) [][]byte {
 // readSolve is the one survivor-read-and-solve: it reads every surviving
 // column of the stripe over the n-byte range at secOff, in parallel and in
 // device order, and solves for what is lost.  It returns the columns in role
-// order with every data column present.  want names the one column the caller
-// is after — a data column, P or Q — which is solved straight into dst;
-// want < 0 asks for the data columns only.  More than m lost columns is
-// unrecoverable and latches the array-failed state.
+// order.  want names the one column the caller is after — a data column, P
+// or Q — which is solved straight into dst; want < 0 asks for the data
+// columns, and then every data column is present.  More than m lost columns is
+// unrecoverable and latches the array-failed state.  A degraded read runs
+// the same plan with the request's own rows riding on the survivor reads
+// (readStripe).
 func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, want int, dst []byte) ([][]byte, error) {
-	a := v.a
 	end := p.Span("raid", "reconstruct")
 	defer end()
-	cols := make([][]byte, len(v.cols))
+	pl := v.plan(sc, secOff, n, want, dst)
 	g := p.Fork()
 	for dev := range v.cols {
-		role := a.roleOf(v.stripe, dev)
-		if v.lost(role) {
-			continue
+		if role := v.a.roleOf(v.stripe, dev); !v.lost(role) {
+			pl.goRead(g, role, secOff, sc.col(n), nil)
 		}
-		col := sc.col(n)
-		g.Go("raid-reconstruct", func(q *sim.Proc) error {
-			if v.read(q, role, secOff, col) {
-				cols[role] = col
-			}
-			return nil
-		})
 	}
 	if err := g.Wait(p); err != nil {
 		return nil, err
 	}
+	return pl.cols, pl.finish(p)
+}
+
+// solvePlan is one survivor-read-and-solve in flight.  Every surviving
+// column is read over the plan's rows; when the solve goes through P — one
+// lost data column with P alive, two lost data columns, or P itself wanted —
+// each surviving data column and P is folded into an accumulator by the
+// process that read it, as soon as its read lands, so the parity engine
+// works while the slower survivors are still coming off the disks.  What is
+// left when the last one lands is the final pass.
+type solvePlan struct {
+	v       *stripeView
+	sc      *scratch
+	secOff  int64 // the rows the solve needs: n bytes at secOff of every column
+	n       int
+	want    int
+	dst     []byte
+	cols    [][]byte // role order; a surviving column's rows once its read lands
+	missing []int    // the data columns lost when the plan began
+	acc     []byte   // P and the landed data columns folded together; nil when the solve does not go through P
+	short   bool     // some read of the plan failed: more is missing than the plan began with
+}
+
+// plan starts a survivor-read-and-solve over the n bytes at secOff; see
+// readSolve for want and dst.  The accumulator is the buffer that ends up
+// holding the P path's result: P itself when P is wanted; D_x ^ D_y, a step
+// on the way, when two data columns are lost and one is wanted; else the
+// last lost data column.
+func (v *stripeView) plan(sc *scratch, secOff int64, n int, want int, dst []byte) *solvePlan {
+	k := v.a.dataDisks()
+	pl := &solvePlan{v: v, sc: sc, secOff: secOff, n: n, want: want, dst: dst, cols: make([][]byte, len(v.cols))}
+	for pos := 0; pos < k; pos++ {
+		if v.lost(pos) {
+			pl.missing = append(pl.missing, pos)
+		}
+	}
+	switch m := pl.missing; {
+	case want == k:
+		pl.acc = dst
+	case len(m) == 2 && want >= 0:
+		pl.acc = sc.col(n)
+	case len(m) > 0 && !v.lost(k):
+		pl.acc = pl.buf(m[len(m)-1])
+	}
+	clear(pl.acc)
+	return pl
+}
+
+// buf returns where a solved column goes: dst for the wanted one, scratch
+// for any other.
+func (pl *solvePlan) buf(role int) []byte {
+	if role == pl.want {
+		return pl.dst
+	}
+	return pl.sc.col(pl.n)
+}
+
+// goRead spawns the read of buf (which covers the plan's rows) at secOff of a
+// role's column.  When it lands, landed (if not nil) runs first, then the
+// plan's rows of buf join the solve.
+func (pl *solvePlan) goRead(g *sim.Group, role int, secOff int64, buf []byte, landed func()) {
+	g.Go("raid-reconstruct", func(q *sim.Proc) error {
+		if !pl.v.read(q, role, secOff, buf) {
+			pl.short = true
+			return nil
+		}
+		if landed != nil {
+			landed()
+		}
+		at := int(pl.secOff-secOff) * pl.v.a.secSize
+		pl.land(q, role, buf[at:at+pl.n])
+		return nil
+	})
+}
+
+// land records a role's column and folds it into the accumulator when the
+// solve goes through P: every data column and P, never Q.
+func (pl *solvePlan) land(p *sim.Proc, role int, col []byte) {
+	pl.cols[role] = col
+	if pl.acc != nil && role <= pl.v.a.dataDisks() {
+		pl.v.a.xor.Fold(p, pl.acc, col)
+	}
+}
+
+// finish solves what is lost once every read has returned.  A plan whose
+// reads all landed has folded its P path already and needs only the final
+// pass; one that lost a column on the way falls back to the full solve over
+// what survived.
+func (pl *solvePlan) finish(p *sim.Proc) error {
+	a := pl.v.a
 	lost := 0
-	for _, c := range cols {
+	for _, c := range pl.cols {
 		if c == nil {
 			lost++
 		}
 	}
 	if lost > a.row.checks {
-		return nil, a.declareLost("reconstruct: more columns lost than the level's check columns cover")
+		return a.declareLost("reconstruct: more columns lost than the level's check columns cover")
 	}
-	a.solve(p, sc, cols, n, want, dst)
-	return cols, nil
+	if pl.acc == nil || pl.short {
+		a.solve(p, pl.sc, pl.cols, pl.n, pl.want, pl.dst)
+		return nil
+	}
+	k := a.dataDisks()
+	data := pl.cols[:k]
+	telemetry.MarkDegraded(p)
+	switch missing := pl.missing; {
+	case len(missing) == 2:
+		// The accumulator is D_x ^ D_y.  The wanted column (or the first)
+		// comes from it and Q; when the caller wants both, the first folds
+		// in, which leaves the second.
+		x, y := missing[0], missing[1]
+		if pl.want == y {
+			x, y = y, x
+		}
+		dx := pl.buf(x)
+		qSolveTwo(dx, data, pl.cols[k+1], pl.acc, x, y)
+		data[x] = dx
+		if pl.want < 0 {
+			a.xor.Fold(p, pl.acc, dx)
+			data[y] = pl.acc
+		}
+	case len(missing) == 1 && pl.want == k:
+		// P is wanted and lost with a data column: the data column comes
+		// from Q, and folds in to complete P.
+		x := missing[0]
+		dx := pl.buf(x)
+		qSolveOne(dx, data, pl.cols[k+1], x)
+		a.xor.Fold(p, pl.acc, dx)
+		data[x] = dx
+	case len(missing) == 1:
+		data[missing[0]] = pl.acc // P and the surviving data fold to D_x
+	}
+	a.xor.Result(p, pl.n)
+	if pl.want == k+1 {
+		a.encode(p, 1, pl.dst, data)
+	}
+	return nil
 }
 
 // solve fills in the missing data columns of cols (n-byte columns in role
@@ -212,15 +336,10 @@ func (a *Array) solve(p *sim.Proc, sc *scratch, cols [][]byte, n int, want int, 
 		if pcol := cols[k]; pcol != nil {
 			a.xor.XORTo(p, dx, append(nonNil(data), pcol)...)
 		} else {
-			// D_x = (Q ^ sum(g^i D_i, i != x)) / g^x.
-			qParityInto(dx, data)
-			bytepath.XOR(dx, cols[k+1])
-			gfDivSlice(dx, gfPow(x))
+			qSolveOne(dx, data, cols[k+1], x)
 		}
 		data[x] = dx
 	case 2:
-		// P gives D_x ^ D_y, Q gives g^x D_x ^ g^y D_y; eliminate D_y and
-		// divide by (g^x ^ g^y).
 		x, y := missing[0], missing[1]
 		pxor := sc.col(n)
 		copy(pxor, cols[k])
@@ -228,19 +347,34 @@ func (a *Array) solve(p *sim.Proc, sc *scratch, cols [][]byte, n int, want int, 
 			a.xor.XORInto(p, pxor, c)
 		}
 		dx, dy := buf(x), buf(y)
-		qParityInto(dx, data)
-		bytepath.XOR(dx, cols[k+1])
-		// dx holds the Q remainder; D_x = (g^y pxor ^ dx) / denom.
-		gy := gfPow(y)
-		denom := gfPow(x) ^ gy
-		gfDivSlice(dx, denom)
-		gfMulSliceInto(dx, pxor, gfDiv(gy, denom))
+		qSolveTwo(dx, data, cols[k+1], pxor, x, y)
 		a.xor.XORTo(p, dy, pxor, dx)
 		data[x], data[y] = dx, dy
 	}
 	if want >= k {
 		a.encode(p, want-k, dst, data)
 	}
+}
+
+// qSolveOne solves lost data column x from Q alone into dx:
+// D_x = (Q ^ sum(g^i D_i, i != x)) / g^x.
+func qSolveOne(dx []byte, data [][]byte, q []byte, x int) {
+	qParityInto(dx, data)
+	bytepath.XOR(dx, q)
+	gfDivSlice(dx, gfPow(x))
+}
+
+// qSolveTwo solves lost data column x of the pair x, y into dx, given pxor =
+// D_x ^ D_y from P.  P gives D_x ^ D_y, Q gives g^x D_x ^ g^y D_y; eliminate
+// D_y and divide by (g^x ^ g^y).
+func qSolveTwo(dx []byte, data [][]byte, q, pxor []byte, x, y int) {
+	qParityInto(dx, data)
+	bytepath.XOR(dx, q)
+	// dx holds the Q remainder; D_x = (g^y pxor ^ dx) / denom.
+	gy := gfPow(y)
+	denom := gfPow(x) ^ gy
+	gfDivSlice(dx, denom)
+	gfMulSliceInto(dx, pxor, gfDiv(gy, denom))
 }
 
 // writeStripe applies one request's extents to one stripe under the stripe's

@@ -587,11 +587,11 @@ func TestFailedSpareStopsTheRebuild(t *testing.T) {
 }
 
 // countDev counts the commands and sectors a device is sent, and logs its
-// writes.  It has no ReadInto, so every read comes through Read.
+// reads and writes.  It has no ReadInto, so every read comes through Read.
 type countDev struct {
 	Dev
 	reads, cmds, secs int
-	writes            []sectorRun
+	readRuns, writes  []sectorRun
 }
 
 // sectorRun is one command's sectors.
@@ -601,6 +601,7 @@ func (d *countDev) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 	d.reads++
 	d.cmds++
 	d.secs += n
+	d.readRuns = append(d.readRuns, sectorRun{lba, int64(n)})
 	return d.Dev.Read(p, lba, n)
 }
 

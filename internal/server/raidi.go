@@ -110,17 +110,29 @@ func (x *hostXOR) XORTo(p *sim.Proc, dst []byte, srcs ...[]byte) {
 	for _, s := range srcs {
 		total += len(s)
 	}
-	x.h.CPU.Acquire(p)
-	x.h.MemBus.Transfer(p, total)
-	x.h.CPU.Release()
+	x.charge(p, total)
 	raid.SoftXOR{}.XORTo(p, dst, srcs...)
 }
 
 func (x *hostXOR) XORInto(p *sim.Proc, dst, src []byte) {
-	x.h.CPU.Acquire(p)
-	x.h.MemBus.Transfer(p, 2*len(src))
-	x.h.CPU.Release()
+	x.charge(p, 2*len(src))
 	raid.SoftXOR{}.XORInto(p, dst, src)
+}
+
+// Fold and Result charge a folded computation what XORTo charges the same
+// computation: each source read once as it folds, the result written once.
+func (x *hostXOR) Fold(p *sim.Proc, acc, src []byte) {
+	x.charge(p, len(src))
+	raid.SoftXOR{}.XORInto(p, acc, src)
+}
+
+func (x *hostXOR) Result(p *sim.Proc, n int) { x.charge(p, n) }
+
+// charge holds the CPU while n bytes cross the memory bus.
+func (x *hostXOR) charge(p *sim.Proc, n int) {
+	x.h.CPU.Acquire(p)
+	x.h.MemBus.Transfer(p, n)
+	x.h.CPU.Release()
 }
 
 // UserRead moves size bytes from the array to a user-level application

@@ -228,7 +228,31 @@ func (b *Board) XORInto(p *sim.Proc, dst, src []byte) {
 	end()
 }
 
-// ParityOps reports how many parity computations the engine has run.
+// Fold accumulates src into acc (acc ^= src) as one source of a computation
+// assembled a source at a time: src streams through the parity engine, and
+// the computation is counted once, by its Result.
+func (b *Board) Fold(p *sim.Proc, acc, src []byte) {
+	if len(acc) != len(src) {
+		//lint:allow simpanic stripe geometry guarantees equal-length columns; unequal lengths mean a corrupted extent computation
+		panic("xbus: Fold length mismatch")
+	}
+	end := p.Span("xbus", "parity")
+	sim.Path{b.Parity.In()}.Send(p, len(src), 0)
+	bytepath.XOR(acc, src)
+	end()
+}
+
+// Result streams a folded computation's n-byte result back to memory and
+// counts the computation.
+func (b *Board) Result(p *sim.Proc, n int) {
+	end := p.Span("xbus", "parity")
+	sim.Path{b.Parity.Out()}.Send(p, n, 0)
+	b.parityOps++
+	end()
+}
+
+// ParityOps reports how many parity computations the engine has run: an
+// XORTo, an XORInto, or a folded computation however many sources it took.
 func (b *Board) ParityOps() uint64 { return b.parityOps }
 
 // HostRegisterAccess charges the time for the host to touch board control

@@ -189,3 +189,51 @@ func TestHostRegisterAccessCost(t *testing.T) {
 		t.Fatalf("end = %v", end)
 	}
 }
+
+// TestFoldedComputationIsOneOp: sources folded in one at a time, from
+// separate processes, then the result pass, give XORTo's bytes through the
+// same port passes — no slower than XORTo (a source's memory crossing may
+// overlap the next source's port pass) and no faster than the port allows —
+// and count one parity computation, not one per pass.
+func TestFoldedComputationIsOneOp(t *testing.T) {
+	srcs := [][]byte{bytes.Repeat([]byte{1}, 1<<20), bytes.Repeat([]byte{2}, 1<<20), bytes.Repeat([]byte{4}, 1<<20)}
+	e := sim.New()
+	b := New(e, "xb", DefaultConfig())
+	var want []byte
+	var whole sim.Time
+	e.Spawn("to", func(p *sim.Proc) {
+		want = b.XOR(p, srcs...)
+		whole = p.Now()
+	})
+	e.Run()
+
+	e = sim.New()
+	b = New(e, "xb", DefaultConfig())
+	acc := make([]byte, 1<<20)
+	g := sim.NewGroup(e)
+	for _, s := range srcs {
+		g.Go("fold", func(p *sim.Proc) error {
+			b.Fold(p, acc, s)
+			return nil
+		})
+	}
+	var folded sim.Time
+	e.Spawn("result", func(p *sim.Proc) {
+		if err := g.Wait(p); err != nil {
+			t.Error(err)
+		}
+		b.Result(p, len(acc))
+		folded = p.Now()
+	})
+	e.Run()
+	if !bytes.Equal(acc, want) {
+		t.Fatal("folded parity differs from XORTo's")
+	}
+	port := sim.Time(0).Add(sim.BytesDuration(4<<20, DefaultConfig().PortMBps))
+	if folded > whole || folded < port {
+		t.Fatalf("folded computation took %v, want between the port's %v and XORTo's %v", folded, port, whole)
+	}
+	if b.ParityOps() != 1 {
+		t.Fatalf("ParityOps = %d after one folded computation, want 1", b.ParityOps())
+	}
+}
