@@ -62,12 +62,23 @@ func ReadInto(dev Device, p *sim.Proc, lba int64, dst []byte) error {
 }
 
 // FreeList is a bounded stack of byte buffers that a layer recycles instead
-// of allocating one per operation: the array's column scratch and the file
-// system's segment images.  Put keeps a
-// buffer its owner is done with, Get hands the most recently kept one out
-// again.  The engine runs one process at a time, so there is no lock; the
-// bound is fixed where the list is made, and a burst beyond it goes back to
-// the collector instead of staying pinned.  The zero FreeList keeps nothing.
+// of allocating one per operation.  Put keeps a buffer its owner is done
+// with, Get hands the most recently kept one out again, at the length asked
+// for and possibly a larger capacity.  The engine runs one process at a
+// time, so there is no lock; the bound is fixed where the list is made, and
+// a burst beyond it goes back to the collector instead of staying pinned.
+// The zero FreeList keeps nothing.
+//
+// A buffer from Get holds arbitrary bytes: its user overwrites or clears
+// every byte before it reads it.  The users and their bounds:
+//   - the array's column scratch: colFreeStripes (8) stripes of columns,
+//     one per device;
+//   - the file system's segment images: its image pool (Config.Images);
+//   - the file system's buffers for read runs that do not land straight in
+//     the result: as many as its image pool;
+//   - the cluster client's fragment buffers (parity, survivors, a rebuilt
+//     fragment, a partly read stripe): its rebuild window times the
+//     fleet's width.
 //
 // Recycling a buffer that was handed to a device's Write is safe because of
 // the device contract (DESIGN.md §17): a device copies what it stores and
@@ -81,8 +92,8 @@ type FreeList struct {
 func NewFreeList(max int) FreeList { return FreeList{max: max} }
 
 // Get returns a buffer of n bytes: the most recently Put one, holding
-// whatever its last owner left in it, if it is large enough (a smaller one
-// is dropped), and a new zeroed one otherwise.
+// whatever its last owner left in it, if its capacity is large enough (a
+// smaller one is dropped), and a new zeroed one otherwise.
 func (f *FreeList) Get(n int) []byte {
 	if k := len(f.bufs); k > 0 {
 		b := f.bufs[k-1]

@@ -270,29 +270,26 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte, per int, rea
 // readRun reads run r into its members' places in out, as one device
 // command.  A run of whole blocks that are adjacent in the file lands
 // straight in its part of the result; one that starts or ends inside a
-// block, or skips over a hole or a staged block, goes through a buffer of
-// its own.
+// block, or skips over a hole or a staged block, goes through a buffer
+// from fs.runBufs, which the read overwrites whole.
 func (fs *FS) readRun(p *sim.Proc, r readRun, out []byte) error {
 	first, last := r.members[0], r.members[len(r.members)-1]
 	direct := first.off == 0 && last.off+last.n == BlockSize
 	for j := 1; j < len(r.members) && direct; j++ {
 		direct = r.members[j-1].bufOff+r.members[j-1].n == r.members[j].bufOff
 	}
-	var buf []byte
 	if direct {
-		buf = out[first.bufOff : last.bufOff+last.n]
-	} else {
-		buf = make([]byte, len(r.members)*BlockSize)
+		return bytepath.ReadInto(fs.dev, p, r.addr*int64(fs.blockSectors), out[first.bufOff:last.bufOff+last.n])
 	}
-	if err := bytepath.ReadInto(fs.dev, p, r.addr*int64(fs.blockSectors), buf); err != nil {
-		return err
-	}
-	if !direct {
+	buf := fs.runBufs.Get(len(r.members) * BlockSize)
+	err := bytepath.ReadInto(fs.dev, p, r.addr*int64(fs.blockSectors), buf)
+	if err == nil {
 		for j, pc := range r.members {
 			copy(out[pc.bufOff:pc.bufOff+pc.n], buf[j*BlockSize+pc.off:])
 		}
 	}
-	return nil
+	fs.runBufs.Put(buf)
+	return err
 }
 
 // handOver calls ready once for each range of the result that pcs cover,

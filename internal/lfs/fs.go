@@ -105,6 +105,9 @@ type FS struct {
 	// waits for a slot (takeImage): this is the write path's back-pressure.
 	imageSlots *sim.Server
 	images     bytepath.FreeList
+	// runBufs recycles readRun's buffers for runs that do not land straight
+	// in the result; it keeps as many as the image pool.
+	runBufs bytepath.FreeList
 
 	free      []bool
 	nFree     int // free segments: the true entries of free, kept by setFree
@@ -300,6 +303,7 @@ func (fs *FS) initState() {
 	}
 	fs.imageSlots = sim.NewServer(fs.eng, "lfs:images", images)
 	fs.images = bytepath.NewFreeList(images)
+	fs.runBufs = bytepath.NewFreeList(images)
 	fs.metaCache = make(map[int64]metaEntry)
 	fs.stagedPtrs = make(map[int64]struct{})
 	fs.victim = -1

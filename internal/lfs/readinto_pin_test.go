@@ -64,25 +64,44 @@ func writePieceFile(t *testing.T, p *sim.Proc, e *sim.Engine, dev *cmdDev) (*FS,
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := func(off int64, n int, tag byte) {
-		t.Helper()
-		if _, err := f.WriteAt(p, pinPattern(n, tag), off); err != nil {
+	for i, w := range pieceWrites {
+		if i == 3 {
+			if err := fs.Sync(p); err != nil {
+				t.Fatal(err)
+			}
+			dev.write = time.Hour
+		}
+		if _, err := f.WriteAt(p, pinPattern(w.n, w.tag), w.off); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write(0, 40*BlockSize, 1)
-	write(48*BlockSize, 42*BlockSize, 2)
-	write(90*BlockSize, 1000, 3)
-	if err := fs.Sync(p); err != nil {
-		t.Fatal(err)
-	}
-	dev.write = time.Hour
-	write(10*BlockSize+100, 30*BlockSize, 4) // seals two segments
-	write(60*BlockSize, 5*BlockSize, 5)      // stays in the current one
 	if len(fs.inflight) == 0 || fs.Pending() == 0 {
 		t.Fatalf("%d segments in flight, %d bytes pending: the rig lacks a staged state", len(fs.inflight), fs.Pending())
 	}
 	return fs, f
+}
+
+// pieceWrites are writePieceFile's writes, in order; the first three reach
+// the device.
+var pieceWrites = []struct {
+	off int64
+	n   int
+	tag byte
+}{
+	{0, 40 * BlockSize, 1},
+	{48 * BlockSize, 42 * BlockSize, 2},
+	{90 * BlockSize, 1000, 3},
+	{10*BlockSize + 100, 30 * BlockSize, 4}, // seals two segments
+	{60 * BlockSize, 5 * BlockSize, 5},      // stays in the current one
+}
+
+// pieceFileBytes returns the contents writePieceFile leaves in /f.
+func pieceFileBytes() []byte {
+	b := make([]byte, pieceFileSize)
+	for _, w := range pieceWrites {
+		copy(b[w.off:], pinPattern(w.n, w.tag))
+	}
+	return b
 }
 
 // pieceRanges are reads over every state writePieceFile leaves, whole and

@@ -279,3 +279,33 @@ func TestImageNotRecycledWhileInFlightOrFailed(t *testing.T) {
 		})
 	}
 }
+
+// TestPoisonedRunBuffers: with garbage in every buffer readRun recycles,
+// reads that start or end inside a block, cross the hole or cover staged
+// blocks — the runs that go through a buffer — return the written bytes.
+func TestPoisonedRunBuffers(t *testing.T) {
+	e, dev := sim.New(), newCmdDev()
+	want := pieceFileBytes()
+	run(e, func(p *sim.Proc) {
+		fs, f := writePieceFile(t, p, e, dev)
+		used := 0
+		for _, r := range pieceRanges {
+			for fs.runBufs.Len() > 0 {
+				fs.runBufs.Get(0)
+			}
+			for fs.runBufs.Put(bytes.Repeat([]byte{0xA5}, pieceFileSize)) {
+			}
+			got, err := f.ReadAt(p, r[0], int(r[1]))
+			lo, hi := min(r[0], pieceFileSize), min(r[0]+r[1], pieceFileSize)
+			if err != nil || !bytes.Equal(got, want[lo:hi]) {
+				t.Fatalf("read %d +%d returned wrong bytes (err %v)", r[0], r[1], err)
+			}
+			if top := fs.runBufs.Get(0); bytes.Count(top[:cap(top)], []byte{0xA5}) < cap(top) {
+				used++
+			}
+		}
+		if used == 0 {
+			t.Fatal("no read went through a recycled run buffer")
+		}
+	})
+}

@@ -74,6 +74,11 @@ type Store struct {
 	fleet *server.Fleet
 	ep    *hippi.Endpoint // the client's ring endpoint
 	files map[string]*file
+	// frags recycles the client's transient fragment buffers: write parity,
+	// a degraded read's parity, a rebuild's survivors and result, and a
+	// partly read stripe.  A rebuild keeps the most in flight, Width per
+	// stripe in its window.
+	frags bytepath.FreeList
 }
 
 // New creates a store over the fleet's servers, each of which must have a
@@ -96,7 +101,10 @@ func New(fl *server.Fleet, clientEP *hippi.Endpoint, cfg Config) (*Store, error)
 			}
 		}
 	}
-	return &Store{cfg: cfg, fleet: fl, ep: clientEP, files: make(map[string]*file)}, nil
+	return &Store{
+		cfg: cfg, fleet: fl, ep: clientEP, files: make(map[string]*file),
+		frags: bytepath.NewFreeList(writeWindow * len(fl.Servers)),
+	}, nil
 }
 
 // Width returns the number of servers in the stripe group.
@@ -325,7 +333,9 @@ func (z *Store) writeStripe(p *sim.Proc, f *file, stripe int64, data []byte) err
 	// size — so any single missing fragment is the XOR of all the others.
 	var parity []byte
 	if pIdx >= 0 {
-		parity = make([]byte, z.fragSize(len(data), 0))
+		parity = z.frags.Get(z.fragSize(len(data), 0))
+		clear(parity)
+		defer z.frags.Put(parity)
 		for k := 0; k < z.dataWidth(); k++ {
 			lo, n := k*z.cfg.FragmentBytes, z.fragSize(len(data), k)
 			if n == 0 {
@@ -458,7 +468,8 @@ func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error)
 		}
 		// The first or last stripe, covered partially: through a buffer of
 		// its own, and the overlap is copied.
-		buf := make([]byte, sz)
+		buf := z.frags.Get(int(sz))
+		defer z.frags.Put(buf)
 		err := z.readStripe(q, f, s, buf)
 		if err == nil {
 			copy(part, buf[from:to])
@@ -517,7 +528,8 @@ func (z *Store) tryReadStripe(p *sim.Proc, f *file, stripe int64, buf []byte) er
 			lo := dataIndex(s, pIdx) * z.cfg.FragmentBytes
 			places[s] = buf[lo : lo+fsz]
 		case missing >= 0 && missing != pIdx:
-			places[s] = make([]byte, fsz)
+			places[s] = z.frags.Get(fsz)
+			defer z.frags.Put(places[s])
 		}
 	}
 	var lost []byte
@@ -568,6 +580,7 @@ func (z *Store) RebuildServer(p *sim.Proc, srv int) (int, error) {
 		payload, err := z.reconstructFragment(q, f, srv, s)
 		if err == nil {
 			err = z.putFragment(q, f, srv, s, payload)
+			z.frags.Put(payload) // WriteAt copied it
 		}
 		if err != nil {
 			return fmt.Errorf("zebra: rebuild s%d stripe %d: %w", srv, s, err)
@@ -579,7 +592,8 @@ func (z *Store) RebuildServer(p *sim.Proc, srv int) (int, error) {
 }
 
 // reconstructFragment computes the fragment server srv holds for stripe s
-// as the XOR of every other server's fragment (data or parity alike).
+// as the XOR of every other server's fragment (data or parity alike).  The
+// result comes from z.frags, and the caller puts it back when done.
 func (z *Store) reconstructFragment(p *sim.Proc, f *file, srv int, stripe int64) ([]byte, error) {
 	sz := z.stripeSize(f, stripe)
 	pIdx := z.parityServer(stripe)
@@ -587,6 +601,13 @@ func (z *Store) reconstructFragment(p *sim.Proc, f *file, srv int, stripe int64)
 		return nil, errors.New("no parity to reconstruct from")
 	}
 	got := make([][]byte, z.Width())
+	defer func() {
+		for _, b := range got {
+			if b != nil {
+				z.frags.Put(b)
+			}
+		}
+	}()
 	for s := range got {
 		fsz := z.holdSize(sz, s, pIdx)
 		if s == srv || fsz == 0 {
@@ -595,12 +616,12 @@ func (z *Store) reconstructFragment(p *sim.Proc, f *file, srv int, stripe int64)
 		if z.fleet.Servers[s].Down() || f.stale[s][stripe] {
 			return nil, fmt.Errorf("source fragment on s%d unavailable: %w", s, fault.ErrLinkDown)
 		}
-		got[s] = make([]byte, fsz)
+		got[s] = z.frags.Get(fsz)
 	}
 	if err := z.fetchFragments(p, "zebra-rebuild-frag", f, stripe, got); err != nil {
 		return nil, err
 	}
-	lost := make([]byte, z.holdSize(sz, srv, pIdx))
+	lost := z.frags.Get(z.holdSize(sz, srv, pIdx))
 	xorFragments(lost, got)
 	return lost, nil
 }

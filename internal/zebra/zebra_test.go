@@ -3,6 +3,7 @@ package zebra
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -34,6 +35,7 @@ func runFleet(t testing.TB, servers, boards int, plan fault.Plan, script func(p 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(fl.Eng.Shutdown) // parked processes would keep the fleet reachable
 	nic := sim.NewLink(fl.Eng, "client-nic", 100, 0)
 	ep := &hippi.Endpoint{Name: "client", Out: nic, In: nic, Setup: 200 * time.Microsecond}
 	fl.Eng.Spawn("fmt", func(p *sim.Proc) {
@@ -165,8 +167,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 // the fragments it is rebuilt from.
 func TestDegradedReadInPlace(t *testing.T) {
 	fl, z := newFleet(t, 4, 1)
-	frag := z.StripeBytes() / 3
-	data := pattern(3, 2*z.StripeBytes()+frag+frag/3)
+	data := tailedPattern(z)
 	fl.Eng.Spawn("t", func(p *sim.Proc) {
 		if err := z.Create(p, "f"); err != nil {
 			t.Fatal(err)
@@ -176,12 +177,7 @@ func TestDegradedReadInPlace(t *testing.T) {
 		}
 		for dead := 0; dead < 4; dead++ {
 			fl.Servers[dead].SetDown(true)
-			for _, r := range [][2]int{
-				{0, len(data)},
-				{frag / 2, 2 * z.StripeBytes()},        // partial, whole, partial
-				{z.StripeBytes(), z.StripeBytes() + 7}, // whole, then 7 bytes of the tail
-				{2*z.StripeBytes() + frag - 5, frag/3 + 5},
-			} {
+			for _, r := range inPlaceRanges(z) {
 				got, err := z.Read(p, "f", int64(r[0]), r[1])
 				if err != nil || !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {
 					t.Fatalf("server %d down: read(%d,+%d) returned wrong bytes (err %v)", dead, r[0], r[1], err)
@@ -191,6 +187,26 @@ func TestDegradedReadInPlace(t *testing.T) {
 		}
 	})
 	fl.Eng.Run()
+}
+
+// tailedPattern is two whole stripes of pattern and a tail stripe whose
+// second fragment is a third of the first and whose third is empty.
+func tailedPattern(z *Store) []byte {
+	frag := z.StripeBytes() / 3
+	return pattern(3, 2*z.StripeBytes()+frag+frag/3)
+}
+
+// inPlaceRanges are reads over a file of tailedPattern(z): whole, partial
+// at both ends, and in the tail stripe.
+func inPlaceRanges(z *Store) [][2]int {
+	sb := z.StripeBytes()
+	frag := sb / 3
+	return [][2]int{
+		{0, 2*sb + frag + frag/3},
+		{frag / 2, 2 * sb}, // partial, whole, partial
+		{sb, sb + 7},       // whole, then 7 bytes of the tail
+		{2*sb + frag - 5, frag/3 + 5},
+	}
 }
 
 func TestStaleWriteAndRebuild(t *testing.T) {
@@ -374,6 +390,43 @@ func stripedFile(tb testing.TB, stripes int) (*server.Fleet, *Store, []byte) {
 	return fl, z, data
 }
 
+// allocPerByte runs prepare and then op twice in one process — the first
+// pass warms caches, process shells and the store's free list — and
+// returns what the second op allocated per byte of n.
+func allocPerByte(t *testing.T, fl *server.Fleet, n int, prepare, op func(p *sim.Proc) error) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	fl.Eng.Spawn("measure", func(p *sim.Proc) {
+		for pass := 0; pass < 2; pass++ {
+			if err := prepare(p); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			err := op(p)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	fl.Eng.Run()
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// readBack returns an op that reads data back whole from file f of z and
+// checks the bytes.
+func readBack(z *Store, data []byte) func(p *sim.Proc) error {
+	return func(p *sim.Proc) error {
+		got, err := z.Read(p, "f", 0, len(data))
+		if err == nil && !bytes.Equal(got, data) {
+			err = errors.New("read returned wrong bytes")
+		}
+		return err
+	}
+}
+
+func nothing(*sim.Proc) error { return nil }
+
 // TestReadAllocationCeiling is the cluster client's allocation gate: a
 // healthy read of whole stripes allocates its result, into which every
 // fragment is read in place, and little else — the servers' file systems
@@ -381,21 +434,129 @@ func stripedFile(tb testing.TB, stripes int) (*server.Fleet, *Store, []byte) {
 // made it 3x.
 func TestReadAllocationCeiling(t *testing.T) {
 	fl, z, data := stripedFile(t, 4)
-	var before, after runtime.MemStats
-	fl.Eng.Spawn("read", func(p *sim.Proc) {
-		for pass := 0; pass < 2; pass++ { // the first pass warms caches and process shells
-			runtime.ReadMemStats(&before)
-			got, err := z.Read(p, "f", 0, len(data))
-			runtime.ReadMemStats(&after)
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("read returned wrong bytes (err %v)", err)
-			}
-		}
-	})
-	fl.Eng.Run()
-	if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(data)); got > 1.2 {
+	if got := allocPerByte(t, fl, len(data), nothing, readBack(z, data)); got > 1.2 {
 		t.Errorf("healthy whole-stripe read allocates %.2f bytes per byte returned (ceiling 1.2)", got)
 	}
+}
+
+// TestDegradedReadAllocationCeiling: with a host down, a whole-stripe read
+// rebuilds the lost fragments in place, through parity fragments taken from
+// the store's free list (1.30 bytes per byte when each was new).
+func TestDegradedReadAllocationCeiling(t *testing.T) {
+	fl, z, data := stripedFile(t, 4)
+	fl.Servers[1].SetDown(true)
+	if got := allocPerByte(t, fl, len(data), nothing, readBack(z, data)); got > 1.15 {
+		t.Errorf("degraded whole-stripe read allocates %.2f bytes per byte returned (ceiling 1.15)", got)
+	}
+}
+
+// TestWriteAllocationCeiling: a striped write computes each stripe's parity
+// in a buffer from the free list (1.75 bytes per byte written when each was
+// new); what is left is mostly the servers' disk pages.
+func TestWriteAllocationCeiling(t *testing.T) {
+	fl, z, data := stripedFile(t, 4)
+	write := func(p *sim.Proc) error { return z.Write(p, "f", 0, data) }
+	if got := allocPerByte(t, fl, len(data), nothing, write); got > 1.5 {
+		t.Errorf("striped write allocates %.2f bytes per byte written (ceiling 1.5)", got)
+	}
+}
+
+// TestRebuildAllocationCeiling: RebuildServer takes each stale stripe's
+// survivors and the fragment it rebuilds from the free list, and puts them
+// back once the rebuilt fragment is stored (7.0 bytes per rebuilt byte when
+// each was new).
+func TestRebuildAllocationCeiling(t *testing.T) {
+	const victim, stripes = 2, 4
+	fl, z, data := stripedFile(t, stripes)
+	stale := func(p *sim.Proc) error {
+		fl.Servers[victim].SetDown(true)
+		defer fl.Servers[victim].SetDown(false)
+		return z.Write(p, "f", 0, data)
+	}
+	rebuild := func(p *sim.Proc) error {
+		n, err := z.RebuildServer(p, victim)
+		if err == nil && n != stripes {
+			err = fmt.Errorf("rebuilt %d fragments, want %d", n, stripes)
+		}
+		return err
+	}
+	if got := allocPerByte(t, fl, stripes*z.cfg.FragmentBytes, stale, rebuild); got > 4 {
+		t.Errorf("rebuild allocates %.2f bytes per rebuilt byte (ceiling 4)", got)
+	}
+}
+
+// poison empties z's free list and fills it with stripe-sized buffers of
+// 0xA5, so every transient buffer the next operation takes holds bytes it
+// must overwrite or clear before it reads them.
+func poison(z *Store) {
+	for z.frags.Len() > 0 {
+		z.frags.Get(0)
+	}
+	for z.frags.Put(bytes.Repeat([]byte{0xA5}, z.StripeBytes())) {
+	}
+}
+
+// TestPoisonedFragmentBuffers: with garbage in every buffer the store
+// recycles, a striped write, degraded reads over whole, partial and tail
+// stripes with each host down in turn, reads of a stripe no write reached
+// (its fragments are shorter on the servers than in the stripe, or absent),
+// and a stale write followed by RebuildServer all return the written bytes.
+func TestPoisonedFragmentBuffers(t *testing.T) {
+	fl, z := newFleet(t, 4, 1)
+	sb := z.StripeBytes()
+	data, fresh := tailedPattern(z), pattern(11, 2*sb+sb/4)
+	sparse := append(make([]byte, sb), pattern(5, sb)...) // stripe 0 never written
+	fl.Eng.Spawn("t", func(p *sim.Proc) {
+		write := func(name string, b []byte, off int) {
+			t.Helper()
+			poison(z)
+			if err := z.Write(p, name, int64(off), b[off:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(what, name string, want []byte, r [2]int) {
+			t.Helper()
+			poison(z)
+			got, err := z.Read(p, name, int64(r[0]), r[1])
+			if err != nil || !bytes.Equal(got, want[r[0]:r[0]+r[1]]) {
+				t.Fatalf("%s: read %s (%d,+%d) returned wrong bytes (err %v)", what, name, r[0], r[1], err)
+			}
+		}
+		for _, name := range []string{"f", "sparse", "stale"} {
+			if err := z.Create(p, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write("f", data, 0)
+		write("sparse", sparse, sb)
+		for dead := -1; dead < 4; dead++ {
+			what := "healthy"
+			if dead >= 0 {
+				fl.Servers[dead].SetDown(true)
+				what = fmt.Sprintf("s%d down", dead)
+			}
+			for _, r := range inPlaceRanges(z) {
+				check(what, "f", data, r)
+			}
+			check(what, "sparse", sparse, [2]int{0, 2 * sb})
+			check(what, "sparse", sparse, [2]int{sb / 6, sb / 2})
+			if dead >= 0 {
+				fl.Servers[dead].SetDown(false)
+			}
+		}
+
+		write("stale", pattern(7, len(fresh)), 0)
+		fl.Servers[2].SetDown(true)
+		write("stale", fresh, 0)
+		fl.Servers[2].SetDown(false)
+		poison(z)
+		if n, err := z.RebuildServer(p, 2); err != nil || n != 3 {
+			t.Fatalf("rebuild: %d fragments, err %v; want 3", n, err)
+		}
+		fl.Servers[0].SetDown(true) // reads now lean on the rebuilt fragments
+		check("rebuilt s2, s0 down", "stale", fresh, [2]int{0, len(fresh)})
+	})
+	fl.Eng.Run()
 }
 
 // TestHostDiesMidStream: a host goes down while its fragments' chunks are
