@@ -30,7 +30,8 @@ func (r *CheckReport) OK() bool {
 }
 
 // Check verifies file system invariants: every inode-map entry points at a
-// valid inode, every block pointer lies inside the log, no block is
+// valid inode, every block pointer lies inside the log and past its
+// segment's summary blocks, no block is
 // referenced twice, and every allocated inode is reachable from the root.
 //
 // It holds fs.mu, so it sees one state of the file system, and loads what it
@@ -143,6 +144,10 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		}
 		if !fs.inLog(addr) {
 			r.BadPointers = append(r.BadPointers, fmt.Sprintf("inode %d: block %+v at %d outside log", inum, b, addr))
+			return
+		}
+		if (addr-fs.sb.SegStart)%int64(fs.sb.SegBlocks) < int64(fs.sumBlks) {
+			r.BadPointers = append(r.BadPointers, fmt.Sprintf("inode %d: block %+v at %d is a segment summary block", inum, b, addr))
 			return
 		}
 		if owner, dup := seen[addr]; dup {

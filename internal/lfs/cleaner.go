@@ -128,8 +128,12 @@ func (fs *FS) cleanSegment(p *sim.Proc, idx int, unlock bool) error {
 		defer func() { fs.victim = -1 }()
 	}
 	segAddr := fs.segAddr(idx)
-	raw := make([]byte, BlockSize)
-	if err := fs.cleanFetch(p, unlock, []int64{segAddr}, raw); err != nil {
+	sumAddrs := make([]int64, fs.sumBlks)
+	for i := range sumAddrs {
+		sumAddrs[i] = segAddr + int64(i)
+	}
+	raw := make([]byte, fs.sumBlks*BlockSize)
+	if err := fs.cleanFetch(p, unlock, sumAddrs, raw); err != nil {
 		return err
 	}
 	var sum summary
@@ -140,7 +144,7 @@ func (fs *FS) cleanSegment(p *sim.Proc, idx int, unlock bool) error {
 	}
 	var live []int64
 	for i, e := range sum.Entries {
-		addr := segAddr + 1 + int64(i)
+		addr := fs.entryAddr(segAddr, i)
 		ok, err := fs.blockLive(p, e, addr)
 		if err != nil {
 			return err
@@ -156,7 +160,7 @@ func (fs *FS) cleanSegment(p *sim.Proc, idx int, unlock bool) error {
 	fs.cleaning = true
 	defer func() { fs.cleaning = false }()
 	for k, addr := range live {
-		e := sum.Entries[addr-segAddr-1]
+		e := sum.Entries[addr-fs.entryAddr(segAddr, 0)]
 		ok, err := fs.blockLive(p, e, addr)
 		if err != nil {
 			return err

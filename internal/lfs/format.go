@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 )
 
 // le is the byte order of everything the file system stores.
@@ -93,7 +94,7 @@ var (
 type superblock struct {
 	Magic      uint32
 	BlockSize  uint32
-	SegBlocks  uint32 // blocks per segment, including the summary block
+	SegBlocks  uint32 // blocks per segment, including the summary blocks
 	NSegs      uint32
 	SegStart   int64 // first block of the segment area
 	CPAddr     [2]int64
@@ -182,12 +183,25 @@ type summaryEntry struct {
 const summaryEntryBytes = 12
 const summaryHeaderBytes = 4 + 8 + 8 + 8 + 4 + 4 // magic, seq, time, next, nentries, crc (crc last)
 
-// maxSummaryEntries is how many blocks one summary block can describe.
-func maxSummaryEntries() int {
-	return (BlockSize - summaryHeaderBytes) / summaryEntryBytes
+// summaryCapacity is how many blocks a summary of k blocks can describe.
+func summaryCapacity(k int) int {
+	return (k*BlockSize - summaryHeaderBytes) / summaryEntryBytes
 }
 
-// summary is a segment's self-description, stored in its first block.
+// summaryBlocks is how many blocks open a segment of segBlocks blocks for
+// its summary: the fewest that describe all the others.  A segment of up
+// to 339 blocks (1356 KB) has one.
+func summaryBlocks(segBlocks int) int {
+	k := 1
+	for summaryCapacity(k) < segBlocks-k {
+		k++
+	}
+	return k
+}
+
+// summary is a segment's self-description, stored in its first blocks: a
+// header, one entry per block after them, and a CRC over both.  What
+// follows the CRC is zero.
 type summary struct {
 	Seq     uint64
 	Time    int64
@@ -195,7 +209,7 @@ type summary struct {
 	Entries []summaryEntry
 }
 
-// marshal writes the summary into buf, a zeroed block.
+// marshal writes the summary into buf, its segment's zeroed summary blocks.
 func (s *summary) marshal(buf []byte) {
 	le.PutUint32(buf[0:], summaryMagic)
 	le.PutUint64(buf[4:], s.Seq)
@@ -212,17 +226,23 @@ func (s *summary) marshal(buf []byte) {
 	le.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
 }
 
+// unmarshal reads the summary from buf, its segment's summary blocks.  It
+// rejects a summary whose CRC fails or whose bytes past the CRC are not
+// zero.
 func (s *summary) unmarshal(buf []byte) error {
 	if le.Uint32(buf[0:]) != summaryMagic {
 		return ErrCorrupt
 	}
 	n := int(le.Uint32(buf[28:]))
-	if n < 0 || n > maxSummaryEntries() {
+	if n < 0 || n > summaryCapacity(len(buf)/BlockSize) {
 		return ErrCorrupt
 	}
 	off := 32 + n*summaryEntryBytes
 	if le.Uint32(buf[off:]) != crc32.ChecksumIEEE(buf[:off]) {
 		return ErrCorrupt
+	}
+	if slices.ContainsFunc(buf[off+4:], func(b byte) bool { return b != 0 }) {
+		return ErrCorrupt // a byte flipped in the padding the CRC does not cover
 	}
 	s.Seq = le.Uint64(buf[4:])
 	s.Time = int64(le.Uint64(buf[12:]))

@@ -20,7 +20,8 @@ type Config struct {
 	// SegBytes is the segment size.  RAID-II uses 960 KB segments so that
 	// one segment is exactly one full stripe of a 16-disk array with 64 KB
 	// striping ("The log is written to the disk array in units or segments
-	// of 960 kilobytes").
+	// of 960 kilobytes").  A server board derives its own from its array,
+	// whole stripes of it.
 	SegBytes int
 	// MaxInodes bounds the inode map.
 	MaxInodes int
@@ -72,7 +73,8 @@ type FS struct {
 	sb  superblock
 
 	blockSectors int
-	segDataBlks  int // data blocks per segment (SegBlocks - 1 summary)
+	sumBlks      int // summary blocks at the front of each segment (summaryBlocks)
+	segDataBlks  int // data blocks per segment (SegBlocks - sumBlks)
 
 	mu *sim.Server // global metadata lock
 
@@ -90,10 +92,11 @@ type FS struct {
 	cpNext   int // which checkpoint region to write next
 
 	// Current (in-memory) segment.  segImage is the segment exactly as it
-	// will be written: block 0 is left for the summary, block i+1 is the slot
-	// of segEntries[i].  It is taken from the pool (all zero, so a partial
-	// seal's tail is zero) when the segment takes its first block and handed
-	// to the device at seal time without being copied.
+	// will be written: its first sumBlks blocks are left for the summary, and
+	// block sumBlks+i is the slot of segEntries[i].  It is taken from the
+	// pool (all zero, so a partial seal's tail is zero) when the segment
+	// takes its first block and handed to the device at seal time without
+	// being copied.
 	curSeg     int64 // block address of the segment's first block
 	segSeq     uint64
 	segEntries []summaryEntry
@@ -278,7 +281,8 @@ func MountTail(p *sim.Proc, e *sim.Engine, dev Device, cfg Config, tail *Tail) (
 // initState allocates the in-memory tables.
 func (fs *FS) initState() {
 	fs.blockSectors = BlockSize / fs.dev.SectorSize()
-	fs.segDataBlks = int(fs.sb.SegBlocks) - 1
+	fs.sumBlks = summaryBlocks(int(fs.sb.SegBlocks))
+	fs.segDataBlks = int(fs.sb.SegBlocks) - fs.sumBlks
 	fs.mu = sim.NewServer(fs.eng, "lfs:mu", 1)
 	fs.imap = make([]int64, fs.sb.MaxInodes)
 	fs.imapAddrs = make([]int64, (int(fs.sb.MaxInodes)+imapChunkEntries-1)/imapChunkEntries)
@@ -451,16 +455,22 @@ func (fs *FS) resetSegment() {
 	fs.segImage = nil
 }
 
-// slot returns block i (0 is the summary) of a segment image.
+// slot returns block i of a segment image.
 func slot(image []byte, i int64) []byte {
 	return image[i*BlockSize : (i+1)*BlockSize : (i+1)*BlockSize]
 }
+
+// summaryOf returns the summary blocks of a segment image.
+func (fs *FS) summaryOf(image []byte) []byte { return image[:fs.sumBlks*BlockSize] }
+
+// entryAddr returns the block address entry i of the segment at seg describes.
+func (fs *FS) entryAddr(seg int64, i int) int64 { return seg + int64(fs.sumBlks+i) }
 
 // currentSlot returns the slot of addr if it is a block of the current,
 // unsealed segment — the only staged blocks that may still be patched —
 // and nil otherwise.
 func (fs *FS) currentSlot(addr int64) []byte {
-	if addr <= fs.curSeg || addr > fs.curSeg+int64(len(fs.segEntries)) {
+	if addr < fs.entryAddr(fs.curSeg, 0) || addr >= fs.entryAddr(fs.curSeg, len(fs.segEntries)) {
 		return nil
 	}
 	return slot(fs.segImage, addr-fs.curSeg)
@@ -518,8 +528,8 @@ func (fs *FS) takeSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, 
 		}
 		fs.segImage = image
 	}
+	addr := fs.entryAddr(fs.curSeg, len(fs.segEntries))
 	fs.segEntries = append(fs.segEntries, summaryEntry{Kind: kind, Arg1: a1, Arg2: a2})
-	addr := fs.curSeg + int64(len(fs.segEntries))
 	if ptrBlock(kind) {
 		fs.stagedPtrs[addr] = struct{}{}
 	}
@@ -633,7 +643,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		Entries: fs.segEntries,
 	}
 	image := fs.segImage
-	sum.marshal(slot(image, 0))
+	sum.marshal(fs.summaryOf(image))
 
 	curIdx := fs.segOf(fs.curSeg)
 	fs.setFree(curIdx, false)
@@ -648,7 +658,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	// streams to the array.  Its blocks stay readable from the image until
 	// the device write completes; from here on nothing writes to the image.
 	sealSeg := fs.curSeg
-	blocks := int64(1 + len(fs.segEntries))
+	blocks := int64(fs.sumBlks + len(fs.segEntries))
 	fs.inflight[curIdx] = image
 	fs.seals.Go("lfs-seal", func(q *sim.Proc) error {
 		// Whatever becomes of the write, the pool has its place back when it
@@ -665,7 +675,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		// The pointer blocks that are still live move to the metadata cache,
 		// so the next walk through them does not go to the device for what
 		// was in memory a moment ago.
-		for addr := sealSeg + 1; addr < sealSeg+blocks; addr++ {
+		for addr := fs.entryAddr(sealSeg, 0); addr < sealSeg+blocks; addr++ {
 			if _, ok := fs.stagedPtrs[addr]; ok {
 				delete(fs.stagedPtrs, addr)
 				fs.cacheMeta(addr, bytes.Clone(slot(image, addr-sealSeg)))
@@ -949,7 +959,7 @@ func (fs *FS) recover(p *sim.Proc, tail *Tail) error {
 		if idx < 0 || idx >= int(fs.sb.NSegs) {
 			break
 		}
-		raw, err := fs.dev.Read(p, segAddr*int64(fs.blockSectors), fs.blockSectors)
+		raw, err := fs.dev.Read(p, segAddr*int64(fs.blockSectors), fs.sumBlks*fs.blockSectors)
 		if err != nil {
 			return fmt.Errorf("lfs: roll-forward read: %w", err)
 		}
@@ -966,7 +976,7 @@ func (fs *FS) recover(p *sim.Proc, tail *Tail) error {
 			if err := fs.dev.Write(p, segAddr*int64(fs.blockSectors), ts.image); err != nil {
 				return fmt.Errorf("lfs: tail segment write: %w", err)
 			}
-			if err := sum.unmarshal(slot(ts.image, 0)); err != nil {
+			if err := sum.unmarshal(fs.summaryOf(ts.image)); err != nil {
 				return err
 			}
 		}
@@ -1022,7 +1032,7 @@ func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error
 	fs.usageSeq[idx] = sum.Seq
 	fs.markUsageDirty(idx)
 	for i, e := range sum.Entries {
-		addr := segAddr + 1 + int64(i)
+		addr := fs.entryAddr(segAddr, i)
 		switch e.Kind {
 		case kindInode:
 			if int(e.Arg1) < len(fs.imap) {

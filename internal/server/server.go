@@ -94,7 +94,8 @@ type Config struct {
 	Host  host.Config
 
 	// LFS is the file system's configuration.  Its Images is not read: a
-	// board derives it from NVRAMBytes.
+	// board derives it from NVRAMBytes.  A SegBytes of 0 (DefaultConfig's)
+	// has each board derive its segment from its array (segmentBytes).
 	LFS lfs.Config
 
 	// CacheBytes carves an XBUS-memory-resident block cache of this size
@@ -132,9 +133,10 @@ type Config struct {
 
 // DefaultConfig is the paper's measured configuration: one XBUS board,
 // four Cougars, two strings each, three IBM 0661 disks per string (24
-// disks), RAID Level 5, 64 KB stripe unit.
+// disks), RAID Level 5, 64 KB stripe unit, and LFS segments of whole
+// stripes (segmentBytes).
 func DefaultConfig() Config {
-	return Config{
+	c := Config{
 		Servers:           1,
 		CrossParity:       true,
 		Boards:            1,
@@ -149,10 +151,12 @@ func DefaultConfig() Config {
 		Host:              host.Sun4280RAIDII(),
 		LFS:               lfs.DefaultConfig(),
 	}
+	c.LFS.SegBytes = 0
+	return c
 }
 
 // Fig8Config is the LFS measurement configuration of §3.4: a single XBUS
-// board with 16 disks, 64 KB striping, 960 KB segments.
+// board with 16 disks, 64 KB striping, so 960 KB segments.
 func Fig8Config() Config {
 	c := DefaultConfig()
 	c.DisksPerString = 2 // 4 cougars x 2 strings x 2 disks = 16
@@ -399,7 +403,7 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 	}
 	b.fsCfg = cfg.LFS
 	if b.fsCfg.SegBytes == 0 {
-		b.fsCfg = lfs.DefaultConfig()
+		b.fsCfg.SegBytes = segmentBytes(arr)
 	}
 	b.fsCfg.Images = cfg.NVRAMBytes / b.fsCfg.SegBytes
 	if cfg.NVRAMBytes > 0 {
@@ -412,6 +416,24 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 		b.nv = &nvram{}
 	}
 	return b, nil
+}
+
+// segmentBytes is the LFS segment a board derives from its array: as many
+// whole stripes as fit in the paper's 960 KB ("The log is written to the
+// disk array in units or segments of 960 kilobytes", one stripe of the
+// 16-disk array), one when a stripe is larger, and fewer where that count
+// would leave the segment short of whole file-system blocks.  So every
+// full segment is a full-stripe write, on every level and width.  An array
+// whose single stripe is not whole blocks keeps 960 KB.
+func segmentBytes(a *raid.Array) int {
+	paper := lfs.DefaultConfig().SegBytes
+	stripe := a.DataDisks() * a.StripeUnitSectors() * a.SectorSize()
+	for n := max(paper/stripe, 1); n > 0; n-- {
+		if n*stripe%lfs.BlockSize == 0 {
+			return n * stripe
+		}
+	}
+	return paper
 }
 
 // FormatFS creates the LFS on board b, storing through the block cache

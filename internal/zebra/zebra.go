@@ -33,10 +33,10 @@ import (
 // Config selects the striping geometry.
 type Config struct {
 	// FragmentBytes is the size of one stripe fragment — the unit a single
-	// (server, board) pair stores per stripe.  Zero picks the size of one
-	// LFS segment of the fleet's configuration.  That does not put a
-	// fragment in one segment: a segment's first block is its summary (a
-	// 960 KB segment holds 956 KB of data), and the backing file's indirect
+	// (server, board) pair stores per stripe.  Zero picks the size of the
+	// first board's LFS segment.  That does not put a fragment in one
+	// segment: a segment's first block is its summary (a 960 KB segment
+	// holds 956 KB of data), and the backing file's indirect
 	// and inode blocks share the log, so a fragment spans two or more
 	// segments and a read of it resolves to several device runs.  What the
 	// size does buy is few, large runs per fragment, which getFragment's
@@ -88,9 +88,6 @@ func New(fl *server.Fleet, clientEP *hippi.Endpoint, cfg Config) (*Store, error)
 	if len(fl.Servers) == 0 {
 		return nil, errors.New("zebra: empty fleet")
 	}
-	if cfg.FragmentBytes <= 0 {
-		cfg.FragmentBytes = fl.Servers[0].Cfg.LFS.SegBytes
-	}
 	if cfg.Parity && len(fl.Servers) < 3 {
 		cfg.Parity = false
 	}
@@ -100,6 +97,9 @@ func New(fl *server.Fleet, clientEP *hippi.Endpoint, cfg Config) (*Store, error)
 				return nil, fmt.Errorf("zebra: server %d: %w", si, err)
 			}
 		}
+	}
+	if cfg.FragmentBytes <= 0 {
+		cfg.FragmentBytes = fl.Servers[0].Boards[0].FS.SegmentBytes()
 	}
 	return &Store{
 		cfg: cfg, fleet: fl, ep: clientEP, files: make(map[string]*file),

@@ -10,6 +10,7 @@ import (
 
 	"raidii/internal/fault"
 	"raidii/internal/hippi"
+	"raidii/internal/raid"
 	"raidii/internal/server"
 	"raidii/internal/sim"
 )
@@ -31,6 +32,12 @@ func runFleet(t testing.TB, servers, boards int, plan fault.Plan, script func(p 
 	t.Helper()
 	cfg := server.Fig8Config()
 	cfg.Servers, cfg.Boards, cfg.Faults = servers, boards, plan
+	return runFleetOf(t, cfg, script)
+}
+
+// runFleetOf is runFleet over a fleet of cfg.
+func runFleetOf(t testing.TB, cfg server.Config, script func(p *sim.Proc, fl *server.Fleet, z *Store)) *server.Fleet {
+	t.Helper()
 	fl, err := server.NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +266,41 @@ func TestStaleWriteAndRebuild(t *testing.T) {
 		}
 	})
 	fl.Eng.Run()
+}
+
+// TestRAID6FleetStripesWholeSegments: on a fleet of Fig. 8 boards at Level
+// 6, each board's segment is one 896 KB stripe of its array, and that is
+// the store's default fragment.  A striped file written while a host is
+// down reads back whole after RebuildServer brings its fragments up to date
+// and another host dies.
+func TestRAID6FleetStripesWholeSegments(t *testing.T) {
+	cfg := server.Fig8Config()
+	cfg.Servers, cfg.RAIDLevel = 4, raid.Level6
+	runFleetOf(t, cfg, func(p *sim.Proc, fl *server.Fleet, z *Store) {
+		if got := z.cfg.FragmentBytes; got != 896<<10 {
+			t.Fatalf("fragment %d KB, want 896 KB", got>>10)
+		}
+		data := pattern(5, 3*z.StripeBytes()+z.StripeBytes()/2)
+		if err := z.Create(p, "f"); err != nil {
+			t.Fatal(err)
+		}
+		fl.Servers[1].SetDown(true)
+		if err := z.Write(p, "f", 0, data); err != nil {
+			t.Fatal(err)
+		}
+		fl.Servers[1].SetDown(false)
+		if n, err := z.RebuildServer(p, 1); err != nil || n == 0 || z.StaleFragments(1) != 0 {
+			t.Fatalf("rebuild: %d fragments, err %v, %d still stale", n, err, z.StaleFragments(1))
+		}
+		for _, dead := range []int{0, 1, 2, 3} {
+			fl.Servers[dead].SetDown(true)
+			got, err := z.Read(p, "f", 0, len(data))
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("server %d down: read back wrong (err %v)", dead, err)
+			}
+			fl.Servers[dead].SetDown(false)
+		}
+	})
 }
 
 // staleStripes writes stripes whole stripes while server victim is down and

@@ -42,7 +42,7 @@ func TestNVRAMThroughPublicAPI(t *testing.T) {
 		bd := task.Board(0)
 		st := bd.NVRAMStats()
 		if st.Capacity != 1<<20 || st.Images != 1 {
-			t.Errorf("region = %+v, want 1 MB holding one 960 KB segment image", st)
+			t.Errorf("region = %+v, want 1 MB holding one 896 KB segment image (two 448 KB stripes of the 8-disk array)", st)
 		}
 		if st.Log.Commits != 16 || st.Log.Degraded != 0 {
 			t.Errorf("log stats = %+v, want 16 committed, none degraded", st.Log)

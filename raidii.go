@@ -164,8 +164,12 @@ func WithStripeUnitKB(kb int) Option {
 	return func(c *server.Config) { c.StripeUnitSectors = kb * 1024 / 512 }
 }
 
-// WithSegmentKB sets the LFS segment size (§3.4: LFS writes the log in
-// 960 KB segments; default 960 KB).
+// WithSegmentKB sets the LFS segment size exactly (§3.4: LFS writes the log
+// in 960 KB segments, one full stripe of the 16-disk array).  By default
+// each board derives its segment from its array: as many whole stripes as
+// fit in 960 KB, or one stripe when a stripe is larger — 960 KB on the
+// 16-disk Fig. 8 array, 1472 KB on the default 24-disk board, 896 KB at
+// Level 6 on 16 disks — so every full segment is a full-stripe write.
 func WithSegmentKB(kb int) Option {
 	return func(c *server.Config) { c.LFS.SegBytes = kb << 10 }
 }
@@ -198,15 +202,17 @@ func WithCacheLineKB(kb int) Option {
 
 // WithNVRAM carves a battery-backed region of the given size (in bytes)
 // out of each board's 32 MB DRAM, and the file system keeps its segment
-// images there: as many as the region holds whole segments.  So the end of
-// the log the disks lack survives a crash, and a mount after one rolls it
-// forward.  File.WriteDurable writes into the open LFS segment, where reads
-// see it, and acknowledges once it is committed there, without a seal.
-// When every image is in use a write waits for a seal to finish (visible as
-// Degraded in NVRAMStats).  The carve-out shares DRAM with the cache and
-// transfer buffers: a region smaller than one segment, or so large it
-// starves them, fails NewServer.  (A durability extension in the lineage
-// the paper cites: Baker et al.'s non-volatile write caching on Sprite.)
+// images there: as many as the region holds whole segments.  The region
+// must hold at least one segment, which is 1472 KB on the default board
+// (see WithSegmentKB): a smaller one fails NewServer with an error.  So the
+// end of the log the disks lack survives a crash, and a mount after one
+// rolls it forward.  File.WriteDurable writes into the open LFS segment,
+// where reads see it, and acknowledges once it is committed there, without
+// a seal.  When every image is in use a write waits for a seal to finish
+// (visible as Degraded in NVRAMStats).  The carve-out shares DRAM with the
+// cache and transfer buffers: a region so large it starves them fails
+// NewServer too.  (A durability extension in the lineage the paper cites:
+// Baker et al.'s non-volatile write caching on Sprite.)
 func WithNVRAM(bytes int) Option {
 	return func(c *server.Config) { c.NVRAMBytes = bytes }
 }
