@@ -278,12 +278,11 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 		d.mediaFront = p.Now()
 	}
 
-	g := sim.NewGroup(d.eng)
+	j := sim.NewJoin(d.eng)
 	endMedia := p.Span("disk", "media-read")
 	d.streamChunks(p, lba, n, func(cp *sim.Proc, bytes int) {
-		g.Go("diskread-chunk", func(q *sim.Proc) error {
+		j.Go("diskread-chunk", func(q *sim.Proc) {
 			path.Send(q, bytes, 0)
-			return nil
 		})
 		_ = cp
 	})
@@ -293,8 +292,7 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(n * d.spec.SectorSize)
 	d.actuator.Release()
-	//lint:allow errdrop the chunk workers return none; the wait is for the last chunk delivered downstream
-	g.Wait(p)
+	j.Wait(p) // for the last chunk delivered downstream
 
 	d.store.ReadAt(dst, lba*int64(d.spec.SectorSize))
 	return nil
@@ -335,7 +333,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	// Chunk processes complete the path in FIFO order, so they observe and
 	// update it sequentially.
 	var mediaFree sim.Time
-	g := sim.NewGroup(d.eng)
+	j := sim.NewJoin(d.eng)
 	remaining := n * d.spec.SectorSize
 	cursor := lba
 	for remaining > 0 {
@@ -350,7 +348,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 		}
 		chunkLBA := cursor
 		cursor += int64(secs)
-		g.Go("diskwrite-chunk", func(q *sim.Proc) error {
+		j.Go("diskwrite-chunk", func(q *sim.Proc) {
 			path.Send(q, bytes, 0)
 			posDone.Wait(q)
 			start := q.Now()
@@ -363,11 +361,9 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 			endMedia := q.Span("disk", "media-write")
 			q.WaitUntil(mediaFree)
 			endMedia()
-			return nil
 		})
 	}
-	//lint:allow errdrop the chunk workers return none
-	g.Wait(p)
+	j.Wait(p)
 
 	d.curCyl = d.cylOf(lba + int64(n) - 1)
 	d.seqNext = -1 // writing invalidates the read-ahead window

@@ -329,6 +329,30 @@ func TestGroupReuse(t *testing.T) {
 	}
 }
 
+// TestJoinWaitsForEveryWorker: Wait returns when the last worker does, and
+// the join is reusable at once.
+func TestJoinWaitsForEveryWorker(t *testing.T) {
+	e := New()
+	j := NewJoin(e)
+	var first, second Time
+	e.Spawn("driver", func(p *Proc) {
+		for i := 1; i <= 3; i++ {
+			d := time.Duration(i) * time.Second
+			j.Go("w", func(q *Proc) { q.Wait(d) })
+		}
+		j.Wait(p)
+		first = p.Now()
+		j.Wait(p) // none outstanding: no wait
+		j.Go("again", func(q *Proc) { q.Wait(time.Second) })
+		j.Wait(p)
+		second = p.Now()
+	})
+	e.Run()
+	if first != Time(3*time.Second) || second != Time(4*time.Second) {
+		t.Fatalf("first=%v second=%v, want 3s and 4s", first, second)
+	}
+}
+
 func TestBytesDuration(t *testing.T) {
 	if d := BytesDuration(1_000_000, 1); d != time.Second {
 		t.Fatalf("1MB @ 1MB/s = %v, want 1s", d)

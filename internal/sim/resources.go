@@ -209,7 +209,7 @@ func (path Path) Send(p *Proc, n, chunk int) {
 		}
 		return
 	}
-	g := NewGroup(p.eng)
+	j := NewJoin(p.eng)
 	remaining := n
 	for i := 0; i < nchunks; i++ {
 		sz := chunk
@@ -219,14 +219,13 @@ func (path Path) Send(p *Proc, n, chunk int) {
 		remaining -= sz
 		// Chunks are spawned in order; FIFO link queues preserve that
 		// order at every hop, so arrival order is deterministic.
-		g.Go("chunk", func(cp *Proc) error {
+		j.Go("chunk", func(cp *Proc) {
 			for _, l := range path {
 				l.Transfer(cp, sz)
 			}
-			return nil
 		})
 	}
-	g.Wait(p) //lint:allow errdrop every chunk worker returns nil
+	j.Wait(p)
 }
 
 // Event is a one-shot condition that processes can wait on.  Once signalled
@@ -271,52 +270,77 @@ func (ev *Event) Wait(p *Proc) {
 	p.park()
 }
 
-// Group is fork/join for simulated work: Go forks a worker process, Wait
-// joins them all and reports the first error any of them returned.  A group
-// made by Proc.Fork works for the forking process's request — every worker
-// carries that process's SpanScope annotation, so a worker forked for a
-// request cannot forget it — while NewGroup's is bound to the engine alone,
-// for background work that outlives or belongs to no request (segment
-// seals, chunk pipelines, rebuilds).
+// Join is fork/join for simulated work that cannot fail: Go forks a worker
+// process, Wait joins them all.  Its workers follow nobody, like those of a
+// group made by NewGroup.
+type Join struct {
+	eng *Engine
+	n   int
+	ev  *Event
+}
+
+// NewJoin creates an empty join.
+func NewJoin(e *Engine) *Join { return &Join{eng: e, ev: NewEvent(e)} }
+
+// done marks one worker complete.
+func (j *Join) done() {
+	j.n--
+	if j.n < 0 {
+		//lint:allow simpanic unbalanced done corrupts the join's completion event; Go's spawn/done pairing is a structural invariant
+		panic("sim: Join.done without matching Go")
+	}
+	if j.n == 0 {
+		// Wake the joiners without latching, so the join (and its
+		// event's waiter storage) is immediately reusable.
+		j.ev.wake()
+	}
+}
+
+// Go spawns fn as a worker process tracked by the join.
+func (j *Join) Go(name string, fn func(*Proc)) {
+	j.n++
+	j.eng.Spawn(name, func(q *Proc) {
+		defer j.done()
+		fn(q)
+	})
+}
+
+// Wait blocks p until every worker has returned (not at all when none is
+// outstanding).
+func (j *Join) Wait(p *Proc) {
+	if j.n > 0 {
+		j.ev.Wait(p)
+	}
+}
+
+// Group is a Join whose workers return an error: Wait reports the first.  A
+// group made by Proc.Fork works for the forking process's request — every
+// worker carries that process's SpanScope annotation, so a worker forked
+// for a request cannot forget it — while NewGroup's is bound to the engine
+// alone, for background work that outlives or belongs to no request
+// (segment seals, rebuilds).
 type Group struct {
-	eng  *Engine
+	join Join
 	from *Proc // the forking process; nil for an engine-bound group
-	n    int
-	ev   *Event
 	err  error // the first error a worker returned, in simulated order
 }
 
 // NewGroup creates an empty engine-bound group: its workers follow nobody.
-func NewGroup(e *Engine) *Group { return &Group{eng: e, ev: NewEvent(e)} }
+func NewGroup(e *Engine) *Group { return &Group{join: Join{eng: e, ev: NewEvent(e)}} }
 
 // Fork creates an empty group whose workers work on p's behalf: each one's
 // first act is to let p's annotation (if p carries one then) follow it, and
 // its last to release it.
-func (p *Proc) Fork() *Group { return &Group{eng: p.eng, from: p, ev: NewEvent(p.eng)} }
-
-// add registers delta additional units of outstanding work.
-func (g *Group) add(delta int) { g.n += delta }
-
-// done marks one unit of work complete.
-func (g *Group) done() {
-	g.n--
-	if g.n < 0 {
-		//lint:allow simpanic unbalanced done corrupts the group's completion event; add/done pairing is a structural invariant
-		panic("sim: Group.done without matching add")
-	}
-	if g.n == 0 {
-		// Wake the joiners without latching, so the group (and its
-		// event's waiter storage) is immediately reusable.
-		g.ev.wake()
-	}
+func (p *Proc) Fork() *Group {
+	return &Group{join: Join{eng: p.eng, ev: NewEvent(p.eng)}, from: p}
 }
 
 // Go spawns fn as a worker process tracked by the group.  An error it
 // returns is kept if it is the group's first.
 func (g *Group) Go(name string, fn func(*Proc) error) {
-	g.add(1)
-	g.eng.Spawn(name, func(q *Proc) {
-		defer g.done()
+	g.join.n++
+	g.join.eng.Spawn(name, func(q *Proc) {
+		defer g.join.done()
 		if g.from != nil && g.from.meterCtx != nil {
 			defer g.from.meterCtx.Follow(q)()
 		}
@@ -329,9 +353,7 @@ func (g *Group) Go(name string, fn func(*Proc) error) {
 // Wait blocks p until the outstanding count reaches zero (not at all when
 // it already is) and returns Err.
 func (g *Group) Wait(p *Proc) error {
-	if g.n > 0 {
-		g.ev.Wait(p)
-	}
+	g.join.Wait(p)
 	return g.err
 }
 

@@ -37,7 +37,7 @@ func TestShutdownStrandsNothing(t *testing.T) {
 	}
 	tk := NewTokens(e, "tokens", 4)
 	grp := NewGroup(e)
-	grp.add(1) // never done
+	grp.join.n++ // never done
 	parked("on-server", srv.Acquire)
 	parked("on-tokens", func(p *Proc) { tk.Acquire(p, 3); tk.Acquire(p, 3) })
 	parked("on-event", NewEvent(e).Wait)
