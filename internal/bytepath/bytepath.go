@@ -72,13 +72,10 @@ func ReadInto(dev Device, p *sim.Proc, lba int64, dst []byte) error {
 // A buffer from Get holds arbitrary bytes: its user overwrites or clears
 // every byte before it reads it.  The users and their bounds:
 //   - the array's column scratch: colFreeStripes (8) stripes of columns,
-//     one per device;
+//     one per device; a cluster store's files share their first file's;
 //   - the file system's segment images: its image pool (Config.Images);
 //   - the file system's buffers for read runs that do not land straight in
-//     the result: as many as its image pool;
-//   - the cluster client's fragment buffers (parity, survivors, a rebuilt
-//     fragment, a partly read stripe): its rebuild window times the
-//     fleet's width.
+//     the result: as many as its image pool.
 //
 // Recycling a buffer that was handed to a device's Write is safe because of
 // the device contract (DESIGN.md §17): a device copies what it stores and

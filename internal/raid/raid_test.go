@@ -242,7 +242,7 @@ func TestLevel5ParityRotates(t *testing.T) {
 }
 
 // TestRoleLayoutIsABijection: at every level and width, each stripe's roles
-// map onto distinct devices and roleOf inverts colDev — the one layout
+// map onto distinct devices and Role inverts colDev — the one layout
 // function the whole stripe code stands on.
 func TestRoleLayoutIsABijection(t *testing.T) {
 	for _, level := range []Level{Level0, Level1, Level3, Level5, Level6} {
@@ -257,8 +257,8 @@ func TestRoleLayoutIsABijection(t *testing.T) {
 						t.Fatalf("%v width %d stripe %d: role %d on device %d (out of range or taken)", level, width, s, role, dev)
 					}
 					seen[dev] = true
-					if got := a.roleOf(s, dev); got != role {
-						t.Fatalf("%v width %d stripe %d: roleOf(colDev(%d)) = %d", level, width, s, role, got)
+					if got := a.Role(s, dev); got != role {
+						t.Fatalf("%v width %d stripe %d: Role(colDev(%d)) = %d", level, width, s, role, got)
 					}
 				}
 			}
@@ -305,7 +305,7 @@ func TestDoubleFailureLatchesArrayFailed(t *testing.T) {
 	a.failed[1] = true // behind FailDisk's back, so the solve is what notices
 	runProc(e, func(p *sim.Proc) {
 		// Reconstructing stripe 0 needs both failed columns: unrecoverable.
-		_, err := a.view(0, false).readSolve(p, a.newScratch(), 0, tSec, a.roleOf(0, 0), make([]byte, tSec))
+		_, err := a.view(0, false).readSolve(p, a.newScratch(), 0, tSec, a.Role(0, 0), make([]byte, tSec))
 		if !errors.Is(err, ErrArrayFailed) {
 			t.Fatalf("solve over a double failure = %v, want ErrArrayFailed", err)
 		}

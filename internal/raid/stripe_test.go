@@ -345,7 +345,7 @@ func TestWriteToSkippedStripeLandsOnSpare(t *testing.T) {
 					p.Wait(time.Millisecond)
 				}
 				write(p, last*S, patterned(int(S)*tSec, 77))
-				pos := r.a.roleOf(last-1, rigFailed)
+				pos := r.a.Role(last-1, rigFailed)
 				if r.a.row.mirrored {
 					pos /= 2
 				} else if pos >= r.a.DataDisks() {
@@ -693,7 +693,7 @@ func stripeCodePlans(t *testing.T, level Level, failed []int) {
 		for s := int64(0); s < width; s++ {
 			lost := make([]bool, width) // by role
 			for _, d := range failed {
-				lost[a.roleOf(s, d)] = true
+				lost[a.Role(s, d)] = true
 			}
 			checks := 0 // surviving check columns
 			for j := 0; j < m; j++ {

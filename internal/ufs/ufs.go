@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
@@ -193,19 +194,24 @@ func (fs *FS) allocBlock(p *sim.Proc) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		for i := 0; i < BlockSize*8; i++ {
+		// A word at a time: bit i is bit i%8 of byte i/8, so in a
+		// little-endian word the lowest clear bit is the first free block.
+		for w := 0; w < BlockSize; w += 8 {
+			free := ^binary.LittleEndian.Uint64(raw[w:])
+			if free == 0 {
+				continue
+			}
+			i := w*8 + bits.TrailingZeros64(free)
 			blk := bb*BlockSize*8 + int64(i)
 			if blk >= fs.nBlocks {
 				return 0, ErrNoSpace
 			}
-			if raw[i/8]&(1<<(i%8)) == 0 {
-				raw[i/8] |= 1 << (i % 8)
-				if err := fs.writeBlock(p, fs.bitmapStart+bb, raw); err != nil {
-					return 0, err
-				}
-				fs.stats.MetaWrites++
-				return blk, nil
+			raw[i/8] |= 1 << (i % 8)
+			if err := fs.writeBlock(p, fs.bitmapStart+bb, raw); err != nil {
+				return 0, err
 			}
+			fs.stats.MetaWrites++
+			return blk, nil
 		}
 	}
 	return 0, ErrNoSpace
