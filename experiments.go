@@ -457,7 +457,7 @@ func ClientNetwork() (ClientResult, error) {
 		})
 		out.ReadMBps = mbps(n, readT)
 		out.WriteMBps = mbps(n, writeT)
-		out.HostCPUUtil = sys.Host.CPU.Utilization()
+		out.HostCPUUtil = float64(sys.Host.CPUHeld()) / float64(sys.Eng.Now())
 		return err
 	})
 	return out, err

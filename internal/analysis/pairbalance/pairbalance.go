@@ -1,7 +1,7 @@
 // Package pairbalance defines the raidvet check that keeps the balance
 // invariants of internal/sim/resources.go honest at compile time:
-// Acquire/Release on Server, ChooserServer and Tokens, and the begin/end
-// closure returned by Proc.Span.  An unbalanced pair corrupts utilization
+// Acquire/Release (or AcquireN/ReleaseN) on Server and ChooserServer, and
+// the begin/end closure returned by Proc.Span.  An unbalanced pair corrupts utilization
 // accounting or parks every later taker for good.  (A Group needs no check:
 // Group.Go is the only way to raise its count.)
 //
@@ -80,7 +80,8 @@ func checkList(pass *framework.Pass, list []ast.Stmt) {
 	}
 }
 
-// opens reports the pair s opens: a statement call X.Acquire(..), or v :=
+// opens reports the pair s opens: a statement call X.Acquire(..) or
+// X.AcquireN(..), or v :=
 // p.Span(..) with a Span method whose result is a bare func().
 func opens(pass *framework.Pass, s ast.Stmt) (pair, bool) {
 	switch s := s.(type) {
@@ -106,8 +107,8 @@ func opens(pass *framework.Pass, s ast.Stmt) (pair, bool) {
 	return pair{}, false
 }
 
-// closes reports the pair s closes: X.Release(..) or v(), as a statement or
-// deferred.
+// closes reports the pair s closes: X.Release(..), X.ReleaseN(..) or v(),
+// as a statement or deferred.
 func closes(pass *framework.Pass, s ast.Stmt) (pair, bool) {
 	var call *ast.CallExpr
 	switch s := s.(type) {
@@ -125,11 +126,11 @@ func closes(pass *framework.Pass, s ast.Stmt) (pair, bool) {
 	return resource(pass, call, "Release")
 }
 
-// resource reports the pair of call when it invokes method on a Server,
-// Tokens or ChooserServer (matched by type name).
+// resource reports the pair of call when it invokes method, or its n-unit
+// form method+"N", on a Server or ChooserServer (matched by type name).
 func resource(pass *framework.Pass, call *ast.CallExpr, method string) (pair, bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel || sel.Sel.Name != method {
+	if !isSel || (sel.Sel.Name != method && sel.Sel.Name != method+"N") {
 		return pair{}, false
 	}
 	t := pass.TypesInfo.TypeOf(sel.X)
@@ -138,7 +139,7 @@ func resource(pass *framework.Pass, call *ast.CallExpr, method string) (pair, bo
 	}
 	if named, isNamed := t.(*types.Named); isNamed {
 		switch kind := named.Obj().Name(); kind {
-		case "Server", "Tokens", "ChooserServer":
+		case "Server", "ChooserServer":
 			return pair{name: types.ExprString(sel.X), kind: kind}, true
 		}
 	}

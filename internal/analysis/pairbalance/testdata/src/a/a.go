@@ -12,14 +12,11 @@ func (p *Proc) Span(cat, name string) func() { return func() {} }
 
 type Server struct{}
 
-func (s *Server) Acquire(p *Proc)  {}
-func (s *Server) TryAcquire() bool { return true }
-func (s *Server) Release()         {}
-
-type Tokens struct{}
-
-func (tk *Tokens) Acquire(p *Proc, n int) {}
-func (tk *Tokens) Release(n int)          {}
+func (s *Server) Acquire(p *Proc)         {}
+func (s *Server) AcquireN(p *Proc, n int) {}
+func (s *Server) TryAcquire() bool        { return true }
+func (s *Server) Release()                {}
+func (s *Server) ReleaseN(n int)          {}
 
 type holder struct {
 	mu *Server
@@ -75,13 +72,13 @@ func deferAfterReturn(h *holder, p *Proc) error {
 }
 
 // continue skips the release at the bottom of the loop body.
-func continueSkipsRelease(tk *Tokens, p *Proc) {
+func continueSkipsRelease(tk *Server, p *Proc) {
 	for i := 0; i < 4; i++ {
-		tk.Acquire(p, 1)
+		tk.AcquireN(p, 1)
 		if cond() {
-			continue // want `tk \(Tokens\) is still held on this continue path`
+			continue // want `tk \(Server\) is still held on this continue path`
 		}
-		tk.Release(1)
+		tk.ReleaseN(1)
 	}
 }
 
@@ -195,21 +192,21 @@ func spanEscapes(p *Proc) func() {
 }
 
 // A panic path is not a leak — the process is gone.
-func panicPath(tk *Tokens, p *Proc) {
-	tk.Acquire(p, 8)
+func panicPath(tk *Server, p *Proc) {
+	tk.AcquireN(p, 8)
 	if cond() {
 		panic("invariant")
 	}
-	tk.Release(8)
+	tk.ReleaseN(8)
 }
 
 // Acquires in one loop, releases in a second: untracked.
-func loopSplit(tk *Tokens, p *Proc) {
+func loopSplit(tk *Server, p *Proc) {
 	for i := 0; i < 4; i++ {
-		tk.Acquire(p, 1)
+		tk.AcquireN(p, 1)
 	}
 	for i := 0; i < 4; i++ {
-		tk.Release(1)
+		tk.ReleaseN(1)
 	}
 }
 

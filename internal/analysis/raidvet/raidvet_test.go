@@ -12,7 +12,7 @@ import (
 
 // fixtureDir is a tiny standalone module seeded with exactly one
 // errdrop violation, one stale //lint:allow, one %v-formatted error and
-// one early return that leaves a resource held.  Its own go.mod keeps it
+// two early returns that leave a resource held (one unit, and n units).  Its own go.mod keeps it
 // out of the repository's ./... so
 // raidvet stays clean at top level while the driver still has a
 // guaranteed-dirty target to test (and CI to assert a nonzero exit)
@@ -28,8 +28,8 @@ func TestSeededViolationsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("got %d findings, want 4:\n%s", n, buf.String())
+	if n != 5 {
+		t.Fatalf("got %d findings, want 5:\n%s", n, buf.String())
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "vetmod.golden.json"))
 	if err != nil {
@@ -48,11 +48,11 @@ func TestSeededViolationsText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("got %d findings, want 4:\n%s", n, buf.String())
+	if n != 5 {
+		t.Fatalf("got %d findings, want 5:\n%s", n, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"[errdrop]", "[allowaudit]", "[wrapcheck]", "[pairbalance]", "vetmod.go:18:", "vetmod.go:21:", "vetmod.go:28:", "vetmod.go:42:"} {
+	for _, want := range []string{"[errdrop]", "[allowaudit]", "[wrapcheck]", "[pairbalance]", "vetmod.go:18:", "vetmod.go:21:", "vetmod.go:28:", "vetmod.go:44:", "vetmod.go:55:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text output missing %q:\n%s", want, out)
 		}
@@ -84,7 +84,7 @@ func TestUnknownCheck(t *testing.T) {
 // TestFixPipeline copies the fixture into a scratch module and runs
 // the driver with Fix on: the stale allow's suggested deletion and the
 // %v → %w rewrite must be applied, so a second run sees only the
-// (unfixable) dropped error and held resource.
+// (unfixable) dropped error and held resources.
 func TestFixPipeline(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"go.mod", "vetmod.go"} {
@@ -96,15 +96,15 @@ func TestFixPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := raidvet.RunOpts(raidvet.Options{Dir: dir, Fix: true}); err != nil || n != 4 {
-		t.Fatalf("fix run: n=%d err=%v, want 4 findings", n, err)
+	if n, err := raidvet.RunOpts(raidvet.Options{Dir: dir, Fix: true}); err != nil || n != 5 {
+		t.Fatalf("fix run: n=%d err=%v, want 5 findings", n, err)
 	}
 	var buf bytes.Buffer
 	n, err := raidvet.Run(dir, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || !strings.Contains(buf.String(), "[errdrop]") || !strings.Contains(buf.String(), "[pairbalance]") {
-		t.Fatalf("after -fix got %d findings, want only the errdrop and the pairbalance left:\n%s", n, buf.String())
+	if n != 3 || !strings.Contains(buf.String(), "[errdrop]") || strings.Count(buf.String(), "[pairbalance]") != 2 {
+		t.Fatalf("after -fix got %d findings, want only the errdrop and the two pairbalance left:\n%s", n, buf.String())
 	}
 }

@@ -2,7 +2,7 @@
 // its planted findings and exit nonzero.  The driver test asserts the
 // exact JSON rendering and CI asserts the exit status, so this file
 // must keep exactly one errdrop violation, one stale allow, one %v error
-// (wrapcheck covers the module root) and one early return holding a Server.
+// (wrapcheck covers the module root) and two early returns holding a Server.
 package vetmod
 
 import (
@@ -32,8 +32,10 @@ func Mask() error { return fmt.Errorf("vetmod: mask: %v", Touch()) }
 type Proc struct{}
 type Server struct{}
 
-func (s *Server) Acquire(p *Proc) {}
-func (s *Server) Release()        {}
+func (s *Server) Acquire(p *Proc)         {}
+func (s *Server) AcquireN(p *Proc, n int) {}
+func (s *Server) Release()                {}
+func (s *Server) ReleaseN(n int)          {}
 
 // Hold returns early with s still held: the seeded pairbalance violation.
 func Hold(s *Server, p *Proc, fail bool) error {
@@ -42,5 +44,16 @@ func Hold(s *Server, p *Proc, fail bool) error {
 		return Touch()
 	}
 	s.Release()
+	return nil
+}
+
+// Stage returns early with n units of s still held: the seeded n-unit
+// pairbalance violation.
+func Stage(s *Server, p *Proc, n int, fail bool) error {
+	s.AcquireN(p, n)
+	if fail {
+		return Touch()
+	}
+	s.ReleaseN(n)
 	return nil
 }

@@ -280,9 +280,9 @@ func (fl *File) writeOnce(p *sim.Proc, off int64, n int) (int, error) {
 		if _, err := sys.Ultra.Send(p, ws.EP, b.HEP, c); err != nil {
 			return done, err
 		}
-		b.XB.Buffers.Acquire(p, c)
+		b.XB.Buffers.AcquireN(p, c)
 		_, werr := fl.f.File.WriteAt(p, buf[:c], at)
-		b.XB.Buffers.Release(c)
+		b.XB.Buffers.ReleaseN(c)
 		if werr != nil {
 			return done, fmt.Errorf("client: write %s at %d: %w", fl.path, at, werr)
 		}

@@ -11,6 +11,7 @@ import (
 	"raidii/internal/server"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
+	"raidii/internal/trace"
 )
 
 // newSystem builds a Fig8-style RAID-II with a formatted LFS and a file of
@@ -108,9 +109,51 @@ func TestHostNearlyIdleDuringClientTransfer(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	sys.Eng.Run()
-	if u := sys.Host.CPU.Utilization(); u > 0.05 {
+	end := sys.Eng.Run()
+	if u := float64(sys.Host.CPUHeld()) / float64(end); u > 0.05 {
 		t.Fatalf("host CPU utilization %.3f during client read, want ~0", u)
+	}
+}
+
+// TestHostCPUHeldMatchesRecorder: the server host's held-CPU sum, which
+// ClientNetwork reports as its utilization, and a recorder's busy time for
+// the host's ":cpu" resource are two accounts of the same holds.  On the
+// §3.4 run (a client writes, the server syncs, the client reads back) they
+// must agree to the nanosecond.
+func TestHostCPUHeldMatchesRecorder(t *testing.T) {
+	sys, err := server.New(server.Fig8Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.Attach(sys.Eng, trace.Config{})
+	ws := NewWorkstation(sys, "ss10", host.SPARCstation10())
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		if err := sys.Boards[0].FormatFS(p); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ws.Create(p, 0, "/net")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(p, 0, 4<<20); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Boards[0].FS.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Read(p, 0, 4<<20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	end := sys.Eng.Run()
+	var busy sim.Duration
+	for _, r := range rec.Resources() {
+		if r.Name == sys.Host.Cfg.Name+":cpu" {
+			busy = r.BusyAt(end)
+		}
+	}
+	if held := sys.Host.CPUHeld(); held == 0 || held != busy {
+		t.Errorf("host says the CPU was held %v, the recorder %v", held, busy)
 	}
 }
 

@@ -149,9 +149,6 @@ func (d *Disk) SectorSize() int { return d.spec.SectorSize }
 // Stats returns a copy of the drive's counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// Utilization reports the time-averaged busy fraction of the actuator.
-func (d *Disk) Utilization() float64 { return d.actuator.Utilization() }
-
 func (d *Disk) checkRange(lba int64, sectors int) {
 	if lba < 0 || sectors <= 0 || lba+int64(sectors) > d.spec.Sectors() {
 		//lint:allow simpanic out-of-range access is caller corruption, equivalent to indexing past a slice

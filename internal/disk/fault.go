@@ -42,9 +42,6 @@ func (d *Disk) Fail() { d.flt.failed = true }
 // serviced n commands (reads + writes) in total.
 func (d *Disk) FailAfterOps(n uint64) { d.flt.failAfterOps = n }
 
-// Healthy reports whether the drive is still servicing commands.
-func (d *Disk) Healthy() bool { return !d.flt.failed }
-
 // AddLatentError marks sectors [lba, lba+n) unreadable: reads covering any
 // of them position, stream up to the bad sector, then report
 // fault.ErrMedium.  Writing over a bad sector remaps it and clears the

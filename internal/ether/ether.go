@@ -102,6 +102,3 @@ func (s *Segment) Send(p *sim.Proc, n int) (int, error) {
 func (s *Segment) PacketTime() time.Duration {
 	return s.wire.XferTime(s.cfg.MTU)
 }
-
-// Utilization reports the wire's busy fraction.
-func (s *Segment) Utilization() float64 { return s.wire.Utilization() }

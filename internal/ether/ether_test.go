@@ -7,6 +7,7 @@ import (
 
 	"raidii/internal/fault"
 	"raidii/internal/sim"
+	"raidii/internal/trace"
 )
 
 func TestThroughputAroundOneMBps(t *testing.T) {
@@ -39,6 +40,7 @@ func TestPacketTimeAboutHalfMillisecond(t *testing.T) {
 func TestSharedWireContention(t *testing.T) {
 	e := sim.New()
 	seg := New(e, "eth0", DefaultConfig())
+	rec := trace.Attach(e, trace.Config{})
 	g := sim.NewGroup(e)
 	for i := 0; i < 3; i++ {
 		g.Go("s", func(p *sim.Proc) error {
@@ -54,8 +56,8 @@ func TestSharedWireContention(t *testing.T) {
 	if rate > 1.25 {
 		t.Fatalf("aggregate %.2f exceeds wire rate", rate)
 	}
-	if seg.Utilization() < 0.9 {
-		t.Fatalf("wire utilization %.2f should be ~1 under load", seg.Utilization())
+	if u := rec.Resources()[0].UtilizationAt(end); u < 0.9 { // the segment's one resource: its wire
+		t.Fatalf("wire utilization %.2f should be ~1 under load", u)
 	}
 }
 

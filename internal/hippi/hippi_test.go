@@ -7,6 +7,7 @@ import (
 
 	"raidii/internal/fault"
 	"raidii/internal/sim"
+	"raidii/internal/trace"
 	"raidii/internal/xbus"
 )
 
@@ -60,6 +61,7 @@ func TestLoopbackBothDirectionsSimultaneously(t *testing.T) {
 	e := sim.New()
 	cfg := DefaultConfig()
 	b := xbus.New(e, "xb", xbus.DefaultConfig())
+	rec := trace.Attach(e, trace.Config{})
 	ep := boardEndpoint(b, cfg)
 	const total = 16 << 20
 	e.Spawn("loop", func(p *sim.Proc) {
@@ -77,9 +79,13 @@ func TestLoopbackBothDirectionsSimultaneously(t *testing.T) {
 			b.HIPPIS.BytesMoved(), b.HIPPID.BytesMoved())
 	}
 	// Both ports busy most of the time implies concurrent directions.
-	if b.HIPPIS.Utilization() < 0.85 || b.HIPPID.Utilization() < 0.85 {
+	util := map[string]float64{}
+	for _, r := range rec.Resources() {
+		util[r.Name] = r.UtilizationAt(end)
+	}
+	if util["xb:hippis"] < 0.85 || util["xb:hippid"] < 0.85 {
 		t.Fatalf("port utilizations out=%.2f in=%.2f; directions not concurrent",
-			b.HIPPIS.Utilization(), b.HIPPID.Utilization())
+			util["xb:hippis"], util["xb:hippid"])
 	}
 }
 

@@ -78,19 +78,23 @@ func SPARCstation10() Config {
 	}
 }
 
-// Host is a workstation instance.
+// Host is a workstation instance.  The CPU is held only through Host's
+// methods, which sum the time it is held: CPUHeld is what a caller asking
+// how busy the host was reads, with or without a tracer attached.
 type Host struct {
 	Cfg       Config
-	CPU       *sim.Server
 	MemBus    *sim.Link
 	Backplane *sim.Link
+
+	cpu  *sim.Server
+	held sim.Duration
 }
 
 // New creates a workstation on engine e.
 func New(e *sim.Engine, cfg Config) *Host {
 	return &Host{
 		Cfg:       cfg,
-		CPU:       sim.NewServer(e, cfg.Name+":cpu", 1),
+		cpu:       sim.NewServer(e, cfg.Name+":cpu", 1),
 		MemBus:    sim.NewLink(e, cfg.Name+":membus", cfg.MemBusMBps, 0),
 		Backplane: sim.NewLink(e, cfg.Name+":vme", cfg.BackplaneMBps, 0),
 	}
@@ -98,13 +102,29 @@ func New(e *sim.Engine, cfg Config) *Host {
 
 // PerIO charges the fixed CPU cost of completing one I/O.
 func (h *Host) PerIO(p *sim.Proc) {
-	h.CPU.Use(p, h.Cfg.PerIOOverhead)
+	h.CPUWork(p, h.Cfg.PerIOOverhead)
 }
 
 // CPUWork charges d of CPU time (file system code, name lookup, etc.).
 func (h *Host) CPUWork(p *sim.Proc, d time.Duration) {
-	h.CPU.Use(p, d)
+	h.cpu.Acquire(p)
+	p.Wait(d)
+	h.held += d
+	h.cpu.Release()
 }
+
+// CPUTransfer holds the CPU while n bytes cross the memory bus: a
+// programmed copy, or parity computed in host software.
+func (h *Host) CPUTransfer(p *sim.Proc, n int) {
+	h.cpu.Acquire(p)
+	start := p.Now()
+	h.MemBus.Transfer(p, n)
+	h.held += p.Now().Sub(start)
+	h.cpu.Release()
+}
+
+// CPUHeld reports the total simulated time the CPU has been held.
+func (h *Host) CPUHeld() sim.Duration { return h.held }
 
 // DMAIn models a device writing n bytes into host memory: the bytes cross
 // the backplane and then the memory bus.
@@ -115,9 +135,7 @@ func (h *Host) DMAIn(p *sim.Proc, n int) {
 // Copy models a programmed kernel<->user copy of n bytes: the CPU is busy
 // for the duration and the bytes make CopyCrossings memory crossings.
 func (h *Host) Copy(p *sim.Proc, n int) {
-	h.CPU.Acquire(p)
-	h.MemBus.Transfer(p, n*h.Cfg.CopyCrossings)
-	h.CPU.Release()
+	h.CPUTransfer(p, n*h.Cfg.CopyCrossings)
 }
 
 // CopyAsync is Copy without holding the CPU serially for the whole

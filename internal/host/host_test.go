@@ -59,7 +59,7 @@ func TestCopyHoldsCPU(t *testing.T) {
 	e.Spawn("copier", func(p *sim.Proc) { h.Copy(p, 1<<20) })
 	e.Spawn("probe", func(p *sim.Proc) {
 		p.Wait(10 * time.Millisecond)
-		cpuBusyDuringCopy = h.CPU.Busy() > 0
+		cpuBusyDuringCopy = h.cpu.Busy() > 0
 	})
 	e.Run()
 	if !cpuBusyDuringCopy {
@@ -123,5 +123,21 @@ func TestCPUWork(t *testing.T) {
 	end = e.Run()
 	if end != sim.Time(4*time.Millisecond) {
 		t.Fatalf("end = %v", end)
+	}
+}
+
+// TestCPUHeldSumsEveryHold: copies, per-I/O costs and CPU work queue on the
+// one CPU from time zero, so it is held for the whole run, and CPUHeld must
+// say so exactly, hand-offs between queued holders included.
+func TestCPUHeldSumsEveryHold(t *testing.T) {
+	e := sim.New()
+	h := New(e, Sun4280())
+	for i := 0; i < 3; i++ {
+		e.Spawn("copy", func(p *sim.Proc) { h.Copy(p, 64<<10) })
+		e.Spawn("io", h.PerIO)
+		e.Spawn("work", func(p *sim.Proc) { h.CPUWork(p, time.Millisecond) })
+	}
+	if end := e.Run(); h.CPUHeld() != sim.Duration(end) {
+		t.Fatalf("CPU held %v over a run that kept it busy for %v", h.CPUHeld(), sim.Duration(end))
 	}
 }

@@ -347,6 +347,43 @@ func TestMissedStripeFailsAlone(t *testing.T) {
 	})
 }
 
+// TestMirrorMissedWriteFailsAlone: at Level 1, a read whose primary copy
+// fails falls back to the mirror only when the mirror holds the stripe's
+// current bytes.  A mirror that missed the stripe's last write is stale: the
+// read fails with ErrArrayFailed rather than return old bytes, and the array
+// does not latch failed, so other stripes still read.
+func TestMirrorMissedWriteFailsAlone(t *testing.T) {
+	e := sim.New()
+	a, mems := newArray(t, e, 4, Level1)
+	stripe := a.StripeUnitSectors() * a.DataDisks()
+	dev := a.colDev(0, 0)
+	want := patterned(2*stripe*tSec, 3)
+	runProc(e, func(p *sim.Proc) {
+		if err := a.Write(p, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.FailDisk(dev ^ 1); err != nil {
+			t.Fatal(err)
+		}
+		// Stripe 0 misses the mirror.
+		copy(want, patterned(stripe*tSec, 5))
+		if err := a.Write(p, 0, want[:stripe*tSec]); err != nil {
+			t.Fatal(err)
+		}
+		a.ReturnDisk(dev ^ 1)
+		mems[dev].AddLatentError(a.unitLBA(0), 1)
+		if got, err := a.Read(p, 0, 1); !errors.Is(err, ErrArrayFailed) {
+			t.Fatalf("read served by a mirror that missed the write: err %v, stale bytes %v", err, !bytes.Equal(got, want[:tSec]))
+		}
+		if a.Lost() {
+			t.Fatal("one stripe with a stale mirror latched the whole array failed")
+		}
+		if got, err := a.Read(p, int64(stripe), stripe); err != nil || !bytes.Equal(got, want[stripe*tSec:]) {
+			t.Fatalf("read of another stripe: wrong bytes (err %v)", err)
+		}
+	})
+}
+
 // TestOneDeviceLevel0: a one-device array is plain Level 0, and no other
 // level accepts one device.
 func TestOneDeviceLevel0(t *testing.T) {

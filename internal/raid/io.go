@@ -9,14 +9,6 @@ import (
 	"raidii/internal/telemetry"
 )
 
-// declareLost latches the sticky array-failed state and returns the typed
-// data-loss error with operation context.  Shared mutation is safe under
-// the cooperative scheduler: only one proc runs at a time.
-func (a *Array) declareLost(op string) error {
-	a.lost = true
-	return fmt.Errorf("raid: %s: %w", op, ErrArrayFailed)
-}
-
 // stripeLost returns the typed data-loss error for one stripe that has lost
 // more columns than its check columns cover.  The array latches failed only
 // when its failed devices alone do (noteRedundancy): a stripe tipped over by
@@ -129,10 +121,10 @@ func (a *Array) readExtentInto(p *sim.Proc, ext extent, dst []byte) error {
 	if a.row.mirrored {
 		a.stats.DegradedReads++
 		telemetry.MarkDegraded(p)
-		if a.devReadInto(p, dev^1, lba, a.chunk(dst, ext)) {
+		if a.live(dev^1, ext.stripe) && a.devReadInto(p, dev^1, lba, a.chunk(dst, ext)) {
 			return nil
 		}
-		return a.declareLost("read: both members of a mirror pair lost")
+		return a.stripeLost("read: both members of a mirror pair lost")
 	}
 	return a.readStripe(p, []extent{ext}, dst)
 }

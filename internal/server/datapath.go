@@ -83,11 +83,11 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err erro
 		n := secs * secSize
 		at := cursor
 		cursor += int64(secs)
-		b.XB.Buffers.Acquire(p, n)
+		b.XB.Buffers.AcquireN(p, n)
 		sim.Path{b.HEP.Out, b.HEP.In}.Send(p, n, 0)
 		g.Go("hw-write-disk", func(q *sim.Proc) error {
 			err := b.writeDevStreaming(q, at, make([]byte, secs*secSize))
-			b.XB.Buffers.Release(n)
+			b.XB.Buffers.ReleaseN(n)
 			return err
 		})
 	}
@@ -105,7 +105,7 @@ func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, e
 	b.sys.Host.CPUWork(p, FSReadOverhead)
 	crossbar := func(q *sim.Proc, pc *piece) error {
 		b.XB.Memory.Transfer(q, len(pc.buf))
-		b.XB.Buffers.Release(len(pc.buf))
+		b.XB.Buffers.ReleaseN(len(pc.buf))
 		return nil
 	}
 	parts, ahead := f.plan(p, off, off+int64(size), crossbar)
@@ -193,7 +193,7 @@ func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) (err erro
 	h := b.sys.Host
 	h.CPUWork(p, FSReadOverhead)
 	_, err = f.gather(p, off, size, split(off, off+int64(size)), func(q *sim.Proc, pc *piece) error {
-		defer b.XB.Buffers.Release(len(pc.buf))
+		defer b.XB.Buffers.ReleaseN(len(pc.buf))
 		b.XB.HostTransfer(q, pc.got, true)
 		h.DMAIn(q, pc.got)
 		h.CopyAsync(q, pc.got)

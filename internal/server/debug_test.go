@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"raidii/internal/sim"
+	"raidii/internal/trace"
 	"raidii/internal/workload"
 )
 
@@ -16,6 +17,7 @@ func TestArraySequentialDiagnostics(t *testing.T) {
 	cfg.FifthCougar = true
 	sys, _ := New(cfg)
 	b := sys.Boards[0]
+	rec := trace.Attach(sys.Eng, trace.Config{})
 	var cursor int64
 	res, err := workload.FixedOps(sys.Eng, 4, 48, func(p *sim.Proc, _ int, _ *rand.Rand) (int, error) {
 		const req = 1600 << 10
@@ -30,13 +32,10 @@ func TestArraySequentialDiagnostics(t *testing.T) {
 		t.Errorf("pure array sequential read = %.1f MB/s, want ~30", r)
 	}
 	fmt.Printf("array seq read: %.1f MB/s\n", res.MBps())
-	for i, c := range b.Cougars {
-		fmt.Printf("cougar%d strings util: %.2f %.2f\n", i, c.Strings[0].Bus.Utilization(), c.Strings[1].Bus.Utilization())
-	}
 	for i, v := range b.XB.VME {
-		fmt.Printf("vme%d util %.2f moved %d\n", i, v.Utilization(), v.BytesMoved())
+		fmt.Printf("vme%d moved %d\n", i, v.BytesMoved())
 	}
-	fmt.Printf("hostport util %.2f moved %d\n", b.XB.Host.Utilization(), b.XB.Host.BytesMoved())
-	st := b.Disks[0].Drive.Stats()
-	fmt.Printf("disk0 stats: %+v util %.2f\n", st, b.Disks[0].Drive.Utilization())
+	fmt.Printf("hostport moved %d\n", b.XB.Host.BytesMoved())
+	fmt.Printf("disk0 stats: %+v\n", b.Disks[0].Drive.Stats())
+	fmt.Print(rec.Table(8))
 }

@@ -110,30 +110,23 @@ func (x *hostXOR) XORTo(p *sim.Proc, dst []byte, srcs ...[]byte) {
 	for _, s := range srcs {
 		total += len(s)
 	}
-	x.charge(p, total)
+	x.h.CPUTransfer(p, total)
 	raid.SoftXOR{}.XORTo(p, dst, srcs...)
 }
 
 func (x *hostXOR) XORInto(p *sim.Proc, dst, src []byte) {
-	x.charge(p, 2*len(src))
+	x.h.CPUTransfer(p, 2*len(src))
 	raid.SoftXOR{}.XORInto(p, dst, src)
 }
 
 // Fold and Result charge a folded computation what XORTo charges the same
 // computation: each source read once as it folds, the result written once.
 func (x *hostXOR) Fold(p *sim.Proc, acc, src []byte) {
-	x.charge(p, len(src))
+	x.h.CPUTransfer(p, len(src))
 	raid.SoftXOR{}.XORInto(p, acc, src)
 }
 
-func (x *hostXOR) Result(p *sim.Proc, n int) { x.charge(p, n) }
-
-// charge holds the CPU while n bytes cross the memory bus.
-func (x *hostXOR) charge(p *sim.Proc, n int) {
-	x.h.CPU.Acquire(p)
-	x.h.MemBus.Transfer(p, n)
-	x.h.CPU.Release()
-}
+func (x *hostXOR) Result(p *sim.Proc, n int) { x.h.CPUTransfer(p, n) }
 
 // UserRead moves size bytes from the array to a user-level application
 // buffer: DMA into kernel memory (part of the array read path), then a

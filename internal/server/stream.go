@@ -113,7 +113,7 @@ func (b *Board) readRaw(q *sim.Proc, off int64, buf []byte) (int, error) {
 func (b *Board) issue(g *sim.Group, src source, off int64, buf []byte, land func(q *sim.Proc, pc *piece) error) *piece {
 	pc := &piece{off: off, buf: buf, landed: sim.NewEvent(b.sys.Eng)}
 	g.Go("read-piece", func(q *sim.Proc) error {
-		b.XB.Buffers.Acquire(q, len(buf))
+		b.XB.Buffers.AcquireN(q, len(buf))
 		pc.got, pc.err = src(q, off, buf)
 		if land != nil {
 			pc.err = cmp.Or(pc.err, land(q, pc))
@@ -185,7 +185,7 @@ func (b *Board) inOrder(p *sim.Proc, src source, parts []part, send func(p *sim.
 			}
 		}
 		if pt.own {
-			b.XB.Buffers.Release(len(pt.pc.buf))
+			b.XB.Buffers.ReleaseN(len(pt.pc.buf))
 			held--
 		}
 	}
@@ -221,7 +221,7 @@ func (b *Board) inOrder(p *sim.Proc, src source, parts []part, send func(p *sim.
 func (f *FSFile) Stream(p *sim.Proc, off int64, n int, send func(p *sim.Proc, n int) error) (int, error) {
 	b := f.Board
 	parts, ahead := f.plan(p, off, off+int64(n), func(_ *sim.Proc, pc *piece) error {
-		b.XB.Buffers.Release(len(pc.buf))
+		b.XB.Buffers.ReleaseN(len(pc.buf))
 		return nil
 	})
 	return b.inOrder(p, f.read, parts, send, ahead)

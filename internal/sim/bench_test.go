@@ -7,9 +7,8 @@ import (
 )
 
 // Microbenchmarks for the engine hot path.  CI's perf job runs these with
-// -benchmem -count=5 on every PR (advisory — host time is machine-dependent);
-// the before/after table that justified the PR-9 engine rebuild is recorded
-// in DESIGN.md §15.
+// -benchmem -count=5 on every change (advisory — host time is
+// machine-dependent); DESIGN.md §15 describes what they measure.
 //
 // Each benchmark drives whole engine runs so the numbers include everything a
 // real simulation pays per event: queue push/pop, sampler checks, and the

@@ -15,9 +15,6 @@ type ChooserServer struct {
 	choose func(tags []int64) int
 	queue  []chooserWaiter
 	tags   []int64 // scratch for Release; valid only during the choose call
-
-	busyInt Time
-	lastAdj Time
 }
 
 type chooserWaiter struct {
@@ -34,7 +31,6 @@ func NewChooserServer(e *Engine, name string, choose func(tags []int64) int) *Ch
 // Acquire obtains the slot, parking until the policy admits this waiter.
 func (s *ChooserServer) Acquire(p *Proc, tag int64) {
 	if !s.busy {
-		s.account()
 		s.busy = true
 		if t := s.eng.tracer; t != nil {
 			t.ResourceAcquire(s.name, p, 1, 0, false)
@@ -55,14 +51,13 @@ func (s *ChooserServer) Acquire(p *Proc, tag int64) {
 // Release frees the slot and admits the policy's pick.
 func (s *ChooserServer) Release() {
 	if !s.busy {
-		//lint:allow simpanic unbalanced Release corrupts utilization accounting; acquire/release pairing is a structural invariant
+		//lint:allow simpanic an unbalanced Release corrupts admission; acquire/release pairing is a structural invariant
 		panic("sim: release of idle chooser server " + s.name)
 	}
 	if t := s.eng.tracer; t != nil {
 		t.ResourceRelease(s.name, 1)
 	}
 	if len(s.queue) == 0 {
-		s.account()
 		s.busy = false
 		return
 	}
@@ -81,28 +76,3 @@ func (s *ChooserServer) Release() {
 	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
 	s.eng.schedule(w.proc, s.eng.now)
 }
-
-func (s *ChooserServer) account() {
-	if s.busy {
-		s.busyInt += s.eng.now - s.lastAdj
-	}
-	s.lastAdj = s.eng.now
-}
-
-// Utilization reports the time-averaged busy fraction.
-func (s *ChooserServer) Utilization() float64 {
-	if s.eng.now == 0 {
-		return 0
-	}
-	integral := s.busyInt
-	if s.busy {
-		integral += s.eng.now - s.lastAdj
-	}
-	return float64(integral) / float64(s.eng.now)
-}
-
-// QueueLen reports the number of parked waiters.
-func (s *ChooserServer) QueueLen() int { return len(s.queue) }
-
-// Busy reports whether the slot is held.
-func (s *ChooserServer) Busy() bool { return s.busy }

@@ -12,7 +12,7 @@ import (
 
 // The dispatch-order pin.  One scripted scene uses every way control can
 // change hands between simulated processes — equal-timestamp timers, a
-// contended Server handing its slot over on Release, Tokens waiters admitted
+// contended Server handing its slot over on Release, n-unit waiters admitted
 // out of a shared pool, an Event waking several waiters, Group.Go/Wait, a
 // one-slot pipeline handing off through an Event, spawn inside spawn, a recycled shell receiving a stale
 // wake-up, Step interleaved with RunUntil, sampler boundaries between events —
@@ -94,20 +94,20 @@ func dispatchScene(t *testing.T) []string {
 			ran(p, "served")
 		})
 	}
-	// Tokens: one Release admits two waiters and leaves the third queued.
-	tk := NewTokens(e, "pool", 10)
+	// Units: one ReleaseN admits two waiters and leaves the third queued.
+	tk := NewServer(e, "pool", 10)
 	e.Spawn("holder", func(p *Proc) {
-		tk.Acquire(p, 8)
+		tk.AcquireN(p, 8)
 		p.Wait(900 * us)
-		tk.Release(8)
+		tk.ReleaseN(8)
 		ran(p, "released")
 	})
 	for i, n := range []int{4, 3, 5} {
 		e.Spawn(fmt.Sprintf("tok%d", i), func(p *Proc) {
-			tk.Acquire(p, n)
+			tk.AcquireN(p, n)
 			ran(p, "admitted")
 			p.Wait(200 * us)
-			tk.Release(n)
+			tk.ReleaseN(n)
 		})
 	}
 	// Event.Signal wakes several waiters at one timestamp.

@@ -120,20 +120,6 @@ func TestServerFIFOAndCapacity(t *testing.T) {
 	}
 }
 
-func TestServerUtilization(t *testing.T) {
-	e := New()
-	srv := NewServer(e, "s", 1)
-	e.Spawn("p", func(p *Proc) {
-		srv.Use(p, 500*time.Millisecond)
-		p.Wait(500 * time.Millisecond)
-	})
-	e.Run()
-	u := srv.Utilization()
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v, want ~0.5", u)
-	}
-}
-
 func TestTryAcquire(t *testing.T) {
 	e := New()
 	srv := NewServer(e, "s", 1)

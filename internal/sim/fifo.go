@@ -1,12 +1,10 @@
 package sim
 
-// fifo is a growable ring buffer with FIFO semantics.  Resource wait
-// queues (Server, Tokens, Store) used to be plain slices popped with
-// q = q[1:], which marches the backing array forward so every later append
-// reallocates; under sustained contention that is one allocation per
-// enqueue.  The ring reuses its backing array, so steady-state queueing —
-// like steady-state scheduling — allocates nothing once a queue has reached
-// its high-water mark.
+// fifo is a growable ring buffer with FIFO semantics: Server's wait queue.
+// A slice popped with q = q[1:] marches its backing array forward so every
+// later append reallocates; the ring reuses its backing array, so
+// steady-state queueing — like steady-state scheduling — allocates nothing
+// once a queue has reached its high-water mark.
 type fifo[T any] struct {
 	buf  []T
 	head int

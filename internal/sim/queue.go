@@ -12,10 +12,10 @@ package sim
 // allocation-free.
 //
 // The 4-ary shape was chosen over an inline binary heap and a calendar
-// (bucket) queue by benchmark (BenchmarkEventQueue in queue_bench_test.go;
-// table in DESIGN.md §15): halving the tree depth trades one comparison per
-// level for four, which wins on sift-down-heavy FIFO workloads because the
-// four children share a cache line pair.  A calendar queue was rejected —
+// (bucket) queue by benchmark (BenchmarkEventQueue in queue_bench_test.go):
+// halving the tree depth trades one comparison per level for four, which
+// wins on sift-down-heavy FIFO workloads because the four children share a
+// cache line pair.  A calendar queue was rejected —
 // deterministic FIFO among equal timestamps requires ordered buckets, whose
 // insertion cost reintroduces the O(n) behaviour the structure is meant to
 // avoid, and after this change the queue is no longer the hot path's

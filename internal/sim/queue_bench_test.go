@@ -10,8 +10,7 @@ import (
 // generates: a timer-wheel-like steady state where each pop is followed by
 // a push slightly in the future, over a queue holding `depth` events.  The
 // container/heap variant is the pre-rebuild implementation (boxed through
-// interface{}); the 4-ary variant is what engine.go uses.  Numbers are
-// recorded in DESIGN.md §15.
+// interface{}); the 4-ary variant is what engine.go uses.
 func BenchmarkEventQueue(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
 		depth := depth

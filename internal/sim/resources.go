@@ -5,25 +5,31 @@ import (
 	"math"
 )
 
-// Server is a FIFO resource with a fixed number of identical service slots.
-// Processes Acquire a slot (blocking in arrival order when all slots are
-// busy) and Release it when done.  A Server with capacity 1 is a mutex with
-// a fair queue; capacity N models N parallel service stations with a shared
-// queue.
+// Server is a FIFO resource of N identical units.  Processes acquire units
+// (blocking in arrival order while too few are free) and release them
+// later, possibly from a different process.  Acquire/Release take one unit:
+// a Server of capacity 1 is a mutex with a fair queue, capacity N models N
+// parallel service stations with a shared queue.  AcquireN/ReleaseN take
+// several, for byte-counted buffer memory such as the XBUS board's DRAM.
+//
+// Admission is head-of-line FIFO: a waiter is admitted only once every
+// earlier waiter has been, so a large request is never starved by smaller
+// ones that would fit.  For one-unit waiters that is exactly a slot handed
+// from the releaser to the head of the queue.
 type Server struct {
 	eng   *Engine
 	name  string
 	cap   int
-	busy  int
-	queue fifo[*Proc]
-
-	// Utilization accounting.
-	busyInt  Time // integral of busy slots over time
-	lastAdj  Time
-	acquires uint64
+	busy  int // units held
+	queue fifo[waiter]
 }
 
-// NewServer creates a FIFO server with the given capacity.
+type waiter struct {
+	proc *Proc
+	n    int
+}
+
+// NewServer creates a FIFO server with the given capacity in units.
 func NewServer(e *Engine, name string, capacity int) *Server {
 	if capacity < 1 {
 		//lint:allow simpanic resource constructors are wired with literal capacities at assembly time; a bad one is a programming error
@@ -33,93 +39,102 @@ func NewServer(e *Engine, name string, capacity int) *Server {
 	return &Server{eng: e, name: name, cap: capacity}
 }
 
-func (s *Server) account() {
-	s.busyInt += Time(s.busy) * (s.eng.now - s.lastAdj)
-	s.lastAdj = s.eng.now
-}
+// Acquire obtains one unit, blocking in FIFO order if none is free.
+func (s *Server) Acquire(p *Proc) { s.AcquireN(p, 1) }
 
-// Acquire obtains a service slot, blocking in FIFO order if none is free.
-func (s *Server) Acquire(p *Proc) {
-	s.acquires++
-	if s.busy < s.cap {
-		s.account()
-		s.busy++
+// AcquireN obtains n units, blocking in FIFO order until they are free.
+// A request larger than the capacity panics: it could never be satisfied.
+func (s *Server) AcquireN(p *Proc, n int) {
+	if n > s.cap {
+		//lint:allow simpanic a request larger than the server would block forever; deadlock-by-construction is a programming error
+		panic(fmt.Sprintf("sim: request of %d units exceeds server %q capacity %d", n, s.name, s.cap))
+	}
+	if s.queue.len() == 0 && s.busy+n <= s.cap {
+		s.busy += n
 		if t := s.eng.tracer; t != nil {
-			t.ResourceAcquire(s.name, p, 1, 0, false)
+			t.ResourceAcquire(s.name, p, n, 0, false)
 		}
 		return
 	}
-	s.queue.push(p)
+	s.queue.push(waiter{proc: p, n: n})
 	if t := s.eng.tracer; t != nil {
 		t.ResourceWait(s.name, p, s.queue.len())
 	}
 	enq := s.eng.now
 	p.park()
-	// The releasing process performed the accounting and slot hand-off;
-	// nothing further to do here.
+	// The releasing process carved our units out before waking us.
 	if t := s.eng.tracer; t != nil {
-		t.ResourceAcquire(s.name, p, 1, s.eng.now.Sub(enq), true)
+		t.ResourceAcquire(s.name, p, n, s.eng.now.Sub(enq), true)
 	}
 }
 
-// TryAcquire obtains a slot only if one is immediately free.
+// TryAcquire obtains one unit only if it is free without waiting.
 func (s *Server) TryAcquire() bool {
-	if s.busy < s.cap {
-		s.acquires++
-		s.account()
-		s.busy++
-		if t := s.eng.tracer; t != nil {
-			t.ResourceAcquire(s.name, nil, 1, 0, false)
-		}
-		return true
+	if s.queue.len() > 0 || s.busy == s.cap {
+		return false
 	}
-	return false
+	s.busy++
+	if t := s.eng.tracer; t != nil {
+		t.ResourceAcquire(s.name, nil, 1, 0, false)
+	}
+	return true
 }
 
-// Release frees a slot.  If processes are queued, the slot passes directly
-// to the head of the queue (which resumes at the current simulated time).
-func (s *Server) Release() {
-	if s.busy == 0 {
-		//lint:allow simpanic unbalanced Release corrupts utilization accounting; acquire/release pairing is a structural invariant
-		panic(fmt.Sprintf("sim: release of idle server %q", s.name))
+// Reserve permanently carves n units out of the server at assembly time: no
+// process context, no blocking.  It fails — rather than deadlocks — if the
+// units are not free now or waiters are already queued, so callers
+// partitioning a pool (e.g. cache capacity vs. transfer buffers in XBUS
+// DRAM) get an honest error for an over-committed configuration.
+func (s *Server) Reserve(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("sim: reserve of %d units from %q", n, s.name)
+	}
+	if s.queue.len() > 0 || s.busy+n > s.cap {
+		return fmt.Errorf("sim: cannot reserve %d units of %q (%d of %d available)", n, s.name, s.cap-s.busy, s.cap)
+	}
+	s.busy += n
+	if t := s.eng.tracer; t != nil {
+		t.ResourceAcquire(s.name, nil, n, 0, false)
+	}
+	return nil
+}
+
+// Release returns one unit.
+func (s *Server) Release() { s.ReleaseN(1) }
+
+// ReleaseN returns n units and admits queued waiters, in order, while the
+// head's request fits; they resume at the current simulated time.
+func (s *Server) ReleaseN(n int) {
+	if n > s.busy {
+		//lint:allow simpanic an unbalanced release corrupts admission; acquire/release pairing is a structural invariant
+		panic(fmt.Sprintf("sim: release of %d units of %q with %d held", n, s.name, s.busy))
 	}
 	if t := s.eng.tracer; t != nil {
-		t.ResourceRelease(s.name, 1)
+		t.ResourceRelease(s.name, n)
 	}
-	if s.queue.len() > 0 {
-		// busy count unchanged: the slot transfers to the queue head.
-		s.eng.schedule(s.queue.pop(), s.eng.now)
-		return
+	s.busy -= n
+	for s.queue.len() > 0 && s.busy+s.queue.peek().n <= s.cap {
+		w := s.queue.pop()
+		s.busy += w.n
+		s.eng.schedule(w.proc, s.eng.now)
 	}
-	s.account()
-	s.busy--
 }
 
-// Use acquires a slot, holds it for the simulated duration d, and releases it.
+// Use acquires a unit, holds it for the simulated duration d, and releases it.
 func (s *Server) Use(p *Proc, d Duration) {
 	s.Acquire(p)
 	p.Wait(d)
 	s.Release()
 }
 
-// QueueLen reports the number of processes waiting for a slot.
+// QueueLen reports the number of processes waiting.
 func (s *Server) QueueLen() int { return s.queue.len() }
 
-// Busy reports the number of slots currently in use.
+// Busy reports the number of units currently held.
 func (s *Server) Busy() int { return s.busy }
 
-// Utilization reports the time-averaged fraction of slots in use since the
-// start of the simulation.
-func (s *Server) Utilization() float64 {
-	if s.eng.now == 0 {
-		return 0
-	}
-	integral := s.busyInt + Time(s.busy)*(s.eng.now-s.lastAdj)
-	return float64(integral) / float64(int64(s.eng.now)*int64(s.cap))
-}
-
-// Acquires reports the total number of Acquire/TryAcquire successes requested.
-func (s *Server) Acquires() uint64 { return s.acquires }
+// Available reports the number of units currently free.
+func (s *Server) Available() int { return s.cap - s.busy }
 
 // Link models a store-and-forward transmission resource: a bus, a network
 // hop, a memory port.  A transfer of n bytes holds the link for
@@ -170,9 +185,6 @@ func (l *Link) Name() string { return l.name }
 
 // BytesMoved reports the total bytes transferred over the link.
 func (l *Link) BytesMoved() uint64 { return l.moved }
-
-// Utilization reports the time-averaged busy fraction of the link.
-func (l *Link) Utilization() float64 { return l.srv.Utilization() }
 
 // Hop is one stage of a data path: anything that can be occupied for the
 // duration of a chunk transfer.  *Link is the common implementation; the
@@ -367,98 +379,3 @@ func (g *Group) Err() error { return g.err }
 func BytesDuration(n int, mbPerS float64) Duration {
 	return Duration(math.Ceil(float64(n) / (mbPerS * 1e6) * 1e9))
 }
-
-// Tokens is a counting resource with FIFO admission: processes acquire k
-// units (blocking until available, in arrival order) and release them
-// later, possibly from a different process.  It models byte-counted buffer
-// memory such as the XBUS board's DRAM.
-type Tokens struct {
-	eng   *Engine
-	name  string
-	total int
-	avail int
-	queue fifo[tokenWaiter]
-}
-
-type tokenWaiter struct {
-	proc *Proc
-	n    int
-}
-
-// NewTokens creates a pool with the given total units.
-func NewTokens(e *Engine, name string, total int) *Tokens {
-	if total <= 0 {
-		//lint:allow simpanic resource constructors are wired with literal pool sizes at assembly time; a bad one is a programming error
-		panic("sim: token pool must be positive")
-	}
-	e.registerResource(name, total)
-	return &Tokens{eng: e, name: name, total: total, avail: total}
-}
-
-// Acquire obtains n units, blocking FIFO until they are available.
-// Requests larger than the pool panic (they could never be satisfied).
-func (tk *Tokens) Acquire(p *Proc, n int) {
-	if n > tk.total {
-		//lint:allow simpanic a request larger than the pool would block forever; deadlock-by-construction is a programming error
-		panic(fmt.Sprintf("sim: token request %d exceeds pool %q size %d", n, tk.name, tk.total))
-	}
-	if tk.queue.len() == 0 && tk.avail >= n {
-		tk.avail -= n
-		if t := tk.eng.tracer; t != nil {
-			t.ResourceAcquire(tk.name, p, n, 0, false)
-		}
-		return
-	}
-	tk.queue.push(tokenWaiter{proc: p, n: n})
-	if t := tk.eng.tracer; t != nil {
-		t.ResourceWait(tk.name, p, tk.queue.len())
-	}
-	enq := tk.eng.now
-	p.park()
-	// Woken by Release once our allocation was carved out.
-	if t := tk.eng.tracer; t != nil {
-		t.ResourceAcquire(tk.name, p, n, tk.eng.now.Sub(enq), true)
-	}
-}
-
-// Reserve permanently carves n units out of the pool at assembly time: no
-// process context, no blocking.  It fails — rather than deadlocks — if the
-// units are not immediately free or waiters are already queued, so callers
-// partitioning a pool (e.g. cache capacity vs. transfer buffers in XBUS
-// DRAM) get an honest error for an over-committed configuration.
-func (tk *Tokens) Reserve(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("sim: reserve of %d units from pool %q", n, tk.name)
-	}
-	if tk.queue.len() > 0 || n > tk.avail {
-		return fmt.Errorf("sim: cannot reserve %d units of %q (%d of %d available)", n, tk.name, tk.avail, tk.total)
-	}
-	tk.avail -= n
-	if t := tk.eng.tracer; t != nil {
-		t.ResourceAcquire(tk.name, nil, n, 0, false)
-	}
-	return nil
-}
-
-// Release returns n units to the pool and admits queued waiters in order.
-func (tk *Tokens) Release(n int) {
-	if t := tk.eng.tracer; t != nil {
-		t.ResourceRelease(tk.name, n)
-	}
-	tk.avail += n
-	if tk.avail > tk.total {
-		//lint:allow simpanic unbalanced Release corrupts admission accounting; acquire/release pairing is a structural invariant
-		panic(fmt.Sprintf("sim: token pool %q over-released", tk.name))
-	}
-	for tk.queue.len() > 0 && tk.avail >= tk.queue.peek().n {
-		w := tk.queue.pop()
-		tk.avail -= w.n
-		tk.eng.schedule(w.proc, tk.eng.now)
-	}
-}
-
-// Available reports the currently free units.
-func (tk *Tokens) Available() int { return tk.avail }
-
-// InUse reports the units currently held.
-func (tk *Tokens) InUse() int { return tk.total - tk.avail }

@@ -35,11 +35,11 @@ func TestShutdownStrandsNothing(t *testing.T) {
 	if !srv.TryAcquire() {
 		t.Fatal("fresh server busy")
 	}
-	tk := NewTokens(e, "tokens", 4)
+	tk := NewServer(e, "tokens", 4)
 	grp := NewGroup(e)
 	grp.join.n++ // never done
 	parked("on-server", srv.Acquire)
-	parked("on-tokens", func(p *Proc) { tk.Acquire(p, 3); tk.Acquire(p, 3) })
+	parked("on-tokens", func(p *Proc) { tk.AcquireN(p, 3); tk.AcquireN(p, 3) })
 	parked("on-event", NewEvent(e).Wait)
 	parked("on-group", func(p *Proc) { _ = grp.Wait(p) })
 	parked("on-timer", func(p *Proc) { p.Wait(time.Hour) })

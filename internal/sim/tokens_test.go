@@ -7,13 +7,13 @@ import (
 
 func TestTokensBasicAcquireRelease(t *testing.T) {
 	e := New()
-	tk := NewTokens(e, "dram", 100)
+	tk := NewServer(e, "dram", 100)
 	e.Spawn("p", func(p *Proc) {
-		tk.Acquire(p, 60)
-		if tk.Available() != 40 || tk.InUse() != 60 {
-			t.Errorf("avail=%d inuse=%d", tk.Available(), tk.InUse())
+		tk.AcquireN(p, 60)
+		if tk.Available() != 40 || tk.Busy() != 60 {
+			t.Errorf("avail=%d inuse=%d", tk.Available(), tk.Busy())
 		}
-		tk.Release(60)
+		tk.ReleaseN(60)
 		if tk.Available() != 100 {
 			t.Errorf("avail after release = %d", tk.Available())
 		}
@@ -23,17 +23,17 @@ func TestTokensBasicAcquireRelease(t *testing.T) {
 
 func TestTokensBlockUntilAvailable(t *testing.T) {
 	e := New()
-	tk := NewTokens(e, "dram", 100)
+	tk := NewServer(e, "dram", 100)
 	var grabbedAt Time
 	e.Spawn("holder", func(p *Proc) {
-		tk.Acquire(p, 80)
+		tk.AcquireN(p, 80)
 		p.Wait(time.Second)
-		tk.Release(80)
+		tk.ReleaseN(80)
 	})
 	e.Spawn("waiter", func(p *Proc) {
-		tk.Acquire(p, 50) // needs the holder to release
+		tk.AcquireN(p, 50) // needs the holder to release
 		grabbedAt = p.Now()
-		tk.Release(50)
+		tk.ReleaseN(50)
 	})
 	e.Run()
 	if grabbedAt != Time(time.Second) {
@@ -43,20 +43,20 @@ func TestTokensBlockUntilAvailable(t *testing.T) {
 
 func TestTokensFIFOOrder(t *testing.T) {
 	e := New()
-	tk := NewTokens(e, "dram", 10)
+	tk := NewServer(e, "dram", 10)
 	var order []int
 	e.Spawn("holder", func(p *Proc) {
-		tk.Acquire(p, 10)
+		tk.AcquireN(p, 10)
 		p.Wait(time.Second)
-		tk.Release(10)
+		tk.ReleaseN(10)
 	})
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Spawn("w", func(p *Proc) {
-			tk.Acquire(p, 5)
+			tk.AcquireN(p, 5)
 			order = append(order, i)
 			p.Wait(time.Millisecond)
-			tk.Release(5)
+			tk.ReleaseN(5)
 		})
 	}
 	e.Run()
@@ -71,24 +71,24 @@ func TestTokensHeadOfLineBlocking(t *testing.T) {
 	// A large waiter at the head must not be starved by small requests
 	// that could fit: admission is strictly FIFO.
 	e := New()
-	tk := NewTokens(e, "dram", 10)
+	tk := NewServer(e, "dram", 10)
 	var order []string
 	e.Spawn("holder", func(p *Proc) {
-		tk.Acquire(p, 8)
+		tk.AcquireN(p, 8)
 		p.Wait(time.Second)
-		tk.Release(8)
+		tk.ReleaseN(8)
 	})
 	e.Spawn("big", func(p *Proc) {
 		p.Wait(time.Millisecond)
-		tk.Acquire(p, 10)
+		tk.AcquireN(p, 10)
 		order = append(order, "big")
-		tk.Release(10)
+		tk.ReleaseN(10)
 	})
 	e.Spawn("small", func(p *Proc) {
 		p.Wait(2 * time.Millisecond)
-		tk.Acquire(p, 2) // would fit now, but big is queued ahead
+		tk.AcquireN(p, 2) // would fit now, but big is queued ahead
 		order = append(order, "small")
-		tk.Release(2)
+		tk.ReleaseN(2)
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != "big" {
@@ -98,24 +98,24 @@ func TestTokensHeadOfLineBlocking(t *testing.T) {
 
 func TestTokensOversizeRequestPanics(t *testing.T) {
 	e := New()
-	tk := NewTokens(e, "dram", 10)
+	tk := NewServer(e, "dram", 10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tk.Acquire(nil, 11)
+	tk.AcquireN(nil, 11)
 }
 
 func TestTokensOverReleasePanics(t *testing.T) {
 	e := New()
-	tk := NewTokens(e, "dram", 10)
+	tk := NewServer(e, "dram", 10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tk.Release(1)
+	tk.ReleaseN(1)
 }
 
 func TestGoexitInProcessDoesNotWedgeEngine(t *testing.T) {

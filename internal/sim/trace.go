@@ -15,16 +15,19 @@ package sim
 // the engine (schedule events, spawn processes, advance time): hooks fire
 // while the engine's internal state is mid-update.  The Proc passed to
 // ResourceWait/ResourceAcquire may be nil for acquisitions made outside any
-// process (Server.TryAcquire from assembly code).
+// process (Server.TryAcquire or Server.Reserve from assembly code).  The
+// resource hooks are the engine's only account of how busy a resource was:
+// resources keep no busy-time integral of their own.
 type Tracer interface {
 	// ProcStart fires when a process is spawned, at the spawn time.
 	ProcStart(p *Proc)
 	// ProcFinish fires when a process returns, at the finish time.
 	// Processes reaped by Shutdown never finish and produce no call.
 	ProcFinish(p *Proc)
-	// ResourceCreate fires when a resource (Server, ChooserServer, Link,
-	// Tokens) is constructed, and is replayed for existing resources when a
-	// tracer is attached to an engine that already has some.
+	// ResourceCreate fires when a resource (a Server, which a Link wraps,
+	// or a ChooserServer) is constructed, and is replayed for existing
+	// resources when a tracer is attached to an engine that already has
+	// some.
 	ResourceCreate(name string, capacity int)
 	// ResourceWait fires when p blocks on a resource; depth counts the
 	// waiters in the queue including p.
@@ -35,7 +38,8 @@ type Tracer interface {
 	// and queued reports whether a ResourceWait preceded this grant.
 	ResourceAcquire(name string, p *Proc, units int, waited Duration, queued bool)
 	// ResourceRelease fires when units return to the resource.  The
-	// releasing process may differ from the acquiring one (Tokens).
+	// releasing process may differ from the acquiring one (a buffer pool's
+	// ReleaseN).
 	ResourceRelease(name string, units int)
 	// Span records a completed annotated interval [start, now] attributed
 	// to process p, e.g. a disk seek or an LFS checkpoint.

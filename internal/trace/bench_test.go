@@ -12,7 +12,7 @@ import (
 // operation opens a span and acquires/releases a traced resource.  One
 // iteration is one operation (one span record plus the wait/acquire/release
 // counter samples it generates).  CI's perf job tracks this alongside the
-// engine benchmarks; the PR-9 before/after numbers are in DESIGN.md §15.
+// engine benchmarks (DESIGN.md §15).
 func BenchmarkTracedRun(b *testing.B) {
 	e := sim.New()
 	Attach(e, Config{Label: "bench", Pid: 1, Events: true})

@@ -12,8 +12,8 @@ import (
 )
 
 // runContended drives a 2-slot server with four processes so that two of
-// them queue.  Returns the engine, server, and recorder.
-func runContended(events bool) (*sim.Engine, *sim.Server, *Recorder) {
+// them queue.  Returns the engine and recorder.
+func runContended(events bool) (*sim.Engine, *Recorder) {
 	e := sim.New()
 	srv := sim.NewServer(e, "svc", 2)
 	rec := Attach(e, Config{Label: "unit", Pid: 7, Events: events})
@@ -25,7 +25,7 @@ func runContended(events bool) (*sim.Engine, *sim.Server, *Recorder) {
 		})
 	}
 	e.Run()
-	return e, srv, rec
+	return e, rec
 }
 
 func findRes(t *testing.T, rec *Recorder, name string) *Resource {
@@ -40,13 +40,10 @@ func findRes(t *testing.T, rec *Recorder, name string) *Resource {
 }
 
 func TestRecorderMatchesServerAccounting(t *testing.T) {
-	e, srv, rec := runContended(false)
+	e, rec := runContended(false)
 	r := findRes(t, rec, "svc")
-	if got, want := r.UtilizationAt(e.Now()), srv.Utilization(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("recorder utilization %v, server says %v", got, want)
-	}
-	if r.Acquires != srv.Acquires() {
-		t.Errorf("recorder acquires %d, server says %d", r.Acquires, srv.Acquires())
+	if r.Acquires != 4 {
+		t.Errorf("Acquires = %d, want 4", r.Acquires)
 	}
 	// Four 10 ms holds on two slots: the run lasts 20 ms at 100% utilization.
 	if got := r.UtilizationAt(e.Now()); math.Abs(got-1.0) > 1e-12 {
@@ -62,7 +59,7 @@ func TestRecorderMatchesServerAccounting(t *testing.T) {
 }
 
 func TestTableNamesBottleneck(t *testing.T) {
-	_, _, rec := runContended(false)
+	_, rec := runContended(false)
 	tab := rec.Table(0)
 	if !strings.Contains(tab, "bottleneck: svc") {
 		t.Errorf("table does not name the bottleneck:\n%s", tab)
@@ -92,7 +89,7 @@ func TestTableLimitTruncates(t *testing.T) {
 }
 
 func TestChromeOutputValidJSON(t *testing.T) {
-	_, _, rec := runContended(true)
+	_, rec := runContended(true)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, rec); err != nil {
 		t.Fatal(err)
@@ -132,7 +129,7 @@ func TestChromeOutputValidJSON(t *testing.T) {
 
 func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 	run := func() (string, string) {
-		_, _, rec := runContended(true)
+		_, rec := runContended(true)
 		var buf bytes.Buffer
 		if err := WriteChrome(&buf, rec); err != nil {
 			t.Fatal(err)
@@ -214,17 +211,17 @@ func TestSameNameResourcesMerge(t *testing.T) {
 
 func TestTokensUnitsAccounting(t *testing.T) {
 	e := sim.New()
-	tk := sim.NewTokens(e, "dram", 100)
+	tk := sim.NewServer(e, "dram", 100)
 	rec := Attach(e, Config{Label: "tokens"})
 	e.Spawn("w", func(p *sim.Proc) {
-		tk.Acquire(p, 100)
+		tk.AcquireN(p, 100)
 		p.Wait(time.Millisecond)
-		tk.Release(100)
+		tk.ReleaseN(100)
 	})
 	e.Spawn("w2", func(p *sim.Proc) {
-		tk.Acquire(p, 50) // queues behind w's full-pool hold
+		tk.AcquireN(p, 50) // queues behind w's full-pool hold
 		p.Wait(time.Millisecond)
-		tk.Release(50)
+		tk.ReleaseN(50)
 	})
 	e.Run()
 	r := findRes(t, rec, "dram")

@@ -85,9 +85,6 @@ func (pt *Port) In() sim.Hop { return portDir{port: pt, in: true} }
 // Out returns the hop for data flowing out of XBUS memory through this port.
 func (pt *Port) Out() sim.Hop { return portDir{port: pt, in: false} }
 
-// Utilization reports the port's time-averaged busy fraction.
-func (pt *Port) Utilization() float64 { return pt.srv.Utilization() }
-
 // BytesMoved reports the total bytes through the port.
 func (pt *Port) BytesMoved() uint64 { return pt.moved }
 
@@ -106,7 +103,7 @@ type Board struct {
 	VME    []*Port
 	Host   *Port // control/metadata link to the host workstation
 
-	// Buffers is the board DRAM as an allocatable pool.  What draws tokens:
+	// Buffers is the board DRAM as a server of bytes.  What draws units:
 	// the chunk buffers of the hardware and file-system read and write
 	// pipelines, the client path's HIPPI network buffers, and the permanent
 	// carve-outs of ReserveMemory (block cache, NVRAM).  LFS's segment
@@ -114,7 +111,7 @@ type Board struct {
 	// are not drawn from here — the file system does not know its board —
 	// but are a fixed pool sized against the same 32 MB (six 960 KB images,
 	// DESIGN.md §17).
-	Buffers *sim.Tokens
+	Buffers *sim.Server
 
 	parityOps uint64
 }
@@ -137,7 +134,7 @@ func New(e *sim.Engine, name string, cfg Config) *Board {
 		HIPPID:  port("hippid", cfg.PortMBps, cfg.PortMBps),
 		Parity:  port("xor", cfg.PortMBps, cfg.PortMBps),
 		Host:    port("host", cfg.HostVMEMBps, cfg.HostVMEMBps),
-		Buffers: sim.NewTokens(e, name+":dram", cfg.MemoryBytes),
+		Buffers: sim.NewServer(e, name+":dram", cfg.MemoryBytes),
 	}
 	for i := 0; i < cfg.VMEDiskPorts; i++ {
 		// Each VME disk port is a distinct piece of hardware; unique names

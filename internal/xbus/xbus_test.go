@@ -143,14 +143,14 @@ func TestBufferPoolBlocksWhenExhausted(t *testing.T) {
 	b := New(e, "xb", cfg)
 	var secondAt sim.Time
 	e.Spawn("a", func(p *sim.Proc) {
-		b.Buffers.Acquire(p, 1<<20)
+		b.Buffers.AcquireN(p, 1<<20)
 		p.Wait(sim.Duration(5e6)) // 5 ms
-		b.Buffers.Release(1 << 20)
+		b.Buffers.ReleaseN(1 << 20)
 	})
 	e.Spawn("b", func(p *sim.Proc) {
-		b.Buffers.Acquire(p, 512<<10)
+		b.Buffers.AcquireN(p, 512<<10)
 		secondAt = p.Now()
-		b.Buffers.Release(512 << 10)
+		b.Buffers.ReleaseN(512 << 10)
 	})
 	e.Run()
 	if secondAt != sim.Time(5e6) {
