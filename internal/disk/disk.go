@@ -275,13 +275,17 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 		d.mediaFront = p.Now()
 	}
 
+	// The media produces the sectors in order: each chunk starts through
+	// path once the media front passes it (which may already have
+	// happened, for buffered read-ahead data).
 	j := sim.NewJoin(d.eng)
 	endMedia := p.Span("disk", "media-read")
-	d.streamChunks(p, lba, n, func(cp *sim.Proc, bytes int) {
-		j.Go("diskread-chunk", func(q *sim.Proc) {
-			path.Send(q, bytes, 0)
-		})
-		_ = cp
+	d.eachChunk(lba, n, func(at int64, secs, bytes int) {
+		mt := d.mediaTime(at, secs)
+		d.stats.MediaTime += mt
+		d.mediaFront = d.mediaFront.Add(mt)
+		p.WaitUntil(d.mediaFront)
+		path.Start(j, bytes)
 	})
 	endMedia()
 	d.curCyl = d.cylOf(lba + int64(n) - 1)
@@ -331,20 +335,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	// update it sequentially.
 	var mediaFree sim.Time
 	j := sim.NewJoin(d.eng)
-	remaining := n * d.spec.SectorSize
-	cursor := lba
-	for remaining > 0 {
-		bytes := sim.DefaultChunk
-		if bytes > remaining {
-			bytes = remaining
-		}
-		remaining -= bytes
-		secs := bytes / d.spec.SectorSize
-		if secs == 0 {
-			secs = 1
-		}
-		chunkLBA := cursor
-		cursor += int64(secs)
+	d.eachChunk(lba, n, func(at int64, secs, bytes int) {
 		j.Go("diskwrite-chunk", func(q *sim.Proc) {
 			path.Send(q, bytes, 0)
 			posDone.Wait(q)
@@ -352,14 +343,14 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 			if mediaFree > start {
 				start = mediaFree
 			}
-			mt := d.mediaTime(chunkLBA, secs)
+			mt := d.mediaTime(at, secs)
 			d.stats.MediaTime += mt
 			mediaFree = start.Add(mt)
 			endMedia := q.Span("disk", "media-write")
 			q.WaitUntil(mediaFree)
 			endMedia()
 		})
-	}
+	})
 	j.Wait(p)
 
 	d.curCyl = d.cylOf(lba + int64(n) - 1)
@@ -376,29 +367,15 @@ func (d *Disk) bufferMediaTime() time.Duration {
 	return sim.BytesDuration(d.spec.TrackBufferSize, d.spec.MediaRate()/1e6)
 }
 
-// streamChunks models the media producing the request's sectors in order:
-// each chunk becomes available when the media front passes it (which may
-// already have happened, for buffered read-ahead data), at which point
-// deliver is invoked to start downstream work.  Used by Read.
-func (d *Disk) streamChunks(p *sim.Proc, lba int64, n int, deliver func(*sim.Proc, int)) {
-	remaining := n * d.spec.SectorSize
-	cursor := lba
-	for remaining > 0 {
-		bytes := sim.DefaultChunk
-		if bytes > remaining {
-			bytes = remaining
-		}
+// eachChunk calls fn, in order, for each DefaultChunk of the n sectors at
+// lba, with the chunk's first sector, sector count and bytes.
+func (d *Disk) eachChunk(lba int64, n int, fn func(lba int64, secs, bytes int)) {
+	for remaining := n * d.spec.SectorSize; remaining > 0; {
+		bytes := min(sim.DefaultChunk, remaining)
 		remaining -= bytes
-		secs := bytes / d.spec.SectorSize
-		if secs == 0 {
-			secs = 1
-		}
-		mt := d.mediaTime(cursor, secs)
-		d.stats.MediaTime += mt
-		d.mediaFront = d.mediaFront.Add(mt)
-		p.WaitUntil(d.mediaFront)
-		deliver(p, bytes)
-		cursor += int64(secs)
+		secs := max(bytes/d.spec.SectorSize, 1)
+		fn(lba, secs, bytes)
+		lba += int64(secs)
 	}
 }
 

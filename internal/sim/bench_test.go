@@ -67,8 +67,7 @@ func BenchmarkResourceContention(b *testing.B) {
 }
 
 // BenchmarkSpawnDispatch measures process startup: one iteration spawns a
-// process that immediately finishes.  This is the path Path.Send pays per
-// pipelined chunk, so it dominates large-transfer simulations.
+// process that immediately finishes.
 func BenchmarkSpawnDispatch(b *testing.B) {
 	e := New()
 	noop := func(p *Proc) {}
@@ -83,6 +82,17 @@ func BenchmarkSpawnDispatch(b *testing.B) {
 		e.Spawn("noop", noop)
 		e.Run()
 	}
+	b.StopTimer()
+	e.Shutdown()
+}
+
+// BenchmarkPathSend measures a chunked transfer: one iteration is one
+// Path.Send of 32 chunks over three links (pathSendRig), about 100 events.
+func BenchmarkPathSend(b *testing.B) {
+	e, period := pathSendRig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunUntil(e.Now() + Time(b.N)*period)
 	b.StopTimer()
 	e.Shutdown()
 }

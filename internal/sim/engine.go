@@ -56,15 +56,16 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return Duration(t).String() }
 
-// event is a scheduled resumption of a process.  wake snapshots the
-// process's assignment ID at schedule time: process shells are recycled
-// (see Spawn), so a dispatch fires only when the shell still runs the
-// assignment the event was scheduled for.
+// event is a scheduled resumption of a process or, when proc is nil, the
+// next step of a chunk (chunk.go).  For a process, wake snapshots its
+// assignment ID at schedule time: process shells are recycled (see Spawn),
+// so a dispatch fires only when the shell still runs the assignment the
+// event was scheduled for.  For a chunk, wake is its slot in Engine.chunks.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
 	proc *Proc
-	wake uint64 // p.id at schedule time
+	wake uint64 // p.id at schedule time, or the chunk's slot
 }
 
 // Engine is a discrete-event simulation scheduler.
@@ -90,6 +91,9 @@ type Engine struct {
 	idle   []*Proc // finished process shells awaiting reuse
 	shells []*Proc // every shell, in creation order, for Shutdown
 
+	chunks     []*chunk // every chunk state, indexed by its slot
+	freeChunks []*chunk // finished chunk states awaiting reuse
+
 	procSeq   uint64         // process IDs, assigned in spawn order
 	tracer    Tracer         // observability hooks; nil when untraced
 	resources []resourceInfo // one per constructed resource name, for tracer replay
@@ -108,9 +112,9 @@ func New() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Live reports the number of processes that have been spawned and have not
-// yet finished.  After Run returns, a nonzero Live count means processes are
-// parked on resources or events that will never be signalled (a deadlock in
-// the modelled system).
+// yet finished, counting each unfinished Path chunk as one.  After Run
+// returns, a nonzero Live count means processes are parked on resources or
+// events that will never be signalled (a deadlock in the modelled system).
 func (e *Engine) Live() int { return e.live }
 
 // EventsExecuted reports the number of events dispatched since the engine
@@ -121,13 +125,19 @@ func (e *Engine) Live() int { return e.live }
 func (e *Engine) EventsExecuted() uint64 { return e.executed }
 
 // schedule enqueues a resumption of p at time at.
-func (e *Engine) schedule(p *Proc, at Time) {
+func (e *Engine) schedule(p *Proc, at Time) { e.push(at, p, p.id) }
+
+// scheduleChunk enqueues c's next step at time at.
+func (e *Engine) scheduleChunk(c *chunk, at Time) { e.push(at, nil, c.slot) }
+
+// push enqueues an event for p, or for a chunk when p is nil, at time at.
+func (e *Engine) push(at Time, p *Proc, wake uint64) {
 	if at < e.now {
 		//lint:allow simpanic scheduling into the past would corrupt the event timeline; this is the engine's core invariant
 		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", at, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, proc: p, wake: p.id})
+	e.events.push(event{at: at, seq: e.seq, proc: p, wake: wake})
 }
 
 // consumeHead removes the earliest pending event and advances the clock to
@@ -152,7 +162,11 @@ func (e *Engine) fireNext(deadline Time) bool {
 		return false
 	}
 	ev := e.consumeHead()
-	e.dispatch(ev.proc, ev.wake)
+	if ev.proc == nil {
+		e.chunks[ev.wake].step()
+	} else {
+		e.dispatch(ev.proc, ev.wake)
+	}
 	return true
 }
 
@@ -198,7 +212,8 @@ func (e *Engine) dispatch(p *Proc, wake uint64) {
 	e.inProc = false
 }
 
-// Shutdown terminates all parked processes and marks the engine unusable.
+// Shutdown terminates all parked processes, drops unfinished chunks and
+// pending events, and marks the engine unusable.
 // It must be called from outside any simulated process, after Run/RunUntil
 // has returned.  It is the caller's tool for reclaiming the coroutines of
 // processes that never finish on their own (e.g. open-loop workload
@@ -225,7 +240,9 @@ func (e *Engine) Shutdown() {
 			e.live--
 		}
 	}
-	e.shells, e.idle = nil, nil
+	e.live -= len(e.chunks) - len(e.freeChunks)
+	e.shells, e.idle, e.chunks, e.freeChunks = nil, nil, nil, nil
+	e.events = eventQueue{}
 }
 
 // killSentinel is the panic value used to unwind processes during Shutdown.

@@ -24,9 +24,11 @@ type Server struct {
 	queue fifo[waiter]
 }
 
+// waiter is a queued request: a process's, or a chunk's when proc is nil.
 type waiter struct {
-	proc *Proc
-	n    int
+	proc  *Proc
+	chunk *chunk
+	n     int
 }
 
 // NewServer creates a FIFO server with the given capacity in units.
@@ -49,16 +51,8 @@ func (s *Server) AcquireN(p *Proc, n int) {
 		//lint:allow simpanic a request larger than the server would block forever; deadlock-by-construction is a programming error
 		panic(fmt.Sprintf("sim: request of %d units exceeds server %q capacity %d", n, s.name, s.cap))
 	}
-	if s.queue.len() == 0 && s.busy+n <= s.cap {
-		s.busy += n
-		if t := s.eng.tracer; t != nil {
-			t.ResourceAcquire(s.name, p, n, 0, false)
-		}
+	if s.enter(waiter{proc: p, n: n}) {
 		return
-	}
-	s.queue.push(waiter{proc: p, n: n})
-	if t := s.eng.tracer; t != nil {
-		t.ResourceWait(s.name, p, s.queue.len())
 	}
 	enq := s.eng.now
 	p.park()
@@ -66,6 +60,23 @@ func (s *Server) AcquireN(p *Proc, n int) {
 	if t := s.eng.tracer; t != nil {
 		t.ResourceAcquire(s.name, p, n, s.eng.now.Sub(enq), true)
 	}
+}
+
+// enter grants w's units at once if nobody is queued and they are free, and
+// otherwise queues w; it reports whether they were granted.
+func (s *Server) enter(w waiter) bool {
+	if s.queue.len() == 0 && s.busy+w.n <= s.cap {
+		s.busy += w.n
+		if t := s.eng.tracer; t != nil {
+			t.ResourceAcquire(s.name, w.proc, w.n, 0, false)
+		}
+		return true
+	}
+	s.queue.push(w)
+	if t := s.eng.tracer; t != nil {
+		t.ResourceWait(s.name, w.proc, s.queue.len())
+	}
+	return false
 }
 
 // TryAcquire obtains one unit only if it is free without waiting.
@@ -103,7 +114,8 @@ func (s *Server) Reserve(n int) error {
 func (s *Server) Release() { s.ReleaseN(1) }
 
 // ReleaseN returns n units and admits queued waiters, in order, while the
-// head's request fits; they resume at the current simulated time.
+// head's request fits; each process resumes, or chunk steps, at the
+// current simulated time.
 func (s *Server) ReleaseN(n int) {
 	if n > s.busy {
 		//lint:allow simpanic an unbalanced release corrupts admission; acquire/release pairing is a structural invariant
@@ -116,7 +128,11 @@ func (s *Server) ReleaseN(n int) {
 	for s.queue.len() > 0 && s.busy+s.queue.peek().n <= s.cap {
 		w := s.queue.pop()
 		s.busy += w.n
-		s.eng.schedule(w.proc, s.eng.now)
+		if w.proc != nil {
+			s.eng.schedule(w.proc, s.eng.now)
+		} else {
+			s.eng.scheduleChunk(w.chunk, s.eng.now)
+		}
 	}
 }
 
@@ -127,7 +143,7 @@ func (s *Server) Use(p *Proc, d Duration) {
 	s.Release()
 }
 
-// QueueLen reports the number of processes waiting.
+// QueueLen reports the number of waiters.
 func (s *Server) QueueLen() int { return s.queue.len() }
 
 // Busy reports the number of units currently held.
@@ -145,26 +161,30 @@ func (s *Server) Available() int { return s.cap - s.busy }
 // and so that multi-hop paths pipeline instead of serializing.
 type Link struct {
 	srv       *Server
-	name      string
 	bytesPerS float64
 	latency   Duration
-	moved     uint64 // total bytes transferred
+	moved     uint64   // total bytes transferred
+	self      [1]*Link // the link as a hop of one link
 }
 
 // NewLink creates a link with the given bandwidth in megabytes per second
 // (decimal: 1 MB = 1e6 bytes, the convention the paper uses) and a fixed
-// per-transfer latency.
+// per-transfer latency, on a server of its own named name.
 func NewLink(e *Engine, name string, mbPerS float64, latency Duration) *Link {
+	return NewServer(e, name, 1).Link(mbPerS, latency)
+}
+
+// Link creates a link on s: each transfer holds one unit of s.  Links built
+// on one server share its FIFO queue, as the two directions of a
+// half-duplex port do.
+func (s *Server) Link(mbPerS float64, latency Duration) *Link {
 	if mbPerS <= 0 {
 		//lint:allow simpanic resource constructors are wired with calibrated literal bandwidths at assembly time; a bad one is a programming error
 		panic("sim: link bandwidth must be positive")
 	}
-	return &Link{
-		srv:       NewServer(e, name, 1),
-		name:      name,
-		bytesPerS: mbPerS * 1e6,
-		latency:   latency,
-	}
+	l := &Link{srv: s, bytesPerS: mbPerS * 1e6, latency: latency}
+	l.self[0] = l
+	return l
 }
 
 // XferTime reports how long n bytes occupy the link, excluding queueing.
@@ -180,18 +200,27 @@ func (l *Link) Transfer(p *Proc, n int) {
 	l.moved += uint64(n)
 }
 
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
+// Name returns the link's diagnostic name, its server's.
+func (l *Link) Name() string { return l.srv.name }
 
 // BytesMoved reports the total bytes transferred over the link.
 func (l *Link) BytesMoved() uint64 { return l.moved }
 
-// Hop is one stage of a data path: anything that can be occupied for the
-// duration of a chunk transfer.  *Link is the common implementation; the
-// XBUS package supplies direction-dependent port hops.
+// Links implements Hop: a link is a hop of one link.
+func (l *Link) Links() []*Link { return l.self[:] }
+
+// Hop is one stage of a data path: the links a chunk crosses there, in
+// order.  A *Link is a hop of one link; a Route is several, as an XBUS port
+// direction is the port's link for that direction and then board memory.
 type Hop interface {
-	Transfer(p *Proc, n int)
+	Links() []*Link
 }
+
+// Route is a hop that crosses its links in order.
+type Route []*Link
+
+// Links implements Hop.
+func (r Route) Links() []*Link { return r }
 
 // Path is an ordered sequence of hops that data traverses, e.g.
 // disk -> SCSI string -> Cougar controller -> VME port -> XBUS memory.
@@ -203,10 +232,11 @@ type Path []Hop
 const DefaultChunk = 32 * 1024
 
 // Send moves n bytes through every link of the path in order, pipelined at
-// chunk granularity: chunk i+1 may occupy hop k while chunk i occupies hop
-// k+1.  It returns when the final chunk has left the last hop.  A zero or
-// negative chunk selects DefaultChunk.  The effective bandwidth of a long
-// transfer approaches the bandwidth of the slowest hop.
+// chunk granularity: chunk i+1 may occupy link k while chunk i occupies
+// link k+1, so a long transfer approaches the slowest link's bandwidth.  A
+// zero or negative chunk selects DefaultChunk.  One chunk runs on p; more
+// start in order (FIFO link queues keep it) and p parks until the last one
+// has left the last link.
 func (path Path) Send(p *Proc, n, chunk int) {
 	if n <= 0 || len(path) == 0 {
 		return
@@ -214,28 +244,17 @@ func (path Path) Send(p *Proc, n, chunk int) {
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
-	nchunks := (n + chunk - 1) / chunk
-	if nchunks == 1 {
-		for _, l := range path {
-			l.Transfer(p, n)
+	if n <= chunk {
+		for _, h := range path {
+			for _, l := range h.Links() {
+				l.Transfer(p, n)
+			}
 		}
 		return
 	}
 	j := NewJoin(p.eng)
-	remaining := n
-	for i := 0; i < nchunks; i++ {
-		sz := chunk
-		if sz > remaining {
-			sz = remaining
-		}
-		remaining -= sz
-		// Chunks are spawned in order; FIFO link queues preserve that
-		// order at every hop, so arrival order is deterministic.
-		j.Go("chunk", func(cp *Proc) {
-			for _, l := range path {
-				l.Transfer(cp, sz)
-			}
-		})
+	for ; n > 0; n -= chunk {
+		path.Start(j, min(n, chunk))
 	}
 	j.Wait(p)
 }
@@ -283,8 +302,8 @@ func (ev *Event) Wait(p *Proc) {
 }
 
 // Join is fork/join for simulated work that cannot fail: Go forks a worker
-// process, Wait joins them all.  Its workers follow nobody, like those of a
-// group made by NewGroup.
+// process and Path.Start a chunk, Wait joins them all.  Its workers follow
+// nobody, like those of a group made by NewGroup.
 type Join struct {
 	eng *Engine
 	n   int

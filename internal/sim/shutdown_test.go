@@ -10,12 +10,14 @@ import (
 	"time"
 )
 
-// TestShutdownStrandsNothing parks a process on every kind of wait, leaves
-// one assignment spawned but never dispatched and a few finished shells idle
-// in the pool, and requires Shutdown to account for all of them: Live drops
-// to zero, each killed process's deferred functions run exactly once in
-// creation order, the undispatched assignment never runs, a second Shutdown
-// does nothing, and no coroutine outlives the engine.
+// TestShutdownStrandsNothing parks a process on every kind of wait, strands
+// a chunked Path.Send's chunks behind a server nobody releases, leaves one
+// assignment spawned but never dispatched and a few finished shells idle in
+// the pool, and requires Shutdown to account for all of them: Live drops to
+// zero, each killed process's deferred functions run exactly once in
+// creation order, the undispatched assignment never runs, nothing is
+// dispatched afterwards, a second Shutdown does nothing, and no coroutine
+// outlives the engine.
 func TestShutdownStrandsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := New()
@@ -43,24 +45,28 @@ func TestShutdownStrandsNothing(t *testing.T) {
 	parked("on-event", NewEvent(e).Wait)
 	parked("on-group", func(p *Proc) { _ = grp.Wait(p) })
 	parked("on-timer", func(p *Proc) { p.Wait(time.Hour) })
+	parked("on-chunks", func(p *Proc) { Path{srv.Link(1, 0)}.Send(p, 3*DefaultChunk, 0) })
 	e.RunUntil(Time(time.Second))
 
 	ranLate := false
 	e.Spawn("never-run", func(p *Proc) { ranLate = true })
-	if got := e.Live(); got != 6 {
-		t.Fatalf("live before shutdown = %d, want 6", got)
+	if got := e.Live(); got != 10 {
+		t.Fatalf("live before shutdown = %d, want 10 (7 processes, 3 chunks)", got)
 	}
 
 	e.Shutdown()
 	if got := e.Live(); got != 0 {
 		t.Errorf("live after shutdown = %d, want 0", got)
 	}
-	want := []string{"on-server", "on-tokens", "on-event", "on-group", "on-timer"}
+	want := []string{"on-server", "on-tokens", "on-event", "on-group", "on-timer", "on-chunks"}
 	if !slices.Equal(unwound, want) {
 		t.Errorf("deferred functions ran as %v, want %v (creation order, once each)", unwound, want)
 	}
 	if ranLate {
 		t.Error("an assignment that was never dispatched ran during Shutdown")
+	}
+	if n := e.EventsExecuted(); e.Step() || e.EventsExecuted() != n {
+		t.Error("Step dispatched an event after Shutdown")
 	}
 	e.Shutdown()
 	if !slices.Equal(unwound, want) || e.Live() != 0 {

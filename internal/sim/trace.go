@@ -14,10 +14,12 @@ package sim
 // Tracer observes a simulation.  Implementations must not call back into
 // the engine (schedule events, spawn processes, advance time): hooks fire
 // while the engine's internal state is mid-update.  The Proc passed to
-// ResourceWait/ResourceAcquire may be nil for acquisitions made outside any
-// process (Server.TryAcquire or Server.Reserve from assembly code).  The
-// resource hooks are the engine's only account of how busy a resource was:
-// resources keep no busy-time integral of their own.
+// ResourceWait/ResourceAcquire is nil for acquisitions made outside any
+// process: Server.TryAcquire or Server.Reserve from assembly code, and the
+// link steps of a Path chunk, which is not a process and so produces no
+// ProcStart/ProcFinish either.  The resource hooks are the engine's only
+// account of how busy a resource was: resources keep no busy-time integral
+// of their own.
 type Tracer interface {
 	// ProcStart fires when a process is spawned, at the spawn time.
 	ProcStart(p *Proc)

@@ -293,3 +293,55 @@ func TestChurnTraceByteIdenticalAndFIFO(t *testing.T) {
 		t.Fatalf("checked %d span adjacencies, want %d", checked, want)
 	}
 }
+
+// TestChunkedSendTrace records a run whose transfers are chunked Path.Sends,
+// two senders contending on a slow middle link: every chunk's acquire is
+// counted on every link, the queue shows in the wait sums, and the Chrome
+// export is valid JSON with one row per sender and none per chunk (chunks
+// are engine steps, not processes; their resource hooks carry no process).
+func TestChunkedSendTrace(t *testing.T) {
+	e := sim.New()
+	rec := Attach(e, Config{Label: "chunks", Pid: 2, Events: true})
+	path := sim.Path{sim.NewLink(e, "in", 40, 0), sim.NewLink(e, "slow", 5, 0), sim.NewLink(e, "out", 40, 0)}
+	for i := 0; i < 2; i++ {
+		e.Spawn("sender", func(p *sim.Proc) {
+			end := p.Span("test", "send")
+			path.Send(p, 8*sim.DefaultChunk, 0)
+			end()
+		})
+	}
+	e.Run()
+	for _, name := range []string{"in", "slow", "out"} {
+		if r := findRes(t, rec, name); r.Acquires != 16 || r.UtilizationAt(e.Now()) <= 0 {
+			t.Errorf("%s: %d acquires (want 16), utilization %v", name, r.Acquires, r.UtilizationAt(e.Now()))
+		}
+	}
+	if r := findRes(t, rec, "slow"); r.WaitSum <= 0 || r.MaxQueue < 2 {
+		t.Errorf("slow link shows no queue: wait %v, max queue %d", r.WaitSum, r.MaxQueue)
+	}
+	if tab := rec.Table(0); !strings.Contains(tab, "bottleneck: slow") {
+		t.Errorf("table does not name the slow link:\n%s", tab)
+	}
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid Chrome JSON: %v", err)
+	}
+	var rows, spans int
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev["name"] == "thread_name":
+			rows++
+		case ev["ph"] == "X" && ev["cat"] == "test":
+			spans++
+		}
+	}
+	if rows != 2 || spans != 2 {
+		t.Errorf("chrome export has %d process rows and %d send spans, want 2 and 2", rows, spans)
+	}
+}

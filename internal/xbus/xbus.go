@@ -48,45 +48,23 @@ func DefaultConfig() Config {
 }
 
 // Port is one crossbar port with possibly direction-dependent bandwidth.
-// The port is half-duplex: transfers in either direction contend for it in
-// FIFO order.  Every port transfer also crosses the memory system.
+// The port is half-duplex: its two directions are links on one server, so
+// transfers either way contend for it in FIFO order.  Every port transfer
+// also crosses the memory system.
 type Port struct {
-	name   string
-	srv    *sim.Server
-	inBps  float64 // toward XBUS memory
-	outBps float64 // away from XBUS memory
-	mem    *sim.Link
-	moved  uint64
-}
-
-type portDir struct {
-	port *Port
-	in   bool
-}
-
-// Transfer implements sim.Hop: the chunk occupies the port and then the
-// memory system.
-func (pd portDir) Transfer(p *sim.Proc, n int) {
-	pt := pd.port
-	bps := pt.outBps
-	if pd.in {
-		bps = pt.inBps
-	}
-	pt.srv.Acquire(p)
-	p.Wait(sim.BytesDuration(n, bps/1e6))
-	pt.srv.Release()
-	pt.mem.Transfer(p, n)
-	pt.moved += uint64(n)
+	in, out sim.Hop // a sim.Route: the port's link that way, then memory
 }
 
 // In returns the hop for data flowing into XBUS memory through this port.
-func (pt *Port) In() sim.Hop { return portDir{port: pt, in: true} }
+func (pt *Port) In() sim.Hop { return pt.in }
 
 // Out returns the hop for data flowing out of XBUS memory through this port.
-func (pt *Port) Out() sim.Hop { return portDir{port: pt, in: false} }
+func (pt *Port) Out() sim.Hop { return pt.out }
 
 // BytesMoved reports the total bytes through the port.
-func (pt *Port) BytesMoved() uint64 { return pt.moved }
+func (pt *Port) BytesMoved() uint64 {
+	return pt.in.Links()[0].BytesMoved() + pt.out.Links()[0].BytesMoved()
+}
 
 // Board is one XBUS controller board.
 type Board struct {
@@ -120,12 +98,8 @@ type Board struct {
 func New(e *sim.Engine, name string, cfg Config) *Board {
 	mem := sim.NewLink(e, name+":mem", cfg.ModuleMBps*float64(cfg.MemoryModules), 0)
 	port := func(pn string, in, out float64) *Port {
-		return &Port{
-			name:  name + ":" + pn,
-			srv:   sim.NewServer(e, name+":"+pn, 1),
-			inBps: in * 1e6, outBps: out * 1e6,
-			mem: mem,
-		}
+		srv := sim.NewServer(e, name+":"+pn, 1)
+		return &Port{in: sim.Route{srv.Link(in, 0), mem}, out: sim.Route{srv.Link(out, 0), mem}}
 	}
 	b := &Board{
 		Cfg:     cfg,
@@ -212,17 +186,11 @@ func (b *Board) XORTo(p *sim.Proc, dst []byte, srcs ...[]byte) {
 	end()
 }
 
-// XORInto accumulates src into dst (dst ^= src) with parity-engine timing.
+// XORInto accumulates src into dst (dst ^= src) with parity-engine timing:
+// a computation of one source, its result already in place.
 func (b *Board) XORInto(p *sim.Proc, dst, src []byte) {
-	if len(dst) != len(src) {
-		//lint:allow simpanic stripe geometry guarantees equal-length columns; unequal lengths mean a corrupted extent computation
-		panic("xbus: XORInto length mismatch")
-	}
-	end := p.Span("xbus", "parity")
-	sim.Path{b.Parity.In()}.Send(p, len(src), 0)
-	bytepath.XOR(dst, src)
+	b.Fold(p, dst, src)
 	b.parityOps++
-	end()
 }
 
 // Fold accumulates src into acc (acc ^= src) as one source of a computation
@@ -264,11 +232,9 @@ func (b *Board) HostRegisterAccess(p *sim.Proc, accesses int) {
 // board's host VME port (the low-bandwidth data path).  The caller layers
 // host-side memory costs on top.
 func (b *Board) HostTransfer(p *sim.Proc, n int, toHost bool) {
-	var hop sim.Hop
+	hop := b.Host.In()
 	if toHost {
 		hop = b.Host.Out()
-	} else {
-		hop = b.Host.In()
 	}
 	sim.Path{hop}.Send(p, n, 0)
 }
