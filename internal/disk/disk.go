@@ -36,7 +36,7 @@ type Disk struct {
 	curve    seekCurve
 	actuator *sim.ChooserServer
 	sched    SchedPolicy
-	scanUp   bool
+	scanDir  int64 // SCAN's sweep: +1 up, -1 down
 	store    *pagestore
 
 	curCyl  int
@@ -49,6 +49,8 @@ type Disk struct {
 	// already be buffered; the front may run ahead of consumption by at
 	// most the track buffer's worth of media time.
 	mediaFront sim.Time
+
+	media mediaStage // the media stage of the write in progress
 
 	flt   faultState
 	stats Stats
@@ -80,9 +82,10 @@ func New(e *sim.Engine, name string, spec Spec) (*Disk, error) {
 		curve:   newSeekCurve(spec),
 		store:   newPagestore(spec.Capacity()),
 		seqNext: -1,
-		scanUp:  true,
+		scanDir: 1,
 	}
 	d.actuator = sim.NewChooserServer(e, name+":actuator", d.chooseNext)
+	d.media = mediaStage{d: d, posDone: sim.NewEvent(e)}
 	return d, nil
 }
 
@@ -93,48 +96,37 @@ func (d *Disk) SetScheduler(p SchedPolicy) { d.sched = p }
 // chooseNext implements the scheduling policy over the queued requests'
 // target cylinders.
 func (d *Disk) chooseNext(tags []int64) int {
-	switch d.sched {
-	case SchedSSTF:
-		best, bestDist := 0, int64(1)<<62
+	// nearest picks the request closest to the arm either way (dir 0), or
+	// ahead of it in direction dir (+1 up, -1 down).
+	nearest := func(dir int64) (best int, found bool) {
+		bestDist := int64(1) << 62
 		for i, cyl := range tags {
 			dist := cyl - int64(d.curCyl)
-			if dist < 0 {
+			if dir != 0 {
+				dist *= dir
+			} else if dist < 0 {
 				dist = -dist
 			}
-			if dist < bestDist {
-				best, bestDist = i, dist
+			if dist >= 0 && dist < bestDist {
+				best, bestDist, found = i, dist, true
 			}
 		}
-		return best
+		return best, found
+	}
+	switch d.sched {
+	case SchedSSTF:
+		i, _ := nearest(0)
+		return i
 	case SchedSCAN:
 		// Nearest request in the sweep direction; reverse at the edge.
-		pick := func(up bool) (int, bool) {
-			best, bestDist, found := 0, int64(1)<<62, false
-			for i, cyl := range tags {
-				d := cyl - int64(d.curCyl)
-				if !up {
-					d = -d
-				}
-				if d < 0 {
-					continue
-				}
-				if d < bestDist {
-					best, bestDist, found = i, d, true
-				}
-			}
-			return best, found
+		i, ok := nearest(d.scanDir)
+		if !ok {
+			d.scanDir = -d.scanDir
+			i, _ = nearest(d.scanDir)
 		}
-		if i, ok := pick(d.scanUp); ok {
-			return i
-		}
-		d.scanUp = !d.scanUp
-		if i, ok := pick(d.scanUp); ok {
-			return i
-		}
-		return 0
-	default:
-		return 0
+		return i
 	}
+	return 0
 }
 
 // Spec returns the drive's specification.
@@ -168,11 +160,8 @@ func (d *Disk) cylOf(lba int64) int {
 // phase is derived deterministically from the clock.
 func (d *Disk) rotationalLatency(now sim.Time, lba int64) time.Duration {
 	rev := int64(d.spec.Revolution())
-	secT := int64(d.spec.SectorTime())
-	startSector := lba % int64(d.spec.SectorsPerTrack)
-	phase := int64(now) % rev
-	target := startSector * secT
-	lat := target - phase
+	target := lba % int64(d.spec.SectorsPerTrack) * int64(d.spec.SectorTime())
+	lat := target - int64(now)%rev
 	if lat < 0 {
 		lat += rev
 	}
@@ -191,10 +180,7 @@ func (d *Disk) mediaTime(lba int64, n int) time.Duration {
 	trackCross := int(last/spt - lba/spt)
 	cylCross := int(last/perCyl - lba/perCyl)
 	t += time.Duration(trackCross-cylCross) * d.spec.HeadSwitch
-	for i := 0; i < cylCross; i++ {
-		t += d.curve.time(1)
-	}
-	return t
+	return t + time.Duration(cylCross)*d.curve.time(1)
 }
 
 // seqHit reports whether a read at lba would be serviced by the drive's
@@ -214,11 +200,7 @@ func (d *Disk) position(p *sim.Proc, lba int64, hit bool) {
 		return
 	}
 	cyl := d.cylOf(lba)
-	dist := cyl - d.curCyl
-	if dist < 0 {
-		dist = -dist
-	}
-	st := d.curve.time(dist)
+	st := d.curve.time(max(cyl-d.curCyl, d.curCyl-cyl))
 	d.stats.SeekTime += st
 	endSeek := p.Span("disk", "seek")
 	p.Wait(st)
@@ -267,10 +249,8 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 	if hit {
 		// The media kept streaming ahead during the previous request's
 		// bus drain, but only a track buffer's worth may be banked.
-		aheadLimit := p.Now().Add(-d.bufferMediaTime())
-		if d.mediaFront < aheadLimit {
-			d.mediaFront = aheadLimit
-		}
+		banked := sim.BytesDuration(d.spec.TrackBufferSize, d.spec.MediaRate()/1e6)
+		d.mediaFront = max(d.mediaFront, p.Now().Add(-banked))
 	} else {
 		d.mediaFront = p.Now()
 	}
@@ -285,7 +265,7 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 		d.stats.MediaTime += mt
 		d.mediaFront = d.mediaFront.Add(mt)
 		p.WaitUntil(d.mediaFront)
-		path.Start(j, bytes)
+		path.Start(j, bytes, nil, 0)
 	})
 	endMedia()
 	d.curCyl = d.cylOf(lba + int64(n) - 1)
@@ -324,33 +304,16 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	d.actuator.Acquire(p, int64(d.cylOf(lba)))
 
 	// Position while the first chunks are in flight on the bus.
-	posDone := sim.NewEvent(d.eng)
+	m := &d.media
+	m.posDone.Reset()
+	m.mediaFree = 0
 	d.eng.Spawn("diskwrite-pos", func(q *sim.Proc) {
 		d.position(q, lba, false)
-		posDone.Signal()
+		m.posDone.Signal()
 	})
-
-	// mediaFree tracks when the media is free to accept the next chunk.
-	// Chunk processes complete the path in FIFO order, so they observe and
-	// update it sequentially.
-	var mediaFree sim.Time
+	// Each chunk crosses the path and then the media stage as engine steps.
 	j := sim.NewJoin(d.eng)
-	d.eachChunk(lba, n, func(at int64, secs, bytes int) {
-		j.Go("diskwrite-chunk", func(q *sim.Proc) {
-			path.Send(q, bytes, 0)
-			posDone.Wait(q)
-			start := q.Now()
-			if mediaFree > start {
-				start = mediaFree
-			}
-			mt := d.mediaTime(at, secs)
-			d.stats.MediaTime += mt
-			mediaFree = start.Add(mt)
-			endMedia := q.Span("disk", "media-write")
-			q.WaitUntil(mediaFree)
-			endMedia()
-		})
-	})
+	d.eachChunk(lba, n, func(at int64, _, bytes int) { path.Start(j, bytes, m, at) })
 	j.Wait(p)
 
 	d.curCyl = d.cylOf(lba + int64(n) - 1)
@@ -362,9 +325,24 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	return nil
 }
 
-// bufferMediaTime is how much media time the track buffer can bank.
-func (d *Disk) bufferMediaTime() time.Duration {
-	return sim.BytesDuration(d.spec.TrackBufferSize, d.spec.MediaRate()/1e6)
+// mediaStage is the sim.Stage of a Write's chunks: past the bus path a
+// chunk waits for the heads to be in place (posDone), then for the media
+// to commit the chunks before it, and holds while its own sectors are
+// written.  The actuator admits one write at a time, so each write re-arms
+// the drive's one stage.
+type mediaStage struct {
+	d         *Disk
+	posDone   *sim.Event
+	mediaFree sim.Time // when the media can take the next chunk
+}
+
+func (m *mediaStage) Gate() *sim.Event { return m.posDone }
+
+func (m *mediaStage) Until(lba int64, n int) sim.Time {
+	mt := m.d.mediaTime(lba, max(n/m.d.spec.SectorSize, 1))
+	m.d.stats.MediaTime += mt
+	m.mediaFree = max(m.d.eng.Now(), m.mediaFree).Add(mt)
+	return m.mediaFree
 }
 
 // eachChunk calls fn, in order, for each DefaultChunk of the n sectors at

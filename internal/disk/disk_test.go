@@ -407,3 +407,41 @@ func TestNewRejectsBadSpec(t *testing.T) {
 		t.Fatal("New accepted a spec with max seek below track-to-track seek")
 	}
 }
+
+// TestDiskWriteAllocs: a warm Write forks one process, the positioning
+// worker, whatever its chunk count, and allocates no more for 32 chunks
+// than for 2: its chunks are engine steps, not processes.
+func TestDiskWriteAllocs(t *testing.T) {
+	const period = sim.Time(time.Second)
+	measure := func(chunks int) (spawns uint64, allocs float64) {
+		e := sim.New()
+		d := mustNew(t, e, "d0", IBM0661())
+		path := sim.Path{sim.NewLink(e, "bus", 10, 0)}
+		data := bytes.Repeat([]byte{0x5a}, chunks*sim.DefaultChunk)
+		e.Spawn("writer", func(p *sim.Proc) {
+			for {
+				if err := d.Write(p, 0, data, path); err != nil {
+					t.Error(err)
+				}
+				p.WaitUntil(p.Now() + period - p.Now()%period)
+			}
+		})
+		e.RunUntil(3 * period) // warm: pages, chunk states, process shells, the event heap
+		next, before := e.Now(), e.Spawns()
+		allocs = testing.AllocsPerRun(50, func() {
+			next += period
+			e.RunUntil(next)
+		})
+		spawns = (e.Spawns() - before) / 51
+		e.Shutdown()
+		return spawns, allocs
+	}
+	s2, a2 := measure(2)
+	s32, a32 := measure(32)
+	if s2 != 1 || s32 != 1 {
+		t.Errorf("a write spawns %d processes with 2 chunks and %d with 32, want 1 (the positioning worker)", s2, s32)
+	}
+	if a32 > a2 {
+		t.Errorf("a warm 32-chunk write allocates %.1f objects, a 2-chunk one %.1f: allocations grow with the chunk count", a32, a2)
+	}
+}

@@ -42,7 +42,9 @@ func (ps *pagestore) ReadAt(buf []byte, off int64) {
 var zeroPage [pageBytes]byte
 
 // WriteAt stores buf at off.  Zeros written to a never-written page leave it
-// unmaterialized: they are what it already reads as.
+// unmaterialized: they are what it already reads as.  A write that fills a
+// never-written page whole becomes the page as a clone, which Go need not
+// zero first; a partial one lands in a zeroed page.
 func (ps *pagestore) WriteAt(buf []byte, off int64) {
 	if off < 0 || off+int64(len(buf)) > ps.size {
 		//lint:allow simpanic unreachable: Disk.checkRange bounds every access before it reaches the store
@@ -52,13 +54,17 @@ func (ps *pagestore) WriteAt(buf []byte, off int64) {
 		pg := off / pageBytes
 		po := int(off % pageBytes)
 		n := min(pageBytes-po, len(buf))
-		page := ps.pages[pg]
-		if page == nil && !bytes.Equal(buf[:n], zeroPage[:n]) {
-			page = make([]byte, pageBytes)
-			ps.pages[pg] = page
-		}
-		if page != nil {
+		switch page := ps.pages[pg]; {
+		case page != nil:
 			copy(page[po:], buf[:n])
+		case bytes.Equal(buf[:n], zeroPage[:n]):
+			// What the page already reads as.
+		case n == pageBytes:
+			ps.pages[pg] = bytes.Clone(buf[:n])
+		default:
+			page = make([]byte, pageBytes)
+			copy(page[po:], buf[:n])
+			ps.pages[pg] = page
 		}
 		buf = buf[n:]
 		off += int64(n)

@@ -80,6 +80,39 @@ func TestPagestoreZeroWrites(t *testing.T) {
 	}
 }
 
+// TestPagestoreFreshPages covers the three ways a write meets a page never
+// written before: it fills the page, it fills it with zeros, or it covers
+// part of it.
+func TestPagestoreFreshPages(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		data      []byte
+		off       int64
+		wantPages int
+	}{
+		{name: "full page", data: bytes.Repeat([]byte{0x5a, 0xa5, 0x3c}, pageBytes/3+1)[:pageBytes], off: pageBytes, wantPages: 1},
+		{name: "all-zero full page", data: make([]byte, pageBytes), off: pageBytes, wantPages: 0},
+		{name: "partial page", data: bytes.Repeat([]byte{0x77}, 3000), off: pageBytes + 5000, wantPages: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := newPagestore(3 * pageBytes)
+			shadow := make([]byte, 3*pageBytes)
+			data := bytes.Clone(tc.data)
+			ps.WriteAt(data, tc.off)
+			copy(shadow[tc.off:], data)
+			clear(data) // the store keeps no reference to the caller's bytes
+			if got := ps.PagesAllocated(); got != tc.wantPages {
+				t.Errorf("PagesAllocated = %d, want %d", got, tc.wantPages)
+			}
+			got := bytes.Repeat([]byte{0xcc}, len(shadow)) // dirty: the rest must read zero
+			ps.ReadAt(got, 0)
+			if !bytes.Equal(got, shadow) {
+				t.Error("ReadAt differs from the shadow copy")
+			}
+		})
+	}
+}
+
 func TestPagestoreReadAtZeroAlloc(t *testing.T) {
 	ps := newPagestore(8 * pageBytes)
 	ps.WriteAt(bytes.Repeat([]byte{0x5a}, 3*pageBytes), pageBytes/2)
@@ -124,4 +157,26 @@ func BenchmarkPagestoreReadAt(b *testing.B) {
 		// Sector-aligned, page-straddling, walking the store.
 		ps.ReadAt(buf, int64(i%63)*pageBytes+512)
 	}
+}
+
+func BenchmarkPagestoreWriteAt(b *testing.B) {
+	const span = 64 * pageBytes
+	data := bytes.Repeat([]byte{0x5a}, pageBytes)
+	b.Run("overwrite", func(b *testing.B) {
+		ps := newPagestore(span)
+		ps.WriteAt(bytes.Repeat([]byte{0xa5}, span), 0)
+		b.SetBytes(pageBytes)
+		for i := 0; i < b.N; i++ {
+			ps.WriteAt(data, int64(i%64)*pageBytes)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		ps := newPagestore(span)
+		b.SetBytes(pageBytes)
+		for i := 0; i < b.N; i++ {
+			pg := i % 64
+			ps.pages[pg] = nil // never written, as far as the store knows
+			ps.WriteAt(data, int64(pg)*pageBytes)
+		}
+	})
 }

@@ -404,11 +404,11 @@ func (f *File) Sync(p *sim.Proc) error {
 	fs := f.fs
 	fs.mu.Acquire(p)
 	defer fs.mu.Release()
-	if fs.idirty[f.inum] {
+	if fs.idirty.has(f.inum) {
 		if err := fs.appendInode(p, fs.icache[f.inum]); err != nil {
 			return err
 		}
-		delete(fs.idirty, f.inum)
+		fs.idirty.remove(f.inum)
 	}
 	if err := fs.sealSegment(p); err != nil {
 		return err

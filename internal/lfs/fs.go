@@ -117,7 +117,7 @@ type FS struct {
 	allocHint int
 
 	icache map[uint32]*inode
-	idirty map[uint32]bool
+	idirty inodeSet
 
 	// gens is each file's generation (File.Generation), by inode number: the
 	// value genSeq had when the file's bytes or block map last changed.
@@ -233,7 +233,7 @@ func Format(p *sim.Proc, e *sim.Engine, dev Device, cfg Config) (*FS, error) {
 	// Create the root directory.
 	root := &inode{Inum: RootInum, Mode: ModeDir, Nlink: 2, MTime: int64(p.Now())}
 	fs.icache[RootInum] = root
-	fs.idirty[RootInum] = true
+	fs.idirty.add(RootInum)
 	fs.nextInum = RootInum + 1
 	if err := fs.writeDir(p, root, nil); err != nil {
 		return nil, err
@@ -297,7 +297,7 @@ func (fs *FS) initState() {
 	}
 	fs.nFree = len(fs.free)
 	fs.icache = make(map[uint32]*inode)
-	fs.idirty = make(map[uint32]bool)
+	fs.idirty = inodeSet{words: make([]uint64, (fs.sb.MaxInodes+63)/64)}
 	fs.gens = make(map[uint32]uint64)
 	fs.seals = sim.NewGroup(fs.eng)
 	fs.inflight = make(map[int][]byte)
@@ -713,17 +713,14 @@ func (fs *FS) waitSeals(p *sim.Proc) error {
 	return fs.failed()
 }
 
-// flushInodes appends every dirty inode to the log.
+// flushInodes appends every dirty inode to the log in ascending order,
+// including one dirtied above the last appended while the loop runs.
 func (fs *FS) flushInodes(p *sim.Proc) error {
-	// Deterministic order.
-	for inum := uint32(0); inum < fs.sb.MaxInodes && len(fs.idirty) > 0; inum++ {
-		if !fs.idirty[inum] {
-			continue
-		}
+	for inum, ok := fs.idirty.next(0); ok; inum, ok = fs.idirty.next(inum + 1) {
 		if err := fs.appendInode(p, fs.icache[inum]); err != nil {
 			return err
 		}
-		delete(fs.idirty, inum)
+		fs.idirty.remove(inum)
 	}
 	return nil
 }
@@ -837,7 +834,7 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 				delete(fs.usageDirty, chunk)
 			}
 		}
-		if len(fs.idirty) == 0 && len(fs.imapDirty) == 0 {
+		if fs.idirty.n == 0 && len(fs.imapDirty) == 0 {
 			break
 		}
 	}

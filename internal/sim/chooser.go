@@ -6,8 +6,7 @@ package sim
 //
 // Each waiter carries an int64 tag (for a disk, the target cylinder).  On
 // Release, the choose function inspects the tags of all queued waiters and
-// returns the index to admit next.  A nil choose function degenerates to
-// FIFO.
+// returns the index to admit next; one out of range admits the first.
 type ChooserServer struct {
 	eng    *Engine
 	name   string
@@ -61,16 +60,13 @@ func (s *ChooserServer) Release() {
 		s.busy = false
 		return
 	}
-	idx := 0
-	if s.choose != nil {
-		s.tags = s.tags[:0]
-		for _, w := range s.queue {
-			s.tags = append(s.tags, w.tag)
-		}
-		idx = s.choose(s.tags)
-		if idx < 0 || idx >= len(s.queue) {
-			idx = 0
-		}
+	s.tags = s.tags[:0]
+	for _, w := range s.queue {
+		s.tags = append(s.tags, w.tag)
+	}
+	idx := s.choose(s.tags)
+	if idx < 0 || idx >= len(s.queue) {
+		idx = 0
 	}
 	w := s.queue[idx]
 	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)

@@ -7,15 +7,64 @@ import (
 	"time"
 )
 
+// goWorker spawns fn as a worker process of j, as Join.Go did when chunks
+// were processes.
+func goWorker(j *Join, name string, fn func(*Proc)) {
+	j.n++
+	j.eng.Spawn(name, func(q *Proc) {
+		defer j.done()
+		fn(q)
+	})
+}
+
 // goChunkProc is the process form of one chunk, as chunks ran before they
 // were engine steps: a worker of j that walks path's links.
 func goChunkProc(j *Join, path Path, n int) {
-	j.Go("chunk", func(q *Proc) {
+	goWorker(j, "chunk", func(q *Proc) {
 		for _, h := range path {
 			for _, l := range h.Links() {
 				l.Transfer(q, n)
 			}
 		}
+	})
+}
+
+// mediaStage is a disk write's media stage in miniature: chunks commit once
+// posDone fires, one after another, each for a time that depends on its
+// tag and size.  It is the Stage of a gated sender's chunks, and the state
+// the oracle's processes share.
+type mediaStage struct {
+	e         *Engine
+	posDone   *Event
+	perKB     Duration
+	mediaFree Time
+}
+
+func (m *mediaStage) Gate() *Event { return m.posDone }
+
+func (m *mediaStage) Until(tag int64, n int) Time {
+	m.mediaFree = max(m.e.now, m.mediaFree).Add(m.mediaTime(tag, n))
+	return m.mediaFree
+}
+
+func (m *mediaStage) mediaTime(tag int64, n int) Duration {
+	return m.perKB*Duration(n)/1024 + Duration(tag%3)*time.Microsecond
+}
+
+// writeChunkProc is the process form of a chunk ending in m: the body of
+// the diskwrite-chunk worker disk.Write forked per chunk before its chunks
+// were engine steps, with the drive's media time replaced by m's.
+func writeChunkProc(j *Join, path Path, bytes int, m *mediaStage, at int64) {
+	goWorker(j, "diskwrite-chunk", func(q *Proc) {
+		path.Send(q, bytes, 0)
+		m.posDone.Wait(q)
+		start := q.Now()
+		if m.mediaFree > start {
+			start = m.mediaFree
+		}
+		mt := m.mediaTime(at, bytes)
+		m.mediaFree = start.Add(mt)
+		q.WaitUntil(m.mediaFree)
 	})
 }
 
@@ -75,6 +124,14 @@ type senderSpec struct {
 	n, chunk    int
 	first, hops int  // links first, first+1, ... (mod the link count)
 	route       bool // the first two links form one Route hop
+	gate        *gateSpec
+}
+
+// gateSpec makes a sender's chunks end in a mediaStage, as a disk write's
+// do: a positioning process fires the gate pos after the sender starts.
+type gateSpec struct {
+	pos, perKB Duration
+	noPath     bool // the chunks cross no link, as a write with no bus path
 }
 
 // decodeScene turns fuzz bytes into a scene of 1-4 links, 1-4 senders and a
@@ -107,6 +164,13 @@ func decodeScene(data []byte) chunkScene {
 		}
 		if g := next(); g%2 == 1 {
 			s.gap = Duration(g) * time.Microsecond
+		}
+		if g := next(); g%2 == 1 {
+			s.gate = &gateSpec{
+				pos:    Duration(g/2) * 20 * time.Microsecond,
+				perKB:  Duration(next()%8) * 10 * time.Microsecond,
+				noPath: g%8 == 7,
+			}
 		}
 		sc.senders = append(sc.senders, s)
 	}
@@ -141,18 +205,36 @@ func runScene(sc chunkScene, procs bool) ([]string, []Time, uint64, int) {
 		if s.route && len(path) >= 2 {
 			path = append(Path{Route{path[0].(*Link), path[1].(*Link)}}, path[2:]...)
 		}
+		if s.gate != nil && s.gate.noPath {
+			path = nil
+		}
 		e.Spawn("sender", func(p *Proc) {
 			p.Wait(s.start)
+			var m *mediaStage
+			var stage Stage // nil unless m is not
+			if g := s.gate; g != nil {
+				m = &mediaStage{e: e, posDone: NewEvent(e), perKB: g.perKB}
+				stage = m
+				e.Spawn("pos", func(q *Proc) {
+					q.Wait(g.pos)
+					m.posDone.Signal()
+				})
+			}
 			switch {
-			case s.gap > 0:
+			case s.gap > 0 || m != nil:
 				j := NewJoin(e)
-				for n := s.n; n > 0; n -= s.chunk {
-					if procs {
+				for at, n := int64(0), s.n; n > 0; at, n = at+1, n-s.chunk {
+					switch {
+					case procs && m != nil:
+						writeChunkProc(j, path, min(n, s.chunk), m, at)
+					case procs:
 						goChunkProc(j, path, min(n, s.chunk))
-					} else {
-						path.Start(j, min(n, s.chunk))
+					default:
+						path.Start(j, min(n, s.chunk), stage, at)
 					}
-					p.Wait(s.gap)
+					if s.gap > 0 {
+						p.Wait(s.gap)
+					}
 				}
 				j.Wait(p)
 			case procs:
@@ -181,9 +263,12 @@ func runScene(sc chunkScene, procs bool) ([]string, []Time, uint64, int) {
 // FuzzChunkedSend checks that chunks as engine steps are the worker
 // processes they replace: identical resource hooks at identical times,
 // identical sender finish times and event counts, nothing left live.
+// Senders with a gate end their chunks in a mediaStage, against the
+// diskwrite-chunk worker's body (writeChunkProc) as the oracle.
 func FuzzChunkedSend(f *testing.F) {
 	f.Add([]byte{1, 9, 0, 0, 0, 0, 1, 0, 4, 0, 0})
 	f.Add([]byte{2, 9, 1, 9, 2, 3, 2, 0, 8, 0, 1, 1, 0, 2, 1, 0, 100, 4, 0, 3, 1, 1, 2, 3, 1})
+	f.Add([]byte{1, 9, 0, 9, 1, 0, 1, 0, 40, 200, 3, 0, 1, 0, 0, 9, 2, 0, 20, 100, 1, 1, 1, 0, 15, 5, 0, 1, 40, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeScene(data)
 		stepLog, stepFin, stepEv, stepLive := runScene(sc, false)
@@ -238,10 +323,14 @@ func pathSendRig() (*Engine, Time) {
 func TestPathSendAllocs(t *testing.T) {
 	e, period := pathSendRig()
 	next := e.Now()
+	spawns := e.Spawns()
 	allocs := testing.AllocsPerRun(50, func() {
 		next += period
 		e.RunUntil(next)
 	})
+	if n := e.Spawns() - spawns; n != 0 {
+		t.Errorf("51 warm 32-chunk Path.Sends spawned %d processes, want 0", n)
+	}
 	e.Shutdown()
 	// The join, its event and the event's waiter list.
 	if allocs > 3 {

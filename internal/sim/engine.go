@@ -117,6 +117,10 @@ func (e *Engine) Now() Time { return e.now }
 // events that will never be signalled (a deadlock in the modelled system).
 func (e *Engine) Live() int { return e.live }
 
+// Spawns reports the number of processes spawned since the engine was
+// created; chunks are not processes and do not count.
+func (e *Engine) Spawns() uint64 { return e.procSeq }
+
 // EventsExecuted reports the number of events dispatched since the engine
 // was created.  The count is a pure function of the simulated workload —
 // identical runs execute identical event counts — so tools (raidbench)
@@ -360,9 +364,7 @@ func (p *Proc) run() (reuse bool) {
 // At schedules fn to run as a new process at absolute simulated time at.
 func (e *Engine) At(at Time, name string, fn func(*Proc)) {
 	e.Spawn(name, func(p *Proc) {
-		if at > p.eng.now {
-			p.Wait(Duration(at - p.eng.now))
-		}
+		p.WaitUntil(at)
 		fn(p)
 	})
 }

@@ -315,21 +315,31 @@ func TestGroupReuse(t *testing.T) {
 	}
 }
 
+// holdStage is an open stage whose chunks hold for their tag in seconds.
+type holdStage struct{ ev *Event }
+
+func (s holdStage) Gate() *Event { return s.ev }
+
+func (s holdStage) Until(tag int64, _ int) Time {
+	return s.ev.eng.now.Add(time.Duration(tag) * time.Second)
+}
+
 // TestJoinWaitsForEveryWorker: Wait returns when the last worker does, and
 // the join is reusable at once.
 func TestJoinWaitsForEveryWorker(t *testing.T) {
 	e := New()
 	j := NewJoin(e)
+	s := holdStage{NewEvent(e)}
+	s.ev.Signal()
 	var first, second Time
 	e.Spawn("driver", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			d := time.Duration(i) * time.Second
-			j.Go("w", func(q *Proc) { q.Wait(d) })
+		for i := int64(1); i <= 3; i++ {
+			Path{}.Start(j, 1, s, i)
 		}
 		j.Wait(p)
 		first = p.Now()
 		j.Wait(p) // none outstanding: no wait
-		j.Go("again", func(q *Proc) { q.Wait(time.Second) })
+		Path{}.Start(j, 1, s, 1)
 		j.Wait(p)
 		second = p.Now()
 	})

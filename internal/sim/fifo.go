@@ -40,11 +40,7 @@ func (f *fifo[T]) peek() *T { return &f.buf[f.head] }
 // grow doubles the backing array (power-of-two sizes keep the index mask
 // cheap) and compacts the live elements to its start.
 func (f *fifo[T]) grow() {
-	size := 2 * len(f.buf)
-	if size == 0 {
-		size = 8
-	}
-	nb := make([]T, size)
+	nb := make([]T, max(2*len(f.buf), 8))
 	for i := 0; i < f.n; i++ {
 		nb[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
 	}

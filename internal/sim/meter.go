@@ -97,10 +97,9 @@ type SpanScope interface {
 // request is decided by the group, not by the worker: a process spawned bare
 // or through an engine-bound NewGroup starts with no annotation, which is
 // right for background work — segment seals, the LFS cleaner,
-// rebuild and scrub serve no one request — and for the chunk pipelines of
-// disk and Path.Send, whose time the issuing process's own span already
-// covers (disk/write spans its media-write workers), so following them
-// would charge it twice.
+// rebuild and scrub serve no one request.  The chunks of disk transfers
+// and Path.Send are not processes and follow nobody: the issuing process's
+// own span (disk/read, disk/write) already covers their time.
 func (p *Proc) SetMeterContext(v SpanScope) { p.meterCtx = v }
 
 // MeterContext returns the value last passed to SetMeterContext, or nil.

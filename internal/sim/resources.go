@@ -31,6 +31,15 @@ type waiter struct {
 	n     int
 }
 
+// wake schedules the waiter's process or chunk at the current time.
+func (w waiter) wake(e *Engine) {
+	if w.proc != nil {
+		e.schedule(w.proc, e.now)
+	} else {
+		e.scheduleChunk(w.chunk, e.now)
+	}
+}
+
 // NewServer creates a FIFO server with the given capacity in units.
 func NewServer(e *Engine, name string, capacity int) *Server {
 	if capacity < 1 {
@@ -128,11 +137,7 @@ func (s *Server) ReleaseN(n int) {
 	for s.queue.len() > 0 && s.busy+s.queue.peek().n <= s.cap {
 		w := s.queue.pop()
 		s.busy += w.n
-		if w.proc != nil {
-			s.eng.schedule(w.proc, s.eng.now)
-		} else {
-			s.eng.scheduleChunk(w.chunk, s.eng.now)
-		}
+		w.wake(s.eng)
 	}
 }
 
@@ -254,17 +259,18 @@ func (path Path) Send(p *Proc, n, chunk int) {
 	}
 	j := NewJoin(p.eng)
 	for ; n > 0; n -= chunk {
-		path.Start(j, min(n, chunk))
+		path.Start(j, min(n, chunk), nil, 0)
 	}
 	j.Wait(p)
 }
 
-// Event is a one-shot condition that processes can wait on.  Once signalled
-// it stays signalled; later waiters return immediately.
+// Event is a one-shot condition that processes, and chunks at a Stage's
+// gate, can wait on.  Once signalled it stays signalled, until Reset;
+// later waiters return immediately.
 type Event struct {
 	eng     *Engine
 	fired   bool
-	waiters []*Proc
+	waiters []waiter // in registration order
 }
 
 // NewEvent creates an unsignalled event.
@@ -273,7 +279,8 @@ func NewEvent(e *Engine) *Event { return &Event{eng: e} }
 // Fired reports whether the event has been signalled.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// Signal fires the event, waking all current waiters at the current time.
+// Signal fires the event, waking all current waiters, in the order they
+// registered, at the current time.
 func (ev *Event) Signal() {
 	if ev.fired {
 		return
@@ -282,12 +289,17 @@ func (ev *Event) Signal() {
 	ev.wake()
 }
 
+// Reset makes a fired event unsignalled again, so that one event, and its
+// waiter storage, serves a run of one-shot conditions.  A fired event has
+// no waiters left to lose.
+func (ev *Event) Reset() { ev.fired = false }
+
 // wake schedules every waiter at the current time and empties the waiter
 // list, keeping its backing array for reuse.
 func (ev *Event) wake() {
 	for i, w := range ev.waiters {
-		ev.eng.schedule(w, ev.eng.now)
-		ev.waiters[i] = nil
+		w.wake(ev.eng)
+		ev.waiters[i] = waiter{}
 	}
 	ev.waiters = ev.waiters[:0]
 }
@@ -297,13 +309,12 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
+	ev.waiters = append(ev.waiters, waiter{proc: p})
 	p.park()
 }
 
-// Join is fork/join for simulated work that cannot fail: Go forks a worker
-// process and Path.Start a chunk, Wait joins them all.  Its workers follow
-// nobody, like those of a group made by NewGroup.
+// Join is fork/join for simulated work that cannot fail: Path.Start adds
+// chunks, Wait joins them all.  Group builds on it for worker processes.
 type Join struct {
 	eng *Engine
 	n   int
@@ -317,23 +328,14 @@ func NewJoin(e *Engine) *Join { return &Join{eng: e, ev: NewEvent(e)} }
 func (j *Join) done() {
 	j.n--
 	if j.n < 0 {
-		//lint:allow simpanic unbalanced done corrupts the join's completion event; Go's spawn/done pairing is a structural invariant
-		panic("sim: Join.done without matching Go")
+		//lint:allow simpanic unbalanced done corrupts the join's completion event; start/done pairing is a structural invariant
+		panic("sim: Join.done without matching start")
 	}
 	if j.n == 0 {
 		// Wake the joiners without latching, so the join (and its
 		// event's waiter storage) is immediately reusable.
 		j.ev.wake()
 	}
-}
-
-// Go spawns fn as a worker process tracked by the join.
-func (j *Join) Go(name string, fn func(*Proc)) {
-	j.n++
-	j.eng.Spawn(name, func(q *Proc) {
-		defer j.done()
-		fn(q)
-	})
 }
 
 // Wait blocks p until every worker has returned (not at all when none is

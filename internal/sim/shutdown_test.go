@@ -11,7 +11,8 @@ import (
 )
 
 // TestShutdownStrandsNothing parks a process on every kind of wait, strands
-// a chunked Path.Send's chunks behind a server nobody releases, leaves one
+// a chunked Path.Send's chunks behind a server nobody releases and a staged
+// chunk at a gate that never fires, leaves one
 // assignment spawned but never dispatched and a few finished shells idle in
 // the pool, and requires Shutdown to account for all of them: Live drops to
 // zero, each killed process's deferred functions run exactly once in
@@ -46,12 +47,14 @@ func TestShutdownStrandsNothing(t *testing.T) {
 	parked("on-group", func(p *Proc) { _ = grp.Wait(p) })
 	parked("on-timer", func(p *Proc) { p.Wait(time.Hour) })
 	parked("on-chunks", func(p *Proc) { Path{srv.Link(1, 0)}.Send(p, 3*DefaultChunk, 0) })
+	gate := &mediaStage{e: e, posDone: NewEvent(e)} // never fires
+	Path{}.Start(NewJoin(e), 1, gate, 0)
 	e.RunUntil(Time(time.Second))
 
 	ranLate := false
 	e.Spawn("never-run", func(p *Proc) { ranLate = true })
-	if got := e.Live(); got != 10 {
-		t.Fatalf("live before shutdown = %d, want 10 (7 processes, 3 chunks)", got)
+	if got := e.Live(); got != 11 {
+		t.Fatalf("live before shutdown = %d, want 11 (7 processes, 3 chunks, 1 at a gate)", got)
 	}
 
 	e.Shutdown()
