@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"raidii/internal/fault"
 	"raidii/internal/hippi"
 	"raidii/internal/server"
 	"raidii/internal/sim"
@@ -212,33 +211,6 @@ func (t *ClusterTask) Wait(d time.Duration) { t.p.Wait(d) }
 // Elapsed returns simulated time since the start of the simulation.
 func (t *ClusterTask) Elapsed() time.Duration { return time.Duration(t.p.Now()) }
 
-// withRetry applies the fleet's WithClientRetry policy to one idempotent
-// striped operation: pure placement means a resend lands on the same
-// (server, board, offset), so retrying is always safe.
-func (t *ClusterTask) withRetry(what string, op func() error) error {
-	pol := t.cl.cfg.ClientRetry
-	p := t.p
-	start := p.Now()
-	backoff := pol.FirstBackoff()
-	for try := 0; ; try++ {
-		err := op()
-		if err == nil {
-			return nil
-		}
-		if !fault.Retryable(err) || try >= pol.MaxRetries {
-			return err
-		}
-		if pol.Deadline > 0 && time.Duration(p.Now().Sub(start))+backoff >= pol.Deadline {
-			return fmt.Errorf("raidii: %s after %v (%d retries): %w (last error: %w)",
-				what, time.Duration(p.Now().Sub(start)), try, fault.ErrDeadline, err)
-		}
-		end := p.Span("cluster", "retry")
-		p.Wait(backoff)
-		end()
-		backoff = pol.NextBackoff(backoff)
-	}
-}
-
 // ClusterFile is an open striped file: reads and writes fan out across
 // every server in the fleet transparently, and a single down host is
 // absorbed by cross-server parity.
@@ -261,7 +233,10 @@ func (f *ClusterFile) Write(off int64, data []byte) (time.Duration, error) {
 		return 0, err
 	}
 	start := f.t.p.Now()
-	err = f.t.withRetry("striped write", func() error {
+	// Placement is pure, so a resend lands on the same (server, board,
+	// offset): retrying a striped operation under the fleet's client retry
+	// policy is always safe.
+	err = f.t.cl.cfg.ClientRetry.Run(f.t.p, "cluster", "raidii: striped write", func() error {
 		return z.Write(f.t.p, f.name, off, data)
 	})
 	return time.Duration(f.t.p.Now().Sub(start)), err
@@ -278,7 +253,7 @@ func (f *ClusterFile) Read(off int64, n int) ([]byte, time.Duration, error) {
 	}
 	start := f.t.p.Now()
 	var data []byte
-	err = f.t.withRetry("striped read", func() error {
+	err = f.t.cl.cfg.ClientRetry.Run(f.t.p, "cluster", "raidii: striped read", func() error {
 		var rerr error
 		data, rerr = z.Read(f.t.p, f.name, off, n)
 		return rerr

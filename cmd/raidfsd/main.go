@@ -28,6 +28,7 @@ import (
 	_ "net/http/pprof" // opt-in profiling endpoint, gated by -pprof
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -39,8 +40,19 @@ import (
 )
 
 type serverState struct {
-	mu  sync.Mutex // the simulation engine is single-threaded
-	srv *raidii.Server
+	mu       sync.Mutex // the simulation engine is single-threaded
+	srv      *raidii.Server
+	capacity int64 // board 0's array bytes: no WRITE can be longer
+}
+
+// newServerState formats srv's file system to serve it.
+func newServerState(srv *raidii.Server) (*serverState, error) {
+	st := &serverState{srv: srv}
+	_, err := srv.Simulate(func(t *raidii.Task) error {
+		st.capacity = t.Board(0).ArrayCapacity()
+		return t.FormatFS()
+	})
+	return st, err
 }
 
 func main() {
@@ -63,10 +75,10 @@ func main() {
 	if *metricsAddr != "" {
 		reg = telemetry.Attach(srv.Sys().Eng)
 	}
-	if _, err := srv.Simulate(func(t *raidii.Task) error { return t.FormatFS() }); err != nil {
+	st, err := newServerState(srv)
+	if err != nil {
 		log.Fatal(err)
 	}
-	st := &serverState{srv: srv}
 
 	if *pprofAddr != "" {
 		// Real-host profiling of the daemon itself (the simulation measures
@@ -202,13 +214,16 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		}
 		fmt.Fprintf(w, "OK %d\n", size)
 	case "WRITE":
-		var off int64
-		var n int
 		if len(args) != 3 {
 			return fmt.Errorf("usage: WRITE <path> <off> <n>")
 		}
-		fmt.Sscanf(args[1], "%d", &off)
-		fmt.Sscanf(args[2], "%d", &n)
+		off, n, err := extent(args[1], args[2])
+		if err != nil {
+			return err
+		}
+		if int64(n) > st.capacity {
+			return fmt.Errorf("write of %d bytes is longer than the %d-byte array", n, st.capacity)
+		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return err
@@ -229,16 +244,16 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		}
 		fmt.Fprintf(w, "OK %d\n", d.Microseconds())
 	case "READ":
-		var off int64
-		var n int
 		if len(args) != 3 {
 			return fmt.Errorf("usage: READ <path> <off> <n>")
 		}
-		fmt.Sscanf(args[1], "%d", &off)
-		fmt.Sscanf(args[2], "%d", &n)
+		off, n, err := extent(args[1], args[2])
+		if err != nil {
+			return err
+		}
 		var dur time.Duration
 		var data []byte
-		_, err := st.srv.Simulate(func(t *raidii.Task) error {
+		_, err = st.srv.Simulate(func(t *raidii.Task) error {
 			f, err := t.Board(0).Open(args[0])
 			if err != nil {
 				return err
@@ -322,4 +337,18 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 	return nil
+}
+
+// extent parses a READ or WRITE request's offset and length, each a
+// non-negative decimal integer.
+func extent(offArg, nArg string) (int64, int, error) {
+	off, err := strconv.ParseInt(offArg, 10, 64)
+	if err != nil || off < 0 {
+		return 0, 0, fmt.Errorf("bad offset %q", offArg)
+	}
+	n, err := strconv.Atoi(nArg)
+	if err != nil || n < 0 {
+		return 0, 0, fmt.Errorf("bad length %q", nArg)
+	}
+	return off, n, nil
 }

@@ -411,7 +411,7 @@ func RAIDIBaseline() (RAIDIResult, error) {
 		const n = 4 << 20
 		var end sim.Time
 		err := r.do("d", func(p *sim.Proc) error {
-			err := streamRead(p, m.Disks[0], n)
+			err := streamRead(p, m.Disks[0].Disk, n)
 			end = p.Now()
 			return err
 		})

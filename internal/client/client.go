@@ -75,38 +75,25 @@ func (ws *Workstation) Stats() Stats { return ws.stats }
 // withRetry runs one client request under the workstation's retry policy.
 // attempt is invoked with the bytes already completed by earlier attempts
 // (so transfers resume rather than restart) and reports how many more it
-// completed before succeeding or failing.  Transient failures (see
-// fault.Retryable) are retried after a deterministic exponential backoff;
-// the deadline bounds the request end to end including backoff waits.
+// completed before succeeding or failing.
 func (ws *Workstation) withRetry(p *sim.Proc, what string, attempt func(resume int) (int, error)) error {
-	pol := ws.Retry
-	start := p.Now()
-	done := 0
-	backoff := pol.FirstBackoff()
-	for try := 0; ; try++ {
+	done, tries := 0, 0
+	err := ws.Retry.Run(p, "client", "client: "+what, func() error {
+		if tries++; tries > 1 {
+			ws.stats.Retries++
+			telemetry.MarkRetried(p)
+		}
 		n, err := attempt(done)
 		done += n
-		if err == nil {
-			return nil
-		}
 		if errors.Is(err, fault.ErrServerBusy) {
 			ws.stats.Busy++
 		}
-		if !fault.Retryable(err) || try >= pol.MaxRetries {
-			return err
-		}
-		if pol.Deadline > 0 && time.Duration(p.Now().Sub(start))+backoff >= pol.Deadline {
-			ws.stats.Deadlines++
-			return fmt.Errorf("client: %s after %v (%d retries): %w (last error: %w)",
-				what, time.Duration(p.Now().Sub(start)), try, fault.ErrDeadline, err)
-		}
-		ws.stats.Retries++
-		telemetry.MarkRetried(p)
-		end := p.Span("client", "retry")
-		p.Wait(backoff)
-		end()
-		backoff = pol.NextBackoff(backoff)
+		return err
+	})
+	if errors.Is(err, fault.ErrDeadline) {
+		ws.stats.Deadlines++
 	}
+	return err
 }
 
 // admit runs the server-side admission check for a request that has reached

@@ -203,15 +203,16 @@ func TestReadRetriesThroughLinkFlap(t *testing.T) {
 	sys, path := newSystem(t, 4)
 	ws := NewWorkstation(sys, "ss10", host.SPARCstation10())
 	ws.Retry = fault.RetryPolicy{MaxRetries: 20}
+	reg := telemetry.Attach(sys.Eng)
 	var dur time.Duration
 	// A down ring fails a packet as it goes out, and the copy-bound client
 	// takes one 256 KB chunk every ~90 ms: the outage is longer than that, so
 	// it covers a send wherever the chunk boundaries happen to fall.
 	sys.Eng.Spawn("flap", func(p *sim.Proc) {
 		p.Wait(200 * time.Millisecond)
-		sys.Ultra.SetRingDown(true)
+		sys.Ultra.Down = true
 		p.Wait(100 * time.Millisecond)
-		sys.Ultra.SetRingDown(false)
+		sys.Ultra.Down = false
 	})
 	sys.Eng.Spawn("t", func(p *sim.Proc) {
 		f, err := ws.Open(p, 0, path)
@@ -227,6 +228,10 @@ func TestReadRetriesThroughLinkFlap(t *testing.T) {
 	if ws.Stats().Retries == 0 {
 		t.Fatal("link flap during transfer caused no retries")
 	}
+	if s := reg.Summary("client-read"); s.Retried != 1 || s.Retries != ws.Stats().Retries {
+		t.Fatalf("client-read telemetry: %d retried requests, %d retries; want 1 and the client's %d",
+			s.Retried, s.Retries, ws.Stats().Retries)
+	}
 	// The outage plus backoff must show up in the request duration: a clean
 	// 4 MB read at ~3.2 MB/s takes ~1.25 s; the flap adds at least 50 ms.
 	if dur < 1300*time.Millisecond {
@@ -240,7 +245,7 @@ func TestReadFailsWithoutRetries(t *testing.T) {
 	sys, path := newSystem(t, 1)
 	ws := NewWorkstation(sys, "ss10", host.SPARCstation10())
 	sys.Eng.Spawn("t", func(p *sim.Proc) {
-		sys.Ultra.SetRingDown(true)
+		sys.Ultra.Down = true
 		f, err := ws.Open(p, 0, path)
 		if err == nil {
 			_, err = f.Read(p, 0, 1<<20)
@@ -265,7 +270,7 @@ func TestDeadlineBoundsRetries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Ultra.SetRingDown(true)
+		sys.Ultra.Down = true
 		start := p.Now()
 		_, err = f.Read(p, 0, 1<<20)
 		dur = time.Duration(p.Now().Sub(start))

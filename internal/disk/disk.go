@@ -236,7 +236,7 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 	if err := d.admit(p); err != nil {
 		return err
 	}
-	if bad, ok := d.firstBad(lba, n); ok {
+	if bad, ok := d.flt.latent.First(lba, n, d.flt.ops); ok {
 		d.actuator.Acquire(p, int64(d.cylOf(lba)))
 		err := d.mediumError(p, lba, bad)
 		d.actuator.Release()
@@ -300,7 +300,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	if err := d.admit(p); err != nil {
 		return err
 	}
-	d.clearLatent(lba, n)
+	d.flt.latent.Clear(lba, n)
 	d.actuator.Acquire(p, int64(d.cylOf(lba)))
 
 	// Position while the first chunks are in flight on the bus.

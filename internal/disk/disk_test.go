@@ -2,11 +2,13 @@ package disk
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"raidii/internal/fault"
 	"raidii/internal/sim"
 )
 
@@ -444,4 +446,27 @@ func TestDiskWriteAllocs(t *testing.T) {
 	if a32 > a2 {
 		t.Errorf("a warm 32-chunk write allocates %.1f objects, a 2-chunk one %.1f: allocations grow with the chunk count", a32, a2)
 	}
+}
+
+// TestLatentSplitKeepsLaterRuns: a write strictly inside one bad run splits
+// it and leaves the runs listed after it armed.
+func TestLatentSplitKeepsLaterRuns(t *testing.T) {
+	e := sim.New()
+	d := mustNew(t, e, "d0", IBM0661())
+	d.AddLatentError(10, 10)
+	d.AddLatentError(100, 10)
+	e.Spawn("t", func(p *sim.Proc) {
+		if err := d.Write(p, 15, make([]byte, d.SectorSize()), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Read(p, 15, 1, nil); err != nil {
+			t.Errorf("rewritten sector 15: %v", err)
+		}
+		for _, lba := range []int64{10, 14, 16, 19, 100, 109} {
+			if _, err := d.Read(p, lba, 1, nil); !errors.Is(err, fault.ErrMedium) {
+				t.Errorf("sector %d: err = %v, want ErrMedium", lba, err)
+			}
+		}
+	})
+	e.Run()
 }

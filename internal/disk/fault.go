@@ -18,19 +18,12 @@ import (
 // error (drives of the era retried on the order of a few revolutions).
 const mediumRetryRevs = 2
 
-// latentRange is a run of unreadable sectors [lo, hi); it activates once
-// the drive has serviced minOps commands (0 = immediately).
-type latentRange struct {
-	lo, hi int64
-	minOps uint64
-}
-
 // faultState is the drive's armed-fault bookkeeping.
 type faultState struct {
 	failed       bool
 	failAfterOps uint64 // fail once ops reaches this count; 0 = disarmed
 	ops          uint64 // commands serviced (admission-counted)
-	latent       []latentRange
+	latent       fault.Latent
 	stallUntil   sim.Time
 }
 
@@ -46,19 +39,13 @@ func (d *Disk) FailAfterOps(n uint64) { d.flt.failAfterOps = n }
 // of them position, stream up to the bad sector, then report
 // fault.ErrMedium.  Writing over a bad sector remaps it and clears the
 // error, as real drives do.
-func (d *Disk) AddLatentError(lba int64, n int) {
-	d.addLatent(lba, n, 0)
-}
+func (d *Disk) AddLatentError(lba int64, n int) { d.AddLatentErrorAfterOps(0, lba, n) }
 
 // AddLatentErrorAfterOps arms the bad range once the drive has serviced
 // minOps commands.
 func (d *Disk) AddLatentErrorAfterOps(minOps uint64, lba int64, n int) {
-	d.addLatent(lba, n, minOps)
-}
-
-func (d *Disk) addLatent(lba int64, n int, minOps uint64) {
 	d.checkRange(lba, n)
-	d.flt.latent = append(d.flt.latent, latentRange{lo: lba, hi: lba + int64(n), minOps: minOps})
+	d.flt.latent.Add(lba, n, minOps)
 }
 
 // Stall hangs the drive until the given simulated time: it does not accept
@@ -93,52 +80,6 @@ func (d *Disk) admit(p *sim.Proc) error {
 		return fmt.Errorf("disk %s: %w", d.spec.Name, fault.ErrDiskFailed)
 	}
 	return nil
-}
-
-// firstBad returns the lowest armed-and-active bad sector in [lba, lba+n),
-// if any.
-func (d *Disk) firstBad(lba int64, n int) (int64, bool) {
-	end := lba + int64(n)
-	best, found := int64(0), false
-	for _, r := range d.flt.latent {
-		if r.minOps > d.flt.ops {
-			continue
-		}
-		lo := r.lo
-		if lo < lba {
-			lo = lba
-		}
-		if lo >= end || r.hi <= lba {
-			continue
-		}
-		if !found || lo < best {
-			best, found = lo, true
-		}
-	}
-	return best, found
-}
-
-// clearLatent remaps any bad sectors overlapping [lba, lba+n): a write
-// reallocates them, trimming or splitting the armed ranges.
-func (d *Disk) clearLatent(lba int64, n int) {
-	if len(d.flt.latent) == 0 {
-		return
-	}
-	end := lba + int64(n)
-	keep := d.flt.latent[:0]
-	for _, r := range d.flt.latent {
-		if r.hi <= lba || r.lo >= end {
-			keep = append(keep, r)
-			continue
-		}
-		if r.lo < lba {
-			keep = append(keep, latentRange{lo: r.lo, hi: lba, minOps: r.minOps})
-		}
-		if r.hi > end {
-			keep = append(keep, latentRange{lo: end, hi: r.hi, minOps: r.minOps})
-		}
-	}
-	d.flt.latent = keep
 }
 
 // mediumError charges the deterministic time of a failed read — position,

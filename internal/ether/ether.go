@@ -31,9 +31,7 @@ type Segment struct {
 	wire *sim.Link
 	cfg  Config
 
-	down      bool
-	lossEvery int    // drop every lossEvery-th frame; 0 = none
-	frames    uint64 // frames carried, for the loss period
+	fault.Port // a segment never stalls: only its Down and LossEvery apply
 }
 
 // New creates a segment on engine e.
@@ -44,22 +42,6 @@ func New(e *sim.Engine, name string, cfg Config) *Segment {
 		wire: sim.NewLink(e, name, cfg.MbitPerS/8, cfg.PerPacket),
 		cfg:  cfg,
 	}
-}
-
-// SetDown marks the segment down (or back up); sends over a down wire fail
-// with fault.ErrLinkDown.
-func (s *Segment) SetDown(down bool) { s.down = down }
-
-// SetLossEvery makes the wire drop every n-th frame (0 disables loss).
-func (s *Segment) SetLossEvery(n int) { s.lossEvery = n }
-
-// lose advances the frame counter and reports whether this frame drops.
-func (s *Segment) lose() bool {
-	if s.lossEvery <= 0 {
-		return false
-	}
-	s.frames++
-	return s.frames%uint64(s.lossEvery) == 0
 }
 
 // Send transmits n bytes as MTU-sized frames; concurrent senders contend
@@ -78,14 +60,14 @@ func (s *Segment) Send(p *sim.Proc, n int) (int, error) {
 		if f > n {
 			f = n
 		}
-		if s.down {
+		if s.Down {
 			fe := p.Span("net", "link-down")
 			p.Wait(s.cfg.PerPacket)
 			fe()
 			return sent, fmt.Errorf("ether: %s: %w", s.wire.Name(), fault.ErrLinkDown)
 		}
 		s.wire.Transfer(p, f)
-		if s.lose() {
+		if s.Lose() {
 			p.Span("net", "packet-lost:"+s.wire.Name())()
 			fe := p.Span("net", "packet-lost")
 			p.Wait(s.cfg.PerPacket)

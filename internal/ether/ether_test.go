@@ -98,7 +98,7 @@ func TestDownWireFailsTyped(t *testing.T) {
 	e := sim.New()
 	seg := New(e, "eth0", DefaultConfig())
 	e.Spawn("p", func(p *sim.Proc) {
-		seg.SetDown(true)
+		seg.Down = true
 		n, err := seg.Send(p, 8<<10)
 		if !errors.Is(err, fault.ErrLinkDown) {
 			t.Errorf("err = %v, want fault.ErrLinkDown", err)
@@ -109,7 +109,7 @@ func TestDownWireFailsTyped(t *testing.T) {
 		if !fault.Retryable(err) {
 			t.Error("link-down must be retryable")
 		}
-		seg.SetDown(false)
+		seg.Down = false
 		if n, err := seg.Send(p, 8<<10); err != nil || n != 8<<10 {
 			t.Errorf("after link-up: n=%d err=%v", n, err)
 		}
@@ -125,7 +125,7 @@ func TestFrameLossReportsDeliveredBytes(t *testing.T) {
 	cfg := DefaultConfig()
 	seg := New(e, "eth0", cfg)
 	e.Spawn("p", func(p *sim.Proc) {
-		seg.SetLossEvery(3)
+		seg.LossEvery = 3
 		n, err := seg.Send(p, 5*cfg.MTU)
 		if !errors.Is(err, fault.ErrPacketLost) {
 			t.Errorf("err = %v, want fault.ErrPacketLost", err)
@@ -133,7 +133,7 @@ func TestFrameLossReportsDeliveredBytes(t *testing.T) {
 		if n != 2*cfg.MTU {
 			t.Errorf("delivered %d bytes before the third frame dropped, want %d", n, 2*cfg.MTU)
 		}
-		seg.SetLossEvery(0)
+		seg.LossEvery = 0
 		if n, err := seg.Send(p, 5*cfg.MTU); err != nil || n != 5*cfg.MTU {
 			t.Errorf("after loss cleared: n=%d err=%v", n, err)
 		}

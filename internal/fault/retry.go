@@ -1,6 +1,11 @@
 package fault
 
-import "time"
+import (
+	"fmt"
+	"time"
+
+	"raidii/internal/sim"
+)
 
 // RetryPolicy governs the client library's handling of transient request
 // failures (see Retryable): how many times to resend, how long to back off
@@ -50,4 +55,27 @@ func (rp RetryPolicy) NextBackoff(prev time.Duration) time.Duration {
 		next = max
 	}
 	return next
+}
+
+// Run performs one request under the policy: it calls attempt until it
+// succeeds, fails for good (see Retryable), or spends its MaxRetries
+// resends, waiting out the doubling backoff in a cat "retry" span between
+// tries.  A resend the Deadline would leave no room for is not made: the
+// request fails with ErrDeadline, and the error text opens with what.
+func (rp RetryPolicy) Run(p *sim.Proc, cat, what string, attempt func() error) error {
+	start := p.Now()
+	backoff := rp.FirstBackoff()
+	for try := 0; ; try++ {
+		err := attempt()
+		if err == nil || !Retryable(err) || try >= rp.MaxRetries {
+			return err
+		}
+		if spent := p.Now().Sub(start); rp.Deadline > 0 && spent+backoff >= rp.Deadline {
+			return fmt.Errorf("%s after %v (%d retries): %w (last error: %w)", what, spent, try, ErrDeadline, err)
+		}
+		end := p.Span(cat, "retry")
+		p.Wait(backoff)
+		end()
+		backoff = rp.NextBackoff(backoff)
+	}
 }

@@ -58,26 +58,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// portState is the mutable fault state of one network party.  All state
-// changes come from scripted fault events inside the simulation, so the
-// packet counter and flags evolve deterministically.
-type portState struct {
-	down       bool
-	lossEvery  int    // drop every lossEvery-th packet; 0 = none
-	pkts       uint64 // packets carried, for the loss period
-	stallUntil sim.Time
-}
-
-// lose advances the port's packet counter and reports whether this packet
-// is the one the loss period drops.
-func (st *portState) lose() bool {
-	if st.lossEvery <= 0 {
-		return false
-	}
-	st.pkts++
-	return st.pkts%uint64(st.lossEvery) == 0
-}
-
 // Endpoint is a HIPPI-attached party: an XBUS board (via its HIPPI
 // source/destination ports) or a client workstation (via its NIC model).
 type Endpoint struct {
@@ -86,26 +66,7 @@ type Endpoint struct {
 	In    sim.Hop       // network -> endpoint memory direction
 	Setup time.Duration // per-packet sender-side setup cost
 
-	state portState
-}
-
-// SetDown marks the endpoint down (or back up); transfers touching a down
-// endpoint fail with fault.ErrLinkDown.
-func (ep *Endpoint) SetDown(down bool) { ep.state.down = down }
-
-// SetLossEvery makes the endpoint drop every n-th packet it carries (0
-// disables loss).
-func (ep *Endpoint) SetLossEvery(n int) { ep.state.lossEvery = n }
-
-// StallUntil makes the endpoint unresponsive until simulated time t.
-func (ep *Endpoint) StallUntil(t sim.Time) { ep.state.stallUntil = t }
-
-// stallRemaining reports how much of the endpoint's stall is still ahead.
-func (ep *Endpoint) stallRemaining(now sim.Time) time.Duration {
-	if ep.state.stallUntil <= now {
-		return 0
-	}
-	return time.Duration(ep.state.stallUntil.Sub(now))
+	fault.Port // down, packet loss and stall, as the fault plan scripts them
 }
 
 // Ultranet is the shared ring network.
@@ -113,7 +74,7 @@ type Ultranet struct {
 	Ring *sim.Link
 	cfg  Config
 
-	state portState
+	fault.Port // the whole ring's Down and LossEvery; a ring never stalls
 }
 
 // NewUltranet creates the ring.
@@ -123,12 +84,6 @@ func NewUltranet(e *sim.Engine, cfg Config) *Ultranet {
 		cfg:  cfg,
 	}
 }
-
-// SetRingDown marks the whole ring down (or back up).
-func (u *Ultranet) SetRingDown(down bool) { u.state.down = down }
-
-// SetRingLossEvery makes the ring drop every n-th packet (0 disables).
-func (u *Ultranet) SetRingLossEvery(n int) { u.state.lossEvery = n }
 
 // Send moves n bytes from one endpoint to another across the ring,
 // packetized at MaxPacket with per-packet sender setup.  It returns the
@@ -145,13 +100,13 @@ func (u *Ultranet) Send(p *sim.Proc, from, to *Endpoint, n int) (int, error) {
 		if u.cfg.MaxPacket > 0 && pkt > u.cfg.MaxPacket {
 			pkt = u.cfg.MaxPacket
 		}
-		if u.state.down || from.state.down || to.state.down {
+		if u.Down || from.Down || to.Down {
 			fe := p.Span("net", "link-down")
 			p.Wait(u.cfg.DownDetect)
 			fe()
 			return sent, fmt.Errorf("hippi: %s -> %s: %w", from.Name, to.Name, fault.ErrLinkDown)
 		}
-		if stall := maxDuration(from.stallRemaining(p.Now()), to.stallRemaining(p.Now())); stall > 0 {
+		if stall := max(from.Stall(p.Now()), to.Stall(p.Now())); stall > 0 {
 			if stall > u.cfg.StallTimeout {
 				fe := p.Span("net", "timeout")
 				p.Wait(u.cfg.StallTimeout)
@@ -176,9 +131,9 @@ func (u *Ultranet) Send(p *sim.Proc, from, to *Endpoint, n int) (int, error) {
 		end()
 		// Every party on the path counts the packet, so loss periods tick
 		// per port, not per transfer.
-		ringLost := u.state.lose()
-		fromLost := from.state.lose()
-		toLost := to.state.lose()
+		ringLost := u.Lose()
+		fromLost := from.Lose()
+		toLost := to.Lose()
 		if ringLost || fromLost || toLost {
 			// Zero-length spans attribute the drop to the specific party
 			// for the per-port loss section of the utilization table.
@@ -218,11 +173,4 @@ func Loopback(p *sim.Proc, ep *Endpoint, cfg Config, n int) {
 		sim.Path{ep.Out, ep.In}.Send(p, pkt, 0)
 		end()
 	}
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

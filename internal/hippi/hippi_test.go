@@ -145,7 +145,7 @@ func TestDownRingFailsTyped(t *testing.T) {
 	u := NewUltranet(e, DefaultConfig())
 	from, to := netPair(e)
 	e.Spawn("p", func(p *sim.Proc) {
-		u.SetRingDown(true)
+		u.Down = true
 		n, err := u.Send(p, from, to, 1<<20)
 		if !errors.Is(err, fault.ErrLinkDown) {
 			t.Errorf("err = %v, want fault.ErrLinkDown", err)
@@ -160,7 +160,7 @@ func TestDownRingFailsTyped(t *testing.T) {
 		if p.Now() < sim.Time(int64(u.cfg.DownDetect)) {
 			t.Errorf("failure at %v, before the %v down-detect window", p.Now(), u.cfg.DownDetect)
 		}
-		u.SetRingDown(false)
+		u.Down = false
 		if n, err := u.Send(p, from, to, 1<<20); err != nil || n != 1<<20 {
 			t.Errorf("after ring up: n=%d err=%v", n, err)
 		}
@@ -173,11 +173,11 @@ func TestDownEndpointFailsTyped(t *testing.T) {
 	u := NewUltranet(e, DefaultConfig())
 	from, to := netPair(e)
 	e.Spawn("p", func(p *sim.Proc) {
-		to.SetDown(true)
+		to.Down = true
 		if n, err := u.Send(p, from, to, 1<<20); !errors.Is(err, fault.ErrLinkDown) || n != 0 {
 			t.Errorf("down receiver: n=%d err=%v, want 0, ErrLinkDown", n, err)
 		}
-		to.SetDown(false)
+		to.Down = false
 		if n, err := u.Send(p, from, to, 1<<20); err != nil || n != 1<<20 {
 			t.Errorf("after endpoint up: n=%d err=%v", n, err)
 		}
@@ -195,7 +195,7 @@ func TestPacketLossReportsDeliveredBytes(t *testing.T) {
 	u := NewUltranet(e, cfg)
 	from, to := netPair(e)
 	e.Spawn("p", func(p *sim.Proc) {
-		u.SetRingLossEvery(3)
+		u.LossEvery = 3
 		n, err := u.Send(p, from, to, 5<<20)
 		if !errors.Is(err, fault.ErrPacketLost) {
 			t.Errorf("err = %v, want fault.ErrPacketLost", err)
@@ -206,7 +206,7 @@ func TestPacketLossReportsDeliveredBytes(t *testing.T) {
 		if !fault.Retryable(err) {
 			t.Error("packet loss must be retryable")
 		}
-		u.SetRingLossEvery(0)
+		u.LossEvery = 0
 		if n, err := u.Send(p, from, to, 5<<20); err != nil || n != 5<<20 {
 			t.Errorf("after loss cleared: n=%d err=%v", n, err)
 		}
@@ -224,7 +224,7 @@ func TestEndpointLossCountsPerPort(t *testing.T) {
 	u := NewUltranet(e, cfg)
 	from, to := netPair(e)
 	e.Spawn("p", func(p *sim.Proc) {
-		to.SetLossEvery(4)
+		to.LossEvery = 4
 		n, err := u.Send(p, from, to, 6<<20)
 		if !errors.Is(err, fault.ErrPacketLost) || n != 3<<20 {
 			t.Errorf("lossy NIC: n=%d err=%v, want 3 MB then ErrPacketLost", n, err)
@@ -244,7 +244,7 @@ func TestStallRideOutVersusTimeout(t *testing.T) {
 	e.Spawn("p", func(p *sim.Proc) {
 		// Short stall: under StallTimeout, the send just takes longer.
 		short := cfg.StallTimeout / 2
-		to.StallUntil(p.Now().Add(sim.Duration(short)))
+		to.StallUntil = p.Now().Add(sim.Duration(short))
 		begin := p.Now()
 		n, err := u.Send(p, from, to, 1<<20)
 		if err != nil || n != 1<<20 {
@@ -254,7 +254,7 @@ func TestStallRideOutVersusTimeout(t *testing.T) {
 			t.Errorf("send took %v, did not ride out the %v stall", took, short)
 		}
 		// Long stall: the sender gives up after StallTimeout.
-		to.StallUntil(p.Now().Add(sim.Duration(10 * cfg.StallTimeout)))
+		to.StallUntil = p.Now().Add(sim.Duration(10 * cfg.StallTimeout))
 		begin = p.Now()
 		n, err = u.Send(p, from, to, 1<<20)
 		if !errors.Is(err, fault.ErrNetTimeout) || n != 0 {

@@ -38,6 +38,28 @@ func TestMemDevFaultInjection(t *testing.T) {
 	})
 }
 
+// TestMemDevLatentSplitKeepsLaterRuns: a write strictly inside one bad run
+// splits it and leaves the runs listed after it armed.
+func TestMemDevLatentSplitKeepsLaterRuns(t *testing.T) {
+	e := sim.New()
+	m := NewMemDev(128, tSec)
+	m.AddLatentError(10, 10)
+	m.AddLatentError(100, 10)
+	runProc(e, func(p *sim.Proc) {
+		if err := m.Write(p, 15, make([]byte, tSec)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Read(p, 15, 1); err != nil {
+			t.Errorf("rewritten sector 15: %v", err)
+		}
+		for _, lba := range []int64{10, 14, 16, 19, 100, 109} {
+			if _, err := m.Read(p, lba, 1); !errors.Is(err, fault.ErrMedium) {
+				t.Errorf("sector %d: err = %v, want ErrMedium", lba, err)
+			}
+		}
+	})
+}
+
 // TestReadEscalatesDeviceErrorToDegraded: a device error during a read must
 // mark the disk failed, serve the data over the degraded path, and count
 // the escalation — all without the caller seeing anything but correct bytes.

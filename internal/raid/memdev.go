@@ -15,12 +15,8 @@ type MemDev struct {
 	sectors int64
 	data    []byte
 	failed  bool
-	latent  []memLatent
+	latent  fault.Latent // for tests of the medium-error escalation path
 }
-
-// memLatent is a run of unreadable sectors [lo, hi), for tests of the
-// medium-error escalation path.
-type memLatent struct{ lo, hi int64 }
 
 // NewMemDev creates a zero-filled in-memory device.
 func NewMemDev(sectors int64, secSize int) *MemDev {
@@ -41,11 +37,8 @@ func (m *MemDev) ReadInto(_ *sim.Proc, lba int64, dst []byte) error {
 	if m.failed {
 		return fmt.Errorf("memdev: %w", fault.ErrDiskFailed)
 	}
-	end := lba + int64(len(dst)/m.secSize)
-	for _, r := range m.latent {
-		if r.lo < end && r.hi > lba {
-			return fmt.Errorf("memdev: sector %d: %w", r.lo, fault.ErrMedium)
-		}
+	if bad, ok := m.latent.First(lba, len(dst)/m.secSize, 0); ok {
+		return fmt.Errorf("memdev: sector %d: %w", bad, fault.ErrMedium)
 	}
 	copy(dst, m.data[lba*int64(m.secSize):])
 	return nil
@@ -61,7 +54,7 @@ func (m *MemDev) Write(_ *sim.Proc, lba int64, data []byte) error {
 	if m.failed {
 		return fmt.Errorf("memdev: %w", fault.ErrDiskFailed)
 	}
-	m.clearLatent(lba, int64(len(data)/m.secSize))
+	m.latent.Clear(lba, len(data)/m.secSize)
 	copy(m.data[lba*int64(m.secSize):], data)
 	return nil
 }
@@ -79,27 +72,4 @@ func (m *MemDev) Corrupt(off int64) { m.data[off] ^= 0xff }
 func (m *MemDev) Fail() { m.failed = true }
 
 // AddLatentError marks sectors [lba, lba+n) unreadable until overwritten.
-func (m *MemDev) AddLatentError(lba int64, n int) {
-	m.latent = append(m.latent, memLatent{lo: lba, hi: lba + int64(n)})
-}
-
-func (m *MemDev) clearLatent(lba, n int64) {
-	if len(m.latent) == 0 {
-		return
-	}
-	end := lba + n
-	keep := m.latent[:0]
-	for _, r := range m.latent {
-		if r.hi <= lba || r.lo >= end {
-			keep = append(keep, r)
-			continue
-		}
-		if r.lo < lba {
-			keep = append(keep, memLatent{lo: r.lo, hi: lba})
-		}
-		if r.hi > end {
-			keep = append(keep, memLatent{lo: end, hi: r.hi})
-		}
-	}
-	m.latent = keep
-}
+func (m *MemDev) AddLatentError(lba int64, n int) { m.latent.Add(lba, n, 0) }

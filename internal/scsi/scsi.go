@@ -114,16 +114,42 @@ type Disk struct {
 	str   *String
 }
 
-// path builds the bus path from the drive toward the XBUS.
-func (ad *Disk) path(upstream sim.Path) sim.Path {
-	p := sim.Path{ad.str.Bus, ad.ctl.ctlBus}
-	return append(p, upstream...)
+// Bound is a disk bound to the upstream paths its transfers take, both
+// decided once: a raid.Dev.  It is still the *Disk, for its Drive and
+// StallString.
+type Bound struct {
+	*Disk
+	read, write sim.Path // drive -> string -> controller -> upstream, and back
+}
+
+// Bind builds the disk's bus paths: reads leave through readUp, writes
+// arrive through writeUp.  (A simulated Path is direction-agnostic: each
+// hop is a half-duplex resource a chunk occupies in order.)
+func (ad *Disk) Bind(readUp, writeUp sim.Path) *Bound {
+	read := append(sim.Path{ad.str.Bus, ad.ctl.ctlBus}, readUp...)
+	write := append(append(sim.Path{}, writeUp...), ad.ctl.ctlBus, ad.str.Bus)
+	return &Bound{Disk: ad, read: read, write: write}
+}
+
+// Read reads n sectors at lba through upstream into a fresh buffer.
+func (ad *Disk) Read(p *sim.Proc, lba int64, n int, upstream sim.Path) ([]byte, error) {
+	return ad.Bind(upstream, nil).Read(p, lba, n)
+}
+
+// ReadInto reads the sectors at lba through upstream into dst.
+func (ad *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, upstream sim.Path) error {
+	return ad.Bind(upstream, nil).ReadInto(p, lba, dst)
+}
+
+// Write writes data at lba, arriving through upstream.
+func (ad *Disk) Write(p *sim.Proc, lba int64, data []byte, upstream sim.Path) error {
+	return ad.Bind(nil, upstream).Write(p, lba, data)
 }
 
 // Read reads n sectors at lba into a fresh buffer; see ReadInto.
-func (ad *Disk) Read(p *sim.Proc, lba int64, n int, upstream sim.Path) ([]byte, error) {
-	buf := make([]byte, n*ad.SectorSize())
-	if err := ad.ReadInto(p, lba, buf, upstream); err != nil {
+func (bd *Bound) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
+	buf := make([]byte, n*bd.SectorSize())
+	if err := bd.ReadInto(p, lba, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -134,26 +160,21 @@ func (ad *Disk) Read(p *sim.Proc, lba int64, n int, upstream sim.Path) ([]byte, 
 // failures (medium errors, timeouts on a stalled string) are reissued up to
 // the controller's retry budget with deterministic linear backoff; what
 // still fails after that is returned for the array layer to escalate.
-func (ad *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, upstream sim.Path) error {
+func (bd *Bound) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	end := p.Span("scsi", "read")
 	defer end()
-	return ad.issue(p, func(q *sim.Proc) error {
-		return ad.Drive.ReadInto(q, lba, dst, ad.path(upstream))
+	return bd.issue(p, func(q *sim.Proc) error {
+		return bd.Drive.ReadInto(q, lba, dst, bd.read)
 	})
 }
 
 // Write writes data at lba; data flows upstream -> controller -> string ->
-// drive.  (The simulated Path is direction-agnostic: each hop is a
-// half-duplex resource the chunk occupies in order.)  Failures retry like
-// reads.
-func (ad *Disk) Write(p *sim.Proc, lba int64, data []byte, upstream sim.Path) error {
+// drive.  Failures retry like reads.
+func (bd *Bound) Write(p *sim.Proc, lba int64, data []byte) error {
 	end := p.Span("scsi", "write")
 	defer end()
-	rev := make(sim.Path, 0, len(upstream)+2)
-	rev = append(rev, upstream...)
-	rev = append(rev, ad.ctl.ctlBus, ad.str.Bus)
-	return ad.issue(p, func(q *sim.Proc) error {
-		return ad.Drive.Write(q, lba, data, rev)
+	return bd.issue(p, func(q *sim.Proc) error {
+		return bd.Drive.Write(q, lba, data, bd.write)
 	})
 }
 

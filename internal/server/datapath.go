@@ -171,10 +171,9 @@ func (b *Board) CreateFS(p *sim.Proc, path string) (*FSFile, error) {
 // host memory.
 func (b *Board) SmallDiskRead(p *sim.Proc, diskIdx int, lba int64, bytes int) (err error) {
 	defer telemetry.Ensure(p, "small-read")(&err)
-	ad := b.Disks[diskIdx]
-	port := (diskIdx / (2 * b.sys.Cfg.DisksPerString)) % len(b.XB.VME)
-	secs := (bytes + ad.SectorSize() - 1) / ad.SectorSize()
-	if _, err := ad.Read(p, lba, secs, b.XB.DiskReadPath(port)); err != nil {
+	bd := b.Disks[diskIdx]
+	secs := (bytes + bd.SectorSize() - 1) / bd.SectorSize()
+	if _, err := bd.Read(p, lba, secs); err != nil {
 		return err
 	}
 	b.sys.Host.PerIO(p)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"raidii/internal/fault"
-	"raidii/internal/hippi"
 	"raidii/internal/sim"
 )
 
@@ -99,17 +98,22 @@ func (sys *System) checkNet(ev fault.Event) error {
 	return nil
 }
 
-// netEndpoint resolves the HIPPI endpoint a network event targets.
-func (sys *System) netEndpoint(ev fault.Event) *hippi.Endpoint {
-	if ev.Net == fault.PortClientNIC {
+// port resolves the network port a network event targets.
+func (sys *System) port(ev fault.Event) *fault.Port {
+	switch ev.Net {
+	case fault.PortRing:
+		return &sys.Ultra.Port
+	case fault.PortEther:
+		return &sys.Ether.Port
+	case fault.PortClientNIC:
 		clients := sys.clientEndpoints()
 		if ev.Board >= len(clients) {
 			//lint:allow simpanic the plan scripted a fault against a client that never attached; Check defers this to fire time by design
 			panic(fmt.Sprintf("server: network fault targets client %d but only %d clients attached", ev.Board, len(clients)))
 		}
-		return clients[ev.Board]
+		return &clients[ev.Board].Port
 	}
-	return sys.Boards[ev.Board].HEP
+	return &sys.Boards[ev.Board].HEP.Port
 }
 
 // Inject performs one fault event.  Time-triggered events arrive inside a
@@ -118,28 +122,13 @@ func (sys *System) netEndpoint(ev fault.Event) *hippi.Endpoint {
 func (sys *System) Inject(p *sim.Proc, ev fault.Event) {
 	switch ev.Kind {
 	case fault.LinkDown, fault.LinkUp:
-		down := ev.Kind == fault.LinkDown
-		switch ev.Net {
-		case fault.PortRing:
-			sys.Ultra.SetRingDown(down)
-		case fault.PortEther:
-			sys.Ether.SetDown(down)
-		default:
-			sys.netEndpoint(ev).SetDown(down)
-		}
+		sys.port(ev).Down = ev.Kind == fault.LinkDown
 		return
 	case fault.PacketLoss:
-		switch ev.Net {
-		case fault.PortRing:
-			sys.Ultra.SetRingLossEvery(ev.Every)
-		case fault.PortEther:
-			sys.Ether.SetLossEvery(ev.Every)
-		default:
-			sys.netEndpoint(ev).SetLossEvery(ev.Every)
-		}
+		sys.port(ev).LossEvery = ev.Every
 		return
 	case fault.EndpointStall:
-		sys.netEndpoint(ev).StallUntil(p.Now().Add(ev.Stall))
+		sys.port(ev).StallUntil = p.Now().Add(ev.Stall)
 		return
 	case fault.ServerDown:
 		sys.SetDown(true)

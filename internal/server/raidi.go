@@ -19,7 +19,7 @@ type RAIDI struct {
 	Eng     *sim.Engine
 	Host    *host.Host
 	Cougars []*scsi.Controller
-	Disks   []*scsi.Disk
+	Disks   []*scsi.Bound // every transfer DMAs across the VME backplane into host memory
 	Array   *raid.Array
 }
 
@@ -44,38 +44,13 @@ func DefaultRAIDIConfig() RAIDIConfig {
 	}
 }
 
-// raidiDisk binds a SCSI disk to the host: every transfer DMAs across the
-// VME backplane into host memory.
-type raidiDisk struct {
-	ad *scsi.Disk
-	h  *host.Host
-}
-
-func (rd *raidiDisk) path() sim.Path {
-	return sim.Path{rd.h.Backplane, rd.h.MemBus}
-}
-
-func (rd *raidiDisk) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
-	return rd.ad.Read(p, lba, n, rd.path())
-}
-
-func (rd *raidiDisk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
-	return rd.ad.ReadInto(p, lba, dst, rd.path())
-}
-
-func (rd *raidiDisk) Write(p *sim.Proc, lba int64, data []byte) error {
-	return rd.ad.Write(p, lba, data, sim.Path{rd.h.MemBus, rd.h.Backplane})
-}
-
-func (rd *raidiDisk) Sectors() int64  { return rd.ad.Sectors() }
-func (rd *raidiDisk) SectorSize() int { return rd.ad.SectorSize() }
-
 // NewRAIDI assembles the baseline on a fresh engine.
 func NewRAIDI(cfg RAIDIConfig) (*RAIDI, error) {
 	e := sim.New()
 	r := &RAIDI{Eng: e, Host: host.New(e, host.Sun4280())}
 	var devs []raid.Dev
 	n := 0
+	up, down := sim.Path{r.Host.Backplane, r.Host.MemBus}, sim.Path{r.Host.MemBus, r.Host.Backplane}
 	for c := 0; c < cfg.Controllers; c++ {
 		ctl := scsi.NewController(e, fmt.Sprintf("raidi-ctl%d", c), scsi.DefaultConfig())
 		r.Cougars = append(r.Cougars, ctl)
@@ -85,9 +60,9 @@ func NewRAIDI(cfg RAIDIConfig) (*RAIDI, error) {
 				if err != nil {
 					return nil, err
 				}
-				ad := ctl.Attach(dr, s)
-				r.Disks = append(r.Disks, ad)
-				devs = append(devs, &raidiDisk{ad: ad, h: r.Host})
+				bd := ctl.Attach(dr, s).Bind(up, down)
+				r.Disks = append(r.Disks, bd)
+				devs = append(devs, bd)
 				n++
 			}
 		}
@@ -165,9 +140,9 @@ func (r *RAIDI) UserRead(p *sim.Proc, offSectors int64, size int) error {
 // disk, DMA into host memory, a copy to user space, and the host's
 // (heavier) per-I/O completion cost.
 func (r *RAIDI) SmallDiskRead(p *sim.Proc, diskIdx int, lba int64, bytes int) error {
-	ad := r.Disks[diskIdx]
-	secs := (bytes + ad.SectorSize() - 1) / ad.SectorSize()
-	if _, err := ad.Read(p, lba, secs, sim.Path{r.Host.Backplane, r.Host.MemBus}); err != nil {
+	bd := r.Disks[diskIdx]
+	secs := (bytes + bd.SectorSize() - 1) / bd.SectorSize()
+	if _, err := bd.Read(p, lba, secs); err != nil {
 		return err
 	}
 	r.Host.Copy(p, bytes)

@@ -216,7 +216,7 @@ func (sys *System) Index() int { return sys.index }
 func (sys *System) SetDown(down bool) {
 	sys.down = down
 	for _, b := range sys.Boards {
-		b.HEP.SetDown(down)
+		b.HEP.Down = down
 	}
 }
 
@@ -238,7 +238,7 @@ type Board struct {
 	Index   int
 	XB      *xbus.Board
 	Cougars []*scsi.Controller
-	Disks   []*scsi.Disk
+	Disks   []*scsi.Bound
 	Array   *raid.Array
 	Cache   *cache.Cache // XBUS-resident block cache; nil when not configured
 	FS      *lfs.FS
@@ -260,39 +260,15 @@ func (b *Board) Dev() lfs.Device {
 	return b.Array
 }
 
-// boundDisk adapts a SCSI-attached disk plus its VME port path into a
-// raid.Dev: every transfer traverses string -> Cougar -> VME port -> XBUS
-// memory.
-type boundDisk struct {
-	ad   *scsi.Disk
-	xb   *xbus.Board
-	port int // VME disk port index; -1 means the host control port
-}
-
-func (bd *boundDisk) paths() (read, write sim.Path) {
-	if bd.port < 0 {
-		return sim.Path{bd.xb.Host.In()}, sim.Path{bd.xb.Host.Out()}
+// bind binds a disk on Cougar c to the board: Cougar c uses VME disk port
+// c, and the fifth Cougar, past Config.Cougars, the host control port.
+// Every transfer then traverses string -> Cougar -> port -> XBUS memory.
+func (b *Board) bind(ad *scsi.Disk, c int) *scsi.Bound {
+	if c >= b.sys.Cfg.Cougars {
+		return ad.Bind(sim.Path{b.XB.Host.In()}, sim.Path{b.XB.Host.Out()})
 	}
-	return bd.xb.DiskReadPath(bd.port), bd.xb.DiskWritePath(bd.port)
+	return ad.Bind(b.XB.DiskReadPath(c), b.XB.DiskWritePath(c))
 }
-
-func (bd *boundDisk) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
-	rp, _ := bd.paths()
-	return bd.ad.Read(p, lba, n, rp)
-}
-
-func (bd *boundDisk) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
-	rp, _ := bd.paths()
-	return bd.ad.ReadInto(p, lba, dst, rp)
-}
-
-func (bd *boundDisk) Write(p *sim.Proc, lba int64, data []byte) error {
-	_, wp := bd.paths()
-	return bd.ad.Write(p, lba, data, wp)
-}
-
-func (bd *boundDisk) Sectors() int64  { return bd.ad.Sectors() }
-func (bd *boundDisk) SectorSize() int { return bd.ad.SectorSize() }
 
 // New assembles a standalone system on a fresh engine and arms its fault
 // plan.  Multi-host fleets are assembled by NewFleet instead.
@@ -359,10 +335,7 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 	for c := 0; c < nCougars; c++ {
 		ctl := scsi.NewController(e, cfg.prefixed(fmt.Sprintf("xb%d-cougar%d", idx, c)), cfg.SCSI)
 		b.Cougars = append(b.Cougars, ctl)
-		port := c
-		if c >= cfg.Cougars {
-			port = -1 // fifth Cougar rides the host control port
-		} else if port >= cfg.XBus.VMEDiskPorts {
+		if c < cfg.Cougars && c >= cfg.XBus.VMEDiskPorts {
 			return nil, fmt.Errorf("server: cougar %d has no VME port", c)
 		}
 		for s := 0; s < 2; s++ {
@@ -372,9 +345,9 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 					return nil, err
 				}
 				dr.SetScheduler(cfg.DiskSched)
-				ad := ctl.Attach(dr, s)
-				b.Disks = append(b.Disks, ad)
-				devs = append(devs, &boundDisk{ad: ad, xb: xb, port: port})
+				bd := b.bind(ctl.Attach(dr, s), c)
+				b.Disks = append(b.Disks, bd)
+				devs = append(devs, bd)
 				diskNo++
 			}
 		}
@@ -488,13 +461,9 @@ func (b *Board) AttachSpare(cougar, str int) (raid.Dev, error) {
 		return nil, err
 	}
 	dr.SetScheduler(b.sys.Cfg.DiskSched)
-	ad := b.Cougars[cougar].Attach(dr, str)
-	b.Disks = append(b.Disks, ad)
-	port := cougar
-	if port >= len(b.XB.VME) {
-		port = -1
-	}
-	return &boundDisk{ad: ad, xb: b.XB, port: port}, nil
+	bd := b.bind(b.Cougars[cougar].Attach(dr, str), cougar)
+	b.Disks = append(b.Disks, bd)
+	return bd, nil
 }
 
 // ReplaceDisk attaches a spare drive on the failed device's own Cougar and

@@ -287,3 +287,27 @@ func TestEtherPathSlow(t *testing.T) {
 		t.Fatalf("ether path = %.2f MB/s, should be wire-limited (~1)", rate)
 	}
 }
+
+// TestSmallDiskReadTakesItsDisksPort: a Table 2 read from a disk on the
+// fifth Cougar crosses the host control port, as the array's commands to
+// that disk do, and leaves VME disk port 0 idle.
+func TestSmallDiskReadTakesItsDisksPort(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FifthCougar = true
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		if err := b.SmallDiskRead(p, len(b.Disks)-1, 0, 4096); err != nil {
+			t.Error(err)
+		}
+	})
+	sys.Eng.Run()
+	// A port's hop is its own link, then XBUS memory, which every port shares.
+	vme, host := b.XB.VME[0].In().Links()[0], b.XB.Host.In().Links()[0]
+	if vme.BytesMoved() != 0 || host.BytesMoved() != 4096 {
+		t.Fatalf("%s moved %d bytes and %s %d; want 0 and 4096", vme.Name(), vme.BytesMoved(), host.Name(), host.BytesMoved())
+	}
+}

@@ -84,7 +84,8 @@ var (
 	ErrNotEmpty = lfs.ErrNotEmpty
 	// ErrNoSpace reports a full log even after cleaning.
 	ErrNoSpace = lfs.ErrNoSpace
-	// ErrInvalid reports a rename of a directory into its own subtree.
+	// ErrInvalid reports an invalid argument: a rename of a directory into
+	// its own subtree, or hardware I/O reaching outside the board's array.
 	ErrInvalid = lfs.ErrInvalid
 	// ErrDiskFailed reports a command to a dead drive.
 	ErrDiskFailed = fault.ErrDiskFailed
@@ -497,12 +498,27 @@ func (bd *Board) Checkpoint() error {
 // XBUS memory -> HIPPI loop) without any file system.  Against an array
 // whose failures exceed its redundancy it returns ErrArrayFailed.
 func (bd *Board) HardwareRead(offsetBytes int64, size int) error {
+	if err := bd.checkRange(offsetBytes, size); err != nil {
+		return err
+	}
 	return bd.b.HardwareRead(bd.t.p, offsetBytes/512, size)
 }
 
 // HardwareWrite performs the raw high-bandwidth-path write of §2.3.
 func (bd *Board) HardwareWrite(offsetBytes int64, size int) error {
+	if err := bd.checkRange(offsetBytes, size); err != nil {
+		return err
+	}
 	return bd.b.HardwareWrite(bd.t.p, offsetBytes/512, size)
+}
+
+// checkRange rejects hardware I/O [off, off+size) that does not lie within
+// the array with ErrInvalid.
+func (bd *Board) checkRange(off int64, size int) error {
+	if c := bd.ArrayCapacity(); off < 0 || size < 0 || off > c-int64(size) {
+		return fmt.Errorf("raidii: hardware I/O of %d bytes at %d outside the %d-byte array: %w", size, off, c, ErrInvalid)
+	}
+	return nil
 }
 
 // ArrayCapacity returns the logical capacity in bytes of the board's array.

@@ -1,6 +1,7 @@
 package raidii
 
 import (
+	"errors"
 	"testing"
 
 	"raidii/internal/raid"
@@ -129,6 +130,39 @@ func TestHardwareOpsViaPublicAPI(t *testing.T) {
 	}
 	if dur <= 0 {
 		t.Fatal("hardware ops took no time")
+	}
+}
+
+// TestHardwareIOOutsideArrayIsInvalid: hardware I/O reaching outside the
+// array returns ErrInvalid instead of stopping the simulation, and the next
+// in-range call succeeds.
+func TestHardwareIOOutsideArrayIsInvalid(t *testing.T) {
+	srv, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var capacity int64
+	if _, err := srv.Simulate(func(task *Task) error {
+		capacity = task.Board(0).ArrayCapacity()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		off  int64
+		size int
+	}{{capacity, 1 << 20}, {capacity - 512, 1024}, {-512, 512}, {0, -1}} {
+		for _, op := range []func(*Board, int64, int) error{(*Board).HardwareRead, (*Board).HardwareWrite} {
+			_, err := srv.Simulate(func(task *Task) error { return op(task.Board(0), r.off, r.size) })
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("%d bytes at %d: err = %v, want ErrInvalid", r.size, r.off, err)
+			}
+		}
+	}
+	if _, err := srv.Simulate(func(task *Task) error {
+		return task.Board(0).HardwareRead(capacity-1<<20, 1<<20)
+	}); err != nil {
+		t.Fatalf("in-range read after the refused ones: %v", err)
 	}
 }
 
