@@ -75,7 +75,9 @@ func ReadInto(dev Device, p *sim.Proc, lba int64, dst []byte) error {
 //     one per device; a cluster store's files share their first file's;
 //   - the file system's segment images: its image pool (Config.Images);
 //   - the file system's buffers for read runs that do not land straight in
-//     the result: as many as its image pool.
+//     the result: as many as its image pool;
+//   - a board's read-stream buffers, one list per size class of whole
+//     pieces: pipelineDepth each (server/stream.go).
 //
 // Recycling a buffer that was handed to a device's Write is safe because of
 // the device contract (DESIGN.md §17): a device copies what it stores and

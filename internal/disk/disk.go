@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"raidii/internal/fault"
 	"raidii/internal/sim"
 )
 
@@ -54,6 +55,10 @@ type Disk struct {
 
 	flt   faultState
 	stats Stats
+
+	// Port is the drive's stall state, read at selection: a wedged SCSI
+	// string stalls every drive on it (scsi.Disk.StallString).
+	Port fault.Port
 }
 
 // Stats accumulates per-drive counters.

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"fmt"
-	"time"
 
 	"raidii/internal/fault"
 	"raidii/internal/sim"
@@ -24,7 +23,6 @@ type faultState struct {
 	failAfterOps uint64 // fail once ops reaches this count; 0 = disarmed
 	ops          uint64 // commands serviced (admission-counted)
 	latent       fault.Latent
-	stallUntil   sim.Time
 }
 
 // Fail kills the drive immediately: every subsequent command returns
@@ -46,23 +44,6 @@ func (d *Disk) AddLatentError(lba int64, n int) { d.AddLatentErrorAfterOps(0, lb
 func (d *Disk) AddLatentErrorAfterOps(minOps uint64, lba int64, n int) {
 	d.checkRange(lba, n)
 	d.flt.latent.Add(lba, n, minOps)
-}
-
-// Stall hangs the drive until the given simulated time: it does not accept
-// commands, so the controller's command timeout governs what callers see.
-// The SCSI layer stalls every drive on a string to model a wedged bus.
-func (d *Disk) Stall(until sim.Time) {
-	if until > d.flt.stallUntil {
-		d.flt.stallUntil = until
-	}
-}
-
-// StallRemaining returns how much longer the drive stays unresponsive.
-func (d *Disk) StallRemaining(now sim.Time) time.Duration {
-	if d.flt.stallUntil <= now {
-		return 0
-	}
-	return time.Duration(d.flt.stallUntil - now)
 }
 
 // admit counts a command against the op-triggered faults and reports

@@ -63,13 +63,14 @@ func (l *Latent) Clear(lba int64, n int) {
 
 // Port is the fault state of one network party — the Ultranet ring, a HIPPI
 // endpoint, an Ethernet segment — which scripted events set and transfers
-// read.  Every change comes from an event inside the simulation, so the
-// packet counter evolves deterministically.
+// read; a disk drive holds one for its stalls alone.  Every change comes
+// from an event inside the simulation, so the packet counter evolves
+// deterministically.
 type Port struct {
-	Down       bool     // transfers touching the port fail with ErrLinkDown
-	LossEvery  int      // drop every LossEvery-th packet; 0 = none
-	StallUntil sim.Time // the port answers nothing before this time
-	pkts       uint64   // packets carried while loss is armed
+	Down      bool     // transfers touching the port fail with ErrLinkDown
+	LossEvery int      // drop every LossEvery-th packet; 0 = none
+	stallEnd  sim.Time // the port answers nothing before this time (StallUntil)
+	pkts      uint64   // packets carried while loss is armed
 }
 
 // Lose advances the port's packet counter and reports whether this packet
@@ -82,7 +83,11 @@ func (pt *Port) Lose() bool {
 	return pt.pkts%uint64(pt.LossEvery) == 0
 }
 
+// StallUntil hangs the port until t.  A stall that ends earlier than the
+// one in force changes nothing, so the later of overlapping stalls wins.
+func (pt *Port) StallUntil(t sim.Time) { pt.stallEnd = max(pt.stallEnd, t) }
+
 // Stall reports how much of the port's stall is still ahead at now.
 func (pt *Port) Stall(now sim.Time) time.Duration {
-	return max(pt.StallUntil.Sub(now), 0)
+	return max(pt.stallEnd.Sub(now), 0)
 }

@@ -244,7 +244,7 @@ func TestStallRideOutVersusTimeout(t *testing.T) {
 	e.Spawn("p", func(p *sim.Proc) {
 		// Short stall: under StallTimeout, the send just takes longer.
 		short := cfg.StallTimeout / 2
-		to.StallUntil = p.Now().Add(sim.Duration(short))
+		to.StallUntil(p.Now().Add(sim.Duration(short)))
 		begin := p.Now()
 		n, err := u.Send(p, from, to, 1<<20)
 		if err != nil || n != 1<<20 {
@@ -254,7 +254,7 @@ func TestStallRideOutVersusTimeout(t *testing.T) {
 			t.Errorf("send took %v, did not ride out the %v stall", took, short)
 		}
 		// Long stall: the sender gives up after StallTimeout.
-		to.StallUntil = p.Now().Add(sim.Duration(10 * cfg.StallTimeout))
+		to.StallUntil(p.Now().Add(sim.Duration(10 * cfg.StallTimeout)))
 		begin = p.Now()
 		n, err = u.Send(p, from, to, 1<<20)
 		if !errors.Is(err, fault.ErrNetTimeout) || n != 0 {

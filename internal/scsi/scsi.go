@@ -210,7 +210,7 @@ func (ad *Disk) issue(p *sim.Proc, op func(*sim.Proc) error) error {
 // will not respond within the command timeout the selection times out;
 // shorter stalls are simply waited through.
 func (ad *Disk) waitReady(p *sim.Proc) error {
-	stall := ad.Drive.StallRemaining(p.Now())
+	stall := ad.Drive.Port.Stall(p.Now())
 	if stall <= 0 {
 		return nil
 	}
@@ -232,7 +232,7 @@ func (ad *Disk) waitReady(p *sim.Proc) error {
 // into the controller's command timeout.
 func (ad *Disk) StallString(until sim.Time) {
 	for _, d := range ad.str.disks {
-		d.Drive.Stall(until)
+		d.Drive.Port.StallUntil(until)
 	}
 }
 

@@ -100,8 +100,13 @@ func (b *Board) HardwareWrite(p *sim.Proc, offSectors int64, size int) (err erro
 // The read goes through the handle's read stream (stream.go), each piece
 // taking one crossbar pass into the network buffers as it lands.  The bytes
 // read are returned; a short result (only at EOF) is shorter than size.
+//
+// The result is lent, not given: it is the board's buffer, and its bytes
+// stay valid only until the same process's next FSRead on this board, which
+// may reuse it.  A caller that keeps bytes past that point copies them.
 func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, err error) {
 	defer telemetry.Ensure(p, "fs-read")(&err)
+	b.bufs.release(p.ID())
 	b.sys.Host.CPUWork(p, FSReadOverhead)
 	crossbar := func(q *sim.Proc, pc *piece) error {
 		b.XB.Memory.Transfer(q, len(pc.buf))
@@ -109,7 +114,9 @@ func (b *Board) FSRead(p *sim.Proc, f *FSFile, off int64, size int) (_ []byte, e
 		return nil
 	}
 	parts, ahead := f.plan(p, off, off+int64(size), crossbar)
-	return f.gather(p, off, size, parts, crossbar, ahead)
+	data, l, err := f.gather(p, off, size, parts, crossbar, ahead)
+	b.bufs.lend(p.ID(), l)
+	return data, err
 }
 
 // FSWrite is the Figure 8 LFS write: file system overhead on the host
@@ -191,7 +198,7 @@ func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) (err erro
 	defer telemetry.Ensure(p, "ether-read")(&err)
 	h := b.sys.Host
 	h.CPUWork(p, FSReadOverhead)
-	_, err = f.gather(p, off, size, split(off, off+int64(size)), func(q *sim.Proc, pc *piece) error {
+	_, l, err := f.gather(p, off, size, split(off, off+int64(size)), func(q *sim.Proc, pc *piece) error {
 		defer b.XB.Buffers.ReleaseN(len(pc.buf))
 		b.XB.HostTransfer(q, pc.got, true)
 		h.DMAIn(q, pc.got)
@@ -199,6 +206,7 @@ func (b *Board) EtherRead(p *sim.Proc, f *FSFile, off int64, size int) (err erro
 		_, err := b.sys.Ether.Send(q, pc.got)
 		return err
 	}, nil)
+	f.Board.bufs.end(l, true) // the bytes went out on the Ethernet; nobody keeps them
 	h.PerIO(p)
 	return err
 }

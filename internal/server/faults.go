@@ -128,7 +128,7 @@ func (sys *System) Inject(p *sim.Proc, ev fault.Event) {
 		sys.port(ev).LossEvery = ev.Every
 		return
 	case fault.EndpointStall:
-		sys.port(ev).StallUntil = p.Now().Add(ev.Stall)
+		sys.port(ev).StallUntil(p.Now().Add(ev.Stall))
 		return
 	case fault.ServerDown:
 		sys.SetDown(true)

@@ -34,7 +34,7 @@ func TestNetworkFaultsReachEveryPort(t *testing.T) {
 			{fault.LinkDown, fault.Plan{}.LinkDownAt(at, tg.net, tg.idx), fault.Port{Down: true}},
 			{fault.LinkUp, fault.Plan{}.LinkDownAt(at, tg.net, tg.idx).LinkUpAt(2*at, tg.net, tg.idx), fault.Port{}},
 			{fault.PacketLoss, fault.Plan{}.PacketLossEvery(4, tg.net, tg.idx), fault.Port{LossEvery: 4}},
-			{fault.EndpointStall, fault.Plan{}.EndpointStallAt(at, tg.net, tg.idx, stall), fault.Port{StallUntil: sim.Time(at + stall)}},
+			{fault.EndpointStall, fault.Plan{}.EndpointStallAt(at, tg.net, tg.idx, stall), stalledUntil(sim.Time(at + stall))},
 		} {
 			cfg := DefaultConfig()
 			cfg.Boards, cfg.DisksPerString, cfg.Faults = 2, 1, tc.plan
@@ -76,4 +76,41 @@ func TestNetworkFaultsReachEveryPort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stalledUntil is a port whose only fault is a stall until t.
+func stalledUntil(t sim.Time) (pt fault.Port) {
+	pt.StallUntil(t)
+	return pt
+}
+
+// TestOverlappingStallsKeepTheLater: a short stall scripted inside a longer
+// one on the same HIPPI endpoint, or on the same SCSI string, leaves the
+// longer one in force.  The endpoint used to keep the last stall scripted,
+// so the short one cut the long one short.
+func TestOverlappingStallsKeepTheLater(t *testing.T) {
+	const long, short = 100 * time.Millisecond, 10 * time.Millisecond
+	cfg := DefaultConfig()
+	cfg.Boards, cfg.DisksPerString = 1, 1
+	cfg.Faults = fault.Plan{}.
+		EndpointStallAt(10*time.Millisecond, fault.PortBoardHIPPI, 0, long).
+		EndpointStallAt(20*time.Millisecond, fault.PortBoardHIPPI, 0, short).
+		StringStallAt(10*time.Millisecond, 0, 0, long).
+		StringStallAt(20*time.Millisecond, 0, 0, short)
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Boards[0]
+	const probe = 50 * time.Millisecond
+	want := 10*time.Millisecond + long - probe
+	sys.Eng.At(sim.Time(probe), "probe", func(p *sim.Proc) {
+		if got := b.HEP.Port.Stall(p.Now()); got != want {
+			t.Errorf("HIPPI endpoint: %v of stall left at %v, want %v", got, probe, want)
+		}
+		if got := b.Disks[0].Drive.Port.Stall(p.Now()); got != want {
+			t.Errorf("drive: %v of stall left at %v, want %v", got, probe, want)
+		}
+	})
+	sys.Eng.Run()
 }

@@ -249,6 +249,8 @@ type Board struct {
 	adm      *sim.Server // bounded client-request admission; nil = unbounded
 	admDepth int
 	admStats AdmissionStats
+
+	bufs streamBufs // the read stream's buffers and FSRead's leases (stream.go)
 }
 
 // Dev returns the store the file system and datapath read and write: the
@@ -314,7 +316,7 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 	e := sys.Eng
 	cfg := sys.Cfg
 	xb := xbus.New(e, cfg.prefixed(fmt.Sprintf("xbus%d", idx)), cfg.XBus)
-	b := &Board{sys: sys, Index: idx, XB: xb}
+	b := &Board{sys: sys, Index: idx, XB: xb, bufs: newStreamBufs()}
 	if cfg.AdmissionLimit > 0 {
 		b.adm = sim.NewServer(e, cfg.prefixed(fmt.Sprintf("xbus%d:admit", idx)), cfg.AdmissionLimit)
 		b.admDepth = cfg.AdmissionLimit

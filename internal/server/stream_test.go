@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,11 +14,12 @@ import (
 	"raidii/internal/sim"
 )
 
-// streamPattern is n deterministic bytes that differ with tag.
+// streamPattern is n deterministic bytes that differ with tag; no two 128 KB
+// blocks of a file under 32 MB hold the same bytes.
 func streamPattern(n int, tag byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = byte(i>>9) ^ byte(i)*3 ^ tag
+		b[i] = byte(i>>9) ^ byte(i)*3 ^ byte(i>>17)*5 ^ tag
 	}
 	return b
 }
@@ -85,7 +87,7 @@ func TestHardwareReadSendsTheCallersBytes(t *testing.T) {
 
 // streamRig formats a Fig. 8 board on small disks and writes /s, size bytes
 // of pattern tag 1.
-func streamRig(t *testing.T, size int) (*System, *Board) {
+func streamRig(t testing.TB, size int) (*System, *Board) {
 	t.Helper()
 	cfg := Fig8Config()
 	cfg.DiskSpec.Cylinders = 40
@@ -177,12 +179,23 @@ func TestLookAheadTrigger(t *testing.T) {
 // a client-style stream in the middle of its send over the window that
 // replaced it, runs an EtherRead, and
 // fails a HardwareRead in the middle of its pieces by killing the array:
-// once the engine is idle after each, every byte of board DRAM is back and
-// no process is parked.
+// once the engine is idle after each, every byte of board DRAM is back, no
+// process is parked, and every stream buffer is on its free list, lent or
+// in a handle's window (checkStreamBufs).  The dropped window comes back to
+// its list only once its last piece has landed.
 func TestStreamStrandsNothing(t *testing.T) {
 	const size = 4 << 20
 	sys, b := streamRig(t, size)
 	free := b.XB.Buffers.Available()
+	var handles []*FSFile // every handle the phases open
+	open := func(p *sim.Proc) *FSFile {
+		f, err := b.OpenFS(p, "/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, f)
+		return f
+	}
 	phase := func(what string, fn func(p *sim.Proc)) {
 		t.Helper()
 		sys.Eng.Spawn(what, fn)
@@ -193,14 +206,12 @@ func TestStreamStrandsNothing(t *testing.T) {
 		if got := b.XB.Buffers.Available(); got != free {
 			t.Fatalf("%s: %d bytes of DRAM free, %d after assembly", what, got, free)
 		}
+		checkStreamBufs(t, what, b, handles)
 	}
 	const r = 256 << 10
 	phase("abandoned windows", func(p *sim.Proc) {
 		for h := 0; h < 3; h++ {
-			f, err := b.OpenFS(p, "/s")
-			if err != nil {
-				t.Fatal(err)
-			}
+			f := open(p)
 			for i := int64(0); i < 3; i++ {
 				if _, err := b.FSRead(p, f, (int64(h)+i)*r, r); err != nil {
 					t.Fatal(err)
@@ -208,19 +219,34 @@ func TestStreamStrandsNothing(t *testing.T) {
 			}
 		}
 	})
+	var dropped *window
+	droppedInFlight := false
 	phase("a window dropped in flight, then a send failed over the next one", func(p *sim.Proc) {
-		f, err := b.OpenFS(p, "/s")
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := open(p)
 		for i := int64(0); i < 2; i++ {
 			if _, err := b.FSRead(p, f, i*r, r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if f.win == nil {
+		if dropped = f.win; dropped == nil {
 			t.Fatal("no window to drop")
 		}
+		sys.Eng.Spawn("probe", func(q *sim.Proc) { // every ms until its pieces have landed
+			for landing := -1; landing != 0; q.Wait(time.Millisecond) {
+				landing = 0
+				for _, pc := range dropped.pieces {
+					if !pc.landed.Fired() {
+						landing++
+					}
+				}
+				if f.win != dropped && landing > 0 {
+					if dropped.refs != landing {
+						t.Errorf("the dropped window has %d pieces in flight and %d references", landing, dropped.refs)
+					}
+					droppedInFlight = true
+				}
+			}
+		})
 		if _, err := f.File.WriteAt(p, []byte{7}, 3*r-1); err != nil {
 			t.Fatal(err)
 		}
@@ -246,12 +272,11 @@ func TestStreamStrandsNothing(t *testing.T) {
 			t.Fatalf("stream: %v, want the send's error", err)
 		}
 	})
+	if !droppedInFlight || dropped.refs != 0 {
+		t.Fatalf("the window was dropped in flight: %v; it is still referenced %d times", droppedInFlight, dropped.refs)
+	}
 	phase("an EtherRead", func(p *sim.Proc) {
-		f, err := b.OpenFS(p, "/s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.EtherRead(p, f, r, 3*r); err != nil {
+		if err := b.EtherRead(p, open(p), r, 3*r); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -276,6 +301,275 @@ func TestStreamStrandsNothing(t *testing.T) {
 	if live := sys.Eng.Live(); live != 0 {
 		t.Fatalf("%d processes live after Shutdown", live)
 	}
+}
+
+// checkStreamBufs fails the test unless every stream buffer of b out of its
+// lists is lent by the lease table or held as the window of one of handles,
+// and each such window is referenced by exactly those: once the engine is
+// idle, no piece lands in a window and no read copies out of one.
+func checkStreamBufs(t *testing.T, what string, b *Board, handles []*FSFile) {
+	t.Helper()
+	refs := map[*window]int{}
+	for _, f := range handles {
+		if f.win != nil {
+			refs[f.win]++
+		}
+	}
+	held := 0
+	for _, l := range b.bufs.leases {
+		if l.w != nil {
+			refs[l.w]++
+		}
+		if l.buf != nil && class(cap(l.buf)) > 0 {
+			held++
+		}
+	}
+	for w, n := range refs {
+		if w.refs != n {
+			t.Fatalf("%s: window [%d, %d) referenced %d times, by %d handles and leases", what, w.off, w.hi(), w.refs, n)
+		}
+		held++
+	}
+	if b.bufs.held != held {
+		t.Fatalf("%s: %d stream buffers out of the lists, %d lent or in a handle's window", what, b.bufs.held, held)
+	}
+}
+
+// TestFSReadLeaseOutlivesOtherReaders: an FSRead result stays valid until
+// its process's next FSRead on the board, whatever other processes read
+// meanwhile.  Two processes share one handle and a third reads another
+// handle of the same board, sequentially, through its window; each holds
+// every result across a wait in which the others read, then checks it
+// against the file.  A lease kept per handle gives the first process's
+// buffer back when the second reads, and the second's bytes land in it.
+func TestFSReadLeaseOutlivesOtherReaders(t *testing.T) {
+	const size = 4 << 20
+	const r = 256 << 10
+	sys, b := streamRig(t, size)
+	want := streamPattern(size, 1)
+	var shared, other *FSFile
+	sys.Eng.Spawn("open", func(p *sim.Proc) {
+		var err error
+		if shared, err = b.OpenFS(p, "/s"); err != nil {
+			t.Fatal(err)
+		}
+		if other, err = b.OpenFS(p, "/s"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sys.Eng.Run()
+	checked := 0
+	reader := func(name string, f *FSFile, start time.Duration, offs ...int64) {
+		sys.Eng.Spawn(name, func(p *sim.Proc) {
+			p.Wait(start)
+			for _, off := range offs {
+				got, err := b.FSRead(p, f, off, r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.Wait(300 * time.Millisecond) // the others read
+				if !bytes.Equal(got, want[off:off+r]) {
+					t.Errorf("%s: the result of a read at %d changed while it was held", name, off)
+				}
+				checked++
+			}
+		})
+	}
+	reader("a", shared, 0, 0, 4*r, 8*r, 12*r)
+	reader("b", shared, 100*time.Millisecond, 2*r, 6*r, 10*r, 14*r)
+	reader("c", other, 200*time.Millisecond, 0, r, 2*r, 3*r, 4*r, 5*r)
+	sys.Eng.Run()
+	if checked != 14 {
+		t.Fatalf("%d results checked, want 14", checked)
+	}
+}
+
+// TestFSReadEvictedLeaseIsNeverRecycled: when more processes hold FSRead
+// results than the board has lease slots, a new lease evicts an old one, and
+// the evicted result's buffer is forgotten, never recycled, whether it is
+// its own buffer or a window's.  p0 holds a slice of its handle's window and
+// p1 a buffer of its own; eight more readers evict both; then q reads on
+// p0's handle past the window, which drops it and issues one of the same
+// size, and reads a piece of p1's size.  p0 and p1 still find their bytes.
+func TestFSReadEvictedLeaseIsNeverRecycled(t *testing.T) {
+	const size = 5 << 20
+	const r = 256 << 10
+	sys, b := streamRig(t, size)
+	want := streamPattern(size, 1)
+	var f0 *FSFile
+	sys.Eng.Spawn("open", func(p *sim.Proc) {
+		var err error
+		if f0, err = b.OpenFS(p, "/s"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sys.Eng.Run()
+	read := func(p *sim.Proc, f *FSFile, off int64) []byte {
+		t.Helper()
+		got, err := b.FSRead(p, f, off, r)
+		if err != nil || !bytes.Equal(got, want[off:off+r]) {
+			t.Fatalf("read at %d: %v, or wrong bytes", off, err)
+		}
+		return got
+	}
+	holder := func(name string, start time.Duration, reads func(p *sim.Proc) (int64, []byte)) {
+		sys.Eng.Spawn(name, func(p *sim.Proc) {
+			p.Wait(start)
+			off, got := reads(p)
+			p.Wait(3*time.Second - start)
+			if !bytes.Equal(got, want[off:off+r]) {
+				t.Errorf("%s: the result of its read at %d changed while it was held", name, off)
+			}
+		})
+	}
+	holder("p0", 0, func(p *sim.Proc) (int64, []byte) {
+		read(p, f0, 0)
+		read(p, f0, r) // continues: the window [2r, 9r)
+		return 2 * r, read(p, f0, 2*r)
+	})
+	for i := 1; i <= leaseSlots; i++ {
+		holder(fmt.Sprint("p", i), time.Duration(i)*100*time.Millisecond, func(p *sim.Proc) (int64, []byte) {
+			f, err := b.OpenFS(p, "/s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := int64(i) * 2 * r
+			return off, read(p, f, off)
+		})
+	}
+	sys.Eng.Spawn("q", func(p *sim.Proc) {
+		p.Wait(2 * time.Second)
+		for off := int64(3 * r); off <= 9*r; off += r {
+			read(p, f0, off) // the last drops p0's window for [10r, 17r)
+		}
+	})
+	sys.Eng.Run()
+}
+
+// TestFSReadRecycledBuffersHoldNoStaleBytes: reads through warm buffers
+// return the file's bytes and nothing a buffer held before.  The file is
+// read whole through windows, then truncated and rewritten shorter with a
+// hole at its start; every read after that — on the warm handle and on a
+// fresh one, sequential through windows and across the new EOF — returns
+// zeros for the hole, the new bytes after it and nothing past the end.
+func TestFSReadRecycledBuffersHoldNoStaleBytes(t *testing.T) {
+	const size = 3 << 20
+	sys, b := streamRig(t, size)
+	sys.Eng.Spawn("t", func(p *sim.Proc) {
+		read := func(f *FSFile, off int64, n int, file []byte) {
+			t.Helper()
+			got, err := b.FSRead(p, f, off, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := min(off, int64(len(file))), min(off+int64(n), int64(len(file)))
+			if !bytes.Equal(got, file[lo:hi]) {
+				t.Fatalf("read %d+%d: %d bytes, not the file's %d there", off, n, len(got), hi-lo)
+			}
+		}
+		f, err := b.OpenFS(p, "/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := int64(0); off < size; off += 512 << 10 {
+			read(f, off, 512<<10, streamPattern(size, 1))
+		}
+		lf := f.File.(*lfs.File)
+		if err := lf.Truncate(p); err != nil {
+			t.Fatal(err)
+		}
+		const hole, tail = 700 << 10, 300 << 10
+		if _, err := lf.WriteAt(p, streamPattern(tail, 2), hole); err != nil {
+			t.Fatal(err)
+		}
+		file := append(make([]byte, hole), streamPattern(tail, 2)...)
+		g, err := b.OpenFS(p, "/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []*FSFile{f, g} {
+			for off := int64(0); off < 2<<20; off += 128 << 10 {
+				read(h, off, 128<<10, file)
+			}
+			read(h, 100<<10, 1<<20, file)
+		}
+	})
+	sys.Eng.Run()
+	if live := sys.Eng.Live(); live != 0 {
+		t.Fatalf("%d processes parked", live)
+	}
+}
+
+// seqReader starts a process on b that reads /s, size bytes, in FSReads of
+// r bytes on one handle, wrapping at EOF, one read at the start of each
+// simulated second; step runs the engine through the next second's read.
+func seqReader(tb testing.TB, sys *System, b *Board, size, r int) (step func()) {
+	want := streamPattern(size, 1)
+	sys.Eng.Spawn("reader", func(p *sim.Proc) {
+		f, err := b.OpenFS(p, "/s")
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		for off := int64(0); ; off = (off + int64(r)) % int64(size) {
+			got, err := b.FSRead(p, f, off, r)
+			if err != nil || !bytes.Equal(got, want[off:off+int64(len(got))]) {
+				tb.Errorf("read at %d: %v, or wrong bytes", off, err)
+				return
+			}
+			p.WaitUntil(p.Now() + sim.Time(time.Second) - p.Now()%sim.Time(time.Second))
+		}
+	})
+	next := sys.Eng.Now()
+	return func() {
+		next += sim.Time(time.Second)
+		sys.Eng.RunUntil(next)
+	}
+}
+
+// TestFSReadAllocs: warm sequential 512 KB FSReads on one handle allocate
+// no result-sized buffer.  A read the window holds is lent the window's
+// bytes, and the reads that open a window take their result and the
+// window's buffer from the board's lists; each read used to allocate its
+// result or the next window.
+func TestFSReadAllocs(t *testing.T) {
+	const size, r = 4 << 20, 512 << 10
+	sys, b := streamRig(t, size)
+	step := seqReader(t, sys, b, size, r)
+	for i := 0; i < 2*size/r; i++ { // warm: two passes over the file
+		step()
+	}
+	const reads = 3 * size / r
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	sys.Eng.Shutdown()
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per >= r/8 {
+		t.Fatalf("a warm %d KB read allocates %d bytes", r>>10, per)
+	}
+}
+
+// BenchmarkFSReadSeq: one warm sequential 512 KB FSRead per op, on one
+// handle of a Fig. 8 board, checked against the file.
+func BenchmarkFSReadSeq(bm *testing.B) {
+	const size, r = 4 << 20, 512 << 10
+	sys, b := streamRig(bm, size)
+	step := seqReader(bm, sys, b, size, r)
+	for i := 0; i < size/r; i++ {
+		step()
+	}
+	bm.SetBytes(r)
+	bm.ReportAllocs()
+	bm.ResetTimer()
+	for i := 0; i < bm.N; i++ {
+		step()
+	}
+	bm.StopTimer()
+	sys.Eng.Shutdown()
 }
 
 // TestStreamCoherenceProperty runs seeded interleavings of sequential

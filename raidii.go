@@ -50,6 +50,7 @@
 package raidii
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -687,12 +688,12 @@ func (f *File) WriteDurable(off int64, data []byte) (time.Duration, error) {
 }
 
 // Read moves n bytes at off through the high-bandwidth read path,
-// returning the bytes read (short only at end of file) and the simulated
-// duration of the transfer.
+// returning the bytes read (short only at end of file; the caller's to keep)
+// and the simulated duration of the transfer.
 func (f *File) Read(off int64, n int) ([]byte, time.Duration, error) {
 	start := f.t.p.Now()
 	data, err := f.f.Board.FSRead(f.t.p, f.f, off, n)
-	return data, f.t.p.Now().Sub(start), err
+	return bytes.Clone(data), f.t.p.Now().Sub(start), err
 }
 
 // ReadEthernet moves n bytes over the low-bandwidth standard-mode path
