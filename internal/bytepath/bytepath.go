@@ -94,15 +94,24 @@ func NewFreeList(max int) FreeList { return FreeList{max: max} }
 // whatever its last owner left in it, if its capacity is large enough (a
 // smaller one is dropped), and a new zeroed one otherwise.
 func (f *FreeList) Get(n int) []byte {
-	if k := len(f.bufs); k > 0 {
-		b := f.bufs[k-1]
-		f.bufs[k-1] = nil
-		f.bufs = f.bufs[:k-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
+	if b := f.Take(); b != nil && cap(b) >= n {
+		return b[:n]
 	}
 	return make([]byte, n)
+}
+
+// Take hands out the most recently Put buffer at the length it was Put
+// with, or nil when the list is empty.  An owner that Puts a buffer cut to
+// the part it wrote learns from Take how far the old bytes reach.
+func (f *FreeList) Take() []byte {
+	k := len(f.bufs)
+	if k == 0 {
+		return nil
+	}
+	b := f.bufs[k-1]
+	f.bufs[k-1] = nil
+	f.bufs = f.bufs[:k-1]
+	return b
 }
 
 // Put keeps b for a later Get and reports true, or drops it when the list

@@ -227,13 +227,17 @@ func (d *Disk) Read(p *sim.Proc, lba int64, n int, path sim.Path) ([]byte, error
 	return buf, nil
 }
 
-// ReadInto reads the len(dst)/SectorSize sectors at lba into dst, which the
-// caller owns.  If path is non-empty, each chunk of data traverses the path
-// as the media produces it; ReadInto returns when the last chunk has been
-// delivered at the far end, and only then touches dst.  A failed drive
-// returns fault.ErrDiskFailed after its command overhead; a read covering
-// an armed latent error positions, streams up to the bad sector, and
-// returns fault.ErrMedium.
+// ReadInto reads the len(dst)/SectorSize sectors at lba into dst.  If path
+// is non-empty, each chunk of data traverses the path as the media produces
+// it; ReadInto returns when the last chunk has been delivered at the far end.
+// The bytes are the drive's contents at actuator grant: a write queued
+// behind this read, even one that completes during its delivery tail, does
+// not reach them.  dst belongs to the drive, like a DMA buffer, from the
+// call until it returns; a copy of a page or more fills it beside the
+// engine meanwhile (pagestore), so the caller must not touch dst until then.
+// A failed drive returns fault.ErrDiskFailed after its command overhead; a
+// read covering an armed latent error positions, streams up to the bad
+// sector, and returns fault.ErrMedium, leaving dst alone.
 func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error {
 	defer p.Span("disk", "read")()
 	n := d.wholeSectors(len(dst))
@@ -248,6 +252,7 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 		return err
 	}
 	d.actuator.Acquire(p, int64(d.cylOf(lba)))
+	ticket := d.store.start(dst, lba*int64(d.spec.SectorSize), false)
 	hit := d.seqHit(lba)
 	d.position(p, lba, hit)
 
@@ -279,8 +284,7 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 	d.stats.BytesRead += uint64(n * d.spec.SectorSize)
 	d.actuator.Release()
 	j.Wait(p) // for the last chunk delivered downstream
-
-	d.store.ReadAt(dst, lba*int64(d.spec.SectorSize))
+	d.store.finish(ticket)
 	return nil
 }
 
@@ -297,7 +301,11 @@ func (d *Disk) wholeSectors(length int) int {
 // lba.  If path is non-empty the data first traverses the path toward the
 // drive, overlapped with head positioning; media writing of each chunk
 // begins once the chunk has arrived and the previous chunk has committed.
-// Writing over an armed latent error remaps the bad sectors.
+// Writing over an armed latent error remaps the bad sectors.  data belongs
+// to the drive, like a DMA buffer, from the call until it returns: the
+// drive takes its bytes at actuator grant, and a copy of a page or more
+// runs beside the engine until the write completes (pagestore), so the
+// caller must not change data until then.
 func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	defer p.Span("disk", "write")()
 	n := d.wholeSectors(len(data))
@@ -307,6 +315,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	}
 	d.flt.latent.Clear(lba, n)
 	d.actuator.Acquire(p, int64(d.cylOf(lba)))
+	ticket := d.store.start(data, lba*int64(d.spec.SectorSize), true)
 
 	// Position while the first chunks are in flight on the bus.
 	m := &d.media
@@ -325,7 +334,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	d.seqNext = -1 // writing invalidates the read-ahead window
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(len(data))
-	d.store.WriteAt(data, lba*int64(d.spec.SectorSize))
+	d.store.finish(ticket)
 	d.actuator.Release()
 	return nil
 }
@@ -362,8 +371,9 @@ func (d *Disk) eachChunk(lba int64, n int, fn func(lba int64, secs, bytes int)) 
 	}
 }
 
-// ReadData returns sector contents without charging any simulated time.
-// It exists for verification in tests and for metadata bootstrapping.
+// ReadData returns sector contents without charging any simulated time,
+// once every command's copy started so far has run.  It exists for
+// verification in tests and for metadata bootstrapping.
 func (d *Disk) ReadData(lba int64, n int) []byte {
 	d.checkRange(lba, n)
 	buf := make([]byte, n*d.spec.SectorSize)
@@ -371,7 +381,8 @@ func (d *Disk) ReadData(lba int64, n int) []byte {
 	return buf
 }
 
-// WriteData stores sector contents without charging any simulated time.
+// WriteData stores sector contents without charging any simulated time,
+// after every command's copy started so far.
 func (d *Disk) WriteData(lba int64, data []byte) {
 	d.checkRange(lba, d.wholeSectors(len(data)))
 	d.store.WriteAt(data, lba*int64(d.spec.SectorSize))

@@ -162,7 +162,12 @@ func (fs *FS) writeAtLocked(p *sim.Proc, in *inode, data []byte, off int64, pre 
 			if err != nil {
 				return written, err
 			}
-			copy(b, old)
+			if old != nil {
+				copy(b, old)
+			} else { // a hole: zero what the chunk does not cover
+				clear(b[:bo])
+				clear(b[bo+n:])
+			}
 			copy(b[bo:], chunk)
 			fs.killBlock(addr)
 			if err := fs.setBlockAddr(p, in, fb, newAddr); err != nil {
@@ -212,15 +217,53 @@ func (f *File) ReadAtPieces(p *sim.Proc, off int64, dst []byte, piece int, ready
 
 // readPiece is one block's share of a read.
 type readPiece struct {
-	bufOff int // offset in the result
-	off    int // offset within the block
+	addr   int64 // the block's log address, for a piece on the device
+	bufOff int   // offset in the result
+	off    int   // offset within the block
 	n      int
 }
 
-// readRun is a run of blocks contiguous in the log.
-type readRun struct {
-	addr    int64       // first block
-	members []readPiece // one per block
+// readPlan is one read's layout: its pieces on the device in one slab, in
+// the order of the result, the runs cut from that slab (a run is pieces of
+// blocks contiguous in the log, one per block), and the ranges of the
+// result settled from memory.  Plans are recycled through fs.plans, so a
+// warm read allocates none of it.
+type readPlan struct {
+	pieces  []readPiece
+	runs    [][]readPiece
+	settled []readPiece
+}
+
+// takePlan returns an empty plan, recycled if the FS has one.
+func (fs *FS) takePlan() *readPlan {
+	if k := len(fs.plans); k > 0 {
+		pl := fs.plans[k-1]
+		fs.plans = fs.plans[:k-1]
+		return pl
+	}
+	return new(readPlan)
+}
+
+// putPlan recycles pl, which nothing may use any more.
+func (fs *FS) putPlan(pl *readPlan) {
+	pl.pieces, pl.runs, pl.settled = pl.pieces[:0], pl.runs[:0], pl.settled[:0]
+	fs.plans = append(fs.plans, pl)
+}
+
+// cutRuns cuts the slab into runs: a piece joins the run before it when it
+// continues it in the log and both sides are whole at the seam.
+func (pl *readPlan) cutRuns() {
+	lo := 0
+	for i := 1; i <= len(pl.pieces); i++ {
+		if i < len(pl.pieces) {
+			prev, pc := pl.pieces[i-1], pl.pieces[i]
+			if prev.addr+1 == pc.addr && prev.off+prev.n == BlockSize && pc.off == 0 {
+				continue
+			}
+		}
+		pl.runs = append(pl.runs, pl.pieces[lo:i])
+		lo = i
+	}
 }
 
 // readAtRaw is the one read path.  It serves ReadAt (dst nil: the result is
@@ -232,33 +275,36 @@ type readRun struct {
 func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte, per int, ready func(q *sim.Proc, off, n int) error) ([]byte, error) {
 	fs := f.fs
 	fs.mu.Acquire(p)
-	out, runs, settled, err := fs.resolve(p, f.inum, off, n, dst, ready != nil)
+	pl := fs.takePlan()
+	out, err := fs.resolve(p, f.inum, off, n, dst, ready != nil, pl)
 	fs.mu.Release()
 	if out == nil {
+		fs.putPlan(pl)
 		return nil, err // an error, or off at or past EOF
 	}
 
 	// Read the commands in parallel, then hand over what memory settled.
 	g := p.Fork()
-	for _, r := range runs {
-		step := len(r.members)
+	for _, r := range pl.runs {
+		step := len(r)
 		if per > 0 {
 			step = per
 		}
-		for j := 0; j < len(r.members); j += step {
-			cmd := readRun{addr: r.addr + int64(j), members: r.members[j:min(j+step, len(r.members))]}
+		for j := 0; j < len(r); j += step {
+			cmd := r[j:min(j+step, len(r))]
 			g.Go("lfs-read-run", func(q *sim.Proc) error {
 				if err := fs.readRun(q, cmd, out); err != nil {
 					return err
 				}
-				return handOver(q, cmd.members, ready)
+				return handOver(q, cmd, ready)
 			})
 		}
 	}
-	err = handOver(p, settled, ready)
+	err = handOver(p, pl.settled, ready)
 	if werr := g.Wait(p); err == nil {
 		err = werr
 	}
+	fs.putPlan(pl)
 	if err != nil {
 		return nil, err
 	}
@@ -267,24 +313,24 @@ func (f *File) readAtRaw(p *sim.Proc, off int64, n int, dst []byte, per int, rea
 	return out, nil
 }
 
-// readRun reads run r into its members' places in out, as one device
+// readRun reads run r into its pieces' places in out, as one device
 // command.  A run of whole blocks that are adjacent in the file lands
 // straight in its part of the result; one that starts or ends inside a
 // block, or skips over a hole or a staged block, goes through a buffer
 // from fs.runBufs, which the read overwrites whole.
-func (fs *FS) readRun(p *sim.Proc, r readRun, out []byte) error {
-	first, last := r.members[0], r.members[len(r.members)-1]
+func (fs *FS) readRun(p *sim.Proc, r []readPiece, out []byte) error {
+	first, last := r[0], r[len(r)-1]
 	direct := first.off == 0 && last.off+last.n == BlockSize
-	for j := 1; j < len(r.members) && direct; j++ {
-		direct = r.members[j-1].bufOff+r.members[j-1].n == r.members[j].bufOff
+	for j := 1; j < len(r) && direct; j++ {
+		direct = r[j-1].bufOff+r[j-1].n == r[j].bufOff
 	}
 	if direct {
-		return bytepath.ReadInto(fs.dev, p, r.addr*int64(fs.blockSectors), out[first.bufOff:last.bufOff+last.n])
+		return bytepath.ReadInto(fs.dev, p, first.addr*int64(fs.blockSectors), out[first.bufOff:last.bufOff+last.n])
 	}
-	buf := fs.runBufs.Get(len(r.members) * BlockSize)
-	err := bytepath.ReadInto(fs.dev, p, r.addr*int64(fs.blockSectors), buf)
+	buf := fs.runBufs.Get(len(r) * BlockSize)
+	err := bytepath.ReadInto(fs.dev, p, first.addr*int64(fs.blockSectors), buf)
 	if err == nil {
-		for j, pc := range r.members {
+		for j, pc := range r {
 			copy(out[pc.bufOff:pc.bufOff+pc.n], buf[j*BlockSize+pc.off:])
 		}
 	}
@@ -310,19 +356,20 @@ func handOver(p *sim.Proc, pcs []readPiece, ready func(q *sim.Proc, off, n int) 
 // resolve is readAtRaw's work under fs.mu: it clamps n to the file size,
 // makes the result and settles holes and staged blocks (the current segment,
 // and sealed segments whose device writes are still in flight) by clearing
-// or copying out of the segment image; pieces on the device coalesce into
-// runs.  With track set, settled lists the ranges of the result it settled.
-// out is nil on an error and when off is at or past EOF.
-func (fs *FS) resolve(p *sim.Proc, inum uint32, off int64, n int, dst []byte, track bool) (out []byte, runs []readRun, settled []readPiece, err error) {
+// or copying out of the segment image; pieces on the device go to pl's slab
+// and coalesce into pl's runs.  With track set, pl.settled lists the ranges
+// of the result it settled.  out is nil on an error and when off is at or
+// past EOF.
+func (fs *FS) resolve(p *sim.Proc, inum uint32, off int64, n int, dst []byte, track bool, pl *readPlan) (out []byte, err error) {
 	in, err := fs.loadInode(p, inum)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if in.Mode == ModeDir {
-		return nil, nil, nil, ErrIsDir
+		return nil, ErrIsDir
 	}
 	if off >= in.Size {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
 	if int64(n) > in.Size-off {
 		n = int(in.Size - off)
@@ -341,38 +388,24 @@ func (fs *FS) resolve(p *sim.Proc, inum uint32, off int64, n int, dst []byte, tr
 		}
 		addr, err := fs.getBlockAddr(p, in, fb)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		pc := readPiece{bufOff: got, off: bo, n: l}
+		pc := readPiece{addr: addr, bufOff: got, off: bo, n: l}
 		got += l
 		if addr == 0 {
 			clear(out[pc.bufOff:got])
 		} else if b := fs.stagedBlock(addr); b != nil {
 			copy(out[pc.bufOff:got], b[bo:])
 		} else {
-			runs = addToRun(runs, addr, pc)
+			pl.pieces = append(pl.pieces, pc)
 			continue
 		}
 		if track {
-			settled = append(settled, pc)
+			pl.settled = append(pl.settled, pc)
 		}
 	}
-	return out, runs, settled, nil
-}
-
-// addToRun appends piece pc of the block at addr to the last run of runs
-// when it continues it in the log and both sides are whole at the seam, and
-// starts a new run otherwise.
-func addToRun(runs []readRun, addr int64, pc readPiece) []readRun {
-	if len(runs) > 0 {
-		last := &runs[len(runs)-1]
-		lp := last.members[len(last.members)-1]
-		if last.addr+int64(len(last.members)) == addr && lp.off+lp.n == BlockSize && pc.off == 0 {
-			last.members = append(last.members, pc)
-			return runs
-		}
-	}
-	return append(runs, readRun{addr: addr, members: []readPiece{pc}})
+	pl.cutRuns()
+	return out, nil
 }
 
 // Truncate discards the file's contents beyond size zero.  (Partial

@@ -94,23 +94,29 @@ type FS struct {
 	// Current (in-memory) segment.  segImage is the segment exactly as it
 	// will be written: its first sumBlks blocks are left for the summary, and
 	// block sumBlks+i is the slot of segEntries[i].  It is taken from the
-	// pool (all zero, so a partial seal's tail is zero) when the segment
-	// takes its first block and handed to the device at seal time without
-	// being copied.
+	// pool when the segment takes its first block and handed to the device
+	// at seal time without being copied.  A recycled image still holds its
+	// last segment's blocks below segStale: every slot taken is written
+	// whole, and the seal clears what is left of them past its last slot, so
+	// a partial seal's tail is zero.
 	curSeg     int64 // block address of the segment's first block
 	segSeq     uint64
 	segEntries []summaryEntry
 	segImage   []byte
+	segStale   int
 	// The image pool: Config.Images images, allocated as they are first needed.
 	// A slot of imageSlots is held for each image in use — the one filling
 	// and every sealed one until its device write ends — and images holds
-	// the others, zeroed.  An append that needs an image when none is free
-	// waits for a slot (takeImage): this is the write path's back-pressure.
+	// the others, each cut to the blocks its last segment wrote.  An append
+	// that needs an image when none is free waits for a slot (takeImage):
+	// this is the write path's back-pressure.
 	imageSlots *sim.Server
 	images     bytepath.FreeList
 	// runBufs recycles readRun's buffers for runs that do not land straight
 	// in the result; it keeps as many as the image pool.
 	runBufs bytepath.FreeList
+	// plans recycles the layouts of reads (readPlan).
+	plans []*readPlan
 
 	free      []bool
 	nFree     int // free segments: the true entries of free, kept by setFree
@@ -491,8 +497,10 @@ func (fs *FS) stagedBlock(addr int64) []byte {
 
 // appendSlot reserves the next block of the current segment for a block
 // described by (kind, a1, a2) and returns its (final) block address and its
-// zeroed slot in the segment image, which the caller fills: the image is the
-// only place the block is staged.  The segment seals automatically when full.
+// slot in the segment image, which the caller fills: the image is the only
+// place the block is staged.  The slot may hold a block of the image's last
+// segment, so the caller writes every byte of it.  The segment seals
+// automatically when full.
 func (fs *FS) appendSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, error) {
 	fs.makeRoom(p)
 	return fs.takeSlot(p, kind, a1, a2)
@@ -540,11 +548,13 @@ func (fs *FS) takeSlot(p *sim.Proc, kind uint32, a1, a2 uint32) (int64, []byte, 
 	return addr, slot(fs.segImage, addr-fs.curSeg), nil
 }
 
-// takeImage returns a zeroed image for the segment that is about to take its
-// first block.  When the pool's images are all in use it waits for a device
-// write to finish — with fs.mu held, as its caller holds it: until there is an
-// image nothing can be staged, by anybody.  A write that fails gives its
-// place back too, and the waiter returns the loss instead of an image.
+// takeImage returns an image for the segment that is about to take its first
+// block, with a zero summary, and sets segStale to how far its last
+// segment's blocks reach.  When the pool's images are all in use it waits for
+// a device write to finish — with fs.mu held, as its caller holds it: until
+// there is an image nothing can be staged, by anybody.  A write that fails
+// gives its place back too, and the waiter returns the loss instead of an
+// image.
 func (fs *FS) takeImage(p *sim.Proc) ([]byte, error) {
 	if !fs.imageSlots.TryAcquire() {
 		end := p.Span("lfs", "image-wait")
@@ -558,17 +568,25 @@ func (fs *FS) takeImage(p *sim.Proc) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return fs.images.Get(fs.SegmentBytes()), nil
+	image := fs.images.Take()
+	if image == nil {
+		fs.segStale = 0
+		return make([]byte, fs.SegmentBytes()), nil
+	}
+	fs.segStale = len(image)
+	image = image[:fs.SegmentBytes()]
+	clear(fs.summaryOf(image))
+	return image, nil
 }
 
 // restage writes the new version of a metadata block whose current version
 // is at old() (0: none): over it if that is still in the current segment,
 // else into a fresh slot, and the old block dies.  fill must set every byte
 // it does not want to inherit: the slot holds the old version in the first
-// case and zeros in the second.  Room is made first, and that may run the
-// cleaner, which can move this very block and the blocks it describes; so
-// old and fill are asked only after it, and the log records the state as
-// the cleaner left it.  It returns the block's address.
+// case and zeros in the second (restage clears it).  Room is made first,
+// and that may run the cleaner, which can move this very block and the
+// blocks it describes; so old and fill are asked only after it, and the log
+// records the state as the cleaner left it.  It returns the block's address.
 func (fs *FS) restage(p *sim.Proc, kind, a1, a2 uint32, old func() int64, fill func([]byte)) (int64, error) {
 	fs.makeRoom(p)
 	at := old()
@@ -580,6 +598,7 @@ func (fs *FS) restage(p *sim.Proc, kind, a1, a2 uint32, old func() int64, fill f
 	if err != nil {
 		return 0, err
 	}
+	clear(b) // fill writes only what it sets
 	fill(b)
 	fs.killBlock(at)
 	return addr, nil
@@ -644,6 +663,8 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	}
 	image := fs.segImage
 	sum.marshal(fs.summaryOf(image))
+	blocks := int64(fs.sumBlks + len(fs.segEntries))
+	fs.clearStale(image, blocks)
 
 	curIdx := fs.segOf(fs.curSeg)
 	fs.setFree(curIdx, false)
@@ -658,7 +679,6 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	// streams to the array.  Its blocks stay readable from the image until
 	// the device write completes; from here on nothing writes to the image.
 	sealSeg := fs.curSeg
-	blocks := int64(fs.sumBlks + len(fs.segEntries))
 	fs.inflight[curIdx] = image
 	fs.seals.Go("lfs-seal", func(q *sim.Proc) error {
 		// Whatever becomes of the write, the pool has its place back when it
@@ -682,9 +702,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 			}
 		}
 		delete(fs.inflight, curIdx)
-		if fs.images.Put(image) {
-			clear(image[:blocks*BlockSize]) // the rest was never written: the image is zero again
-		}
+		fs.images.Put(image[:blocks*BlockSize]) // the rest is zero
 		return nil
 	})
 	fs.curSeg = nextAddr
@@ -694,6 +712,15 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	fs.resetSegment()
 	fs.startCleaner()
 	return nil
+}
+
+// clearStale zeroes what the current image still holds of its last segment
+// past its first blocks blocks, the ones this segment wrote.
+func (fs *FS) clearStale(image []byte, blocks int64) {
+	if used := int(blocks) * BlockSize; fs.segStale > used {
+		clear(image[used:fs.segStale])
+	}
+	fs.segStale = 0
 }
 
 // failed returns the error that keeps this FS from writing: ErrCrashed after
@@ -1112,6 +1139,7 @@ func (fs *FS) Crash() *Tail {
 		t.segs = append(t.segs, tailSeg{addr: fs.segAddr(idx), seq: fs.usageSeq[idx], image: image})
 	}
 	if len(fs.segEntries) > 0 {
+		fs.clearStale(fs.segImage, int64(fs.sumBlks+len(fs.segEntries)))
 		t.segs = append(t.segs, tailSeg{addr: fs.curSeg, seq: fs.segSeq, entries: fs.segEntries, image: fs.segImage})
 	}
 	fs.segEntries, fs.segImage = nil, nil

@@ -131,8 +131,10 @@ func (fs *FS) rewriteMeta(p *sim.Proc, addr int64, kind, a1, a2 uint32, mutate f
 	if err != nil {
 		return 0, err
 	}
-	if addr != 0 { // else a new block: the fresh slot is already zero
+	if addr != 0 {
 		copy(b, old[:])
+	} else {
+		clear(b) // a new block: mutate writes only what it sets
 	}
 	mutate(b)
 	fs.killBlock(addr)

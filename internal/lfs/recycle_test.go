@@ -309,3 +309,103 @@ func TestPoisonedRunBuffers(t *testing.T) {
 		}
 	})
 }
+
+// recycledImages fills a dozen segments with 0xa5 and syncs, so every image
+// in the pool holds them, and returns a new empty file.
+func recycledImages(t *testing.T, p *sim.Proc, fs *FS) *File {
+	a, err := fs.Create(p, "/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.WriteAt(p, bytes.Repeat([]byte{0xa5}, 12*fs.SegmentBytes()), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(p); err != nil {
+		t.Fatal(err)
+	}
+	b, err := fs.Create(p, "/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestHoleWriteInRecycledImageReadsZeros: a segment image comes back from
+// the pool holding its last segment's blocks, and nothing clears it whole.
+// A write of a few bytes into a hole lands in such a slot; the rest of its
+// block reads as zeros, staged and after the seal, and the partial seal
+// leaves nothing of the old segment on the device past its last block.
+func TestHoleWriteInRecycledImageReadsZeros(t *testing.T) {
+	e, fs := newFS(t, 64, 8)
+	run(e, func(p *sim.Proc) {
+		b := recycledImages(t, p, fs)
+		const off = 5*BlockSize + 1000
+		data := []byte("a few bytes in a hole")
+		if _, err := b.WriteAt(p, data, off); err != nil {
+			t.Fatal(err)
+		}
+		if fs.segStale == 0 {
+			t.Fatal("the open segment's image is not a recycled one")
+		}
+		want := make([]byte, off+len(data))
+		copy(want[off:], data)
+		check := func(when string) {
+			got, err := b.ReadAt(p, 0, len(want)+BlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: the file reads other bytes than zeros around the write", when)
+			}
+		}
+		check("staged")
+		seg := fs.curSeg
+		if err := b.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		check("sealed")
+		if err := fs.waitSeals(p); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := fs.dev.Read(p, seg*int64(fs.blockSectors), int(fs.sb.SegBlocks)*fs.blockSectors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum summary
+		if err := sum.unmarshal(fs.summaryOf(raw)); err != nil {
+			t.Fatal(err)
+		}
+		used := int64(fs.sumBlks + len(sum.Entries))
+		if i := bytes.IndexByte(raw[used*BlockSize:], 0xa5); i >= 0 {
+			t.Errorf("the partial seal wrote the old segment's bytes at block %d", used+int64(i/BlockSize))
+		}
+	})
+}
+
+// TestCrashTailHoldsNoStaleBytes: the open segment a crash hands over sits in
+// a recycled image.  A mount rolls that image forward as its open segment
+// and seals it later, so past its blocks it must hold nothing of the
+// segment the image held before.
+func TestCrashTailHoldsNoStaleBytes(t *testing.T) {
+	e, fs := newFS(t, 64, 8)
+	run(e, func(p *sim.Proc) {
+		b := recycledImages(t, p, fs)
+		if _, err := b.WriteAt(p, bytes.Repeat([]byte{0x3c}, BlockSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		if fs.segStale == 0 {
+			t.Fatal("the open segment's image is not a recycled one")
+		}
+		tail := fs.Crash()
+		for _, s := range tail.segs {
+			if s.entries == nil {
+				continue
+			}
+			if i := bytes.IndexByte(s.image[(fs.sumBlks+len(s.entries))*BlockSize:], 0xa5); i >= 0 {
+				t.Errorf("the crash's open image holds the old segment's bytes %d bytes past its last block", i)
+			}
+			return
+		}
+		t.Error("the crash handed over no open segment")
+	})
+}
