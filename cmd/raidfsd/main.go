@@ -14,11 +14,13 @@
 //	QUIT\n
 //
 // Every operation also reports the simulated time the RAID-II hardware
-// would have spent on it.
+// would have spent on it.  A failed operation answers ERR <reason>\n, and a
+// WRITE refused before its body is read then closes the connection.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -176,9 +178,16 @@ func (st *serverState) serve(conn net.Conn) {
 		}
 		if err := st.dispatch(cmd, fields[1:], r, w); err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
+			if errors.As(err, new(unframed)) {
+				return
+			}
 		}
 	}
 }
+
+// unframed is the error of a WRITE refused before its body was read: nothing
+// tells the body from the next command, so the connection ends.
+type unframed struct{ error }
 
 func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *bufio.Writer) error {
 	st.mu.Lock()
@@ -215,14 +224,14 @@ func (st *serverState) dispatch(cmd string, args []string, r *bufio.Reader, w *b
 		fmt.Fprintf(w, "OK %d\n", size)
 	case "WRITE":
 		if len(args) != 3 {
-			return fmt.Errorf("usage: WRITE <path> <off> <n>")
+			return unframed{fmt.Errorf("usage: WRITE <path> <off> <n>")}
 		}
 		off, n, err := extent(args[1], args[2])
 		if err != nil {
-			return err
+			return unframed{err}
 		}
 		if int64(n) > st.capacity {
-			return fmt.Errorf("write of %d bytes is longer than the %d-byte array", n, st.capacity)
+			return unframed{fmt.Errorf("write of %d bytes is longer than the %d-byte array", n, st.capacity)}
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r, buf); err != nil {

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"raidii"
 )
@@ -53,4 +56,36 @@ func TestDispatchRejectsMalformedExtents(t *testing.T) {
 	if err != nil || !strings.HasPrefix(reply, "OK 4 ") || !strings.HasSuffix(reply, "\nabcd") {
 		t.Fatalf("READ /f 0 8 after the refused commands = %q, %v; want the 4 bytes first written", reply, err)
 	}
+}
+
+// TestRefusedWriteClosesTheConnection: a WRITE refused before its body is
+// read gets exactly one ERR, and then the connection ends.  The daemon used
+// to read the body as the next command line and answer it with a second ERR.
+func TestRefusedWriteClosesTheConnection(t *testing.T) {
+	srv, err := raidii.NewServer(raidii.Fig8Geometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := newServerState(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, conn := net.Pipe()
+	defer client.Close() //lint:allow errdrop test teardown
+	done := make(chan struct{})
+	go func() {
+		st.serve(conn)
+		close(done)
+	}()
+	if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Write([]byte("WRITE /f 0 -4\nabcd\n")); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(client)
+	if err != nil || strings.Count(string(reply), "ERR ") != 1 || !strings.HasPrefix(string(reply), "ERR ") {
+		t.Fatalf("reply %q, %v; want one ERR line and then EOF", reply, err)
+	}
+	<-done
 }

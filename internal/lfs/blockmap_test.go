@@ -369,7 +369,7 @@ func liveSecondLevel(t *testing.T, p *sim.Proc, fs *FS) map[[2]uint32]l2Copy {
 		switch {
 		case seg == fs.curSeg:
 			sum.Entries = fs.segEntries
-		case fs.free[idx]:
+		case fs.free.Has(idx):
 			continue
 		default:
 			raw, err := fs.readBlock(p, seg)

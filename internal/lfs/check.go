@@ -209,17 +209,6 @@ func (fs *FS) Check(p *sim.Proc) (*CheckReport, error) {
 		}
 	}
 
-	// The free-segment count every append consults must match the map.
-	scan := 0
-	for _, f := range fs.free {
-		if f {
-			scan++
-		}
-	}
-	if scan != fs.nFree {
-		r.BadPointers = append(r.BadPointers, fmt.Sprintf("free-segment count is %d, the free map holds %d", fs.nFree, scan))
-	}
-
 	// Usage drift (informational): compare computed live bytes per segment
 	// against the usage table, ignoring metadata chunks it also counts.
 	for idx, live := range liveBySeg {

@@ -43,7 +43,7 @@ func (fs *FS) pickCleanCandidate() int {
 	best, bestScore := -1, 0.0
 	segBytes := int32(fs.segDataBlks) * BlockSize
 	for idx := 0; idx < int(fs.sb.NSegs); idx++ {
-		if fs.free[idx] || fs.segAddr(idx) == fs.curSeg || fs.inflight[idx] != nil || idx == fs.victim {
+		if fs.free.Has(idx) || fs.segAddr(idx) == fs.curSeg || fs.inflight[idx] != nil || idx == fs.victim {
 			continue
 		}
 		if fs.usageLive[idx] >= segBytes {
@@ -121,8 +121,7 @@ func (fs *FS) moveBlock(p *sim.Proc, e summaryEntry, addr int64, content []byte)
 // process: the reads run with fs.mu given back and idx its victim, and it
 // stops with ErrCrashed if the file system crashed meanwhile.
 func (fs *FS) cleanSegment(p *sim.Proc, idx int, unlock bool) error {
-	end := p.Span("lfs", "clean-segment")
-	defer end()
+	defer p.Span("lfs", "clean-segment")()
 	if unlock {
 		fs.victim = idx
 		defer func() { fs.victim = -1 }()
@@ -198,7 +197,7 @@ func (fs *FS) cleanFetch(p *sim.Proc, unlock bool, addrs []int64, dst []byte) er
 
 // freeSegment returns a cleaned segment to the free map.
 func (fs *FS) freeSegment(idx int) {
-	fs.setFree(idx, true)
+	fs.free.Add(idx)
 	fs.usageLive[idx] = 0
 	fs.markUsageDirty(idx)
 }

@@ -217,8 +217,8 @@ func TestCleanerLeavesBlocksThatDiedDuringItsRead(t *testing.T) {
 		for fs.victim == victim {
 			p.Wait(time.Millisecond)
 		}
-		if !fs.free[victim] || fs.usageLive[victim] != 0 {
-			t.Fatalf("victim %d: free %v, %d live bytes after the clean", victim, fs.free[victim], fs.usageLive[victim])
+		if !fs.free.Has(victim) || fs.usageLive[victim] != 0 {
+			t.Fatalf("victim %d: free %v, %d live bytes after the clean", victim, fs.free.Has(victim), fs.usageLive[victim])
 		}
 	})
 	e.Run()
@@ -440,14 +440,14 @@ func checkpointThatCleans(t *testing.T, rewriteInodes bool) {
 			}
 		}
 		fs.cfg.CleanReserve = 3
-		wasFree := append([]bool(nil), fs.free...)
+		wasFree := slices.Collect(fs.free.All())
 		moved := fs.Stats().BlocksMoved
 		if err := fs.Checkpoint(p); err != nil {
 			t.Fatal(err)
 		}
 		var cleaned []int
-		for s, free := range fs.free {
-			if free && !wasFree[s] {
+		for s := range fs.free.All() {
+			if !slices.Contains(wasFree, s) {
 				cleaned = append(cleaned, s)
 			}
 		}
@@ -467,7 +467,7 @@ func checkpointThatCleans(t *testing.T, rewriteInodes bool) {
 		}
 		reused := func() bool {
 			for _, s := range cleaned {
-				if fs2.free[s] || fs2.usageSeq[s] < seq {
+				if fs2.free.Has(s) || fs2.usageSeq[s] < seq {
 					return false
 				}
 			}

@@ -437,11 +437,11 @@ func (f *File) Sync(p *sim.Proc) error {
 	fs := f.fs
 	fs.mu.Acquire(p)
 	defer fs.mu.Release()
-	if fs.idirty.has(f.inum) {
+	if fs.idirty.Has(f.inum) {
 		if err := fs.appendInode(p, fs.icache[f.inum]); err != nil {
 			return err
 		}
-		fs.idirty.remove(f.inum)
+		fs.idirty.Remove(f.inum)
 	}
 	if err := fs.sealSegment(p); err != nil {
 		return err

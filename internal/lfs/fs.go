@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"raidii/internal/bitset"
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
@@ -80,12 +81,12 @@ type FS struct {
 
 	imap      []int64
 	imapAddrs []int64 // log address of each imap chunk
-	imapDirty map[int]bool
+	imapDirty bitset.Set[int]
 
 	usageLive  []int32
 	usageSeq   []uint64
 	usageAddrs []int64
-	usageDirty map[int]bool
+	usageDirty bitset.Set[int]
 
 	nextInum uint32
 	cpSeq    uint64
@@ -118,12 +119,11 @@ type FS struct {
 	// plans recycles the layouts of reads (readPlan).
 	plans []*readPlan
 
-	free      []bool
-	nFree     int // free segments: the true entries of free, kept by setFree
+	free      bitset.Set[int]
 	allocHint int
 
 	icache map[uint32]*inode
-	idirty inodeSet
+	idirty bitset.Set[uint32]
 
 	// gens is each file's generation (File.Generation), by inode number: the
 	// value genSeq had when the file's bytes or block map last changed.
@@ -233,13 +233,13 @@ func Format(p *sim.Proc, e *sim.Engine, dev Device, cfg Config) (*FS, error) {
 	// Bootstrap: segment 0 is the first log segment.
 	fs.curSeg = fs.segAddr(0)
 	fs.segSeq = 1
-	fs.setFree(0, false)
+	fs.free.Remove(0)
 	fs.resetSegment()
 
 	// Create the root directory.
 	root := &inode{Inum: RootInum, Mode: ModeDir, Nlink: 2, MTime: int64(p.Now())}
 	fs.icache[RootInum] = root
-	fs.idirty.add(RootInum)
+	fs.idirty.Add(RootInum)
 	fs.nextInum = RootInum + 1
 	if err := fs.writeDir(p, root, nil); err != nil {
 		return nil, err
@@ -292,18 +292,13 @@ func (fs *FS) initState() {
 	fs.mu = sim.NewServer(fs.eng, "lfs:mu", 1)
 	fs.imap = make([]int64, fs.sb.MaxInodes)
 	fs.imapAddrs = make([]int64, (int(fs.sb.MaxInodes)+imapChunkEntries-1)/imapChunkEntries)
-	fs.imapDirty = make(map[int]bool)
 	fs.usageLive = make([]int32, fs.sb.NSegs)
 	fs.usageSeq = make([]uint64, fs.sb.NSegs)
 	fs.usageAddrs = make([]int64, (int(fs.sb.NSegs)+usageChunkEntries-1)/usageChunkEntries)
-	fs.usageDirty = make(map[int]bool)
-	fs.free = make([]bool, fs.sb.NSegs)
-	for i := range fs.free {
-		fs.free[i] = true
+	for i := range int(fs.sb.NSegs) {
+		fs.free.Add(i)
 	}
-	fs.nFree = len(fs.free)
 	fs.icache = make(map[uint32]*inode)
-	fs.idirty = inodeSet{words: make([]uint64, (fs.sb.MaxInodes+63)/64)}
 	fs.gens = make(map[uint32]uint64)
 	fs.seals = sim.NewGroup(fs.eng)
 	fs.inflight = make(map[int][]byte)
@@ -326,22 +321,7 @@ func (fs *FS) Stats() Stats { return fs.stats }
 func (fs *FS) SegmentBytes() int { return int(fs.sb.SegBlocks) * BlockSize }
 
 // FreeSegments reports the number of free segments.
-func (fs *FS) FreeSegments() int { return fs.nFree }
-
-// setFree marks segment idx free or in use.  Every change to the free map
-// goes through here so the count appendSlot consults on every block stays
-// exact; Check compares it against a scan.
-func (fs *FS) setFree(idx int, free bool) {
-	if fs.free[idx] == free {
-		return
-	}
-	fs.free[idx] = free
-	if free {
-		fs.nFree++
-	} else {
-		fs.nFree--
-	}
-}
+func (fs *FS) FreeSegments() int { return fs.free.Len() }
 
 // segAddr returns the block address of segment idx.
 func (fs *FS) segAddr(idx int) int64 {
@@ -623,17 +603,17 @@ func (fs *FS) killBlock(addr int64) {
 	fs.stats.BlocksKilled++
 }
 
-func (fs *FS) markUsageDirty(seg int) { fs.usageDirty[seg/usageChunkEntries] = true }
+func (fs *FS) markUsageDirty(seg int) { fs.usageDirty.Add(seg / usageChunkEntries) }
 
 // pickFreeSegment chooses the next segment for the log, round-robin from
 // the allocation hint, excluding the current segment.
 func (fs *FS) pickFreeSegment() (int, error) {
-	n := int(fs.sb.NSegs)
-	for i := 0; i < n; i++ {
-		idx := (fs.allocHint + i) % n
-		if fs.free[idx] && fs.segAddr(idx) != fs.curSeg {
-			fs.allocHint = (idx + 1) % n
-			return idx, nil
+	for _, from := range [2]int{fs.allocHint, 0} {
+		for idx, ok := fs.free.Next(from); ok; idx, ok = fs.free.Next(idx + 1) {
+			if fs.segAddr(idx) != fs.curSeg {
+				fs.allocHint = (idx + 1) % int(fs.sb.NSegs)
+				return idx, nil
+			}
 		}
 	}
 	return 0, ErrNoSpace
@@ -667,7 +647,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 	fs.clearStale(image, blocks)
 
 	curIdx := fs.segOf(fs.curSeg)
-	fs.setFree(curIdx, false)
+	fs.free.Remove(curIdx)
 	fs.usageSeq[curIdx] = fs.segSeq
 	fs.markUsageDirty(curIdx)
 	if len(fs.segEntries) < fs.segDataBlks {
@@ -684,8 +664,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		// Whatever becomes of the write, the pool has its place back when it
 		// ends: a waiting append wakes, and finds the error if there is one.
 		defer fs.imageSlots.Release()
-		end := q.Span("lfs", "segment-write")
-		defer end()
+		defer q.Span("lfs", "segment-write")()
 		if err := fs.dev.Write(q, sealSeg*int64(fs.blockSectors), image); err != nil {
 			// The segment never reached the array: keep its blocks readable
 			// (the image stays out of the pool for good) and surface the loss
@@ -706,7 +685,7 @@ func (fs *FS) sealSegment(p *sim.Proc) error {
 		return nil
 	})
 	fs.curSeg = nextAddr
-	fs.setFree(nextIdx, false)
+	fs.free.Remove(nextIdx)
 	fs.usageLive[nextIdx] = 0
 	fs.segSeq++
 	fs.resetSegment()
@@ -743,11 +722,11 @@ func (fs *FS) waitSeals(p *sim.Proc) error {
 // flushInodes appends every dirty inode to the log in ascending order,
 // including one dirtied above the last appended while the loop runs.
 func (fs *FS) flushInodes(p *sim.Proc) error {
-	for inum, ok := fs.idirty.next(0); ok; inum, ok = fs.idirty.next(inum + 1) {
+	for inum := range fs.idirty.All() {
 		if err := fs.appendInode(p, fs.icache[inum]); err != nil {
 			return err
 		}
-		fs.idirty.remove(inum)
+		fs.idirty.Remove(inum)
 	}
 	return nil
 }
@@ -759,7 +738,7 @@ func (fs *FS) appendInode(p *sim.Proc, in *inode) error {
 		return err
 	}
 	fs.imap[in.Inum] = addr
-	fs.imapDirty[int(in.Inum)/imapChunkEntries] = true
+	fs.imapDirty.Add(int(in.Inum) / imapChunkEntries)
 	return nil
 }
 
@@ -775,7 +754,7 @@ func (fs *FS) stageImapChunk(p *sim.Proc, chunk int) error {
 		return err
 	}
 	fs.imapAddrs[chunk] = addr
-	delete(fs.imapDirty, chunk)
+	fs.imapDirty.Remove(chunk)
 	return nil
 }
 
@@ -837,8 +816,7 @@ func (fs *FS) Checkpoint(p *sim.Proc) error {
 }
 
 func (fs *FS) checkpointLocked(p *sim.Proc) error {
-	end := p.Span("lfs", "checkpoint")
-	defer end()
+	defer p.Span("lfs", "checkpoint")()
 	// A staging append can clean inline (makeRoom), which moves inodes and
 	// file blocks and so dirties inodes and chunks this pass has done: pass
 	// again until one leaves nothing dirty.  Without a clean one pass does.
@@ -846,22 +824,18 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 		if err := fs.flushInodes(p); err != nil {
 			return err
 		}
-		for chunk := 0; chunk < len(fs.imapAddrs); chunk++ {
-			if fs.imapDirty[chunk] {
-				if err := fs.stageImapChunk(p, chunk); err != nil {
-					return err
-				}
+		for chunk := range fs.imapDirty.All() {
+			if err := fs.stageImapChunk(p, chunk); err != nil {
+				return err
 			}
 		}
-		for chunk := 0; chunk < len(fs.usageAddrs); chunk++ {
-			if fs.usageDirty[chunk] {
-				if err := fs.stageUsageChunk(p, chunk); err != nil {
-					return err
-				}
-				delete(fs.usageDirty, chunk)
+		for chunk := range fs.usageDirty.All() {
+			if err := fs.stageUsageChunk(p, chunk); err != nil {
+				return err
 			}
+			fs.usageDirty.Remove(chunk)
 		}
-		if fs.idirty.n == 0 && len(fs.imapDirty) == 0 {
+		if fs.idirty.Len() == 0 && fs.imapDirty.Len() == 0 {
 			break
 		}
 	}
@@ -901,7 +875,7 @@ func (fs *FS) marshalUsageChunk(chunk int, buf []byte) {
 	for i := 0; i < usageChunkEntries && base+i < len(fs.usageLive); i++ {
 		le.PutUint32(buf[i*16:], uint32(fs.usageLive[base+i]))
 		le.PutUint64(buf[i*16+4:], fs.usageSeq[base+i])
-		if fs.free[base+i] {
+		if fs.free.Has(base + i) {
 			buf[i*16+12] = 1
 		}
 	}
@@ -912,15 +886,16 @@ func (fs *FS) unmarshalUsageChunk(chunk int, buf []byte) {
 	for i := 0; i < usageChunkEntries && base+i < len(fs.usageLive); i++ {
 		fs.usageLive[base+i] = int32(le.Uint32(buf[i*16:]))
 		fs.usageSeq[base+i] = le.Uint64(buf[i*16+4:])
-		fs.setFree(base+i, buf[i*16+12] == 1)
+		if fs.free.Remove(base + i); buf[i*16+12] == 1 {
+			fs.free.Add(base + i)
+		}
 	}
 }
 
 // recover loads the newest valid checkpoint and rolls the log forward, on
 // the device and then through tail.
 func (fs *FS) recover(p *sim.Proc, tail *Tail) error {
-	end := p.Span("lfs", "recovery")
-	defer end()
+	defer p.Span("lfs", "recovery")()
 	var best *checkpoint
 	var bestIdx int
 	for i := 0; i < 2; i++ {
@@ -1025,7 +1000,7 @@ func (fs *FS) recover(p *sim.Proc, tail *Tail) error {
 		fs.stats.RollForwardSegs++
 	} else {
 		idx := fs.segOf(segAddr)
-		if idx < 0 || idx >= int(fs.sb.NSegs) || (!fs.free[idx] && fs.usageLive[idx] > 0) {
+		if idx < 0 || idx >= int(fs.sb.NSegs) || (!fs.free.Has(idx) && fs.usageLive[idx] > 0) {
 			// The designated next segment is unusable; pick a fresh one.
 			fs.curSeg = -1
 			ni, err := fs.pickFreeSegment()
@@ -1035,7 +1010,7 @@ func (fs *FS) recover(p *sim.Proc, tail *Tail) error {
 			fs.curSeg = fs.segAddr(ni)
 			idx = ni
 		}
-		fs.setFree(idx, false)
+		fs.free.Remove(idx)
 		fs.resetSegment()
 	}
 
@@ -1051,7 +1026,7 @@ func (fs *FS) recover(p *sim.Proc, tail *Tail) error {
 // anything.
 func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error {
 	idx := fs.segOf(segAddr)
-	fs.setFree(idx, false)
+	fs.free.Remove(idx)
 	fs.usageLive[idx] = int32(len(sum.Entries)) * BlockSize
 	fs.usageSeq[idx] = sum.Seq
 	fs.markUsageDirty(idx)
@@ -1061,7 +1036,7 @@ func (fs *FS) applyRolledSegment(p *sim.Proc, segAddr int64, sum *summary) error
 		case kindInode:
 			if int(e.Arg1) < len(fs.imap) {
 				fs.imap[e.Arg1] = addr
-				fs.imapDirty[int(e.Arg1)/imapChunkEntries] = true
+				fs.imapDirty.Add(int(e.Arg1) / imapChunkEntries)
 				delete(fs.icache, e.Arg1) // force reload from log
 			}
 		case kindImap:

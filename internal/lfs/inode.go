@@ -2,7 +2,6 @@ package lfs
 
 import (
 	"fmt"
-	"math/bits"
 
 	"raidii/internal/sim"
 )
@@ -34,42 +33,10 @@ func (fs *FS) inodeFrom(inum uint32, buf []byte) (*inode, error) {
 	return in, nil
 }
 
-// inodeSet is a set of inode numbers: a bitmap with a count.
-type inodeSet struct {
-	words []uint64
-	n     int
-}
-
-func (s *inodeSet) has(i uint32) bool { return s.words[i/64]&(1<<(i%64)) != 0 }
-
-func (s *inodeSet) add(i uint32) {
-	if !s.has(i) {
-		s.words[i/64] |= 1 << (i % 64)
-		s.n++
-	}
-}
-
-func (s *inodeSet) remove(i uint32) {
-	if s.has(i) {
-		s.words[i/64] &^= 1 << (i % 64)
-		s.n--
-	}
-}
-
-// next returns the smallest member not below i, a word at a time.
-func (s *inodeSet) next(i uint32) (uint32, bool) {
-	for w := int(i / 64); s.n > 0 && w < len(s.words); w, i = w+1, 0 {
-		if word := s.words[w] >> (i % 64) << (i % 64); word != 0 {
-			return uint32(w*64 + bits.TrailingZeros64(word)), true
-		}
-	}
-	return 0, false
-}
-
 // dirtyInode marks an inode for the next log flush.
 func (fs *FS) dirtyInode(in *inode) {
 	fs.icache[in.Inum] = in
-	fs.idirty.add(in.Inum)
+	fs.idirty.Add(in.Inum)
 }
 
 // allocInode assigns a new inode number.  A number is in use if the inode
@@ -183,9 +150,9 @@ func (fs *FS) removeInode(p *sim.Proc, in *inode) error {
 	}
 	fs.killBlock(fs.imap[in.Inum])
 	fs.imap[in.Inum] = 0
-	fs.imapDirty[int(in.Inum)/imapChunkEntries] = true
+	fs.imapDirty.Add(int(in.Inum) / imapChunkEntries)
 	delete(fs.icache, in.Inum)
-	fs.idirty.remove(in.Inum)
+	fs.idirty.Remove(in.Inum)
 	if in.Inum < fs.nextInum {
 		fs.nextInum = in.Inum
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"raidii/internal/raid"
@@ -494,29 +493,4 @@ func TestQuickRandomIO(t *testing.T) {
 			t.Fatal("final content mismatch")
 		}
 	})
-}
-
-// TestInodeSetNext: next walks the set in ascending order a word at a
-// time, finds a member added above the cursor mid-walk, and skips one
-// added below it; the count follows adds and removes.
-func TestInodeSetNext(t *testing.T) {
-	s := inodeSet{words: make([]uint64, 4)}
-	for _, i := range []uint32{200, 3, 64, 63, 3} {
-		s.add(i)
-	}
-	var got []uint32
-	for i, ok := s.next(0); ok; i, ok = s.next(i + 1) {
-		got = append(got, i)
-		if i == 63 {
-			s.add(130) // above the cursor: visited
-			s.add(1)   // below it: left for the next walk
-		}
-		s.remove(i)
-	}
-	if want := []uint32{3, 63, 64, 130, 200}; !slices.Equal(got, want) {
-		t.Fatalf("walk = %v, want %v", got, want)
-	}
-	if s.n != 1 || !s.has(1) {
-		t.Fatalf("after the walk n = %d, has(1) = %v; want 1, true", s.n, s.has(1))
-	}
 }

@@ -271,7 +271,7 @@ func TestDeadPointerBlockNeverCached(t *testing.T) {
 		if _, err := fs.Clean(p, int(fs.sb.NSegs)); err != nil && !errors.Is(err, ErrNoSpace) {
 			t.Fatal(err)
 		}
-		if !fs.free[sIdx] {
+		if !fs.free.Has(sIdx) {
 			t.Fatal("the cleaner left the dead segment in use")
 		}
 		for i := 0; fs.segOf(fs.curSeg) != sIdx; i++ {

@@ -316,6 +316,55 @@ func TestReturnedDiskResyncsWhatItMissed(t *testing.T) {
 	})
 }
 
+// TestFailedRebuildKeepsTheMissedStripes: a rebuild onto a spare lands
+// stripe 0, which device 1 missed while failed, and then fails at stripe 2.
+// The spare never swaps in, so device 1 still lacks stripe 0: it stays in
+// the device's missed set, a returned device 1 is not read there, and a
+// resync repairs it.  A landing on the spare used to take it out of the set,
+// and the read then served device 1's stale column with a nil error.
+func TestFailedRebuildKeepsTheMissedStripes(t *testing.T) {
+	e := sim.New()
+	a, _ := newArray(t, e, 4, Level5)
+	stripe := a.StripeUnitSectors() * a.DataDisks()
+	want := make([]byte, 3*stripe*tSec) // stripe 1 is never written
+	runProc(e, func(p *sim.Proc) {
+		for _, s := range []int{0, 2} {
+			chunk := want[s*stripe*tSec : (s+1)*stripe*tSec]
+			copy(chunk, patterned(len(chunk), byte(s)))
+			if err := a.Write(p, int64(s*stripe), chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.FailDisk(1); err != nil {
+			t.Fatal(err)
+		}
+		copy(want, patterned(stripe*tSec, 9))
+		if err := a.Write(p, 0, want[:stripe*tSec]); err != nil {
+			t.Fatal(err)
+		}
+		spare := faultDev{NewMemDev(256, tSec), a.unitLBA(2)}
+		if n, err := a.Reconstruct(p, 1, spare); err == nil || n != 1 {
+			t.Fatalf("rebuild onto a spare that fails at stripe 2: %d stripes, err %v; want 1 and an error", n, err)
+		}
+		if a.Missed(1) != 1 {
+			t.Fatalf("after the failed rebuild device 1 has %d missed stripes, want 1", a.Missed(1))
+		}
+		a.ReturnDisk(1)
+		if got, err := a.Read(p, 0, 3*stripe); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after the return: wrong bytes (err %v)", err)
+		}
+		if n, err := a.Resync(p, 1); err != nil || n != 1 || a.Missed(1) != 0 {
+			t.Fatalf("resync: %d stripes, err %v, %d still missed", n, err, a.Missed(1))
+		}
+		if err := a.FailDisk(2); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := a.Read(p, 0, 3*stripe); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read through the resynced device: wrong bytes (err %v)", err)
+		}
+	})
+}
+
 // TestMissedStripeFailsAlone: a stripe whose column one device missed, with
 // a second device failed, has lost more columns than parity covers.  A
 // partial write to it and a read of it fail, but the array does not latch

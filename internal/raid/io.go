@@ -43,8 +43,7 @@ func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	if err := a.errIfLost("read"); err != nil {
 		return err
 	}
-	end := p.Span("raid", "read")
-	defer end()
+	defer p.Span("raid", "read")()
 	a.inflight++
 	defer func() { a.inflight-- }()
 	if a.arrayLock != nil {
@@ -161,8 +160,7 @@ func (r rows) covers(o rows) bool { return r.lo <= o.lo && o.hi <= r.hi }
 // or, when the survivors were not read over its rows, the next round of the
 // plan.
 func (a *Array) readStripe(p *sim.Proc, exts []extent, dst []byte) error {
-	end := p.Span("raid", "reconstruct")
-	defer end()
+	defer p.Span("raid", "reconstruct")()
 	v := a.view(exts[0].stripe, false)
 	sc := a.newScratch()
 	defer sc.release()
@@ -282,21 +280,19 @@ func (a *Array) Write(p *sim.Proc, lba int64, data []byte) error {
 	})
 }
 
-// perStripe groups the extents of a write by stripe and runs fn for every
-// stripe in parallel; it returns the first error, or counts the write.
+// perStripe runs fn for the extents of a write in every stripe, in parallel;
+// it returns the first error, or counts the write.  The extents come in
+// stripe order.
 func (a *Array) perStripe(p *sim.Proc, lba int64, n int, name string, fn func(q *sim.Proc, stripe int64, exts []extent) error) error {
-	groups := make(map[int64][]extent)
-	var order []int64
-	for _, ext := range a.extents(lba, n) {
-		if _, ok := groups[ext.stripe]; !ok {
-			order = append(order, ext.stripe)
-		}
-		groups[ext.stripe] = append(groups[ext.stripe], ext)
-	}
 	g := p.Fork()
-	for _, stripe := range order {
-		exts := groups[stripe]
-		g.Go(name, func(q *sim.Proc) error { return fn(q, stripe, exts) })
+	for exts := a.extents(lba, n); len(exts) > 0; {
+		i := 1
+		for i < len(exts) && exts[i].stripe == exts[0].stripe {
+			i++
+		}
+		stripe, group := exts[0].stripe, exts[:i:i]
+		g.Go(name, func(q *sim.Proc) error { return fn(q, stripe, group) })
+		exts = exts[i:]
 	}
 	if err := g.Wait(p); err != nil {
 		return err
@@ -342,7 +338,7 @@ func (a *Array) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
 // streamStripe writes the extents and the check columns computed from them
 // alone, with the data writes overlapping the parity computation.
 func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []byte) error {
-	a.written[stripe] = true // before the view: see "Rebuild and writes"
+	a.written.Add(stripe) // before the view: see "Rebuild and writes"
 	v := a.view(stripe, true)
 	switch {
 	case a.row.checks == 0:

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"raidii/internal/bitset"
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
@@ -158,14 +159,14 @@ type Array struct {
 
 	secSize   int
 	unitSecs  int
-	stripes   int64 // number of stripes (rows)
-	failed    map[int]bool
+	stripes   int64                 // number of stripes (rows)
+	failed    bitset.Set[int]       // devices marked failed
 	lost      bool                  // sticky: failures exceeded redundancy
 	stripeLk  map[int64]*sim.Server // per-stripe writer lock: writes and the rebuild serialize on it
 	arrayLock *sim.Server           // single-request discipline (serial rows)
 	rebuilds  map[int]*rebuild      // rebuilds in flight, by device index
-	written   []bool                // per stripe: some write has reached it; the rest hold zeros everywhere
-	missed    []map[int64]bool      // per device: stripes whose column missed a write (see ReturnDisk)
+	written   bitset.Set[int64]     // stripes some write has reached; the rest hold zeros everywhere
+	missed    []bitset.Set[int64]   // per device: stripes whose column missed a write (see ReturnDisk)
 
 	inflight int // foreground requests in service; the scrub yields to them
 
@@ -248,17 +249,12 @@ func New(e *sim.Engine, devs []Dev, cfg Config, xor XOREngine) (*Array, error) {
 		secSize:  sec,
 		unitSecs: cfg.StripeUnitSectors,
 		stripes:  stripes,
-		failed:   make(map[int]bool),
 		stripeLk: make(map[int64]*sim.Server),
 		rebuilds: make(map[int]*rebuild),
-		written:  make([]bool, stripes),
-		missed:   make([]map[int64]bool, len(devs)),
+		missed:   make([]bitset.Set[int64], len(devs)),
 	}
 	colFree := bytepath.NewFreeList(colFreeStripes * len(devs))
 	a.colFree = &colFree
-	for i := range a.missed {
-		a.missed[i] = make(map[int64]bool)
-	}
 	if row.serial {
 		a.arrayLock = sim.NewServer(e, "raid3:lock", 1)
 	}
@@ -310,7 +306,7 @@ func (a *Array) FailDisk(i int) error {
 	if i < 0 || i >= len(a.devs) {
 		return fmt.Errorf("raid: no device %d in a %d-wide array", i, len(a.devs))
 	}
-	a.failed[i] = true
+	a.failed.Add(i)
 	a.noteRedundancy()
 	return nil
 }
@@ -318,8 +314,8 @@ func (a *Array) FailDisk(i int) error {
 // RepairDisk clears the failed mark after reconstruction: the device holds
 // every column, its missed ones included.
 func (a *Array) RepairDisk(i int) {
-	delete(a.failed, i)
-	clear(a.missed[i])
+	a.failed.Remove(i)
+	a.missed[i] = bitset.Set[int64]{}
 }
 
 // ReturnDisk brings failed device i back with what it held when it failed,
@@ -328,15 +324,19 @@ func (a *Array) RepairDisk(i int) {
 // could not reach on it, and Resync repairs those.  Since the lost columns
 // come back, the failed state is re-derived from the devices still failed;
 // a stripe still short of more columns than its check columns cover fails
-// the operations that need it, and only those.
+// the operations that need it, and only those.  A device with a rebuild in
+// flight is left as it is: a spare replacing it stays the replacement.
 func (a *Array) ReturnDisk(i int) {
-	delete(a.failed, i)
+	if a.rebuilds[i] != nil {
+		return
+	}
+	a.failed.Remove(i)
 	a.lost = false
 	a.noteRedundancy()
 }
 
 // Missed returns how many stripes are in device i's missed set.
-func (a *Array) Missed(i int) int { return len(a.missed[i]) }
+func (a *Array) Missed(i int) int { return a.missed[i].Len() }
 
 // redundant reports whether the level survives any failure at all.
 func (a *Array) redundant() bool { return a.row.mirrored || a.row.checks > 0 }
@@ -349,11 +349,11 @@ func (a *Array) noteRedundancy() {
 		return
 	}
 	if !a.row.mirrored {
-		a.lost = len(a.failed) > a.row.checks
+		a.lost = a.failed.Len() > a.row.checks
 		return
 	}
-	for i := range a.failed {
-		if a.failed[i^1] { // pairs are (0,1), (2,3), ...
+	for i := range a.failed.All() {
+		if a.failed.Has(i ^ 1) { // pairs are (0,1), (2,3), ...
 			a.lost = true
 		}
 	}
@@ -379,10 +379,10 @@ func (a *Array) errIfLost(op string) error {
 // the escalation instant in the trace.
 func (a *Array) escalate(p *sim.Proc, i int, err error) {
 	a.stats.DeviceErrors++
-	if a.failed[i] {
+	if a.failed.Has(i) {
 		return
 	}
-	a.failed[i] = true
+	a.failed.Add(i)
 	a.stats.DiskFailures++
 	a.noteRedundancy()
 	end := p.Span("fault", fmt.Sprintf("escalate:dev%d", i))
@@ -402,11 +402,13 @@ func (a *Array) devReadInto(p *sim.Proc, i int, lba int64, dst []byte) bool {
 }
 
 // Failed reports whether device i is marked failed.
-func (a *Array) Failed(i int) bool { return a.failed[i] }
+func (a *Array) Failed(i int) bool { return a.failed.Has(i) }
 
 // live reports whether device dev holds a current column of a stripe: it is
 // not failed, and the stripe is not in its missed set.
-func (a *Array) live(dev int, stripe int64) bool { return !a.failed[dev] && !a.missed[dev][stripe] }
+func (a *Array) live(dev int, stripe int64) bool {
+	return !a.failed.Has(dev) && !a.missed[dev].Has(stripe)
+}
 
 // Roles.  A stripe's columns are numbered by role: data positions 0..k-1,
 // then check columns 0..m-1 (role k is P, role k+1 is Q).  At Level 1 the

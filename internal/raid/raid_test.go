@@ -302,7 +302,7 @@ func TestDoubleFailureLatchesArrayFailed(t *testing.T) {
 	e := sim.New()
 	a, _ := newArray(t, e, 5, Level5)
 	_ = a.FailDisk(0)
-	a.failed[1] = true // behind FailDisk's back, so the solve is what notices
+	a.failed.Add(1) // behind FailDisk's back, so the solve is what notices
 	runProc(e, func(p *sim.Proc) {
 		// Reconstructing stripe 0 needs both failed columns: unrecoverable.
 		_, err := a.view(0, false).readSolve(p, a.newScratch(), 0, tSec, a.Role(0, 0), make([]byte, tSec))

@@ -6,38 +6,25 @@ import (
 	"fmt"
 	"slices"
 
+	"raidii/internal/bitset"
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
 )
 
-// Rebuild and writes.  A rebuild and a write to the same stripe serialize on
-// the stripe's writer lock.  Rebuilding a stripe holds the lock across its
-// survivor reads and the spare write, then marks the stripe done; a write
-// decides which columns are lost after it holds the lock (stripeView), so it
-// either runs wholly before the stripe is rebuilt — a degraded write, whose
-// new data the rebuild then solves out of the check columns — or wholly
-// after, when it treats the rebuilt column as live on the spare.  Either way
-// the spare holds the current column at swap-in.  Reads take no lock and stay
-// on the degraded path until the swap-in.
-//
-// A stripe no write has reached holds zeros on every device, and so does a
-// spare where it was never written, so the rebuild marks such a stripe done
-// without any I/O.  Every write sets the stripe's written flag before it
-// takes its view, with no yield in between: a write that reaches the stripe
-// before the rebuild loop does is then rebuilt like any other, and one that
-// arrives after the loop has passed sees the column live on the spare.  A
-// resync (Resync) is the same rebuild with the device itself as its spare,
-// over the device's missed set only.
-//
-// A rebuild runs in two stages joined by a queue, both bounded by one window
-// of stripes.  The read stage: a stripe takes a read slot, locks the stripe,
-// reads its survivors and solves the lost column, gives the survivor buffers
-// back, waits for a place in the queue and then gives its read slot back.
-// The spare stage: one writer, which whenever the spare is free writes the
-// longest run of consecutive queued stripes from the lowest as one command
-// (consecutive stripes' units are adjacent on every device), then marks each
-// stripe of the run done and unlocks it.  A stripe's lock is thus held from
-// before its survivor reads until its run has landed.
+// Rebuild and writes.  A rebuild walks a set of stripes in ascending order, a
+// word at a time: the array's written set onto a spare (a stripe no write has
+// reached holds zeros everywhere, as a fresh spare does), or the device's
+// missed set onto the device itself (Resync).  The spare holds a stripe's
+// current column once the walk has passed it and it is not in flight
+// (rebuild.done).  The rebuild holds a stripe's writer lock from before its
+// survivor reads until its column lands, and a write adds its stripe to the
+// written set and takes its view under that lock with no yield between.
+// Until the stripe is done its column is lost to the write, and the rebuild
+// solves the write's data out of the check columns; after, the column is
+// live on the spare, and the device, which the spare may never replace,
+// misses it.  Reads take no lock and stay on the degraded path until the
+// swap-in.  A read stage and a spare stage joined by a queue run the rebuild
+// (rebuildStripe, writeRun).
 
 // rebuildWindow is how many stripes a rebuild reads at once, and how many
 // solved columns it holds for the spare.
@@ -54,11 +41,12 @@ func (a *Array) Share(other *Array, reads *sim.Server) {
 
 // rebuild is the state of one device's rebuild in flight.
 type rebuild struct {
-	spare  Dev
-	resync bool   // the spare is the device itself, and only its missed stripes are rebuilt
-	done   []bool // per stripe: the spare holds this stripe's column
-	landed int64  // stripes whose column has landed on the spare
-	err    error  // first failure: a stripe that would not solve, or any write that failed on the spare; a failed rebuild never swaps its spare in
+	spare   Dev
+	walk    *bitset.Set[int64] // the stripes to rebuild: the array's written set, or for a resync the device's missed set
+	next    int64              // the walk has passed every stripe below next
+	pending bitset.Set[int64]  // stripes the walk has taken whose column has not landed
+	landed  int64              // stripes whose column has landed on the spare
+	err     error              // first failure: a stripe that would not solve, or any write that failed on the spare; a failed rebuild never swaps its spare in
 
 	// The spare stage.
 	slots   *sim.Server // one per solved column held, from entering the queue until its run lands
@@ -73,6 +61,10 @@ type solved struct {
 	col    []byte // from the array's column free list
 }
 
+// done reports whether the spare holds stripe s's current column: the walk
+// has passed s, and s is not in flight.
+func (rb *rebuild) done(s int64) bool { return s < rb.next && !rb.pending.Has(s) }
+
 func (rb *rebuild) fail(err error) {
 	if rb.err == nil {
 		rb.err = err
@@ -82,12 +74,18 @@ func (rb *rebuild) fail(err error) {
 // CanReplace reports why device devIdx cannot be rebuilt now, or nil: it must
 // be a failed device with no rebuild in flight, at a level that can
 // reconstruct.  A caller that provisions the spare asks before it does.
-func (a *Array) CanReplace(devIdx int) error {
+func (a *Array) CanReplace(devIdx int) error { return a.canRebuild(devIdx, true) }
+
+// canRebuild is CanReplace for a device that must be failed (onto a spare)
+// or up (a resync onto itself).
+func (a *Array) canRebuild(devIdx int, failed bool) error {
 	switch {
 	case devIdx < 0 || devIdx >= len(a.devs):
 		return fmt.Errorf("raid: no device %d", devIdx)
-	case !a.failed[devIdx]:
+	case failed && !a.failed.Has(devIdx):
 		return fmt.Errorf("raid: device %d is not failed", devIdx)
+	case !failed && a.failed.Has(devIdx):
+		return fmt.Errorf("raid: device %d is failed", devIdx)
 	case a.rebuilds[devIdx] != nil:
 		return fmt.Errorf("raid: device %d is already being rebuilt", devIdx)
 	case !a.redundant():
@@ -110,42 +108,37 @@ func (a *Array) Reconstruct(p *sim.Proc, devIdx int, spare Dev) (int64, error) {
 	return a.reconstruct(p, devIdx, rb)
 }
 
-// begin validates a rebuild request — CanReplace, and a spare that matches
-// the array's geometry — and registers the rebuild, so that from this moment
-// a second request for the same device is refused.
+// begin validates a rebuild request and registers the rebuild, so that from
+// this moment a second request for the same device is refused.  Onto a spare
+// (CanReplace, and a spare of the array's geometry) it walks the written
+// stripes; a nil spare is a resync, which walks the device's missed set onto
+// the device itself.
 func (a *Array) begin(devIdx int, spare Dev) (*rebuild, error) {
-	if err := a.CanReplace(devIdx); err != nil {
+	if err := a.canRebuild(devIdx, spare != nil); err != nil {
 		return nil, err
 	}
-	if spare.Sectors() < a.stripes*int64(a.unitSecs) || spare.SectorSize() != a.secSize {
+	rb := &rebuild{spare: spare, walk: &a.written}
+	if spare == nil {
+		rb.spare, rb.walk = a.devs[devIdx], &a.missed[devIdx]
+	} else if spare.Sectors() < a.stripes*int64(a.unitSecs) || spare.SectorSize() != a.secSize {
 		return nil, fmt.Errorf("raid: spare geometry mismatch")
 	}
-	rb := &rebuild{spare: spare, done: make([]bool, a.stripes)}
 	a.rebuilds[devIdx] = rb
 	return rb, nil
 }
 
 // Resync rebuilds the stripes in device devIdx's missed set onto the device
-// itself, once ReturnDisk has brought it back, through the same two stages as
-// Reconstruct.  Each stripe leaves the set as its run lands, so after a
-// failure the set holds exactly what is left to repair; it returns how many
-// stripes it repaired, on a failure too.
-func (a *Array) Resync(p *sim.Proc, devIdx int) (int64, error) {
-	switch {
-	case devIdx < 0 || devIdx >= len(a.devs):
-		return 0, fmt.Errorf("raid: no device %d", devIdx)
-	case a.failed[devIdx]:
-		return 0, fmt.Errorf("raid: device %d is failed", devIdx)
-	case a.rebuilds[devIdx] != nil:
-		return 0, fmt.Errorf("raid: device %d is already being rebuilt", devIdx)
-	case len(a.missed[devIdx]) == 0:
-		return 0, nil
-	case !a.redundant():
-		return 0, fmt.Errorf("raid: cannot reconstruct at %v", a.cfg.Level)
-	}
-	rb := &rebuild{spare: a.devs[devIdx], resync: true, done: make([]bool, a.stripes)}
-	a.rebuilds[devIdx] = rb
-	return a.reconstruct(p, devIdx, rb)
+// itself, once ReturnDisk has brought it back, as Reconstruct rebuilds onto a
+// spare.  Each stripe leaves the set as its run lands, so after a failure the
+// set holds exactly what is left to repair; it returns how many stripes it
+// repaired, on a failure too.
+func (a *Array) Resync(p *sim.Proc, devIdx int) (int64, error) { return a.Reconstruct(p, devIdx, nil) }
+
+// onDevice reports whether rb's spare is device devIdx itself: a resync's
+// always is, as it walks the device's missed set, and another rebuild's is
+// once it has ended and swapped its spare in.
+func (a *Array) onDevice(rb *rebuild, devIdx int) bool {
+	return rb.walk == &a.missed[devIdx] || a.rebuilds[devIdx] != rb && rb.err == nil
 }
 
 // reconstruct runs the registered rebuild rb of device devIdx.
@@ -164,11 +157,9 @@ func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error)
 	}
 	rb.slots = sim.NewServer(a.eng, "rebuild-spare", rebuildWindow)
 	g := sim.NewGroup(a.eng)
-	for s := int64(0); s < a.stripes; s++ {
-		if !a.written[s] || rb.resync && !a.missed[devIdx][s] {
-			rb.done[s] = true
-			continue
-		}
+	for s := range rb.walk.All() {
+		rb.pending.Add(s)
+		rb.next = s + 1
 		reads.Acquire(p)
 		if rb.err != nil { // the rebuild has failed: read no more survivors
 			reads.Release()
@@ -179,8 +170,11 @@ func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error)
 			return nil
 		})
 	}
+	if rb.err == nil { // the walk went to the end
+		rb.next = a.stripes
+	}
 	g.Wait(p) //lint:allow errdrop a stripe's failure fails the rebuild, in rb.err
-	if rb.err == nil && !rb.resync {
+	if rb.err == nil && !a.onDevice(rb, devIdx) {
 		a.devs[devIdx] = rb.spare
 		a.RepairDisk(devIdx)
 	}
@@ -194,10 +188,10 @@ func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error)
 func (a *Array) rebuildStripe(p *sim.Proc, rb *rebuild, reads *sim.Server, devIdx int, s int64) {
 	lk := a.lock(s)
 	lk.Acquire(p)
-	if rb.resync && !a.missed[devIdx][s] {
-		// A whole-stripe write brought the column current while the
+	if !rb.walk.Has(s) {
+		// A whole-stripe write brought a resync's column current while the
 		// stripe waited for its lock.
-		rb.done[s] = true
+		rb.pending.Remove(s)
 		lk.Release()
 		reads.Release()
 		return
@@ -230,8 +224,7 @@ func (a *Array) rebuildStripe(p *sim.Proc, rb *rebuild, reads *sim.Server, devId
 // surviving mirror member holds it at Level 1, the solve produces it
 // everywhere else.
 func (a *Array) solveColumn(p *sim.Proc, devIdx int, s int64, col []byte) error {
-	end := p.Span("raid", "rebuild-stripe")
-	defer end()
+	defer p.Span("raid", "rebuild-stripe")()
 	sc := a.newScratch()
 	defer sc.release()
 	v := a.view(s, false)
@@ -261,8 +254,8 @@ func (rb *rebuild) takeRun() []solved {
 
 // writeRun writes a run of consecutive stripes' columns to device devIdx's
 // spare in one command, unless the rebuild has already failed, then releases
-// each stripe: done and out of the device's missed set when its column
-// landed, unlocked either way.
+// each stripe: done when its column landed, and out of the device's missed
+// set too when the spare is the device itself; unlocked either way.
 func (a *Array) writeRun(p *sim.Proc, rb *rebuild, devIdx int, run []solved) {
 	landed := false
 	if rb.err == nil {
@@ -285,9 +278,11 @@ func (a *Array) writeRun(p *sim.Proc, rb *rebuild, devIdx int, run []solved) {
 	}
 	for _, c := range run {
 		if landed {
-			rb.done[c.stripe] = true
+			rb.pending.Remove(c.stripe)
 			rb.landed++
-			delete(a.missed[devIdx], c.stripe)
+			if a.onDevice(rb, devIdx) {
+				rb.walk.Remove(c.stripe)
+			}
 			a.stats.RebuildStripes++
 		}
 		a.colFree.Put(c.col)

@@ -98,8 +98,7 @@ func (a *Array) StartScrub(cfg ScrubConfig) (*Scrub, error) {
 // patrol finds is the patrol doing its job, not a demand-path device error,
 // so it must not escalate the disk to failed or count toward DeviceErrors.
 func (a *Array) scrubStripe(p *sim.Proc, s int64) (verified, repaired bool) {
-	end := p.Span("scrub", "stripe")
-	defer end()
+	defer p.Span("scrub", "stripe")()
 	sc := a.newScratch()
 	defer sc.release()
 	v := a.view(s, false)
@@ -159,8 +158,7 @@ func (a *Array) scrubStripe(p *sim.Proc, s int64) (verified, repaired bool) {
 // scrubRewrite writes a repaired column back under a repair span; it reports
 // whether the write succeeded.
 func (a *Array) scrubRewrite(p *sim.Proc, on Dev, lba int64, content []byte) bool {
-	end := p.Span("scrub", "repair")
-	defer end()
+	defer p.Span("scrub", "repair")()
 	a.stats.DiskWrites++
 	if err := on.Write(p, lba, content); err != nil {
 		return false

@@ -51,7 +51,7 @@ func (a *Array) view(stripe int64, forWrite bool) *stripeView {
 		c := column{dev: a.colDev(stripe, role)}
 		if a.live(c.dev, stripe) {
 			c.on = a.devs[c.dev]
-		} else if rb := a.rebuilds[c.dev]; forWrite && rb != nil && rb.done[stripe] {
+		} else if rb := a.rebuilds[c.dev]; forWrite && rb != nil && rb.done(stripe) {
 			c.on, c.rb = rb.spare, rb
 		}
 		v.cols[role] = c
@@ -82,7 +82,7 @@ func (v *stripeView) covered() error {
 // current.
 func (v *stripeView) reclaim() {
 	for role := range v.cols {
-		if c := &v.cols[role]; c.on == nil && !v.a.failed[c.dev] {
+		if c := &v.cols[role]; c.on == nil && !v.a.failed.Has(c.dev) {
 			c.on, c.heal = v.a.devs[c.dev], true
 		}
 	}
@@ -90,14 +90,15 @@ func (v *stripeView) reclaim() {
 
 // miss records that a write could not reach a role's column: the stripe
 // joins the missed set of the column's device.
-func (v *stripeView) miss(role int) { v.a.missed[v.cols[role].dev][v.stripe] = true }
+func (v *stripeView) miss(role int) { v.a.missed[v.cols[role].dev].Add(v.stripe) }
 
 // drop handles an error from a command on a role's column: the column is
-// lost to the rest of this operation, and the device is escalated — or, for a
-// spare, its rebuild is failed so the stale spare never swaps in.
+// lost to the rest of this operation, and the device is escalated — or, for
+// another device's spare, its rebuild is failed so the stale spare never
+// swaps in.
 func (v *stripeView) drop(p *sim.Proc, role int, err error) {
 	c := &v.cols[role]
-	if c.rb == nil {
+	if c.rb == nil || v.a.onDevice(c.rb, c.dev) {
 		v.a.escalate(p, c.dev, err)
 	} else {
 		v.a.stats.DeviceErrors++
@@ -125,6 +126,8 @@ func (v *stripeView) read(p *sim.Proc, role int, secOff int64, dst []byte) bool 
 // A column the write does not reach, lost before or failing now, is missed.
 // Skipping it is safe at redundant levels: the check columns already reflect
 // the new data, so the lost column reconstructs to what the write carried.
+// So is one that lands on another device's spare: the device itself lacks
+// it, should the rebuild fail and the device come back.
 func (v *stripeView) write(p *sim.Proc, role int, secOff int64, data []byte) {
 	if v.lost(role) {
 		v.miss(role)
@@ -132,11 +135,14 @@ func (v *stripeView) write(p *sim.Proc, role int, secOff int64, data []byte) {
 	}
 	v.a.stats.DiskWrites++
 	c := v.cols[role]
-	if err := c.on.Write(p, v.base+secOff, data); err != nil {
+	switch err := c.on.Write(p, v.base+secOff, data); {
+	case err != nil:
 		v.drop(p, role, err)
 		v.miss(role)
-	} else if c.heal {
-		delete(v.a.missed[c.dev], v.stripe)
+	case c.rb != nil && !v.a.onDevice(c.rb, c.dev):
+		v.miss(role)
+	case c.heal:
+		v.a.missed[c.dev].Remove(v.stripe)
 	}
 }
 
@@ -195,8 +201,7 @@ func nonNil(cols [][]byte) [][]byte {
 // the same plan with the request's own rows riding on the survivor reads
 // (readStripe).
 func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, want int, dst []byte) ([][]byte, error) {
-	end := p.Span("raid", "reconstruct")
-	defer end()
+	defer p.Span("raid", "reconstruct")()
 	pl := v.plan(sc, secOff, n, want, dst)
 	g := p.Fork()
 	for dev := range v.cols {
@@ -435,7 +440,7 @@ func (a *Array) writeStripe(p *sim.Proc, stripe int64, exts []extent, data []byt
 		lk.Acquire(p)
 		defer lk.Release()
 	}
-	a.written[stripe] = true // before the view: see "Rebuild and writes"
+	a.written.Add(stripe) // before the view: see "Rebuild and writes"
 	v := a.view(stripe, true)
 	full := a.row.checks > 0 && a.fullStripe(exts)
 	if full {
@@ -478,8 +483,7 @@ func (v *stripeView) writeCopies(p *sim.Proc, exts []extent, data []byte) error 
 // since they don't require the reading of old data or parity".
 func (v *stripeView) writeFull(p *sim.Proc, exts []extent, data []byte) error {
 	a := v.a
-	end := p.Span("raid", "full-stripe-write")
-	defer end()
+	defer p.Span("raid", "full-stripe-write")()
 	a.stats.FullStripeWrites++
 	k := a.dataDisks()
 	cols := make([][]byte, k)
@@ -524,8 +528,7 @@ func (v *stripeView) writeFull(p *sim.Proc, exts []extent, data []byte) error {
 // on in the check columns.
 func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) error {
 	a := v.a
-	end := p.Span("raid", "reconstruct-write")
-	defer end()
+	defer p.Span("raid", "reconstruct-write")()
 	a.stats.ReconstructWrites++
 	k := a.dataDisks()
 	sc := a.newScratch()
@@ -603,8 +606,7 @@ func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) e
 // the solve; a lost check column is simply not maintained.
 func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 	a := v.a
-	end := p.Span("raid", "rmw-write")
-	defer end()
+	defer p.Span("raid", "rmw-write")()
 	a.stats.SmallWrites++
 	k, m := a.dataDisks(), a.row.checks
 

@@ -331,13 +331,13 @@ func TestWriteToSkippedStripeLandsOnSpare(t *testing.T) {
 			})
 			S, last := r.stripeSectors(), r.a.stripes-1
 			write := func(p *sim.Proc, lba int64, data []byte) {
-				if rb := r.a.rebuilds[rigFailed]; rb == nil || !rb.done[lba/S] {
+				if rb := r.a.rebuilds[rigFailed]; rb == nil || !rb.done(lba/S) {
 					t.Errorf("stripe %d: the write did not start after the rebuild loop passed it", lba/S)
 				}
 				r.write(t, p, lba, data)
 			}
 			r.e.Spawn("writer", func(p *sim.Proc) {
-				for rb := r.a.rebuilds[rigFailed]; rb == nil || !rb.done[last]; rb = r.a.rebuilds[rigFailed] {
+				for rb := r.a.rebuilds[rigFailed]; rb == nil || !rb.done(last); rb = r.a.rebuilds[rigFailed] {
 					if !r.a.Failed(rigFailed) {
 						t.Error("the rebuild finished before its loop passed the last stripe")
 						return
@@ -395,7 +395,7 @@ func TestWriteAheadOfRebuildIsRebuilt(t *testing.T) {
 			}{{first + 1, T - 15*time.Millisecond, true}, {first, T - 5*time.Millisecond, true}, {first + 2, T + 25*time.Millisecond, false}} {
 				r.e.At(start.Add(sim.Duration(w.at)), "writer", func(p *sim.Proc) {
 					rb := r.a.rebuilds[rigFailed]
-					if ahead := rb != nil && !rb.done[w.stripe]; ahead != w.ahead {
+					if ahead := rb != nil && !rb.done(w.stripe); ahead != w.ahead {
 						t.Errorf("stripe %d written at %v: ahead of the rebuild loop = %v, want %v", w.stripe, w.at, ahead, w.ahead)
 					}
 					r.write(t, p, w.stripe*S, patterned(int(S)*tSec, byte(w.stripe)))
@@ -492,7 +492,7 @@ func TestWriteToQueuedStripeWaitsForItsRun(t *testing.T) {
 					if rb := r.a.rebuilds[rigFailed]; rb != nil && len(rb.queue) > 0 {
 						s := rb.queue[0].stripe
 						r.write(t, p, s*S, patterned(int(S)*tSec, byte(s)+50))
-						if !rb.done[s] {
+						if !rb.done(s) {
 							t.Errorf("stripe %d: the write finished before its column reached the spare", s)
 						}
 						return
