@@ -210,7 +210,7 @@ func DoubleFaultTimeline() (DoubleFaultTimelineResult, error) {
 			return fmt.Errorf("seeding ran past the first failure (%v)", seedEnd)
 		}
 		if b.Array.Lost() {
-			return errors.New("two failures latched a Level-6 array as failed")
+			return errors.New("two failures lost a Level-6 array")
 		}
 
 		// Every byte served while both failures are outstanding must be

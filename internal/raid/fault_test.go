@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"raidii/internal/fault"
 	"raidii/internal/sim"
@@ -174,11 +175,12 @@ func TestLatentErrorEscalatesAndReconstructs(t *testing.T) {
 	}
 }
 
-// TestLevel0ErrorLatchesArrayFailed: Level 0 is the row of the level table
+// TestLevel0ErrorLosesEveryStripe: Level 0 is the row of the level table
 // that tolerates zero losses, so a device error is a loss beyond redundancy
 // like any other — the read reports ErrArrayFailed, never zeros with a nil
-// error, and the state is sticky for later reads and writes.
-func TestLevel0ErrorLatchesArrayFailed(t *testing.T) {
+// error — and every stripe has a column on the failed device, so later reads
+// and writes fail too.
+func TestLevel0ErrorLosesEveryStripe(t *testing.T) {
 	e := sim.New()
 	a, mems := newArray(t, e, 4, Level0)
 	data := patterned(16*tSec, 3)
@@ -190,17 +192,17 @@ func TestLevel0ErrorLatchesArrayFailed(t *testing.T) {
 		if got, err := a.Read(p, 0, 16); !errors.Is(err, ErrArrayFailed) {
 			t.Fatalf("read over a dead Level 0 device = %v, %v; want ErrArrayFailed", got, err)
 		}
-		// Extents on the surviving devices are refused too: the latch is the
-		// array's, not the extent's.
+		// Extents on the surviving devices are refused too: the loss is the
+		// stripe's, not the extent's.
 		if _, err := a.Read(p, tUnit, tUnit); !errors.Is(err, ErrArrayFailed) {
-			t.Fatalf("later read = %v, want sticky ErrArrayFailed", err)
+			t.Fatalf("later read = %v, want ErrArrayFailed", err)
 		}
 		if err := a.Write(p, 0, data); !errors.Is(err, ErrArrayFailed) {
-			t.Fatalf("later write = %v, want sticky ErrArrayFailed", err)
+			t.Fatalf("later write = %v, want ErrArrayFailed", err)
 		}
 	})
 	if !a.Lost() || !a.Failed(0) {
-		t.Fatal("device error at Level 0 did not latch the array-failed state")
+		t.Fatal("device error at Level 0 did not lose the array")
 	}
 	if st := a.Stats(); st.DeviceErrors == 0 || st.DegradedReads != 0 {
 		t.Fatalf("stats = %+v, want the device error counted and no degraded reads", st)
@@ -367,8 +369,8 @@ func TestFailedRebuildKeepsTheMissedStripes(t *testing.T) {
 
 // TestMissedStripeFailsAlone: a stripe whose column one device missed, with
 // a second device failed, has lost more columns than parity covers.  A
-// partial write to it and a read of it fail, but the array does not latch
-// failed: other stripes still take writes and degraded reads.  A write of
+// partial write to it and a read of it fail, but the array is not lost:
+// other stripes still take writes and degraded reads.  A write of
 // the whole stripe makes the returned device's column current again and
 // takes the stripe out of its missed set.
 func TestMissedStripeFailsAlone(t *testing.T) {
@@ -399,7 +401,7 @@ func TestMissedStripeFailsAlone(t *testing.T) {
 			t.Fatalf("read of a stripe short two columns: err %v, want ErrArrayFailed", err)
 		}
 		if a.Lost() {
-			t.Fatal("one stripe short two columns latched the whole array failed")
+			t.Fatal("one stripe short two columns lost the whole array")
 		}
 		copy(want[3*stripe*tSec:], patterned(tSec, 7))
 		if err := a.Write(p, int64(3*stripe), want[3*stripe*tSec:3*stripe*tSec+tSec]); err != nil {
@@ -422,7 +424,7 @@ func TestMissedStripeFailsAlone(t *testing.T) {
 // fails falls back to the mirror only when the mirror holds the stripe's
 // current bytes.  A mirror that missed the stripe's last write is stale: the
 // read fails with ErrArrayFailed rather than return old bytes, and the array
-// does not latch failed, so other stripes still read.
+// is not lost, so other stripes still read.
 func TestMirrorMissedWriteFailsAlone(t *testing.T) {
 	e := sim.New()
 	a, mems := newArray(t, e, 4, Level1)
@@ -447,7 +449,7 @@ func TestMirrorMissedWriteFailsAlone(t *testing.T) {
 			t.Fatalf("read served by a mirror that missed the write: err %v, stale bytes %v", err, !bytes.Equal(got, want[:tSec]))
 		}
 		if a.Lost() {
-			t.Fatal("one stripe with a stale mirror latched the whole array failed")
+			t.Fatal("one stripe with a stale mirror lost the whole array")
 		}
 		if got, err := a.Read(p, int64(stripe), stripe); err != nil || !bytes.Equal(got, want[stripe*tSec:]) {
 			t.Fatalf("read of another stripe: wrong bytes (err %v)", err)
@@ -477,5 +479,125 @@ func TestOneDeviceLevel0(t *testing.T) {
 		if _, err := New(e, devs, Config{Level: l, StripeUnitSectors: tUnit}, nil); err == nil {
 			t.Errorf("%v accepted one device", l)
 		}
+	}
+}
+
+// TestThirdFailureUnderALandingRebuildIsNoLoss: on Level 6, devices 0 and 3
+// fail and a rebuild of 3 starts; device 4 fails once the rebuild has read
+// its survivors.  The rebuild lands and swaps in, which leaves devices 0 and
+// 4 failed: Level 6 covers two, so the array is not lost and the stripe
+// reads back.  A latch the third failure set used to outlive the rebuild and
+// fail every read.
+func TestThirdFailureUnderALandingRebuildIsNoLoss(t *testing.T) {
+	e := sim.New()
+	a, _ := newFaultArray(t, e, 6, Level6)
+	want := patterned(a.DataDisks()*tUnit*tSec, 5)
+	runProc(e, func(p *sim.Proc) {
+		if err := a.Write(p, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 3} {
+			if err := a.FailDisk(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rb, err := a.ReplaceDisk(3, faultDev{NewMemDev(64, tSec), 1 << 62})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Wait(1500 * time.Microsecond) // the survivors are read; the spare's write is in flight
+		if err := a.FailDisk(4); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := rb.Wait(p); err != nil || n != 1 {
+			t.Fatalf("rebuild: %d stripes, err %v; want 1 and nil", n, err)
+		}
+		if a.Failed(3) || !a.Failed(0) || !a.Failed(4) {
+			t.Fatalf("failed 0, 3, 4 = %v, %v, %v; want true, false, true", a.Failed(0), a.Failed(3), a.Failed(4))
+		}
+		if a.Lost() {
+			t.Fatal("two failed devices lost a Level 6 array")
+		}
+		if got, err := a.Read(p, 0, len(want)/tSec); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after the swap-in: wrong bytes (err %v)", err)
+		}
+	})
+}
+
+// TestLevel1RebuildLosesItsMirror: a Level 1 rebuild copies the failed
+// device's column from its mirror.  When the mirror dies under the copy, the
+// stripe has lost both copies, and the rebuild fails with the typed
+// ErrArrayFailed.
+func TestLevel1RebuildLosesItsMirror(t *testing.T) {
+	e := sim.New()
+	a, devs := newFaultArray(t, e, 4, Level1)
+	runProc(e, func(p *sim.Proc) {
+		if err := a.Write(p, 0, patterned(int(a.Sectors())*tSec, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.FailDisk(0); err != nil {
+			t.Fatal(err)
+		}
+		rb, err := a.ReplaceDisk(0, faultDev{NewMemDev(64, tSec), 1 << 62})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Wait(500 * time.Microsecond) // the first reads of the mirror are in flight
+		devs[1].Fail()
+		if _, err := rb.Wait(p); !errors.Is(err, ErrArrayFailed) {
+			t.Fatalf("rebuild whose mirror died: err %v, want ErrArrayFailed", err)
+		}
+		if !a.Failed(0) || !a.Failed(1) || !a.Lost() {
+			t.Fatal("the rebuild swapped in, or the mirror's death did not lose the pair")
+		}
+	})
+}
+
+// TestWriteBeyondRedundancyIsNeverTorn: devices die under a write of stripe
+// 2, more of them than the level covers.  The write fails with
+// ErrArrayFailed, and the stripe joins each dead device's missed set.  Once
+// the devices come back with what they held, a read of the stripe fails
+// rather than mix old columns with new, and the other stripes read back.
+func TestWriteBeyondRedundancyIsNeverTorn(t *testing.T) {
+	for _, tc := range []struct {
+		level Level
+		width int
+		die   []int
+	}{
+		{Level0, 4, []int{1}},
+		{Level1, 4, []int{2, 3}},
+		{Level5, 5, []int{1, 3}},
+		{Level6, 6, []int{0, 2, 5}},
+	} {
+		t.Run(tc.level.String(), func(t *testing.T) {
+			e := sim.New()
+			a, devs := newFaultArray(t, e, tc.width, tc.level)
+			per := a.DataDisks() * tUnit
+			want := patterned(3*per*tSec, 4)
+			runProc(e, func(p *sim.Proc) {
+				if err := a.Write(p, 0, want); err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range tc.die {
+					a.devs[i] = faultDev{devs[i].MemDev, a.unitLBA(2)} // dies at stripe 2
+				}
+				if err := a.Write(p, int64(2*per), patterned(per*tSec, 9)); !errors.Is(err, ErrArrayFailed) {
+					t.Fatalf("write that outlived its redundancy: err %v, want ErrArrayFailed", err)
+				}
+				for _, i := range tc.die {
+					if !a.Failed(i) || !a.missed[i].Has(2) {
+						t.Fatalf("device %d: failed %v, missed stripe 2 %v; want both", i, a.Failed(i), a.missed[i].Has(2))
+					}
+					devs[i].failed = false // the disk comes back with what it held
+					a.ReturnDisk(i)
+				}
+				if _, err := a.Read(p, int64(2*per), per); !errors.Is(err, ErrArrayFailed) {
+					t.Fatalf("read of the torn stripe: err %v, want ErrArrayFailed", err)
+				}
+				if got, err := a.Read(p, 0, 2*per); err != nil || !bytes.Equal(got, want[:2*per*tSec]) {
+					t.Fatalf("read of the other stripes: wrong bytes (err %v)", err)
+				}
+			})
+		})
 	}
 }

@@ -12,15 +12,15 @@ import (
 	"raidii/internal/sim"
 )
 
-// FuzzArrayFaults decodes bytes into operations on a Level 5 or Level 6
-// array of MemDevs behind a 1 ms command delay: writes and reads of any
-// alignment and length, FailDisk, ReplaceDisk in the background onto a spare
-// that may die at a given stripe, a pause that lets a rebuild run on under
-// the operations that follow, ReturnDisk and Resync.  Every read is checked
+// FuzzArrayFaults decodes bytes into operations on a Level 1, 5 or 6 array
+// of MemDevs behind a 1 ms command delay: writes and reads of any alignment
+// and length, FailDisk, ReplaceDisk in the background onto a spare that may
+// die at a given stripe, a pause that lets a rebuild run on under the
+// operations that follow, ReturnDisk and Resync.  Every read is checked
 // against a flat byte slice.  A read, a write or a resync may fail only with
-// ErrArrayFailed, and only while more devices are failed or missing stripes
-// than the level's check columns or the array has latched failed; a rebuild
-// may fail only with that or its spare's death.  A failed write leaves the sectors it covered unknown.
+// ErrArrayFailed, and only when the model finds, before or after it, one of
+// the stripes it touches lost (lostAt); a rebuild may fail only with that or
+// its spare's death.  A failed write leaves the sectors it covered unknown.
 // After every operation: every missed stripe is a written stripe, a resync or
 // rebuild that returned nil left its device's missed set empty, and parity is
 // clean whenever no device is failed or missing stripes.
@@ -41,6 +41,16 @@ func FuzzArrayFaults(f *testing.F) {
 	// Device 0 comes back while its rebuild is in flight: it stays failed,
 	// and the spare replaces it.
 	f.Add([]byte("0100A0B00Y"))
+	// Level 6: devices 0 and 3 fail and a rebuild of 3 starts; device 4
+	// fails once the rebuild has read its survivors.  The rebuild swaps in,
+	// and with devices 0 and 4 failed every stripe still reads.
+	f.Add([]byte{3, 0, 0, 15, 2, 0, 2, 3, 3, 3, 255, 4, 1, 2, 4, 4, 5, 1, 0, 15})
+	// The same at Level 1: the mirror fails once the rebuild has read both
+	// written stripes from it, and with only the mirror failed they read.
+	f.Add([]byte{4, 0, 0, 63, 2, 0, 3, 0, 255, 4, 1, 2, 1, 4, 5, 1, 0, 63})
+	// Level 1 with six written stripes: the mirror fails before the rebuild
+	// reaches stripes 4 and 5, which are lost, and the rebuild fails typed.
+	f.Add([]byte{4, 0, 0, 23, 0, 24, 23, 2, 0, 3, 0, 255, 4, 1, 2, 1, 4, 5, 1, 0, 63})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 96 {
 			ops = ops[:96]
@@ -108,21 +118,36 @@ type fuzzRebuild struct {
 	checked bool
 }
 
+// newFaultModel decodes cfg: bit 2 picks Level 1, else bit 0 Level 6 over
+// Level 5, and bit 1 the wider of the level's two widths.
 func newFaultModel(t *testing.T, cfg byte) *faultModel {
-	level, width := Level5, 4+int(cfg>>1)%2
-	if cfg%2 == 1 {
-		level, width = Level6, 5+int(cfg>>1)%2
+	wide := int(cfg>>1) % 2
+	level, width := Level5, 4+wide
+	switch {
+	case cfg&4 != 0:
+		level, width = Level1, 4+2*wide
+	case cfg%2 == 1:
+		level, width = Level6, 5+wide
 	}
 	e := sim.New()
+	a, _ := newFaultArray(t, e, width, level)
+	return &faultModel{t: t, e: e, a: a, data: make([]byte, a.Sectors()*tSec), known: fill(int(a.Sectors()))}
+}
+
+// newFaultArray builds an array of faultDevs that never die by themselves.
+func newFaultArray(t *testing.T, e *sim.Engine, width int, level Level) (*Array, []faultDev) {
+	t.Helper()
 	devs := make([]Dev, width)
+	fds := make([]faultDev, width)
 	for i := range devs {
-		devs[i] = faultDev{NewMemDev(64, tSec), 1 << 62}
+		fds[i] = faultDev{NewMemDev(64, tSec), 1 << 62}
+		devs[i] = fds[i]
 	}
 	a, err := New(e, devs, Config{Level: level, StripeUnitSectors: tUnit}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &faultModel{t: t, e: e, a: a, data: make([]byte, a.Sectors()*tSec), known: fill(int(a.Sectors()))}
+	return a, fds
 }
 
 func fill(n int) []bool {
@@ -155,17 +180,45 @@ func (m *faultModel) unhealthy() int {
 // dead reports whether device i is a spare that died and was swapped in.
 func (m *faultModel) dead(i int) bool { return m.a.devs[i].(faultDev).failed }
 
-// exhausted reports whether redundancy may be gone: more devices are
-// unhealthy than the level has check columns, or the array has latched
-// failed, which it stays until a device returns.
-func (m *faultModel) exhausted() bool { return m.a.Lost() || m.unhealthy() > m.a.row.checks }
+// out reports whether device dev's column of stripe s is out: the device is
+// failed or dead, or it missed the stripe.
+func (m *faultModel) out(dev int, s int64) bool {
+	return m.a.Failed(dev) || m.dead(dev) || m.a.missed[dev].Has(s)
+}
 
-// allowed fails the test unless err is nil, or ErrArrayFailed while
-// redundancy was exhausted, before the operation or, once a spare swapped in
-// died under it, after.
-func (m *faultModel) allowed(what string, err error, exhausted bool) {
+// lostAt reports whether stripe s may have lost data: more of its columns
+// are out than the level's check columns, or at Level 1 both copies of one.
+func (m *faultModel) lostAt(s int64) bool {
+	mirrored, n := m.a.Level() == Level1, 0
+	for dev := range m.a.Width() {
+		if m.out(dev, s) {
+			if mirrored && m.out(dev^1, s) {
+				return true
+			}
+			n++
+		}
+	}
+	return !mirrored && n > m.a.Level().Checks()
+}
+
+// exhausted reports whether a stripe of the logical range [lba, lba+n) may
+// have lost data.
+func (m *faultModel) exhausted(lba, n int64) bool {
+	per := int64(m.a.DataDisks() * m.a.StripeUnitSectors())
+	for s := lba / per; s*per < lba+n; s++ {
+		if m.lostAt(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// allowed fails the test unless err is nil, or ErrArrayFailed while a
+// stripe the operation touches was lost, before the operation (before) or,
+// once columns died under it, after (now).
+func (m *faultModel) allowed(what string, err error, before, now bool) {
 	m.t.Helper()
-	if err != nil && (!exhausted && !m.exhausted() || !errors.Is(err, ErrArrayFailed)) {
+	if err != nil && (!before && !now || !errors.Is(err, ErrArrayFailed)) {
 		m.t.Fatalf("%s: %v (%d devices unhealthy)", what, err, m.unhealthy())
 	}
 }
@@ -185,9 +238,9 @@ func (m *faultModel) extent(ops []byte) (int64, int64, []byte) {
 // read reads [lba, lba+n) and checks every known sector.
 func (m *faultModel) read(p *sim.Proc, lba, n int64) {
 	m.t.Helper()
-	exhausted := m.exhausted()
+	before := m.exhausted(lba, n)
 	got, err := m.a.Read(p, lba, int(n))
-	m.allowed(fmt.Sprintf("read [%d,+%d)", lba, n), err, exhausted)
+	m.allowed(fmt.Sprintf("read [%d,+%d)", lba, n), err, before, m.exhausted(lba, n))
 	if err != nil {
 		return
 	}
@@ -221,9 +274,9 @@ func (m *faultModel) step(p *sim.Proc, ops []byte) []byte {
 		for i := range buf {
 			buf[i] = byte(uint32(int(m.gen)<<24+i) * 2654435761 >> 24)
 		}
-		exhausted := m.exhausted()
+		before := m.exhausted(lba, n)
 		err := a.Write(p, lba, buf)
-		m.allowed(fmt.Sprintf("write [%d,+%d)", lba, n), err, exhausted)
+		m.allowed(fmt.Sprintf("write [%d,+%d)", lba, n), err, before, m.exhausted(lba, n))
 		copy(m.data[lba*tSec:], buf)
 		for s := lba; s < lba+n; s++ {
 			m.known[s] = err == nil
@@ -262,10 +315,13 @@ func (m *faultModel) step(p *sim.Proc, ops []byte) []byte {
 		if a.canRebuild(dev, false) != nil {
 			break
 		}
-		exhausted := m.exhausted()
+		// A resync touches the stripes its device missed, and fails at the
+		// first it cannot repair, which stays in the set.
+		touched := func() bool { return slices.ContainsFunc(slices.Collect(a.missed[dev].All()), m.lostAt) }
+		before := touched()
 		_, err := a.Resync(p, dev)
 		if !m.dead(dev) || !errors.Is(err, fault.ErrDiskFailed) {
-			m.allowed(fmt.Sprintf("resync %d", dev), err, exhausted)
+			m.allowed(fmt.Sprintf("resync %d", dev), err, before, touched())
 		}
 		if err == nil && a.Missed(dev) != 0 {
 			m.t.Fatalf("resync %d returned nil with %d stripes still missed", dev, a.Missed(dev))

@@ -2,22 +2,11 @@ package raid
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
 )
-
-// stripeLost returns the typed data-loss error for one stripe that has lost
-// more columns than its check columns cover.  The array latches failed only
-// when its failed devices alone do (noteRedundancy): a stripe tipped over by
-// columns that missed a write fails by itself, and the other stripes keep
-// serving.
-func (a *Array) stripeLost(op string) error {
-	a.noteRedundancy()
-	return fmt.Errorf("raid: %s: %w", op, ErrArrayFailed)
-}
 
 // Read reads sectors [lba, lba+n) from the logical address space into a
 // fresh buffer; see ReadInto.
@@ -34,14 +23,17 @@ func (a *Array) Read(p *sim.Proc, lba int64, n int) ([]byte, error) {
 // landing in its own slot of dst.  A stripe where the request wants rows of
 // a lost column is served as one plan (readStripe): the lost rows are
 // reconstructed from the surviving columns and parity, and each survivor is
-// read once for the solve and the request together.  Once failures exceed
-// the level's redundancy the array is failed and every read reports
-// ErrArrayFailed instead of serving zeros for the lost sectors.
+// read once for the solve and the request together.  A read that touches a
+// lost stripe reports ErrArrayFailed, and reads nothing, rather than serve
+// zeros or stale bytes for the sectors the stripe lost.
 func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 	n := a.wholeSectors(len(dst))
 	a.checkRange(lba, n)
-	if err := a.errIfLost("read"); err != nil {
-		return err
+	exts := a.extents(lba, n)
+	for _, ext := range exts {
+		if a.readLost(ext.stripe) {
+			return errLost(ext.stripe)
+		}
 	}
 	defer p.Span("raid", "read")()
 	a.inflight++
@@ -51,7 +43,6 @@ func (a *Array) ReadInto(p *sim.Proc, lba int64, dst []byte) error {
 		defer a.arrayLock.Release()
 	}
 	g := p.Fork()
-	exts := a.extents(lba, n)
 	for len(exts) > 0 {
 		i := 1
 		for i < len(exts) && exts[i].stripe == exts[0].stripe {
@@ -106,7 +97,7 @@ func (a *Array) chunk(buf []byte, ext extent) []byte {
 // the request buffer dst.  A device error escalates (the disk is marked
 // failed) and the extent is served over the degraded path instead — the
 // mirror copy, or the stripe's plan — so the caller still gets correct
-// bytes, or the typed data-loss error when no redundancy remains.
+// bytes, or the typed data-loss error when that lost the stripe.
 func (a *Array) readExtentInto(p *sim.Proc, ext extent, dst []byte) error {
 	role := a.dataRole(ext.pos)
 	dev := a.colDev(ext.stripe, role)
@@ -114,18 +105,18 @@ func (a *Array) readExtentInto(p *sim.Proc, ext extent, dst []byte) error {
 	if a.live(dev, ext.stripe) && a.devReadInto(p, dev, lba, a.chunk(dst, ext)) {
 		return nil
 	}
-	if err := a.errIfLost("read"); err != nil {
-		return err
+	if a.readLost(ext.stripe) {
+		return errLost(ext.stripe)
 	}
-	if a.row.mirrored {
-		a.stats.DegradedReads++
-		telemetry.MarkDegraded(p)
-		if a.live(dev^1, ext.stripe) && a.devReadInto(p, dev^1, lba, a.chunk(dst, ext)) {
-			return nil
-		}
-		return a.stripeLost("read: both members of a mirror pair lost")
+	if !a.row.mirrored {
+		return a.readStripe(p, []extent{ext}, dst)
 	}
-	return a.readStripe(p, []extent{ext}, dst)
+	a.stats.DegradedReads++
+	telemetry.MarkDegraded(p)
+	if a.devReadInto(p, dev^1, lba, a.chunk(dst, ext)) { // live, as the stripe is not lost
+		return nil
+	}
+	return errLost(ext.stripe)
 }
 
 // rows is a run of sector rows of a stripe unit, [lo, hi); a stripe's
@@ -166,7 +157,7 @@ func (a *Array) readStripe(p *sim.Proc, exts []extent, dst []byte) error {
 	defer sc.release()
 	a.stats.DegradedReads++
 	for len(exts) > 0 {
-		if err := a.errIfLost("read"); err != nil {
+		if err := v.covered(); err != nil {
 			return err
 		}
 		var err error
@@ -265,9 +256,6 @@ func (v *stripeView) readRound(p *sim.Proc, sc *scratch, exts []extent, dst []by
 func (a *Array) Write(p *sim.Proc, lba int64, data []byte) error {
 	n := a.wholeSectors(len(data))
 	a.checkRange(lba, n)
-	if err := a.errIfLost("write"); err != nil {
-		return err
-	}
 	defer p.Span("raid", "write")()
 	a.inflight++
 	defer func() { a.inflight-- }()
@@ -324,9 +312,6 @@ func (a *Array) fullStripe(exts []extent) bool {
 func (a *Array) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
 	n := a.wholeSectors(len(data))
 	a.checkRange(lba, n)
-	if err := a.errIfLost("streaming write"); err != nil {
-		return err
-	}
 	defer p.Span("raid", "write-streaming")()
 	a.inflight++
 	defer func() { a.inflight-- }()
@@ -340,11 +325,14 @@ func (a *Array) WriteStreaming(p *sim.Proc, lba int64, data []byte) error {
 func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []byte) error {
 	a.written.Add(stripe) // before the view: see "Rebuild and writes"
 	v := a.view(stripe, true)
+	if err := v.covered(); err != nil {
+		return err
+	}
 	switch {
 	case a.row.checks == 0:
-		return v.writeCopies(p, exts, data) // nothing to stream past
+		return cmp.Or(v.writeCopies(p, exts, data), v.covered()) // nothing to stream past
 	case a.fullStripe(exts):
-		return v.writeFull(p, exts, data)
+		return cmp.Or(v.writeFull(p, exts, data), v.covered())
 	}
 	a.stats.StreamingWrites++
 	k := a.dataDisks()
@@ -374,5 +362,5 @@ func (a *Array) streamStripe(p *sim.Proc, stripe int64, exts []extent, data []by
 		}
 		return nil
 	})
-	return cmp.Or(g.Wait(p), a.errIfLost("streaming write"))
+	return cmp.Or(g.Wait(p), v.covered())
 }

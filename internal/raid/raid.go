@@ -48,11 +48,14 @@ const (
 	Level6 Level = 6
 )
 
-// ErrArrayFailed is the typed data-loss error: more devices have failed
-// than the level's redundancy covers, so some logical sectors are
-// unrecoverable.  The condition is sticky — once declared, every later
-// read and write reports it rather than serving zeros for lost data.
-var ErrArrayFailed = errors.New("raid: array failed: losses exceed redundancy")
+// ErrArrayFailed is the typed data-loss error.  Loss is a fact about one
+// stripe: a stripe is lost while more of its columns are out — on a failed
+// device, or missed by a write — than its check columns cover, or at Level 1
+// while both copies of one of its columns are.  Every read or write that
+// needs a lost stripe reports it rather than serving zeros or stale bytes;
+// the other stripes keep serving, and a stripe whose columns come back is no
+// longer lost.
+var ErrArrayFailed = errors.New("raid: stripe lost: losses exceed redundancy")
 
 func (l Level) String() string { return fmt.Sprintf("RAID-%d", int(l)) }
 
@@ -161,7 +164,6 @@ type Array struct {
 	unitSecs  int
 	stripes   int64                 // number of stripes (rows)
 	failed    bitset.Set[int]       // devices marked failed
-	lost      bool                  // sticky: failures exceeded redundancy
 	stripeLk  map[int64]*sim.Server // per-stripe writer lock: writes and the rebuild serialize on it
 	arrayLock *sim.Server           // single-request discipline (serial rows)
 	rebuilds  map[int]*rebuild      // rebuilds in flight, by device index
@@ -293,12 +295,10 @@ func (a *Array) Level() Level { return a.cfg.Level }
 func (a *Array) Stats() Stats { return a.stats }
 
 // FailDisk marks device i failed: reads reconstruct from parity, writes
-// update surviving columns only.  It refuses configurations that cannot
-// survive the failure instead of corrupting later reads.  A failure beyond
-// the level's redundancy (a second concurrent failure at single-parity
-// levels, a third at Level 6, the mirror peer at Level 1) is still
-// recorded, but flips the array into the sticky failed state: later reads
-// and writes surface ErrArrayFailed instead of serving zeros.
+// update surviving columns only.  It refuses a level that cannot survive any
+// failure.  A failure beyond the level's redundancy is still recorded, and
+// the stripes it leaves short fail the reads and writes that need them
+// (ErrArrayFailed).
 func (a *Array) FailDisk(i int) error {
 	if !a.redundant() {
 		return fmt.Errorf("raid: level %d cannot survive a failure", int(a.cfg.Level))
@@ -307,32 +307,18 @@ func (a *Array) FailDisk(i int) error {
 		return fmt.Errorf("raid: no device %d in a %d-wide array", i, len(a.devs))
 	}
 	a.failed.Add(i)
-	a.noteRedundancy()
 	return nil
-}
-
-// RepairDisk clears the failed mark after reconstruction: the device holds
-// every column, its missed ones included.
-func (a *Array) RepairDisk(i int) {
-	a.failed.Remove(i)
-	a.missed[i] = bitset.Set[int64]{}
 }
 
 // ReturnDisk brings failed device i back with what it held when it failed,
 // as a server host that was down comes back with its disks: its column is
 // live again in every stripe outside its missed set, the stripes a write
-// could not reach on it, and Resync repairs those.  Since the lost columns
-// come back, the failed state is re-derived from the devices still failed;
-// a stripe still short of more columns than its check columns cover fails
-// the operations that need it, and only those.  A device with a rebuild in
-// flight is left as it is: a spare replacing it stays the replacement.
+// could not reach on it, and Resync repairs those.  A device with a rebuild
+// in flight is left as it is: a spare replacing it stays the replacement.
 func (a *Array) ReturnDisk(i int) {
-	if a.rebuilds[i] != nil {
-		return
+	if a.rebuilds[i] == nil {
+		a.failed.Remove(i)
 	}
-	a.failed.Remove(i)
-	a.lost = false
-	a.noteRedundancy()
 }
 
 // Missed returns how many stripes are in device i's missed set.
@@ -341,42 +327,41 @@ func (a *Array) Missed(i int) int { return a.missed[i].Len() }
 // redundant reports whether the level survives any failure at all.
 func (a *Array) redundant() bool { return a.row.mirrored || a.row.checks > 0 }
 
-// noteRedundancy checks the current failure set against the level's
-// redundancy — m lost columns, or one member of each mirror pair — and
-// latches the sticky array-failed state when exceeded.
-func (a *Array) noteRedundancy() {
-	if a.lost {
-		return
-	}
-	if !a.row.mirrored {
-		a.lost = a.failed.Len() > a.row.checks
-		return
-	}
-	for i := range a.failed.All() {
-		if a.failed.Has(i ^ 1) { // pairs are (0,1), (2,3), ...
-			a.lost = true
+// lost is the one loss rule (see ErrArrayFailed): it reports whether a stripe
+// whose column i is out when out(i) has lost data.  i runs over the width; it
+// may number roles or devices, since at Level 1 the two are the same and
+// elsewhere only the count matters.
+func (a *Array) lost(out func(i int) bool) bool {
+	n := 0
+	for i := range a.devs {
+		if !out(i) {
+			continue
 		}
+		if a.row.mirrored && out(i^1) { // pairs are (0,1), (2,3), ...
+			return true
+		}
+		n++
 	}
+	return !a.row.mirrored && n > a.row.checks
 }
 
-// Lost reports whether failures have exceeded the level's redundancy; the
-// state is sticky because the data under the extra failure is gone even if
-// the device later returns.
-func (a *Array) Lost() bool { return a.lost }
+// Lost reports whether the failed devices alone lose data: every stripe has
+// a column on each of them.
+func (a *Array) Lost() bool { return a.lost(a.failed.Has) }
 
-// errIfLost returns the sticky data-loss error with operation context.
-func (a *Array) errIfLost(op string) error {
-	if a.lost {
-		return fmt.Errorf("raid: %s: %w", op, ErrArrayFailed)
-	}
-	return nil
+// readLost reports whether stripe s is lost to a read.
+func (a *Array) readLost(s int64) bool {
+	return a.lost(func(dev int) bool { return !a.live(dev, s) })
 }
+
+// errLost returns the typed data-loss error for stripe s.
+func errLost(s int64) error { return fmt.Errorf("raid: stripe %d: %w", s, ErrArrayFailed) }
 
 // escalate handles an error a device returned after the controller's
 // retries were exhausted: the device is marked failed and every later
-// access takes the degraded path — or, when the level has no redundancy left
-// to flip to, reports ErrArrayFailed.  The zero-length "fault" span records
-// the escalation instant in the trace.
+// access takes the degraded path, or fails where that leaves its stripe
+// lost.  The zero-length "fault" span records the escalation instant in the
+// trace.
 func (a *Array) escalate(p *sim.Proc, i int, err error) {
 	a.stats.DeviceErrors++
 	if a.failed.Has(i) {
@@ -384,7 +369,6 @@ func (a *Array) escalate(p *sim.Proc, i int, err error) {
 	}
 	a.failed.Add(i)
 	a.stats.DiskFailures++
-	a.noteRedundancy()
 	end := p.Span("fault", fmt.Sprintf("escalate:dev%d", i))
 	end()
 }

@@ -70,10 +70,11 @@ func TestLevel6DoubleDegradedReadAllPairs(t *testing.T) {
 	}
 }
 
-// TestLevel6TripleFailureLatchesArrayFailed: a third concurrent failure
-// exceeds P+Q redundancy; reads and writes surface the typed error instead
-// of fabricating zeros, and the latch is sticky.
-func TestLevel6TripleFailureLatchesArrayFailed(t *testing.T) {
+// TestLevel6TripleFailureLosesStripes: a third concurrent failure exceeds
+// P+Q redundancy in every stripe; reads and writes surface the typed error
+// instead of fabricating zeros, and write nothing.  Once one of the three
+// devices returns, every stripe is short two columns again and reads back.
+func TestLevel6TripleFailureLosesStripes(t *testing.T) {
 	e := sim.New()
 	a, _ := newArray(t, e, 6, Level6)
 	data := patterned(40*tSec, 4)
@@ -87,7 +88,7 @@ func TestLevel6TripleFailureLatchesArrayFailed(t *testing.T) {
 			}
 		}
 		if !a.Lost() {
-			t.Fatal("three failures did not latch the array-failed state")
+			t.Fatal("three failures did not lose the array")
 		}
 		if _, err := a.Read(p, 0, 40); !errors.Is(err, ErrArrayFailed) {
 			t.Fatalf("read error = %v, want ErrArrayFailed", err)
@@ -95,11 +96,12 @@ func TestLevel6TripleFailureLatchesArrayFailed(t *testing.T) {
 		if err := a.Write(p, 0, data); !errors.Is(err, ErrArrayFailed) {
 			t.Fatalf("write error = %v, want ErrArrayFailed", err)
 		}
-		// Sticky: the data under the third failure is gone even if the
-		// device later reports healthy.
-		a.RepairDisk(4)
-		if _, err := a.Read(p, 0, 40); !errors.Is(err, ErrArrayFailed) {
-			t.Fatalf("post-repair read error = %v, want sticky ErrArrayFailed", err)
+		a.ReturnDisk(4)
+		if a.Lost() {
+			t.Fatal("two failures lose a Level 6 array")
+		}
+		if got, err := a.Read(p, 0, 40); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read after the return: wrong bytes (err %v)", err)
 		}
 	})
 }
@@ -270,7 +272,7 @@ func TestLevel5SecondFailureDuringRebuild(t *testing.T) {
 			t.Fatalf("rebuild error = %v, want ErrArrayFailed", err)
 		}
 		if !a.Lost() {
-			t.Fatal("second concurrent failure did not latch the array-failed state")
+			t.Fatal("second concurrent failure did not lose the array")
 		}
 		if _, err := a.Read(p, 0, 40); !errors.Is(err, ErrArrayFailed) {
 			t.Fatalf("read error = %v, want ErrArrayFailed", err)

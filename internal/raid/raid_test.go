@@ -114,7 +114,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 					}
 					_ = a.FailDisk(fail)
 					got, _ := a.Read(p, 0, 40)
-					a.RepairDisk(fail)
+					a.ReturnDisk(fail)
 					if !bytes.Equal(got, data) {
 						t.Errorf("degraded read wrong with disk %d failed", fail)
 					}
@@ -295,10 +295,10 @@ func TestLevel5SpreadsDataAcrossAllDisks(t *testing.T) {
 	}
 }
 
-// TestDoubleFailureLatchesArrayFailed: a solve that finds more columns lost
-// than the level has check columns returns the typed error and latches the
-// array-failed state — it neither panics nor fabricates a column.
-func TestDoubleFailureLatchesArrayFailed(t *testing.T) {
+// TestDoubleFailureSolveFails: a solve that finds more columns lost than the
+// level has check columns returns the typed error — it neither panics nor
+// fabricates a column — and two failed devices lose a Level 5 array.
+func TestDoubleFailureSolveFails(t *testing.T) {
 	e := sim.New()
 	a, _ := newArray(t, e, 5, Level5)
 	_ = a.FailDisk(0)
@@ -311,7 +311,7 @@ func TestDoubleFailureLatchesArrayFailed(t *testing.T) {
 		}
 	})
 	if !a.Lost() {
-		t.Fatal("double failure did not latch the array-failed state")
+		t.Fatal("double failure did not lose the array")
 	}
 }
 

@@ -144,9 +144,6 @@ func (a *Array) onDevice(rb *rebuild, devIdx int) bool {
 // reconstruct runs the registered rebuild rb of device devIdx.
 func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error) {
 	defer delete(a.rebuilds, devIdx)
-	if err := a.errIfLost("reconstruct"); err != nil {
-		return 0, err
-	}
 	// Read a window of stripes concurrently: the reads fan out over all
 	// surviving disks, so pipelining stripes keeps every spindle busy
 	// instead of paying per-stripe latency serially.  The same width bounds
@@ -174,9 +171,11 @@ func (a *Array) reconstruct(p *sim.Proc, devIdx int, rb *rebuild) (int64, error)
 		rb.next = a.stripes
 	}
 	g.Wait(p) //lint:allow errdrop a stripe's failure fails the rebuild, in rb.err
+	// The swap-in: the spare holds every column, its missed ones included.
 	if rb.err == nil && !a.onDevice(rb, devIdx) {
 		a.devs[devIdx] = rb.spare
-		a.RepairDisk(devIdx)
+		a.failed.Remove(devIdx)
+		a.missed[devIdx] = bitset.Set[int64]{}
 	}
 	return rb.landed, rb.err
 }
@@ -221,19 +220,20 @@ func (a *Array) rebuildStripe(p *sim.Proc, rb *rebuild, reads *sim.Server, devId
 }
 
 // solveColumn reads device devIdx's column of stripe s into col: the
-// surviving mirror member holds it at Level 1, the solve produces it
-// everywhere else.
+// mirror holds it at Level 1, the solve produces it everywhere else.  A lost
+// stripe fails, before any read or once a read loses it.
 func (a *Array) solveColumn(p *sim.Proc, devIdx int, s int64, col []byte) error {
 	defer p.Span("raid", "rebuild-stripe")()
+	v := a.view(s, false)
+	if err := v.covered(); err != nil {
+		return err
+	}
+	if a.row.mirrored {
+		v.read(p, devIdx^1, 0, col) // live, as devIdx's column is out; a failed read loses it
+		return v.covered()
+	}
 	sc := a.newScratch()
 	defer sc.release()
-	v := a.view(s, false)
-	if a.row.mirrored {
-		if peer := devIdx ^ 1; v.lost(peer) || !v.read(p, peer, 0, col) {
-			return fmt.Errorf("raid: rebuild source device %d failed", peer)
-		}
-		return nil
-	}
 	_, err := v.readSolve(p, sc, 0, len(col), a.Role(s, devIdx), col)
 	return err
 }

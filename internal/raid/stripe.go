@@ -62,19 +62,13 @@ func (a *Array) view(stripe int64, forWrite bool) *stripeView {
 // lost reports whether a role's column is unavailable to this operation.
 func (v *stripeView) lost(role int) bool { return v.cols[role].on == nil }
 
-// covered returns the typed data-loss error when more of the stripe's
-// columns are lost to this operation than its check columns cover.
+// covered returns the typed data-loss error when the columns lost to this
+// operation lose the stripe.
 func (v *stripeView) covered() error {
-	n := 0
-	for _, c := range v.cols {
-		if c.on == nil {
-			n++
-		}
+	if v.a.lost(v.lost) {
+		return errLost(v.stripe)
 	}
-	if v.a.row.mirrored || n <= v.a.row.checks {
-		return nil
-	}
-	return v.a.stripeLost("write: more columns lost than the level's check columns cover")
+	return nil
 }
 
 // reclaim makes live again, to a write of every column in full, each column
@@ -197,7 +191,7 @@ func nonNil(cols [][]byte) [][]byte {
 // order.  want names the one column the caller is after — a data column, P
 // or Q — which is solved straight into dst; want < 0 asks for the data
 // columns, and then every data column is present.  More than m lost columns is
-// unrecoverable and latches the array-failed state.  A degraded read runs
+// unrecoverable: the stripe is lost.  A degraded read runs
 // the same plan with the request's own rows riding on the survivor reads
 // (readStripe).
 func (v *stripeView) readSolve(p *sim.Proc, sc *scratch, secOff int64, n int, want int, dst []byte) ([][]byte, error) {
@@ -302,14 +296,8 @@ func (pl *solvePlan) land(p *sim.Proc, role int, col []byte) {
 // what survived.
 func (pl *solvePlan) finish(p *sim.Proc) error {
 	a := pl.v.a
-	lost := 0
-	for _, c := range pl.cols {
-		if c == nil {
-			lost++
-		}
-	}
-	if lost > a.row.checks {
-		return a.stripeLost("reconstruct: more columns lost than the level's check columns cover")
+	if a.lost(func(role int) bool { return pl.cols[role] == nil }) {
+		return errLost(pl.v.stripe)
 	}
 	if pl.acc == nil || pl.short {
 		a.solve(p, pl.sc, pl.cols, pl.n, pl.want, pl.dst)
@@ -475,7 +463,7 @@ func (v *stripeView) writeCopies(p *sim.Proc, exts []extent, data []byte) error 
 			v.goWrite(g, "w", role+1, int64(ext.secOff), a.chunk(data, ext))
 		}
 	}
-	return cmp.Or(g.Wait(p), a.errIfLost("write"))
+	return g.Wait(p)
 }
 
 // writeFull computes the check columns from the new data alone and writes all
@@ -516,7 +504,7 @@ func (v *stripeView) writeFull(p *sim.Proc, exts []extent, data []byte) error {
 			return nil
 		})
 	}
-	return cmp.Or(g.Wait(p), a.errIfLost("write"))
+	return g.Wait(p)
 }
 
 // writeReconstruct handles a partial-stripe write by rebuilding the stripe's
@@ -593,7 +581,7 @@ func (v *stripeView) writeReconstruct(p *sim.Proc, exts []extent, data []byte) e
 	for j, check := range checks {
 		v.goWrite(wg, "rw-check", k+j, 0, check)
 	}
-	return cmp.Or(wg.Wait(p), a.errIfLost("write"))
+	return wg.Wait(p)
 }
 
 // writeRMW performs one combined read-modify-write for all extents of a
@@ -678,5 +666,5 @@ func (v *stripeView) writeRMW(p *sim.Proc, exts []extent, data []byte) error {
 			v.miss(k + j) // lost before the reads or by one
 		}
 	}
-	return cmp.Or(wg.Wait(p), a.errIfLost("write"))
+	return wg.Wait(p)
 }

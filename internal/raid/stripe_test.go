@@ -104,7 +104,7 @@ func stripeCodeProperty(t *testing.T, level Level, width int, failed []int) {
 		}
 		checkAll(p, "degraded read-back")
 		if a.Lost() {
-			t.Fatal("failures within redundancy latched the array-failed state")
+			t.Fatal("failures within redundancy lost the array")
 		}
 
 		for _, d := range failed {

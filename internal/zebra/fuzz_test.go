@@ -17,8 +17,8 @@ import (
 // holding stale fragments), or for a rebuild, when its own server is down
 // or another one is unhealthy.  A failed write leaves the bytes it covered
 // unknown; every other byte must read back as last written.  The file's
-// array latches failed only while two servers are down: a stripe short of
-// two fragments because one server missed it fails by itself.
+// array is lost only while two servers are down: a stripe short of two
+// fragments because one server missed it fails by itself.
 func FuzzStripedStore(f *testing.F) {
 	f.Add([]byte{0, 0, 0xff, 0xff, 1, 0, 0, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0x80, 0, 2, 1, 0, 1, 0x40, 0, 3, 1, 4, 1, 1, 0, 0, 0xff, 0xff})
@@ -50,7 +50,7 @@ func FuzzStripedStore(f *testing.F) {
 					t.Fatal(err)
 				}
 				if down := m.down(); f.a.Lost() && down < 2 {
-					t.Fatalf("array latched failed with %d servers down", down)
+					t.Fatalf("array lost with %d servers down", down)
 				}
 			}
 		})
