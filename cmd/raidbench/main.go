@@ -5,9 +5,10 @@
 // Usage:
 //
 //	raidbench [-trace out.json] [-util] [-json out.json] [-metrics out.prom]
-//	          [-metrics-json out.json] [-faults] [-list] [experiment ...]
+//	          [-metrics-json out.json] [-list] [experiment ...]
 //
-// With no arguments every experiment runs.  Experiments: fig5, table1,
+// With no arguments every experiment runs; an unknown name runs nothing,
+// lists the known experiments and exits 2.  Experiments: fig5, table1,
 // table2, fig6, fig7, fig8, raid1, client, recovery, scaling, fleet,
 // rebuild, faults, netfaults, fileserver, cache, smallwrite, doublefault,
 // ablate.
@@ -29,7 +30,6 @@
 // Prometheus text exposition file, each series labeled run="<label>";
 // -metrics-json writes the same registries as versioned JSON, gauge
 // time series included.
-// -faults is shorthand for naming the "faults" experiment.
 //
 // All outputs use simulated timestamps and deterministic values only and
 // are byte-identical across runs of the same binary.
@@ -38,9 +38,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"raidii"
@@ -79,7 +81,6 @@ const (
 func main() {
 	traceOut := flag.String("trace", "", "write all runs as Chrome trace_event JSON to this file")
 	util := flag.Bool("util", false, "print per-component utilization tables after each experiment")
-	faults := flag.Bool("faults", false, "shorthand for the fault-injection experiment (same as naming \"faults\")")
 	jsonOut := flag.String("json", "", "write machine-readable results to this file")
 	metricsOut := flag.String("metrics", "", "write per-run telemetry as Prometheus text to this file")
 	metricsJSONOut := flag.String("metrics-json", "", "write per-run telemetry as versioned JSON to this file")
@@ -189,18 +190,11 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	for _, a := range flag.Args() {
-		want[a] = true
+	selected, code := selectExperiments(experiments, flag.Args(), os.Stderr)
+	if code != 0 {
+		os.Exit(code)
 	}
-	if *faults {
-		want["faults"] = true
-	}
-	ran := 0
-	for _, ex := range experiments {
-		if len(want) > 0 && !want[ex.name] {
-			continue
-		}
+	for _, ex := range selected {
 		fmt.Printf("==> %s: %s\n", ex.name, ex.desc)
 		elapsed := wallElapsed()
 		mark := len(recs)
@@ -223,14 +217,6 @@ func main() {
 		sec := elapsed().Seconds()
 		jsonElapsed(sec, events)
 		fmt.Printf("    (%d events, %.1fs host time)\n\n", events, sec)
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "no matching experiments; known:")
-		for _, ex := range experiments {
-			fmt.Fprintf(os.Stderr, "  %-10s %s\n", ex.name, ex.desc)
-		}
-		os.Exit(2)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -596,4 +582,30 @@ func printAblation(a raidii.AblationResult) {
 		a.Name, a.With, a.Without, a.Unit, a.Comment)
 	jsonPoint(a.Name+"/with", 0, a.Unit, a.With)
 	jsonPoint(a.Name+"/without", 0, a.Unit, a.Without)
+}
+
+// selectExperiments returns the experiments names asks for, in registry
+// order, or every one for no names, and exit status 0.  An unknown name
+// fails the whole selection: it is reported to w with the known
+// experiments, and the status is 2.
+func selectExperiments(all []experiment, names []string, w io.Writer) ([]experiment, int) {
+	if len(names) == 0 {
+		return all, 0
+	}
+	for _, n := range names {
+		if !slices.ContainsFunc(all, func(ex experiment) bool { return ex.name == n }) {
+			fmt.Fprintf(w, "unknown experiment %q; known:\n", n)
+			for _, ex := range all {
+				fmt.Fprintf(w, "  %-10s %s\n", ex.name, ex.desc)
+			}
+			return nil, 2
+		}
+	}
+	var selected []experiment
+	for _, ex := range all {
+		if slices.Contains(names, ex.name) {
+			selected = append(selected, ex)
+		}
+	}
+	return selected, 0
 }

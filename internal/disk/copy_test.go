@@ -13,11 +13,13 @@ import (
 
 // TestOffloadedCopiesKeepIssueOrder mixes page-size and smaller writes and
 // reads over overlapping sectors of one drive, one process per command, all
-// queued on the actuator at once; reads cross a slow path, so a read's copy
-// is still pending while the commands after it are granted.  The actuator
+// queued on the actuator at once; reads cross a slow path, so a read is
+// still delivering while the commands after it are granted.  The actuator
 // is FIFO, so command i is granted i-th, and each read must return what a
-// flat byte slice holds after the writes granted before it.  One P makes
-// every join take its copy back; four let the worker run beside the engine.
+// flat byte slice holds after the writes granted before it.  At every grant
+// each earlier read's buffer already holds its bytes: no earlier command's
+// copy is still queued.  One P makes every join take its copy back; four
+// let the worker run beside the engine.
 func TestOffloadedCopiesKeepIssueOrder(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -54,6 +56,15 @@ func TestOffloadedCopiesKeepIssueOrder(t *testing.T) {
 				}
 				cmds = append(cmds, c)
 			}
+			granted := 0
+			e.SetTracer(grantCheck{"d0:actuator", func() {
+				for i, c := range cmds[:granted] {
+					if !c.write && !bytes.Equal(c.got, c.want) {
+						t.Errorf("command %d is granted while read %d's copy is still queued", granted, i)
+					}
+				}
+				granted++
+			}})
 			slow := sim.Path{sim.NewLink(e, "bus", 2, 0)}
 			for i, c := range cmds {
 				e.Spawn("cmd", func(p *sim.Proc) {
@@ -79,6 +90,24 @@ func TestOffloadedCopiesKeepIssueOrder(t *testing.T) {
 				t.Error("the drive's contents differ from the oracle after every command")
 			}
 		})
+	}
+}
+
+// grantCheck is a sim.Tracer that calls check at each grant of resource name.
+type grantCheck struct {
+	name  string
+	check func()
+}
+
+func (grantCheck) ProcStart(*sim.Proc)                      {}
+func (grantCheck) ProcFinish(*sim.Proc)                     {}
+func (grantCheck) ResourceCreate(string, int)               {}
+func (grantCheck) ResourceWait(string, *sim.Proc, int)      {}
+func (grantCheck) ResourceRelease(string, int)              {}
+func (grantCheck) Span(*sim.Proc, string, string, sim.Time) {}
+func (g grantCheck) ResourceAcquire(name string, _ *sim.Proc, _ int, _ sim.Duration, _ bool) {
+	if name == g.name {
+		g.check()
 	}
 }
 
@@ -143,7 +172,7 @@ func TestDiskCopyAllocs(t *testing.T) {
 				p.WaitUntil(p.Now() + period - p.Now()%period)
 			}
 		})
-		e.RunUntil(3 * period) // warm: pages, the copy queue, process shells
+		e.RunUntil(3 * period) // warm: pages, process shells
 		next := e.Now()
 		allocs := testing.AllocsPerRun(50, func() {
 			next += period
@@ -159,10 +188,13 @@ func TestDiskCopyAllocs(t *testing.T) {
 	buf := make([]byte, 2*pageBytes)
 	ps.WriteAt(buf, 0) // zeros: no page materializes
 	buf[0] = 1
-	ps.finish(ps.start(buf, 0, true))
+	ps.start(buf, 0, true)
+	ps.join()
 	if n := testing.AllocsPerRun(50, func() {
-		ps.finish(ps.start(buf, pageBytes, true))
-		ps.finish(ps.start(buf, 0, false))
+		ps.start(buf, pageBytes, true)
+		ps.join()
+		ps.start(buf, 0, false)
+		ps.join()
 	}); n != 0 {
 		t.Errorf("a warm offloaded write and read allocate %v objects, want 0", n)
 	}
@@ -170,7 +202,7 @@ func TestDiskCopyAllocs(t *testing.T) {
 
 // TestShutdownLeavesNoCopyWorker shuts an engine down while a write's
 // offloaded copy is in flight: the process that started it never joins it,
-// yet the copy runs and its worker exits once the drive's queue has drained.
+// yet the copy runs and its worker exits.
 func TestShutdownLeavesNoCopyWorker(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := sim.New()
@@ -184,12 +216,6 @@ func TestShutdownLeavesNoCopyWorker(t *testing.T) {
 		t.Error("the write completed before Shutdown")
 	})
 	e.RunUntil(sim.Time(10 * time.Millisecond))
-	d.store.mu.Lock()
-	started := d.store.started
-	d.store.mu.Unlock()
-	if started != 1 {
-		t.Fatalf("copies started before Shutdown = %d, want 1", started)
-	}
 	e.Shutdown()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {

@@ -234,7 +234,8 @@ func (d *Disk) Read(p *sim.Proc, lba int64, n int, path sim.Path) ([]byte, error
 // behind this read, even one that completes during its delivery tail, does
 // not reach them.  dst belongs to the drive, like a DMA buffer, from the
 // call until it returns; a copy of a page or more fills it beside the
-// engine meanwhile (pagestore), so the caller must not touch dst until then.
+// engine while the media streams, and is joined before the actuator passes
+// on (pagestore), so the caller must not touch dst until then.
 // A failed drive returns fault.ErrDiskFailed after its command overhead; a
 // read covering an armed latent error positions, streams up to the bad
 // sector, and returns fault.ErrMedium, leaving dst alone.
@@ -252,7 +253,7 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 		return err
 	}
 	d.actuator.Acquire(p, int64(d.cylOf(lba)))
-	ticket := d.store.start(dst, lba*int64(d.spec.SectorSize), false)
+	d.store.start(dst, lba*int64(d.spec.SectorSize), false)
 	hit := d.seqHit(lba)
 	d.position(p, lba, hit)
 
@@ -282,9 +283,9 @@ func (d *Disk) ReadInto(p *sim.Proc, lba int64, dst []byte, path sim.Path) error
 	d.seqNext = lba + int64(n)
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(n * d.spec.SectorSize)
+	d.store.join()
 	d.actuator.Release()
 	j.Wait(p) // for the last chunk delivered downstream
-	d.store.finish(ticket)
 	return nil
 }
 
@@ -315,7 +316,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	}
 	d.flt.latent.Clear(lba, n)
 	d.actuator.Acquire(p, int64(d.cylOf(lba)))
-	ticket := d.store.start(data, lba*int64(d.spec.SectorSize), true)
+	d.store.start(data, lba*int64(d.spec.SectorSize), true)
 
 	// Position while the first chunks are in flight on the bus.
 	m := &d.media
@@ -334,7 +335,7 @@ func (d *Disk) Write(p *sim.Proc, lba int64, data []byte, path sim.Path) error {
 	d.seqNext = -1 // writing invalidates the read-ahead window
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(len(data))
-	d.store.finish(ticket)
+	d.store.join()
 	d.actuator.Release()
 	return nil
 }
@@ -372,8 +373,8 @@ func (d *Disk) eachChunk(lba int64, n int, fn func(lba int64, secs, bytes int)) 
 }
 
 // ReadData returns sector contents without charging any simulated time,
-// once every command's copy started so far has run.  It exists for
-// verification in tests and for metadata bootstrapping.
+// once the copy in flight has run.  It exists for verification in tests
+// and for metadata bootstrapping.
 func (d *Disk) ReadData(lba int64, n int) []byte {
 	d.checkRange(lba, n)
 	buf := make([]byte, n*d.spec.SectorSize)
@@ -382,7 +383,7 @@ func (d *Disk) ReadData(lba int64, n int) []byte {
 }
 
 // WriteData stores sector contents without charging any simulated time,
-// after every command's copy started so far.
+// after the copy in flight.
 func (d *Disk) WriteData(lba int64, data []byte) {
 	d.checkRange(lba, d.wholeSectors(len(data)))
 	d.store.WriteAt(data, lba*int64(d.spec.SectorSize))

@@ -524,18 +524,30 @@ func stripedFile(tb testing.TB, stripes int) (*server.Fleet, *Store, []byte) {
 
 // allocPerByte runs prepare and then op twice in one process — the first
 // pass warms caches, process shells and the store's free list — and
-// returns what the second op allocated per byte of n.
+// returns what the second op allocated per byte of n.  Each reading first
+// joins every drive's copy in flight, which would otherwise materialize
+// its pages on either side of the reading as the host schedules it.
 func allocPerByte(t *testing.T, fl *server.Fleet, n int, prepare, op func(p *sim.Proc) error) float64 {
 	t.Helper()
 	var before, after runtime.MemStats
+	readMemStats := func(m *runtime.MemStats) {
+		for _, sys := range fl.Servers {
+			for _, b := range sys.Boards {
+				for _, d := range b.Disks {
+					d.Drive.ReadData(0, 1) // a zero-time read joins the drive's copy
+				}
+			}
+		}
+		runtime.ReadMemStats(m)
+	}
 	fl.Eng.Spawn("measure", func(p *sim.Proc) {
 		for pass := 0; pass < 2; pass++ {
 			if err := prepare(p); err != nil {
 				t.Fatal(err)
 			}
-			runtime.ReadMemStats(&before)
+			readMemStats(&before)
 			err := op(p)
-			runtime.ReadMemStats(&after)
+			readMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
