@@ -12,10 +12,10 @@ import (
 )
 
 // Per-request telemetry export.  -metrics attaches a telemetry registry
-// (and a gauge sampler) to every engine the experiments construct and
-// writes one Prometheus text exposition section per run, each series
-// carrying a run="<label>" label.  -metrics-json writes the same data as
-// versioned JSON, sampler time series included.  Both outputs use
+// (and starts its in-flight gauge series) on every engine the experiments
+// construct and writes one Prometheus text exposition section per run,
+// each series carrying a run="<label>" label.  -metrics-json writes the
+// same data as versioned JSON, the gauge's time series included.  Both outputs use
 // simulated time only and are byte-identical across runs; the metrics pin
 // and determinism tests rely on that.
 

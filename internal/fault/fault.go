@@ -293,20 +293,6 @@ func (pl Plan) ServerUpAt(at time.Duration, srv int) Plan {
 	return pl
 }
 
-// OnServer returns a copy of the plan with every event retargeted at
-// server host srv, so a board-scoped plan written for a single server
-// composes into a fleet-wide script:
-//
-//	fleetPlan := boardPlan.OnServer(2)
-func (pl Plan) OnServer(srv int) Plan {
-	events := make([]Event, len(pl.Events))
-	copy(events, pl.Events)
-	for i := range events {
-		events[i].Server = srv
-	}
-	return Plan{Events: events}
-}
-
 // Empty reports whether the plan schedules nothing.
 func (pl Plan) Empty() bool { return len(pl.Events) == 0 }
 

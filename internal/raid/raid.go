@@ -110,13 +110,7 @@ func (SoftXOR) XORTo(_ *sim.Proc, dst []byte, srcs ...[]byte) {
 }
 
 // XORInto accumulates src into dst.
-func (SoftXOR) XORInto(_ *sim.Proc, dst, src []byte) {
-	if len(dst) != len(src) {
-		//lint:allow simpanic stripe geometry guarantees equal-length columns; unequal lengths mean a corrupted extent computation
-		panic("raid: XORInto length mismatch")
-	}
-	bytepath.XOR(dst, src)
-}
+func (SoftXOR) XORInto(_ *sim.Proc, dst, src []byte) { bytepath.XOR(dst, src) }
 
 // Fold accumulates src into acc.
 func (SoftXOR) Fold(p *sim.Proc, acc, src []byte) { SoftXOR{}.XORInto(p, acc, src) }

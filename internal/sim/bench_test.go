@@ -11,8 +11,8 @@ import (
 // machine-dependent); DESIGN.md §15 describes what they measure.
 //
 // Each benchmark drives whole engine runs so the numbers include everything a
-// real simulation pays per event: queue push/pop, sampler checks, and the
-// process-resumption protocol.
+// real simulation pays per event: queue push/pop and the process-resumption
+// protocol.
 
 // BenchmarkEngineTimerWheel measures pure timer traffic: procs processes,
 // each re-scheduling itself every simulated millisecond.  One iteration is

@@ -14,8 +14,8 @@ import (
 // change hands between simulated processes — equal-timestamp timers, a
 // contended Server handing its slot over on Release, n-unit waiters admitted
 // out of a shared pool, an Event waking several waiters, Group.Go/Wait, a
-// one-slot pipeline handing off through an Event, spawn inside spawn, a recycled shell receiving a stale
-// wake-up, Step interleaved with RunUntil, sampler boundaries between events —
+// one-slot pipeline handing off through an Event, spawn inside spawn, a
+// recycled shell receiving a stale wake-up, Step interleaved with RunUntil —
 // and logs, through the Tracer hooks, which process ran at which simulated
 // time.  The log must equal testdata/dispatch_pin.txt, which was recorded
 // from the channel-rendezvous engine before the transport under park and
@@ -68,7 +68,6 @@ func dispatchScene(t *testing.T) []string {
 	log := &pinTracer{e: e}
 	e.SetTracer(log)
 	note := func(format string, args ...any) { log.add(nil, format, args...) }
-	e.AddSampler(250*us, func(at Time) { note("sample %d", int64(at)) })
 
 	// Equal-timestamp timers: FIFO by scheduling order at every tick.
 	for i := 0; i < 3; i++ {

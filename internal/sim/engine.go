@@ -38,7 +38,7 @@ import (
 type Time int64
 
 // maxTime is the largest representable simulated time; Run uses it as its
-// deadline, and it stands in for "no pending sampler boundary".
+// deadline.
 const maxTime = Time(1<<62 - 1)
 
 // Duration re-exports time.Duration for convenience so that model code can
@@ -86,8 +86,6 @@ type Engine struct {
 	running  bool
 	deadline Time
 
-	nextSample Time // earliest pending sampler boundary; maxTime when none
-
 	idle   []*Proc // finished process shells awaiting reuse
 	shells []*Proc // every shell, in creation order, for Shutdown
 
@@ -99,13 +97,12 @@ type Engine struct {
 	resources []resourceInfo // one per constructed resource name, for tracer replay
 	resIdx    map[string]int // each name's place in resources
 
-	meter    any          // opaque metrics registry slot; see meter.go
-	samplers []samplerReg // fixed-interval sample callbacks; see meter.go
+	meter any // opaque metrics registry slot; see meter.go
 }
 
 // New creates an empty simulation engine at time zero.
 func New() *Engine {
-	return &Engine{nextSample: maxTime}
+	return &Engine{}
 }
 
 // Now reports the current simulated time.
@@ -144,15 +141,12 @@ func (e *Engine) push(at Time, p *Proc, wake uint64) {
 	e.events.push(event{at: at, seq: e.seq, proc: p, wake: wake})
 }
 
-// consumeHead removes the earliest pending event and advances the clock to
-// it, firing due samplers first.  Every event leaves the queue through this
-// helper — from fireNext or from the park fast path — so queue behaviour,
-// sampler boundaries and the executed count stay consistent by construction.
+// consumeHead removes the earliest pending event, advances the clock to it
+// and counts it.  Every event leaves the queue through this helper — from
+// fireNext or from the park fast path — so queue behaviour and the executed
+// count stay consistent by construction.
 func (e *Engine) consumeHead() event {
 	ev := e.events.pop()
-	if e.nextSample <= ev.at {
-		e.fireSamplers(ev.at)
-	}
 	e.now = ev.at
 	e.executed++
 	return ev
@@ -181,8 +175,8 @@ func (e *Engine) fireNext(deadline Time) bool {
 func (e *Engine) Run() Time { return e.RunUntil(maxTime) }
 
 // RunUntil executes events with timestamps <= deadline and returns the
-// simulated time of the last event executed (or deadline if the event queue
-// drained earlier than the deadline and the engine advanced past it).
+// simulated time of the last event executed.  The clock never moves past
+// that event: a queue that drains before deadline leaves it there.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if e.stopped {
 		//lint:allow simpanic running a shut-down engine is harness misuse, caught at development time
@@ -385,11 +379,10 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Fast path: when the next runnable event is this process's own wake-up —
 // the head of the queue, within the engine's current run deadline — the
 // process consumes it directly and keeps running instead of switching to
-// the engine and back.  This fires identical events in identical
-// order with identical sampler boundaries (consumeHead is shared with the
-// scheduler loop), so it is invisible to tracers, samplers and the
-// simulation itself; it merely skips parking a coroutine to immediately
-// resume it.  Only a running process can have scheduled its own next
+// the engine and back.  This fires identical events in identical order
+// (consumeHead is shared with the scheduler loop), so it is invisible to
+// tracers and the simulation itself; it merely skips parking a coroutine to
+// immediately resume it.  Only a running process can have scheduled its own next
 // wake-up, so a head event owned by p is necessarily that wake-up.
 func (p *Proc) park() {
 	e := p.eng

@@ -2,7 +2,7 @@ package sim
 
 // This file defines the engine's metrics attachment points, the second half
 // of the observability surface next to the Tracer hooks in trace.go.  The
-// engine knows nothing about metric types; it offers three primitives that
+// engine knows nothing about metric types; it offers two primitives that
 // internal/telemetry builds on:
 //
 //   - a single opaque "meter" slot on the engine, where a metrics registry
@@ -10,20 +10,10 @@ package sim
 //     p.Engine() without threading a registry through every signature;
 //   - a single annotation slot on each Proc, where a request-scoped context
 //     rides along as the request flows client -> net -> admission -> lfs ->
-//     cache -> raid -> scsi -> disk, and hears of every span the process closes;
-//   - fixed-interval sampler callbacks, fired passively from the event loop
-//     whenever simulated time crosses an interval boundary.
+//     cache -> raid -> scsi -> disk, and hears of every span the process closes.
 //
-// Samplers never schedule events, so an engine with samplers registered
-// still drains its queue and Run still terminates: the callbacks observe
-// the simulation, they never perturb it (the same contract as Tracer).
-
-// samplerReg is one registered fixed-interval sampler callback.
-type samplerReg struct {
-	interval Duration
-	next     Time
-	fn       func(at Time)
-}
+// Neither schedules events: like a Tracer, metrics observe the simulation
+// and never perturb it.
 
 // SetMeter parks an opaque metrics sink on the engine (nil detaches).  The
 // engine never touches the value; internal/telemetry stores its Registry
@@ -32,50 +22,6 @@ func (e *Engine) SetMeter(m any) { e.meter = m }
 
 // Meter returns the value last passed to SetMeter, or nil.
 func (e *Engine) Meter() any { return e.meter }
-
-// AddSampler registers fn to be invoked at every multiple of interval in
-// simulated time, starting at the first boundary after the current time.
-// Callbacks fire from the event loop just before the event that first
-// reaches or passes each boundary is dispatched, so fn observes the state
-// as of strictly earlier events.  fn must not call back into the engine
-// (schedule events, spawn processes, advance time); like a Tracer it may
-// only read.  A non-positive interval registers nothing.
-func (e *Engine) AddSampler(interval Duration, fn func(at Time)) {
-	if interval <= 0 || fn == nil {
-		return
-	}
-	first := e.now.Add(interval)
-	first -= Time(int64(first) % int64(interval))
-	if first <= e.now {
-		first = first.Add(interval)
-	}
-	e.samplers = append(e.samplers, samplerReg{interval: interval, next: first, fn: fn})
-	if first < e.nextSample {
-		e.nextSample = first
-	}
-}
-
-// fireSamplers invokes every registered sampler for each of its interval
-// boundaries up to and including upTo, in registration order.  Boundary
-// times are pure functions of the interval, so identical runs fire
-// identical sample sequences.  It refreshes e.nextSample — the earliest
-// boundary still pending — so the event loop's per-event sampler check is
-// one comparison instead of a walk over the sampler list.
-func (e *Engine) fireSamplers(upTo Time) {
-	next := maxTime
-	for i := range e.samplers {
-		s := &e.samplers[i]
-		for s.next <= upTo {
-			at := s.next
-			s.next = at.Add(s.interval)
-			s.fn(at)
-		}
-		if s.next < next {
-			next = s.next
-		}
-	}
-	e.nextSample = next
-}
 
 // SpanScope is a per-process annotation.  The engine asks two things of it:
 // it is told of every span the process closes, which is how a Proc.Span

@@ -204,8 +204,9 @@ type JSONExport struct {
 
 // Export builds the registry's JSON document.  The run is the document's
 // label, not a label of its series.  The sampled in-flight gauge is the one
-// time series.
+// time series; its points run to the last boundary at or before now.
 func Export(r *Registry, opts ExportOptions) JSONExport {
+	r.sample(r.eng.Now())
 	out := JSONExport{
 		Schema:     JSONSchema,
 		Label:      opts.Run,

@@ -1,6 +1,10 @@
 package telemetry
 
-import "raidii/internal/sim"
+import (
+	"math"
+
+	"raidii/internal/sim"
+)
 
 // kindStats is the fixed record one request kind accumulates: End folds
 // each request of the kind into it, and Summary and both exporters read it.
@@ -16,7 +20,7 @@ type kindStats struct {
 // model code reaches it through From(p.Engine()), and every instrumentation
 // helper is nil-safe, so instrumentation never fails.  All methods must be
 // called under the engine's single-threaded discipline (from simulated
-// processes, sampler callbacks, or between runs).
+// processes or between runs).
 type Registry struct {
 	eng      *sim.Engine
 	kinds    map[string]*kindStats // a kind appears at its first End
@@ -46,28 +50,43 @@ func From(e *sim.Engine) *Registry {
 	return r
 }
 
-// Sampler records the in-flight gauge at a fixed simulated interval.  It is
-// driven passively by the engine's sampler hook (sim.Engine.AddSampler):
-// ticks fire from the event loop when simulated time crosses an interval
-// boundary, never by scheduling events, so sampling cannot perturb the run
-// and the engine still drains normally.
+// Sampler records the in-flight gauge at every multiple of a fixed simulated
+// interval.  The gauge changes only in Begin and End, so the registry takes
+// the points itself: before each change, and at export, it records every
+// boundary passed since the last point at the value the gauge held.  A point
+// at boundary b is thus the value before any change at b.  Sampling
+// schedules nothing, so it cannot perturb the run.
 type Sampler struct {
 	interval sim.Duration
-	points   []JSONPoint // one per tick since the first request began
+	next     sim.Time    // the first boundary not yet passed
+	points   []JSONPoint // one per boundary since the first request began
 }
 
 // StartSampler creates (or returns the already-running) sampler ticking
-// every interval of simulated time.  The first call fixes the interval;
-// later calls return the same sampler regardless of the argument.
+// every interval of simulated time, from the first boundary after now.  The
+// first call fixes the interval; later calls return the same sampler
+// regardless of the argument.  A non-positive interval records nothing.
 func (r *Registry) StartSampler(interval sim.Duration) *Sampler {
 	if r.sampler == nil {
-		s := &Sampler{interval: interval}
+		s := &Sampler{interval: interval, next: math.MaxInt64}
+		if t := sim.Time(interval); t > 0 {
+			s.next = (r.eng.Now()/t + 1) * t
+		}
 		r.sampler = s
-		r.eng.AddSampler(interval, func(at sim.Time) {
-			if r.begun {
-				s.points = append(s.points, JSONPoint{AtNs: int64(at), Value: float64(r.inflight)})
-			}
-		})
 	}
 	return r.sampler
+}
+
+// sample passes every boundary up to now, recording the gauge at each once a
+// request has begun (before then the gauge does not exist).
+func (r *Registry) sample(now sim.Time) {
+	s := r.sampler
+	if s == nil {
+		return
+	}
+	for ; s.next <= now; s.next = s.next.Add(s.interval) {
+		if r.begun {
+			s.points = append(s.points, JSONPoint{AtNs: int64(s.next), Value: float64(r.inflight)})
+		}
+	}
 }

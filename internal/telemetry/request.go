@@ -125,6 +125,7 @@ func Begin(p *sim.Proc, kind string) *Request {
 	}
 	r := &Request{reg: reg, kind: kind, start: p.Now()}
 	p.SetMeterContext(&scope{req: r, p: p, since: p.Now()})
+	reg.sample(p.Now())
 	reg.inflight++
 	reg.begun = true
 	return r
@@ -212,6 +213,7 @@ func (r *Request) End(p *sim.Proc, err error) {
 		p.SetMeterContext(nil)
 	}
 	reg := r.reg
+	reg.sample(p.Now())
 	reg.inflight--
 	s := reg.kinds[r.kind]
 	if s == nil {

@@ -18,8 +18,8 @@
 //
 // Every timestamp and duration the package records is simulated time; the
 // registry is only mutated from inside simulated processes (single-threaded
-// by the engine) and sampler callbacks (fired from the event loop); and the
-// exporters visit kinds and stages sorted by name, never in raw map order.
+// by the engine) or between runs; and the exporters visit kinds and stages
+// sorted by name, never in raw map order.
 // Identical runs therefore produce byte-identical exports, and CI enforces
 // exactly that (see metrics_pin_test.go and metrics_determinism_test.go at
 // the repo root, and DESIGN.md §13).

@@ -456,6 +456,109 @@ func TestSamplerRecordsGauges(t *testing.T) {
 	}
 }
 
+// TestSamplerBoundaries pins the rule for what a point holds: the point at
+// boundary b is the gauge's value before any change at b, points start at
+// the first boundary after StartSampler once a request has begun, and the
+// last is the last boundary at or before the time of export.  The interval
+// is 10 ms; "idle" ends every run at its last event.
+func TestSamplerBoundaries(t *testing.T) {
+	type span struct{ at, d sim.Duration } // one request, in flight [at, at+d]
+	ms := sim.Duration(time.Millisecond)
+	cases := []struct {
+		name     string
+		requests []span
+		idle     sim.Duration
+		want     []JSONPoint
+	}{
+		{"begin at a boundary", []span{{5 * ms, 40 * ms}, {20 * ms, 15 * ms}}, 50 * ms,
+			[]JSONPoint{{10e6, 1}, {20e6, 1}, {30e6, 2}, {40e6, 1}, {50e6, 0}}},
+		{"end at a boundary", []span{{5 * ms, 15 * ms}, {8 * ms, 32 * ms}}, 50 * ms,
+			[]JSONPoint{{10e6, 2}, {20e6, 2}, {30e6, 1}, {40e6, 1}, {50e6, 0}}},
+		{"first begin at a boundary", []span{{10 * ms, 15 * ms}}, 30 * ms,
+			[]JSONPoint{{20e6, 1}, {30e6, 0}}},
+		{"several changes at one instant", []span{{5 * ms, 15 * ms}, {20 * ms, 10 * ms}, {20 * ms, 0}}, 40 * ms,
+			[]JSONPoint{{10e6, 1}, {20e6, 1}, {30e6, 1}, {40e6, 0}}},
+		{"last event on a boundary", []span{{5 * ms, 10 * ms}}, 30 * ms,
+			[]JSONPoint{{10e6, 1}, {20e6, 0}, {30e6, 0}}},
+		{"last change on a boundary", []span{{5 * ms, 25 * ms}}, 0,
+			[]JSONPoint{{10e6, 1}, {20e6, 1}, {30e6, 1}}},
+		{"run ends between boundaries", []span{{5 * ms, 10 * ms}}, 28 * ms,
+			[]JSONPoint{{10e6, 1}, {20e6, 0}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := sim.New()
+			r := Attach(e)
+			r.StartSampler(10 * ms)
+			for _, s := range c.requests {
+				e.Spawn("req", func(p *sim.Proc) {
+					p.Wait(s.at)
+					req := Begin(p, "k")
+					p.Wait(s.d)
+					req.End(p, nil)
+				})
+			}
+			e.Spawn("idle", func(p *sim.Proc) { p.Wait(c.idle) })
+			e.Run()
+			wantSeries(t, r, c.want)
+		})
+	}
+}
+
+// TestSamplerStartedAfterBegin: a sampler started while a request is in
+// flight takes its first point at the first boundary after the call.
+func TestSamplerStartedAfterBegin(t *testing.T) {
+	e := sim.New()
+	r := Attach(e)
+	e.Spawn("req", func(p *sim.Proc) {
+		p.Wait(13 * time.Millisecond)
+		req := Begin(p, "k")
+		r.StartSampler(10 * time.Millisecond)
+		p.Wait(20 * time.Millisecond)
+		req.End(p, nil)
+	})
+	e.Spawn("idle", func(p *sim.Proc) { p.Wait(45 * time.Millisecond) })
+	e.Run()
+	wantSeries(t, r, []JSONPoint{{20e6, 1}, {30e6, 1}, {40e6, 0}})
+}
+
+// TestSamplerShutdownEnd: a request ended by Shutdown unwinding its parked
+// process's deferred Ensure leaves the points up to the last event at the
+// value it had in flight, and the gauge at zero.
+func TestSamplerShutdownEnd(t *testing.T) {
+	e := sim.New()
+	r := Attach(e)
+	r.StartSampler(10 * time.Millisecond)
+	never := sim.NewEvent(e)
+	e.Spawn("parked", func(p *sim.Proc) {
+		p.Wait(5 * time.Millisecond)
+		var err error
+		defer Ensure(p, "k")(&err)
+		never.Wait(p)
+	})
+	e.Spawn("idle", func(p *sim.Proc) { p.Wait(30 * time.Millisecond) })
+	e.Run()
+	e.Shutdown()
+	wantSeries(t, r, []JSONPoint{{10e6, 1}, {20e6, 1}, {30e6, 1}})
+	if x := Export(r, ExportOptions{}); len(x.Gauges) != 1 || x.Gauges[0].Value != 0 {
+		t.Fatalf("gauges = %+v, want one at 0", x.Gauges)
+	}
+	if r.Summary("k").N != 1 {
+		t.Fatal("the unwound request did not end")
+	}
+}
+
+// wantSeries fails t unless r's export holds exactly the in-flight series
+// want.
+func wantSeries(t *testing.T, r *Registry, want []JSONPoint) {
+	t.Helper()
+	x := Export(r, ExportOptions{})
+	if len(x.Series) != 1 || x.Series[0].Name != "raidii_requests_inflight" ||
+		!slices.Equal(x.Series[0].Points, want) {
+		t.Fatalf("series = %+v, want raidii_requests_inflight %v", x.Series, want)
+	}
+}
+
 func TestCategoryTable(t *testing.T) {
 	if stageOf("client") != 0 || stageOf("disk") != numStages-1 {
 		t.Fatal("pipeline layers out of order")

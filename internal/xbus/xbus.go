@@ -28,7 +28,6 @@ type Config struct {
 	VMEWriteMBps   float64 // disk port, memory -> disk direction
 	HostVMEMBps    float64 // control link to the host workstation
 	HostVMELatency time.Duration
-	RegisterAccess time.Duration // host access to board control registers
 }
 
 // DefaultConfig returns the paper-calibrated board.
@@ -43,7 +42,6 @@ func DefaultConfig() Config {
 		VMEWriteMBps:   5.9,
 		HostVMEMBps:    8,
 		HostVMELatency: 50 * time.Microsecond,
-		RegisterAccess: 20 * time.Microsecond,
 	}
 }
 
@@ -197,10 +195,6 @@ func (b *Board) XORInto(p *sim.Proc, dst, src []byte) {
 // assembled a source at a time: src streams through the parity engine, and
 // the computation is counted once, by its Result.
 func (b *Board) Fold(p *sim.Proc, acc, src []byte) {
-	if len(acc) != len(src) {
-		//lint:allow simpanic stripe geometry guarantees equal-length columns; unequal lengths mean a corrupted extent computation
-		panic("xbus: Fold length mismatch")
-	}
 	end := p.Span("xbus", "parity")
 	sim.Path{b.Parity.In()}.Send(p, len(src), 0)
 	bytepath.XOR(acc, src)
@@ -219,14 +213,6 @@ func (b *Board) Result(p *sim.Proc, n int) {
 // ParityOps reports how many parity computations the engine has run: an
 // XORTo, an XORInto, or a folded computation however many sources it took.
 func (b *Board) ParityOps() uint64 { return b.parityOps }
-
-// HostRegisterAccess charges the time for the host to touch board control
-// registers over the slow VME link ("the overhead of sending a HIPPI packet
-// is about 1.1 milliseconds, mostly due to setting up the HIPPI and XBUS
-// control registers across the slow VME link").
-func (b *Board) HostRegisterAccess(p *sim.Proc, accesses int) {
-	p.Wait(time.Duration(accesses) * b.Cfg.RegisterAccess)
-}
 
 // HostTransfer moves n bytes between XBUS memory and host memory over the
 // board's host VME port (the low-bandwidth data path).  The caller layers

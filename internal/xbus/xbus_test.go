@@ -176,20 +176,6 @@ func TestHostTransferUsesHostPort(t *testing.T) {
 	}
 }
 
-func TestHostRegisterAccessCost(t *testing.T) {
-	e := sim.New()
-	b := New(e, "xb", DefaultConfig())
-	var end sim.Time
-	e.Spawn("p", func(p *sim.Proc) {
-		b.HostRegisterAccess(p, 10)
-		end = p.Now()
-	})
-	e.Run()
-	if end != sim.Time(10*int64(b.Cfg.RegisterAccess)) {
-		t.Fatalf("end = %v", end)
-	}
-}
-
 // TestFoldedComputationIsOneOp: sources folded in one at a time, from
 // separate processes, then the result pass, give XORTo's bytes through the
 // same port passes — no slower than XORTo (a source's memory crossing may

@@ -223,7 +223,7 @@ func WithNVRAM(bytes int) Option {
 // assembled, exercising the §2.1 redundancy machinery (RAID parity,
 // controller retries, degraded mode).  An identical plan on an identical
 // workload yields a byte-identical trace.  In a Cluster, events carry a
-// server index (FaultPlan.OnServer, ServerDownAt) and route to that host.
+// server index (Event.Server; ServerDownAt sets it) and route to that host.
 func WithFaultPlan(plan FaultPlan) Option {
 	return func(c *server.Config) { c.Faults = plan }
 }
