@@ -499,17 +499,17 @@ func runCache() error {
 		fmt.Printf("  %2d MB working set: cached %5.1f MB/s  uncached %5.1f MB/s  hit rate %5.1f%%\n",
 			pt.WorkingSetMB, pt.CachedMBps, pt.UncachedMBps, pt.HitRate*100)
 		fmt.Printf("     cached   p50 %6.2f ms  p99 %6.2f ms  p999 %6.2f ms\n",
-			pt.CachedLat.P50Ms, pt.CachedLat.P99Ms, pt.CachedLat.P999Ms)
+			ms(pt.CachedLat.P50), ms(pt.CachedLat.P99), ms(pt.CachedLat.P999))
 		fmt.Printf("     uncached p50 %6.2f ms  p99 %6.2f ms  p999 %6.2f ms\n",
-			pt.UncachedLat.P50Ms, pt.UncachedLat.P99Ms, pt.UncachedLat.P999Ms)
+			ms(pt.UncachedLat.P50), ms(pt.UncachedLat.P99), ms(pt.UncachedLat.P999))
 	}
 	fmt.Printf("knee at cache capacity (%d MB): hit-dominated phase rides the crossbar/HIPPI, "+
 		"miss-dominated falls to the disk-bound curve\n", r.CacheMB)
 	jsonFigure(r.Fig, "MB/s")
 	for _, pt := range r.Points {
 		jsonPoint("hit-rate", float64(pt.WorkingSetMB), "fraction", pt.HitRate)
-		jsonPoint("cached-p99", float64(pt.WorkingSetMB), "ms", pt.CachedLat.P99Ms)
-		jsonPoint("uncached-p99", float64(pt.WorkingSetMB), "ms", pt.UncachedLat.P99Ms)
+		jsonPoint("cached-p99", float64(pt.WorkingSetMB), "ms", ms(pt.CachedLat.P99))
+		jsonPoint("uncached-p99", float64(pt.WorkingSetMB), "ms", ms(pt.UncachedLat.P99))
 	}
 	return nil
 }

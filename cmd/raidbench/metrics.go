@@ -90,12 +90,30 @@ func writeMetricsJSON(path string) error {
 	return nil
 }
 
-// printLatency prints a request kind's latency summary, indented under the
-// experiment's bandwidth numbers, and records its tail quantiles as bench
-// points for the regression gate.
+// ms converts a simulated duration to milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+
+// printLatency prints a request kind's latency summary, one or two lines
+// indented under the experiment's bandwidth numbers, and records its tail
+// quantiles as bench points for the regression gate.
 func printLatency(prefix string, ls raidii.LatencyStats) {
-	fmt.Printf("  %s\n", ls)
-	jsonPoint(prefix+"-p50", 0, "ms", ls.P50Ms)
-	jsonPoint(prefix+"-p99", 0, "ms", ls.P99Ms)
-	jsonPoint(prefix+"-p999", 0, "ms", ls.P999Ms)
+	if ls.N == 0 {
+		fmt.Printf("  %s: no latency samples\n", ls.Kind)
+	} else {
+		fmt.Printf("  %s latency (n=%d): p50 %.2f ms  p99 %.2f ms  p999 %.2f ms  mean %.2f ms  max %.2f ms",
+			ls.Kind, ls.N, ms(ls.P50), ms(ls.P99), ms(ls.P999), ms(ls.Mean), ms(ls.Max))
+		if ls.Degraded+ls.Shed+ls.Retried > 0 {
+			fmt.Printf("  (%d degraded, %d shed, %d retried)", ls.Degraded, ls.Shed, ls.Retried)
+		}
+		if len(ls.Stages) > 0 {
+			fmt.Print("\n      stages (mean work/req):")
+			for _, st := range ls.Stages {
+				fmt.Printf(" %s %.2fms", st.Stage, ms(st.Mean))
+			}
+		}
+		fmt.Println()
+	}
+	jsonPoint(prefix+"-p50", 0, "ms", ms(ls.P50))
+	jsonPoint(prefix+"-p99", 0, "ms", ms(ls.P99))
+	jsonPoint(prefix+"-p999", 0, "ms", ms(ls.P999))
 }

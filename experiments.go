@@ -1008,8 +1008,8 @@ func FileServerTrace(ops int) (FileServerResult, error) {
 			st := b.Cache.Stats()
 			out.CacheHits, out.CacheMisses = st.Hits, st.Misses
 		}
-		out.ReadLatency = latencyStats(sys.Eng, "fs-read")
-		out.WriteLatency = latencyStats(sys.Eng, "fs-write")
+		out.ReadLatency = telemetry.From(sys.Eng).Summary("fs-read")
+		out.WriteLatency = telemetry.From(sys.Eng).Summary("fs-write")
 
 		return r.do("check", func(p *sim.Proc) error {
 			rep, err := b.FS.Check(p)

@@ -108,7 +108,7 @@ func CacheWorkingSet(cacheMB int, workingSetsMB []int) (CacheWorkingSetResult, e
 				}
 				if withCache {
 					pt.CachedMBps = res.MBps()
-					pt.CachedLat = latencyStats(sys.Eng, "hw-read")
+					pt.CachedLat = telemetry.From(sys.Eng).Summary("hw-read")
 					st := b.Cache.Stats()
 					hits := st.Hits - statsBefore.Hits
 					misses := st.Misses - statsBefore.Misses
@@ -117,7 +117,7 @@ func CacheWorkingSet(cacheMB int, workingSetsMB []int) (CacheWorkingSetResult, e
 					}
 				} else {
 					pt.UncachedMBps = res.MBps()
-					pt.UncachedLat = latencyStats(sys.Eng, "hw-read")
+					pt.UncachedLat = telemetry.From(sys.Eng).Summary("hw-read")
 				}
 				return nil
 			})

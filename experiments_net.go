@@ -123,7 +123,7 @@ func NetworkFaultTimeline() (NetworkFaultTimelineResult, error) {
 		out.DuringMBps = tl.mean(downAt, upAt)
 		out.RecoveredMBps = tl.mean(upAt, tl.retired)
 		out.Retries = ws.Stats().Retries
-		out.ReadLatency = latencyStats(sys.Eng, "client-read")
+		out.ReadLatency = telemetry.From(sys.Eng).Summary("client-read")
 		return nil
 	})
 	return out, err

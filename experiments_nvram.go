@@ -110,10 +110,10 @@ func SmallWriteLatency() (SmallWriteLatencyResult, error) {
 			}
 
 			if staged {
-				out.Staged = latencyStats(sys.Eng, "small-write")
+				out.Staged = telemetry.From(sys.Eng).Summary("small-write")
 				out.Waited = b.NVRAMStats().Log.Degraded
 			} else {
-				out.Unstaged = latencyStats(sys.Eng, "small-write")
+				out.Unstaged = telemetry.From(sys.Eng).Summary("small-write")
 			}
 			return nil
 		})

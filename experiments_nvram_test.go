@@ -49,9 +49,9 @@ func TestSmallWriteLatencyExperiment(t *testing.T) {
 	// commit into the open segment, not a segment seal.  The 1 MB region
 	// holds one segment image, so a write that finds it full waits for its
 	// seal; even so the staged tail must undercut the sync median.
-	if r1.Staged.P999Ms >= r1.Unstaged.P50Ms {
-		t.Errorf("staged p999 %.2f ms does not undercut unstaged p50 %.2f ms",
-			r1.Staged.P999Ms, r1.Unstaged.P50Ms)
+	if r1.Staged.P999 >= r1.Unstaged.P50 {
+		t.Errorf("staged p999 %v does not undercut unstaged p50 %v",
+			r1.Staged.P999, r1.Unstaged.P50)
 	}
 	if r1.Waited == 0 {
 		t.Error("no write waited for the region's one image: the experiment no longer shows a full region")

@@ -32,7 +32,6 @@ import (
 
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // DefaultLineBytes is the default cache line size: 64 KB, one stripe unit
@@ -367,11 +366,9 @@ func (c *Cache) ReadInto(p *sim.Proc, lba int64, out []byte) error {
 		}
 		if ok && ln.valid.all(from, to) {
 			c.stats.Hits++
-			telemetry.CacheHit(p)
 			p.Span("cache", "hit")()
 		} else {
 			c.stats.Misses++
-			telemetry.CacheMiss(p)
 			p.Span("cache", "miss")()
 		}
 		for s := from; s < to; {

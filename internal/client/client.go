@@ -81,7 +81,6 @@ func (ws *Workstation) withRetry(p *sim.Proc, what string, attempt func(resume i
 	err := ws.Retry.Run(p, "client", "client: "+what, func() error {
 		if tries++; tries > 1 {
 			ws.stats.Retries++
-			telemetry.MarkRetried(p)
 		}
 		n, err := attempt(done)
 		done += n

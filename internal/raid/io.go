@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // Read reads sectors [lba, lba+n) from the logical address space into a
@@ -112,7 +111,7 @@ func (a *Array) readExtentInto(p *sim.Proc, ext extent, dst []byte) error {
 		return a.readStripe(p, []extent{ext}, dst)
 	}
 	a.stats.DegradedReads++
-	telemetry.MarkDegraded(p)
+	p.Span("raid", "degraded")()
 	if a.devReadInto(p, dev^1, lba, a.chunk(dst, ext)) { // live, as the stripe is not lost
 		return nil
 	}

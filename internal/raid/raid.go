@@ -189,7 +189,7 @@ type Stats struct {
 	// the read wanted rows of a lost column — one per stripe, however many
 	// of its extents were lost — and at Level 1 the extents served from the
 	// mirror copy.  The solves a rebuild or a degraded write runs are not
-	// reads and are not counted; telemetry.MarkDegraded flags every request
+	// reads and are not counted; a raid/degraded span marks every request
 	// whose solve had a column missing, writes included.
 	DegradedReads   uint64
 	DiskReads       uint64 // physical accesses issued

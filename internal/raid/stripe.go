@@ -5,7 +5,6 @@ import (
 
 	"raidii/internal/bytepath"
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // The stripe code.  Every parity level is the same (k data, m check) code
@@ -305,7 +304,7 @@ func (pl *solvePlan) finish(p *sim.Proc) error {
 	}
 	k := a.dataDisks()
 	data := pl.cols[:k]
-	telemetry.MarkDegraded(p)
+	p.Span("raid", "degraded")()
 	switch missing := pl.missing; {
 	case len(missing) == 2:
 		// The accumulator is D_x ^ D_y.  The wanted column (or the first)
@@ -365,7 +364,7 @@ func (a *Array) solve(p *sim.Proc, sc *scratch, cols [][]byte, n int, want int, 
 		}
 	}
 	if len(missing) > 0 || want >= k {
-		telemetry.MarkDegraded(p)
+		p.Span("raid", "degraded")()
 	}
 	switch len(missing) {
 	case 1:

@@ -15,7 +15,6 @@ import (
 	"raidii/internal/disk"
 	"raidii/internal/fault"
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // Config carries the calibrated Cougar/SCSI parameters.
@@ -187,7 +186,6 @@ func (ad *Disk) issue(p *sim.Proc, op func(*sim.Proc) error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			telemetry.MarkRetried(p)
 			endB := p.Span("scsi", "retry")
 			p.Wait(time.Duration(attempt) * cfg.RetryBackoff)
 			endB()

@@ -5,7 +5,6 @@ import (
 
 	"raidii/internal/fault"
 	"raidii/internal/sim"
-	"raidii/internal/telemetry"
 )
 
 // Admission control bounds each board's concurrently serviced client
@@ -42,9 +41,7 @@ func (b *Board) Admit(p *sim.Proc) error {
 	}
 	if b.adm.QueueLen() >= b.admDepth {
 		b.admStats.Shed++
-		telemetry.MarkShed(p)
-		end := p.Span("server", "shed")
-		end()
+		p.Span("server", "shed")()
 		return fmt.Errorf("server: board %d admission queue full: %w", b.Index, fault.ErrServerBusy)
 	}
 	b.admStats.Queued++

@@ -92,7 +92,7 @@ func (b *Board) DurableWrite(p *sim.Proc, f *FSFile, off int64, data []byte) (er
 	nv.stats.Commits++
 	if fs.Stats().ImageWaits != waits {
 		nv.stats.Degraded++
-		telemetry.MarkDegraded(p)
+		p.Span("server", "degraded")()
 	}
 	return nil
 }

@@ -421,7 +421,7 @@ type followScope struct {
 	log *[]string
 }
 
-func (followScope) SpanEnd(string, Time) {}
+func (followScope) SpanEnd(string, string, Time) {}
 
 func (s followScope) Follow(w *Proc) func() {
 	w.SetMeterContext(s)

@@ -25,12 +25,12 @@ func (e *Engine) Meter() any { return e.meter }
 
 // SpanScope is a per-process annotation.  The engine asks two things of it:
 // it is told of every span the process closes, which is how a Proc.Span
-// feeds the request's stage breakdown as well as the trace, and it follows
-// the workers the process forks.
+// feeds the request's stage breakdown and outcome counts as well as the
+// trace, and it follows the workers the process forks.
 type SpanScope interface {
-	// SpanEnd reports the completed span [start, now] of category cat on
-	// the annotated process — Tracer.Span without the name.
-	SpanEnd(cat string, start Time)
+	// SpanEnd reports the completed span [start, now] of category cat and
+	// the given name on the annotated process, as Tracer.Span does.
+	SpanEnd(cat, name string, start Time)
 	// Follow is called first thing in the body of a worker forked (Proc.Fork,
 	// Group.Go) from the annotated process.  It may annotate the worker, and
 	// returns what to call when the worker's body returns.

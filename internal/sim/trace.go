@@ -114,7 +114,7 @@ func (p *Proc) endSpan(cat, name string, start Time) {
 		t.Span(p, cat, name, start)
 	}
 	if p.meterCtx != nil {
-		p.meterCtx.SpanEnd(cat, start)
+		p.meterCtx.SpanEnd(cat, name, start)
 	}
 }
 

@@ -11,12 +11,13 @@ import (
 // behalf) from the moment a client or datapath entry point begins it until
 // End folds its latency, stage breakdown and outcomes into its kind's record.
 //
-// Stage accounting is fed by Proc.Span — the same call that feeds the
-// trace.  The process's scope is its sim.SpanScope: when a span whose
-// category is a pipeline layer (see categories in telemetry.go) closes, its
-// *exclusive* time — its duration minus that of the stage spans that ran
-// inside it on the same process — is charged to that stage, so a scsi span
-// inside a raid span splits the time instead of double-counting it.  Worker
+// Stage accounting and outcome counts are fed by Proc.Span — the same call
+// that feeds the trace.  The process's scope is its sim.SpanScope: when a
+// span whose category is a pipeline layer (see categories in telemetry.go)
+// closes, its *exclusive* time — its duration minus that of the stage spans
+// that ran inside it on the same process — is charged to that stage, so a
+// scsi span inside a raid span splits the time instead of double-counting
+// it; when the span is an outcome span (see outcomes), it counts.  Worker
 // processes the request follows account for themselves against the shared
 // Request, so overlapping legs each record their true work.
 
@@ -57,14 +58,24 @@ type scope struct {
 }
 
 // SpanEnd implements sim.SpanScope: a closing span of a pipeline-layer
-// category is charged its exclusive time.  A span of any other category is
-// skipped, which leaves its time with the stage span around it.
-func (sc *scope) SpanEnd(cat string, start sim.Time) {
-	if st := stageOf(cat); st >= 0 && !sc.req.done && start >= sc.since {
+// category is charged its exclusive time, and an outcome span (see outcomes
+// in telemetry.go) counts toward the request's outcomes.  A span of any
+// other category is skipped, which leaves its time with the stage span
+// around it.
+func (sc *scope) SpanEnd(cat, name string, start sim.Time) {
+	if sc.req.done || start < sc.since {
+		return
+	}
+	if st := stageOf(cat); st >= 0 {
 		total := sc.p.Now().Sub(start)
 		nested, extra := sc.claim(start)
 		sc.closed = append(sc.closed, closedSpan{start: start, total: total})
 		sc.req.stages[st] += total - nested + extra
+	}
+	for i := range outcomes {
+		if o := &outcomes[i]; o.cat == cat && o.name == name {
+			o.count(sc.req)
+		}
 	}
 }
 
@@ -173,31 +184,6 @@ func (up *scope) Follow(worker *sim.Proc) func() {
 	return sc.release
 }
 
-// mark applies an outcome to p's live request, if it has one.
-func mark(p *sim.Proc, note func(r *Request)) {
-	if r := reqOf(p); r != nil {
-		note(r)
-	}
-}
-
-// CacheHit notes one cache line hit for p's request.
-func CacheHit(p *sim.Proc) { mark(p, func(r *Request) { r.hits++ }) }
-
-// CacheMiss notes one cache line miss for p's request.
-func CacheMiss(p *sim.Proc) { mark(p, func(r *Request) { r.misses++ }) }
-
-// MarkDegraded notes that p's request was served over a degraded
-// (reconstruct-from-parity or mirror-fallback) path.
-func MarkDegraded(p *sim.Proc) { mark(p, func(r *Request) { r.degraded = true }) }
-
-// MarkRetried notes one retry attempt (client resend or SCSI reissue) on
-// behalf of p's request.
-func MarkRetried(p *sim.Proc) { mark(p, func(r *Request) { r.retries++ }) }
-
-// MarkShed notes that an attempt of p's request was refused by admission
-// control.
-func MarkShed(p *sim.Proc) { mark(p, func(r *Request) { r.shed = true }) }
-
 // End completes the request at p's current time and folds it into its
 // kind's record: the end-to-end duration feeds the latency histogram, stage
 // times and line counts add to their totals, and each outcome counts the
@@ -264,13 +250,13 @@ type LatencySummary struct {
 }
 
 // Summary reports the latency summary for one request kind, zero-valued if
-// the kind never completed a request.
+// the kind never completed a request or r is nil (no registry attached).
 func (r *Registry) Summary(kind string) LatencySummary {
 	out := LatencySummary{Kind: kind}
-	s := r.kinds[kind]
-	if s == nil {
+	if r == nil || r.kinds[kind] == nil {
 		return out
 	}
+	s := r.kinds[kind]
 	h := &s.duration
 	out.N = h.N()
 	out.Mean = h.Mean()

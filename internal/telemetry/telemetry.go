@@ -53,6 +53,25 @@ var categories = [...]string{
 
 const numStages = 8
 
+// outcomes is the one table of outcome spans: a span of this category and
+// name closing on a process that carries a live request counts toward the
+// request's outcomes, the way a stage span counts toward its stage.  Most
+// are zero-length marks; a retry span closes after its backoff.  Any other
+// span counts nothing: cluster/retry, the fleet's resend of a whole striped
+// operation, stays out of the retry counts.
+var outcomes = [...]struct {
+	cat, name string
+	count     func(r *Request)
+}{
+	{"cache", "hit", func(r *Request) { r.hits++ }},
+	{"cache", "miss", func(r *Request) { r.misses++ }},
+	{"scsi", "retry", func(r *Request) { r.retries++ }},
+	{"client", "retry", func(r *Request) { r.retries++ }},
+	{"server", "shed", func(r *Request) { r.shed = true }},
+	{"raid", "degraded", func(r *Request) { r.degraded = true }},
+	{"server", "degraded", func(r *Request) { r.degraded = true }},
+}
+
 // stageOf returns the index of the stage that spans of category cat accrue
 // to, or -1.
 func stageOf(cat string) int { return slices.Index(categories[:numStages], cat) }

@@ -262,10 +262,10 @@ func TestRequestAdoptAndOutcomes(t *testing.T) {
 			q.Wait(2 * time.Millisecond)
 			end()
 			q.Wait(time.Millisecond) // parent has no stage open: charged nowhere
-			MarkDegraded(q)
-			CacheHit(q)
-			CacheMiss(q)
-			MarkRetried(q)
+			q.Span("raid", "degraded")()
+			q.Span("cache", "hit")()
+			q.Span("cache", "miss")()
+			q.Span("scsi", "retry")()
 			return errors.New("boom")
 		})
 		req.End(p, g.Wait(p))
@@ -385,14 +385,113 @@ func TestInstrumentationNilSafe(t *testing.T) {
 			t.Error("Begin without registry should return nil")
 		}
 		end := p.Span("raid", "read")
-		CacheHit(p)
-		MarkDegraded(p)
-		MarkRetried(p)
-		MarkShed(p)
+		for _, o := range outcomes {
+			p.Span(o.cat, o.name)()
+		}
 		end()
 		Ensure(p, "y")(new(error))
 		var req *Request
 		req.End(p, nil) // nil receiver must not panic
+	})
+	e.Run()
+	var r *Registry
+	if s := r.Summary("x"); s.Kind != "x" || s.N != 0 {
+		t.Fatalf("Summary of a nil registry = %+v, want zero for kind x", s)
+	}
+}
+
+// TestOutcomeSpansReconcile attaches a trace recorder and a registry to one
+// engine.  Every outcome span closed on a request's processes counts
+// exactly once in both; the same spans on a background process, and a
+// cluster/retry span on the request's, count nothing in telemetry.  Each
+// span goes to a request of its own, closed 1 + row-number times on the
+// request's process and once on a worker it forks, so a row that counts
+// toward the wrong outcome, or twice, shows.
+func TestOutcomeSpansReconcile(t *testing.T) {
+	counts := []struct{ cat, name, as string }{
+		{"cache", "hit", "hits"},
+		{"cache", "miss", "misses"},
+		{"scsi", "retry", "retries"},
+		{"client", "retry", "retries"},
+		{"server", "shed", "shed"},
+		{"raid", "degraded", "degraded"},
+		{"server", "degraded", "degraded"},
+	}
+	if len(counts) != len(outcomes) {
+		t.Fatalf("outcomes has %d rows, the test knows %d", len(outcomes), len(counts))
+	}
+	e := sim.New()
+	rec := trace.Attach(e, trace.Config{})
+	r := Attach(e)
+	for i, c := range counts {
+		e.Spawn("req", func(p *sim.Proc) {
+			req := Begin(p, c.cat+"/"+c.name)
+			for range i + 1 {
+				end := p.Span(c.cat, c.name)
+				p.Wait(time.Millisecond)
+				end()
+			}
+			p.Span("cluster", "retry")()
+			g := p.Fork()
+			g.Go("worker", func(q *sim.Proc) error {
+				q.Span(c.cat, c.name)()
+				return nil
+			})
+			req.End(p, g.Wait(p))
+		})
+		e.Spawn("background", func(p *sim.Proc) { p.Span(c.cat, c.name)() })
+	}
+	e.Run()
+	traced := map[string]uint64{}
+	for _, sc := range rec.SpanCounts() {
+		traced[sc.Cat+"/"+sc.Name] = sc.Count
+	}
+	for i, c := range counts {
+		kind := c.cat + "/" + c.name
+		s := r.kinds[kind]
+		got := map[string]uint64{"hits": s.hits, "misses": s.misses, "retries": s.retries,
+			"retried": s.retried, "degraded": s.degraded, "shed": s.shed}
+		onRequest := uint64(i + 2)
+		if traced[kind] != onRequest+1 {
+			t.Errorf("%s: trace has %d spans, want %d", kind, traced[kind], onRequest+1)
+		}
+		want := map[string]uint64{c.as: onRequest}
+		switch c.as {
+		case "retries":
+			want["retried"] = 1
+		case "degraded", "shed":
+			want[c.as] = 1 // a count of requests
+		}
+		for k, v := range got {
+			if v != want[k] {
+				t.Errorf("%s: %s = %d, want %d", kind, k, v, want[k])
+			}
+		}
+	}
+	if traced["cluster/retry"] != uint64(len(counts)) {
+		t.Errorf("trace has %d cluster/retry spans, want %d", traced["cluster/retry"], len(counts))
+	}
+}
+
+// TestOutcomeMatchAllocates: matching a closing span against the outcome
+// table allocates nothing, whether it matches or not.
+func TestOutcomeMatchAllocates(t *testing.T) {
+	e := sim.New()
+	Attach(e)
+	e.Spawn("req", func(p *sim.Proc) {
+		req := Begin(p, "unit")
+		sc := scopeOf(p)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, o := range outcomes {
+				sc.SpanEnd(o.cat, o.name, p.Now())
+			}
+			sc.SpanEnd("cluster", "retry", p.Now())
+			sc.SpanEnd("xbus", "parity", p.Now())
+		})
+		if allocs != 0 {
+			t.Errorf("matching outcome spans allocated %v times per run", allocs)
+		}
+		req.End(p, nil)
 	})
 	e.Run()
 }

@@ -345,3 +345,30 @@ func TestChunkedSendTrace(t *testing.T) {
 		t.Errorf("chrome export has %d process rows and %d send spans, want 2 and 2", rows, spans)
 	}
 }
+
+// TestTableAdmissionWait: a request that queued 2 ms for a service slot
+// shows that wait in the admission line.  The line used to sum the
+// zero-length server/admit-queued mark and always printed 0.000s.
+func TestTableAdmissionWait(t *testing.T) {
+	e := sim.New()
+	slots := sim.NewServer(e, "admission", 1)
+	rec := Attach(e, Config{Label: "admission"})
+	e.Spawn("holder", func(p *sim.Proc) {
+		slots.Acquire(p)
+		p.Span("server", "admit")()
+		p.Wait(2 * time.Millisecond)
+		slots.Release()
+	})
+	e.Spawn("queued", func(p *sim.Proc) {
+		p.Span("server", "admit-queued")()
+		endWait := p.Span("admission", "wait")
+		slots.Acquire(p)
+		endWait()
+		p.Span("server", "admit")()
+		slots.Release()
+	})
+	e.Run()
+	if tab := rec.Table(0); !strings.Contains(tab, "admission: 2 admitted (1 queued 0.002s total wait), 0 shed\n") {
+		t.Fatalf("admission line does not show the 2 ms wait:\n%s", tab)
+	}
+}

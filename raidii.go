@@ -55,12 +55,12 @@ import (
 	"time"
 
 	"raidii/internal/cache"
-	"raidii/internal/disk"
 	"raidii/internal/fault"
 	"raidii/internal/lfs"
 	"raidii/internal/raid"
 	"raidii/internal/server"
 	"raidii/internal/sim"
+	"raidii/internal/telemetry"
 )
 
 // FaultPlan scripts deterministic hardware faults — disk failures, latent
@@ -148,10 +148,6 @@ func WithDisksPerString(n int) Option {
 	return func(c *server.Config) { c.DisksPerString = n }
 }
 
-// WithFifthCougar attaches the extra disk controller through the XBUS
-// control-bus port, as in the Table 1 peak-bandwidth experiment.
-func WithFifthCougar() Option { return func(c *server.Config) { c.FifthCougar = true } }
-
 // WithRAIDLevel selects the array organization (§2.1: the XBUS board's
 // parity engine implements RAID Level 5; other levels are ablations.
 // Default Level 5).  Level 6 adds a Reed-Solomon Q column so the array
@@ -174,12 +170,6 @@ func WithStripeUnitKB(kb int) Option {
 // Level 6 on 16 disks — so every full segment is a full-stripe write.
 func WithSegmentKB(kb int) Option {
 	return func(c *server.Config) { c.LFS.SegBytes = kb << 10 }
-}
-
-// WithWrenDisks swaps in the older Wren IV drives of the §2 RAID-I first
-// prototype, for before/after comparisons.
-func WithWrenDisks() Option {
-	return func(c *server.Config) { c.DiskSpec = disk.WrenIV() }
 }
 
 // WithCache carves an XBUS-memory-resident block cache of the given size
@@ -579,6 +569,15 @@ func (bd *Board) CacheStats() CacheStats {
 // segment images it holds and how many of them hold blocks the disks lack)
 // and counts the durable writes that went through it.
 type NVRAMStats = server.NVRAMStats
+
+// LatencyStats condenses one request kind's telemetry for experiment
+// results: the tail quantiles of the end-to-end latency histogram, the
+// per-stage work breakdown and the outcome counts.  Stage means measure
+// work (per-process exclusive time summed across the request's processes),
+// so overlapped legs can sum past the wall-clock latency — like CPU seconds
+// on a multicore.  Zero-valued when the engine had no telemetry attached or
+// the kind completed no requests.
+type LatencyStats = telemetry.LatencySummary
 
 // NVRAMStats returns the board's NVRAM counters.  Without WithNVRAM it is
 // all zeros.

@@ -2,11 +2,16 @@ package raidii
 
 import (
 	"fmt"
+	"go/build"
+	"slices"
 	"testing"
+	"time"
 
+	"raidii/internal/fault"
 	"raidii/internal/server"
 	"raidii/internal/sim"
 	"raidii/internal/telemetry"
+	"raidii/internal/trace"
 )
 
 // TestFSReadRequestAccountsItsReads: a cold 1 MB FSRead on a cached board
@@ -63,6 +68,53 @@ func TestFSReadRequestAccountsItsReads(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSCSIRetriesCountOnTheRequest: a hardware read issued into a stalled
+// SCSI string times out once on each command to the string and reissues
+// it, and the hw-read kind counts exactly the scsi/retry spans its read
+// closed.  No other test outside internal/telemetry reaches the scsi row
+// of the outcome table.
+func TestSCSIRetriesCountOnTheRequest(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.Faults = fault.Plan{}.StringStallAt(time.Millisecond, 0, 0, 700*time.Millisecond)
+	err := withSystem("scsi-retries", cfg, func(r *rig, sys *server.System) error {
+		rec := trace.Attach(sys.Eng, trace.Config{})
+		reg := telemetry.Attach(sys.Eng)
+		return r.do("t", func(p *sim.Proc) error {
+			p.Wait(2 * time.Millisecond)
+			if err := sys.Boards[0].HardwareRead(p, 0, 1<<20); err != nil {
+				return err
+			}
+			var spans uint64
+			for _, sc := range rec.SpanCounts() {
+				if sc.Cat == "scsi" && sc.Name == "retry" {
+					spans = sc.Count
+				}
+			}
+			if got := reg.Summary("hw-read").Retries; got != spans || got == 0 {
+				return fmt.Errorf("hw-read counted %d retries, its read closed %d scsi/retry spans (want equal, above 0)", got, spans)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestModelLayersImportNoTelemetry: the layers below the request record
+// their outcomes as spans, so none of them imports the metrics layer.
+func TestModelLayersImportNoTelemetry(t *testing.T) {
+	for _, name := range []string{"bytepath", "cache", "disk", "hippi", "lfs", "raid", "scsi", "xbus"} {
+		pkg, err := build.ImportDir("internal/"+name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(pkg.Imports, "raidii/internal/telemetry") {
+			t.Errorf("internal/%s imports internal/telemetry", name)
+		}
 	}
 }
 
