@@ -351,6 +351,38 @@ func TestFaultPlanValidatedAtAssembly(t *testing.T) {
 	if err == nil {
 		t.Fatal("NewServer accepted a fault plan naming a missing disk")
 	}
+	_, err = NewServer(WithDisksPerString(1),
+		WithFaultPlan(FaultPlan{}.ServerDownAt(time.Second, 1)))
+	if err == nil {
+		t.Fatal("NewServer accepted a fault plan naming a second server")
+	}
+}
+
+// TestFaultPlansCompose: two WithFaultPlan options arm both plans' events,
+// in either order.  The second used to replace the first.
+func TestFaultPlansCompose(t *testing.T) {
+	disk := FaultPlan{}.StringStallAt(time.Millisecond, 0, 3, time.Second)
+	net := FaultPlan{}.LinkDownAt(time.Millisecond, PortUltranetRing, 0)
+	for _, order := range [][2]FaultPlan{{disk, net}, {net, disk}} {
+		srv, err := NewServer(WithDisksPerString(1), WithFaultPlan(order[0]), WithFaultPlan(order[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := srv.Sys()
+		_, err = srv.Simulate(func(task *Task) error {
+			task.Wait(2 * time.Millisecond)
+			if !sys.Ultra.Port.Down {
+				t.Errorf("plan %v then %v: the ring is up", order[0].Events[0].Kind, order[1].Events[0].Kind)
+			}
+			if sys.Boards[0].Disks[3].Drive.Port.Stall(task.p.Now()) == 0 {
+				t.Errorf("plan %v then %v: disk 3 is not stalled", order[0].Events[0].Kind, order[1].Events[0].Kind)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestClusterStripedFileAPI exercises the public Cluster surface: striped

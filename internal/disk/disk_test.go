@@ -327,14 +327,44 @@ func TestPagestoreCrossPageBoundary(t *testing.T) {
 	}
 }
 
-func TestPagestoreOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestDiskOutOfRangePanics: each way into the store — ReadInto, Write,
+// ReadData, WriteData — bounds its access by the drive's capacity, for the
+// store checks nothing itself.  Two sectors from the last one end a sector
+// past the capacity, inside the store's last page, and write nothing.
+func TestDiskOutOfRangePanics(t *testing.T) {
+	two := make([]byte, 2*512)
+	for _, c := range []struct {
+		name   string
+		access func(e *sim.Engine, d *Disk)
+	}{
+		{"ReadData", func(_ *sim.Engine, d *Disk) { d.ReadData(d.Sectors()-1, 2) }},
+		{"WriteData", func(_ *sim.Engine, d *Disk) { d.WriteData(d.Sectors()-1, two) }},
+		{"ReadInto", func(e *sim.Engine, d *Disk) {
+			e.Spawn("read", func(p *sim.Proc) { _ = d.ReadInto(p, d.Sectors()-1, two, nil) })
+			e.Run()
+		}},
+		{"Write", func(e *sim.Engine, d *Disk) {
+			e.Spawn("write", func(p *sim.Proc) { _ = d.Write(p, d.Sectors()-1, two, nil) })
+			e.Run()
+		}},
+	} {
+		e := sim.New()
+		d := mustNew(t, e, "d0", IBM0661())
+		if d.Sectors()*512%pageBytes == 0 {
+			t.Fatal("the capacity fills its last page: a sector past it is no page")
 		}
-	}()
-	ps := newPagestore(1024)
-	ps.ReadAt(make([]byte, 8), 1020)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s a sector past the capacity did not panic", c.name)
+				}
+			}()
+			c.access(e, d)
+		}()
+		if n := d.store.PagesAllocated(); n != 0 {
+			t.Errorf("%s out of range allocated %d pages", c.name, n)
+		}
+	}
 }
 
 // TestQuickRoundTrip property-tests that any (offset, payload) write within

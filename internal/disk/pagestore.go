@@ -21,7 +21,6 @@ import (
 // (ReadAt, WriteAt, PagesAllocated) join first; they and a copy smaller
 // than a page run on the caller's thread.
 type pagestore struct {
-	size  int64
 	pages [][]byte // nil = never written
 
 	mu      sync.Mutex
@@ -41,7 +40,7 @@ type pageCopy struct {
 const pageBytes = 64 * 1024
 
 func newPagestore(size int64) *pagestore {
-	ps := &pagestore{size: size, pages: make([][]byte, (size+pageBytes-1)/pageBytes)}
+	ps := &pagestore{pages: make([][]byte, (size+pageBytes-1)/pageBytes)}
 	ps.work = ps.drain
 	return ps
 }
@@ -50,9 +49,9 @@ func newPagestore(size int64) *pagestore {
 // else out of it; join waits for it.  The command holds the drive's
 // actuator, so no other copy is in flight.  A copy of a page or more goes
 // to the worker; handing a smaller one over would cost more than the copy,
-// so it runs here.  buf belongs to the store until join returns.
+// so it runs here.  buf belongs to the store until join returns.  The store
+// checks no range: Disk.checkRange bounds every access before it gets here.
 func (ps *pagestore) start(buf []byte, off int64, write bool) {
-	ps.checkRange(buf, off)
 	c := pageCopy{buf, off, write}
 	if len(buf) < pageBytes {
 		c.run(ps)
@@ -103,16 +102,8 @@ func (c pageCopy) run(ps *pagestore) {
 	}
 }
 
-func (ps *pagestore) checkRange(buf []byte, off int64) {
-	if off < 0 || off+int64(len(buf)) > ps.size {
-		//lint:allow simpanic unreachable: Disk.checkRange bounds every access before it reaches the store
-		panic("disk: access out of range")
-	}
-}
-
 // ReadAt fills buf with the contents at off, after the copy in flight.
 func (ps *pagestore) ReadAt(buf []byte, off int64) {
-	ps.checkRange(buf, off)
 	ps.join()
 	ps.readAt(buf, off)
 }
@@ -139,7 +130,6 @@ var zeroPage [pageBytes]byte
 // as.  A write that fills a never-written page whole becomes the page as a
 // clone, which Go need not zero first; a partial one lands in a zeroed page.
 func (ps *pagestore) WriteAt(buf []byte, off int64) {
-	ps.checkRange(buf, off)
 	ps.join()
 	ps.writeAt(buf, off)
 }

@@ -3,7 +3,7 @@
 // errors, SCSI-string stalls, network link and endpoint faults, and a file
 // system crash point — each fired at a scheduled simulated time or after an
 // operation count on the target drive.  Arm schedules a plan against a
-// Target (the assembled server) before the simulation starts, so an
+// Target (the assembled fleet) before the simulation starts, so an
 // identical plan on an identical workload produces a byte-identical trace:
 // fault injection is part of the determinism contract, never an exception
 // to it.
@@ -168,16 +168,17 @@ func (n NetPort) String() string {
 
 // Event is one scheduled fault.  Exactly one trigger applies: At (simulated
 // time from the start of the run) or AfterOps (total commands the target
-// drive has serviced); AfterOps takes effect when nonzero and is only
-// meaningful for DiskFail, LatentSector, and FSCrash (where it counts the
-// durable writes of a board with NVRAM rather than drive commands).
+// drive has serviced); AfterOps takes effect when nonzero and only
+// DiskFail, LatentSector, and FSCrash take it (FSCrash counts the durable
+// writes of a board with NVRAM rather than drive commands).
 type Event struct {
 	Kind  Kind
 	At    time.Duration // simulated-time trigger
 	After uint64        // operation-count trigger on the target drive (alternative to At)
 
-	// Server is the server-host index the event targets.  Single-server
-	// systems only accept 0; a fleet routes the event to the named host.
+	// Server is the server-host index the event targets: the fleet routes
+	// the event to the named host.  A standalone server, a fleet of one,
+	// only accepts 0.
 	Server int
 	Board  int // XBUS board index (for PortClientNIC events: client index)
 	Disk   int // device index within the board's array
@@ -296,26 +297,63 @@ func (pl Plan) ServerUpAt(at time.Duration, srv int) Plan {
 // Empty reports whether the plan schedules nothing.
 func (pl Plan) Empty() bool { return len(pl.Events) == 0 }
 
-// Target is the system a plan is armed against.  Check validates an event
-// before the simulation starts (unknown board, device out of range, ...);
-// Inject performs it.  For time-triggered events Inject runs inside a
-// simulated process at the scheduled instant; for operation-count triggers
-// it runs at arm time with p == nil and the target defers the fault to the
-// drive's own op counter.
+// Validate reports whether the event is well formed on any machine: its
+// kind and port are declared ones (DiskFail to ServerUp, PortRing to
+// PortEther), only disk failures, latent sectors and file
+// system crashes take an op-count trigger, a latent range is non-empty,
+// stalls and loss periods are positive, only HIPPI endpoints stall, and a
+// client index is non-negative.  Whether the hardware it names exists is
+// the Target's question.
+func (ev Event) Validate() error {
+	opCount := ev.Kind == DiskFail || ev.Kind == LatentSector || ev.Kind == FSCrash
+	network := ev.Kind == LinkDown || ev.Kind == LinkUp || ev.Kind == PacketLoss || ev.Kind == EndpointStall
+	switch {
+	case ev.Kind < DiskFail || ev.Kind > ServerUp:
+		return fmt.Errorf("unknown fault kind %d", int(ev.Kind))
+	case ev.After > 0 && !opCount:
+		return fmt.Errorf("%v faults are time-triggered only", ev.Kind)
+	case ev.Kind == LatentSector && (ev.Sectors <= 0 || ev.LBA < 0):
+		return fmt.Errorf("bad sector range [%d, %d)", ev.LBA, ev.LBA+int64(ev.Sectors))
+	case (ev.Kind == StringStall || ev.Kind == EndpointStall) && ev.Stall <= 0:
+		return fmt.Errorf("stall duration must be positive")
+	case ev.Kind == PacketLoss && ev.Every < 1:
+		return fmt.Errorf("packet loss period must be >= 1, got %d", ev.Every)
+	case !network:
+		return nil
+	case ev.Net < PortRing || ev.Net > PortEther:
+		return fmt.Errorf("unknown network port %d", int(ev.Net))
+	case ev.Kind == EndpointStall && ev.Net != PortBoardHIPPI && ev.Net != PortClientNIC:
+		return fmt.Errorf("%v cannot stall: only HIPPI endpoints do", ev.Net)
+	case ev.Net == PortClientNIC && ev.Board < 0:
+		return fmt.Errorf("negative client index %d", ev.Board)
+	}
+	return nil
+}
+
+// Target is the system a plan is armed against.  Check answers whether the
+// hardware a well-formed event names exists (unknown board, device out of
+// range, ...); Inject performs it.  For time-triggered events Inject runs
+// inside a simulated process at the scheduled instant; for operation-count
+// triggers it runs at arm time with p == nil and the target defers the
+// fault to the drive's own op counter.
 type Target interface {
 	Check(ev Event) error
 	Inject(p *sim.Proc, ev Event)
 }
 
-// Arm validates every event of the plan against tgt and schedules it on the
-// engine.  Time-triggered events spawn one process each (named
-// "fault:<kind>") that fires at the scheduled simulated time; op-count
-// events are handed to the target immediately.  Arm must be called before
-// the simulation runs past the earliest event time.
+// Arm validates every event of the plan, first on its own and then against
+// tgt, and schedules it on the engine.  Time-triggered events spawn one
+// process each (named "fault:<kind>") that fires at the scheduled simulated
+// time; op-count events are handed to the target immediately.  Arm must be
+// called before the simulation runs past the earliest event time.
 func Arm(e *sim.Engine, pl Plan, tgt Target) error {
 	seenFail := make(map[[3]int]int)
 	for i, ev := range pl.Events {
-		if err := tgt.Check(ev); err != nil {
+		err := ev.Validate()
+		if err == nil {
+			err = tgt.Check(ev)
+		}
+		if err != nil {
 			return fmt.Errorf("fault: event %d (%v): %w", i, ev.Kind, err)
 		}
 		// Two failure events for the same drive never both fire — the drive

@@ -201,3 +201,66 @@ func TestArmSchedulesAtSimulatedTimes(t *testing.T) {
 		t.Fatalf("last event fired at %v, want 2s", got)
 	}
 }
+
+// TestArmRefusesMalformedEvents: an event that is wrong on any machine is
+// refused by Arm before the target is asked, here one that accepts every
+// event, and every builder's event is well formed.
+func TestArmRefusesMalformedEvents(t *testing.T) {
+	const at, stall = time.Second, 10 * time.Millisecond
+	for _, c := range []struct {
+		name string
+		ev   Event
+	}{
+		{"op-count string stall", Event{Kind: StringStall, After: 5, Stall: stall}},
+		{"op-count link down", Event{Kind: LinkDown, After: 5}},
+		{"op-count link up", Event{Kind: LinkUp, After: 5}},
+		{"op-count packet loss", Event{Kind: PacketLoss, After: 5, Every: 3}},
+		{"op-count endpoint stall", Event{Kind: EndpointStall, After: 5, Net: PortBoardHIPPI, Stall: stall}},
+		{"op-count server down", Event{Kind: ServerDown, After: 5}},
+		{"op-count server up", Event{Kind: ServerUp, After: 5}},
+		{"empty sector range", Event{Kind: LatentSector, LBA: 8}},
+		{"negative sector count", Event{Kind: LatentSector, LBA: 8, Sectors: -1}},
+		{"negative first sector", Event{Kind: LatentSector, LBA: -1, Sectors: 4}},
+		{"zero string stall", Event{Kind: StringStall, At: at}},
+		{"negative endpoint stall", Event{Kind: EndpointStall, At: at, Net: PortClientNIC, Stall: -stall}},
+		{"zero loss period", Event{Kind: PacketLoss, Net: PortRing}},
+		{"negative loss period", Event{Kind: PacketLoss, Net: PortEther, Every: -2}},
+		{"ring stall", Event{Kind: EndpointStall, At: at, Net: PortRing, Stall: stall}},
+		{"ethernet stall", Event{Kind: EndpointStall, At: at, Net: PortEther, Stall: stall}},
+		{"negative client index", Event{Kind: LinkDown, At: at, Net: PortClientNIC, Board: -1}},
+		{"unknown kind", Event{Kind: Kind(99), At: at}},
+		{"unknown port", Event{Kind: LinkDown, At: at, Net: NetPort(42)}},
+	} {
+		tgt := &recTarget{}
+		if err := Arm(sim.New(), Plan{Events: []Event{c.ev}}, tgt); err == nil {
+			t.Errorf("%s: Arm accepted %+v", c.name, c.ev)
+		}
+		if len(tgt.checked) != 0 {
+			t.Errorf("%s: the target was asked about a malformed event", c.name)
+		}
+	}
+	pl := Plan{}.
+		DiskFailAt(at, 0, 3).
+		DiskFailAfterOps(40, 1, 2).
+		LatentSector(0, 5, 4096, 8).
+		LatentSectorAfterOps(7, 0, 6, 100, 1).
+		StringStallAt(at, 0, 0, stall).
+		FSCrashAt(at, 0).
+		FSCrashAtCommit(3, 0).
+		LinkDownAt(at, PortRing, 0).
+		LinkUpAt(at, PortEther, 0).
+		PacketLossEvery(1, PortClientNIC, 2).
+		EndpointStallAt(at, PortBoardHIPPI, 1, stall).
+		EndpointStallAt(at, PortClientNIC, 0, stall).
+		ServerDownAt(at, 1).
+		ServerUpAt(2*at, 1)
+	for i, ev := range pl.Events {
+		if err := ev.Validate(); err != nil {
+			t.Errorf("builder event %d (%v): %v", i, ev.Kind, err)
+		}
+	}
+	tgt := &recTarget{}
+	if err := Arm(sim.New(), pl, tgt); err != nil || len(tgt.checked) != len(pl.Events) {
+		t.Fatalf("Arm: %v, checked %d of %d events", err, len(tgt.checked), len(pl.Events))
+	}
+}

@@ -45,7 +45,6 @@ func (b *Board) Admit(p *sim.Proc) error {
 		return fmt.Errorf("server: board %d admission queue full: %w", b.Index, fault.ErrServerBusy)
 	}
 	b.admStats.Queued++
-	p.Span("server", "admit-queued")()
 	endWait := p.Span("admission", "wait")
 	b.adm.Acquire(p)
 	endWait()

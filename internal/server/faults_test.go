@@ -1,12 +1,14 @@
 package server
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"raidii/internal/fault"
 	"raidii/internal/hippi"
 	"raidii/internal/sim"
+	"raidii/internal/trace"
 )
 
 // TestNetworkFaultsReachEveryPort: each network fault kind a plan scripts
@@ -113,4 +115,92 @@ func TestOverlappingStallsKeepTheLater(t *testing.T) {
 		}
 	})
 	sys.Eng.Run()
+}
+
+// TestFaultVerdicts: every plan builder, in range and out of range on each
+// coordinate it names, gets the same verdict from a standalone server and
+// from a one-host fleet, and the verdicts are the ones the standalone
+// server gave when it was a fault target of its own.  The machine is two
+// boards of eight disks; the server's names carry no "s0-".
+func TestFaultVerdicts(t *testing.T) {
+	const at, stall = time.Second, 10 * time.Millisecond
+	pl := fault.Plan{}
+	last := DefaultConfig().DiskSpec.Sectors() - 8
+	for _, c := range []struct {
+		name  string
+		plan  fault.Plan
+		nvram bool
+		ok    bool
+	}{
+		{"disk fail", pl.DiskFailAt(at, 1, 7), false, true},
+		{"disk fail, no board", pl.DiskFailAt(at, 2, 0), false, false},
+		{"disk fail, negative board", pl.DiskFailAt(at, -1, 0), false, false},
+		{"disk fail, no disk", pl.DiskFailAt(at, 0, 8), false, false},
+		{"disk fail, negative disk", pl.DiskFailAt(at, 0, -1), false, false},
+		{"disk fail after ops", pl.DiskFailAfterOps(40, 0, 3), false, true},
+		{"disk fail after ops, no board", pl.DiskFailAfterOps(40, 2, 3), false, false},
+		{"disk fail after ops, no disk", pl.DiskFailAfterOps(40, 1, 8), false, false},
+		{"latent sector, last sectors", pl.LatentSector(1, 7, last, 8), false, true},
+		{"latent sector, past the end", pl.LatentSector(1, 7, last+1, 8), false, false},
+		{"latent sector, empty", pl.LatentSector(0, 0, 0, 0), false, false},
+		{"latent sector, no board", pl.LatentSector(2, 0, 0, 8), false, false},
+		{"latent sector, no disk", pl.LatentSector(0, 8, 0, 8), false, false},
+		{"latent sector after ops", pl.LatentSectorAfterOps(7, 0, 6, 100, 1), false, true},
+		{"latent sector after ops, past the end", pl.LatentSectorAfterOps(7, 0, 6, last+8, 1), false, false},
+		{"latent sector after ops, no disk", pl.LatentSectorAfterOps(7, 0, 9, 100, 1), false, false},
+		{"string stall", pl.StringStallAt(at, 1, 5, stall), false, true},
+		{"string stall, no board", pl.StringStallAt(at, 2, 5, stall), false, false},
+		{"string stall, no disk", pl.StringStallAt(at, 1, 8, stall), false, false},
+		{"fs crash", pl.FSCrashAt(at, 1), false, true},
+		{"fs crash, no board", pl.FSCrashAt(at, 2), false, false},
+		{"fs crash at commit", pl.FSCrashAtCommit(3, 1), true, true},
+		{"fs crash at commit, no nvram", pl.FSCrashAtCommit(3, 1), false, false},
+		{"fs crash at commit, no board", pl.FSCrashAtCommit(3, 2), true, false},
+		{"ring down", pl.LinkDownAt(at, fault.PortRing, 0), false, true},
+		{"ethernet down", pl.LinkDownAt(at, fault.PortEther, 0), false, true},
+		{"board endpoint down", pl.LinkDownAt(at, fault.PortBoardHIPPI, 1), false, true},
+		{"board endpoint down, no board", pl.LinkDownAt(at, fault.PortBoardHIPPI, 2), false, false},
+		{"client nic down, before it attaches", pl.LinkDownAt(at, fault.PortClientNIC, 5), false, true},
+		{"link down, no server", fault.Plan{Events: []fault.Event{{Kind: fault.LinkDown, At: at, Server: 1}}}, false, false},
+		{"link up", pl.LinkUpAt(at, fault.PortBoardHIPPI, 0), false, true},
+		{"link up, no board", pl.LinkUpAt(at, fault.PortBoardHIPPI, -1), false, false},
+		{"packet loss", pl.PacketLossEvery(3, fault.PortBoardHIPPI, 1), false, true},
+		{"packet loss, no board", pl.PacketLossEvery(3, fault.PortBoardHIPPI, 2), false, false},
+		{"endpoint stall", pl.EndpointStallAt(at, fault.PortBoardHIPPI, 0, stall), false, true},
+		{"endpoint stall, no board", pl.EndpointStallAt(at, fault.PortBoardHIPPI, 2, stall), false, false},
+		{"endpoint stall, client nic", pl.EndpointStallAt(at, fault.PortClientNIC, 0, stall), false, true},
+		{"server down", pl.ServerDownAt(at, 0), false, true},
+		{"server down, no server", pl.ServerDownAt(at, 1), false, false},
+		{"server up", pl.ServerUpAt(at, 0), false, true},
+		{"server up, negative server", pl.ServerUpAt(at, -1), false, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Boards, cfg.DisksPerString, cfg.Faults = 2, 1, c.plan
+		if c.nvram {
+			cfg.NVRAMBytes = 1 << 20
+		}
+		sys, err := New(cfg)
+		if got := err == nil; got != c.ok {
+			t.Errorf("%s: New accepted = %v (%v), want %v", c.name, got, err, c.ok)
+		}
+		fl, ferr := NewFleet(cfg)
+		if (ferr == nil) != (err == nil) {
+			t.Errorf("%s: New says %v, a one-host NewFleet %v", c.name, err, ferr)
+		}
+		if sys == nil || fl == nil {
+			continue
+		}
+		names := trace.Attach(sys.Eng, trace.Config{}).Resources()
+		fleetNames := trace.Attach(fl.Eng, trace.Config{}).Resources()
+		if len(names) != len(fleetNames) {
+			t.Fatalf("%s: New built %d resources, NewFleet %d", c.name, len(names), len(fleetNames))
+		}
+		for i, r := range names {
+			if strings.HasPrefix(r.Name, "s0-") || r.Name != strings.TrimPrefix(fleetNames[i].Name, "s0-") {
+				t.Fatalf("%s: New's resource %d is %q, the fleet's %q", c.name, i, r.Name, fleetNames[i].Name)
+			}
+		}
+		sys.Eng.Shutdown()
+		fl.Eng.Shutdown()
+	}
 }

@@ -13,38 +13,44 @@ import (
 // simulation engine so a fleet-wide run stays one deterministic event
 // sequence.  Every host is a full System — boards, arrays, caches, file
 // systems, admission control — with its resource names prefixed "s0-",
-// "s1-", ... so traces and telemetry stay per-server.  File striping
-// across the hosts lives above this layer, in internal/zebra.
+// "s1-", ... so traces and telemetry stay per-server.  A standalone server
+// (New) is a fleet of one whose host keeps its names unprefixed.  File
+// striping across the hosts lives above this layer, in internal/zebra.
 type Fleet struct {
 	Eng     *sim.Engine
 	Ultra   *hippi.Ultranet
 	Servers []*System
 
-	// clients is the fleet-wide client endpoint registry; every member
-	// host's RegisterClientEndpoint delegates here so PortClientNIC fault
-	// events index one shared attachment-order space.
+	// clients are the HIPPI endpoints of attached client workstations, in
+	// attachment order: the one index space PortClientNIC fault events
+	// target, whichever host a client talks to.
 	clients []*hippi.Endpoint
 }
 
-// NewFleet assembles cfg.Servers hosts (minimum 1) from one Config on a
-// fresh engine and a shared ring, then arms the fault plan fleet-wide:
-// each event's Server field routes it to the owning host.
+// NewFleet assembles cfg.Servers hosts (minimum 1) from one Config, named
+// "s0", "s1", ..., and arms the fault plan fleet-wide.
 func NewFleet(cfg Config) (*Fleet, error) {
-	n := cfg.Servers
-	if n <= 0 {
-		n = 1
+	names := make([]string, max(cfg.Servers, 1))
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
 	}
+	return newFleet(cfg, names)
+}
+
+// newFleet assembles one host per name on a fresh engine and a shared ring,
+// then arms the fault plan against the fleet: each event's Server field
+// routes it to the owning host.  Every host is built from one Config, so
+// an assembly error is the first host's and names no host.
+func newFleet(cfg Config, names []string) (*Fleet, error) {
 	e := sim.New()
 	fl := &Fleet{Eng: e, Ultra: hippi.NewUltranet(e, cfg.HIPPI)}
-	for i := 0; i < n; i++ {
+	for i, name := range names {
 		hostCfg := cfg
-		hostCfg.Name = fmt.Sprintf("s%d", i)
-		sys, err := assemble(e, fl.Ultra, hostCfg)
+		hostCfg.Name = name
+		sys, err := fl.assemble(i, hostCfg)
 		if err != nil {
-			return nil, fmt.Errorf("server: fleet host %d: %w", i, err)
+			return nil, err
 		}
-		sys.index = i
-		sys.fleet = fl
 		fl.Servers = append(fl.Servers, sys)
 	}
 	if err := fault.Arm(e, cfg.Faults, fl); err != nil {
@@ -60,19 +66,19 @@ func (fl *Fleet) RegisterClientEndpoint(ep *hippi.Endpoint) int {
 	return len(fl.clients) - 1
 }
 
-// Fleet implements fault.Target: events carry a Server field and are
-// routed to the named host, which validates and performs them exactly as
-// a standalone system would.
+// Fleet implements fault.Target, the only one: fault.Arm has already found
+// an event well formed, and the fleet routes it by its Server field to the
+// host that checks and performs it.
 
-// Check validates one fleet-wide fault event.
+// Check answers whether the hardware one event names exists in the fleet.
 func (fl *Fleet) Check(ev fault.Event) error {
 	if ev.Server < 0 || ev.Server >= len(fl.Servers) {
 		return fmt.Errorf("no server %d in a %d-server fleet", ev.Server, len(fl.Servers))
 	}
-	return fl.Servers[ev.Server].Check(ev)
+	return fl.Servers[ev.Server].check(ev)
 }
 
 // Inject routes one fault event to its target host.
 func (fl *Fleet) Inject(p *sim.Proc, ev fault.Event) {
-	fl.Servers[ev.Server].Inject(p, ev)
+	fl.Servers[ev.Server].inject(p, ev)
 }

@@ -51,8 +51,8 @@ const (
 type Config struct {
 	// Name prefixes every simulation resource the server creates (XBUS
 	// boards, Cougars, disks, host, Ethernet), so several server hosts can
-	// share one engine without colliding in traces and telemetry.  Empty
-	// for a standalone server; NewFleet assigns "s0", "s1", ...
+	// share one engine without colliding in traces and telemetry.  New
+	// keeps it (empty by default); NewFleet assigns "s0", "s1", ...
 	Name string
 
 	// Servers is the number of server hosts a fleet assembles (§2.1.2:
@@ -172,42 +172,24 @@ type System struct {
 	Ultra  *hippi.Ultranet
 	Boards []*Board
 
-	// index is the host's position in its fleet (0 standalone); fleet is
-	// the owning fleet, nil for a standalone server.
+	// index is the host's position in fleet, the fleet it belongs to; a
+	// standalone server is host 0 of a fleet of one.
 	index int
 	fleet *Fleet
 
 	// down records a ServerDown fault: the whole host is dead until a
 	// ServerUp event restores it.
 	down bool
-
-	// clients are the HIPPI endpoints of attached client workstations, in
-	// attachment order — the index space PortClientNIC fault events target.
-	// In a fleet the registry lives on the fleet instead.
-	clients []*hippi.Endpoint
 }
 
-// RegisterClientEndpoint records a client workstation's HIPPI endpoint so
-// scripted PortClientNIC fault events can reach it, returning the client's
-// registration index.  Hosts in a fleet share one fleet-wide index space.
+// RegisterClientEndpoint records a client workstation's HIPPI endpoint in
+// the fleet's registry (Fleet.RegisterClientEndpoint).
 func (sys *System) RegisterClientEndpoint(ep *hippi.Endpoint) int {
-	if sys.fleet != nil {
-		return sys.fleet.RegisterClientEndpoint(ep)
-	}
-	sys.clients = append(sys.clients, ep)
-	return len(sys.clients) - 1
-}
-
-// clientEndpoints returns the registry PortClientNIC events index into.
-func (sys *System) clientEndpoints() []*hippi.Endpoint {
-	if sys.fleet != nil {
-		return sys.fleet.clients
-	}
-	return sys.clients
+	return sys.fleet.RegisterClientEndpoint(ep)
 }
 
 // Index returns the host's position in its fleet (0 for a standalone
-// server).
+// server, a fleet of one).
 func (sys *System) Index() int { return sys.index }
 
 // SetDown kills the whole server host (or restores it): every board's
@@ -272,27 +254,20 @@ func (b *Board) bind(ad *scsi.Disk, c int) *scsi.Bound {
 	return ad.Bind(b.XB.DiskReadPath(c), b.XB.DiskWritePath(c))
 }
 
-// New assembles a standalone system on a fresh engine and arms its fault
-// plan.  Multi-host fleets are assembled by NewFleet instead.
+// New assembles a standalone server, a fleet of one whose host keeps
+// cfg.Name, on a fresh engine and arms its fault plan.
 func New(cfg Config) (*System, error) {
-	sys, err := assemble(sim.New(), nil, cfg)
+	fl, err := newFleet(cfg, []string{cfg.Name})
 	if err != nil {
 		return nil, err
 	}
-	if err := fault.Arm(sys.Eng, cfg.Faults, sys); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return fl.Servers[0], nil
 }
 
-// assemble builds one server host on e.  ultra is the shared Ultranet ring
-// fleet members attach to; nil creates a private ring.  Fault plans are
-// NOT armed here — the caller arms them against the right target (the
-// system itself, or the whole fleet).
-func assemble(e *sim.Engine, ultra *hippi.Ultranet, cfg Config) (*System, error) {
-	if ultra == nil {
-		ultra = hippi.NewUltranet(e, cfg.HIPPI)
-	}
+// assemble builds the fleet's host number index on the fleet's engine and
+// ring.  The fleet arms the fault plan once every host is built.
+func (fl *Fleet) assemble(index int, cfg Config) (*System, error) {
+	e := fl.Eng
 	hostCfg := cfg.Host
 	hostCfg.Name = cfg.prefixed(hostCfg.Name)
 	sys := &System{
@@ -300,7 +275,9 @@ func assemble(e *sim.Engine, ultra *hippi.Ultranet, cfg Config) (*System, error)
 		Cfg:   cfg,
 		Host:  host.New(e, hostCfg),
 		Ether: ether.New(e, cfg.prefixed("ether0"), ether.DefaultConfig()),
-		Ultra: ultra,
+		Ultra: fl.Ultra,
+		index: index,
+		fleet: fl,
 	}
 	for b := 0; b < cfg.Boards; b++ {
 		board, err := sys.newBoard(b)

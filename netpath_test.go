@@ -25,7 +25,7 @@ func TestNetworkFaultTraceDeterministic(t *testing.T) {
 			LinkUpAt(1200*time.Millisecond, PortUltranetRing, 0).
 			PacketLossEvery(6, PortClientNIC, 0)
 		srv, err := NewServer(WithDisksPerString(1),
-			WithNetworkFaults(plan),
+			WithFaultPlan(plan),
 			WithClientRetry(RetryPolicy{MaxRetries: 40}),
 			WithAdmissionLimit(2))
 		if err != nil {

@@ -39,9 +39,10 @@
 //
 // Every file system and hardware operation is per board, through
 // Task.Board; Task itself formats, syncs and checkpoints every board and
-// keeps the simulated clock.  Deterministic hardware faults are scripted
-// with a FaultPlan passed to WithFaultPlan, or injected mid-run through the
-// Board handle.
+// keeps the simulated clock.  Deterministic hardware and network faults are
+// scripted with FaultPlans passed to WithFaultPlan (their events add up,
+// and are checked when the server is assembled), or injected mid-run
+// through the Board handle.
 //
 // NewCluster scales the same machine out the way §2.1.2 intends: several
 // server hosts on one Ultranet ring, files striped across them with
@@ -63,8 +64,9 @@ import (
 	"raidii/internal/telemetry"
 )
 
-// FaultPlan scripts deterministic hardware faults — disk failures, latent
-// sector errors, SCSI-string stalls, file system crashes — fired at
+// FaultPlan scripts deterministic hardware and network faults — disk
+// failures, latent sector errors, SCSI-string stalls, file system crashes,
+// link flaps, packet loss, endpoint stalls, whole-host outages — fired at
 // simulated times or drive operation counts.  The zero value injects
 // nothing; builder methods chain:
 //
@@ -209,20 +211,15 @@ func WithNVRAM(bytes int) Option {
 	return func(c *server.Config) { c.NVRAMBytes = bytes }
 }
 
-// WithFaultPlan arms a deterministic fault plan when the server is
-// assembled, exercising the §2.1 redundancy machinery (RAID parity,
-// controller retries, degraded mode).  An identical plan on an identical
-// workload yields a byte-identical trace.  In a Cluster, events carry a
-// server index (Event.Server; ServerDownAt sets it) and route to that host.
+// WithFaultPlan appends a deterministic fault plan's events to the plan
+// armed when the server is assembled, exercising the §2.1 redundancy
+// machinery (RAID parity, controller retries, degraded mode) and the
+// network path (link flaps, packet loss, endpoint stalls).  Several
+// WithFaultPlan options compose, in any order.  An identical plan on an
+// identical workload yields a byte-identical trace.  In a Cluster, events
+// carry a server index (Event.Server; ServerDownAt sets it) and route to
+// that host.
 func WithFaultPlan(plan FaultPlan) Option {
-	return func(c *server.Config) { c.Faults = plan }
-}
-
-// WithNetworkFaults appends scripted network faults — link flaps, periodic
-// packet loss, endpoint stalls — to the plan armed at assembly.  It
-// composes with WithFaultPlan: disk and network events may arrive in either
-// option, in any order.
-func WithNetworkFaults(plan FaultPlan) Option {
 	return func(c *server.Config) { c.Faults.Events = append(c.Faults.Events, plan.Events...) }
 }
 
