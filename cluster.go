@@ -217,6 +217,7 @@ func (t *ClusterTask) Elapsed() time.Duration { return time.Duration(t.p.Now()) 
 type ClusterFile struct {
 	t    *ClusterTask
 	name string
+	buf  []byte // what Read lends: grows to the largest read, rewritten by the next
 }
 
 // Name returns the file's cluster-wide name.
@@ -246,19 +247,38 @@ func (f *ClusterFile) Write(off int64, data []byte) (time.Duration, error) {
 // (short only at end of file) and the simulated duration.  Fragments
 // arrive from all servers in parallel; a stripe on a down host is
 // reconstructed from the survivors and parity.
+//
+// The bytes are lent, as bufio.Scanner.Bytes lends its token: they are the
+// handle's own buffer, which grows to the handle's largest read, and they
+// stay valid until the handle's next Read, which overwrites them.  Copy
+// them to keep them longer.  Each handle lends its own buffer, so two
+// handles on one file never overwrite each other's bytes.
 func (f *ClusterFile) Read(off int64, n int) ([]byte, time.Duration, error) {
 	z, err := f.t.store()
 	if err != nil {
 		return nil, 0, err
 	}
+	if off < 0 || n < 0 {
+		return nil, 0, fmt.Errorf("raidii: striped read %s: [%d, +%d): %w", f.name, off, n, zebra.ErrRange)
+	}
 	start := f.t.p.Now()
-	var data []byte
+	got := 0
 	err = f.t.cl.cfg.ClientRetry.Run(f.t.p, "cluster", "raidii: striped read", func() error {
-		var rerr error
-		data, rerr = z.Read(f.t.p, f.name, off, n)
-		return rerr
+		size, err := z.Size(f.name)
+		if err != nil {
+			return err
+		}
+		if want := min(int64(n), max(size-off, 0)); int64(len(f.buf)) < want {
+			f.buf = make([]byte, want)
+		}
+		got, err = z.ReadInto(f.t.p, f.name, off, f.buf[:min(n, len(f.buf))])
+		return err
 	})
-	return data, time.Duration(f.t.p.Now().Sub(start)), err
+	dur := time.Duration(f.t.p.Now().Sub(start))
+	if err != nil {
+		return nil, dur, err
+	}
+	return f.buf[:got], dur, nil
 }
 
 // Size returns the striped file's logical size.

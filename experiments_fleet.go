@@ -154,13 +154,14 @@ func FleetKillTimeline() (FleetKillTimelineResult, error) {
 
 		r.workers("fleet-worker", func(p *sim.Proc, rng *rand.Rand) error {
 			setupDone.Wait(p)
+			buf := make([]byte, size) // each worker reads into its own buffer
 			for time.Duration(p.Now()) < runUntil {
 				off := workload.RandomAligned(rng, int64(fileMB), 1) << 20
-				got, err := z.Read(p, "stream", off, size)
+				n, err := z.ReadInto(p, "stream", off, buf)
 				if err != nil {
 					return err
 				}
-				if !bytes.Equal(got, data[off:off+size]) {
+				if !bytes.Equal(buf[:n], data[off:off+size]) {
 					return fmt.Errorf("striped read at %d: %w", off, ErrDataMismatch)
 				}
 				tl.credit(p.Now(), size)
@@ -197,8 +198,9 @@ func FleetKillTimeline() (FleetKillTimelineResult, error) {
 			if out.RebuiltFragments, err = z.RebuildServer(p, victim); err != nil {
 				return err
 			}
-			got, err := z.Read(p, "stream", 0, len(data))
-			out.DataIntact = err == nil && bytes.Equal(got, data)
+			got := make([]byte, len(data))
+			n, err := z.ReadInto(p, "stream", 0, got)
+			out.DataIntact = err == nil && bytes.Equal(got[:n], data)
 			return err
 		})
 	})

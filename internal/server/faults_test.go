@@ -204,3 +204,40 @@ func TestFaultVerdicts(t *testing.T) {
 		fl.Eng.Shutdown()
 	}
 }
+
+// TestClientNICFaultBeforeItAttaches: a plan may script a fault on a client
+// index before that client attaches, or on one that never does.  The event
+// fires on the fleet's client-port table: a client that attaches after it
+// starts in the state it left, and an event on a client that never
+// attaches changes no attached NIC.  The fleet used to look the index up
+// among the attached clients at fire time and stop the run.
+func TestClientNICFaultBeforeItAttaches(t *testing.T) {
+	const at = time.Millisecond
+	cfg := DefaultConfig()
+	cfg.Boards, cfg.DisksPerString = 1, 1
+	cfg.Faults = fault.Plan{}.
+		LinkDownAt(at, fault.PortClientNIC, 0).
+		PacketLossEvery(3, fault.PortClientNIC, 1).
+		LinkDownAt(at, fault.PortClientNIC, 5)
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := &hippi.Endpoint{Name: "c0"}
+	sys.RegisterClientEndpoint(early)
+	sys.Eng.RunUntil(sim.Time(2 * at))
+	late := &hippi.Endpoint{Name: "c1"}
+	sys.RegisterClientEndpoint(late)
+	if want := (fault.Port{Down: true}); early.Port != want {
+		t.Errorf("client 0, attached before its event: %+v, want %+v", early.Port, want)
+	}
+	if want := (fault.Port{LossEvery: 3}); late.Port != want {
+		t.Errorf("client 1, attached after its event: %+v, want %+v", late.Port, want)
+	}
+	// The event's own port, not the NIC's copy, is what a later event sets.
+	sys.fleet.Inject(nil, fault.Event{Kind: fault.LinkDown, Net: fault.PortClientNIC, Board: 1})
+	if !late.Port.Down {
+		t.Error("client 1: an event after it attached did not reach its NIC")
+	}
+	sys.Eng.Shutdown()
+}

@@ -249,30 +249,31 @@ func (z *Store) Write(p *sim.Proc, name string, off int64, data []byte) error {
 	return nil
 }
 
-// Read fetches n bytes at off (clamped to the file size) and returns them.
-// Fragments arrive from all servers in parallel and several stripes stay
-// in flight, so the client drains the fleet's aggregate bandwidth rather
-// than paying per-stripe latency serially.  A stripe whose fragment lives
-// on a down (or stale) server is reconstructed from the survivors and the
-// parity fragment — the whole-host analogue of degraded-mode array reads.
-func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error) {
+// ReadInto reads the named file's bytes at off into dst, clamped to the
+// file size, and returns how many it read.  It writes every byte of
+// dst[:n] — the data, its reconstruction, or the zeros a backing file does
+// not hold — so dst may be a recycled buffer.  Fragments arrive from all
+// servers in parallel and several stripes stay in flight, so the client
+// drains the fleet's aggregate bandwidth rather than paying per-stripe
+// latency serially.  A stripe whose fragment lives on a down (or stale)
+// server is reconstructed from the survivors and the parity fragment — the
+// whole-host analogue of degraded-mode array reads.
+func (z *Store) ReadInto(p *sim.Proc, name string, off int64, dst []byte) (int, error) {
 	f, ok := z.files[name]
 	if !ok {
-		return nil, fmt.Errorf("zebra: no such file %s", name)
+		return 0, fmt.Errorf("zebra: no such file %s", name)
 	}
-	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("zebra: read %s: negative range: %w", name, ErrRange)
+	if off < 0 {
+		return 0, fmt.Errorf("zebra: read %s: negative range: %w", name, ErrRange)
 	}
-	off = min(off, f.size)
-	n = int(min(int64(n), f.size-off))
+	n := int(min(int64(len(dst)), max(f.size-off, 0)))
 	if n == 0 {
-		return nil, nil
+		return 0, nil
 	}
 	if err := z.track(f); err != nil {
-		return nil, fmt.Errorf("zebra: read %s: %w", name, err)
+		return 0, fmt.Errorf("zebra: read %s: %w", name, err)
 	}
 	sb := int64(z.StripeBytes())
-	out := make([]byte, n)
 	first, last := off/sb, (off+int64(n)-1)/sb
 
 	// Enough stripes stay in flight that every host sees work even while
@@ -281,12 +282,28 @@ func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error)
 	err := z.inFlight(p, "zebra-read", readWindow, int(last-first+1), func(q *sim.Proc, i int) error {
 		s := first + int64(i)
 		lo, hi := max(s*sb, off), min((s+1)*sb, off+int64(n))
-		return f.a.ReadInto(q, lo, out[lo-off:hi-off])
+		return f.a.ReadInto(q, lo, dst[lo-off:hi-off])
 	})
 	if err != nil {
-		return nil, fmt.Errorf("zebra: read %s: %w", name, unreachable(err))
+		return 0, fmt.Errorf("zebra: read %s: %w", name, unreachable(err))
 	}
-	return out, nil
+	return n, nil
+}
+
+// Read returns the n bytes at off that ReadInto reads, in a new buffer.
+func (z *Store) Read(p *sim.Proc, name string, off int64, n int) ([]byte, error) {
+	size, err := z.Size(name)
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("zebra: read %s: negative range: %w", name, ErrRange)
+	}
+	buf := make([]byte, min(int64(n), max(size-off, 0)))
+	if n, err = z.ReadInto(p, name, off, buf); err != nil {
+		return nil, err
+	}
+	return buf[:n], nil
 }
 
 // RebuildServer reconstructs every stale fragment on server srv from the
