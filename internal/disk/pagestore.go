@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 )
 
@@ -20,6 +21,13 @@ import (
 // sees the store as the copies before it left it.  The zero-time methods
 // (ReadAt, WriteAt, PagesAllocated) join first; they and a copy smaller
 // than a page run on the caller's thread.
+//
+// A page changes owner only when its store dies.  Once nothing reaches a
+// store, its cleanup hands the store's pages to the spare list, and the
+// next store to materialize a page takes one from there before it
+// allocates.  Whoever takes a spare page writes every byte of it before
+// anything reads it: a whole-page write copies over it, a partial one
+// clears it first.  A live store's pages are its own until it dies.
 type pagestore struct {
 	pages [][]byte // nil = never written
 
@@ -42,7 +50,59 @@ const pageBytes = 64 * 1024
 func newPagestore(size int64) *pagestore {
 	ps := &pagestore{pages: make([][]byte, (size+pageBytes-1)/pageBytes)}
 	ps.work = ps.drain
+	// The cleanup gets the table, not ps: ps reaches itself through
+	// ps.work, so a finalizer on it would never run.
+	runtime.AddCleanup(ps, releasePages, ps.pages)
 	return ps
+}
+
+// spares holds the pages of stores that nothing reaches any more.  Each
+// entry is one dead store's page table, its pages compacted to the front;
+// a new page comes off the end of the last one.  The list grows only from
+// dead stores' pages, so it and the live stores together never hold more
+// pages than the live stores did at their peak.
+var spares struct {
+	mu     sync.Mutex
+	tables [][][]byte
+}
+
+// releasePages is a dead store's cleanup.  It keeps the table itself as
+// the list entry, so it allocates nothing per page: the runtime's cleanup
+// goroutine runs inside callers' allocation measurements too.
+func releasePages(pages [][]byte) {
+	n := 0
+	for _, page := range pages {
+		if page != nil {
+			pages[n] = page
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	spares.mu.Lock()
+	spares.tables = append(spares.tables, pages[:n])
+	spares.mu.Unlock()
+}
+
+// sparePage takes a dead store's page, bytes as that store left them, or
+// returns nil if there is none.
+func sparePage() []byte {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	last := len(spares.tables) - 1
+	if last < 0 {
+		return nil
+	}
+	t := spares.tables[last]
+	page := t[len(t)-1]
+	if len(t) == 1 {
+		spares.tables[last] = nil
+		spares.tables = spares.tables[:last]
+	} else {
+		spares.tables[last] = t[:len(t)-1]
+	}
+	return page
 }
 
 // start begins a command's copy of buf at off, into the store if write,
@@ -127,8 +187,8 @@ var zeroPage [pageBytes]byte
 
 // WriteAt stores buf at off, after the copy in flight.  Zeros written to a
 // never-written page leave it unmaterialized: they are what it already reads
-// as.  A write that fills a never-written page whole becomes the page as a
-// clone, which Go need not zero first; a partial one lands in a zeroed page.
+// as.  A write that materializes a page lands in a spare page when there is
+// one (newPage).
 func (ps *pagestore) WriteAt(buf []byte, off int64) {
 	ps.join()
 	ps.writeAt(buf, off)
@@ -144,16 +204,29 @@ func (ps *pagestore) writeAt(buf []byte, off int64) {
 			copy(page[po:], buf[:n])
 		case bytes.Equal(buf[:n], zeroPage[:n]):
 			// What the page already reads as.
-		case n == pageBytes:
-			ps.pages[pg] = bytes.Clone(buf[:n])
 		default:
-			page = make([]byte, pageBytes)
-			copy(page[po:], buf[:n])
-			ps.pages[pg] = page
+			ps.pages[pg] = newPage(buf[:n], po)
 		}
 		buf = buf[n:]
 		off += int64(n)
 	}
+}
+
+// newPage returns a page holding src at po and zeros everywhere else: a
+// spare page, cleared first unless src fills it, or else a clone of a
+// whole-page src, which Go need not zero first, or a zeroed page.
+func newPage(src []byte, po int) []byte {
+	page := sparePage()
+	switch {
+	case page == nil && len(src) == pageBytes:
+		return bytes.Clone(src)
+	case page == nil:
+		page = make([]byte, pageBytes)
+	case len(src) < pageBytes:
+		clear(page)
+	}
+	copy(page[po:], src)
+	return page
 }
 
 // PagesAllocated reports how many 64 KB pages have been materialized once

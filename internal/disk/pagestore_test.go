@@ -2,7 +2,10 @@ package disk
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"raidii/internal/sim"
 )
@@ -147,6 +150,166 @@ func TestReadDestinationIsNotRetained(t *testing.T) {
 	}
 }
 
+// spareCount is how many pages the spare list holds.
+func spareCount() int {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	n := 0
+	for _, t := range spares.tables {
+		n += len(t)
+	}
+	return n
+}
+
+// dropStore fills a store of n pages with 0xA5 and lets it go.
+func dropStore(n int) {
+	ps := newPagestore(int64(n) * pageBytes)
+	ps.WriteAt(bytes.Repeat([]byte{0xa5}, n*pageBytes), 0)
+}
+
+// primeSpares drops a store of n written pages and collects until the spare
+// list holds at least n pages, then fills every spare page with 0xA5, so a
+// page taken from the list holds bytes its taker must overwrite or clear.
+// It returns the pages it filled: the cleanups of earlier tests' stores may
+// still add others.
+func primeSpares(t *testing.T, n int) map[*byte]bool {
+	t.Helper()
+	dropStore(n)
+	deadline := time.Now().Add(10 * time.Second)
+	for spareCount() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10 s of collections the spare list holds %d pages, want %d", spareCount(), n)
+		}
+		runtime.GC()
+	}
+	poisoned := make(map[*byte]bool)
+	spares.mu.Lock()
+	for _, tbl := range spares.tables {
+		for _, page := range tbl {
+			for i := range page {
+				page[i] = 0xa5
+			}
+			poisoned[&page[0]] = true
+		}
+	}
+	spares.mu.Unlock()
+	return poisoned
+}
+
+// TestRecycledPageHoldsNoStaleBytes: a page that a dead store wrote reads,
+// in the store that takes it, as only what that store wrote.
+func TestRecycledPageHoldsNoStaleBytes(t *testing.T) {
+	sector := bytes.Repeat([]byte{0x3c}, 512)
+	var ps *pagestore
+	for attempt := 0; ; attempt++ {
+		poisoned := primeSpares(t, 4)
+		ps = newPagestore(2 * pageBytes)
+		ps.WriteAt(sector, pageBytes+pageBytes/2)
+		if poisoned[&ps.pages[1][0]] {
+			break
+		}
+		// A cleanup added a page to the list after it was filled.
+		if attempt == 10 {
+			t.Fatal("a partial write to a fresh page never took a spare page")
+		}
+	}
+	want := make([]byte, pageBytes)
+	copy(want[pageBytes/2:], sector)
+	got := make([]byte, pageBytes)
+	ps.ReadAt(got, pageBytes)
+	if !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("page around a one-sector write reads %#x at byte %d, want %#x", got[i], i, want[i])
+	}
+	whole := bytes.Repeat([]byte{0x5a, 0xc3, 0x17}, pageBytes/3+1)[:pageBytes]
+	ps.WriteAt(whole, 0)
+	ps.ReadAt(got, 0)
+	if !bytes.Equal(got, whole) {
+		t.Fatal("a whole-page write to a recycled page does not read back")
+	}
+}
+
+// TestReachableStoreKeepsItsPages: collections while a store is reachable
+// leave its bytes alone and never put its pages on the spare list.
+func TestReachableStoreKeepsItsPages(t *testing.T) {
+	const n = 4
+	keep := newPagestore(n * pageBytes)
+	want := bytes.Repeat([]byte{0x69, 0x96, 0x0f}, n*pageBytes/3+1)[:n*pageBytes]
+	keep.WriteAt(want, 0)
+	own := make(map[*byte]bool)
+	for _, page := range keep.pages {
+		own[&page[0]] = true
+	}
+	primeSpares(t, n)
+	for range 3 {
+		runtime.GC()
+	}
+	spares.mu.Lock()
+	for _, tbl := range spares.tables {
+		for _, page := range tbl {
+			if own[&page[0]] {
+				t.Error("a page of a reachable store is on the spare list")
+			}
+		}
+	}
+	spares.mu.Unlock()
+	got := make([]byte, len(want))
+	keep.ReadAt(got, 0)
+	if !bytes.Equal(got, want) {
+		t.Error("a reachable store's bytes changed across collections")
+	}
+	runtime.KeepAlive(keep)
+}
+
+// TestSpareListUnderConcurrentStores: stores on several goroutines take
+// spare pages while collections hand them dead stores' pages.  A page that
+// two live stores held at once would show up as the other store's bytes,
+// or, under -race, as a race between their writes.
+func TestSpareListUnderConcurrentStores(t *testing.T) {
+	const workers, rounds, n = 4, 20, 8
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]byte, n*pageBytes)
+			for r := range rounds {
+				want := bytes.Repeat([]byte{byte(w*rounds + r + 1)}, n*pageBytes)
+				ps := newPagestore(n * pageBytes)
+				ps.WriteAt(want[:pageBytes/2], pageBytes/4) // a partial write first
+				ps.WriteAt(want, 0)
+				if r%5 == 0 {
+					runtime.GC()
+				}
+				ps.ReadAt(got, 0)
+				if !bytes.Equal(got, want) {
+					t.Errorf("worker %d round %d reads bytes it did not write", w, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFreshPageWriteAllocs: with spare pages on the list, a whole-page
+// write to a never-written page takes one and allocates nothing.
+func TestFreshPageWriteAllocs(t *testing.T) {
+	const runs = 20
+	primeSpares(t, runs+1)
+	ps := newPagestore(pageBytes)
+	data := bytes.Repeat([]byte{0x5a}, pageBytes)
+	if n := testing.AllocsPerRun(runs, func() {
+		ps.pages[0] = nil // never written, as far as the store knows
+		ps.WriteAt(data, 0)
+	}); n != 0 {
+		t.Fatalf("a whole-page write to a fresh page allocates %v times", n)
+	}
+}
+
 func BenchmarkPagestoreReadAt(b *testing.B) {
 	const span = 64 * pageBytes
 	ps := newPagestore(span)
@@ -176,6 +339,23 @@ func BenchmarkPagestoreWriteAt(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pg := i % 64
 			ps.pages[pg] = nil // never written, as far as the store knows
+			ps.WriteAt(data, int64(pg)*pageBytes)
+		}
+	})
+	// recycled is fresh with a spare page on the list each time: the page
+	// the loop takes out goes back as the cleanup of a dead store would put
+	// it.  fresh drops its pages to the collector, so past the list's first
+	// few pages it clones every time.
+	b.Run("recycled", func(b *testing.B) {
+		ps := newPagestore(span)
+		table := make([][]byte, 1)
+		b.SetBytes(pageBytes)
+		for i := 0; i < b.N; i++ {
+			pg := i % 64
+			if page := ps.pages[pg]; page != nil {
+				table[0], ps.pages[pg] = page, nil
+				releasePages(table)
+			}
 			ps.WriteAt(data, int64(pg)*pageBytes)
 		}
 	})

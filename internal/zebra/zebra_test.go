@@ -597,7 +597,10 @@ func TestDegradedReadAllocationCeiling(t *testing.T) {
 
 // TestWriteAllocationCeiling: a striped write computes each stripe's parity
 // in a buffer from the free list (1.75 bytes per byte written when each was
-// new); what is left is mostly the servers' disk pages.
+// new).  What is left is mostly the servers' disk pages, and how much of it
+// is allocated depends on test order: a page the drives materialize is new
+// only when no earlier test's dead drives left a spare one behind
+// (internal/disk's page store).
 func TestWriteAllocationCeiling(t *testing.T) {
 	fl, z, data := stripedFile(t, 4)
 	write := func(p *sim.Proc) error { return z.Write(p, "f", 0, data) }
