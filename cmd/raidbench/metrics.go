@@ -102,8 +102,8 @@ func printLatency(prefix string, ls raidii.LatencyStats) {
 	} else {
 		fmt.Printf("  %s latency (n=%d): p50 %.2f ms  p99 %.2f ms  p999 %.2f ms  mean %.2f ms  max %.2f ms",
 			ls.Kind, ls.N, ms(ls.P50), ms(ls.P99), ms(ls.P999), ms(ls.Mean), ms(ls.Max))
-		if ls.Degraded+ls.Shed+ls.Retried > 0 {
-			fmt.Printf("  (%d degraded, %d shed, %d retried)", ls.Degraded, ls.Shed, ls.Retried)
+		if ls.Degraded+ls.Retried > 0 {
+			fmt.Printf("  (%d degraded, %d retried)", ls.Degraded, ls.Retried)
 		}
 		if len(ls.Stages) > 0 {
 			fmt.Print("\n      stages (mean work/req):")

@@ -1,11 +1,11 @@
 // Package wrapcheck defines the raidvet check for the sentinel-error
 // contract at the internal/server → raidii API boundary.  The public
 // package re-exports sentinels (raidii.ErrNotExist = lfs.ErrNotExist,
-// raidii.ErrServerBusy = fault.ErrServerBusy, ...) and documents that
+// raidii.ErrLinkDown = fault.ErrLinkDown, ...) and documents that
 // callers test failures with errors.Is; that contract holds only if
 // every fmt.Errorf on the way out wraps its error argument with %w.  A
 // single %v in the chain silently severs it — the API still returns an
-// error, but errors.Is(err, raidii.ErrServerBusy) goes false and client
+// error, but errors.Is(err, raidii.ErrLinkDown) goes false and client
 // retry logic stops firing.
 //
 // The check is a function of one type-checked package: every

@@ -8,7 +8,7 @@
 // performs many copy operations").
 //
 // The library is fault-aware end to end: requests carry a deadline, fail
-// with typed errors (fault.ErrLinkDown, fault.ErrServerBusy, ...), retry
+// with typed errors (fault.ErrLinkDown, fault.ErrNetTimeout, ...), retry
 // transient faults with deterministic exponential backoff on the simulated
 // clock, and resume partial transfers past the chunks that already landed.
 package client
@@ -46,8 +46,6 @@ type Stats struct {
 	// Retries is how many request attempts were resent after a transient
 	// failure.
 	Retries uint64
-	// Busy is how many attempts the server shed with fault.ErrServerBusy.
-	Busy uint64
 	// Deadlines is how many requests were abandoned at their deadline.
 	Deadlines uint64
 }
@@ -84,27 +82,12 @@ func (ws *Workstation) withRetry(p *sim.Proc, what string, attempt func(resume i
 		}
 		n, err := attempt(done)
 		done += n
-		if errors.Is(err, fault.ErrServerBusy) {
-			ws.stats.Busy++
-		}
 		return err
 	})
 	if errors.Is(err, fault.ErrDeadline) {
 		ws.stats.Deadlines++
 	}
 	return err
-}
-
-// admit runs the server-side admission check for a request that has reached
-// board b.  A shed request still costs a small busy reply on the wire
-// before the typed error reaches the caller.
-func (ws *Workstation) admit(p *sim.Proc, b *server.Board) (release func(), err error) {
-	if err := b.Admit(p); err != nil {
-		//lint:allow errdrop best-effort busy reply on the wire; the typed shed error below is what matters
-		_, _ = ws.sys.Ultra.Send(p, b.HEP, ws.EP, 64)
-		return nil, err
-	}
-	return b.Release, nil
 }
 
 // File is an open RAID file reached through the client library.
@@ -151,12 +134,8 @@ func (ws *Workstation) openOnce(p *sim.Proc, boardIdx int, path string, create b
 	if _, err := ws.sys.Ultra.Send(p, ws.EP, b.HEP, 256); err != nil {
 		return nil, err
 	}
-	release, err := ws.admit(p, b)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	var f *server.FSFile
+	var err error
 	if create {
 		ws.sys.Host.CPUWork(p, 3*time.Millisecond)
 		f, err = b.CreateFS(p, path)
@@ -200,11 +179,6 @@ func (fl *File) readOnce(p *sim.Proc, off int64, n int) (int, error) {
 	if _, err := sys.Ultra.Send(p, ws.EP, b.HEP, 128); err != nil {
 		return 0, err
 	}
-	release, err := ws.admit(p, b)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
 	sys.Host.CPUWork(p, server.FSReadOverhead)
 
 	// Server side: the handle's read stream reads pieces into XBUS buffers
@@ -248,11 +222,6 @@ func (fl *File) writeOnce(p *sim.Proc, off int64, n int) (int, error) {
 	if _, err := sys.Ultra.Send(p, ws.EP, b.HEP, 128); err != nil {
 		return 0, err
 	}
-	release, err := ws.admit(p, b)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
 	sys.Host.CPUWork(p, server.FSWriteOverhead)
 
 	// One reusable transfer buffer per request, a piece long.

@@ -291,52 +291,20 @@ func TestDeadlineBoundsRetries(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedsAndRecovers drives three concurrent clients into a
-// board with a one-slot admission queue: the third is shed with
-// fault.ErrServerBusy, backs off, and every read still completes.
-func TestAdmissionShedsAndRecovers(t *testing.T) {
-	cfg := server.Fig8Config()
-	cfg.AdmissionLimit = 1
-	sys, path := newSystemCfg(t, 2, cfg)
-	var stations []*Workstation
-	for _, name := range []string{"ws-a", "ws-b", "ws-c"} {
-		ws := NewWorkstation(sys, name, host.SPARCstation10())
-		ws.Retry = fault.RetryPolicy{MaxRetries: 30}
-		stations = append(stations, ws)
-		sys.Eng.Spawn("t-"+name, func(p *sim.Proc) {
-			f, err := ws.Open(p, 0, path)
-			if err != nil {
-				t.Fatalf("%s open: %v", ws.EP.Name, err)
-			}
-			if _, err := f.Read(p, 0, 1<<20); err != nil {
-				t.Fatalf("%s read: %v", ws.EP.Name, err)
-			}
-		})
-	}
-	sys.Eng.Run()
-	st := sys.Boards[0].AdmissionStats()
-	if st.Shed == 0 {
-		t.Fatalf("admission stats %+v: expected at least one shed request", st)
-	}
-	var busy uint64
-	for _, ws := range stations {
-		busy += ws.Stats().Busy
-	}
-	if busy == 0 {
-		t.Fatal("no client observed fault.ErrServerBusy")
-	}
-}
-
-// TestClientReadStageBreakdown: the same three clients with telemetry
-// attached.  Every layer a raid_read crosses opens its spans with p.Span
-// alone, and the request's stage breakdown must name them all — including
-// the two only contention produces: the admission queue wait and the
-// client's backoff after a shed attempt.
+// TestClientReadStageBreakdown: three clients with telemetry attached, the
+// ring down when they first send.  Every layer a raid_read crosses opens its
+// spans with p.Span alone, and the request's stage breakdown must name them
+// all — including the client's backoff after a failed open.
 func TestClientReadStageBreakdown(t *testing.T) {
-	cfg := server.Fig8Config()
-	cfg.AdmissionLimit = 1
-	sys, path := newSystemCfg(t, 2, cfg)
+	sys, path := newSystem(t, 2)
 	reg := telemetry.Attach(sys.Eng)
+	// The ring goes down before the clients first send and comes back
+	// 30 ms later, as in TestReadRetriesThroughLinkFlap.
+	sys.Eng.Spawn("flap", func(p *sim.Proc) {
+		sys.Ultra.Down = true
+		p.Wait(30 * time.Millisecond)
+		sys.Ultra.Down = false
+	})
 	for _, name := range []string{"ws-a", "ws-b", "ws-c"} {
 		ws := NewWorkstation(sys, name, host.SPARCstation10())
 		ws.Retry = fault.RetryPolicy{MaxRetries: 30}
@@ -351,8 +319,6 @@ func TestClientReadStageBreakdown(t *testing.T) {
 		})
 	}
 	sys.Eng.Run()
-	// The three arrive together, so it is an open that finds the queue
-	// full and backs off; the reads then queue behind one another.
 	stages := func(kind string) map[string]bool {
 		got := map[string]bool{}
 		for _, st := range reg.Summary(kind).Stages {
@@ -360,11 +326,11 @@ func TestClientReadStageBreakdown(t *testing.T) {
 		}
 		return got
 	}
-	if open := reg.Summary("client-open"); open.N != 3 || open.Shed == 0 || !stages("client-open")["client"] {
-		t.Errorf("client-open summary %+v: want 3 requests, one shed, with client backoff time", open)
+	if open := reg.Summary("client-open"); open.N != 3 || open.Retried != 3 || !stages("client-open")["client"] {
+		t.Errorf("client-open summary %+v: want 3 requests, each retried, with client backoff time", open)
 	}
 	read := stages("client-read")
-	for _, stage := range []string{"net", "admission", "raid", "scsi", "disk"} {
+	for _, stage := range []string{"net", "raid", "scsi", "disk"} {
 		if !read[stage] {
 			t.Errorf("client-read has no %s stage time (stages: %+v)", stage, reg.Summary("client-read").Stages)
 		}

@@ -46,24 +46,19 @@ var (
 	// ErrNetTimeout reports an endpoint that stopped responding: the sender
 	// waited out its stall timeout without the transfer starting.
 	ErrNetTimeout = errors.New("fault: network endpoint timed out")
-	// ErrServerBusy reports a request the server shed at admission because
-	// the board's bounded request queue was full.  The client retry layer
-	// treats it like a transient network fault: back off and resend.
-	ErrServerBusy = errors.New("fault: server busy")
 	// ErrDeadline reports a client request abandoned because its
 	// per-request deadline expired before the retries succeeded.
 	ErrDeadline = errors.New("fault: request deadline exceeded")
 )
 
 // Retryable reports whether err is transient from the client library's
-// point of view: network faults, shed requests, and command timeouts are
-// worth a backed-off retry, while disk failures, medium errors, and file
-// system errors are not improved by resending the request.
+// point of view: network faults and command timeouts are worth a
+// backed-off retry, while disk failures, medium errors, and file system
+// errors are not improved by resending the request.
 func Retryable(err error) bool {
 	return errors.Is(err, ErrLinkDown) ||
 		errors.Is(err, ErrPacketLost) ||
 		errors.Is(err, ErrNetTimeout) ||
-		errors.Is(err, ErrServerBusy) ||
 		errors.Is(err, ErrTimeout)
 }
 

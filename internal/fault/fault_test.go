@@ -118,7 +118,7 @@ func TestNetPortStrings(t *testing.T) {
 }
 
 func TestRetryable(t *testing.T) {
-	for _, err := range []error{ErrLinkDown, ErrPacketLost, ErrNetTimeout, ErrServerBusy, ErrTimeout} {
+	for _, err := range []error{ErrLinkDown, ErrPacketLost, ErrNetTimeout, ErrTimeout} {
 		if !Retryable(err) {
 			t.Errorf("Retryable(%v) = false, want true", err)
 		}

@@ -12,10 +12,10 @@ import (
 // RAID-II server hosts attached to one Ultranet ring, sharing a single
 // simulation engine so a fleet-wide run stays one deterministic event
 // sequence.  Every host is a full System — boards, arrays, caches, file
-// systems, admission control — with its resource names prefixed "s0-",
-// "s1-", ... so traces and telemetry stay per-server.  A standalone server
-// (New) is a fleet of one whose host keeps its names unprefixed.  File
-// striping across the hosts lives above this layer, in internal/zebra.
+// systems — with its resource names prefixed "s0-", "s1-", ... so traces
+// and telemetry stay per-server.  A standalone server (New) is a fleet of
+// one whose host keeps its names unprefixed.  File striping across the
+// hosts lives above this layer, in internal/zebra.
 type Fleet struct {
 	Eng     *sim.Engine
 	Ultra   *hippi.Ultranet

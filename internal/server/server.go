@@ -119,13 +119,6 @@ type Config struct {
 	// assembled; the zero value injects nothing.
 	Faults fault.Plan
 
-	// AdmissionLimit bounds each board's concurrently serviced client
-	// requests: up to AdmissionLimit requests are in service, up to
-	// AdmissionLimit more wait in a FIFO queue, and anything beyond that is
-	// shed with fault.ErrServerBusy.  Zero admits everything (the
-	// pre-admission-control behavior).
-	AdmissionLimit int
-
 	// ClientRetry is the retry/timeout policy client workstations inherit
 	// when they attach; the zero value disables retrying.
 	ClientRetry fault.RetryPolicy
@@ -227,12 +220,7 @@ type Board struct {
 	HEP     *hippi.Endpoint // HIPPI endpoint of this board
 	nv      *nvram          // battery-backed region; nil when not configured
 	fsCfg   lfs.Config      // what the file system is formatted and mounted with
-
-	adm      *sim.Server // bounded client-request admission; nil = unbounded
-	admDepth int
-	admStats AdmissionStats
-
-	bufs streamBufs // the read stream's buffers and FSRead's leases (stream.go)
+	bufs    streamBufs      // the read stream's buffers and FSRead's leases (stream.go)
 }
 
 // Dev returns the store the file system and datapath read and write: the
@@ -242,6 +230,12 @@ func (b *Board) Dev() lfs.Device {
 		return b.Cache
 	}
 	return b.Array
+}
+
+// AdmissionStats is always zero: boards admit every request.  It remains
+// only because the benchmark harness (benchmark/rep.go) still reads it.
+func (b *Board) AdmissionStats() struct{ Queued, Shed uint64 } {
+	return struct{ Queued, Shed uint64 }{}
 }
 
 // bind binds a disk on Cougar c to the board: Cougar c uses VME disk port
@@ -294,10 +288,6 @@ func (sys *System) newBoard(idx int) (*Board, error) {
 	cfg := sys.Cfg
 	xb := xbus.New(e, cfg.prefixed(fmt.Sprintf("xbus%d", idx)), cfg.XBus)
 	b := &Board{sys: sys, Index: idx, XB: xb, bufs: newStreamBufs()}
-	if cfg.AdmissionLimit > 0 {
-		b.adm = sim.NewServer(e, cfg.prefixed(fmt.Sprintf("xbus%d:admit", idx)), cfg.AdmissionLimit)
-		b.admDepth = cfg.AdmissionLimit
-	}
 	b.HEP = &hippi.Endpoint{
 		Name:  cfg.prefixed(fmt.Sprintf("xbus%d", idx)),
 		Out:   xb.HIPPIS.Out(),

@@ -9,8 +9,8 @@ package sim
 //     parks itself so model code deep in the stack can find it through
 //     p.Engine() without threading a registry through every signature;
 //   - a single annotation slot on each Proc, where a request-scoped context
-//     rides along as the request flows client -> net -> admission -> lfs ->
-//     cache -> raid -> scsi -> disk, and hears of every span the process closes.
+//     rides along as the request flows client -> net -> lfs -> cache ->
+//     raid -> scsi -> disk, and hears of every span the process closes.
 //
 // Neither schedules events: like a Tracer, metrics observe the simulation
 // and never perturb it.

@@ -43,7 +43,6 @@ var families = [...]family{
 	{"raidii_requests_degraded_total", "counter", "Requests served over a degraded (reconstruct) path.", func(s *kindStats) uint64 { return s.degraded }},
 	{"raidii_requests_failed_total", "counter", "Requests that completed with an error.", func(s *kindStats) uint64 { return s.failed }},
 	{"raidii_requests_retried_total", "counter", "Requests that needed at least one retry.", func(s *kindStats) uint64 { return s.retried }},
-	{"raidii_requests_shed_total", "counter", "Requests refused at least once by admission control.", func(s *kindStats) uint64 { return s.shed }},
 	{"raidii_requests_total", "counter", "Completed requests by kind.", func(s *kindStats) uint64 { return s.duration.N() }},
 	{"raidii_requests_inflight", "gauge", "Requests currently in flight.", nil},
 	{"raidii_request_duration_ns", "histogram", "End-to-end request latency in nanoseconds.", nil},
@@ -51,6 +50,9 @@ var families = [...]family{
 
 // stageNames are the stage labels in the order a kind's stage series export.
 var stageNames = slices.Sorted(slices.Values(categories[:numStages]))
+
+// Stages returns the request stage labels, sorted.
+func Stages() []string { return slices.Clone(stageNames) }
 
 // walk calls fn for every series that exists, in export order.  A counter
 // series exists once it is nonzero, a kind's histogram once the kind has

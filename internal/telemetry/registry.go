@@ -10,10 +10,10 @@ import (
 // each request of the kind into it, and Summary and both exporters read it.
 // The latency histogram's count is the kind's completed requests.
 type kindStats struct {
-	failed, degraded, retried, shed uint64 // requests with that outcome
-	hits, misses, retries           uint64 // summed over the kind's requests
-	stages                          [numStages]sim.Duration
-	duration                        Histogram
+	failed, degraded, retried uint64 // requests with that outcome
+	hits, misses, retries     uint64 // summed over the kind's requests
+	stages                    [numStages]sim.Duration
+	duration                  Histogram
 }
 
 // Registry holds one engine's metrics.  Create or fetch one with Attach;

@@ -36,7 +36,6 @@ type Request struct {
 	retries uint64
 
 	degraded bool
-	shed     bool
 }
 
 // closedSpan is a stage span that has closed and that no stage span
@@ -224,9 +223,6 @@ func (r *Request) End(p *sim.Proc, err error) {
 	if r.retries > 0 {
 		s.retried++
 	}
-	if r.shed {
-		s.shed++
-	}
 }
 
 // StageMean is one stage's share of a kind's requests.
@@ -245,7 +241,7 @@ type LatencySummary struct {
 	Mean, P50        sim.Duration
 	P99, P999, Max   sim.Duration
 	Stages           []StageMean
-	Degraded, Shed   uint64
+	Degraded         uint64
 	Retried, Retries uint64
 }
 
@@ -270,7 +266,6 @@ func (r *Registry) Summary(kind string) LatencySummary {
 		}
 	}
 	out.Degraded = s.degraded
-	out.Shed = s.shed
 	out.Retried = s.retried
 	out.Retries = s.retries
 	return out

@@ -1,11 +1,11 @@
 // Package telemetry is the simulation's metrics layer: a request-scoped
 // context that follows one client request end to end through client -> net
-// -> admission -> lfs -> cache -> raid -> scsi -> disk, one fixed record per
+// -> lfs -> cache -> raid -> scsi -> disk, one fixed record per
 // request kind that each finished request folds into (outcome counts, cache
 // lines, retries, exclusive time per stage and a fixed-bucket latency
 // histogram), an in-flight gauge with a sampler that records it at a fixed
 // simulated interval, and two exporters (Prometheus text exposition and
-// versioned JSON) that walk one table of the eleven exported families and
+// versioned JSON) that walk one table of the ten exported families and
 // whose output is byte-identical across identical runs.
 //
 // Where the tracing layer (internal/trace, DESIGN.md §8) records what each
@@ -46,12 +46,12 @@ import "slices"
 // Every other category is charged to no stage of its own: its time stays
 // with the stage span it is nested in, or with no stage when there is none.
 var categories = [...]string{
-	"client", "net", "admission", "lfs", "cache", "raid", "scsi", "disk",
+	"client", "net", "lfs", "cache", "raid", "scsi", "disk",
 
 	"cluster", "datapath", "fault", "hippi", "scrub", "server", "xbus",
 }
 
-const numStages = 8
+const numStages = 7
 
 // outcomes is the one table of outcome spans: a span of this category and
 // name closing on a process that carries a live request counts toward the
@@ -67,7 +67,6 @@ var outcomes = [...]struct {
 	{"cache", "miss", func(r *Request) { r.misses++ }},
 	{"scsi", "retry", func(r *Request) { r.retries++ }},
 	{"client", "retry", func(r *Request) { r.retries++ }},
-	{"server", "shed", func(r *Request) { r.shed = true }},
 	{"raid", "degraded", func(r *Request) { r.degraded = true }},
 	{"server", "degraded", func(r *Request) { r.degraded = true }},
 }

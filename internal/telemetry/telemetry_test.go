@@ -413,7 +413,6 @@ func TestOutcomeSpansReconcile(t *testing.T) {
 		{"cache", "miss", "misses"},
 		{"scsi", "retry", "retries"},
 		{"client", "retry", "retries"},
-		{"server", "shed", "shed"},
 		{"raid", "degraded", "degraded"},
 		{"server", "degraded", "degraded"},
 	}
@@ -450,7 +449,7 @@ func TestOutcomeSpansReconcile(t *testing.T) {
 		kind := c.cat + "/" + c.name
 		s := r.kinds[kind]
 		got := map[string]uint64{"hits": s.hits, "misses": s.misses, "retries": s.retries,
-			"retried": s.retried, "degraded": s.degraded, "shed": s.shed}
+			"retried": s.retried, "degraded": s.degraded}
 		onRequest := uint64(i + 2)
 		if traced[kind] != onRequest+1 {
 			t.Errorf("%s: trace has %d spans, want %d", kind, traced[kind], onRequest+1)
@@ -459,7 +458,7 @@ func TestOutcomeSpansReconcile(t *testing.T) {
 		switch c.as {
 		case "retries":
 			want["retried"] = 1
-		case "degraded", "shed":
+		case "degraded":
 			want[c.as] = 1 // a count of requests
 		}
 		for k, v := range got {

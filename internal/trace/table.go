@@ -71,16 +71,6 @@ func (rec *Recorder) Table(limit int) string {
 		fmt.Fprintf(&b, "cache: %d hits / %d misses (%.1f%% hit rate), %d evictions\n",
 			hits.Count, misses.Count, rate*100, evicts.Count)
 	}
-	// Admission control, when any board enforced a limit: shed and queued
-	// counts explain a bandwidth sag that no utilization row shows.  A
-	// queued request is one admission/wait span, the wait for a slot.
-	admitted := rec.spanCount("server", "admit")
-	queued := rec.spanCount("admission", "wait")
-	shed := rec.spanCount("server", "shed")
-	if admitted.Count+queued.Count+shed.Count > 0 {
-		fmt.Fprintf(&b, "admission: %d admitted (%d queued %.3fs total wait), %d shed\n",
-			admitted.Count, queued.Count, queued.Total.Seconds(), shed.Count)
-	}
 	// LFS back-pressure: appends that found every segment image in use and
 	// waited for the array.  The lfs:images row above ranks by occupancy; the
 	// time writers lost to it is here.

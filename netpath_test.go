@@ -16,8 +16,8 @@ import (
 // plan — an Ultranet ring flap plus periodic packet loss on the client NIC
 // — under retried client reads with a background parity scrub, twice, and
 // demands byte-identical Chrome trace JSON.  Link detection, backoff,
-// resumed transfers, admission, and scrub repairs are all simulated events,
-// so an identical plan must replay identically.
+// resumed transfers and scrub repairs are all simulated events, so an
+// identical plan must replay identically.
 func TestNetworkFaultTraceDeterministic(t *testing.T) {
 	run := func() string {
 		plan := FaultPlan{}.
@@ -26,8 +26,7 @@ func TestNetworkFaultTraceDeterministic(t *testing.T) {
 			PacketLossEvery(6, PortClientNIC, 0)
 		srv, err := NewServer(WithDisksPerString(1),
 			WithFaultPlan(plan),
-			WithClientRetry(RetryPolicy{MaxRetries: 40}),
-			WithAdmissionLimit(2))
+			WithClientRetry(RetryPolicy{MaxRetries: 40}))
 		if err != nil {
 			t.Fatal(err)
 		}

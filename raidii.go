@@ -102,8 +102,6 @@ var (
 	ErrPacketLost = fault.ErrPacketLost
 	// ErrNetTimeout reports a stalled network endpoint exceeding its timeout.
 	ErrNetTimeout = fault.ErrNetTimeout
-	// ErrServerBusy reports a request shed by board admission control.
-	ErrServerBusy = fault.ErrServerBusy
 	// ErrDeadline reports a client request abandoned at its deadline.
 	ErrDeadline = fault.ErrDeadline
 	// ErrArrayFailed reports reads or writes against an array whose
@@ -229,15 +227,6 @@ func WithFaultPlan(plan FaultPlan) Option {
 // fault.  (An availability extension beyond the paper's measurements.)
 func WithClientRetry(pol RetryPolicy) Option {
 	return func(c *server.Config) { c.ClientRetry = pol }
-}
-
-// WithAdmissionLimit bounds each board's concurrently serviced client
-// requests: n in service, up to n more waiting FIFO, the rest shed
-// immediately with ErrServerBusy for the client's backoff to absorb.
-// Zero (the default) admits everything.  (An overload-protection extension
-// beyond the paper.)
-func WithAdmissionLimit(n int) Option {
-	return func(c *server.Config) { c.AdmissionLimit = n }
 }
 
 // WithServers sets the number of server hosts a Cluster assembles on its

@@ -171,7 +171,9 @@ func TestProbeObservesExperimentEngines(t *testing.T) {
 // category a span is opened with, across the experiments that between them
 // reach every layer, fault path and the NVRAM log, is a row of telemetry's
 // category table — so a misspelt layer name fails here instead of silently
-// accruing to no stage — and the layer-entry spans are all there.
+// accruing to no stage — the layer-entry spans are all there, and every
+// stage in the table is opened by some run: a stage no model code reaches
+// is a row to delete.
 func TestSpanCategoriesDeclared(t *testing.T) {
 	var recs []*trace.Recorder
 	SetProbe(func(label string, e *sim.Engine) {
@@ -195,7 +197,13 @@ func TestSpanCategoriesDeclared(t *testing.T) {
 			if !telemetry.KnownCategory(sc.Cat) {
 				t.Errorf("%s: span %s/%s: category not in telemetry's table", rec.Label(), sc.Cat, sc.Name)
 			}
+			seen[sc.Cat] = true
 			seen[sc.Cat+"/"+sc.Name] = true
+		}
+	}
+	for _, stage := range telemetry.Stages() {
+		if !seen[stage] {
+			t.Errorf("stage %s: no run opened a span of its category", stage)
 		}
 	}
 	for _, kind := range []string{
